@@ -31,15 +31,26 @@ staticcheck:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector — including the engine
+# differentials (TestECCFastEqualsExact, the TickN equivalence suite), which
+# are sized to stay in this pass rather than behind an opt-in gate.
 race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over the parsers (plan grammar, buffer-policy specs,
-# end-to-end policy conservation).
+# end-to-end policy conservation) and over the two-mode tick engine's
+# seams: the SEC-DED kernel against its bit-serial oracle, and the three
+# targets that toggle ECC — arbitrary injection schedules, TickN batch
+# splits × snapshot cuts with upsets in flight, and checkpoint cuts inside
+# a dirty window.
 fuzz:
 	$(GO) test ./internal/fault -run FuzzFaultPlanParse -fuzz FuzzFaultPlanParse -fuzztime 30s
 	$(GO) test ./internal/bufmgr -run FuzzParseSpec -fuzz FuzzParseSpec -fuzztime 30s
 	$(GO) test ./internal/core -run FuzzPolicyConservation -fuzz FuzzPolicyConservation -fuzztime 30s
+	$(GO) test ./internal/core -run FuzzECCKernel -fuzz FuzzECCKernel -fuzztime 30s
+	$(GO) test ./internal/core -run FuzzSwitchTraffic -fuzz FuzzSwitchTraffic -fuzztime 30s
+	$(GO) test ./internal/core -run FuzzTickN -fuzz FuzzTickN -fuzztime 30s
+	$(GO) test ./internal/ckpt -run FuzzCheckpointCycle -fuzz FuzzCheckpointCycle -fuzztime 30s
 
 # Known-vulnerability scan. Offline dev boxes may not have the tool (it
 # needs network access to fetch the vuln DB anyway), so skip gracefully

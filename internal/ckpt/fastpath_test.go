@@ -15,10 +15,11 @@ import (
 // batched tick engine keeps on its fast path: memory upsets (the seam
 // materializes lazily deferred payloads before flipping, so the upset
 // lands on real bytes without forcing per-stage stepping). The existing
-// replay matrix runs its fault plans against ECC switches, which pin the
-// exact path — this run drives a cut-through, non-ECC switch, so the
-// checkpoint is taken from (and the resumed run re-enters) the fast-path
-// machinery, and every flip surfaces as a counted corrupt delivery.
+// replay matrix runs its fault plans against ECC switches, where every
+// upset opens a dirty window on the exact path — this run drives a
+// cut-through, non-ECC switch, so the checkpoint is taken from (and the
+// resumed run re-enters) the fast-path machinery, and every flip surfaces
+// as a counted corrupt delivery.
 // The uninterrupted run is the oracle: checkpoint mid-plan through the
 // file round trip, resume, and require a bit-identical RunResult and
 // identical engine tallies.

@@ -188,6 +188,27 @@ func (s *Switch) AuditInvariants() error {
 		return fmt.Errorf("core: audit: lazyCount %d, but %d payloads deferred", s.lazyCount, lazy)
 	}
 
+	// Clean-word invariant: the batched path never decodes, so every live
+	// word outside the dirty set must match its check bits, and the count
+	// gating wantFast must mirror the flags. (Under an active bypass the
+	// batched path is barred for good and one physical row serves two
+	// logical addresses, so only the census is checked.)
+	if s.eccMem != nil {
+		dirty := 0
+		for a, flagged := range s.eccDirty {
+			if flagged {
+				dirty++
+				continue
+			}
+			if s.refcnt[a] > 0 && !s.halved && !s.addrClean(a) {
+				return fmt.Errorf("core: audit: live address %d fails its check bits outside the dirty set", a)
+			}
+		}
+		if dirty != s.eccDirtyN {
+			return fmt.Errorf("core: audit: eccDirtyN %d, but %d addresses flagged", s.eccDirtyN, dirty)
+		}
+	}
+
 	// §4.3 delay-line census.
 	if s.inDelay != nil {
 		inDelay := 0

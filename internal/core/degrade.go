@@ -105,21 +105,24 @@ func (s *Switch) bankFor(st, addr int, remap bool) (int, int) {
 }
 
 // writeWord performs stage st's write of a wave at address addr. A bank
-// with an injected stuck-at fault ignores writes (its cells hold a frozen
-// pattern), which is what lets the ECC layer notice it on the read wave.
+// with an injected stuck-at fault still takes the write — the fault sits
+// on its data lines (senseWord), not in the array — so what a read of it
+// decodes against is always the check bits of the word that was meant to
+// be there, never whatever an earlier wave left behind: storage no live
+// wave has written stays unobservable, which is what lets the batched
+// path skip deposits nobody will read (commitWave).
 func (s *Switch) writeWord(st, addr int, remap bool, w cell.Word) {
 	b, a := s.bankFor(st, addr, remap)
-	if s.stuck != nil && s.stuck[b] {
-		return
-	}
-	s.mem[s.memIdx(b, a)] = w
+	i := s.memIdx(b, a)
+	s.mem[i] = w
 	if s.eccMem != nil {
-		s.eccMem[b][a] = eccEncode(w, s.cfg.WordBits)
+		s.eccMem[i] = s.ecc.encode(w)
 	}
 }
 
 // senseWord is what bank b's data lines present for row a: the stored
-// word, or all-ones if the bank has a stuck-at fault.
+// word, or all-ones — whatever the array holds — if the bank has a
+// stuck-at fault.
 func (s *Switch) senseWord(b, a int) cell.Word {
 	if s.stuck != nil && s.stuck[b] {
 		return cell.Word(^uint64(0)).Mask(s.cfg.WordBits)
@@ -134,16 +137,18 @@ func (s *Switch) senseWord(b, a int) cell.Word {
 // bypass threshold, while a repaired transient does not. Multi-bit
 // failures ("ecc-uncorrectable") always count toward the threshold. A
 // stuck bank's data lines read all-ones regardless of what was written, so
-// its reads fail their (stale) check bits one way or the other: either as
-// outright uncorrectable words, or as "corrected" words whose scrub is
-// silently ignored and caught by the verify.
+// its reads fail their check bits one way or the other: either as outright
+// uncorrectable words, or as "corrected" words whose scrub is withheld
+// (it would overwrite the intact array with a guess) and caught by the
+// verify.
 func (s *Switch) readWord(st, addr int, remap bool) cell.Word {
 	b, a := s.bankFor(st, addr, remap)
 	w := s.senseWord(b, a)
 	if s.eccMem == nil {
 		return w
 	}
-	dec, status := eccDecode(w, s.eccMem[b][a], s.cfg.WordBits)
+	i := s.memIdx(b, a)
+	dec, status := s.ecc.decode(w, s.eccMem[i])
 	switch status {
 	case eccCorrected:
 		s.counter.Inc("ecc-corrected", 1)
@@ -151,10 +156,10 @@ func (s *Switch) readWord(st, addr int, remap bool) cell.Word {
 			s.obs.ECCCorrected.Inc()
 		}
 		if s.stuck == nil || !s.stuck[b] {
-			s.mem[s.memIdx(b, a)] = dec
-			s.eccMem[b][a] = eccEncode(dec, s.cfg.WordBits)
+			s.mem[i] = dec
+			s.eccMem[i] = s.ecc.encode(dec)
 		}
-		if _, vs := eccDecode(s.senseWord(b, a), s.eccMem[b][a], s.cfg.WordBits); vs != eccClean {
+		if _, vs := s.ecc.decode(s.senseWord(b, a), s.eccMem[i]); vs != eccClean {
 			s.counter.Inc("ecc-hard", 1)
 			s.stageErr[b]++
 			if s.obs != nil {
@@ -245,16 +250,17 @@ func (s *Switch) MapOutStage(st int) error {
 	return nil
 }
 
-// SetStageStuck injects (or clears) a stuck-at fault on bank st: writes
-// are ignored and the data lines read all-ones. The fault engine's "stuck"
-// events use this; with ECC armed the bank's words fail their check bits
-// on every read until the bypass threshold maps the bank out.
+// SetStageStuck injects (or clears) a stuck-at fault on bank st: its data
+// lines read all-ones whatever the array holds (writes still land, and
+// show again once the fault clears). The fault engine's "stuck" events use
+// this; with ECC armed the bank's words fail their check bits on every
+// read until the bypass threshold maps the bank out.
 func (s *Switch) SetStageStuck(st int, stuck bool) {
 	if st < 0 || st >= s.k {
 		return
 	}
-	// A stuck bank's behavior is per-word (writes dropped, reads all-ones):
-	// inherently per-stage, so the exact path must run from here on.
+	// A stuck bank's behavior is per-word (reads all-ones): inherently
+	// per-stage, so the exact path must run from here on.
 	s.forceExact()
 	if s.stuck == nil {
 		s.stuck = make([]bool, s.k)
@@ -267,15 +273,65 @@ func (s *Switch) SetStageStuck(st int, stuck bool) {
 // check bits are deliberately left stale so the ECC layer sees the flip.
 // The current bypass remap is applied, so the fault lands where live
 // traffic will actually read.
+//
+// On an ECC switch the upset opens a dirty window: only the exact path
+// decodes, so the batched path hands over and stays out until a wave over
+// the address has scrubbed or rewritten every word of it (eccRetire). A
+// wave the batched path had already committed when the upset lands took
+// its words at initiation and does not see it; the next wave over the
+// address does — which is why fault engines target AddrStable words.
+//
+// The flag follows the stored words, not the call: an upset that leaves
+// every word of the address matching its check bits (a second flip undoing
+// the first, a mask the code cannot see) leaves nothing to decode, so the
+// address is unflagged. Between waves the dirty set is therefore exactly
+// the addresses holding an unclean word — what NewFromSnapshot rebuilds.
 func (s *Switch) InjectMemoryFault(stage, addr int, mask cell.Word) {
 	if stage < 0 || stage >= s.k || addr < 0 || addr >= s.cfg.Cells {
 		return
+	}
+	mask = mask.Mask(s.cfg.WordBits)
+	if s.eccMem != nil && mask != 0 {
+		s.dropFast()
 	}
 	// A lazily deferred payload must land in the array before the upset
 	// does, or the flip would hit stale bytes and vanish.
 	s.materializeAddr(addr)
 	b, a := s.bankFor(stage, addr, true)
-	s.mem[s.memIdx(b, a)] ^= mask.Mask(s.cfg.WordBits)
+	s.mem[s.memIdx(b, a)] ^= mask
+	if s.eccMem != nil && mask != 0 {
+		if dirty := !s.addrClean(addr); dirty != s.eccDirty[addr] {
+			s.eccDirty[addr] = dirty
+			if dirty {
+				s.eccDirtyN++
+			} else {
+				s.eccDirtyN--
+			}
+		}
+	}
+}
+
+// eccRetire closes addr's dirty window if it can. The exact path calls it
+// when a wave over a flagged address has left stage k-1: a read wave
+// scrubbed what it could correct and a write wave rewrote every word, but
+// an uncorrectable word stays as it is and a wave that was already past
+// the upset's stage when it landed never saw it — so the flag clears only
+// once every word of the address decodes clean again.
+func (s *Switch) eccRetire(addr int) {
+	if s.eccDirty[addr] && s.addrClean(addr) {
+		s.eccDirty[addr] = false
+		s.eccDirtyN--
+	}
+}
+
+// addrClean reports whether all k words of addr match their check bits.
+func (s *Switch) addrClean(addr int) bool {
+	for st := 0; st < s.k; st++ {
+		if !s.MemoryClean(st, addr) {
+			return false
+		}
+	}
+	return true
 }
 
 // MemoryClean reports whether the word at (stage, addr) currently matches
@@ -290,7 +346,8 @@ func (s *Switch) MemoryClean(stage, addr int) bool {
 		return true
 	}
 	b, a := s.bankFor(stage, addr, true)
-	_, status := eccDecode(s.mem[s.memIdx(b, a)], s.eccMem[b][a], s.cfg.WordBits)
+	i := s.memIdx(b, a)
+	_, status := s.ecc.decode(s.mem[i], s.eccMem[i])
 	return status == eccClean
 }
 

@@ -43,56 +43,65 @@ func eccCheckBits(width int) int {
 	return r
 }
 
-// eccSpread places the width data bits of w into codeword positions
-// 1..width+r, skipping power-of-two positions, and returns the positions
-// of the 1-bits folded as an XOR (the parity-group accumulator) plus the
-// populated codeword as a position-indexed bitmask is not needed — only
-// the group parities are. Instead of materializing the codeword, both
-// encode and decode fold each 1-bit's position into a running XOR: for a
-// codeword with exactly the check bits chosen below, the XOR of the
-// positions of all 1-bits is zero, and after a single bit error at
-// position p it is exactly p.
-func eccSpread(w cell.Word, width int) (posXor uint, ones int) {
-	pos := uint(0) // codeword position of the next data bit, starting at 3
-	next := uint(3)
+// eccCode is the SEC-DED code for one word width, reduced to parity masks
+// built once per switch: check bit i is the parity of the data bits under
+// cover[i], so encoding a word is r popcounts instead of a walk over its
+// bits, and a syndrome maps back to its data bit through one table load.
+// ecc_test.go keeps the bit-serial construction as the oracle.
+type eccCode struct {
+	r int // Hamming check bits; the overall parity rides in bit r
+	// data selects the width data bits (the encoder's parity covers only
+	// those; the decoder counts every bit actually read).
+	data uint64
+	// cover[i] selects the data bits whose codeword position has bit i set.
+	cover [7]uint64
+	// bitAt maps a codeword position to its data bit, -1 for check-bit
+	// positions and positions beyond the codeword.
+	bitAt [128]int8
+}
+
+// newECC lays out the codeword for width-bit data words (1…64): data bits
+// fill positions 3, 5, 6, 7, 9, … in order, skipping the powers of two.
+func newECC(width int) *eccCode {
+	e := &eccCode{r: eccCheckBits(width), data: ^uint64(0)}
+	if width < 64 {
+		e.data = uint64(1)<<uint(width) - 1
+	}
+	for i := range e.bitAt {
+		e.bitAt[i] = -1
+	}
+	pos := uint(3)
 	for b := 0; b < width; b++ {
-		pos = next
-		// Advance to the following non-power-of-two position.
-		next++
-		for next&(next-1) == 0 {
-			next++
+		e.bitAt[pos] = int8(b)
+		for i := 0; i < e.r; i++ {
+			if pos>>uint(i)&1 != 0 {
+				e.cover[i] |= uint64(1) << uint(b)
+			}
 		}
-		if w&(1<<uint(b)) != 0 {
-			posXor ^= pos
-			ones++
+		pos++
+		for pos&(pos-1) == 0 {
+			pos++
 		}
 	}
-	return posXor, ones
+	return e
 }
 
-// eccEncode returns the stored check bits for a width-bit data word: bits
-// 0..r-1 are the Hamming check bits, bit r is the overall parity of the
-// whole codeword (data + check bits).
-func eccEncode(w cell.Word, width int) uint8 {
-	r := eccCheckBits(width)
-	posXor, ones := eccSpread(w, width)
-	// Check bit i equals the parity of the data positions with bit i set,
-	// which is exactly bit i of posXor.
-	check := uint8(posXor) & (1<<uint(r) - 1)
-	// Overall parity over data bits and check bits.
-	parity := uint(ones)
-	for i := 0; i < r; i++ {
-		parity += uint(check>>uint(i)) & 1
+// encode returns the stored check bits for a data word: bits 0..r-1 are
+// the Hamming check bits, bit r is the overall parity of the whole
+// codeword (data + check bits).
+func (e *eccCode) encode(w cell.Word) uint8 {
+	var check uint8
+	for i := 0; i < e.r; i++ {
+		check |= uint8(mathbits.OnesCount64(uint64(w)&e.cover[i])&1) << uint(i)
 	}
-	return check | uint8(parity&1)<<uint(r)
+	parity := mathbits.OnesCount64(uint64(w)&e.data) + mathbits.OnesCount8(check)
+	return check | uint8(parity&1)<<uint(e.r)
 }
 
-// eccDecode verifies a (word, check) pair read from a bank. It returns the
+// decode verifies a (word, check) pair read from a bank. It returns the
 // (possibly corrected) word and the decode status.
-func eccDecode(w cell.Word, check uint8, width int) (cell.Word, eccStatus) {
-	r := eccCheckBits(width)
-	expect := eccEncode(w, width)
-	syndrome := uint((check ^ expect) & (1<<uint(r) - 1))
+func (e *eccCode) decode(w cell.Word, check uint8) (cell.Word, eccStatus) {
+	syndrome := uint((check ^ e.encode(w)) & (1<<uint(e.r) - 1))
 	// The overall parity is checked over the bits actually read (data,
 	// check bits, parity bit): the encoder makes that total even.
 	ones := mathbits.OnesCount64(uint64(w)) + mathbits.OnesCount8(check)
@@ -110,7 +119,7 @@ func eccDecode(w cell.Word, check uint8, width int) (cell.Word, eccStatus) {
 		if syndrome&(syndrome-1) == 0 {
 			return w, eccCorrected
 		}
-		if bit, ok := eccDataBit(syndrome, width); ok {
+		if bit := e.bitAt[syndrome]; bit >= 0 {
 			return w ^ 1<<uint(bit), eccCorrected
 		}
 		// Position beyond the codeword: cannot be a single-bit error.
@@ -119,20 +128,4 @@ func eccDecode(w cell.Word, check uint8, width int) (cell.Word, eccStatus) {
 		// Even number of flipped bits, nonzero syndrome: double error.
 		return w, eccUncorrectable
 	}
-}
-
-// eccDataBit maps codeword position pos back to a data bit index; ok is
-// false when pos is outside the data positions of a width-bit codeword.
-func eccDataBit(pos uint, width int) (int, bool) {
-	p := uint(3)
-	for b := 0; b < width; b++ {
-		if p == pos {
-			return b, true
-		}
-		p++
-		for p&(p-1) == 0 {
-			p++
-		}
-	}
-	return 0, false
 }

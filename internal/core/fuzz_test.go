@@ -12,16 +12,18 @@ import (
 // Run with `go test -fuzz=FuzzSwitchTraffic ./internal/core` to explore;
 // the seed corpus runs in normal `go test`.
 func FuzzSwitchTraffic(f *testing.F) {
-	f.Add([]byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{})
-	f.Add([]byte{0x00, 0x80, 0x40, 0xc0, 0x20, 0xa0})
-	f.Fuzz(func(t *testing.T, schedule []byte) {
+	f.Add([]byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef}, false)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, false)
+	f.Add([]byte{}, false)
+	f.Add([]byte{0x00, 0x80, 0x40, 0xc0, 0x20, 0xa0}, false)
+	f.Add([]byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef}, true)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0xf0}, true)
+	f.Fuzz(func(t *testing.T, schedule []byte, ecc bool) {
 		if len(schedule) > 512 {
 			schedule = schedule[:512]
 		}
 		const ports = 4
-		s, err := New(Config{Ports: ports, WordBits: 16, Cells: 8, CutThrough: true})
+		s, err := New(Config{Ports: ports, WordBits: 16, Cells: 8, CutThrough: true, ECC: ecc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,6 +71,9 @@ func FuzzSwitchTraffic(f *testing.F) {
 		}
 		if s.Counters().Get("corrupt") != 0 {
 			t.Fatalf("corrupt counter nonzero for schedule %x", schedule)
+		}
+		if err := s.AuditInvariants(); err != nil {
+			t.Fatalf("schedule %x: %v", schedule, err)
 		}
 	})
 }

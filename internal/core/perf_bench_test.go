@@ -104,6 +104,17 @@ func BenchmarkTickSaturation(b *testing.B) {
 		traffic.Config{Kind: traffic.Saturation, N: 8, Seed: 42})
 }
 
+// BenchmarkTickECC8x8 is the steady-state point on an ECC-protected,
+// store-and-forward switch (an ECC switch buffers every cell: a word that
+// cut through would never be checked). With no upset outstanding it runs
+// on the batched path; compare with BenchmarkTickSteadyState for what
+// protection plus the trip through the buffer costs there.
+func BenchmarkTickECC8x8(b *testing.B) {
+	benchTick(b,
+		Config{Ports: 8, WordBits: 16, Cells: 256, ECC: true},
+		traffic.Config{Kind: traffic.Permutation, N: 8, Load: 1, Seed: 42})
+}
+
 // BenchmarkTickBernoulli16 exercises a larger switch at 0.8 load.
 func BenchmarkTickBernoulli16(b *testing.B) {
 	benchTick(b,

@@ -192,6 +192,88 @@ func TestPolicyTickZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRunnerZeroAllocUnderDrops: the runner takes the switch's drop hook,
+// so a lost cell returns to the pool like a delivered one and a lossy
+// steady state allocates nothing at all — not "less than one per cycle":
+// the whole measured window is one AllocsPerRun call.
+func TestRunnerZeroAllocUnderDrops(t *testing.T) {
+	sw8 := Config{Ports: 8, WordBits: 16, Cells: 256, CutThrough: true}
+	hot := traffic.Config{Kind: traffic.Hotspot, N: 8, Load: 0.9, HotFrac: 0.5, Seed: 42}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		traffic traffic.Config
+		policy  string
+		counter string
+	}{
+		{"dt-hotspot", Config{Ports: 8, WordBits: 16, Cells: 64, ECC: true}, hot, "dt:alpha=2", "drop-policy"},
+		{"pushout-hotspot", Config{Ports: 8, WordBits: 16, Cells: 64, CutThrough: true}, hot, "pushout", "drop-pushout"},
+		{"saturation-overrun", sw8, traffic.Config{Kind: traffic.Saturation, N: 8, Seed: 42}, "", "drop-overrun"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustSwitch(t, tc.cfg)
+			if tc.policy != "" {
+				p, err := bufmgr.Parse(tc.policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetBufferPolicy(p)
+			}
+			r := NewRunner(s, stream(t, tc.traffic, s.Config().Stages), 1<<30)
+			const window = 20_000
+			for i := 0; i < window; i++ {
+				r.Step()
+			}
+			before := s.Counters().Get(tc.counter)
+			allocs := testing.AllocsPerRun(1, func() {
+				for i := 0; i < window; i++ {
+					r.Step()
+				}
+			})
+			if lost := s.Counters().Get(tc.counter) - before; lost < 50 {
+				t.Fatalf("only %d %s cells in the measured windows; the drive tests nothing", lost, tc.counter)
+			}
+			if allocs != 0 {
+				t.Fatalf("%v allocations over %d lossy cycles, want 0", allocs, window)
+			}
+		})
+	}
+}
+
+// TestRunnerRestoresDropHook: the runner borrows the switch's drop hook
+// for the run and hands the caller's back, so losses after the run reach
+// the caller again.
+func TestRunnerRestoresDropHook(t *testing.T) {
+	s := mustSwitch(t, Config{Ports: 4, WordBits: 16, Cells: 8, CutThrough: true})
+	k := s.Config().Stages
+	seen := 0
+	s.SetDropCellHook(func(*cell.Cell, bool) { seen++ })
+	sat := traffic.Config{Kind: traffic.Saturation, N: 4, Seed: 3}
+	res, err := RunTraffic(s, stream(t, sat, k), 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Dropped == 0 || seen != 0 {
+		t.Fatalf("during the run: %d drops, caller's hook fired %d times; want drops and no calls", res.Dropped, seen)
+	}
+	// Overrun one input by hand: the second head displaces the first,
+	// which a closed output kept from ever obtaining its write wave.
+	s.SetOutputGate(func(int) bool { return false })
+	for s.FreeCells() > 0 {
+		heads := make([]*cell.Cell, 4)
+		heads[0] = cell.New(1, 0, 1, k, 16)
+		s.TickN(heads, int64(k))
+	}
+	for i := 0; i < 2; i++ {
+		heads := make([]*cell.Cell, 4)
+		heads[0] = cell.New(2, 0, 1, k, 16)
+		s.TickN(heads, int64(k))
+	}
+	if seen == 0 {
+		t.Fatal("the caller's drop hook was not put back after the run")
+	}
+}
+
 // tickHarnessPolicy is tickHarness with an admission policy installed
 // (the shared helper doesn't expose the switch, so build it here).
 func tickHarnessPolicy(t *testing.T, cfg Config, tcfg traffic.Config, p bufmgr.Policy) func() {

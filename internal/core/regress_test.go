@@ -6,7 +6,9 @@ package core
 // truncation.
 
 import (
+	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -92,5 +94,37 @@ func TestCutLatencyOverflowSurfaced(t *testing.T) {
 	// The mean still accounts for the overflowed samples' true magnitude.
 	if res.MeanCutLatency <= 0 {
 		t.Fatalf("mean cut latency %v", res.MeanCutLatency)
+	}
+}
+
+// TestZeroCycleRunMarshals: a run over an empty window used to report its
+// mean occupancy as 0/0, and encoding/json refuses to marshal a NaN — a
+// session asked for zero cycles could not serve its own result.
+func TestZeroCycleRunMarshals(t *testing.T) {
+	s, err := New(Config{Ports: 4, WordBits: 16, Cells: 16, CutThrough: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := traffic.NewCellStream(traffic.Config{Kind: traffic.Bernoulli, N: 4, Load: 0.5, Seed: 1}, s.Config().Stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunTraffic(s, cs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MeanBuffered != 0 {
+		t.Fatalf("MeanBuffered = %v over an empty window, want 0", res.MeanBuffered)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatalf("result of a zero-cycle run does not marshal: %v", err)
+	}
+	var back RunResult
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, res) {
+		t.Fatalf("round trip changed the result:\n got  %+v\n want %+v", back, res)
 	}
 }

@@ -28,6 +28,14 @@ type Runner struct {
 	pool   *cell.Pool
 	heads  []int
 	hcells []*cell.Cell
+	// limbo holds the cells the switch dropped while their words may still
+	// be streaming into an input register, oldest first, each with the
+	// first cycle it may be refilled. A recycling cache like pool: losing
+	// it costs allocations, never behavior, so it is not in RunnerState.
+	limbo []deadCell
+	// prevDrop is the drop hook the switch carried before the runner took
+	// it; Result puts it back.
+	prevDrop func(c *cell.Cell, reusable bool)
 
 	phase     int
 	driven    int64
@@ -47,6 +55,12 @@ type Runner struct {
 	finished bool
 }
 
+// deadCell is a dropped cell waiting out the rest of its cell time.
+type deadCell struct {
+	c    *cell.Cell
+	free int64
+}
+
 // Runner phases.
 const (
 	runDrive = iota
@@ -55,8 +69,11 @@ const (
 )
 
 // NewRunner builds a runner that will drive s with cs for the given number
-// of cycles and then drain. It enables the switch's drain-recycle mode;
-// Result restores it.
+// of cycles and then drain. It enables the switch's drain-recycle mode and
+// takes its drop-cell hook for the length of the run (dropped cells are
+// recycled like delivered ones, so a hook the caller had installed is not
+// called meanwhile); Result switches recycling off again and puts the
+// caller's hook back.
 func NewRunner(s *Switch, cs *traffic.CellStream, cycles int64) *Runner {
 	r := &Runner{
 		s:      s,
@@ -71,11 +88,37 @@ func NewRunner(s *Switch, cs *traffic.CellStream, cycles int64) *Runner {
 		bound: int64((s.cfg.Cells + 2) * s.k * 2),
 	}
 	s.SetDrainRecycle(true)
+	r.prevDrop = s.onDropCell
+	s.SetDropCellHook(r.recycleDropped)
 	if cycles <= 0 {
 		r.phase = runDrain
-		r.res.MeanBuffered = r.occSum / float64(cycles)
 	}
 	return r
+}
+
+// recycleDropped is the switch's drop hook: a lost cell goes back to the
+// pool like a delivered one — at once when the switch holds no reference,
+// else k cycles on, when its cell time has certainly ended (a departure is
+// recycled no earlier than that either).
+func (r *Runner) recycleDropped(c *cell.Cell, reusable bool) {
+	if reusable {
+		r.pool.Put(c)
+		return
+	}
+	r.limbo = append(r.limbo, deadCell{c, r.s.cycle + int64(r.s.k)})
+}
+
+// reclaim pools the dropped cells whose cell time has ended.
+func (r *Runner) reclaim() {
+	n := 0
+	for n < len(r.limbo) && r.limbo[n].free <= r.s.cycle {
+		r.pool.Put(r.limbo[n].c)
+		n++
+	}
+	if n > 0 {
+		// At most a cell time's worth of drops is ever held: a short copy.
+		r.limbo = r.limbo[:copy(r.limbo, r.limbo[n:])]
+	}
 }
 
 // Switch returns the switch under test.
@@ -115,6 +158,7 @@ func (r *Runner) Step() bool {
 			// and let the switch's dead-cycle path see the nil vector.
 			r.s.Tick(nil)
 		} else {
+			r.reclaim()
 			for i := range r.hcells {
 				r.hcells[i] = nil
 				if r.heads[i] != traffic.NoArrival {
@@ -179,18 +223,23 @@ func (r *Runner) finish() RunResult {
 	// Utilization normalizes by every simulated cycle of this run — driven
 	// window plus drain tail — so link activity during the drain cannot
 	// push the ratio past 1.0.
-	res.Utilization = float64(r.busyWords) / float64((r.driven+r.drained)*int64(r.s.n))
+	// (A run of no cycles at all used no link; 0/0 would be a NaN, which
+	// encoding/json refuses to marshal.)
+	if ticks := r.driven + r.drained; ticks > 0 {
+		res.Utilization = float64(r.busyWords) / float64(ticks*int64(r.s.n))
+	}
 	return res
 }
 
 // Result completes the run (stepping to the end if needed), restores the
-// switch's drain mode, and returns the final RunResult with the same
+// switch's drain mode and drop hook, and returns the final RunResult with the same
 // conservation and integrity checks RunTraffic has always enforced.
 func (r *Runner) Result() (RunResult, error) {
 	for r.Step() {
 	}
 	r.finished = true
 	r.s.SetDrainRecycle(false)
+	r.s.SetDropCellHook(r.prevDrop)
 	res := r.finish()
 	if res.Delivered+res.Dropped+r.s.pendingCount() != res.Offered {
 		return res, fmt.Errorf("core: conservation violated: offered %d, delivered %d, dropped %d, pending %d",

@@ -254,8 +254,12 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 	}
 	if s.eccMem != nil {
 		st.ECCMem = make([][]uint8, s.k)
-		for b := range s.eccMem {
-			st.ECCMem[b] = append([]uint8(nil), s.eccMem[b]...)
+		for b := range st.ECCMem {
+			row := make([]uint8, s.cfg.Cells)
+			for a := range row {
+				row[a] = s.eccMem[s.memIdx(b, a)]
+			}
+			st.ECCMem[b] = row
 		}
 	}
 	for i := range s.outReg {
@@ -366,7 +370,12 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 			return nil, fmt.Errorf("core: switch state ECCMem has %d banks, want %d", len(st.ECCMem), k)
 		}
 		for b := range st.ECCMem {
-			copy(s.eccMem[b], st.ECCMem[b])
+			if len(st.ECCMem[b]) != s.cfg.Cells {
+				return nil, fmt.Errorf("core: switch state ECCMem[%d] has %d words, want %d", b, len(st.ECCMem[b]), s.cfg.Cells)
+			}
+			for a, chk := range st.ECCMem[b] {
+				s.eccMem[s.memIdx(b, a)] = chk
+			}
 		}
 	} else if s.eccMem != nil {
 		return nil, fmt.Errorf("core: config has ECC on but switch state carries no ECC bits")
@@ -512,6 +521,17 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	s.addrLimit = st.AddrLimit
 	s.lastInit = st.LastInit
 	copy(s.writeStartAt, st.WriteStartAt)
+	// The dirty set is derived, never serialized: an upset leaves a word
+	// that fails its check bits, so flagging every address holding one puts
+	// a resumed run on the same engine as the uninterrupted one.
+	if s.eccMem != nil {
+		for a := range s.eccDirty {
+			if !s.addrClean(a) {
+				s.eccDirty[a] = true
+				s.eccDirtyN++
+			}
+		}
+	}
 
 	if st.InDelay != nil {
 		r := s.cfg.LinkPipeline

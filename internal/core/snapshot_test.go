@@ -220,23 +220,29 @@ func TestAuditDetectsCorruption(t *testing.T) {
 // audit allocates nothing, so running it online every N cycles costs
 // cache traffic, not garbage.
 func TestAuditZeroAlloc(t *testing.T) {
-	s, err := New(Config{Ports: 8, WordBits: 16, Cells: 256, CutThrough: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, _ := traffic.NewCellStream(traffic.Config{Kind: traffic.Permutation, N: 8, Load: 1, Seed: 42}, s.Config().Stages)
-	r := NewRunner(s, cs, 1<<20)
-	for i := 0; i < 1024; i++ {
-		r.Step()
-	}
-	if err := s.AuditInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(2000, func() {
+	for _, cfg := range []Config{
+		{Ports: 8, WordBits: 16, Cells: 256, CutThrough: true},
+		// The clean-word clause decodes every live word of an ECC switch.
+		{Ports: 8, WordBits: 16, Cells: 256, ECC: true},
+	} {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, _ := traffic.NewCellStream(traffic.Config{Kind: traffic.Permutation, N: 8, Load: 1, Seed: 42}, s.Config().Stages)
+		r := NewRunner(s, cs, 1<<20)
+		for i := 0; i < 1024; i++ {
+			r.Step()
+		}
 		if err := s.AuditInvariants(); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("AuditInvariants allocates %.2f/op on a warm switch, want 0", allocs)
+		if allocs := testing.AllocsPerRun(2000, func() {
+			if err := s.AuditInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("ECC=%v: AuditInvariants allocates %.2f/op on a warm switch, want 0", cfg.ECC, allocs)
+		}
 	}
 }

@@ -288,13 +288,21 @@ type Switch struct {
 	onDropCell func(c *cell.Cell, reusable bool)
 
 	// Fault-tolerance state (defense layers; see degrade.go). eccMem holds
-	// the per-word SEC-DED check bits when Config.ECC is on. stuck marks
-	// banks with an injected stuck-at fault. stageErr tallies uncorrectable
-	// errors per bank; stageDown marks banks mapped out by bypass. Once a
-	// bypass halves the buffer, addrLimit is the usable address count and
-	// the upper half of every healthy bank is the redirect region for its
-	// mapped-out partner. lastInit spaces initiations while degraded.
-	eccMem    [][]uint8
+	// the per-word SEC-DED check bits when Config.ECC is on, laid out like
+	// mem (index memIdx), and ecc is the code for the configured word width.
+	// eccDirty flags the addresses holding an injected upset that no wave
+	// has scrubbed or overwritten yet, eccDirtyN counts them: the batched
+	// path, which never decodes, runs only while the set is empty (the
+	// clean-word invariant, wantFast). stuck marks banks with an injected
+	// stuck-at fault. stageErr tallies uncorrectable errors per bank;
+	// stageDown marks banks mapped out by bypass. Once a bypass halves the
+	// buffer, addrLimit is the usable address count and the upper half of
+	// every healthy bank is the redirect region for its mapped-out partner.
+	// lastInit spaces initiations while degraded.
+	eccMem    []uint8
+	ecc       *eccCode
+	eccDirty  []bool
+	eccDirtyN int
 	stuck     []bool
 	stageErr  []int
 	stageDown []bool
@@ -420,10 +428,9 @@ func New(cfg Config) (*Switch, error) {
 		s.ctrlMask = k - 1
 	}
 	if cfg.ECC {
-		s.eccMem = make([][]uint8, k)
-		for st := range s.eccMem {
-			s.eccMem[st] = make([]uint8, cfg.Cells)
-		}
+		s.eccMem = make([]uint8, k*cfg.Cells)
+		s.ecc = newECC(cfg.WordBits)
+		s.eccDirty = make([]bool, cfg.Cells)
 	}
 	for i := range s.inReg {
 		s.inReg[i] = make([]cell.Word, k)
@@ -548,12 +555,15 @@ func (s *Switch) clearCtrl(slot int) {
 
 // wantFast reports whether the batched structure-of-arrays path may run:
 // nothing that needs per-stage cycle accuracy is armed. A per-cycle tracer
-// observes individual stage operations and link drives; ECC, stuck-at
-// faults and an active bypass route every word through the fault layer;
+// observes individual stage operations and link drives; stuck-at faults
+// and an active bypass route every word through the fault layer;
 // forcedExact latches after a per-stage fault seam fired; and the bitset
-// masks need k ≤ 64.
+// masks need k ≤ 64. ECC alone does not pin the exact path: decoding a
+// word nobody has flipped is a no-op, so the batched path — which deposits
+// matching check bits and never decodes — may run exactly while no stored
+// word carries an injected upset (eccDirtyN, see InjectMemoryFault).
 func (s *Switch) wantFast() bool {
-	return !s.forcedExact && s.tracer == nil && s.eccMem == nil &&
+	return !s.forcedExact && s.tracer == nil && s.eccDirtyN == 0 &&
 		s.stuck == nil && !s.halved && s.k <= 64
 }
 
@@ -603,17 +613,30 @@ func (s *Switch) materializeAddr(a int) {
 	if lc == nil {
 		return
 	}
+	s.deposit(a, lc.Words)
+	s.memLazy[a] = nil
+	s.lazyCount--
+}
+
+// deposit is a whole write wave's bank traffic in one sweep: the k words of
+// src, masked to the word width, land at address a together with their
+// check bits when ECC is on — so whichever engine reads the address next
+// finds consistent (word, check) pairs.
+func (s *Switch) deposit(a int, src []cell.Word) {
 	m := ^cell.Word(0)
 	if wb := s.cfg.WordBits; wb < 64 {
 		m = cell.Word(1)<<uint(wb) - 1
 	}
-	src := lc.Words
 	dst := s.mem[a*s.k : a*s.k+s.k]
 	for j := range dst {
 		dst[j] = src[j] & m
 	}
-	s.memLazy[a] = nil
-	s.lazyCount--
+	if s.eccMem != nil {
+		chk := s.eccMem[a*s.k : a*s.k+s.k]
+		for j, w := range dst {
+			chk[j] = s.ecc.encode(w)
+		}
+	}
 }
 
 // materializeInReg rebuilds the input-register rows from the cells
@@ -980,6 +1003,9 @@ func (s *Switch) tickExact(heads []*cell.Cell) {
 	// The slot being claimed last held the wave initiated k cycles ago,
 	// which completed its stage-(k-1) operation in the previous cycle.
 	base := s.slotOf(c)
+	if s.eccDirtyN > 0 && s.ctrl[base].Kind != OpNone {
+		s.eccRetire(s.ctrl[base].Addr)
+	}
 	var op Op
 	s.arbitrate(c, &op)
 	s.setCtrl(base, &op)
@@ -1269,16 +1295,13 @@ func (s *Switch) commitWave(slot int, op *Op, c int64) {
 			// Unicast: defer the deposit. The cell outlives its only
 			// read wave's commit (it is recycled no earlier than the
 			// departure it becomes), so the read serves from it
-			// directly. Multicast keeps the eager copy — an early
-			// departure may hand the cell back while copies still queue.
+			// directly — touching neither the bank array nor its check
+			// bits. Multicast keeps the eager copy — an early departure
+			// may hand the cell back while copies still queue.
 			s.memLazy[op.Addr] = s.inflight[op.In].c
 			s.lazyCount++
 		} else {
-			src := s.inflight[op.In].c.Words
-			dst := s.mem[op.Addr*s.k : op.Addr*s.k+s.k]
-			for j := range dst {
-				dst[j] = src[j] & m
-			}
+			s.deposit(op.Addr, s.inflight[op.In].c.Words)
 		}
 	case OpRead:
 		r := s.lastTx

@@ -48,6 +48,9 @@ type ticknHarness struct {
 	seq uint64
 	hc  []*cell.Cell
 	log []string
+	// mcastEvery, when positive, gives every mcastEvery-th cell a second
+	// destination (the next output round).
+	mcastEvery uint64
 }
 
 func newTicknHarness(t *testing.T, cfg Config, polSpec string) *ticknHarness {
@@ -79,6 +82,9 @@ func (h *ticknHarness) materialize(row []int) []*cell.Cell {
 		if row[j] != traffic.NoArrival {
 			h.seq++
 			h.hc[j] = cell.New(h.seq, j, row[j], k, wb)
+			if h.mcastEvery > 0 && h.seq%h.mcastEvery == 0 {
+				h.hc[j].Copies = []int{(row[j] + 1) % len(h.hc)}
+			}
 		}
 	}
 	return h.hc
@@ -95,29 +101,51 @@ func (h *ticknHarness) collect() {
 
 // faultAt schedules a memory upset to fire just before the tick of the
 // given cycle — the same fire-before-Tick convention the fault engine uses.
+// A negative addr is resolved at fire time to a stable word with no wave
+// in flight over it (stableQuietAddr), the only kind of target whose
+// effect does not depend on which engine the switch happens to be on.
 type faultAt struct {
 	cycle       int64
 	stage, addr int
 	mask        cell.Word
 }
 
+// fire injects the upsets due at the switch's current cycle.
+func (h *ticknHarness) fire(faults []faultAt) {
+	for _, f := range faults {
+		if f.cycle != h.sw.Cycle() {
+			continue
+		}
+		a := f.addr
+		if a < 0 {
+			if a = stableQuietAddr(h.sw, f.stage, int(f.cycle)); a < 0 {
+				continue
+			}
+		}
+		h.sw.InjectMemoryFault(f.stage, a, f.mask)
+	}
+}
+
+// faultDue reports whether an upset fires before cycle c's tick.
+func faultDue(faults []faultAt, c int64) bool {
+	for _, f := range faults {
+		if f.cycle == c {
+			return true
+		}
+	}
+	return false
+}
+
 // runPerCycle replays the schedule one Tick per cycle, then ticks the
 // drain tail — the reference semantics TickN must be bit-identical to.
 func (h *ticknHarness) runPerCycle(sched [][]int, tail int64, faults []faultAt) {
-	fire := func() {
-		for _, f := range faults {
-			if f.cycle == h.sw.Cycle() {
-				h.sw.InjectMemoryFault(f.stage, f.addr, f.mask)
-			}
-		}
-	}
 	for _, row := range sched {
-		fire()
+		h.fire(faults)
 		h.sw.Tick(h.materialize(row))
 		h.collect()
 	}
 	for i := int64(0); i < tail; i++ {
-		fire()
+		h.fire(faults)
 		h.sw.Tick(nil)
 		h.collect()
 	}
@@ -128,21 +156,6 @@ func (h *ticknHarness) runPerCycle(sched [][]int, tail int64, faults []faultAt) 
 // (a fault fires at a specific cycle, so the batch must stop there, just
 // as the session runner's PreTick does per cycle).
 func (h *ticknHarness) runBatched(sched [][]int, tail int64, faults []faultAt) {
-	boundary := func(c int64) bool {
-		for _, f := range faults {
-			if f.cycle == c {
-				return true
-			}
-		}
-		return false
-	}
-	fire := func() {
-		for _, f := range faults {
-			if f.cycle == h.sw.Cycle() {
-				h.sw.InjectMemoryFault(f.stage, f.addr, f.mask)
-			}
-		}
-	}
 	total := int64(len(sched)) + tail
 	row := func(c int64) []int {
 		if c < int64(len(sched)) {
@@ -152,10 +165,10 @@ func (h *ticknHarness) runBatched(sched [][]int, tail int64, faults []faultAt) {
 	}
 	c := int64(0)
 	for c < total {
-		fire()
+		h.fire(faults)
 		front := h.materialize(row(c))
 		g := int64(1)
-		for c+g < total && row(c+g) == nil && !boundary(c+g) {
+		for c+g < total && row(c+g) == nil && !faultDue(faults, c+g) {
 			g++
 		}
 		h.sw.TickN(front, g)
@@ -164,12 +177,13 @@ func (h *ticknHarness) runBatched(sched [][]int, tail int64, faults []faultAt) {
 	}
 }
 
-// scrubFreedMem zeroes the memory words of unreferenced buffer addresses.
-// Their contents are dead state — a freed address is fully rewritten before
-// any wave reads it again — but they can legitimately differ between two
-// equivalent histories: serializing a snapshot materializes lazily deferred
-// payloads into the array, while a run never snapshotted leaves those words
-// untouched. Only valid while the bank remap is identity (no bypass).
+// scrubFreedMem zeroes the memory words (and, on an ECC switch, the check
+// bits) of unreferenced buffer addresses. Their contents are dead state — a
+// freed address is fully rewritten before any wave reads it again — but
+// they can legitimately differ between two equivalent histories:
+// serializing a snapshot materializes lazily deferred payloads into the
+// array, while a run never snapshotted leaves those words untouched. Only
+// valid while the bank remap is identity (no bypass).
 func scrubFreedMem(st *SwitchState) {
 	for addr, rc := range st.Refcnt {
 		if rc != 0 {
@@ -177,6 +191,9 @@ func scrubFreedMem(st *SwitchState) {
 		}
 		for b := range st.Mem {
 			st.Mem[b][addr] = 0
+		}
+		for b := range st.ECCMem {
+			st.ECCMem[b][addr] = 0
 		}
 	}
 }
@@ -187,18 +204,7 @@ func scrubFreedMem(st *SwitchState) {
 // scrubFreedMem) — needed when exactly one side snapshotted mid-run.
 func checkTicknEqual(t *testing.T, ref, bat *ticknHarness, scrubFreed bool) {
 	t.Helper()
-	if !reflect.DeepEqual(ref.log, bat.log) {
-		n := len(ref.log)
-		if len(bat.log) < n {
-			n = len(bat.log)
-		}
-		for i := 0; i < n; i++ {
-			if ref.log[i] != bat.log[i] {
-				t.Fatalf("departure %d diverged:\n per-cycle %s\n batched   %s", i, ref.log[i], bat.log[i])
-			}
-		}
-		t.Fatalf("departure counts diverged: per-cycle %d, batched %d", len(ref.log), len(bat.log))
-	}
+	checkTicknLogs(t, ref, bat)
 	if rc, bc := ref.sw.Cycle(), bat.sw.Cycle(); rc != bc {
 		t.Fatalf("clocks diverged: per-cycle %d, batched %d", rc, bc)
 	}
@@ -395,11 +401,26 @@ func TestTickNFastForward(t *testing.T) {
 // serialized, rebuilt and resumed). Whatever the fuzzer picks, the batched
 // drive must reproduce the per-cycle departure log and final state.
 func FuzzTickN(f *testing.F) {
-	f.Add(uint16(19), uint16(200), []byte{3, 9, 1, 30})
-	f.Add(uint16(7), uint16(0), []byte{})
-	f.Add(uint16(301), uint16(77), []byte{255, 255, 0, 1, 16})
-	f.Fuzz(func(t *testing.T, seed uint16, cut uint16, splits []byte) {
+	f.Add(uint16(19), uint16(200), []byte{3, 9, 1, 30}, false)
+	f.Add(uint16(7), uint16(0), []byte{}, false)
+	f.Add(uint16(301), uint16(77), []byte{255, 255, 0, 1, 16}, false)
+	f.Add(uint16(19), uint16(122), []byte{3, 9, 1, 30}, true) // cut inside a dirty window
+	f.Add(uint16(301), uint16(260), []byte{2}, true)
+	f.Add(uint16(7), uint16(61), []byte{}, true)
+	f.Fuzz(func(t *testing.T, seed uint16, cut uint16, splits []byte, ecc bool) {
 		cfg := ticknConfig()
+		// With ECC on, both drives also take sparse upsets (one of them
+		// uncorrectable): every upset opens a dirty window on the exact
+		// path, and the cut may land inside one.
+		var faults []faultAt
+		if cfg.ECC = ecc; ecc {
+			faults = []faultAt{
+				{cycle: 60, stage: 2, addr: -1, mask: 0x0004},
+				{cycle: 120, stage: 0, addr: -1, mask: 0x8000},
+				{cycle: 121, stage: 5, addr: -1, mask: 0x0600},
+				{cycle: 259, stage: 7, addr: -1, mask: 0x0001},
+			}
+		}
 		k := cfg.Canonical().Stages
 		tc := traffic.Config{Kind: traffic.Bernoulli, N: 4, Load: 0.6, Seed: uint64(seed)}
 		const cycles = 400
@@ -408,7 +429,7 @@ func FuzzTickN(f *testing.F) {
 		total := int64(cycles) + tail
 
 		ref := newTicknHarness(t, cfg, "")
-		ref.runPerCycle(sched, tail, nil)
+		ref.runPerCycle(sched, tail, faults)
 
 		bat := newTicknHarness(t, cfg, "")
 		row := func(c int64) []int {
@@ -433,12 +454,13 @@ func FuzzTickN(f *testing.F) {
 		}
 		c := int64(0)
 		for c < total {
+			bat.fire(faults)
 			front := bat.materialize(row(c))
 			// The batch may not run past the next arrival (TickN carries
-			// arrivals only in its first cycle) or past the cut.
+			// arrivals only in its first cycle), an upset or the cut.
 			g := int64(1)
 			limit := nextSplit()
-			for c+g < total && g < limit && row(c+g) == nil && c+g != cutAt {
+			for c+g < total && g < limit && row(c+g) == nil && c+g != cutAt && !faultDue(faults, c+g) {
 				g++
 			}
 			bat.sw.TickN(front, g)

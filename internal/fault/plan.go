@@ -14,8 +14,8 @@
 // with the kinds and their keys:
 //
 //	@120 mem stage=3 addr=any bits=0x10   # XOR bits into a stored word
-//	@200 stuck stage=2                    # bank 2 sticks (writes ignored,
-//	@400 stuck stage=2 off                #   reads all-ones); off clears
+//	@200 stuck stage=2                    # bank 2's data lines stick (reads
+//	@400 stuck stage=2 off                #   all-ones); off clears
 //	@50  ctrl stage=1 op=R out=0 addr=3   # overwrite a latched control word
 //	@55  ctrl stage=1 op=-                # squash a latched control word
 //	@70  inreg in=0 word=2 bits=0x4       # flip bits in an input register
@@ -57,7 +57,7 @@ const (
 	// upset in a memory bank; the stored check bits are left stale.
 	Mem Kind = iota
 	// Stuck sets (or, with Off, clears) a stuck-at fault on bank Stage:
-	// writes are ignored and reads return all-ones.
+	// reads return all-ones whatever was written.
 	Stuck
 	// Ctrl overwrites the control word latched at Stage with Op — a glitch
 	// in the shifting control pipeline.
