@@ -7,6 +7,7 @@
 //	pmsim -arch input-fifo -n 16 -saturate
 //	pmsim -arch voq -sched islip -n 16 -load 0.9
 //	pmsim -sweep -arch output -n 16 -buf 12        # load sweep 0.1..0.95
+//	pmsim -sweep -arch rtl -n 8 -buf 256           # the same sweep on the RTL model, one worker per load
 //
 // Architectures: input-fifo, voq, output, shared, crosspoint,
 // block-crosspoint, smoothing, speedup.
@@ -63,6 +64,7 @@ import (
 	"os"
 
 	"pipemem"
+	"pipemem/internal/bench"
 	"pipemem/internal/cli"
 )
 
@@ -118,6 +120,29 @@ func main() {
 		os.Exit(2)
 	}
 
+	// trafficAt is the arrival process the shared traffic flags select, at
+	// offered load p.
+	trafficAt := func(p float64) pipemem.TrafficConfig {
+		cfg := pipemem.TrafficConfig{Kind: pipemem.Bernoulli, N: *n, Load: p, Seed: *seed}
+		switch {
+		case *saturate:
+			cfg.Kind = pipemem.Saturation
+		case *bursty > 0:
+			cfg.Kind, cfg.BurstLen = pipemem.Bursty, *bursty
+		case *hotFrac > 0:
+			cfg.Kind, cfg.HotFrac = pipemem.Hotspot, *hotFrac
+		}
+		return cfg
+	}
+	observe := *metrics || *metricsJSON || tracef.Out != "" || *pprofAddr != ""
+
+	// -sweep is a plain load sweep of one architecture; the harnesses below
+	// run a single point and would drop it.
+	if *sweep && (*fabricKind != "" || *faultplan != "" || ckptf.Active() || observe) {
+		fmt.Fprintln(os.Stderr, "pmsim: -sweep runs a plain load sweep; it does not combine with -fabric, -faultplan, -checkpoint/-restore/-audit/-watchdog, -metrics/-trace or -pprof")
+		os.Exit(2)
+	}
+
 	// A -fabric run drives the multistage engine, which has its own
 	// metrics surface; it composes with the traffic and -bufpolicy flags
 	// but not with the single-switch fault/checkpoint/trace harnesses.
@@ -146,7 +171,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	observe := *metrics || *metricsJSON || tracef.Out != "" || *pprofAddr != ""
 	var ob *observed
 	if observe {
 		var err error
@@ -169,17 +193,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pmsim: -checkpoint/-restore/-audit/-watchdog drive the RTL model, not -arch %s; use -arch rtl or drop -arch\n", *arch)
 			os.Exit(2)
 		}
-		tcfg := pipemem.TrafficConfig{Kind: pipemem.Bernoulli, N: *n, Load: *load, Seed: *seed}
-		switch {
-		case *saturate:
-			tcfg.Kind = pipemem.Saturation
-		case *bursty > 0:
-			tcfg.Kind, tcfg.BurstLen = pipemem.Bursty, *bursty
-		case *hotFrac > 0:
-			tcfg.Kind, tcfg.HotFrac = pipemem.Hotspot, *hotFrac
-		}
 		runSession(ckptf, sessOpts{
-			n: *n, buf: *buf, cycles: *slots, seed: *seed, traffic: tcfg,
+			n: *n, buf: *buf, cycles: *slots, seed: *seed, traffic: trafficAt(*load),
 			faultplan: *faultplan, events: *events,
 			ecc: *ecc || *bypass > 0, bypass: *bypass, linkprotect: *linkprot,
 			polSpec: bufpol.Spec(), obs: ob,
@@ -201,9 +216,12 @@ func main() {
 	// switch (the observability layer lives in the RTL model, not the
 	// slot-level §2 simulators).
 	if observe || *arch == "rtl" {
-		runObserved(ob, rtlOpts{n: *n, buf: *buf, load: *load, cycles: *slots,
-			seed: *seed, saturate: *saturate, bursty: *bursty, hotFrac: *hotFrac,
-			policy: bufpol.Policy()})
+		if *sweep {
+			sweepRTL(*n, *buf, *slots, bufpol.Spec(), trafficAt)
+			return
+		}
+		runObserved(ob, rtlOpts{n: *n, buf: *buf, cycles: *slots,
+			traffic: trafficAt(*load), policy: bufpol.Policy()})
 		return
 	}
 	// The §2 slot-level simulators have no shared-buffer admission hook;
@@ -241,18 +259,7 @@ func main() {
 	}
 
 	run := func(p float64) {
-		cfg := pipemem.TrafficConfig{Kind: pipemem.Bernoulli, N: *n, Load: p, Seed: *seed}
-		switch {
-		case *saturate:
-			cfg.Kind = pipemem.Saturation
-		case *bursty > 0:
-			cfg.Kind = pipemem.Bursty
-			cfg.BurstLen = *bursty
-		case *hotFrac > 0:
-			cfg.Kind = pipemem.Hotspot
-			cfg.HotFrac = *hotFrac
-		}
-		g, err := pipemem.NewGenerator(cfg)
+		g, err := pipemem.NewGenerator(trafficAt(p))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pmsim:", err)
 			os.Exit(1)
@@ -262,12 +269,39 @@ func main() {
 	}
 
 	if *sweep {
-		for _, p := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95} {
+		for _, p := range sweepLoads {
 			run(p)
 		}
 		return
 	}
 	run(*load)
+}
+
+// sweepLoads are the offered loads of a -sweep run.
+var sweepLoads = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}
+
+// sweepRTL is -sweep on the cycle-accurate switch: the loads run in
+// parallel on the sweep engine (each point owns its switch and seeded
+// stream, so the rows equal ten single-point runs) and print in order.
+func sweepRTL(n, buf int, cycles int64, policy string, trafficAt func(float64) pipemem.TrafficConfig) {
+	pts := make([]bench.Point, len(sweepLoads))
+	for i, p := range sweepLoads {
+		pts[i] = bench.Point{
+			Label:   fmt.Sprintf("load=%.2f", p),
+			Config:  pipemem.Config{Ports: n, WordBits: 16, Cells: buf, CutThrough: true},
+			Traffic: trafficAt(p),
+			Cycles:  cycles,
+			Policy:  policy,
+		}
+	}
+	results, err := bench.Sweep(0, pts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pmsim:", err)
+		os.Exit(1)
+	}
+	for _, r := range results {
+		fmt.Printf("%s  %s\n", r.Point.Label, r.Run)
+	}
 }
 
 // observed bundles the run's observability plumbing: the registry and
@@ -330,14 +364,10 @@ func (ob *observed) finish(printMetrics, asJSON bool) {
 }
 
 type rtlOpts struct {
-	n, buf   int
-	load     float64
-	cycles   int64
-	seed     uint64
-	saturate bool
-	bursty   float64
-	hotFrac  float64
-	policy   pipemem.BufferPolicy
+	n, buf  int
+	cycles  int64
+	traffic pipemem.TrafficConfig
+	policy  pipemem.BufferPolicy
 }
 
 // runObserved drives the cycle-accurate pipelined switch, with the
@@ -356,16 +386,7 @@ func runObserved(ob *observed, o rtlOpts) {
 	if o.policy != nil {
 		sw.SetBufferPolicy(o.policy)
 	}
-	tcfg := pipemem.TrafficConfig{Kind: pipemem.Bernoulli, N: o.n, Load: o.load, Seed: o.seed}
-	switch {
-	case o.saturate:
-		tcfg.Kind = pipemem.Saturation
-	case o.bursty > 0:
-		tcfg.Kind, tcfg.BurstLen = pipemem.Bursty, o.bursty
-	case o.hotFrac > 0:
-		tcfg.Kind, tcfg.HotFrac = pipemem.Hotspot, o.hotFrac
-	}
-	cs, err := pipemem.NewCellStream(tcfg, sw.Config().Stages)
+	cs, err := pipemem.NewCellStream(o.traffic, sw.Config().Stages)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmsim:", err)
 		os.Exit(1)

@@ -3,7 +3,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -129,72 +128,5 @@ func TestSweepError(t *testing.T) {
 	}
 	if results[0].Run.Delivered == 0 {
 		t.Fatal("good point's result was lost")
-	}
-}
-
-// TestReportRoundTrip: Write then Load reproduces the report.
-func TestReportRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	r := NewReport()
-	r.Results["p"] = Record{Name: "p", CellsPerSec: 1e6, NsPerCycle: 300, Cycles: 1000, Delivered: 500}
-	r.Baseline = map[string]Record{"p": {Name: "p", CellsPerSec: 5e5}}
-	if err := r.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, r) {
-		t.Fatalf("round trip mismatch:\n%+v\nvs\n%+v", got, r)
-	}
-}
-
-// TestCompare: the gate trips on allocation growth and on cells/sec drops
-// beyond the tolerance, and stays quiet otherwise.
-func TestCompare(t *testing.T) {
-	prev := NewReport()
-	prev.Results["a"] = Record{Name: "a", CellsPerSec: 1000, AllocsPerTick: 0}
-	prev.Results["b"] = Record{Name: "b", CellsPerSec: 1000, AllocsPerTick: 2}
-	prev.Results["only-prev"] = Record{Name: "only-prev", CellsPerSec: 1}
-
-	cur := NewReport()
-	cur.Results["a"] = Record{Name: "a", CellsPerSec: 950, AllocsPerTick: 0}
-	cur.Results["b"] = Record{Name: "b", CellsPerSec: 990, AllocsPerTick: 2}
-	if bad := Compare(prev, cur, 0.1); len(bad) != 0 {
-		t.Fatalf("clean comparison flagged: %v", bad)
-	}
-
-	cur.Results["a"] = Record{Name: "a", CellsPerSec: 850, AllocsPerTick: 0}
-	bad := Compare(prev, cur, 0.1)
-	if len(bad) != 1 || !strings.Contains(bad[0], "a:") {
-		t.Fatalf("want one cells/sec violation for a, got %v", bad)
-	}
-
-	cur.Results["a"] = Record{Name: "a", CellsPerSec: 1000, AllocsPerTick: 1}
-	bad = Compare(prev, cur, 0.1)
-	if len(bad) != 1 || !strings.Contains(bad[0], "allocs/tick") {
-		t.Fatalf("want one allocs violation, got %v", bad)
-	}
-}
-
-// TestMeasureSteadyStateAllocFree: the headline acceptance property — the
-// pooled steady-state Tick path performs zero heap allocations per cycle.
-func TestMeasureSteadyStateAllocFree(t *testing.T) {
-	rec, err := Measure(Point{
-		Label:   "tick-steady-8x8",
-		Config:  core.Config{Ports: 8, WordBits: 16, Cells: 256, CutThrough: true},
-		Traffic: traffic.Config{Kind: traffic.Permutation, N: 8, Load: 1, Seed: 42},
-		Cycles:  20000,
-	}, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.AllocsPerTick != 0 {
-		t.Fatalf("steady-state Tick allocates: %.4f allocs/tick (%.1f B/tick)",
-			rec.AllocsPerTick, rec.BytesPerTick)
-	}
-	if rec.Delivered == 0 {
-		t.Fatal("nothing delivered")
 	}
 }

@@ -1,13 +1,18 @@
-// Package bench provides the parallel sweep engine and the
-// benchmark-regression harness for the pipelined memory switch models.
+// Package bench provides the parallel sweep engine for the pipelined
+// memory switch models.
 //
-// Simulation sweeps (experiments, design-space exploration, pmbench) are
-// embarrassingly parallel: every (configuration, seed, load) point builds
-// its own switch and its own deterministically seeded traffic stream, so
-// points share no mutable state and can run on as many cores as the host
-// offers without perturbing each other's measured values. Map is the
-// generic worker pool; Sweep instantiates it for RunTraffic points;
-// regress.go records and gates performance numbers across PRs.
+// Simulation sweeps (experiments, design-space exploration, pmsim -arch
+// rtl -sweep) are embarrassingly parallel: every (configuration, seed,
+// load) point builds its own switch and its own deterministically seeded
+// traffic stream, so points share no mutable state and can run on as many
+// cores as the host offers without perturbing each other's measured
+// values. Map is the generic worker pool; Sweep instantiates it for
+// RunTraffic points.
+//
+// Host performance is not measured here: `go run ./benchmark` is the
+// repo's ledger (end-to-end and per-layer), `go test -bench` holds the
+// allocation counts, and overhead_test.go gates the cost of the optional
+// taps (make wallclock).
 package bench
 
 import (
@@ -38,7 +43,6 @@ func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([
 	if workers <= 1 {
 		for i := range items {
 			results[i], errs[i] = fn(i, items[i])
-			pointDone()
 		}
 		return results, firstErr(errs)
 	}
@@ -54,7 +58,6 @@ func Map[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([
 					return
 				}
 				results[i], errs[i] = fn(i, items[i])
-				pointDone()
 			}
 		}()
 	}

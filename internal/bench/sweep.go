@@ -28,10 +28,6 @@ type Point struct {
 	// full-quantum switch feature; combining Policy with Dual is an
 	// error.
 	Policy string
-	// Batched selects the TickN batch driver for regression measurement
-	// (MeasureBatched): one call per arrival front and its trailing gap
-	// instead of one call per cycle. Pipelined organization only.
-	Batched bool
 }
 
 // Result pairs a point with its run summary.
@@ -59,7 +55,6 @@ func RunPoint(p Point) (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("%s: %w", p.Label, err)
 		}
-		overflowRun(run.CutLatencyOverflow)
 		return Result{Point: p, Run: run}, nil
 	}
 	s, err := core.New(p.Config)
@@ -81,7 +76,6 @@ func RunPoint(p Point) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("%s: %w", p.Label, err)
 	}
-	overflowRun(run.CutLatencyOverflow)
 	return Result{Point: p, Run: run}, nil
 }
 

@@ -1,5 +1,5 @@
-// Package cmdtest exercises the seven command-line tools as real
-// subprocesses: every malformed -faultplan/-bufpolicy/flag combination
+// Package cmdtest exercises every command-line tool under cmd/ as a real
+// subprocess: every malformed -faultplan/-bufpolicy/flag combination
 // must exit non-zero with a one-line actionable message on stderr, and the
 // checkpoint surface must round-trip bit-identically through the actual
 // binaries — including the pmserve session daemon, whose drain/restore
@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -24,7 +25,7 @@ import (
 
 var binDir string
 
-// TestMain builds the seven tools once into a temp dir; every test then
+// TestMain builds the tools once into a temp dir; every test then
 // execs the real binaries.
 func TestMain(m *testing.M) {
 	if _, err := exec.LookPath("go"); err != nil {
@@ -76,27 +77,26 @@ func run(t *testing.T, tool, stdin string, args ...string) (string, string, int)
 	return out.String(), errb.String(), code
 }
 
-// TestBadConfigExitsNonZero is the ErrBadConfig audit: one table row per
-// malformed invocation across all five tools. Each must exit non-zero and
-// lead stderr with an actionable message naming the problem.
-func TestBadConfigExitsNonZero(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "x.ckpt")
-	garbage := filepath.Join(t.TempDir(), "garbage.ckpt")
-	if err := os.WriteFile(garbage, []byte("not a checkpoint\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+// badCase is one malformed invocation: the tool must exit non-zero and
+// lead stderr with a line containing wantSub.
+type badCase struct {
+	name    string
+	tool    string
+	stdin   string
+	args    []string
+	wantSub string
+}
 
-	cases := []struct {
-		name    string
-		tool    string
-		stdin   string
-		args    []string
-		wantSub string
-	}{
+// badConfigCases is the ErrBadConfig audit table, one row per malformed
+// invocation. Paths it needs live under dir; garbage.ckpt is expected to
+// hold bytes that are not a checkpoint.
+func badConfigCases(dir string) []badCase {
+	ckpt := filepath.Join(dir, "x.ckpt")
+	garbage := filepath.Join(dir, "garbage.ckpt")
+	return []badCase{
 		// Malformed -bufpolicy rejects at flag-parse time in every tool.
 		{"pmsim/bad-bufpolicy", "pmsim", "", []string{"-bufpolicy", "bogus"}, "bad policy spec"},
 		{"pmrtl/bad-bufpolicy", "pmrtl", "", []string{"-bufpolicy", "bogus"}, "bad policy spec"},
-		{"pmbench/bad-bufpolicy", "pmbench", "", []string{"-bufpolicy", "bogus"}, "bad policy spec"},
 		{"pmexp/bad-bufpolicy", "pmexp", "", []string{"-bufpolicy", "bogus"}, "bad policy spec"},
 		{"pmarea/bad-bufpolicy", "pmarea", "", []string{"-bufpolicy", "bogus"}, "bad policy spec"},
 		{"pmsim/bad-bufpolicy-param", "pmsim", "", []string{"-bufpolicy", "dt:2"}, "key=value"},
@@ -126,11 +126,14 @@ func TestBadConfigExitsNonZero(t *testing.T) {
 		{"pmrtl/bufpolicy-nonpipelined", "pmrtl", "", []string{"-org", "wide", "-bufpolicy", "share"}, "pipelined organization"},
 		{"pmrtl/bad-ports", "pmrtl", "", []string{"-n", "0", "-cycles", "10"}, "ports"},
 
-		// pmbench: vacuous gating refused.
-		{"pmbench/check-without-json", "pmbench", "", []string{"-check"}, "-json"},
-		{"pmbench/check-missing-baseline", "pmbench", "",
-			[]string{"-check", "-json", filepath.Join(t.TempDir(), "none.json")}, "no baseline"},
-		{"pmbench/bufpolicy-without-sweep", "pmbench", "", []string{"-bufpolicy", "share"}, "-sweep"},
+		// pmsim: -sweep is obeyed (slot-level archs, -arch rtl) or refused,
+		// never dropped by a single-point harness.
+		{"pmsim/sweep-fabric", "pmsim", "", []string{"-sweep", "-fabric", "butterfly"}, "-sweep"},
+		{"pmsim/sweep-faultplan", "pmsim", "", []string{"-sweep", "-faultplan", "random"}, "-sweep"},
+		{"pmsim/sweep-checkpoint", "pmsim", "", []string{"-sweep", "-arch", "rtl", "-checkpoint", ckpt}, "-sweep"},
+		{"pmsim/sweep-restore", "pmsim", "", []string{"-sweep", "-restore", garbage}, "-sweep"},
+		{"pmsim/sweep-metrics", "pmsim", "", []string{"-sweep", "-arch", "rtl", "-metrics"}, "-sweep"},
+		{"pmsim/sweep-trace", "pmsim", "", []string{"-sweep", "-trace", filepath.Join(dir, "t.jsonl")}, "-sweep"},
 
 		// pmsim: trace/telemetry flag group.
 		{"pmsim/trace-sample-zero", "pmsim", "", []string{"-trace-sample", "0"}, ">= 1"},
@@ -157,8 +160,16 @@ func TestBadConfigExitsNonZero(t *testing.T) {
 		{"pmserve/nonpositive-step-max", "pmserve", "", []string{"-step-max", "-5"}, "positive"},
 		{"pmserve/nonpositive-telemetry", "pmserve", "", []string{"-telemetry-cap", "0"}, "positive"},
 	}
+}
 
-	for _, c := range cases {
+// TestBadConfigExitsNonZero runs the audit table: each row must exit
+// non-zero and lead stderr with an actionable message naming the problem.
+func TestBadConfigExitsNonZero(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "garbage.ckpt"), []byte("not a checkpoint\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range badConfigCases(dir) {
 		t.Run(c.name, func(t *testing.T) {
 			_, stderr, code := run(t, c.tool, c.stdin, c.args...)
 			if code == 0 {
@@ -169,6 +180,89 @@ func TestBadConfigExitsNonZero(t *testing.T) {
 				t.Fatalf("%s %v: first stderr line %q does not mention %q", c.tool, c.args, first, c.wantSub)
 			}
 		})
+	}
+}
+
+// tools lists the directories under cmd/.
+func tools(t *testing.T) map[string]bool {
+	t.Helper()
+	ents, err := os.ReadDir("../../cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := map[string]bool{}
+	for _, e := range ents {
+		if e.IsDir() {
+			set[e.Name()] = true
+		}
+	}
+	return set
+}
+
+// TestEveryToolAudited keeps the audit honest about which tools exist:
+// every directory under cmd/ has at least one row in the table. (A row
+// for a tool that is gone already fails TestBadConfigExitsNonZero.)
+func TestEveryToolAudited(t *testing.T) {
+	audited := map[string]bool{}
+	for _, c := range badConfigCases(t.TempDir()) {
+		audited[c.tool] = true
+	}
+	for tool := range tools(t) {
+		if !audited[tool] {
+			t.Errorf("cmd/%s has no row in badConfigCases", tool)
+		}
+	}
+}
+
+// TestDocsNameLiveTargets is the docs-rot guard: every make target and
+// cmd/<tool> path the documentation mentions must exist. A target counts
+// as mentioned when `make <target>` opens an inline code span or stands
+// as a word inside a fenced block — prose that merely uses the verb is
+// left alone.
+func TestDocsNameLiveTargets(t *testing.T) {
+	mk, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	phony := regexp.MustCompile(`(?m)^\.PHONY:(.*)$`).FindSubmatch(mk)
+	if phony == nil {
+		t.Fatal("Makefile has no .PHONY line")
+	}
+	targets := map[string]bool{}
+	for _, f := range strings.Fields(string(phony[1])) {
+		targets[f] = true
+	}
+	live := tools(t)
+
+	inSpan := regexp.MustCompile("`make ([a-z][a-z0-9-]*)")
+	inFence := regexp.MustCompile(`(?:^|\s)make ([a-z][a-z0-9-]*)`)
+	cmdPath := regexp.MustCompile(`\bcmd/([a-z][a-z0-9]*)`)
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(filepath.Join("../..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for i, line := range strings.Split(string(text), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			re := inSpan
+			if fenced {
+				re = inFence
+			}
+			for _, m := range re.FindAllStringSubmatch(line, -1) {
+				if !targets[m[1]] {
+					t.Errorf("%s:%d: `make %s` is not a .PHONY target of the Makefile", doc, i+1, m[1])
+				}
+			}
+			for _, m := range cmdPath.FindAllStringSubmatch(line, -1) {
+				if !live[m[1]] {
+					t.Errorf("%s:%d: cmd/%s does not exist", doc, i+1, m[1])
+				}
+			}
+		}
 	}
 }
 

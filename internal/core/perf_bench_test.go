@@ -75,7 +75,7 @@ func BenchmarkTickSteadyState(b *testing.B) {
 // BenchmarkTickSteadyStateMetrics is the same point with the metrics
 // observer installed (no tracer) — compare against
 // BenchmarkTickSteadyState for the enabled-metrics overhead (budget: ≤10%
-// cells/sec, 0 allocs/op; gated by `make obs-overhead`).
+// cells/sec, 0 allocs/op; gated by the obs row of `make wallclock`).
 func BenchmarkTickSteadyStateMetrics(b *testing.B) {
 	benchTick(b,
 		Config{Ports: 8, WordBits: 16, Cells: 256, CutThrough: true},

@@ -11,7 +11,7 @@ import (
 // Flight tracing, fixed-cadence telemetry and the step-phase profiler.
 // All three are disabled by default and each costs exactly one branch per
 // instrumented site when off, preserving the engine's zero-allocation
-// steady state (verified by TestStepZeroAlloc / the fabric-perf gate).
+// steady state (verified by TestStepZeroAlloc).
 //
 // # Determinism of the trace stream
 //

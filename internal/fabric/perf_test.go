@@ -9,7 +9,7 @@ import (
 )
 
 // TestFabricAggregateRate is the opt-in 1024-terminal throughput gate
-// (PIPEMEM_FABRIC_PERF=1, run by `make fabric-perf`). It drives a
+// (PIPEMEM_WALLCLOCK=1, run by `make wallclock`). It drives a
 // 1024-terminal butterfly at saturation and reports the aggregate
 // switching rate — delivered cells × stages per wall-clock second, i.e.
 // cells forwarded per second summed over every node — best of several
@@ -23,8 +23,8 @@ import (
 // host has a single CPU, so wall-clock scaling beyond one core cannot be
 // demonstrated here.
 func TestFabricAggregateRate(t *testing.T) {
-	if os.Getenv("PIPEMEM_FABRIC_PERF") != "1" {
-		t.Skip("wall-clock throughput gate is opt-in: set PIPEMEM_FABRIC_PERF=1 (make fabric-perf)")
+	if os.Getenv("PIPEMEM_WALLCLOCK") != "1" {
+		t.Skip("wall-clock gates are opt-in: set PIPEMEM_WALLCLOCK=1 (make wallclock)")
 	}
 	const floor = 250_000 // aggregate cells/sec, conservative for shared hosts
 	f, err := New(Config{

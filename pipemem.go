@@ -41,7 +41,6 @@ import (
 	"pipemem/internal/analytic"
 	"pipemem/internal/arb"
 	"pipemem/internal/area"
-	"pipemem/internal/bench"
 	"pipemem/internal/bufmgr"
 	"pipemem/internal/cell"
 	"pipemem/internal/ckpt"
@@ -275,10 +274,6 @@ func NewRuntimeGauges(reg *MetricsRegistry) *RuntimeGauges { return obs.NewRunti
 func ServeDebug(addr string, reg *MetricsRegistry) (string, func(), error) {
 	return obs.ServeDebug(addr, reg)
 }
-
-// RegisterBenchMetrics registers and activates the sweep engine's
-// progress and overflow counters (pipemem_bench_*).
-func RegisterBenchMetrics(reg *MetricsRegistry) { bench.RegisterMetrics(reg) }
 
 // ---- Fault tolerance and fault injection ----
 
