@@ -14,6 +14,7 @@ package arb
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -44,6 +45,22 @@ func (r *RoundRobin) Pick(requests []bool) int {
 			r.next = (i + 1) % n
 			return i
 		}
+	}
+	return None
+}
+
+// FirstFrom is the rotating find-first-set kernel: the index of the first
+// set bit of word at or after position from, wrapping past bit 63 to bit 0,
+// or None when word is zero. It is RoundRobin.Pick over a request vector
+// packed into one word — the "request vector and a rotating priority
+// pointer" of a hardware arbiter — with the pointer kept by the caller;
+// from must be in 0…63.
+func FirstFrom(word uint64, from int) int {
+	if hi := word >> uint(from) << uint(from); hi != 0 {
+		return bits.TrailingZeros64(hi)
+	}
+	if word != 0 {
+		return bits.TrailingZeros64(word)
 	}
 	return None
 }

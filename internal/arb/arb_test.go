@@ -41,6 +41,49 @@ func TestRoundRobinSkipsIdle(t *testing.T) {
 	}
 }
 
+func TestFirstFrom(t *testing.T) {
+	for _, tc := range []struct {
+		word uint64
+		from int
+		want int
+	}{
+		{0, 0, None},
+		{0, 63, None},
+		{1, 0, 0},
+		{1, 1, 0}, // wraps past bit 63 back to bit 0
+		{1, 63, 0},
+		{0b1010, 0, 1},
+		{0b1010, 1, 1}, // "at or after": from itself is eligible
+		{0b1010, 2, 3},
+		{0b1010, 4, 1},
+		{1 << 63, 0, 63},
+		{1 << 63, 63, 63},
+		{1<<63 | 1, 63, 63},
+		{1<<63 | 1<<5, 6, 63},
+		{^uint64(0), 17, 17},
+	} {
+		if got := FirstFrom(tc.word, tc.from); got != tc.want {
+			t.Errorf("FirstFrom(%#x, %d) = %d, want %d", tc.word, tc.from, got, tc.want)
+		}
+	}
+}
+
+// TestFirstFromMatchesRoundRobin: over any request word and pointer, the
+// packed kernel grants exactly what the []bool arbiter does.
+func TestFirstFromMatchesRoundRobin(t *testing.T) {
+	prop := func(word uint64, from uint8) bool {
+		req := make([]bool, 64)
+		for i := range req {
+			req[i] = word>>uint(i)&1 != 0
+		}
+		rr := RoundRobin{next: int(from % 64)}
+		return FirstFrom(word, int(from%64)) == rr.Pick(req)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPriority(t *testing.T) {
 	var p Priority
 	if g := p.Pick([]bool{false, true, true}); g != 1 {

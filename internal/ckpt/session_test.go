@@ -233,7 +233,9 @@ func TestWatchdogTripsOnStall(t *testing.T) {
 	}
 	// Nothing may ever depart: once the driven window ends, the drain makes
 	// no progress while cells stay resident.
-	s.Switch().SetOutputGate(func(out int) bool { return false })
+	for out := 0; out < s.Switch().Config().Ports; out++ {
+		s.Switch().SetOutputOpen(out, false)
+	}
 
 	res, err := s.Run()
 	if err == nil {

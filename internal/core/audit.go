@@ -36,14 +36,18 @@ func (s *Switch) AuditInvariants() error {
 			if got := s.occMask&(uint64(1)<<uint(o)) != 0; got != (sum > 0) {
 				return fmt.Errorf("core: audit: output %d occupancy bit %v, but %d cells queued", o, got, sum)
 			}
-		}
-		// The read fail-fast floor promises that no occupied output's
-		// link frees before it; an occupied link free earlier would let
-		// pickRead skip an initiable read wave.
-		if s.readFloor > 0 && sum > 0 && s.linkFree[o] < s.readFloor {
-			return fmt.Errorf("core: audit: read floor %d, but occupied output %d frees at %d", s.readFloor, o, s.linkFree[o])
+			// The ready word's other two terms: the idle bit mirrors the
+			// link booking, the open bit the pushed gate level.
+			idle, open := s.idleMask&(uint64(1)<<uint(o)) != 0, s.openMask&(uint64(1)<<uint(o)) != 0
+			if idle != s.linkIdle(o, s.cycle) || open != s.outOpen[o] {
+				return fmt.Errorf("core: audit: output %d ready-word bits idle=%v open=%v at cycle %d, but its link is booked until %d and its gate level is %v",
+					o, idle, open, s.cycle, s.linkFree[o], s.outOpen[o])
+			}
 		}
 		totalQueued += sum
+	}
+	if stray := (s.idleMask | s.openMask) >> uint(s.n); stray != 0 { // n ≥ 64 shifts to 0
+		return fmt.Errorf("core: audit: idle/open masks carry bits %#x at or above port %d", stray, s.n)
 	}
 	if s.queues.Total() != totalQueued {
 		return fmt.Errorf("core: audit: multiqueue total %d, per-queue sum %d", s.queues.Total(), totalQueued)

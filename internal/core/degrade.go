@@ -223,7 +223,6 @@ func (s *Switch) mapOutBank(b int) {
 		s.outOcc[o] = 0 // every queue was just flushed
 	}
 	s.occMask = 0
-	s.readFloor = 0
 	// Rebuild the free list over the usable low addresses only; the upper
 	// half of every bank is now the redirect region and the corresponding
 	// addresses stay permanently retired (never handed out again).

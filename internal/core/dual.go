@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"pipemem/internal/arb"
 	"pipemem/internal/cell"
 	"pipemem/internal/fifo"
 	"pipemem/internal/stats"
@@ -32,9 +33,8 @@ type DualSwitch struct {
 	queues *fifo.MultiQueue // per output; node = bank*cells + addr
 	descs  [][]desc         // [bank][addr]
 
-	linkFree []int64
-	readRR   int
-	writeRR  int
+	readRR  int
+	writeRR int
 	// writeBank alternates the default bank for writes when no read
 	// constrains the choice, balancing occupancy.
 	writeBank int
@@ -46,6 +46,10 @@ type DualSwitch struct {
 	// maskable enables the uint64 occupancy bitmasks on the ctrl ring and
 	// output registers (k ≤ 64); larger switches fall back to full scans.
 	maskable bool
+	// occMask has one bit per output with queued cells, idleMask one per
+	// output with no transmission in flight (rxHead nil): their AND is the
+	// read arbiter's ready word, as in Switch (maskable only).
+	occMask, idleMask uint64
 
 	// rxHead is the single egress slot per output. At most one
 	// transmission is ever in flight per output: a read (or write-through)
@@ -110,9 +114,9 @@ func NewDual(cfg Config) (*DualSwitch, error) {
 		inReg:    make([][]cell.Word, n),
 		inflight: make([]arrival, n),
 		queues:   fifo.NewMultiQueue(n, 2*cfg.Cells),
-		linkFree: make([]int64, n),
 		rxHead:   make([]*reasm, n),
 		maskable: k <= 64,
+		idleMask: uint64(1)<<uint(n) - 1,
 		cutLat:   stats.NewHist(4096),
 	}
 	for b := 0; b < 2; b++ {
@@ -374,31 +378,48 @@ func (d *DualSwitch) execOp(bk *bank, s int, c int64) {
 	}
 }
 
-// pickRead selects an idle output whose head-of-queue cell is eligible;
-// the bank is dictated by where that cell lives (§3.5: "whichever the
-// desired packet happens to be in").
+// pickRead selects an idle output whose head-of-queue cell is eligible,
+// round-robin from readRR over the ready word (see Switch.pickRead); the
+// bank is dictated by where that cell lives (§3.5: "whichever the desired
+// packet happens to be in").
 func (d *DualSwitch) pickRead(c int64) (bankIdx int, op Op, ok bool) {
-	for j := 0; j < d.n; j++ {
-		o := (d.readRR + j) % d.n
-		if d.linkFree[o] > c {
-			continue
+	if !d.maskable {
+		// k > 64: the words cannot hold every output; probe them all.
+		for j, from := 0, d.readRR; j < d.n && !ok; j++ {
+			bankIdx, op, ok = d.tryRead((from+j)%d.n, c)
 		}
-		node, found := d.queues.Front(o)
-		if !found {
-			continue
-		}
-		b, addr := d.unpack(node)
-		dsc := &d.descs[b][addr]
-		if !d.cfg.CutThrough && c < dsc.writeStart+int64(d.k) {
-			continue
-		}
-		d.queues.Pop(o)
-		d.readRR = (o + 1) % d.n
-		d.startTransmit(o, dsc, c)
-		d.free[b].Put(addr)
-		return b, Op{Kind: OpRead, Out: o, Addr: addr}, true
+		return bankIdx, op, ok
 	}
-	return -1, Op{}, false
+	for w := d.occMask & d.idleMask; w != 0 && !ok; {
+		o := arb.FirstFrom(w, d.readRR)
+		bankIdx, op, ok = d.tryRead(o, c)
+		w &^= uint64(1) << uint(o)
+	}
+	return bankIdx, op, ok
+}
+
+// tryRead initiates a read wave on output o if its link is idle and its
+// head-of-queue cell is serviceable.
+func (d *DualSwitch) tryRead(o int, c int64) (bankIdx int, op Op, ok bool) {
+	node, found := d.queues.Front(o)
+	if !found || d.rxHead[o] != nil {
+		return -1, Op{}, false
+	}
+	b, addr := d.unpack(node)
+	dsc := &d.descs[b][addr]
+	if !d.cfg.CutThrough && c < dsc.writeStart+int64(d.k) {
+		return -1, Op{}, false
+	}
+	d.queues.Pop(o)
+	if d.queues.Len(o) == 0 {
+		d.occMask &^= uint64(1) << uint(o)
+	}
+	if d.readRR = o + 1; d.readRR == d.n {
+		d.readRR = 0
+	}
+	d.startTransmit(o, dsc)
+	d.free[b].Put(addr)
+	return b, Op{Kind: OpRead, Out: o, Addr: addr}, true
 }
 
 // pickWrite selects the most urgent pending arrival and a bank other than
@@ -446,19 +467,19 @@ func (d *DualSwitch) pickWrite(c int64, forbidden int) (bankIdx int, op Op, ok b
 	dsc := desc{c: a.c, head: a.head, writeStart: c}
 	dst := a.c.Dst
 
-	if d.cfg.CutThrough && d.linkFree[dst] <= c && d.queues.Len(dst) == 0 {
+	if d.cfg.CutThrough && d.rxHead[dst] == nil && d.queues.Len(dst) == 0 {
 		d.descs[b][addr] = dsc
-		d.startTransmit(dst, &d.descs[b][addr], c)
+		d.startTransmit(dst, &d.descs[b][addr])
 		d.free[b].Put(addr)
 		return b, Op{Kind: OpWriteThrough, In: best, Out: dst, Addr: addr}, true
 	}
 	d.descs[b][addr] = dsc
 	d.queues.Push(dst, d.node(b, addr))
+	d.occMask |= uint64(1) << uint(dst)
 	return b, Op{Kind: OpWrite, In: best, Addr: addr}, true
 }
 
-func (d *DualSwitch) startTransmit(o int, dsc *desc, c int64) {
-	d.linkFree[o] = c + int64(d.k)
+func (d *DualSwitch) startTransmit(o int, dsc *desc) {
 	r := d.getReasm()
 	r.d = *dsc
 	r.words = r.words[:0]
@@ -467,6 +488,7 @@ func (d *DualSwitch) startTransmit(o int, dsc *desc, c int64) {
 		panic(fmt.Sprintf("core: transmission started on output %d with one already in flight", o))
 	}
 	d.rxHead[o] = r
+	d.idleMask &^= uint64(1) << uint(o)
 }
 
 func (d *DualSwitch) deliver(o int, w cell.Word, c int64) {
@@ -482,6 +504,7 @@ func (d *DualSwitch) deliver(o int, w cell.Word, c int64) {
 		return
 	}
 	d.rxHead[o] = nil
+	d.idleMask |= uint64(1) << uint(o)
 	got := d.getCell()
 	got.Seq, got.Src, got.Dst, got.VC = r.d.c.Seq, r.d.c.Src, r.d.c.Dst, 0
 	got.Copies = nil

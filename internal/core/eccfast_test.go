@@ -518,8 +518,7 @@ func TestECCUpsetUnderCommittedWave(t *testing.T) {
 	cfg := Config{Ports: 4, WordBits: 16, Cells: 16, ECC: true}
 	s := mustSwitch(t, cfg)
 	k := s.Config().Stages
-	hold := true
-	s.SetOutputGate(func(int) bool { return !hold })
+	gateAll(s, false)
 
 	c := cell.New(1, 0, 1, k, cfg.WordBits)
 	c.Copies = []int{2}
@@ -541,9 +540,9 @@ func TestECCUpsetUnderCommittedWave(t *testing.T) {
 
 	// Release the outputs and stop one cycle later: exactly one copy's read
 	// wave has been initiated — and committed whole by the batched path.
-	hold = false
+	gateAll(s, true)
 	s.Tick(nil)
-	hold = true
+	gateAll(s, false)
 	if s.QueuedAt(addr) != 1 || !s.fastMode {
 		t.Fatalf("set-up: %d copies still queued, fast=%v; want the first read wave in flight", s.QueuedAt(addr), s.fastMode)
 	}
@@ -566,7 +565,7 @@ func TestECCUpsetUnderCommittedWave(t *testing.T) {
 
 	// The second copy's wave runs on the exact path, corrects the word and
 	// scrubs it; its retirement closes the window and batching resumes.
-	hold = false
+	gateAll(s, true)
 	deps = deps[:0]
 	for i := 0; i < 3*k; i++ {
 		s.Tick(nil)
@@ -595,8 +594,7 @@ func TestStuckBankTakesWrites(t *testing.T) {
 				cfg := Config{Ports: 4, WordBits: 16, Cells: 16, ECC: ecc}
 				s := mustSwitch(t, cfg)
 				k := s.Config().Stages
-				hold := true
-				s.SetOutputGate(func(int) bool { return !hold })
+				gateAll(s, false)
 
 				s.SetStageStuck(2, true)
 				heads := make([]*cell.Cell, cfg.Ports)
@@ -611,7 +609,7 @@ func TestStuckBankTakesWrites(t *testing.T) {
 				if clear {
 					s.SetStageStuck(2, false)
 				}
-				hold = false
+				gateAll(s, true)
 				var deps []Departure
 				for i := 0; i < 3*k; i++ {
 					s.Tick(nil)

@@ -13,12 +13,23 @@ import (
 // allocs/op must be 0 in steady state; cells/sec is reported as a rate
 // metric. A non-nil observer is installed before the warmup.
 func benchTick(b *testing.B, cfg Config, tcfg traffic.Config, o ...*Observer) {
+	benchTickArmed(b, cfg, tcfg, nil, o...)
+}
+
+// benchTickArmed is benchTick with a flow-control model attached: arm
+// installs its hooks on the switch and returns the function the driver
+// calls once per cycle with that cycle's departures.
+func benchTickArmed(b *testing.B, cfg Config, tcfg traffic.Config, arm func(*Switch) func([]Departure), o ...*Observer) {
 	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if len(o) > 0 && o[0] != nil {
 		s.SetObserver(o[0])
+	}
+	var perCycle func([]Departure)
+	if arm != nil {
+		perCycle = arm(s)
 	}
 	k := s.Config().Stages
 	cs, err := traffic.NewCellStream(tcfg, k)
@@ -27,6 +38,13 @@ func benchTick(b *testing.B, cfg Config, tcfg traffic.Config, o ...*Observer) {
 	}
 	pool := cell.NewPool(k)
 	s.SetDrainRecycle(true)
+	// Overrun victims go back to the pool as RunTraffic's do, so an
+	// overloaded point stays allocation-free too.
+	s.SetDropCellHook(func(c *cell.Cell, reusable bool) {
+		if reusable {
+			pool.Put(c)
+		}
+	})
 	heads := make([]int, s.Config().Ports)
 	hc := make([]*cell.Cell, s.Config().Ports)
 	var seq uint64
@@ -44,7 +62,11 @@ func benchTick(b *testing.B, cfg Config, tcfg traffic.Config, o ...*Observer) {
 			}
 			s.Tick(hc)
 		}
-		for _, d := range s.Drain() {
+		deps := s.Drain()
+		if perCycle != nil {
+			perCycle(deps)
+		}
+		for _, d := range deps {
 			pool.Put(d.Expected)
 			delivered++
 		}
@@ -102,6 +124,46 @@ func BenchmarkTickSaturation(b *testing.B) {
 	benchTick(b,
 		Config{Ports: 8, WordBits: 16, Cells: 256, CutThrough: true},
 		traffic.Config{Kind: traffic.Saturation, N: 8, Seed: 42})
+}
+
+// BenchmarkTickGated8x8 is BenchmarkTickSaturation behind credit-style
+// link flow control, the way a fabric's interior node runs: two credits
+// per output, one taken per transmission (the 1→0 edge closes the gate),
+// each handed back two cell times after its departure completes (the 0→1
+// edge reopens it). Two credits on a three-cell-time round trip hold every
+// backlogged output to 2/3 of its link rate: a third of the time it is
+// idle, occupied and closed — the case that used to defeat the read
+// picker's fail-fast bound and now costs one AND.
+func BenchmarkTickGated8x8(b *testing.B) {
+	cfg := Config{Ports: 8, WordBits: 16, Cells: 256, CutThrough: true}
+	arm := func(s *Switch) func([]Departure) {
+		k := s.Config().Stages
+		credits := make([]int, cfg.Ports)
+		for o := range credits {
+			credits[o] = 2
+		}
+		s.SetTransmitCellHook(func(out int, _ *cell.Cell, _ int64) {
+			if credits[out]--; credits[out] == 0 {
+				s.SetOutputOpen(out, false)
+			}
+		})
+		// due[c mod len] is the output (+1) whose credit returns at cycle
+		// c; at most one departure completes per cycle, so one slot each.
+		due := make([]int, 4*k)
+		return func(deps []Departure) {
+			c := int(s.Cycle()) % len(due)
+			if o := due[c] - 1; o >= 0 {
+				due[c] = 0
+				if credits[o]++; credits[o] == 1 {
+					s.SetOutputOpen(o, true)
+				}
+			}
+			for _, d := range deps {
+				due[(c+2*k)%len(due)] = d.Output + 1
+			}
+		}
+	}
+	benchTickArmed(b, cfg, traffic.Config{Kind: traffic.Saturation, N: 8, Seed: 42}, arm)
 }
 
 // BenchmarkTickECC8x8 is the steady-state point on an ECC-protected,

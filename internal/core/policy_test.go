@@ -258,7 +258,7 @@ func TestRunnerRestoresDropHook(t *testing.T) {
 	}
 	// Overrun one input by hand: the second head displaces the first,
 	// which a closed output kept from ever obtaining its write wave.
-	s.SetOutputGate(func(int) bool { return false })
+	gateAll(s, false)
 	for s.FreeCells() > 0 {
 		heads := make([]*cell.Cell, 4)
 		heads[0] = cell.New(1, 0, 1, k, 16)

@@ -444,15 +444,20 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	}
 	copy(s.refcnt, st.Refcnt)
 	copy(s.outOcc, st.OutOcc)
-	s.occMask = 0
+	copy(s.linkFree, st.LinkFree)
+	// The occupancy and idle words are derived, never serialized (see
+	// linkIdle). The gate levels are the caller's state: every output
+	// restarts open.
+	s.occMask, s.idleMask = 0, 0
 	for o, occ := range s.outOcc {
-		if occ > 0 && o < 64 {
-			s.occMask |= uint64(1) << uint(o)
+		bit := uint64(1) << uint(o) // o ≥ 64 shifts to 0: masks unused there
+		if occ > 0 {
+			s.occMask |= bit
+		}
+		if s.linkIdle(o, st.Cycle) {
+			s.idleMask |= bit
 		}
 	}
-	// The read fail-fast floor is a derived cache, never serialized:
-	// restart it unknown and let the first failed scan rebuild it.
-	s.readFloor = 0
 	// Restored payloads live in st.Mem; no deposit is deferred.
 	for a := range s.memLazy {
 		s.memLazy[a] = nil
@@ -464,7 +469,6 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	copy(s.inDrops, st.InDrops)
 	copy(s.outDrops, st.OutDrops)
 
-	copy(s.linkFree, st.LinkFree)
 	s.readRR = st.ReadRR
 	copy(s.vcRR, st.VCRR)
 	s.writeRR = st.WriteRR

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"time"
 
+	"pipemem/internal/arb"
 	"pipemem/internal/bufmgr"
 	"pipemem/internal/cell"
 	"pipemem/internal/fifo"
@@ -266,16 +267,13 @@ type Switch struct {
 	cOffered, cAccepted, cDelivered, cCorrupt, cDropOverrun *int64
 	cDropPolicy, cDropPushout                               *int64
 
-	// gate, when set, must return true for a transmission to start on an
-	// output (credit-based flow control); vcGate refines it per virtual
-	// channel; onTransmit, when set, is called once per transmission
-	// booked.
-	gate       func(out int) bool
-	vcGate     func(out, vc int) bool
-	onTransmit func(out int)
-	// onTransmitCell, when set, receives the departing cell and the wave
-	// initiation cycle; the multistage fabric uses it to chain
-	// cut-through across switches.
+	// vcGate, when set, must return true for a transmission to start on
+	// an (output, VC) pair — per-VC flow control; the per-output level is
+	// outOpen/openMask below.
+	vcGate func(out, vc int) bool
+	// onTransmitCell, when set, is called once per transmission booked
+	// with the departing cell and the wave initiation cycle: credit
+	// consumption, and the multistage fabric's chained cut-through.
 	onTransmitCell func(out int, c *cell.Cell, startCycle int64)
 	// onDropCell, when set, receives every cell the switch loses
 	// (overrun displacement, policy refusal, push-out eviction), so an
@@ -353,13 +351,17 @@ type Switch struct {
 	pendMask uint64
 	occMask  uint64
 
-	// readFloor is a conservative lower bound on the next cycle a read
-	// wave could possibly be initiated: the last full pickRead scan found
-	// every occupied output's link busy until then. linkFree never moves
-	// backward and the occupied set grows only through occInc (which
-	// clears the floor), so cycles below the floor skip the scan outright.
-	// Zero means "unknown" — never serialized, rebuilt lazily.
-	readFloor int64
+	// The read side arbitrates over one ready word, occMask & idleMask &
+	// openMask (n ≤ 64). idleMask has one bit per output whose link carries
+	// no transmission: cleared by startTransmit, set by finishDeparture —
+	// the two edges of linkFree[o], which both engines already execute at
+	// exactly those cycles, so it is derived state (never serialized,
+	// rebuilt by NewFromSnapshot). openMask is the pushed level of the
+	// output gates (SetOutputOpen); outOpen is the same level per output,
+	// for the cut-through test and the n > 64 index walk.
+	idleMask uint64
+	openMask uint64
+	outOpen  []bool
 
 	// inDelay is the §4.3 link-pipelining delay line: slot c%R holds the
 	// heads that entered the switch boundary R cycles ago and reach the
@@ -406,6 +408,7 @@ func New(cfg Config) (*Switch, error) {
 		inDrops:      make([]int64, n),
 		outDrops:     make([]int64, n),
 		linkFree:     make([]int64, n),
+		outOpen:      make([]bool, n),
 		vcRR:         make([]int, n),
 		egress:       make([]*fifo.Ring[*reasm], n),
 		rxHead:       make([]*reasm, n),
@@ -437,7 +440,10 @@ func New(cfg Config) (*Switch, error) {
 	}
 	for o := range s.egress {
 		s.egress[o] = fifo.NewRing[*reasm](0)
+		s.outOpen[o] = true
 	}
+	s.idleMask = uint64(1)<<uint(n) - 1 // n ≥ 64 wraps to all ones
+	s.openMask = s.idleMask
 	s.cOffered = s.counter.Hot("offered")
 	s.cAccepted = s.counter.Hot("accepted")
 	s.cDelivered = s.counter.Hot("delivered")
@@ -503,9 +509,6 @@ func (s *Switch) pendClear(i int) {
 func (s *Switch) occInc(o int) {
 	s.outOcc[o]++
 	s.occMask |= uint64(1) << uint(o)
-	// A newly occupied output may have an idle link: any cached
-	// no-read-before bound is stale.
-	s.readFloor = 0
 }
 
 func (s *Switch) occDec(o int) {
@@ -717,12 +720,27 @@ func (s *Switch) SetTracer(f func(TraceEvent)) {
 	s.tracer = f
 }
 
-// SetOutputGate installs a side-effect-free admission predicate consulted
-// before any transmission is initiated on an output link. Telegraphos
-// uses it for its credit-based flow control ([KVES95]): an output with no
-// credits is skipped by read arbitration and by the cut-through upgrade,
-// and its cells wait in the shared buffer.
-func (s *Switch) SetOutputGate(gate func(out int) bool) { s.gate = gate }
+// SetOutputOpen drives output out's gate level — the "credit available"
+// wire of link-level flow control ([KVES95]). A closed output is skipped
+// by read arbitration and by the cut-through upgrade, and its cells wait
+// in the shared buffer; every output starts open. The level is pushed, not
+// polled: the owner of the credit counter calls this on the 1→0 and 0→1
+// transitions it already performs (from inside a transmit hook is fine).
+// It is the caller's state, not the switch's — Snapshot does not carry it,
+// and a switch rebuilt by NewFromSnapshot has every output open until the
+// caller pushes its levels again.
+func (s *Switch) SetOutputOpen(out int, open bool) {
+	s.outOpen[out] = open
+	bit := uint64(1) << uint(out) // out ≥ 64 shifts to 0: mask unused there
+	if open {
+		s.openMask |= bit
+	} else {
+		s.openMask &^= bit
+	}
+}
+
+// OutputOpen reports output out's gate level (see SetOutputOpen).
+func (s *Switch) OutputOpen(out int) bool { return s.outOpen[out] }
 
 // SetVCGate installs a per-(output, VC) admission predicate — the
 // [KVES95] VC-level flow control. A VC whose gate is closed keeps its
@@ -808,10 +826,6 @@ func (s *Switch) pickVC(o int, eligible func(vc int) bool) int {
 	}
 	return -1
 }
-
-// SetTransmitHook installs a callback invoked exactly once per
-// transmission booked on an output (credit consumption).
-func (s *Switch) SetTransmitHook(f func(out int)) { s.onTransmit = f }
 
 // SetTransmitCellHook installs a callback invoked when a transmission is
 // booked, carrying the departing cell and the wave-initiation cycle (the
@@ -1428,151 +1442,77 @@ func (s *Switch) arbitrateInner(c int64, op *Op) bool {
 	return ok
 }
 
-// pickRead selects an idle outgoing link with an eligible head-of-queue
-// cell, round-robin. With n ≤ 64 the scan iterates the occupancy bitset
-// rotated to the round-robin origin — the same visit order as the legacy
-// index walk restricted to outputs that have queued cells at all. The
-// outputs skipped that way would have failed their queue probe (and their
-// side-effect-free gate call, see SetOutputGate) without ever booking a
-// transmission, so the restriction is behavior-identical.
+// pickRead selects an idle, open outgoing link with an eligible
+// head-of-queue cell, round-robin from readRR. With n ≤ 64 the candidates
+// are the set bits of the ready word and arb.FirstFrom rotates to the
+// pointer: the visit order of the paper's index walk restricted to the
+// outputs that could pass its link, gate and queue probes, so the grant is
+// the same and a cycle with nothing ready costs one AND. A ready output
+// can still decline (store-and-forward wait, closed VC gates); it leaves
+// the local word and the rotation moves on.
 func (s *Switch) pickRead(c int64, op *Op) bool {
-	if s.queues.Total() == 0 {
-		// Nothing buffered anywhere: no read wave can be initiated. (With
-		// cut-through under admissible load this is the common case — most
-		// cells depart via write-through and never touch the queues.)
-		s.noteRead(0, false)
-		return false
-	}
 	scanned := 0
 	if s.n <= 64 {
-		// Fail-fast: a prior full scan proved no occupied link frees up
-		// before readFloor, and nothing since has invalidated that bound
-		// (occInc clears it; linkFree is monotone) — skip the scan. A
-		// failed scan has no side effects (readRR moves only on success),
-		// so skipping is bit-identical.
-		if s.readFloor > c {
-			s.noteRead(0, false)
-			return false
-		}
-		// Split the occupancy mask at the round-robin pointer: outputs
-		// ≥ readRR first (ascending), then the wrapped remainder. While
-		// scanning, track the earliest cycle any busy link frees; a scan
-		// that fails for link-busy reasons alone installs it as the new
-		// floor. A failure with the link already free (closed gate,
-		// store-and-forward wait, WRR ineligibility) can clear up without
-		// touching linkFree or the occupied set, so it poisons the bound.
-		minLink := int64(-1)
-		hi := s.occMask >> uint(s.readRR) << uint(s.readRR)
-		for m := hi; m != 0; m &= m - 1 {
-			o := bits.TrailingZeros64(m)
+		for w := s.occMask & s.idleMask & s.openMask; w != 0; {
+			o := arb.FirstFrom(w, s.readRR)
 			scanned++
-			if f := s.linkFree[o]; f > c {
-				if minLink != 0 && (minLink < 0 || f < minLink) {
-					minLink = f
-				}
-				continue
-			}
 			if s.tryRead(o, c, op) {
 				s.noteRead(scanned, true)
 				return true
 			}
-			minLink = 0
+			w &^= uint64(1) << uint(o)
 		}
-		for m := s.occMask &^ hi; m != 0; m &= m - 1 {
-			o := bits.TrailingZeros64(m)
-			scanned++
-			if f := s.linkFree[o]; f > c {
-				if minLink != 0 && (minLink < 0 || f < minLink) {
-					minLink = f
-				}
-				continue
+	} else if s.queues.Total() != 0 {
+		// n > 64: the words cannot hold every output, so this is the one
+		// place the legacy index walk survives, probing link, gate and
+		// queue per output.
+		for j, o := 0, s.readRR; j < s.n; j, o = j+1, o+1 {
+			if o >= s.n {
+				o -= s.n
 			}
-			if s.tryRead(o, c, op) {
+			scanned++
+			if s.linkFree[o] <= c && s.outOpen[o] && s.tryRead(o, c, op) {
 				s.noteRead(scanned, true)
 				return true
 			}
-			minLink = 0
-		}
-		if minLink > 0 {
-			s.readFloor = minLink
-		}
-		s.noteRead(scanned, false)
-		return false
-	}
-	for j, o := 0, s.readRR; j < s.n; j, o = j+1, o+1 {
-		if o >= s.n {
-			o -= s.n
-		}
-		scanned++
-		if s.tryRead(o, c, op) {
-			s.noteRead(scanned, true)
-			return true
 		}
 	}
 	s.noteRead(scanned, false)
 	return false
 }
 
-// tryRead attempts to initiate a read wave on output o at cycle c,
-// returning false when the link is busy, gated closed, or has no
+// tryRead attempts to initiate a read wave on output o — whose link the
+// caller found idle and open — at cycle c, returning false when it has no
 // serviceable head-of-queue cell.
 func (s *Switch) tryRead(o int, c int64, op *Op) bool {
-	if s.linkFree[o] > c {
-		return false
-	}
-	if s.gate != nil && !s.gate(o) {
-		return false
-	}
-	// Single-VC fast path: with one virtual channel, no VC gate and
-	// no WRR weights, the only candidate is the output's front
-	// descriptor — skip the pickVC machinery.
+	q := o // qidx(o, 0)
 	if s.cfg.VCs == 1 && s.vcGate == nil && (s.vcWeights == nil || s.vcWeights[o] == nil) {
-		node, ok := s.queues.Front(o) // qidx(o, 0) == o
-		if !ok {
+		// Single-VC fast path: with one virtual channel, no VC gate and
+		// no WRR weights, the only candidate is the output's front
+		// descriptor — skip the pickVC machinery.
+		node, ok := s.queues.Front(q)
+		if !ok || (!s.cfg.CutThrough && c < s.nodes[node].writeStart+int64(s.k)) {
 			return false
 		}
-		d := &s.nodes[node]
-		if !s.cfg.CutThrough && c < d.writeStart+int64(s.k) {
+	} else {
+		// Serve the output's virtual channels round-robin (or WRR when
+		// weights are configured, [KaSC91]): a VC with a closed gate or
+		// an ineligible head does not block the link's other VCs.
+		eligible := func(vc int) bool {
+			if s.vcGate != nil && !s.vcGate(o, vc) {
+				return false
+			}
+			node, ok := s.queues.Front(s.qidx(o, vc))
+			// Store-and-forward: wait until the write wave has fully
+			// deposited the cell.
+			return ok && (s.cfg.CutThrough || c >= s.nodes[node].writeStart+int64(s.k))
+		}
+		vc := s.pickVC(o, eligible)
+		if vc < 0 {
 			return false
 		}
-		s.queues.Pop(o)
-		s.occDec(o)
-		if o+1 == s.n {
-			s.readRR = 0
-		} else {
-			s.readRR = o + 1
-		}
-		s.startTransmit(o, d, c)
-		addr := d.addr
-		s.nfree.Put(node)
-		s.refcnt[addr]--
-		if s.refcnt[addr] == 0 {
-			s.free.Put(addr)
-		}
-		op.Kind, op.Out, op.Addr = OpRead, o, addr
-		return true
+		q = s.qidx(o, vc)
 	}
-	// Serve the output's virtual channels round-robin (or WRR when
-	// weights are configured, [KaSC91]): a VC with a closed gate or
-	// an ineligible head does not block the link's other VCs.
-	eligible := func(vc int) bool {
-		if s.vcGate != nil && !s.vcGate(o, vc) {
-			return false
-		}
-		node, ok := s.queues.Front(s.qidx(o, vc))
-		if !ok {
-			return false
-		}
-		d := &s.nodes[node]
-		// Store-and-forward: wait until the write wave has fully
-		// deposited the cell.
-		return s.cfg.CutThrough || c >= d.writeStart+int64(s.k)
-	}
-	vc := s.pickVC(o, eligible)
-	if vc < 0 {
-		return false
-	}
-	q := s.qidx(o, vc)
 	node, _ := s.queues.Pop(q)
 	s.occDec(o)
 	d := &s.nodes[node]
@@ -1698,8 +1638,7 @@ retry:
 	// destination link is idle and no cell is queued ahead on any of its
 	// VCs, the write wave doubles as the read wave (§3.3).
 	if s.cfg.CutThrough && len(a.c.Copies) == 0 &&
-		s.linkFree[dst] <= c && s.QueuedFor(dst) == 0 &&
-		(s.gate == nil || s.gate(dst)) &&
+		s.linkFree[dst] <= c && s.QueuedFor(dst) == 0 && s.outOpen[dst] &&
 		(s.vcGate == nil || s.vcGate(dst, vc)) {
 		d := desc{c: a.c, head: a.head, writeStart: c, vc: vc, addr: addr}
 		s.startTransmit(dst, &d, c)
@@ -1755,6 +1694,7 @@ retry:
 // reassembly of the departing cell.
 func (s *Switch) startTransmit(o int, d *desc, c int64) {
 	s.linkFree[o] = c + int64(s.k)
+	s.idleMask &^= uint64(1) << uint(o)
 	r := s.getReasm()
 	r.d = *d
 	r.words = r.words[:0]
@@ -1773,18 +1713,26 @@ func (s *Switch) startTransmit(o int, d *desc, c int64) {
 		}
 	}
 	s.lastTx = r
-	if s.onTransmit != nil {
-		s.onTransmit(o)
-	}
 	if s.onTransmitCell != nil {
 		s.onTransmitCell(o, d.c, c)
 	}
+}
+
+// linkIdle is idleMask's definition at the boundary before cycle c: output
+// o carries no transmission. A link booked at c₀ has linkFree = c₀+k and is
+// released by the tick of that very cycle (completion runs before
+// arbitration), so it is idle once linkFree < c — or while it was never
+// booked at all (linkFree 0; a booking always lands at k or later).
+func (s *Switch) linkIdle(o int, c int64) bool {
+	f := s.linkFree[o]
+	return f == 0 || f < c
 }
 
 // finishDeparture books the departure whose last word was observed on
 // outgoing link o at cycle c; r is the output's reassembly record, now
 // holding all K words.
 func (s *Switch) finishDeparture(o int, r *reasm, c int64) {
+	s.idleMask |= uint64(1) << uint(o)
 	if s.fastMode {
 		s.rxHead[o] = nil
 	} else {

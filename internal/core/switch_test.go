@@ -20,6 +20,14 @@ func mustSwitch(t *testing.T, cfg Config) *Switch {
 	return s
 }
 
+// gateAll drives every output gate to one level — the tests' way to wedge
+// a switch (nothing departs, the buffer fills) and release it again.
+func gateAll(s *Switch, open bool) {
+	for o := 0; o < s.Config().Ports; o++ {
+		s.SetOutputOpen(o, open)
+	}
+}
+
 func stream(t *testing.T, cfg traffic.Config, cellLen int) *traffic.CellStream {
 	t.Helper()
 	cs, err := traffic.NewCellStream(cfg, cellLen)

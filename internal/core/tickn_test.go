@@ -51,6 +51,26 @@ type ticknHarness struct {
 	// mcastEvery, when positive, gives every mcastEvery-th cell a second
 	// destination (the next output round).
 	mcastEvery uint64
+	// gates, when non-empty, is a gate plan: during cycles
+	// [e·gateEpoch, (e+1)·gateEpoch) output o is closed iff bit o of
+	// gates[e mod len] is set.
+	gates []byte
+}
+
+// gateEpoch is how many cycles one gate-plan byte holds.
+const gateEpoch = 8
+
+// pushGates drives the output gates to the plan's levels for the
+// switch's current cycle. Idempotent, so every driver calls it before each
+// Tick or batch — which is also the re-push a rebuilt switch needs.
+func (h *ticknHarness) pushGates() {
+	if len(h.gates) == 0 {
+		return
+	}
+	b := h.gates[int(h.sw.Cycle()/gateEpoch)%len(h.gates)]
+	for o := range h.hc {
+		h.sw.SetOutputOpen(o, b&(1<<uint(o)) == 0)
+	}
 }
 
 func newTicknHarness(t *testing.T, cfg Config, polSpec string) *ticknHarness {
@@ -141,11 +161,13 @@ func faultDue(faults []faultAt, c int64) bool {
 func (h *ticknHarness) runPerCycle(sched [][]int, tail int64, faults []faultAt) {
 	for _, row := range sched {
 		h.fire(faults)
+		h.pushGates()
 		h.sw.Tick(h.materialize(row))
 		h.collect()
 	}
 	for i := int64(0); i < tail; i++ {
 		h.fire(faults)
+		h.pushGates()
 		h.sw.Tick(nil)
 		h.collect()
 	}
@@ -395,19 +417,25 @@ func TestTickNFastForward(t *testing.T) {
 	}
 }
 
-// FuzzTickN fuzzes the two knobs the deterministic tests fix by hand: the
+// FuzzTickN fuzzes the knobs the deterministic tests fix by hand: the
 // batch split (where TickN calls begin and end relative to arrival fronts
-// and gaps) and the cut cycle (where the batched run is snapshotted,
-// serialized, rebuilt and resumed). Whatever the fuzzer picks, the batched
-// drive must reproduce the per-cycle departure log and final state.
+// and gaps), the cut cycle (where the batched run is snapshotted,
+// serialized, rebuilt and resumed) and a gate plan (which outputs are
+// closed when, see ticknHarness.gates — so closed outputs meet the
+// fast-forward, the batch splits and the cut). Whatever the fuzzer picks,
+// the batched drive must reproduce the per-cycle departure log and final
+// state.
 func FuzzTickN(f *testing.F) {
-	f.Add(uint16(19), uint16(200), []byte{3, 9, 1, 30}, false)
-	f.Add(uint16(7), uint16(0), []byte{}, false)
-	f.Add(uint16(301), uint16(77), []byte{255, 255, 0, 1, 16}, false)
-	f.Add(uint16(19), uint16(122), []byte{3, 9, 1, 30}, true) // cut inside a dirty window
-	f.Add(uint16(301), uint16(260), []byte{2}, true)
-	f.Add(uint16(7), uint16(61), []byte{}, true)
-	f.Fuzz(func(t *testing.T, seed uint16, cut uint16, splits []byte, ecc bool) {
+	f.Add(uint16(19), uint16(200), []byte{3, 9, 1, 30}, false, []byte{})
+	f.Add(uint16(7), uint16(0), []byte{}, false, []byte{})
+	f.Add(uint16(301), uint16(77), []byte{255, 255, 0, 1, 16}, false, []byte{})
+	f.Add(uint16(19), uint16(122), []byte{3, 9, 1, 30}, true, []byte{}) // cut inside a dirty window
+	f.Add(uint16(301), uint16(260), []byte{2}, true, []byte{})
+	f.Add(uint16(7), uint16(61), []byte{}, true, []byte{})
+	f.Add(uint16(19), uint16(203), []byte{3, 9, 1, 30}, false, []byte{0x2, 0xf, 0x0, 0x5, 0xa}) // cut while gated
+	f.Add(uint16(301), uint16(90), []byte{}, false, []byte{0xf, 0xf, 0xf, 0x0})                 // all closed, then all open
+	f.Add(uint16(7), uint16(125), []byte{5, 1}, true, []byte{0x1, 0xc, 0x0})
+	f.Fuzz(func(t *testing.T, seed uint16, cut uint16, splits []byte, ecc bool, gates []byte) {
 		cfg := ticknConfig()
 		// With ECC on, both drives also take sparse upsets (one of them
 		// uncorrectable): every upset opens a dirty window on the exact
@@ -429,9 +457,11 @@ func FuzzTickN(f *testing.F) {
 		total := int64(cycles) + tail
 
 		ref := newTicknHarness(t, cfg, "")
+		ref.gates = gates
 		ref.runPerCycle(sched, tail, faults)
 
 		bat := newTicknHarness(t, cfg, "")
+		bat.gates = gates
 		row := func(c int64) []int {
 			if c < int64(len(sched)) {
 				return sched[c]
@@ -455,12 +485,15 @@ func FuzzTickN(f *testing.F) {
 		c := int64(0)
 		for c < total {
 			bat.fire(faults)
+			bat.pushGates()
 			front := bat.materialize(row(c))
 			// The batch may not run past the next arrival (TickN carries
-			// arrivals only in its first cycle), an upset or the cut.
+			// arrivals only in its first cycle), an upset, the cut or the
+			// next gate-plan byte.
 			g := int64(1)
 			limit := nextSplit()
-			for c+g < total && g < limit && row(c+g) == nil && c+g != cutAt && !faultDue(faults, c+g) {
+			for c+g < total && g < limit && row(c+g) == nil && c+g != cutAt && !faultDue(faults, c+g) &&
+				(len(gates) == 0 || (c+g)%gateEpoch != 0) {
 				g++
 			}
 			bat.sw.TickN(front, g)

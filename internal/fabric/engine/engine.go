@@ -15,17 +15,20 @@
 // cycle-c work. The only cross-node state is the credit array, and its
 // accesses factor cleanly:
 //
-//   - decrements (taking a credit on the downstream link) and the gate
-//     reads that observe them happen only in the one upstream node that
-//     owns the link — node-local, no contention;
+//   - decrements (taking a credit on the downstream link) happen only in
+//     the one upstream node that owns the link, whose own output gate the
+//     1→0 edge closes — node-local, no contention;
 //   - increments (releasing the inbound link when a cell leaves a stage-t
-//     node) are only ever read by stage t-1 gates, which the sequential
+//     node) only ever matter to a stage t-1 gate, which the sequential
 //     engine runs earlier in the same cycle — so a release is first
 //     observable one cycle later no matter what.
 //
 // Deferring every release to the end-of-cycle barrier therefore preserves
-// every value any gate ever observes, and the whole fabric ticks in a
-// single parallel region per cycle — one barrier, not one per stage.
+// every level any gate ever presents, and the whole fabric ticks in a
+// single parallel region per cycle — one barrier, not one per stage. The
+// gates are pushed levels (core.Switch.SetOutputOpen): a 0→1 edge reopens
+// the upstream output, found through up[], from the barrier — the one
+// write to a node another shard owns, legal because every worker is parked.
 // Everything order-sensitive (latency histogram adds are float sums,
 // ejection verification, error surfacing) is staged per shard and merged
 // at the barrier in ascending node order, exactly the order the
@@ -129,6 +132,9 @@ type Engine struct {
 	// the credit slot the hop consumes. -1 marks outputs with no
 	// downstream (last-stage ejects, unpopulated middles).
 	down []int32
+	// up is down's inverse: packed downstream (node, port) to the packed
+	// upstream (node, out) feeding it, -1 for terminal injection ports.
+	up []int32
 	// credits[g*k+port] is the allowance of the link INTO node g's port.
 	credits []int32
 	// route[t][dst] is the output digit requested at stage t ≥ 1.
@@ -234,6 +240,7 @@ func New(cfg Config) (*Engine, error) {
 
 	e.nodes = make([]*core.Switch, total)
 	e.down = make([]int32, total*k)
+	e.up = make([]int32, total*k)
 	e.credits = make([]int32, total*k)
 	e.arrivals = make([]int64, total)
 	e.busy = make([]uint64, words)
@@ -249,6 +256,7 @@ func New(cfg Config) (*Engine, error) {
 	e.scratch = &cell.Cell{Words: make([]cell.Word, e.cellK)}
 	for i := range e.credits {
 		e.credits[i] = int32(cfg.Credits)
+		e.up[i] = -1
 	}
 
 	// Flat topology tables: wiring, routing digits, terminal maps.
@@ -273,7 +281,9 @@ func New(cfg Config) (*Engine, error) {
 					if dn >= t.NodesAt(st+1) || dp < 0 || dp >= k {
 						return nil, fmt.Errorf("engine: downstream(%d,%d,%d) = (%d,%d) out of range", st, i, out, dn, dp)
 					}
-					e.down[g*k+out] = int32((e.base[st+1]+dn)*k + dp)
+					d := (e.base[st+1]+dn)*k + dp
+					e.down[g*k+out] = int32(d)
+					e.up[d] = int32(g*k + out)
 				}
 			}
 		}
@@ -355,29 +365,25 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// installGate wires the interior output gate: an output may transmit only
-// when it has a downstream link (unpopulated outputs never do) with a
-// credit available. Without flow control only the routability check
-// remains, and when every output is routable the gate is omitted
-// entirely — the node arbitrates at full speed.
+// installGate sets the interior output gates' initial levels: an output
+// with no downstream link (an unpopulated middle) is closed for good; the
+// rest start open on a full credit allowance and follow it from there
+// (the transmit hook's 1→0 edge, release's 0→1).
 func (e *Engine) installGate(sw *core.Switch, g int) {
-	base := int32(g * e.k)
-	anyDead := false
 	for out := 0; out < e.k; out++ {
-		if e.down[int(base)+out] < 0 {
-			anyDead = true
+		if e.down[g*e.k+out] < 0 {
+			sw.SetOutputOpen(out, false)
 		}
 	}
-	switch {
-	case e.creditOn:
-		sw.SetOutputGate(func(out int) bool {
-			d := e.down[base+int32(out)]
-			return d >= 0 && e.credits[d] > 0
-		})
-	case anyDead:
-		sw.SetOutputGate(func(out int) bool {
-			return e.down[base+int32(out)] >= 0
-		})
+}
+
+// release returns one credit to link d at the barrier; the 0→1 edge
+// reopens the upstream output that feeds it.
+func (e *Engine) release(d int32) {
+	e.credits[d]++
+	if e.credits[d] == 1 {
+		u := int(e.up[d])
+		e.nodes[u/e.k].SetOutputOpen(u%e.k, true)
 	}
 }
 
@@ -421,7 +427,9 @@ func (e *Engine) installHook(sw *core.Switch, st, g int, sh *shard) {
 			if e.credits[d] <= 0 {
 				panic(fmt.Sprintf("engine: credit underflow on link %d", d))
 			}
-			e.credits[d]--
+			if e.credits[d]--; e.credits[d] == 0 {
+				sw.SetOutputOpen(out, false)
+			}
 		}
 		// The hop cell: payloads are a pure function of (seq, src, dst),
 		// so regenerating into a pooled cell is equivalent to cloning the
@@ -555,7 +563,7 @@ func (e *Engine) Step() error {
 			sh.err = nil
 		}
 		for _, idx := range sh.rel {
-			e.credits[idx]++
+			e.release(idx)
 		}
 		sh.rel = sh.rel[:0]
 		for i, v := range sh.arr {
@@ -694,7 +702,7 @@ func (e *Engine) retireDrop(dr *dropRec) error {
 		return fmt.Errorf("engine: drop of unknown cell %d at node %d", dr.seq, dr.node)
 	}
 	if e.creditOn && int(dr.node) >= e.base[1] {
-		e.credits[fl.inbound]++
+		e.release(fl.inbound)
 	}
 	e.dropped++
 	if fl.traced {
@@ -829,6 +837,15 @@ func (e *Engine) Audit() error {
 	for g, nd := range e.nodes {
 		if err := nd.AuditInvariants(); err != nil {
 			return fmt.Errorf("engine: node %d: %w", g, err)
+		}
+		// Interior gate levels mirror the credit state they were pushed
+		// from: open ⇔ routable ∧ (no flow control ∨ a credit in hand).
+		for out := 0; out < e.k && g < e.last; out++ {
+			d := e.down[g*e.k+out]
+			want := d >= 0 && (!e.creditOn || e.credits[d] > 0)
+			if nd.OutputOpen(out) != want {
+				return fmt.Errorf("engine: node %d output %d gate open=%v, but its credit state says %v", g, out, !want, want)
+			}
 		}
 	}
 	return nil

@@ -54,6 +54,47 @@ func TestEngineDeliversIdentity(t *testing.T) {
 	}
 }
 
+// TestEngineGateFollowsCredits audits at every barrier of a hot-spot run
+// that the pushed gate levels equal the credit state they are derived
+// from — through both return paths: barrier releases and the retirement
+// of cells a stage-1 policy refused.
+func TestEngineGateFollowsCredits(t *testing.T) {
+	cfg := bflyConfig()
+	cfg.Policy = "static:quota=1"
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var seq uint64
+	closed := 0
+	for c := 0; c < 600; c++ {
+		if c%e.CellWords() == 0 && c < 400 {
+			for term := 0; term < 4; term++ {
+				seq++
+				e.Inject(term, 0, seq, 0)
+			}
+		}
+		if err := e.Step(); err != nil {
+			t.Fatalf("step %d: %v", c, err)
+		}
+		if err := e.Audit(); err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
+		for i := 0; i < 2; i++ {
+			for out := 0; out < 2; out++ {
+				if !e.NodeAt(0, i).OutputOpen(out) {
+					closed++
+				}
+			}
+		}
+	}
+	refused := e.NodeAt(1, 0).Counters().Get("drop-policy")
+	if closed == 0 || refused == 0 || e.InFlight() != 0 {
+		t.Fatalf("vacuous or stuck: %d closed-gate observations, %d stage-1 refusals, %d in flight", closed, refused, e.InFlight())
+	}
+}
+
 func TestEngineConfigErrors(t *testing.T) {
 	for name, mut := range map[string]func(*Config){
 		"nil-topo":         func(c *Config) { c.Topo = nil },

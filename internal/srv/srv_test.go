@@ -367,7 +367,9 @@ func TestStalledSessionFails(t *testing.T) {
 	}
 	// Nothing may ever depart: once the driven window ends, the drain
 	// makes no progress while cells stay resident.
-	s.sim.Switch().SetOutputGate(func(out int) bool { return false })
+	for out := 0; out < 4; out++ {
+		s.sim.Switch().SetOutputOpen(out, false)
+	}
 
 	var stepErr error
 	for s.State() == StateIdle {

@@ -244,14 +244,20 @@ func newSwitch(m Model, vcs, credits int, perVC bool) (*Switch, error) {
 		for o := range s.credits {
 			s.credits[o] = credits
 		}
-		cs.SetOutputGate(func(out int) bool { return s.credits[out] > 0 })
-		cs.SetTransmitHook(func(out int) { s.credits[out]-- })
+		cs.SetTransmitCellHook(func(out int, _ *cell.Cell, _ int64) { s.addCredit(out, -1) })
 	}
 	if s.credits == nil {
 		s.credits = make([]int, m.Ports)
 	}
 	s.pendingCr = make(map[int64][]creditReturn)
 	return s, nil
+}
+
+// addCredit is the one place a link's credit count moves; it drives the
+// core's output gate to the resulting level (open while credits remain).
+func (s *Switch) addCredit(out, d int) {
+	s.credits[out] += d
+	s.core.SetOutputOpen(out, s.credits[out] > 0)
 }
 
 // SetCreditDelay sets the reverse-channel latency, in cycles, between a
@@ -349,9 +355,8 @@ func (s *Switch) ReturnCredit(out int) {
 		s.pendingCr[due] = append(s.pendingCr[due], creditReturn{out: out})
 		return
 	}
-	s.credits[out]++
-	if s.credits[out] > s.maxCredits {
-		s.credits[out] = s.maxCredits
+	if s.credits[out] < s.maxCredits {
+		s.addCredit(out, 1)
 	}
 }
 
@@ -366,7 +371,7 @@ func (s *Switch) Tick(pkts []*Packet) {
 					s.vcCredits[r.out][r.vc]++
 				}
 			} else if s.credits[r.out] < s.maxCredits {
-				s.credits[r.out]++
+				s.addCredit(r.out, 1)
 			}
 		}
 		delete(s.pendingCr, s.cycle)
