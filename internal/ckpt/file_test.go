@@ -111,3 +111,37 @@ func TestLoadRejectsDamage(t *testing.T) {
 		t.Fatal("Load of a missing file must fail")
 	}
 }
+
+// TestResumeReportsUnusableSwitchState: a well-formed file (header, length
+// and CRC all valid) whose switch state queues descriptors without cells
+// must come back from Load → Resume as an error. It used to restore
+// cleanly and nil-dereference on the first step — which, behind pmserve,
+// took the whole server down with the one session.
+func TestResumeReportsUnusableSwitchState(t *testing.T) {
+	ck, err := sessionAt(t, 321).Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := 0
+	for q := range ck.Switch.Queues {
+		for i := range ck.Switch.Queues[q] {
+			ck.Switch.Queues[q][i].Desc.Cell = nil
+			queued++
+		}
+	}
+	if queued == 0 {
+		t.Fatal("set-up: nothing queued at the checkpoint")
+	}
+	path := filepath.Join(t.TempDir(), "nocells.ckpt")
+	if err := Save(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Resume(path, Options{})
+	if err == nil {
+		s.Step() // the old failure mode, for the report
+		t.Fatal("checkpoint with cell-less descriptors resumed")
+	}
+	if !strings.Contains(err.Error(), "has no cell") {
+		t.Fatalf("error %q does not say what is wrong with the state", err)
+	}
+}

@@ -125,6 +125,7 @@ func badConfigCases(dir string) []badCase {
 		{"pmrtl/unknown-model", "pmrtl", "", []string{"-model", "t9"}, "unknown model"},
 		{"pmrtl/bufpolicy-nonpipelined", "pmrtl", "", []string{"-org", "wide", "-bufpolicy", "share"}, "pipelined organization"},
 		{"pmrtl/bad-ports", "pmrtl", "", []string{"-n", "0", "-cycles", "10"}, "ports"},
+		{"pmrtl/dual-vcs", "pmrtl", "", []string{"-dual", "-n", "4", "-vcs", "3"}, "no virtual channels"},
 
 		// pmsim: -sweep is obeyed (slot-level archs, -arch rtl) or refused,
 		// never dropped by a single-point harness.
@@ -214,6 +215,10 @@ func TestEveryToolAudited(t *testing.T) {
 	}
 }
 
+// liveDocs are the documents that describe the repo as it is. CHANGES.md
+// and ROADMAP.md are history and may name what is gone.
+var liveDocs = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
+
 // TestDocsNameLiveTargets is the docs-rot guard: every make target and
 // cmd/<tool> path the documentation mentions must exist. A target counts
 // as mentioned when `make <target>` opens an inline code span or stands
@@ -237,7 +242,7 @@ func TestDocsNameLiveTargets(t *testing.T) {
 	inSpan := regexp.MustCompile("`make ([a-z][a-z0-9-]*)")
 	inFence := regexp.MustCompile(`(?:^|\s)make ([a-z][a-z0-9-]*)`)
 	cmdPath := regexp.MustCompile(`\bcmd/([a-z][a-z0-9]*)`)
-	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range liveDocs {
 		text, err := os.ReadFile(filepath.Join("../..", doc))
 		if err != nil {
 			t.Fatal(err)
@@ -260,6 +265,31 @@ func TestDocsNameLiveTargets(t *testing.T) {
 			for _, m := range cmdPath.FindAllStringSubmatch(line, -1) {
 				if !live[m[1]] {
 					t.Errorf("%s:%d: cmd/%s does not exist", doc, i+1, m[1])
+				}
+			}
+		}
+	}
+}
+
+// TestDocsNameNothingRetired is the other half of the docs-rot guard: names
+// a PR deleted must not survive in the live documents. Add to the list in
+// the PR that retires a name (it replaces the hand-run `git grep` PRs 13
+// and 14 ended with).
+func TestDocsNameNothingRetired(t *testing.T) {
+	retired := []string{
+		"SetOutputGate", "readFloor", // PR 14: pushed gate levels, one ready word
+		"pmbench", "BENCH_1.json", // PR 13: one performance ledger
+		"ringOps", "lastTx", "egress ring", // PR 15: one link side, one egress slot
+	}
+	for _, doc := range liveDocs {
+		text, err := os.ReadFile(filepath.Join("../..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, name := range retired {
+				if strings.Contains(line, name) {
+					t.Errorf("%s:%d: names %q, which no longer exists", doc, i+1, name)
 				}
 			}
 		}

@@ -112,21 +112,14 @@ func (s *Switch) AuditInvariants() error {
 		return fmt.Errorf("core: audit: pendingWrites %d, but %d input rows await a write wave", s.pendingWrites, pending)
 	}
 
-	// SoA control-ring bookkeeping: the live-op census, the wave bitset
-	// and the committed mask must all mirror the ring (a committed bit is
-	// only meaningful on a slot holding a live op).
-	ringOps := 0
+	// SoA control-ring bookkeeping: the wave bitset and the committed mask
+	// must mirror the ring (a committed bit is only meaningful on a slot
+	// holding a live op).
 	var waveMask uint64
 	for slot := range s.ctrl {
-		if s.ctrl[slot].Kind != OpNone {
-			ringOps++
-			if slot < 64 {
-				waveMask |= uint64(1) << uint(slot)
-			}
+		if s.ctrl[slot].Kind != OpNone && slot < 64 {
+			waveMask |= uint64(1) << uint(slot)
 		}
-	}
-	if ringOps != s.ringOps {
-		return fmt.Errorf("core: audit: ringOps %d, but %d live control words", s.ringOps, ringOps)
 	}
 	if s.k <= 64 && waveMask != s.waveMask {
 		return fmt.Errorf("core: audit: waveMask %#x, but live control words form %#x", s.waveMask, waveMask)
@@ -135,41 +128,30 @@ func (s *Switch) AuditInvariants() error {
 		return fmt.Errorf("core: audit: committed mask %#x marks slots outside the wave mask %#x", s.committed, s.waveMask)
 	}
 
-	// Departure-completion ring census.
-	tx := 0
-	for i := range s.departAt {
-		if s.departAt[i].r != nil {
-			tx++
+	// Egress slot census, either engine: an output's slot is occupied
+	// exactly while its link is booked, and txActive counts the occupied
+	// slots. The completion ring posts only outputs whose record the
+	// batched path filled, and on that path every occupied slot is posted.
+	slots, posted := 0, 0
+	for o, r := range s.rxHead {
+		if r != nil {
+			slots++
+		}
+		if (r == nil) != s.linkIdle(o, s.cycle) {
+			return fmt.Errorf("core: audit: output %d egress slot occupied=%v at cycle %d, but its link is booked until %d", o, r != nil, s.cycle, s.linkFree[o])
 		}
 	}
-	if tx != s.txPending {
-		return fmt.Errorf("core: audit: txPending %d, but %d departures posted to the completion ring", s.txPending, tx)
+	for _, d := range s.departAt {
+		if d < 0 {
+			continue
+		}
+		posted++
+		if r := s.rxHead[d]; r == nil || len(r.words) != s.k {
+			return fmt.Errorf("core: audit: completion ring posts output %d, whose egress slot holds no fully materialized departure", d)
+		}
 	}
-
-	// Egress single-slot bookkeeping: on the fast path the reassembly
-	// rings stay empty and each output's sole in-flight transmission is
-	// cached in rxHead, 1:1 with a posted completion; on the exact path
-	// rxHead mirrors the ring front.
-	if s.fastMode {
-		heads := 0
-		for o := range s.egress {
-			if s.egress[o].Len() != 0 {
-				return fmt.Errorf("core: audit: fast path with %d records in egress ring %d", s.egress[o].Len(), o)
-			}
-			if s.rxHead[o] != nil {
-				heads++
-			}
-		}
-		if heads != s.txPending {
-			return fmt.Errorf("core: audit: %d cached egress heads, but %d departures pending completion", heads, s.txPending)
-		}
-	} else {
-		for o := range s.egress {
-			front, _ := s.egress[o].Front()
-			if s.rxHead[o] != front {
-				return fmt.Errorf("core: audit: output %d cached egress head does not mirror its ring front", o)
-			}
-		}
+	if slots != s.txActive || (s.fastMode && posted != slots) {
+		return fmt.Errorf("core: audit: %d occupied egress slots, but txActive %d and (batched=%v) %d completions posted", slots, s.txActive, s.fastMode, posted)
 	}
 
 	// Deferred-deposit table census: every lazy entry belongs to an
@@ -242,7 +224,7 @@ func (s *Switch) AuditInvariants() error {
 	// deliberately absent from both sides.
 	if !multicast {
 		offered := s.counter.Get("offered")
-		resident := int64(s.Buffered() + s.inFlightCount() + s.egressWords())
+		resident := int64(s.Buffered() + s.pendingWrites + s.txActive)
 		if got := s.counter.Get("delivered") + s.DroppedCells() + resident; got != offered {
 			return fmt.Errorf("core: audit: conservation violated: offered %d, delivered+dropped+resident %d (resident %d)",
 				offered, got, resident)

@@ -363,7 +363,11 @@ func (s *Switch) InjectControlFault(st int, op Op) {
 	// If the glitched slot held a wave the batched path had already
 	// committed, that wave's memory traffic and departure stand (it ran to
 	// completion at initiation); the injected op executes at the stages the
-	// exact machine still owes the slot.
+	// exact machine still owes the slot. Squashing an un-committed read wave
+	// mid-cell strands its output's egress slot (the record never fills:
+	// reads skip the link for good, a cut-through onto it panics in book),
+	// and a glitched-in read drives a link nothing booked (panic in drive)
+	// — the model saying the control path broke.
 	s.forceExact()
 	s.setCtrl(s.ctrlSlot(s.cycle, st), &op)
 }

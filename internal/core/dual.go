@@ -19,15 +19,16 @@ import (
 // aggregate throughput (one cell in, one cell out per cell time per port)
 // is sustained with cells of half the §3.5 quantum.
 type DualSwitch struct {
-	cfg  Config
-	n, k int // k = n stages per bank; cells are k words
+	cfg Config
+	// linkSide is the periphery §3.5 keeps unchanged (link.go): the same
+	// links as Switch, with k = n stages per bank and cells of k words.
+	linkSide
 
 	cycle int64
 
 	banks [2]*bank
 
-	inReg    [][]cell.Word // [input][k]
-	inflight []arrival
+	inReg [][]cell.Word // [input][k]
 
 	free   [2]*fifo.FreeList
 	queues *fifo.MultiQueue // per output; node = bank*cells + addr
@@ -39,35 +40,15 @@ type DualSwitch struct {
 	// constrains the choice, balancing occupancy.
 	writeBank int
 
-	// pendWrites counts arrivals awaiting their write wave (active and
-	// not yet written) — the census that lets an idle Tick skip the
-	// write-arbitration scan entirely.
-	pendWrites int
 	// maskable enables the uint64 occupancy bitmasks on the ctrl ring and
 	// output registers (k ≤ 64); larger switches fall back to full scans.
 	maskable bool
-	// occMask has one bit per output with queued cells, idleMask one per
-	// output with no transmission in flight (rxHead nil): their AND is the
-	// read arbiter's ready word, as in Switch (maskable only).
-	occMask, idleMask uint64
+	// occMask has one bit per output with queued cells; ANDed with the
+	// link side's idleMask it is the read arbiter's ready word, as in
+	// Switch (maskable only).
+	occMask uint64
 
-	// rxHead is the single egress slot per output. At most one
-	// transmission is ever in flight per output: a read (or write-through)
-	// for output o reserves the link through cycle c+k, its last word
-	// delivers at the top of cycle c+k — before that cycle's arbitration
-	// can start the next one — so a ring would never hold two records.
-	rxHead    []*reasm
-	done      []Departure
-	counter   stats.Counter
 	initDelay stats.Mean
-	cutLat    *stats.Hist
-
-	// Hot-path recycling, mirroring Switch (see switch.go): pooled
-	// reassembly records and observed cells, double-buffered Drain.
-	reasmFree []*reasm
-	cellFree  []*cell.Cell
-	doneOut   []Departure
-	recycle   bool
 }
 
 // bank is one of the two pipelined memories. Control is a ring indexed by
@@ -90,7 +71,8 @@ type bank struct {
 
 // NewDual builds the two-memory half-quantum switch. cfg.Stages, if set,
 // must equal Ports (the per-bank stage count); Cells is the capacity per
-// bank.
+// bank. Everything else Config can ask for beyond CutThrough is a feature
+// of the single-memory Switch and is refused with ErrBadConfig.
 func NewDual(cfg Config) (*DualSwitch, error) {
 	cfg = cfg.Canonical()
 	if cfg.Stages == 2*cfg.Ports {
@@ -108,17 +90,20 @@ func NewDual(cfg Config) (*DualSwitch, error) {
 	if cfg.Cells < 1 {
 		return nil, fmt.Errorf("%w: capacity %d cells per bank, need ≥ 1", ErrBadConfig, cfg.Cells)
 	}
+	// The half-quantum model implements none of these; refuse them rather
+	// than run as if they had not been asked for.
+	if cfg.VCs > 1 || cfg.ECC || cfg.BypassThreshold != 0 || cfg.LinkPipeline != 0 || cfg.NoReadPriority {
+		return nil, fmt.Errorf("%w: dual switch has no virtual channels, ECC, stage bypass, link pipelining or write priority (VCs=%d ECC=%v BypassThreshold=%d LinkPipeline=%d NoReadPriority=%v)",
+			ErrBadConfig, cfg.VCs, cfg.ECC, cfg.BypassThreshold, cfg.LinkPipeline, cfg.NoReadPriority)
+	}
 	n, k := cfg.Ports, cfg.Ports
 	d := &DualSwitch{
-		cfg: cfg, n: n, k: k,
+		cfg:      cfg,
 		inReg:    make([][]cell.Word, n),
-		inflight: make([]arrival, n),
 		queues:   fifo.NewMultiQueue(n, 2*cfg.Cells),
-		rxHead:   make([]*reasm, n),
 		maskable: k <= 64,
-		idleMask: uint64(1)<<uint(n) - 1,
-		cutLat:   stats.NewHist(4096),
 	}
+	d.linkSide.init(n, k, 0)
 	for b := 0; b < 2; b++ {
 		bk := &bank{
 			mem:    make([][]cell.Word, k),
@@ -142,64 +127,8 @@ func NewDual(cfg Config) (*DualSwitch, error) {
 // Config returns the effective configuration (Stages = Ports).
 func (d *DualSwitch) Config() Config { return d.cfg }
 
-// Counters exposes event counters (see Switch.Counters).
-func (d *DualSwitch) Counters() *stats.Counter { return &d.counter }
-
-// CutLatency returns the head-in→head-out latency histogram.
-func (d *DualSwitch) CutLatency() *stats.Hist { return d.cutLat }
-
 // Buffered returns cells resident in either bank's queues.
 func (d *DualSwitch) Buffered() int { return d.queues.Total() }
-
-// Drain returns the departures completed since the last call. Under
-// recycle mode (SetDrainRecycle) the returned slice and its Cell values
-// are valid only until the next call; see Switch.Drain for the contract.
-func (d *DualSwitch) Drain() []Departure {
-	if !d.recycle {
-		out := d.done
-		d.done = nil
-		return out
-	}
-	for i := range d.doneOut {
-		if c := d.doneOut[i].Cell; c != nil {
-			d.cellFree = append(d.cellFree, c)
-		}
-		d.doneOut[i] = Departure{}
-	}
-	out := d.done
-	d.done = d.doneOut[:0]
-	d.doneOut = out
-	return out
-}
-
-// SetDrainRecycle toggles Drain's double-buffered recycling mode; see
-// Switch.SetDrainRecycle.
-func (d *DualSwitch) SetDrainRecycle(on bool) {
-	d.recycle = on
-	if !on {
-		d.doneOut = nil
-	}
-}
-
-func (d *DualSwitch) getReasm() *reasm {
-	if n := len(d.reasmFree); n > 0 {
-		r := d.reasmFree[n-1]
-		d.reasmFree[n-1] = nil
-		d.reasmFree = d.reasmFree[:n-1]
-		return r
-	}
-	return &reasm{words: make([]cell.Word, 0, d.k)}
-}
-
-func (d *DualSwitch) getCell() *cell.Cell {
-	if n := len(d.cellFree); n > 0 {
-		c := d.cellFree[n-1]
-		d.cellFree[n-1] = nil
-		d.cellFree = d.cellFree[:n-1]
-		return c
-	}
-	return &cell.Cell{Words: make([]cell.Word, 0, d.k)}
-}
 
 // node packs (bank, addr) into a MultiQueue node index.
 func (d *DualSwitch) node(b, addr int) int    { return b*d.cfg.Cells + addr }
@@ -214,9 +143,9 @@ func (d *DualSwitch) Tick(heads []*cell.Cell) {
 	// wave, nothing queued, both control rings retired and both output
 	// register rows drained — the only state this cycle would change is
 	// the clock. (An arrival still streaming its tail words into the
-	// input registers keeps either pendWrites or its write wave's ring
+	// input registers keeps either pendingWrites or its write wave's ring
 	// slot nonzero for as long as any of those words will be read.)
-	if heads == nil && d.pendWrites == 0 && d.queues.Total() == 0 &&
+	if heads == nil && d.pendingWrites == 0 && d.queues.Total() == 0 &&
 		d.banks[0].count == 0 && d.banks[1].count == 0 &&
 		d.banks[0].outCount == 0 && d.banks[1].outCount == 0 {
 		d.cycle++
@@ -277,7 +206,7 @@ func (d *DualSwitch) Tick(heads []*cell.Cell) {
 	}
 	writeBank := -1
 	var writeOp Op
-	if d.pendWrites > 0 {
+	if d.pendingWrites > 0 {
 		// The write must avoid the bank being read this cycle.
 		forbidden := readBank
 		if wb, op, ok := d.pickWrite(c, forbidden); ok {
@@ -333,26 +262,8 @@ func (d *DualSwitch) Tick(heads []*cell.Cell) {
 		if heads == nil || heads[i] == nil {
 			continue
 		}
-		nc := heads[i]
-		if len(nc.Words) != d.k {
-			panic(fmt.Sprintf("core: cell of %d words injected into half-quantum switch of %d-word cells", len(nc.Words), d.k))
-		}
-		if a.active {
-			if c-a.head < int64(d.k) {
-				panic(fmt.Sprintf("core: head injected mid-cell on input %d", i))
-			}
-			if !a.written {
-				d.counter.Inc("drop-overrun", 1)
-				// The displaced arrival was still pending; the new one
-				// takes its place in the census.
-				d.pendWrites--
-			}
-		}
-		d.counter.Inc("offered", 1)
-		nc.Enqueue = c
-		*a = arrival{c: nc, head: c, active: true}
-		d.pendWrites++
-		d.inReg[i][0] = nc.Words[0].Mask(d.cfg.WordBits)
+		d.admit(i, heads[i], c) // an overrun victim is only counted here
+		d.inReg[i][0] = heads[i].Words[0].Mask(d.cfg.WordBits)
 	}
 
 	d.cycle++
@@ -417,7 +328,7 @@ func (d *DualSwitch) tryRead(o int, c int64) (bankIdx int, op Op, ok bool) {
 	if d.readRR = o + 1; d.readRR == d.n {
 		d.readRR = 0
 	}
-	d.startTransmit(o, dsc)
+	d.book(o, dsc)
 	d.free[b].Put(addr)
 	return b, Op{Kind: OpRead, Out: o, Addr: addr}, true
 }
@@ -459,7 +370,7 @@ func (d *DualSwitch) pickWrite(c int64, forbidden int) (bankIdx int, op Op, ok b
 	}
 	a := &d.inflight[best]
 	a.written = true
-	d.pendWrites--
+	d.pendClear(best)
 	d.counter.Inc("accepted", 1)
 	d.initDelay.Add(float64(c - a.head - 1))
 	d.writeRR = (best + 1) % d.n
@@ -469,7 +380,7 @@ func (d *DualSwitch) pickWrite(c int64, forbidden int) (bankIdx int, op Op, ok b
 
 	if d.cfg.CutThrough && d.rxHead[dst] == nil && d.queues.Len(dst) == 0 {
 		d.descs[b][addr] = dsc
-		d.startTransmit(dst, &d.descs[b][addr])
+		d.book(dst, &d.descs[b][addr])
 		d.free[b].Put(addr)
 		return b, Op{Kind: OpWriteThrough, In: best, Out: dst, Addr: addr}, true
 	}
@@ -479,48 +390,12 @@ func (d *DualSwitch) pickWrite(c int64, forbidden int) (bankIdx int, op Op, ok b
 	return b, Op{Kind: OpWrite, In: best, Addr: addr}, true
 }
 
-func (d *DualSwitch) startTransmit(o int, dsc *desc) {
-	r := d.getReasm()
-	r.d = *dsc
-	r.words = r.words[:0]
-	r.start = 0
-	if d.rxHead[o] != nil {
-		panic(fmt.Sprintf("core: transmission started on output %d with one already in flight", o))
-	}
-	d.rxHead[o] = r
-	d.idleMask &^= uint64(1) << uint(o)
-}
-
+// deliver drives one word onto outgoing link o; the k-th completes the
+// link's departure.
 func (d *DualSwitch) deliver(o int, w cell.Word, c int64) {
-	r := d.rxHead[o]
-	if r == nil {
-		panic(fmt.Sprintf("core: word on output %d with no departure in flight", o))
+	if d.drive(o, w, c) {
+		d.depart(o, c)
 	}
-	if len(r.words) == 0 {
-		r.start = c
-	}
-	r.words = append(r.words, w)
-	if len(r.words) < d.k {
-		return
-	}
-	d.rxHead[o] = nil
-	d.idleMask |= uint64(1) << uint(o)
-	got := d.getCell()
-	got.Seq, got.Src, got.Dst, got.VC = r.d.c.Seq, r.d.c.Src, r.d.c.Dst, 0
-	got.Copies = nil
-	got.Enqueue = r.d.head
-	got.Words = append(got.Words[:0], r.words...)
-	d.counter.Inc("delivered", 1)
-	if !got.Equal(r.d.c) {
-		d.counter.Inc("corrupt", 1)
-	}
-	d.cutLat.Add(r.start - r.d.head)
-	d.done = append(d.done, Departure{
-		Cell: got, Expected: r.d.c, Output: o,
-		HeadIn: r.d.head, HeadOut: r.start, TailOut: c,
-		InitDelay: r.d.writeStart - r.d.head - 1,
-	})
-	d.reasmFree = append(d.reasmFree, r)
 }
 
 // RunDualTraffic drives a DualSwitch as RunTraffic drives a Switch.
@@ -576,24 +451,14 @@ func RunDualTraffic(d *DualSwitch, cs *traffic.CellStream, cycles int64) (RunRes
 	}
 	res.Cycles = d.cycle
 	res.Dropped = d.counter.Get("drop-overrun")
-	res.MeanCutLatency = d.cutLat.Mean()
+	res.MeanCutLatency = d.cutLatency.Mean()
 	res.MinCutLatency = minLat
 	res.MeanInitDelay = d.initDelay.Mean()
-	res.CutLatencyOverflow = d.cutLat.Overflow()
+	res.CutLatencyOverflow = d.cutLatency.Overflow()
 	// As in RunTraffic: normalize by the full simulated span so drain-tail
 	// departures cannot push utilization past 1.0.
 	res.Utilization = float64(busyWords) / float64(total*int64(n))
-	pending := int64(d.Buffered())
-	for i := range d.inflight {
-		if a := &d.inflight[i]; a.active && !a.written {
-			pending++
-		}
-	}
-	for _, r := range d.rxHead {
-		if r != nil {
-			pending++
-		}
-	}
+	pending := int64(d.Buffered() + d.pendingWrites + d.txActive)
 	if res.Delivered+res.Dropped+pending != res.Offered {
 		return res, fmt.Errorf("core: dual conservation violated: offered %d delivered %d dropped %d pending %d",
 			res.Offered, res.Delivered, res.Dropped, pending)
@@ -604,19 +469,8 @@ func RunDualTraffic(d *DualSwitch, cs *traffic.CellStream, cycles int64) (RunRes
 	return res, nil
 }
 
+// busy reports a cell anywhere inside: buffered, awaiting its write wave,
+// or on an outgoing link.
 func (d *DualSwitch) busy() bool {
-	if d.Buffered() > 0 {
-		return true
-	}
-	for i := range d.inflight {
-		if a := &d.inflight[i]; a.active && !a.written {
-			return true
-		}
-	}
-	for _, r := range d.rxHead {
-		if r != nil {
-			return true
-		}
-	}
-	return false
+	return d.Buffered() > 0 || d.pendingWrites > 0 || d.txActive > 0
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +28,19 @@ func TestDualConfig(t *testing.T) {
 	}
 	if _, err := NewDual(Config{Ports: 1, WordBits: 16, Cells: 8}); err == nil {
 		t.Fatal("1-port dual accepted")
+	}
+	// What the half-quantum model does not implement is refused, not
+	// silently dropped.
+	for _, cfg := range []Config{
+		{Ports: 4, Cells: 8, VCs: 3},
+		{Ports: 4, Cells: 8, ECC: true},
+		{Ports: 4, Cells: 8, ECC: true, BypassThreshold: 2},
+		{Ports: 4, Cells: 8, LinkPipeline: 1},
+		{Ports: 4, Cells: 8, NoReadPriority: true},
+	} {
+		if _, err := NewDual(cfg); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("%+v: got %v, want ErrBadConfig", cfg, err)
+		}
 	}
 }
 

@@ -60,6 +60,13 @@ func TestSetVCWeightsRange(t *testing.T) {
 			t.Fatalf("out=%d, nil weights: got %v, want ErrBadConfig", out, err)
 		}
 	}
+	// A weight vector of the wrong length or with a weight below 1 is the
+	// same class of error and carries the same sentinel.
+	for _, weights := range [][]int{{1, 1, 1}, {2, 0}} {
+		if err := s.SetVCWeights(3, weights); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("weights %v: got %v, want ErrBadConfig", weights, err)
+		}
+	}
 	if err := s.SetVCWeights(3, []int{2, 1}); err != nil {
 		t.Fatalf("valid output rejected: %v", err)
 	}

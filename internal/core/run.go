@@ -88,8 +88,7 @@ func (s *Switch) TickN(heads []*cell.Cell, n int64) {
 		// retire an expired ctrl slot and advance the clock — do that
 		// wholesale. (An observer pins per-cycle stepping: its tallies and
 		// decimated flushes are per-cycle state.)
-		if s.fastMode && s.obs == nil && s.txPending == 0 &&
-			s.pendingWrites == 0 && s.delayCount == 0 && s.queues.Total() == 0 {
+		if s.fastMode && s.obs == nil && s.Quiescent() {
 			s.jump(m)
 			return
 		}
@@ -120,69 +119,12 @@ func (s *Switch) jump(m int64) {
 // the pipelined link wires, not awaiting a write wave, not buffered, not
 // streaming out of an egress link. Ticking a quiescent switch without
 // arrivals changes nothing but the clock and the retiring control ring.
-func (s *Switch) Quiescent() bool {
-	return s.pendingWrites == 0 && s.txPending == 0 && s.delayCount == 0 &&
-		s.queues.Total() == 0 && !s.egressBusy()
-}
-
-// countCells counts non-nil entries of a heads vector.
-func countCells(heads []*cell.Cell) int {
-	n := 0
-	for _, h := range heads {
-		if h != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// inFlightCount returns the number of cells still occupying input
-// register rows awaiting their write wave.
-func (s *Switch) inFlightCount() int {
-	c := 0
-	for i := range s.inflight {
-		if a := &s.inflight[i]; a.active && !a.written {
-			c++
-		}
-	}
-	return c
-}
-
-// egressBusy reports whether any departure is still being transmitted.
-func (s *Switch) egressBusy() bool {
-	if s.fastMode {
-		// The fast path posts every transmission to the completion ring
-		// when it starts, so the census is already counted.
-		return s.txPending > 0
-	}
-	for _, e := range s.egress {
-		if e.Len() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// pendingCount returns cells that were offered but neither delivered nor
-// dropped (still resident at the end of a run).
-func (s *Switch) pendingCount() int64 {
-	return int64(s.Buffered() + s.inFlightCount() + s.egressWords() + s.delayCount)
-}
+func (s *Switch) Quiescent() bool { return s.Resident() == 0 }
 
 // Resident returns the number of cells currently inside the switch in any
 // form: crossing pipelined link wires, awaiting a write wave in the input
 // registers, buffered, or streaming out of an egress link. Conservation
 // demands offered == delivered + dropped + Resident() at every instant.
-func (s *Switch) Resident() int { return int(s.pendingCount()) }
-
-// egressWords counts departures in flight at egress.
-func (s *Switch) egressWords() int {
-	if s.fastMode {
-		return s.txPending
-	}
-	c := 0
-	for _, e := range s.egress {
-		c += e.Len()
-	}
-	return c
+func (s *Switch) Resident() int {
+	return s.Buffered() + s.pendingWrites + s.txActive + s.delayCount
 }

@@ -179,7 +179,7 @@ func (r *Runner) Step() bool {
 		return true
 	case runDrain:
 		if r.drained >= r.bound ||
-			!(r.s.Buffered() > 0 || r.s.inFlightCount() > 0 || r.s.egressBusy()) {
+			!(r.s.Buffered() > 0 || r.s.pendingWrites > 0 || r.s.txActive > 0) {
 			r.phase = runDone
 			return false
 		}
@@ -241,9 +241,9 @@ func (r *Runner) Result() (RunResult, error) {
 	r.s.SetDrainRecycle(false)
 	r.s.SetDropCellHook(r.prevDrop)
 	res := r.finish()
-	if res.Delivered+res.Dropped+r.s.pendingCount() != res.Offered {
+	if res.Delivered+res.Dropped+int64(r.s.Resident()) != res.Offered {
 		return res, fmt.Errorf("core: conservation violated: offered %d, delivered %d, dropped %d, pending %d",
-			res.Offered, res.Delivered, res.Dropped, r.s.pendingCount())
+			res.Offered, res.Delivered, res.Dropped, r.s.Resident())
 	}
 	if res.Corrupt > 0 {
 		return res, fmt.Errorf("core: %d corrupted cells", res.Corrupt)

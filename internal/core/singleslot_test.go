@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"pipemem/internal/cell"
@@ -143,7 +144,7 @@ func TestPerStageEngineSingleSlot(t *testing.T) {
 			if !ref.sw.Quiescent() || !twin.sw.Quiescent() {
 				t.Fatal("switch not drained by the end of the tail")
 			}
-			if got, want := twin.log, ref.log[forkLog:]; fmt.Sprint(got) != fmt.Sprint(want) {
+			if got, want := twin.log, ref.log[forkLog:]; !slices.Equal(got, want) {
 				t.Fatalf("twin restored after cycle %d diverged: %d departures, uninterrupted run %d", forkCycle, len(got), len(want))
 			}
 			h := fnv.New64a()

@@ -277,30 +277,16 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 		})
 		st.Queues[q] = list
 	}
-	for o := range s.egress {
-		e := s.egress[o]
-		list := make([]ReasmState, 0, e.Len())
-		for i := 0; i < e.Len(); i++ {
-			r, _ := e.At(i)
-			list = append(list, ReasmState{
+	// Zero or one record per output: the link's single egress slot.
+	for o, r := range s.rxHead {
+		st.Egress[o] = []ReasmState{}
+		if r != nil {
+			st.Egress[o] = append(st.Egress[o], ReasmState{
 				Desc:  descState(&r.d),
 				Words: append([]cell.Word(nil), r.words...),
 				Start: r.start,
 			})
 		}
-		// On the fast path the rings are empty and each in-flight
-		// transmission lives in rxHead alone; serialize it from there so
-		// the state round-trips identically to the exact path's.
-		if s.fastMode {
-			if r := s.rxHead[o]; r != nil {
-				list = append(list, ReasmState{
-					Desc:  descState(&r.d),
-					Words: append([]cell.Word(nil), r.words...),
-					Start: r.start,
-				})
-			}
-		}
-		st.Egress[o] = list
 	}
 	if s.vcWeights != nil {
 		st.VCWeights = copyInts2(s.vcWeights)
@@ -396,13 +382,10 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	// exact path — committed slots are skipped there — and the deferred
 	// flip in Tick re-enters the batched path on the first cycle it is
 	// legal, so a fast-captured snapshot resumes at full speed.
-	s.ringOps, s.waveMask = 0, 0
+	s.waveMask = 0
 	for slot := range s.ctrl {
-		if s.ctrl[slot].Kind != OpNone {
-			s.ringOps++
-			if slot < 64 {
-				s.waveMask |= uint64(1) << uint(slot)
-			}
+		if s.ctrl[slot].Kind != OpNone && slot < 64 {
+			s.waveMask |= uint64(1) << uint(slot)
 		}
 	}
 	s.committed = st.Committed & s.waveMask
@@ -417,6 +400,11 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	s.pendingWrites, s.pendMask = 0, 0
 	for i := range st.Inflight {
 		a := &st.Inflight[i]
+		if a.Active {
+			if why := cellUnusable(a.Cell, n, k); why != "" {
+				return nil, fmt.Errorf("core: switch state arrival on input %d %s", i, why)
+			}
+		}
 		s.inflight[i] = arrival{c: cellFromState(a.Cell), head: a.Head, written: a.Written, active: a.Active}
 		if a.Active && !a.Written {
 			s.pendSet(i)
@@ -438,6 +426,9 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 			if !s.nfree.Allocated(qn.Node) {
 				return nil, fmt.Errorf("core: switch state queue %d holds node %d that the free list says is free", q, qn.Node)
 			}
+			if why := cellUnusable(qn.Desc.Cell, n, k); why != "" {
+				return nil, fmt.Errorf("core: switch state queue %d node %d %s", q, qn.Node, why)
+			}
 			s.nodes[qn.Node] = descFromState(&qn.Desc)
 			s.queues.Push(q, qn.Node)
 		}
@@ -445,17 +436,13 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	copy(s.refcnt, st.Refcnt)
 	copy(s.outOcc, st.OutOcc)
 	copy(s.linkFree, st.LinkFree)
-	// The occupancy and idle words are derived, never serialized (see
-	// linkIdle). The gate levels are the caller's state: every output
-	// restarts open.
-	s.occMask, s.idleMask = 0, 0
+	// The occupancy and idle words are derived, never serialized: occMask
+	// here, idleMask as the egress slots are re-booked below. The gate
+	// levels are the caller's state: every output restarts open.
+	s.occMask = 0
 	for o, occ := range s.outOcc {
-		bit := uint64(1) << uint(o) // o ≥ 64 shifts to 0: masks unused there
 		if occ > 0 {
-			s.occMask |= bit
-		}
-		if s.linkIdle(o, st.Cycle) {
-			s.idleMask |= bit
+			s.occMask |= uint64(1) << uint(o) // o ≥ 64 shifts to 0: mask unused there
 		}
 	}
 	// Restored payloads live in st.Mem; no deposit is deferred.
@@ -478,13 +465,21 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	}
 
 	for o, list := range st.Egress {
+		if len(list) > 1 {
+			return nil, fmt.Errorf("core: switch state egress %d holds %d records; a link carries one cell at a time", o, len(list))
+		}
 		for i := range list {
 			rs := &list[i]
-			r := s.getReasm()
-			r.d = descFromState(&rs.Desc)
-			r.words = append(r.words[:0], rs.Words...)
+			if why := cellUnusable(rs.Desc.Cell, n, k); why != "" {
+				return nil, fmt.Errorf("core: switch state egress %d %s", o, why)
+			}
+			if len(rs.Words) > k {
+				return nil, fmt.Errorf("core: switch state egress %d has reassembled %d words of a %d-word cell", o, len(rs.Words), k)
+			}
+			d := descFromState(&rs.Desc)
+			r := s.book(o, &d)
+			r.words = append(r.words, rs.Words...)
 			r.start = rs.Start
-			s.egress[o].Push(r)
 			// A record already holding all K words is a departure the
 			// batched path committed whole: the exact drive appends the
 			// K-th word and completes in the same phase, so it never
@@ -497,15 +492,11 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 					return nil, fmt.Errorf("core: switch state egress %d holds a committed departure completing at cycle %d, outside %d…%d", o, cc, st.Cycle, st.Cycle+int64(k)-1)
 				}
 				slot := s.depSlot(cc)
-				if s.departAt[slot].r != nil {
+				if s.departAt[slot] >= 0 {
 					return nil, fmt.Errorf("core: switch state schedules two committed departures for cycle %d", cc)
 				}
-				s.departAt[slot] = departSlot{r: r, out: o}
-				s.txPending++
+				s.departAt[slot] = o
 			}
-		}
-		if front, ok := s.egress[o].Front(); ok {
-			s.rxHead[o] = front
 		}
 	}
 
@@ -551,6 +542,11 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 			}
 			s.inDelay[slot] = make([]*cell.Cell, n)
 			for i, cs := range st.InDelay[slot] {
+				if cs != nil { // an empty slot is the common case
+					if why := cellUnusable(cs, n, k); why != "" {
+						return nil, fmt.Errorf("core: switch state delay slot %d input %d %s", slot, i, why)
+					}
+				}
 				c := cellFromState(cs)
 				s.inDelay[slot][i] = c
 				if c != nil {
@@ -603,6 +599,21 @@ func copyInts2(src [][]int) [][]int {
 		}
 	}
 	return out
+}
+
+// cellUnusable says what is wrong with a serialized cell the tick engines
+// will dereference — it must be present, exactly k words, and destined for
+// one of the n outputs — or returns "" when nothing is.
+func cellUnusable(cs *CellState, n, k int) string {
+	switch {
+	case cs == nil:
+		return "has no cell"
+	case len(cs.Words) != k:
+		return fmt.Sprintf("holds a cell of %d words, want %d", len(cs.Words), k)
+	case cs.Dst < 0 || cs.Dst >= n:
+		return fmt.Sprintf("holds a cell for output %d of %d", cs.Dst, n)
+	}
+	return ""
 }
 
 // checkLens validates a batch of {got, want} slice lengths.

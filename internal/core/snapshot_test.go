@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pipemem/internal/bufmgr"
@@ -244,5 +245,95 @@ func TestAuditZeroAlloc(t *testing.T) {
 		}); allocs != 0 {
 			t.Fatalf("ECC=%v: AuditInvariants allocates %.2f/op on a warm switch, want 0", cfg.ECC, allocs)
 		}
+	}
+}
+
+// TestRestoreRejectsUnusableCells: every cell a restored switch will
+// dereference — a queued descriptor's, an active arrival's, an egress
+// record's — must be present and exactly k words, and an output carries at
+// most one egress record of at most k words. NewFromSnapshot used to accept
+// such states and the next Tick dereferenced nil; it must refuse them with
+// an error, before any Tick.
+func TestRestoreRejectsUnusableCells(t *testing.T) {
+	// Store-and-forward at load 0.9 with a tracer (per-stage engine): after
+	// 300 cycles some queue, some input row and some egress slot are busy.
+	r := runnerTo(t, Config{Ports: 4, WordBits: 16, Cells: 32}, traffic.Config{Kind: traffic.Bernoulli, N: 4, Load: 0.9, Seed: 3}, 2000, "", 0)
+	r.s.SetTracer(func(TraceEvent) {})
+	for i := 0; i < 300; i++ {
+		r.Step()
+	}
+	good, err := r.s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := r.s.k
+	queued := func(st *SwitchState) *DescState {
+		for q := range st.Queues {
+			if len(st.Queues[q]) > 0 {
+				return &st.Queues[q][0].Desc
+			}
+		}
+		t.Fatal("set-up: no queued descriptor")
+		return nil
+	}
+	arriving := func(st *SwitchState) *ArrivalState {
+		for i := range st.Inflight {
+			if st.Inflight[i].Active {
+				return &st.Inflight[i]
+			}
+		}
+		t.Fatal("set-up: no active arrival")
+		return nil
+	}
+	sending := func(st *SwitchState) *[]ReasmState {
+		for o := range st.Egress {
+			if len(st.Egress[o]) == 1 {
+				return &st.Egress[o]
+			}
+		}
+		t.Fatal("set-up: no transmission in flight")
+		return nil
+	}
+	cases := []struct {
+		name    string
+		mutate  func(st *SwitchState)
+		wantSub string
+	}{
+		{"queued/nil-cell", func(st *SwitchState) { queued(st).Cell = nil }, "has no cell"},
+		{"queued/short-cell", func(st *SwitchState) { c := queued(st).Cell; c.Words = c.Words[:k-1] }, "words"},
+		{"queued/all-nil", func(st *SwitchState) {
+			for q := range st.Queues {
+				for i := range st.Queues[q] {
+					st.Queues[q][i].Desc.Cell = nil
+				}
+			}
+		}, "has no cell"},
+		{"arrival/nil-cell", func(st *SwitchState) { arriving(st).Cell = nil }, "has no cell"},
+		{"arrival/long-cell", func(st *SwitchState) { c := arriving(st).Cell; c.Words = append(c.Words, 0) }, "words"},
+		{"arrival/bad-dst", func(st *SwitchState) { arriving(st).Cell.Dst = 4 }, "output 4"},
+		{"egress/nil-cell", func(st *SwitchState) { (*sending(st))[0].Desc.Cell = nil }, "has no cell"},
+		{"egress/short-cell", func(st *SwitchState) { c := (*sending(st))[0].Desc.Cell; c.Words = c.Words[:1] }, "words"},
+		{"egress/too-many-words", func(st *SwitchState) {
+			rs := &(*sending(st))[0]
+			rs.Words = append(rs.Words, make([]cell.Word, k)...)
+		}, "reassembled"},
+		{"egress/two-records", func(st *SwitchState) { l := sending(st); *l = append(*l, (*l)[0]) }, "one cell at a time"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := mustJSONRoundTrip(t, good) // a private deep copy
+			tc.mutate(st)
+			s, err := NewFromSnapshot(st)
+			if err == nil {
+				s.Tick(nil) // the old failure mode, for the report
+				t.Fatal("mutated state accepted")
+			}
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
+			}
+		})
+	}
+	if _, err := NewFromSnapshot(mustJSONRoundTrip(t, good)); err != nil {
+		t.Fatalf("unmutated state refused: %v", err)
 	}
 }

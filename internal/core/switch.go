@@ -91,78 +91,13 @@ type outWord struct {
 	valid    bool
 }
 
-// arrival tracks a cell currently occupying an input register row. It is
-// stored by value in a per-input slice (no per-cell allocation); active
-// marks rows that have held a cell at all.
-type arrival struct {
-	c    *cell.Cell
-	head int64 // cycle the head word was latched
-	// written reports that the cell's write wave has been initiated.
-	written bool
-	active  bool
-}
-
-// desc is a buffered cell's descriptor: what the address-management
-// circuitry of §3.3 keeps per queued copy of a stored cell. Unicast cells
-// have one descriptor; multicast cells have one per destination, all
-// sharing one buffer address (refcnt tracks the copies).
-type desc struct {
-	c          *cell.Cell
-	head       int64
-	writeStart int64
-	vc         int
-	addr       int
-}
-
-// Departure reports one cell leaving the switch, fully reassembled from
-// the simulated wire.
-type Departure struct {
-	// Cell is the payload observed on the outgoing link.
-	Cell *cell.Cell
-	// Expected is the cell as injected; integrity demands Cell equals it.
-	Expected *cell.Cell
-	// Output is the outgoing link.
-	Output int
-	// HeadIn is the cycle the head word arrived at the switch; HeadOut
-	// and TailOut are the cycles the head and tail words left on the
-	// outgoing link. HeadOut-HeadIn is the cut-through latency.
-	HeadIn, HeadOut, TailOut int64
-	// InitDelay is the number of cycles the cell's write wave waited for
-	// the stage-0 initiation slot beyond the earliest possible cycle
-	// (head+1): the quantity bounded by §3.4.
-	InitDelay int64
-	// VC is the virtual channel the cell traveled on (0 without VCs).
-	VC int
-}
-
-// reasm is the per-output reassembly state for departures in flight. The
-// descriptor is embedded by value and the word buffer is recycled through
-// the owning switch's pool, so steady-state transmission allocates
-// nothing.
-type reasm struct {
-	d     desc
-	words []cell.Word
-	start int64 // cycle of head word on the link
-	// clean records that words were materialized directly from d.c's own
-	// payload with no out-of-width bit dropped, so the departing cell is
-	// equal to the expected one by construction and the corruption
-	// compare can be skipped. Only the batched commit sets it.
-	clean bool
-}
-
-// departSlot is one entry of the departure-completion ring: the egress
-// reassembly record (already holding all K words under the batched fast
-// path) and the output link it completes on.
-type departSlot struct {
-	r   *reasm
-	out int
-}
-
 // Switch is the cycle-accurate pipelined memory shared buffer switch.
 // Construct with New; advance with Tick; collect departures with Drain.
 type Switch struct {
-	cfg  Config
-	n, k int
+	cfg Config
+	// linkSide is the periphery (link.go): input-row occupancy, the single
+	// egress slot per output, departure hand-off and the event counters.
+	linkSide
 
 	cycle int64
 
@@ -190,8 +125,6 @@ type Switch struct {
 	// without physically shifting a control word per stage per cycle.
 	// ctrlAt resolves the stage view.
 	ctrl []Op // [initiation cycle % k]
-
-	inflight []arrival // per input
 
 	free   *fifo.FreeList
 	queues *fifo.MultiQueue // per (output, VC), of descriptor nodes
@@ -225,10 +158,7 @@ type Switch struct {
 	vcTokens  [][]int
 	writeRR   int // tie-break pointer over inputs (EDF first)
 
-	egress       []*fifo.Ring[*reasm] // per output: cells being transmitted
-	rxHead       []*reasm             // per output: cached egress front
-	loaded       []int                // stages whose outReg was loaded this cycle
-	done         []Departure
+	loaded       []int // stages whose outReg was loaded this cycle
 	tracer       func(TraceEvent)
 	driveScratch []int // per stage: output link driven this cycle (trace)
 	// obs is the observability layer (observe.go): nil — the default —
@@ -245,27 +175,9 @@ type Switch struct {
 	// the default — costs one pointer test per arbitrate call.
 	prof *PhaseProf
 
-	// Hot-path recycling. reasmFree and cellFree pool the reassembly
-	// records and the reassembled ("observed") cells deliver builds;
-	// records return to the pool as soon as their departure is booked,
-	// observed cells only under recycle mode (SetDrainRecycle), where
-	// Drain double-buffers its backing array (done/doneOut) and reclaims
-	// the previously handed-out batch. cOffered…cDropOverrun are hot
-	// counter slots (stats.Counter.Hot) bumped without a map lookup.
-	reasmFree []*reasm
-	cellFree  []*cell.Cell
-	doneOut   []Departure
-	recycle   bool
-	// leanDepart elides the reassembled observed cell (Departure.Cell is
-	// nil), the per-departure corruption compare, and the per-switch
-	// cut-latency histogram; see SetLeanDepartures.
-	leanDepart bool
-	// pendingWrites counts input rows holding a cell whose write wave has
-	// not been initiated (active && !written): pickWrite skips its scan
-	// when zero.
-	pendingWrites                                           int
-	cOffered, cAccepted, cDelivered, cCorrupt, cDropOverrun *int64
-	cDropPolicy, cDropPushout                               *int64
+	// cAccepted…cDropPushout are hot counter slots (stats.Counter.Hot) on
+	// the link side's counter set.
+	cAccepted, cDropPolicy, cDropPushout *int64
 
 	// vcGate, when set, must return true for a transmission to start on
 	// an (output, VC) pair — per-VC flow control; the per-output level is
@@ -323,43 +235,33 @@ type Switch struct {
 	// ctrl slot holding a live op; committed marks slots whose memory
 	// traffic was already applied by the batched path, so the per-stage
 	// exact loop (which the two paths hand over to when a tracer or the
-	// fault layer's per-stage seams arm) skips them. ringOps counts live
-	// slots without the k≤64 restriction of the masks; txPending counts
-	// departures posted to departAt. forcedExact latches the exact path on
+	// fault layer's per-stage seams arm) skips them. forcedExact latches the exact path on
 	// once a per-stage fault seam (control/input-register injection, stuck
-	// banks) has been exercised. lastTx is the reassembly record pushed by
-	// the most recent startTransmit, consumed by commitWave in the same
-	// arbitration call chain.
+	// banks) has been exercised.
 	fastMode    bool
 	forcedExact bool
 	waveMask    uint64
 	committed   uint64
-	ringOps     int
-	txPending   int
-	departAt    []departSlot
-	lastTx      *reasm
+	departAt    []int // [cycle & depMask]: the output completing then, -1 for none
 	// ctrlMask is k-1 when k is a power of two — slotOf then replaces the
 	// hardware divide the per-cycle ring indexing would otherwise pay —
 	// and -1 otherwise. depMask is len(departAt)-1 (the completion ring is
-	// always sized to a power of two ≥ k+1). pendMask holds one bit per
-	// input with a cell awaiting its write wave and occMask one bit per
-	// output with queued cells; both are maintained alongside their
-	// census counters (pendingWrites, outOcc) and let the arbitration
-	// scans visit only live candidates when n ≤ 64.
+	// always sized to a power of two ≥ k+1). occMask holds one bit per
+	// output with queued cells, maintained alongside its census counter
+	// (outOcc) as the link side's pendMask is alongside pendingWrites; they
+	// let the arbitration scans visit only live candidates when n ≤ 64.
 	ctrlMask int
 	depMask  int
-	pendMask uint64
 	occMask  uint64
 
 	// The read side arbitrates over one ready word, occMask & idleMask &
-	// openMask (n ≤ 64). idleMask has one bit per output whose link carries
-	// no transmission: cleared by startTransmit, set by finishDeparture —
-	// the two edges of linkFree[o], which both engines already execute at
-	// exactly those cycles, so it is derived state (never serialized,
-	// rebuilt by NewFromSnapshot). openMask is the pushed level of the
-	// output gates (SetOutputOpen); outOpen is the same level per output,
-	// for the cut-through test and the n > 64 index walk.
-	idleMask uint64
+	// openMask (n ≤ 64). The link side's idleMask has one bit per output
+	// whose egress slot is empty: cleared by startTransmit, set by
+	// finishDeparture — the two edges of linkFree[o], which both engines
+	// execute at exactly those cycles, so it is derived state (never
+	// serialized, rebuilt by NewFromSnapshot). openMask is the pushed level
+	// of the output gates (SetOutputOpen); outOpen is the same level per
+	// output, for the cut-through test and the n > 64 index walk.
 	openMask uint64
 	outOpen  []bool
 
@@ -370,14 +272,11 @@ type Switch struct {
 	inDelay      [][]*cell.Cell
 	delayScratch []*cell.Cell // reused heads vector for the delayed wave
 	delayCount   int
-	counter      stats.Counter
 	// auditScratch is the per-bank claim table AuditInvariants reuses so
 	// online audits stay allocation-free.
 	auditScratch []int
 	// initDelay accumulates §3.4's staggered-initiation delay.
 	initDelay stats.Mean
-	// cutLatency is head-in to head-out in cycles.
-	cutLatency *stats.Hist
 }
 
 // New builds a switch; the configuration is canonicalized and validated.
@@ -389,14 +288,11 @@ func New(cfg Config) (*Switch, error) {
 	n, k := cfg.Ports, cfg.Stages
 	s := &Switch{
 		cfg:          cfg,
-		n:            n,
-		k:            k,
 		mem:          make([]cell.Word, k*cfg.Cells),
 		memLazy:      make([]*cell.Cell, cfg.Cells),
 		inReg:        make([][]cell.Word, n),
 		outReg:       make([]outWord, k),
 		ctrl:         make([]Op, k),
-		inflight:     make([]arrival, n),
 		free:         fifo.NewFreeList(cfg.Cells),
 		queues:       fifo.NewMultiQueue(n*cfg.VCs, cfg.Cells*n),
 		nodes:        make([]desc, cfg.Cells*n),
@@ -410,21 +306,22 @@ func New(cfg Config) (*Switch, error) {
 		linkFree:     make([]int64, n),
 		outOpen:      make([]bool, n),
 		vcRR:         make([]int, n),
-		egress:       make([]*fifo.Ring[*reasm], n),
-		rxHead:       make([]*reasm, n),
 		loaded:       make([]int, 0, k),
-		cutLatency:   stats.NewHist(4096),
 		stageErr:     make([]int, k),
 		stageDown:    make([]bool, k),
 		addrLimit:    cfg.Cells,
 		lastInit:     -2,
 		writeStartAt: make([]int64, cfg.Cells),
 	}
+	s.linkSide.init(n, k, cfg.LinkPipeline)
 	depLen := 1
 	for depLen < k+1 {
 		depLen <<= 1
 	}
-	s.departAt = make([]departSlot, depLen)
+	s.departAt = make([]int, depLen)
+	for i := range s.departAt {
+		s.departAt[i] = -1
+	}
 	s.depMask = depLen - 1
 	s.ctrlMask = -1
 	if k&(k-1) == 0 {
@@ -438,17 +335,11 @@ func New(cfg Config) (*Switch, error) {
 	for i := range s.inReg {
 		s.inReg[i] = make([]cell.Word, k)
 	}
-	for o := range s.egress {
-		s.egress[o] = fifo.NewRing[*reasm](0)
+	for o := range s.outOpen {
 		s.outOpen[o] = true
 	}
-	s.idleMask = uint64(1)<<uint(n) - 1 // n ≥ 64 wraps to all ones
 	s.openMask = s.idleMask
-	s.cOffered = s.counter.Hot("offered")
 	s.cAccepted = s.counter.Hot("accepted")
-	s.cDelivered = s.counter.Hot("delivered")
-	s.cCorrupt = s.counter.Hot("corrupt")
-	s.cDropOverrun = s.counter.Hot("drop-overrun")
 	s.cDropPolicy = s.counter.Hot("drop-policy")
 	s.cDropPushout = s.counter.Hot("drop-pushout")
 	s.polState = &bufView{s}
@@ -491,21 +382,9 @@ func (s *Switch) rrDist(i int) int {
 	return d
 }
 
-// pendSet/pendClear maintain the pending-write census (count + bitset)
-// for input i; occInc/occDec do the same for output o's queued-cell
-// census. The masks are meaningful only for indexes below 64 (a shift by
-// ≥ 64 contributes no bit), and every consumer of a mask is gated on
-// n ≤ 64.
-func (s *Switch) pendSet(i int) {
-	s.pendingWrites++
-	s.pendMask |= uint64(1) << uint(i)
-}
-
-func (s *Switch) pendClear(i int) {
-	s.pendingWrites--
-	s.pendMask &^= uint64(1) << uint(i)
-}
-
+// occInc/occDec maintain output o's queued-cell census (count + bitset),
+// as the link side's pendSet/pendClear do for the pending writes. Every
+// consumer of a mask is gated on n ≤ 64.
 func (s *Switch) occInc(o int) {
 	s.outOcc[o]++
 	s.occMask |= uint64(1) << uint(o)
@@ -523,17 +402,11 @@ func (s *Switch) occDec(o int) {
 func (s *Switch) memIdx(st, addr int) int { return addr*s.k + st }
 
 // setCtrl writes one control-ring slot, maintaining the SoA occupancy
-// bookkeeping: ringOps (live-op census, any k) and waveMask (bitset view,
-// k ≤ 64). Overwriting a slot always clears its committed bit — the new
-// op's memory traffic has not been applied yet. The op is taken by
-// pointer (never retained) so the per-cycle call moves no 40-byte struct.
+// bookkeeping: waveMask, the bitset of live ops (k ≤ 64). Overwriting a
+// slot always clears its committed bit — the new op's memory traffic has
+// not been applied yet. The op is taken by pointer (never retained) so the
+// per-cycle call moves no 40-byte struct.
 func (s *Switch) setCtrl(slot int, op *Op) {
-	if s.ctrl[slot].Kind != OpNone {
-		s.ringOps--
-	}
-	if op.Kind != OpNone {
-		s.ringOps++
-	}
 	s.ctrl[slot] = *op
 	bit := uint64(1) << uint(slot) // slot ≥ 64 shifts to 0: mask unused there
 	if op.Kind != OpNone {
@@ -547,9 +420,6 @@ func (s *Switch) setCtrl(slot int, op *Op) {
 // clearCtrl retires one control-ring slot (setCtrl with the zero op,
 // specialized for the dead-cycle and fast-forward paths).
 func (s *Switch) clearCtrl(slot int) {
-	if s.ctrl[slot].Kind != OpNone {
-		s.ringOps--
-	}
 	s.ctrl[slot] = Op{}
 	bit := uint64(1) << uint(slot) // slot ≥ 64 shifts to 0: mask unused there
 	s.waveMask &^= bit
@@ -573,23 +443,17 @@ func (s *Switch) wantFast() bool {
 // dropFast leaves the batched fast path immediately. The input registers —
 // not maintained per cycle while batching — are materialized first, so the
 // exact path (and anything that reads or faults inReg) resumes from valid
-// state. Waves committed by the fast path stay marked in the committed
-// mask; the exact execute loop skips them and their departures complete
-// through the departAt ring.
+// state, and the deferred deposits land in the banks. Nothing on the link
+// side changes hands: each output's transmission stays in its egress slot.
+// Waves committed by the fast path stay marked in the committed mask; the
+// exact execute loop skips them and their departures complete through the
+// departAt ring.
 func (s *Switch) dropFast() {
 	if !s.fastMode {
 		return
 	}
 	s.materializeInReg()
 	s.materializeLazy()
-	// Re-seat in-flight transmissions in the reassembly rings: the exact
-	// path's completion and snapshot machinery walk the rings, while the
-	// fast path tracked each output's single record in rxHead alone.
-	for o, r := range s.rxHead {
-		if r != nil {
-			s.egress[o].Push(r)
-		}
-	}
 	s.fastMode = false
 }
 
@@ -693,19 +557,9 @@ func (s *Switch) Buffered() int { return s.queues.Total() }
 // FreeCells returns the number of unallocated buffer addresses.
 func (s *Switch) FreeCells() int { return s.free.Free() }
 
-// Counters exposes the event counters: "offered", "accepted", "delivered",
-// "drop-overrun" (a new head displaced a cell whose write wave never got
-// a buffer address), "drop-policy" (an arrival refused by the installed
-// buffer-management policy), "drop-pushout" (a queued copy preempted to
-// make room), "corrupt" (integrity violations; must stay zero).
-func (s *Switch) Counters() *stats.Counter { return &s.counter }
-
 // InitDelay returns the accumulated staggered-initiation delay statistics
 // (§3.4): cycles a write wave waited beyond head+1 for the stage-0 slot.
 func (s *Switch) InitDelay() *stats.Mean { return &s.initDelay }
-
-// CutLatency returns the head-in→head-out latency histogram in cycles.
-func (s *Switch) CutLatency() *stats.Hist { return s.cutLatency }
 
 // SetTracer installs a per-cycle trace callback (nil to disable); see
 // TraceEvent. A tracer observes individual stage operations, so while one
@@ -764,11 +618,11 @@ func (s *Switch) SetVCWeights(out int, weights []int) error {
 		return nil
 	}
 	if len(weights) != s.cfg.VCs {
-		return fmt.Errorf("core: %d weights for %d VCs", len(weights), s.cfg.VCs)
+		return fmt.Errorf("%w: %d weights for %d VCs", ErrBadConfig, len(weights), s.cfg.VCs)
 	}
 	for vc, w := range weights {
 		if w < 1 {
-			return fmt.Errorf("core: weight %d for VC %d, need ≥ 1", w, vc)
+			return fmt.Errorf("%w: weight %d for VC %d, need ≥ 1", ErrBadConfig, w, vc)
 		}
 	}
 	if s.vcWeights == nil {
@@ -859,71 +713,6 @@ func (s *Switch) SetDropCellHook(f func(c *cell.Cell, reusable bool)) {
 // CutLatency() are observed.
 func (s *Switch) SetLeanDepartures(on bool) { s.leanDepart = on }
 
-// Drain returns the departures completed since the last call.
-//
-// By default every call hands ownership of a freshly allocated slice (and
-// freshly reassembled Cells) to the caller. Under recycle mode
-// (SetDrainRecycle) the returned slice and the Departure.Cell values it
-// references are valid only until the next Drain call: the switch then
-// reclaims both the backing array and the reassembled cells, making
-// steady-state operation allocation-free. Departure.Expected — the cell
-// the caller injected — is never touched by the switch.
-func (s *Switch) Drain() []Departure {
-	if !s.recycle {
-		d := s.done
-		s.done = nil
-		return d
-	}
-	// Reclaim the batch handed out by the previous call: the caller's
-	// access window has closed, so its reassembled cells and backing
-	// array become this cycle's spares.
-	for i := range s.doneOut {
-		if c := s.doneOut[i].Cell; c != nil {
-			s.cellFree = append(s.cellFree, c)
-		}
-		s.doneOut[i] = Departure{}
-	}
-	out := s.done
-	s.done = s.doneOut[:0]
-	s.doneOut = out
-	return out
-}
-
-// SetDrainRecycle switches Drain between allocate-per-batch (off, the
-// default) and double-buffered recycling (on); see Drain for the
-// ownership contract. RunTraffic and the benchmark drivers enable it;
-// callers that retain departures across Drain calls must leave it off.
-func (s *Switch) SetDrainRecycle(on bool) {
-	s.recycle = on
-	if !on {
-		s.doneOut = nil
-	}
-}
-
-// getReasm takes a reassembly record from the pool (or allocates one).
-func (s *Switch) getReasm() *reasm {
-	if n := len(s.reasmFree); n > 0 {
-		r := s.reasmFree[n-1]
-		s.reasmFree[n-1] = nil
-		s.reasmFree = s.reasmFree[:n-1]
-		r.clean = false
-		return r
-	}
-	return &reasm{words: make([]cell.Word, 0, s.k)}
-}
-
-// getCell takes a reassembled-cell shell from the pool (or allocates
-// one). The caller overwrites every field.
-func (s *Switch) getCell() *cell.Cell {
-	if n := len(s.cellFree); n > 0 {
-		c := s.cellFree[n-1]
-		s.cellFree[n-1] = nil
-		s.cellFree = s.cellFree[:n-1]
-		return c
-	}
-	return &cell.Cell{Words: make([]cell.Word, 0, s.k)}
-}
-
 // Tick advances the switch one clock cycle. heads[i], when non-nil, is a
 // cell whose head word arrives at input i in this cycle; it must be
 // exactly K words long and the input link must not be mid-cell (the link
@@ -940,16 +729,10 @@ func (s *Switch) Tick(heads []*cell.Cell) {
 			s.dropFast()
 		}
 	} else if s.wantFast() && s.waveMask&^s.committed == 0 && len(s.loaded) == 0 {
-		// Hand-over: with every wave committed and no drive pending, the
-		// reassembly rings hold only fully materialized departures already
-		// tracked by the completion ring and rxHead (at most one per
-		// output). The fast path keeps them in rxHead alone; drop the
-		// rings' duplicate bookkeeping.
-		for o := range s.egress {
-			for s.egress[o].Len() > 0 {
-				s.egress[o].Pop()
-			}
-		}
+		// Hand-over: with every wave committed and no drive pending, every
+		// occupied egress slot holds a fully materialized departure already
+		// posted to the completion ring — the batched engine's own
+		// invariant, so there is nothing to convert.
 		s.fastMode = true
 	}
 	if s.fastMode {
@@ -969,14 +752,7 @@ func (s *Switch) tickExact(heads []*cell.Cell) {
 
 	// Departures the batched fast path scheduled before handing over
 	// complete through the ring; their words are fully materialized.
-	if s.txPending > 0 {
-		if d := &s.departAt[s.depSlot(c)]; d.r != nil {
-			r, o := d.r, d.out
-			d.r = nil
-			s.txPending--
-			s.finishDeparture(o, r, c)
-		}
-	}
+	s.completeDue(c)
 
 	// Phase 1 — egress: output registers loaded in the previous cycle
 	// drive their outgoing links now ("in the next cycle, this register
@@ -991,23 +767,14 @@ func (s *Switch) tickExact(heads []*cell.Cell) {
 	}
 	// s.loaded lists exactly the stages whose output register was loaded
 	// last cycle; every one of them drives its link now. The word lands in
-	// the cached reassembly record; the k-th word completes a departure.
+	// the link's egress record; the k-th word completes a departure.
 	for _, st := range s.loaded {
 		rg := &s.outReg[st]
-		o := rg.out
-		r := s.rxHead[o]
-		if r == nil {
-			panic(fmt.Sprintf("core: word on output %d with no departure in flight", o))
-		}
-		if len(r.words) == 0 {
-			r.start = c
-		}
-		r.words = append(r.words, rg.word)
-		if len(r.words) >= s.k {
-			s.finishDeparture(o, r, c)
+		if s.drive(rg.out, rg.word, c) {
+			s.finishDeparture(rg.out, c)
 		}
 		if s.driveScratch != nil {
-			s.driveScratch[st] = o
+			s.driveScratch[st] = rg.out
 		}
 		rg.valid = false
 	}
@@ -1099,38 +866,10 @@ func (s *Switch) tickExact(heads []*cell.Cell) {
 		if heads == nil || heads[i] == nil {
 			continue
 		}
-		nc := heads[i]
-		if len(nc.Words) != s.k {
-			panic(fmt.Sprintf("core: cell of %d words injected into %d-stage switch", len(nc.Words), s.k))
+		if lost := s.admit(i, heads[i], c); lost != nil {
+			s.overrun(i, lost)
 		}
-		if nc.Dst < 0 || nc.Dst >= s.n {
-			panic(fmt.Sprintf("core: cell destination %d out of range", nc.Dst))
-		}
-		if a.active {
-			if c-a.head < int64(s.k) {
-				panic(fmt.Sprintf("core: head injected mid-cell on input %d (previous head at cycle %d, now %d)", i, a.head, c))
-			}
-			if !a.written {
-				// The previous cell never obtained a write wave (buffer
-				// exhausted for its whole residency): its words are now
-				// being overwritten and it is lost.
-				*s.cDropOverrun++
-				s.pendClear(i)
-				s.inDrops[i]++
-				s.outDrops[a.c.Dst]++
-				if s.obs != nil {
-					s.obs.DropOverrun.Inc()
-				}
-				if s.onDropCell != nil {
-					s.onDropCell(a.c, true)
-				}
-			}
-		}
-		s.pendSet(i)
-		*s.cOffered++
-		nc.Enqueue = c
-		*a = arrival{c: nc, head: c, active: true}
-		s.inReg[i][0] = nc.Words[0].Mask(s.cfg.WordBits)
+		s.inReg[i][0] = heads[i].Words[0].Mask(s.cfg.WordBits)
 	}
 
 	// Faulty-stage bypass: a bank that has accumulated BypassThreshold
@@ -1200,22 +939,13 @@ func (s *Switch) tickFast(heads []*cell.Cell) {
 		heads = s.delayStep(c, heads)
 	}
 
-	// Completion: at most one wave initiates per cycle, so at most one
-	// departure completes per cycle — the one posted k cycles ago.
-	if s.txPending > 0 {
-		if d := &s.departAt[s.depSlot(c)]; d.r != nil {
-			r, o := d.r, d.out
-			d.r = nil
-			s.txPending--
-			s.finishDeparture(o, r, c)
-		}
-	}
+	s.completeDue(c)
 
 	// Dead-cycle short circuit: nothing buffered, nothing pending, nothing
 	// in flight and no arrivals — the only state change an exact cycle
 	// would make is retiring the expired ctrl slot. (TickN jumps runs of
 	// these cycles in O(1); this keeps the single-Tick idle cost minimal.)
-	if heads == nil && s.pendingWrites == 0 && s.txPending == 0 && s.queues.Total() == 0 {
+	if heads == nil && s.pendingWrites == 0 && s.txActive == 0 && s.queues.Total() == 0 {
 		base := s.slotOf(c)
 		if s.ctrl[base].Kind != OpNone {
 			s.clearCtrl(base)
@@ -1251,44 +981,41 @@ func (s *Switch) tickFast(heads []*cell.Cell) {
 	// Ingress: record arrivals. The input registers are not latched per
 	// cycle — commitWave (and materializeInReg on hand-over to the exact
 	// path) read the words straight from the immutable cell.
-	if heads != nil {
-		for i := 0; i < s.n; i++ {
-			nc := heads[i]
-			if nc == nil {
-				continue
-			}
-			if len(nc.Words) != s.k {
-				panic(fmt.Sprintf("core: cell of %d words injected into %d-stage switch", len(nc.Words), s.k))
-			}
-			if nc.Dst < 0 || nc.Dst >= s.n {
-				panic(fmt.Sprintf("core: cell destination %d out of range", nc.Dst))
-			}
-			a := &s.inflight[i]
-			if a.active {
-				if c-a.head < int64(s.k) {
-					panic(fmt.Sprintf("core: head injected mid-cell on input %d (previous head at cycle %d, now %d)", i, a.head, c))
-				}
-				if !a.written {
-					*s.cDropOverrun++
-					s.pendClear(i)
-					s.inDrops[i]++
-					s.outDrops[a.c.Dst]++
-					if s.obs != nil {
-						s.obs.DropOverrun.Inc()
-					}
-					if s.onDropCell != nil {
-						s.onDropCell(a.c, true)
-					}
-				}
-			}
-			s.pendSet(i)
-			*s.cOffered++
-			nc.Enqueue = c
-			*a = arrival{c: nc, head: c, active: true}
+	for i, nc := range heads {
+		if nc == nil {
+			continue
+		}
+		if lost := s.admit(i, nc, c); lost != nil {
+			s.overrun(i, lost)
 		}
 	}
 
 	s.cycle++
+}
+
+// overrun is the switch's share of the accounting for a cell the link side
+// found displaced on input i (linkSide.admit): the per-port loss tallies,
+// the observer, the drop hook (reusable: the row is being overwritten,
+// nothing references the cell).
+func (s *Switch) overrun(i int, lost *cell.Cell) {
+	s.inDrops[i]++
+	s.outDrops[lost.Dst]++
+	if s.obs != nil {
+		s.obs.DropOverrun.Inc()
+	}
+	if s.onDropCell != nil {
+		s.onDropCell(lost, true)
+	}
+}
+
+// completeDue books the departure the batched engine posted for cycle c, if
+// any. At most one wave initiates per cycle, so at most one completes per
+// cycle — the one posted k cycles ago. (Kept within the inliner's budget:
+// it runs every cycle on both engines.)
+func (s *Switch) completeDue(c int64) {
+	if o := s.departAt[s.depSlot(c)]; o >= 0 {
+		s.finishDeparture(o, c)
+	}
 }
 
 // commitWave applies the entire memory traffic of the wave just initiated
@@ -1318,8 +1045,7 @@ func (s *Switch) commitWave(slot int, op *Op, c int64) {
 			s.deposit(op.Addr, s.inflight[op.In].c.Words)
 		}
 	case OpRead:
-		r := s.lastTx
-		s.lastTx = nil
+		r := s.rxHead[op.Out]
 		if lc := s.memLazy[op.Addr]; lc != nil {
 			// Indexed masked copy (the record's capacity is pool-sized to
 			// k), folding the corruption check into the sweep: the record
@@ -1341,13 +1067,12 @@ func (s *Switch) commitWave(slot int, op *Op, c int64) {
 			r.words = append(r.words, s.mem[op.Addr*s.k:op.Addr*s.k+s.k]...)
 		}
 		r.start = c + 1
-		s.scheduleDepart(r, op.Out, c)
+		s.scheduleDepart(op.Out, c)
 	case OpWriteThrough:
 		// The departing words come straight off the data bus (§3.3), and
 		// pickWrite already released the buffer address — nothing could
 		// ever read the RAM deposit, so it is skipped entirely.
-		r := s.lastTx
-		s.lastTx = nil
+		r := s.rxHead[op.Out]
 		src := s.inflight[op.In].c.Words[:s.k]
 		w := r.words[:s.k]
 		var dirty cell.Word
@@ -1359,7 +1084,7 @@ func (s *Switch) commitWave(slot int, op *Op, c int64) {
 		r.words = w
 		r.clean = dirty == 0
 		r.start = c + 1
-		s.scheduleDepart(r, op.Out, c)
+		s.scheduleDepart(op.Out, c)
 	}
 	s.committed |= uint64(1) << uint(slot)
 }
@@ -1369,9 +1094,8 @@ func (s *Switch) commitWave(slot int, op *Op, c int64) {
 // finishDeparture. The ring has ≥ k+1 slots and initiations are at most
 // one per cycle, so a slot is always consumed (at c0+k) before the next
 // wave that maps to it (initiated at least k+1 cycles later) posts.
-func (s *Switch) scheduleDepart(r *reasm, out int, c int64) {
-	s.departAt[s.depSlot(c+int64(s.k))] = departSlot{r: r, out: out}
-	s.txPending++
+func (s *Switch) scheduleDepart(out int, c int64) {
+	s.departAt[s.depSlot(c+int64(s.k))] = out
 }
 
 // accrueStalls charges one stall cycle to every arrival still waiting for
@@ -1690,29 +1414,11 @@ retry:
 }
 
 // startTransmit books the outgoing link for the K-cycle transmission that
-// follows a read (or write-through) wave initiated at cycle c, and sets up
-// reassembly of the departing cell.
+// follows a read (or write-through) wave initiated at cycle c, and claims
+// the link's egress slot for the departing cell's reassembly.
 func (s *Switch) startTransmit(o int, d *desc, c int64) {
 	s.linkFree[o] = c + int64(s.k)
-	s.idleMask &^= uint64(1) << uint(o)
-	r := s.getReasm()
-	r.d = *d
-	r.words = r.words[:0]
-	r.start = 0
-	if s.fastMode {
-		// Single-slot fast path: the link booking above spaces reads to
-		// one output at least K cycles apart, and the batched cycle
-		// completes the departure posted K cycles ago before arbitrating,
-		// so at most one transmission per output is ever in flight —
-		// rxHead alone carries it, no ring bookkeeping.
-		s.rxHead[o] = r
-	} else {
-		s.egress[o].Push(r)
-		if s.egress[o].Len() == 1 {
-			s.rxHead[o] = r
-		}
-	}
-	s.lastTx = r
+	s.book(o, d)
 	if s.onTransmitCell != nil {
 		s.onTransmitCell(o, d.c, c)
 	}
@@ -1728,65 +1434,18 @@ func (s *Switch) linkIdle(o int, c int64) bool {
 	return f == 0 || f < c
 }
 
-// finishDeparture books the departure whose last word was observed on
-// outgoing link o at cycle c; r is the output's reassembly record, now
-// holding all K words.
-func (s *Switch) finishDeparture(o int, r *reasm, c int64) {
-	s.idleMask |= uint64(1) << uint(o)
-	if s.fastMode {
-		s.rxHead[o] = nil
-	} else {
-		s.egress[o].Pop()
-		if next, ok := s.egress[o].Front(); ok {
-			s.rxHead[o] = next
-		} else {
-			s.rxHead[o] = nil
-		}
-	}
-	// The observed cell swaps its word buffer with the record's (both stay
-	// at capacity K) so the record can return to the pool immediately; the
-	// cell itself is reclaimed by the next Drain under recycle mode. Lean
-	// mode skips the materialization and hands out a nil Cell.
-	var got *cell.Cell
-	if !s.leanDepart {
-		got = s.getCell()
-		got.Seq, got.Src, got.Dst, got.VC = r.d.c.Seq, r.d.c.Src, r.d.c.Dst, r.d.c.VC
-		got.Copies = nil
-		got.Enqueue = r.d.head
-		got.Words, r.words = r.words, got.Words[:0]
-	} else {
-		r.words = r.words[:0]
-	}
-	// With §4.3 link pipelining, timestamps are reported at the switch
-	// boundary: the head entered LinkPipeline cycles before it reached
-	// the input registers and leaves LinkPipeline cycles after the
-	// output register row drives it.
-	lp := int64(s.cfg.LinkPipeline)
-	dep := Departure{
-		Cell:      got,
-		Expected:  r.d.c,
-		Output:    o,
-		HeadIn:    r.d.head - lp,
-		HeadOut:   r.start + lp,
-		TailOut:   c + lp,
-		InitDelay: r.d.writeStart - r.d.head - 1,
-		VC:        r.d.vc,
-	}
-	*s.cDelivered++
-	lat := dep.HeadOut - dep.HeadIn
-	if !s.leanDepart {
-		if !r.clean && !got.Equal(r.d.c) {
-			*s.cCorrupt++
-		}
-		s.cutLatency.Add(lat)
-	}
-	if o := s.obs; o != nil {
+// finishDeparture hands off the departure whose last word was observed on
+// outgoing link o at cycle c and reports it to the observer. It also
+// retires cycle c's completion-ring slot: a cycle completes at most one
+// departure, so either this is the posted one or the slot was empty.
+func (s *Switch) finishDeparture(o int, c int64) {
+	s.departAt[s.depSlot(c)] = -1
+	lat := s.depart(o, c)
+	if ob := s.obs; ob != nil {
 		s.obsLocal.delivered++
 		s.obsCutLat.Observe(lat)
-		if o.Tracer != nil {
-			o.Tracer.Emit(obs.Event{Kind: obs.EvWaveEnd, Cycle: c, In: -1, Out: int32(dep.Output), Addr: -1, V: lat})
+		if ob.Tracer != nil {
+			ob.Tracer.Emit(obs.Event{Kind: obs.EvWaveEnd, Cycle: c, In: -1, Out: int32(o), Addr: -1, V: lat})
 		}
 	}
-	s.done = append(s.done, dep)
-	s.reasmFree = append(s.reasmFree, r)
 }
