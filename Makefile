@@ -32,8 +32,11 @@ race:
 # seams: the SEC-DED kernel against its bit-serial oracle, and the three
 # targets that toggle ECC — arbitrary injection schedules, TickN batch
 # splits × snapshot cuts with upsets in flight, and checkpoint cuts inside
-# a dirty window.
+# a dirty window or a drawn-ahead traffic gap. FuzzCellStreamHorizon drives
+# the cell stream beside its frozen per-cycle reference (heads and State
+# bytes at every cycle, restore at any).
 fuzz:
+	$(GO) test ./internal/traffic -run FuzzCellStreamHorizon -fuzz FuzzCellStreamHorizon -fuzztime 30s
 	$(GO) test ./internal/fault -run FuzzFaultPlanParse -fuzz FuzzFaultPlanParse -fuzztime 30s
 	$(GO) test ./internal/bufmgr -run FuzzParseSpec -fuzz FuzzParseSpec -fuzztime 30s
 	$(GO) test ./internal/core -run FuzzPolicyConservation -fuzz FuzzPolicyConservation -fuzztime 30s

@@ -344,3 +344,33 @@ func TestResumeRejectsBadCheckpoints(t *testing.T) {
 		t.Fatal("runner/checkpoint cycle mismatch accepted")
 	}
 }
+
+// A checkpoint whose stream state no stream could have exported — a burst
+// bound for an output the switch does not have — used to restore and then
+// take the process down with "core: cell destination 99 out of range" a few
+// cycles in. It is a file pmserve reads from disk: the restore must report it.
+func TestResumeRejectsImpossibleStreamState(t *testing.T) {
+	spec := specFor(t, "", false)
+	spec.Traffic = traffic.Config{Kind: traffic.Bursty, N: 4, Load: 0.5, BurstLen: 4, Seed: 3}
+	s, err := New(spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeFrom(ck, Options{}); err != nil {
+		t.Fatalf("untouched checkpoint refused: %v", err)
+	}
+	ck.Stream.BurstLeft[0], ck.Stream.BurstDst[0] = 3, 99
+	_, err = ResumeFrom(ck, Options{})
+	if err == nil || !strings.Contains(err.Error(), "restore traffic") || !strings.Contains(err.Error(), "burst destination 99") {
+		t.Fatalf("ResumeFrom error %v, want a traffic restore error naming the burst destination", err)
+	}
+}

@@ -153,9 +153,11 @@ func (r *Runner) Step() bool {
 		if r.PreTick != nil {
 			r.PreTick(r.s.cycle)
 		}
-		if r.cs.Heads(r.heads) == 0 {
-			// No head anywhere this cycle: skip the per-port injection scan
-			// and let the switch's dead-cycle path see the nil vector.
+		if r.cs.SkipDead() || r.cs.Heads(r.heads) == 0 {
+			// No head anywhere this cycle — on most dead cycles the stream
+			// knows so ahead of time and the vector is not even filled: skip
+			// the per-port injection scan and let the switch's dead-cycle
+			// path see the nil vector.
 			r.s.Tick(nil)
 		} else {
 			r.reclaim()
