@@ -4,11 +4,7 @@ package pipemem
 // isolates one mechanism of the pipelined memory (or of the fabric built
 // from it) and reports the with/without deltas as metrics.
 
-import (
-	"testing"
-
-	"pipemem/internal/traffic"
-)
+import "testing"
 
 // BenchmarkAblationCutThrough toggles §3.3's automatic cut-through and
 // reports the light-load latency gap (≈ one cell time, for free).
@@ -90,20 +86,9 @@ func BenchmarkAblationFabricCredits(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		heads := make([]int, 16)
-		var seq uint64
 		b.ResetTimer() // also clears metrics; they are reported at the end
-		for i := 0; i < b.N; i++ {
-			cs.Heads(heads)
-			for term, dst := range heads {
-				if dst != traffic.NoArrival {
-					seq++
-					f.Inject(term, dst, seq)
-				}
-			}
-			if err := f.Step(); err != nil {
-				b.Fatal(err)
-			}
+		if err := f.Drive(cs, int64(b.N)); err != nil {
+			b.Fatal(err)
 		}
 		thr[credits] = float64(f.Delivered()*int64(f.CellWords())) / float64(b.N*16)
 	}
@@ -276,20 +261,9 @@ func BenchmarkAblationClosMiddles(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		heads := make([]int, f.Terminals())
-		var seq uint64
 		b.ResetTimer() // clears metrics; reported after the sweep
-		for i := 0; i < b.N; i++ {
-			cs.Heads(heads)
-			for term, dst := range heads {
-				if dst != traffic.NoArrival {
-					seq++
-					f.Inject(term, dst, seq)
-				}
-			}
-			if err := f.Step(); err != nil {
-				b.Fatal(err)
-			}
+		if err := f.Drive(cs, int64(b.N)); err != nil {
+			b.Fatal(err)
 		}
 		thr[m] = float64(f.Delivered()*int64(f.CellWords())) / float64(b.N*f.Terminals())
 	}

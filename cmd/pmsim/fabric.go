@@ -8,7 +8,6 @@ import (
 	"pipemem/internal/clos"
 	"pipemem/internal/fabric"
 	"pipemem/internal/obs"
-	"pipemem/internal/stats"
 	"pipemem/internal/traffic"
 )
 
@@ -24,31 +23,14 @@ type fabricOpts struct {
 	credits   int
 	workers   int
 
-	load     float64
-	saturate bool
-	bursty   float64
-	hotFrac  float64
-	cycles   int64
-	warmup   int64
-	seed     uint64
-	policy   string
+	traffic traffic.Config // N is the net's to fill in
+	cycles  int64
+	warmup  int64
+	policy  string
 
 	metrics     bool
 	metricsJSON bool
 	trace       *cli.TraceValue
-}
-
-// fabricNet is the surface shared by the butterfly and Clos nets that
-// the -fabric driver needs.
-type fabricNet interface {
-	Close()
-	Audit() error
-	Latency() *stats.Hist
-	RegisterMetrics(reg *obs.Registry, prefix string)
-	RegisterHopHists(reg *obs.Registry, prefix string)
-	SetFlightTrace(tr *obs.Tracer, sample int) error
-	EnableTelemetry(ringCap int, every int64) *obs.TimeSeries
-	SyncMetrics()
 }
 
 // runFabric builds the requested multistage network, attaches the
@@ -61,55 +43,31 @@ func runFabric(o fabricOpts) {
 		fmt.Fprintln(os.Stderr, "pmsim:", err)
 		os.Exit(1)
 	}
-	tcfg := traffic.Config{Kind: traffic.Bernoulli, Load: o.load, Seed: o.seed}
-	switch {
-	case o.saturate:
-		tcfg.Kind = traffic.Saturation
-	case o.bursty > 0:
-		tcfg.Kind, tcfg.BurstLen = traffic.Bursty, o.bursty
-	case o.hotFrac > 0:
-		tcfg.Kind, tcfg.HotFrac = traffic.Hotspot, o.hotFrac
-	}
-
 	var (
-		net       fabricNet
-		terminals int
-		stages    int
-		run       func() (interface{ String() string }, error)
+		net *fabric.Net // clos.Net is the same type
+		err error
 	)
 	switch o.kind {
 	case "butterfly":
-		f, err := fabric.New(fabric.Config{
+		net, err = fabric.New(fabric.Config{
 			Terminals: o.terminals, Radix: o.radix, WordBits: 16,
 			SwitchCells: o.cells, Credits: o.credits, CutThrough: true,
 			Policy: o.policy, Workers: o.workers,
 		})
-		if err != nil {
-			die(err)
-		}
-		defer f.Close()
-		net, terminals, stages = f, o.terminals, f.Stages()
-		run = func() (interface{ String() string }, error) {
-			return fabric.Run(f, tcfg, o.warmup, o.cycles)
-		}
 	case "clos":
-		f, err := clos.New(clos.Config{
+		net, err = clos.New(clos.Config{
 			Radix: o.radix, Middles: o.middles, WordBits: 16,
 			SwitchCells: o.cells, Credits: o.credits, CutThrough: true,
 			Policy: o.policy, Workers: o.workers,
 		})
-		if err != nil {
-			die(err)
-		}
-		defer f.Close()
-		net, terminals, stages = f, o.radix*o.radix, 3
-		run = func() (interface{ String() string }, error) {
-			return clos.Run(f, tcfg, o.warmup, o.cycles)
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "pmsim: -fabric %q: want butterfly or clos\n", o.kind)
 		os.Exit(2)
 	}
+	if err != nil {
+		die(err)
+	}
+	defer net.Close()
 
 	// Observability attaches before the first Step: the metrics registry
 	// is created up front so hop-latency histograms collect during the
@@ -141,7 +99,7 @@ func runFabric(o fabricOpts) {
 		ts = net.EnableTelemetry(0, o.trace.EffectiveTelemetryEvery(o.warmup+o.cycles))
 	}
 
-	res, err := run()
+	res, err := net.Run(o.traffic, o.warmup, o.cycles)
 	if err != nil {
 		die(err)
 	}
@@ -167,7 +125,7 @@ func runFabric(o fabricOpts) {
 	}
 
 	fmt.Printf("fabric %s terminals=%d stages=%d workers=%d\n%s\n",
-		o.kind, terminals, stages, o.workers, res)
+		o.kind, net.Terminals(), net.Stages(), o.workers, res)
 	if q := net.Latency(); q.N() > 0 {
 		fmt.Printf("latency p50=%d p99=%d max=%d\n",
 			q.Quantile(0.50), q.Quantile(0.99), q.Max())

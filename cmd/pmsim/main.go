@@ -151,17 +151,24 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pmsim: -fabric does not combine with -faultplan, -checkpoint/-restore or -pprof")
 			os.Exit(2)
 		}
-		archSet := false
-		flag.Visit(func(f *flag.Flag) { archSet = archSet || f.Name == "arch" })
-		if archSet {
-			fmt.Fprintln(os.Stderr, "pmsim: -fabric builds a multistage network, not -arch; drop -arch")
-			os.Exit(2)
+		// A flag the chosen network would ignore is refused, not dropped.
+		ignored := map[string]string{"arch": "-fabric builds a multistage network, not -arch"}
+		switch *fabricKind {
+		case "butterfly":
+			ignored["middles"] = "a butterfly has no middle stage to populate"
+		case "clos":
+			ignored["terminals"] = "a Clos network has radix² terminals"
 		}
+		flag.Visit(func(f *flag.Flag) {
+			if why, ok := ignored[f.Name]; ok {
+				fmt.Fprintf(os.Stderr, "pmsim: %s; drop -%s\n", why, f.Name)
+				os.Exit(2)
+			}
+		})
 		runFabric(fabricOpts{
 			kind: *fabricKind, terminals: *terminals, radix: *radix,
 			middles: *middles, cells: *buf, credits: *credits, workers: *fworkers,
-			load: *load, saturate: *saturate, bursty: *bursty, hotFrac: *hotFrac,
-			cycles: *slots, warmup: *warmup, seed: *seed, policy: bufpol.Spec(),
+			traffic: trafficAt(*load), cycles: *slots, warmup: *warmup, policy: bufpol.Spec(),
 			metrics: *metrics, metricsJSON: *metricsJSON, trace: tracef,
 		})
 		return

@@ -90,7 +90,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cres, err := pipemem.RunClos(cn, pipemem.TrafficConfig{Kind: pipemem.Saturation, Seed: 3}, 5_000, 30_000)
+		cres, err := pipemem.RunFabric(cn, pipemem.TrafficConfig{Kind: pipemem.Saturation, Seed: 3}, 5_000, 30_000)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -123,7 +123,7 @@ func X3Fabric(s Scale) (ExpResult, error) {
 	if err != nil {
 		return res, err
 	}
-	fres, err := fabric.Run(f, traffic.Config{Kind: traffic.Saturation, Seed: 2121}, warm, meas)
+	fres, err := f.Run(traffic.Config{Kind: traffic.Saturation, Seed: 2121}, warm, meas)
 	if err != nil {
 		return res, err
 	}
@@ -140,7 +140,7 @@ func X3Fabric(s Scale) (ExpResult, error) {
 	if err != nil {
 		return res, err
 	}
-	lres, err := fabric.Run(fl, traffic.Config{Kind: traffic.Bernoulli, Load: 0.05, Seed: 2122}, warm, meas)
+	lres, err := fl.Run(traffic.Config{Kind: traffic.Bernoulli, Load: 0.05, Seed: 2122}, warm, meas)
 	if err != nil {
 		return res, err
 	}
@@ -149,7 +149,7 @@ func X3Fabric(s Scale) (ExpResult, error) {
 	if err != nil {
 		return res, err
 	}
-	lres05, err := fabric.Run(f05, traffic.Config{Kind: traffic.Bernoulli, Load: 0.5, Seed: 2123}, warm, meas)
+	lres05, err := f05.Run(traffic.Config{Kind: traffic.Bernoulli, Load: 0.5, Seed: 2123}, warm, meas)
 	if err != nil {
 		return res, err
 	}
@@ -194,12 +194,12 @@ func X4Clos(s Scale) (ExpResult, error) {
 	warm, meas := s.slots(5_000, 20_000), s.slots(40_000, 200_000)
 	const radix = 4
 	middles := []int{1, 2, 3, 4}
-	cres, err := bench.Map(0, middles, func(_ int, m int) (clos.Result, error) {
+	cres, err := bench.Map(0, middles, func(_ int, m int) (FabricResult, error) {
 		f, err := clos.New(clos.Config{Radix: radix, Middles: m, WordBits: 16, SwitchCells: 32, Credits: 4, CutThrough: true})
 		if err != nil {
-			return clos.Result{}, err
+			return FabricResult{}, err
 		}
-		return clos.Run(f, traffic.Config{Kind: traffic.Saturation, Seed: 3131}, warm, meas)
+		return f.Run(traffic.Config{Kind: traffic.Saturation, Seed: 3131}, warm, meas)
 	})
 	if err != nil {
 		return res, err
@@ -222,7 +222,7 @@ func X4Clos(s Scale) (ExpResult, error) {
 	if err != nil {
 		return res, err
 	}
-	if _, err := clos.Run(f, traffic.Config{Kind: traffic.Bernoulli, Load: 0.5, Seed: 3132}, warm, meas); err != nil {
+	if _, err := f.Run(traffic.Config{Kind: traffic.Bernoulli, Load: 0.5, Seed: 3132}, warm, meas); err != nil {
 		return res, err
 	}
 	loads := f.MiddleLoad()

@@ -27,22 +27,22 @@ func FabricScaleExperiment() Experiment {
 func X6FabricScale(s Scale) (ExpResult, error) {
 	res := ExpResult{ID: "X6", Title: "Sharded fabric engine", Ref: "§2 ext"}
 	warm, meas := s.slots(2_000, 10_000), s.slots(8_000, 60_000)
-	run := func(workers int) (fabric.Result, float64, error) {
+	run := func(workers int) (FabricResult, float64, error) {
 		f, err := fabric.New(fabric.Config{
 			Terminals: 256, Radix: 4, WordBits: 16, SwitchCells: 16,
 			Credits: 4, CutThrough: true, Workers: workers,
 		})
 		if err != nil {
-			return fabric.Result{}, 0, err
+			return FabricResult{}, 0, err
 		}
 		defer f.Close()
 		start := time.Now()
-		r, err := fabric.Run(f, traffic.Config{Kind: traffic.Saturation, Seed: 6161}, warm, meas)
+		r, err := f.Run(traffic.Config{Kind: traffic.Saturation, Seed: 6161}, warm, meas)
 		if err != nil {
-			return fabric.Result{}, 0, err
+			return FabricResult{}, 0, err
 		}
 		if err := f.Audit(); err != nil {
-			return fabric.Result{}, 0, fmt.Errorf("workers=%d: %w", workers, err)
+			return FabricResult{}, 0, fmt.Errorf("workers=%d: %w", workers, err)
 		}
 		agg := float64(r.Delivered*int64(f.Stages())) / time.Since(start).Seconds()
 		return r, agg, nil

@@ -265,7 +265,7 @@ func TestFacadeClos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunClos(f, TrafficConfig{Kind: Bernoulli, Load: 0.3, Seed: 5}, 1_000, 10_000)
+	res, err := RunFabric(f, TrafficConfig{Kind: Bernoulli, Load: 0.3, Seed: 5}, 1_000, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}

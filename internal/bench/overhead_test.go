@@ -108,7 +108,7 @@ func fabricRate(t *testing.T, traced bool) float64 {
 		}
 	}
 	start := time.Now()
-	res, err := fabric.Run(f, traffic.Config{Kind: traffic.Saturation, Seed: 42}, 0, 120_000)
+	res, err := f.Run(traffic.Config{Kind: traffic.Saturation, Seed: 42}, 0, 120_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,20 +13,17 @@
 //
 // As in internal/fabric, each node is a full cycle-accurate core.Switch,
 // cut-through chains across stages via the transmit hook, and inter-stage
-// links run credit-based flow control. The cycle loop is the shared
-// sharded engine (internal/fabric/engine); this package contributes the
-// Clos wiring and the round-robin middle selection.
+// links run credit-based flow control. The net itself is
+// internal/fabric/engine's; this package contributes the Clos wiring, and
+// leaves the ingress stage's output free so that the engine deals the
+// populated middles out round-robin per ingress switch — the Clos routing
+// freedom, exercised fairly.
 package clos
 
 import (
 	"fmt"
 
-	"pipemem/internal/bufmgr"
-	"pipemem/internal/core"
 	"pipemem/internal/fabric/engine"
-	"pipemem/internal/obs"
-	"pipemem/internal/stats"
-	"pipemem/internal/traffic"
 )
 
 // Config parameterizes the Clos network.
@@ -46,36 +43,53 @@ type Config struct {
 	CutThrough bool
 	// Policy optionally names a bufmgr admission policy spec
 	// (name:key=val) installed on every node. Malformed specs fail
-	// Validate with an error wrapping bufmgr.ErrBadConfig.
+	// Validate and New with an error wrapping bufmgr.ErrBadConfig.
 	Policy string
 	// Workers is the engine shard count (0 = GOMAXPROCS, 1 = sequential
 	// reference). Results are bit-identical across worker counts.
 	Workers int
 }
 
-// Validate reports whether the configuration is buildable.
-func (c Config) Validate() error {
+// engineConfig validates the Clos half of the configuration and returns the
+// engine's, which Validate and New hand on for the checks every net shares.
+func (c Config) engineConfig() (engine.Config, error) {
 	if c.Radix < 2 {
-		return fmt.Errorf("clos: radix %d", c.Radix)
+		return engine.Config{}, fmt.Errorf("clos: radix %d", c.Radix)
 	}
 	if c.Middles < 0 || c.Middles > c.Radix {
-		return fmt.Errorf("clos: %d middles for radix %d", c.Middles, c.Radix)
+		return engine.Config{}, fmt.Errorf("clos: %d middles for radix %d", c.Middles, c.Radix)
 	}
-	if c.SwitchCells < 1 {
-		return fmt.Errorf("clos: %d cells per switch", c.SwitchCells)
+	t := topology{n: c.Radix, m: c.Middles}
+	if t.m == 0 {
+		t.m = t.n
 	}
-	if c.Credits < 0 {
-		return fmt.Errorf("clos: negative credits")
+	return engine.Config{
+		Topo: t, WordBits: c.WordBits, SwitchCells: c.SwitchCells, Credits: c.Credits,
+		CutThrough: c.CutThrough, Policy: c.Policy, Workers: c.Workers,
+	}, nil
+}
+
+// Validate reports whether the configuration is buildable.
+func (c Config) Validate() error {
+	ec, err := c.engineConfig()
+	if err != nil {
+		return err
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("clos: negative workers")
+	return ec.Validate()
+}
+
+// Net is the three-stage Clos network: the engine's net, wired as a Clos.
+// Terminal t is port t mod n of ingress switch t / n.
+type Net = engine.Engine
+
+// New builds the network. A Net with Workers > 1 owns goroutines; Close
+// it when done.
+func New(cfg Config) (*Net, error) {
+	ec, err := cfg.engineConfig()
+	if err != nil {
+		return nil, err
 	}
-	if c.Policy != "" {
-		if _, err := bufmgr.Parse(c.Policy); err != nil {
-			return fmt.Errorf("clos: %w", err)
-		}
-	}
-	return nil
+	return engine.New(ec)
 }
 
 // topology is the C(n, n, n) wiring in the engine's vocabulary: stage 0
@@ -104,11 +118,14 @@ func (t topology) Downstream(stage, sw, out int) (int, int) {
 	return out, sw
 }
 
-// RouteDst: the middle routes on the egress-switch digit, the egress on
-// the terminal's port digit. (Stage 0's output — the middle choice — is
-// the injector's routing freedom, not a function of dst.)
+// RouteDst: the ingress stage's output — the middle choice — is free, the
+// middle routes on the egress-switch digit, the egress on the terminal's
+// port digit.
 func (t topology) RouteDst(stage, dst int) int {
-	if stage == 1 {
+	switch stage {
+	case 0:
+		return -1
+	case 1:
 		return dst / t.n
 	}
 	return dst % t.n
@@ -117,242 +134,3 @@ func (t topology) RouteDst(stage, dst int) int {
 func (t topology) InjectPoint(term int) (int, int) { return term / t.n, term % t.n }
 
 func (t topology) EjectTerminal(esw, out int) int { return esw*t.n + out }
-
-// Net is the three-stage Clos network.
-type Net struct {
-	cfg   Config
-	n     int // radix
-	m     int // populated middles
-	terms int
-	cellK int
-
-	// midRR per ingress switch: round-robin middle selection pointer.
-	midRR []int
-
-	eng *engine.Engine
-	// sw[0][i]: ingress i; sw[1][j]: middle j; sw[2][e]: egress e —
-	// views into the engine's nodes.
-	sw [3][]*core.Switch
-}
-
-// New builds the network. A Net with Workers > 1 owns goroutines; Close
-// it when done.
-func New(cfg Config) (*Net, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	n := cfg.Radix
-	m := cfg.Middles
-	if m == 0 {
-		m = n
-	}
-	f := &Net{
-		cfg: cfg, n: n, m: m, terms: n * n, cellK: 2 * n,
-		midRR: make([]int, n),
-	}
-	eng, err := engine.New(engine.Config{
-		Topo: topology{n: n, m: m}, WordBits: cfg.WordBits,
-		SwitchCells: cfg.SwitchCells, Credits: cfg.Credits,
-		CutThrough: cfg.CutThrough, Policy: cfg.Policy, Workers: cfg.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	f.eng = eng
-	for st := 0; st < 3; st++ {
-		count := n
-		if st == 1 {
-			count = m
-		}
-		f.sw[st] = make([]*core.Switch, count)
-		for i := range f.sw[st] {
-			f.sw[st][i] = eng.NodeAt(st, i)
-		}
-	}
-	return f, nil
-}
-
-// Inject offers a cell at terminal term (= ingressSwitch·n + port) for
-// terminal dst in the current cycle. Middle selection is round-robin per
-// ingress switch — the Clos routing freedom, exercised fairly.
-func (f *Net) Inject(term, dst int, seq uint64) {
-	isw := term / f.n
-	mid := f.midRR[isw] % f.m
-	f.midRR[isw]++
-	f.eng.Inject(term, dst, seq, mid)
-}
-
-// Step advances the whole network one clock cycle.
-func (f *Net) Step() error { return f.eng.Step() }
-
-// Close stops the engine's worker pool (no-op for Workers ≤ 1).
-func (f *Net) Close() { f.eng.Close() }
-
-// Terminals returns n².
-func (f *Net) Terminals() int { return f.terms }
-
-// CellWords returns the cell size (2n).
-func (f *Net) CellWords() int { return f.cellK }
-
-// Delivered returns end-to-end delivered cells.
-func (f *Net) Delivered() int64 { return f.eng.Delivered() }
-
-// Injected returns cells offered at the terminals.
-func (f *Net) Injected() int64 { return f.eng.Injected() }
-
-// Latency returns the inject→head-ejection histogram.
-func (f *Net) Latency() *stats.Hist { return f.eng.Latency() }
-
-// LatencyOverflow returns latency samples beyond the histogram range
-// (counted but not binned — nonzero means the tail is understated; Audit
-// fails on it).
-func (f *Net) LatencyOverflow() int64 { return f.eng.LatencyOverflow() }
-
-// MiddleLoad returns cells routed through each populated middle switch
-// (head arrivals observed at the middle stage).
-func (f *Net) MiddleLoad() []int64 { return f.eng.ArrivalsAt(1) }
-
-// Engine exposes the underlying fabric engine.
-func (f *Net) Engine() *engine.Engine { return f.eng }
-
-// RegisterMetrics pre-registers network metrics on reg under prefix.
-func (f *Net) RegisterMetrics(reg *obs.Registry, prefix string) {
-	f.eng.RegisterMetrics(reg, prefix)
-}
-
-// SetFlightTrace enables deterministic per-flight span tracing (see
-// engine.SetFlightTrace). Call before the first Step.
-func (f *Net) SetFlightTrace(tr *obs.Tracer, sample int) error {
-	return f.eng.SetFlightTrace(tr, sample)
-}
-
-// RegisterHopHists pre-registers per-stage hop-latency histograms on reg
-// and starts feeding them for every cell.
-func (f *Net) RegisterHopHists(reg *obs.Registry, prefix string) {
-	f.eng.RegisterHopHists(reg, prefix)
-}
-
-// EnableTelemetry attaches a fixed-cadence time-series ring (per-stage
-// occupancy, deepest queue, credit levels) sampled every `every` cycles.
-func (f *Net) EnableTelemetry(ringCap int, every int64) *obs.TimeSeries {
-	return f.eng.EnableTelemetry(ringCap, every)
-}
-
-// SyncMetrics publishes current network state into registered metrics.
-func (f *Net) SyncMetrics() { f.eng.SyncMetrics() }
-
-// Audit runs the network's conservation-style checks (per-node switch
-// invariants, credit bounds, ejection integrity, latency-histogram
-// overflow).
-func (f *Net) Audit() error { return f.eng.Audit() }
-
-// Drops sums overrun drops across all nodes.
-func (f *Net) Drops() int64 {
-	var d int64
-	for st := range f.sw {
-		for _, s := range f.sw[st] {
-			d += s.Counters().Get("drop-overrun")
-		}
-	}
-	return d
-}
-
-// InteriorDrops sums drops at credit-protected stages (middle, egress).
-func (f *Net) InteriorDrops() int64 {
-	var d int64
-	for st := 1; st < 3; st++ {
-		for _, s := range f.sw[st] {
-			d += s.Counters().Get("drop-overrun")
-		}
-	}
-	return d
-}
-
-// Corrupt sums integrity violations.
-func (f *Net) Corrupt() int64 {
-	var c int64
-	for st := range f.sw {
-		for _, s := range f.sw[st] {
-			c += s.Counters().Get("corrupt")
-		}
-	}
-	return c + f.eng.BadEjects()
-}
-
-// Result summarizes a run.
-type Result struct {
-	Cycles        int64
-	Injected      int64
-	Delivered     int64
-	Drops         int64
-	InteriorDrops int64
-	Corrupt       int64
-	// LatencyOverflow counts latency samples that exceeded the histogram
-	// range: nonzero means MeanLatency understates the tail.
-	LatencyOverflow int64
-	Throughput      float64 // delivered cell-words per cycle per terminal
-	MeanLatency     float64
-	MinLatency      int64
-}
-
-// String implements fmt.Stringer.
-func (r Result) String() string {
-	s := fmt.Sprintf("cycles=%d injected=%d delivered=%d drops=%d thru=%.4f lat=%.2f minlat=%d",
-		r.Cycles, r.Injected, r.Delivered, r.Drops, r.Throughput, r.MeanLatency, r.MinLatency)
-	if r.InteriorDrops > 0 {
-		s += fmt.Sprintf(" interior-drops=%d", r.InteriorDrops)
-	}
-	if r.Corrupt > 0 {
-		s += fmt.Sprintf(" corrupt=%d", r.Corrupt)
-	}
-	if r.LatencyOverflow > 0 {
-		s += fmt.Sprintf(" latency-overflow=%d", r.LatencyOverflow)
-	}
-	return s
-}
-
-// Run drives the network with terminal traffic for warmup+measure cycles.
-func Run(f *Net, tcfg traffic.Config, warmup, measure int64) (Result, error) {
-	tcfg.N = f.terms
-	cs, err := traffic.NewCellStream(tcfg, f.cellK)
-	if err != nil {
-		return Result{}, err
-	}
-	heads := make([]int, f.terms)
-	var seq uint64
-	drive := func(cycles int64) (int64, error) {
-		start := f.Delivered()
-		for i := int64(0); i < cycles; i++ {
-			cs.Heads(heads)
-			for term, dst := range heads {
-				if dst != traffic.NoArrival {
-					seq++
-					f.Inject(term, dst, seq)
-				}
-			}
-			if err := f.Step(); err != nil {
-				return 0, err
-			}
-		}
-		return f.Delivered() - start, nil
-	}
-	if _, err := drive(warmup); err != nil {
-		return Result{}, err
-	}
-	delivered, err := drive(measure)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Cycles:          measure,
-		Injected:        f.Injected(),
-		Delivered:       f.Delivered(),
-		Drops:           f.Drops(),
-		InteriorDrops:   f.InteriorDrops(),
-		Corrupt:         f.Corrupt(),
-		LatencyOverflow: f.LatencyOverflow(),
-		Throughput:      float64(delivered*int64(f.cellK)) / float64(measure*int64(f.terms)),
-		MeanLatency:     f.Latency().Mean(),
-		MinLatency:      f.Latency().Quantile(0),
-	}, nil
-}

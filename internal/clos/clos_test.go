@@ -6,6 +6,14 @@ import (
 	"pipemem/internal/traffic"
 )
 
+// The assertions that hold for any wiring — all-pairs delivery,
+// determinism, worker-count bit-identity, zero-alloc stepping, loss
+// accounting, flight-trace reconciliation — are tables over both
+// topologies in internal/fabric's tests; what is here is the Clos's own.
+
+// Run is the engine's method under the name the tests below call it by.
+var Run = (*Net).Run
+
 func mustNet(t *testing.T, cfg Config) *Net {
 	t.Helper()
 	f, err := New(cfg)
@@ -29,36 +37,6 @@ func TestValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
-	}
-}
-
-// TestAllPairsDelivery: every terminal reaches every terminal through the
-// three stages (Step errors on any misrouting or corruption).
-func TestAllPairsDelivery(t *testing.T) {
-	f := mustNet(t, Config{Radix: 4, WordBits: 16, SwitchCells: 16, Credits: 2, CutThrough: true})
-	n := f.Terminals() // 16
-	var seq uint64
-	for dst := 0; dst < n; dst++ {
-		for term := 0; term < n; term++ {
-			seq++
-			f.Inject(term, dst, seq)
-			for i := 0; i < 4*f.CellWords(); i++ {
-				if err := f.Step(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	for i := 0; i < 300; i++ {
-		if err := f.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f.Delivered() != int64(n*n) {
-		t.Fatalf("delivered %d of %d", f.Delivered(), n*n)
-	}
-	if f.Corrupt() != 0 || f.Drops() != 0 {
-		t.Fatalf("corrupt=%d drops=%d", f.Corrupt(), f.Drops())
 	}
 }
 
@@ -150,20 +128,5 @@ func TestLosslessUnderLoadWithCredits(t *testing.T) {
 	}
 	if res.Throughput < 0.55 {
 		t.Fatalf("throughput %.3f at offered 0.6", res.Throughput)
-	}
-}
-
-// TestDeterminism.
-func TestDeterminism(t *testing.T) {
-	run := func() Result {
-		f := mustNet(t, Config{Radix: 4, WordBits: 16, SwitchCells: 16, Credits: 2, CutThrough: true})
-		res, err := Run(f, traffic.Config{Kind: traffic.Bernoulli, Load: 0.4, Seed: 13}, 1_000, 10_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
 	}
 }

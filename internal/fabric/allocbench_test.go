@@ -14,27 +14,16 @@ func BenchmarkStepAlloc(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs, _ := traffic.NewCellStream(traffic.Config{Kind: traffic.Saturation, Seed: 11, N: f.n}, f.cellK)
-	heads := make([]int, f.n)
-	var seq uint64
-	cycle := func() {
-		cs.Heads(heads)
-		for term, dst := range heads {
-			if dst != traffic.NoArrival {
-				seq++
-				f.Inject(term, dst, seq)
-			}
-		}
-		if err := f.Step(); err != nil {
-			b.Fatal(err)
-		}
+	cs, err := traffic.NewCellStream(traffic.Config{Kind: traffic.Saturation, Seed: 11, N: 64}, f.CellWords())
+	if err != nil {
+		b.Fatal(err)
 	}
-	for i := 0; i < 4096; i++ {
-		cycle()
+	if err := f.Drive(cs, 4096); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cycle()
+	if err := f.Drive(cs, int64(b.N)); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -1,10 +1,12 @@
-// Package engine is the shared multistage-fabric engine behind
-// internal/fabric (k-ary butterfly) and internal/clos (three-stage Clos):
-// a topology-agnostic mesh of cycle-accurate core.Switch nodes, chained
-// cut-through via the per-node transmit hooks, credit-based flow control
-// on every inter-stage link — and the ability to tick every node of every
-// stage in parallel across a worker pool while staying bit-identical to
-// the sequential reference.
+// Package engine is the multistage net: a mesh of cycle-accurate
+// core.Switch nodes wired by a Topology, chained cut-through via the
+// per-node transmit hooks, credit-based flow control on every inter-stage
+// link — and the ability to tick every node of every stage in parallel
+// across a worker pool while staying bit-identical to the sequential
+// reference. internal/fabric (k-ary butterfly) and internal/clos
+// (three-stage Clos) contribute a Topology each and nothing else: terminal
+// injection, loss and integrity accounting, metrics, tracing, auditing and
+// the traffic-driven Run are written here once, for both.
 //
 // # Determinism under parallelism
 //
@@ -49,6 +51,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 
@@ -78,8 +81,10 @@ type Topology interface {
 	// middle); the engine gates it off.
 	Downstream(stage, node, out int) (int, int)
 	// RouteDst returns the output port a cell for terminal dst requests
-	// at a node of the given stage (called for stages ≥ 1; the stage-0
-	// request is chosen by the injector, e.g. Clos middle selection).
+	// at a node of the given stage. A negative answer at stage 0 leaves
+	// the first hop free (the Clos middle choice): the engine then deals
+	// out each ingress node's routable outputs in turn, in ascending
+	// order.
 	RouteDst(stage, dst int) int
 	// InjectPoint maps a terminal to its stage-0 (node, port).
 	InjectPoint(term int) (int, int)
@@ -109,9 +114,59 @@ type Config struct {
 	Workers int
 }
 
-// Engine is the sharded fabric core. It is not safe for concurrent use by
-// multiple callers; one goroutine drives Inject/Step and the engine fans
-// the per-cycle work out internally.
+// Validate reports whether New would build the net, before anything
+// proportional to its size is allocated.
+func (c Config) Validate() error {
+	_, err := c.check()
+	return err
+}
+
+// check is Validate; New keeps the parsed policy.
+func (c Config) check() (bufmgr.Policy, error) {
+	t := c.Topo
+	if t == nil {
+		return nil, fmt.Errorf("engine: nil topology")
+	}
+	s, k := t.Stages(), t.Radix()
+	if s < 2 || k < 2 {
+		return nil, fmt.Errorf("engine: %d stages of radix %d", s, k)
+	}
+	if c.SwitchCells < 1 {
+		return nil, fmt.Errorf("engine: %d cells per switch", c.SwitchCells)
+	}
+	if c.Workers < 0 {
+		return nil, fmt.Errorf("engine: negative workers")
+	}
+	// Packed node·radix+port indices, terminal numbers and credit counts
+	// all live in int32 tables.
+	if c.Credits < 0 || c.Credits > math.MaxInt32 {
+		return nil, fmt.Errorf("engine: %d credits per link", c.Credits)
+	}
+	nodes := 0
+	for st := 0; st < s; st++ {
+		n := t.NodesAt(st)
+		if n < 1 || n > math.MaxInt32/k-nodes {
+			return nil, fmt.Errorf("engine: %d radix-%d nodes at stage %d: the net's port indices would not fit int32", n, k, st)
+		}
+		nodes += n
+	}
+	if n := t.Terminals(); n < 1 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("engine: %d terminals", n)
+	}
+	if c.Policy == "" {
+		return nil, nil
+	}
+	pol, err := bufmgr.Parse(c.Policy)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	return pol, nil
+}
+
+// Engine is the sharded multistage net (fabric.Net and clos.Net are this
+// type). It is not safe for concurrent use by multiple callers; one
+// goroutine drives Inject/Step and the engine fans the per-cycle work out
+// internally.
 type Engine struct {
 	topo     Topology
 	stages   int
@@ -137,8 +192,11 @@ type Engine struct {
 	up []int32
 	// credits[g*k+port] is the allowance of the link INTO node g's port.
 	credits []int32
-	// route[t][dst] is the output digit requested at stage t ≥ 1.
+	// route[t][dst] is the output digit requested at stage t; negative at
+	// stage 0 where the topology leaves the first hop free, and then
+	// next[g] is the output ingress node g tries first for its next cell.
 	route [][]int32
+	next  []int32
 	// ejectTerm maps packed last-stage (local node, out) to terminals.
 	ejectTerm []int32
 	// injIdx maps terminals to their packed stage-0 (node, port).
@@ -176,9 +234,13 @@ type Engine struct {
 	bar    barrier
 	closed bool
 
-	injected, delivered, badEject, dropped int64
-	latency                                *stats.Hist
-	pendErr                                error
+	injected, delivered, badEject int64
+	// dropped counts flights retired as lost, in every loss mode (overrun,
+	// policy refusal, push-out); interiorDropped those lost at stages ≥ 1.
+	dropped, interiorDropped int64
+	latency                  *stats.Hist
+	pendErr                  error
+	heads                    []int // Drive's per-terminal head vector
 
 	met *metrics
 
@@ -197,32 +259,12 @@ type Engine struct {
 // New builds the engine (and starts its worker pool when Workers > 1).
 // Callers that request Workers > 1 must Close the engine when done.
 func New(cfg Config) (*Engine, error) {
+	pol, err := cfg.check()
+	if err != nil {
+		return nil, err
+	}
 	t := cfg.Topo
-	if t == nil {
-		return nil, fmt.Errorf("engine: nil topology")
-	}
 	s, k := t.Stages(), t.Radix()
-	if s < 2 || k < 2 {
-		return nil, fmt.Errorf("engine: %d stages of radix %d", s, k)
-	}
-	if cfg.SwitchCells < 1 {
-		return nil, fmt.Errorf("engine: %d cells per switch", cfg.SwitchCells)
-	}
-	if cfg.Credits < 0 {
-		return nil, fmt.Errorf("engine: negative credits")
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("engine: negative workers")
-	}
-	var pol bufmgr.Policy
-	if cfg.Policy != "" {
-		p, err := bufmgr.Parse(cfg.Policy)
-		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
-		pol = p
-	}
-
 	e := &Engine{
 		topo: t, stages: s, k: k, cellK: 2 * k, wordBits: cfg.WordBits,
 		creditOn: cfg.Credits > 0, maxCred: int32(cfg.Credits),
@@ -261,8 +303,10 @@ func New(cfg Config) (*Engine, error) {
 
 	// Flat topology tables: wiring, routing digits, terminal maps.
 	nTerm := t.Terminals()
+	e.heads = make([]int, nTerm)
+	e.next = make([]int32, t.NodesAt(0))
 	e.route = make([][]int32, s)
-	for st := 1; st < s; st++ {
+	for st := 0; st < s; st++ {
 		e.route[st] = make([]int32, nTerm)
 		for dst := 0; dst < nTerm; dst++ {
 			e.route[st][dst] = int32(t.RouteDst(st, dst))
@@ -272,6 +316,7 @@ func New(cfg Config) (*Engine, error) {
 		cnt := t.NodesAt(st)
 		for i := 0; i < cnt; i++ {
 			g := e.base[st] + i
+			routable := st == s-1
 			for out := 0; out < k; out++ {
 				e.down[g*k+out] = -1
 				if st == s-1 {
@@ -284,7 +329,11 @@ func New(cfg Config) (*Engine, error) {
 					d := (e.base[st+1]+dn)*k + dp
 					e.down[g*k+out] = int32(d)
 					e.up[d] = int32(g*k + out)
+					routable = true
 				}
+			}
+			if !routable {
+				return nil, fmt.Errorf("engine: stage %d node %d has no downstream link", st, i)
 			}
 		}
 	}
@@ -480,12 +529,11 @@ func (e *Engine) installDropHook(sw *core.Switch, g int, sh *shard) {
 	})
 }
 
-// Inject offers a cell at a terminal in the current cycle, requesting
-// firstHop as its stage-0 output (the injector's routing freedom: the
-// butterfly's digit 0, the Clos middle choice). seq must be nonzero and
-// unique among in-flight cells. The caller must respect the word-serial
-// spacing (one head per 2·radix cycles per terminal).
-func (e *Engine) Inject(term, dst int, seq uint64, firstHop int) {
+// Inject offers a cell at terminal term for terminal dst in the current
+// cycle. seq must be nonzero and unique among in-flight cells. The caller
+// must respect the word-serial spacing (one head per 2·radix cycles per
+// terminal); core.Switch panics otherwise.
+func (e *Engine) Inject(term, dst int, seq uint64) {
 	var t0 int64
 	if e.prof != nil {
 		t0 = nowNS()
@@ -502,9 +550,19 @@ func (e *Engine) Inject(term, dst int, seq uint64, firstHop int) {
 		e.trace.Emit(obs.Event{Kind: obs.EvInject, Cycle: e.cycle,
 			In: int32(term), Out: int32(dst), Addr: idx / int32(e.k), Seq: seq})
 	}
+	hop := e.route[0][dst]
+	if hop < 0 {
+		// A free first hop: this ingress node's routable outputs in turn.
+		k, g := int32(e.k), idx/int32(e.k)
+		hop = e.next[g]
+		for e.down[g*k+hop] < 0 {
+			hop = (hop + 1) % k
+		}
+		e.next[g] = (hop + 1) % k
+	}
 	c := e.injPool.Get()
 	cell.Fill(c, seq, term, dst, e.cellK, e.wordBits)
-	c.Dst = firstHop
+	c.Dst = int(hop)
 	slot := e.cycle & 3
 	if e.ring[slot][idx] != nil {
 		e.fail(fmt.Errorf("engine: two heads injected at terminal %d in cycle %d", term, e.cycle))
@@ -539,7 +597,6 @@ func (e *Engine) Step() error {
 	if e.prof != nil {
 		t0 = nowNS()
 	}
-	slot := e.cycle & 3
 	e.parallelCycle()
 	if e.prof != nil {
 		t1 := nowNS()
@@ -598,7 +655,6 @@ func (e *Engine) Step() error {
 	}
 	// The consumed slot's mask was cleared word-by-word inside the
 	// shards; its ring entries were nilled right after each Tick.
-	_ = slot
 	if e.prof != nil {
 		e.prof.MergeNS += nowNS() - t0
 		e.prof.Cycles++
@@ -701,10 +757,13 @@ func (e *Engine) retireDrop(dr *dropRec) error {
 	if fl == nil {
 		return fmt.Errorf("engine: drop of unknown cell %d at node %d", dr.seq, dr.node)
 	}
-	if e.creditOn && int(dr.node) >= e.base[1] {
-		e.release(fl.inbound)
-	}
 	e.dropped++
+	if int(dr.node) >= e.base[1] {
+		e.interiorDropped++
+		if e.creditOn {
+			e.release(fl.inbound)
+		}
+	}
 	if fl.traced {
 		e.trace.Emit(obs.Event{Kind: obs.EvDrop, Cycle: e.cycle,
 			In: -1, Out: fl.dst, Addr: dr.node, V: e.cycle - fl.inject, Seq: dr.seq})
@@ -770,15 +829,30 @@ func (e *Engine) Injected() int64 { return e.injected }
 // Delivered returns end-to-end delivered cells.
 func (e *Engine) Delivered() int64 { return e.delivered }
 
-// BadEjects returns fabric-level integrity violations seen at ejection.
-func (e *Engine) BadEjects() int64 { return e.badEject }
+// Drops returns cells lost inside the fabric, in every loss mode (flights
+// retired by the drop hook); Injected = Delivered + Drops + InFlight at
+// all times. Terminal injection is not credit-protected (the hosts, not
+// the fabric, decide how hard to push), so stage 0 overruns under
+// overload.
+func (e *Engine) Drops() int64 { return e.dropped }
 
-// Dropped returns cells lost inside the fabric (flights retired by the
-// drop hook); Injected = Delivered + Dropped + InFlight at all times.
-func (e *Engine) Dropped() int64 { return e.dropped }
+// InteriorDrops returns the drops at stages ≥ 1, whose inputs are the
+// credit-protected links. Under complete sharing with credits on and
+// SwitchCells ≥ radix × credits it is zero; an admission policy may still
+// refuse a cell that holds a credit.
+func (e *Engine) InteriorDrops() int64 { return e.interiorDropped }
 
-// InFlight returns cells injected but not yet delivered (including any
-// that were dropped inside a node and will never arrive).
+// Corrupt returns integrity violations, per node and at ejection (must
+// be 0).
+func (e *Engine) Corrupt() int64 {
+	c := e.badEject
+	for _, nd := range e.nodes {
+		c += nd.Counters().Get("corrupt")
+	}
+	return c
+}
+
+// InFlight returns cells injected and neither delivered nor dropped yet.
 func (e *Engine) InFlight() int { return e.flights.n }
 
 // Latency returns the inject→head-ejection histogram in cycles.
@@ -793,6 +867,16 @@ func (e *Engine) LatencyOverflow() int64 { return e.latency.Overflow() }
 // CellWords returns the cell size in words (2·radix).
 func (e *Engine) CellWords() int { return e.cellK }
 
+// Stages returns the number of switching stages.
+func (e *Engine) Stages() int { return e.stages }
+
+// Terminals returns the external terminal count.
+func (e *Engine) Terminals() int { return len(e.injIdx) }
+
+// Engine returns e. The frozen benchmark reaches the profiling hooks
+// through f.Engine(), from when fabric.Net wrapped the engine.
+func (e *Engine) Engine() *Engine { return e }
+
 // Workers returns the resolved shard count.
 func (e *Engine) Workers() int { return e.nw }
 
@@ -800,11 +884,15 @@ func (e *Engine) Workers() int { return e.nw }
 func (e *Engine) NodeAt(stage, i int) *core.Switch { return e.nodes[e.base[stage]+i] }
 
 // ArrivalsAt returns per-node head-arrival counts for one stage (a copy):
-// the per-element forwarding load, e.g. the Clos middle balance.
+// the per-element forwarding load.
 func (e *Engine) ArrivalsAt(stage int) []int64 {
 	lo := e.base[stage]
 	return append([]int64(nil), e.arrivals[lo:lo+e.topo.NodesAt(stage)]...)
 }
+
+// MiddleLoad returns the cells routed through each stage-1 node: in a
+// three-stage Clos, the balance across the populated middles.
+func (e *Engine) MiddleLoad() []int64 { return e.ArrivalsAt(1) }
 
 // CreditState returns the packed per-link credit array (a copy) — the
 // equivalence tests compare it across worker counts.
@@ -849,14 +937,4 @@ func (e *Engine) Audit() error {
 		}
 	}
 	return nil
-}
-
-// PoolLens reports each node pool's idle count followed by the inject
-// pool's — a diagnostic for flow-balance tests.
-func (e *Engine) PoolLens() []int {
-	out := make([]int, 0, len(e.pools)+1)
-	for _, p := range e.pools {
-		out = append(out, p.Len())
-	}
-	return append(out, e.injPool.Len())
 }

@@ -10,7 +10,8 @@ import (
 )
 
 // bfly4 is the 4-terminal radix-2 butterfly, hand-wired: stage 0 node i
-// output j feeds stage 1 node j port i.
+// output j feeds stage 1 node j port i, so stage 0 routes on dst/2 and
+// stage 1 on dst%2.
 type bfly4 struct{}
 
 func (bfly4) Stages() int                            { return 2 }
@@ -18,9 +19,19 @@ func (bfly4) NodesAt(int) int                        { return 2 }
 func (bfly4) Radix() int                             { return 2 }
 func (bfly4) Terminals() int                         { return 4 }
 func (bfly4) Downstream(_, node, out int) (int, int) { return out, node }
-func (bfly4) RouteDst(_, dst int) int                { return dst % 2 }
+func (bfly4) RouteDst(st, dst int) int               { return dst >> (1 - st) & 1 }
 func (bfly4) InjectPoint(term int) (int, int)        { return term % 2, term / 2 }
 func (bfly4) EjectTerminal(node, out int) int        { return 2*node + out }
+
+// deadEnd is bfly4 with stage 0's node 0 wired to nothing.
+type deadEnd struct{ bfly4 }
+
+func (deadEnd) Downstream(_, node, out int) (int, int) {
+	if node == 0 {
+		return -1, -1
+	}
+	return out, node
+}
 
 func bflyConfig() Config {
 	return Config{
@@ -36,7 +47,7 @@ func TestEngineDeliversIdentity(t *testing.T) {
 	}
 	defer e.Close()
 	for term := 0; term < 4; term++ {
-		e.Inject(term, term, uint64(term+1), term/2)
+		e.Inject(term, term, uint64(term+1))
 	}
 	for i := 0; i < 200; i++ {
 		if err := e.Step(); err != nil {
@@ -72,7 +83,7 @@ func TestEngineGateFollowsCredits(t *testing.T) {
 		if c%e.CellWords() == 0 && c < 400 {
 			for term := 0; term < 4; term++ {
 				seq++
-				e.Inject(term, 0, seq, 0)
+				e.Inject(term, 0, seq)
 			}
 		}
 		if err := e.Step(); err != nil {
@@ -97,10 +108,12 @@ func TestEngineGateFollowsCredits(t *testing.T) {
 
 func TestEngineConfigErrors(t *testing.T) {
 	for name, mut := range map[string]func(*Config){
-		"nil-topo":         func(c *Config) { c.Topo = nil },
-		"zero-cells":       func(c *Config) { c.SwitchCells = 0 },
-		"negative-credits": func(c *Config) { c.Credits = -1 },
-		"negative-workers": func(c *Config) { c.Workers = -1 },
+		"nil-topo":           func(c *Config) { c.Topo = nil },
+		"zero-cells":         func(c *Config) { c.SwitchCells = 0 },
+		"negative-credits":   func(c *Config) { c.Credits = -1 },
+		"negative-workers":   func(c *Config) { c.Workers = -1 },
+		"credits-past-int32": func(c *Config) { c.Credits = 1 << 31 },
+		"dead-end-node":      func(c *Config) { c.Topo = deadEnd{} },
 	} {
 		cfg := bflyConfig()
 		mut(&cfg)
@@ -125,7 +138,7 @@ func TestEngineRejectsBadSequenceNumbers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	e.Inject(0, 0, 0, 0) // reserved seq
+	e.Inject(0, 0, 0) // reserved seq
 	if err := e.Step(); err == nil {
 		t.Fatal("seq 0 accepted")
 	}
@@ -135,8 +148,8 @@ func TestEngineRejectsBadSequenceNumbers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	e2.Inject(0, 0, 7, 0)
-	e2.Inject(1, 1, 7, 0) // duplicate while in flight
+	e2.Inject(0, 0, 7)
+	e2.Inject(1, 1, 7) // duplicate while in flight
 	if err := e2.Step(); err == nil {
 		t.Fatal("duplicate in-flight seq accepted")
 	}
@@ -151,7 +164,7 @@ func TestEngineMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	e.RegisterMetrics(reg, "fabric")
 	for term := 0; term < 4; term++ {
-		e.Inject(term, term, uint64(term+1), term/2)
+		e.Inject(term, term, uint64(term+1))
 	}
 	for i := 0; i < 200; i++ {
 		if err := e.Step(); err != nil {

@@ -62,7 +62,6 @@ func (e *Engine) SyncMetrics() {
 	for g, nd := range e.nodes {
 		m.nodeBuffered.At(g).Set(int64(nd.Buffered()))
 		m.nodeArrivals.At(g).Set(e.arrivals[g])
-		ctr := nd.Counters()
-		m.nodeDrops.At(g).Set(ctr.Get("drop-overrun") + ctr.Get("drop-policy") + ctr.Get("drop-pushout"))
+		m.nodeDrops.At(g).Set(nd.DroppedCells())
 	}
 }

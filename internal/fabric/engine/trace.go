@@ -125,9 +125,6 @@ func (e *Engine) EnableTelemetry(ringCap int, every int64) *obs.TimeSeries {
 	return e.ts
 }
 
-// Telemetry returns the attached time-series ring (nil when disabled).
-func (e *Engine) Telemetry() *obs.TimeSeries { return e.ts }
-
 func (e *Engine) sampleTelemetry() {
 	row := e.ts.Sample(e.cycle)
 	k := e.k

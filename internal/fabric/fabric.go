@@ -15,29 +15,26 @@
 //     the core transmit hook — the downstream arrival wave starts one
 //     wire-register after the upstream read wave);
 //   - credit-based flow control ([Kate94]/[KVES95]) on every inter-stage
-//     link bounds each switch's buffer occupancy and makes the fabric
-//     lossless end-to-end.
+//     link bounds each switch's buffer occupancy and, under complete
+//     sharing, makes those links lossless (an admission policy may still
+//     refuse a cell that holds a credit; terminal injection holds none).
 //
 // The package exists for the E2 counterpoint: the same multistage
 // topology that collapses to ≈0.4 saturation with input-FIFO wormhole
 // nodes (internal/wormhole) sustains far higher throughput when the nodes
 // are shared-buffer switches.
 //
-// The cycle loop itself lives in internal/fabric/engine, which ticks all
-// stages in parallel across a worker shard pool while staying
-// bit-identical to a sequential sweep; this package contributes only the
-// butterfly wiring and digit routing.
+// The net itself — cycle loop, terminal injection, accounting, the
+// traffic-driven Run — is internal/fabric/engine's, which ticks all stages
+// in parallel across a worker shard pool while staying bit-identical to a
+// sequential sweep; this package contributes the butterfly wiring and
+// digit routing, and nothing else.
 package fabric
 
 import (
 	"fmt"
 
-	"pipemem/internal/bufmgr"
-	"pipemem/internal/core"
 	"pipemem/internal/fabric/engine"
-	"pipemem/internal/obs"
-	"pipemem/internal/stats"
-	"pipemem/internal/traffic"
 )
 
 // Config parameterizes the fabric.
@@ -57,51 +54,56 @@ type Config struct {
 	CutThrough bool
 	// Policy optionally names a bufmgr admission policy spec
 	// (name:key=val) installed on every node; empty keeps the default
-	// complete sharing. Malformed specs fail Validate with an error
-	// wrapping bufmgr.ErrBadConfig.
+	// complete sharing. Malformed specs fail Validate and New with an
+	// error wrapping bufmgr.ErrBadConfig.
 	Policy string
 	// Workers is the engine shard count (0 = GOMAXPROCS, 1 = sequential
 	// reference). Results are bit-identical across worker counts.
 	Workers int
 }
 
-// Validate reports whether the configuration is buildable.
-func (c Config) Validate() error {
+// engineConfig validates the butterfly half of the configuration —
+// Terminals is Radix^s, s ≥ 2 — and returns the engine's, which Validate
+// and New hand on for the checks every net shares.
+func (c Config) engineConfig() (engine.Config, error) {
 	if c.Radix < 2 {
-		return fmt.Errorf("fabric: radix %d", c.Radix)
+		return engine.Config{}, fmt.Errorf("fabric: radix %d", c.Radix)
 	}
 	n, s := 1, 0
-	for n < c.Terminals {
+	for n <= c.Terminals/c.Radix { // n·Radix ≤ Terminals: cannot overflow
 		n *= c.Radix
 		s++
 	}
 	if n != c.Terminals || s < 2 {
-		return fmt.Errorf("fabric: terminals %d is not radix^s with s ≥ 2", c.Terminals)
+		return engine.Config{}, fmt.Errorf("fabric: terminals %d is not radix^s with s ≥ 2", c.Terminals)
 	}
-	if c.SwitchCells < 1 {
-		return fmt.Errorf("fabric: %d cells per switch", c.SwitchCells)
-	}
-	if c.Credits < 0 {
-		return fmt.Errorf("fabric: negative credits")
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("fabric: negative workers")
-	}
-	if c.Policy != "" {
-		if _, err := bufmgr.Parse(c.Policy); err != nil {
-			return fmt.Errorf("fabric: %w", err)
-		}
-	}
-	return nil
+	return engine.Config{
+		Topo:     topology{n: n, k: c.Radix, stages: s},
+		WordBits: c.WordBits, SwitchCells: c.SwitchCells, Credits: c.Credits,
+		CutThrough: c.CutThrough, Policy: c.Policy, Workers: c.Workers,
+	}, nil
 }
 
-// stagesOf returns log_k(n).
-func stagesOf(n, k int) int {
-	s := 0
-	for v := 1; v < n; v *= k {
-		s++
+// Validate reports whether the configuration is buildable.
+func (c Config) Validate() error {
+	ec, err := c.engineConfig()
+	if err != nil {
+		return err
 	}
-	return s
+	return ec.Validate()
+}
+
+// Net is the multistage fabric: the engine's net, wired as a butterfly.
+type Net = engine.Engine
+
+// New builds the fabric. A Net with Workers > 1 owns goroutines; Close it
+// when done.
+func New(cfg Config) (*Net, error) {
+	ec, err := cfg.engineConfig()
+	if err != nil {
+		return nil, err
+	}
+	return engine.New(ec)
 }
 
 // topology is the k-ary butterfly wiring, in the engine's vocabulary.
@@ -113,17 +115,6 @@ func (t topology) Stages() int     { return t.stages }
 func (t topology) NodesAt(int) int { return t.n / t.k }
 func (t topology) Radix() int      { return t.k }
 func (t topology) Terminals() int  { return t.n }
-
-// digit returns digit b (base k) of v.
-func (t topology) digit(v, b int) int {
-	for i := 0; i < b; i++ {
-		v /= t.k
-	}
-	return v % t.k
-}
-
-// routeDigit returns the digit of dst examined at stage st.
-func (t topology) routeDigit(dst, st int) int { return t.digit(dst, t.stages-1-st) }
 
 // pow returns k^b.
 func (t topology) pow(b int) int {
@@ -159,253 +150,12 @@ func (t topology) Downstream(st, node, out int) (int, int) {
 	return t.switchOf(st+1, t.lineOf(st, node, out))
 }
 
-func (t topology) RouteDst(st, dst int) int { return t.routeDigit(dst, st) }
+// RouteDst is destination-digit routing: stage st examines digit s-1-st
+// (base k) of dst.
+func (t topology) RouteDst(st, dst int) int { return dst / t.pow(t.stages-1-st) % t.k }
 
 func (t topology) InjectPoint(term int) (int, int) { return t.switchOf(0, term) }
 
 func (t topology) EjectTerminal(node, out int) int {
 	return t.lineOf(t.stages-1, node, out)
-}
-
-// Net is the multistage fabric.
-type Net struct {
-	cfg    Config
-	n      int // terminals
-	k      int // radix
-	stages int
-	cellK  int // cell length in words (2·radix)
-	topo   topology
-
-	eng *engine.Engine
-	sw  [][]*core.Switch // [stage][switch] views into the engine's nodes
-}
-
-// New builds the fabric. A Net with Workers > 1 owns goroutines; Close it
-// when done.
-func New(cfg Config) (*Net, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	k := cfg.Radix
-	n := cfg.Terminals
-	s := stagesOf(n, k)
-	f := &Net{
-		cfg: cfg, n: n, k: k, stages: s, cellK: 2 * k,
-		topo: topology{n: n, k: k, stages: s},
-	}
-	eng, err := engine.New(engine.Config{
-		Topo: f.topo, WordBits: cfg.WordBits, SwitchCells: cfg.SwitchCells,
-		Credits: cfg.Credits, CutThrough: cfg.CutThrough,
-		Policy: cfg.Policy, Workers: cfg.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	f.eng = eng
-	f.sw = make([][]*core.Switch, s)
-	for t := 0; t < s; t++ {
-		f.sw[t] = make([]*core.Switch, n/k)
-		for i := range f.sw[t] {
-			f.sw[t][i] = eng.NodeAt(t, i)
-		}
-	}
-	return f, nil
-}
-
-// Thin delegations so tests and callers keep addressing the butterfly
-// math through the Net.
-func (f *Net) routeDigit(dst, t int) int    { return f.topo.routeDigit(dst, t) }
-func (f *Net) switchOf(t, l int) (int, int) { return f.topo.switchOf(t, l) }
-func (f *Net) lineOf(t, sw, port int) int   { return f.topo.lineOf(t, sw, port) }
-
-// Inject offers a cell at terminal term destined for terminal dst in the
-// current cycle. The caller must respect the word-serial spacing (one
-// head per K = 2·radix cycles per terminal); core.Switch panics otherwise.
-func (f *Net) Inject(term, dst int, seq uint64) {
-	f.eng.Inject(term, dst, seq, f.topo.routeDigit(dst, 0))
-}
-
-// Step advances the whole fabric one clock cycle.
-func (f *Net) Step() error { return f.eng.Step() }
-
-// Close stops the engine's worker pool (no-op for Workers ≤ 1).
-func (f *Net) Close() { f.eng.Close() }
-
-// Cycle returns the current global cycle.
-func (f *Net) Cycle() int64 { return f.eng.Cycle() }
-
-// Delivered returns end-to-end delivered cells.
-func (f *Net) Delivered() int64 { return f.eng.Delivered() }
-
-// Injected returns cells offered at the terminals.
-func (f *Net) Injected() int64 { return f.eng.Injected() }
-
-// Latency returns the inject→head-ejection histogram in cycles.
-func (f *Net) Latency() *stats.Hist { return f.eng.Latency() }
-
-// LatencyOverflow returns end-to-end latency samples beyond the
-// histogram range (counted but not binned — nonzero means the mean and
-// quantiles understate the tail; Audit fails on it).
-func (f *Net) LatencyOverflow() int64 { return f.eng.LatencyOverflow() }
-
-// CellWords returns the cell size in words (2·radix).
-func (f *Net) CellWords() int { return f.cellK }
-
-// Stages returns the number of switching stages (log_k N).
-func (f *Net) Stages() int { return f.stages }
-
-// Engine exposes the underlying fabric engine (metrics registration,
-// per-node arrival counts).
-func (f *Net) Engine() *engine.Engine { return f.eng }
-
-// RegisterMetrics pre-registers fabric metrics on reg under prefix.
-func (f *Net) RegisterMetrics(reg *obs.Registry, prefix string) {
-	f.eng.RegisterMetrics(reg, prefix)
-}
-
-// SetFlightTrace enables deterministic per-flight span tracing: cells
-// whose sequence number is divisible by sample get inject/hop/eject
-// records through tr, byte-identical at every worker count (see
-// engine.SetFlightTrace). Call before the first Step.
-func (f *Net) SetFlightTrace(tr *obs.Tracer, sample int) error {
-	return f.eng.SetFlightTrace(tr, sample)
-}
-
-// RegisterHopHists pre-registers per-stage hop-latency histograms on reg
-// and starts feeding them for every cell.
-func (f *Net) RegisterHopHists(reg *obs.Registry, prefix string) {
-	f.eng.RegisterHopHists(reg, prefix)
-}
-
-// EnableTelemetry attaches a fixed-cadence time-series ring (per-stage
-// occupancy, deepest queue, credit levels) sampled every `every` cycles;
-// the returned ring exports JSONL via obs.TimeSeries.WriteJSONL.
-func (f *Net) EnableTelemetry(ringCap int, every int64) *obs.TimeSeries {
-	return f.eng.EnableTelemetry(ringCap, every)
-}
-
-// SyncMetrics publishes current fabric state into registered metrics.
-func (f *Net) SyncMetrics() { f.eng.SyncMetrics() }
-
-// Audit runs the fabric's conservation-style checks: per-node switch
-// invariants, credit bounds, ejection integrity, and a silently
-// overflowed latency histogram.
-func (f *Net) Audit() error { return f.eng.Audit() }
-
-// Drops sums overrun drops across all nodes. With credits enabled, only
-// stage 0 can drop (terminal injection is not credit-protected; the
-// hosts, not the fabric, decide how hard to push).
-func (f *Net) Drops() int64 {
-	var d int64
-	for t := range f.sw {
-		for _, s := range f.sw[t] {
-			d += s.Counters().Get("drop-overrun")
-		}
-	}
-	return d
-}
-
-// InteriorDrops sums overrun drops at stages ≥ 1 — the links protected by
-// credit flow control; it must be zero whenever credits are enabled and
-// SwitchCells ≥ radix × credits.
-func (f *Net) InteriorDrops() int64 {
-	var d int64
-	for t := 1; t < f.stages; t++ {
-		for _, s := range f.sw[t] {
-			d += s.Counters().Get("drop-overrun")
-		}
-	}
-	return d
-}
-
-// Corrupt sums per-node integrity violations (must be 0).
-func (f *Net) Corrupt() int64 {
-	var c int64
-	for t := range f.sw {
-		for _, s := range f.sw[t] {
-			c += s.Counters().Get("corrupt")
-		}
-	}
-	return c + f.eng.BadEjects()
-}
-
-// Result summarizes a run.
-type Result struct {
-	Cycles    int64
-	Injected  int64
-	Delivered int64
-	Drops     int64
-	// InteriorDrops are drops on credit-protected links (stages ≥ 1);
-	// zero whenever flow control is on.
-	InteriorDrops int64
-	Corrupt       int64
-	// LatencyOverflow counts latency samples that exceeded the histogram
-	// range: nonzero means MeanLatency understates the tail.
-	LatencyOverflow int64
-	Throughput      float64 // delivered cell-words per cycle per terminal
-	MeanLatency     float64 // inject→ejection head latency, cycles
-	MinLatency      int64
-}
-
-// String implements fmt.Stringer.
-func (r Result) String() string {
-	s := fmt.Sprintf("cycles=%d injected=%d delivered=%d drops=%d thru=%.4f lat=%.2f minlat=%d",
-		r.Cycles, r.Injected, r.Delivered, r.Drops, r.Throughput, r.MeanLatency, r.MinLatency)
-	if r.InteriorDrops > 0 {
-		s += fmt.Sprintf(" interior-drops=%d", r.InteriorDrops)
-	}
-	if r.Corrupt > 0 {
-		s += fmt.Sprintf(" corrupt=%d", r.Corrupt)
-	}
-	if r.LatencyOverflow > 0 {
-		s += fmt.Sprintf(" latency-overflow=%d", r.LatencyOverflow)
-	}
-	return s
-}
-
-// Run drives the fabric with the given traffic for warmup+measure cycles.
-func Run(f *Net, tcfg traffic.Config, warmup, measure int64) (Result, error) {
-	tcfg.N = f.n
-	cs, err := traffic.NewCellStream(tcfg, f.cellK)
-	if err != nil {
-		return Result{}, err
-	}
-	heads := make([]int, f.n)
-	var seq uint64
-	drive := func(cycles int64) (int64, error) {
-		start := f.Delivered()
-		for i := int64(0); i < cycles; i++ {
-			cs.Heads(heads)
-			for term, dst := range heads {
-				if dst != traffic.NoArrival {
-					seq++
-					f.Inject(term, dst, seq)
-				}
-			}
-			if err := f.Step(); err != nil {
-				return 0, err
-			}
-		}
-		return f.Delivered() - start, nil
-	}
-	if _, err := drive(warmup); err != nil {
-		return Result{}, err
-	}
-	delivered, err := drive(measure)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{
-		Cycles:          measure,
-		Injected:        f.Injected(),
-		Delivered:       f.Delivered(),
-		Drops:           f.Drops(),
-		InteriorDrops:   f.InteriorDrops(),
-		Corrupt:         f.Corrupt(),
-		LatencyOverflow: f.LatencyOverflow(),
-		Throughput:      float64(delivered*int64(f.cellK)) / float64(measure*int64(f.n)),
-		MeanLatency:     f.Latency().Mean(),
-		MinLatency:      f.Latency().Quantile(0),
-	}
-	return res, nil
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pipemem/internal/clos"
+	"pipemem/internal/fabric/engine"
 	"pipemem/internal/traffic"
 	"pipemem/internal/wormhole"
 )
@@ -37,52 +39,70 @@ func TestValidate(t *testing.T) {
 
 // TestLineMathRoundTrip: switchOf and lineOf are inverses at every stage.
 func TestLineMathRoundTrip(t *testing.T) {
-	for _, cfg := range []Config{
-		{Terminals: 16, Radix: 2, SwitchCells: 8, CutThrough: true},
-		{Terminals: 64, Radix: 4, SwitchCells: 16, CutThrough: true},
-		{Terminals: 27, Radix: 3, SwitchCells: 9, CutThrough: true},
+	for _, topo := range []topology{
+		{n: 16, k: 2, stages: 4},
+		{n: 64, k: 4, stages: 3},
+		{n: 27, k: 3, stages: 3},
 	} {
-		f := mustNet(t, cfg)
-		for st := 0; st < f.stages; st++ {
-			for l := 0; l < f.n; l++ {
-				sw, port := f.switchOf(st, l)
-				if got := f.lineOf(st, sw, port); got != l {
-					t.Fatalf("k=%d stage %d: line %d → (%d,%d) → %d", f.k, st, l, sw, port, got)
+		for st := 0; st < topo.stages; st++ {
+			for l := 0; l < topo.n; l++ {
+				sw, port := topo.switchOf(st, l)
+				if got := topo.lineOf(st, sw, port); got != l {
+					t.Fatalf("k=%d stage %d: line %d → (%d,%d) → %d", topo.k, st, l, sw, port, got)
 				}
 			}
 		}
 	}
 }
 
+// smallNets is one 16-terminal net of each topology, for the tests whose
+// assertions do not depend on the wiring.
+var smallNets = map[string]func() (*Net, error){
+	"butterfly": func() (*Net, error) {
+		return New(Config{Terminals: 16, Radix: 2, WordBits: 16, SwitchCells: 16, Credits: 2, CutThrough: true})
+	},
+	"clos": func() (*Net, error) {
+		return clos.New(clos.Config{Radix: 4, WordBits: 16, SwitchCells: 16, Credits: 2, CutThrough: true})
+	},
+}
+
 // TestAllPairsDelivery: one cell from every terminal to every terminal,
-// exhaustively — destination-digit routing must land each cell exactly at
-// its terminal with an intact payload (Step errors otherwise).
+// exhaustively — the routing (destination digits; any Clos middle) must
+// land each cell exactly at its terminal with an intact payload (Step
+// errors otherwise).
 func TestAllPairsDelivery(t *testing.T) {
-	const n = 16
-	f := mustNet(t, Config{Terminals: n, Radix: 2, WordBits: 16, SwitchCells: 16, Credits: 2, CutThrough: true})
-	var seq uint64
-	for dst := 0; dst < n; dst++ {
-		for term := 0; term < n; term++ {
-			seq++
-			f.Inject(term, dst, seq)
-			// Space injections generously: correctness, not throughput.
-			for i := 0; i < 4*f.CellWords(); i++ {
+	for name, build := range smallNets {
+		t.Run(name, func(t *testing.T) {
+			f, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := f.Terminals()
+			var seq uint64
+			for dst := 0; dst < n; dst++ {
+				for term := 0; term < n; term++ {
+					seq++
+					f.Inject(term, dst, seq)
+					// Space injections generously: correctness, not throughput.
+					for i := 0; i < 4*f.CellWords(); i++ {
+						if err := f.Step(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			for i := 0; i < 300; i++ {
 				if err := f.Step(); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}
-	}
-	for i := 0; i < 200; i++ {
-		if err := f.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f.Delivered() != int64(n*n) {
-		t.Fatalf("delivered %d of %d cells", f.Delivered(), n*n)
-	}
-	if f.Corrupt() != 0 || f.Drops() != 0 {
-		t.Fatalf("corrupt=%d drops=%d", f.Corrupt(), f.Drops())
+			if f.Delivered() != int64(n*n) {
+				t.Fatalf("delivered %d of %d cells", f.Delivered(), n*n)
+			}
+			if f.Corrupt() != 0 || f.Drops() != 0 {
+				t.Fatalf("corrupt=%d drops=%d", f.Corrupt(), f.Drops())
+			}
+		})
 	}
 }
 
@@ -138,7 +158,7 @@ func TestStoreAndForwardFabricSlower(t *testing.T) {
 // zero drops, zero corruption — under sustained random traffic.
 func TestLosslessUnderLoad(t *testing.T) {
 	f := mustNet(t, Config{Terminals: 16, Radix: 2, WordBits: 16, SwitchCells: 16, Credits: 3, CutThrough: true})
-	res, err := Run(f, traffic.Config{Kind: traffic.Bernoulli, Load: 0.5, Seed: 3}, 2_000, 30_000)
+	res, err := f.Run(traffic.Config{Kind: traffic.Bernoulli, Load: 0.5, Seed: 3}, 2_000, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,25 +179,17 @@ func TestCreditsBoundOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heads := make([]int, 16)
-	var seq uint64
+	const k, nodes = 2, 8
 	for c := 0; c < 20_000; c++ {
-		cs.Heads(heads)
-		for term, dst := range heads {
-			if dst != traffic.NoArrival {
-				seq++
-				f.Inject(term, dst, seq)
-			}
-		}
-		if err := f.Step(); err != nil {
+		if err := f.Drive(cs, 1); err != nil {
 			t.Fatal(err)
 		}
 		// Interior stages (credit-protected inputs) must stay bounded.
-		for st := 1; st < f.stages; st++ {
-			for i, sw := range f.sw[st] {
-				if got := sw.Buffered(); got > f.k*credits {
+		for st := 1; st < f.Stages(); st++ {
+			for i := 0; i < nodes; i++ {
+				if got := f.NodeAt(st, i).Buffered(); got > k*credits {
 					t.Fatalf("cycle %d stage %d switch %d: %d cells buffered > k×credits = %d",
-						c, st, i, got, f.k*credits)
+						c, st, i, got, k*credits)
 				}
 			}
 		}
@@ -191,7 +203,7 @@ func TestCreditsBoundOccupancy(t *testing.T) {
 func TestSharedBufferFabricBeatsWormhole(t *testing.T) {
 	const n = 64
 	f := mustNet(t, Config{Terminals: n, Radix: 2, WordBits: 16, SwitchCells: 32, Credits: 4, CutThrough: true})
-	fres, err := Run(f, traffic.Config{Kind: traffic.Saturation, Seed: 7}, 10_000, 50_000)
+	fres, err := f.Run(traffic.Config{Kind: traffic.Saturation, Seed: 7}, 10_000, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,23 +226,30 @@ func TestSharedBufferFabricBeatsWormhole(t *testing.T) {
 
 // TestDeterminism: same seed → same result.
 func TestDeterminism(t *testing.T) {
-	run := func() Result {
-		f := mustNet(t, Config{Terminals: 16, Radix: 2, WordBits: 16, SwitchCells: 16, Credits: 2, CutThrough: true})
-		res, err := Run(f, traffic.Config{Kind: traffic.Bernoulli, Load: 0.4, Seed: 11}, 1_000, 10_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
+	for name, build := range smallNets {
+		t.Run(name, func(t *testing.T) {
+			run := func() engine.Result {
+				f, err := build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := f.Run(traffic.Config{Kind: traffic.Bernoulli, Load: 0.4, Seed: 11}, 1_000, 10_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			if a, b := run(), run(); a != b {
+				t.Fatalf("nondeterministic: %+v vs %+v", a, b)
+			}
+		})
 	}
 }
 
 // TestRadix4: higher-radix nodes work too (8-word cells, 2 stages).
 func TestRadix4(t *testing.T) {
 	f := mustNet(t, Config{Terminals: 16, Radix: 4, WordBits: 16, SwitchCells: 32, Credits: 2, CutThrough: true})
-	res, err := Run(f, traffic.Config{Kind: traffic.Bernoulli, Load: 0.6, Seed: 13}, 2_000, 20_000)
+	res, err := f.Run(traffic.Config{Kind: traffic.Bernoulli, Load: 0.6, Seed: 13}, 2_000, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,10 +271,7 @@ func TestLineMathQuick(t *testing.T) {
 		for i := 0; i < stages; i++ {
 			n *= k
 		}
-		net, err := New(Config{Terminals: n, Radix: k, WordBits: 16, SwitchCells: 8, CutThrough: true})
-		if err != nil {
-			return false
-		}
+		net := topology{n: n, k: k, stages: stages}
 		for st := 0; st < net.stages; st++ {
 			for l := 0; l < net.n; l++ {
 				sw, port := net.switchOf(st, l)
@@ -271,7 +287,7 @@ func TestLineMathQuick(t *testing.T) {
 				line := term
 				for st := 0; st < net.stages; st++ {
 					sw, _ := net.switchOf(st, line)
-					line = net.lineOf(st, sw, net.routeDigit(dst, st))
+					line = net.lineOf(st, sw, net.RouteDst(st, dst))
 				}
 				if line != dst {
 					return false

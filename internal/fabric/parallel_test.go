@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"pipemem/internal/bufmgr"
+	"pipemem/internal/clos"
+	"pipemem/internal/fabric/engine"
 	"pipemem/internal/traffic"
 )
 
@@ -14,24 +16,15 @@ import (
 // timeline.
 func driveCollect(t *testing.T, f *Net, tcfg traffic.Config, cycles int) []int64 {
 	t.Helper()
-	tcfg.N = f.n
-	cs, err := traffic.NewCellStream(tcfg, f.cellK)
+	tcfg.N = f.Terminals()
+	cs, err := traffic.NewCellStream(tcfg, f.CellWords())
 	if err != nil {
 		t.Fatal(err)
 	}
-	heads := make([]int, f.n)
-	var seq uint64
 	out := make([]int64, cycles)
 	prev := int64(0)
 	for i := 0; i < cycles; i++ {
-		cs.Heads(heads)
-		for term, dst := range heads {
-			if dst != traffic.NoArrival {
-				seq++
-				f.Inject(term, dst, seq)
-			}
-		}
-		if err := f.Step(); err != nil {
+		if err := f.Drive(cs, 1); err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
 		out[i] = f.Delivered() - prev
@@ -83,14 +76,14 @@ func TestParallelBitIdentical(t *testing.T) {
 				t.Fatalf("%s workers=%d: totals %d/%d vs %d/%d", tc.Kind, workers,
 					par.Injected(), par.Delivered(), ref.Injected(), ref.Delivered())
 			}
-			if !reflect.DeepEqual(par.Engine().CreditState(), ref.Engine().CreditState()) {
+			if !reflect.DeepEqual(par.CreditState(), ref.CreditState()) {
 				t.Fatalf("%s workers=%d: credit state diverged", tc.Kind, workers)
 			}
 			if !reflect.DeepEqual(par.Latency().State(), ref.Latency().State()) {
 				t.Fatalf("%s workers=%d: latency histogram diverged", tc.Kind, workers)
 			}
-			for st := 0; st < par.stages; st++ {
-				if !reflect.DeepEqual(par.Engine().ArrivalsAt(st), ref.Engine().ArrivalsAt(st)) {
+			for st := 0; st < par.Stages(); st++ {
+				if !reflect.DeepEqual(par.ArrivalsAt(st), ref.ArrivalsAt(st)) {
 					t.Fatalf("%s workers=%d: stage %d arrival counts diverged", tc.Kind, workers, st)
 				}
 			}
@@ -106,7 +99,8 @@ func TestParallelBitIdentical(t *testing.T) {
 // TestStepZeroAlloc is the regression test for the Step hot loop: after
 // warmup the whole inject+step cycle — ring distribution, every node's
 // Tick/Drain, flight bookkeeping, ejection verification — allocates
-// nothing.
+// nothing. (This is the plain path; TestNetsAcrossWorkers counts the same
+// with flight tracing armed, on both topologies.)
 func TestStepZeroAlloc(t *testing.T) {
 	f, err := New(Config{
 		Terminals: 64, Radix: 8, WordBits: 16, SwitchCells: 32,
@@ -116,28 +110,17 @@ func TestStepZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	cs, err := traffic.NewCellStream(traffic.Config{Kind: traffic.Saturation, Seed: 11, N: f.n}, f.cellK)
+	cs, err := traffic.NewCellStream(traffic.Config{Kind: traffic.Saturation, Seed: 11, N: 64}, f.CellWords())
 	if err != nil {
 		t.Fatal(err)
 	}
-	heads := make([]int, f.n)
-	var seq uint64
-	cycle := func() {
-		cs.Heads(heads)
-		for term, dst := range heads {
-			if dst != traffic.NoArrival {
-				seq++
-				f.Inject(term, dst, seq)
-			}
-		}
-		if err := f.Step(); err != nil {
+	drive := func(n int64) {
+		if err := f.Drive(cs, n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 4096; i++ { // warm pools, rings, staging buffers
-		cycle()
-	}
-	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+	drive(4096) // warm pools, rings, staging buffers
+	if allocs := testing.AllocsPerRun(200, func() { drive(1) }); allocs != 0 {
 		t.Fatalf("%.1f allocs per steady-state fabric cycle, want 0", allocs)
 	}
 }
@@ -162,7 +145,7 @@ func TestBadPolicySpec(t *testing.T) {
 // partition on stage-0 switches must drop under saturation where
 // complete sharing would not, without breaking fabric integrity.
 func TestPolicyPlumbs(t *testing.T) {
-	run := func(policy string) (Result, int64) {
+	run := func(policy string) (engine.Result, int64) {
 		f, err := New(Config{
 			Terminals: 16, Radix: 4, WordBits: 16, SwitchCells: 8,
 			Credits: 0, CutThrough: true, Policy: policy,
@@ -171,14 +154,14 @@ func TestPolicyPlumbs(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		res, err := Run(f, traffic.Config{Kind: traffic.Saturation, Seed: 77}, 200, 800)
+		res, err := f.Run(traffic.Config{Kind: traffic.Saturation, Seed: 77}, 200, 800)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var polDrops int64
-		for st := range f.sw {
-			for _, s := range f.sw[st] {
-				polDrops += s.Counters().Get("drop-policy")
+		for st := 0; st < f.Stages(); st++ {
+			for i := range f.ArrivalsAt(st) {
+				polDrops += f.NodeAt(st, i).Counters().Get("drop-policy")
 			}
 		}
 		return res, polDrops
@@ -196,5 +179,58 @@ func TestPolicyPlumbs(t *testing.T) {
 	}
 	if partPol == 0 {
 		t.Fatal("static:quota=1 never refused a cell under saturation — policy not applied")
+	}
+}
+
+// TestLossAccounting is the regression test for the fabric report losing
+// policy drops: under every admission policy, with and without credits, on
+// both topologies at saturation, Drops is every flight the net retired as
+// lost (so the conservation identity closes on the report's own numbers)
+// and InteriorDrops is exactly what the nodes at stages ≥ 1 booked, in
+// every loss mode.
+func TestLossAccounting(t *testing.T) {
+	var lostInside int64
+	for _, policy := range bufmgr.Specs() {
+		for _, credits := range []int{0, 4} {
+			nets := map[string]func() (*Net, error){
+				"butterfly": func() (*Net, error) {
+					return New(Config{Terminals: 64, Radix: 4, WordBits: 16, SwitchCells: 16,
+						Credits: credits, CutThrough: true, Policy: policy})
+				},
+				"clos": func() (*Net, error) {
+					return clos.New(clos.Config{Radix: 4, Middles: 3, WordBits: 16, SwitchCells: 16,
+						Credits: credits, CutThrough: true, Policy: policy})
+				},
+			}
+			for name, build := range nets {
+				f, err := build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := f.Run(traffic.Config{Kind: traffic.Saturation, Seed: 42}, 0, 3000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Audit(); err != nil {
+					t.Fatal(err)
+				}
+				var interior int64
+				for st := 1; st < f.Stages(); st++ {
+					for i := range f.ArrivalsAt(st) {
+						interior += f.NodeAt(st, i).DroppedCells()
+					}
+				}
+				if res.Injected != res.Delivered+res.Drops+int64(f.InFlight()) || res.InteriorDrops != interior {
+					t.Errorf("%s %q credits=%d: injected %d, delivered %d + drops %d + in flight %d; interior drops %d, nodes at stages ≥ 1 booked %d",
+						name, policy, credits, res.Injected, res.Delivered, res.Drops, f.InFlight(), res.InteriorDrops, interior)
+				}
+				if credits > 0 {
+					lostInside += res.InteriorDrops
+				}
+			}
+		}
+	}
+	if lostInside == 0 {
+		t.Error("no policy refused a cell behind a credit-protected link: the interior tally was never exercised with credits on")
 	}
 }

@@ -81,55 +81,75 @@ func TestFlightTraceBitIdentical(t *testing.T) {
 }
 
 // TestFlightTraceReconciles ties the span trail back to the engine's own
-// latency accounting: at sampling 1 every delivered cell must appear as
-// a completed flight whose hop latencies sum (plus one wire cycle per
-// stage boundary) to the EvEject end-to-end latency, and the mean over
-// those flights must equal Result's MeanLatency.
+// latency accounting, on both topologies: at sampling 1 every delivered
+// cell must appear as a completed flight whose hop latencies sum (plus
+// one wire cycle per stage boundary) to the EvEject end-to-end latency,
+// and the mean over those flights must equal Result's MeanLatency. The
+// traced hops must land on every node of every stage — for the Clos, the
+// round-robin middle choice is visible in the span stream.
 func TestFlightTraceReconciles(t *testing.T) {
-	f, err := New(Config{
-		Terminals: 64, Radix: 4, WordBits: 16, SwitchCells: 16,
-		Credits: 4, CutThrough: true, Workers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	buf, tr := traceNet(t, f, 1)
-	res, err := Run(f, traffic.Config{Kind: traffic.Bernoulli, Load: 0.7, Seed: 23}, 0, 1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for name, build := range map[string]func(workers int) (*Net, error){
+		"butterfly-64-r4": butterfly(64, 4),
+		"clos-r6-m4":      closNet(6, 4),
+	} {
+		t.Run(name, func(t *testing.T) {
+			f, err := build(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			buf, tr := traceNet(t, f, 1)
+			res, err := f.Run(traffic.Config{Kind: traffic.Bernoulli, Load: 0.7, Seed: 23}, 0, 1200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	set, err := trace.Parse(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Skipped != 0 || set.Orphans != 0 {
-		t.Fatalf("span stream not clean: %d skipped, %d orphans", set.Skipped, set.Orphans)
-	}
-	if set.Stages != f.Stages() {
-		t.Fatalf("trace shows %d stages, fabric has %d", set.Stages, f.Stages())
-	}
-	rep := trace.Analyze(set, 0)
-	if len(rep.Mismatches) > 0 {
-		m := rep.Mismatches[0]
-		t.Fatalf("%d flights fail e2e = Σhops + (stages-1); first: seq=%d hopsum=%d e2e=%d",
-			len(rep.Mismatches), m.Seq, m.HopSum, m.E2E)
-	}
-	if rep.Incomplete != 0 {
-		t.Fatalf("%d ejected flights are missing hop records", rep.Incomplete)
-	}
-	if int64(rep.Flights) != res.Injected {
-		t.Fatalf("traced %d injects, fabric injected %d", rep.Flights, res.Injected)
-	}
-	if rep.E2E.Count != res.Delivered {
-		t.Fatalf("completed flights %d != delivered %d", rep.E2E.Count, res.Delivered)
-	}
-	if math.Abs(rep.E2E.Mean-res.MeanLatency) > 1e-9 {
-		t.Fatalf("trace mean %.9f != fabric mean %.9f", rep.E2E.Mean, res.MeanLatency)
+			set, err := trace.Parse(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if set.Skipped != 0 || set.Orphans != 0 {
+				t.Fatalf("span stream not clean: %d skipped, %d orphans", set.Skipped, set.Orphans)
+			}
+			if set.Stages != f.Stages() {
+				t.Fatalf("trace shows %d stages, fabric has %d", set.Stages, f.Stages())
+			}
+			rep := trace.Analyze(set, 0)
+			if len(rep.Mismatches) > 0 {
+				m := rep.Mismatches[0]
+				t.Fatalf("%d flights fail e2e = Σhops + (stages-1); first: seq=%d hopsum=%d e2e=%d",
+					len(rep.Mismatches), m.Seq, m.HopSum, m.E2E)
+			}
+			if rep.Incomplete != 0 {
+				t.Fatalf("%d ejected flights are missing hop records", rep.Incomplete)
+			}
+			if int64(rep.Flights) != res.Injected {
+				t.Fatalf("traced %d injects, fabric injected %d", rep.Flights, res.Injected)
+			}
+			if rep.E2E.Count != res.Delivered {
+				t.Fatalf("completed flights %d != delivered %d", rep.E2E.Count, res.Delivered)
+			}
+			if math.Abs(rep.E2E.Mean-res.MeanLatency) > 1e-9 {
+				t.Fatalf("trace mean %.9f != fabric mean %.9f", rep.E2E.Mean, res.MeanLatency)
+			}
+			seen := make([]map[int]bool, f.Stages())
+			for _, fl := range set.Flights {
+				for _, h := range fl.Hops {
+					if seen[h.Stage] == nil {
+						seen[h.Stage] = map[int]bool{}
+					}
+					seen[h.Stage][h.Node] = true
+				}
+			}
+			for st := range seen {
+				if nodes := len(f.ArrivalsAt(st)); len(seen[st]) != nodes {
+					t.Fatalf("stage %d hops landed on %d of %d nodes", st, len(seen[st]), nodes)
+				}
+			}
+		})
 	}
 }
 
@@ -147,7 +167,7 @@ func TestFlightTraceGolden(t *testing.T) {
 	}
 	defer f.Close()
 	buf, tr := traceNet(t, f, 3)
-	if _, err := Run(f, traffic.Config{Kind: traffic.Bernoulli, Load: 0.6, Seed: 7}, 0, 60); err != nil {
+	if _, err := f.Run(traffic.Config{Kind: traffic.Bernoulli, Load: 0.6, Seed: 7}, 0, 60); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Close(); err != nil {
@@ -190,7 +210,7 @@ func TestTelemetryRing(t *testing.T) {
 	defer f.Close()
 	const every = 16
 	ts := f.EnableTelemetry(64, every)
-	if _, err := Run(f, traffic.Config{Kind: traffic.Bernoulli, Load: 0.8, Seed: 5}, 0, 1000); err != nil {
+	if _, err := f.Run(traffic.Config{Kind: traffic.Bernoulli, Load: 0.8, Seed: 5}, 0, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if ts.Len() != 63 { // 1000/16 = 62 full strides + cycle 0, ring cap 64

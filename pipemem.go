@@ -47,6 +47,7 @@ import (
 	"pipemem/internal/clos"
 	"pipemem/internal/core"
 	"pipemem/internal/fabric"
+	"pipemem/internal/fabric/engine"
 	"pipemem/internal/fault"
 	"pipemem/internal/obs"
 	"pipemem/internal/prizma"
@@ -536,43 +537,33 @@ func RunWormhole(w *WormholeNet, warmup, measure int64) (WormholeResult, error) 
 	return wormhole.Run(w, warmup, measure)
 }
 
-// ---- Multistage fabric of pipelined-memory switches ----
+// ---- Multistage networks of pipelined-memory switches ----
 
 // FabricConfig parameterizes a k-ary butterfly of pipelined-memory
 // switches with credit flow control and chained cut-through.
 type FabricConfig = fabric.Config
 
-// Fabric is the multistage network.
-type Fabric = fabric.Net
-
-// FabricResult summarizes a fabric run.
-type FabricResult = fabric.Result
-
-// NewFabric builds the multistage network.
-func NewFabric(cfg FabricConfig) (*Fabric, error) { return fabric.New(cfg) }
-
-// RunFabric drives the fabric with terminal traffic for warmup+measure
-// cycles.
-func RunFabric(f *Fabric, tcfg TrafficConfig, warmup, measure int64) (FabricResult, error) {
-	return fabric.Run(f, tcfg, warmup, measure)
-}
-
 // ClosConfig parameterizes a three-stage Clos network of pipelined-memory
 // switches (C(n,n,n): n² terminals).
 type ClosConfig = clos.Config
 
-// ClosNet is the three-stage Clos network.
-type ClosNet = clos.Net
+// Fabric is a multistage network, butterfly or Clos: one engine, two
+// wirings.
+type Fabric = engine.Engine
 
-// ClosResult summarizes a Clos run.
-type ClosResult = clos.Result
+// FabricResult summarizes a run of either.
+type FabricResult = engine.Result
+
+// NewFabric builds the butterfly.
+func NewFabric(cfg FabricConfig) (*Fabric, error) { return fabric.New(cfg) }
 
 // NewClos builds the Clos network.
-func NewClos(cfg ClosConfig) (*ClosNet, error) { return clos.New(cfg) }
+func NewClos(cfg ClosConfig) (*Fabric, error) { return clos.New(cfg) }
 
-// RunClos drives the Clos network with terminal traffic.
-func RunClos(f *ClosNet, tcfg TrafficConfig, warmup, measure int64) (ClosResult, error) {
-	return clos.Run(f, tcfg, warmup, measure)
+// RunFabric drives a network with terminal traffic for warmup+measure
+// cycles.
+func RunFabric(f *Fabric, tcfg TrafficConfig, warmup, measure int64) (FabricResult, error) {
+	return f.Run(tcfg, warmup, measure)
 }
 
 // ---- Telegraphos prototypes (§4) ----
