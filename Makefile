@@ -36,9 +36,13 @@ race:
 # the cell stream beside its frozen per-cycle reference (heads and State
 # bytes at every cycle, restore at any). FuzzNetConfig asks for multistage
 # nets of arbitrary size: built or refused within a fixed allocation bound,
-# and what builds survives saturation and Audit. The last three are the
-# data-structure targets: the ring against a slice queue, the free list and
-# multi-queue pair for leaks, cell checksums against single-word flips.
+# and what builds survives saturation and Audit. FuzzOrganizations feeds
+# arbitrary legal head schedules to all four memory organizations through
+# the core.Organization contract: conservation after every Tick, every
+# departure intact, a drain that empties within the bound. The last three
+# are the data-structure targets: the ring against a slice queue, the free
+# list and multi-queue pair for leaks, cell checksums against single-word
+# flips.
 fuzz:
 	$(GO) test ./internal/traffic -run FuzzCellStreamHorizon -fuzz FuzzCellStreamHorizon -fuzztime 30s
 	$(GO) test ./internal/fault -run FuzzFaultPlanParse -fuzz FuzzFaultPlanParse -fuzztime 30s
@@ -49,6 +53,7 @@ fuzz:
 	$(GO) test ./internal/core -run FuzzTickN -fuzz FuzzTickN -fuzztime 30s
 	$(GO) test ./internal/ckpt -run FuzzCheckpointCycle -fuzz FuzzCheckpointCycle -fuzztime 30s
 	$(GO) test ./internal/fabric -run FuzzNetConfig -fuzz FuzzNetConfig -fuzztime 30s
+	$(GO) test . -run FuzzOrganizations -fuzz FuzzOrganizations -fuzztime 30s
 	$(GO) test ./internal/fifo -run FuzzRing -fuzz FuzzRing -fuzztime 30s
 	$(GO) test ./internal/fifo -run FuzzFreeListMultiQueue -fuzz FuzzFreeListMultiQueue -fuzztime 30s
 	$(GO) test ./internal/core -run FuzzCellChecksum -fuzz FuzzCellChecksum -fuzztime 30s

@@ -9,12 +9,7 @@ package pipemem
 // regenerates every table/figure's series at benchmark scale. Full-scale
 // numbers live in EXPERIMENTS.md and come from `pmexp -full`.
 
-import (
-	"testing"
-
-	"pipemem/internal/cell"
-	"pipemem/internal/traffic"
-)
+import "testing"
 
 // BenchmarkE1_InputQueueSaturation — §2.1 [KaHM87]: saturated 16×16 FIFO
 // input queueing; metric thr is the head-of-line-limited throughput
@@ -139,23 +134,7 @@ func BenchmarkE6_QuantumThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	heads := make([]int, 8)
-	hc := make([]*cell.Cell, 8)
-	var seq uint64
-	delivered := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cs.Heads(heads)
-		for j := range hc {
-			hc[j] = nil
-			if heads[j] != traffic.NoArrival {
-				seq++
-				hc[j] = cell.New(seq, j, heads[j], 8, 16)
-			}
-		}
-		d.Tick(hc)
-		delivered += len(d.Drain())
-	}
+	delivered := runRTL(b, d, cs)
 	b.ReportMetric(float64(delivered*8)/float64(b.N*8), "util")
 	b.ReportMetric(AggregateGbps(256, 5), "gbps-256b-5ns")
 }
@@ -219,26 +198,19 @@ func BenchmarkE9_FullLoadRTL(b *testing.B) {
 	b.ReportMetric(float64(sw.Counters().Get("drop-overrun")), "drops")
 }
 
-// runRTL drives a Switch for b.N cycles and returns delivered cells.
-func runRTL(b *testing.B, sw *Switch, cs *CellStream) int {
-	n := sw.Config().Ports
-	k := sw.Config().Stages
-	heads := make([]int, n)
-	hc := make([]*cell.Cell, n)
+// runRTL drives any organization for b.N cycles and returns delivered
+// cells.
+func runRTL(b *testing.B, org Organization, cs *CellStream) int {
+	g := org.Geometry()
+	heads := make([]int, g.Ports)
+	hc := make([]*Cell, g.Ports)
 	var seq uint64
 	delivered := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cs.Heads(heads)
-		for j := range hc {
-			hc[j] = nil
-			if heads[j] != traffic.NoArrival {
-				seq++
-				hc[j] = cell.New(seq, j, heads[j], k, sw.Config().WordBits)
-			}
-		}
-		sw.Tick(hc)
-		delivered += len(sw.Drain())
+		org.Tick(headCells(heads, hc, &seq, g))
+		delivered += len(org.Drain())
 	}
 	return delivered
 }

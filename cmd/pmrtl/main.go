@@ -1,12 +1,13 @@
-// Command pmrtl runs the cycle-accurate pipelined-memory switch and
-// reports utilization, loss and latency; with -trace it dumps the per-cycle
-// fig. 5-style control/datapath trace.
+// Command pmrtl runs a cycle-accurate shared-buffer switch — the pipelined
+// memory, or with -org one of the three organizations the paper compares
+// it with — and reports utilization, loss and latency; with -trace it
+// dumps the per-cycle fig. 5-style control/datapath trace.
 //
 // Usage:
 //
 //	pmrtl -n 8 -cells 256 -load 1.0 -perm -cycles 100000
 //	pmrtl -n 2 -cells 8 -load 0.6 -cycles 40 -trace    # fig. 5 view
-//	pmrtl -dual -n 8 -perm                             # §3.5 half quantum
+//	pmrtl -org dual -n 8 -perm                         # §3.5 half quantum; also wide, prizma
 //	pmrtl -model t3                                    # Telegraphos III
 //	pmrtl -bufpolicy dt:alpha=2 -load 0.9              # dynamic-threshold admission
 //
@@ -23,28 +24,40 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"pipemem"
 	"pipemem/internal/cli"
 )
 
+// notImplemented lists, per organization, the flags it would have to
+// ignore: they are refused instead. (-vcs reaches the dual switch's
+// constructor, which refuses it with its own reason.)
+var (
+	pipelinedOnly  = []string{"trace", "vcd", "bufpolicy", "metrics", "metrics-json", "tracejson", "trace-sample", "pprof"}
+	notImplemented = map[string][]string{
+		"dual":   pipelinedOnly,
+		"wide":   append([]string{"vcs"}, pipelinedOnly...),
+		"prizma": append([]string{"vcs", "store-and-forward"}, pipelinedOnly...),
+	}
+)
+
 func main() {
 	var (
-		n      = flag.Int("n", 8, "ports (n×n)")
-		cells  = flag.Int("cells", 256, "buffer capacity in cells")
-		words  = flag.Int("w", 16, "word width in bits")
-		load   = flag.Float64("load", 0.8, "offered load in (0,1]")
-		perm   = flag.Bool("perm", false, "admissible rotating-permutation traffic")
-		sat    = flag.Bool("saturate", false, "uniform saturation traffic")
-		nocut  = flag.Bool("store-and-forward", false, "disable automatic cut-through")
-		dual   = flag.Bool("dual", false, "half-quantum two-memory organization (§3.5)")
-		org    = flag.String("org", "pipelined", "buffer organization: pipelined|wide|prizma")
-		cycles = flag.Int64("cycles", 200_000, "cycles to simulate")
-		seed   = flag.Uint64("seed", 1, "PRNG seed")
-		trace  = flag.Bool("trace", false, "dump the per-cycle control trace (fig. 5)")
-		vcd    = flag.String("vcd", "", "write the trace as a VCD waveform to this file (GTKWave etc.)")
-		vcs    = flag.Int("vcs", 1, "virtual channels per output link ([KVES95])")
-		model  = flag.String("model", "", "Telegraphos prototype instead of -n/-w/-cells: t1|t2|t3")
+		n       = flag.Int("n", 8, "ports (n×n)")
+		cells   = flag.Int("cells", 256, "buffer capacity in cells")
+		words   = flag.Int("w", 16, "word width in bits")
+		load    = flag.Float64("load", 0.8, "offered load in (0,1]")
+		perm    = flag.Bool("perm", false, "admissible rotating-permutation traffic")
+		sat     = flag.Bool("saturate", false, "uniform saturation traffic")
+		nocut   = flag.Bool("store-and-forward", false, "disable automatic cut-through")
+		orgName = flag.String("org", "pipelined", "buffer organization: pipelined|dual (§3.5 half quantum)|wide|prizma")
+		cycles  = flag.Int64("cycles", 200_000, "cycles to simulate")
+		seed    = flag.Uint64("seed", 1, "PRNG seed")
+		trace   = flag.Bool("trace", false, "dump the per-cycle control trace (fig. 5)")
+		vcd     = flag.String("vcd", "", "write the trace as a VCD waveform to this file (GTKWave etc.)")
+		vcs     = flag.Int("vcs", 1, "virtual channels per output link ([KVES95])")
+		model   = flag.String("model", "", "Telegraphos prototype instead of -n/-w/-cells: t1|t2|t3")
 
 		metrics     = flag.Bool("metrics", false, "print a Prometheus-style metrics snapshot after the run")
 		metricsJSON = flag.Bool("metrics-json", false, "with -metrics: JSON snapshot instead of text exposition")
@@ -54,16 +67,6 @@ func main() {
 	)
 	bufpol := cli.BufPolicyFlag(nil)
 	flag.Parse()
-
-	observe := *metrics || *metricsJSON || *traceJSON != "" || *pprofAddr != ""
-	if observe && (*dual || *org != "pipelined") {
-		fmt.Fprintln(os.Stderr, "pmrtl: -metrics/-tracejson/-pprof require the pipelined organization")
-		os.Exit(2)
-	}
-	if bufpol.Got() && (*dual || *org != "pipelined") {
-		fmt.Fprintln(os.Stderr, "pmrtl: -bufpolicy requires the pipelined organization")
-		os.Exit(2)
-	}
 
 	cfg := pipemem.Config{Ports: *n, WordBits: *words, Cells: *cells, CutThrough: !*nocut, VCs: *vcs}
 	var clockNs float64
@@ -92,71 +95,43 @@ func main() {
 		tcfg.Kind = pipemem.Saturation
 	}
 
-	if *dual {
-		d, err := pipemem.NewDual(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		cs, err := pipemem.NewCellStream(tcfg, d.Config().Stages)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := pipemem.RunDualTraffic(d, cs, *cycles)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("dual (half-quantum):", res)
-		return
-	}
-
-	switch *org {
+	var (
+		org pipemem.Organization
+		sw  *pipemem.Switch // the pipelined organization, else nil
+		err error
+	)
+	switch *orgName {
 	case "pipelined":
+		sw, err = pipemem.New(cfg)
+		org = sw
+	case "dual":
+		org, err = pipemem.NewDual(cfg)
 	case "wide":
-		ws, err := pipemem.NewWide(pipemem.WideConfig{
+		org, err = pipemem.NewWide(pipemem.WideConfig{
 			Ports: cfg.Ports, WordBits: cfg.WordBits, Cells: cfg.Cells,
 			CutThroughCrossbar: cfg.CutThrough,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		cs, err := pipemem.NewCellStream(tcfg, ws.Config().CellWords)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := pipemem.RunWideTraffic(ws, cs, *cycles)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wide memory: cycles=%d offered=%d delivered=%d dropped=%d util=%.4f cutlat=%.2f (bypass departures: %d)\n",
-			res.Cycles, res.Offered, res.Delivered, res.Dropped, res.Utilization, res.MeanCutLatency, res.CutThroughs)
-		return
 	case "prizma":
-		ps, err := pipemem.NewPrizma(pipemem.PrizmaConfig{
+		org, err = pipemem.NewPrizma(pipemem.PrizmaConfig{
 			Ports: cfg.Ports, Banks: cfg.Cells, WordBits: cfg.WordBits,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		cs, err := pipemem.NewCellStream(tcfg, ps.Config().CellWords)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := pipemem.RunPrizmaTraffic(ps, cs, *cycles)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("prizma: cycles=%d offered=%d delivered=%d dropped=%d util=%.4f lat=%.2f\n",
-			res.Cycles, res.Offered, res.Delivered, res.Dropped, res.Utilization, res.MeanLatency)
-		return
 	default:
-		fmt.Fprintf(os.Stderr, "pmrtl: unknown organization %q\n", *org)
+		fmt.Fprintf(os.Stderr, "pmrtl: unknown organization %q\n", *orgName)
 		os.Exit(2)
 	}
-
-	sw, err := pipemem.New(cfg)
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(notImplemented[*orgName], f.Name) {
+			fmt.Fprintf(os.Stderr, "pmrtl: the %s organization does not implement -%s; drop it\n", *orgName, f.Name)
+			os.Exit(2)
+		}
+	})
 	if err != nil {
 		fatal(err)
 	}
+
+	// Policy, observer and tracers hang off flags only the pipelined
+	// organization implements (notImplemented), so sw is non-nil wherever
+	// the set-up below touches it.
 	if bufpol.Got() {
 		sw.SetBufferPolicy(bufpol.Policy())
 	}
@@ -165,7 +140,7 @@ func main() {
 		sink   *pipemem.JSONLSink
 		tracer *pipemem.EventTracer
 	)
-	if observe {
+	if *metrics || *metricsJSON || *traceJSON != "" || *pprofAddr != "" {
 		reg = pipemem.NewMetricsRegistry()
 		obsv := pipemem.NewObserver(reg, cfg.Ports)
 		var ts pipemem.TraceSink
@@ -216,11 +191,12 @@ func main() {
 	case *trace:
 		sw.SetTracer(func(e pipemem.TraceEvent) { fmt.Println(e) })
 	}
-	cs, err := pipemem.NewCellStream(tcfg, sw.Config().Stages)
+
+	cs, err := pipemem.NewCellStream(tcfg, org.Geometry().CellWords)
 	if err != nil {
 		fatal(err)
 	}
-	res, err := pipemem.RunTraffic(sw, cs, *cycles)
+	res, err := pipemem.Run(org, cs, *cycles)
 	if err != nil {
 		fatal(err)
 	}
@@ -229,6 +205,9 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("VCD waveform written to %s\n", *vcd)
+	}
+	if sw == nil {
+		fmt.Printf("%s: ", *orgName)
 	}
 	fmt.Println(res)
 	if clockNs > 0 {

@@ -498,7 +498,7 @@ func E6QuantumThroughput(s Scale) (ExpResult, error) {
 	if err != nil {
 		return res, err
 	}
-	r, err := core.RunDualTraffic(d, cs, s.slots(30_000, 300_000))
+	r, err := core.Run(d, cs, s.slots(30_000, 300_000))
 	if err != nil {
 		return res, err
 	}

@@ -234,7 +234,7 @@ func E12PrizmaComparison(s Scale) (ExpResult, error) {
 	if err != nil {
 		return res, err
 	}
-	pr, err := prizma.RunTraffic(ps, css, s.slots(50_000, 300_000))
+	pr, err := core.Run(ps, css, s.slots(50_000, 300_000))
 	if err != nil {
 		return res, err
 	}
@@ -253,8 +253,8 @@ func E12PrizmaComparison(s Scale) (ExpResult, error) {
 	res.Rows = append(res.Rows, ExpRow{
 		Label:    "min head latency at light load (cycles)",
 		Paper:    "pipelined cuts through; PRIZMA cannot (single-ported banks)",
-		Measured: fmt.Sprintf("pipelined %d vs PRIZMA %d", cr.MinCutLatency, pr.MinLatency),
-		OK:       cr.MinCutLatency == 2 && pr.MinLatency >= int64(k),
+		Measured: fmt.Sprintf("pipelined %d vs PRIZMA %d", cr.MinCutLatency, pr.MinCutLatency),
+		OK:       cr.MinCutLatency == 2 && pr.MinCutLatency >= int64(k),
 	})
 	// §5.3's closing remark: deeper banks shrink the crossbars but hurt
 	// performance (equal total capacity, saturated).
@@ -268,7 +268,7 @@ func E12PrizmaComparison(s Scale) (ExpResult, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		r, err := prizma.RunTraffic(ps, cs, deepCycles)
+		r, err := core.Run(ps, cs, deepCycles)
 		if err != nil {
 			return 0, 0, err
 		}

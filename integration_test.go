@@ -1,16 +1,17 @@
 package pipemem
 
-// Cross-organization integration tests: the three shared-buffer RTL
-// models (pipelined, wide, PRIZMA-interleaved) are driven with the SAME
-// offered cell sequence and must agree on what they deliver, while their
-// latencies order exactly as §3–§5 argue.
+// Cross-organization integration tests: the four shared-buffer RTL models
+// (pipelined, its half-quantum pair, wide, PRIZMA-interleaved) are driven
+// through the Organization contract with the SAME offered cell sequence and
+// must agree on what they deliver, while their latencies order exactly as
+// §3–§5 argue.
 
 import (
 	"testing"
 )
 
-// offeredSchedule builds a deterministic head schedule all three models
-// can consume (they share cell size K = 2n).
+// buildSchedule builds a deterministic head schedule in cell times, which
+// every organization consumes at its own cell length.
 type arrivalEvent struct {
 	cellTime int
 	input    int
@@ -36,83 +37,67 @@ func buildSchedule(n, cellTimes int) []arrivalEvent {
 	return ev
 }
 
-// deliverySet runs one organization over the schedule and returns
-// seq → headOut-headIn latency for every delivered cell.
-func deliverySet(t *testing.T, org string, n int, events []arrivalEvent, cellTimes int) map[uint64]int64 {
+// integrationOrgs is the table the cross-organization tests iterate: the
+// four memory organizations behind n links with ample buffering,
+// cut-through where the organization has it for free (the wide memory's
+// bypass crossbar stays off: it is the store-and-forward baseline here).
+func integrationOrgs(t *testing.T, n int) []orgRow {
 	t.Helper()
-	k := 2 * n
-	var tick func(heads []*Cell)
-	var drain func() []Departure
-
-	switch org {
-	case "pipelined":
-		sw, err := New(Config{Ports: n, WordBits: 16, Cells: 4 * n * 4, CutThrough: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tick = sw.Tick
-		drain = sw.Drain
-	case "wide":
-		sw, err := NewWide(WideConfig{Ports: n, WordBits: 16, Cells: 4 * n * 4, CutThroughCrossbar: false})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tick = sw.Tick
-		drain = func() []Departure {
-			var out []Departure
-			for _, d := range sw.Drain() {
-				out = append(out, Departure{Cell: d.Cell, Expected: d.Expected, Output: d.Output,
-					HeadIn: d.HeadIn, HeadOut: d.HeadOut, TailOut: d.TailOut})
-			}
-			return out
-		}
-	case "prizma":
-		sw, err := NewPrizma(PrizmaConfig{Ports: n, Banks: 4 * n * 4, WordBits: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tick = sw.Tick
-		drain = func() []Departure {
-			var out []Departure
-			for _, d := range sw.Drain() {
-				out = append(out, Departure{Cell: d.Cell, Expected: d.Expected, Output: d.Output,
-					HeadIn: d.HeadIn, HeadOut: d.HeadOut, TailOut: d.TailOut})
-			}
-			return out
-		}
-	default:
-		t.Fatalf("unknown organization %q", org)
+	return []orgRow{
+		{"pipelined", false, must[*Switch](t)(New(Config{Ports: n, WordBits: 16, Cells: 16 * n, CutThrough: true}))},
+		{"dual", false, must[*DualSwitch](t)(NewDual(Config{Ports: n, WordBits: 16, Cells: 8 * n, CutThrough: true}))},
+		{"wide", true, must[*WideSwitch](t)(NewWide(WideConfig{Ports: n, WordBits: 16, Cells: 16 * n}))},
+		{"prizma", true, must[*PrizmaSwitch](t)(NewPrizma(PrizmaConfig{Ports: n, Banks: 16 * n, WordBits: 16}))},
 	}
+}
+
+type orgRow struct {
+	name            string
+	storeAndForward bool
+	org             Organization
+}
+
+// must unwraps a constructor's (value, error) pair, failing the test on
+// error.
+func must[T any](t testing.TB) func(T, error) T {
+	return func(v T, err error) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+}
+
+// deliverySet runs one organization over the schedule, one cell time being
+// its own cell length in cycles, and returns seq → headOut-headIn latency
+// for every delivered cell.
+func deliverySet(t *testing.T, row orgRow, events []arrivalEvent, cellTimes int) map[uint64]int64 {
+	t.Helper()
+	org := row.org
+	g := org.Geometry()
+	n, k := g.Ports, g.CellWords
 
 	idx := 0
 	got := map[uint64]int64{}
 	var seq uint64
-	seqOf := map[[3]int]uint64{} // (cellTime,input,dst) → seq for cross-model identity
 	totalCycles := (cellTimes + 8*n*4) * k
 	for cyc := 0; cyc < totalCycles; cyc++ {
 		var heads []*Cell
 		if cyc%k == 0 {
-			ct := cyc / k
-			for idx < len(events) && events[idx].cellTime == ct {
+			for ct := cyc / k; idx < len(events) && events[idx].cellTime == ct; idx++ {
 				e := events[idx]
-				key := [3]int{e.cellTime, e.input, e.dst}
-				s, ok := seqOf[key]
-				if !ok {
-					seq++
-					s = seq
-					seqOf[key] = s
-				}
+				seq++
 				if heads == nil {
 					heads = make([]*Cell, n)
 				}
-				heads[e.input] = NewCell(s, e.input, e.dst, k, 16)
-				idx++
+				heads[e.input] = NewCell(seq, e.input, e.dst, k, g.WordBits)
 			}
 		}
-		tick(heads)
-		for _, d := range drain() {
+		org.Tick(heads)
+		for _, d := range org.Drain() {
 			if !d.Cell.Equal(d.Expected) {
-				t.Fatalf("%s: corruption", org)
+				t.Fatalf("%s: corruption", row.name)
 			}
 			got[d.Cell.Seq] = d.HeadOut - d.HeadIn
 		}
@@ -121,27 +106,27 @@ func deliverySet(t *testing.T, org string, n int, events []arrivalEvent, cellTim
 }
 
 // TestOrganizationsAgreeOnDelivery: identical offered cells, identical
-// delivered sets — the three organizations are functionally equivalent
+// delivered sets — the four organizations are functionally equivalent
 // switches (§3.2's starting point), differing only in cost and timing.
 func TestOrganizationsAgreeOnDelivery(t *testing.T) {
 	const n, cellTimes = 4, 400
 	events := buildSchedule(n, cellTimes)
-	pip := deliverySet(t, "pipelined", n, events, cellTimes)
-	wide := deliverySet(t, "wide", n, events, cellTimes)
-	prz := deliverySet(t, "prizma", n, events, cellTimes)
-	if len(pip) == 0 {
-		t.Fatal("nothing delivered")
-	}
-	if len(pip) != len(wide) || len(pip) != len(prz) {
-		t.Fatalf("delivery counts disagree: pipelined %d, wide %d, prizma %d",
-			len(pip), len(wide), len(prz))
-	}
-	for seqn := range pip {
-		if _, ok := wide[seqn]; !ok {
-			t.Fatalf("wide lost cell %d", seqn)
+	var ref map[uint64]int64
+	for _, row := range integrationOrgs(t, n) {
+		got := deliverySet(t, row, events, cellTimes)
+		if ref == nil {
+			if ref = got; len(ref) == 0 {
+				t.Fatal("nothing delivered")
+			}
+			continue
 		}
-		if _, ok := prz[seqn]; !ok {
-			t.Fatalf("prizma lost cell %d", seqn)
+		if len(got) != len(ref) {
+			t.Fatalf("delivery counts disagree: pipelined %d, %s %d", len(ref), row.name, len(got))
+		}
+		for seqn := range ref {
+			if _, ok := got[seqn]; !ok {
+				t.Fatalf("%s lost cell %d", row.name, seqn)
+			}
 		}
 	}
 }
@@ -159,14 +144,14 @@ func TestOrganizationsLatencyOrdering(t *testing.T) {
 		}
 		return s / float64(len(m))
 	}
-	pip := mean(deliverySet(t, "pipelined", n, events, cellTimes))
-	wide := mean(deliverySet(t, "wide", n, events, cellTimes))
-	prz := mean(deliverySet(t, "prizma", n, events, cellTimes))
-	k := float64(2 * n)
-	if pip >= wide-k/2 {
-		t.Fatalf("pipelined CT (%.1f) not clearly below wide SF (%.1f)", pip, wide)
-	}
-	if pip >= prz-k/2 {
-		t.Fatalf("pipelined CT (%.1f) not clearly below prizma SF (%.1f)", pip, prz)
+	var pip float64
+	for _, row := range integrationOrgs(t, n) {
+		got := mean(deliverySet(t, row, events, cellTimes))
+		if row.name == "pipelined" {
+			pip = got
+		}
+		if k := float64(row.org.Geometry().CellWords); row.storeAndForward && pip >= got-k/2 {
+			t.Fatalf("pipelined CT (%.1f) not clearly below %s SF (%.1f)", pip, row.name, got)
+		}
 	}
 }

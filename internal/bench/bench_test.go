@@ -77,13 +77,6 @@ func TestSweepDeterministic(t *testing.T) {
 			Cycles:  2000,
 		})
 	}
-	pts = append(pts, Point{
-		Label:   "dual",
-		Config:  core.Config{Ports: 4, WordBits: 16, Cells: 32, CutThrough: true},
-		Dual:    true,
-		Traffic: traffic.Config{Kind: traffic.Bernoulli, N: 4, Load: 0.8, Seed: 9},
-		Cycles:  2000,
-	})
 	serial, err := Sweep(1, pts)
 	if err != nil {
 		t.Fatal(err)

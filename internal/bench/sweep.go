@@ -15,18 +15,14 @@ import (
 type Point struct {
 	// Label names the point in reports ("8x8 load=0.9 seed=3").
 	Label string
-	// Config is the switch configuration; Dual selects the §3.5
-	// half-quantum organization instead of the full-quantum switch.
+	// Config is the switch configuration.
 	Config core.Config
-	Dual   bool
 	// Traffic drives the switch for Cycles cycles (plus the drain tail).
 	Traffic traffic.Config
 	Cycles  int64
 	// Policy optionally names a shared-buffer admission policy (a
 	// bufmgr.Parse spec such as "dt:alpha=2"). Empty keeps the default
-	// complete-sharing-by-backpressure behavior. Policies are a
-	// full-quantum switch feature; combining Policy with Dual is an
-	// error.
+	// complete-sharing-by-backpressure behavior.
 	Policy string
 }
 
@@ -38,25 +34,6 @@ type Result struct {
 
 // RunPoint simulates one point to completion.
 func RunPoint(p Point) (Result, error) {
-	stages := func(cfg core.Config) int { return cfg.Canonical().Stages }
-	if p.Dual {
-		if p.Policy != "" {
-			return Result{}, fmt.Errorf("%s: buffer policy %q not supported by the dual organization", p.Label, p.Policy)
-		}
-		d, err := core.NewDual(p.Config)
-		if err != nil {
-			return Result{}, fmt.Errorf("%s: %w", p.Label, err)
-		}
-		cs, err := traffic.NewCellStream(p.Traffic, d.Config().Stages)
-		if err != nil {
-			return Result{}, fmt.Errorf("%s: %w", p.Label, err)
-		}
-		run, err := core.RunDualTraffic(d, cs, p.Cycles)
-		if err != nil {
-			return Result{}, fmt.Errorf("%s: %w", p.Label, err)
-		}
-		return Result{Point: p, Run: run}, nil
-	}
 	s, err := core.New(p.Config)
 	if err != nil {
 		return Result{}, fmt.Errorf("%s: %w", p.Label, err)
@@ -68,7 +45,7 @@ func RunPoint(p Point) (Result, error) {
 		}
 		s.SetBufferPolicy(pol)
 	}
-	cs, err := traffic.NewCellStream(p.Traffic, stages(p.Config))
+	cs, err := traffic.NewCellStream(p.Traffic, s.Config().Stages)
 	if err != nil {
 		return Result{}, fmt.Errorf("%s: %w", p.Label, err)
 	}

@@ -123,9 +123,13 @@ func badConfigCases(dir string) []badCase {
 		// pmrtl: organization/model/config errors.
 		{"pmrtl/unknown-org", "pmrtl", "", []string{"-org", "torus"}, "unknown organization"},
 		{"pmrtl/unknown-model", "pmrtl", "", []string{"-model", "t9"}, "unknown model"},
-		{"pmrtl/bufpolicy-nonpipelined", "pmrtl", "", []string{"-org", "wide", "-bufpolicy", "share"}, "pipelined organization"},
 		{"pmrtl/bad-ports", "pmrtl", "", []string{"-n", "0", "-cycles", "10"}, "ports"},
-		{"pmrtl/dual-vcs", "pmrtl", "", []string{"-dual", "-n", "4", "-vcs", "3"}, "no virtual channels"},
+		{"pmrtl/dual-vcs", "pmrtl", "", []string{"-org", "dual", "-n", "4", "-vcs", "3"}, "no virtual channels"},
+		// pmrtl: a flag the chosen organization ignores is refused.
+		{"pmrtl/bufpolicy-nonpipelined", "pmrtl", "", []string{"-org", "wide", "-bufpolicy", "share"}, "does not implement -bufpolicy"},
+		{"pmrtl/wide-vcs", "pmrtl", "", []string{"-org", "wide", "-vcs", "3"}, "does not implement -vcs"},
+		{"pmrtl/wide-trace", "pmrtl", "", []string{"-org", "wide", "-trace"}, "does not implement -trace"},
+		{"pmrtl/prizma-vcd", "pmrtl", "", []string{"-org", "prizma", "-vcd", "x.vcd"}, "does not implement -vcd"},
 
 		// pmsim: -sweep is obeyed (slot-level archs, -arch rtl) or refused,
 		// never dropped by a single-point harness.
@@ -290,6 +294,11 @@ func TestDocsNameNothingRetired(t *testing.T) {
 		// sources for it stays empty)
 		"fabric" + "Net", "fabric.Run", "fabric.Result", "clos.Run", "clos.Result",
 		"RunClos", "ClosNet", "ClosResult", "BadEjects", "PoolLens", "routeDigit", "midRR",
+		// PR 18: one contract, one Departure, one RunResult, one plain driver
+		// (driver names in two halves, as above)
+		"RunDual" + "Traffic", "RunWide" + "Traffic", "RunPrizma" + "Traffic",
+		"widemem.RunTraffic", "prizma.RunTraffic", "widemem.RunResult", "prizma.RunResult",
+		"widemem.Departure", "prizma.Departure", "ThroughMemory", "CapacityCells", "pmrtl -dual",
 	}
 	for _, doc := range liveDocs {
 		text, err := os.ReadFile(filepath.Join("../..", doc))

@@ -8,7 +8,6 @@ import (
 	"pipemem/internal/cell"
 	"pipemem/internal/fifo"
 	"pipemem/internal/stats"
-	"pipemem/internal/traffic"
 )
 
 // DualSwitch is the half-quantum organization of §3.5: an n×n switch whose
@@ -127,8 +126,27 @@ func NewDual(cfg Config) (*DualSwitch, error) {
 // Config returns the effective configuration (Stages = Ports).
 func (d *DualSwitch) Config() Config { return d.cfg }
 
+// Cycle returns the number of Ticks so far.
+func (d *DualSwitch) Cycle() int64 { return d.cycle }
+
 // Buffered returns cells resident in either bank's queues.
 func (d *DualSwitch) Buffered() int { return d.queues.Total() }
+
+// Resident counts cells buffered, awaiting a write wave, or leaving.
+func (d *DualSwitch) Resident() int { return d.Buffered() + d.pendingWrites + d.txActive }
+
+// DroppedCells returns the overruns, the dual switch's one loss mode.
+func (d *DualSwitch) DroppedCells() int64 { return d.counter.Get("drop-overrun") }
+
+// Geometry implements Organization: cells of n words, two banks of Cells.
+func (d *DualSwitch) Geometry() Geometry {
+	return Geometry{Ports: d.n, CellWords: d.k, WordBits: d.cfg.WordBits, Cells: 2 * d.cfg.Cells}
+}
+
+// Report implements Organization.
+func (d *DualSwitch) Report(res *RunResult) {
+	res.DropOverrun, res.MeanInitDelay = res.Dropped, d.initDelay.Mean()
+}
 
 // node packs (bank, addr) into a MultiQueue node index.
 func (d *DualSwitch) node(b, addr int) int    { return b*d.cfg.Cells + addr }
@@ -396,81 +414,4 @@ func (d *DualSwitch) deliver(o int, w cell.Word, c int64) {
 	if d.drive(o, w, c) {
 		d.depart(o, c)
 	}
-}
-
-// RunDualTraffic drives a DualSwitch as RunTraffic drives a Switch.
-func RunDualTraffic(d *DualSwitch, cs *traffic.CellStream, cycles int64) (RunResult, error) {
-	n, k := d.n, d.k
-	heads := make([]int, n)
-	hcells := make([]*cell.Cell, n)
-	pool := cell.NewPool(k)
-	d.SetDrainRecycle(true)
-	defer d.SetDrainRecycle(false)
-	var seq uint64
-	var res RunResult
-	busyWords := int64(0)
-	minLat := int64(-1)
-
-	collect := func() {
-		for _, dep := range d.Drain() {
-			res.Delivered++
-			busyWords += int64(k)
-			if !dep.Cell.Equal(dep.Expected) {
-				res.Corrupt++
-			}
-			lat := dep.HeadOut - dep.HeadIn
-			if minLat < 0 || lat < minLat {
-				minLat = lat
-			}
-			pool.Put(dep.Expected)
-		}
-		if b := d.Buffered(); b > res.MaxBuffered {
-			res.MaxBuffered = b
-		}
-	}
-
-	for c := int64(0); c < cycles; c++ {
-		cs.Heads(heads)
-		for i := range hcells {
-			hcells[i] = nil
-			if heads[i] != traffic.NoArrival {
-				seq++
-				hcells[i] = pool.New(seq, i, heads[i], d.cfg.WordBits)
-				res.Offered++
-			}
-		}
-		d.Tick(hcells)
-		collect()
-	}
-	drainBound := int64((2*d.cfg.Cells + 2) * k * 2)
-	total := cycles
-	for c := int64(0); c < drainBound && d.busy(); c++ {
-		d.Tick(nil)
-		collect()
-		total++
-	}
-	res.Cycles = d.cycle
-	res.Dropped = d.counter.Get("drop-overrun")
-	res.MeanCutLatency = d.cutLatency.Mean()
-	res.MinCutLatency = minLat
-	res.MeanInitDelay = d.initDelay.Mean()
-	res.CutLatencyOverflow = d.cutLatency.Overflow()
-	// As in RunTraffic: normalize by the full simulated span so drain-tail
-	// departures cannot push utilization past 1.0.
-	res.Utilization = float64(busyWords) / float64(total*int64(n))
-	pending := int64(d.Buffered() + d.pendingWrites + d.txActive)
-	if res.Delivered+res.Dropped+pending != res.Offered {
-		return res, fmt.Errorf("core: dual conservation violated: offered %d delivered %d dropped %d pending %d",
-			res.Offered, res.Delivered, res.Dropped, pending)
-	}
-	if res.Corrupt > 0 {
-		return res, fmt.Errorf("core: dual switch corrupted %d cells", res.Corrupt)
-	}
-	return res, nil
-}
-
-// busy reports a cell anywhere inside: buffered, awaiting its write wave,
-// or on an outgoing link.
-func (d *DualSwitch) busy() bool {
-	return d.Buffered() > 0 || d.pendingWrites > 0 || d.txActive > 0
 }

@@ -33,7 +33,7 @@ func dualDigest(t *testing.T, cfg Config, tc traffic.Config, cycles int) (sum ui
 			deps++
 		}
 	}
-	if d.busy() {
+	if d.Resident() > 0 {
 		t.Fatal("dual switch still busy after the drain tail")
 	}
 	return h.Sum64(), deps, d.Counters().Get("drop-overrun")

@@ -80,7 +80,7 @@ func TestDualFullRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDualTraffic(d, cs, 50_000)
+	res, err := Run(d, cs, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDualIntegrityRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunDualTraffic(d, cs, 20_000)
+		res, err := Run(d, cs, 20_000)
 		if err != nil {
 			t.Fatalf("load %v: %v", load, err)
 		}
@@ -186,7 +186,7 @@ func TestDualQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := RunDualTraffic(d, cs, 3_000)
+		res, err := Run(d, cs, 3_000)
 		return err == nil && res.Corrupt == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

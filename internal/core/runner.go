@@ -7,19 +7,21 @@ import (
 	"pipemem/internal/traffic"
 )
 
-// Runner is the step-wise form of RunTraffic: it drives a switch with a
-// cell stream one cycle per Step, holding every piece of loop-carried
-// driver state (sequence counter, partial tallies, drain progress) in
-// exported-able form. The checkpoint layer stops it between Steps,
-// snapshots switch + stream + RunnerState, and resumes a bit-identical run
-// later; callers that want the original all-at-once behavior use
-// RunTraffic, which is now a thin wrapper.
+// Runner is the step-wise form of Run for a *Switch: it drives the switch
+// with a cell stream one cycle per Step, recycling every cell, and holds
+// every piece of loop-carried driver state (sequence counter, partial
+// tallies, drain progress) in exported-able form. The checkpoint layer
+// stops it between Steps, snapshots switch + stream + RunnerState, and
+// resumes a bit-identical run later. It calls the concrete *Switch (its
+// per-cycle loop is the one the ledger measures) and shares tallies, drain
+// predicate and bound, result arithmetic and verdict with Run, whose
+// RunResult it must reproduce field for field.
 //
 // Phases: the driven window (cycles Ticks with traffic), then the drain
 // (Ticks without arrivals until the switch is empty or the drain bound is
 // hit), then done. Step reports false once the run is complete; Result
 // finishes the run (driving any remaining Steps) and computes the final
-// RunResult exactly as RunTraffic always has.
+// RunResult.
 type Runner struct {
 	s      *Switch
 	cs     *traffic.CellStream
@@ -37,22 +39,17 @@ type Runner struct {
 	// it; Result puts it back.
 	prevDrop func(c *cell.Cell, reusable bool)
 
-	phase     int
-	driven    int64
-	drained   int64
-	bound     int64
-	seq       uint64
-	minLat    int64
-	busyWords int64
-	occSum    float64
-	res       RunResult
+	phase   int
+	driven  int64
+	drained int64
+	bound   int64
+	seq     uint64
+	tally
 
 	// PreTick, when set, runs immediately before every Tick with the cycle
 	// the switch is about to execute — the seam the fault engine (and any
 	// other per-cycle actor) injects through.
 	PreTick func(cycle int64)
-
-	finished bool
 }
 
 // deadCell is a dropped cell waiting out the rest of its cell time.
@@ -82,10 +79,8 @@ func NewRunner(s *Switch, cs *traffic.CellStream, cycles int64) *Runner {
 		pool:   cell.NewPool(s.k),
 		heads:  make([]int, s.n),
 		hcells: make([]*cell.Cell, s.n),
-		minLat: -1,
-		// The drain bound covers the worst case of a full buffer funneled
-		// through one output.
-		bound: int64((s.cfg.Cells + 2) * s.k * 2),
+		tally:  tally{minLat: -1},
+		bound:  s.Geometry().DrainBound(),
 	}
 	s.SetDrainRecycle(true)
 	r.prevDrop = s.onDropCell
@@ -126,22 +121,12 @@ func (r *Runner) Switch() *Switch { return r.s }
 
 // collect books the departures of the last Tick and tracks occupancy.
 func (r *Runner) collect() {
-	for _, d := range r.s.Drain() {
-		r.res.Delivered++
-		r.busyWords += int64(r.s.k)
-		if !d.Cell.Equal(d.Expected) {
-			r.res.Corrupt++
-		}
-		lat := d.HeadOut - d.HeadIn
-		if r.minLat < 0 || lat < r.minLat {
-			r.minLat = lat
-		}
+	deps := r.s.Drain()
+	r.tally.collect(deps, r.s.Buffered())
+	for i := range deps {
 		// The injected cell has left the switch; reuse it for a later
 		// arrival (unicast only — every cell here is).
-		r.pool.Put(d.Expected)
-	}
-	if b := r.s.Buffered(); b > r.res.MaxBuffered {
-		r.res.MaxBuffered = b
+		r.pool.Put(deps[i].Expected)
 	}
 }
 
@@ -180,8 +165,7 @@ func (r *Runner) Step() bool {
 		}
 		return true
 	case runDrain:
-		if r.drained >= r.bound ||
-			!(r.s.Buffered() > 0 || r.s.pendingWrites > 0 || r.s.txActive > 0) {
+		if r.drained >= r.bound || r.s.Resident() == 0 {
 			r.phase = runDone
 			return false
 		}
@@ -207,50 +191,18 @@ func (r *Runner) Progress() int64 {
 }
 
 // finish fills the result fields computed once at the end of a run.
-func (r *Runner) finish() RunResult {
-	res := r.res
-	res.Cycles = r.s.cycle
-	r.s.SyncObserver() // final occupancy-gauge publish (decimated in Tick)
-	res.DropOverrun = r.s.counter.Get("drop-overrun")
-	res.DropPolicy = r.s.counter.Get("drop-policy")
-	res.DropPushOut = r.s.counter.Get("drop-pushout")
-	res.Dropped = r.s.DroppedCells()
-	res.InputStalls = append([]int64(nil), r.s.inStalls...)
-	res.InputDrops = append([]int64(nil), r.s.inDrops...)
-	res.OutputDrops = append([]int64(nil), r.s.outDrops...)
-	res.MeanCutLatency = r.s.cutLatency.Mean()
-	res.MinCutLatency = r.minLat
-	res.MeanInitDelay = r.s.initDelay.Mean()
-	res.CutLatencyOverflow = r.s.cutLatency.Overflow()
-	// Utilization normalizes by every simulated cycle of this run — driven
-	// window plus drain tail — so link activity during the drain cannot
-	// push the ratio past 1.0.
-	// (A run of no cycles at all used no link; 0/0 would be a NaN, which
-	// encoding/json refuses to marshal.)
-	if ticks := r.driven + r.drained; ticks > 0 {
-		res.Utilization = float64(r.busyWords) / float64(ticks*int64(r.s.n))
-	}
-	return res
-}
+func (r *Runner) finish() RunResult { return r.tally.finish(r.s, r.driven+r.drained) }
 
 // Result completes the run (stepping to the end if needed), restores the
-// switch's drain mode and drop hook, and returns the final RunResult with the same
-// conservation and integrity checks RunTraffic has always enforced.
+// switch's drain mode and drop hook, and returns the final RunResult with
+// Run's conservation and integrity verdict.
 func (r *Runner) Result() (RunResult, error) {
 	for r.Step() {
 	}
-	r.finished = true
 	r.s.SetDrainRecycle(false)
 	r.s.SetDropCellHook(r.prevDrop)
 	res := r.finish()
-	if res.Delivered+res.Dropped+int64(r.s.Resident()) != res.Offered {
-		return res, fmt.Errorf("core: conservation violated: offered %d, delivered %d, dropped %d, pending %d",
-			res.Offered, res.Delivered, res.Dropped, r.s.Resident())
-	}
-	if res.Corrupt > 0 {
-		return res, fmt.Errorf("core: %d corrupted cells", res.Corrupt)
-	}
-	return res, nil
+	return res, res.check(r.s.Resident())
 }
 
 // Partial returns the result of an aborted run — the tallies so far plus
@@ -275,7 +227,8 @@ type RunnerState struct {
 	Drained int64
 	Seq     uint64
 	MinLat  int64
-	// BusyWords feeds Utilization; OccSum feeds MeanBuffered.
+	// BusyWords is Delivered × cell words (kept for the pmckpt v1 format;
+	// Utilization is computed from Delivered). OccSum feeds MeanBuffered.
 	BusyWords int64
 	OccSum    float64
 	// Partial result tallies accumulated so far.
@@ -295,7 +248,7 @@ func (r *Runner) State() RunnerState {
 		Drained:      r.drained,
 		Seq:          r.seq,
 		MinLat:       r.minLat,
-		BusyWords:    r.busyWords,
+		BusyWords:    r.res.Delivered * int64(r.s.k),
 		OccSum:       r.occSum,
 		Offered:      r.res.Offered,
 		Delivered:    r.res.Delivered,
@@ -320,7 +273,6 @@ func (r *Runner) RestoreState(st RunnerState) error {
 	r.drained = st.Drained
 	r.seq = st.Seq
 	r.minLat = st.MinLat
-	r.busyWords = st.BusyWords
 	r.occSum = st.OccSum
 	r.res.Offered = st.Offered
 	r.res.Delivered = st.Delivered

@@ -24,9 +24,9 @@ import (
 	"fmt"
 
 	"pipemem/internal/cell"
+	"pipemem/internal/core"
 	"pipemem/internal/fifo"
 	"pipemem/internal/stats"
-	"pipemem/internal/traffic"
 )
 
 // Config parameterizes the interleaved switch.
@@ -66,23 +66,23 @@ func (c Config) Canonical() Config {
 	return c
 }
 
-// Validate reports whether the configuration is buildable.
+// Validate reports whether the configuration is buildable (ErrBadConfig).
 func (c Config) Validate() error {
 	c = c.Canonical()
 	if c.Ports < 1 {
-		return fmt.Errorf("prizma: ports = %d", c.Ports)
+		return fmt.Errorf("%w: prizma: ports = %d", core.ErrBadConfig, c.Ports)
 	}
 	if c.Banks < 2 {
-		return fmt.Errorf("prizma: %d banks", c.Banks)
+		return fmt.Errorf("%w: prizma: %d banks", core.ErrBadConfig, c.Banks)
 	}
 	if c.CellsPerBank < 1 {
-		return fmt.Errorf("prizma: %d cells per bank", c.CellsPerBank)
+		return fmt.Errorf("%w: prizma: %d cells per bank", core.ErrBadConfig, c.CellsPerBank)
 	}
 	if c.CellWords < 1 {
-		return fmt.Errorf("prizma: %d-word cells", c.CellWords)
+		return fmt.Errorf("%w: prizma: %d-word cells", core.ErrBadConfig, c.CellWords)
 	}
 	if c.WordBits < 1 || c.WordBits > 64 {
-		return fmt.Errorf("prizma: word width %d", c.WordBits)
+		return fmt.Errorf("%w: prizma: word width %d", core.ErrBadConfig, c.WordBits)
 	}
 	return nil
 }
@@ -116,17 +116,7 @@ type bank struct {
 	cur *stored
 }
 
-// Departure mirrors core.Departure.
-type Departure struct {
-	Cell            *cell.Cell
-	Expected        *cell.Cell
-	Output          int
-	HeadIn, HeadOut int64
-	TailOut         int64
-	Bank            int
-}
-
-// Switch is the interleaved (PRIZMA-style) shared-buffer switch.
+// Switch is the interleaved (PRIZMA-style) switch, a core.Organization.
 type Switch struct {
 	cfg  Config
 	n, k int
@@ -139,7 +129,7 @@ type Switch struct {
 	writing []*stored // per input: cell being streamed in, or nil
 	reading []*stored // per output: cell being streamed out, or nil
 
-	done    []Departure
+	done    []core.Departure
 	counter stats.Counter
 	cutLat  *stats.Hist
 }
@@ -184,8 +174,36 @@ func (s *Switch) Buffered() int {
 	return t
 }
 
+// Cycle returns the number of Ticks so far.
+func (s *Switch) Cycle() int64 { return s.cycle }
+
+// Resident counts cells streaming into a bank, queued, or streaming out.
+func (s *Switch) Resident() int {
+	r := s.Buffered()
+	for i := 0; i < s.n; i++ {
+		if s.writing[i] != nil {
+			r++
+		}
+		if s.reading[i] != nil {
+			r++
+		}
+	}
+	return r
+}
+
+// DroppedCells returns the arrivals that found no bank, the only loss mode.
+func (s *Switch) DroppedCells() int64 { return s.counter.Get("drop-nobank") }
+
+// Geometry implements core.Organization.
+func (s *Switch) Geometry() core.Geometry {
+	return core.Geometry{Ports: s.n, CellWords: s.k, WordBits: s.cfg.WordBits, Cells: s.cfg.Banks * s.cfg.CellsPerBank}
+}
+
+// Report implements core.Organization: the driver sees all PRIZMA measures.
+func (s *Switch) Report(*core.RunResult) {}
+
 // Drain returns departures since the last call.
-func (s *Switch) Drain() []Departure {
+func (s *Switch) Drain() []core.Departure {
 	d := s.done
 	s.done = nil
 	return d
@@ -194,9 +212,6 @@ func (s *Switch) Drain() []Departure {
 // RouterCrossbarPoints returns the crosspoint count of the input router,
 // ∝ n×M — the §5.3 cost term (the selector is symmetric).
 func (s *Switch) RouterCrossbarPoints() int { return s.n * s.cfg.Banks }
-
-// CapacityCells returns Banks × CellsPerBank.
-func (s *Switch) CapacityCells() int { return s.cfg.Banks * s.cfg.CellsPerBank }
 
 // pickBank selects an idle bank with spare depth for an arriving cell,
 // preferring emptier banks (spreads load and, with depth > 1, reduces
@@ -236,9 +251,9 @@ func (s *Switch) Tick(heads []*cell.Cell) {
 			bk.cur = nil
 			s.counter.Inc("delivered", 1)
 			s.cutLat.Add(st.start - st.head)
-			s.done = append(s.done, Departure{
+			s.done = append(s.done, core.Departure{
 				Cell: st.c.Clone(), Expected: st.c, Output: o,
-				HeadIn: st.head, HeadOut: st.start, TailOut: c, Bank: st.bank,
+				HeadIn: st.head, HeadOut: st.start, TailOut: c,
 			})
 			s.reading[o] = nil
 		}
@@ -313,87 +328,4 @@ func (s *Switch) Tick(heads []*cell.Cell) {
 	}
 
 	s.cycle++
-}
-
-// RunResult mirrors core.RunResult.
-type RunResult struct {
-	Cycles                      int64
-	Offered, Delivered, Dropped int64
-	Utilization                 float64
-	MeanLatency                 float64
-	MinLatency                  int64
-}
-
-// RunTraffic drives the switch with a cell stream, then drains.
-func RunTraffic(s *Switch, cs *traffic.CellStream, cycles int64) (RunResult, error) {
-	heads := make([]int, s.n)
-	hc := make([]*cell.Cell, s.n)
-	var seq uint64
-	var res RunResult
-	minLat := int64(-1)
-	busy := int64(0)
-	corrupt := 0
-	collect := func() {
-		for _, d := range s.Drain() {
-			res.Delivered++
-			busy += int64(s.k)
-			if !d.Cell.Equal(d.Expected) {
-				corrupt++
-			}
-			if lat := d.HeadOut - d.HeadIn; minLat < 0 || lat < minLat {
-				minLat = lat
-			}
-		}
-	}
-	for c := int64(0); c < cycles; c++ {
-		cs.Heads(heads)
-		for i := range hc {
-			hc[i] = nil
-			if heads[i] != traffic.NoArrival {
-				seq++
-				hc[i] = cell.New(seq, i, heads[i], s.k, s.cfg.WordBits)
-				res.Offered++
-			}
-		}
-		s.Tick(hc)
-		collect()
-	}
-	for c := 0; c < (s.CapacityCells()+4)*s.k*4 && s.busy(); c++ {
-		s.Tick(nil)
-		collect()
-	}
-	res.Cycles = s.cycle
-	res.Dropped = s.counter.Get("drop-nobank")
-	res.MeanLatency = s.cutLat.Mean()
-	res.MinLatency = minLat
-	res.Utilization = float64(busy) / float64(cycles*int64(s.n))
-	resident := int64(s.Buffered())
-	for i := 0; i < s.n; i++ {
-		if s.writing[i] != nil {
-			resident++
-		}
-		if s.reading[i] != nil {
-			resident++
-		}
-	}
-	if res.Delivered+res.Dropped+resident != res.Offered {
-		return res, fmt.Errorf("prizma: conservation violated: offered %d delivered %d dropped %d resident %d",
-			res.Offered, res.Delivered, res.Dropped, resident)
-	}
-	if corrupt > 0 {
-		return res, fmt.Errorf("prizma: %d corrupted cells", corrupt)
-	}
-	return res, nil
-}
-
-func (s *Switch) busy() bool {
-	if s.Buffered() > 0 {
-		return true
-	}
-	for i := 0; i < s.n; i++ {
-		if s.writing[i] != nil || s.reading[i] != nil {
-			return true
-		}
-	}
-	return false
 }

@@ -1,10 +1,12 @@
 package prizma
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"pipemem/internal/cell"
+	"pipemem/internal/core"
 	"pipemem/internal/traffic"
 )
 
@@ -35,8 +37,8 @@ func TestValidate(t *testing.T) {
 		{Ports: 4, Banks: 1},
 		{Ports: 4, WordBits: 70},
 	} {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+		if err := c.Validate(); !errors.Is(err, core.ErrBadConfig) {
+			t.Errorf("bad config %d: got %v, want ErrBadConfig", i, err)
 		}
 	}
 	// §5.3's worked example: Telegraphos III-sized PRIZMA has M = 256
@@ -80,7 +82,7 @@ func TestIntegrityAndConservation(t *testing.T) {
 			kind = traffic.Saturation
 		}
 		cs := stream(t, traffic.Config{Kind: kind, N: 4, Load: load, Seed: 3}, s.Config().CellWords)
-		res, err := RunTraffic(s, cs, 20_000)
+		res, err := core.Run(s, cs, 20_000)
 		if err != nil {
 			t.Fatalf("load %v: %v", load, err)
 		}
@@ -95,7 +97,7 @@ func TestIntegrityAndConservation(t *testing.T) {
 func TestFullLoadPermutation(t *testing.T) {
 	s := mustSwitch(t, Config{Ports: 4, Banks: 64, WordBits: 16})
 	cs := stream(t, traffic.Config{Kind: traffic.Permutation, N: 4, Load: 1, Seed: 7}, s.Config().CellWords)
-	res, err := RunTraffic(s, cs, 40_000)
+	res, err := core.Run(s, cs, 40_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestFullLoadPermutation(t *testing.T) {
 func TestBankExhaustion(t *testing.T) {
 	s := mustSwitch(t, Config{Ports: 4, Banks: 4, WordBits: 16})
 	cs := stream(t, traffic.Config{Kind: traffic.Saturation, N: 4, Seed: 9}, s.Config().CellWords)
-	res, err := RunTraffic(s, cs, 20_000)
+	res, err := core.Run(s, cs, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, err = RunTraffic(s, cs, 3_000)
+		_, err = core.Run(s, cs, 3_000)
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -152,11 +154,11 @@ func TestDeepBanksReduceCrossbarButHurtPerformance(t *testing.T) {
 	const ports = 4
 	run := func(banks, depth int) (thr float64, crosspoints int) {
 		s := mustSwitch(t, Config{Ports: ports, Banks: banks, CellsPerBank: depth, WordBits: 16})
-		if s.CapacityCells() != 32 {
-			t.Fatalf("capacity %d, want equal totals", s.CapacityCells())
+		if got := s.Geometry().Cells; got != 32 {
+			t.Fatalf("capacity %d, want equal totals", got)
 		}
 		cs := stream(t, traffic.Config{Kind: traffic.Saturation, N: ports, Seed: 17}, s.Config().CellWords)
-		res, err := RunTraffic(s, cs, 60_000)
+		res, err := core.Run(s, cs, 60_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,11 +178,11 @@ func TestDeepBanksReduceCrossbarButHurtPerformance(t *testing.T) {
 }
 
 // TestDeepBankIntegrity: depth > 1 still delivers every accepted cell
-// intact (RunTraffic checks conservation and payloads).
+// intact (core.Run checks conservation and payloads).
 func TestDeepBankIntegrity(t *testing.T) {
 	s := mustSwitch(t, Config{Ports: 4, Banks: 8, CellsPerBank: 4, WordBits: 16})
 	cs := stream(t, traffic.Config{Kind: traffic.Bernoulli, N: 4, Load: 0.6, Seed: 19}, s.Config().CellWords)
-	res, err := RunTraffic(s, cs, 30_000)
+	res, err := core.Run(s, cs, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,9 @@ import (
 	"fmt"
 
 	"pipemem/internal/cell"
+	"pipemem/internal/core"
 	"pipemem/internal/fifo"
 	"pipemem/internal/stats"
-	"pipemem/internal/traffic"
 )
 
 // Config parameterizes the wide-memory switch.
@@ -58,23 +58,23 @@ func (c Config) Canonical() Config {
 	return c
 }
 
-// Validate reports whether the configuration is buildable.
+// Validate reports whether the configuration is buildable (ErrBadConfig).
 func (c Config) Validate() error {
 	c = c.Canonical()
 	if c.Ports < 1 {
-		return fmt.Errorf("widemem: ports = %d", c.Ports)
+		return fmt.Errorf("%w: widemem: ports = %d", core.ErrBadConfig, c.Ports)
 	}
 	if c.CellWords < 2 {
-		return fmt.Errorf("widemem: cell of %d words", c.CellWords)
+		return fmt.Errorf("%w: widemem: cell of %d words", core.ErrBadConfig, c.CellWords)
 	}
 	if c.WordBits < 1 || c.WordBits > 64 {
-		return fmt.Errorf("widemem: word width %d", c.WordBits)
+		return fmt.Errorf("%w: widemem: word width %d", core.ErrBadConfig, c.WordBits)
 	}
 	if c.Cells < 1 {
-		return fmt.Errorf("widemem: capacity %d", c.Cells)
+		return fmt.Errorf("%w: widemem: capacity %d", core.ErrBadConfig, c.Cells)
 	}
 	if c.CellWords < 2*c.Ports {
-		return fmt.Errorf("widemem: %d-word cells < 2×%d ports: one access per cell time per port cannot keep up", c.CellWords, c.Ports)
+		return fmt.Errorf("%w: widemem: %d-word cells < 2×%d ports: one access per cell time per port cannot keep up", core.ErrBadConfig, c.CellWords, c.Ports)
 	}
 	return nil
 }
@@ -114,17 +114,7 @@ type transmitting struct {
 	direct bool
 }
 
-// Departure mirrors core.Departure for the wide-memory model.
-type Departure struct {
-	Cell            *cell.Cell
-	Expected        *cell.Cell
-	Output          int
-	HeadIn, HeadOut int64
-	TailOut         int64
-	ThroughMemory   bool // false for cut-through-crossbar departures
-}
-
-// Switch is the wide-memory shared-buffer switch.
+// Switch is the wide-memory shared-buffer switch, a core.Organization.
 type Switch struct {
 	cfg  Config
 	n, k int
@@ -144,7 +134,7 @@ type Switch struct {
 	readRR  int
 	writeRR int
 
-	done    []Departure
+	done    []core.Departure
 	counter stats.Counter
 	cutLat  *stats.Hist
 }
@@ -181,11 +171,42 @@ func (s *Switch) Counters() *stats.Counter { return &s.counter }
 // CutLatency returns the head-in→head-out histogram.
 func (s *Switch) CutLatency() *stats.Hist { return s.cutLat }
 
+// Cycle returns the number of Ticks so far.
+func (s *Switch) Cycle() int64 { return s.cycle }
+
 // Buffered returns cells in the wide memory queues.
 func (s *Switch) Buffered() int { return s.queues.Total() }
 
+// Resident counts cells assembling, staged, stored, or streaming out.
+func (s *Switch) Resident() int {
+	r := s.Buffered()
+	for i := 0; i < s.n; i++ {
+		if s.row1[i] != nil && s.row1[i].c != nil {
+			r++
+		}
+		if s.row2[i] != nil {
+			r++
+		}
+		if s.outRow[i] != nil {
+			r++
+		}
+	}
+	return r
+}
+
+// DroppedCells returns the double-buffering overruns, the only loss mode.
+func (s *Switch) DroppedCells() int64 { return s.counter.Get("drop-overrun") }
+
+// Geometry implements core.Organization.
+func (s *Switch) Geometry() core.Geometry {
+	return core.Geometry{Ports: s.n, CellWords: s.k, WordBits: s.cfg.WordBits, Cells: s.cfg.Cells}
+}
+
+// Report implements core.Organization.
+func (s *Switch) Report(res *core.RunResult) { res.DropOverrun = res.Dropped }
+
 // Drain returns departures since the last call.
-func (s *Switch) Drain() []Departure {
+func (s *Switch) Drain() []core.Departure {
 	d := s.done
 	s.done = nil
 	return d
@@ -342,93 +363,8 @@ func (s *Switch) tryWrite(c int64) bool {
 func (s *Switch) complete(o int, tr *transmitting, c int64) {
 	s.counter.Inc("delivered", 1)
 	s.cutLat.Add(tr.start - tr.head)
-	s.done = append(s.done, Departure{
+	s.done = append(s.done, core.Departure{
 		Cell: tr.c.Clone(), Expected: tr.c, Output: o,
 		HeadIn: tr.head, HeadOut: tr.start, TailOut: c,
-		ThroughMemory: !tr.direct,
 	})
-}
-
-// RunResult mirrors core.RunResult.
-type RunResult struct {
-	Cycles                      int64
-	Offered, Delivered, Dropped int64
-	CutThroughs                 int64
-	Utilization                 float64
-	MeanCutLatency              float64
-	MinCutLatency               int64
-}
-
-// RunTraffic drives the switch with a cell stream, then drains.
-func RunTraffic(s *Switch, cs *traffic.CellStream, cycles int64) (RunResult, error) {
-	heads := make([]int, s.n)
-	hc := make([]*cell.Cell, s.n)
-	var seq uint64
-	var res RunResult
-	minLat := int64(-1)
-	busy := int64(0)
-	collect := func() {
-		for _, d := range s.Drain() {
-			res.Delivered++
-			busy += int64(s.k)
-			if !d.Cell.Equal(d.Expected) {
-				return
-			}
-			if lat := d.HeadOut - d.HeadIn; minLat < 0 || lat < minLat {
-				minLat = lat
-			}
-		}
-	}
-	for c := int64(0); c < cycles; c++ {
-		cs.Heads(heads)
-		for i := range hc {
-			hc[i] = nil
-			if heads[i] != traffic.NoArrival {
-				seq++
-				hc[i] = cell.New(seq, i, heads[i], s.k, s.cfg.WordBits)
-				res.Offered++
-			}
-		}
-		s.Tick(hc)
-		collect()
-	}
-	for c := 0; c < (s.cfg.Cells+4)*s.k*2 && s.busy(); c++ {
-		s.Tick(nil)
-		collect()
-	}
-	res.Cycles = s.cycle
-	res.Dropped = s.counter.Get("drop-overrun")
-	res.CutThroughs = s.counter.Get("cutthrough")
-	res.MeanCutLatency = s.cutLat.Mean()
-	res.MinCutLatency = minLat
-	res.Utilization = float64(busy) / float64(cycles*int64(s.n))
-	resident := int64(s.Buffered())
-	for i := 0; i < s.n; i++ {
-		if s.row1[i] != nil && s.row1[i].c != nil {
-			resident++
-		}
-		if s.row2[i] != nil {
-			resident++
-		}
-		if s.outRow[i] != nil {
-			resident++
-		}
-	}
-	if res.Delivered+res.Dropped+resident != res.Offered {
-		return res, fmt.Errorf("widemem: conservation violated: offered %d delivered %d dropped %d resident %d",
-			res.Offered, res.Delivered, res.Dropped, resident)
-	}
-	return res, nil
-}
-
-func (s *Switch) busy() bool {
-	if s.Buffered() > 0 {
-		return true
-	}
-	for i := 0; i < s.n; i++ {
-		if (s.row1[i] != nil && s.row1[i].c != nil) || s.row2[i] != nil || s.outRow[i] != nil {
-			return true
-		}
-	}
-	return false
 }

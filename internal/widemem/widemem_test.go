@@ -1,10 +1,12 @@
 package widemem
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"pipemem/internal/cell"
+	"pipemem/internal/core"
 	"pipemem/internal/traffic"
 )
 
@@ -35,8 +37,8 @@ func TestValidate(t *testing.T) {
 		{Ports: 4, CellWords: 4}, // < 2n
 		{Ports: 4, WordBits: 99},
 	} {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+		if err := c.Validate(); !errors.Is(err, core.ErrBadConfig) {
+			t.Errorf("bad config %d: got %v, want ErrBadConfig", i, err)
 		}
 	}
 }
@@ -62,7 +64,7 @@ func TestStoreAndForwardTiming(t *testing.T) {
 	if !d.Cell.Equal(c) {
 		t.Fatal("cell corrupted")
 	}
-	if !d.ThroughMemory {
+	if s.Counters().Get("cutthrough") != 0 {
 		t.Fatal("departure bypassed memory without a crossbar")
 	}
 	// Assembled end of cycle K-1, staged ready K, written at K, read at
@@ -88,7 +90,7 @@ func TestCutThroughCrossbar(t *testing.T) {
 		t.Fatalf("%d departures, want 1", len(deps))
 	}
 	d := deps[0]
-	if d.ThroughMemory {
+	if s.Counters().Get("cutthrough") != 1 {
 		t.Fatal("idle-output cell did not use the bypass")
 	}
 	if !d.Cell.Equal(c) {
@@ -109,7 +111,7 @@ func TestIntegrityAndConservation(t *testing.T) {
 				kind = traffic.Saturation
 			}
 			cs := stream(t, traffic.Config{Kind: kind, N: 4, Load: load, Seed: 3}, s.Config().CellWords)
-			res, err := RunTraffic(s, cs, 20_000)
+			res, err := core.Run(s, cs, 20_000)
 			if err != nil {
 				t.Fatalf("ct=%v load=%v: %v", ct, load, err)
 			}
@@ -126,7 +128,7 @@ func TestIntegrityAndConservation(t *testing.T) {
 func TestFullLoadPermutation(t *testing.T) {
 	s := mustSwitch(t, Config{Ports: 4, WordBits: 16, Cells: 64})
 	cs := stream(t, traffic.Config{Kind: traffic.Permutation, N: 4, Load: 1, Seed: 9}, s.Config().CellWords)
-	res, err := RunTraffic(s, cs, 40_000)
+	res, err := core.Run(s, cs, 40_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestDoubleBufferingNeeded(t *testing.T) {
 	// assembly; zero overruns proves the staging row absorbs the wait.
 	s := mustSwitch(t, Config{Ports: 2, WordBits: 16, Cells: 32})
 	cs := stream(t, traffic.Config{Kind: traffic.Permutation, N: 2, Load: 1, Seed: 11}, s.Config().CellWords)
-	res, err := RunTraffic(s, cs, 10_000)
+	res, err := core.Run(s, cs, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, err = RunTraffic(s, cs, 3_000)
+		_, err = core.Run(s, cs, 3_000)
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -1,10 +1,10 @@
 package pipemem
 
-// Golden pins for the three memory organizations that are not core.Switch
-// — the §3.5 half-quantum pair, the fig. 3 wide memory (bypass crossbar on
-// and off) and PRIZMA (64×1 and 16×4 banks) — so that moving their
-// departure type, result type and run driver cannot move a departure or a
-// reported number unnoticed.
+// Tests of the Organization contract over the four memory organizations:
+// golden pins for the three that are not core.Switch, the per-cycle
+// obligations (conservation after every Tick, integrity of every
+// departure, a drain that empties within the bound) under generated and
+// fuzzed head schedules, and utilization as Run defines it.
 
 import (
 	"fmt"
@@ -13,101 +13,23 @@ import (
 	"testing"
 )
 
-// goldenRun is what the run drivers report, reduced to what the three
-// result types have in common. utilCycles is the denominator the driver
-// normalized Utilization by, so busy words = util × utilCycles × n.
-type goldenRun struct {
-	cycles, offered, delivered, dropped int64
-	meanLat                             float64
-	minLat                              int64
-	util                                float64
-	utilCycles                          int64
-}
-
-// goldenOrg is one built organization: hand-driven through tick and drain
-// for the per-departure digest, or handed to its run driver.
-type goldenOrg struct {
-	tick       func([]*Cell)
-	drain      func() []Departure
-	run        func(cs *CellStream, cycles int64) (goldenRun, error)
-	cutthrough func() int64
-}
-
-func goldenDual(ct bool) func() (goldenOrg, error) {
-	return func() (goldenOrg, error) {
-		d, err := NewDual(Config{Ports: 8, WordBits: 16, Cells: 32, CutThrough: ct})
-		if err != nil {
-			return goldenOrg{}, err
+// headCells turns one cycle's Heads vector into the cells Tick takes,
+// reusing hc and numbering the cells on from *seq.
+func headCells(heads []int, hc []*Cell, seq *uint64, g Geometry) []*Cell {
+	for i, dst := range heads {
+		hc[i] = nil
+		if dst != NoArrival {
+			*seq++
+			hc[i] = NewCell(*seq, i, dst, g.CellWords, g.WordBits)
 		}
-		return goldenOrg{
-			tick: d.Tick, drain: d.Drain,
-			run: func(cs *CellStream, cycles int64) (goldenRun, error) {
-				r, err := RunDualTraffic(d, cs, cycles)
-				return goldenRun{r.Cycles, r.Offered, r.Delivered, r.Dropped,
-					r.MeanCutLatency, r.MinCutLatency, r.Utilization, r.Cycles}, err
-			},
-			cutthrough: func() int64 { return 0 },
-		}, nil
 	}
-}
-
-func goldenWide(crossbar bool) func() (goldenOrg, error) {
-	return func() (goldenOrg, error) {
-		s, err := NewWide(WideConfig{Ports: 8, WordBits: 16, Cells: 64, CutThroughCrossbar: crossbar})
-		if err != nil {
-			return goldenOrg{}, err
-		}
-		return goldenOrg{
-			tick: s.Tick,
-			drain: func() []Departure {
-				var out []Departure
-				for _, d := range s.Drain() {
-					out = append(out, Departure{Cell: d.Cell, Expected: d.Expected, Output: d.Output,
-						HeadIn: d.HeadIn, HeadOut: d.HeadOut, TailOut: d.TailOut})
-				}
-				return out
-			},
-			run: func(cs *CellStream, cycles int64) (goldenRun, error) {
-				r, err := RunWideTraffic(s, cs, cycles)
-				return goldenRun{r.Cycles, r.Offered, r.Delivered, r.Dropped,
-					r.MeanCutLatency, r.MinCutLatency, r.Utilization, cycles}, err
-			},
-			cutthrough: func() int64 { return s.Counters().Get("cutthrough") },
-		}, nil
-	}
-}
-
-func goldenPrizma(banks, depth int) func() (goldenOrg, error) {
-	return func() (goldenOrg, error) {
-		s, err := NewPrizma(PrizmaConfig{Ports: 8, Banks: banks, CellsPerBank: depth, WordBits: 16})
-		if err != nil {
-			return goldenOrg{}, err
-		}
-		return goldenOrg{
-			tick: s.Tick,
-			drain: func() []Departure {
-				var out []Departure
-				for _, d := range s.Drain() {
-					out = append(out, Departure{Cell: d.Cell, Expected: d.Expected, Output: d.Output,
-						HeadIn: d.HeadIn, HeadOut: d.HeadOut, TailOut: d.TailOut})
-				}
-				return out
-			},
-			run: func(cs *CellStream, cycles int64) (goldenRun, error) {
-				r, err := RunPrizmaTraffic(s, cs, cycles)
-				return goldenRun{r.Cycles, r.Offered, r.Delivered, r.Dropped,
-					r.MeanLatency, r.MinLatency, r.Utilization, cycles}, err
-			},
-			cutthrough: func() int64 { return 0 },
-		}, nil
-	}
+	return hc
 }
 
 // orgPin is one golden row: the FNV-1a digest over every departure of a
 // hand-driven run in completion order (sequence number, output, head-in,
 // head-out, tail-out) with the departure count beside it so a digest
-// cannot match vacuously, and what the run driver reports for the same
-// traffic.
+// cannot match vacuously, and what Run reports for the same traffic.
 type orgPin struct {
 	digest                              uint64
 	deps                                int
@@ -117,7 +39,10 @@ type orgPin struct {
 }
 
 // TestOrganizationsGolden pins dual, wide and PRIZMA at n = 8 with 64 cells
-// of buffer under permutation, Bernoulli 0.8 and saturation traffic.
+// of buffer under permutation, Bernoulli 0.8 and saturation traffic. The
+// table was recorded from the three drivers Run replaced; busy words are
+// Utilization × Cycles × n, the one definition Run has (the wide and PRIZMA
+// drivers used to divide by the driven window alone).
 func TestOrganizationsGolden(t *testing.T) {
 	const n, cycles = 8, 2000
 	golden := map[string]orgPin{
@@ -142,15 +67,26 @@ func TestOrganizationsGolden(t *testing.T) {
 	}
 	orgs := []struct {
 		name  string
-		k     int
-		build func() (goldenOrg, error)
+		build func() Organization
 	}{
-		{"dual/ct", n, goldenDual(true)},
-		{"dual/sf", n, goldenDual(false)},
-		{"wide/crossbar", 2 * n, goldenWide(true)},
-		{"wide/sf", 2 * n, goldenWide(false)},
-		{"prizma/64x1", 2 * n, goldenPrizma(64, 1)},
-		{"prizma/16x4", 2 * n, goldenPrizma(16, 4)},
+		{"dual/ct", func() Organization {
+			return must[*DualSwitch](t)(NewDual(Config{Ports: n, WordBits: 16, Cells: 32, CutThrough: true}))
+		}},
+		{"dual/sf", func() Organization {
+			return must[*DualSwitch](t)(NewDual(Config{Ports: n, WordBits: 16, Cells: 32}))
+		}},
+		{"wide/crossbar", func() Organization {
+			return must[*WideSwitch](t)(NewWide(WideConfig{Ports: n, WordBits: 16, Cells: 64, CutThroughCrossbar: true}))
+		}},
+		{"wide/sf", func() Organization {
+			return must[*WideSwitch](t)(NewWide(WideConfig{Ports: n, WordBits: 16, Cells: 64}))
+		}},
+		{"prizma/64x1", func() Organization {
+			return must[*PrizmaSwitch](t)(NewPrizma(PrizmaConfig{Ports: n, Banks: 64, CellsPerBank: 1, WordBits: 16}))
+		}},
+		{"prizma/16x4", func() Organization {
+			return must[*PrizmaSwitch](t)(NewPrizma(PrizmaConfig{Ports: n, Banks: 16, CellsPerBank: 4, WordBits: 16}))
+		}},
 	}
 	kinds := []struct {
 		name string
@@ -168,33 +104,22 @@ func TestOrganizationsGolden(t *testing.T) {
 
 				// Hand-driven: the traffic window, then an idle tail long
 				// enough to empty any of the six.
-				org, err := o.build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cs, err := NewCellStream(kind.tc, o.k)
-				if err != nil {
-					t.Fatal(err)
-				}
+				org := o.build()
+				g := org.Geometry()
+				k := g.CellWords
+				cs := must[*CellStream](t)(NewCellStream(kind.tc, k))
 				h := fnv.New64a()
 				heads := make([]int, n)
 				hc := make([]*Cell, n)
 				var seq uint64
-				for c := 0; c < cycles+8*o.k*64; c++ {
+				for c := 0; c < cycles+8*k*64; c++ {
 					var in []*Cell
 					if c < cycles {
 						cs.Heads(heads)
-						for i := range hc {
-							hc[i] = nil
-							if heads[i] != NoArrival {
-								seq++
-								hc[i] = NewCell(seq, i, heads[i], o.k, 16)
-							}
-						}
-						in = hc
+						in = headCells(heads, hc, &seq, g)
 					}
-					org.tick(in)
-					for _, d := range org.drain() {
+					org.Tick(in)
+					for _, d := range org.Drain() {
 						if !d.Cell.Equal(d.Expected) {
 							t.Fatalf("cycle %d: cell %d corrupted on output %d", c, d.Expected.Seq, d.Output)
 						}
@@ -205,26 +130,23 @@ func TestOrganizationsGolden(t *testing.T) {
 				}
 				got.digest = h.Sum64()
 
-				// Through the run driver, on a fresh instance and stream.
-				if org, err = o.build(); err != nil {
-					t.Fatal(err)
-				}
-				if cs, err = NewCellStream(kind.tc, o.k); err != nil {
-					t.Fatal(err)
-				}
-				r, err := org.run(cs, cycles)
+				// Through Run, on a fresh instance and stream.
+				org = o.build()
+				r, err := Run(org, must[*CellStream](t)(NewCellStream(kind.tc, k)), cycles)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got.cycles, got.offered, got.delivered, got.dropped = r.cycles, r.offered, r.delivered, r.dropped
-				got.meanLat, got.minLat = fmt.Sprintf("%.4f", r.meanLat), r.minLat
-				got.cutthrough = org.cutthrough()
-				got.busyWords = int64(math.Round(r.util * float64(r.utilCycles*n)))
-				if got.busyWords != r.delivered*int64(o.k) {
-					t.Errorf("busy words %d, but %d cells of %d words were delivered", got.busyWords, r.delivered, o.k)
+				got.cycles, got.offered, got.delivered, got.dropped = r.Cycles, r.Offered, r.Delivered, r.Dropped
+				got.meanLat, got.minLat = fmt.Sprintf("%.4f", r.MeanCutLatency), r.MinCutLatency
+				if w, ok := org.(*WideSwitch); ok {
+					got.cutthrough = w.Counters().Get("cutthrough")
 				}
-				if int64(got.deps) != r.delivered {
-					t.Errorf("hand-driven run delivered %d cells, the driver %d", got.deps, r.delivered)
+				got.busyWords = int64(math.Round(r.Utilization * float64(r.Cycles*n)))
+				if got.busyWords != r.Delivered*int64(k) {
+					t.Errorf("busy words %d, but %d cells of %d words were delivered", got.busyWords, r.Delivered, k)
+				}
+				if int64(got.deps) != r.Delivered {
+					t.Errorf("hand-driven run delivered %d cells, Run %d", got.deps, r.Delivered)
 				}
 
 				if got != golden[name] {
@@ -235,4 +157,152 @@ func TestOrganizationsGolden(t *testing.T) {
 			})
 		}
 	}
+}
+
+// smallOrgs builds the four organizations behind n links with so little
+// buffer (8 cells) that saturation overruns every one of them; the
+// pipelined switch comes a second time behind pipelined links (§4.3).
+func smallOrgs(t testing.TB, n int) []orgRow {
+	t.Helper()
+	return []orgRow{
+		{"pipelined", false, must[*Switch](t)(New(Config{Ports: n, WordBits: 16, Cells: 8, CutThrough: true}))},
+		{"pipelined/linkpipe", false, must[*Switch](t)(New(Config{Ports: n, WordBits: 16, Cells: 8, CutThrough: true, LinkPipeline: 2}))},
+		{"dual", false, must[*DualSwitch](t)(NewDual(Config{Ports: n, WordBits: 16, Cells: 4, CutThrough: true}))},
+		{"wide", false, must[*WideSwitch](t)(NewWide(WideConfig{Ports: n, WordBits: 16, Cells: 8, CutThroughCrossbar: true}))},
+		{"prizma", true, must[*PrizmaSwitch](t)(NewPrizma(PrizmaConfig{Ports: n, Banks: 4, CellsPerBank: 2, WordBits: 16}))},
+	}
+}
+
+// contractLedger checks an organization against the contract cycle by
+// cycle, counting what went in and what came out.
+type contractLedger struct {
+	org                Organization
+	offered, delivered int64
+}
+
+// tick advances one cycle and checks the per-cycle obligations: every
+// departure intact, and offered == delivered + dropped + Resident().
+func (l *contractLedger) tick(t testing.TB, heads []*Cell) {
+	t.Helper()
+	for _, h := range heads {
+		if h != nil {
+			l.offered++
+		}
+	}
+	l.org.Tick(heads)
+	for _, d := range l.org.Drain() {
+		if !d.Cell.Equal(d.Expected) {
+			t.Fatalf("cycle %d: cell %d corrupted on output %d", l.org.Cycle(), d.Expected.Seq, d.Output)
+		}
+		l.delivered++
+	}
+	dropped, resident := l.org.DroppedCells(), int64(l.org.Resident())
+	if l.delivered+dropped+resident != l.offered {
+		t.Fatalf("cycle %d: offered %d != delivered %d + dropped %d + resident %d",
+			l.org.Cycle(), l.offered, l.delivered, dropped, resident)
+	}
+}
+
+// drain ticks without arrivals until the organization is empty, which must
+// happen within the bound its geometry promises.
+func (l *contractLedger) drain(t testing.TB) {
+	t.Helper()
+	for bound := l.org.Geometry().DrainBound(); l.org.Resident() > 0; bound-- {
+		if bound == 0 {
+			t.Fatalf("%d cells still resident after the drain bound", l.org.Resident())
+		}
+		l.tick(t, nil)
+	}
+}
+
+// TestOrganizationsConservePerTick: conservation is an invariant of every
+// cycle of every organization, not a property of finished runs — under
+// saturation (overruns, bank exhaustion) and a hot-spot.
+func TestOrganizationsConservePerTick(t *testing.T) {
+	const n, cycles = 4, 4000
+	for _, tc := range []TrafficConfig{
+		{Kind: Saturation, N: n, Seed: 3},
+		{Kind: Hotspot, N: n, Load: 0.9, HotFrac: 0.5, Seed: 5},
+	} {
+		for _, row := range smallOrgs(t, n) {
+			t.Run(fmt.Sprintf("%s/%v", row.name, tc.Kind), func(t *testing.T) {
+				l := contractLedger{org: row.org}
+				g := row.org.Geometry()
+				cs := must[*CellStream](t)(NewCellStream(tc, g.CellWords))
+				heads := make([]int, n)
+				hc := make([]*Cell, n)
+				var seq uint64
+				for c := 0; c < cycles; c++ {
+					cs.Heads(heads)
+					l.tick(t, headCells(heads, hc, &seq, g))
+				}
+				l.drain(t)
+				if l.delivered == 0 || row.org.DroppedCells() == 0 {
+					t.Fatalf("delivered %d, dropped %d: both paths must be exercised", l.delivered, row.org.DroppedCells())
+				}
+			})
+		}
+	}
+}
+
+// TestOrganizationsUtilizationAtMostOne: Run divides the busy words by
+// every simulated link-cycle, drain tail included, so no run of any
+// organization — however short — reports more than full links.
+func TestOrganizationsUtilizationAtMostOne(t *testing.T) {
+	const n = 8
+	for _, cycles := range []int64{64, 200, 2000} {
+		for _, row := range integrationOrgs(t, n) {
+			k := row.org.Geometry().CellWords
+			cs := must[*CellStream](t)(NewCellStream(TrafficConfig{Kind: Saturation, N: n, Seed: 1}, k))
+			res, err := Run(row.org, cs, cycles)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", row.name, cycles, err)
+			}
+			if res.Utilization <= 0 || res.Utilization > 1 {
+				t.Errorf("%s/%d cycles: utilization %.4f outside (0, 1]", row.name, cycles, res.Utilization)
+			}
+		}
+	}
+}
+
+// FuzzOrganizations decodes arbitrary legal head schedules — one byte per
+// free link per cycle: the low bit starts a cell, the rest picks its
+// destination; a link mid-cell consumes nothing — and feeds them to all
+// four organizations through the contract. No panic, every departure
+// intact, conservation after every Tick, and a drain that empties within
+// the bound.
+func FuzzOrganizations(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 1, 1, 1})
+	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add([]byte("\x03\x00\x00\x05\x00\x07\x00\x00\x01\x00\x00\x00\x03\x03\x03\x03\x00\x00\x09"))
+	f.Fuzz(func(t *testing.T, sched []byte) {
+		const n = 4
+		if len(sched) > 4096 {
+			sched = sched[:4096]
+		}
+		for _, row := range smallOrgs(t, n) {
+			l := contractLedger{org: row.org}
+			g := row.org.Geometry()
+			free := make([]int, n) // first cycle each link may start a cell
+			hc := make([]*Cell, n)
+			rest := sched
+			for c := 0; len(rest) > 0; c++ {
+				for i := range hc {
+					hc[i] = nil
+					if c < free[i] || len(rest) == 0 {
+						continue
+					}
+					b := rest[0]
+					rest = rest[1:]
+					if b&1 == 1 {
+						hc[i] = NewCell(uint64(c*n+i+1), i, int(b>>1)%n, g.CellWords, g.WordBits)
+						free[i] = c + g.CellWords
+					}
+				}
+				l.tick(t, hc)
+			}
+			l.drain(t)
+		}
+	})
 }

@@ -87,7 +87,16 @@ type Switch = core.Switch
 // memories handling cells of n words at full rate.
 type DualSwitch = core.DualSwitch
 
-// Departure reports one cell leaving a switch.
+// Organization is the contract the four memory organizations behind the
+// same links share — Switch, DualSwitch, WideSwitch and PrizmaSwitch: heads
+// in through Tick, Departures out through Drain, and what a driver needs to
+// feed and audit them (Geometry among it). Run drives any of them.
+type (
+	Organization = core.Organization
+	Geometry     = core.Geometry
+)
+
+// Departure reports one cell leaving an organization.
 type Departure = core.Departure
 
 // TraceEvent is the fig. 5-style per-cycle control/datapath snapshot.
@@ -107,7 +116,7 @@ const (
 	OpWriteThrough = core.OpWriteThrough
 )
 
-// RunResult summarizes a traffic-driven RTL run.
+// RunResult summarizes a traffic-driven RTL run of any organization.
 type RunResult = core.RunResult
 
 // VCDWriter renders the switch's per-cycle trace as an IEEE-1364 VCD
@@ -126,14 +135,15 @@ func New(cfg Config) (*Switch, error) { return core.New(cfg) }
 // NewDual builds the half-quantum two-memory switch (§3.5).
 func NewDual(cfg Config) (*DualSwitch, error) { return core.NewDual(cfg) }
 
-// RunTraffic drives a Switch with a cell stream and verifies integrity.
-func RunTraffic(s *Switch, cs *CellStream, cycles int64) (RunResult, error) {
-	return core.RunTraffic(s, cs, cycles)
+// Run drives any organization with a cell stream of its geometry, drains
+// it, and verifies conservation and the integrity of every departure.
+func Run(org Organization, cs *CellStream, cycles int64) (RunResult, error) {
+	return core.Run(org, cs, cycles)
 }
 
-// RunDualTraffic drives a DualSwitch.
-func RunDualTraffic(d *DualSwitch, cs *CellStream, cycles int64) (RunResult, error) {
-	return core.RunDualTraffic(d, cs, cycles)
+// RunTraffic is Run for a Switch in its allocation-free form, core.Runner.
+func RunTraffic(s *Switch, cs *CellStream, cycles int64) (RunResult, error) {
+	return core.RunTraffic(s, cs, cycles)
 }
 
 // ---- Shared-buffer management (admission policies) ----
@@ -363,11 +373,6 @@ type WideSwitch = widemem.Switch
 // NewWide builds a wide-memory switch.
 func NewWide(cfg WideConfig) (*WideSwitch, error) { return widemem.New(cfg) }
 
-// RunWideTraffic drives a WideSwitch.
-func RunWideTraffic(s *WideSwitch, cs *CellStream, cycles int64) (widemem.RunResult, error) {
-	return widemem.RunTraffic(s, cs, cycles)
-}
-
 // PrizmaConfig parameterizes the interleaved baseline (§5.3).
 type PrizmaConfig = prizma.Config
 
@@ -376,11 +381,6 @@ type PrizmaSwitch = prizma.Switch
 
 // NewPrizma builds an interleaved switch.
 func NewPrizma(cfg PrizmaConfig) (*PrizmaSwitch, error) { return prizma.New(cfg) }
-
-// RunPrizmaTraffic drives a PrizmaSwitch.
-func RunPrizmaTraffic(s *PrizmaSwitch, cs *CellStream, cycles int64) (prizma.RunResult, error) {
-	return prizma.RunTraffic(s, cs, cycles)
-}
 
 // ---- Segmentation and reassembly (§3.5 multi-quantum packets) ----
 

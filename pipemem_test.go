@@ -186,8 +186,8 @@ func TestFacadeWormhole(t *testing.T) {
 	}
 }
 
-// TestFacadeBaselines drives the wide and PRIZMA switches through the
-// facade.
+// TestFacadeBaselines drives the wide, PRIZMA and dual switches through
+// the facade's one entry point.
 func TestFacadeBaselines(t *testing.T) {
 	ws, err := NewWide(WideConfig{Ports: 4, WordBits: 16, Cells: 64, CutThroughCrossbar: true})
 	if err != nil {
@@ -197,7 +197,7 @@ func TestFacadeBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWideTraffic(ws, cs, 10_000); err != nil {
+	if _, err := Run(ws, cs, 10_000); err != nil {
 		t.Fatal(err)
 	}
 
@@ -209,7 +209,7 @@ func TestFacadeBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunPrizmaTraffic(ps, cs2, 10_000); err != nil {
+	if _, err := Run(ps, cs2, 10_000); err != nil {
 		t.Fatal(err)
 	}
 
@@ -221,7 +221,7 @@ func TestFacadeBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunDualTraffic(d, cs3, 10_000); err != nil {
+	if _, err := Run(d, cs3, 10_000); err != nil {
 		t.Fatal(err)
 	}
 }
