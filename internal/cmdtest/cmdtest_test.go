@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"os"
@@ -335,6 +336,49 @@ func TestPmtraceRoundTrip(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("pmtrace output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestPmrtlTracePinned pins, byte for byte, what pmrtl's three fig. 5 taps
+// write for one busy pipelined run: the -trace lines on stdout, the -vcd
+// waveform file and the -tracejson stream (per-cycle records interleaved
+// with the typed wave/stall events). The tap is an observer of the switch,
+// so no change to how the switch is simulated may move any of them.
+func TestPmrtlTracePinned(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-n", "4", "-cells", "16", "-load", "0.7", "-cycles", "600", "-seed", "5"}
+	vcd, jsonl, jsonlSF := filepath.Join(dir, "w.vcd"), filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "sf.jsonl")
+	rows := []struct {
+		name string
+		args []string
+		file string // pinned bytes: this file's, or stdout's when empty
+		sum  uint64
+		size int
+	}{
+		{"trace", []string{"-trace"}, "", 0x4f8c3aa8c7f8ba3b, 84910},
+		{"vcd", []string{"-vcd", vcd}, vcd, 0x89f5f22883bbaa43, 89429},
+		{"tracejson", []string{"-tracejson", jsonl}, jsonl, 0x18d7c619d48024e5, 190131},
+		{"tracejson/sf-vcs-dt", []string{"-tracejson", jsonlSF, "-store-and-forward", "-vcs", "2", "-bufpolicy", "dt:alpha=2", "-saturate"}, jsonlSF, 0xe70d8080621b09a, 241028},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			out, stderr, code := run(t, "pmrtl", "", append(append([]string{}, base...), r.args...)...)
+			if code != 0 {
+				t.Fatalf("pmrtl %v failed (%d): %s", r.args, code, stderr)
+			}
+			got := []byte(out)
+			if r.file != "" {
+				var err error
+				if got, err = os.ReadFile(r.file); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h := fnv.New64a()
+			h.Write(got)
+			if h.Sum64() != r.sum || len(got) != r.size {
+				t.Fatalf("pmrtl %v: %d bytes, digest %#x; pinned %d bytes, %#x", r.args, len(got), h.Sum64(), r.size, r.sum)
+			}
+		})
 	}
 }
 

@@ -203,26 +203,28 @@ func BenchmarkRunTraffic(b *testing.B) {
 	b.ReportMetric(float64(res.Delivered)/b.Elapsed().Seconds(), "cells/sec")
 }
 
-// BenchmarkDualTickSteadyState drives the §3.5 half-quantum organization
-// with the pooled path.
-func BenchmarkDualTickSteadyState(b *testing.B) {
+// dualTickLoop builds the pooled steady-state injection loop for the §3.5
+// half-quantum organization — an 8×8 at full admissible load — warms its
+// pools, and returns the per-cycle closure and its delivery counter.
+func dualTickLoop(tb testing.TB) (tick func(), delivered *int) {
+	tb.Helper()
 	cfg := Config{Ports: 8, WordBits: 16, Cells: 128, CutThrough: true}
 	d, err := NewDual(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	k := d.Config().Stages
 	cs, err := traffic.NewCellStream(traffic.Config{Kind: traffic.Permutation, N: 8, Load: 1, Seed: 42}, k)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pool := cell.NewPool(k)
 	d.SetDrainRecycle(true)
 	heads := make([]int, 8)
 	hc := make([]*cell.Cell, 8)
 	var seq uint64
-	delivered := 0
-	tick := func() {
+	delivered = new(int)
+	tick = func() {
 		cs.Heads(heads)
 		for j := range hc {
 			hc[j] = nil
@@ -234,18 +236,57 @@ func BenchmarkDualTickSteadyState(b *testing.B) {
 		d.Tick(hc)
 		for _, dep := range d.Drain() {
 			pool.Put(dep.Expected)
-			delivered++
+			*delivered++
 		}
 	}
 	for i := 0; i < 4*cfg.Cells; i++ {
 		tick()
 	}
-	delivered = 0
+	*delivered = 0
+	return tick, delivered
+}
+
+// BenchmarkDualTickSteadyState drives the §3.5 half-quantum organization
+// with the pooled path.
+func BenchmarkDualTickSteadyState(b *testing.B) {
+	tick, delivered := dualTickLoop(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tick()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(delivered)/b.Elapsed().Seconds(), "cells/sec")
+	b.ReportMetric(float64(*delivered)/b.Elapsed().Seconds(), "cells/sec")
+}
+
+// TestDualTickZeroAlloc: a warm DualSwitch allocates nothing per cycle.
+func TestDualTickZeroAlloc(t *testing.T) {
+	tick, delivered := dualTickLoop(t)
+	if allocs := testing.AllocsPerRun(2000, tick); allocs != 0 {
+		t.Fatalf("dual Tick allocates %.2f/op, want 0", allocs)
+	}
+	if *delivered == 0 {
+		t.Fatal("vacuous drive: nothing was delivered")
+	}
+}
+
+// BenchmarkTickTraced is BenchmarkTickSteadyState with a fig. 5 tracer
+// installed — the cost of a pmrtl -trace/-vcd/-tracejson run per cycle,
+// event assembly included; the consumer only counts stage-0 initiations.
+func BenchmarkTickTraced(b *testing.B) {
+	inits := 0
+	arm := func(s *Switch) func([]Departure) {
+		s.SetTracer(func(e TraceEvent) {
+			if e.Ctrl[0].Kind != OpNone {
+				inits++
+			}
+		})
+		return nil
+	}
+	benchTickArmed(b,
+		Config{Ports: 8, WordBits: 16, Cells: 256, CutThrough: true},
+		traffic.Config{Kind: traffic.Permutation, N: 8, Load: 1, Seed: 42}, arm)
+	if inits == 0 {
+		b.Fatal("tracer saw no initiation")
+	}
 }
