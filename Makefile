@@ -39,7 +39,10 @@ race:
 # and what builds survives saturation and Audit. FuzzOrganizations feeds
 # arbitrary legal head schedules to all four memory organizations through
 # the core.Organization contract: conservation after every Tick, every
-# departure intact, a drain that empties within the bound. The last three
+# departure intact, a drain that empties within the bound. FuzzSessionConfig
+# sends arbitrary bytes through pmserve's POST /sessions decoder and
+# SessionConfig.Spec: a typed ErrBadSpec, or a session built within the
+# per-session allocation budget. The last three
 # are the data-structure targets: the ring against a slice queue, the free
 # list and multi-queue pair for leaks, cell checksums against single-word
 # flips.
@@ -54,6 +57,7 @@ fuzz:
 	$(GO) test ./internal/ckpt -run FuzzCheckpointCycle -fuzz FuzzCheckpointCycle -fuzztime 30s
 	$(GO) test ./internal/fabric -run FuzzNetConfig -fuzz FuzzNetConfig -fuzztime 30s
 	$(GO) test . -run FuzzOrganizations -fuzz FuzzOrganizations -fuzztime 30s
+	$(GO) test ./internal/srv -run FuzzSessionConfig -fuzz FuzzSessionConfig -fuzztime 30s
 	$(GO) test ./internal/fifo -run FuzzRing -fuzz FuzzRing -fuzztime 30s
 	$(GO) test ./internal/fifo -run FuzzFreeListMultiQueue -fuzz FuzzFreeListMultiQueue -fuzztime 30s
 	$(GO) test ./internal/core -run FuzzCellChecksum -fuzz FuzzCellChecksum -fuzztime 30s

@@ -22,7 +22,12 @@
 //
 // The plan format is one event per line: "@<cycle> <kind> key=val…"
 // (kinds: mem, stuck, ctrl, inreg, linkdrop, linkcorrupt); "random"
-// generates a seeded random plan, "-" reads standard input.
+// generates a seeded random plan, "-" reads standard input. This harness
+// offers Bernoulli traffic at -load and refuses -bursty, -hot and
+// -saturate (exit 2). The same plan with -checkpoint, -audit or -watchdog
+// runs through the session layer instead, which honours the traffic flags
+// and draws its arrivals from a different stream: the two paths' offered
+// counts differ for the same -seed, and neither reproduces the other.
 //
 // With -metrics and/or -trace, pmsim instead drives the cycle-accurate
 // pipelined memory switch with the observability layer attached: -metrics
@@ -210,6 +215,14 @@ func main() {
 	}
 
 	if *faultplan != "" {
+		// The fault harness draws its own Bernoulli arrivals at -load; a
+		// traffic flag it would ignore is refused, not dropped.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "bursty" || f.Name == "hot" || f.Name == "saturate" {
+				fmt.Fprintf(os.Stderr, "pmsim: the -faultplan harness offers Bernoulli traffic at -load and does not implement -%s; drop it, or add -audit/-watchdog/-checkpoint to run the plan through the session layer, which does\n", f.Name)
+				os.Exit(2)
+			}
+		})
 		runFaultPlan(*faultplan, faultOpts{
 			n: *n, buf: *buf, load: *load, cycles: *slots, seed: *seed,
 			ecc: *ecc || *bypass > 0, bypass: *bypass,

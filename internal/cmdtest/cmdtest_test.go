@@ -107,6 +107,12 @@ func badConfigCases(dir string) []badCase {
 		{"pmsim/faultplan-malformed", "pmsim", "@not-a-cycle mem\n", []string{"-faultplan", "-"}, "fault plan"},
 		{"pmsim/faultplan-unknown-kind", "pmsim", "@5 frobnicate\n", []string{"-faultplan", "-"}, "unknown fault kind"},
 
+		// pmsim: the fault harness offers Bernoulli traffic only; a traffic
+		// flag it would drop is refused (the session path honours them).
+		{"pmsim/faultplan-bursty", "pmsim", "", []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-slots", "2000", "-ecc", "-bursty", "8"}, "does not implement -bursty"},
+		{"pmsim/faultplan-hot", "pmsim", "", []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-slots", "2000", "-ecc", "-hot", "0.5"}, "does not implement -hot"},
+		{"pmsim/faultplan-saturate", "pmsim", "", []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-slots", "2000", "-ecc", "-saturate"}, "does not implement -saturate"},
+
 		// pmsim: flag combinations.
 		{"pmsim/bufpolicy-slot-arch", "pmsim", "", []string{"-arch", "voq", "-bufpolicy", "share"}, "RTL model only"},
 		{"pmsim/unknown-arch", "pmsim", "", []string{"-arch", "quantum"}, "unknown architecture"},
@@ -300,6 +306,8 @@ func TestDocsNameNothingRetired(t *testing.T) {
 		"RunDual" + "Traffic", "RunWide" + "Traffic", "RunPrizma" + "Traffic",
 		"widemem.RunTraffic", "prizma.RunTraffic", "widemem.RunResult", "prizma.RunResult",
 		"widemem.Departure", "prizma.Departure", "ThroughMemory", "CapacityCells", "pmrtl -dual",
+		// PR 19: the tracer is a tap, DualSwitch has no per-stage machine
+		"driveScratch", "execOp", "outMask", "outCount", "tracer-pinned", "tracer attach",
 	}
 	for _, doc := range liveDocs {
 		text, err := os.ReadFile(filepath.Join("../..", doc))

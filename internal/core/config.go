@@ -33,6 +33,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"pipemem/internal/cell"
 )
 
 // ErrBadConfig is the sentinel wrapped by every Config validation error, so
@@ -97,6 +99,10 @@ type Config struct {
 	// cycles and nothing else changes. 0 disables the option.
 	LinkPipeline int
 }
+
+// wordMask keeps the WordBits low bits of a word: the width of the links,
+// the registers and the memory.
+func (c Config) wordMask() cell.Word { return (^cell.Word(0)).Mask(c.WordBits) }
 
 // Canonical fills in defaults and returns the effective configuration.
 func (c Config) Canonical() Config {

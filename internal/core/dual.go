@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"pipemem/internal/arb"
 	"pipemem/internal/cell"
@@ -17,6 +16,14 @@ import (
 // cell — while one write wave is initiated into the other, so the full
 // aggregate throughput (one cell in, one cell out per cell time per port)
 // is sustained with cells of half the §3.5 quantum.
+//
+// It is bank choice plus two pickers on the wave commit: a wave's whole
+// memory traffic is applied when it is initiated and its transmission is
+// posted for completion k cycles on, with the argument of Switch.tickFast —
+// a cell's words never change once injected, and stage s of every wave runs
+// s cycles after its initiation, so two waves over one address of one bank
+// meet each stage in initiation order. There is no per-stage machine here
+// to fall back on: the dual switch has no fault seams.
 type DualSwitch struct {
 	cfg Config
 	// linkSide is the periphery §3.5 keeps unchanged (link.go): the same
@@ -25,13 +32,13 @@ type DualSwitch struct {
 
 	cycle int64
 
-	banks [2]*bank
-
-	inReg [][]cell.Word // [input][k]
-
+	// mem holds both banks address-major, as Switch.mem does: node b·Cells+a
+	// is address a of bank b, and its k words are mem[node·k : node·k+k].
+	// free, descs and the per-output queues name buffered cells by node.
+	mem    []cell.Word
 	free   [2]*fifo.FreeList
-	queues *fifo.MultiQueue // per output; node = bank*cells + addr
-	descs  [][]desc         // [bank][addr]
+	queues *fifo.MultiQueue // per output, of nodes
+	descs  []desc           // [node]; desc.addr is the node again
 
 	readRR  int
 	writeRR int
@@ -39,33 +46,18 @@ type DualSwitch struct {
 	// constrains the choice, balancing occupancy.
 	writeBank int
 
-	// maskable enables the uint64 occupancy bitmasks on the ctrl ring and
-	// output registers (k ≤ 64); larger switches fall back to full scans.
-	maskable bool
 	// occMask has one bit per output with queued cells; ANDed with the
 	// link side's idleMask it is the read arbiter's ready word, as in
-	// Switch (maskable only).
+	// Switch (n ≤ 64; larger switches probe every output).
 	occMask uint64
 
+	// departAt[c mod k+1][b] is the output whose transmission, fed by the
+	// wave initiated in bank b at cycle c−k, completes at cycle c; -1 for
+	// none. Two waves may be initiated per cycle, one per bank, so two
+	// departures may complete together — booked in bank order.
+	departAt [][2]int
+
 	initDelay stats.Mean
-}
-
-// bank is one of the two pipelined memories. Control is a ring indexed by
-// initiation cycle (slot = c₀ mod k) rather than a shifting array: the op
-// initiated at c₀ executes stage c−c₀ at cycle c and retires when its slot
-// comes around again — the per-cycle k-deep Op shift becomes free. at[]
-// holds each slot's initiation cycle; mask/count track occupied slots and
-// loaded output registers so idle banks cost one compare per cycle.
-type bank struct {
-	mem    [][]cell.Word // [stage][addr]
-	ctrl   []Op          // [slot]
-	at     []int64       // [slot] initiation cycle
-	outReg []outWord
-
-	mask     uint64 // occupied ctrl slots (k ≤ 64)
-	count    int    // occupied ctrl slots
-	outMask  uint64 // loaded output registers (k ≤ 64)
-	outCount int    // loaded output registers
 }
 
 // NewDual builds the two-memory half-quantum switch. cfg.Stages, if set,
@@ -98,27 +90,15 @@ func NewDual(cfg Config) (*DualSwitch, error) {
 	n, k := cfg.Ports, cfg.Ports
 	d := &DualSwitch{
 		cfg:      cfg,
-		inReg:    make([][]cell.Word, n),
+		mem:      make([]cell.Word, 2*cfg.Cells*k),
+		free:     [2]*fifo.FreeList{fifo.NewFreeList(cfg.Cells), fifo.NewFreeList(cfg.Cells)},
 		queues:   fifo.NewMultiQueue(n, 2*cfg.Cells),
-		maskable: k <= 64,
+		descs:    make([]desc, 2*cfg.Cells),
+		departAt: make([][2]int, k+1),
 	}
 	d.linkSide.init(n, k, 0)
-	for b := 0; b < 2; b++ {
-		bk := &bank{
-			mem:    make([][]cell.Word, k),
-			ctrl:   make([]Op, k),
-			at:     make([]int64, k),
-			outReg: make([]outWord, k),
-		}
-		for st := range bk.mem {
-			bk.mem[st] = make([]cell.Word, cfg.Cells)
-		}
-		d.banks[b] = bk
-		d.free[b] = fifo.NewFreeList(cfg.Cells)
-	}
-	d.descs = [][]desc{make([]desc, cfg.Cells), make([]desc, cfg.Cells)}
-	for i := range d.inReg {
-		d.inReg[i] = make([]cell.Word, k)
+	for i := range d.departAt {
+		d.departAt[i] = [2]int{-1, -1}
 	}
 	return d, nil
 }
@@ -148,196 +128,75 @@ func (d *DualSwitch) Report(res *RunResult) {
 	res.DropOverrun, res.MeanInitDelay = res.Dropped, d.initDelay.Mean()
 }
 
-// node packs (bank, addr) into a MultiQueue node index.
-func (d *DualSwitch) node(b, addr int) int    { return b*d.cfg.Cells + addr }
-func (d *DualSwitch) unpack(n int) (b, a int) { return n / d.cfg.Cells, n % d.cfg.Cells }
+// words returns the k words of a node: one address of one bank.
+func (d *DualSwitch) words(node int) []cell.Word { return d.mem[node*d.k : node*d.k+d.k] }
 
 // Tick advances one clock cycle; heads as in Switch.Tick, with cells of
 // exactly n words.
 func (d *DualSwitch) Tick(heads []*cell.Cell) {
 	c := d.cycle
-
-	// Dead-cycle shortcut: no arrivals, no arrival awaiting its write
-	// wave, nothing queued, both control rings retired and both output
-	// register rows drained — the only state this cycle would change is
-	// the clock. (An arrival still streaming its tail words into the
-	// input registers keeps either pendingWrites or its write wave's ring
-	// slot nonzero for as long as any of those words will be read.)
-	if heads == nil && d.pendingWrites == 0 && d.queues.Total() == 0 &&
-		d.banks[0].count == 0 && d.banks[1].count == 0 &&
-		d.banks[0].outCount == 0 && d.banks[1].outCount == 0 {
-		d.cycle++
-		return
-	}
-
-	// Egress from both banks' output register rows. A loaded register is
-	// always delivered on the following cycle, so every occupied slot
-	// fires; the masks only skip the empty ones.
-	for b := 0; b < 2; b++ {
-		bk := d.banks[b]
-		if bk.outCount == 0 {
-			continue
-		}
-		if d.maskable {
-			for m := bk.outMask; m != 0; m &= m - 1 {
-				st := bits.TrailingZeros64(m)
-				r := &bk.outReg[st]
-				if r.valid && r.loadedAt == c-1 {
-					d.deliver(r.out, r.word, c)
-					r.valid = false
-					bk.outMask &^= uint64(1) << uint(st)
-					bk.outCount--
-				}
-			}
-		} else {
-			for st := range bk.outReg {
-				r := &bk.outReg[st]
-				if r.valid && r.loadedAt == c-1 {
-					d.deliver(r.out, r.word, c)
-					r.valid = false
-					bk.outCount--
-				}
-			}
+	// Completion: the waves initiated k cycles ago have their k-th word on
+	// the wire now.
+	slot := int(c % int64(len(d.departAt)))
+	for b, o := range d.departAt[slot] {
+		if o >= 0 {
+			d.departAt[slot][b] = -1
+			d.depart(o, c)
 		}
 	}
-
-	// Retire the slot whose op was initiated k cycles ago: its final
-	// stage executed last cycle, and this cycle's initiation (if any)
-	// reuses the slot.
-	slot := int(c % int64(d.k))
-	bit := uint64(1) << uint(slot&63)
-	for b := 0; b < 2; b++ {
-		bk := d.banks[b]
-		if bk.ctrl[slot].Kind != OpNone {
-			bk.ctrl[slot] = Op{}
-			bk.mask &^= bit
-			bk.count--
-		}
-	}
-
-	// Arbitration: one read from one bank, one write into the other.
-	readBank := -1
-	var readOp Op
-	if rb, op, ok := d.pickRead(c); ok {
-		readBank = rb
-		readOp = op
-	}
-	writeBank := -1
-	var writeOp Op
+	// Arbitration: one read from one bank, one write into the other. Each
+	// wave is committed whole as it is picked, and posts its transmission k
+	// cycles ahead — the ring slot just emptied, one behind this cycle's.
+	post := &d.departAt[(slot+d.k)%len(d.departAt)]
+	readBank := d.pickRead(c, post)
 	if d.pendingWrites > 0 {
-		// The write must avoid the bank being read this cycle.
-		forbidden := readBank
-		if wb, op, ok := d.pickWrite(c, forbidden); ok {
-			writeBank = wb
-			writeOp = op
+		d.pickWrite(c, readBank, post)
+	}
+	for i, nc := range heads {
+		if nc != nil {
+			d.admit(i, nc, c) // an overrun victim is only counted here
 		}
 	}
-	if readBank >= 0 {
-		bk := d.banks[readBank]
-		bk.ctrl[slot] = readOp
-		bk.at[slot] = c
-		bk.mask |= bit
-		bk.count++
-	}
-	if writeBank >= 0 {
-		bk := d.banks[writeBank]
-		bk.ctrl[slot] = writeOp
-		bk.at[slot] = c
-		bk.mask |= bit
-		bk.count++
-	}
-
-	// Execute each bank's live ops. The op in slot s was initiated at
-	// at[s], so this cycle it acts on stage c−at[s]; distinct live slots
-	// map to distinct stages, and stages touch disjoint state, so
-	// execution order within a cycle is immaterial.
-	for b := 0; b < 2; b++ {
-		bk := d.banks[b]
-		if bk.count == 0 {
-			continue
-		}
-		if d.maskable {
-			for m := bk.mask; m != 0; m &= m - 1 {
-				d.execOp(bk, bits.TrailingZeros64(m), c)
-			}
-		} else {
-			for s := range bk.ctrl {
-				if bk.ctrl[s].Kind != OpNone {
-					d.execOp(bk, s, c)
-				}
-			}
-		}
-	}
-
-	// Ingress.
-	for i := 0; i < d.n; i++ {
-		a := &d.inflight[i]
-		if a.active {
-			if j := c - a.head; j > 0 && j < int64(d.k) {
-				d.inReg[i][j] = a.c.Words[j].Mask(d.cfg.WordBits)
-			}
-		}
-		if heads == nil || heads[i] == nil {
-			continue
-		}
-		d.admit(i, heads[i], c) // an overrun victim is only counted here
-		d.inReg[i][0] = heads[i].Words[0].Mask(d.cfg.WordBits)
-	}
-
 	d.cycle++
 }
 
-// execOp runs the op in slot s of bank bk at its current stage.
-func (d *DualSwitch) execOp(bk *bank, s int, c int64) {
-	op := &bk.ctrl[s]
-	st := int(c - bk.at[s])
-	switch op.Kind {
-	case OpWrite:
-		bk.mem[st][op.Addr] = d.inReg[op.In][st]
-	case OpRead:
-		bk.outReg[st] = outWord{word: bk.mem[st][op.Addr], out: op.Out, loadedAt: c, valid: true}
-		bk.outMask |= uint64(1) << uint(st&63)
-		bk.outCount++
-	case OpWriteThrough:
-		w := d.inReg[op.In][st]
-		bk.mem[st][op.Addr] = w
-		bk.outReg[st] = outWord{word: w, out: op.Out, loadedAt: c, valid: true}
-		bk.outMask |= uint64(1) << uint(st&63)
-		bk.outCount++
-	}
-}
-
 // pickRead selects an idle output whose head-of-queue cell is eligible,
-// round-robin from readRR over the ready word (see Switch.pickRead); the
-// bank is dictated by where that cell lives (§3.5: "whichever the desired
-// packet happens to be in").
-func (d *DualSwitch) pickRead(c int64) (bankIdx int, op Op, ok bool) {
-	if !d.maskable {
-		// k > 64: the words cannot hold every output; probe them all.
-		for j, from := 0, d.readRR; j < d.n && !ok; j++ {
-			bankIdx, op, ok = d.tryRead((from+j)%d.n, c)
+// round-robin from readRR over the ready word (see Switch.pickRead), and
+// initiates its read wave; the bank, which it returns (-1 for no read), is
+// dictated by where that cell lives (§3.5: "whichever the desired packet
+// happens to be in").
+func (d *DualSwitch) pickRead(c int64, post *[2]int) (bank int) {
+	if d.n > 64 {
+		// The words cannot hold every output; probe them all.
+		for j, from := 0, d.readRR; j < d.n; j++ {
+			if b := d.tryRead((from+j)%d.n, c, post); b >= 0 {
+				return b
+			}
 		}
-		return bankIdx, op, ok
+		return -1
 	}
-	for w := d.occMask & d.idleMask; w != 0 && !ok; {
+	for w := d.occMask & d.idleMask; w != 0; {
 		o := arb.FirstFrom(w, d.readRR)
-		bankIdx, op, ok = d.tryRead(o, c)
+		if b := d.tryRead(o, c, post); b >= 0 {
+			return b
+		}
 		w &^= uint64(1) << uint(o)
 	}
-	return bankIdx, op, ok
+	return -1
 }
 
 // tryRead initiates a read wave on output o if its link is idle and its
-// head-of-queue cell is serviceable.
-func (d *DualSwitch) tryRead(o int, c int64) (bankIdx int, op Op, ok bool) {
+// head-of-queue cell is serviceable: the cell's k words leave its bank for
+// the link's egress record, and the address is free for the next write wave,
+// which can only trail this read stage by stage.
+func (d *DualSwitch) tryRead(o int, c int64, post *[2]int) (bank int) {
 	node, found := d.queues.Front(o)
 	if !found || d.rxHead[o] != nil {
-		return -1, Op{}, false
+		return -1
 	}
-	b, addr := d.unpack(node)
-	dsc := &d.descs[b][addr]
+	dsc := &d.descs[node]
 	if !d.cfg.CutThrough && c < dsc.writeStart+int64(d.k) {
-		return -1, Op{}, false
+		return -1
 	}
 	d.queues.Pop(o)
 	if d.queues.Len(o) == 0 {
@@ -346,15 +205,20 @@ func (d *DualSwitch) tryRead(o int, c int64) (bankIdx int, op Op, ok bool) {
 	if d.readRR = o + 1; d.readRR == d.n {
 		d.readRR = 0
 	}
-	d.book(o, dsc)
-	d.free[b].Put(addr)
-	return b, Op{Kind: OpRead, Out: o, Addr: addr}, true
+	r := d.book(o, dsc)
+	r.words = append(r.words, d.words(node)...)
+	r.start = c + 1
+	bank = node / d.cfg.Cells
+	post[bank] = o
+	d.free[bank].Put(node % d.cfg.Cells)
+	return bank
 }
 
 // pickWrite selects the most urgent pending arrival and a bank other than
 // forbidden (§3.5: the write goes "into the other one of the two
-// memories").
-func (d *DualSwitch) pickWrite(c int64, forbidden int) (bankIdx int, op Op, ok bool) {
+// memories"), and initiates its write wave — a write-through when the
+// cell's output is idle with nothing queued ahead (§3.3).
+func (d *DualSwitch) pickWrite(c int64, forbidden int, post *[2]int) {
 	best := -1
 	var bestHead int64
 	for j := 0; j < d.n; j++ {
@@ -368,7 +232,7 @@ func (d *DualSwitch) pickWrite(c int64, forbidden int) (bankIdx int, op Op, ok b
 		}
 	}
 	if best == -1 {
-		return -1, Op{}, false
+		return
 	}
 	// Choose the bank: not the one being read; otherwise alternate,
 	// preferring one with free space.
@@ -379,13 +243,10 @@ func (d *DualSwitch) pickWrite(c int64, forbidden int) (bankIdx int, op Op, ok b
 	if d.free[b].Free() == 0 {
 		b = 1 - b
 		if b == forbidden || d.free[b].Free() == 0 {
-			return -1, Op{}, false // both unavailable; retry next cycle
+			return // both unavailable; retry next cycle
 		}
 	}
-	addr, got := d.free[b].Get()
-	if !got {
-		return -1, Op{}, false
-	}
+	addr, _ := d.free[b].Get()
 	a := &d.inflight[best]
 	a.written = true
 	d.pendClear(best)
@@ -393,25 +254,25 @@ func (d *DualSwitch) pickWrite(c int64, forbidden int) (bankIdx int, op Op, ok b
 	d.initDelay.Add(float64(c - a.head - 1))
 	d.writeRR = (best + 1) % d.n
 	d.writeBank = 1 - b
-	dsc := desc{c: a.c, head: a.head, writeStart: c}
-	dst := a.c.Dst
+	node := b*d.cfg.Cells + addr
+	dsc := desc{c: a.c, head: a.head, writeStart: c, addr: node}
+	dst, m := a.c.Dst, d.cfg.wordMask()
 
 	if d.cfg.CutThrough && d.rxHead[dst] == nil && d.queues.Len(dst) == 0 {
-		d.descs[b][addr] = dsc
-		d.book(dst, &d.descs[b][addr])
+		// The departing words come straight off the data bus and the
+		// address is released at once: nothing could read a deposit.
+		r := d.book(dst, &dsc)
+		r.load(a.c.Words, m)
+		r.start = c + 1
+		post[b] = dst
 		d.free[b].Put(addr)
-		return b, Op{Kind: OpWriteThrough, In: best, Out: dst, Addr: addr}, true
+		return
 	}
-	d.descs[b][addr] = dsc
-	d.queues.Push(dst, d.node(b, addr))
+	d.descs[node] = dsc
+	dep := d.words(node)
+	for j, w := range a.c.Words {
+		dep[j] = w & m
+	}
+	d.queues.Push(dst, node)
 	d.occMask |= uint64(1) << uint(dst)
-	return b, Op{Kind: OpWrite, In: best, Addr: addr}, true
-}
-
-// deliver drives one word onto outgoing link o; the k-th completes the
-// link's departure.
-func (d *DualSwitch) deliver(o int, w cell.Word, c int64) {
-	if d.drive(o, w, c) {
-		d.depart(o, c)
-	}
 }

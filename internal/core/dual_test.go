@@ -115,61 +115,50 @@ func TestDualIntegrityRandom(t *testing.T) {
 	}
 }
 
-// TestDualBankExclusive: in no cycle may both banks carry a fresh read, or
-// a read and a write in the same bank (one port per memory per cycle).
+// TestDualBankExclusive: a memory has one port, so in no cycle may one bank
+// take two initiations — the read wave and the write wave of a cycle go to
+// different banks — and no output may be claimed by two waves. The waves
+// of a cycle are read back from the bookkeeping they leave: a transmission
+// booked this cycle (read or write-through, with the node it came from) and
+// a descriptor whose write wave started this cycle.
 func TestDualBankExclusive(t *testing.T) {
-	const ports = 4
-	d := mustDual(t, Config{Ports: ports, WordBits: 16, Cells: 32, CutThrough: true})
-	cs, err := traffic.NewCellStream(traffic.Config{Kind: traffic.Saturation, N: ports, Seed: 23}, ports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heads := make([]int, ports)
+	const ports, cells = 4, 32
+	d := mustDual(t, Config{Ports: ports, WordBits: 16, Cells: cells, CutThrough: true})
+	sched := genSchedule(t, traffic.Config{Kind: traffic.Saturation, N: ports, Seed: 23}, ports, 20_000)
 	hc := make([]*cell.Cell, ports)
 	var seq uint64
-	for c := 0; c < 20_000; c++ {
-		cs.Heads(heads)
-		for i := range hc {
-			hc[i] = nil
-			if heads[i] != traffic.NoArrival {
-				seq++
-				hc[i] = cell.New(seq, i, heads[i], ports, 16)
+	both := 0
+	for c := int64(0); c < int64(len(sched)); c++ {
+		d.Tick(headsFor(sched[c], hc, &seq, ports, 16, 1))
+		readBank, writeBank := -1, -1
+		for _, op := range d.initiated(c) {
+			switch {
+			case op.Kind == OpRead && readBank < 0:
+				readBank = op.Addr / cells
+			case op.Kind == OpWriteThrough && writeBank < 0:
+				writeBank = op.Addr / cells
+			default:
+				t.Fatalf("cycle %d: a second %v wave was initiated", c, op.Kind)
 			}
 		}
-		d.Tick(hc)
-		// After Tick, ctrl[1] of each bank holds what stage 0 executed
-		// this cycle (the pipeline shifted). Legal combinations per
-		// cycle: at most one pure read across banks, at most one
-		// write-kind op (OpWrite or OpWriteThrough — a write that also
-		// taps the bus) across banks, never two ops in one bank.
-		var reads, writes int
-		outs := map[int]bool{}
-		for b := 0; b < 2; b++ {
-			op := d.banks[b].ctrl[1]
-			switch op.Kind {
-			case OpRead:
-				reads++
-				if outs[op.Out] {
-					t.Fatalf("cycle %d: two drivers for output %d", c, op.Out)
+		for node := range d.descs {
+			if dsc := &d.descs[node]; dsc.c != nil && dsc.writeStart == c {
+				if writeBank >= 0 {
+					t.Fatalf("cycle %d: two write waves", c)
 				}
-				outs[op.Out] = true
-			case OpWriteThrough:
-				writes++
-				if outs[op.Out] {
-					t.Fatalf("cycle %d: two drivers for output %d", c, op.Out)
-				}
-				outs[op.Out] = true
-			case OpWrite:
-				writes++
+				writeBank = node / cells
 			}
 		}
-		if reads > 1 {
-			t.Fatalf("cycle %d: %d pure reads", c, reads)
+		if readBank >= 0 && readBank == writeBank {
+			t.Fatalf("cycle %d: read and write wave both initiated in bank %d", c, readBank)
 		}
-		if writes > 1 {
-			t.Fatalf("cycle %d: %d write waves", c, writes)
+		if readBank >= 0 && writeBank >= 0 {
+			both++
 		}
 		d.Drain()
+	}
+	if both < len(sched)/4 {
+		t.Fatalf("only %d of %d cycles initiated a read and a write together; §3.5's point is that most can", both, len(sched))
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 
 // The ECC seam of the two-mode engine: an ECC switch may batch exactly
 // while no stored word carries an upset. These tests drive one ECC switch
-// twice — free to batch, and pinned to the per-stage path by a no-op
-// tracer — and require the two to be indistinguishable from outside.
+// twice — free to batch, and pinned to the per-stage path by forceExact —
+// and require the two to be indistinguishable from outside.
 
 // eccFaults is the fault schedule of one differential case.
 type eccFaults int
@@ -112,10 +112,12 @@ func bankIdle(s *Switch, b int) bool {
 // free to batch may legitimately leave different: bank rows (and their
 // check bits) no queued cell will read — the batched path skips deposits
 // nobody reads — and output registers that have already driven their word
-// (it never loads them). For this pairing only: two drives that pick the
-// same engine every cycle (TickN against Tick, a resumed run against the
-// uninterrupted one) are compared register residue and all (scrubFreedMem).
+// (it never loads them) — and the pin itself. For this pairing only: two
+// drives that pick the same engine every cycle (TickN against Tick, a
+// resumed run against the uninterrupted one) are compared register residue
+// and all (scrubFreedMem).
 func scrubDeadState(s *Switch, st *SwitchState) {
+	st.ForcedExact = false
 	live := make([]bool, len(s.mem))
 	for a, rc := range st.Refcnt {
 		if rc == 0 {
@@ -183,7 +185,7 @@ func eccDifferential(t *testing.T, pol string, faults eccFaults, mcast, cut bool
 	}
 
 	pin := newTicknHarness(t, cfg, pol)
-	pin.sw.SetTracer(func(TraceEvent) {})
+	pin.sw.forceExact()
 	free := newTicknHarness(t, cfg, pol)
 	pair := []*ticknHarness{pin, free}
 	if mcast {
@@ -232,7 +234,7 @@ func eccDifferential(t *testing.T, pol string, faults eccFaults, mcast, cut bool
 			h.log = append(h.log, eccStateLine(h.sw))
 		}
 		if pin.sw.fastMode {
-			t.Fatalf("cycle %d: the tracer-pinned switch is batching", c)
+			t.Fatalf("cycle %d: the pinned switch is batching", c)
 		}
 		if free.sw.eccDirtyN > 0 {
 			dirtyWindow = true
@@ -346,7 +348,7 @@ func TestECCFastEqualsExactRunResult(t *testing.T) {
 			run := func(pinned bool) (RunResult, string, Health) {
 				h := newTicknHarness(t, cfg, "dt:alpha=2")
 				if pinned {
-					h.sw.SetTracer(func(TraceEvent) {})
+					h.sw.forceExact()
 				}
 				cs := stream(t, traffic.Config{Kind: traffic.Hotspot, N: 4, Load: 0.9, HotFrac: 0.5, Seed: 31}, k)
 				r := NewRunner(h.sw, cs, cycles)

@@ -66,19 +66,39 @@ type reasm struct {
 	clean bool
 }
 
+// load fills the record with the k words of src masked by m, the word-width
+// mask: the whole transmission of a wave committed at initiation, taken
+// straight from the resident cell. The record departs the very cell it will
+// be compared against, so the corruption check folds into the sweep: it is
+// clean exactly when the source was already in-width.
+func (r *reasm) load(src []cell.Word, m cell.Word) {
+	w := r.words[:len(src)] // the record's capacity is pool-sized to k
+	var dirty cell.Word
+	for j, v := range src {
+		w[j] = v & m
+		dirty |= v &^ m
+	}
+	r.words = w
+	r.clean = dirty == 0
+}
+
 // linkSide is the periphery of the switch, the part §3 keeps minimal and
 // identical whatever memory sits behind it: one row of input registers per
 // incoming link (here the row's occupancy; the register words belong to the
-// engine that latches them) and, per outgoing link, the reassembly of the
-// one cell it is transmitting. Switch — on both of its tick engines — and
-// DualSwitch embed it; memory organization and arbitration stay theirs.
+// one engine that still latches them, Switch's per-stage path) and, per
+// outgoing link, the reassembly of the one cell it is transmitting. Switch —
+// on both of its tick engines — and DualSwitch embed it; memory
+// organization and arbitration stay theirs.
 //
 // An outgoing link carries one cell at a time: a read or write-through wave
 // initiated at c₀ books the link through c₀+k, its k-th word is on the wire
 // at c₀+k, and every engine books that departure at the top of cycle c₀+k,
 // before the cycle's arbitration can start the next transmission. rxHead[o]
 // is therefore all the egress state an output has; book panics if a second
-// transmission ever claims an occupied slot.
+// transmission ever claims an occupied slot. A wave committed at initiation
+// fills its record at once (load, or a copy out of the bank) and completes
+// through its engine's cycle-indexed ring; only the per-stage path drives
+// the record word by word.
 type linkSide struct {
 	n, k int
 	// lp is Config.LinkPipeline: with §4.3 link pipelining, timestamps are

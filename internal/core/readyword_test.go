@@ -188,6 +188,25 @@ func checkReadyWord(t *testing.T, cfg Config, pol string, cycles int) {
 	}
 }
 
+// initiated reconstructs, from the link side alone, the waves that reach an
+// outgoing link among those the dual switch initiated at cycle c (the tick
+// just executed): a transmission whose head word is due at c+1 was booked
+// at c — by a write-through if its cell's write wave also started at c, by
+// a read wave otherwise. Op.Addr is the buffer node (bank·Cells + address).
+func (d *DualSwitch) initiated(c int64) (ops []Op) {
+	for o, r := range d.rxHead {
+		if r == nil || r.start != c+1 {
+			continue
+		}
+		kind := OpRead
+		if r.d.writeStart == c {
+			kind = OpWriteThrough
+		}
+		ops = append(ops, Op{Kind: kind, Out: o, Addr: r.d.addr})
+	}
+	return ops
+}
+
 // TestDualReadyWordMatchesIndexWalk is the same check for the half-quantum
 // organization, whose ready word is occupancy ∧ idle (it has no gates).
 func TestDualReadyWordMatchesIndexWalk(t *testing.T) {
@@ -210,22 +229,15 @@ func TestDualReadyWordMatchesIndexWalk(t *testing.T) {
 					in := headsFor(rowAt(sched, c), heads, &seq, k, cfg.WordBits, 1)
 					want := w.pick(c, func(o int) bool {
 						node, ok := d.queues.Front(o)
-						if !ok {
-							return false
-						}
-						b, addr := d.unpack(node)
-						return ct || c >= d.descs[b][addr].writeStart+int64(k)
+						return ok && (ct || c >= d.descs[node].writeStart+int64(k))
 					})
 					d.Tick(in)
 					got := -1
-					for _, bk := range d.banks {
-						slot := int(c % int64(k))
-						if op := bk.ctrl[slot]; op.Kind != OpNone && bk.at[slot] == c {
-							if op.Kind == OpRead {
-								got = op.Out
-							}
-							w.observe(op, c)
+					for _, op := range d.initiated(c) {
+						if op.Kind == OpRead {
+							got = op.Out
 						}
+						w.observe(op, c)
 					}
 					if got != want {
 						t.Fatalf("cycle %d: read wave granted on output %d, the index walk grants %d (pointer %d, free %v)",

@@ -241,12 +241,13 @@ func (s *Switch) TickN(heads []*cell.Cell, n int64) {
 	}
 	s.Tick(heads)
 	for m := n - 1; m > 0; m-- {
-		// Fast-forward: on the batched path with no observer attached and
-		// no cell anywhere in the switch, every remaining cycle would only
+		// Fast-forward: on the batched path with nothing watching and no
+		// cell anywhere in the switch, every remaining cycle would only
 		// retire an expired ctrl slot and advance the clock — do that
-		// wholesale. (An observer pins per-cycle stepping: its tallies and
-		// decimated flushes are per-cycle state.)
-		if s.fastMode && s.obs == nil && s.Quiescent() {
+		// wholesale. (An observer or a tracer pins per-cycle stepping: the
+		// one's tallies and decimated flushes are per-cycle state, the other
+		// is owed an event per cycle.)
+		if s.fastMode && s.obs == nil && s.tracer == nil && s.Quiescent() {
 			s.jump(m)
 			return
 		}

@@ -11,8 +11,8 @@ import (
 )
 
 // TestPerStageEngineSingleSlot pins the per-stage engine's link side under
-// everything that keeps a switch off the batched path: a tracer, an ECC
-// dirty window, an active bypass. An outgoing link carries one cell at a
+// everything that keeps a switch off the batched path: a fired per-stage
+// seam (forceExact), an ECC dirty window, an active bypass. An outgoing link carries one cell at a
 // time — its booking lasts k cycles and the k-th word is driven before the
 // next arbitration — so at every cycle boundary each output holds at most
 // one egress record, on either engine. Each case drives saturated traffic
@@ -22,29 +22,29 @@ import (
 // departures as the uninterrupted run. The whole departure log is pinned by
 // digest.
 func TestPerStageEngineSingleSlot(t *testing.T) {
-	noTrace := func(TraceEvent) {}
 	cases := []struct {
 		name string
 		cfg  Config
+		// forced pins the run to the per-stage engine from cycle 0; the latch
+		// rides in the snapshot, so the twin inherits it.
+		forced bool
 		// before runs ahead of every Tick, on the reference and on the twin.
 		before func(h *ticknHarness)
-		// rearm reinstalls what a snapshot does not carry.
-		rearm func(s *Switch)
 		// engines: whether the run must visit the batched engine at all.
 		wantFast bool
 		golden   uint64
 		deps     int
 	}{
 		{
-			name:   "tracer/ct",
+			name:   "forced/ct",
 			cfg:    Config{Ports: 4, WordBits: 16, Cells: 16, CutThrough: true},
-			rearm:  func(s *Switch) { s.SetTracer(noTrace) },
+			forced: true,
 			golden: 0xcab88c4888921e67, deps: 714,
 		},
 		{
-			name:   "tracer/sf",
+			name:   "forced/sf",
 			cfg:    Config{Ports: 4, WordBits: 16, Cells: 16},
-			rearm:  func(s *Switch) { s.SetTracer(noTrace) },
+			forced: true,
 			golden: 0xd1a6a029a2e734d0, deps: 696,
 		},
 		{
@@ -79,8 +79,8 @@ func TestPerStageEngineSingleSlot(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := newTicknHarness(t, tc.cfg, "")
-			if tc.rearm != nil {
-				tc.rearm(ref.sw)
+			if tc.forced {
+				ref.sw.forceExact()
 			}
 			k := ref.sw.k
 			const cycles = 1500
@@ -124,9 +124,6 @@ func TestPerStageEngineSingleSlot(t *testing.T) {
 					s, err := NewFromSnapshot(mustJSONRoundTrip(t, st))
 					if err != nil {
 						t.Fatalf("cycle %d: restore: %v", c, err)
-					}
-					if tc.rearm != nil {
-						tc.rearm(s)
 					}
 					twin = &ticknHarness{t: t, sw: s, seq: ref.seq, hc: make([]*cell.Cell, tc.cfg.Ports)}
 					forkLog, forkCycle = len(ref.log), c

@@ -255,10 +255,10 @@ func TestAuditZeroAlloc(t *testing.T) {
 // such states and the next Tick dereferenced nil; it must refuse them with
 // an error, before any Tick.
 func TestRestoreRejectsUnusableCells(t *testing.T) {
-	// Store-and-forward at load 0.9 with a tracer (per-stage engine): after
-	// 300 cycles some queue, some input row and some egress slot are busy.
+	// Store-and-forward at load 0.9 on the per-stage engine: after 300
+	// cycles some queue, some input row and some egress slot are busy.
 	r := runnerTo(t, Config{Ports: 4, WordBits: 16, Cells: 32}, traffic.Config{Kind: traffic.Bernoulli, N: 4, Load: 0.9, Seed: 3}, 2000, "", 0)
-	r.s.SetTracer(func(TraceEvent) {})
+	r.s.forceExact()
 	for i := 0; i < 300; i++ {
 		r.Step()
 	}

@@ -158,9 +158,10 @@ type Switch struct {
 	vcTokens  [][]int
 	writeRR   int // tie-break pointer over inputs (EDF first)
 
-	loaded       []int // stages whose outReg was loaded this cycle
-	tracer       func(TraceEvent)
-	driveScratch []int // per stage: output link driven this cycle (trace)
+	loaded []int // stages whose outReg was loaded this cycle
+	// tracer is the fig. 5 tap (trace.go): nil — the default — costs one
+	// pointer test per Tick, outside both engines.
+	tracer func(TraceEvent)
 	// obs is the observability layer (observe.go): nil — the default —
 	// costs one pointer test per Tick and keeps the hot path 0 allocs/op.
 	// obsPeak caches the published high-water mark so the per-cycle check
@@ -234,8 +235,8 @@ type Switch struct {
 	// being driven word by word through outReg. waveMask has one bit per
 	// ctrl slot holding a live op; committed marks slots whose memory
 	// traffic was already applied by the batched path, so the per-stage
-	// exact loop (which the two paths hand over to when a tracer or the
-	// fault layer's per-stage seams arm) skips them. forcedExact latches the exact path on
+	// exact loop (which the two paths hand over to when the fault layer's
+	// per-stage seams arm) skips them. forcedExact latches the exact path on
 	// once a per-stage fault seam (control/input-register injection, stuck
 	// banks) has been exercised.
 	fastMode    bool
@@ -427,16 +428,16 @@ func (s *Switch) clearCtrl(slot int) {
 }
 
 // wantFast reports whether the batched structure-of-arrays path may run:
-// nothing that needs per-stage cycle accuracy is armed. A per-cycle tracer
-// observes individual stage operations and link drives; stuck-at faults
-// and an active bypass route every word through the fault layer;
-// forcedExact latches after a per-stage fault seam fired; and the bitset
-// masks need k ≤ 64. ECC alone does not pin the exact path: decoding a
-// word nobody has flipped is a no-op, so the batched path — which deposits
-// matching check bits and never decodes — may run exactly while no stored
-// word carries an injected upset (eccDirtyN, see InjectMemoryFault).
+// no fault seam is open and the bitset masks fit. Stuck-at faults and an
+// active bypass route every word through the fault layer; forcedExact
+// latches after a per-stage fault seam fired; and the masks need k ≤ 64.
+// ECC alone does not pin the exact path: decoding a word nobody has flipped
+// is a no-op, so the batched path — which deposits matching check bits and
+// never decodes — may run exactly while no stored word carries an injected
+// upset (eccDirtyN, see InjectMemoryFault). Nothing that only watches the
+// switch is listed: the observer and the fig. 5 tracer tap both engines.
 func (s *Switch) wantFast() bool {
-	return !s.forcedExact && s.tracer == nil && s.eccDirtyN == 0 &&
+	return !s.forcedExact && s.eccDirtyN == 0 &&
 		s.stuck == nil && !s.halved && s.k <= 64
 }
 
@@ -490,11 +491,7 @@ func (s *Switch) materializeAddr(a int) {
 // check bits when ECC is on — so whichever engine reads the address next
 // finds consistent (word, check) pairs.
 func (s *Switch) deposit(a int, src []cell.Word) {
-	m := ^cell.Word(0)
-	if wb := s.cfg.WordBits; wb < 64 {
-		m = cell.Word(1)<<uint(wb) - 1
-	}
-	dst := s.mem[a*s.k : a*s.k+s.k]
+	dst, m := s.mem[a*s.k:a*s.k+s.k], s.cfg.wordMask()
 	for j := range dst {
 		dst[j] = src[j] & m
 	}
@@ -562,17 +559,12 @@ func (s *Switch) FreeCells() int { return s.free.Free() }
 func (s *Switch) InitDelay() *stats.Mean { return &s.initDelay }
 
 // SetTracer installs a per-cycle trace callback (nil to disable); see
-// TraceEvent. A tracer observes individual stage operations, so while one
-// is installed the switch runs its per-stage exact path; stage activity of
-// waves the batched path had already committed when the tracer was
-// installed mid-run is not re-traced (their control words still appear in
-// TraceEvent.Ctrl).
-func (s *Switch) SetTracer(f func(TraceEvent)) {
-	if f != nil {
-		s.dropFast()
-	}
-	s.tracer = f
-}
+// TraceEvent. The tracer is a tap, not a mode: an event is a function of
+// the control ring and the input rows' occupancy, which both tick engines
+// maintain, so the switch runs on whichever engine it would run on
+// untraced, and a tracer installed at any cycle reports from that cycle on
+// exactly what one installed at cycle 0 would have (emitTrace).
+func (s *Switch) SetTracer(f func(TraceEvent)) { s.tracer = f }
 
 // SetOutputOpen drives output out's gate level — the "credit available"
 // wire of link-level flow control ([KVES95]). A closed output is skipped
@@ -720,7 +712,7 @@ func (s *Switch) SetLeanDepartures(on bool) { s.leanDepart = on }
 // heads may be nil when no cell arrives anywhere.
 func (s *Switch) Tick(heads []*cell.Cell) {
 	// Mode selection. Dropping to the exact path is done eagerly by the
-	// seams that require it (SetTracer, the fault layer); entering the
+	// seams that require it (the fault layer); entering the
 	// fast path is deferred until no un-committed wave is in flight and no
 	// output-register drive is pending, so neither path ever has to
 	// reconstruct the other's mid-wave state.
@@ -735,16 +727,19 @@ func (s *Switch) Tick(heads []*cell.Cell) {
 		// invariant, so there is nothing to convert.
 		s.fastMode = true
 	}
-	if s.fastMode {
+	switch {
+	case s.tracer != nil:
+		s.tickTraced(heads)
+	case s.fastMode:
 		s.tickFast(heads)
-		return
+	default:
+		s.tickExact(heads)
 	}
-	s.tickExact(heads)
 }
 
 // tickExact is the per-stage cycle-accurate path: the original fig. 5
-// machine, walking the ctrl ring stage by stage. It runs whenever a
-// tracer or the fault layer's per-stage seams are armed (wantFast).
+// machine, walking the ctrl ring stage by stage. It runs while one of the
+// fault layer's per-stage seams is open (wantFast).
 func (s *Switch) tickExact(heads []*cell.Cell) {
 	c := s.cycle
 
@@ -757,14 +752,6 @@ func (s *Switch) tickExact(heads []*cell.Cell) {
 	// Phase 1 — egress: output registers loaded in the previous cycle
 	// drive their outgoing links now ("in the next cycle, this register
 	// drives the desired outgoing link", §3.2).
-	if s.tracer != nil {
-		if s.driveScratch == nil {
-			s.driveScratch = make([]int, s.k)
-		}
-		for st := range s.driveScratch {
-			s.driveScratch[st] = -1
-		}
-	}
 	// s.loaded lists exactly the stages whose output register was loaded
 	// last cycle; every one of them drives its link now. The word lands in
 	// the link's egress record; the k-th word completes a departure.
@@ -772,9 +759,6 @@ func (s *Switch) tickExact(heads []*cell.Cell) {
 		rg := &s.outReg[st]
 		if s.drive(rg.out, rg.word, c) {
 			s.finishDeparture(rg.out, c)
-		}
-		if s.driveScratch != nil {
-			s.driveScratch[st] = rg.out
 		}
 		rg.valid = false
 	}
@@ -799,9 +783,6 @@ func (s *Switch) tickExact(heads []*cell.Cell) {
 
 	if s.obs != nil {
 		s.observeCycle(c, s.ctrl[base])
-	}
-	if s.tracer != nil {
-		s.emitTrace(c, heads)
 	}
 
 	// Phases 3+4 — execute: stage st performs the op of the wave initiated
@@ -1024,12 +1005,7 @@ func (s *Switch) completeDue(c int64) {
 // address-major layout makes each case a single run over mem[addr*k :
 // addr*k+k].
 func (s *Switch) commitWave(slot int, op *Op, c int64) {
-	// One width mask for the whole sweep instead of a per-word Mask call
-	// (whose width<64 branch would sit inside the copy loop).
-	m := ^cell.Word(0)
-	if wb := s.cfg.WordBits; wb < 64 {
-		m = cell.Word(1)<<uint(wb) - 1
-	}
+	m := s.cfg.wordMask() // once for the whole sweep
 	switch op.Kind {
 	case OpWrite:
 		if s.refcnt[op.Addr] == 1 {
@@ -1047,20 +1023,7 @@ func (s *Switch) commitWave(slot int, op *Op, c int64) {
 	case OpRead:
 		r := s.rxHead[op.Out]
 		if lc := s.memLazy[op.Addr]; lc != nil {
-			// Indexed masked copy (the record's capacity is pool-sized to
-			// k), folding the corruption check into the sweep: the record
-			// departs the very cell it will be compared against, so it is
-			// clean exactly when the source was already in-width.
-			src := lc.Words[:s.k]
-			w := r.words[:s.k]
-			var dirty cell.Word
-			for j := range w {
-				v := src[j]
-				w[j] = v & m
-				dirty |= v &^ m
-			}
-			r.words = w
-			r.clean = dirty == 0
+			r.load(lc.Words[:s.k], m)
 			s.memLazy[op.Addr] = nil
 			s.lazyCount--
 		} else {
@@ -1073,16 +1036,7 @@ func (s *Switch) commitWave(slot int, op *Op, c int64) {
 		// pickWrite already released the buffer address — nothing could
 		// ever read the RAM deposit, so it is skipped entirely.
 		r := s.rxHead[op.Out]
-		src := s.inflight[op.In].c.Words[:s.k]
-		w := r.words[:s.k]
-		var dirty cell.Word
-		for j := range w {
-			v := src[j]
-			w[j] = v & m
-			dirty |= v &^ m
-		}
-		r.words = w
-		r.clean = dirty == 0
+		r.load(s.inflight[op.In].c.Words[:s.k], m)
 		r.start = c + 1
 		s.scheduleDepart(op.Out, c)
 	}

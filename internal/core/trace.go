@@ -132,37 +132,58 @@ func JSONTracer(sink *obs.JSONLSink) func(TraceEvent) {
 	return func(e TraceEvent) { sink.Record(e) }
 }
 
-// emitTrace assembles and dispatches this cycle's TraceEvent. It runs
-// after arbitration (so Ctrl[0] is the fresh control word) and before the
-// ingress phase (InLatch is derived from the in-flight state plus the
-// heads being injected this cycle).
-func (s *Switch) emitTrace(c int64, heads []*cell.Cell) {
-	ctrl := make([]Op, s.k)
-	for st := range ctrl {
-		ctrl[st] = s.ctrl[s.ctrlSlot(c, st)]
+// drives returns the outgoing link the op loads an output register for —
+// the link that register drives one cycle later — or -1.
+func (o *Op) drives() int {
+	if o.Kind == OpRead || o.Kind == OpWriteThrough {
+		return o.Out
 	}
+	return -1
+}
+
+// tickTraced is one cycle under the fig. 5 tap, which sits outside both
+// tick engines: it notes which link the op leaving stage k−1 loaded an
+// output register for, before the cycle's arbitration reclaims that op's
+// ring slot, runs the cycle on whichever engine Tick selected, and reports
+// it.
+func (s *Switch) tickTraced(heads []*cell.Cell) {
+	c := s.cycle
+	tail := s.ctrl[s.slotOf(c)].drives()
+	if s.fastMode {
+		s.tickFast(heads)
+	} else {
+		s.tickExact(heads)
+	}
+	s.emitTrace(c, tail)
+}
+
+// emitTrace assembles and dispatches the TraceEvent of cycle c, which has
+// just run, from state both tick engines keep: the control ring and the
+// input rows' occupancy. Ctrl[0] is the freshly arbitrated control word.
+// A row latches word c−head of the cell it holds, word 0 being a head
+// admitted this cycle. Output register st drives the link of the read or
+// write-through that sat at stage st last cycle (§3.2): this cycle's
+// Ctrl[st+1], and for the last stage tail, which tickTraced read off the
+// ring before the cycle ran. (A control word glitched in through
+// InjectControlFault is traced as if its stage had run it last cycle too.)
+func (s *Switch) emitTrace(c int64, tail int) {
 	e := TraceEvent{
 		Cycle:    c,
-		Ctrl:     ctrl,
+		Ctrl:     make([]Op, s.k),
 		InLatch:  make([]int, s.n),
-		OutDrive: append([]int(nil), s.driveScratch...),
+		OutDrive: make([]int, s.k),
 	}
-	if e.OutDrive == nil {
-		e.OutDrive = make([]int, s.k)
-		for st := range e.OutDrive {
-			e.OutDrive[st] = -1
+	for st := range e.Ctrl {
+		e.Ctrl[st] = s.ctrl[s.ctrlSlot(c, st)]
+		if st > 0 {
+			e.OutDrive[st-1] = e.Ctrl[st].drives()
 		}
 	}
-	for i := 0; i < s.n; i++ {
+	e.OutDrive[s.k-1] = tail
+	for i := range e.InLatch {
 		e.InLatch[i] = -1
-		if heads != nil && heads[i] != nil {
-			e.InLatch[i] = 0
-			continue
-		}
-		if a := &s.inflight[i]; a.active {
-			if j := c - a.head; j > 0 && j < int64(s.k) {
-				e.InLatch[i] = int(j)
-			}
+		if a := &s.inflight[i]; a.active && c-a.head < int64(s.k) {
+			e.InLatch[i] = int(c - a.head)
 		}
 	}
 	s.tracer(e)

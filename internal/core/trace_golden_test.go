@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"pipemem/internal/cell"
@@ -145,5 +147,151 @@ func TestTracedRunGoldenDigest(t *testing.T) {
 				t.Fatalf("vacuous run: %d events, %d departures", events, deps)
 			}
 		})
+	}
+}
+
+// traceGrid is traceCases plus a grid: {cut-through, store-and-forward} ×
+// {plain, 2 VCs, LinkPipeline 2, ECC, dt:alpha=2, pushout} × load 0.05, 0.5
+// and 0.95 — 45 configurations.
+func traceGrid() []traceCase {
+	cases := traceCases()
+	variants := []struct {
+		name string
+		mod  func(tc *traceCase)
+	}{
+		{"plain", func(*traceCase) {}},
+		{"vcs2", func(tc *traceCase) { tc.cfg.VCs = 2 }},
+		{"linkpipe2", func(tc *traceCase) { tc.cfg.LinkPipeline = 2 }},
+		{"ecc", func(tc *traceCase) { tc.cfg.ECC = true }},
+		{"dt", func(tc *traceCase) { tc.pol = "dt:alpha=2" }},
+		{"pushout", func(tc *traceCase) { tc.pol = "pushout" }},
+	}
+	for _, ct := range []bool{true, false} {
+		for _, v := range variants {
+			for i, load := range []float64{0.05, 0.5, 0.95} {
+				tc := traceCase{
+					name: fmt.Sprintf("grid/ct=%v/%s/load=%.2f", ct, v.name, load),
+					cfg:  Config{Ports: 4, WordBits: 16, Cells: 16, CutThrough: ct},
+					tc:   traffic.Config{Kind: traffic.Hotspot, N: 4, Load: load, HotFrac: 0.4, Seed: uint64(41 + i)},
+				}
+				v.mod(&tc)
+				cases = append(cases, tc)
+			}
+		}
+	}
+	return cases
+}
+
+// sameEvent compares two trace events field by field.
+func sameEvent(a, b TraceEvent) bool {
+	return a.Cycle == b.Cycle && slices.Equal(a.Ctrl, b.Ctrl) &&
+		slices.Equal(a.InLatch, b.InLatch) && slices.Equal(a.OutDrive, b.OutDrive)
+}
+
+// TestTracedBatchedEqualsForcedExact: the tracer is a tap, not an engine
+// switch. A traced switch stays on the batched engine — every cycle of
+// these fault-free runs — and emits, event for event, what its twin pinned
+// to the per-stage engine emits, where the drives are real output-register
+// loads; the two also deliver the same cells at the same cycles.
+func TestTracedBatchedEqualsForcedExact(t *testing.T) {
+	for _, tc := range traceGrid() {
+		t.Run(tc.name, func(t *testing.T) {
+			bat, ex := tc.newTraced(t), tc.newTraced(t)
+			ex.sw.forceExact()
+			var evBat, evEx TraceEvent
+			bat.sw.SetTracer(func(e TraceEvent) { evBat = e })
+			ex.sw.SetTracer(func(e TraceEvent) { evEx = e })
+			k := bat.sw.k
+			sched := genSchedule(t, tc.tc, k, 3000)
+			drives := 0
+			for c := int64(0); c < 3000+int64(4*k*tc.cfg.Cells); c++ {
+				evBat, evEx = TraceEvent{Cycle: -1}, TraceEvent{Cycle: -2}
+				for _, h := range []*ticknHarness{bat, ex} {
+					h.sw.Tick(h.vcHeads(rowAt(sched, c)))
+					h.collect()
+				}
+				if !bat.sw.fastMode || ex.sw.fastMode {
+					t.Fatalf("cycle %d: traced switch batching=%v, forced-exact twin batching=%v", c, bat.sw.fastMode, ex.sw.fastMode)
+				}
+				if evBat.Cycle != c || !sameEvent(evBat, evEx) {
+					t.Fatalf("cycle %d: events diverged:\n batched   %v\n per-stage %v", c, evBat, evEx)
+				}
+				for _, o := range evBat.OutDrive {
+					if o >= 0 {
+						drives++
+					}
+				}
+			}
+			checkTicknLogs(t, ex, bat)
+			if want := len(bat.log) * k; drives != want || want == 0 {
+				t.Fatalf("%d output drives traced for %d departures of %d words", drives, len(bat.log), k)
+			}
+		})
+	}
+}
+
+// TestTracerInstalledMidRun: a tracer installed at an arbitrary cycle sees,
+// from that cycle on, exactly the events of a run traced from cycle 0 —
+// including the drives of waves initiated (and, on the batched engine,
+// committed) before it was there. One run toggles its tracer on and off at
+// random cycles; every event it does emit must be the reference's event
+// for that cycle.
+func TestTracerInstalledMidRun(t *testing.T) {
+	for _, tc := range traceCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, got := tc.newTraced(t), tc.newTraced(t)
+			var evRef TraceEvent
+			ref.sw.SetTracer(func(e TraceEvent) { evRef = e })
+			var evGot *TraceEvent
+			tap := func(e TraceEvent) { evGot = &e }
+			k := ref.sw.k
+			sched := genSchedule(t, tc.tc, k, traceCycles)
+			rng := rand.New(rand.NewPCG(7, uint64(k)))
+			installs, compared, on := 0, 0, false
+			for c, next := int64(0), int64(1+rng.IntN(3*k)); c < traceCycles+int64(4*k*tc.cfg.Cells); c++ {
+				if c == next {
+					if on = !on; on {
+						got.sw.SetTracer(tap)
+						installs++
+					} else {
+						got.sw.SetTracer(nil)
+					}
+					next = c + 1 + int64(rng.IntN(3*k))
+				}
+				evGot = nil
+				for _, h := range []*ticknHarness{ref, got} {
+					h.sw.Tick(h.vcHeads(rowAt(sched, c)))
+					h.collect()
+				}
+				if (evGot != nil) != on {
+					t.Fatalf("cycle %d: tracer installed=%v, event emitted=%v", c, on, evGot != nil)
+				}
+				if on {
+					compared++
+					if !sameEvent(*evGot, evRef) {
+						t.Fatalf("cycle %d: events diverged:\n installed mid-run %v\n always traced     %v", c, *evGot, evRef)
+					}
+				}
+			}
+			checkTicknLogs(t, ref, got)
+			if installs < 20 || compared < traceCycles/4 {
+				t.Fatalf("vacuous drive: %d installs, %d events compared", installs, compared)
+			}
+		})
+	}
+}
+
+// TestTickNTracedEmitsEveryCycle: TickN fast-forwards a quiescent switch in
+// one jump, but not past a tracer — it is owed one event per cycle.
+func TestTickNTracedEmitsEveryCycle(t *testing.T) {
+	s := mustSwitch(t, Config{Ports: 4, WordBits: 16, Cells: 16, CutThrough: true})
+	s.TickN(nil, 1000)
+	var cycles []int64
+	s.SetTracer(func(e TraceEvent) { cycles = append(cycles, e.Cycle) })
+	s.TickN(nil, 50)
+	s.SetTracer(nil)
+	s.TickN(nil, 1<<40)
+	if len(cycles) != 50 || cycles[0] != 1000 || cycles[49] != 1049 || !s.fastMode || s.Cycle() != 1050+1<<40 {
+		t.Fatalf("traced TickN over 50 idle cycles emitted %d events (%v…), batching=%v, cycle %d", len(cycles), cycles[:min(len(cycles), 3)], s.fastMode, s.Cycle())
 	}
 }

@@ -91,6 +91,26 @@ type SessionConfig struct {
 	Watchdog   int64 `json:"watchdog,omitempty"`
 }
 
+// sessionAllocBudget is what one session's switch may cost to build, in
+// bytes. core.New allocates Stages×Cells buffer words and Cells×Ports
+// descriptor nodes before anything can refuse, so Spec prices the geometry
+// first (allocBound) and turns away what would not fit: a single POST
+// /sessions must not be able to take the whole fleet's memory. A constant,
+// not an option — 64 MiB holds, for example, an 8-port switch of 95,000
+// cells or a 64-port one of 11,000.
+const sessionAllocBudget = 64 << 20
+
+// allocBound bounds from above the bytes ckpt.New allocates for a ports×ports
+// switch of buf cells: measured ≤ 84 per descriptor node (the node, its
+// queue and free-list links, its share of the 2·ports×buf buffer words and
+// their check bits) and ≤ 17 per ports² (the input register rows), over
+// some 70 KiB of fixed cost. In floating point, so that no geometry a
+// request can spell overflows it.
+func allocBound(ports, buf int) float64 {
+	p, b := float64(ports), float64(buf)
+	return 88*p*b + 24*p*p + 128<<10
+}
+
 // parseKind resolves a traffic-kind name.
 func parseKind(s string) (traffic.Kind, error) {
 	switch s {
@@ -129,6 +149,9 @@ func (c SessionConfig) Spec() (ckpt.Spec, error) {
 	if c.Cycles <= 0 {
 		return spec, badSpecf("cycles must be positive (got %d)", c.Cycles)
 	}
+	if cost := allocBound(ports, buf); cost > sessionAllocBudget {
+		return spec, badSpecf("ports=%d buf=%d needs about %.0f MiB of switch state; a session may take %d MiB", ports, buf, cost/(1<<20), sessionAllocBudget>>20)
+	}
 	kind, err := parseKind(c.Traffic)
 	if err != nil {
 		return spec, err
@@ -154,6 +177,9 @@ func (c SessionConfig) Spec() (ckpt.Spec, error) {
 		Traffic: tcfg,
 		Cycles:  c.Cycles,
 		Policy:  c.Policy,
+	}
+	if err := spec.Switch.Canonical().Validate(); err != nil {
+		return spec, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	if c.FaultPlan != "" {
 		plan, err := fault.Parse(c.FaultPlan)
