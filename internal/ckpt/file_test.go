@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -143,5 +144,45 @@ func TestResumeReportsUnusableSwitchState(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "has no cell") {
 		t.Fatalf("error %q does not say what is wrong with the state", err)
+	}
+}
+
+// TestCheckpointBytesPinned pins the pmckpt v1 file bytes (header and
+// body) of a plain and of a fault-plan session 333 cycles in. A session
+// that uses nothing a later format extension serializes must keep writing
+// exactly these bytes, or files written before the extension and after it
+// stop being interchangeable.
+func TestCheckpointBytesPinned(t *testing.T) {
+	rows := []struct {
+		name   string
+		policy string
+		faults bool
+		sum    uint64
+		size   int
+	}{
+		{"plain", "dt:alpha=2", false, 0x6c6398750050f58c, 14127},
+		{"faultplan", "", true, 0x6d3dbe1aff0cd4dd, 15564},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			s, err := New(specFor(t, r.policy, r.faults), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepTo(t, s, 333)
+			path := filepath.Join(t.TempDir(), "pin.ckpt")
+			if err := s.CheckpointTo(path); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(data)
+			if h.Sum64() != r.sum || len(data) != r.size {
+				t.Fatalf("%d bytes, digest %#x; pinned %d bytes, %#x", len(data), h.Sum64(), r.size, r.sum)
+			}
+		})
 	}
 }

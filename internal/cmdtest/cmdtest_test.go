@@ -390,6 +390,83 @@ func TestPmrtlTracePinned(t *testing.T) {
 	}
 }
 
+// firstAndFaults keeps the RunResult line and the per-kind "faults:" tallies
+// of a pmsim fault run: the part of its stdout that is the simulation's
+// outcome rather than the report's layout.
+func firstAndFaults(out string) string {
+	var b strings.Builder
+	for i, line := range strings.SplitAfter(out, "\n") {
+		if i == 0 || strings.HasPrefix(line, "faults:") {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
+}
+
+// TestPmsimPinned pins pmsim's single-switch stdout byte for byte. The
+// first four rows run what every path shares — traffic.CellStream arrivals
+// through core.Runner — and must not move when the run paths are merged;
+// the last three are the README / verify-skill fault recipes.
+func TestPmsimPinned(t *testing.T) {
+	rtl := []string{"-arch", "rtl", "-n", "8", "-buf", "256", "-load", "0.9", "-slots", "200000"}
+	ecc := []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-load", "0.6", "-slots", "120000", "-ecc", "-events", "2000"}
+	stuck := []string{"-faultplan", "-", "-n", "2", "-buf", "8", "-load", "0.4", "-slots", "20000", "-bypass", "3"}
+	const stuckPlan = "@500 stuck stage=2\n"
+	audit := func(args []string) []string { return append(append([]string{}, args...), "-audit", "1000") }
+	rows := []struct {
+		name  string
+		stdin string
+		args  []string
+		keep  func(string) string // nil: all of stdout
+		want  string              // the kept bytes, or "" when sum/size pin them
+		sum   uint64
+		size  int
+	}{
+		{name: "rtl", args: rtl,
+			want: "cycles=200298 offered=89927 delivered=89927 dropped=0 util=0.8979 cutlat=66.76 initdelay=1.8859\n"},
+		{name: "rtl-metrics", args: append(append([]string{}, rtl...), "-metrics"), sum: 0x7697392becabd738, size: 6704},
+		{name: "ecc-audit", args: audit(ecc), keep: firstAndFaults,
+			want: "cycles=120017 offered=35899 delivered=35899 dropped=0 util=0.5982 cutlat=15.05 initdelay=0.7611\n" +
+				"faults: mem         applied=1654 skipped=346\n"},
+		{name: "stuck-audit", stdin: stuckPlan, args: audit(stuck), keep: firstAndFaults,
+			want: "cycles=20015 offered=3997 delivered=3840 dropped=157 util=0.3837 cutlat=8.04 initdelay=1.4720\n" +
+				"faults: stuck       applied=1 skipped=0\n"},
+
+		{name: "recipe/ecc", args: ecc,
+			want: "cycles=120018 offered=35991 delivered=35991 dropped=0 linkfailed=0 corrupt=0 ecc-corrected=1682 ecc-uncorrectable=0 bypassed=[] retransmits=0\n" +
+				"health: degraded=false failed=false usable-cells=32 ecc-hard=0 bypass-drops=0\n" +
+				"faults: mem         applied=1682 skipped=318\n"},
+		{name: "recipe/stuck", stdin: stuckPlan, args: stuck,
+			want: "cycles=20004 offered=3997 delivered=3832 dropped=165 linkfailed=0 corrupt=4 ecc-corrected=2 ecc-uncorrectable=2 bypassed=[2] retransmits=0\n" +
+				"health: degraded=true failed=false usable-cells=4 ecc-hard=2 bypass-drops=0\n" +
+				"faults: stuck       applied=1 skipped=0\n"},
+		{name: "recipe/linkprotect", args: []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-load", "0.5", "-slots", "100000", "-linkprotect"},
+			want: "cycles=100024 offered=25036 delivered=25036 dropped=0 linkfailed=0 corrupt=0 ecc-corrected=0 ecc-uncorrectable=0 bypassed=[] retransmits=85\n" +
+				"health: degraded=false failed=false usable-cells=32 ecc-hard=0 bypass-drops=0\n" +
+				"faults: linkdrop    applied=50 skipped=62\n" +
+				"faults: linkcorrupt applied=35 skipped=53\n"},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			out, stderr, _ := run(t, "pmsim", r.stdin, r.args...)
+			if r.keep != nil {
+				out = r.keep(out)
+			}
+			if r.want != "" {
+				if out != r.want {
+					t.Fatalf("pmsim %v:\n got  %q\n want %q\nstderr: %s", r.args, out, r.want, stderr)
+				}
+				return
+			}
+			h := fnv.New64a()
+			h.Write([]byte(out))
+			if h.Sum64() != r.sum || len(out) != r.size {
+				t.Fatalf("pmsim %v: %d bytes, digest %#x; pinned %d bytes, %#x", r.args, len(out), h.Sum64(), r.size, r.sum)
+			}
+		})
+	}
+}
+
 // TestPmsimCheckpointRestoreRoundTrip drives the checkpoint surface
 // through the real binary: an interrupted-and-restored run must print the
 // same result line as the uninterrupted one.
