@@ -32,7 +32,10 @@ race:
 # seams: the SEC-DED kernel against its bit-serial oracle, and the three
 # targets that toggle ECC — arbitrary injection schedules, TickN batch
 # splits × snapshot cuts with upsets in flight, and checkpoint cuts inside
-# a dirty window or a drawn-ahead traffic gap. FuzzCellStreamHorizon drives
+# a dirty window, a drawn-ahead traffic gap or a CRC link's retransmission.
+# FuzzLinkState puts arbitrary bytes where a checkpoint keeps its link
+# stage: refused on restore, or a session that runs on with the switch's
+# invariants intact. FuzzCellStreamHorizon drives
 # the cell stream beside its frozen per-cycle reference (heads and State
 # bytes at every cycle, restore at any). FuzzNetConfig asks for multistage
 # nets of arbitrary size: built or refused within a fixed allocation bound,
@@ -55,6 +58,7 @@ fuzz:
 	$(GO) test ./internal/core -run FuzzSwitchTraffic -fuzz FuzzSwitchTraffic -fuzztime 30s
 	$(GO) test ./internal/core -run FuzzTickN -fuzz FuzzTickN -fuzztime 30s
 	$(GO) test ./internal/ckpt -run FuzzCheckpointCycle -fuzz FuzzCheckpointCycle -fuzztime 30s
+	$(GO) test ./internal/ckpt -run FuzzLinkState -fuzz FuzzLinkState -fuzztime 30s
 	$(GO) test ./internal/fabric -run FuzzNetConfig -fuzz FuzzNetConfig -fuzztime 30s
 	$(GO) test . -run FuzzOrganizations -fuzz FuzzOrganizations -fuzztime 30s
 	$(GO) test ./internal/srv -run FuzzSessionConfig -fuzz FuzzSessionConfig -fuzztime 30s

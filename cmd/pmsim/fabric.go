@@ -39,10 +39,6 @@ type fabricOpts struct {
 // prints the run summary, and audits the final state (conservation,
 // credit bounds, per-node invariants).
 func runFabric(o fabricOpts) {
-	die := func(err error) {
-		fmt.Fprintln(os.Stderr, "pmsim:", err)
-		os.Exit(1)
-	}
 	var (
 		net *fabric.Net // clos.Net is the same type
 		err error
@@ -61,11 +57,10 @@ func runFabric(o fabricOpts) {
 			Policy: o.policy, Workers: o.workers,
 		})
 	default:
-		fmt.Fprintf(os.Stderr, "pmsim: -fabric %q: want butterfly or clos\n", o.kind)
-		os.Exit(2)
+		die(2, fmt.Sprintf("-fabric %q: want butterfly or clos", o.kind))
 	}
 	if err != nil {
-		die(err)
+		die(1, err)
 	}
 	defer net.Close()
 
@@ -84,14 +79,14 @@ func runFabric(o fabricOpts) {
 	if o.trace != nil && o.trace.Out != "" {
 		f, err := os.Create(o.trace.Out)
 		if err != nil {
-			die(err)
+			die(1, err)
 		}
 		// Sampling is done engine-side by flight seq; the tracer itself
 		// passes everything through (sampleEvery 1, unbounded). The sink
 		// owns the file and closes it with the tracer.
 		tracer = obs.NewTracer(obs.NewJSONLSink(f), 0, 1)
 		if err := net.SetFlightTrace(tracer, o.trace.Sample); err != nil {
-			die(err)
+			die(1, err)
 		}
 	}
 	var ts *obs.TimeSeries
@@ -101,26 +96,26 @@ func runFabric(o fabricOpts) {
 
 	res, err := net.Run(o.traffic, o.warmup, o.cycles)
 	if err != nil {
-		die(err)
+		die(1, err)
 	}
 
 	if tracer != nil {
 		if err := tracer.Close(); err != nil {
-			die(err)
+			die(1, err)
 		}
 	}
 	if ts != nil {
 		f, err := os.Create(o.trace.TelemetryOut)
 		if err != nil {
-			die(err)
+			die(1, err)
 		}
 		werr := ts.WriteJSONL(f)
 		cerr := f.Close()
 		if werr != nil {
-			die(werr)
+			die(1, werr)
 		}
 		if cerr != nil {
-			die(cerr)
+			die(1, cerr)
 		}
 	}
 
@@ -131,8 +126,7 @@ func runFabric(o fabricOpts) {
 			q.Quantile(0.50), q.Quantile(0.99), q.Max())
 	}
 	if err := net.Audit(); err != nil {
-		fmt.Fprintln(os.Stderr, "pmsim: post-run audit FAILED:", err)
-		os.Exit(1)
+		die(1, fmt.Sprint("post-run audit FAILED: ", err))
 	}
 	fmt.Println("post-run audit passed")
 
@@ -145,7 +139,7 @@ func runFabric(o fabricOpts) {
 			err = reg.WritePrometheus(os.Stdout)
 		}
 		if err != nil {
-			die(err)
+			die(1, err)
 		}
 	}
 }

@@ -12,54 +12,48 @@
 // Architectures: input-fifo, voq, output, shared, crosspoint,
 // block-crosspoint, smoothing, speedup.
 //
-// With -faultplan, pmsim instead drives the cycle-accurate pipelined
-// memory switch under traffic while a fault schedule unfolds, and reports
-// corruption, ECC activity, bypasses and link retransmissions:
+// With -arch rtl, -faultplan, -metrics, -trace, -pprof or a checkpoint
+// flag, pmsim instead drives the cycle-accurate pipelined memory switch —
+// one session, whatever the flags: traffic.CellStream arrivals (every
+// traffic flag applies), an optional fault plan, optional CRC links.
+//
+// -faultplan runs the switch while a fault schedule unfolds and reports,
+// under the result line, corruption, ECC activity, bypasses, link
+// retransmissions, the switch's health and each fault kind's applied and
+// skipped tally. Corrupted deliveries are that run's measurement, not its
+// failure: it exits 1 only on a conservation violation, a drain that left
+// cells behind, an audit failure or a tripped watchdog.
 //
 //	pmsim -faultplan plan.txt -n 4 -buf 32 -load 0.6 -slots 100000 -ecc
-//	pmsim -faultplan random -n 4 -buf 32 -ecc -bypass 3
-//	pmsim -faultplan - < plan.txt -n 4 -linkprotect
+//	pmsim -faultplan random -n 4 -buf 32 -ecc -bypass 3 -bursty 8
+//	pmsim -faultplan - < plan.txt -n 4 -linkprotect -retries 6
 //
 // The plan format is one event per line: "@<cycle> <kind> key=val…"
 // (kinds: mem, stuck, ctrl, inreg, linkdrop, linkcorrupt); "random"
-// generates a seeded random plan, "-" reads standard input. This harness
-// offers Bernoulli traffic at -load and refuses -bursty, -hot and
-// -saturate (exit 2). The same plan with -checkpoint, -audit or -watchdog
-// runs through the session layer instead, which honours the traffic flags
-// and draws its arrivals from a different stream: the two paths' offered
-// counts differ for the same -seed, and neither reproduces the other.
+// generates a seeded random plan (link events with -linkprotect, memory
+// upsets without), "-" reads standard input.
 //
-// With -metrics and/or -trace, pmsim instead drives the cycle-accurate
-// pipelined memory switch with the observability layer attached: -metrics
-// prints a Prometheus-style snapshot of the run's metrics (wave
-// initiations, cut-throughs, stalls, queue depths, buffer high-water
-// mark, drops, latency histograms) after the result line, and -trace
-// writes the structured JSONL event stream:
+// -metrics prints a Prometheus-style snapshot of the run's metrics after
+// the result line (-metrics-json: the JSON snapshot), -trace writes the
+// structured JSONL event stream, and -pprof ADDR serves /metrics,
+// /metrics.json and /debug/pprof/ on ADDR while running:
 //
 //	pmsim -metrics -trace out.jsonl -n 8 -buf 256 -load 0.9 -slots 100000
-//	pmsim -metrics -metrics-json                # JSON snapshot instead
 //	pmsim -faultplan random -ecc -metrics       # observe a fault run
 //
-// -pprof ADDR serves /metrics, /metrics.json and /debug/pprof/ (with
-// periodic runtime heap/GC/goroutine gauges) on ADDR while running.
-//
-// With -checkpoint, -restore, -audit or -watchdog, the RTL run goes
-// through a checkpointable session: -checkpoint FILE writes periodic
-// crash-consistent snapshots of the complete simulation state (every
-// -ckpt-every cycles, default cycles/10), -restore FILE resumes one —
-// traffic, buffer policy and fault plan come from the checkpoint, and the
-// resumed run finishes bit-identically to the uninterrupted one. -audit N
-// verifies internal invariants (conservation, occupancy, §3.2
-// hazard-freedom) every N cycles; -watchdog N aborts with a diagnostic
-// checkpoint (FILE.stuck) if no cell moves for N cycles while some are
-// resident:
+// -checkpoint FILE writes periodic crash-consistent snapshots of the
+// complete simulation state (every -ckpt-every cycles, default
+// cycles/10); -restore FILE resumes one — traffic, buffer policy, fault
+// plan and link state come from the file — and finishes bit-identically
+// to the uninterrupted run. -audit N verifies internal invariants
+// (conservation, occupancy, §3.2 hazard-freedom) every N cycles;
+// -watchdog N aborts with a diagnostic checkpoint (FILE.stuck) if no cell
+// moves for N cycles while some are pending. None of the four changes
+// what the run simulates or prints:
 //
 //	pmsim -arch rtl -n 8 -buf 256 -slots 200000 -checkpoint run.ckpt
 //	pmsim -restore run.ckpt
 //	pmsim -faultplan plan.txt -ecc -checkpoint run.ckpt -audit 1000 -watchdog 5000
-//
-// -linkprotect runs are not checkpointable (CRC link state is not
-// serialized).
 package main
 
 import (
@@ -117,12 +111,10 @@ func main() {
 		*warmup = *slots / 10
 	}
 	if err := ckptf.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "pmsim:", err)
-		os.Exit(2)
+		die(2, err)
 	}
 	if err := tracef.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "pmsim:", err)
-		os.Exit(2)
+		die(2, err)
 	}
 
 	// trafficAt is the arrival process the shared traffic flags select, at
@@ -141,20 +133,18 @@ func main() {
 	}
 	observe := *metrics || *metricsJSON || tracef.Out != "" || *pprofAddr != ""
 
-	// -sweep is a plain load sweep of one architecture; the harnesses below
+	// -sweep is a plain load sweep of one architecture; the run paths below
 	// run a single point and would drop it.
 	if *sweep && (*fabricKind != "" || *faultplan != "" || ckptf.Active() || observe) {
-		fmt.Fprintln(os.Stderr, "pmsim: -sweep runs a plain load sweep; it does not combine with -fabric, -faultplan, -checkpoint/-restore/-audit/-watchdog, -metrics/-trace or -pprof")
-		os.Exit(2)
+		die(2, "-sweep runs a plain load sweep; it does not combine with -fabric, -faultplan, -checkpoint/-restore/-audit/-watchdog, -metrics/-trace or -pprof")
 	}
 
 	// A -fabric run drives the multistage engine, which has its own
 	// metrics surface; it composes with the traffic and -bufpolicy flags
-	// but not with the single-switch fault/checkpoint/trace harnesses.
+	// but not with the single-switch session (fault plans, checkpoints).
 	if *fabricKind != "" {
 		if *faultplan != "" || ckptf.Active() || *pprofAddr != "" {
-			fmt.Fprintln(os.Stderr, "pmsim: -fabric does not combine with -faultplan, -checkpoint/-restore or -pprof")
-			os.Exit(2)
+			die(2, "-fabric does not combine with -faultplan, -checkpoint/-restore or -pprof")
 		}
 		// A flag the chosen network would ignore is refused, not dropped.
 		ignored := map[string]string{"arch": "-fabric builds a multistage network, not -arch"}
@@ -166,8 +156,7 @@ func main() {
 		}
 		flag.Visit(func(f *flag.Flag) {
 			if why, ok := ignored[f.Name]; ok {
-				fmt.Fprintf(os.Stderr, "pmsim: %s; drop -%s\n", why, f.Name)
-				os.Exit(2)
+				die(2, fmt.Sprintf("%s; drop -%s", why, f.Name))
 			}
 		})
 		runFabric(fabricOpts{
@@ -179,76 +168,73 @@ func main() {
 		return
 	}
 	if tracef.TelemetryOut != "" {
-		fmt.Fprintln(os.Stderr, "pmsim: -telemetry samples the multistage engine; it needs -fabric butterfly|clos")
-		os.Exit(2)
+		die(2, "-telemetry samples the multistage engine; it needs -fabric butterfly|clos")
 	}
 
 	var ob *observed
 	if observe {
 		var err error
 		if ob, err = newObserved(*n, tracef.Out, tracef.Sample, *pprofAddr); err != nil {
-			fmt.Fprintln(os.Stderr, "pmsim:", err)
-			os.Exit(1)
+			die(1, err)
 		}
 		defer ob.finish(*metrics || *metricsJSON, *metricsJSON)
 	}
 
-	// The checkpoint/audit/watchdog group routes the run through the
-	// session layer, which owns the same RTL + traffic (+ fault plan) loop
-	// in a resumable form.
-	if ckptf.Active() {
-		// Sessions drive the RTL model; an explicit slot-level -arch would
-		// be silently ignored, so refuse it instead.
-		archSet := false
-		flag.Visit(func(f *flag.Flag) { archSet = archSet || f.Name == "arch" })
-		if archSet && *arch != "rtl" {
-			fmt.Fprintf(os.Stderr, "pmsim: -checkpoint/-restore/-audit/-watchdog drive the RTL model, not -arch %s; use -arch rtl or drop -arch\n", *arch)
-			os.Exit(2)
-		}
-		runSession(ckptf, sessOpts{
-			n: *n, buf: *buf, cycles: *slots, seed: *seed, traffic: trafficAt(*load),
-			faultplan: *faultplan, events: *events,
-			ecc: *ecc || *bypass > 0, bypass: *bypass, linkprotect: *linkprot,
-			polSpec: bufpol.Spec(), obs: ob,
-		})
-		return
-	}
-
-	if *faultplan != "" {
-		// The fault harness draws its own Bernoulli arrivals at -load; a
-		// traffic flag it would ignore is refused, not dropped.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "bursty" || f.Name == "hot" || f.Name == "saturate" {
-				fmt.Fprintf(os.Stderr, "pmsim: the -faultplan harness offers Bernoulli traffic at -load and does not implement -%s; drop it, or add -audit/-watchdog/-checkpoint to run the plan through the session layer, which does\n", f.Name)
-				os.Exit(2)
-			}
-		})
-		runFaultPlan(*faultplan, faultOpts{
-			n: *n, buf: *buf, load: *load, cycles: *slots, seed: *seed,
-			ecc: *ecc || *bypass > 0, bypass: *bypass,
-			linkprotect: *linkprot, retries: *retries, events: *events,
-			obs: ob, policy: bufpol.Policy(),
-		})
-		return
-	}
-
-	// -metrics/-trace (or -arch rtl) select the cycle-accurate pipelined
-	// switch (the observability layer lives in the RTL model, not the
-	// slot-level §2 simulators).
-	if observe || *arch == "rtl" {
+	// Everything on the cycle-accurate switch is one session: -arch rtl,
+	// a fault plan, the observability flags (the observer lives in the RTL
+	// model, not the slot-level §2 simulators) and the checkpoint group.
+	if observe || *arch == "rtl" || *faultplan != "" || ckptf.Active() {
 		if *sweep {
 			sweepRTL(*n, *buf, *slots, bufpol.Spec(), trafficAt)
 			return
 		}
-		runObserved(ob, rtlOpts{n: *n, buf: *buf, cycles: *slots,
-			traffic: trafficAt(*load), policy: bufpol.Policy()})
+		// An explicit slot-level -arch would be silently ignored by a
+		// checkpointed run, so refuse it instead.
+		archSet := false
+		flag.Visit(func(f *flag.Flag) { archSet = archSet || f.Name == "arch" })
+		if ckptf.Active() && archSet && *arch != "rtl" {
+			die(2, fmt.Sprintf("-checkpoint/-restore/-audit/-watchdog drive the RTL model, not -arch %s; use -arch rtl or drop -arch", *arch))
+		}
+		spec := pipemem.SimSpec{
+			Switch:  pipemem.Config{Ports: *n, WordBits: 16, Cells: *buf, CutThrough: true},
+			Traffic: trafficAt(*load),
+			Cycles:  *slots,
+			Policy:  bufpol.Spec(),
+		}
+		switch {
+		case ckptf.Restore == "":
+		case *faultplan != "":
+			die(2, "-restore resumes the checkpoint's own fault plan; drop -faultplan")
+		case *linkprot:
+			die(2, "-restore resumes the checkpoint's own link state; drop -linkprotect")
+		case spec.Policy != "":
+			die(2, "-restore resumes the checkpoint's own buffer policy; drop -bufpolicy")
+		}
+		if *faultplan != "" {
+			// Cut-through cells never read the banks, so ECC and bypass runs
+			// are store-and-forward: the faults have to be visible.
+			withECC := *ecc || *bypass > 0
+			spec.Switch = pipemem.Config{Ports: *n, Cells: *buf, CutThrough: !withECC, ECC: withECC, BypassThreshold: *bypass}
+			random := pipemem.FaultRandomOptions{
+				Cycles: *slots, Events: *events, Stages: 2 * *n, WordBits: 16, Inputs: *n,
+				Kinds: []pipemem.FaultKind{pipemem.FaultMem},
+			}
+			if *linkprot {
+				random.Kinds = []pipemem.FaultKind{pipemem.FaultLinkDrop, pipemem.FaultLinkCorrupt}
+			}
+			var err error
+			if spec.Plan, err = loadPlan(*faultplan, *seed, random); err != nil {
+				die(1, err)
+			}
+			spec.FaultSeed, spec.LinkProtect, spec.MaxRetries = *seed, *linkprot, *retries
+		}
+		runSession(ckptf, spec, ob)
 		return
 	}
 	// The §2 slot-level simulators have no shared-buffer admission hook;
 	// refuse the flag rather than silently ignoring it.
 	if bufpol.Got() {
-		fmt.Fprintln(os.Stderr, "pmsim: -bufpolicy applies to the RTL model only (-arch rtl, -faultplan, -metrics or -trace)")
-		os.Exit(2)
+		die(2, "-bufpolicy applies to the RTL model only (-arch rtl, -faultplan, -metrics or -trace)")
 	}
 
 	build := func() pipemem.Arch {
@@ -272,8 +258,7 @@ func main() {
 		case "speedup":
 			return pipemem.NewSpeedupFabric(*n, *buf, *buf, *speedup)
 		default:
-			fmt.Fprintf(os.Stderr, "pmsim: unknown architecture %q\n", *arch)
-			os.Exit(2)
+			die(2, fmt.Sprintf("unknown architecture %q", *arch))
 			return nil
 		}
 	}
@@ -281,8 +266,7 @@ func main() {
 	run := func(p float64) {
 		g, err := pipemem.NewGenerator(trafficAt(p))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmsim:", err)
-			os.Exit(1)
+			die(1, err)
 		}
 		res := pipemem.RunArch(build(), g, *warmup, *slots)
 		fmt.Printf("load=%.2f  %s\n", p, res)
@@ -316,8 +300,7 @@ func sweepRTL(n, buf int, cycles int64, policy string, trafficAt func(float64) p
 	}
 	results, err := bench.Sweep(0, pts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmsim:", err)
-		os.Exit(1)
+		die(1, err)
 	}
 	for _, r := range results {
 		fmt.Printf("%s  %s\n", r.Point.Label, r.Run)
@@ -383,200 +366,47 @@ func (ob *observed) finish(printMetrics, asJSON bool) {
 	}
 }
 
-type rtlOpts struct {
-	n, buf  int
-	cycles  int64
-	traffic pipemem.TrafficConfig
-	policy  pipemem.BufferPolicy
-}
-
-// runObserved drives the cycle-accurate pipelined switch, with the
-// observer installed when one was requested (ob may be nil for a plain
-// -arch rtl run), and prints the run result; the deferred finish in main
-// emits the metrics snapshot.
-func runObserved(ob *observed, o rtlOpts) {
-	sw, err := pipemem.New(pipemem.Config{Ports: o.n, WordBits: 16, Cells: o.buf, CutThrough: true})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmsim:", err)
-		os.Exit(1)
-	}
-	if ob != nil {
-		sw.SetObserver(ob.observer)
-	}
-	if o.policy != nil {
-		sw.SetBufferPolicy(o.policy)
-	}
-	cs, err := pipemem.NewCellStream(o.traffic, sw.Config().Stages)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmsim:", err)
-		os.Exit(1)
-	}
-	res, err := pipemem.RunTraffic(sw, cs, o.cycles)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmsim:", err)
-		os.Exit(1)
-	}
-	fmt.Println(res)
-}
-
-type sessOpts struct {
-	n, buf      int
-	cycles      int64
-	seed        uint64
-	traffic     pipemem.TrafficConfig
-	faultplan   string
-	events      int
-	ecc         bool
-	bypass      int
-	linkprotect bool
-	polSpec     string
-	obs         *observed
-}
-
-// runSession drives the RTL switch through the checkpointable session
-// layer: periodic checkpoints, online invariant audits, the no-progress
-// watchdog, and -restore resumption. On a watchdog or audit abort the
-// partial result is still printed before the non-zero exit.
-func runSession(ck *cli.CheckpointValue, o sessOpts) {
-	die := func(msg string) {
-		fmt.Fprintln(os.Stderr, "pmsim:", msg)
-		os.Exit(2)
-	}
-	if o.linkprotect {
-		die("-checkpoint/-restore/-audit/-watchdog do not cover the -linkprotect harness (CRC link state is not serialized); drop -linkprotect")
-	}
+// runSession drives the cycle-accurate switch through a session — with
+// whatever of fault plan, CRC links, observer, checkpoints, audits and
+// watchdog the flags ask for, or resumed from a checkpoint (spec then only
+// sizes the default checkpoint cadence) — and prints the result line, then
+// the fault report when the run carries a plan. On a watchdog or audit
+// abort the partial result is still printed before the non-zero exit.
+func runSession(ck *cli.CheckpointValue, spec pipemem.SimSpec, ob *observed) {
 	opts := pipemem.SimOptions{
 		Path:           ck.Path,
-		Every:          ck.EffectiveEvery(o.cycles),
+		Every:          ck.EffectiveEvery(spec.Cycles),
 		AuditEvery:     ck.AuditEvery,
 		WatchdogWindow: ck.Watchdog,
 	}
-	if o.obs != nil {
-		opts.Observer = o.obs.observer
+	if ob != nil {
+		opts.Observer = ob.observer
 	}
 	var s *pipemem.SimSession
 	var err error
 	if ck.Restore != "" {
-		if o.faultplan != "" {
-			die("-restore resumes the checkpoint's own fault plan; drop -faultplan")
-		}
-		if o.polSpec != "" {
-			die("-restore resumes the checkpoint's own buffer policy; drop -bufpolicy")
-		}
 		s, err = pipemem.ResumeSession(ck.Restore, opts)
 	} else {
-		spec := pipemem.SimSpec{
-			Switch:  pipemem.Config{Ports: o.n, WordBits: 16, Cells: o.buf, CutThrough: true},
-			Traffic: o.traffic,
-			Cycles:  o.cycles,
-			Policy:  o.polSpec,
-		}
-		if o.faultplan != "" {
-			spec.Switch = pipemem.Config{
-				Ports: o.n, Cells: o.buf, CutThrough: !o.ecc,
-				ECC: o.ecc, BypassThreshold: o.bypass,
-			}
-			plan, perr := loadPlan(o.faultplan, faultOpts{
-				n: o.n, cycles: o.cycles, seed: o.seed, events: o.events,
-			})
-			if perr != nil {
-				fmt.Fprintln(os.Stderr, "pmsim:", perr)
-				os.Exit(1)
-			}
-			spec.Plan, spec.FaultSeed = plan, o.seed
-		}
 		s, err = pipemem.NewSession(spec, opts)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmsim:", err)
-		os.Exit(1)
+		die(1, err)
 	}
-	res, rerr := s.Run()
+	res, err := s.Run()
 	fmt.Println(res)
-	if eng := s.Engine(); eng != nil {
-		tallies := eng.Counters().Snapshot()
-		for _, k := range []string{"mem", "stuck", "ctrl", "inreg"} {
-			if a, sk := tallies["applied-"+k], tallies["skipped-"+k]; a+sk > 0 {
-				fmt.Printf("faults: %-11s applied=%d skipped=%d\n", k, a, sk)
-			}
-		}
-	}
-	if rerr != nil {
-		fmt.Fprintln(os.Stderr, "pmsim:", rerr)
-		os.Exit(1)
-	}
-}
-
-type faultOpts struct {
-	n, buf      int
-	load        float64
-	cycles      int64
-	seed        uint64
-	ecc         bool
-	bypass      int
-	linkprotect bool
-	retries     int
-	events      int
-	obs         *observed
-	policy      pipemem.BufferPolicy
-}
-
-// runFaultPlan drives the cycle-accurate switch under a fault schedule and
-// prints the report, the final health state, and the engine's per-kind
-// tallies.
-func runFaultPlan(src string, o faultOpts) {
-	plan, err := loadPlan(src, o)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmsim:", err)
-		os.Exit(1)
-	}
-	var observer *pipemem.Observer
-	if o.obs != nil {
-		observer = o.obs.observer
-	}
-	rep, err := pipemem.RunFaults(pipemem.FaultRunOptions{
-		Config: pipemem.Config{
-			Ports: o.n, Cells: o.buf, CutThrough: !o.ecc,
-			ECC: o.ecc, BypassThreshold: o.bypass,
-		},
-		Plan:        plan,
-		Seed:        o.seed,
-		Cycles:      o.cycles,
-		Load:        o.load,
-		LinkProtect: o.linkprotect,
-		MaxRetries:  o.retries,
-		Observer:    observer,
-		Policy:      o.policy,
-	})
-	if rep != nil {
+	if rep := s.Report(res); rep != nil {
 		fmt.Println(rep)
-		h := rep.Health
-		fmt.Printf("health: degraded=%v failed=%v usable-cells=%d ecc-hard=%d bypass-drops=%d\n",
-			h.Degraded, h.Failed, h.UsableCells, h.ECCHard, h.BypassDrops)
-		for _, k := range []string{"mem", "stuck", "ctrl", "inreg", "linkdrop", "linkcorrupt"} {
-			if a, s := rep.Engine["applied-"+k], rep.Engine["skipped-"+k]; a+s > 0 {
-				fmt.Printf("faults: %-11s applied=%d skipped=%d\n", k, a, s)
-			}
-		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmsim:", err)
-		os.Exit(1)
+		die(1, err)
 	}
 }
 
 // loadPlan resolves the -faultplan argument: a seeded random plan, stdin,
 // or a plan file.
-func loadPlan(src string, o faultOpts) (*pipemem.FaultPlan, error) {
+func loadPlan(src string, seed uint64, random pipemem.FaultRandomOptions) (*pipemem.FaultPlan, error) {
 	if src == "random" {
-		kinds := []pipemem.FaultKind{pipemem.FaultMem}
-		if o.linkprotect {
-			kinds = []pipemem.FaultKind{pipemem.FaultLinkDrop, pipemem.FaultLinkCorrupt}
-		}
-		return pipemem.RandomFaultPlan(o.seed, pipemem.FaultRandomOptions{
-			Cycles: o.cycles, Events: o.events, Stages: 2 * o.n,
-			WordBits: 16, Inputs: o.n, Kinds: kinds,
-		}), nil
+		return pipemem.RandomFaultPlan(seed, random), nil
 	}
 	var text []byte
 	var err error
@@ -589,4 +419,11 @@ func loadPlan(src string, o faultOpts) (*pipemem.FaultPlan, error) {
 		return nil, err
 	}
 	return pipemem.ParseFaultPlan(string(text))
+}
+
+// die prints a one-line message to stderr and exits with code: 2 for a
+// flag combination pmsim refuses, 1 for a run that failed.
+func die(code int, msg any) {
+	fmt.Fprintln(os.Stderr, "pmsim:", msg)
+	os.Exit(code)
 }

@@ -12,7 +12,7 @@ import (
 
 // stepTo advances a session exactly n cycles through StepN, failing the
 // test if the run ends early.
-func stepTo(t *testing.T, s *Session, n int64) {
+func stepTo(t testing.TB, s *Session, n int64) {
 	t.Helper()
 	adv, done, err := s.StepN(n)
 	if err != nil {

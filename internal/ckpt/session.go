@@ -36,6 +36,9 @@ type Checkpoint struct {
 	Traffic traffic.Config
 	Stream  *traffic.StreamState
 	Fault   *fault.EngineState `json:",omitempty"`
+	// Links is the CRC link stage of a link-protected run (absent
+	// otherwise, so such a run's files are the bytes they always were).
+	Links *fault.StageState `json:",omitempty"`
 }
 
 // Spec describes a simulation to run from cycle zero.
@@ -49,12 +52,16 @@ type Spec struct {
 	// Policy optionally installs a shared-buffer admission policy by its
 	// bufmgr spec string (e.g. "dt:alpha=2").
 	Policy string
-	// Plan optionally schedules fault injection (buffer/register/control
-	// faults; link-layer events need the CRC link harness and are not
-	// routed through a Session). FaultSeed resolves the plan's "any"
-	// targets.
+	// Plan optionally schedules fault injection; FaultSeed resolves its
+	// "any" targets. In a run that carries a plan, corrupted deliveries are
+	// the measured outcome, not a failure of the run.
 	Plan      *fault.Plan
 	FaultSeed uint64
+	// LinkProtect puts the CRC/retransmit protocol (fault.Stage) on every
+	// input link, the target of LinkDrop/LinkCorrupt events; MaxRetries
+	// bounds retransmissions per cell (≤ 0 means the default of 4).
+	LinkProtect bool
+	MaxRetries  int
 }
 
 // Options configures a Session's robustness machinery. The zero value
@@ -95,6 +102,7 @@ type Session struct {
 	cs     *traffic.CellStream
 	runner *core.Runner
 	engine *fault.Engine
+	links  *fault.Stage
 
 	lastProgress int64
 	lastCheck    int64 // cycle of the last watchdog evaluation
@@ -120,6 +128,9 @@ func New(spec Spec, opts Options) (*Session, error) {
 	s := &Session{spec: spec, opts: opts, sw: sw, cs: cs}
 	if spec.Plan != nil {
 		s.engine = fault.NewEngine(spec.Plan, spec.FaultSeed)
+	}
+	if spec.LinkProtect {
+		s.links = fault.NewStage(sw.Geometry(), spec.MaxRetries)
 	}
 	s.install()
 	return s, nil
@@ -173,9 +184,19 @@ func ResumeFrom(ck *Checkpoint, opts Options) (*Session, error) {
 			return nil, fmt.Errorf("ckpt: %w", err)
 		}
 	}
+	if ck.Links != nil {
+		s.spec.LinkProtect, s.spec.MaxRetries = true, ck.Links.MaxRetries
+		if s.links, err = fault.RestoreStage(sw.Geometry(), ck.Links, sw.Cycle(), ck.Runner.Seq); err != nil {
+			return nil, fmt.Errorf("ckpt: %w", err)
+		}
+	}
 	s.install()
 	if err := s.runner.RestoreState(ck.Runner); err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
+	}
+	if r := &ck.Runner; s.links != nil && r.Offered != r.Delivered+sw.DroppedCells()+s.links.Failed()+int64(s.runner.Pending()) {
+		return nil, fmt.Errorf("ckpt: link state does not balance: offered %d, delivered %d, dropped %d, linkfailed %d, pending %d",
+			r.Offered, r.Delivered, sw.DroppedCells(), s.links.Failed(), s.runner.Pending())
 	}
 	// The watchdog baseline starts at the restore point, not at zero.
 	s.lastProgress = s.runner.Progress()
@@ -183,18 +204,24 @@ func ResumeFrom(ck *Checkpoint, opts Options) (*Session, error) {
 	return s, nil
 }
 
-// install wires observer, runner and fault engine together. Shared tail of
-// New and ResumeFrom.
+// install wires observer, runner, link stage and fault engine together.
+// Shared tail of New and ResumeFrom.
 func (s *Session) install() {
 	if s.opts.Observer != nil {
 		s.sw.SetObserver(s.opts.Observer)
 	}
 	s.runner = core.NewRunner(s.sw, s.cs, s.spec.Cycles)
-	if s.engine != nil {
-		eng, sw := s.engine, s.sw
-		s.runner.PreTick = func(cycle int64) {
-			eng.Step(fault.Target{Switch: sw}, cycle)
+	target := fault.Target{Switch: s.sw}
+	if s.links != nil {
+		if s.opts.Observer != nil {
+			s.links.Observe(s.opts.Observer)
 		}
+		s.runner.Stage = s.links
+		target.Links = s.links.Links
+	}
+	if s.engine != nil {
+		eng := s.engine
+		s.runner.PreTick = func(cycle int64) { eng.Step(target, cycle) }
 	}
 }
 
@@ -231,9 +258,37 @@ func (s *Session) StepN(n int64) (advanced int64, done bool, err error) {
 }
 
 // Finish completes the run (driving any remaining cycles) and returns the
-// final RunResult with the usual conservation and integrity checks. Call
-// it once, after StepN reports done or instead of further stepping.
-func (s *Session) Finish() (core.RunResult, error) { return s.runner.Result() }
+// final RunResult with the run's one verdict: a conservation violation or
+// a drain that left cells behind is an error; so are corrupted deliveries,
+// unless the run carries a fault plan — there they are what it measures.
+// Call it once, after StepN reports done or instead of further stepping.
+func (s *Session) Finish() (core.RunResult, error) {
+	res, err := s.runner.Result()
+	if s.engine != nil && errors.Is(err, core.ErrCorrupt) {
+		err = nil
+	}
+	return res, err
+}
+
+// Report gathers the fault report of a finished run from its result; nil
+// for a run without a fault plan.
+func (s *Session) Report(res core.RunResult) *fault.Report {
+	if s.engine == nil {
+		return nil
+	}
+	rep := &fault.Report{
+		RunResult: res, Corrupt: res.Corrupt, Health: s.sw.Health(),
+		Switch: s.sw.Counters().Snapshot(), Engine: s.engine.Counters().Snapshot(),
+	}
+	if s.links != nil {
+		for _, l := range s.links.Links {
+			rep.Corrupt += l.Corrupt
+			rep.LinkFailed += l.Failed
+			rep.LinkRetransmits += l.Retransmits
+		}
+	}
+	return rep
+}
 
 // Partial returns the tallies accumulated so far without completing the
 // run — the live readout surface for a session still in flight, and the
@@ -287,6 +342,9 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 			return nil, fmt.Errorf("ckpt: %w", err)
 		}
 	}
+	if s.links != nil {
+		ck.Links = s.links.State()
+	}
 	return ck, nil
 }
 
@@ -326,7 +384,7 @@ func (s *Session) Step() (bool, error) {
 	}
 	if w := s.opts.WatchdogWindow; w > 0 && c-s.lastCheck >= w {
 		p := s.runner.Progress()
-		if p == s.lastProgress && s.sw.Resident() > 0 {
+		if p == s.lastProgress && s.runner.Pending() > 0 {
 			return false, s.stall(c)
 		}
 		s.lastProgress, s.lastCheck = p, c
@@ -342,7 +400,7 @@ func (s *Session) Step() (bool, error) {
 // stall handles a tripped watchdog: emit the trace event, write the
 // diagnostic checkpoint (best effort), and build the ErrStalled error.
 func (s *Session) stall(cycle int64) error {
-	resident := s.sw.Resident()
+	resident := s.runner.Pending()
 	if s.opts.Observer != nil {
 		s.opts.Observer.Tracer.Emit(obs.Event{
 			Kind: obs.EvWatchdog, Cycle: cycle, In: -1, Out: -1, Addr: -1, V: int64(resident),
@@ -372,7 +430,7 @@ func (s *Session) Run() (core.RunResult, error) {
 			return s.runner.Partial(), err
 		}
 		if !ok {
-			return s.runner.Result()
+			return s.Finish()
 		}
 	}
 }

@@ -19,9 +19,9 @@ func coreConfig() core.Config {
 
 // faultSpec is a plan of memory upsets against an ECC-protected switch:
 // SEC-DED corrects each flip, so delivery stays clean while the engine's
-// RNG, cursor and tallies all advance. (Input-register faults corrupt
-// delivered cells and link events need the CRC harness; both stay outside
-// the equivalence matrix.)
+// RNG, cursor and tallies all advance. (Link events are the matrix's
+// "+links" rows, linkSpec; input-register faults corrupt delivered cells
+// and stay outside it.)
 const faultSpec = "@40 mem stage=any addr=any\n" +
 	"@90 mem stage=any addr=any\n" +
 	"@130 mem stage=any addr=any\n" +
@@ -30,7 +30,7 @@ const faultSpec = "@40 mem stage=any addr=any\n" +
 	"@420 mem stage=0 addr=any\n"
 
 // specFor builds the test spec for one (policy, fault) combination.
-func specFor(t *testing.T, policy string, withFaults bool) Spec {
+func specFor(t testing.TB, policy string, withFaults bool) Spec {
 	t.Helper()
 	spec := Spec{
 		Switch:  coreConfig(),
@@ -67,49 +67,55 @@ func runFull(t *testing.T, spec Spec) core.RunResult {
 }
 
 // TestReplayEquivalenceMatrix is the restore-equivalence golden: for every
-// buffer-management policy, with and without an active fault plan, a run
-// checkpointed mid-flight (through the full file round trip) and resumed
-// must finish with a bit-identical RunResult — and, for fault runs,
-// identical engine tallies.
+// buffer-management policy — plain, with an active fault plan, and behind
+// CRC links cut inside a retransmission, inside a backoff, with arrivals
+// queued behind a busy link and with words already lost on the wire — a
+// run checkpointed mid-flight (through the full file round trip) and
+// resumed must finish with a bit-identical RunResult and, for fault runs,
+// an identical fault report (engine and link tallies included).
 func TestReplayEquivalenceMatrix(t *testing.T) {
+	// A row's cut advances the session to where the checkpoint is taken.
+	type row struct {
+		name string
+		spec func(t *testing.T, policy string) Spec
+		cut  func(t *testing.T, s *Session)
+	}
+	at333 := func(t *testing.T, s *Session) { stepTo(t, s, 333) }
+	rows := []row{
+		{"", func(t *testing.T, pol string) Spec { return specFor(t, pol, false) }, at333},
+		{"+faults", func(t *testing.T, pol string) Spec { return specFor(t, pol, true) }, at333},
+	}
+	for name, cut := range linkCuts {
+		rows = append(rows, row{"+links/" + name, func(t *testing.T, pol string) Spec { return linkSpec(t, pol) }, func(t *testing.T, s *Session) { stepUntil(t, s, cut) }})
+	}
 	policies := []string{"", "share", "static:quota=8", "dt:alpha=2", "dd:target=8", "pushout"}
 	for _, pol := range policies {
-		for _, withFaults := range []bool{false, true} {
+		for _, row := range rows {
 			name := pol
 			if name == "" {
 				name = "unmanaged"
 			}
-			if withFaults {
-				name += "+faults"
-			}
-			t.Run(name, func(t *testing.T) {
-				spec := specFor(t, pol, withFaults)
-				want := runFull(t, spec)
+			t.Run(name+row.name, func(t *testing.T) {
+				spec := row.spec(t, pol)
+				ref, err := New(spec, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
 
 				s, err := New(spec, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := 0; i < 333; i++ {
-					if ok, err := s.Step(); err != nil || !ok {
-						t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
-					}
-				}
+				row.cut(t, s)
 				path := filepath.Join(t.TempDir(), "mid.ckpt")
 				if err := s.CheckpointTo(path); err != nil {
 					t.Fatal(err)
 				}
-				var wantFaults map[string]int64
-				if withFaults {
-					// Finish the interrupted run too, so its engine tallies are
-					// the complete-run reference.
-					if _, err := s.Run(); err != nil {
-						t.Fatal(err)
-					}
-					wantFaults = s.Engine().Counters().Snapshot()
-				}
-
-				r, err := Resume(path, Options{})
+				r, err := Resume(path, Options{AuditEvery: 50})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,10 +126,8 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("restored run diverged:\n got  %+v\n want %+v", got, want)
 				}
-				if withFaults {
-					if gotFaults := r.Engine().Counters().Snapshot(); !reflect.DeepEqual(gotFaults, wantFaults) {
-						t.Fatalf("fault tallies diverged:\n got  %v\n want %v", gotFaults, wantFaults)
-					}
+				if gotRep, wantRep := r.Report(got), ref.Report(want); !reflect.DeepEqual(gotRep, wantRep) {
+					t.Fatalf("fault report diverged:\n got  %+v\n want %+v", gotRep, wantRep)
 				}
 			})
 		}

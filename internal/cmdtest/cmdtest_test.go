@@ -22,6 +22,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	pmckpt "pipemem/internal/ckpt"
 )
 
 var binDir string
@@ -107,12 +109,6 @@ func badConfigCases(dir string) []badCase {
 		{"pmsim/faultplan-malformed", "pmsim", "@not-a-cycle mem\n", []string{"-faultplan", "-"}, "fault plan"},
 		{"pmsim/faultplan-unknown-kind", "pmsim", "@5 frobnicate\n", []string{"-faultplan", "-"}, "unknown fault kind"},
 
-		// pmsim: the fault harness offers Bernoulli traffic only; a traffic
-		// flag it would drop is refused (the session path honours them).
-		{"pmsim/faultplan-bursty", "pmsim", "", []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-slots", "2000", "-ecc", "-bursty", "8"}, "does not implement -bursty"},
-		{"pmsim/faultplan-hot", "pmsim", "", []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-slots", "2000", "-ecc", "-hot", "0.5"}, "does not implement -hot"},
-		{"pmsim/faultplan-saturate", "pmsim", "", []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-slots", "2000", "-ecc", "-saturate"}, "does not implement -saturate"},
-
 		// pmsim: flag combinations.
 		{"pmsim/bufpolicy-slot-arch", "pmsim", "", []string{"-arch", "voq", "-bufpolicy", "share"}, "RTL model only"},
 		{"pmsim/unknown-arch", "pmsim", "", []string{"-arch", "quantum"}, "unknown architecture"},
@@ -124,8 +120,7 @@ func badConfigCases(dir string) []badCase {
 		{"pmsim/restore-garbage", "pmsim", "", []string{"-restore", garbage}, "not a pipemem checkpoint"},
 		{"pmsim/restore-plus-faultplan", "pmsim", "@5 mem\n", []string{"-restore", garbage, "-faultplan", "-"}, "drop -faultplan"},
 		{"pmsim/restore-plus-bufpolicy", "pmsim", "", []string{"-restore", garbage, "-bufpolicy", "share"}, "drop -bufpolicy"},
-		{"pmsim/linkprotect-checkpoint", "pmsim", "@5 linkdrop in=0\n",
-			[]string{"-faultplan", "-", "-linkprotect", "-checkpoint", ckpt}, "-linkprotect"},
+		{"pmsim/restore-plus-linkprotect", "pmsim", "", []string{"-restore", garbage, "-linkprotect"}, "drop -linkprotect"},
 
 		// pmrtl: organization/model/config errors.
 		{"pmrtl/unknown-org", "pmrtl", "", []string{"-org", "torus"}, "unknown organization"},
@@ -308,6 +303,10 @@ func TestDocsNameNothingRetired(t *testing.T) {
 		"widemem.Departure", "prizma.Departure", "ThroughMemory", "CapacityCells", "pmrtl -dual",
 		// PR 19: the tracer is a tap, DualSwitch has no per-stage machine
 		"driveScratch", "execOp", "outMask", "outCount", "tracer-pinned", "tracer attach",
+		// PR 21: one driver for fault runs — the session (names in two
+		// halves, as above)
+		"fault" + ".Run", "fault" + ".Options", "FaultRun" + "Options", "Run" + "Faults", "NewFault" + "Link",
+		"runFault" + "Plan", "run" + "Observed", "fault harness", "-faultplan harness",
 	}
 	for _, doc := range liveDocs {
 		text, err := os.ReadFile(filepath.Join("../..", doc))
@@ -403,14 +402,20 @@ func firstAndFaults(out string) string {
 	return b.String()
 }
 
-// TestPmsimPinned pins pmsim's single-switch stdout byte for byte. The
-// first four rows run what every path shares — traffic.CellStream arrivals
-// through core.Runner — and must not move when the run paths are merged;
-// the last three are the README / verify-skill fault recipes.
+// firstLine keeps the RunResult line.
+func firstLine(out string) string { return strings.SplitAfter(out, "\n")[0] }
+
+// TestPmsimPinned pins pmsim's single-switch stdout byte for byte: plain
+// and observed RTL runs, fault plans with the auditor on (the first four
+// rows, pinned before the fault harness was folded into the session and
+// unmoved by it), the README / verify-skill fault recipes, and a fault plan
+// under each traffic flag the harness used to refuse.
 func TestPmsimPinned(t *testing.T) {
 	rtl := []string{"-arch", "rtl", "-n", "8", "-buf", "256", "-load", "0.9", "-slots", "200000"}
 	ecc := []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-load", "0.6", "-slots", "120000", "-ecc", "-events", "2000"}
 	stuck := []string{"-faultplan", "-", "-n", "2", "-buf", "8", "-load", "0.4", "-slots", "20000", "-bypass", "3"}
+	linkprotect := []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-load", "0.5", "-slots", "100000", "-linkprotect"}
+	short := []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-slots", "2000", "-ecc"}
 	const stuckPlan = "@500 stuck stage=2\n"
 	audit := func(args []string) []string { return append(append([]string{}, args...), "-audit", "1000") }
 	rows := []struct {
@@ -433,22 +438,43 @@ func TestPmsimPinned(t *testing.T) {
 				"faults: stuck       applied=1 skipped=0\n"},
 
 		{name: "recipe/ecc", args: ecc,
-			want: "cycles=120018 offered=35991 delivered=35991 dropped=0 linkfailed=0 corrupt=0 ecc-corrected=1682 ecc-uncorrectable=0 bypassed=[] retransmits=0\n" +
+			want: "cycles=120017 offered=35899 delivered=35899 dropped=0 util=0.5982 cutlat=15.05 initdelay=0.7611\n" +
+				"corrupt=0 ecc-corrected=1654 ecc-uncorrectable=0 bypassed=[] linkfailed=0 retransmits=0\n" +
 				"health: degraded=false failed=false usable-cells=32 ecc-hard=0 bypass-drops=0\n" +
-				"faults: mem         applied=1682 skipped=318\n"},
+				"faults: mem         applied=1654 skipped=346\n"},
 		{name: "recipe/stuck", stdin: stuckPlan, args: stuck,
-			want: "cycles=20004 offered=3997 delivered=3832 dropped=165 linkfailed=0 corrupt=4 ecc-corrected=2 ecc-uncorrectable=2 bypassed=[2] retransmits=0\n" +
-				"health: degraded=true failed=false usable-cells=4 ecc-hard=2 bypass-drops=0\n" +
+			want: "cycles=20015 offered=3997 delivered=3840 dropped=157 util=0.3837 cutlat=8.04 initdelay=1.4720\n" +
+				"corrupt=3 ecc-corrected=2 ecc-uncorrectable=1 bypassed=[2] linkfailed=0 retransmits=0\n" +
+				"health: degraded=true failed=false usable-cells=4 ecc-hard=2 bypass-drops=1\n" +
 				"faults: stuck       applied=1 skipped=0\n"},
-		{name: "recipe/linkprotect", args: []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-load", "0.5", "-slots", "100000", "-linkprotect"},
-			want: "cycles=100024 offered=25036 delivered=25036 dropped=0 linkfailed=0 corrupt=0 ecc-corrected=0 ecc-uncorrectable=0 bypassed=[] retransmits=85\n" +
+		{name: "recipe/linkprotect", args: linkprotect,
+			want: "cycles=100026 offered=24897 delivered=24897 dropped=0 util=0.4978 cutlat=5.02 initdelay=0.2401\n" +
+				"corrupt=0 ecc-corrected=0 ecc-uncorrectable=0 bypassed=[] linkfailed=0 retransmits=85\n" +
 				"health: degraded=false failed=false usable-cells=32 ecc-hard=0 bypass-drops=0\n" +
-				"faults: linkdrop    applied=50 skipped=62\n" +
-				"faults: linkcorrupt applied=35 skipped=53\n"},
+				"faults: linkdrop    applied=49 skipped=63\n" +
+				"faults: linkcorrupt applied=36 skipped=52\n"},
+		// A saturated link never regains the time a retransmission cost it:
+		// the window runs 13,048 cycles past -slots while the queues empty.
+		{name: "linkprotect-saturate", args: append(append([]string{}, linkprotect...), "-saturate", "-retries", "2", "-events", "6000"),
+			want: "cycles=113048 offered=50000 delivered=49735 dropped=225 util=0.8799 cutlat=29.63 initdelay=1.7617\n" +
+				"corrupt=0 ecc-corrected=0 ecc-uncorrectable=0 bypassed=[] linkfailed=40 retransmits=4862\n" +
+				"health: degraded=false failed=false usable-cells=32 ecc-hard=0 bypass-drops=0\n" +
+				"faults: linkdrop    applied=2582 skipped=435\n" +
+				"faults: linkcorrupt applied=2580 skipped=403\n"},
+
+		{name: "faultplan-bursty", args: append(append([]string{}, short...), "-bursty", "8"), keep: firstLine,
+			want: "cycles=2203 offered=776 delivered=678 dropped=98 util=0.6155 cutlat=84.36 initdelay=2.2109\n"},
+		{name: "faultplan-hot", args: append(append([]string{}, short...), "-hot", "0.5"), keep: firstLine,
+			want: "cycles=2275 offered=809 delivered=440 dropped=369 util=0.3868 cutlat=154.56 initdelay=5.7386\n"},
+		{name: "faultplan-saturate", args: append(append([]string{}, short...), "-saturate"), keep: firstLine,
+			want: "cycles=2158 offered=1000 delivered=965 dropped=35 util=0.8943 cutlat=62.43 initdelay=3.7337\n"},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			out, stderr, _ := run(t, "pmsim", r.stdin, r.args...)
+			out, stderr, code := run(t, "pmsim", r.stdin, r.args...)
+			if code != 0 {
+				t.Fatalf("pmsim %v exited %d: %s", r.args, code, stderr)
+			}
 			if r.keep != nil {
 				out = r.keep(out)
 			}
@@ -469,28 +495,113 @@ func TestPmsimPinned(t *testing.T) {
 
 // TestPmsimCheckpointRestoreRoundTrip drives the checkpoint surface
 // through the real binary: an interrupted-and-restored run must print the
-// same result line as the uninterrupted one.
+// same stdout as the uninterrupted one — result line and, for a fault
+// plan behind CRC links (whose queues, wires and backoffs ride in the
+// file), the whole fault report.
 func TestPmsimCheckpointRestoreRoundTrip(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	args := []string{"-arch", "rtl", "-n", "4", "-buf", "32", "-load", "0.8", "-slots", "4000"}
+	for _, r := range []struct {
+		name string
+		args []string
+	}{
+		{"plain", []string{"-arch", "rtl", "-n", "4", "-buf", "32", "-load", "0.8", "-slots", "4000"}},
+		{"linkprotect", []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-load", "0.7", "-slots", "4000", "-events", "300", "-linkprotect", "-retries", "2"}},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+			want, stderr, code := run(t, "pmsim", "", r.args...)
+			if code != 0 {
+				t.Fatalf("reference run failed (%d): %s", code, stderr)
+			}
+			out, stderr, code := run(t, "pmsim", "", append(r.args, "-checkpoint", ckpt, "-ckpt-every", "1700", "-audit", "500", "-watchdog", "4000")...)
+			if code != 0 {
+				t.Fatalf("checkpointed run failed (%d): %s", code, stderr)
+			}
+			if out != want {
+				t.Fatalf("session run diverged from plain run:\n got  %s want %s", out, want)
+			}
+			got, stderr, code := run(t, "pmsim", "", "-restore", ckpt)
+			if code != 0 {
+				t.Fatalf("restore failed (%d): %s", code, stderr)
+			}
+			if got != want {
+				t.Fatalf("restored run diverged:\n got  %s want %s", got, want)
+			}
+		})
+	}
+}
 
-	want, stderr, code := run(t, "pmsim", "", args...)
-	if code != 0 {
-		t.Fatalf("reference run failed (%d): %s", code, stderr)
+// TestPmsimAuditChangesNothing: one plan has one answer. Whatever the plan
+// and the flags, adding -audit prints the same stdout and exits the same.
+func TestPmsimAuditChangesNothing(t *testing.T) {
+	random := []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-slots", "20000"}
+	for _, r := range []struct {
+		name  string
+		stdin string
+		args  []string
+	}{
+		{"unprotected", "", append(append([]string{}, random...), "-load", "0.6", "-events", "40")},
+		{"ecc-bursty-dt", "", append(append([]string{}, random...), "-ecc", "-bursty", "8", "-bufpolicy", "dt:alpha=2")},
+		{"ecc-hot", "", append(append([]string{}, random...), "-ecc", "-hot", "0.5")},
+		{"stuck-bypass", "@500 stuck stage=2\n", []string{"-faultplan", "-", "-n", "2", "-buf", "8", "-load", "0.4", "-slots", "20000", "-bypass", "3"}},
+		{"linkprotect", "", append(append([]string{}, random...), "-load", "0.5", "-linkprotect")},
+		{"linkprotect-saturate", "", append(append([]string{}, random...), "-saturate", "-linkprotect", "-retries", "1", "-events", "2000")},
+		{"link-events-without-links", "@40 linkdrop in=0\n@50 linkcorrupt in=1\n@60 mem\n", []string{"-faultplan", "-", "-n", "4", "-buf", "32", "-slots", "2000"}},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			want, stderr, wantCode := run(t, "pmsim", r.stdin, r.args...)
+			if wantCode != 0 {
+				t.Fatalf("pmsim %v exited %d: %s", r.args, wantCode, stderr)
+			}
+			got, stderr, code := run(t, "pmsim", r.stdin, append(r.args, "-audit", "1000")...)
+			if got != want || code != wantCode {
+				t.Fatalf("pmsim %v: -audit 1000 changed the run (exit %d):\n got  %s want %s\nstderr: %s", r.args, code, got, want, stderr)
+			}
+			if !strings.Contains(want, "\ncorrupt=") || !strings.Contains(want, "\nhealth: ") || !strings.Contains(want, "\nfaults: ") {
+				t.Fatalf("fault report missing from stdout:\n%s", want)
+			}
+		})
 	}
-	out, stderr, code := run(t, "pmsim", "", append(args, "-checkpoint", ckpt, "-audit", "500", "-watchdog", "4000")...)
-	if code != 0 {
-		t.Fatalf("checkpointed run failed (%d): %s", code, stderr)
+}
+
+// TestPmsimVerdict: the run's verdict is decided once. With a fault plan,
+// corrupted deliveries are the measurement — printed, exit 0; what the
+// plan cannot excuse (here a conservation violation) is exit 1, with the
+// report still printed; and the same corruption in a run that carries no
+// plan stays "core: N corrupted cells", exit 1. The last two runs are
+// restores of the first one's checkpoint, edited: one cell added to the
+// books, and the plan removed after its stuck bank has set in.
+func TestPmsimVerdict(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	out, stderr, code := run(t, "pmsim", "@100 stuck stage=1\n",
+		"-faultplan", "-", "-n", "2", "-buf", "8", "-load", "0.6", "-slots", "4000", "-checkpoint", path, "-ckpt-every", "1500")
+	if code != 0 || stderr != "" || !strings.Contains(out, "\ncorrupt=") || strings.Contains(out, "\ncorrupt=0 ") {
+		t.Fatalf("fault-plan run with corrupted deliveries: exit %d, stderr %q, stdout:\n%s", code, stderr, out)
 	}
-	if out != want {
-		t.Fatalf("session run diverged from plain run:\n got  %s want %s", out, want)
+	edit := func(name string, f func(*pmckpt.Checkpoint)) string {
+		t.Helper()
+		ck, err := pmckpt.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f(ck)
+		edited := filepath.Join(dir, name)
+		if err := pmckpt.Save(edited, ck); err != nil {
+			t.Fatal(err)
+		}
+		return edited
 	}
-	got, stderr, code := run(t, "pmsim", "", "-restore", ckpt)
-	if code != 0 {
-		t.Fatalf("restore failed (%d): %s", code, stderr)
+
+	cooked := edit("cooked.ckpt", func(ck *pmckpt.Checkpoint) { ck.Runner.Offered++ })
+	out, stderr, code = run(t, "pmsim", "", "-restore", cooked)
+	if code != 1 || !strings.Contains(stderr, "conservation violated") || !strings.Contains(out, "\nfaults: stuck") {
+		t.Fatalf("conservation violation under a plan: exit %d, stderr %q, stdout:\n%s", code, stderr, out)
 	}
-	if got != want {
-		t.Fatalf("restored run diverged:\n got  %s want %s", got, want)
+
+	planless := edit("planless.ckpt", func(ck *pmckpt.Checkpoint) { ck.Plan, ck.Fault = "", nil })
+	out, stderr, code = run(t, "pmsim", "", "-restore", planless)
+	if code != 1 || !strings.Contains(stderr, "corrupted cells") || strings.Contains(out, "corrupt=") {
+		t.Fatalf("corruption without a plan: exit %d, stderr %q, stdout:\n%s", code, stderr, out)
 	}
 }
 

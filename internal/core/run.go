@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"pipemem/internal/cell"
@@ -156,15 +157,29 @@ func (t *tally) finish(org Organization, ticks int64) RunResult {
 	return res
 }
 
+// ErrCorrupt marks the integrity half of a run's verdict: cells were
+// delivered, but not as they were injected. A run that injects faults on
+// purpose tests for it with errors.Is and reads the count off the result.
+var ErrCorrupt = errors.New("corrupted cells")
+
 // check is the verdict on a finished run: every offered cell is accounted
-// for, and every delivered one arrived intact.
-func (res RunResult) check(resident int) error {
-	if res.Delivered+res.Dropped+int64(resident) != res.Offered {
-		return fmt.Errorf("core: conservation violated: offered %d, delivered %d, dropped %d, pending %d",
-			res.Offered, res.Delivered, res.Dropped, resident)
+// for — delivered, dropped, abandoned by a link in front of the switch
+// (linkFailed) or still pending — the drain left nothing pending, and
+// every delivered cell arrived intact.
+func (res RunResult) check(pending int, linkFailed int64) error {
+	if res.Delivered+res.Dropped+linkFailed+int64(pending) != res.Offered {
+		err := fmt.Errorf("core: conservation violated: offered %d, delivered %d, dropped %d, pending %d",
+			res.Offered, res.Delivered, res.Dropped, pending)
+		if linkFailed > 0 {
+			err = fmt.Errorf("%w, linkfailed %d", err, linkFailed)
+		}
+		return err
+	}
+	if pending > 0 {
+		return fmt.Errorf("core: drain stalled with %d cells pending at cycle %d", pending, res.Cycles)
 	}
 	if res.Corrupt > 0 {
-		return fmt.Errorf("core: %d corrupted cells", res.Corrupt)
+		return fmt.Errorf("core: %d %w", res.Corrupt, ErrCorrupt)
 	}
 	return nil
 }
@@ -203,7 +218,7 @@ func Run(org Organization, cs *traffic.CellStream, cycles int64) (RunResult, err
 		t.collect(org.Drain(), org.Buffered())
 	}
 	res := t.finish(org, ticks)
-	return res, res.check(org.Resident())
+	return res, res.check(org.Resident(), 0)
 }
 
 // RunTraffic is Run for a *Switch through Runner, which recycles every cell.

@@ -50,6 +50,25 @@ type Runner struct {
 	// the switch is about to execute — the seam the fault engine (and any
 	// other per-cycle actor) injects through.
 	PreTick func(cycle int64)
+	// Stage, when set (before the first Step), stands between the stream
+	// and the switch's inputs.
+	Stage HeadStage
+}
+
+// HeadStage is a row of per-link stages in front of the switch's inputs —
+// the CRC links of internal/fault, which this package cannot import. A
+// link delays, retransmits or abandons heads; the switch never knows.
+type HeadStage interface {
+	// Offer queues the arrival (seq, dst) on input link in.
+	Offer(in int, seq uint64, dst int)
+	// Tick advances every link one cycle and sets heads[i] to the cell
+	// whose transfer completed on link i (nil otherwise). The stage draws
+	// its cells from pool and returns an abandoned one to it.
+	Tick(cycle int64, heads []*cell.Cell, pool *cell.Pool)
+	// Held counts the cells inside the stage, Failed those it abandoned;
+	// every other offered cell has reached the switch.
+	Held() int
+	Failed() int64
 }
 
 // deadCell is a dropped cell waiting out the rest of its cell time.
@@ -135,6 +154,10 @@ func (r *Runner) collect() {
 func (r *Runner) Step() bool {
 	switch r.phase {
 	case runDrive:
+		if r.Stage != nil {
+			r.stepStaged()
+			return true
+		}
 		if r.PreTick != nil {
 			r.PreTick(r.s.cycle)
 		}
@@ -180,14 +203,62 @@ func (r *Runner) Step() bool {
 	return false
 }
 
+// stepStaged is the drive-phase cycle with a head stage installed: the
+// arrivals go to the stage and the switch sees what the stage releases.
+// The stream is read for exactly cycles cycles, as without a stage, but the
+// phase lasts until the stage has run dry — so the drain phase finds it
+// empty and keeps its one predicate and its one bound.
+func (r *Runner) stepStaged() {
+	if r.PreTick != nil {
+		r.PreTick(r.s.cycle)
+	}
+	live := r.driven < r.cycles
+	if live && !r.cs.SkipDead() && r.cs.Heads(r.heads) > 0 {
+		for i, dst := range r.heads {
+			if dst != traffic.NoArrival {
+				r.seq++
+				r.res.Offered++
+				r.Stage.Offer(i, r.seq, dst)
+			}
+		}
+	}
+	r.reclaim()
+	r.Stage.Tick(r.s.cycle, r.hcells, r.pool)
+	r.s.Tick(r.hcells)
+	r.collect()
+	if live {
+		r.occSum += float64(r.s.Buffered())
+	}
+	r.driven++
+	if r.driven == r.cycles {
+		r.res.MeanBuffered = r.occSum / float64(r.cycles)
+	}
+	if r.driven >= r.cycles && r.Stage.Held() == 0 {
+		r.phase = runDrain
+	}
+}
+
 // Done reports that the run has completed (drive window and drain).
 func (r *Runner) Done() bool { return r.phase == runDone }
 
 // Progress returns the monotone count of cells that have crossed a
-// boundary — offered, delivered or dropped. A window over which this does
-// not move while cells are resident is a stuck simulation (watchdog).
+// boundary — offered, delivered or dropped, or out of a head stage (handed
+// on or abandoned: offered − held). A window over which this does not move
+// while cells are pending is a stuck simulation (watchdog).
 func (r *Runner) Progress() int64 {
-	return r.res.Offered + r.res.Delivered + r.s.DroppedCells()
+	p := r.res.Offered + r.res.Delivered + r.s.DroppedCells()
+	if r.Stage != nil {
+		p += r.res.Offered - int64(r.Stage.Held())
+	}
+	return p
+}
+
+// Pending returns the cells resident in the switch or held by the stage.
+func (r *Runner) Pending() int {
+	if r.Stage != nil {
+		return r.s.Resident() + r.Stage.Held()
+	}
+	return r.s.Resident()
 }
 
 // finish fills the result fields computed once at the end of a run.
@@ -195,14 +266,18 @@ func (r *Runner) finish() RunResult { return r.tally.finish(r.s, r.driven+r.drai
 
 // Result completes the run (stepping to the end if needed), restores the
 // switch's drain mode and drop hook, and returns the final RunResult with
-// Run's conservation and integrity verdict.
+// Run's conservation, drain and integrity verdict.
 func (r *Runner) Result() (RunResult, error) {
 	for r.Step() {
 	}
 	r.s.SetDrainRecycle(false)
 	r.s.SetDropCellHook(r.prevDrop)
 	res := r.finish()
-	return res, res.check(r.s.Resident())
+	var failed int64
+	if r.Stage != nil {
+		failed = r.Stage.Failed()
+	}
+	return res, res.check(r.Pending(), failed)
 }
 
 // Partial returns the result of an aborted run — the tallies so far plus
@@ -211,7 +286,8 @@ func (r *Runner) Result() (RunResult, error) {
 // gracefully instead of hanging.
 func (r *Runner) Partial() RunResult {
 	res := r.finish()
-	if r.phase == runDrive && r.driven > 0 {
+	// (A head stage keeps the phase open past the window; the mean is final.)
+	if r.phase == runDrive && r.driven > 0 && r.driven < r.cycles {
 		res.MeanBuffered = r.occSum / float64(r.driven)
 	}
 	return res

@@ -123,14 +123,12 @@ func (e *Engine) apply(t Target, ev Event) bool {
 		}
 		s.InjectInputRegisterFault(ev.In, ev.Word, bits)
 		return true
-	case LinkDrop:
-		if t.Links == nil || ev.In < 0 || ev.In >= len(t.Links) {
+	case LinkDrop, LinkCorrupt:
+		if ev.In < 0 || ev.In >= len(t.Links) {
 			return false
 		}
-		return t.Links[ev.In].DropWord(ev.Word)
-	case LinkCorrupt:
-		if t.Links == nil || ev.In < 0 || ev.In >= len(t.Links) {
-			return false
+		if ev.Kind == LinkDrop {
+			return t.Links[ev.In].DropWord(ev.Word)
 		}
 		return t.Links[ev.In].CorruptWord(ev.Word, bits)
 	}
@@ -175,4 +173,40 @@ func RestoreEngine(plan *Plan, st *EngineState) (*Engine, error) {
 		e.counter.Set(name, v)
 	}
 	return e, nil
+}
+
+// Report is the outcome of a fault run, as ckpt.Session.Report fills it:
+// the run's result, what the links in front of the switch did (zero without
+// link protection), the switch's counters ("ecc-corrected", "drop-bypass",
+// …), the engine's applied-/skipped- tallies per fault kind, and the
+// switch's final fault-tolerance state.
+type Report struct {
+	core.RunResult
+	// Corrupt counts delivered cells whose payload differed from the
+	// offered payload — the quantity the defense layers exist to keep at
+	// zero: those the switch damaged (RunResult.Corrupt) plus those that
+	// slipped past a link's CRC.
+	Corrupt int64
+	// LinkFailed counts cells abandoned by the link protocol,
+	// LinkRetransmits NAK-triggered retransmissions across inputs.
+	LinkFailed, LinkRetransmits int64
+	Switch, Engine              map[string]int64
+	Health                      core.Health
+}
+
+// String renders what pmsim prints under a fault run's result line: the
+// defense layers' tallies, the health line, and one line per fault kind the
+// plan held.
+func (r *Report) String() string {
+	h := r.Health
+	s := fmt.Sprintf("corrupt=%d ecc-corrected=%d ecc-uncorrectable=%d bypassed=%v linkfailed=%d retransmits=%d\n"+
+		"health: degraded=%v failed=%v usable-cells=%d ecc-hard=%d bypass-drops=%d",
+		r.Corrupt, r.Switch["ecc-corrected"], r.Switch["ecc-uncorrectable"], h.Bypassed, r.LinkFailed, r.LinkRetransmits,
+		h.Degraded, h.Failed, h.UsableCells, h.ECCHard, h.BypassDrops)
+	for k := Kind(0); k < numKinds; k++ {
+		if a, sk := r.Engine["applied-"+k.String()], r.Engine["skipped-"+k.String()]; a+sk > 0 {
+			s += fmt.Sprintf("\nfaults: %-11s applied=%d skipped=%d", k, a, sk)
+		}
+	}
+	return s
 }

@@ -17,6 +17,8 @@ func FuzzFaultPlanParse(f *testing.F) {
 	f.Add("@80 linkdrop in=1 word=any\n@90 linkcorrupt in=1 word=3 bits=0x1")
 	f.Add("# comment only\n\n")
 	f.Add("@5 mem stage=1 volts=3")
+	f.Add("@0 linkdrop in=0 bits=1")    // a key the kind would drop: refused, or String loses it
+	f.Add("@55 ctrl stage=1 op=- in=3") // operands on a squash, likewise
 	f.Add(Random(11, RandomOptions{
 		Cycles: 500, Events: 20, Stages: 8, WordBits: 16, Inputs: 4,
 		Kinds: []Kind{Mem, Stuck, Ctrl, InReg, LinkDrop, LinkCorrupt},

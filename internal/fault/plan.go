@@ -1,8 +1,9 @@
 // Package fault is a deterministic, seedable fault-injection engine for
 // the pipelined memory switch: it turns a fault plan — a schedule of
 // {cycle, site, kind} events — into calls on the injection seams of
-// core.Switch and the CRC-protected Link, and it provides the harness that
-// drives traffic through a switch while a plan unfolds.
+// core.Switch and the CRC-protected Link. It drives nothing itself: a
+// ckpt.Session steps the engine from core.Runner's PreTick seam and puts
+// the links (Stage) between the cell stream and the switch's inputs.
 //
 // # Fault-plan text format
 //
@@ -74,6 +75,10 @@ const (
 
 var kindNames = [numKinds]string{"mem", "stuck", "ctrl", "inreg", "linkdrop", "linkcorrupt"}
 
+// kindKeys lists the keys each kind takes. Parse refuses any other: the
+// event would not carry it, and String could not print it back.
+var kindKeys = [numKinds]string{" stage addr bits ", " stage ", " stage op in out addr ", " in word bits ", " in word ", " in word bits "}
+
 // String implements fmt.Stringer (the plan-format keyword).
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -120,9 +125,6 @@ func (e Event) String() string {
 	switch e.Kind {
 	case Mem:
 		fmt.Fprintf(&b, " stage=%s addr=%s", anyOr(e.Stage), anyOr(e.Addr))
-		if e.Bits != 0 {
-			fmt.Fprintf(&b, " bits=%#x", uint64(e.Bits))
-		}
 	case Stuck:
 		fmt.Fprintf(&b, " stage=%d", e.Stage)
 		if e.Off {
@@ -133,18 +135,11 @@ func (e Event) String() string {
 		if e.Op.Kind != core.OpNone {
 			fmt.Fprintf(&b, " in=%d out=%d addr=%d", e.Op.In, e.Op.Out, e.Op.Addr)
 		}
-	case InReg:
-		fmt.Fprintf(&b, " in=%d word=%d", e.In, e.Word)
-		if e.Bits != 0 {
-			fmt.Fprintf(&b, " bits=%#x", uint64(e.Bits))
-		}
-	case LinkDrop:
+	case InReg, LinkDrop, LinkCorrupt:
 		fmt.Fprintf(&b, " in=%d word=%s", e.In, anyOr(e.Word))
-	case LinkCorrupt:
-		fmt.Fprintf(&b, " in=%d word=%s", e.In, anyOr(e.Word))
-		if e.Bits != 0 {
-			fmt.Fprintf(&b, " bits=%#x", uint64(e.Bits))
-		}
+	}
+	if e.Bits != 0 { // Mem, InReg, LinkCorrupt: Parse lets no other kind carry a mask
+		fmt.Fprintf(&b, " bits=%#x", uint64(e.Bits))
 	}
 	return b.String()
 }
@@ -221,6 +216,9 @@ func parseEvent(line string) (Event, error) {
 		if !ok {
 			return e, fmt.Errorf("want key=value, got %q", f)
 		}
+		if !strings.Contains(kindKeys[e.Kind], " "+key+" ") {
+			return e, fmt.Errorf("%s takes no key %q (it takes%s)", e.Kind, key, strings.TrimRight(kindKeys[e.Kind], " "))
+		}
 		switch key {
 		case "stage":
 			if e.Stage, err = parseIntOrAny(val, e.Kind == Mem); err != nil {
@@ -294,6 +292,9 @@ func parseEvent(line string) (Event, error) {
 		}
 		if opKind == core.OpKind(255) {
 			return e, fmt.Errorf("ctrl: op required")
+		}
+		if opKind == core.OpNone && opIn|opOut|opAddr != 0 {
+			return e, fmt.Errorf("ctrl: op=- squashes the control word and takes no in, out or addr")
 		}
 		e.Op = core.Op{Kind: opKind, In: opIn, Out: opOut, Addr: opAddr}
 	case InReg:

@@ -70,20 +70,23 @@ func TestPlanRoundTrip(t *testing.T) {
 // TestPlanParseErrors: malformed plans are rejected with ErrBadPlan.
 func TestPlanParseErrors(t *testing.T) {
 	for _, bad := range []string{
-		"mem stage=1",            // missing @cycle
-		"@x mem stage=1",         // bad cycle
-		"@-3 mem stage=1",        // negative cycle
-		"@5 quake stage=1",       // unknown kind
-		"@5 mem stage=1 volts=3", // unknown key
-		"@5 mem bits=zz",         // bad mask
-		"@5 stuck",               // stuck needs stage
-		"@5 stuck stage=any",     // stuck stage can't be any
-		"@5 ctrl stage=1",        // ctrl needs op
-		"@5 ctrl stage=1 op=Q",   // bad op
-		"@5 inreg in=0",          // inreg needs word
-		"@5 linkdrop word=2",     // link needs in
-		"@5 mem stage=1 addr",    // not key=value
-		"@5 inreg in=0 word=any", // word=any invalid for inreg
+		"mem stage=1",                // missing @cycle
+		"@x mem stage=1",             // bad cycle
+		"@-3 mem stage=1",            // negative cycle
+		"@5 quake stage=1",           // unknown kind
+		"@5 mem stage=1 volts=3",     // unknown key
+		"@5 mem bits=zz",             // bad mask
+		"@5 stuck",                   // stuck needs stage
+		"@5 stuck stage=any",         // stuck stage can't be any
+		"@5 ctrl stage=1",            // ctrl needs op
+		"@5 ctrl stage=1 op=Q",       // bad op
+		"@5 inreg in=0",              // inreg needs word
+		"@5 linkdrop word=2",         // link needs in
+		"@5 mem stage=1 addr",        // not key=value
+		"@5 inreg in=0 word=any",     // word=any invalid for inreg
+		"@5 linkdrop in=0 bits=1",    // a key the kind does not take
+		"@5 stuck stage=1 addr=3",    // likewise
+		"@5 ctrl stage=1 op=- out=2", // operands on a squash
 	} {
 		if _, err := Parse(bad); !errors.Is(err, ErrBadPlan) {
 			t.Errorf("Parse(%q) err = %v, want ErrBadPlan", bad, err)

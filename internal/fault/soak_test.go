@@ -8,91 +8,6 @@ import (
 	"pipemem/internal/core"
 )
 
-// TestChaosSoakECC is the headline robustness run: 1.2·10⁵ cycles of
-// Bernoulli traffic on a 4×4 switch while a seeded random plan sprays
-// single-bit upsets into the ECC-protected banks. Every flip targets a
-// live, clean, fully written word, so SEC-DED must correct each one
-// exactly once: zero corrupted deliveries, zero uncorrectable errors, and
-// an ecc-corrected count that equals the number of applied faults. Cell
-// conservation is audited by Run itself.
-func TestChaosSoakECC(t *testing.T) {
-	const cycles = 120_000
-	plan := Random(1234, RandomOptions{
-		Cycles: cycles, Events: 2000, Stages: 8, WordBits: 16, Inputs: 4,
-	})
-	// Store-and-forward, so every cell is parked in the banks for at least
-	// one full wave time — the regime that exposes stored words to upsets.
-	rep, err := Run(Options{
-		Config: core.Config{Ports: 4, WordBits: 16, Cells: 32, ECC: true},
-		Plan:   plan,
-		Seed:   1234,
-		Cycles: cycles,
-		Load:   0.6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied := rep.Engine["applied-mem"]
-	if applied < 1000 {
-		t.Fatalf("only %d of %d planned faults found a live target; soak too idle", applied, len(plan.Events))
-	}
-	if rep.Corrupt != 0 {
-		t.Fatalf("%d corrupted deliveries; ECC must absorb every single-bit upset", rep.Corrupt)
-	}
-	if got := rep.Switch["ecc-uncorrectable"]; got != 0 {
-		t.Fatalf("ecc-uncorrectable = %d, want 0 under single-bit faults", got)
-	}
-	if got := rep.Switch["ecc-hard"]; got != 0 {
-		t.Fatalf("ecc-hard = %d, want 0: every scrub of a transient upset must verify clean", got)
-	}
-	if got := rep.Switch["ecc-corrected"]; got != applied {
-		t.Fatalf("ecc-corrected = %d, want exactly the %d applied faults", got, applied)
-	}
-	if rep.Health.Degraded || rep.Health.Failed {
-		t.Fatalf("switch degraded under fully correctable faults: %+v", rep.Health)
-	}
-	if rep.Delivered == 0 || rep.Dropped != 0 {
-		t.Fatalf("delivered=%d dropped=%d; soak load should be loss-free", rep.Delivered, rep.Dropped)
-	}
-}
-
-// TestChaosSoakLinkProtect soaks the third defense layer: random word
-// corruption and word drops on CRC-protected input links. Every hit must
-// be caught by the CRC and repaired by retransmission — zero corrupted
-// deliveries and zero abandoned cells (the fault rate is far below the
-// retry budget) — while conservation holds end to end.
-func TestChaosSoakLinkProtect(t *testing.T) {
-	const cycles = 100_000
-	plan := Random(99, RandomOptions{
-		Cycles: cycles, Events: 600, Stages: 8, WordBits: 16, Inputs: 4,
-		Kinds: []Kind{LinkCorrupt, LinkDrop},
-	})
-	rep, err := Run(Options{
-		Config:      core.Config{Ports: 4, WordBits: 16, Cells: 32, CutThrough: true},
-		Plan:        plan,
-		Seed:        99,
-		Cycles:      cycles,
-		Load:        0.5,
-		LinkProtect: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := rep.Engine["applied-linkcorrupt"] + rep.Engine["applied-linkdrop"]
-	if hits < 100 {
-		t.Fatalf("only %d link faults hit a transfer; soak too idle", hits)
-	}
-	if rep.Corrupt != 0 {
-		t.Fatalf("%d corrupted deliveries slipped past the link CRC", rep.Corrupt)
-	}
-	if rep.LinkRetransmits == 0 {
-		t.Fatal("no retransmissions recorded despite applied link faults")
-	}
-	if rep.LinkFailed != 0 {
-		t.Fatalf("%d cells abandoned; isolated faults must be repaired within the retry budget", rep.LinkFailed)
-	}
-}
-
 // TestStageBypassStuck is the graceful-degradation acceptance run: bank 2
 // sticks at cycle 500; the ECC layer sees its reads fail, the bypass
 // threshold trips, the bank is mapped out, and the switch keeps delivering

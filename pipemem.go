@@ -338,25 +338,9 @@ type FaultTarget = fault.Target
 // NewFaultEngine builds an engine over a plan; seed resolves "any" targets.
 func NewFaultEngine(p *FaultPlan, seed uint64) *FaultEngine { return fault.NewEngine(p, seed) }
 
-// FaultLink is the CRC-protected word-serial link with bounded
-// retransmission.
-type FaultLink = fault.Link
-
-// NewFaultLink builds a link for cells of cellWords words of wordBits bits
-// with the given retry budget (negative = default).
-func NewFaultLink(cellWords, wordBits, maxRetries int) *FaultLink {
-	return fault.NewLink(cellWords, wordBits, maxRetries)
-}
-
-// FaultRunOptions parameterizes a traffic-driven fault-injection run.
-type FaultRunOptions = fault.Options
-
-// FaultReport is the outcome of a fault-injection run.
+// FaultReport is the outcome of a fault run — a SimSession whose SimSpec
+// carries a Plan — as SimSession.Report gathers it from the RunResult.
 type FaultReport = fault.Report
-
-// RunFaults drives a switch under traffic while a fault plan unfolds,
-// then drains and audits cell conservation.
-func RunFaults(o FaultRunOptions) (*FaultReport, error) { return fault.Run(o) }
 
 // CRC16 is the CCITT checksum the link protocol appends to each cell.
 func CRC16(words []Word) uint16 { return cell.CRC16(words) }
