@@ -430,6 +430,12 @@ func TestPmsimPinned(t *testing.T) {
 		{name: "rtl", args: rtl,
 			want: "cycles=200298 offered=89927 delivered=89927 dropped=0 util=0.8979 cutlat=66.76 initdelay=1.8859\n"},
 		{name: "rtl-metrics", args: append(append([]string{}, rtl...), "-metrics"), sum: 0x7697392becabd738, size: 6704},
+		// Sparse runs: nearly every cycle is one in which neither the stream
+		// nor the switch has anything to do.
+		{name: "rtl-sparse-bursty", args: []string{"-arch", "rtl", "-n", "8", "-buf", "256", "-bursty", "8", "-load", "0.05", "-slots", "200000"},
+			want: "cycles=200000 offered=4663 delivered=4663 dropped=0 util=0.0466 cutlat=5.80 initdelay=0.0455\n"},
+		{name: "rtl-sparse", args: []string{"-arch", "rtl", "-n", "8", "-buf", "256", "-load", "0.02", "-slots", "200000"},
+			want: "cycles=200004 offered=1980 delivered=1980 dropped=0 util=0.0198 cutlat=2.10 initdelay=0.0056\n"},
 		{name: "ecc-audit", args: audit(ecc), keep: firstAndFaults,
 			want: "cycles=120017 offered=35899 delivered=35899 dropped=0 util=0.5982 cutlat=15.05 initdelay=0.7611\n" +
 				"faults: mem         applied=1654 skipped=346\n"},
