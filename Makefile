@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet staticcheck test race fuzz check vulncheck bench wallclock ckpt-soak serve-smoke
+.PHONY: build vet staticcheck test race fuzz check vulncheck bench pairs wallclock ckpt-soak serve-smoke
 
 build:
 	$(GO) build ./...
@@ -83,6 +83,19 @@ check: vet staticcheck build race vulncheck
 # shapes) a fixed number of iterations, with allocation counts.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./...
+
+# Paired ledger runs against another revision — how a PR measures what it
+# claims or must not cost: PARENT's tree and the working tree are each built
+# once, N rounds alternate which side runs first, and the ledger's own
+# -compare judges the pairs (medians, quartiles, pairs won, verdict per
+# metric and workload). WORKLOADS narrows a round from the whole ledger to
+# one untraced pass of each named workload; RUN_SECONDS and SEED pass
+# through; OUT keeps the result files. The exit status says the recipe ran,
+# not that nothing regressed: read the table.
+#   make pairs PARENT=HEAD~1 N=10 WORKLOADS="sw8-sparse sw8-sat"
+pairs:
+	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=<rev> [N=10] [WORKLOADS=\"...\"] [RUN_SECONDS=8] [SEED=42] [OUT=dir]"; exit 2; }
+	RUN_SECONDS=$(RUN_SECONDS) SEED=$(SEED) OUT=$(OUT) scripts/pairs.sh $(PARENT) $(or $(N),10) $(WORKLOADS)
 
 # The wall-clock gates, all behind one switch: the overhead table (an
 # enabled metrics observer, a 64-cycle audit cadence and 1-in-64 flight

@@ -39,6 +39,12 @@ func FuzzCheckpointCycle(f *testing.F) {
 	f.Add(uint16(0), uint64(11), true, false, false)
 	f.Add(uint16(300), uint64(42), false, true, false) // mid-gap: drawn ahead from 197 to 360
 	f.Add(uint16(360), uint64(42), false, true, false) // the horizon cycle, resume port 2
+	// The same gap from the runner's side: the switch is idle from cycle 199
+	// and Steps 199 to 359 coast (no Tick, no Drain). A cut before the first,
+	// after the first, before the last — 300 above is inside, 360 after.
+	f.Add(uint16(199), uint64(42), false, true, false)
+	f.Add(uint16(200), uint64(42), false, true, false)
+	f.Add(uint16(359), uint64(42), false, true, false)
 	f.Add(uint16(1300), uint64(42), true, true, false) // mid-gap, upsets in flight
 	f.Add(uint16(1505), uint64(42), true, true, false) // the horizon cycle, resume port 1
 	f.Add(uint16(117), uint64(7), false, true, false)  // the horizon cycle, resume port 3

@@ -150,3 +150,97 @@ func TestExtendScheduleCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("ExtendSchedule on a Bernoulli session accepted")
 	}
 }
+
+// TestSeamsInsideACoast: a trace session that has played its schedule out
+// coasts (core.Runner skips the Tick of a cycle in which neither the stream
+// nor the switch has an event). The two session-level calls that can land
+// between two such Steps — rows streamed in, and a checkpoint cut with a
+// resume — must leave it, cycle for cycle, where they leave a session
+// pinned to per-cycle stepping by a PreTick that does nothing.
+func TestSeamsInsideACoast(t *testing.T) {
+	pin := func(s *Session) *Session {
+		s.Runner().PreTick = func(int64) {}
+		return s
+	}
+	seams := []struct {
+		name    string
+		offered int64
+		apply   func(t *testing.T, s *Session) *Session
+	}{
+		{"ExtendSchedule", 13, func(t *testing.T, s *Session) *Session {
+			if err := s.ExtendSchedule([][]int{{3, 3, traffic.NoArrival, 1}, {0, 1, 2, 3}}); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"Checkpoint/ResumeFrom", 6, func(t *testing.T, s *Session) *Session {
+			ck, err := s.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := ResumeFrom(ck, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}},
+	}
+	for _, seam := range seams {
+		t.Run(seam.name, func(t *testing.T) {
+			spec := Spec{
+				Switch: coreConfig(),
+				Traffic: traffic.Config{Kind: traffic.Trace, N: 4, Schedule: [][]int{
+					{1, 2, 3, 0},
+					{traffic.NoArrival, 0, traffic.NoArrival, 2},
+				}},
+				Cycles: 200,
+			}
+			got, err := New(spec, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := New(spec, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pin(ref)
+			for c := 0; ; c++ {
+				if c == 77 {
+					got, ref = seam.apply(t, got), pin(seam.apply(t, ref))
+				}
+				ok, err := got.Step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rok, err := ref.Step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != rok {
+					t.Fatalf("cycle %d: Step %v, per-cycle session %v", c, ok, rok)
+				}
+				g, err := got.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := ref.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("cycle %d: checkpoints differ\n got  %+v\n want %+v", c, g, w)
+				}
+				if !ok {
+					break
+				}
+			}
+			res, err := got.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Offered != seam.offered || res.Delivered != seam.offered {
+				t.Fatalf("offered %d, delivered %d, want %d", res.Offered, res.Delivered, seam.offered)
+			}
+		})
+	}
+}

@@ -203,6 +203,45 @@ func BenchmarkRunTraffic(b *testing.B) {
 	b.ReportMetric(float64(res.Delivered)/b.Elapsed().Seconds(), "cells/sec")
 }
 
+// benchRunnerStep times Runner.Step, the driver under every session and
+// under the ledger's sw8 rows, on their 8×8 switch: ns/op is ns per driven
+// cycle, and a warm runner allocates nothing.
+func benchRunnerStep(b *testing.B, tc traffic.Config) {
+	s, err := New(Config{Ports: 8, WordBits: 16, Cells: 256, CutThrough: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs, err := traffic.NewCellStream(tc, s.Config().Stages)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := NewRunner(s, cs, 1<<62)
+	for i := 0; i < 16384; i++ {
+		r.Step()
+	}
+	delivered := r.res.Delivered
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(r.res.Delivered-delivered)/b.Elapsed().Seconds(), "cells/sec")
+}
+
+// BenchmarkRunnerStepSparse is the sw8-sparse shape, bursty load 0.05: two
+// cycles in three find the stream without a head and the switch idle, and
+// coast.
+func BenchmarkRunnerStepSparse(b *testing.B) {
+	benchRunnerStep(b, traffic.Config{Kind: traffic.Bursty, N: 8, Load: 0.05, BurstLen: 8, Seed: 42})
+}
+
+// BenchmarkRunnerStepSaturated is the sw8-sat shape: no cycle ever coasts,
+// so the row carries what asking costs a busy Step — one flag test.
+func BenchmarkRunnerStepSaturated(b *testing.B) {
+	benchRunnerStep(b, traffic.Config{Kind: traffic.Saturation, N: 8, Seed: 42})
+}
+
 // dualTickLoop builds the pooled steady-state injection loop for the §3.5
 // half-quantum organization — an 8×8 at full admissible load — warms its
 // pools, and returns the per-cycle closure and its delivery counter.

@@ -248,46 +248,34 @@ func (s *Switch) Report(res *RunResult) {
 // first cycle and the remaining n-1 cycles carry no arrivals. It is
 // bit-identical to Tick(heads) followed by n-1 Tick(nil) — drivers with
 // gaps between arrivals (light load, batch replay) use it to amortize
-// per-cycle dispatch, and once the switch drains to quiescence the
-// remaining cycles are skipped in O(1) (event-driven fast-forward).
+// per-cycle dispatch, and once the switch is idle the remaining cycles are
+// skipped in O(1) (event-driven fast-forward).
 func (s *Switch) TickN(heads []*cell.Cell, n int64) {
 	if n <= 0 {
 		return
 	}
 	s.Tick(heads)
 	for m := n - 1; m > 0; m-- {
-		// Fast-forward: on the batched path with nothing watching and no
-		// cell anywhere in the switch, every remaining cycle would only
-		// retire an expired ctrl slot and advance the clock — do that
-		// wholesale. (An observer or a tracer pins per-cycle stepping: the
-		// one's tallies and decimated flushes are per-cycle state, the other
-		// is owed an event per cycle.)
-		if s.fastMode && s.obs == nil && s.tracer == nil && s.Quiescent() {
-			s.jump(m)
+		if s.idle() {
+			s.cycle += m
 			return
 		}
 		s.Tick(nil)
 	}
 }
 
-// jump skips m known-dead cycles at once. The only state an idle cycle
-// mutates is the ctrl slot it retires (plus the clock), and after k such
-// cycles the whole ring has been retired — so clearing the min(m, k)
-// slots the skipped cycles would claim and advancing the clock is
-// bit-identical to m idle Ticks.
-func (s *Switch) jump(m int64) {
-	clearN := m
-	if clearN > int64(s.k) {
-		clearN = int64(s.k)
-	}
-	for i := int64(0); i < clearN; i++ {
-		slot := s.slotOf(s.cycle + i)
-		if s.ctrl[slot].Kind != OpNone {
-			s.clearCtrl(slot)
-		}
-	}
-	s.cycle += m
-}
+// idle reports that a Tick without heads can do nothing but advance the
+// clock: no cell is anywhere inside, the control ring has retired its last
+// wave, and the batched engine is running with nobody owed a call per cycle
+// (an observer's tallies and decimated flushes are per-cycle state, a tracer
+// is owed an event per cycle, and the per-stage engine runs exactly while a
+// fault seam is open). It is the one statement of that fact: Tick's
+// dead-cycle exit, TickN's fast-forward and Runner.Step's coasting all ask
+// it, and all three do the same thing with a yes — add to the clock.
+func (s *Switch) idle() bool { return s.Quiescent() && s.waveMask == 0 && s.unwatched() }
+
+// unwatched is the half of idle a call between Ticks can change.
+func (s *Switch) unwatched() bool { return s.fastMode && s.obs == nil && s.tracer == nil }
 
 // Quiescent reports that no cell is anywhere inside the switch — not on
 // the pipelined link wires, not awaiting a write wave, not buffered, not

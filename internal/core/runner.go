@@ -22,6 +22,22 @@ import (
 // hit), then done. Step reports false once the run is complete; Result
 // finishes the run (driving any remaining Steps) and computes the final
 // RunResult.
+//
+// A driven cycle in which the stream knows ahead of time that no head
+// arrives (CellStream.SkipDead) and a Tick could only advance the clock
+// (Switch.idle) is coasted: Step adds one to the clock and to the window
+// and calls nothing. Whether cells or live control words are inside the
+// switch can change only in a Tick, and only Step ticks a runner's switch,
+// so that half of the verdict is remembered from the last Step that did
+// tick. Everything a call between two Steps can change is asked again on
+// every Step, and so ends a coast by itself: SetObserver and SetTracer
+// (each is owed every cycle), PreTick and Stage (so is each of them), any
+// fault seam — InjectMemoryFault on an ECC switch, the control and
+// input-register injections, a stuck or mapped-out bank — because all of
+// them leave the batched engine on the spot, and CellStream.Extend
+// (Session.ExtendSchedule), because the stream is asked, not remembered. A
+// restored runner remembers nothing and ticks once before it coasts again.
+// SetOutputOpen ends no coast: an empty switch has nothing to gate.
 type Runner struct {
 	s      *Switch
 	cs     *traffic.CellStream
@@ -39,7 +55,10 @@ type Runner struct {
 	// it; Result puts it back.
 	prevDrop func(c *cell.Cell, reusable bool)
 
-	phase   int
+	phase int
+	// coast: the last Step left the switch idle and no departure out on loan
+	// from Drain. Cleared by every Step that does not coast.
+	coast   bool
 	driven  int64
 	drained int64
 	bound   int64
@@ -138,15 +157,17 @@ func (r *Runner) reclaim() {
 // Switch returns the switch under test.
 func (r *Runner) Switch() *Switch { return r.s }
 
-// collect books the departures of the last Tick and tracks occupancy.
-func (r *Runner) collect() {
-	deps := r.s.Drain()
-	r.tally.collect(deps, r.s.Buffered())
+// collect books the departures of the last Tick and tracks occupancy, which
+// it returns.
+func (r *Runner) collect() int {
+	deps, buffered := r.s.Drain(), r.s.Buffered()
+	r.tally.collect(deps, buffered)
 	for i := range deps {
 		// The injected cell has left the switch; reuse it for a later
 		// arrival (unicast only — every cell here is).
 		r.pool.Put(deps[i].Expected)
 	}
+	return buffered
 }
 
 // Step advances the run by one cycle. It reports false — without ticking —
@@ -154,6 +175,18 @@ func (r *Runner) collect() {
 func (r *Runner) Step() bool {
 	switch r.phase {
 	case runDrive:
+		if r.coast {
+			if r.PreTick == nil && r.Stage == nil && r.s.unwatched() && r.cs.SkipDead() {
+				// The stream has no head for this cycle and a Tick could only
+				// advance the clock, a Drain only hand out and take back
+				// nothing, the tallies only add a zero.
+				r.s.cycle++
+				r.driven++
+				r.endWindow()
+				return true
+			}
+			r.coast = false
+		}
 		if r.Stage != nil {
 			r.stepStaged()
 			return true
@@ -164,9 +197,11 @@ func (r *Runner) Step() bool {
 		if r.cs.SkipDead() || r.cs.Heads(r.heads) == 0 {
 			// No head anywhere this cycle — on most dead cycles the stream
 			// knows so ahead of time and the vector is not even filled: skip
-			// the per-port injection scan and let the switch's dead-cycle
-			// path see the nil vector.
+			// the per-port injection scan and let the switch see the nil
+			// vector.
 			r.s.Tick(nil)
+			r.occSum += float64(r.collect())
+			r.coast = r.s.idle() && len(r.s.doneOut) == 0
 		} else {
 			r.reclaim()
 			for i := range r.hcells {
@@ -178,14 +213,10 @@ func (r *Runner) Step() bool {
 				}
 			}
 			r.s.Tick(r.hcells)
+			r.occSum += float64(r.collect())
 		}
-		r.collect()
-		r.occSum += float64(r.s.Buffered())
 		r.driven++
-		if r.driven >= r.cycles {
-			r.res.MeanBuffered = r.occSum / float64(r.cycles)
-			r.phase = runDrain
-		}
+		r.endWindow()
 		return true
 	case runDrain:
 		if r.drained >= r.bound || r.s.Resident() == 0 {
@@ -201,6 +232,14 @@ func (r *Runner) Step() bool {
 		return true
 	}
 	return false
+}
+
+// endWindow closes the driven window once its last cycle has run.
+func (r *Runner) endWindow() {
+	if r.driven >= r.cycles {
+		r.res.MeanBuffered = r.occSum / float64(r.cycles)
+		r.phase = runDrain
+	}
 }
 
 // stepStaged is the drive-phase cycle with a head stage installed: the
@@ -225,9 +264,8 @@ func (r *Runner) stepStaged() {
 	r.reclaim()
 	r.Stage.Tick(r.s.cycle, r.hcells, r.pool)
 	r.s.Tick(r.hcells)
-	r.collect()
-	if live {
-		r.occSum += float64(r.s.Buffered())
+	if b := r.collect(); live {
+		r.occSum += float64(b)
 	}
 	r.driven++
 	if r.driven == r.cycles {
@@ -345,6 +383,7 @@ func (r *Runner) RestoreState(st RunnerState) error {
 		return fmt.Errorf("core: runner state for a %d-cycle window, runner built for %d", st.Cycles, r.cycles)
 	}
 	r.phase = st.Phase
+	r.coast = false
 	r.driven = st.Driven
 	r.drained = st.Drained
 	r.seq = st.Seq

@@ -418,15 +418,6 @@ func (s *Switch) setCtrl(slot int, op *Op) {
 	s.committed &^= bit
 }
 
-// clearCtrl retires one control-ring slot (setCtrl with the zero op,
-// specialized for the dead-cycle and fast-forward paths).
-func (s *Switch) clearCtrl(slot int) {
-	s.ctrl[slot] = Op{}
-	bit := uint64(1) << uint(slot) // slot ≥ 64 shifts to 0: mask unused there
-	s.waveMask &^= bit
-	s.committed &^= bit
-}
-
 // wantFast reports whether the batched structure-of-arrays path may run:
 // no fault seam is open and the bitset masks fit. Stuck-at faults and an
 // active bypass route every word through the fault layer; forcedExact
@@ -914,6 +905,12 @@ func (s *Switch) delayStep(c int64, heads []*cell.Cell) []*cell.Cell {
 // initiation commutes with every other wave, and a departure completed at
 // c0+k carries the exact words the per-stage drive would have assembled.
 func (s *Switch) tickFast(heads []*cell.Cell) {
+	// Dead-cycle exit (TickN skips runs of these cycles in O(1), Runner.Step
+	// does not even call).
+	if heads == nil && s.idle() {
+		s.cycle++
+		return
+	}
 	c := s.cycle
 
 	if s.cfg.LinkPipeline > 0 && (heads != nil || s.delayCount > 0) {
@@ -921,22 +918,6 @@ func (s *Switch) tickFast(heads []*cell.Cell) {
 	}
 
 	s.completeDue(c)
-
-	// Dead-cycle short circuit: nothing buffered, nothing pending, nothing
-	// in flight and no arrivals — the only state change an exact cycle
-	// would make is retiring the expired ctrl slot. (TickN jumps runs of
-	// these cycles in O(1); this keeps the single-Tick idle cost minimal.)
-	if heads == nil && s.pendingWrites == 0 && s.txActive == 0 && s.queues.Total() == 0 {
-		base := s.slotOf(c)
-		if s.ctrl[base].Kind != OpNone {
-			s.clearCtrl(base)
-		}
-		if s.obs != nil {
-			s.observeCycle(c, Op{})
-		}
-		s.cycle++
-		return
-	}
 
 	// No-initiation shortcut: with nothing awaiting a write wave and
 	// nothing buffered, both pickers would scan and fail — exactly what

@@ -435,6 +435,12 @@ func FuzzTickN(f *testing.F) {
 	f.Add(uint16(19), uint16(203), []byte{3, 9, 1, 30}, false, []byte{0x2, 0xf, 0x0, 0x5, 0xa}) // cut while gated
 	f.Add(uint16(301), uint16(90), []byte{}, false, []byte{0xf, 0xf, 0xf, 0x0})                 // all closed, then all open
 	f.Add(uint16(7), uint16(125), []byte{5, 1}, true, []byte{0x1, 0xc, 0x0})
+	// The 128-cycle tail has no arrivals; seed 19's switch is idle from cycle
+	// 412 and TickN skips from there to the end. A cut on the first skipped
+	// cycle, inside the skip, and on the last cycle of all.
+	f.Add(uint16(19), uint16(412), []byte{}, false, []byte{})
+	f.Add(uint16(19), uint16(470), []byte{3, 9, 1, 30}, false, []byte{})
+	f.Add(uint16(19), uint16(527), []byte{}, false, []byte{})
 	f.Fuzz(func(t *testing.T, seed uint16, cut uint16, splits []byte, ecc bool, gates []byte) {
 		cfg := ticknConfig()
 		// With ECC on, both drives also take sparse upsets (one of them

@@ -28,17 +28,35 @@ type Engine struct {
 	pcg     *rand.PCG
 	rng     *rand.Rand
 	counter stats.Counter
+	// applied and skipped are the counter's hot slots, one per kind, so an
+	// event costs an add, not a tally name.
+	applied, skipped [numKinds]*int64
+}
+
+// appliedName and skippedName are the counter names, "applied-<kind>" and
+// "skipped-<kind>", built once.
+var appliedName, skippedName = tallyNames("applied-"), tallyNames("skipped-")
+
+func tallyNames(prefix string) (names [numKinds]string) {
+	for k, kind := range kindNames {
+		names[k] = prefix + kind
+	}
+	return names
 }
 
 // NewEngine returns an engine over plan (which must be cycle-ordered, as
 // Parse and Random produce). The seed resolves "any" targets.
 func NewEngine(plan *Plan, seed uint64) *Engine {
 	pcg := rand.NewPCG(seed, 0xd1342543de82ef95)
-	return &Engine{
+	e := &Engine{
 		plan: plan,
 		pcg:  pcg,
 		rng:  rand.New(pcg),
 	}
+	for k := range e.applied {
+		e.applied[k], e.skipped[k] = e.counter.Hot(appliedName[k]), e.counter.Hot(skippedName[k])
+	}
+	return e
 }
 
 // Step fires every event scheduled at the given cycle. Call it once per
@@ -53,9 +71,9 @@ func (e *Engine) Step(t Target, cycle int64) {
 			continue // scheduled before the run started; unreachable now
 		}
 		if e.apply(t, ev) {
-			e.counter.Inc("applied-"+ev.Kind.String(), 1)
+			*e.applied[ev.Kind]++
 		} else {
-			e.counter.Inc("skipped-"+ev.Kind.String(), 1)
+			*e.skipped[ev.Kind]++
 		}
 	}
 }
@@ -67,10 +85,10 @@ func (e *Engine) Done() bool { return e.idx >= len(e.plan.Events) }
 func (e *Engine) Counters() *stats.Counter { return &e.counter }
 
 // Applied returns how many events of kind k actually hit a target.
-func (e *Engine) Applied(k Kind) int64 { return e.counter.Get("applied-" + k.String()) }
+func (e *Engine) Applied(k Kind) int64 { return *e.applied[k] }
 
 // Skipped returns how many events of kind k found no target.
-func (e *Engine) Skipped(k Kind) int64 { return e.counter.Get("skipped-" + k.String()) }
+func (e *Engine) Skipped(k Kind) int64 { return *e.skipped[k] }
 
 func (e *Engine) apply(t Target, ev Event) bool {
 	s := t.Switch
@@ -204,7 +222,7 @@ func (r *Report) String() string {
 		r.Corrupt, r.Switch["ecc-corrected"], r.Switch["ecc-uncorrectable"], h.Bypassed, r.LinkFailed, r.LinkRetransmits,
 		h.Degraded, h.Failed, h.UsableCells, h.ECCHard, h.BypassDrops)
 	for k := Kind(0); k < numKinds; k++ {
-		if a, sk := r.Engine["applied-"+k.String()], r.Engine["skipped-"+k.String()]; a+sk > 0 {
+		if a, sk := r.Engine[appliedName[k]], r.Engine[skippedName[k]]; a+sk > 0 {
 			s += fmt.Sprintf("\nfaults: %-11s applied=%d skipped=%d", k, a, sk)
 		}
 	}

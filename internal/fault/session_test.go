@@ -154,8 +154,7 @@ func TestFaultDetectionUnderLoad(t *testing.T) {
 // on — a transferred cell is the pooled cell it was given, an abandoned one
 // goes back to the pool, the sender queues are rings — so a link-protected
 // run with retransmissions and abandoned cells allocates nothing once warm.
-// (TestRunnerZeroAllocUnderDrops's shape; the faults come from PreTick
-// directly because the engine's per-event tally names allocate.)
+// (TestRunnerZeroAllocUnderDrops's shape, the faults fired by the engine.)
 func TestLinkStageZeroAlloc(t *testing.T) {
 	sw, err := core.New(core.Config{Ports: 4, WordBits: 16, Cells: 32, CutThrough: true})
 	if err != nil {
@@ -165,21 +164,24 @@ func TestLinkStageZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const window = 20_000
+	// An isolated flip every 61 cycles, repaired by one retransmission; and
+	// on link 3, in every 2,000 cycles, 40 in a row — longer than a cell's
+	// two retries last.
+	plan := &fault.Plan{}
+	for c := int64(0); c < 3*window; c++ { // warm-up, AllocsPerRun's own, the measured one
+		if c%61 == 0 {
+			plan.Events = append(plan.Events, fault.Event{Cycle: c, Kind: fault.LinkCorrupt, In: int(c % 3), Word: fault.Any, Bits: 1})
+		}
+		if c%2000 < 40 {
+			plan.Events = append(plan.Events, fault.Event{Cycle: c, Kind: fault.LinkCorrupt, In: 3, Word: fault.Any, Bits: 1})
+		}
+	}
 	r := core.NewRunner(sw, cs, 1<<30)
 	st := fault.NewStage(sw.Geometry(), 2)
 	r.Stage = st
-	r.PreTick = func(c int64) {
-		// An isolated flip every 61 cycles, repaired by one retransmission;
-		// and on link 3, in every 2,000 cycles, 40 in a row — longer than a
-		// cell's two retries last.
-		if c%61 == 0 {
-			st.Links[c%3].CorruptWord(fault.Any, 1)
-		}
-		if c%2000 < 40 {
-			st.Links[3].CorruptWord(fault.Any, 1)
-		}
-	}
-	const window = 20_000
+	eng, target := fault.NewEngine(plan, 1), fault.Target{Switch: sw, Links: st.Links}
+	r.PreTick = func(c int64) { eng.Step(target, c) }
 	tallies := func() (retransmits, failed int64) {
 		for _, l := range st.Links {
 			retransmits += l.Retransmits

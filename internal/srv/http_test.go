@@ -250,3 +250,40 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 		t.Fatal("/metrics still carries the deleted session")
 	}
 }
+
+// TestInjectLandsInTheNextCycle pins when a row injected into an idle trace
+// session reaches the switch: the session has played its schedule out and
+// sat idle for a hundred cycles (a served session carries an observer, so
+// every one of them was stepped), and the row must land where it always has
+// — in the first cycle after the request — however idle cycles are driven
+// underneath.
+func TestInjectLandsInTheNextCycle(t *testing.T) {
+	m := NewManager(Options{})
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+	c := ts.Client()
+	do(t, c, "POST", ts.URL+"/sessions",
+		`{"name":"idle","ports":2,"buf":8,"cycles":400,"traffic":"trace","schedule":[[1,0]]}`, 201, nil)
+	var st stepResponse
+	do(t, c, "POST", ts.URL+"/sessions/idle/step?cycles=101", "", 200, &st)
+	if st.Offered != 2 || st.Delivered != 2 || st.Resident != 0 {
+		t.Fatalf("before the inject: %+v", st)
+	}
+	do(t, c, "POST", ts.URL+"/sessions/idle/inject", `{"slots":[[0,1]]}`, 200, nil)
+	var landed, delivered int64
+	for landed == 0 || delivered == 0 {
+		do(t, c, "POST", ts.URL+"/sessions/idle/step?cycles=1", "", 200, &st)
+		if landed == 0 && st.Offered == 4 {
+			landed = st.Cycle
+		}
+		if delivered == 0 && st.Delivered == 4 {
+			delivered = st.Cycle
+		}
+		if st.Cycle > 300 {
+			t.Fatalf("the injected row never landed: %+v", st)
+		}
+	}
+	if landed != 102 || delivered != 108 {
+		t.Fatalf("injected at cycle 101: landed in the cycle ending at %d, delivered by %d", landed, delivered)
+	}
+}
