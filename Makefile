@@ -45,7 +45,10 @@ race:
 # departure intact, a drain that empties within the bound. FuzzSessionConfig
 # sends arbitrary bytes through pmserve's POST /sessions decoder and
 # SessionConfig.Spec: a typed ErrBadSpec, or a session built within the
-# per-session allocation budget. The last three
+# per-session allocation budget. FuzzStepReply holds the step route's
+# hand-written reply to encoding/json's bytes for any strings and integers,
+# FuzzCyclesParam its ?cycles= shortcut to the URL.Query parse for any raw
+# query. The last three
 # are the data-structure targets: the ring against a slice queue, the free
 # list and multi-queue pair for leaks, cell checksums against single-word
 # flips.
@@ -62,6 +65,8 @@ fuzz:
 	$(GO) test ./internal/fabric -run FuzzNetConfig -fuzz FuzzNetConfig -fuzztime 30s
 	$(GO) test . -run FuzzOrganizations -fuzz FuzzOrganizations -fuzztime 30s
 	$(GO) test ./internal/srv -run FuzzSessionConfig -fuzz FuzzSessionConfig -fuzztime 30s
+	$(GO) test ./internal/srv -run FuzzStepReply -fuzz FuzzStepReply -fuzztime 30s
+	$(GO) test ./internal/srv -run FuzzCyclesParam -fuzz FuzzCyclesParam -fuzztime 30s
 	$(GO) test ./internal/fifo -run FuzzRing -fuzz FuzzRing -fuzztime 30s
 	$(GO) test ./internal/fifo -run FuzzFreeListMultiQueue -fuzz FuzzFreeListMultiQueue -fuzztime 30s
 	$(GO) test ./internal/core -run FuzzCellChecksum -fuzz FuzzCellChecksum -fuzztime 30s

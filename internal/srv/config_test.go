@@ -130,7 +130,7 @@ func FuzzSessionConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var cfg SessionConfig
 		req := httptest.NewRequest("POST", "/sessions", strings.NewReader(string(body)))
-		if err := decodeBody(req, &cfg); err != nil {
+		if err := decodeBody(httptest.NewRecorder(), req, &cfg); err != nil {
 			if !errors.Is(err, ErrBadSpec) {
 				t.Fatalf("decode: untyped error %v", err)
 			}

@@ -36,6 +36,7 @@ func TestHTTPStatusMapping(t *testing.T) {
 		{fmt.Errorf("ckpt: %w: no progress", ckpt.ErrStalled), 409},
 		{ErrTooManySessions, 429},
 		{ErrClosed, 503},
+		{fmt.Errorf("%w: request body: %w", ErrBadSpec, &http.MaxBytesError{Limit: maxBodyBytes}), 413},
 		{errors.New("disk on fire"), 500},
 	}
 	for _, c := range cases {

@@ -470,6 +470,11 @@ type Status struct {
 func (s *Session) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.statusLocked()
+}
+
+// statusLocked is Status with mu held.
+func (s *Session) statusLocked() Status {
 	sw := s.sim.Switch()
 	rs := s.sim.Runner().State()
 	st := Status{
@@ -548,6 +553,13 @@ func (s *Session) stepLocked(n int64) (int64, bool) {
 // the batch (watchdog stall, audit violation) is returned here once and
 // stays readable via Result.
 func (s *Session) Step(n int64) (int64, error) {
+	return s.step(n, nil)
+}
+
+// step is Step, also filling a non-nil st with the readout the step left,
+// taken in the same lock hold: a concurrent request cannot move the clock
+// between the two.
+func (s *Session) step(n int64, st *Status) (int64, error) {
 	if n <= 0 {
 		return 0, badSpecf("cycles must be positive (got %d)", n)
 	}
@@ -563,6 +575,9 @@ func (s *Session) Step(n int64) (int64, error) {
 		return 0, fmt.Errorf("%w: %s is %v", ErrFinished, s.id, s.state)
 	}
 	adv, _ := s.stepLocked(n)
+	if st != nil {
+		*st = s.statusLocked()
+	}
 	if s.state == StateFailed {
 		return adv, s.finalErr
 	}
