@@ -82,11 +82,14 @@ func TestFastExperimentsPass(t *testing.T) {
 }
 
 // TestSlowExperimentsPass runs the statistics-heavy experiments at Quick
-// scale; skipped with -short.
+// scale; skipped with -short. E2's measured column is pinned as well: the
+// wormhole nets are deterministic, and a refactor of them must not move a
+// row.
 func TestSlowExperimentsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy; run without -short")
 	}
+	e2 := []string{"0.436", "0.603", "0.592", "0.356", "0.474", "0.535"}
 	for _, e := range Experiments() {
 		switch e.ID {
 		case "E1", "E2", "E3", "E4", "E5":
@@ -96,6 +99,17 @@ func TestSlowExperimentsPass(t *testing.T) {
 			}
 			if !res.Pass() {
 				t.Errorf("%s failed:\n%s", e.ID, res)
+			}
+			if e.ID != "E2" {
+				continue
+			}
+			if len(res.Rows) != len(e2) {
+				t.Fatalf("E2: %d rows, want %d", len(res.Rows), len(e2))
+			}
+			for i, row := range res.Rows {
+				if row.Measured != e2[i] {
+					t.Errorf("E2 row %q: measured %s, pinned %s", row.Label, row.Measured, e2[i])
+				}
 			}
 		}
 	}
