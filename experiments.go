@@ -209,7 +209,7 @@ func E2WormholeSaturation(s Scale) (ExpResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		r, err := wormhole.RunLanes(w, warm, meas)
+		r, err := wormhole.Run(w, warm, meas)
 		if err != nil {
 			return 0, err
 		}

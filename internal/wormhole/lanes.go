@@ -3,11 +3,9 @@ package wormhole
 import (
 	"fmt"
 	"math/bits"
-	"math/rand/v2"
 
 	"pipemem/internal/cell"
 	"pipemem/internal/fifo"
-	"pipemem/internal/stats"
 )
 
 // This file adds virtual-channel lanes to the wormhole fabric — the other
@@ -63,29 +61,17 @@ type laneState struct {
 
 // LaneNet is the multi-lane wormhole network.
 type LaneNet struct {
-	cfg    LaneConfig
-	n      int
 	stages int
-	lanes  int
-
-	cycle int64
 
 	// lane[t][l][v]
 	lane [][][]laneState
-	// holdMsg[t][m] is the message whose flit crossed output line m last
-	// cycle… physical channels are not held across flits with lanes:
-	// each flit arbitrates. rr rotates fairness.
+	// Physical channels are not held across flits with lanes: each flit
+	// arbitrates, and rr[t][m] rotates fairness on output line m.
 	rr [][]uint8
 
-	src []*fifo.Ring[cell.Flit]
+	sent []bool
 
-	rng    *rand.Rand
-	nextID uint64
-	sent   []bool
-
-	injected, delivered int64
-	msgLatency          *stats.Hist
-	expect              map[uint64]expectState
+	source
 }
 
 // NewLanes builds the multi-lane network.
@@ -97,14 +83,11 @@ func NewLanes(cfg LaneConfig) (*LaneNet, error) {
 	s := bits.TrailingZeros(uint(n))
 	per := cfg.BufferFlits / cfg.Lanes
 	net := &LaneNet{
-		cfg: cfg, n: n, stages: s, lanes: cfg.Lanes,
-		lane:       make([][][]laneState, s),
-		rr:         make([][]uint8, s),
-		src:        make([]*fifo.Ring[cell.Flit], n),
-		rng:        rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15)),
-		sent:       make([]bool, n),
-		msgLatency: stats.NewHist(1 << 14),
-		expect:     make(map[uint64]expectState),
+		stages: s,
+		lane:   make([][][]laneState, s),
+		rr:     make([][]uint8, s),
+		sent:   make([]bool, n),
+		source: newSource(n, cfg.MsgFlits, cfg.Load, cfg.Saturate, cfg.Seed, 0x9e3779b97f4a7c15),
 	}
 	for t := 0; t < s; t++ {
 		net.lane[t] = make([][]laneState, n)
@@ -116,17 +99,8 @@ func NewLanes(cfg LaneConfig) (*LaneNet, error) {
 			}
 		}
 	}
-	for l := 0; l < n; l++ {
-		net.src[l] = fifo.NewRing[cell.Flit](0)
-	}
 	return net, nil
 }
-
-// Delivered returns total ejected flits.
-func (w *LaneNet) Delivered() int64 { return w.delivered }
-
-// MsgLatency returns the message latency histogram.
-func (w *LaneNet) MsgLatency() *stats.Hist { return w.msgLatency }
 
 func (w *LaneNet) bit(t int) int { return w.stages - 1 - t }
 
@@ -264,76 +238,4 @@ func (w *LaneNet) downLaneOf(t, l int, msg uint64) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// eject mirrors Net.eject.
-func (w *LaneNet) eject(m int, f cell.Flit) error {
-	if f.Dst != m {
-		return fmt.Errorf("wormhole: flit of message %d for %d ejected at %d", f.Msg, f.Dst, m)
-	}
-	st, ok := w.expect[f.Msg]
-	if f.Kind.IsHead() {
-		if ok {
-			return fmt.Errorf("wormhole: duplicate head %d", f.Msg)
-		}
-		st = expectState{dst: f.Dst}
-	} else if !ok {
-		return fmt.Errorf("wormhole: body of unknown message %d", f.Msg)
-	}
-	if f.Index != st.next {
-		return fmt.Errorf("wormhole: message %d flit %d out of order (want %d)", f.Msg, f.Index, st.next)
-	}
-	st.next++
-	w.delivered++
-	if f.Kind.IsTail() {
-		delete(w.expect, f.Msg)
-		w.msgLatency.Add(w.cycle - f.Inject)
-	} else {
-		w.expect[f.Msg] = st
-	}
-	return nil
-}
-
-func (w *LaneNet) refill(l int) {
-	switch {
-	case w.cfg.Saturate:
-		if w.src[l].Len() == 0 {
-			w.newMessage(l)
-		}
-	default:
-		if w.rng.Float64() < w.cfg.Load/float64(w.cfg.MsgFlits) {
-			w.newMessage(l)
-		}
-	}
-}
-
-func (w *LaneNet) newMessage(l int) {
-	w.nextID++
-	dst := w.rng.IntN(w.n)
-	for _, f := range cell.Message(w.nextID, dst, w.cfg.MsgFlits, w.cycle) {
-		w.src[l].Push(f)
-	}
-}
-
-// RunLanes advances the network warmup+measure cycles and reports the
-// measured throughput.
-func RunLanes(w *LaneNet, warmup, measure int64) (Result, error) {
-	for i := int64(0); i < warmup; i++ {
-		if err := w.Step(); err != nil {
-			return Result{}, err
-		}
-	}
-	start := w.delivered
-	for i := int64(0); i < measure; i++ {
-		if err := w.Step(); err != nil {
-			return Result{}, err
-		}
-	}
-	d := w.delivered - start
-	return Result{
-		Cycles:         measure,
-		Throughput:     float64(d) / float64(measure) / float64(w.n),
-		MeanMsgLatency: w.msgLatency.Mean(),
-		DeliveredFlits: d,
-	}, nil
 }

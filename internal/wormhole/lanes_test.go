@@ -51,7 +51,7 @@ func TestLanesLiftSaturation(t *testing.T) {
 	thr := map[int]float64{}
 	for _, lanes := range []int{1, 2, 4} {
 		w := mustLanes(t, LaneConfig{Terminals: 64, BufferFlits: 16, MsgFlits: 20, Lanes: lanes, Saturate: true, Seed: 7})
-		res, err := RunLanes(w, 20_000, 60_000)
+		res, err := Run(w, 20_000, 60_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestLanesLiftSaturation(t *testing.T) {
 // slightly, so allow a band).
 func TestSingleLaneMatchesBaseModel(t *testing.T) {
 	lw := mustLanes(t, LaneConfig{Terminals: 64, BufferFlits: 16, MsgFlits: 20, Lanes: 1, Saturate: true, Seed: 9})
-	lres, err := RunLanes(lw, 20_000, 60_000)
+	lres, err := Run(lw, 20_000, 60_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSingleLaneMatchesBaseModel(t *testing.T) {
 // TestLaneLowLoadCarriesOffered.
 func TestLaneLowLoadCarriesOffered(t *testing.T) {
 	w := mustLanes(t, LaneConfig{Terminals: 16, BufferFlits: 16, MsgFlits: 20, Lanes: 2, Load: 0.1, Seed: 11})
-	res, err := RunLanes(w, 30_000, 100_000)
+	res, err := Run(w, 30_000, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestLaneLowLoadCarriesOffered(t *testing.T) {
 func TestLaneDeterminism(t *testing.T) {
 	run := func() Result {
 		w := mustLanes(t, LaneConfig{Terminals: 16, BufferFlits: 16, MsgFlits: 10, Lanes: 2, Load: 0.3, Seed: 13})
-		res, err := RunLanes(w, 5_000, 20_000)
+		res, err := Run(w, 5_000, 20_000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,13 +22,13 @@ func TestResultsPinned(t *testing.T) {
 			return Run(mustNet(t, Config{Terminals: 16, BufferFlits: 16, MsgFlits: 20, Saturate: true, Seed: 9}), 5_000, 20_000)
 		}, "{Cycles:20000 Throughput:0.5019125 MeanMsgLatency:96.33349980023971 DeliveredFlits:160612}"},
 		{"lanes2/load0.3", func() (Result, error) {
-			return RunLanes(mustLanes(t, LaneConfig{Terminals: 16, BufferFlits: 16, MsgFlits: 10, Lanes: 2, Load: 0.3, Seed: 13}), 5_000, 20_000)
+			return Run(mustLanes(t, LaneConfig{Terminals: 16, BufferFlits: 16, MsgFlits: 10, Lanes: 2, Load: 0.3, Seed: 13}), 5_000, 20_000)
 		}, "{Cycles:20000 Throughput:0.301271875 MeanMsgLatency:24.24710681874948 DeliveredFlits:96407}"},
 		{"lanes1/saturate", func() (Result, error) {
-			return RunLanes(mustLanes(t, LaneConfig{Terminals: 16, BufferFlits: 16, MsgFlits: 20, Lanes: 1, Saturate: true, Seed: 7}), 5_000, 20_000)
+			return Run(mustLanes(t, LaneConfig{Terminals: 16, BufferFlits: 16, MsgFlits: 20, Lanes: 1, Saturate: true, Seed: 7}), 5_000, 20_000)
 		}, "{Cycles:20000 Throughput:0.42095625 MeanMsgLatency:80.0837882743888 DeliveredFlits:134706}"},
 		{"lanes4/saturate", func() (Result, error) {
-			return RunLanes(mustLanes(t, LaneConfig{Terminals: 16, BufferFlits: 16, MsgFlits: 20, Lanes: 4, Saturate: true, Seed: 7}), 5_000, 20_000)
+			return Run(mustLanes(t, LaneConfig{Terminals: 16, BufferFlits: 16, MsgFlits: 20, Lanes: 4, Saturate: true, Seed: 7}), 5_000, 20_000)
 		}, "{Cycles:20000 Throughput:0.554334375 MeanMsgLatency:74.10310581437342 DeliveredFlits:177387}"},
 	} {
 		r, err := tc.run()

@@ -68,11 +68,7 @@ func (c Config) Validate() error {
 
 // Net is the simulated network.
 type Net struct {
-	cfg    Config
-	n      int // terminals
 	stages int
-
-	cycle int64
 
 	// buf[t][l] is the input FIFO of line l at stage t.
 	buf [][]*fifo.Ring[cell.Flit]
@@ -82,25 +78,11 @@ type Net struct {
 	// rr[t][m] is the round-robin pointer (0/1) for output line m.
 	rr [][]uint8
 
-	// src[l] is the (unbounded) source queue of terminal l; in Saturate
-	// mode it is refilled on demand.
-	src []*fifo.Ring[cell.Flit]
-
-	rng    *rand.Rand
-	nextID uint64
 	// sent[l] marks that input line l of the stage being processed has
 	// already forwarded a flit this cycle (one flit per input per cycle).
 	sent []bool
 
-	injected, delivered int64 // flits
-	msgLatency          *stats.Hist
-	expect              map[uint64]expectState
-}
-
-// expectState tracks in-order delivery per message for integrity checking.
-type expectState struct {
-	dst  int
-	next int
+	source
 }
 
 // New builds the network.
@@ -111,14 +93,12 @@ func New(cfg Config) (*Net, error) {
 	n := cfg.Terminals
 	s := bits.TrailingZeros(uint(n))
 	net := &Net{
-		cfg: cfg, n: n, stages: s,
-		buf:        make([][]*fifo.Ring[cell.Flit], s),
-		hold:       make([][]uint64, s),
-		rr:         make([][]uint8, s),
-		src:        make([]*fifo.Ring[cell.Flit], n),
-		rng:        rand.New(rand.NewPCG(cfg.Seed, 0x6c62272e07bb0142)),
-		msgLatency: stats.NewHist(1 << 14),
-		expect:     make(map[uint64]expectState),
+		stages: s,
+		buf:    make([][]*fifo.Ring[cell.Flit], s),
+		hold:   make([][]uint64, s),
+		rr:     make([][]uint8, s),
+		sent:   make([]bool, n),
+		source: newSource(n, cfg.MsgFlits, cfg.Load, cfg.Saturate, cfg.Seed, 0x6c62272e07bb0142),
 	}
 	for t := 0; t < s; t++ {
 		net.buf[t] = make([]*fifo.Ring[cell.Flit], n)
@@ -128,24 +108,14 @@ func New(cfg Config) (*Net, error) {
 			net.buf[t][l] = fifo.NewRing[cell.Flit](cfg.BufferFlits)
 		}
 	}
-	for l := 0; l < n; l++ {
-		net.src[l] = fifo.NewRing[cell.Flit](0)
-	}
-	net.sent = make([]bool, n)
 	return net, nil
 }
 
 // Cycle returns the current cycle.
 func (w *Net) Cycle() int64 { return w.cycle }
 
-// Delivered returns the total flits ejected so far.
-func (w *Net) Delivered() int64 { return w.delivered }
-
 // Injected returns the total flits accepted into stage-0 buffers so far.
 func (w *Net) Injected() int64 { return w.injected }
-
-// MsgLatency returns the message latency histogram (inject→tail ejection).
-func (w *Net) MsgLatency() *stats.Hist { return w.msgLatency }
 
 // bit returns the destination bit examined at stage t.
 func (w *Net) bit(t int) int { return w.stages - 1 - t }
@@ -255,12 +225,62 @@ func (w *Net) moveOnOutput(t, m, b int) error {
 // route reports whether dst requires the bit-b output value 1.
 func (w *Net) route(dst, b int) bool { return (dst>>b)&1 == 1 }
 
+// source is what both nets share at their edges: the terminals' message
+// queues and the arrival process that fills them, the ejection checker and
+// the flit counters. Each net seeds it with its own PCG stream constant.
+type source struct {
+	n, msgFlits int
+	load        float64
+	saturate    bool
+
+	cycle int64
+
+	// src[l] is the (unbounded) source queue of terminal l; in Saturate
+	// mode it is refilled on demand.
+	src    []*fifo.Ring[cell.Flit]
+	rng    *rand.Rand
+	nextID uint64
+
+	injected, delivered int64 // flits
+	msgLatency          *stats.Hist
+	expect              map[uint64]expectState
+}
+
+// expectState tracks in-order delivery per message for integrity checking.
+type expectState struct {
+	dst  int
+	next int
+}
+
+func newSource(n, msgFlits int, load float64, saturate bool, seed, stream uint64) source {
+	s := source{
+		n: n, msgFlits: msgFlits, load: load, saturate: saturate,
+		src:        make([]*fifo.Ring[cell.Flit], n),
+		rng:        rand.New(rand.NewPCG(seed, stream)),
+		msgLatency: stats.NewHist(1 << 14),
+		expect:     make(map[uint64]expectState),
+	}
+	for l := range s.src {
+		s.src[l] = fifo.NewRing[cell.Flit](0)
+	}
+	return s
+}
+
+// messages is the source a net carries; Run reads its counters.
+func (s *source) messages() *source { return s }
+
+// Delivered returns the total flits ejected so far.
+func (s *source) Delivered() int64 { return s.delivered }
+
+// MsgLatency returns the message latency histogram (inject→tail ejection).
+func (s *source) MsgLatency() *stats.Hist { return s.msgLatency }
+
 // eject delivers a flit to terminal m, checking destination and order.
-func (w *Net) eject(m int, f cell.Flit) error {
+func (s *source) eject(m int, f cell.Flit) error {
 	if f.Dst != m {
 		return fmt.Errorf("wormhole: flit of message %d for terminal %d ejected at %d", f.Msg, f.Dst, m)
 	}
-	st, ok := w.expect[f.Msg]
+	st, ok := s.expect[f.Msg]
 	if f.Kind.IsHead() {
 		if ok {
 			return fmt.Errorf("wormhole: duplicate head for message %d", f.Msg)
@@ -273,37 +293,37 @@ func (w *Net) eject(m int, f cell.Flit) error {
 		return fmt.Errorf("wormhole: message %d flit %d ejected out of order (want %d)", f.Msg, f.Index, st.next)
 	}
 	st.next++
-	w.delivered++
+	s.delivered++
 	if f.Kind.IsTail() {
-		delete(w.expect, f.Msg)
-		w.msgLatency.Add(w.cycle - f.Inject)
+		delete(s.expect, f.Msg)
+		s.msgLatency.Add(s.cycle - f.Inject)
 	} else {
-		w.expect[f.Msg] = st
+		s.expect[f.Msg] = st
 	}
 	return nil
 }
 
 // refill tops up terminal l's source queue according to the traffic mode.
-func (w *Net) refill(l int) {
+func (s *source) refill(l int) {
 	switch {
-	case w.cfg.Saturate:
-		if w.src[l].Len() == 0 {
-			w.newMessage(l)
+	case s.saturate:
+		if s.src[l].Len() == 0 {
+			s.newMessage(l)
 		}
 	default:
 		// Open loop: message starts are Bernoulli at rate Load/MsgFlits
 		// per cycle, so offered flit load is Load.
-		if w.rng.Float64() < w.cfg.Load/float64(w.cfg.MsgFlits) {
-			w.newMessage(l)
+		if s.rng.Float64() < s.load/float64(s.msgFlits) {
+			s.newMessage(l)
 		}
 	}
 }
 
-func (w *Net) newMessage(l int) {
-	w.nextID++
-	dst := w.rng.IntN(w.n)
-	for _, f := range cell.Message(w.nextID, dst, w.cfg.MsgFlits, w.cycle) {
-		w.src[l].Push(f)
+func (s *source) newMessage(l int) {
+	s.nextID++
+	dst := s.rng.IntN(s.n)
+	for _, f := range cell.Message(s.nextID, dst, s.msgFlits, s.cycle) {
+		s.src[l].Push(f)
 	}
 }
 
@@ -318,25 +338,32 @@ type Result struct {
 	DeliveredFlits int64
 }
 
+// stepper is a net Run drives: *Net or *LaneNet.
+type stepper interface {
+	Step() error
+	messages() *source
+}
+
 // Run advances the network for warmup+measure cycles and reports the
 // throughput over the measurement window.
-func Run(w *Net, warmup, measure int64) (Result, error) {
+func Run(w stepper, warmup, measure int64) (Result, error) {
 	for i := int64(0); i < warmup; i++ {
 		if err := w.Step(); err != nil {
 			return Result{}, err
 		}
 	}
-	startDelivered := w.delivered
+	s := w.messages()
+	startDelivered := s.delivered
 	for i := int64(0); i < measure; i++ {
 		if err := w.Step(); err != nil {
 			return Result{}, err
 		}
 	}
-	d := w.delivered - startDelivered
+	d := s.delivered - startDelivered
 	return Result{
 		Cycles:         measure,
-		Throughput:     float64(d) / float64(measure) / float64(w.n),
-		MeanMsgLatency: w.msgLatency.Mean(),
+		Throughput:     float64(d) / float64(measure) / float64(s.n),
+		MeanMsgLatency: s.msgLatency.Mean(),
 		DeliveredFlits: d,
 	}, nil
 }

@@ -513,7 +513,7 @@ func NewWormholeLanes(cfg WormholeLaneConfig) (*WormholeLaneNet, error) {
 
 // RunWormholeLanes advances the multi-lane network warmup+measure cycles.
 func RunWormholeLanes(w *WormholeLaneNet, warmup, measure int64) (WormholeResult, error) {
-	return wormhole.RunLanes(w, warmup, measure)
+	return wormhole.Run(w, warmup, measure)
 }
 
 // RunWormhole advances the network for warmup+measure cycles.
