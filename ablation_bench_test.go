@@ -59,13 +59,13 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 	const n = 16
 	for _, sched := range []string{"islip", "pim", "2drr"} {
 		a := NewVOQ(n, 0, sched)
-		g, err := NewGenerator(TrafficConfig{Kind: Bernoulli, N: n, Load: 0.9, Seed: 23})
+		g, err := NewCellStream(TrafficConfig{Kind: Bernoulli, N: n, Load: 0.9, Seed: 23}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		arrivals := make([]int, n)
 		for i := 0; i < b.N; i++ {
-			g.Step(arrivals)
+			g.Heads(arrivals)
 			a.Step(arrivals)
 		}
 		b.ReportMetric(a.Metrics().MeanLatency(), "lat-"+sched)
@@ -108,13 +108,13 @@ func BenchmarkAblationBurstiness(b *testing.B) {
 		if burst == 1 {
 			cfg = TrafficConfig{Kind: Bernoulli, N: n, Load: 0.8, Seed: 25}
 		}
-		g, err := NewGenerator(cfg)
+		g, err := NewCellStream(cfg, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		arrivals := make([]int, n)
 		for i := 0; i < b.N; i++ {
-			g.Step(arrivals)
+			g.Heads(arrivals)
 			a.Step(arrivals)
 		}
 		b.ReportMetric(a.Metrics().LossProb(), "loss-burst"+string(rune('0'+int(burst)%10)))
@@ -137,13 +137,13 @@ func BenchmarkAblationBlockCrosspoint(b *testing.B) {
 			blocks := (n / g) * (n / g)
 			a = NewBlockCrosspoint(n, g, total/blocks)
 		}
-		gen, err := NewGenerator(TrafficConfig{Kind: Bernoulli, N: n, Load: 0.95, Seed: 26})
+		gen, err := NewCellStream(TrafficConfig{Kind: Bernoulli, N: n, Load: 0.95, Seed: 26}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		arrivals := make([]int, n)
 		for i := 0; i < b.N; i++ {
-			gen.Step(arrivals)
+			gen.Heads(arrivals)
 			a.Step(arrivals)
 		}
 		b.ReportMetric(a.Metrics().LossProb(), "loss-g"+string(rune('0'+g%10)))

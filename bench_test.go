@@ -17,14 +17,14 @@ import "testing"
 func BenchmarkE1_InputQueueSaturation(b *testing.B) {
 	const n = 16
 	a := NewInputFIFO(n, 256)
-	g, err := NewGenerator(TrafficConfig{Kind: Saturation, N: n, Seed: 1})
+	g, err := NewCellStream(TrafficConfig{Kind: Saturation, N: n, Seed: 1}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	arrivals := make([]int, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Step(arrivals)
+		g.Heads(arrivals)
 		a.Step(arrivals)
 	}
 	b.ReportMetric(a.Metrics().Throughput(n), "thr")
@@ -57,9 +57,9 @@ func BenchmarkE3_BufferSizing(b *testing.B) {
 	output := NewOutputQueue(n, 178/n)
 	smooth := NewInputSmoothing(n, 80)
 	archs := []Arch{shared, output, smooth}
-	gens := make([]*Generator, len(archs))
+	gens := make([]*CellStream, len(archs))
 	for i := range gens {
-		g, err := NewGenerator(TrafficConfig{Kind: Bernoulli, N: n, Load: 0.8, Seed: 3})
+		g, err := NewCellStream(TrafficConfig{Kind: Bernoulli, N: n, Load: 0.8, Seed: 3}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkE3_BufferSizing(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, a := range archs {
-			gens[j].Step(arrivals)
+			gens[j].Heads(arrivals)
 			a.Step(arrivals)
 		}
 	}
@@ -85,20 +85,20 @@ func BenchmarkE4_LatencyVsLoad(b *testing.B) {
 	const n = 16
 	out := NewOutputQueue(n, 0)
 	voq := NewVOQ(n, 0, "islip")
-	gOut, err := NewGenerator(TrafficConfig{Kind: Bernoulli, N: n, Load: 0.8, Seed: 4})
+	gOut, err := NewCellStream(TrafficConfig{Kind: Bernoulli, N: n, Load: 0.8, Seed: 4}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	gVoq, err := NewGenerator(TrafficConfig{Kind: Bernoulli, N: n, Load: 0.8, Seed: 4})
+	gVoq, err := NewCellStream(TrafficConfig{Kind: Bernoulli, N: n, Load: 0.8, Seed: 4}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	arrivals := make([]int, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gOut.Step(arrivals)
+		gOut.Heads(arrivals)
 		out.Step(arrivals)
-		gVoq.Step(arrivals)
+		gVoq.Heads(arrivals)
 		voq.Step(arrivals)
 	}
 	b.ReportMetric(out.Metrics().MeanLatency(), "lat-output")

@@ -6,7 +6,7 @@
 //
 //	pmexp                      # E1–E14 at quick scale
 //	pmexp -full -md            # full statistical scale, Markdown tables
-//	pmexp -ext                 # also the X1–X3 extension experiments
+//	pmexp -ext                 # also the X1–X6 extension experiments
 //	pmexp -only E5,E9          # a subset
 //	pmexp -list                # list all experiments
 //	pmexp -bufpolicy dt:alpha=2  # X5 buffer-policy matrix, one policy
@@ -27,9 +27,8 @@ func main() {
 	full := flag.Bool("full", false, "run at full scale (slow, the EXPERIMENTS.md numbers)")
 	md := flag.Bool("md", false, "emit Markdown instead of text tables")
 	only := flag.String("only", "", "comma-separated experiment ids to run (default: all)")
-	ext := flag.Bool("ext", false, "also run the X1–X3 extension experiments (beyond the paper)")
+	ext := flag.Bool("ext", false, "also run the X1–X6 extension experiments (beyond the paper)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	fab := flag.Bool("fabric", false, "run only the X6 sharded-fabric-engine experiment")
 	pprofA := flag.String("pprof", "", "serve runtime metrics and /debug/pprof on this address while running")
 	bufpol := cli.BufPolicyFlag(nil)
 	flag.Parse()
@@ -65,10 +64,6 @@ func main() {
 	// measuring just that policy across the X5 traffic matrix.
 	if bufpol.Got() {
 		exps = []pipemem.Experiment{pipemem.BufferPolicyExperiment(bufpol.Spec())}
-	}
-	// -fabric restricts the run to the sharded-engine experiment.
-	if *fab {
-		exps = []pipemem.Experiment{pipemem.FabricScaleExperiment()}
 	}
 	if *list {
 		for _, e := range exps {

@@ -264,7 +264,7 @@ func main() {
 	}
 
 	run := func(p float64) {
-		g, err := pipemem.NewGenerator(trafficAt(p))
+		g, err := pipemem.NewCellStream(trafficAt(p), 1)
 		if err != nil {
 			die(1, err)
 		}

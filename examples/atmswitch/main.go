@@ -21,9 +21,9 @@ const (
 )
 
 func measure(build func(budget int) pipemem.Arch, budget int) float64 {
-	g, err := pipemem.NewGenerator(pipemem.TrafficConfig{
+	g, err := pipemem.NewCellStream(pipemem.TrafficConfig{
 		Kind: pipemem.Bernoulli, N: n, Load: load, Seed: 7,
-	})
+	}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

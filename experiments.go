@@ -131,11 +131,11 @@ func within(got, want, tol float64) bool {
 func E1InputQueueSaturation(s Scale) (ExpResult, error) {
 	res := ExpResult{ID: "E1", Title: "Input-FIFO saturation", Ref: "§2.1 [KaHM87]"}
 	measured := s.slots(100_000, 1_000_000)
-	// Each size is an independent simulation with its own generator, so
+	// Each size is an independent simulation with its own stream, so
 	// the sweep fans across cores (bench.Map) without changing any value.
 	rows, err := bench.Map(0, []int{2, 4, 8, 16, 32}, func(_ int, n int) (ExpRow, error) {
 		a := sim.NewInputFIFO(n, 256, nil)
-		g, err := traffic.NewGenerator(traffic.Config{Kind: traffic.Saturation, N: n, Seed: 1001})
+		g, err := traffic.NewCellStream(traffic.Config{Kind: traffic.Saturation, N: n, Seed: 1001}, 1)
 		if err != nil {
 			return ExpRow{}, err
 		}
@@ -232,11 +232,11 @@ func E2WormholeSaturation(s Scale) (ExpResult, error) {
 }
 
 // findBufferFor searches for the smallest buffer parameter b in [lo, hi]
-// such that build(b) has loss ≤ target under the generator configuration,
+// such that build(b) has loss ≤ target under the traffic configuration,
 // by bisection on the (statistically monotone) loss curve.
 func findBufferFor(build func(b int) sim.Arch, gcfg traffic.Config, warm, meas int64, target float64, lo, hi int) (int, float64, error) {
 	loss := func(b int) (float64, error) {
-		g, err := traffic.NewGenerator(gcfg)
+		g, err := traffic.NewCellStream(gcfg, 1)
 		if err != nil {
 			return 0, err
 		}
@@ -352,12 +352,12 @@ func E4LatencyVsLoad(s Scale) (ExpResult, error) {
 	warm, meas := s.slots(20_000, 50_000), s.slots(150_000, 1_000_000)
 	rows, err := bench.Map(0, []float64{0.5, 0.6, 0.7, 0.8, 0.9}, func(_ int, p float64) (ExpRow, error) {
 		gcfg := traffic.Config{Kind: traffic.Bernoulli, N: n, Load: p, Seed: 3003}
-		g1, err := traffic.NewGenerator(gcfg)
+		g1, err := traffic.NewCellStream(gcfg, 1)
 		if err != nil {
 			return ExpRow{}, err
 		}
 		out := sim.Run(sim.NewOutputQueue(n, 0), g1, warm, meas)
-		g2, err := traffic.NewGenerator(gcfg)
+		g2, err := traffic.NewCellStream(gcfg, 1)
 		if err != nil {
 			return ExpRow{}, err
 		}

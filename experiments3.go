@@ -25,7 +25,7 @@ func ExtensionExperiments() []Experiment {
 		{"X3", "Multistage fabric of pipelined-memory switches", "§1/§2", X3Fabric},
 		{"X4", "Clos network of pipelined-memory switches: middle-stage sizing", "§1/§2", X4Clos},
 		{"X5", "Shared-buffer management policies: admission, thresholds, push-out", "§2.2 ext", X5BufferPolicies},
-		FabricScaleExperiment(),
+		{"X6", "Sharded parallel fabric engine: determinism and scale", "§2 ext", X6FabricScale},
 	}
 }
 

@@ -8,12 +8,6 @@ import (
 	"pipemem/internal/traffic"
 )
 
-// FabricScaleExperiment returns X6 on its own — the pmexp -fabric
-// shortcut, mirroring -bufpolicy's single-experiment mode.
-func FabricScaleExperiment() Experiment {
-	return Experiment{"X6", "Sharded parallel fabric engine: determinism and scale", "§2 ext", X6FabricScale}
-}
-
 // X6FabricScale exercises the sharded fabric engine: a 256-terminal
 // radix-4 butterfly (256 nodes — four occupancy words, so worker counts
 // 2 and 4 genuinely shard the node array) run under saturation at every

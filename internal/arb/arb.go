@@ -65,19 +65,6 @@ func FirstFrom(word uint64, from int) int {
 	return None
 }
 
-// Priority grants the lowest-index asserted request (fixed priority).
-type Priority struct{}
-
-// Pick implements Arbiter.
-func (Priority) Pick(requests []bool) int {
-	for i, r := range requests {
-		if r {
-			return i
-		}
-	}
-	return None
-}
-
 // Random grants a uniformly random asserted request; used to model the
 // random selection among head-of-line contenders assumed by [KaHM87].
 type Random struct {
@@ -114,10 +101,6 @@ type Matcher interface {
 	// least one cell for output o. It returns the matching size.
 	Match(req [][]bool, match []int) int
 }
-
-// Reset is implemented by matchers with per-slot state (pointers) that
-// experiments may want to rewind.
-type Reset interface{ Reset() }
 
 // PIM is parallel iterative matching [AOST93]: in each iteration every
 // unmatched output grants a random requesting unmatched input, and every
@@ -206,13 +189,6 @@ func NewISLIP(n, iters int) *ISLIP {
 	return &ISLIP{iters: iters, grant: make([]int, n), accept: make([]int, n)}
 }
 
-// Reset rewinds all pointers.
-func (s *ISLIP) Reset() {
-	for i := range s.grant {
-		s.grant[i], s.accept[i] = 0, 0
-	}
-}
-
 // Match implements Matcher.
 func (s *ISLIP) Match(req [][]bool, match []int) int {
 	n := len(req)
@@ -276,9 +252,6 @@ type TwoDRR struct {
 
 // NewTwoDRR returns a 2DRR scheduler.
 func NewTwoDRR() *TwoDRR { return &TwoDRR{} }
-
-// Reset rewinds the diagonal pointer.
-func (t *TwoDRR) Reset() { t.start = 0 }
 
 // Match implements Matcher.
 func (t *TwoDRR) Match(req [][]bool, match []int) int {

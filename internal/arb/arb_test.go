@@ -84,16 +84,6 @@ func TestFirstFromMatchesRoundRobin(t *testing.T) {
 	}
 }
 
-func TestPriority(t *testing.T) {
-	var p Priority
-	if g := p.Pick([]bool{false, true, true}); g != 1 {
-		t.Fatalf("got %d, want 1", g)
-	}
-	if g := p.Pick([]bool{false, false}); g != None {
-		t.Fatal("granted without requests")
-	}
-}
-
 func TestRandomUniform(t *testing.T) {
 	a := NewRandom(1)
 	req := []bool{true, false, true, true}

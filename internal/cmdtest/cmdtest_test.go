@@ -310,6 +310,10 @@ func TestDocsNameNothingRetired(t *testing.T) {
 		// PR 24: one idle predicate — the fast-forward adds to the clock and
 		// retires nothing
 		"clearCtrl", "jump(m)",
+		// One arrival process — the slot-level models draw from a one-word
+		// cell stream — and X6 runs as `-only X6` (names in two halves, as
+		// above)
+		"New" + "Generator", "traffic." + "Generator", "pmexp -" + "fabric", "FabricScale" + "Experiment",
 	}
 	for _, doc := range liveDocs {
 		text, err := os.ReadFile(filepath.Join("../..", doc))

@@ -19,9 +19,12 @@ import (
 // per-core engine, set well under the rate the reference host sustains
 // (see EXPERIMENTS.md for measured numbers); the design target of 10M+
 // aggregate cells/sec is a multi-core figure — the sharded engine splits
-// the node array across workers with bit-identical results; what a second
-// worker buys on the 2-vCPU bench host is the ledger's
-// engine.workers2_speedup row, not this gate's business.
+// the node array across workers with bit-identical results. What a second
+// worker buys is not this gate's business, and no ledger row measures it
+// yet: engine.workers2_speedup runs fabric64-sat, whose 16 nodes fill one
+// 64-node shard, so Workers: 2 resolves to one worker there. On this
+// gate's shape (1,280 nodes, twenty 64-node words) two workers over one read
+// 1.7–1.85× on a 2-vCPU host (EXPERIMENTS.md, X6).
 func TestFabricAggregateRate(t *testing.T) {
 	if os.Getenv("PIPEMEM_WALLCLOCK") != "1" {
 		t.Skip("wall-clock gates are opt-in: set PIPEMEM_WALLCLOCK=1 (make wallclock)")

@@ -79,7 +79,7 @@ func TestCappedConservation(t *testing.T) {
 	g := gen(t, traffic.Config{Kind: traffic.Saturation, N: 8, Seed: 77})
 	arrivals := make([]int, 8)
 	for s := 0; s < 5_000; s++ {
-		g.Step(arrivals)
+		g.Heads(arrivals)
 		a.Step(arrivals)
 		if err := Conserve(a); err != nil {
 			t.Fatalf("step %d: %v", s, err)
@@ -93,7 +93,7 @@ func TestLossToAccounting(t *testing.T) {
 	g := gen(t, traffic.Config{Kind: traffic.Saturation, N: 4, Seed: 79})
 	arrivals := make([]int, 4)
 	for s := 0; s < 20_000; s++ {
-		g.Step(arrivals)
+		g.Heads(arrivals)
 		a.Step(arrivals)
 	}
 	m := a.Metrics()
@@ -121,13 +121,13 @@ func TestOccupancyMatchesAnalytic(t *testing.T) {
 	g := gen(t, traffic.Config{Kind: traffic.Bernoulli, N: n, Load: p, Seed: 83})
 	arrivals := make([]int, n)
 	for s := 0; s < 20_000; s++ { // warm-up
-		g.Step(arrivals)
+		g.Heads(arrivals)
 		a.Step(arrivals)
 	}
 	var sum float64
 	const slots = 300_000
 	for s := 0; s < slots; s++ {
-		g.Step(arrivals)
+		g.Heads(arrivals)
 		a.Step(arrivals)
 		sum += float64(a.Resident())
 	}

@@ -158,35 +158,42 @@ type Result struct {
 	Throughput  float64
 	LossProb    float64
 	MeanLatency float64
-	P99Latency  int64
-	Offered     int64
-	Departed    int64
-	Dropped     int64
+	// P99Latency is a histogram quantile: while LatencyOverflow is nonzero
+	// it may read the histogram's limit rather than a measured value.
+	P99Latency int64
+	// LatencyOverflow counts departures whose latency exceeded the
+	// histogram's limit (their true magnitude still counts in the mean).
+	LatencyOverflow int64
+	Offered         int64
+	Departed        int64
+	Dropped         int64
 }
 
 // String implements fmt.Stringer with a compact report line.
 func (r Result) String() string {
-	return fmt.Sprintf("%-14s n=%-3d thr=%.4f loss=%.2e lat=%.2f p99=%d",
+	s := fmt.Sprintf("%-14s n=%-3d thr=%.4f loss=%.2e lat=%.2f p99=%d",
 		r.Arch, r.N, r.Throughput, r.LossProb, r.MeanLatency, r.P99Latency)
+	if r.LatencyOverflow > 0 {
+		s += fmt.Sprintf(" lat-overflow=%d", r.LatencyOverflow)
+	}
+	return s
 }
 
-// Run drives arch with gen for warmup slots (discarded) followed by
-// measured slots, and returns the summary. It panics if gen and arch
-// disagree on the port count or if the run violates cell conservation
-// (Conserve) — both programming errors.
-func Run(arch Arch, gen *traffic.Generator, warmup, measured int64) Result {
-	if gen.N() != arch.N() {
-		panic(fmt.Sprintf("sim: generator has %d ports, arch %d", gen.N(), arch.N()))
-	}
+// Run drives arch with a stream of one-word cells — one cycle is one slot —
+// for warmup slots (discarded) followed by measured slots, and returns the
+// summary. It panics if the stream and arch disagree on the port count
+// (Heads refuses the arrival vector) or if the run violates cell
+// conservation (Conserve) — both programming errors.
+func Run(arch Arch, cs *traffic.CellStream, warmup, measured int64) Result {
 	arrivals := make([]int, arch.N())
 	for s := int64(0); s < warmup; s++ {
-		gen.Step(arrivals)
+		cs.Heads(arrivals)
 		arch.Step(arrivals)
 	}
 	arch.Metrics().StartMeasurement()
 	arch.Metrics().residentStart = int64(arch.Resident())
 	for s := int64(0); s < measured; s++ {
-		gen.Step(arrivals)
+		cs.Heads(arrivals)
 		arch.Step(arrivals)
 	}
 	m := arch.Metrics()
@@ -194,15 +201,16 @@ func Run(arch Arch, gen *traffic.Generator, warmup, measured int64) Result {
 		panic(err) // a model that loses or invents cells is a programming error
 	}
 	return Result{
-		Arch:        arch.Name(),
-		N:           arch.N(),
-		Slots:       measured,
-		Throughput:  m.Throughput(arch.N()),
-		LossProb:    m.LossProb(),
-		MeanLatency: m.MeanLatency(),
-		P99Latency:  m.Latency.Quantile(0.99),
-		Offered:     m.Offered,
-		Departed:    m.Departed,
-		Dropped:     m.Dropped,
+		Arch:            arch.Name(),
+		N:               arch.N(),
+		Slots:           measured,
+		Throughput:      m.Throughput(arch.N()),
+		LossProb:        m.LossProb(),
+		MeanLatency:     m.MeanLatency(),
+		P99Latency:      m.Latency.Quantile(0.99),
+		LatencyOverflow: m.Latency.Overflow(),
+		Offered:         m.Offered,
+		Departed:        m.Departed,
+		Dropped:         m.Dropped,
 	}
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"pipemem/internal/analytic"
@@ -9,9 +11,10 @@ import (
 	"pipemem/internal/traffic"
 )
 
-func gen(t *testing.T, cfg traffic.Config) *traffic.Generator {
+// gen is the slot-level arrival process: a stream of one-word cells.
+func gen(t *testing.T, cfg traffic.Config) *traffic.CellStream {
 	t.Helper()
-	g, err := traffic.NewGenerator(cfg)
+	g, err := traffic.NewCellStream(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,7 @@ func TestConservation(t *testing.T) {
 		g := gen(t, traffic.Config{Kind: traffic.Bernoulli, N: n, Load: 0.9, Seed: 17})
 		arrivals := make([]int, n)
 		for s := 0; s < 5000; s++ {
-			g.Step(arrivals)
+			g.Heads(arrivals)
 			a.Step(arrivals)
 			if err := Conserve(a); err != nil {
 				t.Fatalf("step %d: %v", s, err)
@@ -244,8 +247,22 @@ func TestRunPanicsOnSizeMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	g, _ := traffic.NewGenerator(traffic.Config{Kind: traffic.Saturation, N: 4, Seed: 1})
-	Run(NewOutputQueue(8, 0), g, 0, 1)
+	Run(NewOutputQueue(8, 0), gen(t, traffic.Config{Kind: traffic.Saturation, N: 4, Seed: 1}), 0, 1)
+}
+
+// TestResultReportsLatencyOverflow: an overloaded input-FIFO switch queues
+// cells for longer than the latency histogram resolves, so its p99 reads
+// the histogram's limit. The result must say so, not quote the limit as a
+// measured quantile.
+func TestResultReportsLatencyOverflow(t *testing.T) {
+	const n = 16
+	r := Run(NewInputFIFO(n, 100_000, nil), gen(t, traffic.Config{Kind: traffic.Bernoulli, N: n, Load: 0.7, Seed: 1}), 0, 50_000)
+	if r.LatencyOverflow == 0 {
+		t.Fatalf("no latency overflow at load 0.7 over the HOL limit: %s", r)
+	}
+	if !strings.Contains(r.String(), fmt.Sprintf("lat-overflow=%d", r.LatencyOverflow)) {
+		t.Fatalf("String() hides the overflow: %s", r)
+	}
 }
 
 func TestResultString(t *testing.T) {

@@ -2,22 +2,25 @@ package traffic
 
 import "testing"
 
-// headsBenchSpecs are the four regimes of the per-cycle cost of a stream on
-// an 8-port switch with 16-word cells: almost every cycle dead (the
-// lookahead's case), a start drawn on most link-cycles with gaps of two or
-// three (where a lookahead must not cost more than the loop it replaces), the
-// middle, and the kind that never draws a start.
+// headsBenchSpecs are the regimes of the per-cycle cost of a stream. The
+// first four are an 8-port switch with 16-word cells: almost every cycle
+// dead (the lookahead's case), a start drawn on most link-cycles with gaps
+// of two or three (where a lookahead must not cost more than the loop it
+// replaces), the middle, and the kind that never draws a start. The slot/
+// rows are one slot of the §2 slot-level models: 16 ports, one-word cells.
 var headsBenchSpecs = []struct {
 	name string
 	cfg  Config
+	k    int
 }{
-	{"bursty0.05", Config{Kind: Bursty, N: 8, Load: 0.05, BurstLen: 8, Seed: 42}},
-	{"hotspot0.9", Config{Kind: Hotspot, N: 8, Load: 0.9, HotFrac: 0.5, Seed: 42}},
-	{"bernoulli0.5", Config{Kind: Bernoulli, N: 8, Load: 0.5, Seed: 42}},
-	{"saturation", Config{Kind: Saturation, N: 8, Seed: 42}},
+	{"bursty0.05", Config{Kind: Bursty, N: 8, Load: 0.05, BurstLen: 8, Seed: 42}, 16},
+	{"hotspot0.9", Config{Kind: Hotspot, N: 8, Load: 0.9, HotFrac: 0.5, Seed: 42}, 16},
+	{"bernoulli0.5", Config{Kind: Bernoulli, N: 8, Load: 0.5, Seed: 42}, 16},
+	{"saturation", Config{Kind: Saturation, N: 8, Seed: 42}, 16},
+	{"slot/saturation", Config{Kind: Saturation, N: 16, Seed: 42}, 1},
+	{"slot/bernoulli0.2", Config{Kind: Bernoulli, N: 16, Load: 0.2, Seed: 42}, 1},
+	{"slot/bernoulli0.8", Config{Kind: Bernoulli, N: 16, Load: 0.8, Seed: 42}, 1},
 }
-
-const headsBenchCellLen = 16
 
 var headsSink int
 
@@ -25,7 +28,7 @@ var headsSink int
 func BenchmarkCellStreamHeads(b *testing.B) {
 	for _, spec := range headsBenchSpecs {
 		b.Run(spec.name, func(b *testing.B) {
-			s, err := NewCellStream(spec.cfg, headsBenchCellLen)
+			s, err := NewCellStream(spec.cfg, spec.k)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -45,7 +48,7 @@ func BenchmarkCellStreamHeads(b *testing.B) {
 // under every driver.
 func TestHeadsZeroAlloc(t *testing.T) {
 	for _, spec := range headsBenchSpecs {
-		s, err := NewCellStream(spec.cfg, headsBenchCellLen)
+		s, err := NewCellStream(spec.cfg, spec.k)
 		if err != nil {
 			t.Fatal(err)
 		}

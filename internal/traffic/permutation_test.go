@@ -5,161 +5,93 @@ import (
 	"testing"
 )
 
-// TestPermutationSlotAdmissibility: in every slot, the active arrivals
-// target distinct outputs — no output is ever oversubscribed, which is
-// what makes the pattern sustainable at load 1.
-func TestPermutationSlotAdmissibility(t *testing.T) {
-	g, err := NewGenerator(Config{Kind: Permutation, N: 8, Load: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]int, 8)
-	for s := 0; s < 10_000; s++ {
-		n := g.Step(dst)
-		if n != 8 {
-			t.Fatalf("slot %d: %d arrivals at full rate, want 8", s, n)
-		}
-		seen := make([]bool, 8)
-		for _, d := range dst {
-			if seen[d] {
-				t.Fatalf("slot %d: output %d oversubscribed", s, d)
-			}
-			seen[d] = true
-		}
-	}
-}
-
-// TestPermutationDefaultsToFullRate: Load 0 means 1.
-func TestPermutationDefaultsToFullRate(t *testing.T) {
-	g, err := NewGenerator(Config{Kind: Permutation, N: 4, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]int, 4)
-	if got := g.Step(dst); got != 4 {
-		t.Fatalf("%d arrivals, want 4", got)
-	}
-}
-
-// TestPermutationThinned: below full rate, the measured load matches and
-// destinations stay balanced.
-func TestPermutationThinned(t *testing.T) {
-	g, err := NewGenerator(Config{Kind: Permutation, N: 8, Load: 0.5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]int, 8)
-	const slots = 100_000
-	arrivals := 0
-	counts := make([]int, 8)
-	for s := 0; s < slots; s++ {
-		arrivals += g.Step(dst)
-		for _, d := range dst {
-			if d != NoArrival {
-				counts[d]++
-			}
-		}
-	}
-	load := float64(arrivals) / float64(slots*8)
-	if math.Abs(load-0.5) > 0.01 {
-		t.Fatalf("measured load %v", load)
-	}
-	for o, c := range counts {
-		frac := float64(c) / float64(arrivals)
-		if math.Abs(frac-0.125) > 0.01 {
-			t.Fatalf("output %d got fraction %v", o, frac)
-		}
-	}
-}
-
-// TestPermutationRotates: over n consecutive slots each input covers all
-// n outputs exactly once.
-func TestPermutationRotates(t *testing.T) {
-	const n = 4
-	g, err := NewGenerator(Config{Kind: Permutation, N: n, Load: 1, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]int, n)
-	seen := make([]map[int]bool, n)
-	for i := range seen {
-		seen[i] = map[int]bool{}
-	}
-	for s := 0; s < n; s++ {
-		g.Step(dst)
-		for i, d := range dst {
-			if seen[i][d] {
-				t.Fatalf("input %d repeated output %d within one rotation", i, d)
-			}
-			seen[i][d] = true
-		}
-	}
-	for i := range seen {
-		if len(seen[i]) != n {
-			t.Fatalf("input %d covered %d outputs in %d slots", i, len(seen[i]), n)
-		}
-	}
-}
-
-// TestCellStreamPermutationAdmissible: at full rate the word-serial
-// stream's heads form rotating permutations in cell-time lockstep.
+// TestCellStreamPermutationAdmissible: at full rate the heads form
+// rotating permutations in cell-time lockstep — every cell time all n
+// inputs start a cell, no output is oversubscribed, and over n cell times
+// each input covers every output once. Load 0 means full rate.
 func TestCellStreamPermutationAdmissible(t *testing.T) {
-	const n, k = 8, 16
-	s, err := NewCellStream(Config{Kind: Permutation, N: n, Load: 1, Seed: 11}, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]int, n)
-	for c := 0; c < 50*k; c++ {
-		nh := s.Heads(dst)
-		if c%k == 0 {
-			if nh != n {
-				t.Fatalf("cycle %d: %d heads, want %d (lockstep)", c, nh, n)
-			}
-			seen := make([]bool, n)
-			for _, d := range dst {
-				if seen[d] {
-					t.Fatalf("cycle %d: output %d oversubscribed", c, d)
-				}
-				seen[d] = true
-			}
-		} else if nh != 0 {
-			t.Fatalf("cycle %d: head mid-cell", c)
+	const n = 8
+	for _, tc := range []struct {
+		k    int
+		load float64
+	}{{16, 1}, {1, 0}} {
+		k := tc.k
+		s, err := NewCellStream(Config{Kind: Permutation, N: n, Load: tc.load, Seed: 11}, k)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestCellStreamPermutationThinned: sub-full-rate permutation streams
-// meet the load and never start a head mid-cell.
-func TestCellStreamPermutationThinned(t *testing.T) {
-	const n, k = 4, 8
-	s, err := NewCellStream(Config{Kind: Permutation, N: n, Load: 0.6, Seed: 13}, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]int, n)
-	last := make([]int, n)
-	for i := range last {
-		last[i] = -k
-	}
-	heads := 0
-	const cycles = 200_000
-	for c := 0; c < cycles; c++ {
-		s.Heads(dst)
-		for i, d := range dst {
-			if d == NoArrival {
+		dst := make([]int, n)
+		covered := make([]map[int]bool, n)
+		for c := 0; c < 50*k; c++ {
+			nh := s.Heads(dst)
+			if c%k != 0 {
+				if nh != 0 {
+					t.Fatalf("k=%d cycle %d: head mid-cell", k, c)
+				}
 				continue
 			}
-			heads++
-			if c-last[i] < k {
-				t.Fatalf("input %d: heads %d apart", i, c-last[i])
+			if nh != n {
+				t.Fatalf("k=%d cycle %d: %d heads, want %d (lockstep)", k, c, nh, n)
 			}
-			last[i] = c
+			if c%(n*k) == 0 {
+				for i := range covered {
+					covered[i] = map[int]bool{}
+				}
+			}
+			seen := make([]bool, n)
+			for i, d := range dst {
+				if seen[d] {
+					t.Fatalf("k=%d cycle %d: output %d oversubscribed", k, c, d)
+				}
+				seen[d] = true
+				if covered[i][d] {
+					t.Fatalf("k=%d cycle %d: input %d repeated output %d within one rotation", k, c, i, d)
+				}
+				covered[i][d] = true
+			}
 		}
 	}
-	util := float64(heads*k) / float64(cycles*n)
-	if math.Abs(util-0.6) > 0.02 {
-		t.Fatalf("utilization %v, want ≈0.6", util)
+}
+
+// TestCellStreamPermutationThinned: sub-full-rate permutation streams meet
+// the load, never start a head mid-cell and keep destinations balanced.
+func TestCellStreamPermutationThinned(t *testing.T) {
+	const n, load = 4, 0.6
+	for _, k := range []int{1, 8} {
+		s, err := NewCellStream(Config{Kind: Permutation, N: n, Load: load, Seed: 13}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]int, n)
+		last := make([]int, n)
+		for i := range last {
+			last[i] = -k
+		}
+		counts := make([]int, n)
+		heads := 0
+		const cycles = 200_000
+		for c := 0; c < cycles; c++ {
+			s.Heads(dst)
+			for i, d := range dst {
+				if d == NoArrival {
+					continue
+				}
+				heads++
+				counts[d]++
+				if c-last[i] < k {
+					t.Fatalf("k=%d: input %d: heads %d apart", k, i, c-last[i])
+				}
+				last[i] = c
+			}
+		}
+		if util := float64(heads*k) / float64(cycles*n); math.Abs(util-load) > 0.02 {
+			t.Fatalf("k=%d: utilization %v, want ≈%v", k, util, load)
+		}
+		for o, c := range counts {
+			if frac := float64(c) / float64(heads); math.Abs(frac-1.0/n) > 0.015 {
+				t.Fatalf("k=%d: output %d got fraction %v", k, o, frac)
+			}
+		}
 	}
 }
 
@@ -171,6 +103,7 @@ func TestKindString(t *testing.T) {
 		Hotspot:     "hotspot",
 		Saturation:  "saturation",
 		Permutation: "permutation",
+		Trace:       "trace",
 		Kind(99):    "Kind(99)",
 	} {
 		if got := k.String(); got != want {
@@ -179,17 +112,7 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestStepPanicsOnWrongLength covers the guard rails.
-func TestStepPanicsOnWrongLength(t *testing.T) {
-	g, _ := NewGenerator(Config{Kind: Bernoulli, N: 4, Load: 0.5, Seed: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	g.Step(make([]int, 3))
-}
-
+// TestHeadsPanicsOnWrongLength covers the guard rail.
 func TestHeadsPanicsOnWrongLength(t *testing.T) {
 	s, _ := NewCellStream(Config{Kind: Bernoulli, N: 4, Load: 0.5, Seed: 1}, 8)
 	defer func() {

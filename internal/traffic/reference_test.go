@@ -113,7 +113,7 @@ func (s *refStream) Heads(dst []int) int {
 		case Trace:
 			// One schedule slot per cell time and per input: an entry
 			// either starts a cell or leaves the link idle for a full
-			// cell time, mirroring Generator's slot-level semantics.
+			// cell time (with K = 1, one row per slot).
 			if slot := int(s.sent[i]); slot < len(s.cfg.Schedule) {
 				s.sent[i]++
 				s.freeAt[i] = now + int64(s.cellLen)

@@ -4,17 +4,15 @@
 // (the regime in which [Dally90] shows early saturation), hotspot traffic,
 // and deterministic back-to-back streams for worst-case RTL runs.
 //
-// Two granularities are provided:
+// One process serves every model: CellStream produces word-granularity
+// cell arrivals, where a cell occupies K consecutive cycles on its link and
+// a new head may appear only on an idle link. The cycle-accurate RTL models
+// take K from their geometry; the slot-level architecture simulators of
+// internal/sim use K = 1, where a cycle is one slot (one cell time) and each
+// input receives at most one cell per slot.
 //
-//   - Generator produces one event per input port per slot, for the
-//     slot-level architecture simulators of internal/sim (one slot = one
-//     cell time).
-//   - CellStream produces word-granularity cell arrivals, for the
-//     cycle-accurate RTL models, where a cell occupies K consecutive cycles
-//     on its link and a new head may appear only on an idle link.
-//
-// All generators are deterministic given their seed (math/rand/v2 PCG; the
-// CellStream runs the same generator on state it owns, see pcg.go).
+// A stream is deterministic given its seed: it runs math/rand/v2's PCG on
+// state it owns (pcg.go).
 package traffic
 
 import (
@@ -76,7 +74,7 @@ func (k Kind) String() string {
 	}
 }
 
-// Config parameterizes a Generator or CellStream.
+// Config parameterizes a CellStream.
 type Config struct {
 	Kind Kind
 	// N is the switch size (N inputs, N outputs).
@@ -89,7 +87,7 @@ type Config struct {
 	HotFrac float64
 	// HotPort is the hotspot output (Hotspot only).
 	HotPort int
-	// Seed seeds the generator's PRNG.
+	// Seed seeds the stream's PRNG.
 	Seed uint64
 	// Schedule is the slot-by-slot arrival plan for Kind == Trace:
 	// Schedule[s][i] is the destination arriving at input i in slot s,
@@ -137,136 +135,6 @@ func (c Config) Validate() error {
 
 // NoArrival marks an input with no arrival in a slot.
 const NoArrival = -1
-
-// Generator produces slot-level arrivals: in each slot, each input port
-// independently receives at most one cell, identified by its destination.
-type Generator struct {
-	cfg Config
-	rng *rand.Rand
-	// burst state, per input (Bursty only)
-	burstDst  []int
-	burstLeft []int
-	// rotation counter (Permutation only)
-	rot int64
-	// slot index (Trace only)
-	slot int
-}
-
-// NewGenerator builds a generator for the configuration.
-func NewGenerator(cfg Config) (*Generator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Kind == Permutation && cfg.Load == 0 {
-		cfg.Load = 1
-	}
-	g := &Generator{
-		cfg: cfg,
-		rng: rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15)),
-	}
-	if cfg.Kind == Bursty {
-		g.burstDst = make([]int, cfg.N)
-		g.burstLeft = make([]int, cfg.N)
-		for i := range g.burstDst {
-			g.burstDst[i] = NoArrival
-		}
-	}
-	return g, nil
-}
-
-// N returns the port count.
-func (g *Generator) N() int { return g.cfg.N }
-
-// Step fills dst (length N) with this slot's arrivals: dst[i] is the
-// destination of the cell arriving at input i, or NoArrival. It returns the
-// number of arrivals.
-func (g *Generator) Step(dst []int) int {
-	if len(dst) != g.cfg.N {
-		panic("traffic: destination slice has wrong length")
-	}
-	if g.cfg.Kind == Trace {
-		n := 0
-		for i := range dst {
-			dst[i] = NoArrival
-			if g.slot < len(g.cfg.Schedule) {
-				dst[i] = g.cfg.Schedule[g.slot][i]
-			}
-			if dst[i] != NoArrival {
-				n++
-			}
-		}
-		g.slot++
-		return n
-	}
-	n := 0
-	for i := range dst {
-		dst[i] = g.next(i)
-		if dst[i] != NoArrival {
-			n++
-		}
-	}
-	return n
-}
-
-func (g *Generator) next(input int) int {
-	c := &g.cfg
-	switch c.Kind {
-	case Bernoulli:
-		if g.rng.Float64() < c.Load {
-			return g.rng.IntN(c.N)
-		}
-		return NoArrival
-	case Saturation:
-		return g.rng.IntN(c.N)
-	case Permutation:
-		// The rotation advances once per slot; input i targets output
-		// (i + rot) mod n, so every slot's active senders form a
-		// sub-permutation and no output is oversubscribed.
-		if input == 0 {
-			g.rot++
-		}
-		if c.Load < 1 && g.rng.Float64() >= c.Load {
-			return NoArrival
-		}
-		return (input + int(g.rot)) % c.N
-	case Hotspot:
-		if g.rng.Float64() >= c.Load {
-			return NoArrival
-		}
-		if g.rng.Float64() < c.HotFrac {
-			return c.HotPort
-		}
-		return g.rng.IntN(c.N)
-	case Bursty:
-		if g.burstLeft[input] > 0 {
-			g.burstLeft[input]--
-			return g.burstDst[input]
-		}
-		// Idle: start a new burst with probability q chosen so that the
-		// long-run fraction of busy slots is Load. Mean burst B, mean
-		// idle 1/q - 1 + 1/q… we use the standard on/off construction:
-		// start probability q = Load / (BurstLen·(1-Load) + Load).
-		q := c.Load / (c.BurstLen*(1-c.Load) + c.Load)
-		if c.Load >= 1 {
-			q = 1
-		}
-		if g.rng.Float64() < q {
-			// Geometric length with mean BurstLen (support ≥ 1); this
-			// slot delivers the first cell of the burst.
-			l := 1
-			p := 1 / c.BurstLen
-			for g.rng.Float64() >= p {
-				l++
-			}
-			g.burstDst[input] = g.rng.IntN(c.N)
-			g.burstLeft[input] = l - 1
-			return g.burstDst[input]
-		}
-		return NoArrival
-	default:
-		panic("traffic: unknown kind")
-	}
-}
 
 // CellStream produces cycle-level arrivals for word-serial links: a cell of
 // CellLen words occupies CellLen consecutive cycles on its input link; after
@@ -508,7 +376,7 @@ func (s *CellStream) cycle(dst []int) (n, idle int, busyEnd int64) {
 		case Trace:
 			// One schedule slot per cell time and per input: an entry
 			// either starts a cell or leaves the link idle for a full
-			// cell time, mirroring Generator's slot-level semantics.
+			// cell time (with K = 1, one row per slot).
 			if slot := int(s.sent[i]); slot < len(s.cfg.Schedule) {
 				s.sent[i]++
 				s.freeAt[i] = end

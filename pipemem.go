@@ -389,7 +389,7 @@ func NewReassembler(k int) *Reassembler { return sar.NewReassembler(k) }
 
 // ---- Traffic ----
 
-// TrafficConfig parameterizes generators; see traffic.Config.
+// TrafficConfig parameterizes a cell stream; see traffic.Config.
 type TrafficConfig = traffic.Config
 
 // TrafficKind selects the arrival process.
@@ -407,14 +407,10 @@ const (
 // NoArrival marks an idle input in arrival vectors.
 const NoArrival = traffic.NoArrival
 
-// Generator produces slot-level arrivals for the §2 architecture models.
-type Generator = traffic.Generator
-
-// CellStream produces word-serial cell arrivals for the RTL models.
+// CellStream produces word-serial cell arrivals: for the RTL models with
+// their cell length, for the §2 architecture models with one-word cells
+// (one cycle = one slot).
 type CellStream = traffic.CellStream
-
-// NewGenerator builds a slot-level traffic generator.
-func NewGenerator(cfg TrafficConfig) (*Generator, error) { return traffic.NewGenerator(cfg) }
 
 // NewCellStream builds a word-serial cell stream for cells of cellLen
 // words.
@@ -478,10 +474,10 @@ func NewSpeedupFabric(n, inCap, outCap, speedup int) Arch {
 	return sim.NewSpeedupFabric(n, inCap, outCap, speedup)
 }
 
-// RunArch drives an architecture with a generator for warmup + measured
-// slots.
-func RunArch(a Arch, g *Generator, warmup, measured int64) ArchResult {
-	return sim.Run(a, g, warmup, measured)
+// RunArch drives an architecture for warmup + measured slots with a
+// stream of one-word cells (NewCellStream(cfg, 1)).
+func RunArch(a Arch, cs *CellStream, warmup, measured int64) ArchResult {
+	return sim.Run(a, cs, warmup, measured)
 }
 
 // ---- Wormhole (the [Dally90] comparison) ----

@@ -131,7 +131,7 @@ func TestFacadeArchConstructors(t *testing.T) {
 		NewSpeedupFabric(8, 64, 64, 2),
 	}
 	for _, a := range archs {
-		g, err := NewGenerator(TrafficConfig{Kind: Bernoulli, N: 8, Load: 0.7, Seed: 5})
+		g, err := NewCellStream(TrafficConfig{Kind: Bernoulli, N: 8, Load: 0.7, Seed: 5}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
