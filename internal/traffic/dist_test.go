@@ -9,6 +9,88 @@ import (
 // and Bursty processes must reproduce their configured statistics, not
 // merely pass config validation.
 
+// TestHotspotDistribution measures the slot-level Hotspot process: the
+// hot port's share of destinations must be HotFrac + (1-HotFrac)/N (the
+// biased fraction plus its share of the uniform remainder) and the cold
+// ports must split the rest evenly.
+func TestHotspotDistribution(t *testing.T) {
+	const n, load, hotFrac, hotPort = 8, 0.6, 0.4, 3
+	cfg := Config{Kind: Hotspot, N: n, Load: load, HotFrac: hotFrac, HotPort: hotPort, Seed: 91}
+	gotLoad, dsts := measureLoad(t, cfg, 300_000)
+	if math.Abs(gotLoad-load) > 0.005 {
+		t.Fatalf("measured load %v, want ≈%v", gotLoad, load)
+	}
+	total := 0
+	for _, c := range dsts {
+		total += c
+	}
+	wantHot := hotFrac + (1-hotFrac)/n
+	if got := float64(dsts[hotPort]) / float64(total); math.Abs(got-wantHot) > 0.01 {
+		t.Fatalf("hot port fraction %v, want ≈%v", got, wantHot)
+	}
+	wantCold := (1 - hotFrac) / n
+	for d, c := range dsts {
+		if d == hotPort {
+			continue
+		}
+		if got := float64(c) / float64(total); math.Abs(got-wantCold) > 0.01 {
+			t.Fatalf("cold port %d fraction %v, want ≈%v", d, got, wantCold)
+		}
+	}
+}
+
+// TestBurstyBurstLengthDistribution checks the shape of the slot-level
+// burst-length law, not just its mean: lengths are geometric with mean
+// BurstLen, so the fraction of single-cell bursts must be 1/BurstLen and
+// the mean of the measured lengths must match.
+func TestBurstyBurstLengthDistribution(t *testing.T) {
+	const n, load, burstLen = 4, 0.4, 6.0
+	s := slotStream(t, Config{Kind: Bursty, N: n, Load: load, BurstLen: burstLen, Seed: 17})
+	dst := make([]int, n)
+	// Measure maximal same-destination runs on every input.
+	runLen := make([]int, n)
+	prev := make([]int, n)
+	for i := range prev {
+		prev[i] = NoArrival
+	}
+	var bursts, cells, singles int
+	endRun := func(i int) {
+		if runLen[i] > 0 {
+			bursts++
+			cells += runLen[i]
+			if runLen[i] == 1 {
+				singles++
+			}
+			runLen[i] = 0
+		}
+	}
+	for slot := 0; slot < 600_000; slot++ {
+		s.Heads(dst)
+		for i, d := range dst {
+			if d == NoArrival || (prev[i] != NoArrival && d != prev[i]) {
+				endRun(i)
+			}
+			if d != NoArrival {
+				runLen[i]++
+			}
+			prev[i] = d
+		}
+	}
+	for i := range runLen {
+		endRun(i)
+	}
+	if bursts < 5_000 {
+		t.Fatalf("only %d bursts observed; test is underpowered", bursts)
+	}
+	if mean := float64(cells) / float64(bursts); math.Abs(mean-burstLen) > 0.3 {
+		t.Fatalf("mean burst length %v, want ≈%v", mean, burstLen)
+	}
+	// Geometric law: P(L = 1) = 1/mean.
+	if frac := float64(singles) / float64(bursts); math.Abs(frac-1/burstLen) > 0.02 {
+		t.Fatalf("single-cell burst fraction %v, want ≈%v", frac, 1/burstLen)
+	}
+}
+
 // TestCellStreamHotspotDistribution: heads keep the K-cycle spacing, the
 // link utilization meets Load, the hot port's share of destinations is
 // HotFrac + (1-HotFrac)/N (the biased fraction plus its share of the uniform

@@ -5,6 +5,81 @@ import (
 	"testing"
 )
 
+// TestPermutationSlotAdmissibility: in every slot, the active arrivals
+// target distinct outputs — no output is ever oversubscribed, which is
+// what makes the pattern sustainable at load 1.
+func TestPermutationSlotAdmissibility(t *testing.T) {
+	s := slotStream(t, Config{Kind: Permutation, N: 8, Load: 1, Seed: 3})
+	dst := make([]int, 8)
+	for slot := 0; slot < 10_000; slot++ {
+		n := s.Heads(dst)
+		if n != 8 {
+			t.Fatalf("slot %d: %d arrivals at full rate, want 8", slot, n)
+		}
+		seen := make([]bool, 8)
+		for _, d := range dst {
+			if seen[d] {
+				t.Fatalf("slot %d: output %d oversubscribed", slot, d)
+			}
+			seen[d] = true
+		}
+	}
+}
+
+// TestPermutationDefaultsToFullRate: Load 0 means 1.
+func TestPermutationDefaultsToFullRate(t *testing.T) {
+	s := slotStream(t, Config{Kind: Permutation, N: 4, Seed: 5})
+	dst := make([]int, 4)
+	if got := s.Heads(dst); got != 4 {
+		t.Fatalf("%d arrivals, want 4", got)
+	}
+}
+
+// TestPermutationThinned: below full rate, the measured slot load matches
+// and destinations stay balanced.
+func TestPermutationThinned(t *testing.T) {
+	load, counts := measureLoad(t, Config{Kind: Permutation, N: 8, Load: 0.5, Seed: 7}, 100_000)
+	if math.Abs(load-0.5) > 0.01 {
+		t.Fatalf("measured load %v", load)
+	}
+	arrivals := 0
+	for _, c := range counts {
+		arrivals += c
+	}
+	for o, c := range counts {
+		frac := float64(c) / float64(arrivals)
+		if math.Abs(frac-0.125) > 0.01 {
+			t.Fatalf("output %d got fraction %v", o, frac)
+		}
+	}
+}
+
+// TestPermutationRotates: over n consecutive slots each input covers all
+// n outputs exactly once.
+func TestPermutationRotates(t *testing.T) {
+	const n = 4
+	s := slotStream(t, Config{Kind: Permutation, N: n, Load: 1, Seed: 9})
+	dst := make([]int, n)
+	seen := make([]map[int]bool, n)
+	for i := range seen {
+		seen[i] = map[int]bool{}
+	}
+	for slot := 0; slot < n; slot++ {
+		s.Heads(dst)
+		for i, d := range dst {
+			if seen[i][d] {
+				t.Fatalf("input %d repeated output %d within one rotation", i, d)
+			}
+			seen[i][d] = true
+		}
+	}
+	for i := range seen {
+		if len(seen[i]) != n {
+			t.Fatalf("input %d covered %d outputs in %d slots", i, len(seen[i]), n)
+		}
+	}
+}
+
 // TestCellStreamPermutationAdmissible: at full rate the heads form
 // rotating permutations in cell-time lockstep — every cell time all n
 // inputs start a cell, no output is oversubscribed, and over n cell times
@@ -110,6 +185,18 @@ func TestKindString(t *testing.T) {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
 		}
 	}
+}
+
+// TestStepPanicsOnWrongLength: a slot-level stream refuses a destination
+// vector that is not one entry per input.
+func TestStepPanicsOnWrongLength(t *testing.T) {
+	s := slotStream(t, Config{Kind: Bernoulli, N: 4, Load: 0.5, Seed: 1})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	s.Heads(make([]int, 3))
 }
 
 // TestHeadsPanicsOnWrongLength covers the guard rail.
