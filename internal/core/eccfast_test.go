@@ -9,10 +9,9 @@ import (
 	"pipemem/internal/traffic"
 )
 
-// The ECC seam of the two-mode engine: an ECC switch may batch exactly
-// while no stored word carries an upset. These tests drive one ECC switch
-// twice — free to batch, and pinned to the per-stage path by forceExact —
-// and require the two to be indistinguishable from outside.
+// The ECC defense layers against the reference: an ECC switch under every
+// admission policy, with upsets and a stuck bank that the bypass maps out,
+// held to refSwitch cycle by cycle.
 
 // eccFaults is the fault schedule of one differential case.
 type eccFaults int
@@ -25,9 +24,7 @@ const (
 	// in flight while others still queue).
 	eccMemFlips
 	// eccStuckBypass: bank 2 sticks mid-burst, fails its reads, and is
-	// mapped out. It sticks between waves (bankIdle): a wave the batched
-	// path committed at initiation has already taken its words and would
-	// not see a fault landing under it.
+	// mapped out. It sticks between waves (bankIdle).
 	eccStuckBypass
 )
 
@@ -36,19 +33,16 @@ func (f eccFaults) String() string {
 }
 
 // The drive alternates bursts of hotspot overload with idle gaps long
-// enough to drain the whole buffer through the hot output, so the
-// free-to-batch switch gets the initiation-free stretch its exact→batched
-// hand-over waits for.
+// enough to drain the whole buffer through the hot output.
 const (
 	eccBurst  = 400
 	eccPeriod = 700
 	eccRounds = 3
 )
 
-// eccPairConfig is the switch both sides of a pair run. The bypass
-// threshold is high enough that, before the stuck bank is mapped out, reads
-// reach words written after it stuck — into rows whose previous contents
-// the two engines left different.
+// eccPairConfig is the switch of the differential. The bypass threshold is
+// high enough that, before the stuck bank is mapped out, reads reach words
+// written after it stuck.
 func eccPairConfig(cut bool) Config {
 	return Config{Ports: 4, WordBits: 16, Cells: 32, ECC: true, BypassThreshold: 40, CutThrough: cut}
 }
@@ -108,52 +102,10 @@ func bankIdle(s *Switch, b int) bool {
 	return true
 }
 
-// scrubDeadState blanks what a switch pinned to the per-stage path and one
-// free to batch may legitimately leave different: bank rows (and their
-// check bits) no queued cell will read — the batched path skips deposits
-// nobody reads — and output registers that have already driven their word
-// (it never loads them) — and the pin itself. For this pairing only: two
-// drives that pick the same engine every cycle (TickN against Tick, a
-// resumed run against the uninterrupted one) are compared register residue
-// and all (scrubFreedMem).
-func scrubDeadState(s *Switch, st *SwitchState) {
-	st.ForcedExact = false
-	live := make([]bool, len(s.mem))
-	for a, rc := range st.Refcnt {
-		if rc == 0 {
-			continue
-		}
-		for stg := 0; stg < s.k; stg++ {
-			b, row := s.bankFor(stg, a, true)
-			live[s.memIdx(b, row)] = true
-		}
-	}
-	for b := range st.Mem {
-		for a := range st.Mem[b] {
-			if !live[s.memIdx(b, a)] {
-				st.Mem[b][a] = 0
-				if st.ECCMem != nil {
-					st.ECCMem[b][a] = 0
-				}
-			}
-		}
-	}
-	for i := range st.OutReg {
-		if !st.OutReg[i].Valid {
-			st.OutReg[i] = OutWordState{}
-		}
-	}
-}
-
-// eccStateLine is the per-cycle fingerprint logged next to the departures.
-func eccStateLine(s *Switch) string {
-	h := s.Health()
-	return fmt.Sprintf("c=%d buf=%d free=%d drop=%d corrected=%d uncorrectable=%d hard=%d down=%v",
-		s.Cycle(), s.Buffered(), s.FreeCells(), s.DroppedCells(),
-		h.ECCCorrected, h.ECCUncorrectable, h.ECCHard, h.Bypassed)
-}
-
-func TestECCFastEqualsExact(t *testing.T) {
+// TestECCEqualsReference: every admission policy × {no faults, sparse
+// upsets, stuck bank → bypass} × {unicast, multicast} × {store-and-forward,
+// cut-through}, each cycle equal to the reference.
+func TestECCEqualsReference(t *testing.T) {
 	policies := []string{"", "share", "static:quota=8", "dt:alpha=2", "dd:target=64", "pushout"}
 	for _, pol := range policies {
 		for _, faults := range []eccFaults{eccNoFaults, eccMemFlips, eccStuckBypass} {
@@ -183,137 +135,52 @@ func eccDifferential(t *testing.T, pol string, faults eccFaults, mcast, cut bool
 			sched[c] = nil
 		}
 	}
-
-	pin := newTicknHarness(t, cfg, pol)
-	pin.sw.forceExact()
-	free := newTicknHarness(t, cfg, pol)
-	pair := []*ticknHarness{pin, free}
+	l := newLockstep(t, cfg, pol)
 	if mcast {
-		pin.mcastEvery, free.mcastEvery = 3, 3
+		l.mcastEvery = 3
 	}
-
 	var plan []eccFlip
 	if faults == eccMemFlips {
 		plan = eccFlipPlan(k)
 	}
-	stuckAt := int64(-1)
-	applied, lastFlip := 0, int64(-1)
-	dirtyWindow, batchedAfterLastFlip, batchedAfterStuck := false, false, false
-
+	stuck, applied := false, 0
 	for c := int64(0); c < int64(len(sched)); c++ {
 		for i, f := range plan {
 			if f.cycle != c {
 				continue
 			}
-			a := stableQuietAddr(pin.sw, f.stage, 7*i)
-			if b := stableQuietAddr(free.sw, f.stage, 7*i); a != b {
-				t.Fatalf("cycle %d: flip target %d pinned, %d free to batch", c, a, b)
-			}
-			if a < 0 {
-				continue
-			}
-			applied++
-			lastFlip, batchedAfterLastFlip = c, false
-			for _, h := range pair {
-				h.sw.InjectMemoryFault(f.stage, a, f.mask)
-			}
-			if free.sw.fastMode || free.sw.eccDirtyN == 0 {
-				t.Fatalf("cycle %d: upset at address %d left the batched path on (fast=%v dirty=%d)",
-					c, a, free.sw.fastMode, free.sw.eccDirtyN)
+			if a := stableQuietAddr(l.sw, f.stage, 7*i); a >= 0 {
+				applied++
+				l.both(func(s faultSeams) { s.InjectMemoryFault(f.stage, a, f.mask) })
 			}
 		}
-		if faults == eccStuckBypass && stuckAt < 0 && c >= eccPeriod+60 && bankIdle(pin.sw, 2) {
-			stuckAt = c
-			for _, h := range pair {
-				h.sw.SetStageStuck(2, true)
-			}
+		if faults == eccStuckBypass && !stuck && c >= eccPeriod+60 && bankIdle(l.sw, 2) {
+			stuck = true
+			l.both(func(s faultSeams) { s.SetStageStuck(2, true) })
 		}
-		for _, h := range pair {
-			h.sw.Tick(h.materialize(sched[c]))
-			h.collect()
-			h.log = append(h.log, eccStateLine(h.sw))
-		}
-		if pin.sw.fastMode {
-			t.Fatalf("cycle %d: the pinned switch is batching", c)
-		}
-		if free.sw.eccDirtyN > 0 {
-			dirtyWindow = true
-			if free.sw.fastMode {
-				t.Fatalf("cycle %d: batching with %d dirty addresses", c, free.sw.eccDirtyN)
-			}
-		}
-		if free.sw.fastMode {
-			if c > lastFlip {
-				batchedAfterLastFlip = true
-			}
-			if stuckAt >= 0 {
-				batchedAfterStuck = true
-			}
-		}
-		last := len(pin.log) - 1
-		if pin.log[last] != free.log[last] {
-			t.Fatalf("diverged:\n pinned %s\n free   %s", pin.log[last], free.log[last])
-		}
+		l.tick(sched[c])
 		// (The audit's conservation and capacity clauses assume unicast.)
 		if c%50 == 49 && !mcast {
-			for _, h := range pair {
-				if err := h.sw.AuditInvariants(); err != nil {
-					t.Fatalf("cycle %d (fast=%v): %v", c, h.sw.fastMode, err)
-				}
-			}
-		}
-		// The end of every idle gap is a quiescent cut: the complete
-		// serialized state must agree there, dead storage aside.
-		if c%eccPeriod == eccPeriod-1 {
-			checkTicknLogs(t, pin, free)
-			states := make([]*SwitchState, len(pair))
-			for i, h := range pair {
-				if !h.sw.Quiescent() {
-					t.Fatalf("cycle %d: idle gap too short to drain the switch", c)
-				}
-				st, err := h.sw.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				scrubDeadState(h.sw, st)
-				states[i] = st
-			}
-			if !reflect.DeepEqual(states[0], states[1]) {
-				t.Fatalf("cycle %d: serialized state diverged:\n pinned %+v\n free   %+v", c, states[0], states[1])
-			}
-			if !reflect.DeepEqual(pin.sw.Health(), free.sw.Health()) {
-				t.Fatalf("cycle %d: health diverged:\n pinned %+v\n free   %+v", c, pin.sw.Health(), free.sw.Health())
+			if err := l.sw.AuditInvariants(); err != nil {
+				t.Fatalf("cycle %d: %v", c, err)
 			}
 		}
 	}
-
-	if len(pin.log) == len(sched) {
+	if len(l.log) == 0 {
 		t.Fatal("nothing was delivered; the drive tests nothing")
 	}
+	h := l.sw.Health()
 	switch faults {
-	case eccNoFaults:
-		if !batchedAfterLastFlip {
-			t.Fatal("the free switch never batched")
-		}
 	case eccMemFlips:
 		if applied < len(plan)/2 {
 			t.Fatalf("only %d of %d upsets found a target", applied, len(plan))
 		}
-		if got := pin.sw.Health().ECCCorrected + pin.sw.Health().ECCUncorrectable; got == 0 {
+		if h.ECCCorrected+h.ECCUncorrectable == 0 {
 			t.Fatal("no upset was ever read back; the plan tests nothing")
 		}
-		if !dirtyWindow {
-			t.Fatal("no dirty window was observed")
-		}
-		if !batchedAfterLastFlip || free.sw.eccDirtyN != 0 {
-			t.Fatalf("the free switch did not return to batching after its last upset was scrubbed (dirty=%d)", free.sw.eccDirtyN)
-		}
 	case eccStuckBypass:
-		if h := pin.sw.Health(); !h.Degraded || len(h.Bypassed) != 1 || h.Bypassed[0] != 2 {
+		if !h.Degraded || len(h.Bypassed) != 1 || h.Bypassed[0] != 2 {
 			t.Fatalf("the stuck bank was not mapped out: %+v", h)
-		}
-		if batchedAfterStuck {
-			t.Fatal("batching resumed behind a stuck bank")
 		}
 	}
 }
@@ -335,57 +202,63 @@ func checkTicknLogs(t *testing.T, ref, got *ticknHarness) {
 	}
 }
 
-// TestECCFastEqualsExactRunResult is the same pairing through the
-// production driver: RunTraffic's result (and its error, when an
-// uncorrectable upset or a stuck bank corrupts deliveries) must not depend
-// on which engine ran.
-func TestECCFastEqualsExactRunResult(t *testing.T) {
+// TestECCRunResultEqualsReference is the same comparison through the plain
+// driver: core.Run's result on the switch (and its error, when an
+// uncorrectable upset or a stuck bank corrupts deliveries) must be the
+// reference's, faults applied before the same Ticks.
+func TestECCRunResultEqualsReference(t *testing.T) {
 	cfg := eccPairConfig(false)
 	k := cfg.Canonical().Stages
 	const cycles = 1500
 	for _, faults := range []eccFaults{eccNoFaults, eccMemFlips, eccStuckBypass} {
 		t.Run(faults.String(), func(t *testing.T) {
-			run := func(pinned bool) (RunResult, string, Health) {
-				h := newTicknHarness(t, cfg, "dt:alpha=2")
-				if pinned {
-					h.sw.forceExact()
-				}
-				cs := stream(t, traffic.Config{Kind: traffic.Hotspot, N: 4, Load: 0.9, HotFrac: 0.5, Seed: 31}, k)
-				r := NewRunner(h.sw, cs, cycles)
-				r.PreTick = func(c int64) {
-					switch {
-					case faults == eccMemFlips && c%97 == 60:
-						stage := int(c/97) % k
-						if a := stableQuietAddr(h.sw, stage, int(c)); a >= 0 {
-							mask := cell.Word(1) << uint(c/97%16)
-							if c/97 == 5 {
-								mask = 0x0300
-							}
-							h.sw.InjectMemoryFault(stage, a, mask)
+			l := newLockstep(t, cfg, "dt:alpha=2")
+			// The switch's run picks the targets; the reference's replays them.
+			fired := map[int64]func(faultSeams){}
+			pre := func(c int64) {
+				s := l.sw
+				switch {
+				case faults == eccMemFlips && c%97 == 60:
+					stage := int(c/97) % k
+					if a := stableQuietAddr(s, stage, int(c)); a >= 0 {
+						mask := cell.Word(1) << uint(c/97%16)
+						if c/97 == 5 {
+							mask = 0x0300
 						}
-					case faults == eccStuckBypass && c >= 700 && h.sw.stuck == nil && bankIdle(h.sw, 2):
-						h.sw.SetStageStuck(2, true)
+						fired[c] = func(f faultSeams) { f.InjectMemoryFault(stage, a, mask) }
 					}
+				case faults == eccStuckBypass && c >= 700 && s.stuck == nil && bankIdle(s, 2):
+					fired[c] = func(f faultSeams) { f.SetStageStuck(2, true) }
 				}
-				res, err := r.Result()
+				if f := fired[c]; f != nil {
+					f(s)
+				}
+			}
+			run := func(org Organization, pre func(int64)) (RunResult, string) {
+				cs := stream(t, traffic.Config{Kind: traffic.Hotspot, N: 4, Load: 0.9, HotFrac: 0.5, Seed: 31}, k)
+				res, err := Run(preTicked{org, pre}, cs, cycles)
 				msg := ""
 				if err != nil {
 					msg = err.Error()
 				}
-				if err := h.sw.AuditInvariants(); err != nil {
-					t.Fatal(err)
+				return res, msg
+			}
+			gotRes, gotErr := run(l.sw, pre)
+			wantRes, wantErr := run(l.ref, func(c int64) {
+				if f := fired[c]; f != nil {
+					f(l.ref)
 				}
-				return res, msg, h.sw.Health()
+			})
+			if err := l.sw.AuditInvariants(); err != nil {
+				t.Fatal(err)
 			}
-			wantRes, wantErr, wantHealth := run(true)
-			gotRes, gotErr, gotHealth := run(false)
 			if !reflect.DeepEqual(gotRes, wantRes) || gotErr != wantErr {
-				t.Fatalf("RunResult diverged:\n pinned %+v (%s)\n free   %+v (%s)", wantRes, wantErr, gotRes, gotErr)
+				t.Fatalf("RunResult diverged:\n switch    %+v (%s)\n reference %+v (%s)", gotRes, gotErr, wantRes, wantErr)
 			}
-			if !reflect.DeepEqual(gotHealth, wantHealth) {
-				t.Fatalf("health diverged:\n pinned %+v\n free   %+v", wantHealth, gotHealth)
+			if g, w := l.sw.Health(), l.ref.Health(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("health diverged:\n switch    %+v\n reference %+v", g, w)
 			}
-			if faults == eccMemFlips && wantHealth.ECCCorrected == 0 {
+			if faults == eccMemFlips && wantRes.Corrupt == 0 && l.ref.Health().ECCCorrected == 0 {
 				t.Fatal("no upset was corrected; the plan tests nothing")
 			}
 		})

@@ -10,147 +10,146 @@ import (
 	"pipemem/internal/traffic"
 )
 
-// TestPerStageEngineSingleSlot pins the per-stage engine's link side under
-// everything that keeps a switch off the batched path: a fired per-stage
-// seam (forceExact), an ECC dirty window, an active bypass. An outgoing link carries one cell at a
-// time — its booking lasts k cycles and the k-th word is driven before the
-// next arbitration — so at every cycle boundary each output holds at most
-// one egress record, on either engine. Each case drives saturated traffic
-// and checks, every cycle, that slot census and AuditInvariants; at the
-// first boundary where a record holds 0 < words < k it forks a twin from a
-// JSON-round-tripped snapshot, and the twin must then log the same
-// departures as the uninterrupted run. The whole departure log is pinned by
-// digest.
-func TestPerStageEngineSingleSlot(t *testing.T) {
+// TestSingleEgressSlot pins the link side where waves run off the wave
+// commit — an ECC dirty window, an active bypass — and where they do not. An
+// outgoing link carries one cell at a time — its booking lasts k cycles and
+// the k-th word is on the wire before the next arbitration — so at every
+// cycle boundary each output holds at most one egress record. Each case
+// drives saturated traffic beside the reference and checks, every cycle, the
+// slot census and AuditInvariants; at the first boundary past a third of the
+// run where a record is in flight (partly filled, if the case ever leaves
+// one) it forks a twin from a JSON-round-tripped snapshot, and the twin must
+// then log the same departures as the uninterrupted run. The whole
+// departure log is pinned by digest.
+func TestSingleEgressSlot(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
-		// forced pins the run to the per-stage engine from cycle 0; the latch
-		// rides in the snapshot, so the twin inherits it.
-		forced bool
-		// before runs ahead of every Tick, on the reference and on the twin.
-		before func(h *ticknHarness)
-		// engines: whether the run must visit the batched engine at all.
-		wantFast bool
-		golden   uint64
-		deps     int
+		// before runs ahead of every Tick, on both sides and on the twin.
+		before func(s faultSeams, c int64, mapOut func(b int))
+		// partial: the run must leave a partly filled record at a boundary.
+		partial bool
+		golden  uint64
+		deps    int
 	}{
 		{
-			name:   "forced/ct",
+			name:   "clean/ct",
 			cfg:    Config{Ports: 4, WordBits: 16, Cells: 16, CutThrough: true},
-			forced: true,
 			golden: 0xcab88c4888921e67, deps: 714,
 		},
 		{
-			name:   "forced/sf",
+			name:   "clean/sf",
 			cfg:    Config{Ports: 4, WordBits: 16, Cells: 16},
-			forced: true,
 			golden: 0xd1a6a029a2e734d0, deps: 696,
 		},
 		{
-			// An upset every 97 cycles: the switch leaves the batched engine
-			// for a dirty window and returns once a wave has scrubbed it.
+			// An upset every 97 cycles in a stable word, scrubbed by its read.
 			name: "ecc-window/sf",
 			cfg:  Config{Ports: 4, WordBits: 16, Cells: 16, ECC: true},
-			before: func(h *ticknHarness) {
-				if c := h.sw.Cycle(); c%97 == 60 {
-					h.fire([]faultAt{{cycle: c, stage: int(c) % h.sw.k, addr: -1, mask: 0x0040}})
+			before: func(s faultSeams, c int64, _ func(int)) {
+				if c%97 != 60 {
+					return
+				}
+				if sw, ok := s.(*Switch); ok {
+					eccTargets[c] = stableQuietAddr(sw, int(c)%8, int(c))
+				}
+				if a := eccTargets[c]; a >= 0 {
+					s.InjectMemoryFault(int(c)%8, a, 0x0040)
 				}
 			},
-			wantFast: true,
-			golden:   0xd1a6a029a2e734d0, deps: 696,
+			golden: 0xd1a6a029a2e734d0, deps: 696,
 		},
 		{
 			// A bank mapped out mid-run: half capacity, two-cycle initiation
 			// cadence, every word through the redirect table from then on.
 			name: "bypass/ct",
 			cfg:  Config{Ports: 4, WordBits: 16, Cells: 16, ECC: true, BypassThreshold: 3, CutThrough: true},
-			before: func(h *ticknHarness) {
-				if h.sw.Cycle() == 300 {
-					if err := h.sw.MapOutStage(2); err != nil {
-						h.t.Fatal(err)
-					}
+			before: func(_ faultSeams, c int64, mapOut func(int)) {
+				if c == 300 {
+					mapOut(2)
 				}
 			},
-			wantFast: true,
-			golden:   0xb6a5ea393bcd5432, deps: 531,
+			partial: true,
+			golden:  0xb6a5ea393bcd5432, deps: 531,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := newTicknHarness(t, tc.cfg, "")
-			if tc.forced {
-				ref.sw.forceExact()
-			}
-			k := ref.sw.k
+			clear(eccTargets)
+			l := newLockstep(t, tc.cfg, "")
+			k := l.sw.k
 			const cycles = 1500
 			sched := genSchedule(t, traffic.Config{Kind: traffic.Saturation, N: tc.cfg.Ports, Seed: 31}, k, cycles)
 			var twin *ticknHarness
-			forkLog, forkCycle := 0, int64(-1)
-			sawFast, sawExact := false, false
+			forkLog, forkCycle, sawPartial := 0, int64(-1), false
 			for c := int64(0); c < cycles+int64(4*k*tc.cfg.Cells); c++ {
-				for _, h := range []*ticknHarness{ref, twin} {
-					if h == nil {
-						continue
-					}
-					if tc.before != nil {
-						tc.before(h)
-					}
-					h.sw.Tick(h.materialize(rowAt(sched, c)))
-					h.collect()
-					if err := h.sw.AuditInvariants(); err != nil {
-						t.Fatalf("cycle %d (fast=%v): %v", c, h.sw.fastMode, err)
+				if tc.before != nil {
+					tc.before(l.sw, c, func(b int) { l.mapOut(b) })
+					tc.before(l.ref, c, func(int) {})
+					if twin != nil {
+						tc.before(twin.sw, c, func(b int) { twin.sw.MapOutStage(b) })
 					}
 				}
-				if ref.sw.fastMode {
-					sawFast = true
-				} else {
-					sawExact = true
+				row := rowAt(sched, c)
+				if twin != nil {
+					twin.seq = l.seq
+					twin.sw.Tick(twin.materialize(row))
+					twin.collect()
+					if err := twin.sw.AuditInvariants(); err != nil {
+						t.Fatalf("cycle %d, twin: %v", c, err)
+					}
 				}
-				st, err := ref.sw.Snapshot()
+				l.tick(row)
+				if err := l.sw.AuditInvariants(); err != nil {
+					t.Fatalf("cycle %d: %v", c, err)
+				}
+				st, err := l.sw.Snapshot()
 				if err != nil {
 					t.Fatal(err)
 				}
-				partial := false
+				inFlight, partial := false, false
 				for o, recs := range st.Egress {
 					if len(recs) > 1 {
-						t.Fatalf("cycle %d (fast=%v): output %d holds %d egress records", c, ref.sw.fastMode, o, len(recs))
+						t.Fatalf("cycle %d: output %d holds %d egress records", c, o, len(recs))
 					}
-					if len(recs) == 1 && len(recs[0].Words) > 0 && len(recs[0].Words) < k {
-						partial = true
+					if len(recs) == 1 {
+						inFlight = true
+						partial = partial || len(recs[0].Words) < k
 					}
 				}
-				if twin == nil && partial && c > cycles/3 {
+				sawPartial = sawPartial || partial
+				if twin == nil && inFlight && (partial || !tc.partial) && c > cycles/3 {
 					s, err := NewFromSnapshot(mustJSONRoundTrip(t, st))
 					if err != nil {
 						t.Fatalf("cycle %d: restore: %v", c, err)
 					}
-					twin = &ticknHarness{t: t, sw: s, seq: ref.seq, hc: make([]*cell.Cell, tc.cfg.Ports)}
-					forkLog, forkCycle = len(ref.log), c
+					twin = &ticknHarness{t: t, sw: s, seq: l.seq, hc: make([]*cell.Cell, tc.cfg.Ports)}
+					forkLog, forkCycle = len(l.log), c
 				}
 			}
-			if !sawExact || sawFast != tc.wantFast {
-				t.Fatalf("engines visited: per-stage %v, batched %v (want batched %v)", sawExact, sawFast, tc.wantFast)
-			}
-			if hl := ref.sw.Health(); tc.cfg.ECC && !hl.Degraded && hl.ECCCorrected == 0 {
+			if hl := l.sw.Health(); tc.cfg.ECC && !hl.Degraded && hl.ECCCorrected == 0 {
 				t.Fatal("no upset was ever corrected: the dirty windows never opened")
 			}
-			if twin == nil {
-				t.Fatal("no boundary with a partly transmitted egress record: the restore leg never ran")
+			if twin == nil || tc.partial && !sawPartial {
+				t.Fatalf("no boundary with a record in flight (partial %v): the restore leg never ran", sawPartial)
 			}
-			if !ref.sw.Quiescent() || !twin.sw.Quiescent() {
+			if !l.sw.Quiescent() || !twin.sw.Quiescent() {
 				t.Fatal("switch not drained by the end of the tail")
 			}
-			if got, want := twin.log, ref.log[forkLog:]; !slices.Equal(got, want) {
+			if got, want := twin.log, l.log[forkLog:]; !slices.Equal(got, want) {
 				t.Fatalf("twin restored after cycle %d diverged: %d departures, uninterrupted run %d", forkCycle, len(got), len(want))
 			}
 			h := fnv.New64a()
-			for _, line := range ref.log {
+			for _, line := range l.log {
 				fmt.Fprintln(h, line)
 			}
-			if got := h.Sum64(); got != tc.golden || len(ref.log) != tc.deps {
-				t.Fatalf("digest %#x over %d departures; golden %#x over %d", got, len(ref.log), tc.golden, tc.deps)
+			if got := h.Sum64(); got != tc.golden || len(l.log) != tc.deps {
+				t.Fatalf("digest %#x over %d departures; golden %#x over %d", got, len(l.log), tc.golden, tc.deps)
 			}
 		})
 	}
 }
+
+// eccTargets carries the ecc-window case's upset addresses, picked on the
+// switch, to the reference and the twin.
+var eccTargets = map[int64]int{}

@@ -188,43 +188,37 @@ func sameEvent(a, b TraceEvent) bool {
 		slices.Equal(a.InLatch, b.InLatch) && slices.Equal(a.OutDrive, b.OutDrive)
 }
 
-// TestTracedBatchedEqualsForcedExact: the tracer is a tap, not an engine
-// switch. A traced switch stays on the batched engine — every cycle of
-// these fault-free runs — and emits, event for event, what its twin pinned
-// to the per-stage engine emits, where the drives are real output-register
-// loads; the two also deliver the same cells at the same cycles.
-func TestTracedBatchedEqualsForcedExact(t *testing.T) {
+// TestTracedEqualsReference: the tracer is a tap on the engine, and what it
+// reports is what the reference's registers hold — the control word at every
+// stage, every input row's latch, every output register's drive — event for
+// event, on the grid's configurations the reference models; the two also
+// deliver the same cells at the same cycles.
+func TestTracedEqualsReference(t *testing.T) {
 	for _, tc := range traceGrid() {
+		if tc.cfg.VCs > 1 || tc.cfg.LinkPipeline > 0 {
+			continue // pinned by TestTracedRunGoldenDigest instead
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			bat, ex := tc.newTraced(t), tc.newTraced(t)
-			ex.sw.forceExact()
-			var evBat, evEx TraceEvent
-			bat.sw.SetTracer(func(e TraceEvent) { evBat = e })
-			ex.sw.SetTracer(func(e TraceEvent) { evEx = e })
-			k := bat.sw.k
+			l := newLockstep(t, tc.cfg, tc.pol)
+			var ev TraceEvent
+			l.sw.SetTracer(func(e TraceEvent) { ev = e })
+			k := l.sw.k
 			sched := genSchedule(t, tc.tc, k, 3000)
 			drives := 0
 			for c := int64(0); c < 3000+int64(4*k*tc.cfg.Cells); c++ {
-				evBat, evEx = TraceEvent{Cycle: -1}, TraceEvent{Cycle: -2}
-				for _, h := range []*ticknHarness{bat, ex} {
-					h.sw.Tick(h.vcHeads(rowAt(sched, c)))
-					h.collect()
+				ev = TraceEvent{Cycle: -1}
+				l.tick(rowAt(sched, c))
+				if want := l.ref.trace(); ev.Cycle != c || !sameEvent(ev, want) {
+					t.Fatalf("cycle %d: events diverged:\n switch    %v\n reference %v", c, ev, want)
 				}
-				if !bat.sw.fastMode || ex.sw.fastMode {
-					t.Fatalf("cycle %d: traced switch batching=%v, forced-exact twin batching=%v", c, bat.sw.fastMode, ex.sw.fastMode)
-				}
-				if evBat.Cycle != c || !sameEvent(evBat, evEx) {
-					t.Fatalf("cycle %d: events diverged:\n batched   %v\n per-stage %v", c, evBat, evEx)
-				}
-				for _, o := range evBat.OutDrive {
+				for _, o := range ev.OutDrive {
 					if o >= 0 {
 						drives++
 					}
 				}
 			}
-			checkTicknLogs(t, ex, bat)
-			if want := len(bat.log) * k; drives != want || want == 0 {
-				t.Fatalf("%d output drives traced for %d departures of %d words", drives, len(bat.log), k)
+			if want := len(l.log) * k; drives != want || want == 0 {
+				t.Fatalf("%d output drives traced for %d departures of %d words", drives, len(l.log), k)
 			}
 		})
 	}
