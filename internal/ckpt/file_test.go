@@ -1,6 +1,8 @@
 package ckpt
 
 import (
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -8,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"pipemem/internal/core"
 	"pipemem/internal/traffic"
 )
 
@@ -161,7 +164,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		size   int
 	}{
 		{"plain", "dt:alpha=2", false, 0x6c6398750050f58c, 14127},
-		{"faultplan", "", true, 0x6d3dbe1aff0cd4dd, 15564},
+		{"faultplan", "", true, 0xd15f23912ea07a0e, 15600},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -182,6 +185,45 @@ func TestCheckpointBytesPinned(t *testing.T) {
 			h.Write(data)
 			if h.Sum64() != r.sum || len(data) != r.size {
 				t.Fatalf("%d bytes, digest %#x; pinned %d bytes, %#x", len(data), h.Sum64(), r.size, r.sum)
+			}
+		})
+	}
+}
+
+// TestParentPerStageFilesResume: two pmckpt v1 files written by the build
+// before waves ran off the wave commit one by one — in an ECC dirty window
+// and after a stuck bank, where that build ran every wave per-stage and
+// serialized per-stage state (un-committed ring slots, loaded output
+// registers, latched input registers, a forced per-stage flag). They load,
+// finish their un-committed slots word by word with audits clean, and end
+// as that build's uninterrupted run of their spec did: the digest of its
+// RunResult and Health. (The stuck file's spec runs differently from
+// scratch now — a read in flight when the bank sticks meets the fault at its
+// stage — but the file is cut after that.)
+func TestParentPerStageFilesResume(t *testing.T) {
+	for _, r := range []struct {
+		name string
+		want uint64
+	}{
+		{"parent-ecc-window.ckpt", 0x2d770d280a86d89},
+		{"parent-stuck-bank.ckpt", 0x25362a3a590ca7ae},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			s, err := Resume(filepath.Join("testdata", r.name), Options{AuditEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Switch().Cycle() < 200 {
+				t.Fatalf("resumed at cycle %d", s.Switch().Cycle())
+			}
+			res, err := s.Run()
+			if err != nil && !errors.Is(err, core.ErrCorrupt) {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%#v %+v", res, s.Report(res).Health)
+			if got := h.Sum64(); got != r.want {
+				t.Fatalf("resumed run %+v (corrupt %d) digests %#x, the uninterrupted run %#x", res, res.Corrupt, got, r.want)
 			}
 		})
 	}

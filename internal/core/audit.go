@@ -16,10 +16,14 @@ import "fmt"
 // nil when every check passes and a descriptive error on the first
 // violation. Call it between Ticks (any cycle boundary is valid).
 //
-// Conservation (offered == delivered + dropped + resident) is checked only
-// while no multicast cell is resident: multicast counts one offered cell
-// per arrival but one delivery per copy, so the unicast identity does not
-// hold for it.
+// Multicast is inside every clause. A multicast cell is one offered cell
+// whose write wave queues one copy per destination ("multicast-copies"
+// counts the copies beyond the first); each copy is delivered, pushed out
+// or flushed on its own, its address is freed when the last copy's read
+// wave claims it (refcount 0), and per-output occupancy counts copies. So
+// conservation reads offered + multicast-copies == delivered + dropped +
+// resident, and an address's refcount is the number of queued copies
+// naming it.
 func (s *Switch) AuditInvariants() error {
 	// Occupancy cross-consistency: per-output occupancy mirrors the VC
 	// queue lengths it summarizes.
@@ -57,15 +61,24 @@ func (s *Switch) AuditInvariants() error {
 	// address is allocated exactly while copies still queue it; at or
 	// above addrLimit (possible only after a bypass halved the buffer)
 	// addresses are permanently retired: marked allocated, never queued.
-	refSum := 0
-	multicast := false
+	if s.auditRef == nil {
+		s.auditRef = make([]int, s.cfg.Cells)
+	}
+	named := s.auditRef
+	clear(named)
+	for node := range s.nodes {
+		if s.nfree.Allocated(node) {
+			named[s.nodes[node].addr]++
+		}
+	}
+	refSum, live := 0, 0
 	for a := 0; a < s.cfg.Cells; a++ {
 		rc := s.refcnt[a]
-		if rc < 0 {
-			return fmt.Errorf("core: audit: address %d has negative refcnt %d", a, rc)
+		if rc != named[a] {
+			return fmt.Errorf("core: audit: address %d has refcnt %d, but %d queued copies name it", a, rc, named[a])
 		}
-		if rc > 1 {
-			multicast = true
+		if rc > 0 {
+			live++
 		}
 		refSum += rc
 		if a < s.addrLimit {
@@ -85,9 +98,9 @@ func (s *Switch) AuditInvariants() error {
 		return fmt.Errorf("core: audit: %d descriptor nodes allocated, %d queued", got, s.queues.Total())
 	}
 
-	// Occupancy bounds.
-	if b := s.queues.Total(); b > s.addrLimit {
-		return fmt.Errorf("core: audit: %d cells buffered, capacity %d", b, s.addrLimit)
+	// Occupancy bounds (addresses, not copies).
+	if live > s.addrLimit {
+		return fmt.Errorf("core: audit: %d addresses hold cells, capacity %d", live, s.addrLimit)
 	}
 	if f := s.free.Free(); f > s.addrLimit {
 		return fmt.Errorf("core: audit: %d free addresses, capacity %d", f, s.addrLimit)
@@ -112,26 +125,30 @@ func (s *Switch) AuditInvariants() error {
 		return fmt.Errorf("core: audit: pendingWrites %d, but %d input rows await a write wave", s.pendingWrites, pending)
 	}
 
-	// SoA control-ring bookkeeping: the wave bitset and the committed mask
-	// must mirror the ring (a committed bit is only meaningful on a slot
-	// holding a live op).
-	var waveMask uint64
+	// Control-ring bookkeeping: the live-op count mirrors the ring, and the
+	// open census its slots and glitches.
+	waves, open := 0, 0
 	for slot := range s.ctrl {
-		if s.ctrl[slot].Kind != OpNone && slot < 64 {
-			waveMask |= uint64(1) << uint(slot)
+		if s.ctrl[slot].Kind != OpNone {
+			waves++
+		} else if s.open[slot] {
+			return fmt.Errorf("core: audit: ring slot %d is open without a wave", slot)
+		}
+		if s.open[slot] {
+			open++
+		}
+		if g := s.glitch[slot]; g != nil && g.Kind != OpNone {
+			open++
 		}
 	}
-	if s.k <= 64 && waveMask != s.waveMask {
-		return fmt.Errorf("core: audit: waveMask %#x, but live control words form %#x", s.waveMask, waveMask)
-	}
-	if s.committed&^s.waveMask != 0 {
-		return fmt.Errorf("core: audit: committed mask %#x marks slots outside the wave mask %#x", s.committed, s.waveMask)
+	if waves != s.waves || open != s.openN {
+		return fmt.Errorf("core: audit: %d live waves and %d open slots or glitches, but waves %d and openN %d", waves, open, s.waves, s.openN)
 	}
 
-	// Egress slot census, either engine: an output's slot is occupied
-	// exactly while its link is booked, and txActive counts the occupied
-	// slots. The completion ring posts only outputs whose record the
-	// batched path filled, and on that path every occupied slot is posted.
+	// Egress slot census: an output's slot is occupied exactly while its
+	// link is booked, txActive counts the occupied slots, and each is posted
+	// to the completion ring — holding all k words, or, off the wave commit,
+	// one word per stage run so far.
 	slots, posted := 0, 0
 	for o, r := range s.rxHead {
 		if r != nil {
@@ -146,48 +163,34 @@ func (s *Switch) AuditInvariants() error {
 			continue
 		}
 		posted++
-		if r := s.rxHead[d]; r == nil || len(r.words) != s.k {
-			return fmt.Errorf("core: audit: completion ring posts output %d, whose egress slot holds no fully materialized departure", d)
+		if r := s.rxHead[d]; r == nil || len(r.words) != s.k && int64(len(r.words)) != s.cycle-r.start+1 {
+			return fmt.Errorf("core: audit: completion ring posts output %d, whose egress slot holds no departure in progress", d)
 		}
 	}
-	if slots != s.txActive || (s.fastMode && posted != slots) {
-		return fmt.Errorf("core: audit: %d occupied egress slots, but txActive %d and (batched=%v) %d completions posted", slots, s.txActive, s.fastMode, posted)
+	if slots != s.txActive || posted != slots {
+		return fmt.Errorf("core: audit: %d occupied egress slots, but txActive %d and %d completions posted", slots, s.txActive, posted)
 	}
 
-	// Deferred-deposit table census: every lazy entry belongs to an
-	// allocated unicast address on the fast path, and the live count
-	// matches (the cold seams rely on it to skip the scan).
-	lazy := 0
+	// Every deferred deposit belongs to an allocated address.
 	for a, lc := range s.memLazy {
-		if lc == nil {
-			continue
-		}
-		lazy++
-		if !s.fastMode {
-			return fmt.Errorf("core: audit: address %d payload still deferred outside the fast path", a)
-		}
-		if s.refcnt[a] < 1 {
+		if lc != nil && s.refcnt[a] < 1 {
 			return fmt.Errorf("core: audit: address %d payload deferred but refcnt %d", a, s.refcnt[a])
 		}
 	}
-	if lazy != s.lazyCount {
-		return fmt.Errorf("core: audit: lazyCount %d, but %d payloads deferred", s.lazyCount, lazy)
-	}
 
-	// Clean-word invariant: the batched path never decodes, so every live
-	// word outside the dirty set must match its check bits, and the count
-	// gating wantFast must mirror the flags. (Under an active bypass the
-	// batched path is barred for good and one physical row serves two
-	// logical addresses, so only the census is checked.)
+	// Clean-word invariant: the wave commit never decodes, so the dirty set
+	// must be exactly the addresses holding a word that fails its check bits,
+	// and its count must mirror the flags. (Under an active bypass one
+	// physical row serves two logical addresses, every wave is open, and
+	// only the census is checked.)
 	if s.eccMem != nil {
 		dirty := 0
 		for a, flagged := range s.eccDirty {
 			if flagged {
 				dirty++
-				continue
 			}
-			if s.refcnt[a] > 0 && !s.halved && !s.addrClean(a) {
-				return fmt.Errorf("core: audit: live address %d fails its check bits outside the dirty set", a)
+			if !s.halved && flagged == s.addrClean(a) {
+				return fmt.Errorf("core: audit: address %d dirty flag %v, but its words decode clean=%v", a, flagged, !flagged)
 			}
 		}
 		if dirty != s.eccDirtyN {
@@ -218,17 +221,16 @@ func (s *Switch) AuditInvariants() error {
 		return err
 	}
 
-	// Conservation: every cell the switch has counted as offered is
-	// delivered, dropped, or still resident (input rows, buffer, egress).
-	// The §4.3 delay line holds cells not yet counted offered, so it is
-	// deliberately absent from both sides.
-	if !multicast {
-		offered := s.counter.Get("offered")
-		resident := int64(s.Buffered() + s.pendingWrites + s.txActive)
-		if got := s.counter.Get("delivered") + s.DroppedCells() + resident; got != offered {
-			return fmt.Errorf("core: audit: conservation violated: offered %d, delivered+dropped+resident %d (resident %d)",
-				offered, got, resident)
-		}
+	// Conservation: every copy the switch has taken on — one per offered
+	// cell, plus the extra copies of multicast write waves — is delivered,
+	// dropped, or still resident (input rows, buffer, egress). The §4.3 delay
+	// line holds cells not yet counted offered, so it is deliberately absent
+	// from both sides.
+	offered := s.counter.Get("offered") + s.counter.Get("multicast-copies")
+	resident := int64(s.Buffered() + s.pendingWrites + s.txActive)
+	if got := s.counter.Get("delivered") + s.DroppedCells() + resident; got != offered {
+		return fmt.Errorf("core: audit: conservation violated: offered+copies %d, delivered+dropped+resident %d (resident %d)",
+			offered, got, resident)
 	}
 	return nil
 }

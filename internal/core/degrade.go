@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pipemem/internal/cell"
 	"pipemem/internal/obs"
@@ -109,8 +110,8 @@ func (s *Switch) bankFor(st, addr int, remap bool) (int, int) {
 // on its data lines (senseWord), not in the array — so what a read of it
 // decodes against is always the check bits of the word that was meant to
 // be there, never whatever an earlier wave left behind: storage no live
-// wave has written stays unobservable, which is what lets the batched
-// path skip deposits nobody will read (commitWave).
+// wave has written stays unobservable, which is what lets the wave commit
+// skip deposits nobody will read (commitWave).
 func (s *Switch) writeWord(st, addr int, remap bool, w cell.Word) {
 	b, a := s.bankFor(st, addr, remap)
 	i := s.memIdx(b, a)
@@ -178,14 +179,16 @@ func (s *Switch) readWord(st, addr int, remap bool) cell.Word {
 
 // mapOutBank takes bank b out of service: capacity halves, resident cells
 // are flushed, and future waves redirect stage b to the partner bank's
-// upper half. Idempotent per bank. Counted under "stage-bypass".
-func (s *Switch) mapOutBank(b int) {
+// upper half. next is the first cycle whose stages have not run. Idempotent
+// per bank. Counted under "stage-bypass". Redirected accesses run off the
+// wave commit, so the waves in flight go there first, while the bank map is
+// still the identity, and no payload stays deferred behind the split.
+func (s *Switch) mapOutBank(b int, next int64) {
 	if s.stageDown[b] {
 		return
 	}
-	// Redirected accesses route every word through the fault layer; the
-	// batched path must hand over before the address split takes effect.
-	s.dropFast()
+	s.openWhere(next, func(int, int64, *Op) bool { return true })
+	s.materializeLazy()
 	s.stageDown[b] = true
 	s.counter.Inc("stage-bypass", 1)
 	if o := s.obs; o != nil {
@@ -202,11 +205,7 @@ func (s *Switch) mapOutBank(b int) {
 	// Flush every queued descriptor: resident cells may straddle the dead
 	// bank and the address split invalidates their locations either way.
 	for q := 0; q < s.queues.Queues(); q++ {
-		for {
-			node, ok := s.queues.Pop(q)
-			if !ok {
-				break
-			}
+		for node, ok := s.queues.Pop(q); ok; node, ok = s.queues.Pop(q) {
 			addr := s.nodes[node].addr
 			s.counter.Inc("drop-bypass", 1)
 			if s.obs != nil {
@@ -226,13 +225,13 @@ func (s *Switch) mapOutBank(b int) {
 	// Rebuild the free list over the usable low addresses only; the upper
 	// half of every bank is now the redirect region and the corresponding
 	// addresses stay permanently retired (never handed out again).
-	for {
-		if _, ok := s.free.Get(); !ok {
-			break
-		}
+	for _, ok := s.free.Get(); ok; _, ok = s.free.Get() {
 	}
 	for a := s.addrLimit - 1; a >= 0; a-- {
 		s.free.Put(a)
+	}
+	for a := range s.eccDirty { // the map changed under the dirty set
+		s.eccRecheck(a)
 	}
 }
 
@@ -245,7 +244,7 @@ func (s *Switch) MapOutStage(st int) error {
 	if st < 0 || st >= s.k {
 		return fmt.Errorf("core: stage %d out of range 0…%d", st, s.k-1)
 	}
-	s.mapOutBank(st)
+	s.mapOutBank(st, s.cycle)
 	return nil
 }
 
@@ -253,73 +252,64 @@ func (s *Switch) MapOutStage(st int) error {
 // lines read all-ones whatever the array holds (writes still land, and
 // show again once the fault clears). The fault engine's "stuck" events use
 // this; with ECC armed the bank's words fail their check bits on every
-// read until the bypass threshold maps the bank out.
+// read until the bypass threshold maps the bank out. Reads in flight that
+// have yet to reach the bank see the change there.
 func (s *Switch) SetStageStuck(st int, stuck bool) {
 	if st < 0 || st >= s.k {
 		return
 	}
-	// A stuck bank's behavior is per-word (reads all-ones): inherently
-	// per-stage, so the exact path must run from here on.
-	s.forceExact()
 	if s.stuck == nil {
 		s.stuck = make([]bool, s.k)
 	}
+	if s.stuck[st] == stuck {
+		return
+	}
+	s.openWhere(s.cycle, func(j int, _ int64, op *Op) bool { return op.Kind == OpRead && j <= st })
 	s.stuck[st] = stuck
+	if stuck {
+		s.stuckN++
+	} else {
+		s.stuckN--
+	}
 }
 
 // InjectMemoryFault XORs mask into the stored word of the given wave
 // stage and buffer address — a single-event upset in the bank array. The
 // check bits are deliberately left stale so the ECC layer sees the flip.
 // The current bypass remap is applied, so the fault lands where live
-// traffic will actually read.
-//
-// On an ECC switch the upset opens a dirty window: only the exact path
-// decodes, so the batched path hands over and stays out until a wave over
-// the address has scrubbed or rewritten every word of it (eccRetire). A
-// wave the batched path had already committed when the upset lands took
-// its words at initiation and does not see it; the next wave over the
-// address does — which is why fault engines target AddrStable words.
-//
-// The flag follows the stored words, not the call: an upset that leaves
-// every word of the address matching its check bits (a second flip undoing
-// the first, a mask the code cannot see) leaves nothing to decode, so the
-// address is unflagged. Between waves the dirty set is therefore exactly
-// the addresses holding an unclean word — what NewFromSnapshot rebuilds.
+// traffic will actually read. A wave in flight over the address that has
+// yet to reach the stage meets the upset there, at its own cycle: a read
+// decodes (and scrubs) it or delivers it, a write overwrites it.
 func (s *Switch) InjectMemoryFault(stage, addr int, mask cell.Word) {
 	if stage < 0 || stage >= s.k || addr < 0 || addr >= s.cfg.Cells {
 		return
 	}
-	mask = mask.Mask(s.cfg.WordBits)
-	if s.eccMem != nil && mask != 0 {
-		s.dropFast()
+	if mask = mask.Mask(s.cfg.WordBits); mask == 0 {
+		return
 	}
+	s.openWhere(s.cycle, func(st int, _ int64, op *Op) bool { return op.Addr == addr && st <= stage })
 	// A lazily deferred payload must land in the array before the upset
 	// does, or the flip would hit stale bytes and vanish.
 	s.materializeAddr(addr)
 	b, a := s.bankFor(stage, addr, true)
 	s.mem[s.memIdx(b, a)] ^= mask
-	if s.eccMem != nil && mask != 0 {
-		if dirty := !s.addrClean(addr); dirty != s.eccDirty[addr] {
-			s.eccDirty[addr] = dirty
-			if dirty {
-				s.eccDirtyN++
-			} else {
-				s.eccDirtyN--
-			}
-		}
-	}
+	s.eccRecheck(addr)
 }
 
-// eccRetire closes addr's dirty window if it can. The exact path calls it
-// when a wave over a flagged address has left stage k-1: a read wave
-// scrubbed what it could correct and a write wave rewrote every word, but
-// an uncorrectable word stays as it is and a wave that was already past
-// the upset's stage when it landed never saw it — so the flag clears only
-// once every word of the address decodes clean again.
-func (s *Switch) eccRetire(addr int) {
-	if s.eccDirty[addr] && s.addrClean(addr) {
-		s.eccDirty[addr] = false
-		s.eccDirtyN--
+// eccRecheck keeps addr's dirty flag equal to "some word of addr fails its
+// check bits" after a change off the wave commit, so the set is a function
+// of the words alone (what NewFromSnapshot rebuilds).
+func (s *Switch) eccRecheck(addr int) {
+	if s.eccMem == nil {
+		return
+	}
+	if dirty := !s.addrClean(addr); dirty != s.eccDirty[addr] {
+		s.eccDirty[addr] = dirty
+		if dirty {
+			s.eccDirtyN++
+		} else {
+			s.eccDirtyN--
+		}
 	}
 }
 
@@ -350,40 +340,250 @@ func (s *Switch) MemoryClean(stage, addr int) bool {
 	return status == eccClean
 }
 
-// InjectControlFault overwrites the control word currently latched at
-// stage st — a glitch in the shifting control pipeline of §3.3. The next
-// Tick executes the corrupted operation at that stage and shifts it
-// onward like any other op.
+// InjectControlFault glitches the control word latched at stage st (the one
+// it executes next cycle) in the shifting control pipeline of §3.3. The wave
+// initiated with that slot completes as initiated; the glitched op runs
+// beside it at the stages ahead, off the wave commit, and a glitched read or
+// write-through drives no link: its words count under "glitch-words". A
+// glitch at stage 0 is overwritten by the next arbitration unseen; an op
+// naming a link or address the switch does not have is ignored.
 func (s *Switch) InjectControlFault(st int, op Op) {
-	if st < 0 || st >= s.k {
+	if st < 1 || st >= s.k || op.In < 0 || op.In >= s.n || op.Out < 0 || op.Out >= s.n || op.Addr < 0 || op.Addr >= s.cfg.Cells {
 		return
 	}
-	// A glitch in one stage's latched control word is per-stage state the
-	// batched path cannot express: hand over and stay on the exact path.
-	// If the glitched slot held a wave the batched path had already
-	// committed, that wave's memory traffic and departure stand (it ran to
-	// completion at initiation); the injected op executes at the stages the
-	// exact machine still owes the slot. Squashing an un-committed read wave
-	// mid-cell strands its output's egress slot (the record never fills:
-	// reads skip the link for good, a cut-through onto it panics in book),
-	// and a glitched-in read drives a link nothing booked (panic in drive)
-	// — the model saying the control path broke.
-	s.forceExact()
-	s.setCtrl(s.ctrlSlot(s.cycle, st), &op)
+	slot, c0 := s.ctrlSlot(s.cycle, st), s.cycle-int64(st)
+	s.dropGlitch(slot)
+	s.glitch[slot] = &op
+	s.glitchN++
+	if op.Kind != OpNone {
+		// Later waves over the address meet the glitch's accesses first.
+		s.openWhere(s.cycle, func(_ int, c int64, w *Op) bool { return w.Addr == op.Addr && c > c0 })
+		s.openN++
+		*s.cStageWords += int64(s.k - st)
+	}
 }
 
 // InjectInputRegisterFault XORs mask into input in's register for word
-// position word — an upset in the input latch row before the write wave
-// copies it into the buffer.
+// position word — an upset in the input latch row. The write wave that
+// reads the register at or after this cycle meets it; a word the row's
+// occupant has yet to latch overwrites it.
 func (s *Switch) InjectInputRegisterFault(in, word int, mask cell.Word) {
 	if in < 0 || in >= s.n || word < 0 || word >= s.k {
 		return
 	}
-	// Materialize the register rows before flipping bits in one (the
-	// batched path does not maintain them per cycle), then keep the exact
-	// path: only it reads the registers word by word.
-	s.forceExact()
-	s.inReg[in][word] ^= mask.Mask(s.cfg.WordBits)
+	if mask = mask.Mask(s.cfg.WordBits); mask == 0 {
+		return
+	}
+	s.allocFlips()
+	a := &s.inflight[in]
+	occ := a.active && a.head+int64(word) < s.cycle // the register holds the occupant's word
+	// A write of this row that has yet to reach the position reads it, if
+	// the position holds its own cell's word.
+	s.openWhere(s.cycle, func(st int, c0 int64, w *Op) bool {
+		return w.Kind != OpRead && w.In == in && st <= word && (a.active && a.head < c0) == occ
+	})
+	if occ {
+		s.flipOcc[in][word] ^= mask
+	} else {
+		s.flipPrev[in][word] ^= mask
+	}
+}
+
+// allocFlips makes the input rows' flip tables, on the first flip.
+func (s *Switch) allocFlips() {
+	if s.flipOcc == nil {
+		s.flipOcc, s.flipPrev = make([][]cell.Word, s.n), make([][]cell.Word, s.n)
+		for i := range s.flipOcc {
+			s.flipOcc[i], s.flipPrev[i] = make([]cell.Word, s.k), make([]cell.Word, s.k)
+		}
+	}
+}
+
+// The wave commit's fault seam. A wave commits at initiation unless a fault
+// can still reach one of its stages — a stuck bank it reads, a redirected
+// bank, an address holding a word that fails its check bits, an input row
+// carrying flips, an address another open wave or glitch still touches (so
+// accesses to one address keep cycle order). Such a wave is open: each of
+// its stages accesses the banks at its own cycle (runStages), decoding,
+// scrubbing and counting there. A seam that fires later walks the at most k
+// live slots once and opens the committed waves it reaches (openWhere). A
+// fault-free switch opens nothing and pays one test per initiation.
+
+// seamsOpen reports that an initiation must ask initiate.
+func (s *Switch) seamsOpen() bool {
+	return s.openN|s.stuckN|s.eccDirtyN != 0 || s.halved || s.flipOcc != nil
+}
+
+// initiate starts the wave just arbitrated at cycle c in ring slot slot,
+// open or committed.
+func (s *Switch) initiate(slot int, op *Op, c int64) {
+	if !(s.halved || op.Kind == OpRead && s.stuckN > 0 || s.eccDirtyN > 0 && s.eccDirty[op.Addr] ||
+		op.Kind != OpRead && s.rowFlipped(op.In) || s.openN > 0 && s.touched(op.Addr)) {
+		s.commitWave(op, c)
+		return
+	}
+	s.open[slot] = true
+	s.openN++
+	*s.cStageWords += int64(s.k)
+	switch op.Kind {
+	case OpRead:
+		s.materializeAddr(op.Addr)
+		fallthrough
+	case OpWriteThrough:
+		s.rxHead[op.Out].start = c + 1
+		s.scheduleDepart(op.Out, c)
+	}
+}
+
+// touched reports that an open wave or a glitch accesses addr.
+func (s *Switch) touched(addr int) bool {
+	for slot, g := range s.glitch {
+		if s.open[slot] && s.ctrl[slot].Addr == addr || g != nil && g.Kind != OpNone && g.Addr == addr {
+			return true
+		}
+	}
+	return false
+}
+
+// openWhere opens, before cycle next, each committed wave in flight that
+// reach picks by its next stage, initiation cycle and op, with every later
+// wave over its address. Under a bypass every wave is open already.
+func (s *Switch) openWhere(next int64, reach func(st int, c0 int64, op *Op) bool) {
+	for st := s.k - 1; st >= 1 && !s.halved; st-- {
+		slot, c0 := s.ctrlSlot(next, st), next-int64(st)
+		if op := &s.ctrl[slot]; op.Kind != OpNone && !s.open[slot] && reach(st, c0, op) {
+			s.openChain(op.Addr, c0, next, true)
+		}
+	}
+}
+
+// openChain opens the committed waves over addr initiated at or after from:
+// their stages from cycle next on run per-stage. The bank must then hold
+// what the first of them to reach each stage finds there, but a committed
+// read took its words at initiation and a later write deposited ahead of
+// time; so each opened read writes back the words it has yet to read —
+// latest wave first, leaving the earliest reader's at every stage — and its
+// egress record keeps those already on the link. count books the accesses
+// under "stage-words" (Snapshot opens without).
+func (s *Switch) openChain(addr int, from, next int64, count bool) {
+	s.materializeAddr(addr)
+	for st := 1; st < s.k; st++ {
+		slot, c0 := s.ctrlSlot(next, st), next-int64(st)
+		op := &s.ctrl[slot]
+		if op.Kind == OpNone || op.Addr != addr || s.open[slot] || c0 < from {
+			continue
+		}
+		if op.Kind != OpWrite {
+			r := s.rxHead[op.Out]
+			for j := st; op.Kind == OpRead && j < s.k; j++ {
+				s.writeWord(j, addr, false, r.words[j])
+			}
+			r.words, r.clean = r.words[:st], false
+		}
+		s.open[slot] = true
+		s.openN++
+		if count {
+			*s.cStageWords += int64(s.k - st)
+		}
+	}
+	s.eccRecheck(addr)
+}
+
+// retire releases a ring slot whose wave and glitch ran their last stage.
+func (s *Switch) retire(slot int) {
+	if s.open[slot] {
+		s.open[slot] = false
+		s.openN--
+	}
+	s.dropGlitch(slot)
+}
+
+func (s *Switch) dropGlitch(slot int) {
+	if g := s.glitch[slot]; g != nil {
+		if s.glitch[slot], s.glitchN = nil, s.glitchN-1; g.Kind != OpNone {
+			s.openN--
+		}
+	}
+}
+
+// runStages runs this cycle's stage of every open wave and glitch, in stage
+// order, a wave before the glitch beside it, then maps out a bank that has
+// reached its uncorrectable-error threshold.
+func (s *Switch) runStages(c int64) {
+	for st := 0; st < s.k; st++ {
+		slot := s.ctrlSlot(c, st)
+		if s.open[slot] {
+			s.stage(st, &s.ctrl[slot], c, false)
+		}
+		if g := s.glitch[slot]; g != nil {
+			s.stage(st, g, c, true)
+		}
+	}
+	for b := 0; b < s.k && s.cfg.BypassThreshold > 0; b++ {
+		if !s.stageDown[b] && s.stageErr[b] >= s.cfg.BypassThreshold {
+			s.mapOutBank(b, c+1)
+		}
+	}
+}
+
+// stage performs op's stage-st access at cycle c: a write takes input
+// register st, a read or write-through adds its word to the egress record
+// (for a glitch, to nothing).
+func (s *Switch) stage(st int, op *Op, c int64, glitch bool) {
+	var w cell.Word
+	switch op.Kind {
+	case OpNone:
+		return
+	case OpRead:
+		w = s.readWord(st, op.Addr, op.Remap)
+	default:
+		w = s.rowWord(op.In, st, c)
+		s.writeWord(st, op.Addr, op.Remap, w)
+	}
+	if s.eccDirtyN > 0 && s.eccDirty[op.Addr] {
+		s.eccRecheck(op.Addr)
+	}
+	switch {
+	case op.Kind == OpWrite:
+	case glitch:
+		*s.cGlitchWords++
+	default:
+		r := s.rxHead[op.Out]
+		r.words = append(r.words, w)
+	}
+}
+
+// rowWord is input register j of row in at cycle c: the occupant's word
+// once latched (at the end of cycle head+j), before that the previous
+// occupant's, with the flips that landed on each.
+func (s *Switch) rowWord(in, j int, c int64) cell.Word {
+	var w cell.Word
+	a, flips := &s.inflight[in], s.flipPrev
+	if a.active && a.head+int64(j) < c {
+		w, flips = a.c.Words[j], s.flipOcc
+	} else if p := s.prev[in]; p != nil {
+		w = p[j]
+	}
+	if flips != nil {
+		w ^= flips[in][j]
+	}
+	return w & s.cfg.wordMask()
+}
+
+// shiftRow hands input row i, and its flips, to the head arriving on it.
+func (s *Switch) shiftRow(i int) {
+	if a := &s.inflight[i]; a.active {
+		s.prev[i] = a.c.Words
+	}
+	if s.flipOcc != nil {
+		s.flipOcc[i], s.flipPrev[i] = s.flipPrev[i], s.flipOcc[i]
+		clear(s.flipOcc[i])
+	}
+}
+
+// rowFlipped reports that input row in's occupant carries flipped words.
+func (s *Switch) rowFlipped(in int) bool {
+	return s.flipOcc != nil && slices.ContainsFunc(s.flipOcc[in], func(f cell.Word) bool { return f != 0 })
 }
 
 // QueuedAt returns the number of queued copies (descriptors) that will

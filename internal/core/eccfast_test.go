@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"pipemem/internal/bufmgr"
 	"pipemem/internal/cell"
 	"pipemem/internal/traffic"
 )
@@ -18,13 +20,11 @@ type eccFaults int
 
 const (
 	eccNoFaults eccFaults = iota
-	// eccMemFlips: sparse upsets, each in a fully written word that is still
-	// queued and has no wave in flight over it (the AddrStable regime; the
-	// last condition matters for multicast, where a copy's read wave may be
-	// in flight while others still queue).
+	// eccMemFlips: sparse upsets, each under a wave in flight that has yet
+	// to reach the upset's stage where there is one (underWave).
 	eccMemFlips
-	// eccStuckBypass: bank 2 sticks mid-burst, fails its reads, and is
-	// mapped out. It sticks between waves (bankIdle).
+	// eccStuckBypass: bank 2 sticks mid-burst, under the waves in flight,
+	// fails its reads, and is mapped out.
 	eccStuckBypass
 )
 
@@ -71,35 +71,23 @@ func eccFlipPlan(k int) []eccFlip {
 	return plan
 }
 
-// stableQuietAddr picks the flip target: the first address from off on
-// that is AddrStable, clean at stage, and has no live control word.
-func stableQuietAddr(s *Switch, stage, off int) int {
-	cells := s.cfg.Cells
-scan:
-	for j := 0; j < cells; j++ {
-		a := (off + j) % cells
-		if !s.AddrStable(a) || !s.MemoryClean(stage, a) {
-			continue
-		}
-		for i := range s.ctrl {
-			if s.ctrl[i].Kind != OpNone && s.ctrl[i].Addr == a {
-				continue scan
+// underWave picks a fault target on purpose: the first address from off on
+// with a wave in flight that has yet to reach stage st, else the first that
+// still holds a queued cell, else -1.
+func underWave(s *Switch, st, off int) int {
+	queued := -1
+	for j := 0; j < s.cfg.Cells; j++ {
+		a := (off + j) % s.cfg.Cells
+		for i := 1; i <= st; i++ {
+			if op := &s.ctrl[s.ctrlSlot(s.cycle, i)]; op.Kind != OpNone && op.Addr == a {
+				return a
 			}
 		}
-		return a
-	}
-	return -1
-}
-
-// bankIdle reports that no wave in flight has yet to reach bank b: the
-// waves now at stages 1…b were initiated late enough to still cross it.
-func bankIdle(s *Switch, b int) bool {
-	for st := 1; st <= b; st++ {
-		if s.ctrl[s.ctrlSlot(s.cycle, st)].Kind != OpNone {
-			return false
+		if queued < 0 && s.refcnt[a] > 0 {
+			queued = a
 		}
 	}
-	return true
+	return queued
 }
 
 // TestECCEqualsReference: every admission policy × {no faults, sparse
@@ -149,18 +137,17 @@ func eccDifferential(t *testing.T, pol string, faults eccFaults, mcast, cut bool
 			if f.cycle != c {
 				continue
 			}
-			if a := stableQuietAddr(l.sw, f.stage, 7*i); a >= 0 {
+			if a := underWave(l.sw, f.stage, 7*i); a >= 0 {
 				applied++
 				l.both(func(s faultSeams) { s.InjectMemoryFault(f.stage, a, f.mask) })
 			}
 		}
-		if faults == eccStuckBypass && !stuck && c >= eccPeriod+60 && bankIdle(l.sw, 2) {
+		if faults == eccStuckBypass && !stuck && c >= eccPeriod+60 {
 			stuck = true
 			l.both(func(s faultSeams) { s.SetStageStuck(2, true) })
 		}
 		l.tick(sched[c])
-		// (The audit's conservation and capacity clauses assume unicast.)
-		if c%50 == 49 && !mcast {
+		if c%50 == 49 {
 			if err := l.sw.AuditInvariants(); err != nil {
 				t.Fatalf("cycle %d: %v", c, err)
 			}
@@ -220,14 +207,14 @@ func TestECCRunResultEqualsReference(t *testing.T) {
 				switch {
 				case faults == eccMemFlips && c%97 == 60:
 					stage := int(c/97) % k
-					if a := stableQuietAddr(s, stage, int(c)); a >= 0 {
+					if a := underWave(s, stage, int(c)); a >= 0 {
 						mask := cell.Word(1) << uint(c/97%16)
 						if c/97 == 5 {
 							mask = 0x0300
 						}
 						fired[c] = func(f faultSeams) { f.InjectMemoryFault(stage, a, mask) }
 					}
-				case faults == eccStuckBypass && c >= 700 && s.stuck == nil && bankIdle(s, 2):
+				case faults == eccStuckBypass && c == 700:
 					fired[c] = func(f faultSeams) { f.SetStageStuck(2, true) }
 				}
 				if f := fired[c]; f != nil {
@@ -265,21 +252,18 @@ func TestECCRunResultEqualsReference(t *testing.T) {
 	}
 }
 
-// TestECCRestorePicksSameEngine: the dirty set is derived state, rebuilt on
-// restore from the stored words alone, yet a resumed switch must run every
-// cycle on the engine the uninterrupted one ran it on (the two leave
-// different register residue). The drive is hostile to that: upsets land
-// on arbitrary addresses — queued, free, under a wave in flight — some are
-// undone by a second flip, some are uncorrectable. At every cycle the
-// switch is serialized and rebuilt, and the rebuilt copy's choice for the
-// coming cycle is compared with the original's.
-func TestECCRestorePicksSameEngine(t *testing.T) {
+// TestECCRestoreEveryCycle: the dirty set and the waves off the commit are
+// functions of the serialized state, so a switch rebuilt at any cycle runs
+// the next one exactly as the running switch does. The drive is hostile:
+// upsets land on arbitrary addresses — queued, free, under a wave in flight
+// — some are undone by a second flip, some are uncorrectable. At every cycle
+// the switch is serialized and rebuilt, both tick the same arrivals, and the
+// departures and the next serialized states must agree.
+func TestECCRestoreEveryCycle(t *testing.T) {
 	for _, mcast := range []bool{false, true} {
 		t.Run(fmt.Sprintf("mcast=%v", mcast), func(t *testing.T) {
 			cfg := Config{Ports: 4, WordBits: 16, Cells: 32, ECC: true, CutThrough: true}
 			k := cfg.Canonical().Stages
-			// Light enough that stretches of k initiation-free cycles — what
-			// the hand-over back to the batched path waits for — keep coming.
 			tc := traffic.Config{Kind: traffic.Bernoulli, N: 4, Load: 0.3, Seed: 37}
 			sched := genSchedule(t, tc, k, 3000)
 			h := newTicknHarness(t, cfg, "dt:alpha=2")
@@ -292,13 +276,12 @@ func TestECCRestorePicksSameEngine(t *testing.T) {
 				return int(rng >> 33 % uint64(n))
 			}
 			var undo *faultAt
-			entered, left, scrubbedAhead, undone := 0, 0, 0, 0
+			cutsOpen, dirty, undone := 0, 0, 0
 			for c := int64(0); c < int64(len(sched)); c++ {
-				was := h.sw.fastMode
 				switch {
 				case undo != nil:
 					// The same flip again: the word is whole and nothing is
-					// left to decode, whatever the flag said a cycle ago.
+					// left to decode.
 					h.sw.InjectMemoryFault(undo.stage, undo.addr, undo.mask)
 					if h.sw.addrClean(undo.addr) && !h.sw.eccDirty[undo.addr] {
 						undone++
@@ -307,8 +290,7 @@ func TestECCRestorePicksSameEngine(t *testing.T) {
 				case c%41 == 11:
 					f := faultAt{stage: next(k), addr: next(cfg.Cells), mask: 1 << uint(next(16))}
 					// Mostly addresses traffic will come back to: a queued cell
-					// or a wave in flight (a free address holds its upset, and
-					// the exact path, until it is handed out again).
+					// or a wave in flight.
 					if busy := busyAddrs(h.sw); len(busy) > 0 && next(8) != 0 {
 						f.addr = busy[next(len(busy))]
 					}
@@ -320,50 +302,51 @@ func TestECCRestorePicksSameEngine(t *testing.T) {
 						undo = &f
 					}
 				}
-
 				st, err := h.sw.Snapshot()
 				if err != nil {
 					t.Fatalf("cycle %d: %v", c, err)
 				}
-				twin, err := NewFromSnapshot(st)
-				if err != nil {
+				twin := &ticknHarness{t: t, seq: h.seq, hc: make([]*cell.Cell, 4), mcastEvery: h.mcastEvery}
+				if twin.sw, err = NewFromSnapshot(mustJSONRoundTrip(t, st)); err != nil {
 					t.Fatalf("cycle %d: %v", c, err)
 				}
-				for a, flagged := range twin.eccDirty {
-					if flagged && !h.sw.eccDirty[a] {
-						t.Fatalf("cycle %d: restore flagged address %d, which the running switch holds clean", c, a)
-					}
+				p, _ := bufmgr.Parse("dt:alpha=2")
+				twin.sw.SetBufferPolicy(p)
+				if twin.sw.eccDirtyN != h.sw.eccDirtyN || !slices.Equal(twin.sw.eccDirty, h.sw.eccDirty) {
+					t.Fatalf("cycle %d: restore rebuilt %d dirty addresses, the running switch holds %d", c, twin.sw.eccDirtyN, h.sw.eccDirtyN)
 				}
-				if twin.eccDirtyN < h.sw.eccDirtyN {
-					scrubbedAhead++ // cleaned by a wave still in flight
+				if h.sw.openN > 0 {
+					cutsOpen++
 				}
-
+				if h.sw.eccDirtyN > 0 {
+					dirty++
+				}
+				twin.sw.Tick(twin.materialize(sched[c]))
+				twin.collect()
 				h.sw.Tick(h.materialize(sched[c]))
 				h.collect()
-				twin.Tick(nil) // the engine is chosen before arrivals are looked at
-				if twin.fastMode != h.sw.fastMode {
-					t.Fatalf("cycle %d: the running switch ticked with fast=%v (dirty=%d), its restored copy with fast=%v (dirty=%d)",
-						c, h.sw.fastMode, h.sw.eccDirtyN, twin.fastMode, twin.eccDirtyN)
+				if !slices.Equal(twin.log, h.log[len(h.log)-len(twin.log):]) {
+					t.Fatalf("cycle %d: departures diverged:\n restored %v\n running  %v", c, twin.log, h.log[len(h.log)-len(twin.log):])
 				}
-				if h.sw.fastMode && !was {
-					entered++
-				} else if was && !h.sw.fastMode {
-					left++
+				a, err := h.sw.Snapshot()
+				if err != nil {
+					t.Fatal(err)
 				}
-				if c%50 == 49 && !mcast {
+				b, err := twin.sw.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("cycle %d: the restored switch ran the cycle differently:\n%s", c, stateDiff(a, b))
+				}
+				if c%50 == 49 {
 					if err := h.sw.AuditInvariants(); err != nil {
 						t.Fatalf("cycle %d: %v", c, err)
 					}
 				}
 			}
-			if entered < 4 || left < 4 {
-				t.Fatalf("engine changed hands %d/%d times; the drive tests nothing", entered, left)
-			}
-			if scrubbedAhead == 0 {
-				t.Fatal("no cut fell between a scrub and its wave's retirement")
-			}
-			if undone == 0 {
-				t.Fatal("no upset was undone in place")
+			if cutsOpen < 20 || dirty < 20 || undone == 0 {
+				t.Fatalf("%d cuts with waves off the commit, %d inside a dirty window, %d upsets undone: the drive tests nothing", cutsOpen, dirty, undone)
 			}
 		})
 	}
@@ -384,12 +367,13 @@ func busyAddrs(s *Switch) []int {
 	return busy
 }
 
-// TestECCUpsetUnderCommittedWave pins the documented caveat of the seam: a
-// wave the batched path committed took its words at initiation, so an upset
-// landing under it is not seen by that wave but by the next one over the
-// address. Here the address holds a two-copy multicast cell; the upset
-// lands while the first copy's read wave is in flight, committed.
-func TestECCUpsetUnderCommittedWave(t *testing.T) {
+// TestECCUpsetUnderWave: an upset that lands under a read wave in flight is
+// met by that wave at its own stage — decoded, corrected, scrubbed and
+// counted there — so the wave delivers intact and the next wave over the
+// address finds the word whole. Here the address holds a two-copy multicast
+// cell; the upset lands at the last stage while the first copy's read wave
+// is in flight, committed at initiation.
+func TestECCUpsetUnderWave(t *testing.T) {
 	cfg := Config{Ports: 4, WordBits: 16, Cells: 16, ECC: true}
 	s := mustSwitch(t, cfg)
 	k := s.Config().Stages
@@ -409,37 +393,41 @@ func TestECCUpsetUnderCommittedWave(t *testing.T) {
 			addr = a
 		}
 	}
-	if addr < 0 || !s.AddrStable(addr) || !s.fastMode {
-		t.Fatalf("set-up: address %d, fast=%v", addr, s.fastMode)
+	if addr < 0 || !s.AddrStable(addr) {
+		t.Fatalf("set-up: address %d", addr)
 	}
 
 	// Release the outputs and stop one cycle later: exactly one copy's read
-	// wave has been initiated — and committed whole by the batched path.
+	// wave has been initiated.
 	gateAll(s, true)
 	s.Tick(nil)
 	gateAll(s, false)
-	if s.QueuedAt(addr) != 1 || !s.fastMode {
-		t.Fatalf("set-up: %d copies still queued, fast=%v; want the first read wave in flight", s.QueuedAt(addr), s.fastMode)
+	if s.QueuedAt(addr) != 1 || s.openN != 0 {
+		t.Fatalf("set-up: %d copies still queued, %d waves off the commit; want the first read wave in flight, committed", s.QueuedAt(addr), s.openN)
 	}
-	last := k - 1
-	s.InjectMemoryFault(last, addr, 0x0040)
-	if s.fastMode || s.eccDirtyN != 1 {
-		t.Fatalf("upset left fast=%v dirty=%d", s.fastMode, s.eccDirtyN)
+	s.InjectMemoryFault(k-1, addr, 0x0040)
+	if s.eccDirtyN != 1 {
+		t.Fatalf("upset left dirty=%d", s.eccDirtyN)
 	}
 	var deps []Departure
-	for i := 0; i < 2*k; i++ {
+	for i := 0; i < k-2; i++ {
+		s.Tick(nil)
+	}
+	if h := s.Health(); h.ECCCorrected != 0 {
+		t.Fatalf("corrected=%d before the wave reached the upset's stage", h.ECCCorrected)
+	}
+	for i := 0; i < k+2; i++ {
 		s.Tick(nil)
 		deps = append(deps, s.Drain()...)
 	}
 	if len(deps) != 1 || !deps[0].Cell.Equal(deps[0].Expected) {
 		t.Fatalf("first copy: %d departures, want one intact", len(deps))
 	}
-	if h := s.Health(); h.ECCCorrected != 0 || s.eccDirtyN != 1 || s.fastMode {
-		t.Fatalf("the committed wave saw the upset: corrected=%d dirty=%d fast=%v", h.ECCCorrected, s.eccDirtyN, s.fastMode)
+	if h := s.Health(); h.ECCCorrected != 1 || s.eccDirtyN != 0 {
+		t.Fatalf("the wave in flight did not meet the upset: corrected=%d dirty=%d", h.ECCCorrected, s.eccDirtyN)
 	}
 
-	// The second copy's wave runs on the exact path, corrects the word and
-	// scrubs it; its retirement closes the window and batching resumes.
+	// The second copy finds the scrubbed word.
 	gateAll(s, true)
 	deps = deps[:0]
 	for i := 0; i < 3*k; i++ {
@@ -451,9 +439,6 @@ func TestECCUpsetUnderCommittedWave(t *testing.T) {
 	}
 	if h := s.Health(); h.ECCCorrected != 1 || h.ECCUncorrectable != 0 {
 		t.Fatalf("second wave: corrected=%d uncorrectable=%d, want 1 and 0", h.ECCCorrected, h.ECCUncorrectable)
-	}
-	if s.eccDirtyN != 0 || !s.fastMode {
-		t.Fatalf("window still open after the scrub: dirty=%d fast=%v", s.eccDirtyN, s.fastMode)
 	}
 }
 
@@ -511,4 +496,16 @@ func TestStuckBankTakesWrites(t *testing.T) {
 			})
 		}
 	}
+}
+
+// stateDiff lists the fields in which two serialized states differ.
+func stateDiff(a, b *SwitchState) string {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	out := ""
+	for i := 0; i < va.NumField(); i++ {
+		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			out += fmt.Sprintf("%s:\n  %v\n  %v\n", va.Type().Field(i).Name, va.Field(i).Interface(), vb.Field(i).Interface())
+		}
+	}
+	return out
 }

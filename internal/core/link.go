@@ -62,7 +62,7 @@ type reasm struct {
 	// clean records that words were materialized directly from d.c's own
 	// payload with no out-of-width bit dropped, so the departing cell is
 	// equal to the expected one by construction and the corruption compare
-	// can be skipped. Only the batched commit sets it.
+	// can be skipped. Only the wave commit sets it.
 	clean bool
 }
 
@@ -84,21 +84,20 @@ func (r *reasm) load(src []cell.Word, m cell.Word) {
 
 // linkSide is the periphery of the switch, the part §3 keeps minimal and
 // identical whatever memory sits behind it: one row of input registers per
-// incoming link (here the row's occupancy; the register words belong to the
-// one engine that still latches them, Switch's per-stage path) and, per
-// outgoing link, the reassembly of the one cell it is transmitting. Switch —
-// on both of its tick engines — and DualSwitch embed it; memory
-// organization and arbitration stay theirs.
+// incoming link (here the row's occupancy; a row is its occupant's words)
+// and, per outgoing link, the reassembly of the one cell it is
+// transmitting. Switch and DualSwitch embed it; memory organization and
+// arbitration stay theirs.
 //
 // An outgoing link carries one cell at a time: a read or write-through wave
 // initiated at c₀ books the link through c₀+k, its k-th word is on the wire
-// at c₀+k, and every engine books that departure at the top of cycle c₀+k,
-// before the cycle's arbitration can start the next transmission. rxHead[o]
-// is therefore all the egress state an output has; book panics if a second
+// at c₀+k, and the departure is booked at the top of cycle c₀+k, before the
+// cycle's arbitration can start the next transmission. rxHead[o] is
+// therefore all the egress state an output has; book panics if a second
 // transmission ever claims an occupied slot. A wave committed at initiation
-// fills its record at once (load, or a copy out of the bank) and completes
-// through its engine's cycle-indexed ring; only the per-stage path drives
-// the record word by word.
+// fills its record at once (load, or a copy out of the bank), one off the
+// commit a word per stage, and either completes through its switch's
+// cycle-indexed ring.
 type linkSide struct {
 	n, k int
 	// lp is Config.LinkPipeline: with §4.3 link pipelining, timestamps are
@@ -225,21 +224,6 @@ func (l *linkSide) book(o int, d *desc) *reasm {
 	l.txActive++
 	l.idleMask &^= uint64(1) << uint(o)
 	return r
-}
-
-// drive puts word w on outgoing link o at cycle c — an output register
-// loaded last cycle driving its link (§3.2) — and reports whether it was
-// the cell's k-th: the departure is complete.
-func (l *linkSide) drive(o int, w cell.Word, c int64) bool {
-	r := l.rxHead[o]
-	if r == nil {
-		panic(fmt.Sprintf("core: word on output %d with no departure in flight", o))
-	}
-	if len(r.words) == 0 {
-		r.start = c
-	}
-	r.words = append(r.words, w)
-	return len(r.words) >= l.k
 }
 
 // depart books the departure whose last word was on outgoing link o at

@@ -266,16 +266,16 @@ func (s *Switch) TickN(heads []*cell.Cell, n int64) {
 
 // idle reports that a Tick without heads can do nothing but advance the
 // clock: no cell is anywhere inside, the control ring has retired its last
-// wave, and the batched engine is running with nobody owed a call per cycle
-// (an observer's tallies and decimated flushes are per-cycle state, a tracer
-// is owed an event per cycle, and the per-stage engine runs exactly while a
-// fault seam is open). It is the one statement of that fact: Tick's
-// dead-cycle exit, TickN's fast-forward and Runner.Step's coasting all ask
-// it, and all three do the same thing with a yes — add to the clock.
-func (s *Switch) idle() bool { return s.Quiescent() && s.waveMask == 0 && s.unwatched() }
+// wave, no glitched control word is left to run, and nobody is owed a call
+// per cycle (an observer's tallies and decimated flushes are per-cycle
+// state, a tracer is owed an event per cycle). It is the one statement of
+// that fact: Tick's dead-cycle exit, TickN's fast-forward and Runner.Step's
+// coasting all ask it, and all three do the same thing with a yes — add to
+// the clock.
+func (s *Switch) idle() bool { return s.Quiescent() && s.waves == 0 && s.unwatched() }
 
 // unwatched is the half of idle a call between Ticks can change.
-func (s *Switch) unwatched() bool { return s.fastMode && s.obs == nil && s.tracer == nil }
+func (s *Switch) unwatched() bool { return s.obs == nil && s.tracer == nil && s.glitchN == 0 }
 
 // Quiescent reports that no cell is anywhere inside the switch — not on
 // the pipelined link wires, not awaiting a write wave, not buffered, not

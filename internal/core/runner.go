@@ -29,15 +29,14 @@ import (
 // and calls nothing. Whether cells or live control words are inside the
 // switch can change only in a Tick, and only Step ticks a runner's switch,
 // so that half of the verdict is remembered from the last Step that did
-// tick. Everything a call between two Steps can change is asked again on
-// every Step, and so ends a coast by itself: SetObserver and SetTracer
-// (each is owed every cycle), PreTick and Stage (so is each of them), any
-// fault seam — InjectMemoryFault on an ECC switch, the control and
-// input-register injections, a stuck or mapped-out bank — because all of
-// them leave the batched engine on the spot, and CellStream.Extend
-// (Session.ExtendSchedule), because the stream is asked, not remembered. A
-// restored runner remembers nothing and ticks once before it coasts again.
-// SetOutputOpen ends no coast: an empty switch has nothing to gate.
+// tick (a fault seam on an empty switch reaches no wave). Everything a call
+// between two Steps can change is asked again on every Step, and so ends a
+// coast by itself: SetObserver and SetTracer (each is owed every cycle), a
+// glitched control word (InjectControlFault: it runs at its stages),
+// PreTick and Stage (each is owed every cycle too), and CellStream.Extend
+// (Session.ExtendSchedule), because the stream is asked, not remembered. A restored runner remembers
+// nothing and ticks once before it coasts again. SetOutputOpen ends no
+// coast: an empty switch has nothing to gate.
 type Runner struct {
 	s      *Switch
 	cs     *traffic.CellStream

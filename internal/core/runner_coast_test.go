@@ -108,10 +108,17 @@ func TestCoastEndsAtEverySeam(t *testing.T) {
 		{name: "Stage", sees: true, apply: func(r *Runner, log *[]string) {
 			r.Stage = &passStage{wordBits: r.s.cfg.WordBits, log: log}
 		}},
-		{name: "InjectMemoryFault", apply: func(r *Runner, log *[]string) {
+		// An upset on an idle switch reaches no wave: the next is still
+		// nobody's business.
+		{name: "InjectMemoryFault", coasts: true, apply: func(r *Runner, log *[]string) {
 			r.Switch().InjectMemoryFault(3, 0, 1)
 		}},
-		{name: "forceExact", apply: func(r *Runner, log *[]string) { r.Switch().forceExact() }},
+		// A glitched read runs at its stages, counting its words.
+		{name: "InjectControlFault", apply: func(r *Runner, log *[]string) {
+			r.Switch().InjectControlFault(2, Op{Kind: OpRead, Out: 1, Addr: 3})
+		}, finish: func(r *Runner, log *[]string) {
+			*log = append(*log, fmt.Sprint(r.s.Counters().Get("glitch-words")))
+		}},
 		{name: "SetOutputOpen", coasts: true, apply: func(r *Runner, log *[]string) {
 			r.Switch().SetOutputOpen(0, false)
 		}},

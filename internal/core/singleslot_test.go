@@ -43,7 +43,8 @@ func TestSingleEgressSlot(t *testing.T) {
 			golden: 0xd1a6a029a2e734d0, deps: 696,
 		},
 		{
-			// An upset every 97 cycles in a stable word, scrubbed by its read.
+			// An upset every 97 cycles, under a wave in flight where there is
+			// one.
 			name: "ecc-window/sf",
 			cfg:  Config{Ports: 4, WordBits: 16, Cells: 16, ECC: true},
 			before: func(s faultSeams, c int64, _ func(int)) {
@@ -51,7 +52,7 @@ func TestSingleEgressSlot(t *testing.T) {
 					return
 				}
 				if sw, ok := s.(*Switch); ok {
-					eccTargets[c] = stableQuietAddr(sw, int(c)%8, int(c))
+					eccTargets[c] = underWave(sw, int(c)%8, int(c))
 				}
 				if a := eccTargets[c]; a >= 0 {
 					s.InjectMemoryFault(int(c)%8, a, 0x0040)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pipemem/internal/cell"
 	"pipemem/internal/stats"
@@ -76,7 +77,10 @@ func cellFromState(st *CellState) *cell.Cell {
 	return c
 }
 
-// OutWordState is the serialized form of one shared output register.
+// OutWordState is the serialized form of one shared output register. This
+// build writes the row empty — a word read off the wave commit goes to its
+// egress record in the cycle it is read — and on load appends a loaded
+// register's word to its output's record (the drive it was waiting for).
 type OutWordState struct {
 	Word     cell.Word
 	Out      int
@@ -134,8 +138,15 @@ type SwitchState struct {
 
 	Mem    [][]cell.Word
 	ECCMem [][]uint8 `json:",omitempty"`
+	// InReg[i] is input row i: its occupant's words where it has latched
+	// them (with the flips that landed there), and where it has not, the
+	// occupant's words too unless a wave or glitch still reads the
+	// previous occupant's there.
 	InReg  [][]cell.Word
 	OutReg []OutWordState
+	// Ctrl[slot] is the control word of each ring slot — a glitched word
+	// where one was glitched in beside a committed wave. Loaded lists the
+	// stages whose OutReg entry is loaded.
 	Ctrl   []Op
 	Loaded []int
 
@@ -173,15 +184,14 @@ type SwitchState struct {
 	LastInit     int64
 	WriteStartAt []int64
 
-	// Committed marks ctrl-ring slots whose memory traffic the batched
-	// fast path already applied (their departures are rebuilt from the
-	// egress records holding all K words). ForcedExact records that a
-	// per-stage fault seam fired, permanently pinning the exact path.
-	// Both are additive to the v1 schema: absent in older files, their
-	// zero values describe exactly what older files contain — a fully
-	// un-committed, exact-path state.
-	Committed   uint64 `json:",omitempty"`
-	ForcedExact bool   `json:",omitempty"`
+	// Committed has one bit per ring slot below 64 whose live wave was
+	// committed at initiation (its egress record holds all K words, its
+	// deposit is in Mem). A live slot without the bit runs off the commit
+	// from the restore on: a read or write-through whose output's record
+	// holds one word per stage run so far is its wave, any other a glitch.
+	// Slots from 64 on are always written open. Absent in older files, the
+	// zero value describes what they contain — every slot open.
+	Committed uint64 `json:",omitempty"`
 
 	// InDelay[slot][input] is the §4.3 link-pipelining delay line content
 	// (present only when Config.LinkPipeline > 0 and the line has been
@@ -201,21 +211,18 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 	if len(s.done) != 0 {
 		return nil, fmt.Errorf("core: snapshot with %d uncollected departures; call Drain before Snapshot", len(s.done))
 	}
-	// While batching, the input registers are not maintained per cycle;
-	// bring them to their canonical full-row form so the serialized state
-	// is deterministic regardless of how long the fast path ran.
-	if s.fastMode {
-		s.materializeInReg()
+	committed, err := s.committedMask()
+	if err != nil {
+		return nil, err
 	}
 	st := &SwitchState{
 		Config: s.cfg,
 		Cycle:  s.cycle,
 
 		Mem:    s.memBanks(),
-		InReg:  copyWords2(s.inReg),
+		InReg:  s.inRegState(),
 		OutReg: make([]OutWordState, s.k),
-		Ctrl:   append([]Op(nil), s.ctrl...),
-		Loaded: append([]int(nil), s.loaded...),
+		Ctrl:   make([]Op, s.k),
 
 		Inflight: make([]ArrivalState, s.n),
 
@@ -249,8 +256,12 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 		InitDelay:  s.initDelay.State(),
 		CutLatency: s.cutLatency.State(),
 
-		Committed:   s.committed,
-		ForcedExact: s.forcedExact,
+		Committed: committed,
+	}
+	for slot, op := range s.ctrl {
+		if st.Ctrl[slot] = op; s.glitch[slot] != nil && !s.open[slot] {
+			st.Ctrl[slot] = *s.glitch[slot]
+		}
 	}
 	if s.eccMem != nil {
 		st.ECCMem = make([][]uint8, s.k)
@@ -261,10 +272,6 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 			}
 			st.ECCMem[b] = row
 		}
-	}
-	for i := range s.outReg {
-		r := &s.outReg[i]
-		st.OutReg[i] = OutWordState{Word: r.word, Out: r.out, LoadedAt: r.loadedAt, Valid: r.valid}
 	}
 	for i := range s.inflight {
 		a := &s.inflight[i]
@@ -308,6 +315,73 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 	return st, nil
 }
 
+// committedMask is SwitchState.Committed. Slots from 64 on have no bit, so
+// their committed waves are opened first (behavior-inert: the wave then
+// makes its remaining accesses at their cycles), and a glitch beside a wave
+// still open has no place in the one control word a slot serializes.
+func (s *Switch) committedMask() (uint64, error) {
+	for st := s.k - 1; st >= 1; st-- {
+		if slot := s.ctrlSlot(s.cycle, st); slot >= 64 && s.ctrl[slot].Kind != OpNone && !s.open[slot] {
+			s.openChain(s.ctrl[slot].Addr, s.cycle-int64(st), s.cycle, false)
+		}
+	}
+	var m uint64
+	for slot := range s.ctrl {
+		switch {
+		case s.glitch[slot] != nil && s.glitch[slot].Kind != OpNone && s.open[slot]:
+			return 0, fmt.Errorf("core: snapshot: ring slot %d carries a control glitch beside a wave still off the commit; pmckpt v1 holds one control word per slot", slot)
+		case slot < 64 && s.ctrl[slot].Kind != OpNone && !s.open[slot] && s.glitch[slot] == nil:
+			m |= uint64(1) << uint(slot)
+		}
+	}
+	return m, nil
+}
+
+// inRegState is SwitchState.InReg: each row's occupant words, and the
+// register contents where something off the commit still reads them.
+func (s *Switch) inRegState() [][]cell.Word {
+	out := grid2(s.n, s.k)
+	for i, row := range out {
+		a, reads := &s.inflight[i], s.rowReadOpen(i)
+		for j := range row {
+			if row[j] = s.rowWord(i, j, s.cycle); a.active && !reads && a.head+int64(j) >= s.cycle {
+				row[j] = a.c.Words[j] & s.cfg.wordMask() // not latched yet
+			}
+		}
+	}
+	return out
+}
+
+// rowReadOpen reports that something off the wave commit may still read
+// input row i where its occupant has not latched: an open write of the
+// previous occupant, a glitched write, a flip there.
+func (s *Switch) rowReadOpen(i int) bool {
+	if s.openN == 0 && s.flipOcc == nil {
+		return false
+	}
+	if slot, _ := s.prevWrite(i); slot >= 0 && s.open[slot] {
+		return true
+	}
+	for _, g := range s.glitch {
+		if g != nil && g.Kind != OpRead && g.Kind != OpNone && g.In == i {
+			return true
+		}
+	}
+	return s.flipPrev != nil && slices.ContainsFunc(s.flipPrev[i], func(f cell.Word) bool { return f != 0 })
+}
+
+// prevWrite finds the write wave in flight from input row i's previous
+// occupant: its ring slot (-1 for none) and initiation cycle.
+func (s *Switch) prevWrite(i int) (int, int64) {
+	for st := 1; st < s.k; st++ {
+		slot, c0 := s.ctrlSlot(s.cycle, st), s.cycle-int64(st)
+		if op := &s.ctrl[slot]; op.Kind != OpNone && op.Kind != OpRead && op.In == i && s.inflight[i].head >= c0 {
+			return slot, c0
+		}
+	}
+	return -1, 0
+}
+
 // NewFromSnapshot rebuilds a switch from an exported state. The returned
 // switch has no observer, tracer, hooks or bufmgr policy installed —
 // reattach them before Ticking (a bufmgr policy must be the same policy
@@ -318,6 +392,7 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 		return nil, err
 	}
 	n, k := s.n, s.k
+	s.cycle = st.Cycle
 	if err := checkLens("switch state", map[string]([2]int){
 		"Mem":          {len(st.Mem), k},
 		"InReg":        {len(st.InReg), n},
@@ -370,32 +445,15 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 		if len(st.InReg[i]) != k {
 			return nil, fmt.Errorf("core: switch state InReg[%d] has %d words, want %d", i, len(st.InReg[i]), k)
 		}
-		copy(s.inReg[i], st.InReg[i])
 	}
-	for i, r := range st.OutReg {
-		s.outReg[i] = outWord{word: r.Word, out: r.Out, loadedAt: r.LoadedAt, valid: r.Valid}
-	}
-	copy(s.ctrl, st.Ctrl)
-	// Rebuild the SoA occupancy bookkeeping from the restored ring; the
-	// committed mask is sanitized against it (a committed bit is only
-	// meaningful on a slot holding a live op). The switch restarts on the
-	// exact path — committed slots are skipped there — and the deferred
-	// flip in Tick re-enters the batched path on the first cycle it is
-	// legal, so a fast-captured snapshot resumes at full speed.
-	s.waveMask = 0
-	for slot := range s.ctrl {
-		if s.ctrl[slot].Kind != OpNone && slot < 64 {
-			s.waveMask |= uint64(1) << uint(slot)
-		}
-	}
-	s.committed = st.Committed & s.waveMask
-	s.forcedExact = st.ForcedExact
 	for _, stg := range st.Loaded {
 		if stg < 0 || stg >= k {
 			return nil, fmt.Errorf("core: switch state loaded stage %d out of range", stg)
 		}
 	}
-	s.loaded = append(s.loaded[:0], st.Loaded...)
+	for slot := range st.Ctrl {
+		s.setCtrl(slot, &st.Ctrl[slot])
+	}
 
 	s.pendingWrites, s.pendMask = 0, 0
 	for i := range st.Inflight {
@@ -445,12 +503,6 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 			s.occMask |= uint64(1) << uint(o) // o ≥ 64 shifts to 0: mask unused there
 		}
 	}
-	// Restored payloads live in st.Mem; no deposit is deferred.
-	for a := range s.memLazy {
-		s.memLazy[a] = nil
-	}
-	s.lazyCount = 0
-
 	copy(s.wrSkip, st.WrSkip)
 	copy(s.inStalls, st.InStalls)
 	copy(s.inDrops, st.InDrops)
@@ -473,32 +525,46 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 			if why := cellUnusable(rs.Desc.Cell, n, k); why != "" {
 				return nil, fmt.Errorf("core: switch state egress %d %s", o, why)
 			}
-			if len(rs.Words) > k {
-				return nil, fmt.Errorf("core: switch state egress %d has reassembled %d words of a %d-word cell", o, len(rs.Words), k)
-			}
 			d := descFromState(&rs.Desc)
 			r := s.book(o, &d)
 			r.words = append(r.words, rs.Words...)
 			r.start = rs.Start
-			// A record already holding all K words is a departure the
-			// batched path committed whole: the exact drive appends the
-			// K-th word and completes in the same phase, so it never
-			// serializes a full record. Re-post it to the completion ring
-			// (head on the link at Start ⇒ tail, and completion, at
-			// Start+K-1).
-			if len(r.words) == k {
-				cc := r.start + int64(k) - 1
-				if cc < st.Cycle || cc >= st.Cycle+int64(k) {
-					return nil, fmt.Errorf("core: switch state egress %d holds a committed departure completing at cycle %d, outside %d…%d", o, cc, st.Cycle, st.Cycle+int64(k)-1)
+		}
+	}
+	// A loaded output register drives its link this cycle: its word joins
+	// the record (a glitched read's, with no record to fill, goes nowhere).
+	for _, stg := range st.Loaded {
+		if g := &st.OutReg[stg]; g.Valid && g.Out >= 0 && g.Out < n {
+			if r := s.rxHead[g.Out]; r != nil && len(r.words) < k {
+				if len(r.words) == 0 {
+					r.start = st.Cycle
 				}
-				slot := s.depSlot(cc)
-				if s.departAt[slot] >= 0 {
-					return nil, fmt.Errorf("core: switch state schedules two committed departures for cycle %d", cc)
-				}
-				s.departAt[slot] = o
+				r.words = append(r.words, g.Word)
 			}
 		}
 	}
+	// Every transmission completes k-1 cycles after its head word: one
+	// committed at initiation holds all k words, one off the commit one word
+	// per stage run so far.
+	for o, r := range s.rxHead {
+		if r == nil {
+			continue
+		}
+		if len(r.words) > k {
+			return nil, fmt.Errorf("core: switch state egress %d has reassembled %d words of a %d-word cell", o, len(r.words), k)
+		}
+		cc := r.start + int64(k) - 1
+		if cc < st.Cycle || cc >= st.Cycle+int64(k) {
+			return nil, fmt.Errorf("core: switch state egress %d holds a departure completing at cycle %d, outside %d…%d", o, cc, st.Cycle, st.Cycle+int64(k)-1)
+		}
+		slot := s.depSlot(cc)
+		if s.departAt[slot] >= 0 {
+			return nil, fmt.Errorf("core: switch state schedules two departures for cycle %d", cc)
+		}
+		s.departAt[slot] = o
+	}
+	s.reopen(st.Committed)
+	s.restoreRows(st.InReg)
 
 	if st.Stuck != nil {
 		if len(st.Stuck) != k {
@@ -516,15 +582,14 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	s.addrLimit = st.AddrLimit
 	s.lastInit = st.LastInit
 	copy(s.writeStartAt, st.WriteStartAt)
-	// The dirty set is derived, never serialized: an upset leaves a word
-	// that fails its check bits, so flagging every address holding one puts
-	// a resumed run on the same engine as the uninterrupted one.
-	if s.eccMem != nil {
-		for a := range s.eccDirty {
-			if !s.addrClean(a) {
-				s.eccDirty[a] = true
-				s.eccDirtyN++
-			}
+	// The dirty set is derived, never serialized: it is exactly the
+	// addresses holding a word that fails its check bits.
+	for a := range s.eccDirty {
+		s.eccRecheck(a)
+	}
+	for _, on := range s.stuck {
+		if on {
+			s.stuckN++
 		}
 	}
 
@@ -563,8 +628,61 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	if err := s.cutLatency.RestoreState(st.CutLatency); err != nil {
 		return nil, fmt.Errorf("core: restore cut-latency histogram: %w", err)
 	}
-	s.cycle = st.Cycle
 	return s, nil
+}
+
+// restoreRows rebuilds the input rows from their serialized registers: where
+// the occupant has latched a word, what the register holds beyond it is a
+// flip; where it has not, the register is the previous occupant's if
+// something off the commit reads it there (inRegState), and otherwise the
+// previous occupant's words are those of the cell its committed write wave,
+// still in flight, writes — found by its descriptor, queued or on its link.
+func (s *Switch) restoreRows(rows [][]cell.Word) {
+	for i, row := range rows {
+		s.prev[i] = append([]cell.Word(nil), row...)
+		if slot, c0 := s.prevWrite(i); slot >= 0 && !s.rowReadOpen(i) {
+			for node := range s.nodes {
+				if d := &s.nodes[node]; s.nfree.Allocated(node) && d.addr == s.ctrl[slot].Addr && d.writeStart == c0 {
+					s.prev[i] = d.c.Words
+				}
+			}
+			for _, r := range s.rxHead {
+				if r != nil && r.d.addr == s.ctrl[slot].Addr && r.d.writeStart == c0 {
+					s.prev[i] = r.d.c.Words
+				}
+			}
+		}
+		for j, a := 0, &s.inflight[i]; a.active && j < s.k && a.head+int64(j) < s.cycle; j++ {
+			if f := (row[j] ^ a.c.Words[j]) & s.cfg.wordMask(); f != 0 {
+				s.allocFlips()
+				s.flipOcc[i][j] = f
+			}
+		}
+	}
+}
+
+// reopen marks the live ring slots a restored switch runs off the commit:
+// those without their bit in committed (every slot from 64 on). A read or
+// write-through whose output's record holds one word per stage run so far
+// is the slot's wave; any other is a glitch beside a wave that completed
+// at initiation.
+func (s *Switch) reopen(committed uint64) {
+	c := s.cycle
+	for st := s.k - 1; st >= 1; st-- {
+		slot, c0 := s.ctrlSlot(c, st), c-int64(st)
+		op := s.ctrl[slot]
+		if op.Kind == OpNone || slot < 64 && committed&(uint64(1)<<uint(slot)) != 0 {
+			continue
+		}
+		s.openN++
+		if r := s.rxHead[op.Out]; op.Kind == OpWrite || r != nil && r.start == c0+1 && len(r.words) == st {
+			s.open[slot] = true
+			continue
+		}
+		s.setCtrl(slot, &Op{})
+		s.glitch[slot] = &op
+		s.glitchN++
+	}
 }
 
 // memBanks exports the flat address-major buffer as the per-bank 2D view
@@ -583,12 +701,12 @@ func (s *Switch) memBanks() [][]cell.Word {
 	return out
 }
 
-func copyWords2(src [][]cell.Word) [][]cell.Word {
-	out := make([][]cell.Word, len(src))
-	for i := range src {
-		out[i] = append([]cell.Word(nil), src[i]...)
+func grid2(rows, cols int) [][]cell.Word {
+	g := make([][]cell.Word, rows)
+	for i := range g {
+		g[i] = make([]cell.Word, cols)
 	}
-	return out
+	return g
 }
 
 func copyInts2(src [][]int) [][]int {

@@ -83,14 +83,6 @@ func (o Op) String() string {
 	}
 }
 
-// outWord is one register of the shared output register row.
-type outWord struct {
-	word     cell.Word
-	out      int
-	loadedAt int64
-	valid    bool
-}
-
 // Switch is the cycle-accurate pipelined memory shared buffer switch.
 // Construct with New; advance with Tick; collect departures with Drain.
 type Switch struct {
@@ -103,28 +95,23 @@ type Switch struct {
 
 	// mem is the shared buffer in structure-of-arrays form: one flat word
 	// slice laid out address-major (index addr*k+st), so the k words of a
-	// wave occupy one contiguous run the batched fast path can copy with a
-	// single sweep. memIdx resolves the (stage, address) view the per-stage
-	// exact path and the fault layer use.
+	// wave occupy one contiguous run the wave commit copies with a single
+	// sweep. memIdx resolves the (stage, address) view the fault layer uses.
 	mem []cell.Word
-	// memLazy defers the bank deposit of unicast write waves on the
-	// batched fast path: the address's single pending read serves its k
-	// words straight from the still-resident cell, so the payload crosses
-	// memory once instead of twice. Every consumer that reads the array
-	// directly (snapshot, fault injection, exact-mode hand-over) calls
-	// materializeLazy first. lazyCount tracks live entries so those cold
-	// seams skip the scan when nothing is deferred.
-	memLazy   []*cell.Cell // [address]
-	lazyCount int
-	inReg     [][]cell.Word // [input][stage]
-	outReg    []outWord     // [stage]
+	// memLazy defers the bank deposit of unicast write waves: the address's
+	// single pending read serves its k words straight from the
+	// still-resident cell, so the payload crosses memory once instead of
+	// twice. Every consumer that reads the array directly (snapshot, the
+	// fault layer) calls materializeLazy or materializeAddr first.
+	memLazy []*cell.Cell // [address]
 	// ctrl is the pipelined control path stored as a ring indexed by wave
 	// initiation cycle: slot c0%k holds the op initiated at cycle c0, and
 	// stage st executes slot (c-st)%k at cycle c. This is the same
 	// "stage s+1 repeats stage s's operation next cycle" schedule of §3.3
 	// without physically shifting a control word per stage per cycle.
-	// ctrlAt resolves the stage view.
-	ctrl []Op // [initiation cycle % k]
+	// waves counts the live ops.
+	ctrl  []Op // [initiation cycle % k]
+	waves int
 
 	free   *fifo.FreeList
 	queues *fifo.MultiQueue // per (output, VC), of descriptor nodes
@@ -158,7 +145,6 @@ type Switch struct {
 	vcTokens  [][]int
 	writeRR   int // tie-break pointer over inputs (EDF first)
 
-	loaded []int // stages whose outReg was loaded this cycle
 	// tracer is the fig. 5 tap (trace.go): nil — the default — costs one
 	// pointer test per Tick, outside both engines.
 	tracer func(TraceEvent)
@@ -176,9 +162,9 @@ type Switch struct {
 	// the default — costs one pointer test per arbitrate call.
 	prof *PhaseProf
 
-	// cAccepted…cDropPushout are hot counter slots (stats.Counter.Hot) on
+	// cAccepted…cGlitchWords are hot counter slots (stats.Counter.Hot) on
 	// the link side's counter set.
-	cAccepted, cDropPolicy, cDropPushout *int64
+	cAccepted, cDropPolicy, cDropPushout, cStageWords, cGlitchWords *int64
 
 	// vcGate, when set, must return true for a transmission to start on
 	// an (output, VC) pair — per-VC flow control; the per-output level is
@@ -201,20 +187,21 @@ type Switch struct {
 	// Fault-tolerance state (defense layers; see degrade.go). eccMem holds
 	// the per-word SEC-DED check bits when Config.ECC is on, laid out like
 	// mem (index memIdx), and ecc is the code for the configured word width.
-	// eccDirty flags the addresses holding an injected upset that no wave
-	// has scrubbed or overwritten yet, eccDirtyN counts them: the batched
-	// path, which never decodes, runs only while the set is empty (the
-	// clean-word invariant, wantFast). stuck marks banks with an injected
-	// stuck-at fault. stageErr tallies uncorrectable errors per bank;
-	// stageDown marks banks mapped out by bypass. Once a bypass halves the
-	// buffer, addrLimit is the usable address count and the upper half of
-	// every healthy bank is the redirect region for its mapped-out partner.
-	// lastInit spaces initiations while degraded.
+	// eccDirty flags exactly the addresses holding a word that fails its
+	// check bits, eccDirtyN counts them: the wave commit never decodes, so a
+	// wave over a flagged address runs off it (the clean-word invariant).
+	// stuck marks banks with an injected stuck-at fault, stuckN counts them.
+	// stageErr tallies uncorrectable errors per bank; stageDown marks banks
+	// mapped out by bypass. Once a bypass halves the buffer, addrLimit is the
+	// usable address count and the upper half of every healthy bank is the
+	// redirect region for its mapped-out partner. lastInit spaces
+	// initiations while degraded.
 	eccMem    []uint8
 	ecc       *eccCode
 	eccDirty  []bool
 	eccDirtyN int
 	stuck     []bool
+	stuckN    int
 	stageErr  []int
 	stageDown []bool
 	halved    bool
@@ -226,24 +213,27 @@ type Switch struct {
 	// only fully deposited words.
 	writeStartAt []int64
 
-	// Batched fast path (structure-of-arrays Tick engine). While fastMode
-	// is on, every wave's memory traffic is committed in one contiguous
-	// sweep at initiation — legal because a cell's words are immutable once
-	// injected and wave orderings are stage-uniform (two waves touching one
-	// address never interleave out of initiation order) — and its departure
-	// is posted to departAt, the cycle-indexed completion ring, instead of
-	// being driven word by word through outReg. waveMask has one bit per
-	// ctrl slot holding a live op; committed marks slots whose memory
-	// traffic was already applied by the batched path, so the per-stage
-	// exact loop (which the two paths hand over to when the fault layer's
-	// per-stage seams arm) skips them. forcedExact latches the exact path on
-	// once a per-stage fault seam (control/input-register injection, stuck
-	// banks) has been exercised.
-	fastMode    bool
-	forcedExact bool
-	waveMask    uint64
-	committed   uint64
-	departAt    []int // [cycle & depMask]: the output completing then, -1 for none
+	// The wave commit (tick): every wave's memory traffic is applied in one
+	// contiguous sweep at initiation — legal because a cell's words are
+	// immutable once injected and wave orderings are stage-uniform (two
+	// waves touching one address never interleave out of initiation order)
+	// — and its departure is posted to departAt, the cycle-indexed
+	// completion ring. A wave a fault can still reach runs off the commit
+	// instead (degrade.go): open marks its ring slot, and its remaining
+	// stages access the banks at their own cycles. glitch holds, per slot,
+	// a control word glitched in beside the wave (InjectControlFault), which
+	// runs the same way. openN counts open slots and non-squash glitches,
+	// glitchN all glitches.
+	// prev[i] is the words of input row i's previous occupant, which its
+	// positions hold until the occupant latches them; flipOcc and flipPrev
+	// (nil until the first input-register fault) are the flips that landed
+	// on the occupant's latched words and on the rest of the row.
+	departAt          []int // [cycle & depMask]: the output completing then, -1 for none
+	open              []bool
+	glitch            []*Op
+	openN, glitchN    int
+	prev              [][]cell.Word
+	flipOcc, flipPrev [][]cell.Word
 	// ctrlMask is k-1 when k is a power of two — slotOf then replaces the
 	// hardware divide the per-cycle ring indexing would otherwise pay —
 	// and -1 otherwise. depMask is len(departAt)-1 (the completion ring is
@@ -258,8 +248,8 @@ type Switch struct {
 	// The read side arbitrates over one ready word, occMask & idleMask &
 	// openMask (n ≤ 64). The link side's idleMask has one bit per output
 	// whose egress slot is empty: cleared by startTransmit, set by
-	// finishDeparture — the two edges of linkFree[o], which both engines
-	// execute at exactly those cycles, so it is derived state (never
+	// finishDeparture — the two edges of linkFree[o], which the tick
+	// executes at exactly those cycles, so it is derived state (never
 	// serialized, rebuilt by NewFromSnapshot). openMask is the pushed level
 	// of the output gates (SetOutputOpen); outOpen is the same level per
 	// output, for the cut-through test and the n > 64 index walk.
@@ -273,9 +263,9 @@ type Switch struct {
 	inDelay      [][]*cell.Cell
 	delayScratch []*cell.Cell // reused heads vector for the delayed wave
 	delayCount   int
-	// auditScratch is the per-bank claim table AuditInvariants reuses so
-	// online audits stay allocation-free.
-	auditScratch []int
+	// auditScratch (per bank) and auditRef (per address) are the tables
+	// AuditInvariants reuses so online audits stay allocation-free.
+	auditScratch, auditRef []int
 	// initDelay accumulates §3.4's staggered-initiation delay.
 	initDelay stats.Mean
 }
@@ -291,9 +281,10 @@ func New(cfg Config) (*Switch, error) {
 		cfg:          cfg,
 		mem:          make([]cell.Word, k*cfg.Cells),
 		memLazy:      make([]*cell.Cell, cfg.Cells),
-		inReg:        make([][]cell.Word, n),
-		outReg:       make([]outWord, k),
 		ctrl:         make([]Op, k),
+		open:         make([]bool, k),
+		glitch:       make([]*Op, k),
+		prev:         make([][]cell.Word, n),
 		free:         fifo.NewFreeList(cfg.Cells),
 		queues:       fifo.NewMultiQueue(n*cfg.VCs, cfg.Cells*n),
 		nodes:        make([]desc, cfg.Cells*n),
@@ -307,7 +298,6 @@ func New(cfg Config) (*Switch, error) {
 		linkFree:     make([]int64, n),
 		outOpen:      make([]bool, n),
 		vcRR:         make([]int, n),
-		loaded:       make([]int, 0, k),
 		stageErr:     make([]int, k),
 		stageDown:    make([]bool, k),
 		addrLimit:    cfg.Cells,
@@ -333,9 +323,6 @@ func New(cfg Config) (*Switch, error) {
 		s.ecc = newECC(cfg.WordBits)
 		s.eccDirty = make([]bool, cfg.Cells)
 	}
-	for i := range s.inReg {
-		s.inReg[i] = make([]cell.Word, k)
-	}
 	for o := range s.outOpen {
 		s.outOpen[o] = true
 	}
@@ -343,6 +330,8 @@ func New(cfg Config) (*Switch, error) {
 	s.cAccepted = s.counter.Hot("accepted")
 	s.cDropPolicy = s.counter.Hot("drop-policy")
 	s.cDropPushout = s.counter.Hot("drop-pushout")
+	s.cStageWords = s.counter.Hot("stage-words")
+	s.cGlitchWords = s.counter.Hot("glitch-words")
 	s.polState = &bufView{s}
 	return s, nil
 }
@@ -402,51 +391,17 @@ func (s *Switch) occDec(o int) {
 // buffer array: a wave's k words are contiguous at addr*k.
 func (s *Switch) memIdx(st, addr int) int { return addr*s.k + st }
 
-// setCtrl writes one control-ring slot, maintaining the SoA occupancy
-// bookkeeping: waveMask, the bitset of live ops (k ≤ 64). Overwriting a
-// slot always clears its committed bit — the new op's memory traffic has
-// not been applied yet. The op is taken by pointer (never retained) so the
-// per-cycle call moves no 40-byte struct.
+// setCtrl writes one control-ring slot, keeping the live-op count. The op is
+// taken by pointer (never retained) so the per-cycle call moves no 40-byte
+// struct.
 func (s *Switch) setCtrl(slot int, op *Op) {
-	s.ctrl[slot] = *op
-	bit := uint64(1) << uint(slot) // slot ≥ 64 shifts to 0: mask unused there
+	if s.ctrl[slot].Kind != OpNone {
+		s.waves--
+	}
 	if op.Kind != OpNone {
-		s.waveMask |= bit
-	} else {
-		s.waveMask &^= bit
+		s.waves++
 	}
-	s.committed &^= bit
-}
-
-// wantFast reports whether the batched structure-of-arrays path may run:
-// no fault seam is open and the bitset masks fit. Stuck-at faults and an
-// active bypass route every word through the fault layer; forcedExact
-// latches after a per-stage fault seam fired; and the masks need k ≤ 64.
-// ECC alone does not pin the exact path: decoding a word nobody has flipped
-// is a no-op, so the batched path — which deposits matching check bits and
-// never decodes — may run exactly while no stored word carries an injected
-// upset (eccDirtyN, see InjectMemoryFault). Nothing that only watches the
-// switch is listed: the observer and the fig. 5 tracer tap both engines.
-func (s *Switch) wantFast() bool {
-	return !s.forcedExact && s.eccDirtyN == 0 &&
-		s.stuck == nil && !s.halved && s.k <= 64
-}
-
-// dropFast leaves the batched fast path immediately. The input registers —
-// not maintained per cycle while batching — are materialized first, so the
-// exact path (and anything that reads or faults inReg) resumes from valid
-// state, and the deferred deposits land in the banks. Nothing on the link
-// side changes hands: each output's transmission stays in its egress slot.
-// Waves committed by the fast path stay marked in the committed mask; the
-// exact execute loop skips them and their departures complete through the
-// departAt ring.
-func (s *Switch) dropFast() {
-	if !s.fastMode {
-		return
-	}
-	s.materializeInReg()
-	s.materializeLazy()
-	s.fastMode = false
+	s.ctrl[slot] = *op
 }
 
 // materializeLazy deposits every deferred unicast payload into the bank
@@ -455,9 +410,6 @@ func (s *Switch) dropFast() {
 // write traffic. Idempotent; called on every seam that reads the array
 // directly.
 func (s *Switch) materializeLazy() {
-	if s.lazyCount == 0 {
-		return
-	}
 	for a, lc := range s.memLazy {
 		if lc == nil {
 			continue
@@ -474,7 +426,6 @@ func (s *Switch) materializeAddr(a int) {
 	}
 	s.deposit(a, lc.Words)
 	s.memLazy[a] = nil
-	s.lazyCount--
 }
 
 // deposit is a whole write wave's bank traffic in one sweep: the k words of
@@ -492,38 +443,6 @@ func (s *Switch) deposit(a int, src []cell.Word) {
 			chk[j] = s.ecc.encode(w)
 		}
 	}
-}
-
-// materializeInReg rebuilds the input-register rows from the cells
-// currently occupying them: the canonical full-row form (every word of the
-// current arrival, masked). Positions the exact engine would not have
-// latched yet hold the very words the upcoming latch cycles would write,
-// so resuming per-cycle latching from this state is behavior-identical;
-// rows that never held a cell stay zero. Called when the fast path hands
-// over to the exact path and when a snapshot is taken while batching, so
-// serialized state is deterministic regardless of how long the fast path
-// ran.
-func (s *Switch) materializeInReg() {
-	wb := s.cfg.WordBits
-	for i := range s.inflight {
-		a := &s.inflight[i]
-		if !a.active {
-			continue
-		}
-		row := s.inReg[i]
-		for j := 0; j < s.k; j++ {
-			row[j] = a.c.Words[j].Mask(wb)
-		}
-	}
-}
-
-// forceExact is the fault layer's hand-over: a per-stage seam (control
-// injection, input-register injection, stuck banks) was exercised, so the
-// per-stage exact path must run from now on — permanently, since the
-// seam's effect on in-flight state cannot be re-derived.
-func (s *Switch) forceExact() {
-	s.dropFast()
-	s.forcedExact = true
 }
 
 // qidx maps an (output, vc) pair to its descriptor-queue index.
@@ -551,10 +470,9 @@ func (s *Switch) InitDelay() *stats.Mean { return &s.initDelay }
 
 // SetTracer installs a per-cycle trace callback (nil to disable); see
 // TraceEvent. The tracer is a tap, not a mode: an event is a function of
-// the control ring and the input rows' occupancy, which both tick engines
-// maintain, so the switch runs on whichever engine it would run on
-// untraced, and a tracer installed at any cycle reports from that cycle on
-// exactly what one installed at cycle 0 would have (emitTrace).
+// the control ring and the input rows' occupancy, so the switch runs as it
+// would untraced, and a tracer installed at any cycle reports from that
+// cycle on exactly what one installed at cycle 0 would have (emitTrace).
 func (s *Switch) SetTracer(f func(TraceEvent)) { s.tracer = f }
 
 // SetOutputOpen drives output out's gate level — the "credit available"
@@ -702,160 +620,11 @@ func (s *Switch) SetLeanDepartures(on bool) { s.leanDepart = on }
 // carries one word per cycle, so heads may be at most K cycles apart).
 // heads may be nil when no cell arrives anywhere.
 func (s *Switch) Tick(heads []*cell.Cell) {
-	// Mode selection. Dropping to the exact path is done eagerly by the
-	// seams that require it (the fault layer); entering the
-	// fast path is deferred until no un-committed wave is in flight and no
-	// output-register drive is pending, so neither path ever has to
-	// reconstruct the other's mid-wave state.
-	if s.fastMode {
-		if !s.wantFast() {
-			s.dropFast()
-		}
-	} else if s.wantFast() && s.waveMask&^s.committed == 0 && len(s.loaded) == 0 {
-		// Hand-over: with every wave committed and no drive pending, every
-		// occupied egress slot holds a fully materialized departure already
-		// posted to the completion ring — the batched engine's own
-		// invariant, so there is nothing to convert.
-		s.fastMode = true
-	}
-	switch {
-	case s.tracer != nil:
+	if s.tracer != nil {
 		s.tickTraced(heads)
-	case s.fastMode:
-		s.tickFast(heads)
-	default:
-		s.tickExact(heads)
+		return
 	}
-}
-
-// tickExact is the per-stage cycle-accurate path: the original fig. 5
-// machine, walking the ctrl ring stage by stage. It runs while one of the
-// fault layer's per-stage seams is open (wantFast).
-func (s *Switch) tickExact(heads []*cell.Cell) {
-	c := s.cycle
-
-	heads = s.delayStep(c, heads)
-
-	// Departures the batched fast path scheduled before handing over
-	// complete through the ring; their words are fully materialized.
-	s.completeDue(c)
-
-	// Phase 1 — egress: output registers loaded in the previous cycle
-	// drive their outgoing links now ("in the next cycle, this register
-	// drives the desired outgoing link", §3.2).
-	// s.loaded lists exactly the stages whose output register was loaded
-	// last cycle; every one of them drives its link now. The word lands in
-	// the link's egress record; the k-th word completes a departure.
-	for _, st := range s.loaded {
-		rg := &s.outReg[st]
-		if s.drive(rg.out, rg.word, c) {
-			s.finishDeparture(rg.out, c)
-		}
-		rg.valid = false
-	}
-	s.loaded = s.loaded[:0]
-
-	// Phase 2 — arbitration: choose at most one new wave for stage M0.
-	// The slot being claimed last held the wave initiated k cycles ago,
-	// which completed its stage-(k-1) operation in the previous cycle.
-	base := s.slotOf(c)
-	if s.eccDirtyN > 0 && s.ctrl[base].Kind != OpNone {
-		s.eccRetire(s.ctrl[base].Addr)
-	}
-	var op Op
-	s.arbitrate(c, &op)
-	s.setCtrl(base, &op)
-
-	// Per-input backpressure accounting: every arrival still waiting for
-	// its write wave after arbitration waited one more cycle. This is what
-	// makes buffer exhaustion visible per port instead of a silent retry
-	// (the aggregate §3.4 stall signal lives in observeCycle).
-	s.accrueStalls(c)
-
-	if s.obs != nil {
-		s.observeCycle(c, s.ctrl[base])
-	}
-
-	// Phases 3+4 — execute: stage st performs the op of the wave initiated
-	// at cycle c-st ("stage s+1 repeats stage s's operation next cycle",
-	// §3.3); the ring indexing replaces the per-stage control-word shift.
-	// Reads and writes go through the fault-tolerance layer (degrade.go)
-	// only when it can act — ECC armed, a stuck-at fault injected, or a
-	// bypass active — and hit the RAM directly otherwise. A write-through
-	// taps the data bus directly, so the RAM plays no part in the
-	// departing word (§3.3).
-	fastMem := s.eccMem == nil && s.stuck == nil && !s.halved
-	idx := base
-	for st := 0; st < s.k; st++ {
-		slot := idx
-		op := s.ctrl[idx]
-		if idx--; idx < 0 {
-			idx = s.k - 1
-		}
-		if s.committed&(uint64(1)<<uint(slot)) != 0 {
-			// The batched fast path already applied this wave's memory
-			// traffic and posted its departure to departAt; re-executing
-			// its stages would double-drive the output.
-			continue
-		}
-		switch op.Kind {
-		case OpWrite:
-			if fastMem {
-				s.mem[op.Addr*s.k+st] = s.inReg[op.In][st]
-			} else {
-				s.writeWord(st, op.Addr, op.Remap, s.inReg[op.In][st])
-			}
-		case OpRead:
-			var w cell.Word
-			if fastMem {
-				w = s.mem[op.Addr*s.k+st]
-			} else {
-				w = s.readWord(st, op.Addr, op.Remap)
-			}
-			s.outReg[st] = outWord{word: w, out: op.Out, loadedAt: c, valid: true}
-			s.loaded = append(s.loaded, st)
-		case OpWriteThrough:
-			w := s.inReg[op.In][st]
-			if fastMem {
-				s.mem[op.Addr*s.k+st] = w
-			} else {
-				s.writeWord(st, op.Addr, op.Remap, w)
-			}
-			s.outReg[st] = outWord{word: w, out: op.Out, loadedAt: c, valid: true}
-			s.loaded = append(s.loaded, st)
-		}
-	}
-
-	// Phase 5 — ingress: arriving words are latched into the input
-	// registers at the end of the cycle.
-	for i := 0; i < s.n; i++ {
-		a := &s.inflight[i]
-		if a.active {
-			if j := c - a.head; j > 0 && j < int64(s.k) {
-				s.inReg[i][j] = a.c.Words[j].Mask(s.cfg.WordBits)
-			}
-		}
-		if heads == nil || heads[i] == nil {
-			continue
-		}
-		if lost := s.admit(i, heads[i], c); lost != nil {
-			s.overrun(i, lost)
-		}
-		s.inReg[i][0] = heads[i].Words[0].Mask(s.cfg.WordBits)
-	}
-
-	// Faulty-stage bypass: a bank that has accumulated BypassThreshold
-	// uncorrectable ECC errors is mapped out at the end of the cycle,
-	// outside the execute phase (degrade.go).
-	if t := s.cfg.BypassThreshold; t > 0 {
-		for b := 0; b < s.k; b++ {
-			if !s.stageDown[b] && s.stageErr[b] >= t {
-				s.mapOutBank(b)
-			}
-		}
-	}
-
-	s.cycle++
+	s.tick(heads)
 }
 
 // delayStep advances the §4.3 link-pipelining delay line: heads spend
@@ -893,18 +662,18 @@ func (s *Switch) delayStep(c int64, heads []*cell.Cell) []*cell.Cell {
 	return s.delayScratch
 }
 
-// tickFast is the batched structure-of-arrays cycle. One arbitration (the
-// same policy code as the exact path), one contiguous sweep applying the
-// chosen wave's entire memory traffic, and ring-scheduled completion — no
-// per-stage ctrl walk, no per-cycle input-register latching, no per-word
-// output drive. It is bit-identical to tickExact for every configuration
-// wantFast admits: a cell's words are immutable once injected, and wave
-// schedules are stage-uniform (stage st of the wave initiated at c0 runs
-// at exactly c0+st), so two waves touching one address always execute each
-// stage in initiation order — committing a wave's full traffic at
-// initiation commutes with every other wave, and a departure completed at
-// c0+k carries the exact words the per-stage drive would have assembled.
-func (s *Switch) tickFast(heads []*cell.Cell) {
+// tick is one cycle of the switch: one arbitration, the chosen wave's
+// entire memory traffic applied in one contiguous sweep, and ring-scheduled
+// completion — no per-stage ctrl walk, no per-cycle input-register latching,
+// no per-word output drive. Committing a wave at initiation is exact: a
+// cell's words are immutable once injected, and wave schedules are
+// stage-uniform (stage st of the wave initiated at c0 runs at exactly
+// c0+st), so two waves touching one address always execute each stage in
+// initiation order — a wave's full traffic commutes with every other wave's,
+// and a departure completed at c0+k carries the words a per-stage drive
+// would have assembled. Where a fault can reach a wave that argument stops
+// holding, and the wave runs off the commit (initiate, runStages).
+func (s *Switch) tick(heads []*cell.Cell) {
 	// Dead-cycle exit (TickN skips runs of these cycles in O(1), Runner.Step
 	// does not even call).
 	if heads == nil && s.idle() {
@@ -928,25 +697,36 @@ func (s *Switch) tickFast(heads []*cell.Cell) {
 	if s.pendingWrites != 0 || s.queues.Total() != 0 {
 		s.arbitrate(c, &op)
 	}
+	if s.openN|s.glitchN != 0 {
+		s.retire(base)
+	}
 	if op.Kind != OpNone || s.ctrl[base].Kind != OpNone {
 		s.setCtrl(base, &op)
 	}
 	if op.Kind != OpNone {
-		s.commitWave(base, &op, c)
+		if s.seamsOpen() {
+			s.initiate(base, &op, c)
+		} else {
+			s.commitWave(&op, c)
+		}
 	}
 
 	s.accrueStalls(c)
 	if s.obs != nil {
 		s.observeCycle(c, op)
 	}
+	if s.openN != 0 {
+		s.runStages(c)
+	}
 
 	// Ingress: record arrivals. The input registers are not latched per
-	// cycle — commitWave (and materializeInReg on hand-over to the exact
-	// path) read the words straight from the immutable cell.
+	// cycle: a row is its occupant's words (plus the flips the fault layer
+	// records), read straight from the immutable cell.
 	for i, nc := range heads {
 		if nc == nil {
 			continue
 		}
+		s.shiftRow(i)
 		if lost := s.admit(i, nc, c); lost != nil {
 			s.overrun(i, lost)
 		}
@@ -970,10 +750,10 @@ func (s *Switch) overrun(i int, lost *cell.Cell) {
 	}
 }
 
-// completeDue books the departure the batched engine posted for cycle c, if
-// any. At most one wave initiates per cycle, so at most one completes per
-// cycle — the one posted k cycles ago. (Kept within the inliner's budget:
-// it runs every cycle on both engines.)
+// completeDue books the departure posted for cycle c, if any. At most one
+// wave initiates per cycle, so at most one completes per cycle — the one
+// posted k cycles ago. (Kept within the inliner's budget: it runs every
+// cycle.)
 func (s *Switch) completeDue(c int64) {
 	if o := s.departAt[s.depSlot(c)]; o >= 0 {
 		s.finishDeparture(o, c)
@@ -981,11 +761,10 @@ func (s *Switch) completeDue(c int64) {
 }
 
 // commitWave applies the entire memory traffic of the wave just initiated
-// at cycle c in one contiguous sweep and schedules its departure,
-// replacing the k per-stage executions of the exact path. The flat
-// address-major layout makes each case a single run over mem[addr*k :
+// at cycle c in one contiguous sweep and schedules its departure, in place
+// of its k per-stage accesses. The flat address-major layout makes each case a single run over mem[addr*k :
 // addr*k+k].
-func (s *Switch) commitWave(slot int, op *Op, c int64) {
+func (s *Switch) commitWave(op *Op, c int64) {
 	m := s.cfg.wordMask() // once for the whole sweep
 	switch op.Kind {
 	case OpWrite:
@@ -997,7 +776,6 @@ func (s *Switch) commitWave(slot int, op *Op, c int64) {
 			// bits. Multicast keeps the eager copy — an early departure
 			// may hand the cell back while copies still queue.
 			s.memLazy[op.Addr] = s.inflight[op.In].c
-			s.lazyCount++
 		} else {
 			s.deposit(op.Addr, s.inflight[op.In].c.Words)
 		}
@@ -1006,7 +784,6 @@ func (s *Switch) commitWave(slot int, op *Op, c int64) {
 		if lc := s.memLazy[op.Addr]; lc != nil {
 			r.load(lc.Words[:s.k], m)
 			s.memLazy[op.Addr] = nil
-			s.lazyCount--
 		} else {
 			r.words = append(r.words, s.mem[op.Addr*s.k:op.Addr*s.k+s.k]...)
 		}
@@ -1021,12 +798,10 @@ func (s *Switch) commitWave(slot int, op *Op, c int64) {
 		r.start = c + 1
 		s.scheduleDepart(op.Out, c)
 	}
-	s.committed |= uint64(1) << uint(slot)
 }
 
-// scheduleDepart posts a fully materialized transmission for completion at
-// cycle c+k — the cycle the exact path's k-th word drive would call
-// finishDeparture. The ring has ≥ k+1 slots and initiations are at most
+// scheduleDepart posts a transmission for completion at cycle c+k — the
+// cycle its k-th word is on the link. The ring has ≥ k+1 slots and initiations are at most
 // one per cycle, so a slot is always consumed (at c0+k) before the next
 // wave that maps to it (initiated at least k+1 cycles later) posts.
 func (s *Switch) scheduleDepart(out int, c int64) {
@@ -1339,6 +1114,7 @@ retry:
 		s.occInc(o)
 	}
 	s.refcnt[addr] = 1 + len(a.c.Copies)
+	s.counter.Inc("multicast-copies", int64(len(a.c.Copies)))
 	enqueue(dst)
 	for _, o := range a.c.Copies {
 		enqueue(o)

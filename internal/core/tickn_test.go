@@ -121,9 +121,8 @@ func (h *ticknHarness) collect() {
 
 // faultAt schedules a memory upset to fire just before the tick of the
 // given cycle — the same fire-before-Tick convention the fault engine uses.
-// A negative addr is resolved at fire time to a stable word with no wave
-// in flight over it (stableQuietAddr), the only kind of target whose
-// effect does not depend on which engine the switch happens to be on.
+// A negative addr is resolved at fire time to an address under a wave in
+// flight (underWave).
 type faultAt struct {
 	cycle       int64
 	stage, addr int
@@ -138,7 +137,7 @@ func (h *ticknHarness) fire(faults []faultAt) {
 		}
 		a := f.addr
 		if a < 0 {
-			if a = stableQuietAddr(h.sw, f.stage, int(f.cycle)); a < 0 {
+			if a = underWave(h.sw, f.stage, int(f.cycle)); a < 0 {
 				continue
 			}
 		}

@@ -141,31 +141,35 @@ func (o *Op) drives() int {
 	return -1
 }
 
-// tickTraced is one cycle under the fig. 5 tap, which sits outside both
-// tick engines: it notes which link the op leaving stage k−1 loaded an
-// output register for, before the cycle's arbitration reclaims that op's
-// ring slot, runs the cycle on whichever engine Tick selected, and reports
-// it.
+// tickTraced is one cycle under the fig. 5 tap, which sits outside the
+// tick: it notes which link the op leaving stage k−1 loaded an output
+// register for, before the cycle's arbitration reclaims that op's ring
+// slot, runs the cycle, and reports it.
 func (s *Switch) tickTraced(heads []*cell.Cell) {
 	c := s.cycle
-	tail := s.ctrl[s.slotOf(c)].drives()
-	if s.fastMode {
-		s.tickFast(heads)
-	} else {
-		s.tickExact(heads)
-	}
+	tail := s.ctrlView(s.slotOf(c)).drives()
+	s.tick(heads)
 	s.emitTrace(c, tail)
 }
 
+// ctrlView is the control word a ring slot shows: its wave's, or the word
+// glitched in beside it.
+func (s *Switch) ctrlView(slot int) *Op {
+	if g := s.glitch[slot]; g != nil {
+		return g
+	}
+	return &s.ctrl[slot]
+}
+
 // emitTrace assembles and dispatches the TraceEvent of cycle c, which has
-// just run, from state both tick engines keep: the control ring and the
-// input rows' occupancy. Ctrl[0] is the freshly arbitrated control word.
+// just run, from the control ring and the input rows' occupancy. Ctrl[0] is the freshly arbitrated control word.
 // A row latches word c−head of the cell it holds, word 0 being a head
 // admitted this cycle. Output register st drives the link of the read or
 // write-through that sat at stage st last cycle (§3.2): this cycle's
 // Ctrl[st+1], and for the last stage tail, which tickTraced read off the
 // ring before the cycle ran. (A control word glitched in through
-// InjectControlFault is traced as if its stage had run it last cycle too.)
+// InjectControlFault shows in place of its slot's, as if its stage had run
+// it last cycle too.)
 func (s *Switch) emitTrace(c int64, tail int) {
 	e := TraceEvent{
 		Cycle:    c,
@@ -174,7 +178,7 @@ func (s *Switch) emitTrace(c int64, tail int) {
 		OutDrive: make([]int, s.k),
 	}
 	for st := range e.Ctrl {
-		e.Ctrl[st] = s.ctrl[s.ctrlSlot(c, st)]
+		e.Ctrl[st] = *s.ctrlView(s.ctrlSlot(c, st))
 		if st > 0 {
 			e.OutDrive[st-1] = e.Ctrl[st].drives()
 		}

@@ -130,7 +130,7 @@ func (e *Engine) apply(t Target, ev Event) bool {
 		s.SetStageStuck(ev.Stage, !ev.Off)
 		return true
 	case Ctrl:
-		if ev.Stage < 0 || ev.Stage >= cfg.Stages {
+		if op := ev.Op; ev.Stage < 0 || ev.Stage >= cfg.Stages || op.In >= cfg.Ports || op.Out >= cfg.Ports || op.Addr >= cfg.Cells {
 			return false
 		}
 		s.InjectControlFault(ev.Stage, ev.Op)

@@ -17,8 +17,8 @@
 //	@120 mem stage=3 addr=any bits=0x10   # XOR bits into a stored word
 //	@200 stuck stage=2                    # bank 2's data lines stick (reads
 //	@400 stuck stage=2 off                #   all-ones); off clears
-//	@50  ctrl stage=1 op=R out=0 addr=3   # overwrite a latched control word
-//	@55  ctrl stage=1 op=-                # squash a latched control word
+//	@50  ctrl stage=1 op=R out=0 addr=3   # glitch a latched control word: the
+//	@55  ctrl stage=1 op=-                #   op runs beside the wave; - is none
 //	@70  inreg in=0 word=2 bits=0x4       # flip bits in an input register
 //	@80  linkdrop in=1 word=any           # lose a word on input link 1
 //	@90  linkcorrupt in=1 word=3 bits=1   # corrupt a word on input link 1
@@ -60,8 +60,9 @@ const (
 	// Stuck sets (or, with Off, clears) a stuck-at fault on bank Stage:
 	// reads return all-ones whatever was written.
 	Stuck
-	// Ctrl overwrites the control word latched at Stage with Op — a glitch
-	// in the shifting control pipeline.
+	// Ctrl glitches the control word latched at Stage with Op — a fault in
+	// the shifting control pipeline (core.Switch.InjectControlFault: the wave
+	// completes as initiated, Op runs beside it at the stages ahead).
 	Ctrl
 	// InReg XORs Bits into input In's register for word position Word.
 	InReg
