@@ -28,11 +28,14 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over the parsers (plan grammar, buffer-policy specs,
-# end-to-end policy conservation) and over the two-mode tick engine's
-# seams: the SEC-DED kernel against its bit-serial oracle, and the three
-# targets that toggle ECC — arbitrary injection schedules, TickN batch
-# splits × snapshot cuts with upsets in flight, and checkpoint cuts inside
-# a dirty window, a drawn-ahead traffic gap or a CRC link's retransmission.
+# end-to-end policy conservation) and over the tick engine's fault seams:
+# the SEC-DED kernel against its bit-serial oracle, the three targets that
+# toggle ECC — arbitrary injection schedules, TickN batch splits × snapshot
+# cuts with upsets in flight, and checkpoint cuts inside a dirty window, a
+# drawn-ahead traffic gap or a CRC link's retransmission — and
+# FuzzFaultUnderWave, every fault kind fired at a chosen stage of an
+# in-flight read, write, write-through or multicast wave with the switch
+# held to the §3 reference cycle by cycle.
 # FuzzLinkState puts arbitrary bytes where a checkpoint keeps its link
 # stage: refused on restore, or a session that runs on with the switch's
 # invariants intact. FuzzCellStreamHorizon drives
@@ -60,6 +63,7 @@ fuzz:
 	$(GO) test ./internal/core -run FuzzECCKernel -fuzz FuzzECCKernel -fuzztime 30s
 	$(GO) test ./internal/core -run FuzzSwitchTraffic -fuzz FuzzSwitchTraffic -fuzztime 30s
 	$(GO) test ./internal/core -run FuzzTickN -fuzz FuzzTickN -fuzztime 30s
+	$(GO) test ./internal/core -run FuzzFaultUnderWave -fuzz FuzzFaultUnderWave -fuzztime 30s
 	$(GO) test ./internal/ckpt -run FuzzCheckpointCycle -fuzz FuzzCheckpointCycle -fuzztime 30s
 	$(GO) test ./internal/ckpt -run FuzzLinkState -fuzz FuzzLinkState -fuzztime 30s
 	$(GO) test ./internal/fabric -run FuzzNetConfig -fuzz FuzzNetConfig -fuzztime 30s

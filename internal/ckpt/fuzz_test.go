@@ -18,7 +18,7 @@ import (
 // set the switch is ECC-protected and runs the matrix's upset plan, so a
 // cut can land inside a dirty window — between an upset and the wave that
 // scrubs it — where the restored switch must rebuild the dirty set and
-// stay on the exact path just as long as the uninterrupted one. With sparse
+// keep the same waves off the wave commit as the uninterrupted one. With sparse
 // set the traffic is the bursty load-0.05 stream instead of Bernoulli 0.9:
 // its gaps are hundreds of cycles long and the stream has drawn them ahead,
 // so a cut lands where the generator has run past the checkpointed cycle —

@@ -314,6 +314,10 @@ func TestDocsNameNothingRetired(t *testing.T) {
 		// cell stream — and X6 runs as `-only X6` (names in two halves, as
 		// above)
 		"New" + "Generator", "traffic." + "Generator", "pmexp -" + "fabric", "FabricScale" + "Experiment",
+		// One tick engine: faults open the waves they reach, nothing else
+		// runs per stage (names in two halves, as above)
+		"tick" + "Exact", "force" + "Exact", "forced" + "Exact", "drop" + "Fast", "want" + "Fast", "fast" + "Mode",
+		"exact" + " mode",
 	}
 	for _, doc := range liveDocs {
 		text, err := os.ReadFile(filepath.Join("../..", doc))
@@ -412,6 +416,14 @@ func firstAndFaults(out string) string {
 // firstLine keeps the RunResult line.
 func firstLine(out string) string { return strings.SplitAfter(out, "\n")[0] }
 
+// squashPlan squashes three latched control words; glitchRun is the pmsim
+// run the control-glitch plans drive.
+const squashPlan = "@55 ctrl stage=1 op=-\n@300 ctrl stage=0 op=-\n@301 ctrl stage=3 op=-\n"
+
+func glitchRun(load string) []string {
+	return []string{"-faultplan", "-", "-n", "4", "-load", load, "-slots", "2000"}
+}
+
 // TestPmsimPinned pins pmsim's single-switch stdout byte for byte: plain
 // and observed RTL runs, fault plans with the auditor on (the first four
 // rows, pinned before the fault harness was folded into the session and
@@ -481,6 +493,17 @@ func TestPmsimPinned(t *testing.T) {
 			want: "cycles=2275 offered=809 delivered=440 dropped=369 util=0.3868 cutlat=154.56 initdelay=5.7386\n"},
 		{name: "faultplan-saturate", args: append(append([]string{}, short...), "-saturate"), keep: firstLine,
 			want: "cycles=2158 offered=1000 delivered=965 dropped=35 util=0.8943 cutlat=62.43 initdelay=3.7337\n"},
+
+		// Control glitches: the wave in the glitched slot completes as
+		// initiated and the glitched op runs beside it, so a glitched read
+		// drives no link (it used to panic in book) and a squash strands no
+		// egress slot (it used to stall the drain with cells pending).
+		{name: "ctrl-read", stdin: "@50 ctrl stage=1 op=R out=0 addr=3\n", args: glitchRun("0.3"), keep: firstAndFaults,
+			want: "cycles=2008 offered=287 delivered=287 dropped=0 util=0.2859 cutlat=3.07 initdelay=0.0801\n" +
+				"faults: ctrl        applied=1 skipped=0\n"},
+		{name: "ctrl-squash", stdin: squashPlan, args: glitchRun("0.9"), keep: firstAndFaults,
+			want: "cycles=2238 offered=905 delivered=905 dropped=0 util=0.8088 cutlat=58.27 initdelay=1.2177\n" +
+				"faults: ctrl        applied=3 skipped=0\n"},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

@@ -237,7 +237,9 @@ func (s *Switch) AuditInvariants() error {
 
 // auditHazards checks that the control words the stages will execute in
 // the upcoming cycle touch pairwise distinct physical banks (§3.2: "a
-// given memory performs a single access per clock cycle").
+// given memory performs a single access per clock cycle"). Stage 0's word
+// is the one the coming arbitration writes; its slot still holds the wave
+// that finished k cycles ago, so the check starts at stage 1.
 func (s *Switch) auditHazards() error {
 	c := s.cycle
 	// seen[b] = stage that claims bank b this cycle, offset by +1 (0 =
@@ -249,7 +251,7 @@ func (s *Switch) auditHazards() error {
 	for b := range seen {
 		seen[b] = 0
 	}
-	for st := 0; st < s.k; st++ {
+	for st := 1; st < s.k; st++ {
 		op := s.ctrl[s.ctrlSlot(c, st)]
 		if op.Kind == OpNone {
 			continue

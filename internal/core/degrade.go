@@ -28,16 +28,9 @@ import (
 //     2-cycle cadence no two waves ever meet on one single-ported bank.
 //
 // Waves already in flight when the bypass trips keep their original bank
-// schedule (Op.Remap is frozen at initiation): a read started before the
-// map-out completes from the physical bank that held its data, and the
-// stale tail of a flushed write harmlessly touches retired locations.
-//
-// The degradation mirrors §5's area-vs-capacity tradeoff at run time:
-// losing one of K banks costs half the buffer capacity and half the peak
-// initiation rate, but the switch keeps forwarding traffic and integrity
-// checks stay honest. Losing both banks of a pair is unsurvivable; the
-// switch keeps running but Health.Failed is raised and delivered data is
-// no longer trustworthy.
+// schedule (Op.Remap is frozen at initiation). Losing one of K banks costs
+// half the capacity and half the peak initiation rate (§5's area-vs-capacity
+// tradeoff at run time); losing both banks of a pair raises Health.Failed.
 
 // Health is a snapshot of the switch's fault-tolerance state, the
 // run-time view a management plane would poll.
@@ -105,13 +98,10 @@ func (s *Switch) bankFor(st, addr int, remap bool) (int, int) {
 	return st, addr
 }
 
-// writeWord performs stage st's write of a wave at address addr. A bank
-// with an injected stuck-at fault still takes the write — the fault sits
-// on its data lines (senseWord), not in the array — so what a read of it
-// decodes against is always the check bits of the word that was meant to
-// be there, never whatever an earlier wave left behind: storage no live
-// wave has written stays unobservable, which is what lets the wave commit
-// skip deposits nobody will read (commitWave).
+// writeWord performs stage st's write of a wave at address addr. A stuck
+// bank still takes the write — the fault sits on its data lines
+// (senseWord) — so a read of it decodes against the check bits of the word
+// meant to be there, never what an earlier wave left behind.
 func (s *Switch) writeWord(st, addr int, remap bool, w cell.Word) {
 	b, a := s.bankFor(st, addr, remap)
 	i := s.memIdx(b, a)
@@ -121,9 +111,8 @@ func (s *Switch) writeWord(st, addr int, remap bool, w cell.Word) {
 	}
 }
 
-// senseWord is what bank b's data lines present for row a: the stored
-// word, or all-ones — whatever the array holds — if the bank has a
-// stuck-at fault.
+// senseWord is what bank b's data lines present for row a: the stored word,
+// or all-ones on a stuck bank.
 func (s *Switch) senseWord(b, a int) cell.Word {
 	if s.stuck != nil && s.stuck[b] {
 		return cell.Word(^uint64(0)).Mask(s.cfg.WordBits)
@@ -131,16 +120,12 @@ func (s *Switch) senseWord(b, a int) cell.Word {
 	return s.mem[s.memIdx(b, a)]
 }
 
-// readWord performs stage st's read of a wave at address addr, applying
-// the ECC defense layer. Single-bit upsets are corrected and scrubbed
-// back, with a read-after-write verify: a location that still fails after
-// the scrub holds a hard fault ("ecc-hard") and counts toward the bank's
-// bypass threshold, while a repaired transient does not. Multi-bit
-// failures ("ecc-uncorrectable") always count toward the threshold. A
-// stuck bank's data lines read all-ones regardless of what was written, so
-// its reads fail their check bits one way or the other: either as outright
-// uncorrectable words, or as "corrected" words whose scrub is withheld
-// (it would overwrite the intact array with a guess) and caught by the
+// readWord performs stage st's read of a wave at address addr through the
+// ECC layer. A single-bit upset is corrected and scrubbed back, then
+// verified: a location that still fails holds a hard fault ("ecc-hard") and
+// counts toward the bank's bypass threshold, as every multi-bit failure
+// ("ecc-uncorrectable") does. A stuck bank fails one way or the other; its
+// "corrected" words are not scrubbed (the array is intact) and fail the
 // verify.
 func (s *Switch) readWord(st, addr int, remap bool) cell.Word {
 	b, a := s.bankFor(st, addr, remap)
@@ -177,12 +162,10 @@ func (s *Switch) readWord(st, addr int, remap bool) cell.Word {
 	return dec
 }
 
-// mapOutBank takes bank b out of service: capacity halves, resident cells
-// are flushed, and future waves redirect stage b to the partner bank's
-// upper half. next is the first cycle whose stages have not run. Idempotent
-// per bank. Counted under "stage-bypass". Redirected accesses run off the
-// wave commit, so the waves in flight go there first, while the bank map is
-// still the identity, and no payload stays deferred behind the split.
+// mapOutBank takes bank b out of service ("stage-bypass"): capacity halves,
+// resident cells are flushed, and later waves redirect stage b to the
+// partner's upper half. next is the first cycle whose stages have not run.
+// Every wave in flight is opened first, while the bank map is the identity.
 func (s *Switch) mapOutBank(b int, next int64) {
 	if s.stageDown[b] {
 		return
@@ -202,8 +185,7 @@ func (s *Switch) mapOutBank(b int, next int64) {
 		s.halved = true
 		s.addrLimit = s.cfg.Cells / 2
 	}
-	// Flush every queued descriptor: resident cells may straddle the dead
-	// bank and the address split invalidates their locations either way.
+	// Flush every queued descriptor: the split invalidates their locations.
 	for q := 0; q < s.queues.Queues(); q++ {
 		for node, ok := s.queues.Pop(q); ok; node, ok = s.queues.Pop(q) {
 			addr := s.nodes[node].addr
@@ -222,9 +204,8 @@ func (s *Switch) mapOutBank(b int, next int64) {
 		s.outOcc[o] = 0 // every queue was just flushed
 	}
 	s.occMask = 0
-	// Rebuild the free list over the usable low addresses only; the upper
-	// half of every bank is now the redirect region and the corresponding
-	// addresses stay permanently retired (never handed out again).
+	// Rebuild the free list over the low addresses; the upper half of every
+	// bank is the redirect region from now on.
 	for _, ok := s.free.Get(); ok; _, ok = s.free.Get() {
 	}
 	for a := s.addrLimit - 1; a >= 0; a-- {
@@ -235,11 +216,9 @@ func (s *Switch) mapOutBank(b int, next int64) {
 	}
 }
 
-// MapOutStage manually maps out stage st — the maintenance path a
-// management plane would use for a bank failing in ways ECC cannot see.
-// Call it between Ticks. Reads already in flight complete from the
-// physical bank, so mapping out a still-readable bank loses no data beyond
-// the flushed buffer residents.
+// MapOutStage maps out stage st between Ticks — the maintenance path for a
+// bank failing in ways ECC cannot see. Reads in flight complete from the
+// physical bank.
 func (s *Switch) MapOutStage(st int) error {
 	if st < 0 || st >= s.k {
 		return fmt.Errorf("core: stage %d out of range 0…%d", st, s.k-1)
@@ -249,11 +228,8 @@ func (s *Switch) MapOutStage(st int) error {
 }
 
 // SetStageStuck injects (or clears) a stuck-at fault on bank st: its data
-// lines read all-ones whatever the array holds (writes still land, and
-// show again once the fault clears). The fault engine's "stuck" events use
-// this; with ECC armed the bank's words fail their check bits on every
-// read until the bypass threshold maps the bank out. Reads in flight that
-// have yet to reach the bank see the change there.
+// lines read all-ones (writes still land, and show once the fault clears).
+// Reads in flight that have yet to reach the bank see the change there.
 func (s *Switch) SetStageStuck(st int, stuck bool) {
 	if st < 0 || st >= s.k {
 		return
@@ -273,13 +249,11 @@ func (s *Switch) SetStageStuck(st int, stuck bool) {
 	}
 }
 
-// InjectMemoryFault XORs mask into the stored word of the given wave
-// stage and buffer address — a single-event upset in the bank array. The
-// check bits are deliberately left stale so the ECC layer sees the flip.
-// The current bypass remap is applied, so the fault lands where live
-// traffic will actually read. A wave in flight over the address that has
-// yet to reach the stage meets the upset there, at its own cycle: a read
-// decodes (and scrubs) it or delivers it, a write overwrites it.
+// InjectMemoryFault XORs mask into the stored word at (stage, addr), through
+// the current bypass remap — a single-event upset; the check bits stay
+// stale. A wave in flight over the address that has yet to reach the stage
+// meets the upset there: a read decodes (and scrubs) or delivers it, a
+// write overwrites it.
 func (s *Switch) InjectMemoryFault(stage, addr int, mask cell.Word) {
 	if stage < 0 || stage >= s.k || addr < 0 || addr >= s.cfg.Cells {
 		return
@@ -288,17 +262,14 @@ func (s *Switch) InjectMemoryFault(stage, addr int, mask cell.Word) {
 		return
 	}
 	s.openWhere(s.cycle, func(st int, _ int64, op *Op) bool { return op.Addr == addr && st <= stage })
-	// A lazily deferred payload must land in the array before the upset
-	// does, or the flip would hit stale bytes and vanish.
-	s.materializeAddr(addr)
+	s.materializeAddr(addr) // the flip must hit the payload's bytes
 	b, a := s.bankFor(stage, addr, true)
 	s.mem[s.memIdx(b, a)] ^= mask
 	s.eccRecheck(addr)
 }
 
 // eccRecheck keeps addr's dirty flag equal to "some word of addr fails its
-// check bits" after a change off the wave commit, so the set is a function
-// of the words alone (what NewFromSnapshot rebuilds).
+// check bits", a function of the words alone (NewFromSnapshot rebuilds it).
 func (s *Switch) eccRecheck(addr int) {
 	if s.eccMem == nil {
 		return
@@ -323,15 +294,10 @@ func (s *Switch) addrClean(addr int) bool {
 	return true
 }
 
-// MemoryClean reports whether the word at (stage, addr) currently matches
-// its check bits (vacuously true without ECC). Fault engines use it to
-// keep at most one outstanding flip per word, the regime SEC-DED is
-// guaranteed to correct.
+// MemoryClean reports whether the word at (stage, addr) matches its check
+// bits (true without ECC): fault engines keep one flip per word at most.
 func (s *Switch) MemoryClean(stage, addr int) bool {
-	if stage < 0 || stage >= s.k || addr < 0 || addr >= s.cfg.Cells {
-		return true
-	}
-	if s.eccMem == nil {
+	if stage < 0 || stage >= s.k || addr < 0 || addr >= s.cfg.Cells || s.eccMem == nil {
 		return true
 	}
 	b, a := s.bankFor(stage, addr, true)
@@ -340,13 +306,13 @@ func (s *Switch) MemoryClean(stage, addr int) bool {
 	return status == eccClean
 }
 
-// InjectControlFault glitches the control word latched at stage st (the one
-// it executes next cycle) in the shifting control pipeline of §3.3. The wave
-// initiated with that slot completes as initiated; the glitched op runs
-// beside it at the stages ahead, off the wave commit, and a glitched read or
-// write-through drives no link: its words count under "glitch-words". A
-// glitch at stage 0 is overwritten by the next arbitration unseen; an op
-// naming a link or address the switch does not have is ignored.
+// InjectControlFault glitches the control word stage st executes next cycle
+// (§3.3). The wave in that slot completes as initiated; the glitched op runs
+// beside it at the stages ahead. A glitched read or write-through loads no
+// output register, so it drives no link and its words never reach the ECC
+// decoder in front of the register: they count under "glitch-words". A
+// glitched write or write-through does write the banks. A glitch at stage 0
+// or naming a link or address the switch lacks is ignored.
 func (s *Switch) InjectControlFault(st int, op Op) {
 	if st < 1 || st >= s.k || op.In < 0 || op.In >= s.n || op.Out < 0 || op.Out >= s.n || op.Addr < 0 || op.Addr >= s.cfg.Cells {
 		return
@@ -356,17 +322,20 @@ func (s *Switch) InjectControlFault(st int, op Op) {
 	s.glitch[slot] = &op
 	s.glitchN++
 	if op.Kind != OpNone {
-		// Later waves over the address meet the glitch's accesses first.
-		s.openWhere(s.cycle, func(_ int, c int64, w *Op) bool { return w.Addr == op.Addr && c > c0 })
 		s.openN++
+	}
+	if op.Kind == OpWrite || op.Kind == OpWriteThrough {
+		// Later waves over the address meet the glitch's writes first, and
+		// the writes land on the banks, not under a deferred payload.
+		s.openWhere(s.cycle, func(_ int, c int64, w *Op) bool { return w.Addr == op.Addr && c > c0 })
+		s.materializeAddr(op.Addr)
 		*s.cStageWords += int64(s.k - st)
 	}
 }
 
 // InjectInputRegisterFault XORs mask into input in's register for word
-// position word — an upset in the input latch row. The write wave that
-// reads the register at or after this cycle meets it; a word the row's
-// occupant has yet to latch overwrites it.
+// position word. A write that reads the register from this cycle on meets
+// it; a word the row's occupant has yet to latch overwrites it.
 func (s *Switch) InjectInputRegisterFault(in, word int, mask cell.Word) {
 	if in < 0 || in >= s.n || word < 0 || word >= s.k {
 		return
@@ -376,9 +345,8 @@ func (s *Switch) InjectInputRegisterFault(in, word int, mask cell.Word) {
 	}
 	s.allocFlips()
 	a := &s.inflight[in]
-	occ := a.active && a.head+int64(word) < s.cycle // the register holds the occupant's word
-	// A write of this row that has yet to reach the position reads it, if
-	// the position holds its own cell's word.
+	occ := a.active && a.head+int64(word) < s.cycle // the occupant's word is latched
+	// A write of this row yet to reach the position, of the cell it holds.
 	s.openWhere(s.cycle, func(st int, c0 int64, w *Op) bool {
 		return w.Kind != OpRead && w.In == in && st <= word && (a.active && a.head < c0) == occ
 	})
@@ -401,13 +369,12 @@ func (s *Switch) allocFlips() {
 
 // The wave commit's fault seam. A wave commits at initiation unless a fault
 // can still reach one of its stages — a stuck bank it reads, a redirected
-// bank, an address holding a word that fails its check bits, an input row
-// carrying flips, an address another open wave or glitch still touches (so
-// accesses to one address keep cycle order). Such a wave is open: each of
-// its stages accesses the banks at its own cycle (runStages), decoding,
-// scrubbing and counting there. A seam that fires later walks the at most k
-// live slots once and opens the committed waves it reaches (openWhere). A
-// fault-free switch opens nothing and pays one test per initiation.
+// bank, a word failing its check bits, a flipped input register, an address
+// an open wave or glitched write still touches (accesses to one address
+// keep cycle order). Such a wave is open: each stage accesses the banks at
+// its own cycle (runStages). A seam firing later walks the ≤ k live slots
+// once and opens the committed waves it reaches (openWhere). A fault-free
+// switch opens nothing and pays one test per initiation.
 
 // seamsOpen reports that an initiation must ask initiate.
 func (s *Switch) seamsOpen() bool {
@@ -435,10 +402,10 @@ func (s *Switch) initiate(slot int, op *Op, c int64) {
 	}
 }
 
-// touched reports that an open wave or a glitch accesses addr.
+// touched reports that an open wave or a glitched write accesses addr.
 func (s *Switch) touched(addr int) bool {
 	for slot, g := range s.glitch {
-		if s.open[slot] && s.ctrl[slot].Addr == addr || g != nil && g.Kind != OpNone && g.Addr == addr {
+		if s.open[slot] && s.ctrl[slot].Addr == addr || g != nil && (g.Kind == OpWrite || g.Kind == OpWriteThrough) && g.Addr == addr {
 			return true
 		}
 	}
@@ -457,14 +424,12 @@ func (s *Switch) openWhere(next int64, reach func(st int, c0 int64, op *Op) bool
 	}
 }
 
-// openChain opens the committed waves over addr initiated at or after from:
-// their stages from cycle next on run per-stage. The bank must then hold
-// what the first of them to reach each stage finds there, but a committed
-// read took its words at initiation and a later write deposited ahead of
-// time; so each opened read writes back the words it has yet to read —
-// latest wave first, leaving the earliest reader's at every stage — and its
-// egress record keeps those already on the link. count books the accesses
-// under "stage-words" (Snapshot opens without).
+// openChain opens the committed waves over addr initiated at or after from,
+// from cycle next on. A committed read took its words at initiation and a
+// later write deposited ahead of time, so each opened read writes back the
+// words it has yet to read — latest wave first, leaving the earliest
+// reader's at every stage — and keeps those already on the link. count
+// books the accesses under "stage-words" (Snapshot opens without).
 func (s *Switch) openChain(addr int, from, next int64, count bool) {
 	s.materializeAddr(addr)
 	for st := 1; st < s.k; st++ {
@@ -492,8 +457,7 @@ func (s *Switch) openChain(addr int, from, next int64, count bool) {
 // retire releases a ring slot whose wave and glitch ran their last stage.
 func (s *Switch) retire(slot int) {
 	if s.open[slot] {
-		s.open[slot] = false
-		s.openN--
+		s.open[slot], s.openN = false, s.openN-1
 	}
 	s.dropGlitch(slot)
 }
@@ -506,9 +470,8 @@ func (s *Switch) dropGlitch(slot int) {
 	}
 }
 
-// runStages runs this cycle's stage of every open wave and glitch, in stage
-// order, a wave before the glitch beside it, then maps out a bank that has
-// reached its uncorrectable-error threshold.
+// runStages runs this cycle's stage of every open wave and glitch (a wave
+// before the glitch beside it), then maps out a bank past its threshold.
 func (s *Switch) runStages(c int64) {
 	for st := 0; st < s.k; st++ {
 		slot := s.ctrlSlot(c, st)
@@ -528,13 +491,16 @@ func (s *Switch) runStages(c int64) {
 
 // stage performs op's stage-st access at cycle c: a write takes input
 // register st, a read or write-through adds its word to the egress record
-// (for a glitch, to nothing).
+// (a glitch's to nothing, and a glitched read touches no bank).
 func (s *Switch) stage(st int, op *Op, c int64, glitch bool) {
 	var w cell.Word
-	switch op.Kind {
-	case OpNone:
+	switch {
+	case op.Kind == OpNone:
 		return
-	case OpRead:
+	case op.Kind == OpRead && glitch:
+		*s.cGlitchWords++
+		return
+	case op.Kind == OpRead:
 		w = s.readWord(st, op.Addr, op.Remap)
 	default:
 		w = s.rowWord(op.In, st, c)
@@ -586,22 +552,10 @@ func (s *Switch) rowFlipped(in int) bool {
 	return s.flipOcc != nil && slices.ContainsFunc(s.flipOcc[in], func(f cell.Word) bool { return f != 0 })
 }
 
-// QueuedAt returns the number of queued copies (descriptors) that will
-// still read buffer address addr — nonzero means the address holds live
-// cell data worth targeting with a fault.
-func (s *Switch) QueuedAt(addr int) int {
-	if addr < 0 || addr >= s.cfg.Cells {
-		return 0
-	}
-	return s.refcnt[addr]
-}
-
-// AddrStable reports that address addr holds a fully deposited cell whose
-// read wave has not yet been initiated: its write wave has passed every
-// stage and at least one descriptor still queues it. A single-bit fault
-// injected into a stable word is read exactly once downstream (the first
-// read scrubs it), so an engine flipping only stable, clean words gets an
-// exact correction count.
+// AddrStable reports that address addr holds a fully written cell that a
+// queued copy will still read. A single-bit upset there is read, and
+// scrubbed, before any rewrite: an engine flipping only stable, clean words
+// gets an exact correction count.
 func (s *Switch) AddrStable(addr int) bool {
-	return s.QueuedAt(addr) > 0 && s.cycle >= s.writeStartAt[addr]+int64(s.k)
+	return addr >= 0 && addr < s.cfg.Cells && s.refcnt[addr] > 0 && s.cycle >= s.writeStartAt[addr]+int64(s.k)
 }

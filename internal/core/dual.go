@@ -19,7 +19,7 @@ import (
 //
 // It is bank choice plus two pickers on the wave commit: a wave's whole
 // memory traffic is applied when it is initiated and its transmission is
-// posted for completion k cycles on, with the argument of Switch.tickFast —
+// posted for completion k cycles on, with the argument of Switch.tick —
 // a cell's words never change once injected, and stage s of every wave runs
 // s cycles after its initiation, so two waves over one address of one bank
 // meet each stage in initiation order. There is no per-stage machine here

@@ -389,7 +389,7 @@ func TestECCUpsetUnderWave(t *testing.T) {
 	}
 	addr := -1
 	for a := 0; a < cfg.Cells; a++ {
-		if s.QueuedAt(a) == 2 {
+		if s.refcnt[a] == 2 {
 			addr = a
 		}
 	}
@@ -402,8 +402,8 @@ func TestECCUpsetUnderWave(t *testing.T) {
 	gateAll(s, true)
 	s.Tick(nil)
 	gateAll(s, false)
-	if s.QueuedAt(addr) != 1 || s.openN != 0 {
-		t.Fatalf("set-up: %d copies still queued, %d waves off the commit; want the first read wave in flight, committed", s.QueuedAt(addr), s.openN)
+	if s.refcnt[addr] != 1 || s.openN != 0 {
+		t.Fatalf("set-up: %d copies still queued, %d waves off the commit; want the first read wave in flight, committed", s.refcnt[addr], s.openN)
 	}
 	s.InjectMemoryFault(k-1, addr, 0x0040)
 	if s.eccDirtyN != 1 {

@@ -140,6 +140,36 @@ func depLine(d Departure) string {
 		d.Expected.Seq, d.Output, d.HeadIn, d.HeadOut, d.TailOut, d.InitDelay, ok)
 }
 
+// TestWideSwitchOnWaveCommit: a 40-port switch has k = 80 stages, more ring
+// slots than a machine word has bits. It runs on the wave commit all the
+// same — no word off it — equals the reference every cycle, and once empty
+// reaches TickN's idle fast-forward.
+func TestWideSwitchOnWaveCommit(t *testing.T) {
+	cfg := Config{Ports: 40, WordBits: 16, Cells: 96, CutThrough: true}
+	k := cfg.Canonical().Stages
+	sched := genSchedule(t, traffic.Config{Kind: traffic.Bernoulli, N: 40, Load: 0.8, Seed: 40}, k, 6*k)
+	l := newLockstep(t, cfg, "")
+	for c := int64(0); c < int64(len(sched))+int64(4*k); c++ {
+		l.tick(rowAt(sched, c))
+		if c%37 == 0 {
+			if err := l.sw.AuditInvariants(); err != nil {
+				t.Fatalf("cycle %d: %v", c, err)
+			}
+		}
+	}
+	if len(l.log) == 0 || l.sw.Counters().Get("stage-words") != 0 {
+		t.Fatalf("%d departures, %d words off the wave commit; want some and none", len(l.log), l.sw.Counters().Get("stage-words"))
+	}
+	if !l.sw.idle() {
+		t.Fatal("the drained switch is not idle")
+	}
+	c := l.sw.Cycle()
+	l.sw.TickN(nil, 1<<40)
+	if l.sw.Cycle() != c+1<<40 {
+		t.Fatalf("TickN advanced %d cycles, want %d", l.sw.Cycle()-c, int64(1)<<40)
+	}
+}
+
 // preTicked runs a hook before every Tick of an organization, with the
 // cycle about to execute: the PreTick seam, for core.Run.
 type preTicked struct {

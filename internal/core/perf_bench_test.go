@@ -168,8 +168,8 @@ func BenchmarkTickGated8x8(b *testing.B) {
 
 // BenchmarkTickECC8x8 is the steady-state point on an ECC-protected,
 // store-and-forward switch (an ECC switch buffers every cell: a word that
-// cut through would never be checked). With no upset outstanding it runs
-// on the batched path; compare with BenchmarkTickSteadyState for what
+// cut through would never be checked). With no upset outstanding every
+// wave commits at initiation; compare with BenchmarkTickSteadyState for what
 // protection plus the trip through the buffer costs there.
 func BenchmarkTickECC8x8(b *testing.B) {
 	benchTick(b,

@@ -19,8 +19,8 @@ import (
 // gates, no WRR, no link pipelining, read priority. Faults land where they
 // would on silicon. A control glitch at stage s sits beside the word there
 // (gl[s]): the wave completes as initiated, the glitched op runs at
-// the stages ahead, and a glitched read's words load no output register —
-// they go to no link and are counted under "glitch-words".
+// the stages ahead, and a glitched read loads no output register — its
+// words go to no link and past no ECC decoder, counted under "glitch-words".
 type refSwitch struct {
 	cfg                                 Config
 	n, k, readRR, writeRR, addrLimit    int
@@ -65,14 +65,6 @@ func newRef(cfg Config, pol bufmgr.Policy) *refSwitch {
 		r.ecc = newECC(cfg.WordBits)
 	}
 	return r
-}
-
-func grid[T any](rows, cols int) [][]T {
-	g := make([][]T, rows)
-	for i := range g {
-		g[i] = make([]T, cols)
-	}
-	return g
 }
 
 // Tick is one cycle of fig. 5: the output registers loaded last cycle drive
@@ -136,12 +128,15 @@ func (r *refSwitch) Tick(heads []*cell.Cell) {
 
 // exec performs op's stage-st access: a write takes input register st, a
 // read or write-through loads output register st unless the op is a glitch.
+// The ECC decoder sits in front of the output register, so a glitched read,
+// which loads none, touches no bank.
 func (r *refSwitch) exec(st int, op Op, glitch bool) {
 	w := r.inRow[op.In][st]
-	switch op.Kind {
-	case OpNone:
+	switch {
+	case op.Kind == OpNone:
 		return
-	case OpRead:
+	case op.Kind == OpRead && glitch:
+	case op.Kind == OpRead:
 		w = r.read(st, op)
 	default:
 		b, a := r.bankFor(st, op.Addr, op.Remap)

@@ -28,13 +28,10 @@ import (
 //     callers reinstall them after restore (the checkpoint layer records
 //     the policy spec string for exactly this purpose).
 //
-// Cells appear in several structures at once (an input-register arrival,
-// its queued descriptor and its egress reassembly record may all reference
-// one *cell.Cell). Snapshot serializes each reference by content, so
-// restore breaks the aliasing into distinct copies. This is behaviorally
-// invisible: inside the switch a cell's content is read-only, the input
-// latching window ends before its departure completes, and integrity
-// comparisons are by value.
+// A cell referenced from several structures (arrival, descriptor, egress
+// record) is serialized by content each time; restore breaks the aliasing
+// into copies, which is invisible: a cell's content is read-only inside the
+// switch and integrity comparisons are by value.
 
 // CellState is the serialized form of a cell.Cell.
 type CellState struct {
@@ -78,9 +75,9 @@ func cellFromState(st *CellState) *cell.Cell {
 }
 
 // OutWordState is the serialized form of one shared output register. This
-// build writes the row empty — a word read off the wave commit goes to its
-// egress record in the cycle it is read — and on load appends a loaded
-// register's word to its output's record (the drive it was waiting for).
+// build writes the row empty (an open wave's word goes to its egress record
+// when read) and on load appends a loaded register's word to its output's
+// record.
 type OutWordState struct {
 	Word     cell.Word
 	Out      int
@@ -185,12 +182,10 @@ type SwitchState struct {
 	WriteStartAt []int64
 
 	// Committed has one bit per ring slot below 64 whose live wave was
-	// committed at initiation (its egress record holds all K words, its
-	// deposit is in Mem). A live slot without the bit runs off the commit
-	// from the restore on: a read or write-through whose output's record
-	// holds one word per stage run so far is its wave, any other a glitch.
-	// Slots from 64 on are always written open. Absent in older files, the
-	// zero value describes what they contain — every slot open.
+	// committed at initiation. A live slot without it is open from the
+	// restore on: a read or write-through whose output's record holds one
+	// word per stage run so far is its wave, any other a glitch. Slots from
+	// 64 on are written open; older files, without the field, are all open.
 	Committed uint64 `json:",omitempty"`
 
 	// InDelay[slot][input] is the §4.3 link-pipelining delay line content
@@ -215,11 +210,12 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.materializeLazy()
 	st := &SwitchState{
 		Config: s.cfg,
 		Cycle:  s.cycle,
 
-		Mem:    s.memBanks(),
+		Mem:    banks(s.mem, s.k, s.cfg.Cells),
 		InReg:  s.inRegState(),
 		OutReg: make([]OutWordState, s.k),
 		Ctrl:   make([]Op, s.k),
@@ -264,14 +260,7 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 		}
 	}
 	if s.eccMem != nil {
-		st.ECCMem = make([][]uint8, s.k)
-		for b := range st.ECCMem {
-			row := make([]uint8, s.cfg.Cells)
-			for a := range row {
-				row[a] = s.eccMem[s.memIdx(b, a)]
-			}
-			st.ECCMem[b] = row
-		}
+		st.ECCMem = banks(s.eccMem, s.k, s.cfg.Cells)
 	}
 	for i := range s.inflight {
 		a := &s.inflight[i]
@@ -316,9 +305,8 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 }
 
 // committedMask is SwitchState.Committed. Slots from 64 on have no bit, so
-// their committed waves are opened first (behavior-inert: the wave then
-// makes its remaining accesses at their cycles), and a glitch beside a wave
-// still open has no place in the one control word a slot serializes.
+// their waves are opened first (behavior-inert); a glitch beside an open
+// wave has no place in the one control word a slot serializes.
 func (s *Switch) committedMask() (uint64, error) {
 	for st := s.k - 1; st >= 1; st-- {
 		if slot := s.ctrlSlot(s.cycle, st); slot >= 64 && s.ctrl[slot].Kind != OpNone && !s.open[slot] {
@@ -340,7 +328,7 @@ func (s *Switch) committedMask() (uint64, error) {
 // inRegState is SwitchState.InReg: each row's occupant words, and the
 // register contents where something off the commit still reads them.
 func (s *Switch) inRegState() [][]cell.Word {
-	out := grid2(s.n, s.k)
+	out := grid[cell.Word](s.n, s.k)
 	for i, row := range out {
 		a, reads := &s.inflight[i], s.rowReadOpen(i)
 		for j := range row {
@@ -394,7 +382,6 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	n, k := s.n, s.k
 	s.cycle = st.Cycle
 	if err := checkLens("switch state", map[string]([2]int){
-		"Mem":          {len(st.Mem), k},
 		"InReg":        {len(st.InReg), n},
 		"OutReg":       {len(st.OutReg), k},
 		"Ctrl":         {len(st.Ctrl), k},
@@ -415,31 +402,16 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	}); err != nil {
 		return nil, err
 	}
-	for b := range st.Mem {
-		if len(st.Mem[b]) != s.cfg.Cells {
-			return nil, fmt.Errorf("core: switch state Mem[%d] has %d words, want %d", b, len(st.Mem[b]), s.cfg.Cells)
-		}
-		for a, w := range st.Mem[b] {
-			s.mem[s.memIdx(b, a)] = w
-		}
+	if err := loadBanks(s.mem, st.Mem, k, "Mem"); err != nil {
+		return nil, err
+	}
+	if (st.ECCMem != nil) != s.cfg.ECC {
+		return nil, fmt.Errorf("core: switch state carries ECC bits=%v, config has ECC=%v", st.ECCMem != nil, s.cfg.ECC)
 	}
 	if st.ECCMem != nil {
-		if s.eccMem == nil {
-			return nil, fmt.Errorf("core: switch state carries ECC bits but config has ECC off")
+		if err := loadBanks(s.eccMem, st.ECCMem, k, "ECCMem"); err != nil {
+			return nil, err
 		}
-		if len(st.ECCMem) != k {
-			return nil, fmt.Errorf("core: switch state ECCMem has %d banks, want %d", len(st.ECCMem), k)
-		}
-		for b := range st.ECCMem {
-			if len(st.ECCMem[b]) != s.cfg.Cells {
-				return nil, fmt.Errorf("core: switch state ECCMem[%d] has %d words, want %d", b, len(st.ECCMem[b]), s.cfg.Cells)
-			}
-			for a, chk := range st.ECCMem[b] {
-				s.eccMem[s.memIdx(b, a)] = chk
-			}
-		}
-	} else if s.eccMem != nil {
-		return nil, fmt.Errorf("core: config has ECC on but switch state carries no ECC bits")
 	}
 	for i := range st.InReg {
 		if len(st.InReg[i]) != k {
@@ -685,26 +657,38 @@ func (s *Switch) reopen(committed uint64) {
 	}
 }
 
-// memBanks exports the flat address-major buffer as the per-bank 2D view
-// ([stage][address]) the serialized schema has always used, keeping
-// checkpoint files readable across the layout change.
-func (s *Switch) memBanks() [][]cell.Word {
-	s.materializeLazy()
-	out := make([][]cell.Word, s.k)
+// banks exports a flat address-major array (mem, eccMem) as the per-bank
+// view, [stage][address], the serialized schema has always used.
+func banks[T any](flat []T, k, cells int) [][]T {
+	out := grid[T](k, cells)
 	for b := range out {
-		row := make([]cell.Word, s.cfg.Cells)
-		for a := range row {
-			row[a] = s.mem[s.memIdx(b, a)]
+		for a := range out[b] {
+			out[b][a] = flat[a*k+b]
 		}
-		out[b] = row
 	}
 	return out
 }
 
-func grid2(rows, cols int) [][]cell.Word {
-	g := make([][]cell.Word, rows)
+// loadBanks is banks' inverse, checking the per-bank view's shape.
+func loadBanks[T any](flat []T, src [][]T, k int, name string) error {
+	if len(src) != k {
+		return fmt.Errorf("core: switch state %s has %d banks, want %d", name, len(src), k)
+	}
+	for b, row := range src {
+		if len(row)*k != len(flat) {
+			return fmt.Errorf("core: switch state %s[%d] has %d words, want %d", name, b, len(row), len(flat)/k)
+		}
+		for a, w := range row {
+			flat[a*k+b] = w
+		}
+	}
+	return nil
+}
+
+func grid[T any](rows, cols int) [][]T {
+	g := make([][]T, rows)
 	for i := range g {
-		g[i] = make([]cell.Word, cols)
+		g[i] = make([]T, cols)
 	}
 	return g
 }

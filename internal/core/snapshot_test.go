@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,13 +204,21 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		t.Fatal("conservation violation went undetected")
 	}
 
+	// With multicast copies resident: a copy lost from the books.
+	s = mustSwitch(t, Config{Ports: 8, WordBits: 16, Cells: 64, VCs: 2})
+	driveMulticast(t, s)
+	s.counter.Inc("multicast-copies", -1)
+	if err := s.AuditInvariants(); err == nil {
+		t.Fatal("multicast conservation violation went undetected")
+	}
+
 	// §3.2 hazard: force two stages onto one bank in the upcoming cycle.
 	s = mk()
 	c := s.Cycle()
-	s.ctrl[s.ctrlSlot(c, 0)] = Op{Kind: OpWrite, In: 0, Addr: 0}
-	s.ctrl[s.ctrlSlot(c, 1)] = Op{Kind: OpRead, Out: 0, Addr: 0, Remap: true}
+	s.ctrl[s.ctrlSlot(c, 2)] = Op{Kind: OpWrite, In: 0, Addr: 0}
+	s.ctrl[s.ctrlSlot(c, 3)] = Op{Kind: OpRead, Out: 0, Addr: 0, Remap: true}
 	s.halved = true
-	s.stageDown[1] = true
+	s.stageDown[3] = true
 	s.addrLimit = s.Config().Cells / 2
 	if err := s.auditHazards(); err == nil {
 		t.Fatal("bank collision went undetected")
@@ -225,15 +234,21 @@ func TestAuditZeroAlloc(t *testing.T) {
 		{Ports: 8, WordBits: 16, Cells: 256, CutThrough: true},
 		// The clean-word clause decodes every live word of an ECC switch.
 		{Ports: 8, WordBits: 16, Cells: 256, ECC: true},
+		// Multicast: the conservation and refcount clauses count copies.
+		{Ports: 8, WordBits: 16, Cells: 64, VCs: 2},
 	} {
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, _ := traffic.NewCellStream(traffic.Config{Kind: traffic.Permutation, N: 8, Load: 1, Seed: 42}, s.Config().Stages)
-		r := NewRunner(s, cs, 1<<20)
-		for i := 0; i < 1024; i++ {
-			r.Step()
+		if cfg.VCs == 2 {
+			driveMulticast(t, s)
+		} else {
+			cs, _ := traffic.NewCellStream(traffic.Config{Kind: traffic.Permutation, N: 8, Load: 1, Seed: 42}, s.Config().Stages)
+			r := NewRunner(s, cs, 1<<20)
+			for i := 0; i < 1024; i++ {
+				r.Step()
+			}
 		}
 		if err := s.AuditInvariants(); err != nil {
 			t.Fatal(err)
@@ -243,8 +258,39 @@ func TestAuditZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Fatalf("ECC=%v: AuditInvariants allocates %.2f/op on a warm switch, want 0", cfg.ECC, allocs)
+			t.Fatalf("%+v: AuditInvariants allocates %.2f/op on a warm switch, want 0", cfg, allocs)
 		}
+	}
+}
+
+// driveMulticast saturates s with cells of which every other one fans out
+// to two more outputs on VC 1, auditing every cycle, and leaves it holding
+// multicast copies.
+func driveMulticast(t *testing.T, s *Switch) {
+	t.Helper()
+	n, k := s.Config().Ports, s.Config().Stages
+	heads := make([]*cell.Cell, n)
+	seq := uint64(0)
+	for c := 0; c < 40*k; c++ {
+		h := heads
+		if c%k != 0 {
+			h = nil
+		}
+		for i := range heads {
+			seq++
+			heads[i] = cell.New(seq, i, (i+c/k)%n, k, 16)
+			if seq%2 == 0 {
+				heads[i].VC, heads[i].Copies = 1, []int{(i + 1) % n, (i + 3) % n}
+			}
+		}
+		s.Tick(h)
+		s.Drain()
+		if err := s.AuditInvariants(); err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
+	}
+	if s.counter.Get("multicast-copies") == 0 || !slices.ContainsFunc(s.refcnt, func(r int) bool { return r > 1 }) {
+		t.Fatal("set-up: no multicast copies resident")
 	}
 }
 

@@ -59,11 +59,8 @@ type Op struct {
 	Out int
 	// Addr is the buffer address used by every stage of the wave.
 	Addr int
-	// Remap marks a wave initiated while a stage bypass is active: every
-	// stage of the wave resolves mapped-out banks through the redirect
-	// table (degrade.go). The flag is frozen at initiation so a wave that
-	// was in flight when a bypass tripped keeps its original bank schedule
-	// to completion.
+	// Remap marks a wave initiated under an active stage bypass: its stages
+	// resolve mapped-out banks through the redirect table (degrade.go).
 	Remap bool
 }
 
@@ -93,23 +90,16 @@ type Switch struct {
 
 	cycle int64
 
-	// mem is the shared buffer in structure-of-arrays form: one flat word
-	// slice laid out address-major (index addr*k+st), so the k words of a
-	// wave occupy one contiguous run the wave commit copies with a single
-	// sweep. memIdx resolves the (stage, address) view the fault layer uses.
+	// mem is the shared buffer, address-major (memIdx: addr*k+st), so a
+	// wave's k words are one contiguous run.
 	mem []cell.Word
 	// memLazy defers the bank deposit of unicast write waves: the address's
-	// single pending read serves its k words straight from the
-	// still-resident cell, so the payload crosses memory once instead of
-	// twice. Every consumer that reads the array directly (snapshot, the
-	// fault layer) calls materializeLazy or materializeAddr first.
+	// one read serves its words straight from the resident cell. Whatever
+	// reads the array directly calls materializeLazy or materializeAddr first.
 	memLazy []*cell.Cell // [address]
-	// ctrl is the pipelined control path stored as a ring indexed by wave
-	// initiation cycle: slot c0%k holds the op initiated at cycle c0, and
-	// stage st executes slot (c-st)%k at cycle c. This is the same
-	// "stage s+1 repeats stage s's operation next cycle" schedule of §3.3
-	// without physically shifting a control word per stage per cycle.
-	// waves counts the live ops.
+	// ctrl is the §3.3 control path as a ring: slot c0%k holds the op
+	// initiated at c0, which stage st executes at cycle c0+st. waves counts
+	// the live ops.
 	ctrl  []Op // [initiation cycle % k]
 	waves int
 
@@ -120,12 +110,10 @@ type Switch struct {
 	refcnt []int            // per address: queued copies not yet read
 	outOcc []int            // per output: queued cells across its VCs (O(1) QueuedFor)
 
-	// policy is the optional shared-buffer admission policy (bufmgr);
-	// polState is the pre-boxed State adapter handed to every Admit call
-	// so consulting the policy allocates nothing. wrSkip[i] = cycle+1
-	// marks input i's arrival as not admittable this cycle (Accept
-	// verdict with no free address), so pickWrite's retry loop moves on
-	// to the next-most-urgent arrival instead of rescanning it.
+	// policy is the optional admission policy (bufmgr), polState its
+	// pre-boxed view of the switch. wrSkip[i] = cycle+1 marks input i's
+	// arrival as tried this cycle (accepted with no free address), so
+	// pickWrite's retry loop moves on to the next-most-urgent one.
 	policy   bufmgr.Policy
 	polState *bufView
 	wrSkip   []int64
@@ -145,21 +133,17 @@ type Switch struct {
 	vcTokens  [][]int
 	writeRR   int // tie-break pointer over inputs (EDF first)
 
-	// tracer is the fig. 5 tap (trace.go): nil — the default — costs one
-	// pointer test per Tick, outside both engines.
+	// tracer is the fig. 5 tap (trace.go); nil costs one test per Tick.
 	tracer func(TraceEvent)
-	// obs is the observability layer (observe.go): nil — the default —
-	// costs one pointer test per Tick and keeps the hot path 0 allocs/op.
-	// obsPeak caches the published high-water mark so the per-cycle check
-	// is a plain compare, not an atomic; obsLocal and the histogram
-	// shadows buffer the hot counters between decimated flushes.
+	// obs is the observability layer (observe.go); nil costs one test per
+	// Tick. obsPeak caches the published high-water mark; obsLocal and the
+	// histogram shadows buffer the hot counters between decimated flushes.
 	obs          *Observer
 	obsPeak      int64
 	obsLocal     obsTally
 	obsCutLat    *obs.HistShadow
 	obsInitDelay *obs.HistShadow
-	// prof is the optional arbitration phase profile (profile.go): nil —
-	// the default — costs one pointer test per arbitrate call.
+	// prof is the optional arbitration phase profile (profile.go).
 	prof *PhaseProf
 
 	// cAccepted…cGlitchWords are hot counter slots (stats.Counter.Hot) on
@@ -175,27 +159,17 @@ type Switch struct {
 	// consumption, and the multistage fabric's chained cut-through.
 	onTransmitCell func(out int, c *cell.Cell, startCycle int64)
 	// onDropCell, when set, receives every cell the switch loses
-	// (overrun displacement, policy refusal, push-out eviction), so an
-	// outer engine can retire per-cell bookkeeping instead of leaking
-	// it. reusable reports that the switch holds no remaining reference
-	// of any kind — true only for overrun victims, whose arrival
-	// register is overwritten in the same cycle; a policy or push-out
-	// victim may still be streaming words into the (now inert) input
-	// register for the rest of its cell time.
+	// (SetDropCellHook).
 	onDropCell func(c *cell.Cell, reusable bool)
 
-	// Fault-tolerance state (defense layers; see degrade.go). eccMem holds
-	// the per-word SEC-DED check bits when Config.ECC is on, laid out like
-	// mem (index memIdx), and ecc is the code for the configured word width.
-	// eccDirty flags exactly the addresses holding a word that fails its
-	// check bits, eccDirtyN counts them: the wave commit never decodes, so a
-	// wave over a flagged address runs off it (the clean-word invariant).
-	// stuck marks banks with an injected stuck-at fault, stuckN counts them.
-	// stageErr tallies uncorrectable errors per bank; stageDown marks banks
-	// mapped out by bypass. Once a bypass halves the buffer, addrLimit is the
-	// usable address count and the upper half of every healthy bank is the
-	// redirect region for its mapped-out partner. lastInit spaces
-	// initiations while degraded.
+	// Fault-tolerance state (degrade.go). eccMem holds the SEC-DED check
+	// bits laid out like mem, ecc the code. eccDirty flags exactly the
+	// addresses holding a word that fails its check bits (eccDirtyN counts
+	// them): the wave commit never decodes, so a wave over one runs off it.
+	// stuck marks stuck-at banks (stuckN counts them), stageErr counts
+	// uncorrectable errors per bank, stageDown marks mapped-out banks;
+	// addrLimit is the usable address count, lastInit spaces initiations
+	// while degraded.
 	eccMem    []uint8
 	ecc       *eccCode
 	eccDirty  []bool
@@ -209,57 +183,40 @@ type Switch struct {
 	addrLimit int
 	lastInit  int64
 	// writeStartAt[addr] is the initiation cycle of the write wave that
-	// last allocated addr; fault engines use it (AddrStable) to target
-	// only fully deposited words.
+	// last allocated addr (AddrStable).
 	writeStartAt []int64
 
-	// The wave commit (tick): every wave's memory traffic is applied in one
-	// contiguous sweep at initiation — legal because a cell's words are
-	// immutable once injected and wave orderings are stage-uniform (two
-	// waves touching one address never interleave out of initiation order)
-	// — and its departure is posted to departAt, the cycle-indexed
-	// completion ring. A wave a fault can still reach runs off the commit
-	// instead (degrade.go): open marks its ring slot, and its remaining
-	// stages access the banks at their own cycles. glitch holds, per slot,
-	// a control word glitched in beside the wave (InjectControlFault), which
-	// runs the same way. openN counts open slots and non-squash glitches,
-	// glitchN all glitches.
-	// prev[i] is the words of input row i's previous occupant, which its
-	// positions hold until the occupant latches them; flipOcc and flipPrev
-	// (nil until the first input-register fault) are the flips that landed
-	// on the occupant's latched words and on the rest of the row.
+	// The wave commit (tick) applies a wave's memory traffic at initiation
+	// and posts its departure to departAt, the cycle-indexed completion
+	// ring. A wave a fault can still reach is open instead (degrade.go): its
+	// stages access the banks at their own cycles. glitch holds, per slot, a
+	// control word glitched in beside the wave. openN counts open slots and
+	// non-squash glitches, glitchN all glitches. prev[i] is the words of
+	// input row i's previous occupant, which the row holds until its
+	// occupant latches them; flipOcc and flipPrev are the input-register
+	// flips on the occupant's latched words and on the rest of the row.
 	departAt          []int // [cycle & depMask]: the output completing then, -1 for none
 	open              []bool
 	glitch            []*Op
 	openN, glitchN    int
 	prev              [][]cell.Word
 	flipOcc, flipPrev [][]cell.Word
-	// ctrlMask is k-1 when k is a power of two — slotOf then replaces the
-	// hardware divide the per-cycle ring indexing would otherwise pay —
-	// and -1 otherwise. depMask is len(departAt)-1 (the completion ring is
-	// always sized to a power of two ≥ k+1). occMask holds one bit per
-	// output with queued cells, maintained alongside its census counter
-	// (outOcc) as the link side's pendMask is alongside pendingWrites; they
-	// let the arbitration scans visit only live candidates when n ≤ 64.
+	// ctrlMask is k-1 when k is a power of two (slotOf masks instead of
+	// dividing), else -1; depMask is len(departAt)-1, a power of two ≥ k+1.
+	// occMask has one bit per output with queued cells (n ≤ 64).
 	ctrlMask int
 	depMask  int
 	occMask  uint64
 
 	// The read side arbitrates over one ready word, occMask & idleMask &
-	// openMask (n ≤ 64). The link side's idleMask has one bit per output
-	// whose egress slot is empty: cleared by startTransmit, set by
-	// finishDeparture — the two edges of linkFree[o], which the tick
-	// executes at exactly those cycles, so it is derived state (never
-	// serialized, rebuilt by NewFromSnapshot). openMask is the pushed level
-	// of the output gates (SetOutputOpen); outOpen is the same level per
-	// output, for the cut-through test and the n > 64 index walk.
+	// openMask (n ≤ 64). openMask is the pushed level of the output gates
+	// (SetOutputOpen), outOpen the same per output.
 	openMask uint64
 	outOpen  []bool
 
 	// inDelay is the §4.3 link-pipelining delay line: slot c%R holds the
-	// heads that entered the switch boundary R cycles ago and reach the
-	// input registers this cycle. delayCount tracks cells in flight on
-	// the pipelined wires for conservation accounting.
+	// heads that reach the input registers R cycles after entering;
+	// delayCount counts the cells on it.
 	inDelay      [][]*cell.Cell
 	delayScratch []*cell.Cell // reused heads vector for the delayed wave
 	delayCount   int
@@ -339,8 +296,7 @@ func New(cfg Config) (*Switch, error) {
 // Config returns the effective configuration.
 func (s *Switch) Config() Config { return s.cfg }
 
-// ctrlSlot returns the ring index of the control word stage st executes
-// at cycle c (the wave initiated at cycle c-st).
+// ctrlSlot is the ring slot stage st executes at cycle c: cycle c-st's.
 func (s *Switch) ctrlSlot(c int64, st int) int {
 	i := int((c - int64(st)) % int64(s.k))
 	if i < 0 {
@@ -349,9 +305,8 @@ func (s *Switch) ctrlSlot(c int64, st int) int {
 	return i
 }
 
-// slotOf returns the ctrl-ring slot cycle c initiates into — c % k, with
-// the divide strength-reduced to a mask for power-of-two stage counts
-// (the default k = 2n shape whenever n is a power of two).
+// slotOf is the ring slot cycle c initiates into: c % k, a mask when k is a
+// power of two.
 func (s *Switch) slotOf(c int64) int {
 	if s.ctrlMask >= 0 {
 		return int(c) & s.ctrlMask
@@ -362,8 +317,7 @@ func (s *Switch) slotOf(c int64) int {
 // depSlot returns cycle c's slot of the departure-completion ring.
 func (s *Switch) depSlot(c int64) int { return int(c) & s.depMask }
 
-// rrDist is input i's distance from the write round-robin pointer — the
-// position the legacy scan would visit i at.
+// rrDist is input i's distance from the write round-robin pointer.
 func (s *Switch) rrDist(i int) int {
 	d := i - s.writeRR
 	if d < 0 {
@@ -372,9 +326,7 @@ func (s *Switch) rrDist(i int) int {
 	return d
 }
 
-// occInc/occDec maintain output o's queued-cell census (count + bitset),
-// as the link side's pendSet/pendClear do for the pending writes. Every
-// consumer of a mask is gated on n ≤ 64.
+// occInc/occDec maintain output o's queued-cell census (count + bit).
 func (s *Switch) occInc(o int) {
 	s.outOcc[o]++
 	s.occMask |= uint64(1) << uint(o)
@@ -387,13 +339,11 @@ func (s *Switch) occDec(o int) {
 	}
 }
 
-// memIdx maps the (stage, address) view onto the flat address-major
-// buffer array: a wave's k words are contiguous at addr*k.
+// memIdx maps (stage, address) onto the address-major buffer array.
 func (s *Switch) memIdx(st, addr int) int { return addr*s.k + st }
 
-// setCtrl writes one control-ring slot, keeping the live-op count. The op is
-// taken by pointer (never retained) so the per-cycle call moves no 40-byte
-// struct.
+// setCtrl writes one control-ring slot, keeping the live-op count (by
+// pointer: the per-cycle call moves no 40-byte struct).
 func (s *Switch) setCtrl(slot int, op *Op) {
 	if s.ctrl[slot].Kind != OpNone {
 		s.waves--
@@ -404,11 +354,8 @@ func (s *Switch) setCtrl(slot int, op *Op) {
 	s.ctrl[slot] = *op
 }
 
-// materializeLazy deposits every deferred unicast payload into the bank
-// array (masked, exactly as the eager write sweep would have) and clears
-// the lazy table, restoring the invariant that s.mem holds all committed
-// write traffic. Idempotent; called on every seam that reads the array
-// directly.
+// materializeLazy deposits every deferred payload, so that s.mem holds all
+// committed write traffic.
 func (s *Switch) materializeLazy() {
 	for a, lc := range s.memLazy {
 		if lc == nil {
@@ -428,10 +375,8 @@ func (s *Switch) materializeAddr(a int) {
 	s.memLazy[a] = nil
 }
 
-// deposit is a whole write wave's bank traffic in one sweep: the k words of
-// src, masked to the word width, land at address a together with their
-// check bits when ECC is on — so whichever engine reads the address next
-// finds consistent (word, check) pairs.
+// deposit is a whole write wave's bank traffic: the k words of src, masked,
+// land at address a with their check bits.
 func (s *Switch) deposit(a int, src []cell.Word) {
 	dst, m := s.mem[a*s.k:a*s.k+s.k], s.cfg.wordMask()
 	for j := range dst {
@@ -449,9 +394,7 @@ func (s *Switch) deposit(a int, src []cell.Word) {
 func (s *Switch) qidx(out, vc int) int { return out*s.cfg.VCs + vc }
 
 // QueuedFor returns the number of cells queued for an output across all
-// of its virtual channels. O(1): the per-output occupancy is maintained
-// at every queue mutation, since admission policies consult it on each
-// arrival.
+// of its virtual channels, in O(1).
 func (s *Switch) QueuedFor(out int) int { return s.outOcc[out] }
 
 // Cycle returns the current cycle number (number of Ticks so far).
@@ -476,14 +419,11 @@ func (s *Switch) InitDelay() *stats.Mean { return &s.initDelay }
 func (s *Switch) SetTracer(f func(TraceEvent)) { s.tracer = f }
 
 // SetOutputOpen drives output out's gate level — the "credit available"
-// wire of link-level flow control ([KVES95]). A closed output is skipped
-// by read arbitration and by the cut-through upgrade, and its cells wait
-// in the shared buffer; every output starts open. The level is pushed, not
-// polled: the owner of the credit counter calls this on the 1→0 and 0→1
-// transitions it already performs (from inside a transmit hook is fine).
-// It is the caller's state, not the switch's — Snapshot does not carry it,
-// and a switch rebuilt by NewFromSnapshot has every output open until the
-// caller pushes its levels again.
+// wire of link-level flow control ([KVES95]). A closed output is skipped by
+// read arbitration and by the cut-through upgrade; every output starts
+// open. The owner of the credit counter pushes the level on its 1→0 and 0→1
+// transitions (from inside a transmit hook is fine). It is the caller's
+// state: Snapshot does not carry it, and a restored switch starts open.
 func (s *Switch) SetOutputOpen(out int, open bool) {
 	s.outOpen[out] = open
 	bit := uint64(1) << uint(out) // out ≥ 64 shifts to 0: mask unused there
@@ -628,10 +568,8 @@ func (s *Switch) Tick(heads []*cell.Cell) {
 }
 
 // delayStep advances the §4.3 link-pipelining delay line: heads spend
-// LinkPipeline cycles crossing the pipelined input wires before reaching
-// the input registers. The delay line is transparent to all switch logic
-// behind it. Slot storage and the delayed-heads vector are preallocated
-// and swapped in place.
+// LinkPipeline cycles on the pipelined input wires before reaching the
+// input registers.
 func (s *Switch) delayStep(c int64, heads []*cell.Cell) []*cell.Cell {
 	r := s.cfg.LinkPipeline
 	if r == 0 {
@@ -662,17 +600,13 @@ func (s *Switch) delayStep(c int64, heads []*cell.Cell) []*cell.Cell {
 	return s.delayScratch
 }
 
-// tick is one cycle of the switch: one arbitration, the chosen wave's
-// entire memory traffic applied in one contiguous sweep, and ring-scheduled
-// completion — no per-stage ctrl walk, no per-cycle input-register latching,
-// no per-word output drive. Committing a wave at initiation is exact: a
-// cell's words are immutable once injected, and wave schedules are
-// stage-uniform (stage st of the wave initiated at c0 runs at exactly
-// c0+st), so two waves touching one address always execute each stage in
-// initiation order — a wave's full traffic commutes with every other wave's,
-// and a departure completed at c0+k carries the words a per-stage drive
-// would have assembled. Where a fault can reach a wave that argument stops
-// holding, and the wave runs off the commit (initiate, runStages).
+// tick is one cycle of the switch: one arbitration, the chosen wave's whole
+// memory traffic committed at initiation, and ring-scheduled completion.
+// The commit is exact: a cell's words are immutable once injected and stage
+// st of the wave initiated at c0 runs at exactly c0+st, so two waves over
+// one address meet every stage in initiation order — a wave's traffic
+// commutes with every other wave's. Where a fault can reach a wave that
+// argument stops holding, and the wave is open (initiate, runStages).
 func (s *Switch) tick(heads []*cell.Cell) {
 	// Dead-cycle exit (TickN skips runs of these cycles in O(1), Runner.Step
 	// does not even call).
@@ -719,9 +653,8 @@ func (s *Switch) tick(heads []*cell.Cell) {
 		s.runStages(c)
 	}
 
-	// Ingress: record arrivals. The input registers are not latched per
-	// cycle: a row is its occupant's words (plus the flips the fault layer
-	// records), read straight from the immutable cell.
+	// Ingress: a row is its occupant's words, plus the flips the fault
+	// layer records; nothing is latched per cycle.
 	for i, nc := range heads {
 		if nc == nil {
 			continue
@@ -750,20 +683,16 @@ func (s *Switch) overrun(i int, lost *cell.Cell) {
 	}
 }
 
-// completeDue books the departure posted for cycle c, if any. At most one
-// wave initiates per cycle, so at most one completes per cycle — the one
-// posted k cycles ago. (Kept within the inliner's budget: it runs every
-// cycle.)
+// completeDue books the departure due at cycle c (posted k cycles before).
+// (Kept within the inliner's budget: it runs every cycle.)
 func (s *Switch) completeDue(c int64) {
 	if o := s.departAt[s.depSlot(c)]; o >= 0 {
 		s.finishDeparture(o, c)
 	}
 }
 
-// commitWave applies the entire memory traffic of the wave just initiated
-// at cycle c in one contiguous sweep and schedules its departure, in place
-// of its k per-stage accesses. The flat address-major layout makes each case a single run over mem[addr*k :
-// addr*k+k].
+// commitWave applies the whole memory traffic of the wave just initiated at
+// cycle c, one run over mem[addr*k : addr*k+k], and schedules its departure.
 func (s *Switch) commitWave(op *Op, c int64) {
 	m := s.cfg.wordMask() // once for the whole sweep
 	switch op.Kind {
@@ -800,18 +729,15 @@ func (s *Switch) commitWave(op *Op, c int64) {
 	}
 }
 
-// scheduleDepart posts a transmission for completion at cycle c+k — the
-// cycle its k-th word is on the link. The ring has ≥ k+1 slots and initiations are at most
-// one per cycle, so a slot is always consumed (at c0+k) before the next
-// wave that maps to it (initiated at least k+1 cycles later) posts.
+// scheduleDepart posts a transmission for completion at cycle c+k, when its
+// k-th word is on the link; with ≥ k+1 ring slots a slot is consumed before
+// the next wave that maps to it posts.
 func (s *Switch) scheduleDepart(out int, c int64) {
 	s.departAt[s.depSlot(c+int64(s.k))] = out
 }
 
 // accrueStalls charges one stall cycle to every arrival still waiting for
-// its write wave after this cycle's arbitration. The pending bitset makes
-// the common case (a handful of waiters among n ports) touch only the
-// live rows.
+// its write wave after this cycle's arbitration.
 func (s *Switch) accrueStalls(c int64) {
 	if s.pendingWrites == 0 {
 		return
@@ -832,15 +758,10 @@ func (s *Switch) accrueStalls(c int64) {
 	}
 }
 
-// arbitrate picks this cycle's stage-0 operation, enforcing the degraded
-// initiation cadence while a stage bypass is active: a mapped-out stage
-// doubles the load on its partner bank's single port, so waves initiated on
-// consecutive cycles could collide there. Spacing initiations two cycles
-// apart makes every remapped schedule conflict-free again (the §3.4 slot
-// argument at half rate).
-// The chosen operation is written through op — which must be zeroed by the
-// caller and is left untouched on a no-initiation cycle — so the 40-byte
-// Op never rides a return-value copy through the picker call chain.
+// arbitrate picks this cycle's stage-0 operation into op (zeroed by the
+// caller, untouched when nothing initiates). While a stage bypass is active
+// initiations are two cycles apart: a redirected stage doubles the load on
+// its partner bank's single port (the §3.4 slot argument at half rate).
 func (s *Switch) arbitrate(c int64, op *Op) bool {
 	if s.prof == nil {
 		return s.arbitrateInner(c, op)
@@ -878,12 +799,9 @@ func (s *Switch) arbitrateInner(c int64, op *Op) bool {
 
 // pickRead selects an idle, open outgoing link with an eligible
 // head-of-queue cell, round-robin from readRR. With n ≤ 64 the candidates
-// are the set bits of the ready word and arb.FirstFrom rotates to the
-// pointer: the visit order of the paper's index walk restricted to the
-// outputs that could pass its link, gate and queue probes, so the grant is
-// the same and a cycle with nothing ready costs one AND. A ready output
-// can still decline (store-and-forward wait, closed VC gates); it leaves
-// the local word and the rotation moves on.
+// are the set bits of the ready word, visited from the pointer by
+// arb.FirstFrom; a ready output can still decline (store-and-forward wait,
+// closed VC gates), and the rotation moves on.
 func (s *Switch) pickRead(c int64, op *Op) bool {
 	scanned := 0
 	if s.n <= 64 {
@@ -897,9 +815,7 @@ func (s *Switch) pickRead(c int64, op *Op) bool {
 			w &^= uint64(1) << uint(o)
 		}
 	} else if s.queues.Total() != 0 {
-		// n > 64: the words cannot hold every output, so this is the one
-		// place the legacy index walk survives, probing link, gate and
-		// queue per output.
+		// n > 64: the words cannot hold every output; probe each.
 		for j, o := 0, s.readRR; j < s.n; j, o = j+1, o+1 {
 			if o >= s.n {
 				o -= s.n
@@ -921,24 +837,19 @@ func (s *Switch) pickRead(c int64, op *Op) bool {
 func (s *Switch) tryRead(o int, c int64, op *Op) bool {
 	q := o // qidx(o, 0)
 	if s.cfg.VCs == 1 && s.vcGate == nil && (s.vcWeights == nil || s.vcWeights[o] == nil) {
-		// Single-VC fast path: with one virtual channel, no VC gate and
-		// no WRR weights, the only candidate is the output's front
-		// descriptor — skip the pickVC machinery.
+		// One VC, no gate, no weights: the front descriptor or nothing.
 		node, ok := s.queues.Front(q)
 		if !ok || (!s.cfg.CutThrough && c < s.nodes[node].writeStart+int64(s.k)) {
 			return false
 		}
 	} else {
-		// Serve the output's virtual channels round-robin (or WRR when
-		// weights are configured, [KaSC91]): a VC with a closed gate or
-		// an ineligible head does not block the link's other VCs.
+		// The output's VCs round-robin (WRR with weights, [KaSC91]): a
+		// closed gate or an ineligible head blocks no other VC.
 		eligible := func(vc int) bool {
 			if s.vcGate != nil && !s.vcGate(o, vc) {
 				return false
 			}
 			node, ok := s.queues.Front(s.qidx(o, vc))
-			// Store-and-forward: wait until the write wave has fully
-			// deposited the cell.
 			return ok && (s.cfg.CutThrough || c >= s.nodes[node].writeStart+int64(s.k))
 		}
 		vc := s.pickVC(o, eligible)
@@ -958,9 +869,8 @@ func (s *Switch) tryRead(o int, c int64, op *Op) bool {
 	s.startTransmit(o, d, c)
 	addr := d.addr
 	s.nfree.Put(node)
-	// The address is reusable once its last queued copy has
-	// claimed its read wave: any later write wave trails this
-	// read wave stage by stage.
+	// The address is reusable once its last copy's read wave has claimed
+	// it: any later write wave trails the read stage by stage.
 	s.refcnt[addr]--
 	if s.refcnt[addr] == 0 {
 		s.free.Put(addr)
@@ -969,14 +879,12 @@ func (s *Switch) tryRead(o int, c int64, op *Op) bool {
 	return true
 }
 
-// pickWrite selects the pending arrival with the earliest head cycle
-// (earliest deadline first), tie-broken round-robin, and submits it to
-// the buffer-management policy (bufmgr) when one is installed. A Drop
-// verdict consumes the arrival and the scan moves to the next-most-
-// urgent one in the same cycle; a PushOut verdict evicts the victim's
-// head first; an Accept with no free address leaves the arrival pending
-// (backpressure) and — with a policy installed — also tries the
-// remaining arrivals, since one of them may be admittable by push-out.
+// pickWrite selects the pending arrival with the earliest head cycle,
+// tie-broken round-robin, through the admission policy when one is
+// installed: Drop consumes the arrival and the scan moves on in the same
+// cycle, PushOut evicts the victim first, and Accept with no free address
+// leaves the arrival pending (backpressure) — with a policy, after trying
+// the others, one of which push-out may admit.
 func (s *Switch) pickWrite(c int64, op *Op) bool {
 	if s.pendingWrites == 0 {
 		s.noteWrite(0, false)
@@ -987,12 +895,8 @@ retry:
 	best := -1
 	var bestHead int64
 	if s.n <= 64 {
-		// The pending bitset holds exactly the active-and-unwritten rows,
-		// visited in ascending index order. The legacy walk visits in
-		// round-robin order from writeRR and keeps the first strict
-		// improvement, so its winner is the minimum head with ties broken
-		// by smallest RR distance — reproduced here with an explicit
-		// distance tie-break, making the two scans pick identically.
+		// The pending bitset in index order, ties broken by round-robin
+		// distance: the winner of the n > 64 walk below.
 		for m := s.pendMask; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
 			scanned++
@@ -1039,11 +943,9 @@ retry:
 	}
 	addr, ok := s.free.Get()
 	if !ok {
-		// Buffer exhausted: the cell stays pending and retries; if it is
-		// still unwritten when the next head arrives it is dropped
-		// (phase 5). With a policy installed, a less urgent arrival may
-		// still get in this cycle (its verdict could push a victim out),
-		// so mark this one tried and rescan.
+		// Buffer exhausted: the cell stays pending (overrun if the next
+		// head finds it so). With a policy, a less urgent arrival may still
+		// push a victim out this cycle: mark this one tried and rescan.
 		if s.policy != nil {
 			s.wrSkip[best] = c + 1
 			goto retry
@@ -1068,9 +970,8 @@ retry:
 	}
 	dst := a.c.Dst
 
-	// Automatic cut-through, same-cycle variant (unicast only): if the
-	// destination link is idle and no cell is queued ahead on any of its
-	// VCs, the write wave doubles as the read wave (§3.3).
+	// Automatic cut-through (§3.3, unicast): with the destination link idle
+	// and nothing queued ahead, the write wave doubles as the read wave.
 	if s.cfg.CutThrough && len(a.c.Copies) == 0 &&
 		s.linkFree[dst] <= c && s.QueuedFor(dst) == 0 && s.outOpen[dst] &&
 		(s.vcGate == nil || s.vcGate(dst, vc)) {
@@ -1082,10 +983,8 @@ retry:
 		return true
 	}
 
-	// Enqueue one descriptor per destination; the payload is stored once
-	// (multicast economy of the shared buffer). Unicast cells — the hot
-	// case — fill the descriptor in place on the claimed queue node, with
-	// no stack staging and no closure.
+	// One descriptor per destination, one stored payload. Unicast — the hot
+	// case — fills the claimed queue node in place.
 	if len(a.c.Copies) == 0 {
 		node, ok := s.nfree.Get()
 		if !ok {
@@ -1124,9 +1023,8 @@ retry:
 	return true
 }
 
-// startTransmit books the outgoing link for the K-cycle transmission that
-// follows a read (or write-through) wave initiated at cycle c, and claims
-// the link's egress slot for the departing cell's reassembly.
+// startTransmit books outgoing link o and its egress slot for the k-cycle
+// transmission of the read or write-through wave initiated at cycle c.
 func (s *Switch) startTransmit(o int, d *desc, c int64) {
 	s.linkFree[o] = c + int64(s.k)
 	s.book(o, d)
@@ -1135,20 +1033,16 @@ func (s *Switch) startTransmit(o int, d *desc, c int64) {
 	}
 }
 
-// linkIdle is idleMask's definition at the boundary before cycle c: output
-// o carries no transmission. A link booked at c₀ has linkFree = c₀+k and is
-// released by the tick of that very cycle (completion runs before
-// arbitration), so it is idle once linkFree < c — or while it was never
-// booked at all (linkFree 0; a booking always lands at k or later).
+// linkIdle is idleMask's definition at the boundary before cycle c: a link
+// booked at c₀ (linkFree = c₀+k) is released by the tick of cycle c₀+k, so
+// it is idle once linkFree < c, or while never booked (linkFree 0).
 func (s *Switch) linkIdle(o int, c int64) bool {
 	f := s.linkFree[o]
 	return f == 0 || f < c
 }
 
-// finishDeparture hands off the departure whose last word was observed on
-// outgoing link o at cycle c and reports it to the observer. It also
-// retires cycle c's completion-ring slot: a cycle completes at most one
-// departure, so either this is the posted one or the slot was empty.
+// finishDeparture hands off the departure whose last word was on link o at
+// cycle c, reports it to the observer and retires cycle c's ring slot.
 func (s *Switch) finishDeparture(o int, c int64) {
 	s.departAt[s.depSlot(c)] = -1
 	lat := s.depart(o, c)

@@ -286,7 +286,7 @@ func TestTickNEquivalencePolicies(t *testing.T) {
 	}
 }
 
-// TestTickNEquivalenceLightLoad drives the shape the batched engine is
+// TestTickNEquivalenceLightLoad drives the shape the idle fast-forward is
 // for — long gaps between sparse arrivals — where the event-driven
 // fast-forward collapses most of every TickN call.
 func TestTickNEquivalenceLightLoad(t *testing.T) {
@@ -305,10 +305,10 @@ func TestTickNEquivalenceLightLoad(t *testing.T) {
 	}
 }
 
-// TestTickNEquivalenceMemFault checks the one fault kind the batched path
-// keeps: memory upsets (InjectMemoryFault materializes any lazily deferred
-// payload before flipping, so the flip lands on real bytes in either
-// mode). Both drivers inject the identical upsets at the identical cycles;
+// TestTickNEquivalenceMemFault checks memory upsets under TickN
+// (InjectMemoryFault materializes any lazily deferred payload before
+// flipping, so the flip lands on real bytes, and opens the waves in flight
+// it reaches). Both drivers inject the identical upsets at the identical cycles;
 // the corrupted departures must then be identical too — same cells, same
 // cycles, same intact=false lines.
 func TestTickNEquivalenceMemFault(t *testing.T) {
@@ -474,8 +474,8 @@ func FuzzTickN(f *testing.F) {
 			return nil
 		}
 		// The cut cycle folds into the driven window; a snapshot there
-		// exercises serialization from whatever mode the batched engine is
-		// in at an arbitrary point of an arbitrary split.
+		// exercises serialization from whatever state the switch is in at
+		// an arbitrary point of an arbitrary split.
 		cutAt := int64(cut) % total
 		cutDone := false
 		si := 0

@@ -161,15 +161,12 @@ func (s *Switch) ctrlView(slot int) *Op {
 	return &s.ctrl[slot]
 }
 
-// emitTrace assembles and dispatches the TraceEvent of cycle c, which has
-// just run, from the control ring and the input rows' occupancy. Ctrl[0] is the freshly arbitrated control word.
-// A row latches word c−head of the cell it holds, word 0 being a head
-// admitted this cycle. Output register st drives the link of the read or
-// write-through that sat at stage st last cycle (§3.2): this cycle's
-// Ctrl[st+1], and for the last stage tail, which tickTraced read off the
-// ring before the cycle ran. (A control word glitched in through
-// InjectControlFault shows in place of its slot's, as if its stage had run
-// it last cycle too.)
+// emitTrace dispatches the TraceEvent of cycle c, which has just run, built
+// from the control ring and the input rows' occupancy: a row latches word
+// c−head of its cell, and output register st drives the link of the read or
+// write-through at stage st last cycle (§3.2) — this cycle's Ctrl[st+1], or
+// for the last stage tail, read before the cycle ran. A glitched control
+// word shows in place of its slot's.
 func (s *Switch) emitTrace(c int64, tail int) {
 	e := TraceEvent{
 		Cycle:    c,

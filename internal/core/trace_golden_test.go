@@ -226,8 +226,8 @@ func TestTracedEqualsReference(t *testing.T) {
 
 // TestTracerInstalledMidRun: a tracer installed at an arbitrary cycle sees,
 // from that cycle on, exactly the events of a run traced from cycle 0 —
-// including the drives of waves initiated (and, on the batched engine,
-// committed) before it was there. One run toggles its tracer on and off at
+// including the drives of waves initiated (and committed) before it was
+// there. One run toggles its tracer on and off at
 // random cycles; every event it does emit must be the reference's event
 // for that cycle.
 func TestTracerInstalledMidRun(t *testing.T) {

@@ -90,6 +90,46 @@ func TestChaosSoakECC(t *testing.T) {
 	}
 }
 
+// TestStageWordsOnlyUnderFaults pins the cost of the fault seams: a wave
+// commits at initiation unless a fault can still reach it, so without a
+// plan no word is ever accessed off the commit and "stage-words" stays out
+// of the counters — on every arrival process, with ECC on and off, cut
+// through and store and forward, with and without an admission policy —
+// while a plan that lands upsets under live words sends some of them off it.
+func TestStageWordsOnlyUnderFaults(t *testing.T) {
+	const cycles = 20_000
+	for name, tr := range arrivals(0.7, 5) {
+		for _, ecc := range []bool{false, true} {
+			for _, cut := range []bool{false, true} {
+				for _, pol := range []string{"", "dt:alpha=2"} {
+					s, err := ckpt.New(ckpt.Spec{
+						Switch:  core.Config{Ports: 4, WordBits: 16, Cells: 32, ECC: ecc, CutThrough: cut},
+						Traffic: tr, Cycles: cycles, Policy: pol,
+					}, ckpt.Options{AuditEvery: 1000})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := s.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if v, ok := s.Switch().Counters().Snapshot()["stage-words"]; ok {
+						t.Fatalf("%s ecc=%v cut=%v policy=%q: stage-words=%d on a fault-free run", name, ecc, cut, pol, v)
+					}
+				}
+			}
+		}
+	}
+	plan := fault.Random(1234, fault.RandomOptions{Cycles: cycles, Events: 300, Stages: 8, WordBits: 16, Inputs: 4})
+	rep := runPlan(t, ckpt.Spec{
+		Switch:  core.Config{Ports: 4, WordBits: 16, Cells: 32, ECC: true},
+		Traffic: traffic.Config{Kind: traffic.Bernoulli, N: 4, Load: 0.6, Seed: 1234}, Cycles: cycles,
+		Plan: plan, FaultSeed: 1234,
+	})
+	if rep.Switch["stage-words"] == 0 || rep.Engine["applied-mem"] == 0 {
+		t.Fatalf("stage-words=%d after %d applied upsets, want some words off the commit", rep.Switch["stage-words"], rep.Engine["applied-mem"])
+	}
+}
+
 // TestChaosSoakLinkProtect soaks the third defense layer: random word
 // corruption and word drops on CRC-protected input links. Every hit must
 // be caught by the CRC and repaired by retransmission — zero corrupted
