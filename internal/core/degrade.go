@@ -28,9 +28,16 @@ import (
 //     2-cycle cadence no two waves ever meet on one single-ported bank.
 //
 // Waves already in flight when the bypass trips keep their original bank
-// schedule (Op.Remap is frozen at initiation). Losing one of K banks costs
-// half the capacity and half the peak initiation rate (§5's area-vs-capacity
-// tradeoff at run time); losing both banks of a pair raises Health.Failed.
+// schedule (Op.Remap is frozen at initiation): a read started before the
+// map-out completes from the physical bank that held its data, and the
+// stale tail of a flushed write harmlessly touches retired locations.
+//
+// The degradation mirrors §5's area-vs-capacity tradeoff at run time:
+// losing one of K banks costs half the buffer capacity and half the peak
+// initiation rate, but the switch keeps forwarding traffic and integrity
+// checks stay honest. Losing both banks of a pair is unsurvivable; the
+// switch keeps running but Health.Failed is raised and delivered data is
+// no longer trustworthy.
 
 // Health is a snapshot of the switch's fault-tolerance state, the
 // run-time view a management plane would poll.
@@ -98,10 +105,13 @@ func (s *Switch) bankFor(st, addr int, remap bool) (int, int) {
 	return st, addr
 }
 
-// writeWord performs stage st's write of a wave at address addr. A stuck
-// bank still takes the write — the fault sits on its data lines
-// (senseWord) — so a read of it decodes against the check bits of the word
-// meant to be there, never what an earlier wave left behind.
+// writeWord performs stage st's write of a wave at address addr. A bank
+// with an injected stuck-at fault still takes the write — the fault sits
+// on its data lines (senseWord), not in the array — so what a read of it
+// decodes against is always the check bits of the word that was meant to
+// be there, never whatever an earlier wave left behind: storage no live
+// wave has written stays unobservable, which is what lets the wave commit
+// skip deposits nobody will read (commitWave).
 func (s *Switch) writeWord(st, addr int, remap bool, w cell.Word) {
 	b, a := s.bankFor(st, addr, remap)
 	i := s.memIdx(b, a)
@@ -111,8 +121,9 @@ func (s *Switch) writeWord(st, addr int, remap bool, w cell.Word) {
 	}
 }
 
-// senseWord is what bank b's data lines present for row a: the stored word,
-// or all-ones on a stuck bank.
+// senseWord is what bank b's data lines present for row a: the stored
+// word, or all-ones — whatever the array holds — if the bank has a
+// stuck-at fault.
 func (s *Switch) senseWord(b, a int) cell.Word {
 	if s.stuck != nil && s.stuck[b] {
 		return cell.Word(^uint64(0)).Mask(s.cfg.WordBits)
@@ -120,12 +131,16 @@ func (s *Switch) senseWord(b, a int) cell.Word {
 	return s.mem[s.memIdx(b, a)]
 }
 
-// readWord performs stage st's read of a wave at address addr through the
-// ECC layer. A single-bit upset is corrected and scrubbed back, then
-// verified: a location that still fails holds a hard fault ("ecc-hard") and
-// counts toward the bank's bypass threshold, as every multi-bit failure
-// ("ecc-uncorrectable") does. A stuck bank fails one way or the other; its
-// "corrected" words are not scrubbed (the array is intact) and fail the
+// readWord performs stage st's read of a wave at address addr, applying
+// the ECC defense layer. Single-bit upsets are corrected and scrubbed
+// back, with a read-after-write verify: a location that still fails after
+// the scrub holds a hard fault ("ecc-hard") and counts toward the bank's
+// bypass threshold, while a repaired transient does not. Multi-bit
+// failures ("ecc-uncorrectable") always count toward the threshold. A
+// stuck bank's data lines read all-ones regardless of what was written, so
+// its reads fail their check bits one way or the other: either as outright
+// uncorrectable words, or as "corrected" words whose scrub is withheld
+// (it would overwrite the intact array with a guess) and caught by the
 // verify.
 func (s *Switch) readWord(st, addr int, remap bool) cell.Word {
 	b, a := s.bankFor(st, addr, remap)
@@ -162,10 +177,11 @@ func (s *Switch) readWord(st, addr int, remap bool) cell.Word {
 	return dec
 }
 
-// mapOutBank takes bank b out of service ("stage-bypass"): capacity halves,
-// resident cells are flushed, and later waves redirect stage b to the
-// partner's upper half. next is the first cycle whose stages have not run.
-// Every wave in flight is opened first, while the bank map is the identity.
+// mapOutBank takes bank b out of service: capacity halves, resident cells
+// are flushed, and future waves redirect stage b to the partner bank's
+// upper half. Idempotent per bank. Counted under "stage-bypass". next is
+// the first cycle whose stages have not run: every wave in flight is opened
+// first, while the bank map is still the identity.
 func (s *Switch) mapOutBank(b int, next int64) {
 	if s.stageDown[b] {
 		return
@@ -185,9 +201,14 @@ func (s *Switch) mapOutBank(b int, next int64) {
 		s.halved = true
 		s.addrLimit = s.cfg.Cells / 2
 	}
-	// Flush every queued descriptor: the split invalidates their locations.
+	// Flush every queued descriptor: resident cells may straddle the dead
+	// bank and the address split invalidates their locations either way.
 	for q := 0; q < s.queues.Queues(); q++ {
-		for node, ok := s.queues.Pop(q); ok; node, ok = s.queues.Pop(q) {
+		for {
+			node, ok := s.queues.Pop(q)
+			if !ok {
+				break
+			}
 			addr := s.nodes[node].addr
 			s.counter.Inc("drop-bypass", 1)
 			if s.obs != nil {
@@ -204,9 +225,13 @@ func (s *Switch) mapOutBank(b int, next int64) {
 		s.outOcc[o] = 0 // every queue was just flushed
 	}
 	s.occMask = 0
-	// Rebuild the free list over the low addresses; the upper half of every
-	// bank is the redirect region from now on.
-	for _, ok := s.free.Get(); ok; _, ok = s.free.Get() {
+	// Rebuild the free list over the usable low addresses only; the upper
+	// half of every bank is now the redirect region and the corresponding
+	// addresses stay permanently retired (never handed out again).
+	for {
+		if _, ok := s.free.Get(); !ok {
+			break
+		}
 	}
 	for a := s.addrLimit - 1; a >= 0; a-- {
 		s.free.Put(a)
@@ -216,9 +241,11 @@ func (s *Switch) mapOutBank(b int, next int64) {
 	}
 }
 
-// MapOutStage maps out stage st between Ticks — the maintenance path for a
-// bank failing in ways ECC cannot see. Reads in flight complete from the
-// physical bank.
+// MapOutStage manually maps out stage st — the maintenance path a
+// management plane would use for a bank failing in ways ECC cannot see.
+// Call it between Ticks. Reads already in flight complete from the
+// physical bank, so mapping out a still-readable bank loses no data beyond
+// the flushed buffer residents.
 func (s *Switch) MapOutStage(st int) error {
 	if st < 0 || st >= s.k {
 		return fmt.Errorf("core: stage %d out of range 0…%d", st, s.k-1)
@@ -228,8 +255,11 @@ func (s *Switch) MapOutStage(st int) error {
 }
 
 // SetStageStuck injects (or clears) a stuck-at fault on bank st: its data
-// lines read all-ones (writes still land, and show once the fault clears).
-// Reads in flight that have yet to reach the bank see the change there.
+// lines read all-ones whatever the array holds (writes still land, and
+// show again once the fault clears). The fault engine's "stuck" events use
+// this; with ECC armed the bank's words fail their check bits on every
+// read until the bypass threshold maps the bank out. Reads in flight that
+// have yet to reach the bank see the change there.
 func (s *Switch) SetStageStuck(st int, stuck bool) {
 	if st < 0 || st >= s.k {
 		return
@@ -249,11 +279,18 @@ func (s *Switch) SetStageStuck(st int, stuck bool) {
 	}
 }
 
-// InjectMemoryFault XORs mask into the stored word at (stage, addr), through
-// the current bypass remap — a single-event upset; the check bits stay
-// stale. A wave in flight over the address that has yet to reach the stage
-// meets the upset there: a read decodes (and scrubs) or delivers it, a
-// write overwrites it.
+// InjectMemoryFault XORs mask into the stored word of the given wave
+// stage and buffer address — a single-event upset in the bank array. The
+// check bits are deliberately left stale so the ECC layer sees the flip.
+// The current bypass remap is applied, so the fault lands where live
+// traffic will actually read. A wave in flight over the address that has
+// yet to reach the stage meets the upset there: a read decodes (and
+// scrubs) or delivers it, a write overwrites it.
+//
+// The dirty flag follows the stored words, not the call: an upset that
+// leaves every word of the address matching its check bits (a second flip
+// undoing the first, a mask the code cannot see) leaves nothing to decode,
+// so the address is unflagged (eccRecheck).
 func (s *Switch) InjectMemoryFault(stage, addr int, mask cell.Word) {
 	if stage < 0 || stage >= s.k || addr < 0 || addr >= s.cfg.Cells {
 		return
@@ -294,10 +331,15 @@ func (s *Switch) addrClean(addr int) bool {
 	return true
 }
 
-// MemoryClean reports whether the word at (stage, addr) matches its check
-// bits (true without ECC): fault engines keep one flip per word at most.
+// MemoryClean reports whether the word at (stage, addr) currently matches
+// its check bits (vacuously true without ECC). Fault engines use it to
+// keep at most one outstanding flip per word, the regime SEC-DED is
+// guaranteed to correct.
 func (s *Switch) MemoryClean(stage, addr int) bool {
-	if stage < 0 || stage >= s.k || addr < 0 || addr >= s.cfg.Cells || s.eccMem == nil {
+	if stage < 0 || stage >= s.k || addr < 0 || addr >= s.cfg.Cells {
+		return true
+	}
+	if s.eccMem == nil {
 		return true
 	}
 	b, a := s.bankFor(stage, addr, true)
@@ -334,8 +376,10 @@ func (s *Switch) InjectControlFault(st int, op Op) {
 }
 
 // InjectInputRegisterFault XORs mask into input in's register for word
-// position word. A write that reads the register from this cycle on meets
-// it; a word the row's occupant has yet to latch overwrites it.
+// position word — an upset in the input latch row before the write wave
+// copies it into the buffer. A write that reads the register from this
+// cycle on meets it; a word the row's occupant has yet to latch overwrites
+// it.
 func (s *Switch) InjectInputRegisterFault(in, word int, mask cell.Word) {
 	if in < 0 || in >= s.n || word < 0 || word >= s.k {
 		return
@@ -552,10 +596,12 @@ func (s *Switch) rowFlipped(in int) bool {
 	return s.flipOcc != nil && slices.ContainsFunc(s.flipOcc[in], func(f cell.Word) bool { return f != 0 })
 }
 
-// AddrStable reports that address addr holds a fully written cell that a
-// queued copy will still read. A single-bit upset there is read, and
-// scrubbed, before any rewrite: an engine flipping only stable, clean words
-// gets an exact correction count.
+// AddrStable reports that address addr holds a fully deposited cell whose
+// read wave has not yet been initiated: its write wave has passed every
+// stage and at least one descriptor still queues it. A single-bit fault
+// injected into a stable word is read exactly once downstream (the first
+// read scrubs it), so an engine flipping only stable, clean words gets an
+// exact correction count.
 func (s *Switch) AddrStable(addr int) bool {
 	return addr >= 0 && addr < s.cfg.Cells && s.refcnt[addr] > 0 && s.cycle >= s.writeStartAt[addr]+int64(s.k)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"pipemem/internal/traffic"
@@ -104,6 +105,8 @@ func faultUnderWave(t testing.TB, kind waveKind, off int, seed uint64, fires []s
 	sched := genSchedule(t, traffic.Config{Kind: traffic.Hotspot, N: 4, Load: 0.7, HotFrac: 0.4, Seed: seed}, k, cycles)
 	l := newLockstep(t, cfg, "")
 	l.mcastEvery = 3
+	var ev TraceEvent
+	l.sw.SetTracer(func(e TraceEvent) { ev = e })
 	next := int64(warm)
 	for c := int64(0); c < cycles+int64(8*k*cfg.Cells); c++ {
 		if len(fires) > 0 && c >= next {
@@ -113,6 +116,9 @@ func faultUnderWave(t testing.TB, kind waveKind, off int, seed uint64, fires []s
 			}
 		}
 		l.tick(rowAt(sched, c))
+		if want := l.ref.trace(); !sameEvent(ev, want) {
+			t.Fatalf("cycle %d: events diverged:\n switch    %v\n reference %v", c, ev, want)
+		}
 		if err := l.sw.AuditInvariants(); err != nil {
 			t.Fatalf("cycle %d: %v", c, err)
 		}
@@ -142,6 +148,47 @@ func TestFaultUnderWaveMatrix(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestOverrunRowUnderRecycling: the words of an overrun cell stay in its
+// input row until the new occupant latches over them, though the drop hook
+// hands the cell back at once. A Runner reuses it for a later arrival; a
+// glitched write of the row, run the cycle after each overrun, must store
+// the lost cell's words all the same — the banks equal those of a switch
+// whose cells are never reused, which the reference holds every cycle.
+func TestOverrunRowUnderRecycling(t *testing.T) {
+	cfg := Config{Ports: 4, WordBits: 16, Cells: 4}
+	k := cfg.Canonical().Stages
+	// Staggered heads, so an arrival reuses the lost cell within its row's
+	// next cell time.
+	tc := traffic.Config{Kind: traffic.Bernoulli, N: 4, Load: 0.95, Seed: 5}
+	const cycles = 600
+	sched := genSchedule(t, tc, k, cycles)
+	l := newLockstep(t, cfg, "")
+	s := mustSwitch(t, cfg)
+	r := NewRunner(s, stream(t, tc, k), cycles)
+	glitched := 0
+	for c := int64(0); c < cycles; c++ {
+		drops := slices.Clone(s.inDrops)
+		r.Step()
+		l.tick(rowAt(sched, c))
+		for i := range drops {
+			if s.inDrops[i] > drops[i] {
+				g := Op{Kind: OpWrite, In: i, Addr: int(c) % cfg.Cells}
+				s.InjectControlFault(1, g)
+				l.both(func(f faultSeams) { f.InjectControlFault(1, g) })
+				glitched++
+			}
+		}
+		s.materializeLazy()
+		l.sw.materializeLazy()
+		if !slices.Equal(s.mem, l.sw.mem) {
+			t.Fatalf("cycle %d: the recycling run's banks differ:\n got  %x\n want %x", c, s.mem, l.sw.mem)
+		}
+	}
+	if glitched < 10 {
+		t.Fatalf("%d overruns glitched, want at least 10", glitched)
 	}
 }
 

@@ -51,19 +51,26 @@ type Departure struct {
 	VC int
 }
 
-// reasm is an outgoing link's reassembly record for its one departure in
-// flight, recycled through the link side's pool.
+// reasm is an outgoing link's reassembly record for the one departure it
+// has in flight. The descriptor is embedded by value and the word buffer is
+// recycled through the owning link side's pool, so steady-state
+// transmission allocates nothing.
 type reasm struct {
 	d     desc
 	words []cell.Word
 	start int64 // cycle of head word on the link
-	// clean records that words are d.c's own in-width payload, so the
-	// corruption compare can be skipped. Only the wave commit sets it.
+	// clean records that words were materialized directly from d.c's own
+	// payload with no out-of-width bit dropped, so the departing cell is
+	// equal to the expected one by construction and the corruption compare
+	// can be skipped. Only the wave commit sets it.
 	clean bool
 }
 
-// load fills the record with the k words of src masked by m, straight from
-// the resident cell; it is clean exactly when the source was in-width.
+// load fills the record with the k words of src masked by m, the word-width
+// mask: the whole transmission of a wave committed at initiation, taken
+// straight from the resident cell. The record departs the very cell it will
+// be compared against, so the corruption check folds into the sweep: it is
+// clean exactly when the source was already in-width.
 func (r *reasm) load(src []cell.Word, m cell.Word) {
 	w := r.words[:len(src)] // the record's capacity is pool-sized to k
 	var dirty cell.Word
@@ -75,16 +82,21 @@ func (r *reasm) load(src []cell.Word, m cell.Word) {
 	r.clean = dirty == 0
 }
 
-// linkSide is the periphery of the switch, the part §3 keeps identical
-// whatever memory sits behind it: the occupancy of one input register row
-// per incoming link and, per outgoing link, the reassembly of the one cell
-// it is transmitting. Switch and DualSwitch embed it.
+// linkSide is the periphery of the switch, the part §3 keeps minimal and
+// identical whatever memory sits behind it: one row of input registers per
+// incoming link (here the row's occupancy; the register words are the
+// occupant's, read from its cell) and, per outgoing link, the reassembly of
+// the one cell it is transmitting. Switch and DualSwitch embed it; memory
+// organization and arbitration stay theirs.
 //
 // An outgoing link carries one cell at a time: a read or write-through wave
-// initiated at c₀ books the link through c₀+k, and the departure is booked
-// at the top of cycle c₀+k, before that cycle's arbitration. rxHead[o] is
-// all the egress state an output has; book panics on a second claim. A
-// committed wave fills its record at once, an open one a word per stage.
+// initiated at c₀ books the link through c₀+k, its k-th word is on the wire
+// at c₀+k, and the departure is booked at the top of cycle c₀+k, before the
+// cycle's arbitration can start the next transmission. rxHead[o] is
+// therefore all the egress state an output has; book panics if a second
+// transmission ever claims an occupied slot. A wave committed at initiation
+// fills its record at once (load, or a copy out of the bank) and completes
+// through the cycle-indexed ring; an open wave adds a word per stage.
 type linkSide struct {
 	n, k int
 	// lp is Config.LinkPipeline: with §4.3 link pipelining, timestamps are

@@ -38,8 +38,14 @@ type lockstep struct {
 	mcastEvery uint64
 	// log holds one line per departure, in ticknHarness.collect's format.
 	log []string
+	// line is §4.3's link pipelining, a delay line in front of the reference,
+	// which has none: heads reach it LinkPipeline cycles after the switch
+	// takes them, and its departures are stamped at the switch boundary.
+	line [][]*cell.Cell
+	lp   int64
 }
 
+// newLockstep pairs a switch with the reference; cfg may pipeline its links.
 func newLockstep(t testing.TB, cfg Config, polSpec string) *lockstep {
 	t.Helper()
 	policy := func() bufmgr.Policy {
@@ -59,7 +65,9 @@ func newLockstep(t testing.TB, cfg Config, polSpec string) *lockstep {
 	if p := policy(); p != nil {
 		s.SetBufferPolicy(p)
 	}
-	return &lockstep{t: t, sw: s, ref: newRef(cfg, policy())}
+	lp := cfg.LinkPipeline
+	cfg.LinkPipeline = 0
+	return &lockstep{t: t, sw: s, ref: newRef(cfg, policy()), line: make([][]*cell.Cell, lp), lp: int64(lp)}
 }
 
 // both applies a fault to the switch and to the reference.
@@ -100,6 +108,10 @@ func (l *lockstep) tick(row []int) {
 	l.t.Helper()
 	hc := l.heads(row)
 	l.sw.Tick(hc)
+	if l.lp > 0 {
+		l.line = append(l.line, hc)
+		hc, l.line = l.line[0], l.line[1:]
+	}
 	l.ref.Tick(hc)
 	l.check()
 }
@@ -113,6 +125,7 @@ func (l *lockstep) check() {
 		l.t.Fatalf("cycle %d: %d departures, reference %d", c, len(got), len(want))
 	}
 	for i := range got {
+		want[i].HeadIn, want[i].HeadOut, want[i].TailOut = want[i].HeadIn-l.lp, want[i].HeadOut+l.lp, want[i].TailOut+l.lp
 		g, w := depLine(got[i]), depLine(want[i])
 		if g != w || !slices.Equal(got[i].Cell.Words, want[i].Cell.Words) {
 			l.t.Fatalf("cycle %d: departure\n got  %s %x\n want %s %x", c, g, got[i].Cell.Words, w, want[i].Cell.Words)
@@ -127,9 +140,17 @@ func (l *lockstep) check() {
 	if g, w := l.sw.Health(), l.ref.Health(); !reflect.DeepEqual(g, w) {
 		l.t.Fatalf("cycle %d: health\n got  %+v\n want %+v", c, g, w)
 	}
-	if l.sw.Buffered() != l.ref.Buffered() || l.sw.FreeCells() != l.ref.free.Free() || l.sw.Resident() != l.ref.Resident() {
+	res := l.ref.Resident()
+	for _, hc := range l.line {
+		for _, h := range hc {
+			if h != nil {
+				res++
+			}
+		}
+	}
+	if l.sw.Buffered() != l.ref.Buffered() || l.sw.FreeCells() != l.ref.free.Free() || l.sw.Resident() != res {
 		l.t.Fatalf("cycle %d: buffered/free/resident %d/%d/%d, reference %d/%d/%d", c,
-			l.sw.Buffered(), l.sw.FreeCells(), l.sw.Resident(), l.ref.Buffered(), l.ref.free.Free(), l.ref.Resident())
+			l.sw.Buffered(), l.sw.FreeCells(), l.sw.Resident(), l.ref.Buffered(), l.ref.free.Free(), res)
 	}
 }
 

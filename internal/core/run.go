@@ -264,11 +264,13 @@ func (s *Switch) TickN(heads []*cell.Cell, n int64) {
 	}
 }
 
-// idle reports that a Tick without heads can only advance the clock: no
-// cell inside, no live wave or glitch in the control ring, and no observer
-// or tracer owed a call per cycle. Tick's dead-cycle exit, TickN's
-// fast-forward and Runner.Step's coasting all ask it, and all three then
-// add to the clock.
+// idle reports that a Tick without heads can do nothing but advance the
+// clock: no cell is anywhere inside, the control ring has retired its last
+// wave and glitch, and nobody is owed a call per cycle (an observer's
+// tallies and decimated flushes are per-cycle state, a tracer is owed an
+// event per cycle). It is the one statement of that fact: Tick's
+// dead-cycle exit, TickN's fast-forward and Runner.Step's coasting all ask
+// it, and all three do the same thing with a yes — add to the clock.
 func (s *Switch) idle() bool { return s.Quiescent() && s.waves == 0 && s.unwatched() }
 
 // unwatched is the half of idle a call between Ticks can change.

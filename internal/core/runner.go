@@ -34,9 +34,9 @@ import (
 // coast by itself: SetObserver and SetTracer (each is owed every cycle), a
 // glitched control word (InjectControlFault: it runs at its stages),
 // PreTick and Stage (each is owed every cycle too), and CellStream.Extend
-// (Session.ExtendSchedule), because the stream is asked, not remembered. A restored runner remembers
-// nothing and ticks once before it coasts again. SetOutputOpen ends no
-// coast: an empty switch has nothing to gate.
+// (Session.ExtendSchedule), because the stream is asked, not remembered. A
+// restored runner remembers nothing and ticks once before it coasts again.
+// SetOutputOpen ends no coast: an empty switch has nothing to gate.
 type Runner struct {
 	s      *Switch
 	cs     *traffic.CellStream

@@ -28,10 +28,13 @@ import (
 //     callers reinstall them after restore (the checkpoint layer records
 //     the policy spec string for exactly this purpose).
 //
-// A cell referenced from several structures (arrival, descriptor, egress
-// record) is serialized by content each time; restore breaks the aliasing
-// into copies, which is invisible: a cell's content is read-only inside the
-// switch and integrity comparisons are by value.
+// Cells appear in several structures at once (an input-register arrival,
+// its queued descriptor and its egress reassembly record may all reference
+// one *cell.Cell). Snapshot serializes each reference by content, so
+// restore breaks the aliasing into distinct copies. This is behaviorally
+// invisible: inside the switch a cell's content is read-only, the input
+// latching window ends before its departure completes, and integrity
+// comparisons are by value.
 
 // CellState is the serialized form of a cell.Cell.
 type CellState struct {
@@ -142,8 +145,8 @@ type SwitchState struct {
 	InReg  [][]cell.Word
 	OutReg []OutWordState
 	// Ctrl[slot] is the control word of each ring slot — a glitched word
-	// where one was glitched in beside a committed wave. Loaded lists the
-	// stages whose OutReg entry is loaded.
+	// where one was glitched in beside a committed wave still in flight.
+	// Loaded lists the stages whose OutReg entry is loaded.
 	Ctrl   []Op
 	Loaded []int
 
@@ -184,7 +187,8 @@ type SwitchState struct {
 	// Committed has one bit per ring slot below 64 whose live wave was
 	// committed at initiation. A live slot without it is open from the
 	// restore on: a read or write-through whose output's record holds one
-	// word per stage run so far is its wave, any other a glitch. Slots from
+	// word per stage run so far is its wave, and so is a write whose
+	// descriptor still names it; any other is a glitch (reopen). Slots from
 	// 64 on are written open; older files, without the field, are all open.
 	Committed uint64 `json:",omitempty"`
 
@@ -255,7 +259,7 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 		Committed: committed,
 	}
 	for slot, op := range s.ctrl {
-		if st.Ctrl[slot] = op; s.glitch[slot] != nil && !s.open[slot] {
+		if st.Ctrl[slot] = op; s.glitch[slot] != nil && !s.open[slot] && slot != s.slotOf(s.cycle) {
 			st.Ctrl[slot] = *s.glitch[slot]
 		}
 	}
@@ -613,15 +617,8 @@ func (s *Switch) restoreRows(rows [][]cell.Word) {
 	for i, row := range rows {
 		s.prev[i] = append([]cell.Word(nil), row...)
 		if slot, c0 := s.prevWrite(i); slot >= 0 && !s.rowReadOpen(i) {
-			for node := range s.nodes {
-				if d := &s.nodes[node]; s.nfree.Allocated(node) && d.addr == s.ctrl[slot].Addr && d.writeStart == c0 {
-					s.prev[i] = d.c.Words
-				}
-			}
-			for _, r := range s.rxHead {
-				if r != nil && r.d.addr == s.ctrl[slot].Addr && r.d.writeStart == c0 {
-					s.prev[i] = r.d.c.Words
-				}
+			if w := s.writer(s.ctrl[slot].Addr, c0); w != nil {
+				s.prev[i] = w.Words
 			}
 		}
 		for j, a := 0, &s.inflight[i]; a.active && j < s.k && a.head+int64(j) < s.cycle; j++ {
@@ -633,21 +630,24 @@ func (s *Switch) restoreRows(rows [][]cell.Word) {
 	}
 }
 
-// reopen marks the live ring slots a restored switch runs off the commit:
-// those without their bit in committed (every slot from 64 on). A read or
+// reopen marks the ring slots a restored switch runs off the commit: those
+// without their bit in committed (every slot from 64 on). A read or
 // write-through whose output's record holds one word per stage run so far
-// is the slot's wave; any other is a glitch beside a wave that completed
-// at initiation.
+// is the slot's wave, and so is a write whose descriptor still names it;
+// any other is a glitch beside a wave that completed at initiation, or
+// beside none. Stage 0's slot holds the wave that ran its last stage.
 func (s *Switch) reopen(committed uint64) {
 	c := s.cycle
-	for st := s.k - 1; st >= 1; st-- {
+	for st := s.k - 1; st >= 0; st-- {
 		slot, c0 := s.ctrlSlot(c, st), c-int64(st)
 		op := s.ctrl[slot]
 		if op.Kind == OpNone || slot < 64 && committed&(uint64(1)<<uint(slot)) != 0 {
 			continue
 		}
 		s.openN++
-		if r := s.rxHead[op.Out]; op.Kind == OpWrite || r != nil && r.start == c0+1 && len(r.words) == st {
+		r := s.rxHead[op.Out]
+		if st == 0 || op.Kind == OpWrite && s.writer(op.Addr, c0) != nil ||
+			op.Kind != OpWrite && r != nil && r.start == c0+1 && len(r.words) == st {
 			s.open[slot] = true
 			continue
 		}
@@ -657,8 +657,25 @@ func (s *Switch) reopen(committed uint64) {
 	}
 }
 
+// writer is the cell the write wave initiated at c0 stores at addr, found by
+// a descriptor still naming it, queued or on its link (nil for none).
+func (s *Switch) writer(addr int, c0 int64) *cell.Cell {
+	for node := range s.nodes {
+		if d := &s.nodes[node]; s.nfree.Allocated(node) && d.addr == addr && d.writeStart == c0 {
+			return d.c
+		}
+	}
+	for _, r := range s.rxHead {
+		if r != nil && r.d.addr == addr && r.d.writeStart == c0 {
+			return r.d.c
+		}
+	}
+	return nil
+}
+
 // banks exports a flat address-major array (mem, eccMem) as the per-bank
-// view, [stage][address], the serialized schema has always used.
+// view, [stage][address], the serialized schema has always used, keeping
+// checkpoint files readable across the layout change.
 func banks[T any](flat []T, k, cells int) [][]T {
 	out := grid[T](k, cells)
 	for b := range out {

@@ -59,8 +59,11 @@ type Op struct {
 	Out int
 	// Addr is the buffer address used by every stage of the wave.
 	Addr int
-	// Remap marks a wave initiated under an active stage bypass: its stages
-	// resolve mapped-out banks through the redirect table (degrade.go).
+	// Remap marks a wave initiated while a stage bypass is active: every
+	// stage of the wave resolves mapped-out banks through the redirect
+	// table (degrade.go). The flag is frozen at initiation so a wave that
+	// was in flight when a bypass tripped keeps its original bank schedule
+	// to completion.
 	Remap bool
 }
 
@@ -90,16 +93,25 @@ type Switch struct {
 
 	cycle int64
 
-	// mem is the shared buffer, address-major (memIdx: addr*k+st), so a
-	// wave's k words are one contiguous run.
+	// mem is the shared buffer in structure-of-arrays form: one flat word
+	// slice laid out address-major (index addr*k+st), so the k words of a
+	// wave occupy one contiguous run the wave commit can copy with a single
+	// sweep. memIdx resolves the (stage, address) view the open waves and
+	// the fault layer use.
 	mem []cell.Word
-	// memLazy defers the bank deposit of unicast write waves: the address's
-	// one read serves its words straight from the resident cell. Whatever
-	// reads the array directly calls materializeLazy or materializeAddr first.
+	// memLazy defers the bank deposit of unicast write waves: the
+	// address's single pending read serves its k words straight from the
+	// still-resident cell, so the payload crosses memory once instead of
+	// twice. Every consumer that reads the array directly (snapshot, fault
+	// injection, an open wave) calls materializeLazy or materializeAddr
+	// first.
 	memLazy []*cell.Cell // [address]
-	// ctrl is the §3.3 control path as a ring: slot c0%k holds the op
-	// initiated at c0, which stage st executes at cycle c0+st. waves counts
-	// the live ops.
+	// ctrl is the pipelined control path stored as a ring indexed by wave
+	// initiation cycle: slot c0%k holds the op initiated at cycle c0, and
+	// stage st executes slot (c-st)%k at cycle c. This is the same
+	// "stage s+1 repeats stage s's operation next cycle" schedule of §3.3
+	// without physically shifting a control word per stage per cycle.
+	// waves counts the live ops.
 	ctrl  []Op // [initiation cycle % k]
 	waves int
 
@@ -110,10 +122,12 @@ type Switch struct {
 	refcnt []int            // per address: queued copies not yet read
 	outOcc []int            // per output: queued cells across its VCs (O(1) QueuedFor)
 
-	// policy is the optional admission policy (bufmgr), polState its
-	// pre-boxed view of the switch. wrSkip[i] = cycle+1 marks input i's
-	// arrival as tried this cycle (accepted with no free address), so
-	// pickWrite's retry loop moves on to the next-most-urgent one.
+	// policy is the optional shared-buffer admission policy (bufmgr);
+	// polState is the pre-boxed State adapter handed to every Admit call
+	// so consulting the policy allocates nothing. wrSkip[i] = cycle+1
+	// marks input i's arrival as not admittable this cycle (Accept
+	// verdict with no free address), so pickWrite's retry loop moves on
+	// to the next-most-urgent arrival instead of rescanning it.
 	policy   bufmgr.Policy
 	polState *bufView
 	wrSkip   []int64
@@ -133,17 +147,21 @@ type Switch struct {
 	vcTokens  [][]int
 	writeRR   int // tie-break pointer over inputs (EDF first)
 
-	// tracer is the fig. 5 tap (trace.go); nil costs one test per Tick.
+	// tracer is the fig. 5 tap (trace.go): nil — the default — costs one
+	// pointer test per Tick, outside the tick.
 	tracer func(TraceEvent)
-	// obs is the observability layer (observe.go); nil costs one test per
-	// Tick. obsPeak caches the published high-water mark; obsLocal and the
-	// histogram shadows buffer the hot counters between decimated flushes.
+	// obs is the observability layer (observe.go): nil — the default —
+	// costs one pointer test per Tick and keeps the hot path 0 allocs/op.
+	// obsPeak caches the published high-water mark so the per-cycle check
+	// is a plain compare, not an atomic; obsLocal and the histogram
+	// shadows buffer the hot counters between decimated flushes.
 	obs          *Observer
 	obsPeak      int64
 	obsLocal     obsTally
 	obsCutLat    *obs.HistShadow
 	obsInitDelay *obs.HistShadow
-	// prof is the optional arbitration phase profile (profile.go).
+	// prof is the optional arbitration phase profile (profile.go): nil —
+	// the default — costs one pointer test per arbitrate call.
 	prof *PhaseProf
 
 	// cAccepted…cGlitchWords are hot counter slots (stats.Counter.Hot) on
@@ -159,17 +177,28 @@ type Switch struct {
 	// consumption, and the multistage fabric's chained cut-through.
 	onTransmitCell func(out int, c *cell.Cell, startCycle int64)
 	// onDropCell, when set, receives every cell the switch loses
-	// (SetDropCellHook).
+	// (overrun displacement, policy refusal, push-out eviction), so an
+	// outer engine can retire per-cell bookkeeping instead of leaking
+	// it. reusable reports that the switch holds no remaining reference
+	// of any kind — true only for overrun victims, whose arrival
+	// register is overwritten in the same cycle (the words it holds until
+	// then are the switch's own copy, lostRow); a policy or push-out
+	// victim may still be streaming words into the (now inert) input
+	// register for the rest of its cell time.
 	onDropCell func(c *cell.Cell, reusable bool)
 
-	// Fault-tolerance state (degrade.go). eccMem holds the SEC-DED check
-	// bits laid out like mem, ecc the code. eccDirty flags exactly the
-	// addresses holding a word that fails its check bits (eccDirtyN counts
-	// them): the wave commit never decodes, so a wave over one runs off it.
-	// stuck marks stuck-at banks (stuckN counts them), stageErr counts
-	// uncorrectable errors per bank, stageDown marks mapped-out banks;
-	// addrLimit is the usable address count, lastInit spaces initiations
-	// while degraded.
+	// Fault-tolerance state (defense layers; see degrade.go). eccMem holds
+	// the per-word SEC-DED check bits when Config.ECC is on, laid out like
+	// mem (index memIdx), and ecc is the code for the configured word width.
+	// eccDirty flags exactly the addresses holding a word that fails its
+	// check bits, eccDirtyN counts them: the wave commit never decodes, so
+	// a wave over one runs off it (initiate). stuck marks banks with an
+	// injected stuck-at fault, stuckN counts them. stageErr tallies
+	// uncorrectable errors per bank; stageDown marks banks mapped out by
+	// bypass. Once a bypass halves the buffer, addrLimit is the usable
+	// address count and the upper half of every healthy bank is the
+	// redirect region for its mapped-out partner. lastInit spaces
+	// initiations while degraded.
 	eccMem    []uint8
 	ecc       *eccCode
 	eccDirty  []bool
@@ -183,7 +212,8 @@ type Switch struct {
 	addrLimit int
 	lastInit  int64
 	// writeStartAt[addr] is the initiation cycle of the write wave that
-	// last allocated addr (AddrStable).
+	// last allocated addr; fault engines use it (AddrStable) to target
+	// only fully deposited words.
 	writeStartAt []int64
 
 	// The wave commit (tick) applies a wave's memory traffic at initiation
@@ -201,22 +231,32 @@ type Switch struct {
 	openN, glitchN    int
 	prev              [][]cell.Word
 	flipOcc, flipPrev [][]cell.Word
-	// ctrlMask is k-1 when k is a power of two (slotOf masks instead of
-	// dividing), else -1; depMask is len(departAt)-1, a power of two ≥ k+1.
-	// occMask has one bit per output with queued cells (n ≤ 64).
+	// ctrlMask is k-1 when k is a power of two — slotOf then replaces the
+	// hardware divide the per-cycle ring indexing would otherwise pay —
+	// and -1 otherwise. depMask is len(departAt)-1 (the completion ring is
+	// always sized to a power of two ≥ k+1). occMask holds one bit per
+	// output with queued cells, maintained alongside its census counter
+	// (outOcc) as the link side's pendMask is alongside pendingWrites; they
+	// let the arbitration scans visit only live candidates when n ≤ 64.
 	ctrlMask int
 	depMask  int
 	occMask  uint64
 
 	// The read side arbitrates over one ready word, occMask & idleMask &
-	// openMask (n ≤ 64). openMask is the pushed level of the output gates
-	// (SetOutputOpen), outOpen the same per output.
+	// openMask (n ≤ 64). The link side's idleMask has one bit per output
+	// whose egress slot is empty: cleared by startTransmit, set by
+	// finishDeparture — the two edges of linkFree[o], which the tick
+	// executes at exactly those cycles, so it is derived state (never
+	// serialized, rebuilt by NewFromSnapshot). openMask is the pushed level
+	// of the output gates (SetOutputOpen); outOpen is the same level per
+	// output, for the cut-through test and the n > 64 index walk.
 	openMask uint64
 	outOpen  []bool
 
 	// inDelay is the §4.3 link-pipelining delay line: slot c%R holds the
-	// heads that reach the input registers R cycles after entering;
-	// delayCount counts the cells on it.
+	// heads that entered the switch boundary R cycles ago and reach the
+	// input registers this cycle. delayCount tracks cells in flight on
+	// the pipelined wires for conservation accounting.
 	inDelay      [][]*cell.Cell
 	delayScratch []*cell.Cell // reused heads vector for the delayed wave
 	delayCount   int
@@ -225,6 +265,10 @@ type Switch struct {
 	auditScratch, auditRef []int
 	// initDelay accumulates §3.4's staggered-initiation delay.
 	initDelay stats.Mean
+	// lostRow[i] is the switch's copy of the words of the cell last overrun
+	// on input i: prev[i] until the new occupant latches them, while the
+	// cell itself goes back to the drop hook (overrun).
+	lostRow [][]cell.Word
 }
 
 // New builds a switch; the configuration is canonicalized and validated.
@@ -296,7 +340,8 @@ func New(cfg Config) (*Switch, error) {
 // Config returns the effective configuration.
 func (s *Switch) Config() Config { return s.cfg }
 
-// ctrlSlot is the ring slot stage st executes at cycle c: cycle c-st's.
+// ctrlSlot returns the ring index of the control word stage st executes
+// at cycle c (the wave initiated at cycle c-st).
 func (s *Switch) ctrlSlot(c int64, st int) int {
 	i := int((c - int64(st)) % int64(s.k))
 	if i < 0 {
@@ -305,8 +350,9 @@ func (s *Switch) ctrlSlot(c int64, st int) int {
 	return i
 }
 
-// slotOf is the ring slot cycle c initiates into: c % k, a mask when k is a
-// power of two.
+// slotOf returns the ctrl-ring slot cycle c initiates into — c % k, with
+// the divide strength-reduced to a mask for power-of-two stage counts
+// (the default k = 2n shape whenever n is a power of two).
 func (s *Switch) slotOf(c int64) int {
 	if s.ctrlMask >= 0 {
 		return int(c) & s.ctrlMask
@@ -317,7 +363,8 @@ func (s *Switch) slotOf(c int64) int {
 // depSlot returns cycle c's slot of the departure-completion ring.
 func (s *Switch) depSlot(c int64) int { return int(c) & s.depMask }
 
-// rrDist is input i's distance from the write round-robin pointer.
+// rrDist is input i's distance from the write round-robin pointer — the
+// position the legacy scan would visit i at.
 func (s *Switch) rrDist(i int) int {
 	d := i - s.writeRR
 	if d < 0 {
@@ -326,7 +373,9 @@ func (s *Switch) rrDist(i int) int {
 	return d
 }
 
-// occInc/occDec maintain output o's queued-cell census (count + bit).
+// occInc/occDec maintain output o's queued-cell census (count + bitset),
+// as the link side's pendSet/pendClear do for the pending writes. Every
+// consumer of a mask is gated on n ≤ 64.
 func (s *Switch) occInc(o int) {
 	s.outOcc[o]++
 	s.occMask |= uint64(1) << uint(o)
@@ -339,11 +388,13 @@ func (s *Switch) occDec(o int) {
 	}
 }
 
-// memIdx maps (stage, address) onto the address-major buffer array.
+// memIdx maps the (stage, address) view onto the flat address-major
+// buffer array: a wave's k words are contiguous at addr*k.
 func (s *Switch) memIdx(st, addr int) int { return addr*s.k + st }
 
-// setCtrl writes one control-ring slot, keeping the live-op count (by
-// pointer: the per-cycle call moves no 40-byte struct).
+// setCtrl writes one control-ring slot, keeping the live-op count. The op
+// is taken by pointer (never retained) so the per-cycle call moves no
+// 40-byte struct.
 func (s *Switch) setCtrl(slot int, op *Op) {
 	if s.ctrl[slot].Kind != OpNone {
 		s.waves--
@@ -354,8 +405,11 @@ func (s *Switch) setCtrl(slot int, op *Op) {
 	s.ctrl[slot] = *op
 }
 
-// materializeLazy deposits every deferred payload, so that s.mem holds all
-// committed write traffic.
+// materializeLazy deposits every deferred unicast payload into the bank
+// array (masked, exactly as the eager write sweep would have) and clears
+// the lazy table, restoring the invariant that s.mem holds all committed
+// write traffic. Idempotent; called on every seam that reads the array
+// directly.
 func (s *Switch) materializeLazy() {
 	for a, lc := range s.memLazy {
 		if lc == nil {
@@ -375,8 +429,10 @@ func (s *Switch) materializeAddr(a int) {
 	s.memLazy[a] = nil
 }
 
-// deposit is a whole write wave's bank traffic: the k words of src, masked,
-// land at address a with their check bits.
+// deposit is a whole write wave's bank traffic in one sweep: the k words of
+// src, masked to the word width, land at address a together with their
+// check bits when ECC is on — so whatever reads the address next finds
+// consistent (word, check) pairs.
 func (s *Switch) deposit(a int, src []cell.Word) {
 	dst, m := s.mem[a*s.k:a*s.k+s.k], s.cfg.wordMask()
 	for j := range dst {
@@ -394,7 +450,9 @@ func (s *Switch) deposit(a int, src []cell.Word) {
 func (s *Switch) qidx(out, vc int) int { return out*s.cfg.VCs + vc }
 
 // QueuedFor returns the number of cells queued for an output across all
-// of its virtual channels, in O(1).
+// of its virtual channels. O(1): the per-output occupancy is maintained
+// at every queue mutation, since admission policies consult it on each
+// arrival.
 func (s *Switch) QueuedFor(out int) int { return s.outOcc[out] }
 
 // Cycle returns the current cycle number (number of Ticks so far).
@@ -419,11 +477,14 @@ func (s *Switch) InitDelay() *stats.Mean { return &s.initDelay }
 func (s *Switch) SetTracer(f func(TraceEvent)) { s.tracer = f }
 
 // SetOutputOpen drives output out's gate level — the "credit available"
-// wire of link-level flow control ([KVES95]). A closed output is skipped by
-// read arbitration and by the cut-through upgrade; every output starts
-// open. The owner of the credit counter pushes the level on its 1→0 and 0→1
-// transitions (from inside a transmit hook is fine). It is the caller's
-// state: Snapshot does not carry it, and a restored switch starts open.
+// wire of link-level flow control ([KVES95]). A closed output is skipped
+// by read arbitration and by the cut-through upgrade, and its cells wait
+// in the shared buffer; every output starts open. The level is pushed, not
+// polled: the owner of the credit counter calls this on the 1→0 and 0→1
+// transitions it already performs (from inside a transmit hook is fine).
+// It is the caller's state, not the switch's — Snapshot does not carry it,
+// and a switch rebuilt by NewFromSnapshot has every output open until the
+// caller pushes its levels again.
 func (s *Switch) SetOutputOpen(out int, open bool) {
 	s.outOpen[out] = open
 	bit := uint64(1) << uint(out) // out ≥ 64 shifts to 0: mask unused there
@@ -568,8 +629,10 @@ func (s *Switch) Tick(heads []*cell.Cell) {
 }
 
 // delayStep advances the §4.3 link-pipelining delay line: heads spend
-// LinkPipeline cycles on the pipelined input wires before reaching the
-// input registers.
+// LinkPipeline cycles crossing the pipelined input wires before reaching
+// the input registers. The delay line is transparent to all switch logic
+// behind it. Slot storage and the delayed-heads vector are preallocated
+// and swapped in place.
 func (s *Switch) delayStep(c int64, heads []*cell.Cell) []*cell.Cell {
 	r := s.cfg.LinkPipeline
 	if r == 0 {
@@ -670,9 +733,13 @@ func (s *Switch) tick(heads []*cell.Cell) {
 
 // overrun is the switch's share of the accounting for a cell the link side
 // found displaced on input i (linkSide.admit): the per-port loss tallies,
-// the observer, the drop hook (reusable: the row is being overwritten,
-// nothing references the cell).
+// the observer, the drop hook (reusable: the row is being overwritten, and
+// the words it holds until then are the switch's own copy).
 func (s *Switch) overrun(i int, lost *cell.Cell) {
+	if s.lostRow == nil {
+		s.lostRow = grid[cell.Word](s.n, s.k)
+	}
+	s.prev[i] = append(s.lostRow[i][:0], lost.Words...)
 	s.inDrops[i]++
 	s.outDrops[lost.Dst]++
 	if s.obs != nil {
@@ -683,16 +750,20 @@ func (s *Switch) overrun(i int, lost *cell.Cell) {
 	}
 }
 
-// completeDue books the departure due at cycle c (posted k cycles before).
-// (Kept within the inliner's budget: it runs every cycle.)
+// completeDue books the departure posted for cycle c, if any. At most one
+// wave initiates per cycle, so at most one completes per cycle — the one
+// posted k cycles ago. (Kept within the inliner's budget: it runs every
+// cycle.)
 func (s *Switch) completeDue(c int64) {
 	if o := s.departAt[s.depSlot(c)]; o >= 0 {
 		s.finishDeparture(o, c)
 	}
 }
 
-// commitWave applies the whole memory traffic of the wave just initiated at
-// cycle c, one run over mem[addr*k : addr*k+k], and schedules its departure.
+// commitWave applies the entire memory traffic of the wave just initiated
+// at cycle c in one contiguous sweep and schedules its departure, in place
+// of k per-stage accesses. The flat address-major layout makes each case a
+// single run over mem[addr*k : addr*k+k].
 func (s *Switch) commitWave(op *Op, c int64) {
 	m := s.cfg.wordMask() // once for the whole sweep
 	switch op.Kind {
@@ -729,15 +800,19 @@ func (s *Switch) commitWave(op *Op, c int64) {
 	}
 }
 
-// scheduleDepart posts a transmission for completion at cycle c+k, when its
-// k-th word is on the link; with ≥ k+1 ring slots a slot is consumed before
-// the next wave that maps to it posts.
+// scheduleDepart posts a transmission for completion at cycle c+k — the
+// cycle its k-th word is on the link. The ring has ≥ k+1 slots and
+// initiations are at most one per cycle, so a slot is always consumed (at
+// c0+k) before the next wave that maps to it (initiated at least k+1
+// cycles later) posts.
 func (s *Switch) scheduleDepart(out int, c int64) {
 	s.departAt[s.depSlot(c+int64(s.k))] = out
 }
 
 // accrueStalls charges one stall cycle to every arrival still waiting for
-// its write wave after this cycle's arbitration.
+// its write wave after this cycle's arbitration. The pending bitset makes
+// the common case (a handful of waiters among n ports) touch only the
+// live rows.
 func (s *Switch) accrueStalls(c int64) {
 	if s.pendingWrites == 0 {
 		return
@@ -758,10 +833,15 @@ func (s *Switch) accrueStalls(c int64) {
 	}
 }
 
-// arbitrate picks this cycle's stage-0 operation into op (zeroed by the
-// caller, untouched when nothing initiates). While a stage bypass is active
-// initiations are two cycles apart: a redirected stage doubles the load on
-// its partner bank's single port (the §3.4 slot argument at half rate).
+// arbitrate picks this cycle's stage-0 operation, enforcing the degraded
+// initiation cadence while a stage bypass is active: a mapped-out stage
+// doubles the load on its partner bank's single port, so waves initiated on
+// consecutive cycles could collide there. Spacing initiations two cycles
+// apart makes every remapped schedule conflict-free again (the §3.4 slot
+// argument at half rate).
+// The chosen operation is written through op — which must be zeroed by the
+// caller and is left untouched on a no-initiation cycle — so the 40-byte
+// Op never rides a return-value copy through the picker call chain.
 func (s *Switch) arbitrate(c int64, op *Op) bool {
 	if s.prof == nil {
 		return s.arbitrateInner(c, op)
@@ -799,9 +879,12 @@ func (s *Switch) arbitrateInner(c int64, op *Op) bool {
 
 // pickRead selects an idle, open outgoing link with an eligible
 // head-of-queue cell, round-robin from readRR. With n ≤ 64 the candidates
-// are the set bits of the ready word, visited from the pointer by
-// arb.FirstFrom; a ready output can still decline (store-and-forward wait,
-// closed VC gates), and the rotation moves on.
+// are the set bits of the ready word and arb.FirstFrom rotates to the
+// pointer: the visit order of the paper's index walk restricted to the
+// outputs that could pass its link, gate and queue probes, so the grant is
+// the same and a cycle with nothing ready costs one AND. A ready output
+// can still decline (store-and-forward wait, closed VC gates); it leaves
+// the local word and the rotation moves on.
 func (s *Switch) pickRead(c int64, op *Op) bool {
 	scanned := 0
 	if s.n <= 64 {
@@ -815,7 +898,9 @@ func (s *Switch) pickRead(c int64, op *Op) bool {
 			w &^= uint64(1) << uint(o)
 		}
 	} else if s.queues.Total() != 0 {
-		// n > 64: the words cannot hold every output; probe each.
+		// n > 64: the words cannot hold every output, so this is the one
+		// place the legacy index walk survives, probing link, gate and
+		// queue per output.
 		for j, o := 0, s.readRR; j < s.n; j, o = j+1, o+1 {
 			if o >= s.n {
 				o -= s.n
@@ -837,19 +922,24 @@ func (s *Switch) pickRead(c int64, op *Op) bool {
 func (s *Switch) tryRead(o int, c int64, op *Op) bool {
 	q := o // qidx(o, 0)
 	if s.cfg.VCs == 1 && s.vcGate == nil && (s.vcWeights == nil || s.vcWeights[o] == nil) {
-		// One VC, no gate, no weights: the front descriptor or nothing.
+		// Single-VC fast path: with one virtual channel, no VC gate and
+		// no WRR weights, the only candidate is the output's front
+		// descriptor — skip the pickVC machinery.
 		node, ok := s.queues.Front(q)
 		if !ok || (!s.cfg.CutThrough && c < s.nodes[node].writeStart+int64(s.k)) {
 			return false
 		}
 	} else {
-		// The output's VCs round-robin (WRR with weights, [KaSC91]): a
-		// closed gate or an ineligible head blocks no other VC.
+		// Serve the output's virtual channels round-robin (or WRR when
+		// weights are configured, [KaSC91]): a VC with a closed gate or
+		// an ineligible head does not block the link's other VCs.
 		eligible := func(vc int) bool {
 			if s.vcGate != nil && !s.vcGate(o, vc) {
 				return false
 			}
 			node, ok := s.queues.Front(s.qidx(o, vc))
+			// Store-and-forward: wait until the write wave has fully
+			// deposited the cell.
 			return ok && (s.cfg.CutThrough || c >= s.nodes[node].writeStart+int64(s.k))
 		}
 		vc := s.pickVC(o, eligible)
@@ -869,8 +959,9 @@ func (s *Switch) tryRead(o int, c int64, op *Op) bool {
 	s.startTransmit(o, d, c)
 	addr := d.addr
 	s.nfree.Put(node)
-	// The address is reusable once its last copy's read wave has claimed
-	// it: any later write wave trails the read stage by stage.
+	// The address is reusable once its last queued copy has
+	// claimed its read wave: any later write wave trails this
+	// read wave stage by stage.
 	s.refcnt[addr]--
 	if s.refcnt[addr] == 0 {
 		s.free.Put(addr)
@@ -879,12 +970,14 @@ func (s *Switch) tryRead(o int, c int64, op *Op) bool {
 	return true
 }
 
-// pickWrite selects the pending arrival with the earliest head cycle,
-// tie-broken round-robin, through the admission policy when one is
-// installed: Drop consumes the arrival and the scan moves on in the same
-// cycle, PushOut evicts the victim first, and Accept with no free address
-// leaves the arrival pending (backpressure) — with a policy, after trying
-// the others, one of which push-out may admit.
+// pickWrite selects the pending arrival with the earliest head cycle
+// (earliest deadline first), tie-broken round-robin, and submits it to
+// the buffer-management policy (bufmgr) when one is installed. A Drop
+// verdict consumes the arrival and the scan moves to the next-most-
+// urgent one in the same cycle; a PushOut verdict evicts the victim's
+// head first; an Accept with no free address leaves the arrival pending
+// (backpressure) and — with a policy installed — also tries the
+// remaining arrivals, since one of them may be admittable by push-out.
 func (s *Switch) pickWrite(c int64, op *Op) bool {
 	if s.pendingWrites == 0 {
 		s.noteWrite(0, false)
@@ -895,8 +988,12 @@ retry:
 	best := -1
 	var bestHead int64
 	if s.n <= 64 {
-		// The pending bitset in index order, ties broken by round-robin
-		// distance: the winner of the n > 64 walk below.
+		// The pending bitset holds exactly the active-and-unwritten rows,
+		// visited in ascending index order. The legacy walk visits in
+		// round-robin order from writeRR and keeps the first strict
+		// improvement, so its winner is the minimum head with ties broken
+		// by smallest RR distance — reproduced here with an explicit
+		// distance tie-break, making the two scans pick identically.
 		for m := s.pendMask; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)
 			scanned++
@@ -943,9 +1040,11 @@ retry:
 	}
 	addr, ok := s.free.Get()
 	if !ok {
-		// Buffer exhausted: the cell stays pending (overrun if the next
-		// head finds it so). With a policy, a less urgent arrival may still
-		// push a victim out this cycle: mark this one tried and rescan.
+		// Buffer exhausted: the cell stays pending and retries; if it is
+		// still unwritten when the next head arrives it is dropped
+		// (overrun). With a policy installed, a less urgent arrival may
+		// still get in this cycle (its verdict could push a victim out),
+		// so mark this one tried and rescan.
 		if s.policy != nil {
 			s.wrSkip[best] = c + 1
 			goto retry
@@ -970,8 +1069,9 @@ retry:
 	}
 	dst := a.c.Dst
 
-	// Automatic cut-through (§3.3, unicast): with the destination link idle
-	// and nothing queued ahead, the write wave doubles as the read wave.
+	// Automatic cut-through, same-cycle variant (unicast only): if the
+	// destination link is idle and no cell is queued ahead on any of its
+	// VCs, the write wave doubles as the read wave (§3.3).
 	if s.cfg.CutThrough && len(a.c.Copies) == 0 &&
 		s.linkFree[dst] <= c && s.QueuedFor(dst) == 0 && s.outOpen[dst] &&
 		(s.vcGate == nil || s.vcGate(dst, vc)) {
@@ -983,8 +1083,10 @@ retry:
 		return true
 	}
 
-	// One descriptor per destination, one stored payload. Unicast — the hot
-	// case — fills the claimed queue node in place.
+	// Enqueue one descriptor per destination; the payload is stored once
+	// (multicast economy of the shared buffer). Unicast cells — the hot
+	// case — fill the descriptor in place on the claimed queue node, with
+	// no stack staging and no closure.
 	if len(a.c.Copies) == 0 {
 		node, ok := s.nfree.Get()
 		if !ok {
@@ -1023,8 +1125,9 @@ retry:
 	return true
 }
 
-// startTransmit books outgoing link o and its egress slot for the k-cycle
-// transmission of the read or write-through wave initiated at cycle c.
+// startTransmit books the outgoing link for the K-cycle transmission that
+// follows a read (or write-through) wave initiated at cycle c, and claims
+// the link's egress slot for the departing cell's reassembly.
 func (s *Switch) startTransmit(o int, d *desc, c int64) {
 	s.linkFree[o] = c + int64(s.k)
 	s.book(o, d)
@@ -1033,16 +1136,20 @@ func (s *Switch) startTransmit(o int, d *desc, c int64) {
 	}
 }
 
-// linkIdle is idleMask's definition at the boundary before cycle c: a link
-// booked at c₀ (linkFree = c₀+k) is released by the tick of cycle c₀+k, so
-// it is idle once linkFree < c, or while never booked (linkFree 0).
+// linkIdle is idleMask's definition at the boundary before cycle c: output
+// o carries no transmission. A link booked at c₀ has linkFree = c₀+k and is
+// released by the tick of that very cycle (completion runs before
+// arbitration), so it is idle once linkFree < c — or while it was never
+// booked at all (linkFree 0; a booking always lands at k or later).
 func (s *Switch) linkIdle(o int, c int64) bool {
 	f := s.linkFree[o]
 	return f == 0 || f < c
 }
 
-// finishDeparture hands off the departure whose last word was on link o at
-// cycle c, reports it to the observer and retires cycle c's ring slot.
+// finishDeparture hands off the departure whose last word was observed on
+// outgoing link o at cycle c and reports it to the observer. It also
+// retires cycle c's completion-ring slot: a cycle completes at most one
+// departure, so either this is the posted one or the slot was empty.
 func (s *Switch) finishDeparture(o int, c int64) {
 	s.departAt[s.depSlot(c)] = -1
 	lat := s.depart(o, c)

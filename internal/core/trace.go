@@ -147,7 +147,7 @@ func (o *Op) drives() int {
 // slot, runs the cycle, and reports it.
 func (s *Switch) tickTraced(heads []*cell.Cell) {
 	c := s.cycle
-	tail := s.ctrlView(s.slotOf(c)).drives()
+	tail := s.ctrl[s.slotOf(c)].drives()
 	s.tick(heads)
 	s.emitTrace(c, tail)
 }
@@ -161,12 +161,15 @@ func (s *Switch) ctrlView(slot int) *Op {
 	return &s.ctrl[slot]
 }
 
-// emitTrace dispatches the TraceEvent of cycle c, which has just run, built
-// from the control ring and the input rows' occupancy: a row latches word
-// c−head of its cell, and output register st drives the link of the read or
-// write-through at stage st last cycle (§3.2) — this cycle's Ctrl[st+1], or
-// for the last stage tail, read before the cycle ran. A glitched control
-// word shows in place of its slot's.
+// emitTrace assembles and dispatches the TraceEvent of cycle c, which has
+// just run, from the control ring and the input rows' occupancy. Ctrl[0] is
+// the freshly arbitrated control word. A row latches word c−head of the
+// cell it holds, word 0 being a head admitted this cycle. Output register
+// st drives the link of the read or write-through that sat at stage st
+// last cycle (§3.2): this cycle's Ctrl[st+1], and for the last stage tail,
+// which tickTraced read off the ring before the cycle ran. A glitched
+// control word shows in place of its slot's, but drives nothing: the wave
+// beside it loads the output register.
 func (s *Switch) emitTrace(c int64, tail int) {
 	e := TraceEvent{
 		Cycle:    c,
@@ -175,9 +178,10 @@ func (s *Switch) emitTrace(c int64, tail int) {
 		OutDrive: make([]int, s.k),
 	}
 	for st := range e.Ctrl {
-		e.Ctrl[st] = *s.ctrlView(s.ctrlSlot(c, st))
+		slot := s.ctrlSlot(c, st)
+		e.Ctrl[st] = *s.ctrlView(slot)
 		if st > 0 {
-			e.OutDrive[st-1] = e.Ctrl[st].drives()
+			e.OutDrive[st-1] = s.ctrl[slot].drives()
 		}
 	}
 	e.OutDrive[s.k-1] = tail
