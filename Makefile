@@ -38,7 +38,8 @@ race:
 # held to the §3 reference cycle by cycle.
 # FuzzLinkState puts arbitrary bytes where a checkpoint keeps its link
 # stage: refused on restore, or a session that runs on with the switch's
-# invariants intact. FuzzCellStreamHorizon drives
+# invariants intact. FuzzCheckpointFile does the same to a whole file body
+# under a recomputed header CRC, through Load and ResumeFrom. FuzzCellStreamHorizon drives
 # the cell stream beside its frozen per-cycle reference (heads and State
 # bytes at every cycle, restore at any). FuzzNetConfig asks for multistage
 # nets of arbitrary size: built or refused within a fixed allocation bound,
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test ./internal/core -run FuzzFaultUnderWave -fuzz FuzzFaultUnderWave -fuzztime 30s
 	$(GO) test ./internal/ckpt -run FuzzCheckpointCycle -fuzz FuzzCheckpointCycle -fuzztime 30s
 	$(GO) test ./internal/ckpt -run FuzzLinkState -fuzz FuzzLinkState -fuzztime 30s
+	$(GO) test ./internal/ckpt -run FuzzCheckpointFile -fuzz FuzzCheckpointFile -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/fabric -run FuzzNetConfig -fuzz FuzzNetConfig -fuzztime 30s
 	$(GO) test . -run FuzzOrganizations -fuzz FuzzOrganizations -fuzztime 30s
 	$(GO) test ./internal/srv -run FuzzSessionConfig -fuzz FuzzSessionConfig -fuzztime 30s

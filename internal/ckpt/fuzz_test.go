@@ -1,7 +1,12 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -103,6 +108,73 @@ func FuzzCheckpointCycle(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("interrupt after %d steps diverged:\n got  %+v\n want %+v", steps, got, want)
+		}
+	})
+}
+
+// FuzzCheckpointFile treats a whole checkpoint file as the trust boundary
+// it is. The fuzzer's bytes are the body; the header in front of them is
+// written for them, length and CRC recomputed, so every mutation reaches
+// JSON decoding and restore validation instead of stopping at the CRC.
+// Load and ResumeFrom either refuse the file with an error or yield a
+// session that runs 4·k cycles with the switch's invariants intact —
+// never a panic. The seeds are the two files in testdata/ and the files of
+// TestCheckpointBytesPinned's two specs. A body is some 15 KB, so the
+// default minute of minimizing each new input would take most of a short
+// run: make fuzz runs this target with -fuzzminimizetime 5s.
+func FuzzCheckpointFile(f *testing.F) {
+	for _, name := range []string{"parent-ecc-window.ckpt", "parent-stuck-bank.ckpt"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data[bytes.IndexByte(data, '\n')+1:])
+	}
+	for _, faults := range []bool{false, true} {
+		policy := "dt:alpha=2"
+		if faults {
+			policy = ""
+		}
+		s, err := New(specFor(f, policy, faults), Options{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		stepTo(f, s, 333)
+		ck, err := s.Checkpoint()
+		if err != nil {
+			f.Fatal(err)
+		}
+		body, err := json.Marshal(ck)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
+		header := fmt.Sprintf("pmckpt v%d len=%d crc=%08x\n", FormatVersion, len(body), crc32.ChecksumIEEE(body))
+		if err := os.WriteFile(path, append([]byte(header), body...), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := Load(path)
+		if err != nil {
+			return
+		}
+		// Every table a restore allocates is bounded by the file's own size
+		// but the link-pipelining delay line, which the first arrival sizes
+		// from the config alone: the harness steps no line over 64 cycles.
+		if ck.Switch != nil && ck.Switch.Config.LinkPipeline > 64 {
+			return
+		}
+		r, err := ResumeFrom(ck, Options{})
+		if err != nil {
+			return
+		}
+		if _, _, err := r.StepN(4 * int64(r.Switch().Config().Stages)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Switch().AuditInvariants(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -289,21 +290,22 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	}
 }
 
-// TestAuditCadenceCatchesCorruption resumes from a checkpoint whose
-// occupancy bookkeeping was tampered with and expects the session's audit
-// cadence to abort the run with a diagnostic error — the defense layer for
-// corrupted (but CRC-valid) state.
+// TestAuditCadenceCatchesCorruption tampers with a resumed session's
+// bookkeeping and expects the session's audit cadence to abort the run
+// with a diagnostic error — the defense layer for state that goes wrong
+// while a run is live. (State tampered with in the checkpoint itself is
+// refused by the restore: TestResumeRejectsBadCheckpoints.)
 func TestAuditCadenceCatchesCorruption(t *testing.T) {
 	s := sessionAt(t, 200)
 	ck, err := s.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Switch.OutOcc[0]++
 	r, err := ResumeFrom(ck, Options{AuditEvery: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.Switch().Counters().Inc("offered", 1)
 	_, err = r.Run()
 	if err == nil {
 		t.Fatal("corruption not caught by the audit cadence")
@@ -346,6 +348,32 @@ func TestResumeRejectsBadCheckpoints(t *testing.T) {
 	ck.Runner.Cycles = 12345
 	if _, err := ResumeFrom(&ck, Options{}); err == nil {
 		t.Fatal("runner/checkpoint cycle mismatch accepted")
+	}
+
+	// Switch state tampered with past what a restore can check field by
+	// field: the restored switch must pass its own audit, and a histogram no
+	// run of Add produces is refused naming the field.
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*core.SwitchState)
+	}{
+		{"occupancy", "audit", func(sw *core.SwitchState) {
+			sw.OutOcc = slices.Clone(sw.OutOcc)
+			sw.OutOcc[0]++
+		}},
+		{"cut-latency histogram", "Overflow", func(sw *core.SwitchState) {
+			h := &sw.CutLatency
+			h.Buckets = slices.Clone(h.Buckets)
+			h.Buckets[3], h.Total, h.Overflow = -1000, 7, -4
+		}},
+	} {
+		ck = *good
+		sw := *good.Switch
+		tc.edit(&sw)
+		ck.Switch = &sw
+		if _, err := ResumeFrom(&ck, Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: ResumeFrom error %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -137,6 +137,71 @@ func TestMulticastUnderUnicastLoad(t *testing.T) {
 	}
 }
 
+// TestTickZeroAllocMulticast: three-way multicast at full offered load
+// queues up to three descriptors per address, so the descriptor pool grows
+// past its initial one node per address; once it has reached its
+// high-water mark, the steady state allocates nothing. Cells are reused
+// once their last copy departs (Seq indexes them), and an input offers a
+// head only while the buffer has an address for every input, so nothing is
+// lost.
+func TestTickZeroAllocMulticast(t *testing.T) {
+	const n = 8
+	s := mustSwitch(t, Config{Ports: n, WordBits: 16, Cells: 32, CutThrough: true})
+	s.SetDrainRecycle(true)
+	s.SetDropCellHook(func(*cell.Cell, bool) { t.Fatal("a cell was lost") })
+	k := s.Config().Stages
+	cells := make([]*cell.Cell, 8*s.Config().Cells)
+	left := make([]int, len(cells))
+	var free []int
+	for i := range cells {
+		cells[i] = mcast(uint64(i), 0, 0, k, 0, 0)
+		free = append(free, i)
+	}
+	heads := make([]*cell.Cell, n)
+	c := 0
+	tick := func() {
+		var h []*cell.Cell
+		if c%k == 0 && s.FreeCells() >= n {
+			h = heads
+			for i := range heads {
+				x := cells[free[len(free)-1]]
+				free = free[:len(free)-1]
+				x.Src, x.Dst = i, (i+c/k)%n
+				x.Copies[0], x.Copies[1] = (x.Dst+1)%n, (x.Dst+3)%n
+				left[x.Seq] = 3
+				heads[i] = x
+			}
+		}
+		s.Tick(h)
+		for _, d := range s.Drain() {
+			if left[d.Expected.Seq]--; left[d.Expected.Seq] == 0 {
+				free = append(free, int(d.Expected.Seq))
+			}
+		}
+		c++
+	}
+	for i := 0; i < 64*k; i++ {
+		tick()
+	}
+	if len(s.nodes) <= s.Config().Cells {
+		t.Fatalf("descriptor pool still %d nodes for %d addresses; the drive queues too few copies to test growth", len(s.nodes), s.Config().Cells)
+	}
+	// One run of a whole window: any allocation in it fails the test.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 2000; i++ {
+			tick()
+		}
+	}); allocs != 0 {
+		t.Fatalf("%v allocations over 2000 multicast cycles at the pool's high-water mark, want 0", allocs)
+	}
+	if err := s.AuditInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Counters().Get("corrupt"); got != 0 {
+		t.Fatalf("%d corrupt copies", got)
+	}
+}
+
 // TestMulticastOutOfRangeCopyPanics.
 func TestMulticastOutOfRangeCopyPanics(t *testing.T) {
 	s := mustSwitch(t, Config{Ports: 2, WordBits: 16, Cells: 8, CutThrough: true})

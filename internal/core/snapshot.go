@@ -379,19 +379,25 @@ func (s *Switch) prevWrite(i int) (int, int64) {
 // reattach them before Ticking (a bufmgr policy must be the same policy
 // the snapshotted switch ran, or replay diverges).
 func NewFromSnapshot(st *SwitchState) (*Switch, error) {
-	s, err := New(st.Config)
-	if err != nil {
+	// The state's tables are checked against the geometry before New sizes
+	// the switch by it, so a state cannot make the restore allocate more
+	// than it holds itself.
+	cfg := st.Config.Canonical()
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n, k := s.n, s.k
-	s.cycle = st.Cycle
+	n, k := cfg.Ports, cfg.Stages
+	if cfg.VCs > len(st.Queues) {
+		return nil, fmt.Errorf("core: switch state has %d queues for %d VCs", len(st.Queues), cfg.VCs)
+	}
 	if err := checkLens("switch state", map[string]([2]int){
+		"Mem":          {len(st.Mem), k},
 		"InReg":        {len(st.InReg), n},
 		"OutReg":       {len(st.OutReg), k},
 		"Ctrl":         {len(st.Ctrl), k},
 		"Inflight":     {len(st.Inflight), n},
-		"Queues":       {len(st.Queues), s.queues.Queues()},
-		"Refcnt":       {len(st.Refcnt), s.cfg.Cells},
+		"Queues":       {len(st.Queues), n * cfg.VCs},
+		"Refcnt":       {len(st.Refcnt), cfg.Cells},
 		"OutOcc":       {len(st.OutOcc), n},
 		"WrSkip":       {len(st.WrSkip), n},
 		"InStalls":     {len(st.InStalls), n},
@@ -402,10 +408,23 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 		"Egress":       {len(st.Egress), n},
 		"StageErr":     {len(st.StageErr), k},
 		"StageDown":    {len(st.StageDown), k},
-		"WriteStartAt": {len(st.WriteStartAt), s.cfg.Cells},
+		"WriteStartAt": {len(st.WriteStartAt), cfg.Cells},
 	}); err != nil {
 		return nil, err
 	}
+	for b, row := range st.Mem {
+		if len(row) != cfg.Cells {
+			return nil, fmt.Errorf("core: switch state Mem[%d] has %d words, want %d", b, len(row), cfg.Cells)
+		}
+	}
+	if err := st.indexErr(cfg); err != nil {
+		return nil, err
+	}
+	s, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.cycle = st.Cycle
 	if err := loadBanks(s.mem, st.Mem, k, "Mem"); err != nil {
 		return nil, err
 	}
@@ -435,7 +454,7 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	for i := range st.Inflight {
 		a := &st.Inflight[i]
 		if a.Active {
-			if why := cellUnusable(a.Cell, n, k); why != "" {
+			if why := cellUnusable(a.Cell, cfg); why != "" {
 				return nil, fmt.Errorf("core: switch state arrival on input %d %s", i, why)
 			}
 		}
@@ -451,6 +470,7 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	if err := s.nfree.RestoreState(st.FreeNodes); err != nil {
 		return nil, fmt.Errorf("core: restore descriptor free list: %w", err)
 	}
+	s.fitNodes()
 	for q, list := range st.Queues {
 		for i := range list {
 			qn := &list[i]
@@ -460,7 +480,10 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 			if !s.nfree.Allocated(qn.Node) {
 				return nil, fmt.Errorf("core: switch state queue %d holds node %d that the free list says is free", q, qn.Node)
 			}
-			if why := cellUnusable(qn.Desc.Cell, n, k); why != "" {
+			if s.queues.InQueue(qn.Node) {
+				return nil, fmt.Errorf("core: switch state queues node %d twice", qn.Node)
+			}
+			if why := cellUnusable(qn.Desc.Cell, cfg); why != "" {
 				return nil, fmt.Errorf("core: switch state queue %d node %d %s", q, qn.Node, why)
 			}
 			s.nodes[qn.Node] = descFromState(&qn.Desc)
@@ -498,7 +521,7 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 		}
 		for i := range list {
 			rs := &list[i]
-			if why := cellUnusable(rs.Desc.Cell, n, k); why != "" {
+			if why := cellUnusable(rs.Desc.Cell, cfg); why != "" {
 				return nil, fmt.Errorf("core: switch state egress %d %s", o, why)
 			}
 			d := descFromState(&rs.Desc)
@@ -584,7 +607,7 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 			s.inDelay[slot] = make([]*cell.Cell, n)
 			for i, cs := range st.InDelay[slot] {
 				if cs != nil { // an empty slot is the common case
-					if why := cellUnusable(cs, n, k); why != "" {
+					if why := cellUnusable(cs, cfg); why != "" {
 						return nil, fmt.Errorf("core: switch state delay slot %d input %d %s", slot, i, why)
 					}
 				}
@@ -603,6 +626,11 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	s.initDelay.RestoreState(st.InitDelay)
 	if err := s.cutLatency.RestoreState(st.CutLatency); err != nil {
 		return nil, fmt.Errorf("core: restore cut-latency histogram: %w", err)
+	}
+	// The redundant state — occupancy, reference counts, free lists, ring
+	// and egress census, conservation — must agree with itself.
+	if err := s.AuditInvariants(); err != nil {
+		return nil, fmt.Errorf("core: restored switch state is inconsistent: %w", err)
 	}
 	return s, nil
 }
@@ -721,18 +749,75 @@ func copyInts2(src [][]int) [][]int {
 }
 
 // cellUnusable says what is wrong with a serialized cell the tick engines
-// will dereference — it must be present, exactly k words, and destined for
-// one of the n outputs — or returns "" when nothing is.
-func cellUnusable(cs *CellState, n, k int) string {
+// will dereference — it must be present, exactly k words, on one of the
+// VCs and destined for outputs the switch has — or returns "" when nothing
+// is. cfg is canonical.
+func cellUnusable(cs *CellState, cfg Config) string {
 	switch {
 	case cs == nil:
 		return "has no cell"
-	case len(cs.Words) != k:
-		return fmt.Sprintf("holds a cell of %d words, want %d", len(cs.Words), k)
-	case cs.Dst < 0 || cs.Dst >= n:
-		return fmt.Sprintf("holds a cell for output %d of %d", cs.Dst, n)
+	case len(cs.Words) != cfg.Stages:
+		return fmt.Sprintf("holds a cell of %d words, want %d", len(cs.Words), cfg.Stages)
+	case cs.Dst < 0 || cs.Dst >= cfg.Ports:
+		return fmt.Sprintf("holds a cell for output %d of %d", cs.Dst, cfg.Ports)
+	case cs.VC < 0 || cs.VC >= cfg.VCs:
+		return fmt.Sprintf("holds a cell on VC %d of %d", cs.VC, cfg.VCs)
+	}
+	for _, o := range cs.Copies {
+		if o < 0 || o >= cfg.Ports {
+			return fmt.Sprintf("holds a cell with a copy for output %d of %d", o, cfg.Ports)
+		}
 	}
 	return ""
+}
+
+// indexErr reports the first index the state holds outside the geometry
+// of cfg (canonical) that the tick uses without a check: a control word's
+// input, output or address, a queued descriptor's address or VC, a
+// round-robin pointer, a WRR table entry.
+func (st *SwitchState) indexErr(cfg Config) error {
+	n, vcs := cfg.Ports, cfg.VCs
+	for slot, op := range st.Ctrl {
+		if op.Kind > OpWriteThrough || op.In < 0 || op.In >= n || op.Out < 0 || op.Out >= n || op.Addr < 0 || op.Addr >= cfg.Cells {
+			return fmt.Errorf("core: switch state Ctrl[%d] %+v is not an op on this switch", slot, op)
+		}
+	}
+	for q, list := range st.Queues {
+		for _, qn := range list {
+			if qn.Desc.Addr < 0 || qn.Desc.Addr >= cfg.Cells || qn.Desc.VC != q%vcs {
+				return fmt.Errorf("core: switch state queue %d holds a descriptor of address %d on VC %d", q, qn.Desc.Addr, qn.Desc.VC)
+			}
+		}
+	}
+	if st.ReadRR < 0 || st.ReadRR >= n || st.WriteRR < 0 || st.WriteRR >= n {
+		return fmt.Errorf("core: switch state round-robin pointers %d, %d out of range 0…%d", st.ReadRR, st.WriteRR, n-1)
+	}
+	for o, rr := range st.VCRR {
+		if rr < 0 || rr >= vcs {
+			return fmt.Errorf("core: switch state VCRR[%d] %d out of range 0…%d", o, rr, vcs-1)
+		}
+	}
+	if st.VCWeights == nil && st.VCTokens == nil {
+		return nil
+	}
+	if len(st.VCWeights) != n || len(st.VCTokens) != n {
+		return fmt.Errorf("core: switch state WRR tables have %d and %d rows, want %d", len(st.VCWeights), len(st.VCTokens), n)
+	}
+	for o, w := range st.VCWeights {
+		tok := st.VCTokens[o]
+		if w == nil && tok == nil {
+			continue
+		}
+		if len(w) != vcs || len(tok) != vcs {
+			return fmt.Errorf("core: switch state WRR row %d has %d weights and %d tokens, want %d", o, len(w), len(tok), vcs)
+		}
+		for vc := range w {
+			if w[vc] < 1 || tok[vc] < 0 || tok[vc] > w[vc] {
+				return fmt.Errorf("core: switch state WRR row %d VC %d holds %d tokens of weight %d", o, vc, tok[vc], w[vc])
+			}
+		}
+	}
+	return nil
 }
 
 // checkLens validates a batch of {got, want} slice lengths.

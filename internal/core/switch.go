@@ -117,10 +117,14 @@ type Switch struct {
 
 	free   *fifo.FreeList
 	queues *fifo.MultiQueue // per (output, VC), of descriptor nodes
-	nodes  []desc           // descriptor-node pool
-	nfree  *fifo.FreeList   // free descriptor nodes
-	refcnt []int            // per address: queued copies not yet read
-	outOcc []int            // per output: queued cells across its VCs (O(1) QueuedFor)
+	// nodes is the descriptor-node pool and nfree its free list: one node
+	// per queued copy, at most cells×ports. The pool starts at one node per
+	// address — all unicast ever needs — and doubles when multicast copies
+	// claim every node (newNode).
+	nodes  []desc
+	nfree  *fifo.FreeList
+	refcnt []int // per address: queued copies not yet read
+	outOcc []int // per output: queued cells across its VCs (O(1) QueuedFor)
 
 	// policy is the optional shared-buffer admission policy (bufmgr);
 	// polState is the pre-boxed State adapter handed to every Admit call
@@ -287,9 +291,9 @@ func New(cfg Config) (*Switch, error) {
 		glitch:       make([]*Op, k),
 		prev:         make([][]cell.Word, n),
 		free:         fifo.NewFreeList(cfg.Cells),
-		queues:       fifo.NewMultiQueue(n*cfg.VCs, cfg.Cells*n),
-		nodes:        make([]desc, cfg.Cells*n),
-		nfree:        fifo.NewFreeList(cfg.Cells * n),
+		queues:       fifo.NewMultiQueue(n*cfg.VCs, cfg.Cells),
+		nodes:        make([]desc, cfg.Cells),
+		nfree:        fifo.NewGrowingFreeList(cfg.Cells*n, cfg.Cells),
 		refcnt:       make([]int, cfg.Cells),
 		outOcc:       make([]int, n),
 		wrSkip:       make([]int64, n),
@@ -1090,7 +1094,7 @@ retry:
 	if len(a.c.Copies) == 0 {
 		node, ok := s.nfree.Get()
 		if !ok {
-			panic("core: descriptor-node pool exhausted (impossible: sized cells×ports)")
+			node = s.newNode()
 		}
 		nd := &s.nodes[node]
 		nd.c, nd.head, nd.writeStart, nd.vc, nd.addr = a.c, a.head, c, vc, addr
@@ -1108,7 +1112,7 @@ retry:
 		}
 		node, ok := s.nfree.Get()
 		if !ok {
-			panic("core: descriptor-node pool exhausted (impossible: sized cells×ports)")
+			node = s.newNode()
 		}
 		s.nodes[node] = d
 		s.queues.Push(s.qidx(o, vc), node)
@@ -1123,6 +1127,27 @@ retry:
 	op.Kind, op.In, op.Addr = OpWrite, best, addr
 	s.noteWrite(scanned, true)
 	return true
+}
+
+// newNode claims a descriptor node when every node of the pool is queued,
+// which only multicast copies reach: the pool, its free list and the queue
+// links double together, up to cells×ports.
+func (s *Switch) newNode() int {
+	if !s.nfree.Grow() {
+		panic("core: descriptor-node pool exhausted (impossible: sized cells×ports)")
+	}
+	s.fitNodes()
+	node, _ := s.nfree.Get()
+	return node
+}
+
+// fitNodes sizes the descriptor pool and the queue links to the node free
+// list's span.
+func (s *Switch) fitNodes() {
+	nodes := make([]desc, s.nfree.Span())
+	copy(nodes, s.nodes)
+	s.nodes = nodes
+	s.queues.Grow(len(nodes))
 }
 
 // startTransmit books the outgoing link for the K-cycle transmission that

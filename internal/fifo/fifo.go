@@ -112,29 +112,66 @@ func (r *Ring[T]) RemoveAt(i int) (v T, ok bool) {
 // FreeList hands out integer buffer addresses in [0, size) and takes them
 // back. It is the model of the hardware free-address list that supplies the
 // "buffer address" of each write-wave initiation (§3.3).
+//
+// A list may hold only a prefix [0, Span) of its addresses (NewGrowingFreeList)
+// and Grow into the rest on demand. It hands out addresses in exactly the
+// order a list holding all of them would: in that list the addresses from
+// Span on sit untouched at the bottom of the LIFO stack, so they are reached
+// only once every address below them is out, and Grow puts them there.
 type FreeList struct {
 	free []int32
-	out  []bool // out[a]: address a currently allocated
+	out  []bool // out[a]: address a currently allocated; len(out) is the span
+	size int
 }
 
 // NewFreeList returns a list with all size addresses free.
-func NewFreeList(size int) *FreeList {
-	f := &FreeList{free: make([]int32, size), out: make([]bool, size)}
-	// LIFO order starting at 0 keeps small runs compact and predictable.
-	for i := range f.free {
-		f.free[i] = int32(size - 1 - i)
-	}
+func NewFreeList(size int) *FreeList { return NewGrowingFreeList(size, size) }
+
+// NewGrowingFreeList returns a list of size addresses, all free, that holds
+// the first min(span, size) of them until Grow adds more.
+func NewGrowingFreeList(size, span int) *FreeList {
+	f := &FreeList{size: size}
+	f.growTo(min(span, size))
 	return f
 }
 
+// growTo extends the span to n, the new addresses going in at the bottom
+// of the stack in NewFreeList's order: LIFO starting at 0 keeps small runs
+// compact and predictable.
+func (f *FreeList) growTo(n int) {
+	free := make([]int32, 0, n)
+	for a := n - 1; a >= len(f.out); a-- {
+		free = append(free, int32(a))
+	}
+	f.free = append(free, f.free...)
+	out := make([]bool, n)
+	copy(out, f.out)
+	f.out = out
+}
+
+// Grow doubles the span, up to Size; it reports false when the span is
+// already Size.
+func (f *FreeList) Grow() bool {
+	if len(f.out) >= f.size {
+		return false
+	}
+	f.growTo(min(max(2*len(f.out), 1), f.size))
+	return true
+}
+
+// Span returns the number of addresses the list holds: every address Get
+// has handed out is below it.
+func (f *FreeList) Span() int { return len(f.out) }
+
 // Free returns the number of unallocated addresses.
-func (f *FreeList) Free() int { return len(f.free) }
+func (f *FreeList) Free() int { return len(f.free) + f.size - len(f.out) }
 
 // Size returns the total number of addresses managed.
-func (f *FreeList) Size() int { return len(f.out) }
+func (f *FreeList) Size() int { return f.size }
 
-// Get allocates an address; ok is false when the buffer is exhausted (the
-// switch then drops the arriving cell).
+// Get allocates an address; ok is false when every address within the span
+// is out — the buffer is exhausted (the switch then drops the arriving
+// cell), or a growing list must Grow first.
 func (f *FreeList) Get() (addr int, ok bool) {
 	if len(f.free) == 0 {
 		return 0, false
@@ -179,19 +216,29 @@ type MultiQueue struct {
 // NewMultiQueue returns q empty queues over a pool of size nodes.
 func NewMultiQueue(q, size int) *MultiQueue {
 	m := &MultiQueue{
-		next:    make([]int32, size),
-		head:    make([]int32, q),
-		tail:    make([]int32, q),
-		count:   make([]int, q),
-		inQueue: make([]bool, size),
+		head:  make([]int32, q),
+		tail:  make([]int32, q),
+		count: make([]int, q),
 	}
 	for i := range m.head {
 		m.head[i], m.tail[i] = -1, -1
 	}
-	for i := range m.next {
-		m.next[i] = -1
-	}
+	m.Grow(size)
 	return m
+}
+
+// Grow extends the node pool to size nodes; a smaller size changes nothing.
+func (m *MultiQueue) Grow(size int) {
+	if size <= len(m.next) {
+		return
+	}
+	next := make([]int32, size)
+	for i := copy(next, m.next); i < size; i++ {
+		next[i] = -1
+	}
+	inQueue := make([]bool, size)
+	copy(inQueue, m.inQueue)
+	m.next, m.inQueue = next, inQueue
 }
 
 // Queues returns the number of logical queues.
@@ -250,19 +297,32 @@ func (m *MultiQueue) Front(q int) (node int, ok bool) {
 // Snapshot returns the free stack in exact pop order (the last element is
 // the next address Get will hand out). The order is determinism-critical:
 // address allocation order feeds every downstream decision in the switch,
-// so the checkpoint layer must reproduce it bit for bit.
-func (f *FreeList) Snapshot() []int32 { return append([]int32(nil), f.free...) }
+// so the checkpoint layer must reproduce it bit for bit. A growing list's
+// snapshot starts with the addresses past its span, [Size-1 … Span], where
+// a list holding all of them keeps them: the bytes do not depend on the
+// span.
+func (f *FreeList) Snapshot() []int32 {
+	var st []int32
+	if n := f.Free(); n > 0 {
+		st = make([]int32, 0, n)
+	}
+	for a := f.size - 1; a >= len(f.out); a-- {
+		st = append(st, int32(a))
+	}
+	return append(st, f.free...)
+}
 
 // RestoreState rebuilds the list from a snapshot taken on a peer of the
 // same Size: every address in free becomes unallocated (in exactly this
-// stack order), every address absent from it becomes allocated.
+// stack order), every address absent from it becomes allocated. The
+// restored list spans all Size addresses.
 func (f *FreeList) RestoreState(free []int32) error {
-	if len(free) > len(f.out) {
-		return fmt.Errorf("fifo: free-list state has %d entries, list manages %d addresses", len(free), len(f.out))
+	if len(free) > f.size {
+		return fmt.Errorf("fifo: free-list state has %d entries, list manages %d addresses", len(free), f.size)
 	}
-	seen := make([]bool, len(f.out))
+	seen := make([]bool, f.size)
 	for _, a := range free {
-		if a < 0 || int(a) >= len(f.out) {
+		if a < 0 || int(a) >= f.size {
 			return fmt.Errorf("fifo: free-list state holds out-of-range address %d", a)
 		}
 		if seen[a] {
@@ -270,6 +330,7 @@ func (f *FreeList) RestoreState(free []int32) error {
 		}
 		seen[a] = true
 	}
+	f.growTo(f.size)
 	f.free = append(f.free[:0], free...)
 	for a := range f.out {
 		f.out[a] = !seen[a]

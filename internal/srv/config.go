@@ -91,17 +91,21 @@ type SessionConfig struct {
 	Watchdog   int64 `json:"watchdog,omitempty"`
 }
 
-// sessionAllocBudget is what one session's switch may cost to build, in
-// bytes. core.New allocates Stages×Cells buffer words and Cells×Ports
-// descriptor nodes before anything can refuse, so Spec prices the geometry
-// first (allocBound) and turns away what would not fit: a single POST
-// /sessions must not be able to take the whole fleet's memory. A constant,
-// not an option — 64 MiB holds, for example, an 8-port switch of 95,000
-// cells or a 64-port one of 11,000.
+// sessionAllocBudget is what one session's switch may grow to, in bytes.
+// core.New allocates Stages×Cells buffer words up front, and the switch
+// grows its descriptor pool to Cells×Ports nodes and its latency histogram
+// to every resolved bucket as a run needs them — a restore allocates the
+// full pool at once — so Spec prices the geometry at that worst case first
+// (allocBound) and turns away what would not fit: a single POST /sessions
+// must not be able to take the whole fleet's memory. A constant, not an
+// option — 64 MiB holds, for example, an 8-port switch of 95,000 cells or
+// a 64-port one of 11,000.
 const sessionAllocBudget = 64 << 20
 
-// allocBound bounds from above the bytes ckpt.New allocates for a ports×ports
-// switch of buf cells: measured ≤ 84 per descriptor node (the node, its
+// allocBound bounds from above the bytes a session of a ports×ports switch
+// of buf cells can hold, not the smaller amount ckpt.New allocates: every
+// descriptor node in use by multicast and every latency bucket resolved.
+// It charges ≤ 84 per descriptor node of the full pool (the node, its
 // queue and free-list links, its share of the 2·ports×buf buffer words and
 // their check bits) and ≤ 17 per ports² (the input register rows), over
 // some 70 KiB of fixed cost. In floating point, so that no geometry a

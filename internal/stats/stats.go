@@ -64,35 +64,66 @@ func (m *Mean) Merge(o *Mean) {
 
 // Hist is a fixed-width integer histogram with an overflow bucket, used for
 // latency and occupancy distributions.
+//
+// Buckets are allocated on demand: only up to the largest sample seen (at
+// least minBuckets, doubling, capped at the limit), so a histogram that
+// records nothing, or only short latencies, holds no more than it uses.
+// Every accessor reads an unallocated bucket as zero.
 type Hist struct {
 	buckets  []int64
+	limit    int
 	overflow int64
 	total    int64
 	sum      float64
 	max      int64
 }
 
+// minBuckets is the first allocation of a histogram's buckets.
+const minBuckets = 64
+
 // NewHist returns a histogram that resolves values 0..n-1 individually and
 // counts everything ≥ n in a single overflow bucket.
 func NewHist(n int) *Hist {
-	return &Hist{buckets: make([]int64, n)}
+	return &Hist{limit: n}
 }
 
-// Add records one non-negative integer sample.
+// Add records one non-negative integer sample. The common case is one
+// bounds test; a sample past the allocated buckets takes addBeyond.
 func (h *Hist) Add(v int64) {
-	if v < 0 {
-		panic(fmt.Sprintf("stats: negative histogram sample %d", v))
-	}
-	if int(v) < len(h.buckets) {
+	if uint64(v) < uint64(len(h.buckets)) {
 		h.buckets[v]++
 	} else {
-		h.overflow++
+		h.addBeyond(v)
 	}
 	h.total++
 	h.sum += float64(v)
-	if v > h.max {
-		h.max = v
+	h.max = max(h.max, v)
+}
+
+// addBeyond counts a sample past the allocated buckets: into the overflow
+// bucket at or past the limit, else into buckets grown to hold it.
+func (h *Hist) addBeyond(v int64) {
+	if v < 0 {
+		panic(fmt.Sprintf("stats: negative histogram sample %d", v))
 	}
+	if v >= int64(h.limit) {
+		h.overflow++
+		return
+	}
+	h.grow(int(v))
+	h.buckets[v]++
+}
+
+// grow extends the buckets to resolve value v (< limit): the first size of
+// minBuckets·2^j, capped at the limit, that holds it.
+func (h *Hist) grow(v int) {
+	n := max(len(h.buckets), minBuckets)
+	for n <= v {
+		n *= 2
+	}
+	nb := make([]int64, min(n, h.limit))
+	copy(nb, h.buckets)
+	h.buckets = nb
 }
 
 // N returns the total sample count.
@@ -108,7 +139,7 @@ func (h *Hist) Overflow() int64 { return h.overflow }
 
 // Limit returns the first unresolved value: samples in 0..Limit-1 are
 // counted individually, samples ≥ Limit land in the overflow bucket.
-func (h *Hist) Limit() int { return len(h.buckets) }
+func (h *Hist) Limit() int { return h.limit }
 
 // Mean returns the mean of all samples (including overflowed values, which
 // contribute their true magnitude to the mean).
@@ -127,6 +158,9 @@ func (h *Hist) Max() int64 { return h.max }
 func (h *Hist) Count(v int64) int64 {
 	if int(v) < len(h.buckets) {
 		return h.buckets[v]
+	}
+	if int(v) < h.limit {
+		return 0
 	}
 	return h.overflow
 }
@@ -151,7 +185,7 @@ func (h *Hist) Quantile(q float64) int64 {
 			return int64(v)
 		}
 	}
-	return int64(len(h.buckets))
+	return int64(h.limit)
 }
 
 // Counter tallies named integer events (arrivals, departures, drops…).
@@ -333,10 +367,13 @@ type HistState struct {
 }
 
 // State exports the histogram for checkpointing. The bucket slice is a
-// copy; mutating it does not affect the histogram.
+// copy of the full resolved range, unallocated buckets as zeros; mutating
+// it does not affect the histogram.
 func (h *Hist) State() HistState {
+	buckets := make([]int64, h.limit)
+	copy(buckets, h.buckets)
 	return HistState{
-		Buckets:  append([]int64(nil), h.buckets...),
+		Buckets:  buckets,
 		Overflow: h.overflow,
 		Total:    h.total,
 		Sum:      h.sum,
@@ -346,10 +383,45 @@ func (h *Hist) State() HistState {
 
 // RestoreState overwrites the histogram with a previously exported state.
 // The resolved range must match (a histogram restores only into a peer of
-// the same Limit).
+// the same Limit), and the state must be one some run of Add produces: no
+// negative count, Total the sum of the buckets and the overflow, Max at
+// least the largest value they hold. Trailing zero buckets are not
+// allocated.
 func (h *Hist) RestoreState(st HistState) error {
-	if len(st.Buckets) != len(h.buckets) {
-		return fmt.Errorf("stats: histogram state has %d buckets, this histogram resolves %d", len(st.Buckets), len(h.buckets))
+	if len(st.Buckets) != h.limit {
+		return fmt.Errorf("stats: histogram state has %d buckets, this histogram resolves %d", len(st.Buckets), h.limit)
+	}
+	if st.Overflow < 0 {
+		return fmt.Errorf("stats: histogram state Overflow %d is negative", st.Overflow)
+	}
+	total, last := st.Overflow, -1 // last: the largest value with a count
+	for v, c := range st.Buckets {
+		if c < 0 {
+			return fmt.Errorf("stats: histogram state Buckets[%d] %d is negative", v, c)
+		}
+		if c > 0 {
+			total, last = total+c, v
+		}
+		if total < 0 {
+			return fmt.Errorf("stats: histogram state counts overflow int64 at Buckets[%d]", v)
+		}
+	}
+	if st.Total != total {
+		return fmt.Errorf("stats: histogram state Total %d, but its buckets and overflow hold %d", st.Total, total)
+	}
+	if !(st.Sum >= 0) {
+		return fmt.Errorf("stats: histogram state Sum %v is not a sum of non-negative samples", st.Sum)
+	}
+	held := int64(max(last, 0))
+	if st.Overflow > 0 {
+		held = int64(h.limit)
+	}
+	if st.Max < held {
+		return fmt.Errorf("stats: histogram state Max %d is below the value %d it holds", st.Max, held)
+	}
+	h.buckets = nil
+	if last >= 0 {
+		h.grow(last)
 	}
 	copy(h.buckets, st.Buckets)
 	h.overflow, h.total, h.sum, h.max = st.Overflow, st.Total, st.Sum, st.Max

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -190,6 +191,87 @@ func TestBatchMeansPanicsOnBadSize(t *testing.T) {
 		}
 	}()
 	NewBatchMeans(0)
+}
+
+// TestHistGrowsOnDemand: buckets are allocated up to the largest sample
+// seen — 64 first, doubling, capped at the limit — and every accessor and
+// the exported state read exactly what a histogram holding its full range
+// from the start reads.
+func TestHistGrowsOnDemand(t *testing.T) {
+	const limit = 1000
+	h := NewHist(limit)
+	ref := struct {
+		buckets              []int64
+		overflow, total, max int64
+		sum                  float64
+	}{buckets: make([]int64, limit)}
+	if len(h.buckets) != 0 {
+		t.Fatalf("a fresh histogram holds %d buckets, want 0", len(h.buckets))
+	}
+	add := func(v int64) {
+		h.Add(v)
+		if v < limit {
+			ref.buckets[v]++
+		} else {
+			ref.overflow++
+		}
+		ref.total++
+		ref.sum += float64(v)
+		ref.max = max(ref.max, v)
+	}
+	rng := rand.New(rand.NewPCG(3, 5))
+	for i, want := range []struct{ v, size int64 }{
+		{0, 64}, {63, 64}, {64, 128}, {5, 128}, {300, 512}, {limit, 512}, {limit - 1, limit}, {5000, limit},
+	} {
+		add(want.v)
+		add(rng.Int64N(int64(len(h.buckets)))) // inside the allocated range: no growth
+		if int64(len(h.buckets)) != want.size {
+			t.Fatalf("step %d: after Add(%d) the histogram holds %d buckets, want %d", i, want.v, len(h.buckets), want.size)
+		}
+		for v := int64(0); v <= limit; v++ {
+			w := ref.overflow
+			if v < limit {
+				w = ref.buckets[v]
+			}
+			if got := h.Count(v); got != w {
+				t.Fatalf("step %d: Count(%d) = %d, want %d", i, v, got, w)
+			}
+		}
+		for _, q := range []float64{0, 0.3, 0.5, 0.9, 0.99, 1} {
+			target, cum, w := int64(math.Ceil(q*float64(ref.total))), int64(0), int64(limit)
+			for v, c := range ref.buckets {
+				if cum += c; cum >= max(target, 1) {
+					w = int64(v)
+					break
+				}
+			}
+			if got := h.Quantile(q); got != w {
+				t.Fatalf("step %d: Quantile(%v) = %d, want %d", i, q, got, w)
+			}
+		}
+		st := h.State()
+		if !slices.Equal(st.Buckets, ref.buckets) || st.Overflow != ref.overflow || st.Total != ref.total ||
+			st.Sum != ref.sum || st.Max != ref.max || h.Mean() != ref.sum/float64(ref.total) || h.Limit() != limit {
+			t.Fatalf("step %d: state %+v diverges from the full-range reference", i, st)
+		}
+	}
+	// A restore allocates up to the largest value it holds, not the limit.
+	r := NewHist(limit)
+	small := NewHist(limit)
+	small.Add(70)
+	small.Add(3000)
+	if err := r.RestoreState(small.State()); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.buckets) != 128 || r.Count(70) != 1 || r.Overflow() != 1 {
+		t.Fatalf("restored histogram holds %d buckets (want 128), Count(70) %d, Overflow %d", len(r.buckets), r.Count(70), r.Overflow())
+	}
+	// A limit below the first allocation is the cap.
+	tiny := NewHist(4)
+	tiny.Add(2)
+	if len(tiny.buckets) != 4 {
+		t.Fatalf("NewHist(4) grew to %d buckets, want 4", len(tiny.buckets))
+	}
 }
 
 // TestHistOverflowBoundary pins the overflow boundary exactly: Limit-1 is
