@@ -22,7 +22,7 @@ test:
 	$(GO) test ./...
 
 # The whole suite under the race detector — including the engine
-# differentials (TestECCFastEqualsExact, the TickN equivalence suite), which
+# differentials (TestECCEqualsReference, the TickN equivalence suite), which
 # are sized to stay in this pass rather than behind an opt-in gate.
 race:
 	$(GO) test -race ./...

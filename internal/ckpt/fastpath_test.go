@@ -102,24 +102,13 @@ func TestFastPathMemFaultReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestCutDefersPastGlitchBesideOpenWave: after a stage bypass every wave is
-// off the wave commit, so a glitched write runs beside an open wave, which a
-// pmckpt v1 control ring cannot hold. A periodic cut landing there waits for
-// the glitch to retire instead of aborting the run, and the file it writes
-// resumes to the uninterrupted result.
-func TestCutDefersPastGlitchBesideOpenWave(t *testing.T) {
-	plan, err := fault.Parse("@60 stuck stage=2\n" +
-		"@400 ctrl stage=1 op=W in=0 addr=1\n@401 ctrl stage=2 op=W in=1 addr=2\n@402 ctrl stage=1 op=W in=1 addr=0\n" +
-		"@403 ctrl stage=3 op=W in=0 addr=3\n@404 ctrl stage=1 op=W in=0 addr=2\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := Spec{
-		Switch:  core.Config{Ports: 2, WordBits: 16, Cells: 8, ECC: true, BypassThreshold: 3},
-		Traffic: traffic.Config{Kind: traffic.Bernoulli, N: 2, Load: 0.9, Seed: 3},
-		Cycles:  1000,
-		Plan:    plan,
-	}
+// TestCutBesideGlitchedOpenWave: after a stage bypass every wave is off the
+// wave commit, so a glitched write runs beside an open wave — the one state
+// the first checkpoint format could not hold. A periodic cut landing on the
+// first such cycle writes its file there, and the file resumes to the
+// uninterrupted result.
+func TestCutBesideGlitchedOpenWave(t *testing.T) {
+	spec := glitchSpec(t)
 	ref, err := New(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -132,51 +121,66 @@ func TestCutDefersPastGlitchBesideOpenWave(t *testing.T) {
 		t.Fatalf("vacuous: degraded=%v, %d delivered", h.Degraded, want.Delivered)
 	}
 
-	// The first cycle whose state Snapshot refuses.
+	// The first cycle with a glitched write beside an open wave.
 	probe, err := New(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refused := int64(-1)
-	for refused < 0 {
+	cut := int64(-1)
+	for cut < 0 {
 		if ok, err := probe.Step(); err != nil || !ok {
 			t.Fatalf("no cycle with a glitch beside an open wave (ok=%v err=%v)", ok, err)
 		}
-		if _, err := probe.sw.Snapshot(); err != nil {
-			refused = probe.sw.Cycle()
+		st, err := probe.sw.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for slot, g := range st.Glitch {
+			if g != nil && g.Kind != core.OpNone && st.Open != nil && st.Open[slot] {
+				cut = probe.sw.Cycle()
+			}
 		}
 	}
 
 	path := filepath.Join(t.TempDir(), "cut.ckpt")
-	s, err := New(spec, Options{Path: path, Every: refused})
+	s, err := New(spec, Options{Path: path, Every: cut})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepTo(t, s, refused)
-	if !s.cutDue {
-		t.Fatalf("the cut at cycle %d was not deferred", refused)
-	}
-	for s.cutDue {
-		stepTo(t, s, 1)
-	}
-	if late := s.sw.Cycle() - refused; late > int64(s.sw.Config().Stages) {
-		t.Fatalf("cut deferred %d cycles, more than a wave's k", late)
-	}
+	stepTo(t, s, cut)
 	r, err := Resume(path, Options{AuditEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.sw.Cycle() == refused {
-		t.Fatalf("the file holds the refused cycle %d", refused)
+	if r.sw.Cycle() != cut {
+		t.Fatalf("the file holds cycle %d, the cut was at %d", r.sw.Cycle(), cut)
 	}
 	got, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed from the deferred cut:\n got  %+v\n want %+v", got, want)
+		t.Fatalf("resumed from the cut:\n got  %+v\n want %+v", got, want)
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatalf("the checkpointing run: %v", err)
+	}
+}
+
+// glitchSpec is a 2-port ECC switch whose bank 2 sticks at cycle 60 and is
+// mapped out, then meets five glitched writes from cycle 400 on and an
+// input-register flip at 401.
+func glitchSpec(t testing.TB) Spec {
+	plan, err := fault.Parse("@60 stuck stage=2\n@401 inreg in=0 word=0\n" +
+		"@400 ctrl stage=1 op=W in=0 addr=1\n@401 ctrl stage=2 op=W in=1 addr=2\n@402 ctrl stage=1 op=W in=1 addr=0\n" +
+		"@403 ctrl stage=3 op=W in=0 addr=3\n@404 ctrl stage=1 op=W in=0 addr=2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Spec{
+		Switch:  core.Config{Ports: 2, WordBits: 16, Cells: 8, ECC: true, BypassThreshold: 3},
+		Traffic: traffic.Config{Kind: traffic.Bernoulli, N: 2, Load: 0.9, Seed: 3},
+		Cycles:  1000,
+		Plan:    plan,
 	}
 }

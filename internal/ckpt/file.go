@@ -41,7 +41,7 @@ import (
 )
 
 // FormatVersion is the checkpoint file format this build reads and writes.
-const FormatVersion = 1
+const FormatVersion = 2
 
 const magic = "pmckpt"
 

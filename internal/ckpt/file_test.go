@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -10,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"pipemem/internal/core"
 	"pipemem/internal/traffic"
 )
 
@@ -104,7 +102,7 @@ func TestLoadRejectsDamage(t *testing.T) {
 	check("trunc.ckpt", good[:len(good)-10], "truncated")
 
 	// Future format version: actionable refusal naming both versions.
-	future := []byte(strings.Replace(string(good), "pmckpt v1 ", "pmckpt v99 ", 1))
+	future := []byte(strings.Replace(string(good), fmt.Sprintf("pmckpt v%d ", FormatVersion), "pmckpt v99 ", 1))
 	check("future.ckpt", future, "format v99")
 
 	// Not a checkpoint at all.
@@ -150,7 +148,7 @@ func TestResumeReportsUnusableSwitchState(t *testing.T) {
 	}
 }
 
-// TestCheckpointBytesPinned pins the pmckpt v1 file bytes (header and
+// TestCheckpointBytesPinned pins the pmckpt v2 file bytes (header and
 // body) of a plain and of a fault-plan session 333 cycles in. A session
 // that uses nothing a later format extension serializes must keep writing
 // exactly these bytes, or files written before the extension and after it
@@ -163,8 +161,8 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		sum    uint64
 		size   int
 	}{
-		{"plain", "dt:alpha=2", false, 0x6c6398750050f58c, 14127},
-		{"faultplan", "", true, 0xd15f23912ea07a0e, 15600},
+		{"plain", "dt:alpha=2", false, 0xca005a0fece65ec7, 13486},
+		{"faultplan", "", true, 0x57f5288ff22d2627, 14928},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -190,41 +188,21 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	}
 }
 
-// TestParentPerStageFilesResume: two pmckpt v1 files written by the build
-// before waves ran off the wave commit one by one — in an ECC dirty window
-// and after a stuck bank, where that build ran every wave per-stage and
-// serialized per-stage state (un-committed ring slots, loaded output
-// registers, latched input registers, a forced per-stage flag). They load,
-// finish their un-committed slots word by word with audits clean, and end
-// as that build's uninterrupted run of their spec did: the digest of its
-// RunResult and Health. (The stuck file's spec runs differently from
-// scratch now — a read in flight when the bank sticks meets the fault at its
-// stage — but the file is cut after that.)
-func TestParentPerStageFilesResume(t *testing.T) {
-	for _, r := range []struct {
-		name string
-		want uint64
-	}{
-		{"parent-ecc-window.ckpt", 0x2d770d280a86d89},
-		{"parent-stuck-bank.ckpt", 0x25362a3a590ca7ae},
-	} {
-		t.Run(r.name, func(t *testing.T) {
-			s, err := Resume(filepath.Join("testdata", r.name), Options{AuditEvery: 1})
-			if err != nil {
-				t.Fatal(err)
+// TestParentV1FileRefused: a pmckpt v1 file — written by the build before
+// the switch owned its input rows, in an ECC dirty window where that build
+// ran waves per stage — is refused on load with an error that names both
+// formats and says how to get a file this build reads.
+func TestParentV1FileRefused(t *testing.T) {
+	const name = "parent-ecc-window.ckpt"
+	t.Run(name, func(t *testing.T) {
+		_, err := Resume(filepath.Join("testdata", name), Options{})
+		if err == nil {
+			t.Fatal("a v1 file resumed")
+		}
+		for _, sub := range []string{"format v1", fmt.Sprintf("reads v%d", FormatVersion), "re-create"} {
+			if !strings.Contains(err.Error(), sub) {
+				t.Fatalf("error %q does not say %q", err, sub)
 			}
-			if s.Switch().Cycle() < 200 {
-				t.Fatalf("resumed at cycle %d", s.Switch().Cycle())
-			}
-			res, err := s.Run()
-			if err != nil && !errors.Is(err, core.ErrCorrupt) {
-				t.Fatal(err)
-			}
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%#v %+v", res, s.Report(res).Health)
-			if got := h.Sum64(); got != r.want {
-				t.Fatalf("resumed run %+v (corrupt %d) digests %#x, the uninterrupted run %#x", res, res.Corrupt, got, r.want)
-			}
-		})
-	}
+		}
+	})
 }

@@ -70,10 +70,8 @@ type Options struct {
 	// Path is where auto-checkpoints and the watchdog's diagnostic
 	// checkpoint are written ("" disables both).
 	Path string
-	// Every writes a checkpoint to Path every Every cycles (0 = never). A
-	// cut the switch cannot serialize yet — a control glitch running beside
-	// a wave off the wave commit, for at most k cycles — is written at the
-	// first cycle it can.
+	// Every writes a checkpoint to Path every Every cycles (0 = never).
+	// Every cycle boundary can be written.
 	Every int64
 	// AuditEvery runs the online invariant auditor every AuditEvery cycles
 	// (0 = never); a violation aborts the run with a diagnostic error.
@@ -109,7 +107,6 @@ type Session struct {
 
 	lastProgress int64
 	lastCheck    int64 // cycle of the last watchdog evaluation
-	cutDue       bool  // a periodic checkpoint waits for a state it can write
 }
 
 // New builds a session from scratch.
@@ -326,11 +323,6 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	return s.checkpointOf(swState)
-}
-
-// checkpointOf is Checkpoint around a switch state already taken.
-func (s *Session) checkpointOf(swState *core.SwitchState) (*Checkpoint, error) {
 	stState, err := s.cs.State()
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
@@ -362,16 +354,13 @@ func (s *Session) CheckpointTo(path string) error {
 	return s.writeCheckpoint(path, 1)
 }
 
+// writeCheckpoint captures the session's state, writes it to path and
+// emits the checkpoint event.
 func (s *Session) writeCheckpoint(path string, kind int64) error {
 	ck, err := s.Checkpoint()
 	if err != nil {
 		return err
 	}
-	return s.save(path, kind, ck)
-}
-
-// save writes ck to path and emits the checkpoint event.
-func (s *Session) save(path string, kind int64, ck *Checkpoint) error {
 	if err := Save(path, ck); err != nil {
 		return err
 	}
@@ -403,19 +392,9 @@ func (s *Session) Step() (bool, error) {
 		}
 		s.lastProgress, s.lastCheck = p, c
 	}
-	if n := s.opts.Every; n > 0 && s.opts.Path != "" && (c%n == 0 || s.cutDue) {
-		// Between Steps the only state Snapshot refuses is a control glitch
-		// beside a wave off the wave commit (pmckpt v1 holds one control word
-		// per ring slot); it retires within k cycles, and the cut waits.
-		sw, err := s.sw.Snapshot()
-		if s.cutDue = err != nil; !s.cutDue {
-			ck, err := s.checkpointOf(sw)
-			if err == nil {
-				err = s.save(s.opts.Path, 1, ck)
-			}
-			if err != nil {
-				return false, err
-			}
+	if n := s.opts.Every; n > 0 && s.opts.Path != "" && c%n == 0 {
+		if err := s.writeCheckpoint(s.opts.Path, 1); err != nil {
+			return false, err
 		}
 	}
 	return true, nil

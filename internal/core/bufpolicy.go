@@ -88,9 +88,7 @@ func (s *Switch) dropPolicy(in int, a *arrival) {
 		}
 	}
 	if s.onDropCell != nil {
-		// Not reusable: the inert input register keeps streaming the
-		// victim's words until its cell time ends.
-		s.onDropCell(a.c, false)
+		s.onDropCell(a.c)
 	}
 }
 
@@ -132,10 +130,9 @@ func (s *Switch) pushOut(out, vc int) {
 		}
 	}
 	if s.onDropCell != nil && s.refcnt[addr] == 0 {
-		// Fire only when the last copy is gone. Not reusable: the
-		// victim's write wave may still be in flight (the §3.2 argument
-		// makes those late writes unobservable, but they do read the
-		// cell).
-		s.onDropCell(d.c, false)
+		// Fire only when the last copy is gone. A write wave of the victim
+		// still in flight committed at initiation (its deferred payload was
+		// deposited above), or reads the input row, not the cell.
+		s.onDropCell(d.c)
 	}
 }

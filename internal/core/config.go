@@ -96,9 +96,15 @@ type Config struct {
 	// delayed by an equal number of cycles on the way in and again on
 	// the way out, so "the logic of the switch operation remains
 	// unaffected" — end-to-end latency grows by exactly 2×LinkPipeline
-	// cycles and nothing else changes. 0 disables the option.
+	// cycles and nothing else changes. 0 disables the option; at most
+	// maxLinkPipeline, since the first arrival allocates a delay line that
+	// long.
 	LinkPipeline int
 }
+
+// maxLinkPipeline bounds Config.LinkPipeline: §4.3 splits a long line into
+// a few stages, not into hundreds.
+const maxLinkPipeline = 64
 
 // wordMask keeps the WordBits low bits of a word: the width of the links,
 // the registers and the memory.
@@ -143,8 +149,8 @@ func (c Config) Validate() error {
 		// write deadlines can be missed; the paper always uses K = 2n.
 		return fmt.Errorf("%w: %d stages < 2×%d ports; write deadlines not schedulable", ErrBadConfig, c.Stages, c.Ports)
 	}
-	if c.LinkPipeline < 0 {
-		return fmt.Errorf("%w: negative link pipelining %d", ErrBadConfig, c.LinkPipeline)
+	if c.LinkPipeline < 0 || c.LinkPipeline > maxLinkPipeline {
+		return fmt.Errorf("%w: link pipelining %d out of 0…%d", ErrBadConfig, c.LinkPipeline, maxLinkPipeline)
 	}
 	if c.VCs < 1 {
 		return fmt.Errorf("%w: %d virtual channels, need ≥ 1", ErrBadConfig, c.VCs)

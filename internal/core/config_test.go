@@ -19,6 +19,7 @@ func TestValidateWrapsErrBadConfig(t *testing.T) {
 		{"negative cells", Config{Ports: 2, Cells: -1}},
 		{"stages below 2n", Config{Ports: 4, Stages: 6}},
 		{"negative link pipeline", Config{Ports: 2, LinkPipeline: -1}},
+		{"link pipeline past 64", Config{Ports: 2, LinkPipeline: 65}},
 		{"negative VCs", Config{Ports: 2, VCs: -1}},
 		{"negative bypass threshold", Config{Ports: 2, BypassThreshold: -1}},
 		{"bypass without ECC", Config{Ports: 2, BypassThreshold: 3}},

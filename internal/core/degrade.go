@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"pipemem/internal/cell"
 	"pipemem/internal/obs"
@@ -387,27 +386,20 @@ func (s *Switch) InjectInputRegisterFault(in, word int, mask cell.Word) {
 	if mask = mask.Mask(s.cfg.WordBits); mask == 0 {
 		return
 	}
-	s.allocFlips()
-	a := &s.inflight[in]
+	a, r := &s.inflight[in], &s.rows[in]
 	occ := a.active && a.head+int64(word) < s.cycle // the occupant's word is latched
 	// A write of this row yet to reach the position, of the cell it holds.
 	s.openWhere(s.cycle, func(st int, c0 int64, w *Op) bool {
 		return w.Kind != OpRead && w.In == in && st <= word && (a.active && a.head < c0) == occ
 	})
-	if occ {
-		s.flipOcc[in][word] ^= mask
-	} else {
-		s.flipPrev[in][word] ^= mask
+	if !occ {
+		r.regs[s.k-r.occ+word] ^= mask
+		return
 	}
-}
-
-// allocFlips makes the input rows' flip tables, on the first flip.
-func (s *Switch) allocFlips() {
-	if s.flipOcc == nil {
-		s.flipOcc, s.flipPrev = make([][]cell.Word, s.n), make([][]cell.Word, s.n)
-		for i := range s.flipOcc {
-			s.flipOcc[i], s.flipPrev[i] = make([]cell.Word, s.k), make([]cell.Word, s.k)
-		}
+	r.regs[r.occ+word] ^= mask
+	if !r.flipped {
+		r.flipped = true
+		s.flipN++
 	}
 }
 
@@ -422,14 +414,14 @@ func (s *Switch) allocFlips() {
 
 // seamsOpen reports that an initiation must ask initiate.
 func (s *Switch) seamsOpen() bool {
-	return s.openN|s.stuckN|s.eccDirtyN != 0 || s.halved || s.flipOcc != nil
+	return s.openN|s.stuckN|s.eccDirtyN|s.flipN != 0 || s.halved
 }
 
 // initiate starts the wave just arbitrated at cycle c in ring slot slot,
 // open or committed.
 func (s *Switch) initiate(slot int, op *Op, c int64) {
 	if !(s.halved || op.Kind == OpRead && s.stuckN > 0 || s.eccDirtyN > 0 && s.eccDirty[op.Addr] ||
-		op.Kind != OpRead && s.rowFlipped(op.In) || s.openN > 0 && s.touched(op.Addr)) {
+		op.Kind != OpRead && s.rows[op.In].flipped || s.openN > 0 && s.touched(op.Addr)) {
 		s.commitWave(op, c)
 		return
 	}
@@ -563,37 +555,40 @@ func (s *Switch) stage(st int, op *Op, c int64, glitch bool) {
 	}
 }
 
-// rowWord is input register j of row in at cycle c: the occupant's word
-// once latched (at the end of cycle head+j), before that the previous
-// occupant's, with the flips that landed on each.
+// inRow is one input link's row of registers (§3: "one row of input
+// registers per link suffices"), held lazily in two k-word buffers the
+// switch owns: position j holds the occupant's word once latched (at the
+// end of cycle head+j) and the previous occupant's before that. A head's
+// words are copied in whole on arrival, flips are XORed into whichever
+// buffer position j reads, and flipped marks an occupant carrying one — its
+// write wave cannot commit from the cell.
+type inRow struct {
+	regs    []cell.Word // both buffers, back to back
+	occ     int         // where the occupant's starts: 0 or k
+	flipped bool
+}
+
+// rowWord is input register j of row in at cycle c.
 func (s *Switch) rowWord(in, j int, c int64) cell.Word {
-	var w cell.Word
-	a, flips := &s.inflight[in], s.flipPrev
+	a, r := &s.inflight[in], &s.rows[in]
+	at := s.k - r.occ
 	if a.active && a.head+int64(j) < c {
-		w, flips = a.c.Words[j], s.flipOcc
-	} else if p := s.prev[in]; p != nil {
-		w = p[j]
+		at = r.occ
 	}
-	if flips != nil {
-		w ^= flips[in][j]
-	}
-	return w & s.cfg.wordMask()
+	return r.regs[at+j] & s.cfg.wordMask()
 }
 
-// shiftRow hands input row i, and its flips, to the head arriving on it.
-func (s *Switch) shiftRow(i int) {
-	if a := &s.inflight[i]; a.active {
-		s.prev[i] = a.c.Words
+// shiftRow hands input row i to the head arriving on it: the occupant's
+// buffer becomes the previous occupant's, and the other takes the head's
+// words.
+func (s *Switch) shiftRow(i int, words []cell.Word) {
+	r := &s.rows[i]
+	r.occ = s.k - r.occ
+	copy(r.regs[r.occ:], words)
+	if r.flipped {
+		r.flipped = false
+		s.flipN--
 	}
-	if s.flipOcc != nil {
-		s.flipOcc[i], s.flipPrev[i] = s.flipPrev[i], s.flipOcc[i]
-		clear(s.flipOcc[i])
-	}
-}
-
-// rowFlipped reports that input row in's occupant carries flipped words.
-func (s *Switch) rowFlipped(in int) bool {
-	return s.flipOcc != nil && slices.ContainsFunc(s.flipOcc[in], func(f cell.Word) bool { return f != 0 })
 }
 
 // AddrStable reports that address addr holds a fully deposited cell whose

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -12,7 +13,9 @@ import (
 // offset of an in-flight wave of a chosen kind, with the switch held to the
 // reference every cycle from the start of the drive to the end of the drain
 // — departures, drops by mode, the reference's counters, Health — and
-// AuditInvariants clean every cycle.
+// AuditInvariants clean every cycle. Every cycle until the switch has
+// drained is snapshotted and restored too, and every 13th cycle the run
+// continues on the restored switch.
 
 // waveKind is the kind of in-flight wave a fault is aimed at.
 type waveKind int
@@ -122,6 +125,13 @@ func faultUnderWave(t testing.TB, kind waveKind, off int, seed uint64, fires []s
 		if err := l.sw.AuditInvariants(); err != nil {
 			t.Fatalf("cycle %d: %v", c, err)
 		}
+		if c >= cycles && l.sw.Quiescent() && l.sw.waves|l.sw.glitchN == 0 {
+			continue // drained: the snapshot would hold nothing but the clock
+		}
+		if re := snapshotRestores(t, c, l.sw); c%13 == 0 {
+			re.SetTracer(func(e TraceEvent) { ev = e })
+			l.sw = re
+		}
 	}
 	if strict && len(fires) > 0 {
 		t.Fatalf("%d faults never found a %v wave at stage %d", len(fires), kind, off)
@@ -129,6 +139,34 @@ func faultUnderWave(t testing.TB, kind waveKind, off int, seed uint64, fires []s
 	if strict && (!l.sw.Quiescent() || l.ref.Resident() != 0) {
 		t.Fatal("the drain left cells behind")
 	}
+}
+
+// snapshotRestores snapshots s at the boundary after cycle c, rebuilds it,
+// and requires the rebuilt switch to snapshot to the same state; it returns
+// the rebuilt switch.
+func snapshotRestores(t testing.TB, c int64, s *Switch) *Switch {
+	st, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("cycle %d: %v", c, err)
+	}
+	re, err := NewFromSnapshot(st)
+	if err != nil {
+		t.Fatalf("cycle %d: restore: %v", c, err)
+	}
+	again, err := re.Snapshot()
+	if err != nil {
+		t.Fatalf("cycle %d: %v", c, err)
+	}
+	// (The latency buckets are compared outside reflect, as in
+	// compareRunners.)
+	if !slices.Equal(st.CutLatency.Buckets, again.CutLatency.Buckets) {
+		t.Fatalf("cycle %d: the restored switch's cut-latency histogram differs", c)
+	}
+	st.CutLatency.Buckets, again.CutLatency.Buckets = nil, nil
+	if !reflect.DeepEqual(st, again) {
+		t.Fatalf("cycle %d: the restored switch snapshots\n %+v\nnot\n %+v", c, again, st)
+	}
+	return re
 }
 
 // TestFaultUnderWaveMatrix: every seam × every stage offset × every wave

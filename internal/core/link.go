@@ -84,8 +84,8 @@ func (r *reasm) load(src []cell.Word, m cell.Word) {
 
 // linkSide is the periphery of the switch, the part §3 keeps minimal and
 // identical whatever memory sits behind it: one row of input registers per
-// incoming link (here the row's occupancy; the register words are the
-// occupant's, read from its cell) and, per outgoing link, the reassembly of
+// incoming link (here the row's occupancy; a Switch keeps the register
+// words themselves, inRow) and, per outgoing link, the reassembly of
 // the one cell it is transmitting. Switch and DualSwitch embed it; memory
 // organization and arbitration stay theirs.
 //

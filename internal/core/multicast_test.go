@@ -148,7 +148,7 @@ func TestTickZeroAllocMulticast(t *testing.T) {
 	const n = 8
 	s := mustSwitch(t, Config{Ports: n, WordBits: 16, Cells: 32, CutThrough: true})
 	s.SetDrainRecycle(true)
-	s.SetDropCellHook(func(*cell.Cell, bool) { t.Fatal("a cell was lost") })
+	s.SetDropCellHook(func(*cell.Cell) { t.Fatal("a cell was lost") })
 	k := s.Config().Stages
 	cells := make([]*cell.Cell, 8*s.Config().Cells)
 	left := make([]int, len(cells))

@@ -38,13 +38,9 @@ func benchTickArmed(b *testing.B, cfg Config, tcfg traffic.Config, arm func(*Swi
 	}
 	pool := cell.NewPool(k)
 	s.SetDrainRecycle(true)
-	// Overrun victims go back to the pool as RunTraffic's do, so an
+	// Dropped cells go back to the pool as the runner's do, so an
 	// overloaded point stays allocation-free too.
-	s.SetDropCellHook(func(c *cell.Cell, reusable bool) {
-		if reusable {
-			pool.Put(c)
-		}
-	})
+	s.SetDropCellHook(pool.Put)
 	heads := make([]int, s.Config().Ports)
 	hc := make([]*cell.Cell, s.Config().Ports)
 	var seq uint64

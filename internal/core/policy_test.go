@@ -247,7 +247,7 @@ func TestRunnerRestoresDropHook(t *testing.T) {
 	s := mustSwitch(t, Config{Ports: 4, WordBits: 16, Cells: 8, CutThrough: true})
 	k := s.Config().Stages
 	seen := 0
-	s.SetDropCellHook(func(*cell.Cell, bool) { seen++ })
+	s.SetDropCellHook(func(*cell.Cell) { seen++ })
 	sat := traffic.Config{Kind: traffic.Saturation, N: 4, Seed: 3}
 	res, err := RunTraffic(s, stream(t, sat, k), 400)
 	if err != nil {

@@ -391,3 +391,11 @@ func (r *refSwitch) Ports() int              { return r.n }
 func (r *refSwitch) VCs() int                { return 1 }
 func (r *refSwitch) CellCycles() int         { return r.k }
 func (r *refSwitch) Cycle() int64            { return r.cycle }
+
+func grid[T any](rows, cols int) [][]T {
+	g := make([][]T, rows)
+	for i := range g {
+		g[i] = make([]T, cols)
+	}
+	return g
+}

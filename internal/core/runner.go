@@ -45,14 +45,9 @@ type Runner struct {
 	pool   *cell.Pool
 	heads  []int
 	hcells []*cell.Cell
-	// limbo holds the cells the switch dropped while their words may still
-	// be streaming into an input register, oldest first, each with the
-	// first cycle it may be refilled. A recycling cache like pool: losing
-	// it costs allocations, never behavior, so it is not in RunnerState.
-	limbo []deadCell
 	// prevDrop is the drop hook the switch carried before the runner took
 	// it; Result puts it back.
-	prevDrop func(c *cell.Cell, reusable bool)
+	prevDrop func(c *cell.Cell)
 
 	phase int
 	// coast: the last Step left the switch idle and no departure out on loan
@@ -89,12 +84,6 @@ type HeadStage interface {
 	Failed() int64
 }
 
-// deadCell is a dropped cell waiting out the rest of its cell time.
-type deadCell struct {
-	c    *cell.Cell
-	free int64
-}
-
 // Runner phases.
 const (
 	runDrive = iota
@@ -121,36 +110,11 @@ func NewRunner(s *Switch, cs *traffic.CellStream, cycles int64) *Runner {
 	}
 	s.SetDrainRecycle(true)
 	r.prevDrop = s.onDropCell
-	s.SetDropCellHook(r.recycleDropped)
+	s.SetDropCellHook(r.pool.Put)
 	if cycles <= 0 {
 		r.phase = runDrain
 	}
 	return r
-}
-
-// recycleDropped is the switch's drop hook: a lost cell goes back to the
-// pool like a delivered one — at once when the switch holds no reference,
-// else k cycles on, when its cell time has certainly ended (a departure is
-// recycled no earlier than that either).
-func (r *Runner) recycleDropped(c *cell.Cell, reusable bool) {
-	if reusable {
-		r.pool.Put(c)
-		return
-	}
-	r.limbo = append(r.limbo, deadCell{c, r.s.cycle + int64(r.s.k)})
-}
-
-// reclaim pools the dropped cells whose cell time has ended.
-func (r *Runner) reclaim() {
-	n := 0
-	for n < len(r.limbo) && r.limbo[n].free <= r.s.cycle {
-		r.pool.Put(r.limbo[n].c)
-		n++
-	}
-	if n > 0 {
-		// At most a cell time's worth of drops is ever held: a short copy.
-		r.limbo = r.limbo[:copy(r.limbo, r.limbo[n:])]
-	}
 }
 
 // Switch returns the switch under test.
@@ -202,7 +166,6 @@ func (r *Runner) Step() bool {
 			r.occSum += float64(r.collect())
 			r.coast = r.s.idle() && len(r.s.doneOut) == 0
 		} else {
-			r.reclaim()
 			for i := range r.hcells {
 				r.hcells[i] = nil
 				if r.heads[i] != traffic.NoArrival {
@@ -260,7 +223,6 @@ func (r *Runner) stepStaged() {
 			}
 		}
 	}
-	r.reclaim()
 	r.Stage.Tick(r.s.cycle, r.hcells, r.pool)
 	r.s.Tick(r.hcells)
 	if b := r.collect(); live {
@@ -340,10 +302,8 @@ type RunnerState struct {
 	Drained int64
 	Seq     uint64
 	MinLat  int64
-	// BusyWords is Delivered × cell words (kept for the pmckpt v1 format;
-	// Utilization is computed from Delivered). OccSum feeds MeanBuffered.
-	BusyWords int64
-	OccSum    float64
+	// OccSum feeds MeanBuffered.
+	OccSum float64
 	// Partial result tallies accumulated so far.
 	Offered      int64
 	Delivered    int64
@@ -361,7 +321,6 @@ func (r *Runner) State() RunnerState {
 		Drained:      r.drained,
 		Seq:          r.seq,
 		MinLat:       r.minLat,
-		BusyWords:    r.res.Delivered * int64(r.s.k),
 		OccSum:       r.occSum,
 		Offered:      r.res.Offered,
 		Delivered:    r.res.Delivered,

@@ -223,14 +223,7 @@ func TestRestoredRunnerCoastsAgain(t *testing.T) {
 				again++
 			}
 		}
-		// (Not the snapshots: a rebuilt switch owns a copy of the cell in each
-		// stale input row, where the uninterrupted one sees it recycled.)
-		if g, w := handedOut(got), handedOut(want); !reflect.DeepEqual(g, w) {
-			t.Fatalf("cycle %d: departures handed out\n got  %v\n want %v", c, g, w)
-		}
-		if g, w := got.State(), want.State(); g != w {
-			t.Fatalf("cycle %d: RunnerState\n got  %+v\n want %+v", c, g, w)
-		}
+		compareRunners(t, c, got, want)
 	}
 	if cuts < 5 || again < cuts/2 {
 		t.Fatalf("%d cuts fell inside a coast, %d coasted again at once", cuts, again)

@@ -6,27 +6,27 @@ import (
 	"slices"
 	"testing"
 
+	"pipemem/internal/cell"
 	"pipemem/internal/traffic"
 )
 
 // plainStep is the frozen per-cycle driver Runner.Step is held against:
 // core.Run's loop one cycle at a time — Heads, Tick and Drain on every
 // cycle, whatever the stream or the switch could have said ahead of time —
-// with the runner's cell recycling, because a recycled cell shows in the
-// stale input rows of a snapshot. It takes no shortcut of any kind, so a
-// Step that does must still leave every byte where this leaves it.
+// with a fresh cell for every head and none recycled. It takes no shortcut
+// of any kind, so a Step that does must still leave every byte where this
+// leaves it, whatever becomes of the cells the runner hands back.
 func plainStep(r *Runner) bool {
 	switch r.phase {
 	case runDrive:
 		if r.cs.Heads(r.heads) == 0 {
 			r.s.Tick(nil)
 		} else {
-			r.reclaim()
 			for i, dst := range r.heads {
 				r.hcells[i] = nil
 				if dst != traffic.NoArrival {
 					r.seq++
-					r.hcells[i] = r.pool.New(r.seq, i, dst, r.s.cfg.WordBits)
+					r.hcells[i] = cell.New(r.seq, i, dst, r.s.k, r.s.cfg.WordBits)
 					r.res.Offered++
 				}
 			}
@@ -61,8 +61,28 @@ func plainCollect(r *Runner) {
 	if b := r.s.Buffered(); b > r.res.MaxBuffered {
 		r.res.MaxBuffered = b
 	}
-	for i := range deps {
-		r.pool.Put(deps[i].Expected)
+}
+
+// scribble overwrites every idle cell of a runner's pool, keeping the
+// pool's order, so that a switch or a snapshot still reading a cell the
+// runner has recycled reads garbage. The cells of the departures on loan
+// from the last Drain are left alone: the caller may read those until the
+// next.
+func scribble(r *Runner) {
+	idle := make([]*cell.Cell, r.pool.Len())
+	for i := range idle {
+		idle[i] = r.pool.Get()
+		if slices.ContainsFunc(r.s.doneOut, func(d Departure) bool { return d.Expected == idle[i] }) {
+			continue
+		}
+		c := idle[i]
+		c.Seq, c.Src, c.Dst, c.VC, c.Copies, c.Enqueue = ^uint64(0), -1, -1, -1, []int{-1}, -1
+		for j := range c.Words {
+			c.Words[j] = 0xdead
+		}
+	}
+	for i := len(idle) - 1; i >= 0; i-- {
+		r.pool.Put(idle[i])
 	}
 }
 
@@ -125,7 +145,9 @@ var stepModes = []struct {
 // per-cycle driver and, after every cycle of the window and of the drain,
 // compares what the Step returned, the departures it handed out, the
 // RunnerState, the switch snapshot and the stream state. Everything a
-// checkpoint could cut, at every cycle it could cut it.
+// checkpoint could cut, at every cycle it could cut it — with the runner's
+// recycled cells scribbled over first, so a switch that reads a cell it has
+// handed back shows here.
 func TestRunnerStepEqualsPlainDriver(t *testing.T) {
 	const n, cycles = 4, 4096
 	for _, tc := range stepTraffic(n, 2*n, cycles) {
@@ -157,12 +179,14 @@ func TestRunnerStepEqualsPlainDriver(t *testing.T) {
 }
 
 // compareRunners fails the test unless the two runners — switch, stream and
-// driver state — are indistinguishable after cycle c.
+// driver state — are indistinguishable after cycle c. Once got's departures
+// are read, its idle pooled cells are scribbled over (scribble).
 func compareRunners(t *testing.T, c int, got, want *Runner) {
 	t.Helper()
 	if g, w := handedOut(got), handedOut(want); !reflect.DeepEqual(g, w) {
 		t.Fatalf("cycle %d: departures handed out\n got  %v\n want %v", c, g, w)
 	}
+	scribble(got)
 	if g, w := got.State(), want.State(); g != w {
 		t.Fatalf("cycle %d: RunnerState\n got  %+v\n want %+v", c, g, w)
 	}

@@ -17,6 +17,12 @@ import (
 // restored at cycle k must produce the same departures, the same drops and
 // the same trace events as the uninterrupted run.
 //
+// The schema is the switch's state field for field: flat memory as the
+// banks hold it, both buffers of every input row, and per ring slot the
+// control word, whether its wave runs off the wave commit and the word
+// glitched in beside it. Nothing is inferred on either side, so every
+// cycle boundary can be written.
+//
 // What is deliberately NOT captured:
 //
 //   - The recycling pools (reasmFree, cellFree, doneOut) and the cell
@@ -28,13 +34,12 @@ import (
 //     callers reinstall them after restore (the checkpoint layer records
 //     the policy spec string for exactly this purpose).
 //
-// Cells appear in several structures at once (an input-register arrival,
-// its queued descriptor and its egress reassembly record may all reference
-// one *cell.Cell). Snapshot serializes each reference by content, so
-// restore breaks the aliasing into distinct copies. This is behaviorally
-// invisible: inside the switch a cell's content is read-only, the input
-// latching window ends before its departure completes, and integrity
-// comparisons are by value.
+// Cells appear in several structures at once (an arrival waiting for its
+// write wave, a queued descriptor and an egress reassembly record may
+// reference one *cell.Cell). Snapshot serializes each reference by content,
+// so restore breaks the aliasing into distinct copies. This is behaviorally
+// invisible: inside the switch a cell's content is read-only, and
+// integrity comparisons are by value.
 
 // CellState is the serialized form of a cell.Cell.
 type CellState struct {
@@ -77,24 +82,22 @@ func cellFromState(st *CellState) *cell.Cell {
 	return c
 }
 
-// OutWordState is the serialized form of one shared output register. This
-// build writes the row empty (an open wave's word goes to its egress record
-// when read) and on load appends a loaded register's word to its output's
-// record.
-type OutWordState struct {
-	Word     cell.Word
-	Out      int
-	LoadedAt int64
-	Valid    bool
-}
-
 // ArrivalState is the serialized form of one input register row's
-// occupancy.
+// occupancy. Cell is present only while the arrival waits for its write
+// wave; the row's words are its RowState.
 type ArrivalState struct {
 	Cell    *CellState `json:",omitempty"`
 	Head    int64
 	Written bool
 	Active  bool
+}
+
+// RowState is one input link's row of registers (inRow): the occupant's
+// words and the previous occupant's, flips included, and whether the
+// occupant carries a flip.
+type RowState struct {
+	Occ, Prev []cell.Word
+	Flipped   bool `json:",omitempty"`
 }
 
 // DescState is the serialized form of a buffered cell's descriptor.
@@ -136,19 +139,20 @@ type SwitchState struct {
 	Config Config
 	Cycle  int64
 
-	Mem    [][]cell.Word
-	ECCMem [][]uint8 `json:",omitempty"`
-	// InReg[i] is input row i: its occupant's words where it has latched
-	// them (with the flips that landed there), and where it has not, the
-	// occupant's words too unless a wave or glitch still reads the
-	// previous occupant's there.
-	InReg  [][]cell.Word
-	OutReg []OutWordState
-	// Ctrl[slot] is the control word of each ring slot — a glitched word
-	// where one was glitched in beside a committed wave still in flight.
-	// Loaded lists the stages whose OutReg entry is loaded.
+	// Mem is the shared buffer as the switch lays it out, address-major
+	// (word addr·k+stage), and ECCMem its check bits, laid out alike.
+	Mem    []cell.Word
+	ECCMem []uint8 `json:",omitempty"`
+	// Rows[i] is input link i's row of registers.
+	Rows []RowState
+
+	// Ctrl[slot] is the control word of each ring slot. Open marks the
+	// slots whose wave runs off the wave commit, and Glitch[slot] is the
+	// control word glitched in beside the slot's; each is omitted when no
+	// slot has one.
 	Ctrl   []Op
-	Loaded []int
+	Open   []bool `json:",omitempty"`
+	Glitch []*Op  `json:",omitempty"`
 
 	Inflight []ArrivalState
 
@@ -184,14 +188,6 @@ type SwitchState struct {
 	LastInit     int64
 	WriteStartAt []int64
 
-	// Committed has one bit per ring slot below 64 whose live wave was
-	// committed at initiation. A live slot without it is open from the
-	// restore on: a read or write-through whose output's record holds one
-	// word per stage run so far is its wave, and so is a write whose
-	// descriptor still names it; any other is a glitch (reopen). Slots from
-	// 64 on are written open; older files, without the field, are all open.
-	Committed uint64 `json:",omitempty"`
-
 	// InDelay[slot][input] is the §4.3 link-pipelining delay line content
 	// (present only when Config.LinkPipeline > 0 and the line has been
 	// touched).
@@ -210,19 +206,15 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 	if len(s.done) != 0 {
 		return nil, fmt.Errorf("core: snapshot with %d uncollected departures; call Drain before Snapshot", len(s.done))
 	}
-	committed, err := s.committedMask()
-	if err != nil {
-		return nil, err
-	}
 	s.materializeLazy()
 	st := &SwitchState{
 		Config: s.cfg,
 		Cycle:  s.cycle,
 
-		Mem:    banks(s.mem, s.k, s.cfg.Cells),
-		InReg:  s.inRegState(),
-		OutReg: make([]OutWordState, s.k),
-		Ctrl:   make([]Op, s.k),
+		Mem:    slices.Clone(s.mem),
+		ECCMem: slices.Clone(s.eccMem),
+		Rows:   make([]RowState, s.n),
+		Ctrl:   slices.Clone(s.ctrl),
 
 		Inflight: make([]ArrivalState, s.n),
 
@@ -255,20 +247,29 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 		Counters:   s.counter.Snapshot(),
 		InitDelay:  s.initDelay.State(),
 		CutLatency: s.cutLatency.State(),
-
-		Committed: committed,
 	}
-	for slot, op := range s.ctrl {
-		if st.Ctrl[slot] = op; s.glitch[slot] != nil && !s.open[slot] && slot != s.slotOf(s.cycle) {
-			st.Ctrl[slot] = *s.glitch[slot]
+	if slices.Contains(s.open, true) {
+		st.Open = slices.Clone(s.open)
+	}
+	if s.glitchN != 0 {
+		st.Glitch = make([]*Op, s.k)
+		for slot, g := range s.glitch {
+			if g != nil {
+				op := *g
+				st.Glitch[slot] = &op
+			}
 		}
 	}
-	if s.eccMem != nil {
-		st.ECCMem = banks(s.eccMem, s.k, s.cfg.Cells)
+	for i := range s.rows {
+		r := &s.rows[i]
+		st.Rows[i] = RowState{Occ: slices.Clone(r.regs[r.occ:][:s.k]), Prev: slices.Clone(r.regs[s.k-r.occ:][:s.k]), Flipped: r.flipped}
 	}
 	for i := range s.inflight {
 		a := &s.inflight[i]
-		st.Inflight[i] = ArrivalState{Cell: cellState(a.c), Head: a.head, Written: a.written, Active: a.active}
+		st.Inflight[i] = ArrivalState{Head: a.head, Written: a.written, Active: a.active}
+		if a.active && !a.written {
+			st.Inflight[i].Cell = cellState(a.c)
+		}
 	}
 	for q := range st.Queues {
 		list := []QueueNodeState{}
@@ -308,72 +309,6 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 	return st, nil
 }
 
-// committedMask is SwitchState.Committed. Slots from 64 on have no bit, so
-// their waves are opened first (behavior-inert); a glitch beside an open
-// wave has no place in the one control word a slot serializes.
-func (s *Switch) committedMask() (uint64, error) {
-	for st := s.k - 1; st >= 1; st-- {
-		if slot := s.ctrlSlot(s.cycle, st); slot >= 64 && s.ctrl[slot].Kind != OpNone && !s.open[slot] {
-			s.openChain(s.ctrl[slot].Addr, s.cycle-int64(st), s.cycle, false)
-		}
-	}
-	var m uint64
-	for slot := range s.ctrl {
-		switch {
-		case s.glitch[slot] != nil && s.glitch[slot].Kind != OpNone && s.open[slot]:
-			return 0, fmt.Errorf("core: snapshot: ring slot %d carries a control glitch beside a wave still off the commit; pmckpt v1 holds one control word per slot", slot)
-		case slot < 64 && s.ctrl[slot].Kind != OpNone && !s.open[slot] && s.glitch[slot] == nil:
-			m |= uint64(1) << uint(slot)
-		}
-	}
-	return m, nil
-}
-
-// inRegState is SwitchState.InReg: each row's occupant words, and the
-// register contents where something off the commit still reads them.
-func (s *Switch) inRegState() [][]cell.Word {
-	out := grid[cell.Word](s.n, s.k)
-	for i, row := range out {
-		a, reads := &s.inflight[i], s.rowReadOpen(i)
-		for j := range row {
-			if row[j] = s.rowWord(i, j, s.cycle); a.active && !reads && a.head+int64(j) >= s.cycle {
-				row[j] = a.c.Words[j] & s.cfg.wordMask() // not latched yet
-			}
-		}
-	}
-	return out
-}
-
-// rowReadOpen reports that something off the wave commit may still read
-// input row i where its occupant has not latched: an open write of the
-// previous occupant, a glitched write, a flip there.
-func (s *Switch) rowReadOpen(i int) bool {
-	if s.openN == 0 && s.flipOcc == nil {
-		return false
-	}
-	if slot, _ := s.prevWrite(i); slot >= 0 && s.open[slot] {
-		return true
-	}
-	for _, g := range s.glitch {
-		if g != nil && g.Kind != OpRead && g.Kind != OpNone && g.In == i {
-			return true
-		}
-	}
-	return s.flipPrev != nil && slices.ContainsFunc(s.flipPrev[i], func(f cell.Word) bool { return f != 0 })
-}
-
-// prevWrite finds the write wave in flight from input row i's previous
-// occupant: its ring slot (-1 for none) and initiation cycle.
-func (s *Switch) prevWrite(i int) (int, int64) {
-	for st := 1; st < s.k; st++ {
-		slot, c0 := s.ctrlSlot(s.cycle, st), s.cycle-int64(st)
-		if op := &s.ctrl[slot]; op.Kind != OpNone && op.Kind != OpRead && op.In == i && s.inflight[i].head >= c0 {
-			return slot, c0
-		}
-	}
-	return -1, 0
-}
-
 // NewFromSnapshot rebuilds a switch from an exported state. The returned
 // switch has no observer, tracer, hooks or bufmgr policy installed —
 // reattach them before Ticking (a bufmgr policy must be the same policy
@@ -390,10 +325,9 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	if cfg.VCs > len(st.Queues) {
 		return nil, fmt.Errorf("core: switch state has %d queues for %d VCs", len(st.Queues), cfg.VCs)
 	}
-	if err := checkLens("switch state", map[string]([2]int){
-		"Mem":          {len(st.Mem), k},
-		"InReg":        {len(st.InReg), n},
-		"OutReg":       {len(st.OutReg), k},
+	lens := map[string]([2]int){
+		"Mem":          {len(st.Mem), k * cfg.Cells},
+		"Rows":         {len(st.Rows), n},
 		"Ctrl":         {len(st.Ctrl), k},
 		"Inflight":     {len(st.Inflight), n},
 		"Queues":       {len(st.Queues), n * cfg.VCs},
@@ -409,12 +343,24 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 		"StageErr":     {len(st.StageErr), k},
 		"StageDown":    {len(st.StageDown), k},
 		"WriteStartAt": {len(st.WriteStartAt), cfg.Cells},
-	}); err != nil {
+	}
+	if cfg.ECC {
+		lens["ECCMem"] = [2]int{len(st.ECCMem), k * cfg.Cells}
+	} else if st.ECCMem != nil {
+		return nil, fmt.Errorf("core: switch state carries ECC check bits, config has ECC off")
+	}
+	if st.Open != nil {
+		lens["Open"] = [2]int{len(st.Open), k}
+	}
+	if st.Glitch != nil {
+		lens["Glitch"] = [2]int{len(st.Glitch), k}
+	}
+	if err := checkLens("switch state", lens); err != nil {
 		return nil, err
 	}
-	for b, row := range st.Mem {
-		if len(row) != cfg.Cells {
-			return nil, fmt.Errorf("core: switch state Mem[%d] has %d words, want %d", b, len(row), cfg.Cells)
+	for i, r := range st.Rows {
+		if len(r.Occ) != k || len(r.Prev) != k {
+			return nil, fmt.Errorf("core: switch state Rows[%d] has %d and %d words, want %d", i, len(r.Occ), len(r.Prev), k)
 		}
 	}
 	if err := st.indexErr(cfg); err != nil {
@@ -425,43 +371,45 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 		return nil, err
 	}
 	s.cycle = st.Cycle
-	if err := loadBanks(s.mem, st.Mem, k, "Mem"); err != nil {
-		return nil, err
-	}
-	if (st.ECCMem != nil) != s.cfg.ECC {
-		return nil, fmt.Errorf("core: switch state carries ECC bits=%v, config has ECC=%v", st.ECCMem != nil, s.cfg.ECC)
-	}
-	if st.ECCMem != nil {
-		if err := loadBanks(s.eccMem, st.ECCMem, k, "ECCMem"); err != nil {
-			return nil, err
-		}
-	}
-	for i := range st.InReg {
-		if len(st.InReg[i]) != k {
-			return nil, fmt.Errorf("core: switch state InReg[%d] has %d words, want %d", i, len(st.InReg[i]), k)
-		}
-	}
-	for _, stg := range st.Loaded {
-		if stg < 0 || stg >= k {
-			return nil, fmt.Errorf("core: switch state loaded stage %d out of range", stg)
+	copy(s.mem, st.Mem)
+	copy(s.eccMem, st.ECCMem)
+	for i, r := range st.Rows {
+		copy(s.rows[i].regs, r.Occ)
+		copy(s.rows[i].regs[k:], r.Prev)
+		if s.rows[i].flipped = r.Flipped; r.Flipped {
+			s.flipN++
 		}
 	}
 	for slot := range st.Ctrl {
 		s.setCtrl(slot, &st.Ctrl[slot])
 	}
+	for slot, open := range st.Open {
+		if open {
+			s.open[slot] = true
+			s.openN++
+		}
+	}
+	for slot, g := range st.Glitch {
+		if g != nil {
+			op := *g
+			s.glitch[slot] = &op
+			s.glitchN++
+			if op.Kind != OpNone {
+				s.openN++
+			}
+		}
+	}
 
 	s.pendingWrites, s.pendMask = 0, 0
 	for i := range st.Inflight {
 		a := &st.Inflight[i]
-		if a.Active {
+		if a.Active && !a.Written {
 			if why := cellUnusable(a.Cell, cfg); why != "" {
 				return nil, fmt.Errorf("core: switch state arrival on input %d %s", i, why)
 			}
-		}
-		s.inflight[i] = arrival{c: cellFromState(a.Cell), head: a.Head, written: a.Written, active: a.Active}
-		if a.Active && !a.Written {
 			s.pendSet(i)
 		}
+		s.inflight[i] = arrival{c: cellFromState(a.Cell), head: a.Head, written: a.Written, active: a.Active}
 	}
 
 	if err := s.free.RestoreState(st.FreeAddrs); err != nil {
@@ -530,18 +478,6 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 			r.start = rs.Start
 		}
 	}
-	// A loaded output register drives its link this cycle: its word joins
-	// the record (a glitched read's, with no record to fill, goes nowhere).
-	for _, stg := range st.Loaded {
-		if g := &st.OutReg[stg]; g.Valid && g.Out >= 0 && g.Out < n {
-			if r := s.rxHead[g.Out]; r != nil && len(r.words) < k {
-				if len(r.words) == 0 {
-					r.start = st.Cycle
-				}
-				r.words = append(r.words, g.Word)
-			}
-		}
-	}
 	// Every transmission completes k-1 cycles after its head word: one
 	// committed at initiation holds all k words, one off the commit one word
 	// per stage run so far.
@@ -562,8 +498,16 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 		}
 		s.departAt[slot] = o
 	}
-	s.reopen(st.Committed)
-	s.restoreRows(st.InReg)
+	// An open read or write-through adds a word per stage run to its
+	// output's record, which must be the one it started.
+	for stg := 1; stg < k; stg++ {
+		slot, c0 := s.ctrlSlot(s.cycle, stg), s.cycle-int64(stg)
+		if op := &s.ctrl[slot]; s.open[slot] && (op.Kind == OpRead || op.Kind == OpWriteThrough) {
+			if r := s.rxHead[op.Out]; r == nil || r.start != c0+1 || len(r.words) != stg {
+				return nil, fmt.Errorf("core: switch state ring slot %d runs a transmission on output %d off the commit, but the output holds no record of its %d words", slot, op.Out, stg)
+			}
+		}
+	}
 
 	if st.Stuck != nil {
 		if len(st.Stuck) != k {
@@ -635,109 +579,6 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	return s, nil
 }
 
-// restoreRows rebuilds the input rows from their serialized registers: where
-// the occupant has latched a word, what the register holds beyond it is a
-// flip; where it has not, the register is the previous occupant's if
-// something off the commit reads it there (inRegState), and otherwise the
-// previous occupant's words are those of the cell its committed write wave,
-// still in flight, writes — found by its descriptor, queued or on its link.
-func (s *Switch) restoreRows(rows [][]cell.Word) {
-	for i, row := range rows {
-		s.prev[i] = append([]cell.Word(nil), row...)
-		if slot, c0 := s.prevWrite(i); slot >= 0 && !s.rowReadOpen(i) {
-			if w := s.writer(s.ctrl[slot].Addr, c0); w != nil {
-				s.prev[i] = w.Words
-			}
-		}
-		for j, a := 0, &s.inflight[i]; a.active && j < s.k && a.head+int64(j) < s.cycle; j++ {
-			if f := (row[j] ^ a.c.Words[j]) & s.cfg.wordMask(); f != 0 {
-				s.allocFlips()
-				s.flipOcc[i][j] = f
-			}
-		}
-	}
-}
-
-// reopen marks the ring slots a restored switch runs off the commit: those
-// without their bit in committed (every slot from 64 on). A read or
-// write-through whose output's record holds one word per stage run so far
-// is the slot's wave, and so is a write whose descriptor still names it;
-// any other is a glitch beside a wave that completed at initiation, or
-// beside none. Stage 0's slot holds the wave that ran its last stage.
-func (s *Switch) reopen(committed uint64) {
-	c := s.cycle
-	for st := s.k - 1; st >= 0; st-- {
-		slot, c0 := s.ctrlSlot(c, st), c-int64(st)
-		op := s.ctrl[slot]
-		if op.Kind == OpNone || slot < 64 && committed&(uint64(1)<<uint(slot)) != 0 {
-			continue
-		}
-		s.openN++
-		r := s.rxHead[op.Out]
-		if st == 0 || op.Kind == OpWrite && s.writer(op.Addr, c0) != nil ||
-			op.Kind != OpWrite && r != nil && r.start == c0+1 && len(r.words) == st {
-			s.open[slot] = true
-			continue
-		}
-		s.setCtrl(slot, &Op{})
-		s.glitch[slot] = &op
-		s.glitchN++
-	}
-}
-
-// writer is the cell the write wave initiated at c0 stores at addr, found by
-// a descriptor still naming it, queued or on its link (nil for none).
-func (s *Switch) writer(addr int, c0 int64) *cell.Cell {
-	for node := range s.nodes {
-		if d := &s.nodes[node]; s.nfree.Allocated(node) && d.addr == addr && d.writeStart == c0 {
-			return d.c
-		}
-	}
-	for _, r := range s.rxHead {
-		if r != nil && r.d.addr == addr && r.d.writeStart == c0 {
-			return r.d.c
-		}
-	}
-	return nil
-}
-
-// banks exports a flat address-major array (mem, eccMem) as the per-bank
-// view, [stage][address], the serialized schema has always used, keeping
-// checkpoint files readable across the layout change.
-func banks[T any](flat []T, k, cells int) [][]T {
-	out := grid[T](k, cells)
-	for b := range out {
-		for a := range out[b] {
-			out[b][a] = flat[a*k+b]
-		}
-	}
-	return out
-}
-
-// loadBanks is banks' inverse, checking the per-bank view's shape.
-func loadBanks[T any](flat []T, src [][]T, k int, name string) error {
-	if len(src) != k {
-		return fmt.Errorf("core: switch state %s has %d banks, want %d", name, len(src), k)
-	}
-	for b, row := range src {
-		if len(row)*k != len(flat) {
-			return fmt.Errorf("core: switch state %s[%d] has %d words, want %d", name, b, len(row), len(flat)/k)
-		}
-		for a, w := range row {
-			flat[a*k+b] = w
-		}
-	}
-	return nil
-}
-
-func grid[T any](rows, cols int) [][]T {
-	g := make([][]T, rows)
-	for i := range g {
-		g[i] = make([]T, cols)
-	}
-	return g
-}
-
 func copyInts2(src [][]int) [][]int {
 	out := make([][]int, len(src))
 	for i := range src {
@@ -773,13 +614,21 @@ func cellUnusable(cs *CellState, cfg Config) string {
 
 // indexErr reports the first index the state holds outside the geometry
 // of cfg (canonical) that the tick uses without a check: a control word's
-// input, output or address, a queued descriptor's address or VC, a
-// round-robin pointer, a WRR table entry.
+// or a glitched word's input, output or address, a queued descriptor's
+// address or VC, a round-robin pointer, a WRR table entry.
 func (st *SwitchState) indexErr(cfg Config) error {
 	n, vcs := cfg.Ports, cfg.VCs
-	for slot, op := range st.Ctrl {
-		if op.Kind > OpWriteThrough || op.In < 0 || op.In >= n || op.Out < 0 || op.Out >= n || op.Addr < 0 || op.Addr >= cfg.Cells {
-			return fmt.Errorf("core: switch state Ctrl[%d] %+v is not an op on this switch", slot, op)
+	bad := func(op *Op) bool {
+		return op.Kind > OpWriteThrough || op.In < 0 || op.In >= n || op.Out < 0 || op.Out >= n || op.Addr < 0 || op.Addr >= cfg.Cells
+	}
+	for slot := range st.Ctrl {
+		if bad(&st.Ctrl[slot]) {
+			return fmt.Errorf("core: switch state Ctrl[%d] %+v is not an op on this switch", slot, st.Ctrl[slot])
+		}
+	}
+	for slot, g := range st.Glitch {
+		if g != nil && bad(g) {
+			return fmt.Errorf("core: switch state Glitch[%d] %+v is not an op on this switch", slot, *g)
 		}
 	}
 	for q, list := range st.Queues {

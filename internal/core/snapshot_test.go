@@ -323,11 +323,11 @@ func TestRestoreRejectsUnusableCells(t *testing.T) {
 	}
 	arriving := func(st *SwitchState) *ArrivalState {
 		for i := range st.Inflight {
-			if st.Inflight[i].Active {
+			if st.Inflight[i].Active && !st.Inflight[i].Written {
 				return &st.Inflight[i]
 			}
 		}
-		t.Fatal("set-up: no active arrival")
+		t.Fatal("set-up: no arrival waiting for its write wave")
 		return nil
 	}
 	sending := func(st *SwitchState) *[]ReasmState {
@@ -375,6 +375,57 @@ func TestRestoreRejectsUnusableCells(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
+			}
+		})
+	}
+	if _, err := NewFromSnapshot(mustJSONRoundTrip(t, good)); err != nil {
+		t.Fatalf("unmutated state refused: %v", err)
+	}
+}
+
+// TestRestoreRejectsImpossibleRing: the ring's open flags and glitched words
+// are read from a file, so a state no run could hold is refused before the
+// first Tick — a read marked open whose output's record already holds all
+// its words, a glitched word naming an input the switch lacks.
+func TestRestoreRejectsImpossibleRing(t *testing.T) {
+	cfg := Config{Ports: 4, WordBits: 16, Cells: 32}
+	r := runnerTo(t, cfg, traffic.Config{Kind: traffic.Bernoulli, N: 4, Load: 0.9, Seed: 3}, 2000, "", 200)
+	var good *SwitchState
+	read := -1
+	for read < 0 {
+		if !r.Step() {
+			t.Fatal("set-up: no read wave in flight")
+		}
+		st, err := r.s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for stg := 1; stg < r.s.k; stg++ {
+			if slot := r.s.ctrlSlot(st.Cycle, stg); st.Ctrl[slot].Kind == OpRead {
+				good, read = st, slot
+			}
+		}
+	}
+	cases := []struct {
+		name    string
+		mutate  func(st *SwitchState)
+		wantSub string
+	}{
+		{"open/committed-read", func(st *SwitchState) {
+			st.Open = make([]bool, len(st.Ctrl))
+			st.Open[read] = true
+		}, "off the commit"},
+		{"glitch/bad-input", func(st *SwitchState) {
+			st.Glitch = make([]*Op, len(st.Ctrl))
+			st.Glitch[0] = &Op{Kind: OpWrite, In: 4}
+		}, "Glitch[0]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := mustJSONRoundTrip(t, good)
+			tc.mutate(st)
+			if _, err := NewFromSnapshot(st); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %v, want one mentioning %q", err, tc.wantSub)
 			}
 		})
 	}

@@ -183,13 +183,9 @@ type Switch struct {
 	// onDropCell, when set, receives every cell the switch loses
 	// (overrun displacement, policy refusal, push-out eviction), so an
 	// outer engine can retire per-cell bookkeeping instead of leaking
-	// it. reusable reports that the switch holds no remaining reference
-	// of any kind — true only for overrun victims, whose arrival
-	// register is overwritten in the same cycle (the words it holds until
-	// then are the switch's own copy, lostRow); a policy or push-out
-	// victim may still be streaming words into the (now inert) input
-	// register for the rest of its cell time.
-	onDropCell func(c *cell.Cell, reusable bool)
+	// it. The switch never reads a cell it has handed to the hook: the
+	// input row holds its own copy of the words (rows).
+	onDropCell func(c *cell.Cell)
 
 	// Fault-tolerance state (defense layers; see degrade.go). eccMem holds
 	// the per-word SEC-DED check bits when Config.ECC is on, laid out like
@@ -225,16 +221,15 @@ type Switch struct {
 	// ring. A wave a fault can still reach is open instead (degrade.go): its
 	// stages access the banks at their own cycles. glitch holds, per slot, a
 	// control word glitched in beside the wave. openN counts open slots and
-	// non-squash glitches, glitchN all glitches. prev[i] is the words of
-	// input row i's previous occupant, which the row holds until its
-	// occupant latches them; flipOcc and flipPrev are the input-register
-	// flips on the occupant's latched words and on the rest of the row.
-	departAt          []int // [cycle & depMask]: the output completing then, -1 for none
-	open              []bool
-	glitch            []*Op
-	openN, glitchN    int
-	prev              [][]cell.Word
-	flipOcc, flipPrev [][]cell.Word
+	// non-squash glitches, glitchN all glitches. rows[i] is input link i's
+	// row of registers (degrade.go), flipN the number of rows whose
+	// occupant carries a flipped word.
+	departAt       []int // [cycle & depMask]: the output completing then, -1 for none
+	open           []bool
+	glitch         []*Op
+	openN, glitchN int
+	rows           []inRow
+	flipN          int
 	// ctrlMask is k-1 when k is a power of two — slotOf then replaces the
 	// hardware divide the per-cycle ring indexing would otherwise pay —
 	// and -1 otherwise. depMask is len(departAt)-1 (the completion ring is
@@ -269,10 +264,6 @@ type Switch struct {
 	auditScratch, auditRef []int
 	// initDelay accumulates §3.4's staggered-initiation delay.
 	initDelay stats.Mean
-	// lostRow[i] is the switch's copy of the words of the cell last overrun
-	// on input i: prev[i] until the new occupant latches them, while the
-	// cell itself goes back to the drop hook (overrun).
-	lostRow [][]cell.Word
 }
 
 // New builds a switch; the configuration is canonicalized and validated.
@@ -289,7 +280,7 @@ func New(cfg Config) (*Switch, error) {
 		ctrl:         make([]Op, k),
 		open:         make([]bool, k),
 		glitch:       make([]*Op, k),
-		prev:         make([][]cell.Word, n),
+		rows:         make([]inRow, n),
 		free:         fifo.NewFreeList(cfg.Cells),
 		queues:       fifo.NewMultiQueue(n*cfg.VCs, cfg.Cells),
 		nodes:        make([]desc, cfg.Cells),
@@ -310,6 +301,10 @@ func New(cfg Config) (*Switch, error) {
 		writeStartAt: make([]int64, cfg.Cells),
 	}
 	s.linkSide.init(n, k, cfg.LinkPipeline)
+	regs := make([]cell.Word, 2*n*k)
+	for i := range s.rows {
+		s.rows[i].regs = regs[2*i*k : 2*(i+1)*k]
+	}
 	depLen := 1
 	for depLen < k+1 {
 		depLen <<= 1
@@ -599,13 +594,11 @@ func (s *Switch) SetTransmitCellHook(f func(out int, c *cell.Cell, startCycle in
 // SetDropCellHook installs a callback invoked once per cell the switch
 // loses, whatever the loss mode (overrun displacement, policy refusal,
 // push-out eviction; bypass flushes are fault-layer state and do not
-// fire it). reusable is true only when the switch provably holds no
-// remaining reference to the cell — the caller may recycle it
-// immediately; otherwise the cell's payload may still be read (and
-// discarded) by the inert input register until its cell time ends. The
-// multistage fabric uses the hook to retire per-cell flight state and
-// free the dead cell's credit.
-func (s *Switch) SetDropCellHook(f func(c *cell.Cell, reusable bool)) {
+// fire it). The switch holds no reference it will read to a cell it hands
+// to the hook — its input row latched a copy of the words — so the caller
+// may recycle the cell at once. The multistage fabric uses the hook to
+// retire per-cell flight state and free the dead cell's credit.
+func (s *Switch) SetDropCellHook(f func(c *cell.Cell)) {
 	s.onDropCell = f
 }
 
@@ -720,14 +713,15 @@ func (s *Switch) tick(heads []*cell.Cell) {
 		s.runStages(c)
 	}
 
-	// Ingress: a row is its occupant's words, plus the flips the fault
-	// layer records; nothing is latched per cycle.
+	// Ingress: an arriving head's words go into its row at once; nothing is
+	// latched per cycle.
 	for i, nc := range heads {
 		if nc == nil {
 			continue
 		}
-		s.shiftRow(i)
-		if lost := s.admit(i, nc, c); lost != nil {
+		lost := s.admit(i, nc, c)
+		s.shiftRow(i, nc.Words)
+		if lost != nil {
 			s.overrun(i, lost)
 		}
 	}
@@ -737,20 +731,15 @@ func (s *Switch) tick(heads []*cell.Cell) {
 
 // overrun is the switch's share of the accounting for a cell the link side
 // found displaced on input i (linkSide.admit): the per-port loss tallies,
-// the observer, the drop hook (reusable: the row is being overwritten, and
-// the words it holds until then are the switch's own copy).
+// the observer, the drop hook.
 func (s *Switch) overrun(i int, lost *cell.Cell) {
-	if s.lostRow == nil {
-		s.lostRow = grid[cell.Word](s.n, s.k)
-	}
-	s.prev[i] = append(s.lostRow[i][:0], lost.Words...)
 	s.inDrops[i]++
 	s.outDrops[lost.Dst]++
 	if s.obs != nil {
 		s.obs.DropOverrun.Inc()
 	}
 	if s.onDropCell != nil {
-		s.onDropCell(lost, true)
+		s.onDropCell(lost)
 	}
 }
 
@@ -775,7 +764,8 @@ func (s *Switch) commitWave(op *Op, c int64) {
 		if s.refcnt[op.Addr] == 1 {
 			// Unicast: defer the deposit. The cell outlives its only
 			// read wave's commit (it is recycled no earlier than the
-			// departure it becomes), so the read serves from it
+			// departure it becomes; a push-out deposits it before
+			// handing it back), so the read serves from it
 			// directly — touching neither the bank array nor its check
 			// bits. Multicast keeps the eager copy — an early departure
 			// may hand the cell back while copies still queue.

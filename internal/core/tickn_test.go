@@ -206,15 +206,13 @@ func (h *ticknHarness) runBatched(sched [][]int, tail int64, faults []faultAt) {
 // array, while a run never snapshotted leaves those words untouched. Only
 // valid while the bank remap is identity (no bypass).
 func scrubFreedMem(st *SwitchState) {
+	k := st.Config.Canonical().Stages
 	for addr, rc := range st.Refcnt {
-		if rc != 0 {
-			continue
-		}
-		for b := range st.Mem {
-			st.Mem[b][addr] = 0
-		}
-		for b := range st.ECCMem {
-			st.ECCMem[b][addr] = 0
+		if rc == 0 {
+			clear(st.Mem[addr*k : addr*k+k])
+			if st.ECCMem != nil {
+				clear(st.ECCMem[addr*k : addr*k+k])
+			}
 		}
 	}
 }

@@ -519,13 +519,13 @@ func (e *Engine) installLastHook(sw *core.Switch, sh *shard) {
 // installDropHook wires loss accounting: a cell dropped inside a node
 // must retire its flight record (or the table leaks one record per drop
 // forever), release the credit it is holding on its inbound link (or the
-// link's allowance shrinks permanently with every interior drop), and —
-// when the switch provably holds no remaining reference — return the
-// cell to the inject pool. All of it is staged and applied at the
-// barrier in shard order, keeping the merge deterministic.
+// link's allowance shrinks permanently with every interior drop), and
+// return the cell to the inject pool — the switch keeps no reference it
+// reads. All of it is staged and applied at the barrier in shard order,
+// keeping the merge deterministic.
 func (e *Engine) installDropHook(sw *core.Switch, g int, sh *shard) {
-	sw.SetDropCellHook(func(c *cell.Cell, reusable bool) {
-		sh.drops = append(sh.drops, dropRec{seq: c.Seq, c: c, node: int32(g), reusable: reusable})
+	sw.SetDropCellHook(func(c *cell.Cell) {
+		sh.drops = append(sh.drops, dropRec{seq: c.Seq, c: c, node: int32(g)})
 	})
 }
 
@@ -749,9 +749,9 @@ func (e *Engine) runShard(w int) {
 // retireDrop settles a cell lost inside a node: the flight record is
 // removed (so the table cannot leak one record per drop), the credit the
 // cell held on its inbound inter-stage link is released (terminal
-// injection at stage 0 holds none), and a victim the switch no longer
-// references goes back to the inject pool — which is what keeps the
-// steady state allocation-free even under sustained edge drops.
+// injection at stage 0 holds none), and the victim goes back to the inject
+// pool — which is what keeps the steady state allocation-free even under
+// sustained drops.
 func (e *Engine) retireDrop(dr *dropRec) error {
 	fl := e.flights.get(dr.seq)
 	if fl == nil {
@@ -769,9 +769,7 @@ func (e *Engine) retireDrop(dr *dropRec) error {
 			In: -1, Out: fl.dst, Addr: dr.node, V: e.cycle - fl.inject, Seq: dr.seq})
 	}
 	e.flights.remove(dr.seq)
-	if dr.reusable {
-		e.injPool.Put(dr.c)
-	}
+	e.injPool.Put(dr.c)
 	return nil
 }
 

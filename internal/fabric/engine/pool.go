@@ -37,8 +37,7 @@ type shard struct {
 
 	// drops stages cells lost inside a node this cycle (overrun, policy,
 	// push-out): the coordinator retires the flight, releases the dead
-	// cell's inbound credit, and recycles the victim when the switch
-	// holds no remaining reference.
+	// cell's inbound credit, and recycles the victim.
 	drops []dropRec
 
 	// spans stages hop records of traced flights (appended in the shard's
@@ -62,10 +61,9 @@ type ejectBatch struct {
 }
 
 type dropRec struct {
-	seq      uint64
-	c        *cell.Cell
-	node     int32
-	reusable bool
+	seq  uint64
+	c    *cell.Cell
+	node int32
 }
 
 func (sh *shard) fail(err error) {

@@ -107,12 +107,15 @@ const sessionAllocBudget = 64 << 20
 // descriptor node in use by multicast and every latency bucket resolved.
 // It charges ≤ 84 per descriptor node of the full pool (the node, its
 // queue and free-list links, its share of the 2·ports×buf buffer words and
-// their check bits) and ≤ 17 per ports² (the input register rows), over
-// some 70 KiB of fixed cost. In floating point, so that no geometry a
+// their check bits), 32 per ports² (the two input rows the switch owns
+// per link, 2·ports·stages words of 8 bytes with stages = 2·ports) and
+// ≤ 512 per port (the other per-link tables of the switch, the traffic
+// stream and the runner), over a fixed cost of some 5 KiB plus the
+// 32 KiB latency histogram. In floating point, so that no geometry a
 // request can spell overflows it.
 func allocBound(ports, buf int) float64 {
 	p, b := float64(ports), float64(buf)
-	return 88*p*b + 24*p*p + 128<<10
+	return 88*p*b + 32*p*p + 512*p + 128<<10
 }
 
 // parseKind resolves a traffic-kind name.
