@@ -233,3 +233,70 @@ func TestTickZeroAllocObserved(t *testing.T) {
 		t.Fatalf("metrics-enabled Tick allocates %.2f/op, want 0", allocs)
 	}
 }
+
+// TestHighWaterCountsFromInstall installs an observer on a loaded switch,
+// at each phase of its output's cell time, that only drains from then on: the peak it reports is the occupancy of
+// the first cycle it watched, the buffer after that cycle's arbitration —
+// not zero, and not the level before the install, from which that cycle's
+// read wave may already have taken a cell.
+func TestHighWaterCountsFromInstall(t *testing.T) {
+	cfg := Config{Ports: 4, WordBits: 16, Cells: 32, CutThrough: true}
+	reads := 0
+	for at := 0; at < 2*cfg.Ports*2; at++ {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := s.Config().Stages
+		cs, err := traffic.NewCellStream(traffic.Config{Kind: traffic.Hotspot, N: 4, Load: 0.95, HotFrac: 1, Seed: 1}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heads := make([]int, cfg.Ports)
+		hc := make([]*cell.Cell, cfg.Ports)
+		var seq uint64
+		for c := 0; c < 400; c++ {
+			cs.Heads(heads)
+			for i := range hc {
+				hc[i] = nil
+				if heads[i] != traffic.NoArrival {
+					seq++
+					hc[i] = cell.New(seq, i, heads[i], k, cfg.WordBits)
+				}
+			}
+			s.Tick(hc)
+			s.Drain()
+		}
+		for s.pendingWrites > 0 {
+			s.Tick(nil) // every waiting arrival into the buffer
+			s.Drain()
+		}
+		for c := 0; c < at; c++ {
+			s.Tick(nil)
+			s.Drain()
+		}
+		before := s.Buffered()
+		o := NewObserver(obs.NewRegistry(), cfg.Ports)
+		s.SetObserver(o)
+		s.SyncObserver()
+		if hw := o.HighWater.Value(); hw != 0 {
+			t.Fatalf("install at %d: high-water %d before the observer watched a cycle", at, hw)
+		}
+		s.Tick(nil)
+		first := s.Buffered()
+		if first < before {
+			reads++
+		}
+		for s.Resident() > 0 {
+			s.Tick(nil)
+			s.Drain()
+		}
+		s.SyncObserver()
+		if hw := o.HighWater.Value(); hw != int64(first) {
+			t.Fatalf("install at %d: high-water %d, want %d (the buffer after the first watched cycle)", at, hw, first)
+		}
+	}
+	if reads == 0 {
+		t.Fatal("no install fell before a read wave; the test pins nothing")
+	}
+}
