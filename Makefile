@@ -52,7 +52,9 @@ race:
 # per-session allocation budget. FuzzStepReply holds the step route's
 # hand-written reply to encoding/json's bytes for any strings and integers,
 # FuzzCyclesParam its ?cycles= shortcut to the URL.Query parse for any raw
-# query. The last three
+# query. FuzzTraceParse sends arbitrary span streams through pmtrace's
+# Parse, Analyze and report: no panic, per-stage tables within MaxStages.
+# The last three
 # are the data-structure targets: the ring against a slice queue, the free
 # list and multi-queue pair for leaks, cell checksums against single-word
 # flips.
@@ -73,6 +75,7 @@ fuzz:
 	$(GO) test ./internal/srv -run FuzzSessionConfig -fuzz FuzzSessionConfig -fuzztime 30s
 	$(GO) test ./internal/srv -run FuzzStepReply -fuzz FuzzStepReply -fuzztime 30s
 	$(GO) test ./internal/srv -run FuzzCyclesParam -fuzz FuzzCyclesParam -fuzztime 30s
+	$(GO) test ./internal/trace -run FuzzTraceParse -fuzz FuzzTraceParse -fuzztime 30s
 	$(GO) test ./internal/fifo -run FuzzRing -fuzz FuzzRing -fuzztime 30s
 	$(GO) test ./internal/fifo -run FuzzFreeListMultiQueue -fuzz FuzzFreeListMultiQueue -fuzztime 30s
 	$(GO) test ./internal/core -run FuzzCellChecksum -fuzz FuzzCellChecksum -fuzztime 30s

@@ -84,6 +84,11 @@ type Set struct {
 	bySeq map[uint64]*Flight
 }
 
+// MaxStages bounds the stage index a hop record may carry: Analyze sizes
+// its per-stage tables by the deepest stage, so a stage is what a stream
+// makes it allocate. No fabric the engine builds comes near it.
+const MaxStages = 64
+
 // line is the union of the span JSONL key vocabularies.
 type line struct {
 	Ev      string `json:"ev"`
@@ -104,7 +109,8 @@ type line struct {
 
 // Parse reads a span JSONL stream and reassembles the flights. Lines
 // that are not span records are counted in Skipped, not rejected — the
-// sink interleaves schemas by design. A malformed JSON line is an error.
+// sink interleaves schemas by design. A malformed JSON line is an error,
+// and so is a hop whose stage lies outside [0, MaxStages).
 func Parse(r io.Reader) (*Set, error) {
 	s := &Set{bySeq: make(map[uint64]*Flight)}
 	sc := bufio.NewScanner(r)
@@ -126,6 +132,9 @@ func Parse(r io.Reader) (*Set, error) {
 			s.Flights = append(s.Flights, f)
 			s.bySeq[l.Seq] = f
 		case "hop":
+			if l.Stage < 0 || l.Stage >= MaxStages {
+				return nil, fmt.Errorf("trace: line %d: hop stage %d outside [0, %d)", lineNo, l.Stage, MaxStages)
+			}
 			f := s.bySeq[l.Seq]
 			if f == nil {
 				s.Orphans++

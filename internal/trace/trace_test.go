@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -60,6 +62,57 @@ func TestParseRejectsMalformed(t *testing.T) {
 	if _, err := Parse(strings.NewReader("{\"ev\":\"inject\"\n")); err == nil {
 		t.Fatal("malformed JSON line must be an error")
 	}
+}
+
+// TestParseRejectsOutOfRangeStage: a stage below 0 used to index Analyze's
+// per-stage tables at −1, and one near 2³¹ sized them to that length.
+// Both are refused at the line that carries them.
+func TestParseRejectsOutOfRangeStage(t *testing.T) {
+	for _, tc := range []struct{ stream, want string }{
+		{`{"ev":"inject","cycle":0,"seq":1,"term":0,"dst":1,"node":0}
+{"ev":"hop","cycle":2,"seq":1,"stage":1,"node":0,"latency":2}
+{"ev":"hop","cycle":3,"seq":1,"stage":-1,"node":0,"latency":1}
+{"ev":"eject","cycle":4,"seq":1,"term":1,"node":0,"latency":4}
+`, "line 3: hop stage -1"},
+		{`{"ev":"hop","cycle":2,"seq":1,"stage":2147483646,"node":0,"latency":2}
+`, "line 1: hop stage 2147483646"},
+		{`{"ev":"hop","seq":1,"stage":64}
+`, "line 1: hop stage 64"},
+	} {
+		_, err := Parse(strings.NewReader(tc.stream))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Parse error %v, want one naming %q", err, tc.want)
+		}
+	}
+	if s, err := Parse(strings.NewReader(`{"ev":"hop","seq":1,"stage":63}` + "\n")); err != nil || s.Orphans != 1 {
+		t.Fatalf("stage 63: %v", err)
+	}
+}
+
+// FuzzTraceParse feeds arbitrary streams through what pmtrace does with
+// one — Parse, Analyze, WriteText — which must never panic, and whose
+// per-stage tables stay within the MaxStages bound whatever the stream
+// claims.
+func FuzzTraceParse(f *testing.F) {
+	f.Add([]byte(sample))
+	f.Add([]byte(`{"ev":"inject","seq":1}` + "\n" + `{"ev":"hop","seq":1,"stage":-1}` + "\n" + `{"ev":"eject","seq":1}`))
+	f.Add([]byte(`{"ev":"hop","seq":0,"stage":63}` + "\n" + `{"ev":"drop","seq":0,"addr":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if s.Stages < 0 || s.Stages > MaxStages {
+			t.Fatalf("stages %d outside [0, %d]", s.Stages, MaxStages)
+		}
+		r := Analyze(s, 3)
+		if len(r.StageStats) != s.Stages || r.Flights != len(s.Flights) {
+			t.Fatalf("report of %d stages, %d flights from a set of %d, %d", len(r.StageStats), r.Flights, s.Stages, len(s.Flights))
+		}
+		if err := r.WriteText(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestAnalyze(t *testing.T) {
