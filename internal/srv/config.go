@@ -31,6 +31,9 @@ var (
 	ErrTooManySessions = errors.New("srv: session limit reached")
 	// ErrClosed marks requests arriving after shutdown began (HTTP 503).
 	ErrClosed = errors.New("srv: server is shutting down")
+	// ErrPanicked marks a session whose simulation panicked inside a step
+	// (HTTP 500): it is failed, with the panic value in its terminal error.
+	ErrPanicked = errors.New("srv: session panicked")
 	// ErrNoCheckpointDir marks checkpoint/restore requests on a server
 	// started without -ckpt-dir (HTTP 400).
 	ErrNoCheckpointDir = errors.New("srv: server has no checkpoint directory (-ckpt-dir)")

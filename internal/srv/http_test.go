@@ -288,3 +288,70 @@ func TestInjectLandsInTheNextCycle(t *testing.T) {
 		t.Fatalf("injected at cycle 101: landed in the cycle ending at %d, delivered by %d", landed, delivered)
 	}
 }
+
+// TestPanickingSessionFailsAlone: a panic inside one session's step — once
+// in free-run, once in a synchronous step request — fails that session,
+// with the panic as the terminal error its result carries, and leaves the
+// rest of the fleet serving.
+func TestPanickingSessionFailsAlone(t *testing.T) {
+	m := NewManager(Options{FreeRunBatch: 1024, CkptDir: t.TempDir()})
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	mk := func(name string) *Session {
+		s, err := m.Create(SessionConfig{Name: name, Ports: 4, Buf: 32, Cycles: 20000, Load: 0.5, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	boom := func(c int64) {
+		if c == 5000 {
+			panic("boom at 5000")
+		}
+	}
+	free, stepped, calm := mk("free"), mk("stepped"), mk("calm")
+	free.sim.Runner().PreTick = boom
+	stepped.sim.Runner().PreTick = boom
+
+	if err := free.Start(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for free.State() == StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("the panicking free-run never stopped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	do(t, client, "POST", ts.URL+"/sessions/stepped/step?cycles=8000", "", http.StatusInternalServerError, nil)
+
+	for _, s := range []*Session{free, stepped} {
+		if st := s.Status(); st.State != "failed" || st.Cycle != 5000 {
+			t.Fatalf("%s: status %+v, want failed at cycle 5000", s.ID(), st)
+		}
+		res, partial, err := s.Result()
+		if !errors.Is(err, ErrPanicked) || !strings.Contains(err.Error(), "boom at 5000") || partial {
+			t.Fatalf("%s: result partial=%v err=%v, want the frozen panic", s.ID(), partial, err)
+		}
+		if res.Offered == 0 {
+			t.Fatalf("%s: no partial tallies survived: %+v", s.ID(), res)
+		}
+		var got resultResponse
+		do(t, client, "GET", ts.URL+"/sessions/"+s.ID()+"/result", "", http.StatusOK, &got)
+		if got.State != "failed" || !strings.Contains(got.Error, "boom at 5000") {
+			t.Fatalf("%s: GET /result = %+v", s.ID(), got)
+		}
+		do(t, client, "POST", ts.URL+"/sessions/"+s.ID()+"/step?cycles=1", "", http.StatusConflict, nil)
+		do(t, client, "POST", ts.URL+"/sessions/"+s.ID()+"/checkpoint", "", http.StatusConflict, nil)
+	}
+
+	var st stepResponse
+	do(t, client, "POST", ts.URL+"/sessions/calm/step?cycles=10000", "", http.StatusOK, &st)
+	if st.Advanced != 10000 || calm.State() != StateIdle {
+		t.Fatalf("the calm session stepped %d cycles, state %v", st.Advanced, calm.State())
+	}
+	if body := getBody(t, client, ts.URL+"/metrics"); !strings.Contains(body, `pipemem_delivered_total{session="calm"}`) {
+		t.Fatalf("/metrics lost the calm session:\n%s", body)
+	}
+}

@@ -31,6 +31,7 @@
 package srv
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -96,8 +97,9 @@ const (
 	StateRunning
 	// StateDone: the run completed; the final RunResult is frozen.
 	StateDone
-	// StateFailed: the run aborted (audit violation, watchdog stall);
-	// the partial RunResult and the error are frozen.
+	// StateFailed: the run aborted (audit violation, watchdog stall, a
+	// panic inside a step); the partial RunResult and the error are
+	// frozen.
 	StateFailed
 )
 
@@ -373,6 +375,9 @@ func (m *Manager) Checkpoint(id string) (string, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if errors.Is(s.finalErr, ErrPanicked) {
+		return "", fmt.Errorf("%w: %s panicked mid-cycle and has no state to checkpoint", ErrFinished, s.id)
+	}
 	if err := s.sim.CheckpointTo(path); err != nil {
 		return "", err
 	}
@@ -513,9 +518,21 @@ func (s *Session) sampleLocked() {
 // stepLocked advances up to n cycles, sampling telemetry on the cadence
 // grid and freezing the outcome when the run ends. Called with mu held;
 // returns cycles advanced and whether the session reached a terminal
-// state.
-func (s *Session) stepLocked(n int64) (int64, bool) {
-	var adv int64
+// state. It is the one place either stepping path (Step and free-run)
+// runs the simulation, and it contains a panic there: the session fails
+// with the panic as its terminal error, and the rest of the fleet serves on.
+func (s *Session) stepLocked(n int64) (adv int64, terminal bool) {
+	start := s.sim.Switch().Cycle()
+	defer func() {
+		if v := recover(); v != nil {
+			c := s.sim.Switch().Cycle()
+			adv, terminal = c-start, true
+			s.finalRes, s.finalErr = s.salvage(), fmt.Errorf("%w at cycle %d: %v", ErrPanicked, c, v)
+			s.haveResult = true
+			s.state = StateFailed
+			s.m.cycles.Add(adv)
+		}
+	}()
 	for adv < n {
 		chunk := s.tsEvery - s.sim.Switch().Cycle()%s.tsEvery
 		if chunk > n-adv {
@@ -545,6 +562,13 @@ func (s *Session) stepLocked(n int64) (int64, bool) {
 	}
 	s.m.cycles.Add(adv)
 	return adv, s.state == StateDone || s.state == StateFailed
+}
+
+// salvage is the partial result of a session whose step panicked, or the
+// zero result if reading even that off the half-ticked switch panics.
+func (s *Session) salvage() (res core.RunResult) {
+	defer func() { _ = recover() }()
+	return s.sim.Partial()
 }
 
 // Step advances the session by up to n cycles synchronously. A
