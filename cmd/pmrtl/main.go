@@ -163,6 +163,7 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "pmrtl: debug server on http://%s\n", addr)
 			defer stop()
+			org = live{sw}
 		}
 	}
 	var vcdDone func() error
@@ -234,4 +235,19 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "pmrtl:", err)
 	os.Exit(1)
+}
+
+// live is the pipelined switch with its observer published every
+// publishEvery cycles, so a -pprof scrape of /metrics mid-run is never
+// staler than that; the run's end publishes it exactly.
+type live struct{ *pipemem.Switch }
+
+const publishEvery = 4096
+
+// Tick implements pipemem.Organization.
+func (l live) Tick(heads []*pipemem.Cell) {
+	l.Switch.Tick(heads)
+	if l.Cycle()%publishEvery == 0 {
+		l.SyncObserver()
+	}
 }

@@ -2,11 +2,15 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
+	"pipemem/internal/core"
+	"pipemem/internal/obs"
 	"pipemem/internal/traffic"
 )
 
@@ -242,5 +246,61 @@ func TestSeamsInsideACoast(t *testing.T) {
 				t.Fatalf("offered %d, delivered %d, want %d", res.Offered, res.Delivered, seam.offered)
 			}
 		})
+	}
+}
+
+// TestStepNCadencesLandWhereStepDoes: StepN runs the runner in a tight
+// loop between the cycles a cadence is due, so auto-checkpoints and
+// watchdog evaluations land on the cycles the one-cycle Step applies them
+// at, whatever the batching (an audit cadence rides along). The checkpoint
+// events carry their cycle, and a watchdog whose window the wedged drain
+// outlasts trips at one cycle only.
+func TestStepNCadencesLandWhereStepDoes(t *testing.T) {
+	spec := specFor(t, "dt:alpha=2", false)
+	session := func(dir string) (*Session, *obs.MemSink) {
+		sink := &obs.MemSink{}
+		o := core.NewObserver(obs.NewRegistry(), spec.Switch.Ports)
+		o.Tracer = obs.NewTracer(sink, 0, 1)
+		s, err := New(spec, Options{Path: filepath.Join(dir, "run.ckpt"), Every: 37, AuditEvery: 11, WatchdogWindow: 53, Observer: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for out := 0; out < spec.Switch.Ports; out++ {
+			s.Switch().SetOutputOpen(out, out != 2) // output 2's cells wedge the drain
+		}
+		return s, sink
+	}
+	ref, refSink := session(t.TempDir())
+	var refErr error
+	for {
+		ok, err := ref.Step()
+		if refErr = err; err != nil || !ok {
+			break
+		}
+	}
+	got, gotSink := session(t.TempDir())
+	var gotErr error
+	for _, n := range []int64{1, 36, 2, 500, 10, 1 << 20} {
+		var done bool
+		if _, done, gotErr = got.StepN(n); done {
+			break
+		}
+	}
+	if !errors.Is(refErr, ErrStalled) || !errors.Is(gotErr, ErrStalled) {
+		t.Fatalf("errors %v (Step) and %v (StepN), want both stalled", refErr, gotErr)
+	}
+	if g, w := got.Switch().Cycle(), ref.Switch().Cycle(); g != w {
+		t.Fatalf("StepN stalled at cycle %d, Step at %d", g, w)
+	}
+	marks := func(sink *obs.MemSink) (cycles []int64) {
+		for _, e := range sink.Events {
+			if e.Kind == obs.EvCheckpoint || e.Kind == obs.EvWatchdog {
+				cycles = append(cycles, e.Cycle)
+			}
+		}
+		return cycles
+	}
+	if g, w := marks(gotSink), marks(refSink); len(w) < 3 || !slices.Equal(g, w) {
+		t.Fatalf("checkpoint and watchdog events at\n got  %v\n want %v", g, w)
 	}
 }

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pipemem/internal/bufmgr"
 	"pipemem/internal/core"
@@ -237,25 +238,62 @@ func (s *Session) Spec() Spec { return s.spec }
 // Done reports whether the run has completed (driven window plus drain).
 func (s *Session) Done() bool { return s.runner.Done() }
 
-// StepN advances the run by up to n cycles through Step — so the audit,
-// watchdog and auto-checkpoint cadences all apply — stopping early when
-// the run completes or aborts. It returns the number of cycles actually
-// advanced and whether the run is over (completed or aborted); after
-// done with a nil error, Finish returns the outcome. This is the serving
-// layer's batch-advance primitive: a session stepped in any mix of batch
-// sizes is bit-identical to the same spec run in one piece.
+// StepN advances the run by up to n cycles, stopping early when the run
+// completes or aborts. It returns the number of cycles actually advanced
+// and whether the run is over (completed or aborted); after done with a
+// nil error, Finish returns the outcome. This is the serving layer's
+// batch-advance primitive: a session stepped in any mix of batch sizes is
+// bit-identical to the same spec run in one piece.
+//
+// The audit, watchdog and auto-checkpoint cadences land on exactly the
+// cycles Step applies them at: StepN runs the runner in a tight loop up to
+// the next cycle one of them (or the observer's publication) is due, and
+// applies them there. The observer is published every publishEvery cycles
+// and when StepN returns, so it is never staler than one batch.
 func (s *Session) StepN(n int64) (advanced int64, done bool, err error) {
+	defer s.sw.SyncObserver()
+	r := s.runner
 	for advanced < n {
-		ok, err := s.Step()
-		if err != nil {
+		c := s.sw.Cycle()
+		m := min(s.nextDue(c)-c, n-advanced)
+		for i := int64(0); i < m; i++ {
+			if !r.Step() {
+				return advanced + i, true, nil
+			}
+		}
+		advanced += m
+		if err := s.between(s.sw.Cycle()); err != nil {
 			return advanced, true, err
 		}
-		if !ok {
-			return advanced, true, nil
-		}
-		advanced++
 	}
-	return advanced, s.runner.Done(), nil
+	return advanced, r.Done(), nil
+}
+
+// publishEvery is the cycle cadence on which a long StepN or Run publishes
+// the observer on its way (a pmsim -pprof run is scraped live).
+const publishEvery = 4096
+
+// nextDue returns the first cycle after c at which a cadence is due: an
+// audit, a watchdog evaluation, an auto-checkpoint or an observer
+// publication — math.MaxInt64 when none is armed.
+func (s *Session) nextDue(c int64) int64 {
+	due := int64(math.MaxInt64)
+	next := func(every int64) {
+		if every > 0 {
+			due = min(due, (c/every+1)*every)
+		}
+	}
+	next(s.opts.AuditEvery)
+	if s.opts.Path != "" {
+		next(s.opts.Every)
+	}
+	if s.opts.Observer != nil {
+		next(publishEvery)
+	}
+	if w := s.opts.WatchdogWindow; w > 0 {
+		due = min(due, max(s.lastCheck+w, c+1))
+	}
+	return due
 }
 
 // Finish completes the run (driving any remaining cycles) and returns the
@@ -373,31 +411,42 @@ func (s *Session) writeCheckpoint(path string, kind int64) error {
 }
 
 // Step advances the run one cycle and applies the between-step machinery:
-// invariant audit, watchdog, auto-checkpoint. It reports false when the
-// run is complete or aborted; after false, Finish returns the outcome.
+// invariant audit, watchdog, auto-checkpoint, and the observer's
+// publication on its cadence. It reports false when the run is complete or
+// aborted; after false, Finish returns the outcome.
 func (s *Session) Step() (bool, error) {
 	if !s.runner.Step() {
 		return false, nil
 	}
-	c := s.sw.Cycle()
+	if err := s.between(s.sw.Cycle()); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// between applies whatever is due at cycle c, the boundary just reached.
+func (s *Session) between(c int64) error {
 	if n := s.opts.AuditEvery; n > 0 && c%n == 0 {
 		if err := s.sw.AuditInvariants(); err != nil {
-			return false, fmt.Errorf("ckpt: invariant audit failed at cycle %d: %w", c, err)
+			return fmt.Errorf("ckpt: invariant audit failed at cycle %d: %w", c, err)
 		}
 	}
 	if w := s.opts.WatchdogWindow; w > 0 && c-s.lastCheck >= w {
 		p := s.runner.Progress()
 		if p == s.lastProgress && s.runner.Pending() > 0 {
-			return false, s.stall(c)
+			return s.stall(c)
 		}
 		s.lastProgress, s.lastCheck = p, c
 	}
 	if n := s.opts.Every; n > 0 && s.opts.Path != "" && c%n == 0 {
 		if err := s.writeCheckpoint(s.opts.Path, 1); err != nil {
-			return false, err
+			return err
 		}
 	}
-	return true, nil
+	if c%publishEvery == 0 {
+		s.sw.SyncObserver()
+	}
+	return nil
 }
 
 // stall handles a tripped watchdog: emit the trace event, write the
@@ -427,13 +476,8 @@ func (s *Session) stall(cycle int64) error {
 // result accumulated so far is returned alongside the error instead of
 // hanging or discarding the run.
 func (s *Session) Run() (core.RunResult, error) {
-	for {
-		ok, err := s.Step()
-		if err != nil {
-			return s.runner.Partial(), err
-		}
-		if !ok {
-			return s.Finish()
-		}
+	if _, _, err := s.StepN(math.MaxInt64); err != nil {
+		return s.runner.Partial(), err
 	}
+	return s.Finish()
 }

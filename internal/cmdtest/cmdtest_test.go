@@ -360,6 +360,9 @@ func TestDocsNameNothingRetired(t *testing.T) {
 		// The switch owns its input rows and pmckpt v2 writes them: nothing
 		// aliases a recycled cell or infers what a v1 file left out
 		"lostRow", "restoreRows", "committedMask", "cutDue", "recycleDropped",
+		// The observer counts events and is published at batch boundaries:
+		// nothing in it runs per cycle
+		"observeCycle", "obsTally",
 	}
 	for _, doc := range liveDocs {
 		text, err := os.ReadFile(filepath.Join("../..", doc))

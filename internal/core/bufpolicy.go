@@ -81,11 +81,8 @@ func (s *Switch) dropPolicy(in int, a *arrival) {
 	*s.cDropPolicy++
 	s.inDrops[in]++
 	s.outDrops[a.c.Dst]++
-	if o := s.obs; o != nil {
-		s.obsLocal.dropPolicy++
-		if o.Tracer != nil {
-			o.Tracer.Emit(obs.Event{Kind: obs.EvDrop, Cycle: s.cycle, In: int32(in), Out: int32(a.c.Dst), Addr: -1})
-		}
+	if o := s.obs; o != nil && o.Tracer != nil {
+		o.Tracer.Emit(obs.Event{Kind: obs.EvDrop, Cycle: s.cycle, In: int32(in), Out: int32(a.c.Dst), Addr: -1})
 	}
 	if s.onDropCell != nil {
 		s.onDropCell(a.c)
@@ -123,11 +120,8 @@ func (s *Switch) pushOut(out, vc int) {
 	}
 	*s.cDropPushout++
 	s.outDrops[out]++
-	if o := s.obs; o != nil {
-		s.obsLocal.dropPushOut++
-		if o.Tracer != nil {
-			o.Tracer.Emit(obs.Event{Kind: obs.EvDrop, Cycle: s.cycle, In: -1, Out: int32(out), Addr: int32(addr)})
-		}
+	if o := s.obs; o != nil && o.Tracer != nil {
+		o.Tracer.Emit(obs.Event{Kind: obs.EvDrop, Cycle: s.cycle, In: -1, Out: int32(out), Addr: int32(addr)})
 	}
 	if s.onDropCell != nil && s.refcnt[addr] == 0 {
 		// Fire only when the last copy is gone. A write wave of the victim

@@ -192,6 +192,9 @@ func (s *Switch) mapOutBank(b int, next int64) {
 	if o := s.obs; o != nil {
 		o.StageBypass.Inc()
 		o.Tracer.Emit(obs.Event{Kind: obs.EvBypass, Cycle: s.cycle, In: -1, Out: -1, Addr: int32(b)})
+		if next == o.since { // flushed ahead of the first watched arbitration
+			o.seed = 0
+		}
 	}
 	if s.stageDown[s.partner(b)] || s.cfg.Cells < 2 {
 		s.failed = true
@@ -210,9 +213,6 @@ func (s *Switch) mapOutBank(b int, next int64) {
 			}
 			addr := s.nodes[node].addr
 			s.counter.Inc("drop-bypass", 1)
-			if s.obs != nil {
-				s.obs.DropBypass.Inc()
-			}
 			s.nfree.Put(node)
 			s.refcnt[addr]--
 			if s.refcnt[addr] == 0 {

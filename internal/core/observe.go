@@ -6,10 +6,10 @@ import (
 
 // Observer bundles the pre-registered metric slots and the event tracer a
 // Switch reports into. Construct one with NewObserver and install it with
-// Switch.SetObserver; every field is a live slot in the registry, bumped
-// by the switch without a map lookup or allocation. With no observer
-// installed the entire instrumentation is one nil test per Tick, keeping
-// the hot path at 0 allocs/op.
+// Switch.SetObserver; every field is a live slot in the registry, which
+// SyncObserver publishes into without a map lookup or allocation. With no
+// observer installed the instrumentation is one nil test per event, and
+// the hot path stays at 0 allocs/op either way.
 type Observer struct {
 	// Tracer receives the typed event stream (nil = metrics only). All
 	// Emit calls are nil-safe.
@@ -36,11 +36,12 @@ type Observer struct {
 	// switch's input links).
 	LinkRetransmits, LinkFailed *obs.Counter
 
-	// Buffered and FreeCells track shared-buffer occupancy per cycle;
-	// HighWater is the peak occupancy (high-water mark) over the run.
+	// Buffered and FreeCells are the shared-buffer occupancy when last
+	// published; HighWater is the peak occupancy (high-water mark) since
+	// the install.
 	Buffered, FreeCells, HighWater *obs.Gauge
 	// QueueDepth is the per-output queue depth (cells queued across the
-	// output's VCs), updated every cycle.
+	// output's VCs) when last published.
 	QueueDepth *obs.GaugeVec
 	// InputStalls exposes per-input backpressure: cycles each input held
 	// a cell still waiting for its write wave. InputDrops and OutputDrops
@@ -86,128 +87,136 @@ func NewObserver(reg *obs.Registry, ports int) *Observer {
 	}
 }
 
-// SetObserver installs (or, with nil, removes) the switch's observer.
-// Install before driving traffic; the observer's slots then accumulate
-// across Ticks and can be snapshotted concurrently from another
-// goroutine.
+// SetObserver installs (or, with nil, removes) the switch's observer,
+// which counts from the install on. Its slots can be snapshotted
+// concurrently from another goroutine and hold what SyncObserver last
+// published.
 func (s *Switch) SetObserver(o *Observer) {
-	s.obs = o
-	s.obsPeak = 0
-	s.obsLocal = obsTally{}
-	s.obsCutLat, s.obsInitDelay = nil, nil
-	if o != nil {
-		s.obsCutLat = obs.NewHistShadow(o.CutLatency)
-		s.obsInitDelay = obs.NewHistShadow(o.InitDelay)
+	s.obs = nil
+	if o == nil {
+		return
 	}
+	w := &observed{
+		Observer:  o,
+		seed:      int64(s.queues.Total()),
+		since:     s.cycle,
+		cutLat:    obs.NewHistShadow(o.CutLatency),
+		initDelay: obs.NewHistShadow(o.InitDelay),
+	}
+	w.mirrors = [...]mirror{
+		{src: s.cDelivered, dst: o.Delivered},
+		{src: s.cDropOverrun, dst: o.DropOverrun},
+		{src: s.counter.Hot("drop-bypass"), dst: o.DropBypass},
+		{src: s.cDropPolicy, dst: o.DropPolicy},
+		{src: s.cDropPushout, dst: o.DropPushOut},
+		{src: &w.waves[OpWrite], dst: o.WriteWaves},
+		{src: &w.waves[OpRead], dst: o.ReadWaves},
+		{src: &w.waves[OpWriteThrough], dst: o.CutThroughs},
+		{src: &w.stalls, dst: o.Stalls},
+	}
+	for i := range w.mirrors {
+		w.mirrors[i].last = *w.mirrors[i].src
+	}
+	s.obs = w
 }
 
 // Observer returns the installed observer (nil when observability is
 // disabled).
-func (s *Switch) Observer() *Observer { return s.obs }
-
-// obsTally shadows the hot counters in plain (non-atomic) fields. The
-// switch is the only writer, so the tallies need no synchronization; they
-// are flushed into the registry's atomic counters every 64 cycles (and by
-// SyncObserver), trading ≤64 cycles of scrape staleness for an
-// atomic-free Tick — the difference between ~11% and ~6% enabled-metrics
-// overhead on the 8×8 point.
-type obsTally struct {
-	writeWaves, readWaves, cutThroughs, stalls, delivered int64
-	dropPolicy, dropPushOut                               int64
+func (s *Switch) Observer() *Observer {
+	if s.obs == nil {
+		return nil
+	}
+	return s.obs.Observer
 }
 
-// observeCycle records this cycle's arbitration outcome and occupancy
-// levels. Called from Tick only when an observer is installed; op is the
-// freshly arbitrated stage-0 control word.
-func (s *Switch) observeCycle(c int64, op Op) {
-	o := s.obs
-	tr := o.Tracer
+// observed is the switch's side of an installed observer: tallies bumped
+// by the events that produce them, in plain memory only the switch writes,
+// which SyncObserver publishes into the registry's atomics. No part of it
+// runs on an idle cycle, so an observed switch coasts like a bare one.
+type observed struct {
+	*Observer
+	// waves counts initiations by OpKind; stalls the cycles that ended
+	// arbitration with an arrival still waiting (§3.4).
+	waves  [4]int64
+	stalls int64
+	// peak is the largest occupancy at a wave initiation, where the buffer
+	// grows. seed, the occupancy at the install, is the level of the first
+	// watched cycle (since) if that cycle initiates no wave.
+	peak, seed, since int64
+	// mirrors feed registry counters from monotone tallies: the switch's
+	// delivered and drop counters and the two above.
+	mirrors           [9]mirror
+	cutLat, initDelay *obs.HistShadow
+}
+
+// mirror is one registry counter fed from a plain tally: last is the
+// tally's value when it was last published.
+type mirror struct {
+	src  *int64
+	dst  *obs.Counter
+	last int64
+}
+
+// wave books the wave initiated at cycle c, with the buffer holding
+// buffered copies once it has.
+func (w *observed) wave(c int64, op *Op, buffered int) {
+	w.waves[op.Kind]++
+	if c == w.since {
+		w.seed = 0
+	}
+	w.peak = max(w.peak, int64(buffered))
+	tr := w.Tracer
+	if tr == nil {
+		return
+	}
 	switch op.Kind {
 	case OpWrite:
-		s.obsLocal.writeWaves++
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.EvWriteWave, Cycle: c, In: int32(op.In), Out: -1, Addr: int32(op.Addr)})
-		}
+		tr.Emit(obs.Event{Kind: obs.EvWriteWave, Cycle: c, In: int32(op.In), Out: -1, Addr: int32(op.Addr)})
 	case OpRead:
-		s.obsLocal.readWaves++
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.EvReadWave, Cycle: c, In: -1, Out: int32(op.Out), Addr: int32(op.Addr)})
-		}
+		tr.Emit(obs.Event{Kind: obs.EvReadWave, Cycle: c, In: -1, Out: int32(op.Out), Addr: int32(op.Addr)})
 	case OpWriteThrough:
-		s.obsLocal.cutThroughs++
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.EvCutThrough, Cycle: c, In: int32(op.In), Out: int32(op.Out), Addr: int32(op.Addr)})
-		}
-	}
-	// Only one wave can initiate per cycle, so every write still pending
-	// after arbitration waited this cycle — the §3.4 stall signal.
-	if s.pendingWrites > 0 {
-		s.obsLocal.stalls++
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.EvStall, Cycle: c, In: -1, Out: -1, Addr: -1, V: int64(s.pendingWrites)})
-		}
-	}
-	// The high-water mark is tracked every cycle, but through a plain
-	// local compare so the atomic store only fires on a new peak.
-	b := int64(s.queues.Total())
-	if b > s.obsPeak {
-		s.obsPeak = b
-		o.HighWater.SetMax(b)
-	}
-	// Counters and occupancy gauges are published at a decimated cadence:
-	// gauges are instantaneous levels a scraper samples anyway, and the
-	// shadow tallies bound counter staleness to 64 cycles. The run drivers
-	// force a final sync so a finished run's exposition is exact.
-	if c&63 == 0 {
-		s.flushObs(o, b)
+		tr.Emit(obs.Event{Kind: obs.EvCutThrough, Cycle: c, In: int32(op.In), Out: int32(op.Out), Addr: int32(op.Addr)})
 	}
 }
 
-// flushObs publishes the shadow tallies and the occupancy gauges: buffer
-// fill, free addresses, and the per-output queue depths.
-func (s *Switch) flushObs(o *Observer, b int64) {
-	t := &s.obsLocal
-	if t.writeWaves > 0 {
-		o.WriteWaves.Add(t.writeWaves)
-	}
-	if t.readWaves > 0 {
-		o.ReadWaves.Add(t.readWaves)
-	}
-	if t.cutThroughs > 0 {
-		o.CutThroughs.Add(t.cutThroughs)
-	}
-	if t.stalls > 0 {
-		o.Stalls.Add(t.stalls)
-	}
-	if t.delivered > 0 {
-		o.Delivered.Add(t.delivered)
-	}
-	if t.dropPolicy > 0 {
-		o.DropPolicy.Add(t.dropPolicy)
-	}
-	if t.dropPushOut > 0 {
-		o.DropPushOut.Add(t.dropPushOut)
-	}
-	*t = obsTally{}
-	s.obsCutLat.Flush()
-	s.obsInitDelay.Flush()
-	o.Buffered.Set(b)
-	o.FreeCells.Set(int64(s.free.Free()))
-	for out := 0; out < s.n; out++ {
-		o.QueueDepth.At(out).Set(int64(s.QueuedFor(out)))
-	}
-	for i := 0; i < s.n; i++ {
-		o.InputStalls.At(i).Set(s.inStalls[i])
-		o.InputDrops.At(i).Set(s.inDrops[i])
-		o.OutputDrops.At(i).Set(s.outDrops[i])
+// stall books a cycle that ended arbitration with pending arrivals still
+// waiting: only one wave can initiate per cycle, so each waited.
+func (w *observed) stall(c int64, pending int) {
+	w.stalls++
+	if tr := w.Tracer; tr != nil {
+		tr.Emit(obs.Event{Kind: obs.EvStall, Cycle: c, In: -1, Out: -1, Addr: -1, V: int64(pending)})
 	}
 }
 
-// SyncObserver force-publishes the decimated counters and occupancy
-// gauges — called by the run drivers after the drain so the exported
-// snapshot reflects the final state exactly.
+// SyncObserver publishes what the switch has tallied since the last call —
+// counters, both histograms, the high-water mark — and sets the occupancy
+// gauges to the present state. ckpt.Session calls it when StepN or Run
+// returns and every 4096 cycles in between, Report at the end of a run;
+// whoever ticks a switch by hand calls it before reading the registry.
 func (s *Switch) SyncObserver() {
-	if s.obs != nil {
-		s.flushObs(s.obs, int64(s.queues.Total()))
+	w := s.obs
+	if w == nil {
+		return
+	}
+	for i := range w.mirrors {
+		m := &w.mirrors[i]
+		if v := *m.src; v != m.last {
+			m.dst.Add(v - m.last)
+			m.last = v
+		}
+	}
+	w.cutLat.Flush()
+	w.initDelay.Flush()
+	if s.cycle > w.since && w.seed > w.peak {
+		w.peak = w.seed
+	}
+	w.HighWater.SetMax(w.peak)
+	w.Buffered.Set(int64(s.queues.Total()))
+	w.FreeCells.Set(int64(s.free.Free()))
+	for i := 0; i < s.n; i++ {
+		w.QueueDepth.At(i).Set(int64(s.QueuedFor(i)))
+		w.InputStalls.At(i).Set(s.inStalls[i])
+		w.InputDrops.At(i).Set(s.inDrops[i])
+		w.OutputDrops.At(i).Set(s.outDrops[i])
 	}
 }

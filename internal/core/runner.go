@@ -31,12 +31,13 @@ import (
 // so that half of the verdict is remembered from the last Step that did
 // tick (a fault seam on an empty switch reaches no wave). Everything a call
 // between two Steps can change is asked again on every Step, and so ends a
-// coast by itself: SetObserver and SetTracer (each is owed every cycle), a
+// coast by itself: SetTracer (the fig. 5 tracer is owed every cycle), a
 // glitched control word (InjectControlFault: it runs at its stages),
 // PreTick and Stage (each is owed every cycle too), and CellStream.Extend
 // (Session.ExtendSchedule), because the stream is asked, not remembered. A
 // restored runner remembers nothing and ticks once before it coasts again.
-// SetOutputOpen ends no coast: an empty switch has nothing to gate.
+// SetOutputOpen and SetObserver end no coast: an empty switch has nothing
+// to gate and no event to count.
 type Runner struct {
 	s      *Switch
 	cs     *traffic.CellStream

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pipemem/internal/cell"
@@ -70,6 +71,25 @@ func (p *passStage) Failed() int64 { return 0 }
 // included. Nothing outside the runner may be skipped past.
 func TestCoastEndsAtEverySeam(t *testing.T) {
 	const n, k, cycles = 4, 8, 640
+	// observe installs an observer on r's switch, observerSaw renders what
+	// it holds once synced: the whole exposition, and the event ring.
+	regs := map[*Runner]*obs.Registry{}
+	observe := func(r *Runner, events bool) {
+		regs[r] = obs.NewRegistry()
+		o := NewObserver(regs[r], n)
+		if events {
+			o.Tracer = obs.NewTracer(&obs.MemSink{}, 0, 1)
+		}
+		r.Switch().SetObserver(o)
+	}
+	observerSaw := func(r *Runner, log *[]string) {
+		r.s.SyncObserver()
+		var b strings.Builder
+		if err := regs[r].WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		*log = append(*log, b.String(), fmt.Sprint(r.s.Observer().Tracer.Ring()))
+	}
 	// Two cell times of arrivals, then ten without: the switch empties and
 	// the ring retires long before the next clump.
 	sched := make([][]int, 70)
@@ -88,17 +108,14 @@ func TestCoastEndsAtEverySeam(t *testing.T) {
 		// finish renders what the seam saw once the run is over.
 		finish func(r *Runner, log *[]string)
 	}{
-		{name: "SetObserver", sees: true,
-			apply: func(r *Runner, log *[]string) {
-				o := NewObserver(obs.NewRegistry(), n)
-				o.Tracer = obs.NewTracer(&obs.MemSink{}, 0, 1)
-				r.Switch().SetObserver(o)
-			},
-			finish: func(r *Runner, log *[]string) {
-				r.s.SyncObserver()
-				o := r.s.Observer()
-				*log = append(*log, fmt.Sprint(o.Tracer.Ring(), o.Delivered.Value(), o.Buffered.Value(), o.CutLatency.Snapshot()))
-			}},
+		// An observer counts events, and an idle cycle has none: metrics
+		// alone or with the event stream, it is owed no cycle.
+		{name: "SetObserver", coasts: true, sees: true,
+			apply:  func(r *Runner, log *[]string) { observe(r, false) },
+			finish: observerSaw},
+		{name: "SetObserver+events", coasts: true, sees: true,
+			apply:  func(r *Runner, log *[]string) { observe(r, true) },
+			finish: observerSaw},
 		{name: "SetTracer", sees: true, apply: func(r *Runner, log *[]string) {
 			r.Switch().SetTracer(func(e TraceEvent) { *log = append(*log, e.String()) })
 		}},
@@ -234,5 +251,88 @@ func TestRestoredRunnerCoastsAgain(t *testing.T) {
 	}
 	if w, _ := want.Result(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("result\n got  %+v\n want %+v", g, w)
+	}
+}
+
+// TestObservedRunnerCoasts: a sparse run (bursty, load 0.05) with an
+// observer installed coasts on exactly the cycles the bare run coasts on,
+// ends with a bit-identical RunResult, and publishes, synced every 4096
+// cycles and at the end, the exposition and events of the same observed run
+// pinned to per-cycle stepping by a PreTick that does nothing.
+func TestObservedRunnerCoasts(t *testing.T) {
+	const cycles = 20_000
+	cfg := Config{Ports: 8, WordBits: 16, Cells: 256, CutThrough: true}
+	tc := traffic.Config{Kind: traffic.Bursty, N: 8, Load: 0.05, BurstLen: 8, Seed: 42}
+	observed := func(r *Runner) *obs.Registry {
+		reg := obs.NewRegistry()
+		o := NewObserver(reg, cfg.Ports)
+		o.Tracer = obs.NewTracer(&obs.MemSink{}, 0, 1)
+		r.s.SetObserver(o)
+		return reg
+	}
+	bare := runnerTo(t, cfg, tc, cycles, "", 0)
+	got := runnerTo(t, cfg, tc, cycles, "", 0)
+	pinned := runnerTo(t, cfg, tc, cycles, "", 0)
+	gotReg, pinnedReg := observed(got), observed(pinned)
+	pinned.PreTick = func(int64) {}
+	var gotExpo, pinnedExpo strings.Builder
+	publish := func() {
+		for _, p := range []struct {
+			r   *Runner
+			reg *obs.Registry
+			b   *strings.Builder
+		}{{got, gotReg, &gotExpo}, {pinned, pinnedReg, &pinnedExpo}} {
+			p.r.s.SyncObserver()
+			if err := p.reg.WritePrometheus(p.b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	coasts := 0
+	for c := 1; ; c++ {
+		bareLoan, gotLoan := onLoan(bare), onLoan(got)
+		ok, gok, pok := bare.Step(), got.Step(), pinned.Step()
+		if ok != gok || ok != pok {
+			t.Fatalf("cycle %d: Step returned %v bare, %v observed, %v pinned", c, ok, gok, pok)
+		}
+		if !ok {
+			break
+		}
+		bareCoasted, gotCoasted := bareLoan == onLoan(bare), gotLoan == onLoan(got)
+		if bareCoasted != gotCoasted {
+			t.Fatalf("cycle %d: the bare run coasted %v, the observed one %v", c, bareCoasted, gotCoasted)
+		}
+		if gotCoasted {
+			coasts++
+		}
+		if c%4096 == 0 {
+			publish()
+		}
+	}
+	if coasts < cycles/2 {
+		t.Fatalf("%d of %d cycles coasted", coasts, cycles)
+	}
+	want, err := bare.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Runner{got, pinned} {
+		res, err := r.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("observed result\n got  %+v\n want %+v", res, want)
+		}
+	}
+	publish()
+	if gotExpo.String() != pinnedExpo.String() {
+		t.Fatalf("the coasting run published\n%s\nthe per-cycle run\n%s", gotExpo.String(), pinnedExpo.String())
+	}
+	if o := got.s.Observer(); o.Delivered.Value() != want.Delivered {
+		t.Fatalf("observer delivered %d, run %d", o.Delivered.Value(), want.Delivered)
+	}
+	if g, p := got.s.Observer().Tracer.Ring(), pinned.s.Observer().Tracer.Ring(); len(g) == 0 || !reflect.DeepEqual(g, p) {
+		t.Fatalf("event rings differ: %d events coasting, %d per cycle", len(g), len(p))
 	}
 }

@@ -155,15 +155,8 @@ type Switch struct {
 	// pointer test per Tick, outside the tick.
 	tracer func(TraceEvent)
 	// obs is the observability layer (observe.go): nil — the default —
-	// costs one pointer test per Tick and keeps the hot path 0 allocs/op.
-	// obsPeak caches the published high-water mark so the per-cycle check
-	// is a plain compare, not an atomic; obsLocal and the histogram
-	// shadows buffer the hot counters between decimated flushes.
-	obs          *Observer
-	obsPeak      int64
-	obsLocal     obsTally
-	obsCutLat    *obs.HistShadow
-	obsInitDelay *obs.HistShadow
+	// costs one pointer test per event and keeps the hot path 0 allocs/op.
+	obs *observed
 	// prof is the optional arbitration phase profile (profile.go): nil —
 	// the default — costs one pointer test per arbitrate call.
 	prof *PhaseProf
@@ -703,12 +696,12 @@ func (s *Switch) tick(heads []*cell.Cell) {
 		} else {
 			s.commitWave(&op, c)
 		}
+		if s.obs != nil {
+			s.obs.wave(c, &op, s.queues.Total())
+		}
 	}
 
 	s.accrueStalls(c)
-	if s.obs != nil {
-		s.observeCycle(c, op)
-	}
 	if s.openN != 0 {
 		s.runStages(c)
 	}
@@ -730,14 +723,11 @@ func (s *Switch) tick(heads []*cell.Cell) {
 }
 
 // overrun is the switch's share of the accounting for a cell the link side
-// found displaced on input i (linkSide.admit): the per-port loss tallies,
-// the observer, the drop hook.
+// found displaced on input i (linkSide.admit): the per-port loss tallies
+// and the drop hook.
 func (s *Switch) overrun(i int, lost *cell.Cell) {
 	s.inDrops[i]++
 	s.outDrops[lost.Dst]++
-	if s.obs != nil {
-		s.obs.DropOverrun.Inc()
-	}
 	if s.onDropCell != nil {
 		s.onDropCell(lost)
 	}
@@ -804,12 +794,15 @@ func (s *Switch) scheduleDepart(out int, c int64) {
 }
 
 // accrueStalls charges one stall cycle to every arrival still waiting for
-// its write wave after this cycle's arbitration. The pending bitset makes
-// the common case (a handful of waiters among n ports) touch only the
-// live rows.
+// its write wave after this cycle's arbitration, and the cycle to the
+// observer. The pending bitset makes the common case (a handful of waiters
+// among n ports) touch only the live rows.
 func (s *Switch) accrueStalls(c int64) {
 	if s.pendingWrites == 0 {
 		return
+	}
+	if s.obs != nil {
+		s.obs.stall(c, s.pendingWrites)
 	}
 	if s.n <= 64 {
 		for m := s.pendMask; m != 0; m &= m - 1 {
@@ -1051,7 +1044,9 @@ retry:
 	s.writeStartAt[addr] = c
 	*s.cAccepted++
 	s.initDelay.Add(float64(c - a.head - 1))
-	s.obsInitDelay.Observe(c - a.head - 1)
+	if s.obs != nil {
+		s.obs.initDelay.Observe(c - a.head - 1)
+	}
 	if best+1 == s.n {
 		s.writeRR = 0
 	} else {
@@ -1169,8 +1164,7 @@ func (s *Switch) finishDeparture(o int, c int64) {
 	s.departAt[s.depSlot(c)] = -1
 	lat := s.depart(o, c)
 	if ob := s.obs; ob != nil {
-		s.obsLocal.delivered++
-		s.obsCutLat.Observe(lat)
+		ob.cutLat.Observe(lat)
 		if ob.Tracer != nil {
 			ob.Tracer.Emit(obs.Event{Kind: obs.EvWaveEnd, Cycle: c, In: -1, Out: int32(o), Addr: -1, V: lat})
 		}

@@ -15,7 +15,7 @@
 // optional *Counter can bump it unconditionally, and a nil pointer makes
 // the operation a no-op. The simulators exploit this — with observability
 // disabled the entire instrumentation collapses to one pointer test per
-// cycle, keeping the Tick hot path at 0 allocs/op (core's
+// event, keeping the Tick hot path at 0 allocs/op (core's
 // TestTickZeroAlloc*; the wall-clock cost is the obs row of `make
 // wallclock`).
 package obs
