@@ -235,14 +235,17 @@ func TestTickZeroAllocObserved(t *testing.T) {
 }
 
 // TestHighWaterCountsFromInstall installs an observer on a loaded switch,
-// at each phase of its output's cell time, that only drains from then on: the peak it reports is the occupancy of
-// the first cycle it watched, the buffer after that cycle's arbitration —
-// not zero, and not the level before the install, from which that cycle's
-// read wave may already have taken a cell.
+// at each phase of its output's cell time, that only drains from then on:
+// the peak it reports is the occupancy of the first cycle it watched, the
+// buffer after that cycle's arbitration — not zero, and not the level
+// before the install, from which that cycle's read wave may already have
+// taken a cell. A stage mapped out between the install and that cycle
+// flushes the buffer ahead of its arbitration: the peak is then zero.
 func TestHighWaterCountsFromInstall(t *testing.T) {
 	cfg := Config{Ports: 4, WordBits: 16, Cells: 32, CutThrough: true}
-	reads := 0
-	for at := 0; at < 2*cfg.Ports*2; at++ {
+	// loaded drives a hotspot backlog into the buffer, lets every waiting
+	// arrival in, idles at more cycles, and installs an observer.
+	loaded := func(at int) (*Switch, *Observer, int) {
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -267,11 +270,10 @@ func TestHighWaterCountsFromInstall(t *testing.T) {
 			s.Tick(hc)
 			s.Drain()
 		}
-		for s.pendingWrites > 0 {
-			s.Tick(nil) // every waiting arrival into the buffer
-			s.Drain()
-		}
-		for c := 0; c < at; c++ {
+		for s.pendingWrites > 0 || at > 0 {
+			if s.pendingWrites == 0 {
+				at--
+			}
 			s.Tick(nil)
 			s.Drain()
 		}
@@ -280,23 +282,38 @@ func TestHighWaterCountsFromInstall(t *testing.T) {
 		s.SetObserver(o)
 		s.SyncObserver()
 		if hw := o.HighWater.Value(); hw != 0 {
-			t.Fatalf("install at %d: high-water %d before the observer watched a cycle", at, hw)
+			t.Fatalf("high-water %d before the observer watched a cycle", hw)
 		}
-		s.Tick(nil)
-		first := s.Buffered()
-		if first < before {
-			reads++
-		}
+		return s, o, before
+	}
+	peak := func(s *Switch, o *Observer) int64 {
 		for s.Resident() > 0 {
 			s.Tick(nil)
 			s.Drain()
 		}
 		s.SyncObserver()
-		if hw := o.HighWater.Value(); hw != int64(first) {
-			t.Fatalf("install at %d: high-water %d, want %d (the buffer after the first watched cycle)", at, hw, first)
+		return o.HighWater.Value()
+	}
+	reads := 0
+	for at := 0; at < 2*cfg.Ports*2; at++ {
+		s, o, before := loaded(at)
+		s.Tick(nil)
+		first := s.Buffered()
+		if first < before {
+			reads++
+		}
+		if hw := peak(s, o); hw != int64(first) {
+			t.Fatalf("install %d cycles on: high-water %d, want %d (the buffer after the first watched cycle)", at, hw, first)
 		}
 	}
 	if reads == 0 {
 		t.Fatal("no install fell before a read wave; the test pins nothing")
+	}
+	s, o, _ := loaded(0)
+	if err := s.MapOutStage(1); err != nil {
+		t.Fatal(err)
+	}
+	if hw := peak(s, o); hw != 0 {
+		t.Fatalf("high-water %d after a bypass flushed the buffer ahead of the first watched cycle", hw)
 	}
 }
