@@ -55,11 +55,7 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.buckets[i].Inc()
+	h.buckets[h.bucket(v)].Inc()
 	h.sum.Add(v)
 }
 
@@ -104,7 +100,7 @@ type HistSnapshot struct {
 
 // HistShadow accumulates observations for one histogram in plain
 // (non-atomic) memory. It is for a single writer on a hot path: Observe
-// costs a bucket scan and two plain adds, and Flush publishes the
+// costs a bucket lookup and two plain adds, and Flush publishes the
 // accumulated counts into the histogram's atomic counters — readers see
 // the histogram at flush granularity. All methods are nil-receiver safe.
 type HistShadow struct {
@@ -112,14 +108,37 @@ type HistShadow struct {
 	cnt []int64
 	sum int64
 	n   int64
+	// slot[v] is the bucket of sample v, for every v from 0 to the last
+	// bound when that is at most maxSlots: the bucket scan done once, at
+	// construction, instead of per sample.
+	slot []uint8
 }
+
+// maxSlots bounds a shadow's slot table (bytes).
+const maxSlots = 1 << 13
 
 // NewHistShadow returns a shadow for h (nil when h is nil).
 func NewHistShadow(h *Histogram) *HistShadow {
 	if h == nil {
 		return nil
 	}
-	return &HistShadow{h: h, cnt: make([]int64, len(h.buckets))}
+	s := &HistShadow{h: h, cnt: make([]int64, len(h.buckets))}
+	if nb := len(h.bounds); nb > 0 && nb < 256 && h.bounds[0] >= 0 && h.bounds[nb-1] < maxSlots {
+		s.slot = make([]uint8, h.bounds[nb-1]+1)
+		for v := range s.slot {
+			s.slot[v] = uint8(h.bucket(int64(v)))
+		}
+	}
+	return s
+}
+
+// bucket is the index of the bucket sample v falls in.
+func (h *Histogram) bucket(v int64) int {
+	i := 0
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
+	}
+	return i
 }
 
 // Observe records one sample locally. Safe on a nil receiver (no-op).
@@ -127,9 +146,11 @@ func (s *HistShadow) Observe(v int64) {
 	if s == nil {
 		return
 	}
-	i := 0
-	for i < len(s.h.bounds) && v > s.h.bounds[i] {
-		i++
+	var i int
+	if uint64(v) < uint64(len(s.slot)) {
+		i = int(s.slot[v])
+	} else {
+		i = s.h.bucket(v)
 	}
 	s.cnt[i]++
 	s.sum += v

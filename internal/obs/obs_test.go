@@ -205,11 +205,20 @@ func TestEventKindStrings(t *testing.T) {
 	}
 }
 
+// TestHistShadowFlushMatchesDirect holds the shadow to the histogram it
+// feeds, over a ladder small enough for its slot table and one past
+// maxSlots, which scans; samples fall below, on and past every bound.
 func TestHistShadowFlushMatchesDirect(t *testing.T) {
-	direct := NewHistogram([]int64{2, 4, 8})
-	shadowed := NewHistogram([]int64{2, 4, 8})
+	for _, bounds := range [][]int64{{2, 4, 8}, ExpBounds(1, 4, 8)} {
+		histShadowMatchesDirect(t, bounds)
+	}
+}
+
+func histShadowMatchesDirect(t *testing.T, bounds []int64) {
+	direct := NewHistogram(bounds)
+	shadowed := NewHistogram(bounds)
 	sh := NewHistShadow(shadowed)
-	samples := []int64{1, 2, 3, 5, 9, 100, 4, 4}
+	samples := []int64{1, 2, 3, 5, 9, 100, 4, 4, -3, 0, 8, 16384, 16385, 1 << 40}
 	for _, v := range samples {
 		direct.Observe(v)
 		sh.Observe(v)
