@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet staticcheck test race fuzz check vulncheck bench pairs wallclock ckpt-soak serve-smoke
+.PHONY: build vet staticcheck test race fuzz check vulncheck bench pairs wallclock ckpt-soak serve-smoke loc
 
 build:
 	$(GO) build ./...
@@ -52,7 +52,9 @@ race:
 # per-session allocation budget. FuzzStepReply holds the step route's
 # hand-written reply to encoding/json's bytes for any strings and integers,
 # FuzzCyclesParam its ?cycles= shortcut to the URL.Query parse for any raw
-# query. FuzzTraceParse sends arbitrary span streams through pmtrace's
+# query. FuzzInjectBody sends arbitrary bytes to a trace session's /inject
+# route: 200 with the rows appended, or a 400/409/413 with an error body,
+# and the session, audited every cycle, steps on. FuzzTraceParse sends arbitrary span streams through pmtrace's
 # Parse, Analyze and report: no panic, per-stage tables within MaxStages.
 # The last three
 # are the data-structure targets: the ring against a slice queue, the free
@@ -75,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/srv -run FuzzSessionConfig -fuzz FuzzSessionConfig -fuzztime 30s
 	$(GO) test ./internal/srv -run FuzzStepReply -fuzz FuzzStepReply -fuzztime 30s
 	$(GO) test ./internal/srv -run FuzzCyclesParam -fuzz FuzzCyclesParam -fuzztime 30s
+	$(GO) test ./internal/srv -run FuzzInjectBody -fuzz FuzzInjectBody -fuzztime 30s
 	$(GO) test ./internal/trace -run FuzzTraceParse -fuzz FuzzTraceParse -fuzztime 30s
 	$(GO) test ./internal/fifo -run FuzzRing -fuzz FuzzRing -fuzztime 30s
 	$(GO) test ./internal/fifo -run FuzzFreeListMultiQueue -fuzz FuzzFreeListMultiQueue -fuzztime 30s
@@ -97,6 +100,15 @@ check: vet staticcheck build race vulncheck
 # shapes) a fixed number of iterations, with allocation counts.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./...
+
+# Non-test Go lines (wc -l of the files go build compiles) per package
+# under internal/, then for the whole repo — the measurement behind the
+# fault-seam prices in DESIGN.md §7 and the internal/core line target on
+# the ROADMAP. A reading, not a gate.
+loc:
+	@$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}{{end}}' ./internal/... | \
+		while read -r pkg files; do printf '%-28s %6d\n' "$${pkg#pipemem/}" "$$(cat $$files | wc -l)"; done
+	@printf '%-28s %6d\n' total "$$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | xargs cat | wc -l)"
 
 # Paired ledger runs against another revision — how a PR measures what it
 # claims or must not cost: PARENT's tree and the working tree are each built

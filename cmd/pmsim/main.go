@@ -29,7 +29,7 @@
 //	pmsim -faultplan - < plan.txt -n 4 -linkprotect -retries 6
 //
 // The plan format is one event per line: "@<cycle> <kind> key=val…"
-// (kinds: mem, stuck, ctrl, inreg, linkdrop, linkcorrupt); "random"
+// (kinds: mem, stuck, inreg, linkdrop, linkcorrupt); "random"
 // generates a seeded random plan (link events with -linkprotect, memory
 // upsets without), "-" reads standard input.
 //

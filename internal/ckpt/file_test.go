@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"pipemem/internal/fault"
 	"pipemem/internal/traffic"
 )
 
@@ -145,6 +147,29 @@ func TestResumeReportsUnusableSwitchState(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "has no cell") {
 		t.Fatalf("error %q does not say what is wrong with the state", err)
+	}
+}
+
+// TestResumeRefusesRetiredFaultKind: a checkpoint whose fault plan holds a
+// line of the retired "ctrl" kind is refused on resume with
+// fault.ErrBadPlan, not resumed with the line's faults left out.
+func TestResumeRefusesRetiredFaultKind(t *testing.T) {
+	s, err := New(specFor(t, "", true), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepTo(t, s, 333)
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Plan += "@500 ctrl stage=1 op=R out=0 addr=3\n"
+	path := filepath.Join(t.TempDir(), "ctrl.ckpt")
+	if err := Save(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(path, Options{}); !errors.Is(err, fault.ErrBadPlan) || !strings.Contains(err.Error(), `unknown fault kind "ctrl"`) {
+		t.Fatalf("resume: %v, want fault.ErrBadPlan naming the ctrl kind", err)
 	}
 }
 

@@ -120,7 +120,7 @@ func FuzzCheckpointCycle(f *testing.F) {
 // session that runs 4·k cycles with the switch's invariants intact —
 // never a panic. The seeds are the v1 file in testdata/ (a body of the
 // schema before this one), the files of TestCheckpointBytesPinned's two
-// specs, and glitchSpec's cut at cycle 402 (open waves, glitched writes, a
+// specs, and openWaveSpec's cut at cycle 402 (open waves under a bypass, a
 // flipped input row). A body is some 15 KB, so the default minute of
 // minimizing each new input would take most of a short run: make fuzz runs
 // this target with -fuzzminimizetime 5s.
@@ -133,7 +133,7 @@ func FuzzCheckpointFile(f *testing.F) {
 	for _, seed := range []struct {
 		spec Spec
 		cut  int64
-	}{{specFor(f, "dt:alpha=2", false), 333}, {specFor(f, "", true), 333}, {glitchSpec(f), 402}} {
+	}{{specFor(f, "dt:alpha=2", false), 333}, {specFor(f, "", true), 333}, {openWaveSpec(f), 402}} {
 		s, err := New(seed.spec, Options{})
 		if err != nil {
 			f.Fatal(err)

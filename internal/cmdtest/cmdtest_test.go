@@ -363,6 +363,8 @@ func TestDocsNameNothingRetired(t *testing.T) {
 		// The observer counts events and is published at batch boundaries:
 		// nothing in it runs per cycle
 		"observeCycle", "obsTally",
+		// The control glitch is retired: a ctrl plan line is a bad plan
+		"InjectControlFault", "glitch-words", "ctrlView", "dropGlitch", "glitchN",
 	}
 	for _, doc := range liveDocs {
 		text, err := os.ReadFile(filepath.Join("../..", doc))
@@ -461,19 +463,12 @@ func firstAndFaults(out string) string {
 // firstLine keeps the RunResult line.
 func firstLine(out string) string { return strings.SplitAfter(out, "\n")[0] }
 
-// squashPlan squashes three latched control words; glitchRun is the pmsim
-// run the control-glitch plans drive.
-const squashPlan = "@55 ctrl stage=1 op=-\n@300 ctrl stage=0 op=-\n@301 ctrl stage=3 op=-\n"
-
-func glitchRun(load string) []string {
-	return []string{"-faultplan", "-", "-n", "4", "-load", load, "-slots", "2000"}
-}
-
 // TestPmsimPinned pins pmsim's single-switch stdout byte for byte: plain
 // and observed RTL runs, fault plans with the auditor on (the first four
 // rows, pinned before the fault harness was folded into the session and
-// unmoved by it), the README / verify-skill fault recipes, and a fault plan
-// under each traffic flag the harness used to refuse.
+// unmoved by it), the README / verify-skill fault recipes, a fault plan
+// under each traffic flag the harness used to refuse, and the refusal of a
+// retired fault kind.
 func TestPmsimPinned(t *testing.T) {
 	rtl := []string{"-arch", "rtl", "-n", "8", "-buf", "256", "-load", "0.9", "-slots", "200000"}
 	ecc := []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-load", "0.6", "-slots", "120000", "-ecc", "-events", "2000"}
@@ -490,6 +485,8 @@ func TestPmsimPinned(t *testing.T) {
 		want  string              // the kept bytes, or "" when sum/size pin them
 		sum   uint64
 		size  int
+		// refused: the run exits 1 with nothing on stdout and this stderr.
+		refused string
 	}{
 		{name: "rtl", args: rtl,
 			want: "cycles=200298 offered=89927 delivered=89927 dropped=0 util=0.8979 cutlat=66.76 initdelay=1.8859\n"},
@@ -539,20 +536,21 @@ func TestPmsimPinned(t *testing.T) {
 		{name: "faultplan-saturate", args: append(append([]string{}, short...), "-saturate"), keep: firstLine,
 			want: "cycles=2158 offered=1000 delivered=965 dropped=35 util=0.8943 cutlat=62.43 initdelay=3.7337\n"},
 
-		// Control glitches: the wave in the glitched slot completes as
-		// initiated and the glitched op runs beside it, so a glitched read
-		// drives no link (it used to panic in book) and a squash strands no
-		// egress slot (it used to stall the drain with cells pending).
-		{name: "ctrl-read", stdin: "@50 ctrl stage=1 op=R out=0 addr=3\n", args: glitchRun("0.3"), keep: firstAndFaults,
-			want: "cycles=2008 offered=287 delivered=287 dropped=0 util=0.2859 cutlat=3.07 initdelay=0.0801\n" +
-				"faults: ctrl        applied=1 skipped=0\n"},
-		{name: "ctrl-squash", stdin: squashPlan, args: glitchRun("0.9"), keep: firstAndFaults,
-			want: "cycles=2238 offered=905 delivered=905 dropped=0 util=0.8088 cutlat=58.27 initdelay=1.2177\n" +
-				"faults: ctrl        applied=3 skipped=0\n"},
+		// The control-glitch kind is retired: a plan naming it is a bad plan,
+		// not a run without its faults.
+		{name: "ctrl-refused", stdin: "@50 ctrl stage=1 op=R out=0 addr=3\n",
+			args:    []string{"-faultplan", "-", "-n", "4", "-load", "0.3", "-slots", "2000"},
+			refused: "pmsim: fault: invalid fault plan: line 1: unknown fault kind \"ctrl\"\n"},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			out, stderr, code := run(t, "pmsim", r.stdin, r.args...)
+			if r.refused != "" {
+				if code != 1 || out != "" || stderr != r.refused {
+					t.Fatalf("pmsim %v: exit %d, stdout %q, stderr %q; want exit 1, no stdout, stderr %q", r.args, code, out, stderr, r.refused)
+				}
+				return
+			}
 			if code != 0 {
 				t.Fatalf("pmsim %v exited %d: %s", r.args, code, stderr)
 			}

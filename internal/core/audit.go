@@ -126,7 +126,7 @@ func (s *Switch) AuditInvariants() error {
 	}
 
 	// Control-ring bookkeeping: the live-op count mirrors the ring, and the
-	// open census its slots and glitches.
+	// open census its slots.
 	waves, open := 0, 0
 	for slot := range s.ctrl {
 		if s.ctrl[slot].Kind != OpNone {
@@ -137,12 +137,9 @@ func (s *Switch) AuditInvariants() error {
 		if s.open[slot] {
 			open++
 		}
-		if g := s.glitch[slot]; g != nil && g.Kind != OpNone {
-			open++
-		}
 	}
 	if waves != s.waves || open != s.openN {
-		return fmt.Errorf("core: audit: %d live waves and %d open slots or glitches, but waves %d and openN %d", waves, open, s.waves, s.openN)
+		return fmt.Errorf("core: audit: %d live waves and %d open slots, but waves %d and openN %d", waves, open, s.waves, s.openN)
 	}
 
 	// Egress slot census: an output's slot is occupied exactly while its

@@ -347,33 +347,6 @@ func (s *Switch) MemoryClean(stage, addr int) bool {
 	return status == eccClean
 }
 
-// InjectControlFault glitches the control word stage st executes next cycle
-// (§3.3). The wave in that slot completes as initiated; the glitched op runs
-// beside it at the stages ahead. A glitched read or write-through loads no
-// output register, so it drives no link and its words never reach the ECC
-// decoder in front of the register: they count under "glitch-words". A
-// glitched write or write-through does write the banks. A glitch at stage 0
-// or naming a link or address the switch lacks is ignored.
-func (s *Switch) InjectControlFault(st int, op Op) {
-	if st < 1 || st >= s.k || op.In < 0 || op.In >= s.n || op.Out < 0 || op.Out >= s.n || op.Addr < 0 || op.Addr >= s.cfg.Cells {
-		return
-	}
-	slot, c0 := s.ctrlSlot(s.cycle, st), s.cycle-int64(st)
-	s.dropGlitch(slot)
-	s.glitch[slot] = &op
-	s.glitchN++
-	if op.Kind != OpNone {
-		s.openN++
-	}
-	if op.Kind == OpWrite || op.Kind == OpWriteThrough {
-		// Later waves over the address meet the glitch's writes first, and
-		// the writes land on the banks, not under a deferred payload.
-		s.openWhere(s.cycle, func(_ int, c int64, w *Op) bool { return w.Addr == op.Addr && c > c0 })
-		s.materializeAddr(op.Addr)
-		*s.cStageWords += int64(s.k - st)
-	}
-}
-
 // InjectInputRegisterFault XORs mask into input in's register for word
 // position word — an upset in the input latch row before the write wave
 // copies it into the buffer. A write that reads the register from this
@@ -406,8 +379,7 @@ func (s *Switch) InjectInputRegisterFault(in, word int, mask cell.Word) {
 // The wave commit's fault seam. A wave commits at initiation unless a fault
 // can still reach one of its stages — a stuck bank it reads, a redirected
 // bank, a word failing its check bits, a flipped input register, an address
-// an open wave or glitched write still touches (accesses to one address
-// keep cycle order). Such a wave is open: each stage accesses the banks at
+// an open wave still touches (accesses to one address keep cycle order). Such a wave is open: each stage accesses the banks at
 // its own cycle (runStages). A seam firing later walks the ≤ k live slots
 // once and opens the committed waves it reaches (openWhere). A fault-free
 // switch opens nothing and pays one test per initiation.
@@ -438,10 +410,10 @@ func (s *Switch) initiate(slot int, op *Op, c int64) {
 	}
 }
 
-// touched reports that an open wave or a glitched write accesses addr.
+// touched reports that an open wave accesses addr.
 func (s *Switch) touched(addr int) bool {
-	for slot, g := range s.glitch {
-		if s.open[slot] && s.ctrl[slot].Addr == addr || g != nil && (g.Kind == OpWrite || g.Kind == OpWriteThrough) && g.Addr == addr {
+	for slot, open := range s.open {
+		if open && s.ctrl[slot].Addr == addr {
 			return true
 		}
 	}
@@ -490,32 +462,19 @@ func (s *Switch) openChain(addr int, from, next int64, count bool) {
 	s.eccRecheck(addr)
 }
 
-// retire releases a ring slot whose wave and glitch ran their last stage.
+// retire releases a ring slot whose wave ran its last stage.
 func (s *Switch) retire(slot int) {
 	if s.open[slot] {
 		s.open[slot], s.openN = false, s.openN-1
 	}
-	s.dropGlitch(slot)
 }
 
-func (s *Switch) dropGlitch(slot int) {
-	if g := s.glitch[slot]; g != nil {
-		if s.glitch[slot], s.glitchN = nil, s.glitchN-1; g.Kind != OpNone {
-			s.openN--
-		}
-	}
-}
-
-// runStages runs this cycle's stage of every open wave and glitch (a wave
-// before the glitch beside it), then maps out a bank past its threshold.
+// runStages runs this cycle's stage of every open wave, then maps out a
+// bank past its threshold.
 func (s *Switch) runStages(c int64) {
 	for st := 0; st < s.k; st++ {
-		slot := s.ctrlSlot(c, st)
-		if s.open[slot] {
-			s.stage(st, &s.ctrl[slot], c, false)
-		}
-		if g := s.glitch[slot]; g != nil {
-			s.stage(st, g, c, true)
+		if slot := s.ctrlSlot(c, st); s.open[slot] {
+			s.stage(st, &s.ctrl[slot], c)
 		}
 	}
 	for b := 0; b < s.k && s.cfg.BypassThreshold > 0; b++ {
@@ -526,30 +485,19 @@ func (s *Switch) runStages(c int64) {
 }
 
 // stage performs op's stage-st access at cycle c: a write takes input
-// register st, a read or write-through adds its word to the egress record
-// (a glitch's to nothing, and a glitched read touches no bank).
-func (s *Switch) stage(st int, op *Op, c int64, glitch bool) {
+// register st, a read or write-through adds its word to the egress record.
+func (s *Switch) stage(st int, op *Op, c int64) {
 	var w cell.Word
-	switch {
-	case op.Kind == OpNone:
-		return
-	case op.Kind == OpRead && glitch:
-		*s.cGlitchWords++
-		return
-	case op.Kind == OpRead:
+	if op.Kind == OpRead {
 		w = s.readWord(st, op.Addr, op.Remap)
-	default:
+	} else {
 		w = s.rowWord(op.In, st, c)
 		s.writeWord(st, op.Addr, op.Remap, w)
 	}
 	if s.eccDirtyN > 0 && s.eccDirty[op.Addr] {
 		s.eccRecheck(op.Addr)
 	}
-	switch {
-	case op.Kind == OpWrite:
-	case glitch:
-		*s.cGlitchWords++
-	default:
+	if op.Kind != OpWrite {
 		r := s.rxHead[op.Out]
 		r.words = append(r.words, w)
 	}

@@ -59,15 +59,6 @@ func seams() []seam {
 	mem := func(l *lockstep, op Op, off int) {
 		l.both(func(s faultSeams) { s.InjectMemoryFault(off, op.Addr, 0x0010) })
 	}
-	glitch := func(kind OpKind) func(l *lockstep, op Op, off int) {
-		return func(l *lockstep, op Op, off int) {
-			g := Op{Kind: kind, In: (op.In + 1) % 4, Out: (op.Out + 2) % 4, Addr: op.Addr}
-			if kind == OpNone {
-				g = Op{}
-			}
-			l.both(func(s faultSeams) { s.InjectControlFault(off, g) })
-		}
-	}
 	return []seam{
 		{name: "mem/ecc", ecc: true, fire: mem},
 		{name: "mem", fire: mem},
@@ -85,10 +76,6 @@ func seams() []seam {
 		{name: "inreg", fire: func(l *lockstep, op Op, off int) {
 			l.both(func(s faultSeams) { s.InjectInputRegisterFault(op.In, off, 0x0100) })
 		}},
-		{name: "ctrl/read", fire: glitch(OpRead)},
-		{name: "ctrl/write", fire: glitch(OpWrite)},
-		{name: "ctrl/write-through", fire: glitch(OpWriteThrough)},
-		{name: "ctrl/squash", fire: glitch(OpNone)},
 	}
 }
 
@@ -125,7 +112,7 @@ func faultUnderWave(t testing.TB, kind waveKind, off int, seed uint64, fires []s
 		if err := l.sw.AuditInvariants(); err != nil {
 			t.Fatalf("cycle %d: %v", c, err)
 		}
-		if c >= cycles && l.sw.Quiescent() && l.sw.waves|l.sw.glitchN == 0 {
+		if c >= cycles && l.sw.Quiescent() && l.sw.waves == 0 {
 			continue // drained: the snapshot would hold nothing but the clock
 		}
 		if re := snapshotRestores(t, c, l.sw); c%13 == 0 {
@@ -191,10 +178,9 @@ func TestFaultUnderWaveMatrix(t *testing.T) {
 
 // TestOverrunRowUnderRecycling: the words of an overrun cell stay in its
 // input row until the new occupant latches over them, though the drop hook
-// hands the cell back at once. A Runner reuses it for a later arrival; a
-// glitched write of the row, run the cycle after each overrun, must store
-// the lost cell's words all the same — the banks equal those of a switch
-// whose cells are never reused, which the reference holds every cycle.
+// hands the cell back at once. A Runner reuses it for a later arrival; both
+// buffers of every row must equal those of a switch whose cells are never
+// reused, which the reference holds every cycle.
 func TestOverrunRowUnderRecycling(t *testing.T) {
 	cfg := Config{Ports: 4, WordBits: 16, Cells: 4}
 	k := cfg.Canonical().Stages
@@ -206,27 +192,27 @@ func TestOverrunRowUnderRecycling(t *testing.T) {
 	l := newLockstep(t, cfg, "")
 	s := mustSwitch(t, cfg)
 	r := NewRunner(s, stream(t, tc, k), cycles)
-	glitched := 0
+	var overruns int64
 	for c := int64(0); c < cycles; c++ {
-		drops := slices.Clone(s.inDrops)
 		r.Step()
 		l.tick(rowAt(sched, c))
-		for i := range drops {
-			if s.inDrops[i] > drops[i] {
-				g := Op{Kind: OpWrite, In: i, Addr: int(c) % cfg.Cells}
-				s.InjectControlFault(1, g)
-				l.both(func(f faultSeams) { f.InjectControlFault(1, g) })
-				glitched++
-			}
+		got, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
 		}
-		s.materializeLazy()
-		l.sw.materializeLazy()
-		if !slices.Equal(s.mem, l.sw.mem) {
-			t.Fatalf("cycle %d: the recycling run's banks differ:\n got  %x\n want %x", c, s.mem, l.sw.mem)
+		want, err := l.sw.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("cycle %d: the recycling run's input rows differ:\n got  %+v\n want %+v", c, got.Rows, want.Rows)
 		}
 	}
-	if glitched < 10 {
-		t.Fatalf("%d overruns glitched, want at least 10", glitched)
+	for _, d := range s.inDrops {
+		overruns += d
+	}
+	if overruns < 10 {
+		t.Fatalf("%d overruns, want at least 10", overruns)
 	}
 }
 

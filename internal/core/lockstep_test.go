@@ -17,12 +17,11 @@ type faultSeams interface {
 	InjectMemoryFault(stage, addr int, mask cell.Word)
 	SetStageStuck(st int, on bool)
 	InjectInputRegisterFault(in, word int, mask cell.Word)
-	InjectControlFault(st int, op Op)
 }
 
 // refCounters are the counters the reference keeps.
 var refCounters = []string{"offered", "accepted", "delivered", "corrupt", "drop-overrun", "drop-policy",
-	"drop-pushout", "drop-bypass", "ecc-corrected", "ecc-uncorrectable", "ecc-hard", "stage-bypass", "glitch-words"}
+	"drop-pushout", "drop-bypass", "ecc-corrected", "ecc-uncorrectable", "ecc-hard", "stage-bypass"}
 
 // lockstep drives a Switch and the reference with the same arrivals and the
 // same faults and holds them equal after every cycle: the departures (cell,

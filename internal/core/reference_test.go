@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pipemem/internal/bufmgr"
 	"pipemem/internal/cell"
@@ -17,10 +18,7 @@ import (
 // wave initiated per cycle (§3.4). No masks, no deposits deferred or made
 // early, no pools, no ring, no checkpoint format; one VC per output, no
 // gates, no WRR, no link pipelining, read priority. Faults land where they
-// would on silicon. A control glitch at stage s sits beside the word there
-// (gl[s]): the wave completes as initiated, the glitched op runs at
-// the stages ahead, and a glitched read loads no output register — its
-// words go to no link and past no ECC decoder, counted under "glitch-words".
+// would on silicon.
 type refSwitch struct {
 	cfg                                 Config
 	n, k, readRR, writeRR, addrLimit    int
@@ -33,7 +31,6 @@ type refSwitch struct {
 	outW                                []cell.Word // [stage]: the output register row
 	outTo, drove, refcnt, stageErr      []int       // [stage]: its link+1 (0 unloaded), the link it drove
 	ctl                                 []Op        // [stage]: what the stage executes this cycle
-	gl                                  []*Op       // [stage]: a control word glitched in beside it
 	free                                *fifo.FreeList
 	q                                   [][]desc // [output], front first
 	eg                                  []*reasm // [output]: the transmission on the link
@@ -56,7 +53,7 @@ func newRef(cfg Config, pol bufmgr.Policy) *refSwitch {
 	r := &refSwitch{cfg: cfg, n: n, k: k, policy: pol, addrLimit: cfg.Cells, lastInit: -2,
 		bank: grid[cell.Word](k, cfg.Cells), chk: grid[uint8](k, cfg.Cells), inRow: grid[cell.Word](n, k),
 		arr: make([]arrival, n), outW: make([]cell.Word, k), outTo: make([]int, k), drove: make([]int, k),
-		ctl: make([]Op, k), gl: make([]*Op, k),
+		ctl:  make([]Op, k),
 		free: fifo.NewFreeList(cfg.Cells), q: make([][]desc, n), refcnt: make([]int, cfg.Cells), eg: make([]*reasm, n),
 		stuck: make([]bool, k), down: make([]bool, k), stageErr: make([]int, k),
 		wrSkip: make([]int64, n), inStalls: make([]int64, n), inDrops: make([]int64, n), outDrops: make([]int64, n),
@@ -89,17 +86,14 @@ func (r *refSwitch) Tick(heads []*cell.Cell) {
 		r.lastInit, op.Remap = c, r.halved
 	}
 	copy(r.ctl[1:], r.ctl[:r.k-1])
-	copy(r.gl[1:], r.gl[:r.k-1])
-	r.ctl[0], r.gl[0] = op, nil
+	r.ctl[0] = op
 	for i, a := range r.arr {
 		if a.active && !a.written && c > a.head {
 			r.inStalls[i]++
 		}
 	}
 	for st, op := range r.ctl {
-		if r.exec(st, op, false); r.gl[st] != nil {
-			r.exec(st, *r.gl[st], true)
-		}
+		r.exec(st, op)
 	}
 	m := r.cfg.wordMask()
 	for i := range r.arr {
@@ -127,16 +121,13 @@ func (r *refSwitch) Tick(heads []*cell.Cell) {
 }
 
 // exec performs op's stage-st access: a write takes input register st, a
-// read or write-through loads output register st unless the op is a glitch.
-// The ECC decoder sits in front of the output register, so a glitched read,
-// which loads none, touches no bank.
-func (r *refSwitch) exec(st int, op Op, glitch bool) {
+// read or write-through loads output register st.
+func (r *refSwitch) exec(st int, op Op) {
 	w := r.inRow[op.In][st]
-	switch {
-	case op.Kind == OpNone:
+	switch op.Kind {
+	case OpNone:
 		return
-	case op.Kind == OpRead && glitch:
-	case op.Kind == OpRead:
+	case OpRead:
 		w = r.read(st, op)
 	default:
 		b, a := r.bankFor(st, op.Addr, op.Remap)
@@ -144,11 +135,7 @@ func (r *refSwitch) exec(st int, op Op, glitch bool) {
 			r.chk[b][a] = r.ecc.encode(w)
 		}
 	}
-	switch {
-	case op.Kind == OpWrite:
-	case glitch:
-		r.counter.Inc("glitch-words", 1)
-	default:
+	if op.Kind != OpWrite {
 		r.outW[st], r.outTo[st] = w, op.Out+1
 	}
 }
@@ -341,15 +328,6 @@ func (r *refSwitch) InjectInputRegisterFault(in, word int, mask cell.Word) {
 	}
 }
 
-// InjectControlFault glitches the control word stage st executes next
-// cycle, which stage st−1 holds now; stage 0's is the word the next
-// arbitration writes, so a glitch there is overwritten unseen.
-func (r *refSwitch) InjectControlFault(st int, op Op) {
-	if st >= 1 && st < r.k && op.In >= 0 && op.In < r.n && op.Out >= 0 && op.Out < r.n && op.Addr >= 0 && op.Addr < r.cfg.Cells {
-		r.gl[st-1] = &op
-	}
-}
-
 // Health mirrors Switch.Health.
 func (r *refSwitch) Health() Health {
 	h := Health{StageDown: append([]bool(nil), r.down...), Degraded: r.halved, Failed: r.failed, UsableCells: r.addrLimit,
@@ -364,15 +342,10 @@ func (r *refSwitch) Health() Health {
 }
 
 // trace is the fig. 5 event of the cycle just run, read off the registers:
-// each stage's control word (the glitch where there is one), each row's
-// latch, and each output register that drove its link.
+// each stage's control word, each row's latch, and each output register
+// that drove its link.
 func (r *refSwitch) trace() TraceEvent {
-	e := TraceEvent{Cycle: r.cycle - 1, Ctrl: make([]Op, r.k), InLatch: make([]int, r.n), OutDrive: append([]int(nil), r.drove...)}
-	for st, op := range r.ctl {
-		if e.Ctrl[st] = op; r.gl[st] != nil {
-			e.Ctrl[st] = *r.gl[st]
-		}
-	}
+	e := TraceEvent{Cycle: r.cycle - 1, Ctrl: slices.Clone(r.ctl), InLatch: make([]int, r.n), OutDrive: append([]int(nil), r.drove...)}
 	for i, a := range r.arr {
 		if e.InLatch[i] = -1; a.active && e.Cycle-a.head < int64(r.k) {
 			e.InLatch[i] = int(e.Cycle - a.head)

@@ -266,15 +266,15 @@ func (s *Switch) TickN(heads []*cell.Cell, n int64) {
 
 // idle reports that a Tick without heads can do nothing but advance the
 // clock: no cell is anywhere inside, the control ring has retired its last
-// wave and glitch, and nobody is owed a call per cycle (a fig. 5 tracer is;
-// an observer counts events, and an idle cycle has none). It is the one
+// wave, and nobody is owed a call per cycle (a fig. 5 tracer is; an
+// observer counts events, and an idle cycle has none). It is the one
 // statement of that fact: Tick's dead-cycle exit, TickN's fast-forward and
 // Runner.Step's coasting all ask it, and all three do the same thing with
 // a yes — add to the clock.
 func (s *Switch) idle() bool { return s.Quiescent() && s.waves == 0 && s.unwatched() }
 
 // unwatched is the half of idle a call between Ticks can change.
-func (s *Switch) unwatched() bool { return s.tracer == nil && s.glitchN == 0 }
+func (s *Switch) unwatched() bool { return s.tracer == nil }
 
 // Quiescent reports that no cell is anywhere inside the switch — not on
 // the pipelined link wires, not awaiting a write wave, not buffered, not

@@ -31,8 +31,7 @@ import (
 // so that half of the verdict is remembered from the last Step that did
 // tick (a fault seam on an empty switch reaches no wave). Everything a call
 // between two Steps can change is asked again on every Step, and so ends a
-// coast by itself: SetTracer (the fig. 5 tracer is owed every cycle), a
-// glitched control word (InjectControlFault: it runs at its stages),
+// coast by itself: SetTracer (the fig. 5 tracer is owed every cycle),
 // PreTick and Stage (each is owed every cycle too), and CellStream.Extend
 // (Session.ExtendSchedule), because the stream is asked, not remembered. A
 // restored runner remembers nothing and ticks once before it coasts again.

@@ -130,12 +130,6 @@ func TestCoastEndsAtEverySeam(t *testing.T) {
 		{name: "InjectMemoryFault", coasts: true, apply: func(r *Runner, log *[]string) {
 			r.Switch().InjectMemoryFault(3, 0, 1)
 		}},
-		// A glitched read runs at its stages, counting its words.
-		{name: "InjectControlFault", apply: func(r *Runner, log *[]string) {
-			r.Switch().InjectControlFault(2, Op{Kind: OpRead, Out: 1, Addr: 3})
-		}, finish: func(r *Runner, log *[]string) {
-			*log = append(*log, fmt.Sprint(r.s.Counters().Get("glitch-words")))
-		}},
 		{name: "SetOutputOpen", coasts: true, apply: func(r *Runner, log *[]string) {
 			r.Switch().SetOutputOpen(0, false)
 		}},

@@ -19,9 +19,8 @@ import (
 //
 // The schema is the switch's state field for field: flat memory as the
 // banks hold it, both buffers of every input row, and per ring slot the
-// control word, whether its wave runs off the wave commit and the word
-// glitched in beside it. Nothing is inferred on either side, so every
-// cycle boundary can be written.
+// control word and whether its wave runs off the wave commit. Nothing is
+// inferred on either side, so every cycle boundary can be written.
 //
 // What is deliberately NOT captured:
 //
@@ -147,12 +146,10 @@ type SwitchState struct {
 	Rows []RowState
 
 	// Ctrl[slot] is the control word of each ring slot. Open marks the
-	// slots whose wave runs off the wave commit, and Glitch[slot] is the
-	// control word glitched in beside the slot's; each is omitted when no
-	// slot has one.
-	Ctrl   []Op
-	Open   []bool `json:",omitempty"`
-	Glitch []*Op  `json:",omitempty"`
+	// slots whose wave runs off the wave commit; it is omitted when no slot
+	// has one.
+	Ctrl []Op
+	Open []bool `json:",omitempty"`
 
 	Inflight []ArrivalState
 
@@ -251,15 +248,6 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 	if slices.Contains(s.open, true) {
 		st.Open = slices.Clone(s.open)
 	}
-	if s.glitchN != 0 {
-		st.Glitch = make([]*Op, s.k)
-		for slot, g := range s.glitch {
-			if g != nil {
-				op := *g
-				st.Glitch[slot] = &op
-			}
-		}
-	}
 	for i := range s.rows {
 		r := &s.rows[i]
 		st.Rows[i] = RowState{Occ: slices.Clone(r.regs[r.occ:][:s.k]), Prev: slices.Clone(r.regs[s.k-r.occ:][:s.k]), Flipped: r.flipped}
@@ -352,9 +340,6 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	if st.Open != nil {
 		lens["Open"] = [2]int{len(st.Open), k}
 	}
-	if st.Glitch != nil {
-		lens["Glitch"] = [2]int{len(st.Glitch), k}
-	}
 	if err := checkLens("switch state", lens); err != nil {
 		return nil, err
 	}
@@ -387,16 +372,6 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 		if open {
 			s.open[slot] = true
 			s.openN++
-		}
-	}
-	for slot, g := range st.Glitch {
-		if g != nil {
-			op := *g
-			s.glitch[slot] = &op
-			s.glitchN++
-			if op.Kind != OpNone {
-				s.openN++
-			}
 		}
 	}
 
@@ -614,21 +589,13 @@ func cellUnusable(cs *CellState, cfg Config) string {
 
 // indexErr reports the first index the state holds outside the geometry
 // of cfg (canonical) that the tick uses without a check: a control word's
-// or a glitched word's input, output or address, a queued descriptor's
+// input, output or address, a queued descriptor's
 // address or VC, a round-robin pointer, a WRR table entry.
 func (st *SwitchState) indexErr(cfg Config) error {
 	n, vcs := cfg.Ports, cfg.VCs
-	bad := func(op *Op) bool {
-		return op.Kind > OpWriteThrough || op.In < 0 || op.In >= n || op.Out < 0 || op.Out >= n || op.Addr < 0 || op.Addr >= cfg.Cells
-	}
-	for slot := range st.Ctrl {
-		if bad(&st.Ctrl[slot]) {
-			return fmt.Errorf("core: switch state Ctrl[%d] %+v is not an op on this switch", slot, st.Ctrl[slot])
-		}
-	}
-	for slot, g := range st.Glitch {
-		if g != nil && bad(g) {
-			return fmt.Errorf("core: switch state Glitch[%d] %+v is not an op on this switch", slot, *g)
+	for slot, op := range st.Ctrl {
+		if op.Kind > OpWriteThrough || op.In < 0 || op.In >= n || op.Out < 0 || op.Out >= n || op.Addr < 0 || op.Addr >= cfg.Cells {
+			return fmt.Errorf("core: switch state Ctrl[%d] %+v is not an op on this switch", slot, op)
 		}
 	}
 	for q, list := range st.Queues {

@@ -383,10 +383,10 @@ func TestRestoreRejectsUnusableCells(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsImpossibleRing: the ring's open flags and glitched words
+// TestRestoreRejectsImpossibleRing: the ring's control words and open flags
 // are read from a file, so a state no run could hold is refused before the
 // first Tick — a read marked open whose output's record already holds all
-// its words, a glitched word naming an input the switch lacks.
+// its words, a control word naming an input the switch lacks.
 func TestRestoreRejectsImpossibleRing(t *testing.T) {
 	cfg := Config{Ports: 4, WordBits: 16, Cells: 32}
 	r := runnerTo(t, cfg, traffic.Config{Kind: traffic.Bernoulli, N: 4, Load: 0.9, Seed: 3}, 2000, "", 200)
@@ -415,10 +415,9 @@ func TestRestoreRejectsImpossibleRing(t *testing.T) {
 			st.Open = make([]bool, len(st.Ctrl))
 			st.Open[read] = true
 		}, "off the commit"},
-		{"glitch/bad-input", func(st *SwitchState) {
-			st.Glitch = make([]*Op, len(st.Ctrl))
-			st.Glitch[0] = &Op{Kind: OpWrite, In: 4}
-		}, "Glitch[0]"},
+		{"ctrl/bad-input", func(st *SwitchState) {
+			st.Ctrl[0] = Op{Kind: OpWrite, In: 4}
+		}, "Ctrl[0]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -161,9 +161,9 @@ type Switch struct {
 	// the default — costs one pointer test per arbitrate call.
 	prof *PhaseProf
 
-	// cAccepted…cGlitchWords are hot counter slots (stats.Counter.Hot) on
+	// cAccepted…cStageWords are hot counter slots (stats.Counter.Hot) on
 	// the link side's counter set.
-	cAccepted, cDropPolicy, cDropPushout, cStageWords, cGlitchWords *int64
+	cAccepted, cDropPolicy, cDropPushout, cStageWords *int64
 
 	// vcGate, when set, must return true for a transmission to start on
 	// an (output, VC) pair — per-VC flow control; the per-output level is
@@ -212,17 +212,14 @@ type Switch struct {
 	// The wave commit (tick) applies a wave's memory traffic at initiation
 	// and posts its departure to departAt, the cycle-indexed completion
 	// ring. A wave a fault can still reach is open instead (degrade.go): its
-	// stages access the banks at their own cycles. glitch holds, per slot, a
-	// control word glitched in beside the wave. openN counts open slots and
-	// non-squash glitches, glitchN all glitches. rows[i] is input link i's
-	// row of registers (degrade.go), flipN the number of rows whose
-	// occupant carries a flipped word.
-	departAt       []int // [cycle & depMask]: the output completing then, -1 for none
-	open           []bool
-	glitch         []*Op
-	openN, glitchN int
-	rows           []inRow
-	flipN          int
+	// stages access the banks at their own cycles. openN counts open slots.
+	// rows[i] is input link i's row of registers (degrade.go), flipN the
+	// number of rows whose occupant carries a flipped word.
+	departAt []int // [cycle & depMask]: the output completing then, -1 for none
+	open     []bool
+	openN    int
+	rows     []inRow
+	flipN    int
 	// ctrlMask is k-1 when k is a power of two — slotOf then replaces the
 	// hardware divide the per-cycle ring indexing would otherwise pay —
 	// and -1 otherwise. depMask is len(departAt)-1 (the completion ring is
@@ -272,7 +269,6 @@ func New(cfg Config) (*Switch, error) {
 		memLazy:      make([]*cell.Cell, cfg.Cells),
 		ctrl:         make([]Op, k),
 		open:         make([]bool, k),
-		glitch:       make([]*Op, k),
 		rows:         make([]inRow, n),
 		free:         fifo.NewFreeList(cfg.Cells),
 		queues:       fifo.NewMultiQueue(n*cfg.VCs, cfg.Cells),
@@ -324,7 +320,6 @@ func New(cfg Config) (*Switch, error) {
 	s.cDropPolicy = s.counter.Hot("drop-policy")
 	s.cDropPushout = s.counter.Hot("drop-pushout")
 	s.cStageWords = s.counter.Hot("stage-words")
-	s.cGlitchWords = s.counter.Hot("glitch-words")
 	s.polState = &bufView{s}
 	return s, nil
 }
@@ -684,7 +679,7 @@ func (s *Switch) tick(heads []*cell.Cell) {
 	if s.pendingWrites != 0 || s.queues.Total() != 0 {
 		s.arbitrate(c, &op)
 	}
-	if s.openN|s.glitchN != 0 {
+	if s.openN != 0 {
 		s.retire(base)
 	}
 	if op.Kind != OpNone || s.ctrl[base].Kind != OpNone {

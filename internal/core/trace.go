@@ -152,24 +152,13 @@ func (s *Switch) tickTraced(heads []*cell.Cell) {
 	s.emitTrace(c, tail)
 }
 
-// ctrlView is the control word a ring slot shows: its wave's, or the word
-// glitched in beside it.
-func (s *Switch) ctrlView(slot int) *Op {
-	if g := s.glitch[slot]; g != nil {
-		return g
-	}
-	return &s.ctrl[slot]
-}
-
 // emitTrace assembles and dispatches the TraceEvent of cycle c, which has
 // just run, from the control ring and the input rows' occupancy. Ctrl[0] is
 // the freshly arbitrated control word. A row latches word c−head of the
 // cell it holds, word 0 being a head admitted this cycle. Output register
 // st drives the link of the read or write-through that sat at stage st
 // last cycle (§3.2): this cycle's Ctrl[st+1], and for the last stage tail,
-// which tickTraced read off the ring before the cycle ran. A glitched
-// control word shows in place of its slot's, but drives nothing: the wave
-// beside it loads the output register.
+// which tickTraced read off the ring before the cycle ran.
 func (s *Switch) emitTrace(c int64, tail int) {
 	e := TraceEvent{
 		Cycle:    c,
@@ -179,7 +168,7 @@ func (s *Switch) emitTrace(c int64, tail int) {
 	}
 	for st := range e.Ctrl {
 		slot := s.ctrlSlot(c, st)
-		e.Ctrl[st] = *s.ctrlView(slot)
+		e.Ctrl[st] = s.ctrl[slot]
 		if st > 0 {
 			e.OutDrive[st-1] = s.ctrl[slot].drives()
 		}

@@ -60,9 +60,11 @@ func NewEngine(plan *Plan, seed uint64) *Engine {
 }
 
 // Step fires every event scheduled at the given cycle. Call it once per
-// cycle, before the switch's Tick for that cycle. Events whose target
-// cannot be resolved (no live buffer word, an idle link) are skipped and
-// counted; applied and skipped tallies are per kind in Counters.
+// cycle, before the switch's Tick for that cycle. Events that would change
+// nothing — a target that cannot be resolved (no live buffer word, an idle
+// link) or that the switch lacks, a mask the word width cuts to zero — are
+// skipped and counted; applied and skipped tallies are per kind in
+// Counters.
 func (e *Engine) Step(t Target, cycle int64) {
 	for e.idx < len(e.plan.Events) && e.plan.Events[e.idx].Cycle <= cycle {
 		ev := e.plan.Events[e.idx]
@@ -93,15 +95,20 @@ func (e *Engine) Skipped(k Kind) int64 { return *e.skipped[k] }
 func (e *Engine) apply(t Target, ev Event) bool {
 	s := t.Switch
 	cfg := s.Config()
-	bits := ev.Bits
-	if bits == 0 {
+	bits := ev.Bits.Mask(cfg.WordBits)
+	if ev.Bits == 0 {
 		bits = cell.Word(1) << uint(e.rng.IntN(cfg.WordBits))
+	} else if bits == 0 {
+		return false
 	}
 	switch ev.Kind {
 	case Mem:
 		stage, addr := ev.Stage, ev.Addr
 		if stage == Any {
 			stage = e.rng.IntN(cfg.Stages)
+		}
+		if stage < 0 || stage >= cfg.Stages || addr != Any && (addr < 0 || addr >= cfg.Cells) {
+			return false
 		}
 		if addr == Any {
 			// Pick a live target: a word that is fully written, still
@@ -128,12 +135,6 @@ func (e *Engine) apply(t Target, ev Event) bool {
 			return false
 		}
 		s.SetStageStuck(ev.Stage, !ev.Off)
-		return true
-	case Ctrl:
-		if op := ev.Op; ev.Stage < 0 || ev.Stage >= cfg.Stages || op.In >= cfg.Ports || op.Out >= cfg.Ports || op.Addr >= cfg.Cells {
-			return false
-		}
-		s.InjectControlFault(ev.Stage, ev.Op)
 		return true
 	case InReg:
 		if ev.In < 0 || ev.In >= cfg.Ports || ev.Word < 0 || ev.Word >= cfg.Stages {

@@ -1,0 +1,67 @@
+package fault
+
+import (
+	"reflect"
+	"testing"
+
+	"pipemem/internal/cell"
+	"pipemem/internal/core"
+)
+
+// TestEngineSkipsEventsThatChangeNothing: an event naming a stage, address
+// or input the switch lacks, or whose mask the word width cuts to zero, hits
+// nothing — the engine counts it skipped and the switch is left as it was.
+func TestEngineSkipsEventsThatChangeNothing(t *testing.T) {
+	for _, r := range []struct {
+		line    string
+		applied bool
+	}{
+		{"@0 mem stage=1 addr=1 bits=0x10", true},
+		{"@0 mem stage=9 addr=1", false},
+		{"@0 mem stage=1 addr=99", false},
+		{"@0 mem stage=1 addr=1 bits=0x10000", false},
+		{"@0 stuck stage=1", true},
+		{"@0 stuck stage=9", false},
+		{"@0 inreg in=0 word=0 bits=0x4", true},
+		{"@0 inreg in=5 word=0", false},
+		{"@0 inreg in=0 word=0 bits=0x10000", false},
+		{"@0 linkcorrupt in=0 word=any bits=0x10", true},
+		{"@0 linkcorrupt in=0 word=any bits=0x10000", false},
+	} {
+		t.Run(r.line, func(t *testing.T) {
+			s := mustSwitch(t, core.Config{Ports: 2, WordBits: 16, Cells: 8, ECC: true})
+			k := s.Config().Stages
+			links := []*Link{NewLink(k, 16, -1), NewLink(k, 16, -1)}
+			for i, l := range links {
+				l.Offer(cell.New(uint64(i+1), i, 1-i, k, 16), 0)
+				l.Tick(0, pool) // word 0 on the wire
+			}
+			before, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := mustPlan(t, r.line)
+			e := NewEngine(plan, 1)
+			e.Step(Target{Switch: s, Links: links}, 0)
+			kind := plan.Events[0].Kind
+			if applied, skipped := e.Applied(kind), e.Skipped(kind); applied+skipped != 1 || (applied == 1) != r.applied {
+				t.Fatalf("applied=%d skipped=%d, want applied=%v", applied, skipped, r.applied)
+			}
+			after, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.applied && !reflect.DeepEqual(before, after) {
+				t.Fatal("a skipped event changed the switch")
+			}
+		})
+	}
+
+	// The link on its own: a mask the word width cuts to zero hits nothing.
+	l := NewLink(4, 16, -1)
+	l.Offer(cell.New(1, 0, 1, 4, 16), 0)
+	l.Tick(0, pool)
+	if l.CorruptWord(Any, 0x10000) {
+		t.Fatal("CorruptWord reported a hit for a mask wider than the word")
+	}
+}

@@ -12,16 +12,16 @@ import (
 func FuzzFaultPlanParse(f *testing.F) {
 	f.Add("@120 mem stage=3 addr=any bits=0x10")
 	f.Add("@200 stuck stage=2\n@400 stuck stage=2 off")
-	f.Add("@50 ctrl stage=1 op=R out=0 addr=3\n@55 ctrl stage=1 op=-")
+	f.Add("@50 ctrl stage=1 op=R out=0 addr=3\n@55 ctrl stage=1 op=-") // a retired kind: refused
 	f.Add("@70 inreg in=0 word=2 bits=4")
 	f.Add("@80 linkdrop in=1 word=any\n@90 linkcorrupt in=1 word=3 bits=0x1")
 	f.Add("# comment only\n\n")
 	f.Add("@5 mem stage=1 volts=3")
 	f.Add("@0 linkdrop in=0 bits=1")    // a key the kind would drop: refused, or String loses it
-	f.Add("@55 ctrl stage=1 op=- in=3") // operands on a squash, likewise
+	f.Add("@55 inreg in=0 word=1 op=-") // a key no kind takes
 	f.Add(Random(11, RandomOptions{
 		Cycles: 500, Events: 20, Stages: 8, WordBits: 16, Inputs: 4,
-		Kinds: []Kind{Mem, Stuck, Ctrl, InReg, LinkDrop, LinkCorrupt},
+		Kinds: []Kind{Mem, Stuck, InReg, LinkDrop, LinkCorrupt},
 	}).String())
 	f.Fuzz(func(t *testing.T, text string) {
 		p, err := Parse(text)

@@ -169,18 +169,18 @@ func (l *Link) hit(word int) (int, bool) {
 	return word, l.active() && word >= 0 && word < l.cellWords
 }
 
-// CorruptWord XORs mask into word `word` of the transfer in flight
-// (Any = the word put on the wire this cycle). It reports whether a
-// transfer was actually hit.
+// CorruptWord XORs mask (0: bit 0) into word `word` of the transfer in
+// flight (Any = the word put on the wire this cycle). It reports whether a
+// transfer was actually hit: not when mask, cut to the word width, is zero.
 func (l *Link) CorruptWord(word int, mask cell.Word) bool {
-	word, ok := l.hit(word)
-	if !ok {
-		return false
-	}
 	if mask == 0 {
 		mask = 1
 	}
-	l.wire[word] ^= mask.Mask(l.wordBits)
+	word, ok := l.hit(word)
+	if mask = mask.Mask(l.wordBits); !ok || mask == 0 {
+		return false
+	}
+	l.wire[word] ^= mask
 	return true
 }
 

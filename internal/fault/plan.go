@@ -17,8 +17,6 @@
 //	@120 mem stage=3 addr=any bits=0x10   # XOR bits into a stored word
 //	@200 stuck stage=2                    # bank 2's data lines stick (reads
 //	@400 stuck stage=2 off                #   all-ones); off clears
-//	@50  ctrl stage=1 op=R out=0 addr=3   # glitch a latched control word: the
-//	@55  ctrl stage=1 op=-                #   op runs beside the wave; - is none
 //	@70  inreg in=0 word=2 bits=0x4       # flip bits in an input register
 //	@80  linkdrop in=1 word=any           # lose a word on input link 1
 //	@90  linkcorrupt in=1 word=3 bits=1   # corrupt a word on input link 1
@@ -40,7 +38,6 @@ import (
 	"strings"
 
 	"pipemem/internal/cell"
-	"pipemem/internal/core"
 )
 
 // ErrBadPlan is the sentinel wrapped by every fault-plan parse error.
@@ -60,10 +57,6 @@ const (
 	// Stuck sets (or, with Off, clears) a stuck-at fault on bank Stage:
 	// reads return all-ones whatever was written.
 	Stuck
-	// Ctrl glitches the control word latched at Stage with Op — a fault in
-	// the shifting control pipeline (core.Switch.InjectControlFault: the wave
-	// completes as initiated, Op runs beside it at the stages ahead).
-	Ctrl
 	// InReg XORs Bits into input In's register for word position Word.
 	InReg
 	// LinkDrop loses word Word of the transfer in flight on input link In.
@@ -74,11 +67,11 @@ const (
 	numKinds = iota
 )
 
-var kindNames = [numKinds]string{"mem", "stuck", "ctrl", "inreg", "linkdrop", "linkcorrupt"}
+var kindNames = [numKinds]string{"mem", "stuck", "inreg", "linkdrop", "linkcorrupt"}
 
 // kindKeys lists the keys each kind takes. Parse refuses any other: the
 // event would not carry it, and String could not print it back.
-var kindKeys = [numKinds]string{" stage addr bits ", " stage ", " stage op in out addr ", " in word bits ", " in word ", " in word bits "}
+var kindKeys = [numKinds]string{" stage addr bits ", " stage ", " in word bits ", " in word ", " in word bits "}
 
 // String implements fmt.Stringer (the plan-format keyword).
 func (k Kind) String() string {
@@ -94,7 +87,7 @@ type Event struct {
 	// switch's Tick for that cycle).
 	Cycle int64
 	Kind  Kind
-	// Stage is the memory bank / pipeline stage (Mem, Stuck, Ctrl).
+	// Stage is the memory bank / pipeline stage (Mem, Stuck).
 	Stage int
 	// Addr is the buffer address (Mem), or Any.
 	Addr int
@@ -108,8 +101,6 @@ type Event struct {
 	Bits cell.Word
 	// Off clears a Stuck fault instead of setting it.
 	Off bool
-	// Op is the corrupted control word (Ctrl).
-	Op core.Op
 }
 
 // String renders the event as one fault-plan line; Parse(e.String()) round-
@@ -130,11 +121,6 @@ func (e Event) String() string {
 		fmt.Fprintf(&b, " stage=%d", e.Stage)
 		if e.Off {
 			b.WriteString(" off")
-		}
-	case Ctrl:
-		fmt.Fprintf(&b, " stage=%d op=%s", e.Stage, e.Op.Kind)
-		if e.Op.Kind != core.OpNone {
-			fmt.Fprintf(&b, " in=%d out=%d addr=%d", e.Op.In, e.Op.Out, e.Op.Addr)
 		}
 	case InReg, LinkDrop, LinkCorrupt:
 		fmt.Fprintf(&b, " in=%d word=%s", e.In, anyOr(e.Word))
@@ -206,8 +192,6 @@ func parseEvent(line string) (Event, error) {
 	}
 	e.Kind = Kind(kind)
 	e.Stage, e.Addr, e.In, e.Word = Any, Any, Any, Any
-	opKind := core.OpKind(255)
-	var opIn, opOut, opAddr int
 	for _, f := range fields[2:] {
 		if f == "off" && e.Kind == Stuck {
 			e.Off = true
@@ -226,28 +210,12 @@ func parseEvent(line string) (Event, error) {
 				return e, fmt.Errorf("stage: %v", err)
 			}
 		case "addr":
-			v, err := parseIntOrAny(val, e.Kind == Mem)
-			if err != nil {
+			if e.Addr, err = parseIntOrAny(val, true); err != nil {
 				return e, fmt.Errorf("addr: %v", err)
 			}
-			if e.Kind == Ctrl {
-				opAddr = v
-			} else {
-				e.Addr = v
-			}
 		case "in":
-			v, err := parseIntOrAny(val, false)
-			if err != nil {
+			if e.In, err = parseIntOrAny(val, false); err != nil {
 				return e, fmt.Errorf("in: %v", err)
-			}
-			if e.Kind == Ctrl {
-				opIn = v
-			} else {
-				e.In = v
-			}
-		case "out":
-			if opOut, err = parseIntOrAny(val, false); err != nil {
-				return e, fmt.Errorf("out: %v", err)
 			}
 		case "word":
 			anyOK := e.Kind == LinkDrop || e.Kind == LinkCorrupt
@@ -264,19 +232,6 @@ func parseEvent(line string) (Event, error) {
 				return e, fmt.Errorf("bits: bad mask %q", f)
 			}
 			e.Bits = cell.Word(u)
-		case "op":
-			switch val {
-			case "-", "none":
-				opKind = core.OpNone
-			case "W", "w":
-				opKind = core.OpWrite
-			case "R", "r":
-				opKind = core.OpRead
-			case "T", "t":
-				opKind = core.OpWriteThrough
-			default:
-				return e, fmt.Errorf("op: want one of - W R T, got %q", val)
-			}
 		default:
 			return e, fmt.Errorf("unknown key %q", key)
 		}
@@ -287,17 +242,6 @@ func parseEvent(line string) (Event, error) {
 		if e.Stage == Any {
 			return e, fmt.Errorf("stuck: stage required")
 		}
-	case Ctrl:
-		if e.Stage == Any {
-			return e, fmt.Errorf("ctrl: stage required")
-		}
-		if opKind == core.OpKind(255) {
-			return e, fmt.Errorf("ctrl: op required")
-		}
-		if opKind == core.OpNone && opIn|opOut|opAddr != 0 {
-			return e, fmt.Errorf("ctrl: op=- squashes the control word and takes no in, out or addr")
-		}
-		e.Op = core.Op{Kind: opKind, In: opIn, Out: opOut, Addr: opAddr}
 	case InReg:
 		if e.In == Any || e.Word == Any {
 			return e, fmt.Errorf("inreg: in and word required")
@@ -367,9 +311,6 @@ func Random(seed uint64, o RandomOptions) *Plan {
 			e.Bits = bit
 		case Stuck:
 			e.Stage = rng.IntN(max(o.Stages, 1))
-		case Ctrl:
-			e.Stage = rng.IntN(max(o.Stages, 1))
-			e.Op = core.Op{} // squash: the least catastrophic glitch
 		case InReg:
 			e.In = rng.IntN(max(o.Inputs, 1))
 			e.Word = rng.IntN(max(o.Stages, 1))

@@ -100,35 +100,40 @@ func TestFaultMemoryBitFlipECC(t *testing.T) {
 	}
 }
 
-// TestFaultControlPipelineStall: glitching a latched control word (a
-// stuck-at fault on the fig. 5 shift path) must be caught by the
-// delayed-copy invariant over the trace. (Migrated: the glitch is a
-// "ctrl" plan event.)
+// TestFaultControlPipelineStall: a stuck-at fault on the fig. 5 shift path
+// — a latched control word that is not the word stage s−1 held the cycle
+// before — must be caught by E7's delayed-copy invariant over the trace.
+// The invariant holds on the recorded fault-free trace, and fails once one
+// Ctrl word of it is mutated.
 func TestFaultControlPipelineStall(t *testing.T) {
 	s := mustSwitch(t, core.Config{Ports: 2, WordBits: 16, Cells: 8, CutThrough: true})
 	k := s.Config().Stages
 	var events []core.TraceEvent
 	s.SetTracer(func(e core.TraceEvent) { events = append(events, e) })
-	plan := mustPlan(t, "@2 ctrl stage=2 op=W in=1 addr=7")
-	eng := NewEngine(plan, 1)
 	for c := int64(0); c < 4; c++ {
-		eng.Step(Target{Switch: s}, c)
 		var heads []*cell.Cell
 		if c == 0 {
 			heads = []*cell.Cell{cell.New(1, 0, 1, k, 16), nil}
 		}
 		s.Tick(heads)
 	}
-	violated := false
-	for i := 1; i < len(events); i++ {
-		for st := 1; st < k; st++ {
-			if events[i].Ctrl[st] != events[i-1].Ctrl[st-1] {
-				violated = true
+	delayed := func() bool {
+		for i := 1; i < len(events); i++ {
+			for st := 1; st < k; st++ {
+				if events[i].Ctrl[st] != events[i-1].Ctrl[st-1] {
+					return false
+				}
 			}
 		}
+		return true
 	}
-	if !violated {
-		t.Fatal("control-pipeline checker failed to notice the glitched stage")
+	if !delayed() {
+		t.Fatal("the fault-free trace breaks the delayed copy")
+	}
+	events[2].Ctrl[2] = events[1].Ctrl[1]
+	events[2].Ctrl[2].Addr ^= 1
+	if delayed() {
+		t.Fatal("control-pipeline checker failed to notice the mutated stage")
 	}
 }
 

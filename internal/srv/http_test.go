@@ -1,6 +1,7 @@
 package srv
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -252,6 +253,28 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestRetiredFaultKindRefused: a create request whose fault plan names the
+// retired "ctrl" kind is a bad spec — 400, naming the kind — and registers
+// no session.
+func TestRetiredFaultKindRefused(t *testing.T) {
+	m := NewManager(Options{})
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+	c := ts.Client()
+	var e struct{ Error string }
+	do(t, c, "POST", ts.URL+"/sessions",
+		`{"name":"ctrl","ports":4,"buf":64,"cycles":2000,"load":0.3,"seed":1,"fault_plan":"@50 ctrl stage=1 op=R out=0 addr=3\n"}`, 400, &e)
+	if !strings.Contains(e.Error, `unknown fault kind "ctrl"`) {
+		t.Fatalf("error %q does not name the ctrl kind", e.Error)
+	}
+	var list []Status
+	do(t, c, "GET", ts.URL+"/sessions", "", 200, &list)
+	if len(list) != 0 {
+		t.Fatalf("the refused create registered %d sessions", len(list))
+	}
+	do(t, c, "GET", ts.URL+"/sessions/ctrl", "", 404, nil)
+}
+
 // TestInjectLandsInTheNextCycle pins when a row injected into an idle trace
 // session reaches the switch: the session has played its schedule out and
 // sat idle for a hundred cycles (a served session carries an observer, so
@@ -287,6 +310,76 @@ func TestInjectLandsInTheNextCycle(t *testing.T) {
 	if landed != 102 || delivered != 108 {
 		t.Fatalf("injected at cycle 101: landed in the cycle ending at %d, delivered by %d", landed, delivered)
 	}
+}
+
+// FuzzInjectBody sends arbitrary bytes to POST /sessions/{id}/inject on a
+// small trace session audited every cycle. The answer is 200 with the rows
+// appended to the schedule, or 400, 409 or 413 with an error body and the
+// schedule untouched — never a panic, never another status — and the
+// session then steps to its end without error.
+func FuzzInjectBody(f *testing.F) {
+	for _, seed := range []string{
+		``,
+		`{}`,
+		`{"slots":[[0,1],[1,0]]}`,
+		`{"slots":[[-1,-1],[1,1],[0,-1]]}`,
+		`{"slots":[[9,9]]}`,
+		`{"slots":[[0]]}`,
+		`{"slots":[[0,1,1]]}`,
+		`{"slots":[]}`,
+		`{"slots":null}`,
+		`{"slots":[[0,1]]} trailing`,
+		`{"slots":[[1e3,0]]}`,
+		`{"slots":[[0,1]],"slots":[[1,0],[1,0]]}`,
+		`[[0,1]]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		m := NewManager(Options{})
+		h := m.Handler()
+		serve := func(url string, body io.Reader) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", url, body))
+			return rec
+		}
+		if rec := serve("/sessions", strings.NewReader(
+			`{"name":"f","ports":2,"buf":8,"cycles":64,"traffic":"trace","schedule":[[1,0]],"audit_every":1}`)); rec.Code != 201 {
+			t.Fatalf("create: %d %s", rec.Code, rec.Body)
+		}
+		s, err := m.Get("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := len(s.sim.Spec().Traffic.Schedule)
+		rec := serve("/sessions/f/inject", bytes.NewReader(body))
+		after := s.sim.Spec().Traffic.Schedule
+		switch rec.Code {
+		case 200:
+			var reply struct{ Slots int }
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+				t.Fatalf("200 with a body that is not the reply: %v", err)
+			}
+			if reply.Slots < 1 || len(after) != before+reply.Slots {
+				t.Fatalf("200 for %d rows, but the schedule went from %d to %d", reply.Slots, before, len(after))
+			}
+		case 400, 409, 413:
+			var e struct{ Error string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("%d without an error body: %s", rec.Code, rec.Body)
+			}
+			if len(after) != before {
+				t.Fatalf("%d, but the schedule went from %d to %d rows", rec.Code, before, len(after))
+			}
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		for s.State() == StateIdle {
+			if _, err := s.Step(1 << 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestPanickingSessionFailsAlone: a panic inside one session's step — once

@@ -144,39 +144,6 @@ func TestServedBitIdentity(t *testing.T) {
 	}
 }
 
-// TestControlGlitchSessionFinishes: a session whose fault plan glitches
-// latched control words — a read glitched in beside a wave, squashes under
-// waves in flight — runs to done with every offered cell delivered.
-func TestControlGlitchSessionFinishes(t *testing.T) {
-	for _, r := range []struct {
-		name, plan string
-		load       float64
-	}{
-		{"read", "@50 ctrl stage=1 op=R out=0 addr=3\n", 0.3},
-		{"squash", "@55 ctrl stage=1 op=-\n@300 ctrl stage=0 op=-\n@301 ctrl stage=3 op=-\n", 0.9},
-	} {
-		t.Run(r.name, func(t *testing.T) {
-			m := NewManager(Options{})
-			s, err := m.Create(SessionConfig{Ports: 4, Buf: 64, Cycles: 2000, Load: r.load, Seed: 1, FaultPlan: r.plan})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for s.State() == StateIdle {
-				if _, err := s.Step(1 << 12); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if st := s.State(); st != StateDone {
-				t.Fatalf("session ended %v, want done", st)
-			}
-			res, partial, err := s.Result()
-			if err != nil || partial || res.Delivered != res.Offered || res.Offered == 0 {
-				t.Fatalf("result %+v: partial=%v err=%v, want every offered cell delivered", res, partial, err)
-			}
-		})
-	}
-}
-
 // TestFreeRunBitIdentity: background free-run is the same StepN primitive
 // on a goroutine — the result must still match batch, through a pause and
 // resume in the middle.

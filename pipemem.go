@@ -313,7 +313,6 @@ type FaultKind = fault.Kind
 const (
 	FaultMem         = fault.Mem
 	FaultStuck       = fault.Stuck
-	FaultCtrl        = fault.Ctrl
 	FaultInReg       = fault.InReg
 	FaultLinkDrop    = fault.LinkDrop
 	FaultLinkCorrupt = fault.LinkCorrupt
