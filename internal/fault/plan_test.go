@@ -79,7 +79,6 @@ func TestPlanParseErrors(t *testing.T) {
 		"@5 inreg in=0 word=any",            // word=any invalid for inreg
 		"@5 linkdrop in=0 bits=1",           // a key the kind does not take
 		"@5 stuck stage=1 addr=3",           // likewise
-		"@5 inreg in=0 word=1 op=R",         // likewise
 	} {
 		if _, err := Parse(bad); !errors.Is(err, ErrBadPlan) {
 			t.Errorf("Parse(%q) err = %v, want ErrBadPlan", bad, err)
