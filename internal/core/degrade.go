@@ -379,10 +379,11 @@ func (s *Switch) InjectInputRegisterFault(in, word int, mask cell.Word) {
 // The wave commit's fault seam. A wave commits at initiation unless a fault
 // can still reach one of its stages — a stuck bank it reads, a redirected
 // bank, a word failing its check bits, a flipped input register, an address
-// an open wave still touches (accesses to one address keep cycle order). Such a wave is open: each stage accesses the banks at
-// its own cycle (runStages). A seam firing later walks the ≤ k live slots
-// once and opens the committed waves it reaches (openWhere). A fault-free
-// switch opens nothing and pays one test per initiation.
+// an open wave still touches (accesses to one address keep cycle order).
+// Such a wave is open: each stage accesses the banks at its own cycle
+// (runStages). A seam firing later walks the ≤ k live slots once and opens
+// the committed waves it reaches (openWhere). A fault-free switch opens
+// nothing and pays one test per initiation.
 
 // seamsOpen reports that an initiation must ask initiate.
 func (s *Switch) seamsOpen() bool {
