@@ -54,8 +54,9 @@ race:
 # FuzzCyclesParam its ?cycles= shortcut to the URL.Query parse for any raw
 # query. FuzzInjectBody sends arbitrary bytes to a trace session's /inject
 # route: 200 with the rows appended, or a 400/409/413 with an error body,
-# and the session, audited every cycle, steps on. FuzzTraceParse sends arbitrary span streams through pmtrace's
-# Parse, Analyze and report: no panic, per-stage tables within MaxStages.
+# and the session, audited every cycle, steps on. FuzzTraceParse sends
+# arbitrary span streams through pmtrace's Parse, Analyze and report: no
+# panic, per-stage tables within MaxStages.
 # The last three
 # are the data-structure targets: the ring against a slice queue, the free
 # list and multi-queue pair for leaks, cell checksums against single-word
