@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,8 +121,8 @@ func FuzzCheckpointCycle(f *testing.F) {
 // session that runs 4·k cycles with the switch's invariants intact —
 // never a panic. The seeds are the v1 file in testdata/ (a body of the
 // schema before this one), the files of TestCheckpointBytesPinned's two
-// specs, and openWaveSpec's cut at cycle 402 (open waves under a bypass, a
-// flipped input row). A body is some 15 KB, so the default minute of
+// specs, and openWaveSpec's cut at cycle 402 (reads open under a stuck
+// bank, a flipped input row; the seed must hold an open slot). A body is some 15 KB, so the default minute of
 // minimizing each new input would take most of a short run: make fuzz runs
 // this target with -fuzzminimizetime 5s.
 func FuzzCheckpointFile(f *testing.F) {
@@ -133,7 +134,8 @@ func FuzzCheckpointFile(f *testing.F) {
 	for _, seed := range []struct {
 		spec Spec
 		cut  int64
-	}{{specFor(f, "dt:alpha=2", false), 333}, {specFor(f, "", true), 333}, {openWaveSpec(f), 402}} {
+		open bool // the cut must hold an open ring slot
+	}{{specFor(f, "dt:alpha=2", false), 333, false}, {specFor(f, "", true), 333, false}, {openWaveSpec(f), 402, true}} {
 		s, err := New(seed.spec, Options{})
 		if err != nil {
 			f.Fatal(err)
@@ -142,6 +144,9 @@ func FuzzCheckpointFile(f *testing.F) {
 		ck, err := s.Checkpoint()
 		if err != nil {
 			f.Fatal(err)
+		}
+		if seed.open && !slices.Contains(ck.Switch.Open, true) {
+			f.Fatal("the open-wave seed holds no open ring slot")
 		}
 		body, err := json.Marshal(ck)
 		if err != nil {

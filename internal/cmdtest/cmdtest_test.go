@@ -472,7 +472,7 @@ func firstLine(out string) string { return strings.SplitAfter(out, "\n")[0] }
 func TestPmsimPinned(t *testing.T) {
 	rtl := []string{"-arch", "rtl", "-n", "8", "-buf", "256", "-load", "0.9", "-slots", "200000"}
 	ecc := []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-load", "0.6", "-slots", "120000", "-ecc", "-events", "2000"}
-	stuck := []string{"-faultplan", "-", "-n", "2", "-buf", "8", "-load", "0.4", "-slots", "20000", "-bypass", "3"}
+	stuck := []string{"-faultplan", "-", "-n", "2", "-buf", "8", "-load", "0.4", "-slots", "20000", "-ecc"}
 	linkprotect := []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-load", "0.5", "-slots", "100000", "-linkprotect"}
 	short := []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-slots", "2000", "-ecc"}
 	const stuckPlan = "@500 stuck stage=2\n"
@@ -501,7 +501,7 @@ func TestPmsimPinned(t *testing.T) {
 			want: "cycles=120017 offered=35899 delivered=35899 dropped=0 util=0.5982 cutlat=15.05 initdelay=0.7611\n" +
 				"faults: mem         applied=1654 skipped=346\n"},
 		{name: "stuck-audit", stdin: stuckPlan, args: audit(stuck), keep: firstAndFaults,
-			want: "cycles=20015 offered=3997 delivered=3840 dropped=157 util=0.3837 cutlat=8.04 initdelay=1.4720\n" +
+			want: "cycles=20012 offered=3997 delivered=3997 dropped=0 util=0.3995 cutlat=6.90 initdelay=0.3300\n" +
 				"faults: stuck       applied=1 skipped=0\n"},
 
 		{name: "recipe/ecc", args: ecc,
@@ -510,9 +510,9 @@ func TestPmsimPinned(t *testing.T) {
 				"health: degraded=false failed=false usable-cells=32 ecc-hard=0 bypass-drops=0\n" +
 				"faults: mem         applied=1654 skipped=346\n"},
 		{name: "recipe/stuck", stdin: stuckPlan, args: stuck,
-			want: "cycles=20015 offered=3997 delivered=3840 dropped=157 util=0.3837 cutlat=8.04 initdelay=1.4720\n" +
-				"corrupt=3 ecc-corrected=2 ecc-uncorrectable=1 bypassed=[2] linkfailed=0 retransmits=0\n" +
-				"health: degraded=true failed=false usable-cells=4 ecc-hard=2 bypass-drops=1\n" +
+			want: "cycles=20012 offered=3997 delivered=3997 dropped=0 util=0.3995 cutlat=6.90 initdelay=0.3300\n" +
+				"corrupt=3902 ecc-corrected=1348 ecc-uncorrectable=2508 bypassed=[] linkfailed=0 retransmits=0\n" +
+				"health: degraded=false failed=false usable-cells=8 ecc-hard=1348 bypass-drops=0\n" +
 				"faults: stuck       applied=1 skipped=0\n"},
 		{name: "recipe/linkprotect", args: linkprotect,
 			want: "cycles=100026 offered=24897 delivered=24897 dropped=0 util=0.4978 cutlat=5.02 initdelay=0.2401\n" +
@@ -621,7 +621,7 @@ func TestPmsimAuditChangesNothing(t *testing.T) {
 		{"unprotected", "", append(append([]string{}, random...), "-load", "0.6", "-events", "40")},
 		{"ecc-bursty-dt", "", append(append([]string{}, random...), "-ecc", "-bursty", "8", "-bufpolicy", "dt:alpha=2")},
 		{"ecc-hot", "", append(append([]string{}, random...), "-ecc", "-hot", "0.5")},
-		{"stuck-bypass", "@500 stuck stage=2\n", []string{"-faultplan", "-", "-n", "2", "-buf", "8", "-load", "0.4", "-slots", "20000", "-bypass", "3"}},
+		{"stuck-ecc", "@500 stuck stage=2\n", []string{"-faultplan", "-", "-n", "2", "-buf", "8", "-load", "0.4", "-slots", "20000", "-ecc"}},
 		{"linkprotect", "", append(append([]string{}, random...), "-load", "0.5", "-linkprotect")},
 		{"linkprotect-saturate", "", append(append([]string{}, random...), "-saturate", "-linkprotect", "-retries", "1", "-events", "2000")},
 		{"link-events-without-links", "@40 linkdrop in=0\n@50 linkcorrupt in=1\n@60 mem\n", []string{"-faultplan", "-", "-n", "4", "-buf", "32", "-slots", "2000"}},

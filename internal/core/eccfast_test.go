@@ -12,8 +12,8 @@ import (
 )
 
 // The ECC defense layers against the reference: an ECC switch under every
-// admission policy, with upsets and a stuck bank that the bypass maps out,
-// held to refSwitch cycle by cycle.
+// admission policy, with upsets and a stuck bank, held to refSwitch cycle by
+// cycle.
 
 // eccFaults is the fault schedule of one differential case.
 type eccFaults int
@@ -23,13 +23,13 @@ const (
 	// eccMemFlips: sparse upsets, each under a wave in flight that has yet
 	// to reach the upset's stage where there is one (underWave).
 	eccMemFlips
-	// eccStuckBypass: bank 2 sticks mid-burst, under the waves in flight,
-	// fails its reads, and is mapped out.
-	eccStuckBypass
+	// eccStuck: bank 2 sticks mid-burst, under the waves in flight, and
+	// fails every read from then on.
+	eccStuck
 )
 
 func (f eccFaults) String() string {
-	return [...]string{"clean", "memflips", "stuck-bypass"}[f]
+	return [...]string{"clean", "memflips", "stuck"}[f]
 }
 
 // The drive alternates bursts of hotspot overload with idle gaps long
@@ -40,11 +40,9 @@ const (
 	eccRounds = 3
 )
 
-// eccPairConfig is the switch of the differential. The bypass threshold is
-// high enough that, before the stuck bank is mapped out, reads reach words
-// written after it stuck.
+// eccPairConfig is the switch of the differential.
 func eccPairConfig(cut bool) Config {
-	return Config{Ports: 4, WordBits: 16, Cells: 32, ECC: true, BypassThreshold: 40, CutThrough: cut}
+	return Config{Ports: 4, WordBits: 16, Cells: 32, ECC: true, CutThrough: cut}
 }
 
 // eccFlip is one scheduled upset: stage and mask are fixed, the address is
@@ -91,12 +89,12 @@ func underWave(s *Switch, st, off int) int {
 }
 
 // TestECCEqualsReference: every admission policy × {no faults, sparse
-// upsets, stuck bank → bypass} × {unicast, multicast} × {store-and-forward,
+// upsets, stuck bank} × {unicast, multicast} × {store-and-forward,
 // cut-through}, each cycle equal to the reference.
 func TestECCEqualsReference(t *testing.T) {
 	policies := []string{"", "share", "static:quota=8", "dt:alpha=2", "dd:target=64", "pushout"}
 	for _, pol := range policies {
-		for _, faults := range []eccFaults{eccNoFaults, eccMemFlips, eccStuckBypass} {
+		for _, faults := range []eccFaults{eccNoFaults, eccMemFlips, eccStuck} {
 			for _, mcast := range []bool{false, true} {
 				for _, cut := range []bool{false, true} {
 					name := fmt.Sprintf("%s/%v/mcast=%v/cut=%v", pol, faults, mcast, cut)
@@ -142,7 +140,7 @@ func eccDifferential(t *testing.T, pol string, faults eccFaults, mcast, cut bool
 				l.both(func(s faultSeams) { s.InjectMemoryFault(f.stage, a, f.mask) })
 			}
 		}
-		if faults == eccStuckBypass && !stuck && c >= eccPeriod+60 {
+		if faults == eccStuck && !stuck && c >= eccPeriod+60 {
 			stuck = true
 			l.both(func(s faultSeams) { s.SetStageStuck(2, true) })
 		}
@@ -156,18 +154,18 @@ func eccDifferential(t *testing.T, pol string, faults eccFaults, mcast, cut bool
 	if len(l.log) == 0 {
 		t.Fatal("nothing was delivered; the drive tests nothing")
 	}
-	h := l.sw.Health()
+	ctr := l.sw.Counters()
 	switch faults {
 	case eccMemFlips:
 		if applied < len(plan)/2 {
 			t.Fatalf("only %d of %d upsets found a target", applied, len(plan))
 		}
-		if h.ECCCorrected+h.ECCUncorrectable == 0 {
+		if ctr.Get("ecc-corrected")+ctr.Get("ecc-uncorrectable") == 0 {
 			t.Fatal("no upset was ever read back; the plan tests nothing")
 		}
-	case eccStuckBypass:
-		if !h.Degraded || len(h.Bypassed) != 1 || h.Bypassed[0] != 2 {
-			t.Fatalf("the stuck bank was not mapped out: %+v", h)
+	case eccStuck:
+		if ctr.Get("ecc-uncorrectable") == 0 || ctr.Get("ecc-hard") == 0 {
+			t.Fatalf("the stuck bank's reads were not flagged: %v", ctr.Snapshot())
 		}
 	}
 }
@@ -197,7 +195,7 @@ func TestECCRunResultEqualsReference(t *testing.T) {
 	cfg := eccPairConfig(false)
 	k := cfg.Canonical().Stages
 	const cycles = 1500
-	for _, faults := range []eccFaults{eccNoFaults, eccMemFlips, eccStuckBypass} {
+	for _, faults := range []eccFaults{eccNoFaults, eccMemFlips, eccStuck} {
 		t.Run(faults.String(), func(t *testing.T) {
 			l := newLockstep(t, cfg, "dt:alpha=2")
 			// The switch's run picks the targets; the reference's replays them.
@@ -214,7 +212,7 @@ func TestECCRunResultEqualsReference(t *testing.T) {
 						}
 						fired[c] = func(f faultSeams) { f.InjectMemoryFault(stage, a, mask) }
 					}
-				case faults == eccStuckBypass && c == 700:
+				case faults == eccStuck && c == 700:
 					fired[c] = func(f faultSeams) { f.SetStageStuck(2, true) }
 				}
 				if f := fired[c]; f != nil {

@@ -50,7 +50,7 @@ func (w waveKind) is(op *Op, refcnt []int) bool {
 // coming cycle.
 type seam struct {
 	name string
-	ecc  bool // the switch runs with ECC (and a bypass threshold)
+	ecc  bool // the switch runs with ECC
 	fire func(l *lockstep, op Op, off int)
 }
 
@@ -83,13 +83,12 @@ func seams() []seam {
 // (every third cell multicast), and fires the faults in turn, each at the
 // first wave of the given kind found at stage off once the drive is warm
 // and the last fault is a few cycles old. strict demands that every fault
-// finds its wave and that the drain empties both sides; the fuzzer drops
+// finds its wave, that on an ECC switch some wave runs off the commit (an
+// open ring slot) and that the drain empties both sides; the fuzzer drops
 // the faults a schedule offers no wave for.
 func faultUnderWave(t testing.TB, kind waveKind, off int, seed uint64, fires []seam, ecc, strict bool) {
 	cfg := Config{Ports: 4, WordBits: 16, Cells: 16, CutThrough: kind != readWave || seed%2 == 0}
-	if ecc {
-		cfg.ECC, cfg.BypassThreshold = true, 3
-	}
+	cfg.ECC = ecc
 	k := cfg.Canonical().Stages
 	const cycles, warm = 320, 40
 	sched := genSchedule(t, traffic.Config{Kind: traffic.Hotspot, N: 4, Load: 0.7, HotFrac: 0.4, Seed: seed}, k, cycles)
@@ -97,7 +96,7 @@ func faultUnderWave(t testing.TB, kind waveKind, off int, seed uint64, fires []s
 	l.mcastEvery = 3
 	var ev TraceEvent
 	l.sw.SetTracer(func(e TraceEvent) { ev = e })
-	next := int64(warm)
+	next, sawOpen := int64(warm), false
 	for c := int64(0); c < cycles+int64(8*k*cfg.Cells); c++ {
 		if len(fires) > 0 && c >= next {
 			if op := l.sw.ctrl[l.sw.ctrlSlot(c, off)]; op.Kind != OpNone && kind.is(&op, l.sw.refcnt) {
@@ -106,6 +105,7 @@ func faultUnderWave(t testing.TB, kind waveKind, off int, seed uint64, fires []s
 			}
 		}
 		l.tick(rowAt(sched, c))
+		sawOpen = sawOpen || l.sw.openN > 0
 		if want := l.ref.trace(); !sameEvent(ev, want) {
 			t.Fatalf("cycle %d: events diverged:\n switch    %v\n reference %v", c, ev, want)
 		}
@@ -122,6 +122,9 @@ func faultUnderWave(t testing.TB, kind waveKind, off int, seed uint64, fires []s
 	}
 	if strict && len(fires) > 0 {
 		t.Fatalf("%d faults never found a %v wave at stage %d", len(fires), kind, off)
+	}
+	if strict && ecc && !sawOpen {
+		t.Fatal("no wave ever ran off the commit: the faults opened no ring slot")
 	}
 	if strict && (!l.sw.Quiescent() || l.ref.Resident() != 0) {
 		t.Fatal("the drain left cells behind")
