@@ -18,14 +18,13 @@
 // traffic flag applies), an optional fault plan, optional CRC links.
 //
 // -faultplan runs the switch while a fault schedule unfolds and reports,
-// under the result line, corruption, ECC activity, bypasses, link
-// retransmissions, the switch's health and each fault kind's applied and
-// skipped tally. Corrupted deliveries are that run's measurement, not its
+// under the result line, corruption, ECC activity, link retransmissions
+// and each fault kind's applied and skipped tally. Corrupted deliveries are that run's measurement, not its
 // failure: it exits 1 only on a conservation violation, a drain that left
 // cells behind, an audit failure or a tripped watchdog.
 //
 //	pmsim -faultplan plan.txt -n 4 -buf 32 -load 0.6 -slots 100000 -ecc
-//	pmsim -faultplan random -n 4 -buf 32 -ecc -bypass 3 -bursty 8
+//	pmsim -faultplan random -n 4 -buf 32 -ecc -bursty 8
 //	pmsim -faultplan - < plan.txt -n 4 -linkprotect -retries 6
 //
 // The plan format is one event per line: "@<cycle> <kind> key=val…"
@@ -94,7 +93,6 @@ func main() {
 
 		faultplan = flag.String("faultplan", "", "fault-injection run: plan file, '-' for stdin, or 'random' (overrides -arch)")
 		ecc       = flag.Bool("ecc", false, "fault run: SEC-DED protect the memory banks")
-		bypass    = flag.Int("bypass", 0, "fault run: map out a bank after this many unrecovered ECC errors (0 = off; implies -ecc)")
 		linkprot  = flag.Bool("linkprotect", false, "fault run: CRC/retransmit protocol on the input links")
 		retries   = flag.Int("retries", 0, "fault run: link retransmission budget (0 = default)")
 		events    = flag.Int("events", 200, "fault run: event count for -faultplan random")
@@ -211,10 +209,9 @@ func main() {
 			die(2, "-restore resumes the checkpoint's own buffer policy; drop -bufpolicy")
 		}
 		if *faultplan != "" {
-			// Cut-through cells never read the banks, so ECC and bypass runs
-			// are store-and-forward: the faults have to be visible.
-			withECC := *ecc || *bypass > 0
-			spec.Switch = pipemem.Config{Ports: *n, Cells: *buf, CutThrough: !withECC, ECC: withECC, BypassThreshold: *bypass}
+			// Cut-through cells never read the banks, so ECC runs are
+			// store-and-forward: the faults have to be visible.
+			spec.Switch = pipemem.Config{Ports: *n, Cells: *buf, CutThrough: !*ecc, ECC: *ecc}
 			random := pipemem.FaultRandomOptions{
 				Cycles: *slots, Events: *events, Stages: 2 * *n, WordBits: 16, Inputs: *n,
 				Kinds: []pipemem.FaultKind{pipemem.FaultMem},

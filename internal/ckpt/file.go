@@ -41,7 +41,7 @@ import (
 )
 
 // FormatVersion is the checkpoint file format this build reads and writes.
-const FormatVersion = 2
+const FormatVersion = 3
 
 const magic = "pmckpt"
 

@@ -1,6 +1,8 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -173,7 +175,7 @@ func TestResumeRefusesRetiredFaultKind(t *testing.T) {
 	}
 }
 
-// TestCheckpointBytesPinned pins the pmckpt v2 file bytes (header and
+// TestCheckpointBytesPinned pins the pmckpt v3 file bytes (header and
 // body) of a plain and of a fault-plan session 333 cycles in. A session
 // that uses nothing a later format extension serializes must keep writing
 // exactly these bytes, or files written before the extension and after it
@@ -186,8 +188,8 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		sum    uint64
 		size   int
 	}{
-		{"plain", "dt:alpha=2", false, 0xca005a0fece65ec7, 13486},
-		{"faultplan", "", true, 0x57f5288ff22d2627, 14928},
+		{"plain", "dt:alpha=2", false, 0x172e1298dfaa382c, 13203},
+		{"faultplan", "", true, 0xa2328256f6ed5433, 14645},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -213,21 +215,66 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	}
 }
 
-// TestParentV1FileRefused: a pmckpt v1 file — written by the build before
-// the switch owned its input rows, in an ECC dirty window where that build
-// ran waves per stage — is refused on load with an error that names both
-// formats and says how to get a file this build reads.
+// TestParentV2BodyReencodes: pmckpt v3 drops the stage bypass's fields and
+// moves nothing else. The v2 file of TestCheckpointBytesPinned's faultplan
+// row, written by the build before the bypass was retired, decoded into this
+// build's structs, marked v3 and encoded as Save encodes it, is byte for
+// byte the body this build writes for the same session at the same cycle.
+func TestParentV2BodyReencodes(t *testing.T) {
+	body := func(path string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data[bytes.IndexByte(data, '\n')+1:]
+	}
+	var ck Checkpoint
+	if err := json.Unmarshal(body(filepath.Join("testdata", "parent-v2.ckpt")), &ck); err != nil {
+		t.Fatal(err)
+	}
+	if ck.Format != 2 {
+		t.Fatalf("testdata/parent-v2.ckpt declares format v%d", ck.Format)
+	}
+	ck.Format = FormatVersion
+	got, err := json.Marshal(&ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(specFor(t, "", true), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepTo(t, s, 333)
+	path := filepath.Join(t.TempDir(), "v3.ckpt")
+	if err := s.CheckpointTo(path); err != nil {
+		t.Fatal(err)
+	}
+	if want := body(path); !bytes.Equal(got, want) {
+		t.Fatalf("the re-encoded v2 body (%d bytes) is not the v3 body (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestParentV1FileRefused: a file of an earlier format is refused on load
+// with an error that names both formats and says how to get a file this
+// build reads. The v1 file was written by the build before the switch owned
+// its input rows, in an ECC dirty window where that build ran waves per
+// stage; the v2 file by the build before the stage bypass was retired.
 func TestParentV1FileRefused(t *testing.T) {
-	const name = "parent-ecc-window.ckpt"
-	t.Run(name, func(t *testing.T) {
-		_, err := Resume(filepath.Join("testdata", name), Options{})
-		if err == nil {
-			t.Fatal("a v1 file resumed")
-		}
-		for _, sub := range []string{"format v1", fmt.Sprintf("reads v%d", FormatVersion), "re-create"} {
-			if !strings.Contains(err.Error(), sub) {
-				t.Fatalf("error %q does not say %q", err, sub)
+	for _, r := range []struct {
+		name string
+		ver  int
+	}{{"parent-ecc-window.ckpt", 1}, {"parent-v2.ckpt", 2}} {
+		t.Run(r.name, func(t *testing.T) {
+			_, err := Resume(filepath.Join("testdata", r.name), Options{})
+			if err == nil {
+				t.Fatalf("a v%d file resumed", r.ver)
 			}
-		}
-	})
+			for _, sub := range []string{fmt.Sprintf("format v%d", r.ver), fmt.Sprintf("reads v%d", FormatVersion), "re-create"} {
+				if !strings.Contains(err.Error(), sub) {
+					t.Fatalf("error %q does not say %q", err, sub)
+				}
+			}
+		})
+	}
 }

@@ -316,7 +316,7 @@ func (s *Session) Report(res core.RunResult) *fault.Report {
 		return nil
 	}
 	rep := &fault.Report{
-		RunResult: res, Corrupt: res.Corrupt, Health: s.sw.Health(),
+		RunResult: res, Corrupt: res.Corrupt,
 		Switch: s.sw.Counters().Snapshot(), Engine: s.engine.Counters().Snapshot(),
 	}
 	if s.links != nil {

@@ -57,10 +57,8 @@ func (s *Switch) AuditInvariants() error {
 		return fmt.Errorf("core: audit: multiqueue total %d, per-queue sum %d", s.queues.Total(), totalQueued)
 	}
 
-	// Reference counts vs the address free list. Below addrLimit an
-	// address is allocated exactly while copies still queue it; at or
-	// above addrLimit (possible only after a bypass halved the buffer)
-	// addresses are permanently retired: marked allocated, never queued.
+	// Reference counts vs the address free list: an address is allocated
+	// exactly while copies still queue it.
 	if s.auditRef == nil {
 		s.auditRef = make([]int, s.cfg.Cells)
 	}
@@ -71,24 +69,15 @@ func (s *Switch) AuditInvariants() error {
 			named[s.nodes[node].addr]++
 		}
 	}
-	refSum, live := 0, 0
+	refSum := 0
 	for a := 0; a < s.cfg.Cells; a++ {
 		rc := s.refcnt[a]
 		if rc != named[a] {
 			return fmt.Errorf("core: audit: address %d has refcnt %d, but %d queued copies name it", a, rc, named[a])
 		}
-		if rc > 0 {
-			live++
-		}
 		refSum += rc
-		if a < s.addrLimit {
-			if (rc > 0) != s.free.Allocated(a) {
-				return fmt.Errorf("core: audit: address %d refcnt %d but free list says allocated=%v", a, rc, s.free.Allocated(a))
-			}
-		} else {
-			if rc != 0 || !s.free.Allocated(a) {
-				return fmt.Errorf("core: audit: retired address %d (limit %d) has refcnt %d, allocated=%v", a, s.addrLimit, rc, s.free.Allocated(a))
-			}
+		if (rc > 0) != s.free.Allocated(a) {
+			return fmt.Errorf("core: audit: address %d refcnt %d but free list says allocated=%v", a, rc, s.free.Allocated(a))
 		}
 	}
 	if refSum != s.queues.Total() {
@@ -98,12 +87,9 @@ func (s *Switch) AuditInvariants() error {
 		return fmt.Errorf("core: audit: %d descriptor nodes allocated, %d queued", got, s.queues.Total())
 	}
 
-	// Occupancy bounds (addresses, not copies).
-	if live > s.addrLimit {
-		return fmt.Errorf("core: audit: %d addresses hold cells, capacity %d", live, s.addrLimit)
-	}
-	if f := s.free.Free(); f > s.addrLimit {
-		return fmt.Errorf("core: audit: %d free addresses, capacity %d", f, s.addrLimit)
+	// Occupancy bound (addresses, not copies).
+	if f := s.free.Free(); f > s.cfg.Cells {
+		return fmt.Errorf("core: audit: %d free addresses, capacity %d", f, s.cfg.Cells)
 	}
 
 	// pendingWrites (count and bitset) mirrors the input rows still
@@ -177,16 +163,14 @@ func (s *Switch) AuditInvariants() error {
 
 	// Clean-word invariant: the wave commit never decodes, so the dirty set
 	// must be exactly the addresses holding a word that fails its check bits,
-	// and its count must mirror the flags. (Under an active bypass one
-	// physical row serves two logical addresses, every wave is open, and
-	// only the census is checked.)
+	// and its count must mirror the flags.
 	if s.eccMem != nil {
 		dirty := 0
 		for a, flagged := range s.eccDirty {
 			if flagged {
 				dirty++
 			}
-			if !s.halved && flagged == s.addrClean(a) {
+			if flagged == s.addrClean(a) {
 				return fmt.Errorf("core: audit: address %d dirty flag %v, but its words decode clean=%v", a, flagged, !flagged)
 			}
 		}
@@ -210,14 +194,6 @@ func (s *Switch) AuditInvariants() error {
 		}
 	}
 
-	// §3.2 hazard-freedom for the upcoming cycle: stage st will execute
-	// the op initiated at cycle-st, touching one physical bank (possibly
-	// redirected by an active bypass). No two stages may meet on a bank —
-	// the banks are single-ported.
-	if err := s.auditHazards(); err != nil {
-		return err
-	}
-
 	// Conservation: every copy the switch has taken on — one per offered
 	// cell, plus the extra copies of multicast write waves — is delivered,
 	// dropped, or still resident (input rows, buffer, egress). The §4.3 delay
@@ -228,36 +204,6 @@ func (s *Switch) AuditInvariants() error {
 	if got := s.counter.Get("delivered") + s.DroppedCells() + resident; got != offered {
 		return fmt.Errorf("core: audit: conservation violated: offered+copies %d, delivered+dropped+resident %d (resident %d)",
 			offered, got, resident)
-	}
-	return nil
-}
-
-// auditHazards checks that the control words the stages will execute in
-// the upcoming cycle touch pairwise distinct physical banks (§3.2: "a
-// given memory performs a single access per clock cycle"). Stage 0's word
-// is the one the coming arbitration writes; its slot still holds the wave
-// that finished k cycles ago, so the check starts at stage 1.
-func (s *Switch) auditHazards() error {
-	c := s.cycle
-	// seen[b] = stage that claims bank b this cycle, offset by +1 (0 =
-	// unclaimed).
-	if s.auditScratch == nil {
-		s.auditScratch = make([]int, s.k)
-	}
-	seen := s.auditScratch
-	for b := range seen {
-		seen[b] = 0
-	}
-	for st := 1; st < s.k; st++ {
-		op := s.ctrl[s.ctrlSlot(c, st)]
-		if op.Kind == OpNone {
-			continue
-		}
-		b, _ := s.bankFor(st, op.Addr, op.Remap)
-		if prev := seen[b]; prev != 0 {
-			return fmt.Errorf("core: audit: cycle %d: stages %d and %d both access bank %d (§3.2 hazard)", c, prev-1, st, b)
-		}
-		seen[b] = st + 1
 	}
 	return nil
 }

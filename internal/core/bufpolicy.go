@@ -17,17 +17,16 @@ import (
 // Accounting keeps the conservation invariant exact under every verdict:
 // a policy drop consumes the pending arrival ("drop-policy"), a push-out
 // removes one queued copy from the buffer ("drop-pushout"), and both add
-// into DroppedCells alongside the pre-existing overrun and bypass modes,
-// so offered == delivered + DroppedCells() + Resident() at every instant.
+// into DroppedCells alongside the pre-existing overrun mode, so
+// offered == delivered + DroppedCells() + Resident() at every instant.
 
 // bufView adapts the switch to the read-only bufmgr.State interface. One
 // instance is boxed once at construction (Switch.polState), so consulting
 // a policy in the Tick hot path allocates nothing.
 type bufView struct{ s *Switch }
 
-// Capacity implements bufmgr.State, reporting the usable address count
-// (halved while a stage bypass is active).
-func (v *bufView) Capacity() int { return v.s.addrLimit }
+// Capacity implements bufmgr.State, reporting the buffer's address count.
+func (v *bufView) Capacity() int { return v.s.cfg.Cells }
 
 // Free implements bufmgr.State.
 func (v *bufView) Free() int { return v.s.free.Free() }
@@ -63,12 +62,11 @@ func (s *Switch) SetBufferPolicy(p bufmgr.Policy) { s.policy = p }
 func (s *Switch) BufferPolicy() bufmgr.Policy { return s.policy }
 
 // DroppedCells totals every loss mode the switch has: displaced arrivals
-// ("drop-overrun"), policy refusals ("drop-policy"), push-out victims
-// ("drop-pushout") and bypass flushes ("drop-bypass"). Conservation
-// demands offered == delivered + DroppedCells() + Resident().
+// ("drop-overrun"), policy refusals ("drop-policy") and push-out victims
+// ("drop-pushout"). Conservation demands
+// offered == delivered + DroppedCells() + Resident().
 func (s *Switch) DroppedCells() int64 {
-	return s.counter.Get("drop-overrun") + s.counter.Get("drop-policy") +
-		s.counter.Get("drop-pushout") + s.counter.Get("drop-bypass")
+	return s.counter.Get("drop-overrun") + s.counter.Get("drop-policy") + s.counter.Get("drop-pushout")
 }
 
 // dropPolicy consumes input in's pending arrival on a Drop verdict: the

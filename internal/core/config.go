@@ -81,14 +81,6 @@ type Config struct {
 	// counter) and multi-bit failures are flagged ("ecc-uncorrectable")
 	// instead of being silently delivered.
 	ECC bool
-	// BypassThreshold, when positive, arms faulty-stage bypass: a memory
-	// bank that accumulates this many uncorrectable ECC errors is mapped
-	// out — its words are redirected to its partner bank's upper address
-	// half — and the switch keeps running at half buffer capacity and
-	// halved initiation rate (graceful degradation; see Health). Requires
-	// ECC (detection) and Cells ≥ 2 (somewhere to redirect to). 0 disables
-	// automatic bypass; MapOutStage remains available.
-	BypassThreshold int
 	// LinkPipeline is the §4.3 optimization for very-high-speed
 	// technologies: the long lines carrying the input and output link
 	// data are split into this many extra pipeline stages each (with a
@@ -154,15 +146,6 @@ func (c Config) Validate() error {
 	}
 	if c.VCs < 1 {
 		return fmt.Errorf("%w: %d virtual channels, need ≥ 1", ErrBadConfig, c.VCs)
-	}
-	if c.BypassThreshold < 0 {
-		return fmt.Errorf("%w: negative bypass threshold %d", ErrBadConfig, c.BypassThreshold)
-	}
-	if c.BypassThreshold > 0 && !c.ECC {
-		return fmt.Errorf("%w: stage bypass (threshold %d) requires ECC for error detection", ErrBadConfig, c.BypassThreshold)
-	}
-	if c.BypassThreshold > 0 && c.Cells < 2 {
-		return fmt.Errorf("%w: stage bypass requires ≥ 2 cells of capacity, have %d", ErrBadConfig, c.Cells)
 	}
 	return nil
 }

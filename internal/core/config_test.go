@@ -21,9 +21,6 @@ func TestValidateWrapsErrBadConfig(t *testing.T) {
 		{"negative link pipeline", Config{Ports: 2, LinkPipeline: -1}},
 		{"link pipeline past 64", Config{Ports: 2, LinkPipeline: 65}},
 		{"negative VCs", Config{Ports: 2, VCs: -1}},
-		{"negative bypass threshold", Config{Ports: 2, BypassThreshold: -1}},
-		{"bypass without ECC", Config{Ports: 2, BypassThreshold: 3}},
-		{"bypass with one cell", Config{Ports: 2, Cells: 1, ECC: true, BypassThreshold: 3}},
 	} {
 		err := tc.cfg.Validate()
 		if err == nil {
@@ -37,7 +34,7 @@ func TestValidateWrapsErrBadConfig(t *testing.T) {
 			t.Errorf("%s: New error %v does not wrap ErrBadConfig", tc.name, nerr)
 		}
 	}
-	if err := (Config{Ports: 2, WordBits: 16, Cells: 8, ECC: true, BypassThreshold: 3}).Validate(); err != nil {
+	if err := (Config{Ports: 2, WordBits: 16, Cells: 8, ECC: true}).Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }

@@ -1,108 +1,10 @@
 package core
 
-import (
-	"fmt"
+import "pipemem/internal/cell"
 
-	"pipemem/internal/cell"
-	"pipemem/internal/obs"
-)
-
-// Faulty-stage bypass and graceful degradation.
-//
-// The pipelined memory has no redundancy between stages: every cell needs
-// one word in every one of the K banks, so a dead bank cannot simply be
-// skipped. Instead, banks are paired (bank b with b^1; the odd bank out in
-// an odd-K configuration pairs downward) and the buffer's address space is
-// split in half. When bank b is mapped out:
-//
-//   - usable buffer addresses shrink to addrLimit = Cells/2;
-//   - every access of a wave's stage b at address a < addrLimit is
-//     redirected to the partner bank at address a + addrLimit — the upper
-//     half of each healthy bank becomes the spare region for its partner;
-//   - all resident cells are flushed ("drop-bypass" per queued copy) and
-//     the free list is rebuilt over the low addresses, so no later read
-//     ever targets a pre-bypass location;
-//   - wave initiations are spaced two cycles apart (arbitrate), since a
-//     redirected stage doubles the port load on its partner bank; with the
-//     2-cycle cadence no two waves ever meet on one single-ported bank.
-//
-// Waves already in flight when the bypass trips keep their original bank
-// schedule (Op.Remap is frozen at initiation): a read started before the
-// map-out completes from the physical bank that held its data, and the
-// stale tail of a flushed write harmlessly touches retired locations.
-//
-// The degradation mirrors §5's area-vs-capacity tradeoff at run time:
-// losing one of K banks costs half the buffer capacity and half the peak
-// initiation rate, but the switch keeps forwarding traffic and integrity
-// checks stay honest. Losing both banks of a pair is unsurvivable; the
-// switch keeps running but Health.Failed is raised and delivered data is
-// no longer trustworthy.
-
-// Health is a snapshot of the switch's fault-tolerance state, the
-// run-time view a management plane would poll.
-type Health struct {
-	// StageDown[b] reports that memory bank b is mapped out.
-	StageDown []bool
-	// Bypassed lists the mapped-out banks in ascending order.
-	Bypassed []int
-	// Degraded reports that a bypass is active: the buffer runs at half
-	// capacity and waves are initiated at most every other cycle.
-	Degraded bool
-	// Failed reports that both banks of a partner pair are down (or a
-	// bypass had nowhere to redirect): the shared buffer can no longer
-	// store cells reliably and delivered data is suspect.
-	Failed bool
-	// UsableCells is the current buffer capacity in cell addresses.
-	UsableCells int
-	// ECCCorrected, ECCUncorrectable and ECCHard mirror the
-	// "ecc-corrected", "ecc-uncorrectable" and "ecc-hard" counters (hard:
-	// corrected locations that failed their scrub-verify); BypassDrops
-	// mirrors "drop-bypass" (queued copies flushed when a stage was mapped
-	// out).
-	ECCCorrected, ECCUncorrectable, ECCHard, BypassDrops int64
-}
-
-// Health reports the current fault-tolerance state.
-func (s *Switch) Health() Health {
-	h := Health{
-		StageDown:        append([]bool(nil), s.stageDown...),
-		Degraded:         s.halved,
-		Failed:           s.failed,
-		UsableCells:      s.addrLimit,
-		ECCCorrected:     s.counter.Get("ecc-corrected"),
-		ECCUncorrectable: s.counter.Get("ecc-uncorrectable"),
-		ECCHard:          s.counter.Get("ecc-hard"),
-		BypassDrops:      s.counter.Get("drop-bypass"),
-	}
-	for b, down := range s.stageDown {
-		if down {
-			h.Bypassed = append(h.Bypassed, b)
-		}
-	}
-	return h
-}
-
-// partner returns the bank paired with st for bypass redirection.
-func (s *Switch) partner(st int) int {
-	p := st ^ 1
-	if p >= s.k {
-		p = st - 1
-	}
-	return p
-}
-
-// bankFor resolves a wave's (stage, address) access to a physical (bank,
-// row). Only remapped waves (initiated under an active bypass) follow the
-// redirect; their addresses are always below addrLimit, so the partner's
-// upper half is in range.
-func (s *Switch) bankFor(st, addr int, remap bool) (int, int) {
-	if remap && s.halved && s.stageDown[st] && addr < s.addrLimit {
-		if p := s.partner(st); !s.stageDown[p] {
-			return p, addr + s.addrLimit
-		}
-	}
-	return st, addr
-}
+// The fault seams and the defense layers: stuck banks, memory upsets under
+// SEC-DED, flipped input registers, and the wave commit's test for a fault
+// that can still reach a wave.
 
 // writeWord performs stage st's write of a wave at address addr. A bank
 // with an injected stuck-at fault still takes the write — the fault sits
@@ -111,9 +13,8 @@ func (s *Switch) bankFor(st, addr int, remap bool) (int, int) {
 // be there, never whatever an earlier wave left behind: storage no live
 // wave has written stays unobservable, which is what lets the wave commit
 // skip deposits nobody will read (commitWave).
-func (s *Switch) writeWord(st, addr int, remap bool, w cell.Word) {
-	b, a := s.bankFor(st, addr, remap)
-	i := s.memIdx(b, a)
+func (s *Switch) writeWord(st, addr int, w cell.Word) {
+	i := s.memIdx(st, addr)
 	s.mem[i] = w
 	if s.eccMem != nil {
 		s.eccMem[i] = s.ecc.encode(w)
@@ -130,19 +31,16 @@ func (s *Switch) senseWord(b, a int) cell.Word {
 	return s.mem[s.memIdx(b, a)]
 }
 
-// readWord performs stage st's read of a wave at address addr, applying
-// the ECC defense layer. Single-bit upsets are corrected and scrubbed
-// back, with a read-after-write verify: a location that still fails after
-// the scrub holds a hard fault ("ecc-hard") and counts toward the bank's
-// bypass threshold, while a repaired transient does not. Multi-bit
-// failures ("ecc-uncorrectable") always count toward the threshold. A
-// stuck bank's data lines read all-ones regardless of what was written, so
-// its reads fail their check bits one way or the other: either as outright
-// uncorrectable words, or as "corrected" words whose scrub is withheld
-// (it would overwrite the intact array with a guess) and caught by the
-// verify.
-func (s *Switch) readWord(st, addr int, remap bool) cell.Word {
-	b, a := s.bankFor(st, addr, remap)
+// readWord performs stage b's read of a wave at address a, applying the
+// ECC defense layer. Single-bit upsets are corrected and scrubbed back,
+// with a read-after-write verify: a location that still fails after the
+// scrub holds a hard fault ("ecc-hard"); multi-bit failures are flagged
+// ("ecc-uncorrectable"). A stuck bank's data lines read all-ones regardless
+// of what was written, so its reads fail their check bits one way or the
+// other: either as outright uncorrectable words, or as "corrected" words
+// whose scrub is withheld (it would overwrite the intact array with a
+// guess) and caught by the verify.
+func (s *Switch) readWord(b, a int) cell.Word {
 	w := s.senseWord(b, a)
 	if s.eccMem == nil {
 		return w
@@ -161,14 +59,12 @@ func (s *Switch) readWord(st, addr int, remap bool) cell.Word {
 		}
 		if _, vs := s.ecc.decode(s.senseWord(b, a), s.eccMem[i]); vs != eccClean {
 			s.counter.Inc("ecc-hard", 1)
-			s.stageErr[b]++
 			if s.obs != nil {
 				s.obs.ECCHard.Inc()
 			}
 		}
 	case eccUncorrectable:
 		s.counter.Inc("ecc-uncorrectable", 1)
-		s.stageErr[b]++
 		if s.obs != nil {
 			s.obs.ECCUncorrectable.Inc()
 		}
@@ -176,98 +72,20 @@ func (s *Switch) readWord(st, addr int, remap bool) cell.Word {
 	return dec
 }
 
-// mapOutBank takes bank b out of service: capacity halves, resident cells
-// are flushed, and future waves redirect stage b to the partner bank's
-// upper half. Idempotent per bank. Counted under "stage-bypass". next is
-// the first cycle whose stages have not run: every wave in flight is opened
-// first, while the bank map is still the identity.
-func (s *Switch) mapOutBank(b int, next int64) {
-	if s.stageDown[b] {
-		return
-	}
-	s.openWhere(next, func(int, int64, *Op) bool { return true })
-	s.materializeLazy()
-	s.stageDown[b] = true
-	s.counter.Inc("stage-bypass", 1)
-	if o := s.obs; o != nil {
-		o.StageBypass.Inc()
-		o.Tracer.Emit(obs.Event{Kind: obs.EvBypass, Cycle: s.cycle, In: -1, Out: -1, Addr: int32(b)})
-		if next == o.since { // flushed ahead of the first watched arbitration
-			o.seed = 0
-		}
-	}
-	if s.stageDown[s.partner(b)] || s.cfg.Cells < 2 {
-		s.failed = true
-	}
-	if !s.halved {
-		s.halved = true
-		s.addrLimit = s.cfg.Cells / 2
-	}
-	// Flush every queued descriptor: resident cells may straddle the dead
-	// bank and the address split invalidates their locations either way.
-	for q := 0; q < s.queues.Queues(); q++ {
-		for {
-			node, ok := s.queues.Pop(q)
-			if !ok {
-				break
-			}
-			addr := s.nodes[node].addr
-			s.counter.Inc("drop-bypass", 1)
-			s.nfree.Put(node)
-			s.refcnt[addr]--
-			if s.refcnt[addr] == 0 {
-				s.free.Put(addr)
-			}
-		}
-	}
-	for o := range s.outOcc {
-		s.outOcc[o] = 0 // every queue was just flushed
-	}
-	s.occMask = 0
-	// Rebuild the free list over the usable low addresses only; the upper
-	// half of every bank is now the redirect region and the corresponding
-	// addresses stay permanently retired (never handed out again).
-	for {
-		if _, ok := s.free.Get(); !ok {
-			break
-		}
-	}
-	for a := s.addrLimit - 1; a >= 0; a-- {
-		s.free.Put(a)
-	}
-	for a := range s.eccDirty { // the map changed under the dirty set
-		s.eccRecheck(a)
-	}
-}
-
-// MapOutStage manually maps out stage st — the maintenance path a
-// management plane would use for a bank failing in ways ECC cannot see.
-// Call it between Ticks. Reads already in flight complete from the
-// physical bank, so mapping out a still-readable bank loses no data beyond
-// the flushed buffer residents.
-func (s *Switch) MapOutStage(st int) error {
-	if st < 0 || st >= s.k {
-		return fmt.Errorf("core: stage %d out of range 0…%d", st, s.k-1)
-	}
-	s.mapOutBank(st, s.cycle)
-	return nil
-}
-
 // SetStageStuck injects (or clears) a stuck-at fault on bank st: its data
 // lines read all-ones whatever the array holds (writes still land, and
 // show again once the fault clears). The fault engine's "stuck" events use
 // this; with ECC armed the bank's words fail their check bits on every
-// read until the bypass threshold maps the bank out. Reads in flight that
-// have yet to reach the bank see the change there.
-func (s *Switch) SetStageStuck(st int, stuck bool) {
-	if st < 0 || st >= s.k {
-		return
+// read while it is stuck. Reads in flight that have yet to reach the bank
+// see the change there. It reports whether the bank's level changed: false
+// for a stage the switch lacks, a stuck bank set stuck, a healthy one
+// cleared.
+func (s *Switch) SetStageStuck(st int, stuck bool) bool {
+	if st < 0 || st >= s.k || (s.stuck != nil && s.stuck[st]) == stuck {
+		return false
 	}
 	if s.stuck == nil {
 		s.stuck = make([]bool, s.k)
-	}
-	if s.stuck[st] == stuck {
-		return
 	}
 	s.openWhere(s.cycle, func(j int, _ int64, op *Op) bool { return op.Kind == OpRead && j <= st })
 	s.stuck[st] = stuck
@@ -276,13 +94,13 @@ func (s *Switch) SetStageStuck(st int, stuck bool) {
 	} else {
 		s.stuckN--
 	}
+	return true
 }
 
 // InjectMemoryFault XORs mask into the stored word of the given wave
 // stage and buffer address — a single-event upset in the bank array. The
 // check bits are deliberately left stale so the ECC layer sees the flip.
-// The current bypass remap is applied, so the fault lands where live
-// traffic will actually read. A wave in flight over the address that has
+// A wave in flight over the address that has
 // yet to reach the stage meets the upset there: a read decodes (and
 // scrubs) or delivers it, a write overwrites it.
 //
@@ -299,8 +117,7 @@ func (s *Switch) InjectMemoryFault(stage, addr int, mask cell.Word) {
 	}
 	s.openWhere(s.cycle, func(st int, _ int64, op *Op) bool { return op.Addr == addr && st <= stage })
 	s.materializeAddr(addr) // the flip must hit the payload's bytes
-	b, a := s.bankFor(stage, addr, true)
-	s.mem[s.memIdx(b, a)] ^= mask
+	s.mem[s.memIdx(stage, addr)] ^= mask
 	s.eccRecheck(addr)
 }
 
@@ -341,8 +158,7 @@ func (s *Switch) MemoryClean(stage, addr int) bool {
 	if s.eccMem == nil {
 		return true
 	}
-	b, a := s.bankFor(stage, addr, true)
-	i := s.memIdx(b, a)
+	i := s.memIdx(stage, addr)
 	_, status := s.ecc.decode(s.mem[i], s.eccMem[i])
 	return status == eccClean
 }
@@ -377,8 +193,8 @@ func (s *Switch) InjectInputRegisterFault(in, word int, mask cell.Word) {
 }
 
 // The wave commit's fault seam. A wave commits at initiation unless a fault
-// can still reach one of its stages — a stuck bank it reads, a redirected
-// bank, a word failing its check bits, a flipped input register, an address
+// can still reach one of its stages — a stuck bank it reads, a word failing
+// its check bits, a flipped input register, an address
 // an open wave still touches (accesses to one address keep cycle order).
 // Such a wave is open: each stage accesses the banks at its own cycle
 // (runStages). A seam firing later walks the ≤ k live slots once and opens
@@ -387,13 +203,13 @@ func (s *Switch) InjectInputRegisterFault(in, word int, mask cell.Word) {
 
 // seamsOpen reports that an initiation must ask initiate.
 func (s *Switch) seamsOpen() bool {
-	return s.openN|s.stuckN|s.eccDirtyN|s.flipN != 0 || s.halved
+	return s.openN|s.stuckN|s.eccDirtyN|s.flipN != 0
 }
 
 // initiate starts the wave just arbitrated at cycle c in ring slot slot,
 // open or committed.
 func (s *Switch) initiate(slot int, op *Op, c int64) {
-	if !(s.halved || op.Kind == OpRead && s.stuckN > 0 || s.eccDirtyN > 0 && s.eccDirty[op.Addr] ||
+	if !(op.Kind == OpRead && s.stuckN > 0 || s.eccDirtyN > 0 && s.eccDirty[op.Addr] ||
 		op.Kind != OpRead && s.rows[op.In].flipped || s.openN > 0 && s.touched(op.Addr)) {
 		s.commitWave(op, c)
 		return
@@ -423,9 +239,9 @@ func (s *Switch) touched(addr int) bool {
 
 // openWhere opens, before cycle next, each committed wave in flight that
 // reach picks by its next stage, initiation cycle and op, with every later
-// wave over its address. Under a bypass every wave is open already.
+// wave over its address.
 func (s *Switch) openWhere(next int64, reach func(st int, c0 int64, op *Op) bool) {
-	for st := s.k - 1; st >= 1 && !s.halved; st-- {
+	for st := s.k - 1; st >= 1; st-- {
 		slot, c0 := s.ctrlSlot(next, st), next-int64(st)
 		if op := &s.ctrl[slot]; op.Kind != OpNone && !s.open[slot] && reach(st, c0, op) {
 			s.openChain(op.Addr, c0, next, true)
@@ -450,7 +266,7 @@ func (s *Switch) openChain(addr int, from, next int64, count bool) {
 		if op.Kind != OpWrite {
 			r := s.rxHead[op.Out]
 			for j := st; op.Kind == OpRead && j < s.k; j++ {
-				s.writeWord(j, addr, false, r.words[j])
+				s.writeWord(j, addr, r.words[j])
 			}
 			r.words, r.clean = r.words[:st], false
 		}
@@ -470,17 +286,11 @@ func (s *Switch) retire(slot int) {
 	}
 }
 
-// runStages runs this cycle's stage of every open wave, then maps out a
-// bank past its threshold.
+// runStages runs this cycle's stage of every open wave.
 func (s *Switch) runStages(c int64) {
 	for st := 0; st < s.k; st++ {
 		if slot := s.ctrlSlot(c, st); s.open[slot] {
 			s.stage(st, &s.ctrl[slot], c)
-		}
-	}
-	for b := 0; b < s.k && s.cfg.BypassThreshold > 0; b++ {
-		if !s.stageDown[b] && s.stageErr[b] >= s.cfg.BypassThreshold {
-			s.mapOutBank(b, c+1)
 		}
 	}
 }
@@ -490,10 +300,10 @@ func (s *Switch) runStages(c int64) {
 func (s *Switch) stage(st int, op *Op, c int64) {
 	var w cell.Word
 	if op.Kind == OpRead {
-		w = s.readWord(st, op.Addr, op.Remap)
+		w = s.readWord(st, op.Addr)
 	} else {
 		w = s.rowWord(op.In, st, c)
-		s.writeWord(st, op.Addr, op.Remap, w)
+		s.writeWord(st, op.Addr, w)
 	}
 	if s.eccDirtyN > 0 && s.eccDirty[op.Addr] {
 		s.eccRecheck(op.Addr)

@@ -83,9 +83,9 @@ func NewDual(cfg Config) (*DualSwitch, error) {
 	}
 	// The half-quantum model implements none of these; refuse them rather
 	// than run as if they had not been asked for.
-	if cfg.VCs > 1 || cfg.ECC || cfg.BypassThreshold != 0 || cfg.LinkPipeline != 0 || cfg.NoReadPriority {
-		return nil, fmt.Errorf("%w: dual switch has no virtual channels, ECC, stage bypass, link pipelining or write priority (VCs=%d ECC=%v BypassThreshold=%d LinkPipeline=%d NoReadPriority=%v)",
-			ErrBadConfig, cfg.VCs, cfg.ECC, cfg.BypassThreshold, cfg.LinkPipeline, cfg.NoReadPriority)
+	if cfg.VCs > 1 || cfg.ECC || cfg.LinkPipeline != 0 || cfg.NoReadPriority {
+		return nil, fmt.Errorf("%w: dual switch has no virtual channels, ECC, link pipelining or write priority (VCs=%d ECC=%v LinkPipeline=%d NoReadPriority=%v)",
+			ErrBadConfig, cfg.VCs, cfg.ECC, cfg.LinkPipeline, cfg.NoReadPriority)
 	}
 	n, k := cfg.Ports, cfg.Ports
 	d := &DualSwitch{

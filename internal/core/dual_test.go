@@ -34,7 +34,6 @@ func TestDualConfig(t *testing.T) {
 	for _, cfg := range []Config{
 		{Ports: 4, Cells: 8, VCs: 3},
 		{Ports: 4, Cells: 8, ECC: true},
-		{Ports: 4, Cells: 8, ECC: true, BypassThreshold: 2},
 		{Ports: 4, Cells: 8, LinkPipeline: 1},
 		{Ports: 4, Cells: 8, NoReadPriority: true},
 	} {

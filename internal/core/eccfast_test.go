@@ -240,10 +240,12 @@ func TestECCRunResultEqualsReference(t *testing.T) {
 			if !reflect.DeepEqual(gotRes, wantRes) || gotErr != wantErr {
 				t.Fatalf("RunResult diverged:\n switch    %+v (%s)\n reference %+v (%s)", gotRes, gotErr, wantRes, wantErr)
 			}
-			if g, w := l.sw.Health(), l.ref.Health(); !reflect.DeepEqual(g, w) {
-				t.Fatalf("health diverged:\n switch    %+v\n reference %+v", g, w)
+			for _, name := range []string{"ecc-corrected", "ecc-uncorrectable", "ecc-hard"} {
+				if g, w := l.sw.Counters().Get(name), l.ref.counter.Get(name); g != w {
+					t.Fatalf("counter %s = %d, reference %d", name, g, w)
+				}
 			}
-			if faults == eccMemFlips && wantRes.Corrupt == 0 && l.ref.Health().ECCCorrected == 0 {
+			if faults == eccMemFlips && wantRes.Corrupt == 0 && l.ref.counter.Get("ecc-corrected") == 0 {
 				t.Fatal("no upset was corrected; the plan tests nothing")
 			}
 		})
@@ -411,8 +413,8 @@ func TestECCUpsetUnderWave(t *testing.T) {
 	for i := 0; i < k-2; i++ {
 		s.Tick(nil)
 	}
-	if h := s.Health(); h.ECCCorrected != 0 {
-		t.Fatalf("corrected=%d before the wave reached the upset's stage", h.ECCCorrected)
+	if n := s.Counters().Get("ecc-corrected"); n != 0 {
+		t.Fatalf("corrected=%d before the wave reached the upset's stage", n)
 	}
 	for i := 0; i < k+2; i++ {
 		s.Tick(nil)
@@ -421,8 +423,8 @@ func TestECCUpsetUnderWave(t *testing.T) {
 	if len(deps) != 1 || !deps[0].Cell.Equal(deps[0].Expected) {
 		t.Fatalf("first copy: %d departures, want one intact", len(deps))
 	}
-	if h := s.Health(); h.ECCCorrected != 1 || s.eccDirtyN != 0 {
-		t.Fatalf("the wave in flight did not meet the upset: corrected=%d dirty=%d", h.ECCCorrected, s.eccDirtyN)
+	if n := s.Counters().Get("ecc-corrected"); n != 1 || s.eccDirtyN != 0 {
+		t.Fatalf("the wave in flight did not meet the upset: corrected=%d dirty=%d", n, s.eccDirtyN)
 	}
 
 	// The second copy finds the scrubbed word.
@@ -435,8 +437,8 @@ func TestECCUpsetUnderWave(t *testing.T) {
 	if len(deps) != 1 || !deps[0].Cell.Equal(deps[0].Expected) {
 		t.Fatalf("second copy: %d departures, want one intact", len(deps))
 	}
-	if h := s.Health(); h.ECCCorrected != 1 || h.ECCUncorrectable != 0 {
-		t.Fatalf("second wave: corrected=%d uncorrectable=%d, want 1 and 0", h.ECCCorrected, h.ECCUncorrectable)
+	if c, u := s.Counters().Get("ecc-corrected"), s.Counters().Get("ecc-uncorrectable"); c != 1 || u != 0 {
+		t.Fatalf("second wave: corrected=%d uncorrectable=%d, want 1 and 0", c, u)
 	}
 }
 
@@ -477,8 +479,8 @@ func TestStuckBankTakesWrites(t *testing.T) {
 					t.Fatalf("%d departures, want 1", len(deps))
 				}
 				intact := deps[0].Cell.Equal(deps[0].Expected)
-				h := s.Health()
-				events := h.ECCCorrected + h.ECCUncorrectable + h.ECCHard
+				ctr := s.Counters()
+				events := ctr.Get("ecc-corrected") + ctr.Get("ecc-uncorrectable") + ctr.Get("ecc-hard")
 				if clear {
 					if !intact || events != 0 {
 						t.Fatalf("after the fault cleared: intact=%v, %d ECC events; the write did not land", intact, events)

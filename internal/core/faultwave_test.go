@@ -12,7 +12,7 @@ import (
 // Faults placed under waves on purpose: every seam, fired at a chosen stage
 // offset of an in-flight wave of a chosen kind, with the switch held to the
 // reference every cycle from the start of the drive to the end of the drain
-// — departures, drops by mode, the reference's counters, Health — and
+// — departures, drops by mode, the reference's counters — and
 // AuditInvariants clean every cycle. Every cycle until the switch has
 // drained is snapshotted and restored too, and every 13th cycle the run
 // continues on the restored switch.
@@ -72,7 +72,6 @@ func seams() []seam {
 			// The bank stuck a cell time ago; it clears under the wave.
 			l.both(func(s faultSeams) { s.SetStageStuck(off, false) })
 		}},
-		{name: "map-out", ecc: true, fire: func(l *lockstep, op Op, off int) { l.mapOut(off) }},
 		{name: "inreg", fire: func(l *lockstep, op Op, off int) {
 			l.both(func(s faultSeams) { s.InjectInputRegisterFault(op.In, off, 0x0100) })
 		}},

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -15,18 +14,18 @@ import (
 // faultSeams are the injection seams Switch and the reference share.
 type faultSeams interface {
 	InjectMemoryFault(stage, addr int, mask cell.Word)
-	SetStageStuck(st int, on bool)
+	SetStageStuck(st int, on bool) bool
 	InjectInputRegisterFault(in, word int, mask cell.Word)
 }
 
 // refCounters are the counters the reference keeps.
 var refCounters = []string{"offered", "accepted", "delivered", "corrupt", "drop-overrun", "drop-policy",
-	"drop-pushout", "drop-bypass", "ecc-corrected", "ecc-uncorrectable", "ecc-hard", "stage-bypass"}
+	"drop-pushout", "ecc-corrected", "ecc-uncorrectable", "ecc-hard"}
 
 // lockstep drives a Switch and the reference with the same arrivals and the
 // same faults and holds them equal after every cycle: the departures (cell,
 // words, output, head-in, head-out, tail-out, initiation delay), the
-// counters the reference keeps, Health, and the occupancy the arbiters see.
+// counters the reference keeps, and the occupancy the arbiters see.
 type lockstep struct {
 	t   testing.TB
 	sw  *Switch
@@ -73,14 +72,6 @@ func newLockstep(t testing.TB, cfg Config, polSpec string) *lockstep {
 func (l *lockstep) both(f func(faultSeams)) {
 	f(l.sw)
 	f(l.ref)
-}
-
-// mapOut maps bank b out on both sides.
-func (l *lockstep) mapOut(b int) {
-	if err := l.sw.MapOutStage(b); err != nil {
-		l.t.Fatal(err)
-	}
-	l.ref.mapOut(b)
 }
 
 // heads builds the arrival vector for one schedule row (nil for none).
@@ -135,9 +126,6 @@ func (l *lockstep) check() {
 		if g, w := l.sw.Counters().Get(name), l.ref.counter.Get(name); g != w {
 			l.t.Fatalf("cycle %d: counter %s = %d, reference %d", c, name, g, w)
 		}
-	}
-	if g, w := l.sw.Health(), l.ref.Health(); !reflect.DeepEqual(g, w) {
-		l.t.Fatalf("cycle %d: health\n got  %+v\n want %+v", c, g, w)
 	}
 	res := l.ref.Resident()
 	for _, hc := range l.line {
@@ -226,7 +214,7 @@ func (r *refSwitch) Resident() int {
 	return res
 }
 func (r *refSwitch) DroppedCells() (d int64) {
-	for _, mode := range []string{"drop-overrun", "drop-policy", "drop-pushout", "drop-bypass"} {
+	for _, mode := range []string{"drop-overrun", "drop-policy", "drop-pushout"} {
 		d += r.counter.Get(mode)
 	}
 	return d

@@ -21,17 +21,15 @@ type Observer struct {
 	WriteWaves, ReadWaves, CutThroughs *obs.Counter
 	// Stalls counts cycles in which at least one eligible pending write
 	// wave could not be initiated (§3.4 staggered initiation, a read
-	// holding the stage-0 slot, degraded cadence, or a full buffer).
+	// holding the stage-0 slot, or a full buffer).
 	Stalls *obs.Counter
-	// Delivered counts completed departures; DropOverrun and DropBypass
-	// count the two built-in loss modes (displaced arrivals, bypass
-	// flushes). DropPolicy and DropPushOut count the buffer-management
-	// layer's decisions: arrivals refused by the installed bufmgr policy
-	// and queued copies preempted to make room.
-	Delivered, DropOverrun, DropBypass *obs.Counter
-	DropPolicy, DropPushOut            *obs.Counter
-	// ECC and bypass activity from the fault-tolerance layer.
-	ECCCorrected, ECCUncorrectable, ECCHard, StageBypass *obs.Counter
+	// Delivered counts completed departures; DropOverrun the built-in loss
+	// mode (displaced arrivals). DropPolicy and DropPushOut count the
+	// buffer-management layer's decisions: arrivals refused by the
+	// installed bufmgr policy and queued copies preempted to make room.
+	Delivered, DropOverrun, DropPolicy, DropPushOut *obs.Counter
+	// ECC activity from the fault-tolerance layer.
+	ECCCorrected, ECCUncorrectable, ECCHard *obs.Counter
 	// Link-protocol activity (fault.Link wires these when protecting a
 	// switch's input links).
 	LinkRetransmits, LinkFailed *obs.Counter
@@ -66,13 +64,11 @@ func NewObserver(reg *obs.Registry, ports int) *Observer {
 		Stalls:           reg.Counter("pipemem_init_stalls_total", "Cycles with an eligible pending write wave that could not initiate (§3.4)."),
 		Delivered:        reg.Counter("pipemem_delivered_total", "Cells fully reassembled on an outgoing link."),
 		DropOverrun:      reg.Counter("pipemem_drop_overrun_total", "Cells displaced from an input register row before obtaining a write wave."),
-		DropBypass:       reg.Counter("pipemem_drop_bypass_total", "Queued copies flushed when a memory bank was mapped out."),
 		DropPolicy:       reg.Counter("pipemem_drop_policy_total", "Arrivals refused by the shared-buffer admission policy."),
 		DropPushOut:      reg.Counter("pipemem_drop_pushout_total", "Queued copies preempted (pushed out) to admit an arrival."),
 		ECCCorrected:     reg.Counter("pipemem_ecc_corrected_total", "Single-bit upsets corrected (and scrubbed) by SEC-DED."),
 		ECCUncorrectable: reg.Counter("pipemem_ecc_uncorrectable_total", "Multi-bit ECC failures."),
 		ECCHard:          reg.Counter("pipemem_ecc_hard_total", "Corrected locations that failed scrub-verify (hard faults)."),
-		StageBypass:      reg.Counter("pipemem_stage_bypass_total", "Memory banks mapped out by the bypass layer."),
 		LinkRetransmits:  reg.Counter("pipemem_link_retransmits_total", "CRC-triggered link retransmissions."),
 		LinkFailed:       reg.Counter("pipemem_link_failed_total", "Cells abandoned by the link protocol after exhausting retries."),
 		Buffered:         reg.Gauge("pipemem_buffered_cells", "Cells currently held in the shared buffer."),
@@ -106,7 +102,6 @@ func (s *Switch) SetObserver(o *Observer) {
 	w.mirrors = [...]mirror{
 		{src: s.cDelivered, dst: o.Delivered},
 		{src: s.cDropOverrun, dst: o.DropOverrun},
-		{src: s.counter.Hot("drop-bypass"), dst: o.DropBypass},
 		{src: s.cDropPolicy, dst: o.DropPolicy},
 		{src: s.cDropPushout, dst: o.DropPushOut},
 		{src: &w.waves[OpWrite], dst: o.WriteWaves},
@@ -145,7 +140,7 @@ type observed struct {
 	peak, seed, since int64
 	// mirrors feed registry counters from monotone tallies: the switch's
 	// delivered and drop counters and the two above.
-	mirrors           [9]mirror
+	mirrors           [8]mirror
 	cutLat, initDelay *obs.HistShadow
 }
 

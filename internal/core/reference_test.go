@@ -21,22 +21,21 @@ import (
 // would on silicon.
 type refSwitch struct {
 	cfg                                 Config
-	n, k, readRR, writeRR, addrLimit    int
-	cycle, lastInit                     int64
+	n, k, readRR, writeRR               int
+	cycle                               int64
 	bank                                [][]cell.Word // [stage][address]
 	chk                                 [][]uint8     // SEC-DED check bits, [stage][address]
 	ecc                                 *eccCode
 	inRow                               [][]cell.Word // [input][word]
 	arr                                 []arrival
 	outW                                []cell.Word // [stage]: the output register row
-	outTo, drove, refcnt, stageErr      []int       // [stage]: its link+1 (0 unloaded), the link it drove
+	outTo, drove, refcnt                []int       // [stage]: its link+1 (0 unloaded), the link it drove
 	ctl                                 []Op        // [stage]: what the stage executes this cycle
 	free                                *fifo.FreeList
 	q                                   [][]desc // [output], front first
 	eg                                  []*reasm // [output]: the transmission on the link
 	policy                              bufmgr.Policy
-	stuck, down                         []bool
-	halved, failed                      bool
+	stuck                               []bool
 	counter                             stats.Counter
 	wrSkip, inStalls, inDrops, outDrops []int64
 	initDelay                           stats.Mean
@@ -50,12 +49,12 @@ func newRef(cfg Config, pol bufmgr.Policy) *refSwitch {
 		panic(fmt.Sprintf("reference: VCs=%d LinkPipeline=%d NoReadPriority=%v not modeled", cfg.VCs, cfg.LinkPipeline, cfg.NoReadPriority))
 	}
 	n, k := cfg.Ports, cfg.Stages
-	r := &refSwitch{cfg: cfg, n: n, k: k, policy: pol, addrLimit: cfg.Cells, lastInit: -2,
+	r := &refSwitch{cfg: cfg, n: n, k: k, policy: pol,
 		bank: grid[cell.Word](k, cfg.Cells), chk: grid[uint8](k, cfg.Cells), inRow: grid[cell.Word](n, k),
 		arr: make([]arrival, n), outW: make([]cell.Word, k), outTo: make([]int, k), drove: make([]int, k),
 		ctl:  make([]Op, k),
 		free: fifo.NewFreeList(cfg.Cells), q: make([][]desc, n), refcnt: make([]int, cfg.Cells), eg: make([]*reasm, n),
-		stuck: make([]bool, k), down: make([]bool, k), stageErr: make([]int, k),
+		stuck:  make([]bool, k),
 		wrSkip: make([]int64, n), inStalls: make([]int64, n), inDrops: make([]int64, n), outDrops: make([]int64, n),
 		cutLat: stats.NewHist(4096)}
 	if cfg.ECC {
@@ -66,8 +65,7 @@ func newRef(cfg Config, pol bufmgr.Policy) *refSwitch {
 
 // Tick is one cycle of fig. 5: the output registers loaded last cycle drive
 // their links, stage 0 gets the new control word and stage s+1 stage s's,
-// every stage executes, the input registers latch, and a bank past its error
-// threshold is mapped out.
+// every stage executes, and the input registers latch.
 func (r *refSwitch) Tick(heads []*cell.Cell) {
 	c := r.cycle
 	for st, to := range r.outTo {
@@ -82,8 +80,8 @@ func (r *refSwitch) Tick(heads []*cell.Cell) {
 		}
 	}
 	var op Op
-	if (!r.halved || c-r.lastInit >= 2) && (r.pickRead(c, &op) || r.pickWrite(c, &op)) {
-		r.lastInit, op.Remap = c, r.halved
+	if !r.pickRead(c, &op) {
+		r.pickWrite(c, &op)
 	}
 	copy(r.ctl[1:], r.ctl[:r.k-1])
 	r.ctl[0] = op
@@ -112,11 +110,6 @@ func (r *refSwitch) Tick(heads []*cell.Cell) {
 		*a = arrival{c: heads[i], head: c, active: true}
 		r.inRow[i][0] = heads[i].Words[0] & m
 	}
-	for b := range r.down {
-		if t := r.cfg.BypassThreshold; t > 0 && !r.down[b] && r.stageErr[b] >= t {
-			r.mapOut(b)
-		}
-	}
 	r.cycle++
 }
 
@@ -130,9 +123,8 @@ func (r *refSwitch) exec(st int, op Op) {
 	case OpRead:
 		w = r.read(st, op)
 	default:
-		b, a := r.bankFor(st, op.Addr, op.Remap)
-		if r.bank[b][a] = w; r.ecc != nil {
-			r.chk[b][a] = r.ecc.encode(w)
+		if r.bank[st][op.Addr] = w; r.ecc != nil {
+			r.chk[st][op.Addr] = r.ecc.encode(w)
 		}
 	}
 	if op.Kind != OpWrite {
@@ -143,7 +135,7 @@ func (r *refSwitch) exec(st int, op Op) {
 // read is a stage's read through the defense layers: SEC-DED correction
 // with scrub and read-after-write verify, all-ones behind stuck data lines.
 func (r *refSwitch) read(st int, op Op) cell.Word {
-	b, a := r.bankFor(st, op.Addr, op.Remap)
+	b, a := st, op.Addr
 	sense := func() cell.Word {
 		if r.stuck[b] {
 			return r.cfg.wordMask()
@@ -161,29 +153,11 @@ func (r *refSwitch) read(st int, op Op) cell.Word {
 		}
 		if _, vs := r.ecc.decode(sense(), r.chk[b][a]); vs != eccClean {
 			r.counter.Inc("ecc-hard", 1)
-			r.stageErr[b]++
 		}
 	case eccUncorrectable:
 		r.counter.Inc("ecc-uncorrectable", 1)
-		r.stageErr[b]++
 	}
 	return dec
-}
-
-// bankFor is the redirect table of a stage bypass (degrade.go): bank b pairs
-// with b^1, the odd bank out with b-1.
-func (r *refSwitch) bankFor(st, addr int, remap bool) (int, int) {
-	if p := r.partner(st); remap && r.halved && r.down[st] && addr < r.addrLimit && !r.down[p] {
-		return p, addr + r.addrLimit
-	}
-	return st, addr
-}
-
-func (r *refSwitch) partner(b int) int {
-	if b^1 >= r.k {
-		return b - 1
-	}
-	return b ^ 1
 }
 
 // pickRead grants the first idle output, round robin from readRR, whose
@@ -287,58 +261,23 @@ func (r *refSwitch) depart(o int, c int64) {
 		TailOut: c, InitDelay: e.d.writeStart - e.d.head - 1, VC: e.d.vc})
 }
 
-// mapOut takes bank b out of service: half the addresses, the residents
-// flushed, the upper half of every healthy bank the redirect region.
-func (r *refSwitch) mapOut(b int) {
-	if r.down[b] {
-		return
-	}
-	r.down[b] = true
-	r.counter.Inc("stage-bypass", 1)
-	r.failed = r.failed || r.down[r.partner(b)] || r.cfg.Cells < 2
-	if !r.halved {
-		r.halved, r.addrLimit = true, r.cfg.Cells/2
-	}
-	for o := range r.q {
-		for len(r.q[o]) > 0 {
-			r.pop(o)
-			r.counter.Inc("drop-bypass", 1)
-		}
-	}
-	for _, ok := r.free.Get(); ok; _, ok = r.free.Get() {
-	}
-	for a := r.addrLimit - 1; a >= 0; a-- {
-		r.free.Put(a)
-	}
-}
-
 // The fault seams, with Switch's signatures and argument checks.
 func (r *refSwitch) InjectMemoryFault(stage, addr int, mask cell.Word) {
 	if stage >= 0 && stage < r.k && addr >= 0 && addr < r.cfg.Cells {
-		b, a := r.bankFor(stage, addr, true)
-		r.bank[b][a] ^= mask.Mask(r.cfg.WordBits)
+		r.bank[stage][addr] ^= mask.Mask(r.cfg.WordBits)
 	}
 }
 
-func (r *refSwitch) SetStageStuck(st int, on bool) { r.stuck[st] = on }
+func (r *refSwitch) SetStageStuck(st int, on bool) bool {
+	changed := r.stuck[st] != on
+	r.stuck[st] = on
+	return changed
+}
 
 func (r *refSwitch) InjectInputRegisterFault(in, word int, mask cell.Word) {
 	if in >= 0 && in < r.n && word >= 0 && word < r.k {
 		r.inRow[in][word] ^= mask.Mask(r.cfg.WordBits)
 	}
-}
-
-// Health mirrors Switch.Health.
-func (r *refSwitch) Health() Health {
-	h := Health{StageDown: append([]bool(nil), r.down...), Degraded: r.halved, Failed: r.failed, UsableCells: r.addrLimit,
-		ECCCorrected: r.counter.Get("ecc-corrected"), ECCUncorrectable: r.counter.Get("ecc-uncorrectable"),
-		ECCHard: r.counter.Get("ecc-hard"), BypassDrops: r.counter.Get("drop-bypass")}
-	for b, d := range r.down {
-		if d {
-			h.Bypassed = append(h.Bypassed, b)
-		}
-	}
-	return h
 }
 
 // trace is the fig. 5 event of the cycle just run, read off the registers:
@@ -356,7 +295,7 @@ func (r *refSwitch) trace() TraceEvent {
 
 // The admission policies' view (bufmgr.State).
 
-func (r *refSwitch) Capacity() int           { return r.addrLimit }
+func (r *refSwitch) Capacity() int           { return r.cfg.Cells }
 func (r *refSwitch) Free() int               { return r.free.Free() }
 func (r *refSwitch) Queued(out int) int      { return len(r.q[out]) }
 func (r *refSwitch) QueuedVC(out, _ int) int { return len(r.q[out]) }

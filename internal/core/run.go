@@ -19,8 +19,7 @@ type RunResult struct {
 	// DropOverrun, DropPolicy and DropPushOut break Dropped down by loss
 	// mode: arrivals displaced before obtaining a write wave, arrivals
 	// refused by the shared-buffer admission policy, and queued cells
-	// preempted by a push-out verdict. (Bypass flushes, the fourth mode,
-	// appear only in fault runs.)
+	// preempted by a push-out verdict.
 	DropOverrun, DropPolicy, DropPushOut int64
 	// InputStalls[i] counts cycles input i held a cell still waiting for
 	// its write wave — the per-port backpressure that used to be a silent

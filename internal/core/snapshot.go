@@ -177,12 +177,6 @@ type SwitchState struct {
 	Egress [][]ReasmState
 
 	Stuck        []bool `json:",omitempty"`
-	StageErr     []int
-	StageDown    []bool
-	Halved       bool
-	Failed       bool
-	AddrLimit    int
-	LastInit     int64
 	WriteStartAt []int64
 
 	// InDelay[slot][input] is the §4.3 link-pipelining delay line content
@@ -233,12 +227,6 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 
 		Egress: make([][]ReasmState, s.n),
 
-		StageErr:     append([]int(nil), s.stageErr...),
-		StageDown:    append([]bool(nil), s.stageDown...),
-		Halved:       s.halved,
-		Failed:       s.failed,
-		AddrLimit:    s.addrLimit,
-		LastInit:     s.lastInit,
 		WriteStartAt: append([]int64(nil), s.writeStartAt...),
 
 		Counters:   s.counter.Snapshot(),
@@ -328,8 +316,6 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 		"LinkFree":     {len(st.LinkFree), n},
 		"VCRR":         {len(st.VCRR), n},
 		"Egress":       {len(st.Egress), n},
-		"StageErr":     {len(st.StageErr), k},
-		"StageDown":    {len(st.StageDown), k},
 		"WriteStartAt": {len(st.WriteStartAt), cfg.Cells},
 	}
 	if cfg.ECC {
@@ -490,15 +476,6 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 		}
 		s.stuck = append([]bool(nil), st.Stuck...)
 	}
-	copy(s.stageErr, st.StageErr)
-	copy(s.stageDown, st.StageDown)
-	s.halved = st.Halved
-	s.failed = st.Failed
-	if st.AddrLimit < 0 || st.AddrLimit > s.cfg.Cells {
-		return nil, fmt.Errorf("core: switch state address limit %d out of range 0…%d", st.AddrLimit, s.cfg.Cells)
-	}
-	s.addrLimit = st.AddrLimit
-	s.lastInit = st.LastInit
 	copy(s.writeStartAt, st.WriteStartAt)
 	// The dirty set is derived, never serialized: it is exactly the
 	// addresses holding a word that fails its check bits.

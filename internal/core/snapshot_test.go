@@ -211,18 +211,6 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	if err := s.AuditInvariants(); err == nil {
 		t.Fatal("multicast conservation violation went undetected")
 	}
-
-	// §3.2 hazard: force two stages onto one bank in the upcoming cycle.
-	s = mk()
-	c := s.Cycle()
-	s.ctrl[s.ctrlSlot(c, 2)] = Op{Kind: OpWrite, In: 0, Addr: 0}
-	s.ctrl[s.ctrlSlot(c, 3)] = Op{Kind: OpRead, Out: 0, Addr: 0, Remap: true}
-	s.halved = true
-	s.stageDown[3] = true
-	s.addrLimit = s.Config().Cells / 2
-	if err := s.auditHazards(); err == nil {
-		t.Fatal("bank collision went undetected")
-	}
 }
 
 // TestAuditZeroAlloc pins the auditor's steady-state cost: on a warm

@@ -59,12 +59,6 @@ type Op struct {
 	Out int
 	// Addr is the buffer address used by every stage of the wave.
 	Addr int
-	// Remap marks a wave initiated while a stage bypass is active: every
-	// stage of the wave resolves mapped-out banks through the redirect
-	// table (degrade.go). The flag is frozen at initiation so a wave that
-	// was in flight when a bypass tripped keeps its original bank schedule
-	// to completion.
-	Remap bool
 }
 
 // String implements fmt.Stringer.
@@ -186,24 +180,13 @@ type Switch struct {
 	// eccDirty flags exactly the addresses holding a word that fails its
 	// check bits, eccDirtyN counts them: the wave commit never decodes, so
 	// a wave over one runs off it (initiate). stuck marks banks with an
-	// injected stuck-at fault, stuckN counts them. stageErr tallies
-	// uncorrectable errors per bank; stageDown marks banks mapped out by
-	// bypass. Once a bypass halves the buffer, addrLimit is the usable
-	// address count and the upper half of every healthy bank is the
-	// redirect region for its mapped-out partner. lastInit spaces
-	// initiations while degraded.
+	// injected stuck-at fault, stuckN counts them.
 	eccMem    []uint8
 	ecc       *eccCode
 	eccDirty  []bool
 	eccDirtyN int
 	stuck     []bool
 	stuckN    int
-	stageErr  []int
-	stageDown []bool
-	halved    bool
-	failed    bool
-	addrLimit int
-	lastInit  int64
 	// writeStartAt[addr] is the initiation cycle of the write wave that
 	// last allocated addr; fault engines use it (AddrStable) to target
 	// only fully deposited words.
@@ -249,9 +232,9 @@ type Switch struct {
 	inDelay      [][]*cell.Cell
 	delayScratch []*cell.Cell // reused heads vector for the delayed wave
 	delayCount   int
-	// auditScratch (per bank) and auditRef (per address) are the tables
-	// AuditInvariants reuses so online audits stay allocation-free.
-	auditScratch, auditRef []int
+	// auditRef (per address) is the table AuditInvariants reuses so online
+	// audits stay allocation-free.
+	auditRef []int
 	// initDelay accumulates §3.4's staggered-initiation delay.
 	initDelay stats.Mean
 }
@@ -283,10 +266,6 @@ func New(cfg Config) (*Switch, error) {
 		linkFree:     make([]int64, n),
 		outOpen:      make([]bool, n),
 		vcRR:         make([]int, n),
-		stageErr:     make([]int, k),
-		stageDown:    make([]bool, k),
-		addrLimit:    cfg.Cells,
-		lastInit:     -2,
 		writeStartAt: make([]int64, cfg.Cells),
 	}
 	s.linkSide.init(n, k, cfg.LinkPipeline)
@@ -381,7 +360,7 @@ func (s *Switch) memIdx(st, addr int) int { return addr*s.k + st }
 
 // setCtrl writes one control-ring slot, keeping the live-op count. The op
 // is taken by pointer (never retained) so the per-cycle call moves no
-// 40-byte struct.
+// 32-byte struct.
 func (s *Switch) setCtrl(slot int, op *Op) {
 	if s.ctrl[slot].Kind != OpNone {
 		s.waves--
@@ -581,10 +560,9 @@ func (s *Switch) SetTransmitCellHook(f func(out int, c *cell.Cell, startCycle in
 
 // SetDropCellHook installs a callback invoked once per cell the switch
 // loses, whatever the loss mode (overrun displacement, policy refusal,
-// push-out eviction; bypass flushes are fault-layer state and do not
-// fire it). The switch holds no reference it will read to a cell it hands
-// to the hook — its input row latched a copy of the words — so the caller
-// may recycle the cell at once. The multistage fabric uses the hook to
+// push-out eviction). The switch holds no reference it will read to a cell
+// it hands to the hook — its input row latched a copy of the words — so the
+// caller may recycle the cell at once. The multistage fabric uses the hook to
 // retire per-cell flight state and free the dead cell's credit.
 func (s *Switch) SetDropCellHook(f func(c *cell.Cell)) {
 	s.onDropCell = f
@@ -672,8 +650,8 @@ func (s *Switch) tick(heads []*cell.Cell) {
 
 	// No-initiation shortcut: with nothing awaiting a write wave and
 	// nothing buffered, both pickers would scan and fail — exactly what
-	// arbitrate would return Op{} for, with no side effect (lastInit moves
-	// only on success). Skipping the call is therefore bit-identical.
+	// arbitrate would return Op{} for, with no side effect. Skipping the
+	// call is therefore bit-identical.
 	var op Op
 	base := s.slotOf(c)
 	if s.pendingWrites != 0 || s.queues.Total() != 0 {
@@ -815,15 +793,10 @@ func (s *Switch) accrueStalls(c int64) {
 	}
 }
 
-// arbitrate picks this cycle's stage-0 operation, enforcing the degraded
-// initiation cadence while a stage bypass is active: a mapped-out stage
-// doubles the load on its partner bank's single port, so waves initiated on
-// consecutive cycles could collide there. Spacing initiations two cycles
-// apart makes every remapped schedule conflict-free again (the §3.4 slot
-// argument at half rate).
-// The chosen operation is written through op — which must be zeroed by the
-// caller and is left untouched on a no-initiation cycle — so the 40-byte
-// Op never rides a return-value copy through the picker call chain.
+// arbitrate picks this cycle's stage-0 operation. The chosen operation is
+// written through op — which must be zeroed by the caller and is left
+// untouched on a no-initiation cycle — so the 32-byte Op never rides a
+// return-value copy through the picker call chain.
 func (s *Switch) arbitrate(c int64, op *Op) bool {
 	if s.prof == nil {
 		return s.arbitrateInner(c, op)
@@ -836,27 +809,13 @@ func (s *Switch) arbitrate(c int64, op *Op) bool {
 }
 
 func (s *Switch) arbitrateInner(c int64, op *Op) bool {
-	if s.halved && c-s.lastInit < 2 {
-		return false
-	}
 	// Reads first (outgoing links must not idle), then the most urgent
 	// pending write, upgraded to a write-through when cut-through applies;
 	// NoReadPriority flips the order.
-	var ok bool
 	if !s.cfg.NoReadPriority {
-		if ok = s.pickRead(c, op); !ok {
-			ok = s.pickWrite(c, op)
-		}
-	} else {
-		if ok = s.pickWrite(c, op); !ok {
-			ok = s.pickRead(c, op)
-		}
+		return s.pickRead(c, op) || s.pickWrite(c, op)
 	}
-	if ok {
-		s.lastInit = c
-		op.Remap = s.halved
-	}
-	return ok
+	return s.pickWrite(c, op) || s.pickRead(c, op)
 }
 
 // pickRead selects an idle, open outgoing link with an eligible

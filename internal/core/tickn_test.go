@@ -203,8 +203,7 @@ func (h *ticknHarness) runBatched(sched [][]int, tail int64, faults []faultAt) {
 // freed address is fully rewritten before any wave reads it again — but
 // they can legitimately differ between two equivalent histories:
 // serializing a snapshot materializes lazily deferred payloads into the
-// array, while a run never snapshotted leaves those words untouched. Only
-// valid while the bank remap is identity (no bypass).
+// array, while a run never snapshotted leaves those words untouched.
 func scrubFreedMem(st *SwitchState) {
 	k := st.Config.Canonical().Stages
 	for addr, rc := range st.Refcnt {

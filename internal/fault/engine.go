@@ -62,9 +62,9 @@ func NewEngine(plan *Plan, seed uint64) *Engine {
 // Step fires every event scheduled at the given cycle. Call it once per
 // cycle, before the switch's Tick for that cycle. Events that would change
 // nothing — a target that cannot be resolved (no live buffer word, an idle
-// link) or that the switch lacks, a mask the word width cuts to zero — are
-// skipped and counted; applied and skipped tallies are per kind in
-// Counters.
+// link) or that the switch lacks, a mask the word width cuts to zero, a
+// stuck level the bank already has — are skipped and counted; applied and
+// skipped tallies are per kind in Counters.
 func (e *Engine) Step(t Target, cycle int64) {
 	for e.idx < len(e.plan.Events) && e.plan.Events[e.idx].Cycle <= cycle {
 		ev := e.plan.Events[e.idx]
@@ -131,11 +131,7 @@ func (e *Engine) apply(t Target, ev Event) bool {
 		s.InjectMemoryFault(stage, addr, bits)
 		return true
 	case Stuck:
-		if ev.Stage < 0 || ev.Stage >= cfg.Stages {
-			return false
-		}
-		s.SetStageStuck(ev.Stage, !ev.Off)
-		return true
+		return s.SetStageStuck(ev.Stage, !ev.Off)
 	case InReg:
 		if ev.In < 0 || ev.In >= cfg.Ports || ev.Word < 0 || ev.Word >= cfg.Stages {
 			return false
@@ -196,9 +192,8 @@ func RestoreEngine(plan *Plan, st *EngineState) (*Engine, error) {
 
 // Report is the outcome of a fault run, as ckpt.Session.Report fills it:
 // the run's result, what the links in front of the switch did (zero without
-// link protection), the switch's counters ("ecc-corrected", "drop-bypass",
-// …), the engine's applied-/skipped- tallies per fault kind, and the
-// switch's final fault-tolerance state.
+// link protection), the switch's counters ("ecc-corrected", "ecc-hard", …)
+// and the engine's applied-/skipped- tallies per fault kind.
 type Report struct {
 	core.RunResult
 	// Corrupt counts delivered cells whose payload differed from the
@@ -210,18 +205,13 @@ type Report struct {
 	// LinkRetransmits NAK-triggered retransmissions across inputs.
 	LinkFailed, LinkRetransmits int64
 	Switch, Engine              map[string]int64
-	Health                      core.Health
 }
 
 // String renders what pmsim prints under a fault run's result line: the
-// defense layers' tallies, the health line, and one line per fault kind the
-// plan held.
+// defense layers' tallies, and one line per fault kind the plan held.
 func (r *Report) String() string {
-	h := r.Health
-	s := fmt.Sprintf("corrupt=%d ecc-corrected=%d ecc-uncorrectable=%d bypassed=%v linkfailed=%d retransmits=%d\n"+
-		"health: degraded=%v failed=%v usable-cells=%d ecc-hard=%d bypass-drops=%d",
-		r.Corrupt, r.Switch["ecc-corrected"], r.Switch["ecc-uncorrectable"], h.Bypassed, r.LinkFailed, r.LinkRetransmits,
-		h.Degraded, h.Failed, h.UsableCells, h.ECCHard, h.BypassDrops)
+	s := fmt.Sprintf("corrupt=%d ecc-corrected=%d ecc-uncorrectable=%d ecc-hard=%d linkfailed=%d retransmits=%d",
+		r.Corrupt, r.Switch["ecc-corrected"], r.Switch["ecc-uncorrectable"], r.Switch["ecc-hard"], r.LinkFailed, r.LinkRetransmits)
 	for k := Kind(0); k < numKinds; k++ {
 		if a, sk := r.Engine[appliedName[k]], r.Engine[skippedName[k]]; a+sk > 0 {
 			s += fmt.Sprintf("\nfaults: %-11s applied=%d skipped=%d", k, a, sk)

@@ -9,32 +9,45 @@ import (
 )
 
 // TestEngineSkipsEventsThatChangeNothing: an event naming a stage, address
-// or input the switch lacks, or whose mask the word width cuts to zero, hits
-// nothing — the engine counts it skipped and the switch is left as it was.
+// or input the switch lacks, whose mask the word width cuts to zero, or that
+// sets a bank to the stuck level it already has, hits nothing — the engine
+// counts it skipped and the switch is left as it was.
 func TestEngineSkipsEventsThatChangeNothing(t *testing.T) {
 	for _, r := range []struct {
 		line    string
 		applied bool
+		// setup, when set, is a plan line applied to the switch first.
+		setup string
 	}{
-		{"@0 mem stage=1 addr=1 bits=0x10", true},
-		{"@0 mem stage=9 addr=1", false},
-		{"@0 mem stage=1 addr=99", false},
-		{"@0 mem stage=1 addr=1 bits=0x10000", false},
-		{"@0 stuck stage=1", true},
-		{"@0 stuck stage=9", false},
-		{"@0 inreg in=0 word=0 bits=0x4", true},
-		{"@0 inreg in=5 word=0", false},
-		{"@0 inreg in=0 word=0 bits=0x10000", false},
-		{"@0 linkcorrupt in=0 word=any bits=0x10", true},
-		{"@0 linkcorrupt in=0 word=any bits=0x10000", false},
+		{"@0 mem stage=1 addr=1 bits=0x10", true, ""},
+		{"@0 mem stage=9 addr=1", false, ""},
+		{"@0 mem stage=1 addr=99", false, ""},
+		{"@0 mem stage=1 addr=1 bits=0x10000", false, ""},
+		{"@0 stuck stage=1", true, ""},
+		{"@0 stuck stage=9", false, ""},
+		{"@0 stuck stage=1", false, "@0 stuck stage=1"},
+		{"@0 stuck stage=1 off", false, ""},
+		{"@0 stuck stage=1 off", true, "@0 stuck stage=1"},
+		{"@0 inreg in=0 word=0 bits=0x4", true, ""},
+		{"@0 inreg in=5 word=0", false, ""},
+		{"@0 inreg in=0 word=0 bits=0x10000", false, ""},
+		{"@0 linkcorrupt in=0 word=any bits=0x10", true, ""},
+		{"@0 linkcorrupt in=0 word=any bits=0x10000", false, ""},
 	} {
-		t.Run(r.line, func(t *testing.T) {
+		name := r.line
+		if r.setup != "" {
+			name = r.setup + " then " + r.line
+		}
+		t.Run(name, func(t *testing.T) {
 			s := mustSwitch(t, core.Config{Ports: 2, WordBits: 16, Cells: 8, ECC: true})
 			k := s.Config().Stages
 			links := []*Link{NewLink(k, 16, -1), NewLink(k, 16, -1)}
 			for i, l := range links {
 				l.Offer(cell.New(uint64(i+1), i, 1-i, k, 16), 0)
 				l.Tick(0, pool) // word 0 on the wire
+			}
+			if r.setup != "" {
+				NewEngine(mustPlan(t, r.setup), 1).Step(Target{Switch: s, Links: links}, 0)
 			}
 			before, err := s.Snapshot()
 			if err != nil {

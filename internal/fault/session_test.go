@@ -80,9 +80,6 @@ func TestChaosSoakECC(t *testing.T) {
 			if got := rep.Switch["ecc-corrected"]; got != applied {
 				t.Fatalf("ecc-corrected = %d, want exactly the %d applied faults", got, applied)
 			}
-			if rep.Health.Degraded || rep.Health.Failed {
-				t.Fatalf("switch degraded under fully correctable faults: %+v", rep.Health)
-			}
 			if rep.Delivered == 0 || rep.Dropped != 0 && name == "bernoulli" {
 				t.Fatalf("delivered=%d dropped=%d; soak load should be loss-free", rep.Delivered, rep.Dropped)
 			}

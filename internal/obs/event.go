@@ -28,9 +28,7 @@ const (
 	// be initiated (§3.4 staggered initiation, a read holding the slot,
 	// or a full buffer). V = pending write count.
 	EvStall
-	// EvBypass: a memory bank was mapped out by the fault-tolerance
-	// layer. Addr = bank/stage index.
-	EvBypass
+	_ // retired: a bank map-out; kind values are stable wire identifiers
 	// EvCRCRetransmit: a link-level CRC failure triggered a
 	// retransmission. In = input link, V = retry attempt number.
 	EvCRCRetransmit
@@ -76,8 +74,6 @@ func (k EventKind) String() string {
 		return "wave-end"
 	case EvStall:
 		return "stall"
-	case EvBypass:
-		return "bypass"
 	case EvCRCRetransmit:
 		return "crc-retransmit"
 	case EvDrop:

@@ -89,7 +89,6 @@ func TestJSONLGolden(t *testing.T) {
 		{Kind: EvCutThrough, Cycle: 12, In: 0, Out: 2, Addr: 9},
 		{Kind: EvWaveEnd, Cycle: 20, In: -1, Out: 3, Addr: -1, V: 9},
 		{Kind: EvStall, Cycle: 21, In: -1, Out: -1, Addr: -1, V: 4},
-		{Kind: EvBypass, Cycle: 30, In: -1, Out: -1, Addr: 5},
 		{Kind: EvCRCRetransmit, Cycle: 31, In: 2, Out: -1, Addr: -1, V: 1},
 	}
 	for _, e := range events {

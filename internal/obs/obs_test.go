@@ -194,7 +194,7 @@ func TestTracerRegisterExposesCounts(t *testing.T) {
 }
 
 func TestEventKindStrings(t *testing.T) {
-	kinds := []EventKind{EvWriteWave, EvReadWave, EvCutThrough, EvWaveEnd, EvStall, EvBypass, EvCRCRetransmit, EvDrop, EvWatchdog, EvCheckpoint}
+	kinds := []EventKind{EvWriteWave, EvReadWave, EvCutThrough, EvWaveEnd, EvStall, EvCRCRetransmit, EvDrop, EvWatchdog, EvCheckpoint}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

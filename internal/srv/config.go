@@ -81,12 +81,11 @@ type SessionConfig struct {
 	Policy string `json:"policy,omitempty"`
 
 	// FaultPlan is a fault-plan text (one "@cycle kind k=v…" event per
-	// line); FaultSeed resolves its "any" targets. ECC and Bypass
-	// configure the protection the plan is run against.
+	// line); FaultSeed resolves its "any" targets. ECC configures the
+	// protection the plan is run against.
 	FaultPlan string `json:"fault_plan,omitempty"`
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
 	ECC       bool   `json:"ecc,omitempty"`
-	Bypass    int    `json:"bypass,omitempty"`
 
 	// AuditEvery and Watchdog arm the session's online invariant auditor
 	// and no-progress watchdog (cycles; 0 = off).
@@ -183,7 +182,7 @@ func (c SessionConfig) Spec() (ckpt.Spec, error) {
 		}
 	}
 	spec = ckpt.Spec{
-		Switch:  core.Config{Ports: ports, WordBits: 16, Cells: buf, CutThrough: !c.ECC, ECC: c.ECC, BypassThreshold: c.Bypass},
+		Switch:  core.Config{Ports: ports, WordBits: 16, Cells: buf, CutThrough: !c.ECC, ECC: c.ECC},
 		Traffic: tcfg,
 		Cycles:  c.Cycles,
 		Policy:  c.Policy,

@@ -114,7 +114,7 @@ func FuzzSessionConfig(f *testing.F) {
 		`{"cycles":100}`,
 		`{"name":"demo","ports":4,"buf":32,"cycles":100000,"load":0.85,"seed":7,"policy":"dt:alpha=2"}`,
 		`{"name":"demo","ports":2,"buf":8,"cycles":400,"traffic":"trace","schedule":[[1,0]]}`,
-		`{"ports":4,"buf":32,"cycles":5000,"ecc":true,"bypass":3,"fault_plan":"@500 stuck stage=2\n@90 mem stage=1","fault_seed":3}`,
+		`{"ports":4,"buf":32,"cycles":5000,"ecc":true,"fault_plan":"@500 stuck stage=2\n@90 mem stage=1","fault_seed":3}`,
 		`{"traffic":"hotspot","hot":0.5,"hot_port":7,"cycles":10,"audit_every":64,"watchdog":1000}`,
 		`{"traffic":"bursty","burst":8,"load":0.3,"cycles":10}`,
 		`{"traffic":"permutation","ports":64,"buf":1024,"cycles":1}`,

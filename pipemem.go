@@ -217,7 +217,7 @@ type (
 
 // Observer bundles the switch's pre-registered metric slots (wave
 // initiations, cut-throughs, stalls, queue depths, buffer high-water
-// mark, drops, ECC/bypass activity, latency histograms) and an optional
+// mark, drops, ECC activity, latency histograms) and an optional
 // event tracer. Install with Switch.SetObserver.
 type Observer = core.Observer
 
@@ -252,7 +252,6 @@ const (
 	EvCutThrough    = obs.EvCutThrough
 	EvWaveEnd       = obs.EvWaveEnd
 	EvStall         = obs.EvStall
-	EvBypass        = obs.EvBypass
 	EvCRCRetransmit = obs.EvCRCRetransmit
 )
 
@@ -294,11 +293,6 @@ var ErrBadConfig = core.ErrBadConfig
 
 // ErrBadPlan is the sentinel wrapped by every fault-plan parse error.
 var ErrBadPlan = fault.ErrBadPlan
-
-// Health is a snapshot of a Switch's fault-tolerance state: mapped-out
-// banks, degradation, usable capacity, and ECC counters. Poll it with
-// Switch.Health().
-type Health = core.Health
 
 // FaultPlan is a deterministic schedule of fault events.
 type FaultPlan = fault.Plan
