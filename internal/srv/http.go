@@ -312,13 +312,14 @@ func (m *Manager) namedRegistries() []obs.NamedRegistry {
 const maxBodyBytes = sessionAllocBudget / 4
 
 // decodeBody parses an optional JSON request body (empty body = zero
-// value), rejecting trailing garbage and unparseable JSON as 400s and a body
-// over maxBodyBytes as a 413.
+// value), rejecting a key v does not have, trailing garbage and unparseable
+// JSON as 400s and a body over maxBodyBytes as a 413.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	if r.Body == nil {
 		return nil
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		if err.Error() == "EOF" { // empty body: all defaults
 			return nil

@@ -115,11 +115,18 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 	}
 
 	// Bad configs: malformed JSON, missing cycles, unknown traffic, bad
-	// policy.
+	// policy, a key SessionConfig does not have (a typo, the retired
+	// bypass knob) — none registers a session.
 	do(t, c, "POST", ts.URL+"/sessions", `{"cycles":`, 400, nil)
 	do(t, c, "POST", ts.URL+"/sessions", `{}`, 400, nil)
 	do(t, c, "POST", ts.URL+"/sessions", `{"cycles":100,"traffic":"fractal"}`, 400, nil)
 	do(t, c, "POST", ts.URL+"/sessions", `{"cycles":100,"policy":"nonsense"}`, 400, nil)
+	do(t, c, "POST", ts.URL+"/sessions", `{"cycles":100,"polcy":"dt:alpha=2"}`, 400, nil)
+	do(t, c, "POST", ts.URL+"/sessions", `{"cycles":100,"ecc":true,"bypass":3}`, 400, nil)
+	do(t, c, "GET", ts.URL+"/sessions", "", 200, &list)
+	if len(list) != 0 {
+		t.Fatalf("refused creates registered %d sessions", len(list))
+	}
 
 	// Create a trace session.
 	var st Status
