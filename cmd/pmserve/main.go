@@ -10,7 +10,8 @@
 //
 //	pmserve -listen localhost:8377 -max-sessions 16 -ckpt-dir /tmp/pm
 //
-// API (all request/response bodies JSON):
+// API (all request/response bodies JSON; a request body key the route
+// does not take is a 400, never ignored):
 //
 //	GET    /sessions                     list sessions
 //	POST   /sessions                     create ({"cycles":100000,...} or {"restore":"s1.ckpt"})

@@ -365,6 +365,9 @@ func TestDocsNameNothingRetired(t *testing.T) {
 		"observeCycle", "obsTally",
 		// The control glitch is retired: a ctrl plan line is a bad plan
 		"InjectControlFault", "glitch-words", "ctrlView", "dropGlitch", "glitchN",
+		// The stage bypass is retired: the switch has no spare stage and no
+		// degraded mode
+		"MapOutStage", "BypassThreshold", "EvBypass", "stage-bypass", "drop-bypass", "usable-cells",
 	}
 	for _, doc := range liveDocs {
 		text, err := os.ReadFile(filepath.Join("../..", doc))
