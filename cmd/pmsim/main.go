@@ -19,9 +19,10 @@
 //
 // -faultplan runs the switch while a fault schedule unfolds and reports,
 // under the result line, corruption, ECC activity, link retransmissions
-// and each fault kind's applied and skipped tally. Corrupted deliveries are that run's measurement, not its
-// failure: it exits 1 only on a conservation violation, a drain that left
-// cells behind, an audit failure or a tripped watchdog.
+// and each fault kind's applied and skipped tally. Corrupted deliveries
+// are that run's measurement, not its failure: it exits 1 only on a
+// conservation violation, a drain that left cells behind, an audit
+// failure or a tripped watchdog.
 //
 //	pmsim -faultplan plan.txt -n 4 -buf 32 -load 0.6 -slots 100000 -ecc
 //	pmsim -faultplan random -n 4 -buf 32 -ecc -bursty 8
