@@ -620,7 +620,8 @@ func TestPmsimAuditChangesNothing(t *testing.T) {
 		{"unprotected", "", append(append([]string{}, random...), "-load", "0.6", "-events", "40")},
 		{"ecc-bursty-dt", "", append(append([]string{}, random...), "-ecc", "-bursty", "8", "-bufpolicy", "dt:alpha=2")},
 		{"ecc-hot", "", append(append([]string{}, random...), "-ecc", "-hot", "0.5")},
-		{"stuck-ecc", "@500 stuck stage=2\n", []string{"-faultplan", "-", "-n", "2", "-buf", "8", "-load", "0.4", "-slots", "20000", "-ecc"}},
+		// (Named for the stage bypass the stuck-bank recipe once armed.)
+		{"stuck-bypass", "@500 stuck stage=2\n", []string{"-faultplan", "-", "-n", "2", "-buf", "8", "-load", "0.4", "-slots", "20000", "-ecc"}},
 		{"linkprotect", "", append(append([]string{}, random...), "-load", "0.5", "-linkprotect")},
 		{"linkprotect-saturate", "", append(append([]string{}, random...), "-saturate", "-linkprotect", "-retries", "1", "-events", "2000")},
 		{"link-events-without-links", "@40 linkdrop in=0\n@50 linkcorrupt in=1\n@60 mem\n", []string{"-faultplan", "-", "-n", "4", "-buf", "32", "-slots", "2000"}},

@@ -24,12 +24,13 @@ const (
 	// to reach the upset's stage where there is one (underWave).
 	eccMemFlips
 	// eccStuck: bank 2 sticks mid-burst, under the waves in flight, and
-	// fails every read from then on.
+	// fails every read from then on. Its cases keep the name they had when
+	// a stage bypass mapped the bank out.
 	eccStuck
 )
 
 func (f eccFaults) String() string {
-	return [...]string{"clean", "memflips", "stuck"}[f]
+	return [...]string{"clean", "memflips", "stuck-bypass"}[f]
 }
 
 // The drive alternates bursts of hotspot overload with idle gaps long

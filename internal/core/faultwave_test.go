@@ -59,15 +59,18 @@ func seams() []seam {
 	mem := func(l *lockstep, op Op, off int) {
 		l.both(func(s faultSeams) { s.InjectMemoryFault(off, op.Addr, 0x0010) })
 	}
+	stuck := func(l *lockstep, op Op, off int) {
+		l.both(func(s faultSeams) { s.SetStageStuck(off, true) })
+	}
 	return []seam{
 		{name: "mem/ecc", ecc: true, fire: mem},
 		{name: "mem", fire: mem},
 		{name: "mem/uncorrectable", ecc: true, fire: func(l *lockstep, op Op, off int) {
 			l.both(func(s faultSeams) { s.InjectMemoryFault(off, op.Addr, 0x0011) })
 		}},
-		{name: "stuck", ecc: true, fire: func(l *lockstep, op Op, off int) {
-			l.both(func(s faultSeams) { s.SetStageStuck(off, true) })
-		}},
+		{name: "stuck", ecc: true, fire: stuck},
+		// No check bits: the bank's all-ones words reach the outputs.
+		{name: "stuck/no-ecc", fire: stuck},
 		{name: "stuck-off", ecc: true, fire: func(l *lockstep, op Op, off int) {
 			// The bank stuck a cell time ago; it clears under the wave.
 			l.both(func(s faultSeams) { s.SetStageStuck(off, false) })

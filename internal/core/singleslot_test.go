@@ -62,8 +62,9 @@ func TestSingleEgressSlot(t *testing.T) {
 		},
 		{
 			// A bank stuck mid-run: every read from then on runs its stages
-			// at their own cycles.
-			name: "stuck/ct",
+			// at their own cycles. (The case keeps the name it had when a
+			// stage bypass mapped the bank out.)
+			name: "bypass/ct",
 			cfg:  Config{Ports: 4, WordBits: 16, Cells: 16, ECC: true, CutThrough: true},
 			before: func(s faultSeams, c int64) {
 				if c == 300 {
