@@ -384,6 +384,46 @@ func TestDocsNameNothingRetired(t *testing.T) {
 	}
 }
 
+// TestChangelogWhole guards CHANGES.md as the only per-PR record: its
+// entries run in ascending PR order, and every "(PR N" citation in
+// ROADMAP.md names an entry that exists.
+func TestChangelogWhole(t *testing.T) {
+	log, err := os.ReadFile("../../CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	roadmap, err := os.ReadFile("../../ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := regexp.MustCompile(`^(?:- )?PR (\d+)\b`)
+	have := map[int]bool{}
+	last := 0
+	for i, line := range strings.Split(string(log), "\n") {
+		m := entry.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		var pr int
+		fmt.Sscan(m[1], &pr)
+		if pr < last {
+			t.Errorf("CHANGES.md:%d: PR %d follows PR %d", i+1, pr, last)
+		}
+		last = pr
+		have[pr] = true
+	}
+	cited := regexp.MustCompile(`\(PR (\d+)`)
+	for i, line := range strings.Split(string(roadmap), "\n") {
+		for _, m := range cited.FindAllStringSubmatch(line, -1) {
+			var pr int
+			fmt.Sscan(m[1], &pr)
+			if !have[pr] {
+				t.Errorf("ROADMAP.md:%d: cites PR %d, which has no CHANGES.md entry", i+1, pr)
+			}
+		}
+	}
+}
+
 // TestPmtraceRoundTrip drives the flight-trace pipeline through the real
 // binaries: pmsim -fabric writes a span trace, pmtrace reduces it, and
 // the reconciliation check (Σhops + stages−1 = e2e for every completed
