@@ -132,9 +132,8 @@ type linkSide struct {
 	recycle       bool
 	reasmFree     []*reasm
 	cellFree      []*cell.Cell
-	// leanDepart elides the reassembled observed cell (Departure.Cell is
-	// nil), the per-departure corruption compare, and the cut-latency
-	// histogram; see Switch.SetLeanDepartures.
+	// leanDepart counts a departure and recycles its record, and builds
+	// nothing else; see Switch.SetLeanDepartures.
 	leanDepart bool
 
 	// cOffered…cDropOverrun are hot counter slots (stats.Counter.Hot)
@@ -233,20 +232,21 @@ func (l *linkSide) depart(o int, c int64) int64 {
 	l.rxHead[o] = nil
 	l.txActive--
 	l.idleMask |= uint64(1) << uint(o)
+	*l.cDelivered++
+	if l.leanDepart {
+		// Counted, not handed out: no Departure, no observed cell, and no
+		// read of r.d.c, which the transmit hook may have passed on.
+		l.reasmFree = append(l.reasmFree, r)
+		return r.start - r.d.head + 2*l.lp
+	}
 	// The observed cell swaps its word buffer with the record's (both stay
 	// at capacity k) so the record can return to the pool immediately; the
-	// cell itself is reclaimed by the next Drain under recycle mode. Lean
-	// mode skips the materialization and hands out a nil Cell.
-	var got *cell.Cell
-	if !l.leanDepart {
-		got = l.getCell()
-		got.Seq, got.Src, got.Dst, got.VC = r.d.c.Seq, r.d.c.Src, r.d.c.Dst, r.d.c.VC
-		got.Copies = nil
-		got.Enqueue = r.d.head
-		got.Words, r.words = r.words, got.Words[:0]
-	} else {
-		r.words = r.words[:0]
-	}
+	// cell itself is reclaimed by the next Drain under recycle mode.
+	got := l.getCell()
+	got.Seq, got.Src, got.Dst, got.VC = r.d.c.Seq, r.d.c.Src, r.d.c.Dst, r.d.c.VC
+	got.Copies = nil
+	got.Enqueue = r.d.head
+	got.Words, r.words = r.words, got.Words[:0]
 	dep := Departure{
 		Cell:      got,
 		Expected:  r.d.c,
@@ -257,14 +257,11 @@ func (l *linkSide) depart(o int, c int64) int64 {
 		InitDelay: r.d.writeStart - r.d.head - 1,
 		VC:        r.d.vc,
 	}
-	*l.cDelivered++
 	lat := dep.HeadOut - dep.HeadIn
-	if !l.leanDepart {
-		if !r.clean && !got.Equal(r.d.c) {
-			*l.cCorrupt++
-		}
-		l.cutLatency.Add(lat)
+	if !r.clean && !got.Equal(r.d.c) {
+		*l.cCorrupt++
 	}
+	l.cutLatency.Add(lat)
 	l.done = append(l.done, dep)
 	l.reasmFree = append(l.reasmFree, r)
 	return lat
@@ -289,9 +286,7 @@ func (l *linkSide) Drain() []Departure {
 	// access window has closed, so its reassembled cells and backing
 	// array become this cycle's spares.
 	for i := range l.doneOut {
-		if c := l.doneOut[i].Cell; c != nil {
-			l.cellFree = append(l.cellFree, c)
-		}
+		l.cellFree = append(l.cellFree, l.doneOut[i].Cell)
 		l.doneOut[i] = Departure{}
 	}
 	out := l.done

@@ -568,14 +568,15 @@ func (s *Switch) SetDropCellHook(f func(c *cell.Cell)) {
 	s.onDropCell = f
 }
 
-// SetLeanDepartures elides per-departure work no consumer will read: the
-// reassembled observed cell (Departure.Cell is left nil — Expected and
-// the timing fields are still booked), the per-departure corruption
-// compare, and the per-switch cut-latency histogram. The multistage
-// fabric enables it on interior nodes, where drains are consumed only
-// for cell accounting and integrity is verified end-to-end at ejection;
-// leave it off wherever Departure.Cell, the Corrupt counter, or
-// CutLatency() are observed.
+// SetLeanDepartures makes a departure a count: "delivered" moves and the
+// egress record is recycled, but no Departure is built, so Drain hands out
+// nothing, and neither the corruption compare nor CutLatency() sees it.
+// The multistage fabric enables it on interior nodes, whose transmit hook
+// passes the cell itself on to the next stage. The contract that makes
+// that safe: once the Tick that ran its transmit hook returns, a lean
+// switch never dereferences the cell again. Its egress record and its
+// written input row may still point at it, but nothing reads it there
+// (Snapshot does: do not snapshot a switch whose hook hands cells away).
 func (s *Switch) SetLeanDepartures(on bool) { s.leanDepart = on }
 
 // Tick advances the switch one clock cycle. heads[i], when non-nil, is a

@@ -42,11 +42,16 @@
 // The per-cycle loop allocates nothing once warm: head arrivals live in a
 // preallocated ring of 4 cycle slots × (node, port) (transmit hooks book
 // at +2, injections at +0), per-cell bookkeeping is pooled in an
-// open-addressed flight table, hop cells are drawn from per-node pools
-// (refilled by Drain under the recycle contract — flow conservation keeps
-// them balanced), and quiescent nodes are skipped entirely via occupancy
-// bitmaps, catching up through core.TickN's event-driven fast-forward
-// when traffic returns.
+// open-addressed flight table, and quiescent nodes are skipped entirely via
+// occupancy bitmaps, catching up through core.TickN's event-driven
+// fast-forward when traffic returns. A cell is one object for its whole
+// flight: Inject draws it from the inject pool, each interior transmit hook
+// forwards that same cell into the downstream ring slot (the cut-through
+// of §3.3 passes on the cell a node starts on its link), and it returns to
+// the pool only at ejection or when a node drops it. Interior nodes run
+// with lean departures, so they build and drain nothing, and a lean node
+// never reads a cell after the Tick that ran its transmit hook: the pool's
+// idle cells are the engine's alone.
 package engine
 
 import (
@@ -215,11 +220,8 @@ type Engine struct {
 	// skipped and caught up later with TickN's O(1) fast-forward.
 	busy []uint64
 
-	// pools[g] recycles hop cells: node g's transmit hook draws from it,
-	// node g's Drain refills it (flow conservation balances them), and
-	// only g's shard touches it. injPool is the coordinator's: Inject
-	// draws, ejection returns.
-	pools   []*cell.Pool
+	// injPool is the coordinator's: Inject draws, ejection and drop
+	// retirement return.
 	injPool *cell.Pool
 
 	flights *flightTable
@@ -286,13 +288,9 @@ func New(cfg Config) (*Engine, error) {
 	e.credits = make([]int32, total*k)
 	e.arrivals = make([]int64, total)
 	e.busy = make([]uint64, words)
-	e.pools = make([]*cell.Pool, total)
 	for i := range e.ring {
 		e.ring[i] = make([]*cell.Cell, total*k)
 		e.mask[i] = make([]uint64, words)
-	}
-	for g := range e.pools {
-		e.pools[g] = cell.NewPool(e.cellK)
 	}
 	e.injPool = cell.NewPool(e.cellK)
 	e.scratch = &cell.Cell{Words: make([]cell.Word, e.cellK)}
@@ -396,9 +394,9 @@ func New(cfg Config) (*Engine, error) {
 			sh := &e.shards[wordOwner[g>>6]]
 			e.installDropHook(sw, g, sh)
 			if st < s-1 {
-				// Interior drains are consumed only for cell accounting
-				// (integrity is verified end-to-end at ejection), so skip
-				// the per-departure reassembly and histogram work.
+				// An interior departure is only a count: the hook has passed
+				// the cell on, and integrity is verified end to end at
+				// ejection.
 				sw.SetLeanDepartures(true)
 				e.installGate(sw, g)
 				e.installHook(sw, st, g, sh)
@@ -438,13 +436,13 @@ func (e *Engine) release(d int32) {
 
 // installHook wires the interior transmit hook — the chained cut-through
 // seam. Booked at wave initiation (head on the wire at start+1), the hop
-// cell is latched into the downstream node's input ring at start+2, while
-// the tail is still K-2 cycles from leaving this node.
+// cell — the transmitted cell itself, re-addressed to the next route digit —
+// is latched into the downstream node's input ring at start+2, while the
+// tail is still K-2 cycles from leaving this node.
 func (e *Engine) installHook(sw *core.Switch, st, g int, sh *shard) {
 	base := int32(g * e.k)
 	releases := st > 0 && e.creditOn
 	route := e.route[st+1]
-	pool := e.pools[g]
 	k := uint32(e.k)
 	sw.SetTransmitCellHook(func(out int, c *cell.Cell, start int64) {
 		fl := e.flights.get(c.Seq)
@@ -480,21 +478,17 @@ func (e *Engine) installHook(sw *core.Switch, st, g int, sh *shard) {
 				sw.SetOutputOpen(out, false)
 			}
 		}
-		// The hop cell: payloads are a pure function of (seq, src, dst),
-		// so regenerating into a pooled cell is equivalent to cloning the
-		// arrival — per-node corruption is still caught by each switch's
-		// own integrity counters and the final eject comparison.
-		next := pool.Get()
-		cell.Fill(next, c.Seq, int(fl.src), int(fl.dst), e.cellK, e.wordBits)
-		next.Dst = int(route[fl.dst])
+		// Forward the cell: this lean node reads nothing of it after this
+		// Tick, and the downstream node first touches it at start+2, past a
+		// barrier.
+		c.Dst = int(route[fl.dst])
 		fl.inbound = d
 		slot := (start + 2) & 3
 		if e.ring[slot][d] != nil {
 			sh.fail(fmt.Errorf("engine: two heads on input slot %d in cycle %d", d, start+2))
-			pool.Put(next)
 			return
 		}
-		e.ring[slot][d] = next
+		e.ring[slot][d] = c
 		dg := uint32(d) / k
 		sh.arr[dg>>6] |= 1 << (dg & 63)
 	})
@@ -698,7 +692,6 @@ func (e *Engine) runShard(w int) {
 			var heads []*cell.Cell
 			if arrived&bit != 0 {
 				heads = ring[g*k : g*k+k : g*k+k]
-				cnt := 0
 				if e.flightObs {
 					// Stamp each arriving flight with its hop start and the
 					// occupancy it found — read back by this node's transmit
@@ -706,35 +699,30 @@ func (e *Engine) runShard(w int) {
 					buffered := int32(nd.Buffered())
 					for _, h := range heads {
 						if h != nil {
-							cnt++
 							if fl := e.flights.get(h.Seq); fl != nil {
 								fl.hopStart = cyc
 								fl.depth = buffered
 							}
 						}
 					}
-				} else {
-					for _, h := range heads {
-						if h != nil {
-							cnt++
-						}
-					}
 				}
-				e.arrivals[g] += int64(cnt)
 			}
 			nd.Tick(heads)
-			if deps := nd.Drain(); len(deps) > 0 {
-				if g >= e.last {
-					sh.ejects = append(sh.ejects, ejectBatch{node: int32(g), deps: deps})
-				} else {
-					pool := e.pools[g]
-					for di := range deps {
-						pool.Put(deps[di].Expected)
+			if heads != nil {
+				cnt := int64(0)
+				for i, h := range heads {
+					if h != nil {
+						cnt++
+						heads[i] = nil
 					}
 				}
+				e.arrivals[g] += cnt
 			}
-			for i := range heads {
-				heads[i] = nil
+			// Lean interior nodes book no departures; only ejections drain.
+			if g >= e.last {
+				if deps := nd.Drain(); len(deps) > 0 {
+					sh.ejects = append(sh.ejects, ejectBatch{node: int32(g), deps: deps})
+				}
 			}
 			if nd.Quiescent() {
 				newBusy &^= bit
@@ -774,7 +762,8 @@ func (e *Engine) retireDrop(dr *dropRec) error {
 }
 
 // eject verifies a cell leaving the last stage: right terminal, identity
-// and payload intact (regenerated from the flight — see installHook).
+// and payload intact (regenerated from the flight's (seq, src, dst), which
+// is what Inject filled it from).
 func (e *Engine) eject(g int, d *core.Departure) error {
 	seq := d.Expected.Seq
 	fl := e.flights.get(seq)

@@ -3,9 +3,10 @@ package engine
 import "fmt"
 
 // flight is the engine's per-cell bookkeeping while a cell crosses the
-// fabric: the identity needed to regenerate its payload at every hop
-// (src, dst — cell payloads are a pure function of (seq, src, dst), see
-// cell.Fill), the injection cycle for end-to-end latency, and the credit
+// fabric: the identity needed to route it and to regenerate its payload
+// for the ejection check (src, dst — cell payloads are a pure function of
+// (seq, src, dst), see cell.Fill), the injection cycle for end-to-end
+// latency, and the credit
 // slot of the link the cell most recently entered a stage through.
 type flight struct {
 	seq     uint64

@@ -98,30 +98,45 @@ func TestParallelBitIdentical(t *testing.T) {
 
 // TestStepZeroAlloc is the regression test for the Step hot loop: after
 // warmup the whole inject+step cycle — ring distribution, every node's
-// Tick/Drain, flight bookkeeping, ejection verification — allocates
-// nothing. (This is the plain path; TestNetsAcrossWorkers counts the same
-// with flight tracing armed, on both topologies.)
+// Tick, the last stage's Drain, flight bookkeeping, ejection verification —
+// allocates nothing. A cell goes back to the inject pool only at ejection
+// or drop, so the second net, which has no flow control and drops at
+// stages ≥ 1, shows that drop retirement keeps the pool balanced too.
+// (This is the plain path; TestNetsAcrossWorkers counts the same with
+// flight tracing armed, on both topologies.)
 func TestStepZeroAlloc(t *testing.T) {
-	f, err := New(Config{
-		Terminals: 64, Radix: 8, WordBits: 16, SwitchCells: 32,
-		Credits: 4, CutThrough: true, Workers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	cs, err := traffic.NewCellStream(traffic.Config{Kind: traffic.Saturation, Seed: 11, N: 64}, f.CellWords())
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive := func(n int64) {
-		if err := f.Drive(cs, n); err != nil {
+	for _, tc := range []struct {
+		name           string
+		credits, cells int
+	}{
+		{"saturated", 4, 32},
+		{"interior-drops", 0, 8},
+	} {
+		f, err := New(Config{
+			Terminals: 64, Radix: 8, WordBits: 16, SwitchCells: tc.cells,
+			Credits: tc.credits, CutThrough: true, Workers: 1,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	drive(4096) // warm pools, rings, staging buffers
-	if allocs := testing.AllocsPerRun(200, func() { drive(1) }); allocs != 0 {
-		t.Fatalf("%.1f allocs per steady-state fabric cycle, want 0", allocs)
+		defer f.Close()
+		cs, err := traffic.NewCellStream(traffic.Config{Kind: traffic.Saturation, Seed: 11, N: 64}, f.CellWords())
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive := func(n int64) {
+			if err := f.Drive(cs, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drive(4096) // warm pools, rings, staging buffers
+		before := f.InteriorDrops()
+		if allocs := testing.AllocsPerRun(200, func() { drive(1) }); allocs != 0 {
+			t.Fatalf("%s: %.1f allocs per steady-state fabric cycle, want 0", tc.name, allocs)
+		}
+		if dropped := f.InteriorDrops() > before; dropped != (tc.credits == 0) {
+			t.Fatalf("%s: interior drops during the measured cycles: %v", tc.name, dropped)
+		}
 	}
 }
 
