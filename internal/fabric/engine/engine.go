@@ -390,7 +390,6 @@ func New(cfg Config) (*Engine, error) {
 			if pol != nil {
 				sw.SetBufferPolicy(pol)
 			}
-			sw.SetDrainRecycle(true)
 			sh := &e.shards[wordOwner[g>>6]]
 			e.installDropHook(sw, g, sh)
 			if st < s-1 {
@@ -401,6 +400,7 @@ func New(cfg Config) (*Engine, error) {
 				e.installGate(sw, g)
 				e.installHook(sw, st, g, sh)
 			} else {
+				sw.SetDrainRecycle(true)
 				e.installLastHook(sw, sh)
 			}
 			e.nodes[g] = sw
