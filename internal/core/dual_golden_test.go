@@ -42,7 +42,7 @@ func dualDigest(t *testing.T, cfg Config, tc traffic.Config, cycles int) (sum ui
 // TestDualGoldenDigest pins the §3.5 half-quantum organization departure
 // by departure: which cell leaves on which output at which cycles, under
 // permutation, Bernoulli 0.8 and saturation traffic, cut-through and
-// store-and-forward, at n = 4 and 8. Any change to DualSwitch's
+// store-and-forward, at n = 4, 8 and 65 (a two-word ready mask). Any change to DualSwitch's
 // arbitration, bank choice, wave timing or link-side bookkeeping shows up
 // as a digest mismatch.
 func TestDualGoldenDigest(t *testing.T) {
@@ -52,18 +52,24 @@ func TestDualGoldenDigest(t *testing.T) {
 		overrun int64
 	}
 	golden := map[string]pin{
-		"perm/n=4/ct":    {0x719cb42175eb405f, 2000, 0},
-		"perm/n=4/sf":    {0xf8518362c213bc7f, 2000, 0},
-		"perm/n=8/ct":    {0x80d12705ed5c0023, 2000, 0},
-		"perm/n=8/sf":    {0xf26220fb73c8f2f1, 1762, 238},
-		"bern0.8/n=4/ct": {0x7b19a90fe8fce42, 1619, 1},
-		"bern0.8/n=4/sf": {0x6fb9c4c1c924f742, 1605, 15},
-		"bern0.8/n=8/ct": {0xb024471a5d672ee0, 1601, 14},
-		"bern0.8/n=8/sf": {0x669ca3219b97f457, 1489, 126},
-		"sat/n=4/ct":     {0x9a0a61ee4ac5eec6, 1825, 175},
-		"sat/n=4/sf":     {0x4dfb19c1fc4ef629, 1707, 293},
-		"sat/n=8/ct":     {0x30fc6ce2606e78e6, 1602, 398},
-		"sat/n=8/sf":     {0x37037536fbe1c398, 1496, 504},
+		"perm/n=4/ct":     {0x719cb42175eb405f, 2000, 0},
+		"perm/n=4/sf":     {0xf8518362c213bc7f, 2000, 0},
+		"perm/n=8/ct":     {0x80d12705ed5c0023, 2000, 0},
+		"perm/n=8/sf":     {0xf26220fb73c8f2f1, 1762, 238},
+		"bern0.8/n=4/ct":  {0x7b19a90fe8fce42, 1619, 1},
+		"bern0.8/n=4/sf":  {0x6fb9c4c1c924f742, 1605, 15},
+		"bern0.8/n=8/ct":  {0xb024471a5d672ee0, 1601, 14},
+		"bern0.8/n=8/sf":  {0x669ca3219b97f457, 1489, 126},
+		"sat/n=4/ct":      {0x9a0a61ee4ac5eec6, 1825, 175},
+		"sat/n=4/sf":      {0x4dfb19c1fc4ef629, 1707, 293},
+		"sat/n=8/ct":      {0x30fc6ce2606e78e6, 1602, 398},
+		"sat/n=8/sf":      {0x37037536fbe1c398, 1496, 504},
+		"perm/n=65/ct":    {0xf6e8ca61d23ab250, 2015, 0},
+		"perm/n=65/sf":    {0x803d0869be94b914, 2015, 0},
+		"bern0.8/n=65/ct": {0x9077c755ac70f168, 1627, 0},
+		"bern0.8/n=65/sf": {0x244d5494294f015a, 1627, 0},
+		"sat/n=65/ct":     {0x60c622be43047660, 1776, 239},
+		"sat/n=65/sf":     {0x4699301e7dfee551, 1611, 404},
 	}
 	kinds := []struct {
 		name string
@@ -74,13 +80,17 @@ func TestDualGoldenDigest(t *testing.T) {
 		{"sat", traffic.Config{Kind: traffic.Saturation, Seed: 23}},
 	}
 	for _, kind := range kinds {
-		for _, n := range []int{4, 8} {
+		for _, n := range []int{4, 8, 65} {
 			for _, ct := range []bool{true, false} {
 				name := fmt.Sprintf("%s/n=%d/%s", kind.name, n, map[bool]string{true: "ct", false: "sf"}[ct])
 				t.Run(name, func(t *testing.T) {
 					tc := kind.tc
 					tc.N = n
-					cfg := Config{Ports: n, WordBits: 16, Cells: 8, CutThrough: ct}
+					cells := 8
+					if n > 64 {
+						cells = 64 // enough buffer that reads reach both words
+					}
+					cfg := Config{Ports: n, WordBits: 16, Cells: cells, CutThrough: ct}
 					sum, deps, overrun := dualDigest(t, cfg, tc, 2000)
 					if got := (pin{sum, deps, overrun}); got != golden[name] {
 						t.Fatalf("digest %#x over %d departures, %d overruns; golden %#x over %d, %d",

@@ -106,18 +106,18 @@ func (s *Switch) readGrant(c int64) (int, Op) {
 // TestReadyWordMatchesIndexWalk checks every cycle's read grant against
 // the index walk while output gates flip at random: both forwarding modes,
 // one VC and two weighted VCs, unmanaged and the five admission policies,
-// and a 65-port switch for the n > 64 walk the production code keeps.
+// and 65- and 130-port switches whose ready words span two and three words
+// (the last one partial).
 func TestReadyWordMatchesIndexWalk(t *testing.T) {
 	type shape struct {
 		ports, cells, cycles int
 	}
-	narrow, wide := shape{4, 32, 3000}, shape{65, 64, 700}
 	policies := []string{"", "share", "static:quota=8", "dt:alpha=2", "dd:target=8", "pushout"}
-	for _, sh := range []shape{narrow, wide} {
+	for _, sh := range []shape{{4, 32, 3000}, {65, 64, 700}, {130, 128, 500}} {
 		for _, ct := range []bool{true, false} {
 			for _, vcs := range []int{1, 2} {
 				for _, pol := range policies {
-					if sh == wide && pol != "" && pol != "pushout" {
+					if sh.ports > 64 && pol != "" && pol != "pushout" {
 						continue // the walk does not depend on the policy; keep the wide runs few
 					}
 					name := fmt.Sprintf("n=%d/ct=%v/vcs=%d/%s", sh.ports, ct, vcs, pol)
@@ -208,9 +208,10 @@ func (d *DualSwitch) initiated(c int64) (ops []Op) {
 }
 
 // TestDualReadyWordMatchesIndexWalk is the same check for the half-quantum
-// organization, whose ready word is occupancy ∧ idle (it has no gates).
+// organization, whose ready word is occupancy ∧ idle (it has no gates), at
+// one-, two- and three-word widths.
 func TestDualReadyWordMatchesIndexWalk(t *testing.T) {
-	for _, n := range []int{4, 8} {
+	for _, n := range []int{4, 8, 65, 130} {
 		for _, ct := range []bool{true, false} {
 			t.Run(fmt.Sprintf("n=%d/ct=%v", n, ct), func(t *testing.T) {
 				cfg := Config{Ports: n, WordBits: 16, Cells: 16, CutThrough: ct}
