@@ -50,19 +50,26 @@ func (r *RoundRobin) Pick(requests []bool) int {
 }
 
 // FirstFrom is the rotating find-first-set kernel: the index of the first
-// set bit of word at or after position from, wrapping past bit 63 to bit 0,
-// or None when word is zero. It is RoundRobin.Pick over a request vector
-// packed into one word — the "request vector and a rotating priority
-// pointer" of a hardware arbiter — with the pointer kept by the caller;
-// from must be in 0…63.
-func FirstFrom(word uint64, from int) int {
-	if hi := word >> uint(from) << uint(from); hi != 0 {
-		return bits.TrailingZeros64(hi)
+// set bit of a request vector packed into words (request i is bit i&63 of
+// word i>>6) at or after position from — the rest of from's word, the words
+// after it, then wrapping to word 0 and the low bits of from's own word —
+// or None when no bit is set. It is RoundRobin.Pick over the packed vector
+// — the "request vector and a rotating priority pointer" of a hardware
+// arbiter — with the pointer kept by the caller; from must be in
+// 0…64·len(words)−1.
+func FirstFrom(words []uint64, from int) int {
+	j := from >> 6
+	w := words[j] >> uint(from&63) << uint(from&63)
+	for left := len(words); w == 0; left-- {
+		if left == 0 {
+			return None
+		}
+		if j++; j == len(words) {
+			j = 0
+		}
+		w = words[j]
 	}
-	if word != 0 {
-		return bits.TrailingZeros64(word)
-	}
-	return None
+	return j<<6 | bits.TrailingZeros64(w)
 }
 
 // Random grants a uniformly random asserted request; used to model the

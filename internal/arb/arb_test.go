@@ -43,41 +43,53 @@ func TestRoundRobinSkipsIdle(t *testing.T) {
 
 func TestFirstFrom(t *testing.T) {
 	for _, tc := range []struct {
-		word uint64
-		from int
-		want int
+		words []uint64
+		from  int
+		want  int
 	}{
-		{0, 0, None},
-		{0, 63, None},
-		{1, 0, 0},
-		{1, 1, 0}, // wraps past bit 63 back to bit 0
-		{1, 63, 0},
-		{0b1010, 0, 1},
-		{0b1010, 1, 1}, // "at or after": from itself is eligible
-		{0b1010, 2, 3},
-		{0b1010, 4, 1},
-		{1 << 63, 0, 63},
-		{1 << 63, 63, 63},
-		{1<<63 | 1, 63, 63},
-		{1<<63 | 1<<5, 6, 63},
-		{^uint64(0), 17, 17},
+		{[]uint64{0}, 0, None},
+		{[]uint64{0}, 63, None},
+		{[]uint64{1}, 0, 0},
+		{[]uint64{1}, 1, 0}, // wraps past bit 63 back to bit 0
+		{[]uint64{1}, 63, 0},
+		{[]uint64{0b1010}, 0, 1},
+		{[]uint64{0b1010}, 1, 1}, // "at or after": from itself is eligible
+		{[]uint64{0b1010}, 2, 3},
+		{[]uint64{0b1010}, 4, 1},
+		{[]uint64{1 << 63}, 0, 63},
+		{[]uint64{1 << 63}, 63, 63},
+		{[]uint64{1<<63 | 1}, 63, 63},
+		{[]uint64{1<<63 | 1<<5}, 6, 63},
+		{[]uint64{^uint64(0)}, 17, 17},
+		{[]uint64{0, 0, 0}, 130, None},
+		{[]uint64{0, 1 << 2, 0}, 0, 66},
+		{[]uint64{0, 1 << 2, 0}, 67, 66},  // wraps through word 0 back to word 1
+		{[]uint64{1 << 9, 0, 1}, 70, 128}, // the words after from's
+		{[]uint64{1 << 9, 0, 0}, 129, 9},  // wraps past the last word
+		{[]uint64{0, 1<<3 | 1<<40, 0}, 64 + 20, 64 + 40},
+		{[]uint64{0, 1<<3 | 1<<40, 0}, 64 + 41, 64 + 3}, // low bits of from's word come last
 	} {
-		if got := FirstFrom(tc.word, tc.from); got != tc.want {
-			t.Errorf("FirstFrom(%#x, %d) = %d, want %d", tc.word, tc.from, got, tc.want)
+		if got := FirstFrom(tc.words, tc.from); got != tc.want {
+			t.Errorf("FirstFrom(%#x, %d) = %d, want %d", tc.words, tc.from, got, tc.want)
 		}
 	}
 }
 
-// TestFirstFromMatchesRoundRobin: over any request word and pointer, the
-// packed kernel grants exactly what the []bool arbiter does.
+// TestFirstFromMatchesRoundRobin: over any request vector of 1…192 ports
+// packed into one to three words, and any pointer, the packed kernel grants
+// exactly what the []bool arbiter does.
 func TestFirstFromMatchesRoundRobin(t *testing.T) {
-	prop := func(word uint64, from uint8) bool {
-		req := make([]bool, 64)
+	prop := func(packed [3]uint64, ports, from uint8) bool {
+		n := 1 + int(ports)%192
+		words := make([]uint64, (n+63)/64)
+		req := make([]bool, n)
 		for i := range req {
-			req[i] = word>>uint(i)&1 != 0
+			if req[i] = packed[i/64]>>uint(i%64)&1 != 0; req[i] {
+				words[i/64] |= 1 << uint(i%64)
+			}
 		}
-		rr := RoundRobin{next: int(from % 64)}
-		return FirstFrom(word, int(from%64)) == rr.Pick(req)
+		rr := RoundRobin{next: int(from) % n}
+		return FirstFrom(words, int(from)%n) == rr.Pick(req)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)

@@ -36,22 +36,19 @@ func (s *Switch) AuditInvariants() error {
 		if s.outOcc[o] != sum {
 			return fmt.Errorf("core: audit: output %d occupancy %d, but its VC queues hold %d", o, s.outOcc[o], sum)
 		}
-		if o < 64 {
-			if got := s.occMask&(uint64(1)<<uint(o)) != 0; got != (sum > 0) {
-				return fmt.Errorf("core: audit: output %d occupancy bit %v, but %d cells queued", o, got, sum)
-			}
-			// The ready word's other two terms: the idle bit mirrors the
-			// link booking, the open bit the pushed gate level.
-			idle, open := s.idleMask&(uint64(1)<<uint(o)) != 0, s.openMask&(uint64(1)<<uint(o)) != 0
-			if idle != s.linkIdle(o, s.cycle) || open != s.outOpen[o] {
-				return fmt.Errorf("core: audit: output %d ready-word bits idle=%v open=%v at cycle %d, but its link is booked until %d and its gate level is %v",
-					o, idle, open, s.cycle, s.linkFree[o], s.outOpen[o])
-			}
+		if got := s.occMask.has(o); got != (sum > 0) {
+			return fmt.Errorf("core: audit: output %d occupancy bit %v, but %d cells queued", o, got, sum)
+		}
+		// The idle bit, the ready words' other derived term, mirrors the
+		// link booking.
+		if idle := s.idleMask.has(o); idle != s.linkIdle(o, s.cycle) {
+			return fmt.Errorf("core: audit: output %d idle bit %v at cycle %d, but its link is booked until %d",
+				o, idle, s.cycle, s.linkFree[o])
 		}
 		totalQueued += sum
 	}
-	if stray := (s.idleMask | s.openMask) >> uint(s.n); stray != 0 { // n ≥ 64 shifts to 0
-		return fmt.Errorf("core: audit: idle/open masks carry bits %#x at or above port %d", stray, s.n)
+	if stray := s.occMask.stray(s.n) | s.idleMask.stray(s.n) | s.openMask.stray(s.n) | s.pendMask.stray(s.n); stray != 0 {
+		return fmt.Errorf("core: audit: port masks carry bits %#x counted from port %d up", stray, s.n)
 	}
 	if s.queues.Total() != totalQueued {
 		return fmt.Errorf("core: audit: multiqueue total %d, per-queue sum %d", s.queues.Total(), totalQueued)
@@ -101,10 +98,8 @@ func (s *Switch) AuditInvariants() error {
 			pending++
 			waiting = true
 		}
-		if i < 64 {
-			if got := s.pendMask&(uint64(1)<<uint(i)) != 0; got != waiting {
-				return fmt.Errorf("core: audit: input %d pending bit %v, but awaiting-write is %v", i, got, waiting)
-			}
+		if got := s.pendMask.has(i); got != waiting {
+			return fmt.Errorf("core: audit: input %d pending bit %v, but awaiting-write is %v", i, got, waiting)
 		}
 	}
 	if pending != s.pendingWrites {

@@ -49,25 +49,16 @@ func (s *Switch) readWord(b, a int) cell.Word {
 	dec, status := s.ecc.decode(w, s.eccMem[i])
 	switch status {
 	case eccCorrected:
-		s.counter.Inc("ecc-corrected", 1)
-		if s.obs != nil {
-			s.obs.ECCCorrected.Inc()
-		}
+		*s.cECCCorrected++
 		if s.stuck == nil || !s.stuck[b] {
 			s.mem[i] = dec
 			s.eccMem[i] = s.ecc.encode(dec)
 		}
 		if _, vs := s.ecc.decode(s.senseWord(b, a), s.eccMem[i]); vs != eccClean {
-			s.counter.Inc("ecc-hard", 1)
-			if s.obs != nil {
-				s.obs.ECCHard.Inc()
-			}
+			*s.cECCHard++
 		}
 	case eccUncorrectable:
-		s.counter.Inc("ecc-uncorrectable", 1)
-		if s.obs != nil {
-			s.obs.ECCUncorrectable.Inc()
-		}
+		*s.cECCUncorrectable++
 	}
 	return dec
 }

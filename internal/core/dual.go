@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"pipemem/internal/arb"
 	"pipemem/internal/cell"
 	"pipemem/internal/fifo"
 	"pipemem/internal/stats"
@@ -40,16 +39,9 @@ type DualSwitch struct {
 	queues *fifo.MultiQueue // per output, of nodes
 	descs  []desc           // [node]; desc.addr is the node again
 
-	readRR  int
-	writeRR int
 	// writeBank alternates the default bank for writes when no read
 	// constrains the choice, balancing occupancy.
 	writeBank int
-
-	// occMask has one bit per output with queued cells; ANDed with the
-	// link side's idleMask it is the read arbiter's ready word, as in
-	// Switch (n ≤ 64; larger switches probe every output).
-	occMask uint64
 
 	// departAt[c mod k+1][b] is the output whose transmission, fed by the
 	// wave initiated in bank b at cycle c−k, completes at cycle c; -1 for
@@ -161,50 +153,35 @@ func (d *DualSwitch) Tick(heads []*cell.Cell) {
 }
 
 // pickRead selects an idle output whose head-of-queue cell is eligible,
-// round-robin from readRR over the ready word (see Switch.pickRead), and
-// initiates its read wave; the bank, which it returns (-1 for no read), is
-// dictated by where that cell lives (§3.5: "whichever the desired packet
-// happens to be in").
+// round-robin from readRR over the ready words (see Switch.pickRead; the
+// dual switch's gates all stay open), and initiates its read wave; the
+// bank, which it returns (-1 for no read), is dictated by where that cell
+// lives (§3.5: "whichever the desired packet happens to be in").
 func (d *DualSwitch) pickRead(c int64, post *[2]int) (bank int) {
-	if d.n > 64 {
-		// The words cannot hold every output; probe them all.
-		for j, from := 0, d.readRR; j < d.n; j++ {
-			if b := d.tryRead((from+j)%d.n, c, post); b >= 0 {
-				return b
-			}
-		}
-		return -1
-	}
-	for w := d.occMask & d.idleMask; w != 0; {
-		o := arb.FirstFrom(w, d.readRR)
+	for o := d.firstReady(); o >= 0; o = d.nextReady(o) {
 		if b := d.tryRead(o, c, post); b >= 0 {
 			return b
 		}
-		w &^= uint64(1) << uint(o)
 	}
 	return -1
 }
 
-// tryRead initiates a read wave on output o if its link is idle and its
-// head-of-queue cell is serviceable: the cell's k words leave its bank for
-// the link's egress record, and the address is free for the next write wave,
-// which can only trail this read stage by stage.
+// tryRead initiates a read wave on output o — whose link the caller found
+// idle and whose queue it found occupied — if the head-of-queue cell is
+// serviceable: the cell's k words leave its bank for the link's egress
+// record, and the address is free for the next write wave, which can only
+// trail this read stage by stage.
 func (d *DualSwitch) tryRead(o int, c int64, post *[2]int) (bank int) {
-	node, found := d.queues.Front(o)
-	if !found || d.rxHead[o] != nil {
-		return -1
-	}
+	node, _ := d.queues.Front(o)
 	dsc := &d.descs[node]
 	if !d.cfg.CutThrough && c < dsc.writeStart+int64(d.k) {
 		return -1
 	}
 	d.queues.Pop(o)
 	if d.queues.Len(o) == 0 {
-		d.occMask &^= uint64(1) << uint(o)
+		d.occMask.clear(o)
 	}
-	if d.readRR = o + 1; d.readRR == d.n {
-		d.readRR = 0
-	}
+	d.readRR = d.after(o)
 	r := d.book(o, dsc)
 	r.words = append(r.words, d.words(node)...)
 	r.start = c + 1
@@ -214,23 +191,13 @@ func (d *DualSwitch) tryRead(o int, c int64, post *[2]int) (bank int) {
 	return bank
 }
 
-// pickWrite selects the most urgent pending arrival and a bank other than
-// forbidden (§3.5: the write goes "into the other one of the two
-// memories"), and initiates its write wave — a write-through when the
-// cell's output is idle with nothing queued ahead (§3.3).
+// pickWrite selects the most urgent pending arrival (Switch.pickWrite's
+// earliest-deadline scan) and a bank other than forbidden (§3.5: the write
+// goes "into the other one of the two memories"), and initiates its write
+// wave — a write-through when the cell's output is idle with nothing
+// queued ahead (§3.3).
 func (d *DualSwitch) pickWrite(c int64, forbidden int, post *[2]int) {
-	best := -1
-	var bestHead int64
-	for j := 0; j < d.n; j++ {
-		i := (d.writeRR + j) % d.n
-		a := &d.inflight[i]
-		if !a.active || a.written || c <= a.head {
-			continue
-		}
-		if best == -1 || a.head < bestHead {
-			best, bestHead = i, a.head
-		}
-	}
+	best, _ := d.earliestPending(c)
 	if best == -1 {
 		return
 	}
@@ -252,7 +219,7 @@ func (d *DualSwitch) pickWrite(c int64, forbidden int, post *[2]int) {
 	d.pendClear(best)
 	d.counter.Inc("accepted", 1)
 	d.initDelay.Add(float64(c - a.head - 1))
-	d.writeRR = (best + 1) % d.n
+	d.writeRR = d.after(best)
 	d.writeBank = 1 - b
 	node := b*d.cfg.Cells + addr
 	dsc := desc{c: a.c, head: a.head, writeStart: c, addr: node}
@@ -274,5 +241,5 @@ func (d *DualSwitch) pickWrite(c int64, forbidden int, post *[2]int) {
 		dep[j] = w & m
 	}
 	d.queues.Push(dst, node)
-	d.occMask |= uint64(1) << uint(dst)
+	d.occMask.set(dst)
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
+	"pipemem/internal/arb"
 	"pipemem/internal/cell"
 	"pipemem/internal/stats"
 )
@@ -86,8 +88,12 @@ func (r *reasm) load(src []cell.Word, m cell.Word) {
 // identical whatever memory sits behind it: one row of input registers per
 // incoming link (here the row's occupancy; a Switch keeps the register
 // words themselves, inRow) and, per outgoing link, the reassembly of
-// the one cell it is transmitting. Switch and DualSwitch embed it; memory
-// organization and arbitration stay theirs.
+// the one cell it is transmitting. Switch and DualSwitch embed it, with
+// the per-port request masks and the two scans over them that the single
+// arbiter of §3.3 runs: a rotating find-first over the ready outputs
+// (firstReady) and an earliest-deadline scan over the pending inputs
+// (earliestPending). The memory organization, and what a grant does to
+// it, stay theirs.
 //
 // An outgoing link carries one cell at a time: a read or write-through wave
 // initiated at c₀ books the link through c₀+k, its k-th word is on the wire
@@ -109,18 +115,29 @@ type linkSide struct {
 	// pendingWrites counts input rows holding a cell whose write wave has
 	// not been initiated (active && !written) and pendMask has one bit per
 	// such input: write arbitration skips its scan when the count is zero
-	// and, when n ≤ 64, visits only the set bits. A mask is meaningful only
-	// for indexes below 64 (a shift by ≥ 64 contributes no bit).
+	// and otherwise visits only the set bits. wrSkip[i] = cycle+1 marks
+	// input i's arrival as not admittable this cycle (a Switch's Accept
+	// verdict with no free address), so the retry scan moves on to the
+	// next-most-urgent arrival instead of rescanning it.
 	pendingWrites int
-	pendMask      uint64
+	pendMask      portSet
+	wrSkip        []int64
 
 	// rxHead is the single egress slot per output, txActive the number of
 	// occupied slots, and idleMask has one bit per output whose slot is
-	// empty — one term of the read arbiter's ready word. All three move
-	// together, in book and depart.
+	// empty. All three move together, in book and depart.
 	rxHead   []*reasm
 	txActive int
-	idleMask uint64
+	idleMask portSet
+	// The read arbiter's request vector is occMask ∧ idleMask ∧ openMask,
+	// copied into ready for the picker to strike refusals from. occMask
+	// has one bit per output with queued cells. openMask is the pushed
+	// level of the output gates (Switch.SetOutputOpen); a DualSwitch has
+	// no gates and keeps every bit set. Every mask is derived state, never
+	// serialized and rebuilt by NewFromSnapshot. readRR and writeRR are the
+	// two round-robin pointers, over outputs and inputs.
+	occMask, openMask, ready portSet
+	readRR, writeRR          int
 
 	// Hot-path recycling. reasmFree and cellFree pool the reassembly
 	// records and the reassembled ("observed") cells depart builds; records
@@ -147,8 +164,16 @@ type linkSide struct {
 func (l *linkSide) init(n, k, linkPipeline int) {
 	l.n, l.k, l.lp = n, k, int64(linkPipeline)
 	l.inflight = make([]arrival, n)
+	l.wrSkip = make([]int64, n)
 	l.rxHead = make([]*reasm, n)
-	l.idleMask = uint64(1)<<uint(n) - 1 // n ≥ 64 wraps to all ones
+	// The five masks share one backing array: for n ≤ 64, one cache line.
+	w := (n + 63) >> 6
+	m := make(portSet, 5*w)
+	l.pendMask, l.idleMask, l.occMask, l.openMask, l.ready = m[:w:w], m[w:2*w:2*w], m[2*w:3*w:3*w], m[3*w:4*w:4*w], m[4*w:]
+	for o := 0; o < n; o++ {
+		l.idleMask.set(o)
+		l.openMask.set(o)
+	}
 	l.cOffered = l.counter.Hot("offered")
 	l.cDelivered = l.counter.Hot("delivered")
 	l.cCorrupt = l.counter.Hot("corrupt")
@@ -167,14 +192,96 @@ func (l *linkSide) Counters() *stats.Counter { return &l.counter }
 // CutLatency returns the head-in→head-out latency histogram in cycles.
 func (l *linkSide) CutLatency() *stats.Hist { return l.cutLatency }
 
+// portSet is a bitset over ports: bit i&63 of word i>>6 is port i, in
+// ⌈n/64⌉ words whose bits at or above n stay clear.
+type portSet []uint64
+
+func (p portSet) set(i int)      { p[i>>6] |= 1 << uint(i&63) }
+func (p portSet) clear(i int)    { p[i>>6] &^= 1 << uint(i&63) }
+func (p portSet) has(i int) bool { return p[i>>6]>>uint(i&63)&1 != 0 }
+
+// stray returns the bits of the last word at or above port n, which must
+// be none.
+func (p portSet) stray(n int) uint64 { return p[len(p)-1] >> uint(n-(len(p)-1)<<6) }
+
 func (l *linkSide) pendSet(i int) {
 	l.pendingWrites++
-	l.pendMask |= uint64(1) << uint(i)
+	l.pendMask.set(i)
 }
 
 func (l *linkSide) pendClear(i int) {
 	l.pendingWrites--
-	l.pendMask &^= uint64(1) << uint(i)
+	l.pendMask.clear(i)
+}
+
+// after is the round-robin successor of port i.
+func (l *linkSide) after(i int) int {
+	if i+1 == l.n {
+		return 0
+	}
+	return i + 1
+}
+
+// firstReady loads the read arbiter's request vector into ready and
+// returns the first ready output at or after readRR, or -1 — after one AND
+// per word when none is ready. nextReady strikes output o, which declined
+// the grant, and rotates on. Together they are the index walk from the
+// pointer restricted to the outputs that could pass its link, gate and
+// queue probes.
+func (l *linkSide) firstReady() int {
+	var any uint64
+	occ, idle, open, ready := l.occMask, l.idleMask[:len(l.occMask)], l.openMask[:len(l.occMask)], l.ready[:len(l.occMask)]
+	for i, w := range occ {
+		w &= idle[i] & open[i]
+		ready[i] = w
+		any |= w
+	}
+	if any == 0 {
+		return -1
+	}
+	return arb.FirstFrom(ready, l.readRR)
+}
+
+func (l *linkSide) nextReady(o int) int {
+	l.ready.clear(o)
+	return arb.FirstFrom(l.ready, l.readRR)
+}
+
+// earliestPending returns the arrival the next write wave serves at cycle
+// c, or -1: the earliest head among the pending inputs (earliest deadline
+// first), skipping heads latched only this cycle and arrivals tried already
+// (wrSkip). The bits are visited in index order, so ties go explicitly to
+// the smallest round-robin distance from writeRR — the winner of the
+// paper's walk from the pointer, which keeps the first strict improvement.
+// scanned counts the pending inputs visited.
+func (l *linkSide) earliestPending(c int64) (best, scanned int) {
+	best = -1
+	var bestHead int64
+	for wi, m := range l.pendMask {
+		for ; m != 0; m &= m - 1 {
+			i := wi<<6 | bits.TrailingZeros64(m)
+			scanned++
+			a := &l.inflight[i]
+			if c <= a.head || l.wrSkip[i] > c {
+				continue // head arrived only this cycle, or tried already
+			}
+			if best == -1 || a.head < bestHead ||
+				(a.head == bestHead && l.rrDist(i) < l.rrDist(best)) {
+				best, bestHead = i, a.head
+			}
+		}
+	}
+	return best, scanned
+}
+
+// rrDist is input i's distance from the write round-robin pointer — the
+// position the paper's walk would visit i at.
+func (l *linkSide) rrDist(i int) int {
+	d := i - l.writeRR
+	if d < 0 {
+		d += l.n
+	}
+	return d
 }
 
 // admit records the cell whose head word arrives on input i at cycle c. It
@@ -220,7 +327,7 @@ func (l *linkSide) book(o int, d *desc) *reasm {
 	r.start = 0
 	l.rxHead[o] = r
 	l.txActive++
-	l.idleMask &^= uint64(1) << uint(o)
+	l.idleMask.clear(o)
 	return r
 }
 
@@ -231,7 +338,7 @@ func (l *linkSide) depart(o int, c int64) int64 {
 	r := l.rxHead[o]
 	l.rxHead[o] = nil
 	l.txActive--
-	l.idleMask |= uint64(1) << uint(o)
+	l.idleMask.set(o)
 	*l.cDelivered++
 	if l.leanDepart {
 		// Counted, not handed out: no Departure, no observed cell, and no

@@ -104,6 +104,9 @@ func (s *Switch) SetObserver(o *Observer) {
 		{src: s.cDropOverrun, dst: o.DropOverrun},
 		{src: s.cDropPolicy, dst: o.DropPolicy},
 		{src: s.cDropPushout, dst: o.DropPushOut},
+		{src: s.cECCCorrected, dst: o.ECCCorrected},
+		{src: s.cECCUncorrectable, dst: o.ECCUncorrectable},
+		{src: s.cECCHard, dst: o.ECCHard},
 		{src: &w.waves[OpWrite], dst: o.WriteWaves},
 		{src: &w.waves[OpRead], dst: o.ReadWaves},
 		{src: &w.waves[OpWriteThrough], dst: o.CutThroughs},
@@ -139,8 +142,8 @@ type observed struct {
 	// watched cycle (since) if that cycle initiates no wave.
 	peak, seed, since int64
 	// mirrors feed registry counters from monotone tallies: the switch's
-	// delivered and drop counters and the two above.
-	mirrors           [8]mirror
+	// delivered, drop and ECC counters and the two above.
+	mirrors           [11]mirror
 	cutLat, initDelay *obs.HistShadow
 }
 

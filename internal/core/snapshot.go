@@ -361,7 +361,6 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 		}
 	}
 
-	s.pendingWrites, s.pendMask = 0, 0
 	for i := range st.Inflight {
 		a := &st.Inflight[i]
 		if a.Active && !a.Written {
@@ -402,13 +401,13 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 	copy(s.refcnt, st.Refcnt)
 	copy(s.outOcc, st.OutOcc)
 	copy(s.linkFree, st.LinkFree)
-	// The occupancy and idle words are derived, never serialized: occMask
-	// here, idleMask as the egress slots are re-booked below. The gate
-	// levels are the caller's state: every output restarts open.
-	s.occMask = 0
+	// The port masks are derived, never serialized: occMask here, idleMask
+	// as the egress slots are re-booked below, pendMask with the arrivals
+	// above. The gate levels are the caller's state: every output restarts
+	// open.
 	for o, occ := range s.outOcc {
 		if occ > 0 {
-			s.occMask |= uint64(1) << uint(o) // o ≥ 64 shifts to 0: mask unused there
+			s.occMask.set(o)
 		}
 	}
 	copy(s.wrSkip, st.WrSkip)

@@ -211,6 +211,45 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	if err := s.AuditInvariants(); err == nil {
 		t.Fatal("multicast conservation violation went undetected")
 	}
+
+	// One flipped bit of each derived port mask, on the 4-port switch and
+	// on a 130-port one at ports of its second and third words.
+	wide := func() *Switch {
+		s := mustSwitch(t, Config{Ports: 130, WordBits: 16, Cells: 128})
+		cs, _ := traffic.NewCellStream(traffic.Config{Kind: traffic.Saturation, N: 130, Load: 1, Seed: 5}, s.Config().Stages)
+		r := NewRunner(s, cs, 2000)
+		for i := 0; i < 700; i++ {
+			r.Step()
+		}
+		if s.Buffered() == 0 || s.txActive == 0 {
+			t.Fatal("scenario needs buffered and departing cells")
+		}
+		if err := s.AuditInvariants(); err != nil {
+			t.Fatalf("pre-corruption audit failed: %v", err)
+		}
+		return s
+	}
+	flip := func(m portSet, i int) { m[i>>6] ^= 1 << uint(i&63) }
+	for _, tc := range []struct {
+		mk   func() *Switch
+		mask func(s *Switch) portSet
+		port int
+		want string // the audit clause that must catch it
+	}{
+		{mk, func(s *Switch) portSet { return s.occMask }, 2, "output 2 occupancy bit"},
+		{mk, func(s *Switch) portSet { return s.idleMask }, 1, "output 1 idle bit"},
+		{mk, func(s *Switch) portSet { return s.pendMask }, 3, "input 3 pending bit"},
+		{wide, func(s *Switch) portSet { return s.occMask }, 100, "output 100 occupancy bit"},
+		{wide, func(s *Switch) portSet { return s.idleMask }, 129, "output 129 idle bit"},
+		{wide, func(s *Switch) portSet { return s.pendMask }, 64, "input 64 pending bit"},
+		{wide, func(s *Switch) portSet { return s.openMask }, 130, "port masks carry bits 0x1 counted from port 130"},
+	} {
+		s := tc.mk()
+		flip(tc.mask(s), tc.port)
+		if err := s.AuditInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("bit %d flipped: audit says %v, want %q", tc.port, err, tc.want)
+		}
+	}
 }
 
 // TestAuditZeroAlloc pins the auditor's steady-state cost: on a warm

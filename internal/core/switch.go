@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"time"
 
-	"pipemem/internal/arb"
 	"pipemem/internal/bufmgr"
 	"pipemem/internal/cell"
 	"pipemem/internal/fifo"
@@ -122,13 +121,9 @@ type Switch struct {
 
 	// policy is the optional shared-buffer admission policy (bufmgr);
 	// polState is the pre-boxed State adapter handed to every Admit call
-	// so consulting the policy allocates nothing. wrSkip[i] = cycle+1
-	// marks input i's arrival as not admittable this cycle (Accept
-	// verdict with no free address), so pickWrite's retry loop moves on
-	// to the next-most-urgent arrival instead of rescanning it.
+	// so consulting the policy allocates nothing.
 	policy   bufmgr.Policy
 	polState *bufView
-	wrSkip   []int64
 	// inStalls[i] counts cycles input i held a cell still waiting for its
 	// write wave (per-input backpressure visibility); inDrops[i] and
 	// outDrops[o] count lost cells by arrival input and by destination
@@ -136,14 +131,12 @@ type Switch struct {
 	inStalls, inDrops, outDrops []int64
 
 	linkFree []int64 // per output: first cycle a new read may be initiated
-	readRR   int     // round-robin pointer over outputs
 	vcRR     []int   // per output: round-robin pointer over its VC queues
 	// vcWeights/vcTokens implement weighted round-robin service among an
 	// output's VCs ([KaSC91], the authors' earlier WRR cell multiplexing
 	// chip); nil weights mean plain round-robin.
 	vcWeights [][]int
 	vcTokens  [][]int
-	writeRR   int // tie-break pointer over inputs (EDF first)
 
 	// tracer is the fig. 5 tap (trace.go): nil — the default — costs one
 	// pointer test per Tick, outside the tick.
@@ -155,13 +148,14 @@ type Switch struct {
 	// the default — costs one pointer test per arbitrate call.
 	prof *PhaseProf
 
-	// cAccepted…cStageWords are hot counter slots (stats.Counter.Hot) on
-	// the link side's counter set.
+	// cAccepted…cECCHard are hot counter slots (stats.Counter.Hot) on the
+	// link side's counter set.
 	cAccepted, cDropPolicy, cDropPushout, cStageWords *int64
+	cECCCorrected, cECCUncorrectable, cECCHard        *int64
 
 	// vcGate, when set, must return true for a transmission to start on
 	// an (output, VC) pair — per-VC flow control; the per-output level is
-	// outOpen/openMask below.
+	// the link side's openMask.
 	vcGate func(out, vc int) bool
 	// onTransmitCell, when set, is called once per transmission booked
 	// with the departing cell and the wave initiation cycle: credit
@@ -206,24 +200,9 @@ type Switch struct {
 	// ctrlMask is k-1 when k is a power of two — slotOf then replaces the
 	// hardware divide the per-cycle ring indexing would otherwise pay —
 	// and -1 otherwise. depMask is len(departAt)-1 (the completion ring is
-	// always sized to a power of two ≥ k+1). occMask holds one bit per
-	// output with queued cells, maintained alongside its census counter
-	// (outOcc) as the link side's pendMask is alongside pendingWrites; they
-	// let the arbitration scans visit only live candidates when n ≤ 64.
+	// always sized to a power of two ≥ k+1).
 	ctrlMask int
 	depMask  int
-	occMask  uint64
-
-	// The read side arbitrates over one ready word, occMask & idleMask &
-	// openMask (n ≤ 64). The link side's idleMask has one bit per output
-	// whose egress slot is empty: cleared by startTransmit, set by
-	// finishDeparture — the two edges of linkFree[o], which the tick
-	// executes at exactly those cycles, so it is derived state (never
-	// serialized, rebuilt by NewFromSnapshot). openMask is the pushed level
-	// of the output gates (SetOutputOpen); outOpen is the same level per
-	// output, for the cut-through test and the n > 64 index walk.
-	openMask uint64
-	outOpen  []bool
 
 	// inDelay is the §4.3 link-pipelining delay line: slot c%R holds the
 	// heads that entered the switch boundary R cycles ago and reach the
@@ -259,12 +238,10 @@ func New(cfg Config) (*Switch, error) {
 		nfree:        fifo.NewGrowingFreeList(cfg.Cells*n, cfg.Cells),
 		refcnt:       make([]int, cfg.Cells),
 		outOcc:       make([]int, n),
-		wrSkip:       make([]int64, n),
 		inStalls:     make([]int64, n),
 		inDrops:      make([]int64, n),
 		outDrops:     make([]int64, n),
 		linkFree:     make([]int64, n),
-		outOpen:      make([]bool, n),
 		vcRR:         make([]int, n),
 		writeStartAt: make([]int64, cfg.Cells),
 	}
@@ -291,14 +268,13 @@ func New(cfg Config) (*Switch, error) {
 		s.ecc = newECC(cfg.WordBits)
 		s.eccDirty = make([]bool, cfg.Cells)
 	}
-	for o := range s.outOpen {
-		s.outOpen[o] = true
-	}
-	s.openMask = s.idleMask
 	s.cAccepted = s.counter.Hot("accepted")
 	s.cDropPolicy = s.counter.Hot("drop-policy")
 	s.cDropPushout = s.counter.Hot("drop-pushout")
 	s.cStageWords = s.counter.Hot("stage-words")
+	s.cECCCorrected = s.counter.Hot("ecc-corrected")
+	s.cECCUncorrectable = s.counter.Hot("ecc-uncorrectable")
+	s.cECCHard = s.counter.Hot("ecc-hard")
 	s.polState = &bufView{s}
 	return s, nil
 }
@@ -329,28 +305,16 @@ func (s *Switch) slotOf(c int64) int {
 // depSlot returns cycle c's slot of the departure-completion ring.
 func (s *Switch) depSlot(c int64) int { return int(c) & s.depMask }
 
-// rrDist is input i's distance from the write round-robin pointer — the
-// position the legacy scan would visit i at.
-func (s *Switch) rrDist(i int) int {
-	d := i - s.writeRR
-	if d < 0 {
-		d += s.n
-	}
-	return d
-}
-
 // occInc/occDec maintain output o's queued-cell census (count + bitset),
-// as the link side's pendSet/pendClear do for the pending writes. Every
-// consumer of a mask is gated on n ≤ 64.
+// as the link side's pendSet/pendClear do for the pending writes.
 func (s *Switch) occInc(o int) {
 	s.outOcc[o]++
-	s.occMask |= uint64(1) << uint(o)
+	s.occMask.set(o)
 }
 
 func (s *Switch) occDec(o int) {
-	s.outOcc[o]--
-	if s.outOcc[o] == 0 {
-		s.occMask &^= uint64(1) << uint(o)
+	if s.outOcc[o]--; s.outOcc[o] == 0 {
+		s.occMask.clear(o)
 	}
 }
 
@@ -452,17 +416,18 @@ func (s *Switch) SetTracer(f func(TraceEvent)) { s.tracer = f }
 // and a switch rebuilt by NewFromSnapshot has every output open until the
 // caller pushes its levels again.
 func (s *Switch) SetOutputOpen(out int, open bool) {
-	s.outOpen[out] = open
-	bit := uint64(1) << uint(out) // out ≥ 64 shifts to 0: mask unused there
+	if uint(out) >= uint(s.n) {
+		panic(fmt.Sprintf("core: gate level for output %d of an %d-port switch", out, s.n))
+	}
 	if open {
-		s.openMask |= bit
+		s.openMask.set(out)
 	} else {
-		s.openMask &^= bit
+		s.openMask.clear(out)
 	}
 }
 
 // OutputOpen reports output out's gate level (see SetOutputOpen).
-func (s *Switch) OutputOpen(out int) bool { return s.outOpen[out] }
+func (s *Switch) OutputOpen(out int) bool { return s.openMask.has(out) }
 
 // SetVCGate installs a per-(output, VC) admission predicate — the
 // [KVES95] VC-level flow control. A VC whose gate is closed keeps its
@@ -778,18 +743,11 @@ func (s *Switch) accrueStalls(c int64) {
 	if s.obs != nil {
 		s.obs.stall(c, s.pendingWrites)
 	}
-	if s.n <= 64 {
-		for m := s.pendMask; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			if c > s.inflight[i].head {
+	for wi, m := range s.pendMask {
+		for ; m != 0; m &= m - 1 {
+			if i := wi<<6 | bits.TrailingZeros64(m); c > s.inflight[i].head {
 				s.inStalls[i]++
 			}
-		}
-		return
-	}
-	for i := range s.inflight {
-		if a := &s.inflight[i]; a.active && !a.written && c > a.head {
-			s.inStalls[i]++
 		}
 	}
 }
@@ -820,38 +778,18 @@ func (s *Switch) arbitrateInner(c int64, op *Op) bool {
 }
 
 // pickRead selects an idle, open outgoing link with an eligible
-// head-of-queue cell, round-robin from readRR. With n ≤ 64 the candidates
-// are the set bits of the ready word and arb.FirstFrom rotates to the
-// pointer: the visit order of the paper's index walk restricted to the
-// outputs that could pass its link, gate and queue probes, so the grant is
-// the same and a cycle with nothing ready costs one AND. A ready output
-// can still decline (store-and-forward wait, closed VC gates); it leaves
-// the local word and the rotation moves on.
+// head-of-queue cell, round-robin from readRR: the link side's rotating
+// find-first over the ready words (firstReady), which grants what the
+// paper's index walk does. A ready output can still decline
+// (store-and-forward wait, closed VC gates); it leaves the ready words and
+// the rotation moves on.
 func (s *Switch) pickRead(c int64, op *Op) bool {
 	scanned := 0
-	if s.n <= 64 {
-		for w := s.occMask & s.idleMask & s.openMask; w != 0; {
-			o := arb.FirstFrom(w, s.readRR)
-			scanned++
-			if s.tryRead(o, c, op) {
-				s.noteRead(scanned, true)
-				return true
-			}
-			w &^= uint64(1) << uint(o)
-		}
-	} else if s.queues.Total() != 0 {
-		// n > 64: the words cannot hold every output, so this is the one
-		// place the legacy index walk survives, probing link, gate and
-		// queue per output.
-		for j, o := 0, s.readRR; j < s.n; j, o = j+1, o+1 {
-			if o >= s.n {
-				o -= s.n
-			}
-			scanned++
-			if s.linkFree[o] <= c && s.outOpen[o] && s.tryRead(o, c, op) {
-				s.noteRead(scanned, true)
-				return true
-			}
+	for o := s.firstReady(); o >= 0; o = s.nextReady(o) {
+		scanned++
+		if s.tryRead(o, c, op) {
+			s.noteRead(scanned, true)
+			return true
 		}
 	}
 	s.noteRead(scanned, false)
@@ -893,11 +831,7 @@ func (s *Switch) tryRead(o int, c int64, op *Op) bool {
 	node, _ := s.queues.Pop(q)
 	s.occDec(o)
 	d := &s.nodes[node]
-	if o+1 == s.n {
-		s.readRR = 0
-	} else {
-		s.readRR = o + 1
-	}
+	s.readRR = s.after(o)
 	s.startTransmit(o, d, c)
 	addr := d.addr
 	s.nfree.Put(node)
@@ -927,45 +861,8 @@ func (s *Switch) pickWrite(c int64, op *Op) bool {
 	}
 	scanned := 0
 retry:
-	best := -1
-	var bestHead int64
-	if s.n <= 64 {
-		// The pending bitset holds exactly the active-and-unwritten rows,
-		// visited in ascending index order. The legacy walk visits in
-		// round-robin order from writeRR and keeps the first strict
-		// improvement, so its winner is the minimum head with ties broken
-		// by smallest RR distance — reproduced here with an explicit
-		// distance tie-break, making the two scans pick identically.
-		for m := s.pendMask; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			scanned++
-			a := &s.inflight[i]
-			if c <= a.head || s.wrSkip[i] > c {
-				continue // head arrived only this cycle, or tried already
-			}
-			if best == -1 || a.head < bestHead ||
-				(a.head == bestHead && s.rrDist(i) < s.rrDist(best)) {
-				best, bestHead = i, a.head
-			}
-		}
-	} else {
-		for j, i := 0, s.writeRR; j < s.n; j, i = j+1, i+1 {
-			if i >= s.n {
-				i -= s.n
-			}
-			a := &s.inflight[i]
-			if !a.active || a.written {
-				continue // no pending cell
-			}
-			scanned++
-			if c <= a.head || s.wrSkip[i] > c {
-				continue // head arrived only this cycle, or tried already
-			}
-			if best == -1 || a.head < bestHead {
-				best, bestHead = i, a.head
-			}
-		}
-	}
+	best, n := s.earliestPending(c)
+	scanned += n
 	if best == -1 {
 		s.noteWrite(scanned, false)
 		return false
@@ -1002,11 +899,7 @@ retry:
 	if s.obs != nil {
 		s.obs.initDelay.Observe(c - a.head - 1)
 	}
-	if best+1 == s.n {
-		s.writeRR = 0
-	} else {
-		s.writeRR = best + 1
-	}
+	s.writeRR = s.after(best)
 	vc := a.c.VC
 	if vc < 0 || vc >= s.cfg.VCs {
 		panic(fmt.Sprintf("core: cell VC %d out of configured %d channels", vc, s.cfg.VCs))
@@ -1017,7 +910,7 @@ retry:
 	// destination link is idle and no cell is queued ahead on any of its
 	// VCs, the write wave doubles as the read wave (§3.3).
 	if s.cfg.CutThrough && len(a.c.Copies) == 0 &&
-		s.linkFree[dst] <= c && s.QueuedFor(dst) == 0 && s.outOpen[dst] &&
+		s.linkFree[dst] <= c && s.QueuedFor(dst) == 0 && s.openMask.has(dst) &&
 		(s.vcGate == nil || s.vcGate(dst, vc)) {
 		d := desc{c: a.c, head: a.head, writeStart: c, vc: vc, addr: addr}
 		s.startTransmit(dst, &d, c)
