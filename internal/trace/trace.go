@@ -12,6 +12,9 @@
 //
 // Analyze verifies that identity per flight; a mismatch means the trace
 // and the engine's latency accounting have diverged (a bug, not noise).
+//
+// The package also renders a single switch's fig. 5 trace as a VCD
+// waveform (VCDWriter, vcd.go).
 package trace
 
 import (

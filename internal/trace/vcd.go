@@ -1,9 +1,11 @@
-package core
+package trace
 
 import (
 	"fmt"
 	"io"
 	"strings"
+
+	"pipemem/internal/core"
 )
 
 // VCD (Value Change Dump) export of the fig. 5 control/datapath trace:
@@ -28,7 +30,7 @@ type VCDWriter struct {
 	started bool
 	err     error
 	// previous values, to emit changes only
-	prevOp    []Op
+	prevOp    []core.Op
 	prevDrive []int
 	prevLatch []int
 }
@@ -38,15 +40,16 @@ type VCDWriter struct {
 // VCD time by cycleNs). Install the returned writer's Trace method as the
 // switch tracer:
 //
-//	vw := core.NewVCDWriter(f, sw, 16)
+//	vw := trace.NewVCDWriter(f, sw, 16)
 //	sw.SetTracer(vw.Trace)
 //	… run …
 //	err := vw.Err()
-func NewVCDWriter(w io.Writer, s *Switch, cycleNs float64) *VCDWriter {
+func NewVCDWriter(w io.Writer, s *core.Switch, cycleNs float64) *VCDWriter {
 	if cycleNs <= 0 {
 		cycleNs = 1
 	}
-	return &VCDWriter{w: w, k: s.k, n: s.n, cycleNs: cycleNs}
+	cfg := s.Config()
+	return &VCDWriter{w: w, k: cfg.Stages, n: cfg.Ports, cycleNs: cycleNs}
 }
 
 // idOp/idAddr/idDrive/idLatch build the short VCD identifier codes.
@@ -71,13 +74,13 @@ func (v *VCDWriter) header() {
 }
 
 // opBits renders an Op kind as the 2-bit VCD vector value.
-func opBits(k OpKind) string {
+func opBits(k core.OpKind) string {
 	switch k {
-	case OpWrite:
+	case core.OpWrite:
 		return "b01"
-	case OpRead:
+	case core.OpRead:
 		return "b10"
-	case OpWriteThrough:
+	case core.OpWriteThrough:
 		return "b11"
 	default:
 		return "b00"
@@ -105,14 +108,14 @@ func bitVec(val, width int) string {
 }
 
 // Trace consumes one per-cycle event; install it with Switch.SetTracer.
-func (v *VCDWriter) Trace(e TraceEvent) {
+func (v *VCDWriter) Trace(e core.TraceEvent) {
 	if v.err != nil {
 		return
 	}
 	out := &strings.Builder{}
 	if !v.started {
 		v.header()
-		v.prevOp = make([]Op, v.k)
+		v.prevOp = make([]core.Op, v.k)
 		v.prevDrive = make([]int, v.k)
 		v.prevLatch = make([]int, v.n)
 		for s := range v.prevDrive {
@@ -122,7 +125,7 @@ func (v *VCDWriter) Trace(e TraceEvent) {
 			v.prevLatch[i] = -2
 		}
 		for s := range v.prevOp {
-			v.prevOp[s] = Op{Kind: OpWriteThrough + 1} // impossible: force emit
+			v.prevOp[s] = core.Op{Kind: core.OpWriteThrough + 1} // impossible: force emit
 		}
 		v.started = true
 	}
@@ -132,7 +135,7 @@ func (v *VCDWriter) Trace(e TraceEvent) {
 		if op != v.prevOp[s] {
 			fmt.Fprintf(out, "%s %s\n", opBits(op.Kind), v.idOp(s))
 			addr := -1
-			if op.Kind != OpNone {
+			if op.Kind != core.OpNone {
 				addr = op.Addr
 			}
 			fmt.Fprintf(out, "%s %s\n", bitVec(addr, 16), v.idAddr(s))

@@ -1,16 +1,28 @@
-package core
+package trace
 
 import (
 	"strings"
 	"testing"
 
 	"pipemem/internal/cell"
+	"pipemem/internal/core"
 )
+
+// newSwitch builds a switch for the VCD tests, failing the test on a bad
+// configuration.
+func newSwitch(t *testing.T, cfg core.Config) *core.Switch {
+	t.Helper()
+	s, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // TestVCDExport renders the fig. 5 golden scenario as a VCD stream and
 // checks structure and key value changes.
 func TestVCDExport(t *testing.T) {
-	s := mustSwitch(t, Config{Ports: 2, WordBits: 16, Cells: 8, CutThrough: true})
+	s := newSwitch(t, core.Config{Ports: 2, WordBits: 16, Cells: 8, CutThrough: true})
 	k := s.Config().Stages
 	var buf strings.Builder
 	vw := NewVCDWriter(&buf, s, 16) // Telegraphos III clock
@@ -66,7 +78,7 @@ func TestVCDExport(t *testing.T) {
 // TestVCDChangeOnly: repeated idle cycles add timestamps but no repeated
 // value lines (VCD is change-based).
 func TestVCDChangeOnly(t *testing.T) {
-	s := mustSwitch(t, Config{Ports: 2, WordBits: 16, Cells: 8, CutThrough: true})
+	s := newSwitch(t, core.Config{Ports: 2, WordBits: 16, Cells: 8, CutThrough: true})
 	var buf strings.Builder
 	vw := NewVCDWriter(&buf, s, 1)
 	s.SetTracer(vw.Trace)
@@ -100,14 +112,7 @@ func TestVCDBitsHelper(t *testing.T) {
 			t.Errorf("bitVec(%d,%d) = %q, want %q", tc.v, tc.w, got, tc.want)
 		}
 	}
-	if opBits(OpRead) != "b10" || opBits(OpNone) != "b00" {
+	if opBits(core.OpRead) != "b10" || opBits(core.OpNone) != "b00" {
 		t.Error("opBits wrong")
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -54,6 +54,7 @@ import (
 	"pipemem/internal/sar"
 	"pipemem/internal/sim"
 	"pipemem/internal/telegraphos"
+	"pipemem/internal/trace"
 	"pipemem/internal/traffic"
 	"pipemem/internal/widemem"
 	"pipemem/internal/wormhole"
@@ -121,12 +122,12 @@ type RunResult = core.RunResult
 
 // VCDWriter renders the switch's per-cycle trace as an IEEE-1364 VCD
 // waveform stream for viewers like GTKWave.
-type VCDWriter = core.VCDWriter
+type VCDWriter = trace.VCDWriter
 
 // NewVCDWriter prepares a VCD stream for the switch's geometry; install
 // the returned writer's Trace method with Switch.SetTracer.
 func NewVCDWriter(w io.Writer, s *Switch, cycleNs float64) *VCDWriter {
-	return core.NewVCDWriter(w, s, cycleNs)
+	return trace.NewVCDWriter(w, s, cycleNs)
 }
 
 // New builds a pipelined memory switch.
