@@ -112,8 +112,9 @@ loc:
 	@printf '%-28s %6d\n' total "$$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | xargs cat | wc -l)"
 
 # Paired ledger runs against another revision — how a PR measures what it
-# claims or must not cost: PARENT's tree and the working tree are each built
-# once, N rounds alternate which side runs first, and the ledger's own
+# claims or must not cost: round i links PARENT's tree and the working tree
+# at layout seed i (-ldflags=-randlayout=i), N rounds alternate which side
+# runs first, and the ledger's own
 # -compare judges the pairs (medians, quartiles, pairs won, verdict per
 # metric and workload). WORKLOADS narrows a round from the whole ledger to
 # one untraced pass of each named workload; RUN_SECONDS and SEED pass

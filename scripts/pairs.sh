@@ -4,9 +4,12 @@
 #
 #   scripts/pairs.sh PARENT [N] [WORKLOAD...]      (or: make pairs PARENT=<rev> [N=10] [WORKLOADS="..."])
 #
-# PARENT is any git revision; the change is the working tree. Each side is
-# built once, to a binary not named "benchmark" (whose default -out would
-# collide with it), and runs from a directory holding its own BENCHMARK.json.
+# PARENT is any git revision; the change is the working tree. Round i links
+# both sides with -ldflags=-randlayout=i, so N rounds span N function
+# layouts and a difference that only one code placement shows cannot pass
+# for a cost or a gain (the packages compile once; only the link reruns).
+# Each binary is not named "benchmark" (whose default -out would collide
+# with it) and runs from a directory holding its own BENCHMARK.json.
 # With workloads named, a round is one untraced pass of each on either side;
 # with none, a round is the whole ledger (six workloads, both passes). The
 # side that goes first alternates by round. RUN_SECONDS (default: the spec's
@@ -26,8 +29,12 @@ mkdir -p "$out/parent-src"
 out=$(cd "$out" && pwd)
 
 git -C "$root" archive "$parent" | tar -x -C "$out/parent-src"
-(cd "$out/parent-src" && go build -o "$out/ledger-parent" ./benchmark)
-(cd "$root" && go build -o "$out/ledger-change" ./benchmark)
+
+# link ROUND: (re)build both sides at layout seed ROUND.
+link() {
+	(cd "$out/parent-src" && go build -ldflags="-randlayout=$1" -o "$out/ledger-parent" ./benchmark)
+	(cd "$root" && go build -ldflags="-randlayout=$1" -o "$out/ledger-change" ./benchmark)
+}
 
 # pass SIDE DIR ROUND [WORKLOAD]: one run of one side, results under
 # $out/SIDE/ROUND; prints the result file.
@@ -50,6 +57,7 @@ pass() {
 files=
 i=1
 while [ "$i" -le "$n" ]; do
+	link "$i"
 	for w in "${@:-}"; do
 		if [ $((i % 2)) -eq 1 ]; then
 			old=$(pass parent "$out/parent-src" "$i" "$w")
