@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"pipemem/internal/arb"
 	"pipemem/internal/cell"
 	"pipemem/internal/fifo"
 	"pipemem/internal/stats"
@@ -158,9 +159,11 @@ func (d *DualSwitch) Tick(heads []*cell.Cell) {
 // bank, which it returns (-1 for no read), is dictated by where that cell
 // lives (§3.5: "whichever the desired packet happens to be in").
 func (d *DualSwitch) pickRead(c int64, post *[2]int) (bank int) {
-	for o := d.firstReady(); o >= 0; o = d.nextReady(o) {
-		if b := d.tryRead(o, c, post); b >= 0 {
-			return b
+	if d.anyReady() {
+		for o := arb.FirstFrom(d.ready, d.readRR); o >= 0; o = d.nextReady(o) {
+			if b := d.tryRead(o, c, post); b >= 0 {
+				return b
+			}
 		}
 	}
 	return -1

@@ -222,24 +222,21 @@ func (l *linkSide) after(i int) int {
 	return i + 1
 }
 
-// firstReady loads the read arbiter's request vector into ready and
-// returns the first ready output at or after readRR, or -1 — after one AND
-// per word when none is ready. nextReady strikes output o, which declined
-// the grant, and rotates on. Together they are the index walk from the
-// pointer restricted to the outputs that could pass its link, gate and
-// queue probes.
-func (l *linkSide) firstReady() int {
+// anyReady loads the read arbiter's request vector into ready and reports
+// whether any output is ready: a cycle with none costs one AND per word.
+// The picker then grants with arb.FirstFrom(ready, readRR), and nextReady
+// strikes an output that declined and rotates on. Together they are the
+// index walk from the pointer restricted to the outputs that could pass
+// its link, gate and queue probes. (anyReady and the first FirstFrom stay
+// small enough to inline into the pickers, which run every busy cycle.)
+func (l *linkSide) anyReady() bool {
 	var any uint64
-	occ, idle, open, ready := l.occMask, l.idleMask[:len(l.occMask)], l.openMask[:len(l.occMask)], l.ready[:len(l.occMask)]
-	for i, w := range occ {
-		w &= idle[i] & open[i]
-		ready[i] = w
+	for i, w := range l.occMask {
+		w &= l.idleMask[i] & l.openMask[i]
+		l.ready[i] = w
 		any |= w
 	}
-	if any == 0 {
-		return -1
-	}
-	return arb.FirstFrom(ready, l.readRR)
+	return any != 0
 }
 
 func (l *linkSide) nextReady(o int) int {

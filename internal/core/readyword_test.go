@@ -365,3 +365,23 @@ func TestClosedOutputHoldsAndReopens(t *testing.T) {
 		t.Fatalf("after reopening: departed %v (quiescent=%v), want [1 2] and a drained switch", seqs, s.Quiescent())
 	}
 }
+
+// TestSetOutputOpenRefusesAbsentOutput: a gate level for an output the
+// switch lacks is a caller bug. The mask words have room past port n-1, so
+// without the range check the level would land silently in a stray bit.
+func TestSetOutputOpenRefusesAbsentOutput(t *testing.T) {
+	s := mustSwitch(t, Config{Ports: 4, WordBits: 16, Cells: 16})
+	for _, out := range []int{-1, 4, 63, 64} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetOutputOpen(%d) on a 4-port switch did not panic", out)
+				}
+			}()
+			s.SetOutputOpen(out, false)
+		}()
+	}
+	if err := s.AuditInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

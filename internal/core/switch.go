@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"time"
 
+	"pipemem/internal/arb"
 	"pipemem/internal/bufmgr"
 	"pipemem/internal/cell"
 	"pipemem/internal/fifo"
@@ -778,18 +779,20 @@ func (s *Switch) arbitrateInner(c int64, op *Op) bool {
 }
 
 // pickRead selects an idle, open outgoing link with an eligible
-// head-of-queue cell, round-robin from readRR: the link side's rotating
-// find-first over the ready words (firstReady), which grants what the
-// paper's index walk does. A ready output can still decline
-// (store-and-forward wait, closed VC gates); it leaves the ready words and
-// the rotation moves on.
+// head-of-queue cell, round-robin from readRR: arb.FirstFrom over the
+// link side's ready words (anyReady), which grants what the paper's index
+// walk does. A ready output can still decline (store-and-forward wait,
+// closed VC gates); it leaves the ready words and the rotation moves on
+// (nextReady).
 func (s *Switch) pickRead(c int64, op *Op) bool {
 	scanned := 0
-	for o := s.firstReady(); o >= 0; o = s.nextReady(o) {
-		scanned++
-		if s.tryRead(o, c, op) {
-			s.noteRead(scanned, true)
-			return true
+	if s.anyReady() {
+		for o := arb.FirstFrom(s.ready, s.readRR); o >= 0; o = s.nextReady(o) {
+			scanned++
+			if s.tryRead(o, c, op) {
+				s.noteRead(scanned, true)
+				return true
+			}
 		}
 	}
 	s.noteRead(scanned, false)
@@ -847,7 +850,8 @@ func (s *Switch) tryRead(o int, c int64, op *Op) bool {
 }
 
 // pickWrite selects the pending arrival with the earliest head cycle
-// (earliest deadline first), tie-broken round-robin, and submits it to
+// (earliest deadline first), tie-broken round-robin (the link side's
+// earliestPending, which DualSwitch shares), and submits it to
 // the buffer-management policy (bufmgr) when one is installed. A Drop
 // verdict consumes the arrival and the scan moves to the next-most-
 // urgent one in the same cycle; a PushOut verdict evicts the victim's
@@ -861,8 +865,8 @@ func (s *Switch) pickWrite(c int64, op *Op) bool {
 	}
 	scanned := 0
 retry:
-	best, n := s.earliestPending(c)
-	scanned += n
+	best, visited := s.earliestPending(c)
+	scanned += visited
 	if best == -1 {
 		s.noteWrite(scanned, false)
 		return false
