@@ -91,8 +91,8 @@ func (r *reasm) load(src []cell.Word, m cell.Word) {
 // the one cell it is transmitting. Switch and DualSwitch embed it, with
 // the per-port request masks and the two scans over them that the single
 // arbiter of §3.3 runs: a rotating find-first over the ready outputs
-// (firstReady) and an earliest-deadline scan over the pending inputs
-// (earliestPending). The memory organization, and what a grant does to
+// (anyReady, arb.FirstFrom, nextReady) and an earliest-deadline scan over
+// the pending inputs (earliestPending). The memory organization, and what a grant does to
 // it, stay theirs.
 //
 // An outgoing link carries one cell at a time: a read or write-through wave
@@ -166,7 +166,7 @@ func (l *linkSide) init(n, k, linkPipeline int) {
 	l.inflight = make([]arrival, n)
 	l.wrSkip = make([]int64, n)
 	l.rxHead = make([]*reasm, n)
-	// The five masks share one backing array: for n ≤ 64, one cache line.
+	// The five masks share one backing array, five words up to 64 ports.
 	w := (n + 63) >> 6
 	m := make(portSet, 5*w)
 	l.pendMask, l.idleMask, l.occMask, l.openMask, l.ready = m[:w:w], m[w:2*w:2*w], m[2*w:3*w:3*w], m[3*w:4*w:4*w], m[4*w:]

@@ -80,18 +80,15 @@ const traceCycles = 2500
 
 // tracedDigests drives the case for traceCycles plus a drain tail with one
 // tracer installed from cycle 0, and digests the whole fig. 5 stream two
-// ways: the TraceEvent.String lines and the JSONL records. tap, when not
-// nil, is called with the switch before the run and returns a further
-// consumer of every event (the external golden test's VCD writer).
+// ways: the TraceEvent.String lines and the JSONL records. tap is called
+// with the switch before the run and returns a further consumer of every
+// event (the external golden test's VCD writer).
 func tracedDigests(t *testing.T, tc traceCase, tap func(*Switch) func(TraceEvent)) (text, jsonl uint64, events, deps int) {
 	t.Helper()
 	h := tc.newTraced(t)
 	k := h.sw.k
 	hs, hj := fnv.New64a(), fnv.New64a()
-	also := func(TraceEvent) {}
-	if tap != nil {
-		also = tap(h.sw)
-	}
+	also := tap(h.sw)
 	var buf []byte
 	h.sw.SetTracer(func(e TraceEvent) {
 		events++
