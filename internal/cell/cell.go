@@ -53,6 +53,11 @@ type Cell struct {
 	Enqueue int64
 	// Words is the payload, one entry per clock cycle on the link.
 	Words []Word
+	// Tag is a handle for the driver's own bookkeeping (the multistage
+	// fabric keeps its flight record's index here). Switches neither read
+	// it nor copy it into what they build; Equal ignores it, Clone copies
+	// it.
+	Tag int32
 }
 
 // Len returns the cell length in words.
@@ -87,7 +92,7 @@ func (c *Cell) Checksum() uint64 {
 }
 
 // Equal reports whether two cells carry the same identity and payload.
-// Enqueue timestamps are not compared: they are observer metadata.
+// Enqueue timestamps and Tag are not compared: they are observer metadata.
 func (c *Cell) Equal(d *Cell) bool {
 	if c.Seq != d.Seq || c.Src != d.Src || c.Dst != d.Dst || c.VC != d.VC || len(c.Words) != len(d.Words) {
 		return false

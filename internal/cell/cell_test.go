@@ -93,6 +93,21 @@ func TestEqualIgnoresTimestamps(t *testing.T) {
 	}
 }
 
+// TestTagIsMetadata: Tag is the driver's handle, not the cell's identity —
+// Equal ignores it and Clone carries it over.
+func TestTagIsMetadata(t *testing.T) {
+	a := New(9, 0, 3, 4, 8)
+	a.Tag = 41
+	b := a.Clone()
+	if b.Tag != 41 {
+		t.Fatalf("Clone dropped Tag: got %d, want 41", b.Tag)
+	}
+	b.Tag = 7
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatal("Equal must ignore Tag")
+	}
+}
+
 func TestNewRandomRespectsWidth(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 100; i++ {

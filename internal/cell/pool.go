@@ -2,12 +2,12 @@ package cell
 
 // Fill regenerates c in place exactly as New(seq, src, dst, words, width)
 // would build a fresh cell, reusing c's Words backing array when its
-// capacity allows. Copies and Enqueue are reset. The caller must hold the
-// only live reference to c (a recycled cell must have left the switch).
+// capacity allows. Copies, Enqueue and Tag are reset. The caller must hold
+// the only live reference to c (a recycled cell must have left the switch).
 func Fill(c *Cell, seq uint64, src, dst, words, width int) {
 	c.Seq, c.Src, c.Dst, c.VC = seq, src, dst, 0
 	c.Copies = nil
-	c.Enqueue = 0
+	c.Enqueue, c.Tag = 0, 0
 	if cap(c.Words) >= words {
 		c.Words = c.Words[:words]
 	} else {

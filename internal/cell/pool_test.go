@@ -10,11 +10,12 @@ func TestFillMatchesNew(t *testing.T) {
 	recycled.Copies = []int{3}
 	recycled.Enqueue = 123
 	recycled.VC = 2
+	recycled.Tag = 5
 	Fill(recycled, 7, 2, 5, 16, 16)
 	if !recycled.Equal(fresh) {
 		t.Fatalf("Fill diverged from New:\n%v\nvs\n%v", recycled, fresh)
 	}
-	if recycled.Copies != nil || recycled.Enqueue != 0 || recycled.VC != 0 {
+	if recycled.Copies != nil || recycled.Enqueue != 0 || recycled.VC != 0 || recycled.Tag != 0 {
 		t.Fatalf("Fill left stale state: %+v", recycled)
 	}
 }

@@ -79,7 +79,9 @@ func (c Config) Validate() error {
 }
 
 // Net is the three-stage Clos network: the engine's net, wired as a Clos.
-// Terminal t is port t mod n of ingress switch t / n.
+// Terminal t is port t mod n of ingress switch t / n. Cells are offered
+// with Inject under sequence numbers that start at 1 and only increase
+// (Step reports any other); Run and Drive number them so.
 type Net = engine.Engine
 
 // New builds the network. A Net with Workers > 1 owns goroutines; Close

@@ -41,10 +41,10 @@
 //
 // The per-cycle loop allocates nothing once warm: head arrivals live in a
 // preallocated ring of 4 cycle slots × (node, port) (transmit hooks book
-// at +2, injections at +0), per-cell bookkeeping is pooled in an
-// open-addressed flight table, and quiescent nodes are skipped entirely via
-// occupancy bitmaps, catching up through core.TickN's event-driven
-// fast-forward when traffic returns. A cell is one object for its whole
+// at +2, injections at +0), per-cell bookkeeping lives in a slab of flight
+// records whose handles the cells carry (cell.Cell.Tag), and quiescent
+// nodes are skipped entirely via occupancy bitmaps, catching up through
+// core.TickN's event-driven fast-forward when traffic returns. A cell is one object for its whole
 // flight: Inject draws it from the inject pool, each interior transmit hook
 // forwards that same cell into the downstream ring slot (the cut-through
 // of §3.3 passes on the cell a node starts on its link), and it returns to
@@ -224,7 +224,8 @@ type Engine struct {
 	// retirement return.
 	injPool *cell.Pool
 
-	flights *flightTable
+	flights flightSlab
+	lastSeq uint64     // the last sequence number injected
 	scratch *cell.Cell // eject-verification payload regeneration
 
 	// arrivals counts heads consumed per node (by the owning shard) —
@@ -247,8 +248,8 @@ type Engine struct {
 	met *metrics
 
 	// Flight tracing / telemetry / profiling — see trace.go. flightObs
-	// gates the per-arrival flight-record updates (hopStart, depth) that
-	// both span tracing and the hop-latency histograms consume.
+	// gates the per-arrival flight-record update (depth) and the hop
+	// latencies that span tracing and the hop-latency histograms consume.
 	trace      *obs.Tracer
 	traceEvery uint64
 	flightObs  bool
@@ -271,7 +272,6 @@ func New(cfg Config) (*Engine, error) {
 		topo: t, stages: s, k: k, cellK: 2 * k, wordBits: cfg.WordBits,
 		creditOn: cfg.Credits > 0, maxCred: int32(cfg.Credits),
 		base:    make([]int, s),
-		flights: newFlightTable(),
 		latency: stats.NewHist(1 << 14),
 	}
 	total := 0
@@ -445,8 +445,8 @@ func (e *Engine) installHook(sw *core.Switch, st, g int, sh *shard) {
 	route := e.route[st+1]
 	k := uint32(e.k)
 	sw.SetTransmitCellHook(func(out int, c *cell.Cell, start int64) {
-		fl := e.flights.get(c.Seq)
-		if fl == nil {
+		fl := &e.flights.recs[c.Tag]
+		if fl.seq != c.Seq {
 			panic(fmt.Sprintf("engine: transmit of unknown cell seq %d", c.Seq))
 		}
 		if releases {
@@ -455,9 +455,9 @@ func (e *Engine) installHook(sw *core.Switch, st, g int, sh *shard) {
 			sh.rel = append(sh.rel, fl.inbound)
 		}
 		if e.flightObs {
-			// Head on the wire at start+1; fl.hopStart was stamped when
-			// the head arrived here. Staged, not emitted: see trace.go.
-			lat := start + 1 - fl.hopStart
+			// Head on the wire at start+1; the switch stamped c.Enqueue
+			// when the head arrived here. Staged, not emitted: see trace.go.
+			lat := start + 1 - c.Enqueue
 			if sh.hop != nil {
 				sh.hop[st].Observe(lat)
 			}
@@ -502,8 +502,8 @@ func (e *Engine) installLastHook(sw *core.Switch, sh *shard) {
 		return
 	}
 	sw.SetTransmitCellHook(func(out int, c *cell.Cell, start int64) {
-		fl := e.flights.get(c.Seq)
-		if fl == nil {
+		fl := &e.flights.recs[c.Tag]
+		if fl.seq != c.Seq {
 			panic(fmt.Sprintf("engine: transmit of unknown cell seq %d", c.Seq))
 		}
 		sh.rel = append(sh.rel, fl.inbound)
@@ -519,25 +519,34 @@ func (e *Engine) installLastHook(sw *core.Switch, sh *shard) {
 // keeping the merge deterministic.
 func (e *Engine) installDropHook(sw *core.Switch, g int, sh *shard) {
 	sw.SetDropCellHook(func(c *cell.Cell) {
-		sh.drops = append(sh.drops, dropRec{seq: c.Seq, c: c, node: int32(g)})
+		sh.drops = append(sh.drops, dropRec{c: c, node: int32(g)})
 	})
 }
 
 // Inject offers a cell at terminal term for terminal dst in the current
-// cycle. seq must be nonzero and unique among in-flight cells. The caller
-// must respect the word-serial spacing (one head per 2·radix cycles per
-// terminal); core.Switch panics otherwise.
+// cycle. Sequence numbers only increase: seq must exceed the last one
+// injected (the first may be any nonzero number), which keeps it unique
+// in the net; Step reports any other as an error. The caller must respect
+// the word-serial spacing (one head per 2·radix cycles per terminal);
+// core.Switch panics otherwise.
 func (e *Engine) Inject(term, dst int, seq uint64) {
 	var t0 int64
 	if e.prof != nil {
 		t0 = nowNS()
 	}
-	fl, err := e.flights.insert(seq)
-	if err != nil {
-		e.fail(fmt.Errorf("engine: inject at terminal %d: %w", term, err))
+	if seq <= e.lastSeq {
+		e.fail(fmt.Errorf("engine: inject at terminal %d: sequence number %d does not exceed %d (they start at 1 and only increase)", term, seq, e.lastSeq))
 		return
 	}
 	idx := e.injIdx[term]
+	slot := e.cycle & 3
+	if e.ring[slot][idx] != nil {
+		e.fail(fmt.Errorf("engine: two heads injected at terminal %d in cycle %d", term, e.cycle))
+		return
+	}
+	e.lastSeq = seq
+	h := e.flights.take(seq)
+	fl := &e.flights.recs[h]
 	fl.src, fl.dst, fl.inject, fl.inbound = int32(term), int32(dst), e.cycle, idx
 	if e.trace != nil && seq%e.traceEvery == 0 {
 		fl.traced = true
@@ -556,13 +565,7 @@ func (e *Engine) Inject(term, dst int, seq uint64) {
 	}
 	c := e.injPool.Get()
 	cell.Fill(c, seq, term, dst, e.cellK, e.wordBits)
-	c.Dst = int(hop)
-	slot := e.cycle & 3
-	if e.ring[slot][idx] != nil {
-		e.fail(fmt.Errorf("engine: two heads injected at terminal %d in cycle %d", term, e.cycle))
-		e.injPool.Put(c)
-		return
-	}
+	c.Dst, c.Tag = int(hop), h
 	e.ring[slot][idx] = c
 	g := uint32(idx) / uint32(e.k)
 	e.mask[slot][g>>6] |= 1 << (g & 63)
@@ -693,14 +696,13 @@ func (e *Engine) runShard(w int) {
 			if arrived&bit != 0 {
 				heads = ring[g*k : g*k+k : g*k+k]
 				if e.flightObs {
-					// Stamp each arriving flight with its hop start and the
-					// occupancy it found — read back by this node's transmit
-					// hook (same shard), so the writes stay shard-local.
+					// Stamp each arriving flight with the occupancy it found
+					// — read back by this node's transmit hook (same shard),
+					// so the writes stay shard-local.
 					buffered := int32(nd.Buffered())
 					for _, h := range heads {
 						if h != nil {
-							if fl := e.flights.get(h.Seq); fl != nil {
-								fl.hopStart = cyc
+							if fl := &e.flights.recs[h.Tag]; fl.seq == h.Seq {
 								fl.depth = buffered
 							}
 						}
@@ -735,15 +737,16 @@ func (e *Engine) runShard(w int) {
 }
 
 // retireDrop settles a cell lost inside a node: the flight record is
-// removed (so the table cannot leak one record per drop), the credit the
+// released (so the slab cannot leak one record per drop), the credit the
 // cell held on its inbound inter-stage link is released (terminal
 // injection at stage 0 holds none), and the victim goes back to the inject
 // pool — which is what keeps the steady state allocation-free even under
 // sustained drops.
 func (e *Engine) retireDrop(dr *dropRec) error {
-	fl := e.flights.get(dr.seq)
-	if fl == nil {
-		return fmt.Errorf("engine: drop of unknown cell %d at node %d", dr.seq, dr.node)
+	c := dr.c
+	fl := &e.flights.recs[c.Tag]
+	if fl.seq != c.Seq {
+		return fmt.Errorf("engine: drop of unknown cell %d at node %d", c.Seq, dr.node)
 	}
 	e.dropped++
 	if int(dr.node) >= e.base[1] {
@@ -754,10 +757,10 @@ func (e *Engine) retireDrop(dr *dropRec) error {
 	}
 	if fl.traced {
 		e.trace.Emit(obs.Event{Kind: obs.EvDrop, Cycle: e.cycle,
-			In: -1, Out: fl.dst, Addr: dr.node, V: e.cycle - fl.inject, Seq: dr.seq})
+			In: -1, Out: fl.dst, Addr: dr.node, V: e.cycle - fl.inject, Seq: c.Seq})
 	}
-	e.flights.remove(dr.seq)
-	e.injPool.Put(dr.c)
+	e.flights.release(c.Tag)
+	e.injPool.Put(c)
 	return nil
 }
 
@@ -765,9 +768,10 @@ func (e *Engine) retireDrop(dr *dropRec) error {
 // and payload intact (regenerated from the flight's (seq, src, dst), which
 // is what Inject filled it from).
 func (e *Engine) eject(g int, d *core.Departure) error {
-	seq := d.Expected.Seq
-	fl := e.flights.get(seq)
-	if fl == nil {
+	x := d.Expected
+	seq := x.Seq
+	fl := &e.flights.recs[x.Tag]
+	if fl.seq != seq {
 		return fmt.Errorf("engine: ejection of unknown cell %d", seq)
 	}
 	term := e.ejectTerm[(g-e.last)*e.k+d.Output]
@@ -791,19 +795,20 @@ func (e *Engine) eject(g int, d *core.Departure) error {
 	if e.flightObs {
 		// The last stage has no interior transmit hook; close out its hop
 		// and the whole flight here (coordinator side, node order).
+		hop := d.HeadOut - d.HeadIn
 		if e.hopHists != nil {
-			e.hopHists[e.stages-1].Observe(d.HeadOut - fl.hopStart)
+			e.hopHists[e.stages-1].Observe(hop)
 		}
 		if fl.traced {
 			e.trace.Emit(obs.Event{Kind: obs.EvHop, Cycle: e.cycle,
 				In: int32(e.stages - 1), Out: fl.depth, Addr: int32(g),
-				V: d.HeadOut - fl.hopStart, Seq: seq})
+				V: hop, Seq: seq})
 			e.trace.Emit(obs.Event{Kind: obs.EvEject, Cycle: e.cycle,
 				In: term, Out: -1, Addr: int32(g), V: d.HeadOut - fl.inject, Seq: seq})
 		}
 	}
-	e.injPool.Put(d.Expected)
-	e.flights.remove(seq)
+	e.flights.release(x.Tag)
+	e.injPool.Put(x)
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"pipemem/internal/bufmgr"
 	"pipemem/internal/obs"
+	"pipemem/internal/traffic"
 )
 
 // bfly4 is the 4-terminal radix-2 butterfly, hand-wired: stage 0 node i
@@ -132,26 +133,60 @@ func TestEngineBadPolicyIsErrBadConfig(t *testing.T) {
 	}
 }
 
+// TestEngineRejectsBadSequenceNumbers pins Inject's contract: sequence
+// numbers start at 1 and only increase, and Step reports any other; Drive
+// numbers on from the last one injected, whoever injected it.
 func TestEngineRejectsBadSequenceNumbers(t *testing.T) {
-	e, err := New(bflyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.Inject(0, 0, 0) // reserved seq
-	if err := e.Step(); err == nil {
-		t.Fatal("seq 0 accepted")
-	}
-
-	e2, err := New(bflyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	e2.Inject(0, 0, 7)
-	e2.Inject(1, 1, 7) // duplicate while in flight
-	if err := e2.Step(); err == nil {
-		t.Fatal("duplicate in-flight seq accepted")
+	for _, tc := range []struct {
+		name   string
+		run    func(e *Engine) error
+		refuse bool
+	}{
+		{"reserved-zero", func(e *Engine) error {
+			e.Inject(0, 0, 0)
+			return e.Step()
+		}, true},
+		{"duplicate-in-flight", func(e *Engine) error {
+			e.Inject(0, 0, 7)
+			e.Inject(1, 1, 7)
+			return e.Step()
+		}, true},
+		{"below-the-last", func(e *Engine) error {
+			e.Inject(0, 0, 7)
+			e.Inject(1, 1, 5)
+			return e.Step()
+		}, true},
+		{"drive-after-inject", func(e *Engine) error {
+			// Drive's first heads would be numbered 2…5 from Injected, while
+			// cell 3 is still crossing the net.
+			e.Inject(0, 0, 3)
+			for i := 0; i < e.CellWords(); i++ {
+				if err := e.Step(); err != nil {
+					return err
+				}
+			}
+			cs, err := traffic.NewCellStream(traffic.Config{Kind: traffic.Saturation, N: 4, Load: 1, Seed: 1}, e.CellWords())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Drive(cs, 200); err != nil {
+				return err
+			}
+			if e.Injected() < 50 || e.lastSeq != uint64(e.Injected())+2 {
+				t.Fatalf("injected %d, last seq %d", e.Injected(), e.lastSeq)
+			}
+			return e.Audit()
+		}, false},
+	} {
+		e, err := New(bflyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = tc.run(e)
+		e.Close()
+		if refused := err != nil; refused != tc.refuse {
+			t.Errorf("%s: error %v, want refused=%v", tc.name, err, tc.refuse)
+		}
 	}
 }
 

@@ -61,7 +61,6 @@ type ejectBatch struct {
 }
 
 type dropRec struct {
-	seq  uint64
 	c    *cell.Cell
 	node int32
 }

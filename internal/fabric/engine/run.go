@@ -43,14 +43,15 @@ func (r Result) String() string {
 
 // Drive offers cs's heads at the terminals and steps, for the given number
 // of cycles: the loop of Run, and of every test and benchmark that does
-// nothing else per cycle. Flights are numbered on from Injected, so a
-// caller that also calls Inject must keep its own numbers clear of them.
+// nothing else per cycle. Flights are numbered on from the last sequence
+// number injected, so Drive may follow a caller's own Inject calls, and a
+// caller may Inject after it with any larger number.
 func (e *Engine) Drive(cs *traffic.CellStream, cycles int64) error {
 	for ; cycles > 0; cycles-- {
 		cs.Heads(e.heads)
 		for term, dst := range e.heads {
 			if dst != traffic.NoArrival {
-				e.Inject(term, dst, uint64(e.injected)+1)
+				e.Inject(term, dst, e.lastSeq+1)
 			}
 		}
 		if err := e.Step(); err != nil {

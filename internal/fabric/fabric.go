@@ -94,6 +94,8 @@ func (c Config) Validate() error {
 }
 
 // Net is the multistage fabric: the engine's net, wired as a butterfly.
+// Cells are offered with Inject under sequence numbers that start at 1 and
+// only increase (Step reports any other); Run and Drive number them so.
 type Net = engine.Engine
 
 // New builds the fabric. A Net with Workers > 1 owns goroutines; Close it
