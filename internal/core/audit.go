@@ -36,19 +36,13 @@ func (s *Switch) AuditInvariants() error {
 		if s.outOcc[o] != sum {
 			return fmt.Errorf("core: audit: output %d occupancy %d, but its VC queues hold %d", o, s.outOcc[o], sum)
 		}
-		if got := s.occMask.has(o); got != (sum > 0) {
-			return fmt.Errorf("core: audit: output %d occupancy bit %v, but %d cells queued", o, got, sum)
-		}
-		// The idle bit, the ready words' other derived term, mirrors the
-		// link booking.
-		if idle := s.idleMask.has(o); idle != s.linkIdle(o, s.cycle) {
-			return fmt.Errorf("core: audit: output %d idle bit %v at cycle %d, but its link is booked until %d",
-				o, idle, s.cycle, s.linkFree[o])
+		if err := s.auditOcc(o, sum); err != nil {
+			return err
 		}
 		totalQueued += sum
 	}
-	if stray := s.occMask.stray(s.n) | s.idleMask.stray(s.n) | s.openMask.stray(s.n) | s.pendMask.stray(s.n); stray != 0 {
-		return fmt.Errorf("core: audit: port masks carry bits %#x counted from port %d up", stray, s.n)
+	if err := s.auditLinks(s.Buffered(), s.DroppedCells()); err != nil {
+		return err
 	}
 	if s.queues.Total() != totalQueued {
 		return fmt.Errorf("core: audit: multiqueue total %d, per-queue sum %d", s.queues.Total(), totalQueued)
@@ -89,23 +83,6 @@ func (s *Switch) AuditInvariants() error {
 		return fmt.Errorf("core: audit: %d free addresses, capacity %d", f, s.cfg.Cells)
 	}
 
-	// pendingWrites (count and bitset) mirrors the input rows still
-	// awaiting a write wave.
-	pending := 0
-	for i := range s.inflight {
-		waiting := false
-		if a := &s.inflight[i]; a.active && !a.written {
-			pending++
-			waiting = true
-		}
-		if got := s.pendMask.has(i); got != waiting {
-			return fmt.Errorf("core: audit: input %d pending bit %v, but awaiting-write is %v", i, got, waiting)
-		}
-	}
-	if pending != s.pendingWrites {
-		return fmt.Errorf("core: audit: pendingWrites %d, but %d input rows await a write wave", s.pendingWrites, pending)
-	}
-
 	// Control-ring bookkeeping: the live-op count mirrors the ring, and the
 	// open census its slots.
 	waves, open := 0, 0
@@ -124,14 +101,11 @@ func (s *Switch) AuditInvariants() error {
 	}
 
 	// Egress slot census: an output's slot is occupied exactly while its
-	// link is booked, txActive counts the occupied slots, and each is posted
-	// to the completion ring — holding all k words, or, off the wave commit,
-	// one word per stage run so far.
-	slots, posted := 0, 0
+	// link is booked, and each occupied slot is posted to the completion
+	// ring — holding all k words, or, off the wave commit, one word per
+	// stage run so far.
+	posted := 0
 	for o, r := range s.rxHead {
-		if r != nil {
-			slots++
-		}
 		if (r == nil) != s.linkIdle(o, s.cycle) {
 			return fmt.Errorf("core: audit: output %d egress slot occupied=%v at cycle %d, but its link is booked until %d", o, r != nil, s.cycle, s.linkFree[o])
 		}
@@ -145,8 +119,8 @@ func (s *Switch) AuditInvariants() error {
 			return fmt.Errorf("core: audit: completion ring posts output %d, whose egress slot holds no departure in progress", d)
 		}
 	}
-	if slots != s.txActive || posted != slots {
-		return fmt.Errorf("core: audit: %d occupied egress slots, but txActive %d and %d completions posted", slots, s.txActive, posted)
+	if posted != s.txActive {
+		return fmt.Errorf("core: audit: %d egress slots occupied, but %d completions posted", s.txActive, posted)
 	}
 
 	// Every deferred deposit belongs to an allocated address.
@@ -188,15 +162,74 @@ func (s *Switch) AuditInvariants() error {
 			return fmt.Errorf("core: audit: delayCount %d, but %d cells occupy the delay line", s.delayCount, inDelay)
 		}
 	}
+	return nil
+}
 
-	// Conservation: every copy the switch has taken on — one per offered
-	// cell, plus the extra copies of multicast write waves — is delivered,
-	// dropped, or still resident (input rows, buffer, egress). The §4.3 delay
-	// line holds cells not yet counted offered, so it is deliberately absent
-	// from both sides.
-	offered := s.counter.Get("offered") + s.counter.Get("multicast-copies")
-	resident := int64(s.Buffered() + s.pendingWrites + s.txActive)
-	if got := s.counter.Get("delivered") + s.DroppedCells() + resident; got != offered {
+// AuditInvariants verifies the dual switch's derived state, which its
+// pickers trust without re-probing: the occupancy, idle and pending port
+// words against the queues, egress slots and input rows they summarize,
+// no bits above port n, and conservation. Like Switch.AuditInvariants it
+// allocates nothing on the clean path.
+func (d *DualSwitch) AuditInvariants() error {
+	for o := 0; o < d.n; o++ {
+		if err := d.auditOcc(o, d.queues.Len(o)); err != nil {
+			return err
+		}
+	}
+	return d.auditLinks(d.Buffered(), d.DroppedCells())
+}
+
+// auditOcc checks output o's occupancy bit against the queued copies the
+// caller counted for it.
+func (l *linkSide) auditOcc(o, queued int) error {
+	if got := l.occMask.has(o); got != (queued > 0) {
+		return fmt.Errorf("core: audit: output %d occupancy bit %v, but %d cells queued", o, got, queued)
+	}
+	return nil
+}
+
+// auditLinks checks the periphery's own bookkeeping, the clauses both
+// switches share: the idle bits and txActive against the egress slots, the
+// pending bits and pendingWrites against the input rows, no mask bits from
+// port n up, and conservation. Every copy the switch has taken on — one
+// per offered cell, plus the extra copies of multicast write waves — is
+// delivered, dropped, or still resident (input rows, buffered, egress);
+// the caller passes its buffered and dropped counts. The §4.3 delay line
+// holds cells not yet counted offered, so it is deliberately absent from
+// both sides.
+func (l *linkSide) auditLinks(buffered int, dropped int64) error {
+	slots := 0
+	for o, r := range l.rxHead {
+		if r != nil {
+			slots++
+		}
+		if idle := l.idleMask.has(o); idle != (r == nil) {
+			return fmt.Errorf("core: audit: output %d idle bit %v, but its egress slot occupied=%v", o, idle, r != nil)
+		}
+	}
+	if slots != l.txActive {
+		return fmt.Errorf("core: audit: %d occupied egress slots, but txActive %d", slots, l.txActive)
+	}
+	pending := 0
+	for i := range l.inflight {
+		waiting := false
+		if a := &l.inflight[i]; a.active && !a.written {
+			pending++
+			waiting = true
+		}
+		if got := l.pendMask.has(i); got != waiting {
+			return fmt.Errorf("core: audit: input %d pending bit %v, but awaiting-write is %v", i, got, waiting)
+		}
+	}
+	if pending != l.pendingWrites {
+		return fmt.Errorf("core: audit: pendingWrites %d, but %d input rows await a write wave", l.pendingWrites, pending)
+	}
+	if stray := l.occMask.stray(l.n) | l.idleMask.stray(l.n) | l.openMask.stray(l.n) | l.pendMask.stray(l.n); stray != 0 {
+		return fmt.Errorf("core: audit: port masks carry bits %#x counted from port %d up", stray, l.n)
+	}
+	offered := l.counter.Get("offered") + l.counter.Get("multicast-copies")
+	resident := int64(buffered + l.pendingWrites + l.txActive)
+	if got := l.counter.Get("delivered") + dropped + resident; got != offered {
 		return fmt.Errorf("core: audit: conservation violated: offered+copies %d, delivered+dropped+resident %d (resident %d)",
 			offered, got, resident)
 	}

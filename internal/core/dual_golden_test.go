@@ -12,8 +12,9 @@ import (
 // dualDigest drives a DualSwitch from one traffic schedule plus a drain
 // tail and folds every departure, in completion order, into one FNV-1a
 // digest: sequence number, output, the three timestamps and the initiation
-// delay — everything a departure observably is. It also returns the
-// departure and overrun counts, so a digest cannot match vacuously.
+// delay — everything a departure observably is. It audits the switch after
+// every cycle, and returns the departure and overrun counts, so a digest
+// cannot match vacuously.
 func dualDigest(t *testing.T, cfg Config, tc traffic.Config, cycles int) (sum uint64, deps int, overrun int64) {
 	t.Helper()
 	d := mustDual(t, cfg)
@@ -24,6 +25,9 @@ func dualDigest(t *testing.T, cfg Config, tc traffic.Config, cycles int) (sum ui
 	h := fnv.New64a()
 	for c := int64(0); c < int64(cycles+8*k*cfg.Cells); c++ {
 		d.Tick(headsFor(rowAt(sched, c), heads, &seq, k, cfg.WordBits, 1))
+		if err := d.AuditInvariants(); err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
 		for _, dep := range d.Drain() {
 			if !dep.Cell.Equal(dep.Expected) {
 				t.Fatalf("cycle %d: cell %d corrupted on output %d", c, dep.Expected.Seq, dep.Output)

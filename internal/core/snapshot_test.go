@@ -250,6 +250,66 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			t.Fatalf("bit %d flipped: audit says %v, want %q", tc.port, err, tc.want)
 		}
 	}
+
+	// The dual switch's pickers trust the same words: one flipped bit of
+	// each, on a 4-port and a 65-port dual switch.
+	for _, tc := range []struct {
+		n    int
+		mask func(d *DualSwitch) portSet
+		port int
+		want string
+	}{
+		{4, func(d *DualSwitch) portSet { return d.occMask }, 2, "output 2 occupancy bit"},
+		{4, func(d *DualSwitch) portSet { return d.idleMask }, 1, "output 1 idle bit"},
+		{4, func(d *DualSwitch) portSet { return d.pendMask }, 3, "input 3 pending bit"},
+		{65, func(d *DualSwitch) portSet { return d.occMask }, 64, "output 64 occupancy bit"},
+		{65, func(d *DualSwitch) portSet { return d.idleMask }, 33, "output 33 idle bit"},
+		{65, func(d *DualSwitch) portSet { return d.pendMask }, 64, "input 64 pending bit"},
+		{65, func(d *DualSwitch) portSet { return d.pendMask }, 65, "port masks carry bits 0x1 counted from port 65"},
+	} {
+		d := busyDual(t, tc.n)
+		flip(tc.mask(d), tc.port)
+		if err := d.AuditInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("dual n=%d, bit %d flipped: audit says %v, want %q", tc.n, tc.port, err, tc.want)
+		}
+	}
+}
+
+// busyDual returns an n-port dual switch driven at saturation until it
+// holds buffered cells, departures in progress and unwritten arrivals, and
+// audits clean.
+func busyDual(t *testing.T, n int) *DualSwitch {
+	t.Helper()
+	d := mustDual(t, Config{Ports: n, WordBits: 16, Cells: 2 * n})
+	sched := genSchedule(t, traffic.Config{Kind: traffic.Saturation, N: n, Seed: 5}, n, 8*n)
+	heads := make([]*cell.Cell, n)
+	var seq uint64
+	for c := range sched {
+		d.Tick(headsFor(sched[c], heads, &seq, n, 16, 1))
+		d.Drain()
+	}
+	if d.Buffered() == 0 || d.txActive == 0 || d.pendingWrites == 0 {
+		t.Fatalf("n=%d: scenario needs buffered (%d), departing (%d) and pending (%d) cells", n, d.Buffered(), d.txActive, d.pendingWrites)
+	}
+	if err := d.AuditInvariants(); err != nil {
+		t.Fatalf("n=%d: pre-corruption audit failed: %v", n, err)
+	}
+	return d
+}
+
+// TestDualAuditZeroAlloc: the dual switch's audit allocates nothing on the
+// clean path, at one and two mask words.
+func TestDualAuditZeroAlloc(t *testing.T) {
+	for _, n := range []int{4, 65} {
+		d := busyDual(t, n)
+		if allocs := testing.AllocsPerRun(2000, func() {
+			if err := d.AuditInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("n=%d: DualSwitch.AuditInvariants allocates %.2f/op, want 0", n, allocs)
+		}
+	}
 }
 
 // TestAuditZeroAlloc pins the auditor's steady-state cost: on a warm
