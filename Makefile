@@ -24,8 +24,11 @@ test:
 # The whole suite under the race detector — including the engine
 # differentials (TestECCEqualsReference, the TickN equivalence suite), which
 # are sized to stay in this pass rather than behind an opt-in gate.
+# internal/core alone has run close to go test's default 10-minute
+# per-package timeout beside the other packages on a 2-vCPU host, hence the
+# explicit one.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Short fuzz pass over the parsers (plan grammar, buffer-policy specs,
 # end-to-end policy conservation) and over the tick engine's fault seams:
