@@ -329,7 +329,9 @@ func (m *Manager) List() []*Session {
 	return ss
 }
 
-// Delete pauses (if free-running) and removes a session.
+// Delete pauses (if free-running) and removes a session. Once Drain has
+// begun it refuses with ErrClosed, as Create does: the drain checkpoints
+// every session it listed, and one removed under it would fail that drain.
 func (m *Manager) Delete(id string) error {
 	s, err := m.Get(id)
 	if err != nil {
@@ -337,13 +339,16 @@ func (m *Manager) Delete(id string) error {
 	}
 	s.Pause()
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return ErrClosed
+	}
 	// Guard against a concurrent Delete racing us to the map.
 	if _, ok := m.sessions[id]; ok {
 		delete(m.sessions, id)
 		m.deleted.Inc()
 		m.active.Set(int64(len(m.sessions)))
 	}
-	m.mu.Unlock()
 	return nil
 }
 

@@ -263,9 +263,13 @@ func TestDrainRestoreRoundTrip(t *testing.T) {
 	if len(files) != 1 || files[0] != s.ID()+".ckpt" {
 		t.Fatalf("drain wrote %v, want [%s.ckpt]", files, s.ID())
 	}
-	// The drained manager refuses new sessions.
+	// The drained manager refuses new sessions, and keeps the ones it
+	// froze: a delete landing mid-drain would fail the drain's checkpoint.
 	if _, err := m.Create(cfg); !errors.Is(err, ErrClosed) {
 		t.Fatalf("create after drain: %v, want ErrClosed", err)
+	}
+	if err := m.Delete(s.ID()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("delete after drain: %v, want ErrClosed", err)
 	}
 
 	m2 := NewManager(Options{CkptDir: dir})
