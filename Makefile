@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet staticcheck test race fuzz check vulncheck bench pairs wallclock ckpt-soak serve-smoke loc
+.PHONY: build vet staticcheck cross test race fuzz check vulncheck bench pairs wallclock ckpt-soak serve-smoke loc
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,13 @@ staticcheck:
 	else \
 		echo "staticcheck: not installed; skipping (CI runs it)"; \
 	fi
+
+# The build off amd64: internal/traffic's eight-lane kernel is amd64
+# assembly, and a !amd64 file stands in for it elsewhere. go vet on amd64
+# already checks the assembly's frame and argument offsets (asmdecl).
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/traffic
 
 test:
 	$(GO) test ./...
@@ -44,7 +51,9 @@ race:
 # invariants intact. FuzzCheckpointFile does the same to a whole file body
 # under a recomputed header CRC, through Load and ResumeFrom. FuzzCellStreamHorizon drives
 # the cell stream beside its frozen per-cycle reference (heads and State
-# bytes at every cycle, restore at any). FuzzNetConfig asks for multistage
+# bytes at every cycle, restore at any); FuzzFirstBelowWide holds the
+# eight-lane AVX-512 start-draw kernel to the two-lane Go loop for any
+# generator state, threshold and run (it skips on a CPU without the kernel). FuzzNetConfig asks for multistage
 # nets of arbitrary size: built or refused within a fixed allocation bound,
 # and what builds survives saturation and Audit. FuzzOrganizations feeds
 # arbitrary legal head schedules to all four memory organizations through
@@ -66,6 +75,7 @@ race:
 # flips.
 fuzz:
 	$(GO) test ./internal/traffic -run FuzzCellStreamHorizon -fuzz FuzzCellStreamHorizon -fuzztime 30s
+	$(GO) test ./internal/traffic -run FuzzFirstBelowWide -fuzz FuzzFirstBelowWide -fuzztime 30s
 	$(GO) test ./internal/fault -run FuzzFaultPlanParse -fuzz FuzzFaultPlanParse -fuzztime 30s
 	$(GO) test ./internal/bufmgr -run FuzzParseSpec -fuzz FuzzParseSpec -fuzztime 30s
 	$(GO) test ./internal/core -run FuzzPolicyConservation -fuzz FuzzPolicyConservation -fuzztime 30s
@@ -98,7 +108,7 @@ vulncheck:
 	fi
 
 # The gate every change must pass; referenced from README.md.
-check: vet staticcheck build race vulncheck
+check: vet staticcheck build cross race vulncheck
 
 # Microbenchmark smoke: every benchmark (Tick hot path, experiment
 # shapes) a fixed number of iterations, with allocation counts.

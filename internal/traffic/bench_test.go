@@ -1,6 +1,9 @@
 package traffic
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // headsBenchSpecs are the regimes of the per-cycle cost of a stream. The
 // first four are an 8-port switch with 16-word cells: almost every cycle
@@ -59,6 +62,45 @@ func TestHeadsZeroAlloc(t *testing.T) {
 			}
 		}); avg != 0 {
 			t.Errorf("%s: %.1f allocations per 5000 Heads calls, want 0", spec.name, avg)
+		}
+	}
+}
+
+// BenchmarkFirstBelow is one firstBelow scan per op on each path — the
+// two-lane Go loop and, where the CPU has it, the eight-lane kernel — at
+// the sparse stream's start probability (bursty 0.05 above, ≈ 0.0004), over
+// runs of 16, 64 and 2048 draws: the lookahead's runs are up to 2048 long
+// and end early at a hit. ns/draw is per draw consumed, the hit included;
+// the kernel's minimum run, wideMin, is where its ns/draw drops below the
+// loop's.
+func BenchmarkFirstBelow(b *testing.B) {
+	s, err := NewCellStream(headsBenchSpecs[0].cfg, headsBenchSpecs[0].k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	thr := s.startThr
+	paths := []struct {
+		name string
+		scan func(*pcg, uint64, int) int
+	}{
+		{"lanes", (*pcg).firstBelowLanes},
+		{"wide", (*pcg).firstBelowWide},
+	}
+	for _, path := range paths {
+		for _, n := range []int{16, 64, 2048} {
+			b.Run(fmt.Sprintf("%s/n=%d", path.name, n), func(b *testing.B) {
+				if path.name == "wide" && !haveWide {
+					b.Skip(whyNoWide)
+				}
+				p := pcg{2024, 16}
+				draws := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					draws += min(path.scan(&p, thr, n)+1, n)
+				}
+				headsSink = draws
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(draws), "ns/draw")
+			})
 		}
 	}
 }

@@ -94,12 +94,18 @@ func (p *pcg) advance(j pcgJump) {
 	p.hi, p.lo = lcg(p.hi, p.lo, j.mHi, j.mLo, j.aHi, j.aLo)
 }
 
-// laneMin is the shortest run firstBelow splits into lanes; below it the
-// serial loop is as fast.
+// laneMin is the shortest run firstBelowLanes splits into lanes; below it
+// the serial loop is as fast.
 const laneMin = 8
 
 // laneJump moves a lane from one of its draws to its next: two steps.
 var laneJump = jumpBy(2)
+
+// wideMin is the shortest run firstBelow hands to the eight-lane kernel
+// where the CPU has one (haveWide). At 16 draws, two blocks, the kernel
+// took under half the loop's time per draw (BenchmarkFirstBelow); at 12 —
+// one block and four serial draws — it was no faster.
+const wideMin = 16
 
 // firstBelow consumes up to n draws and returns the index of the first whose
 // low 53 bits are below thr, leaving the generator just past that draw; it
@@ -107,13 +113,35 @@ var laneJump = jumpBy(2)
 //
 //	for i := 0; i < n; i++ { if p.Uint64()&draw53 < thr { return i } }; return n
 //
-// and a long run is that scan in two interleaved lanes — one holds the
+// run in eight AVX-512 lanes on a long run where the CPU has them
+// (firstBelowWide), in two Go lanes everywhere else (firstBelowLanes, the
+// reference the kernel is tested against).
+func (p *pcg) firstBelow(thr uint64, n int) int {
+	if haveWide && n >= wideMin {
+		return p.firstBelowWide(thr, n)
+	}
+	return p.firstBelowLanes(thr, n)
+}
+
+// firstBelowWide is firstBelow with the whole blocks of eight draws in the
+// kernel and the shorter tail in the serial loop. Only for haveWide.
+func (p *pcg) firstBelowWide(thr uint64, n int) int {
+	m := n &^ 7
+	if m > 0 {
+		if i := firstBelow8(p, thr, m, &wideJumps); i < m {
+			return i
+		}
+	}
+	return p.scan(thr, m, n)
+}
+
+// firstBelowLanes is firstBelow in two interleaved lanes — one holds the
 // states of the even draws, one of the odd, each jumping two steps at a
 // time — so that two multiply chains overlap (two lanes measured as fast
 // as four: the loop is bound by multiplier throughput from there on, and
 // four lanes spill). A pair with a hit in it is left to the serial loop,
 // which starts from the state before the pair.
-func (p *pcg) firstBelow(thr uint64, n int) int {
+func (p *pcg) firstBelowLanes(thr uint64, n int) int {
 	i := 0
 	if n >= laneMin {
 		// The lanes are plain words, not pcg values, so that they stay in
@@ -132,6 +160,11 @@ func (p *pcg) firstBelow(thr uint64, n int) int {
 		}
 		p.hi, p.lo = hi, lo
 	}
+	return p.scan(thr, i, n)
+}
+
+// scan is the serial scan over draws i..n-1.
+func (p *pcg) scan(thr uint64, i, n int) int {
 	for ; i < n; i++ {
 		if p.Uint64()&draw53 < thr {
 			return i
@@ -139,6 +172,19 @@ func (p *pcg) firstBelow(thr uint64, n int) int {
 	}
 	return n
 }
+
+// wideLanes holds jumpBy(k+1) in lane k, one vector per word, as the kernel
+// loads them: it fills lane k with the state of a run's draw k, and every
+// lane then jumps by lane 7's map, eight steps.
+type wideLanes struct{ mHi, mLo, aHi, aLo [8]uint64 }
+
+var wideJumps = func() (w wideLanes) {
+	for k := range 8 {
+		j := jumpBy(uint64(k + 1))
+		w.mHi[k], w.mLo[k], w.aHi[k], w.aLo[k] = j.mHi, j.mLo, j.aHi, j.aLo
+	}
+	return w
+}()
 
 // MarshalBinary encodes the state as rand.PCG does: "pcg:", then hi and lo
 // big-endian.

@@ -78,27 +78,130 @@ func TestPCGMatchesStdlib(t *testing.T) {
 // output, so the oracle here is written against rand.PCG with the shift pair
 // rand.Rand.Float64 itself uses — whatever the run length or threshold, and
 // it leaves the generator exactly where the scan would.
+//
+// The runs straddle the eight-lane kernel's block edges, and the second
+// half places the first hit in each of its eight lanes: the lowest of 256
+// draws, at index t, is the first draw below its value + 1 from any start
+// s ≤ t, so starting s draws in puts the hit at t−s, in the lane chosen;
+// below its value itself, it is not a hit.
 func TestFirstBelowMatchesSerialScan(t *testing.T) {
 	thresholds := []uint64{0, 1 << 40, 1 << 50, 1 << 53}
-	runs := []int{1, 3, 8, 9, 64, 5000}
+	runs := []int{1, 3, 8, 9, 15, 16, 17, 63, 64, 65, 2048, 5000}
+	scan := func(oracle *rand.PCG, thr uint64, n int) int {
+		for i := 0; i < n; i++ {
+			if oracle.Uint64()<<11>>11 < thr {
+				return i
+			}
+		}
+		return n
+	}
 	for _, seed := range oracleSeeds(50) {
 		own, oracle := &pcg{seed[0], seed[1]}, rand.NewPCG(seed[0], seed[1])
 		for _, thr := range thresholds {
 			for _, n := range runs {
-				want := n
-				for i := 0; i < n; i++ {
-					if oracle.Uint64()<<11>>11 < thr {
-						want = i
-						break
-					}
-				}
+				want := scan(oracle, thr, n)
 				if got := own.firstBelow(thr, n); got != want {
 					t.Fatalf("seed %x thr %#x n %d: first hit at %d, serial scan %d", seed, thr, n, got, want)
 				}
 				sameState(t, "after firstBelow", own, oracle)
 			}
 		}
+
+		draws := make([]uint64, 256)
+		start := *own
+		probe := start
+		for i := range draws {
+			draws[i] = probe.Uint64() & draw53
+		}
+		low := 0
+		for i, d := range draws {
+			if d < draws[low] {
+				low = i
+			}
+		}
+		for lane := range 8 {
+			s := low - lane
+			if s >= 8 {
+				s -= 8 // the hit in the second block: past one lane jump
+			}
+			if s < 0 {
+				continue
+			}
+			// At thr = the lowest draw itself that draw is no hit.
+			for _, thr := range []uint64{draws[low] + 1, draws[low]} {
+				*own = start
+				if err := oracle.UnmarshalBinary(own.MarshalBinary()); err != nil {
+					t.Fatal(err)
+				}
+				for range s {
+					own.Uint64()
+					oracle.Uint64()
+				}
+				want := scan(oracle, thr, 2048)
+				if thr > draws[low] && (want != low-s || want%8 != lane) {
+					t.Fatalf("seed %x: lane %d construction hit at %d, want %d", seed, lane, want, low-s)
+				}
+				if got := own.firstBelow(thr, 2048); got != want {
+					t.Fatalf("seed %x lane %d thr %#x: first hit at %d, serial scan %d", seed, lane, thr, got, want)
+				}
+				sameState(t, "after a lane's hit", own, oracle)
+			}
+		}
 	}
+}
+
+// whyNoWide is what a test that needs the eight-lane kernel logs when it
+// skips.
+const whyNoWide = "no eight-lane kernel here (GOARCH is not amd64, or the CPU lacks AVX-512F/DQ or the OS does not save ZMM state): firstBelow runs the two-lane Go loop"
+
+// sameFirstBelow runs the kernel and the two-lane loop from one state and
+// requires the same index and the same state after.
+func sameFirstBelow(t *testing.T, hi, lo, thr uint64, n int) {
+	t.Helper()
+	wide, lanes := pcg{hi, lo}, pcg{hi, lo}
+	got, want := wide.firstBelowWide(thr, n), lanes.firstBelowLanes(thr, n)
+	if got != want || wide != lanes {
+		t.Fatalf("state %#x/%#x thr %#x n %d: kernel hit %d state %x, two lanes %d state %x", hi, lo, thr, n, got, wide, want, lanes)
+	}
+}
+
+// The eight-lane kernel is the two-lane loop, draw for draw, on random
+// states, thresholds (never, always, and hits at every distance) and run
+// lengths.
+func TestFirstBelowWideMatchesLanes(t *testing.T) {
+	if !haveWide {
+		t.Skip(whyNoWide)
+	}
+	r := rand.New(rand.NewPCG(40, 8))
+	for i := 0; i < 3000; i++ {
+		var thr uint64
+		switch i % 4 {
+		case 0:
+			thr = []uint64{0, 1, 1 << 53, 1<<53 - 1, ^uint64(0)}[r.IntN(5)]
+		default:
+			thr = uint64(1<<53) / (1 + r.Uint64N(8192))
+		}
+		n := r.IntN(3000)
+		if i%3 == 0 {
+			n = 8*r.IntN(300) + r.IntN(3) - 1
+		}
+		sameFirstBelow(t, r.Uint64(), r.Uint64(), thr, max(n, 0))
+	}
+}
+
+// FuzzFirstBelowWide holds the kernel to the two-lane loop for arbitrary
+// states, thresholds and runs of up to 8192 draws.
+func FuzzFirstBelowWide(f *testing.F) {
+	if !haveWide {
+		f.Skip(whyNoWide)
+	}
+	f.Add(uint64(0), uint64(0), uint64(0), uint16(64))
+	f.Add(uint64(1), uint64(0xbf58476d1ce4e5b9), uint64(1<<53), uint16(17))
+	f.Add(^uint64(0), ^uint64(0), uint64(1<<44), uint16(2048))
+	f.Add(uint64(2024), uint64(16), uint64(1<<41), uint16(8192))
+	f.Fuzz(func(t *testing.T, hi, lo, thr uint64, n uint16) {
+		sameFirstBelow(t, hi, lo, thr, int(n%8193))
+	})
 }
 
 // jumpBy(n) is n steps, for the lane stride, for State's replay counts and
