@@ -53,9 +53,10 @@ race:
 # the cell stream beside its frozen per-cycle reference (heads and State
 # bytes at every cycle, restore at any); FuzzFirstBelowWide holds the
 # eight-lane AVX-512 start-draw kernel to the two-lane Go loop for any
-# generator state, threshold and run (it skips on a CPU without the kernel). FuzzNetConfig asks for multistage
-# nets of arbitrary size: built or refused within a fixed allocation bound,
-# and what builds survives saturation and Audit. FuzzOrganizations feeds
+# generator state, threshold and run (it skips on a CPU without the
+# kernel). FuzzNetConfig asks for multistage nets of arbitrary size:
+# built or refused within a fixed allocation bound, and what builds
+# survives saturation and Audit. FuzzOrganizations feeds
 # arbitrary legal head schedules to all four memory organizations through
 # the core.Organization contract: conservation after every Tick, every
 # departure intact, a drain that empties within the bound. FuzzSessionConfig
