@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -56,9 +57,11 @@ func main() {
 		}
 	}
 
+	// The default run is the paper's claims; -ext, -only and -list also
+	// reach the X experiments beyond it.
 	exps := pipemem.Experiments()
-	if *ext || len(want) > 0 || *list {
-		exps = append(exps, pipemem.ExtensionExperiments()...)
+	if !*ext && len(want) == 0 && !*list {
+		exps = slices.DeleteFunc(exps, func(e pipemem.Experiment) bool { return !strings.HasPrefix(e.ID, "E") })
 	}
 	// -bufpolicy restricts the run to the buffer-management experiment,
 	// measuring just that policy across the X5 traffic matrix.

@@ -100,7 +100,12 @@ type Experiment struct {
 	Run            func(Scale) (ExpResult, error)
 }
 
-// Experiments returns the full per-experiment index of DESIGN.md.
+// Experiments returns the per-experiment index of DESIGN.md: the paper's
+// claims E1–E14, then X1–X6, experiments beyond its published evaluation.
+// The X experiments cover the §4.3 optimizations the authors describe for
+// "future very-high-speed IC technologies" but did not measure, and the §2
+// claim that the switch composes into multistage fabrics. The paper gives no
+// numbers for them, so their checks are its qualitative predictions.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"E1", "Input-FIFO queueing saturation (head-of-line blocking)", "§2.1, [KaHM87]", E1InputQueueSaturation},
@@ -117,6 +122,12 @@ func Experiments() []Experiment {
 		{"E12", "Pipelined vs PRIZMA interleaved buffering", "§5.3", E12PrizmaComparison},
 		{"E13", "Full-custom vs standard-cell technology scaling", "§4.4", E13TechScaling},
 		{"E14", "Hazard freedom: no double buffering needed", "§3.2/§3.3", E14HazardFreedom},
+		{"X1", "Link pipelining (§4.3): +2R latency, logic unaffected", "§4.3", X1LinkPipelining},
+		{"X2", "Critical-path timing: fig. 7a/7b, wide memory, bit-line split", "§4.2–§4.4", X2Timing},
+		{"X3", "Multistage fabric of pipelined-memory switches", "§1/§2", X3Fabric},
+		{"X4", "Clos network of pipelined-memory switches: middle-stage sizing", "§1/§2", X4Clos},
+		{"X5", "Shared-buffer management policies: admission, thresholds, push-out", "§2.2 ext", X5BufferPolicies},
+		{"X6", "Sharded parallel fabric engine: determinism and scale", "§2 ext", X6FabricScale},
 	}
 }
 

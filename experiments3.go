@@ -12,23 +12,6 @@ import (
 	"pipemem/internal/wormhole"
 )
 
-// ExtensionExperiments returns experiments beyond the paper's published
-// evaluation: the §4.3 optimizations the authors describe for "future
-// very-high-speed IC technologies" but did not measure, and the §2 claim
-// that the switch composes into multistage fabrics. They are reported
-// separately from E1–E14 because the paper gives no numbers to compare
-// against — the checks are the paper's qualitative predictions.
-func ExtensionExperiments() []Experiment {
-	return []Experiment{
-		{"X1", "Link pipelining (§4.3): +2R latency, logic unaffected", "§4.3", X1LinkPipelining},
-		{"X2", "Critical-path timing: fig. 7a/7b, wide memory, bit-line split", "§4.2–§4.4", X2Timing},
-		{"X3", "Multistage fabric of pipelined-memory switches", "§1/§2", X3Fabric},
-		{"X4", "Clos network of pipelined-memory switches: middle-stage sizing", "§1/§2", X4Clos},
-		{"X5", "Shared-buffer management policies: admission, thresholds, push-out", "§2.2 ext", X5BufferPolicies},
-		{"X6", "Sharded parallel fabric engine: determinism and scale", "§2 ext", X6FabricScale},
-	}
-}
-
 // X1LinkPipelining verifies the first §4.3 optimization on the RTL model:
 // splitting the link wires into R pipeline stages each delays all data by
 // equal amounts ("the logic of the switch operation remains unaffected")

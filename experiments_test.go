@@ -41,7 +41,7 @@ func TestExperiments(t *testing.T) {
 		goldenIDs = append(goldenIDs, id)
 	}
 
-	exps := append(Experiments(), ExtensionExperiments()...)
+	exps := Experiments()
 	var ids []string
 	for _, e := range exps {
 		ids = append(ids, e.ID)

@@ -6,99 +6,6 @@ import (
 	"testing"
 )
 
-// TestExtensionIndex: the extension experiments are present and well-formed.
-func TestExtensionIndex(t *testing.T) {
-	exts := ExtensionExperiments()
-	if len(exts) != 6 {
-		t.Fatalf("%d extension experiments, want 6", len(exts))
-	}
-	for i, e := range exts {
-		want := "X" + string(rune('1'+i))
-		if e.ID != want {
-			t.Fatalf("extension %d has id %s, want %s", i, e.ID, want)
-		}
-		if e.Run == nil || e.Title == "" || e.Ref == "" {
-			t.Fatalf("extension %s incomplete", e.ID)
-		}
-	}
-}
-
-// TestX1X2Pass: the cheap extension experiments pass at Quick scale.
-func TestX1X2Pass(t *testing.T) {
-	for _, e := range ExtensionExperiments() {
-		if e.ID == "X3" || e.ID == "X4" || e.ID == "X5" || e.ID == "X6" {
-			continue // simulation-heavy; covered by the dedicated tests
-		}
-		res, err := e.Run(Quick)
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		if !res.Pass() {
-			t.Errorf("%s failed:\n%s", e.ID, res)
-		}
-	}
-}
-
-// TestX3Pass runs the fabric extension; skipped with -short.
-func TestX3Pass(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy; run without -short")
-	}
-	res, err := X3Fabric(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Pass() {
-		t.Errorf("X3 failed:\n%s", res)
-	}
-}
-
-// TestX4Pass runs the Clos extension; skipped with -short.
-func TestX4Pass(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy; run without -short")
-	}
-	res, err := X4Clos(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Pass() {
-		t.Errorf("X4 failed:\n%s", res)
-	}
-}
-
-// TestX5Pass runs the buffer-policy matrix — this is the PR's acceptance
-// criterion: under hotspot overload the dynamic threshold must lose
-// strictly fewer cold-port cells than both static partitioning and
-// complete sharing. Skipped with -short.
-func TestX5Pass(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy; run without -short")
-	}
-	res, err := X5BufferPolicies(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Pass() {
-		t.Errorf("X5 failed:\n%s", res)
-	}
-}
-
-// TestX6Pass runs the sharded-fabric-engine extension: bit-identity
-// across worker counts at Quick scale. Skipped with -short.
-func TestX6Pass(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy; run without -short")
-	}
-	res, err := X6FabricScale(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Pass() {
-		t.Errorf("X6 failed:\n%s", res)
-	}
-}
-
 // TestFacadeBufferPolicy exercises the policy surface through the public
 // API: parse a spec, install it, run traffic, and see the policy's drops
 // in the breakdown; the constructors must parse-round-trip.

@@ -1,9 +1,6 @@
 package pipemem
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestQuickstartAPI exercises the public facade end to end the way the
 // README shows.
@@ -22,96 +19,6 @@ func TestQuickstartAPI(t *testing.T) {
 	}
 	if res.Corrupt != 0 || res.Delivered == 0 {
 		t.Fatalf("bad run: %+v", res)
-	}
-}
-
-// TestExperimentIndexComplete: every DESIGN.md experiment id appears
-// exactly once and runs at Quick scale without error.
-func TestExperimentIndexComplete(t *testing.T) {
-	exps := Experiments()
-	if len(exps) != 14 {
-		t.Fatalf("%d experiments, want 14 (E1–E14)", len(exps))
-	}
-	seen := map[string]bool{}
-	for _, e := range exps {
-		if seen[e.ID] {
-			t.Fatalf("duplicate experiment id %s", e.ID)
-		}
-		seen[e.ID] = true
-		if e.Title == "" || e.Ref == "" || e.Run == nil {
-			t.Fatalf("experiment %s incomplete", e.ID)
-		}
-	}
-	for i := 1; i <= 14; i++ {
-		id := "E" + itoa(i)
-		if !seen[id] {
-			t.Fatalf("missing experiment %s", id)
-		}
-	}
-}
-
-func itoa(i int) string {
-	if i < 10 {
-		return string(rune('0' + i))
-	}
-	return string(rune('0'+i/10)) + string(rune('0'+i%10))
-}
-
-// TestFastExperimentsPass runs the cheap experiments (pure arithmetic and
-// short RTL scenarios) and requires every row's shape check to hold. The
-// heavyweight simulation experiments are covered by their packages' own
-// tests and by the benchmarks.
-func TestFastExperimentsPass(t *testing.T) {
-	fast := map[string]bool{"E6": true, "E7": true, "E8": true, "E9": true,
-		"E10": true, "E11": true, "E12": true, "E13": true, "E14": true}
-	for _, e := range Experiments() {
-		if !fast[e.ID] {
-			continue
-		}
-		res, err := e.Run(Quick)
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		if !res.Pass() {
-			t.Errorf("%s failed:\n%s", e.ID, res)
-		}
-		if !strings.Contains(res.Markdown(), "| Quantity |") {
-			t.Errorf("%s: markdown rendering broken", e.ID)
-		}
-	}
-}
-
-// TestSlowExperimentsPass runs the statistics-heavy experiments at Quick
-// scale; skipped with -short. E2's measured column is pinned as well: the
-// wormhole nets are deterministic, and a refactor of them must not move a
-// row.
-func TestSlowExperimentsPass(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy; run without -short")
-	}
-	e2 := []string{"0.436", "0.603", "0.592", "0.356", "0.474", "0.535"}
-	for _, e := range Experiments() {
-		switch e.ID {
-		case "E1", "E2", "E3", "E4", "E5":
-			res, err := e.Run(Quick)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if !res.Pass() {
-				t.Errorf("%s failed:\n%s", e.ID, res)
-			}
-			if e.ID != "E2" {
-				continue
-			}
-			if len(res.Rows) != len(e2) {
-				t.Fatalf("E2: %d rows, want %d", len(res.Rows), len(e2))
-			}
-			for i, row := range res.Rows {
-				if row.Measured != e2[i] {
-					t.Errorf("E2 row %q: measured %s, pinned %s", row.Label, row.Measured, e2[i])
-				}
-			}
-		}
 	}
 }
 
