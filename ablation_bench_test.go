@@ -4,7 +4,10 @@ package pipemem
 // isolates one mechanism of the pipelined memory (or of the fabric built
 // from it) and reports the with/without deltas as metrics.
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // BenchmarkAblationCutThrough toggles §3.3's automatic cut-through and
 // reports the light-load latency gap (≈ one cell time, for free).
@@ -29,7 +32,9 @@ func BenchmarkAblationCutThrough(b *testing.B) {
 }
 
 // BenchmarkAblationReadPriority toggles §3.3's read-first arbitration and
-// reports output utilization at full load: without it, write waves steal
+// reports output utilization under full-load permutation traffic, with
+// read priority and with write priority. The two read alike (0.9992 and
+// 0.9991 at 20,000 cycles): this load does not show write waves taking
 // initiation slots that outgoing links needed.
 func BenchmarkAblationReadPriority(b *testing.B) {
 	run := func(noReadPrio bool) float64 {
@@ -93,7 +98,7 @@ func BenchmarkAblationFabricCredits(b *testing.B) {
 		thr[credits] = float64(f.Delivered()*int64(f.CellWords())) / float64(b.N*16)
 	}
 	for credits, v := range thr {
-		b.ReportMetric(v, "thr-credits"+string(rune('0'+credits)))
+		b.ReportMetric(v, "thr-credits"+strconv.Itoa(credits))
 	}
 }
 
@@ -117,7 +122,7 @@ func BenchmarkAblationBurstiness(b *testing.B) {
 			g.Heads(arrivals)
 			a.Step(arrivals)
 		}
-		b.ReportMetric(a.Metrics().LossProb(), "loss-burst"+string(rune('0'+int(burst)%10)))
+		b.ReportMetric(a.Metrics().LossProb(), "loss-burst"+strconv.Itoa(int(burst)))
 	}
 }
 
@@ -146,60 +151,7 @@ func BenchmarkAblationBlockCrosspoint(b *testing.B) {
 			gen.Heads(arrivals)
 			a.Step(arrivals)
 		}
-		b.ReportMetric(a.Metrics().LossProb(), "loss-g"+string(rune('0'+g%10)))
-	}
-}
-
-// BenchmarkAblationHalfQuantum compares the canonical 2n-word-cell switch
-// with the §3.5 dual half-quantum organization at equal offered load:
-// same utilization, half the cell granularity.
-func BenchmarkAblationHalfQuantum(b *testing.B) {
-	sw, err := New(Config{Ports: 8, WordBits: 16, Cells: 256, CutThrough: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cs, err := NewCellStream(TrafficConfig{Kind: Permutation, N: 8, Load: 1, Seed: 27}, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fullDelivered := runRTL(b, sw, cs)
-
-	d, err := NewDual(Config{Ports: 8, WordBits: 16, Cells: 128, CutThrough: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cs2, err := NewCellStream(TrafficConfig{Kind: Permutation, N: 8, Load: 1, Seed: 27}, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	halfDelivered := runRTL(b, d, cs2) // resets the timer, and with it the metrics
-	b.ReportMetric(float64(fullDelivered*16)/float64(b.N*8), "util-full")
-	b.ReportMetric(float64(halfDelivered*8)/float64(b.N*8), "util-half")
-}
-
-// BenchmarkAblationWormholeLanes sweeps virtual-channel lanes at constant
-// total flit storage — the [Dally90, fig. 8] family: saturation rises
-// with lanes.
-func BenchmarkAblationWormholeLanes(b *testing.B) {
-	thr := map[int]float64{}
-	for _, lanes := range []int{1, 2, 4} {
-		w, err := NewWormholeLanes(WormholeLaneConfig{
-			Terminals: 64, BufferFlits: 16, MsgFlits: 20,
-			Lanes: lanes, Saturate: true, Seed: 28,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer() // clears metrics; reported after the sweep
-		for i := 0; i < b.N; i++ {
-			if err := w.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		thr[lanes] = float64(w.Delivered()) / float64(b.N) / 64
-	}
-	for lanes, v := range thr {
-		b.ReportMetric(v, "thr-lanes"+string(rune('0'+lanes)))
+		b.ReportMetric(a.Metrics().LossProb(), "loss-g"+strconv.Itoa(g))
 	}
 }
 
@@ -234,26 +186,19 @@ func BenchmarkAblationMulticastFanout(b *testing.B) {
 	b.ReportMetric(float64(peak), "peak-addrs")
 }
 
-// BenchmarkAblationClosMiddles sweeps the populated middle-stage count of
-// the Clos network — the classic sizing curve as a bench series.
-func BenchmarkAblationClosMiddles(b *testing.B) {
-	thr := map[int]float64{}
-	for _, m := range []int{1, 2, 4} {
-		f, err := NewClos(ClosConfig{Radix: 4, Middles: m, WordBits: 16, SwitchCells: 32, Credits: 4, CutThrough: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cs, err := NewCellStream(TrafficConfig{Kind: Saturation, N: f.Terminals(), Seed: 31}, f.CellWords())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer() // clears metrics; reported after the sweep
-		if err := f.Drive(cs, int64(b.N)); err != nil {
-			b.Fatal(err)
-		}
-		thr[m] = float64(f.Delivered()*int64(f.CellWords())) / float64(b.N*f.Terminals())
+// runRTL drives any organization for b.N cycles and returns delivered
+// cells. It resets the timer, and with it every metric reported so far.
+func runRTL(b *testing.B, org Organization, cs *CellStream) int {
+	g := org.Geometry()
+	heads := make([]int, g.Ports)
+	hc := make([]*Cell, g.Ports)
+	var seq uint64
+	delivered := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cs.Heads(heads)
+		org.Tick(headCells(heads, hc, &seq, g))
+		delivered += len(org.Drain())
 	}
-	for m, v := range thr {
-		b.ReportMetric(v, "thr-middles"+string(rune('0'+m)))
-	}
+	return delivered
 }
