@@ -145,7 +145,7 @@ func E1InputQueueSaturation(s Scale) (ExpResult, error) {
 	// Each size is an independent simulation with its own stream, so
 	// the sweep fans across cores (bench.Map) without changing any value.
 	rows, err := bench.Map(0, []int{2, 4, 8, 16, 32}, func(_ int, n int) (ExpRow, error) {
-		a := sim.NewInputFIFO(n, 256, nil)
+		a := sim.NewInputFIFO(n, 256)
 		g, err := traffic.NewCellStream(traffic.Config{Kind: traffic.Saturation, N: n, Seed: 1001}, 1)
 		if err != nil {
 			return ExpRow{}, err

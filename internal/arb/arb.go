@@ -2,9 +2,13 @@
 //
 // Two levels exist, mirroring the paper's discussion:
 //
-//   - Arbiter: a single-resource arbiter that picks one requester per
-//     cycle. The pipelined memory needs exactly one of these (§3.3): each
-//     cycle it selects which read or write wave to initiate at stage M0.
+//   - Single-resource arbiters, which pick one requester per cycle.
+//     RoundRobin is the fair hardware arbiter and FirstFrom its kernel
+//     over a packed request vector. The pipelined memory needs exactly one
+//     of these (§3.3): each cycle internal/core calls FirstFrom to pick
+//     the output whose read wave initiates at stage M0. Random picks among
+//     head-of-line contenders in internal/sim's input-queued models, the
+//     random selection [KaHM87] assumes.
 //   - Matcher: an input-to-output matching scheduler, the "quite complex
 //     scheduler" (§5.1) that non-FIFO input buffering requires because "the
 //     scheduling of each output depends on the scheduling of the other
@@ -21,19 +25,13 @@ import (
 // None is returned by arbiters when no request is asserted.
 const None = -1
 
-// Arbiter selects one asserted request per invocation.
-type Arbiter interface {
-	// Pick returns the index of the granted requester, or None.
-	Pick(requests []bool) int
-}
-
 // RoundRobin grants the first asserted request at or after the pointer and
 // advances the pointer past the grant — the classic fair hardware arbiter.
 type RoundRobin struct {
 	next int
 }
 
-// Pick implements Arbiter.
+// Pick returns the index of the granted requester, or None.
 func (r *RoundRobin) Pick(requests []bool) int {
 	n := len(requests)
 	if n == 0 {
@@ -83,7 +81,7 @@ func NewRandom(seed uint64) *Random {
 	return &Random{rng: rand.New(rand.NewPCG(seed, 0x2545f4914f6cdd1d))}
 }
 
-// Pick implements Arbiter.
+// Pick returns the index of the granted requester, or None.
 func (a *Random) Pick(requests []bool) int {
 	count := 0
 	pick := None

@@ -15,7 +15,7 @@ import (
 type InputFIFO struct {
 	n       int
 	queues  []*fifo.Ring[item]
-	arbiter arb.Arbiter
+	arbiter *arb.Random
 	m       *Metrics
 	// scratch
 	req []bool
@@ -23,16 +23,13 @@ type InputFIFO struct {
 }
 
 // NewInputFIFO builds an n×n FIFO input-queued switch with per-input
-// buffer capacity bufCap (≤ 0 for unbounded) and the given HOL arbiter
-// (nil for a seeded random arbiter, matching [KaHM87]).
-func NewInputFIFO(n, bufCap int, arbiter arb.Arbiter) *InputFIFO {
-	if arbiter == nil {
-		arbiter = arb.NewRandom(0x1234)
-	}
+// buffer capacity bufCap (≤ 0 for unbounded) and a seeded random HOL
+// arbiter, matching [KaHM87].
+func NewInputFIFO(n, bufCap int) *InputFIFO {
 	s := &InputFIFO{
 		n:       n,
 		queues:  make([]*fifo.Ring[item], n),
-		arbiter: arbiter,
+		arbiter: arb.NewRandom(0x1234),
 		m:       newMetrics(),
 		req:     make([]bool, n),
 	}

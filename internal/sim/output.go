@@ -304,7 +304,7 @@ type SpeedupFabric struct {
 	speedup int
 	inQ     []*fifo.Ring[item]
 	outQ    []*fifo.Ring[item]
-	arbiter arb.Arbiter
+	arbiter *arb.Random
 	m       *Metrics
 	req     []bool
 	hol     []int

@@ -23,7 +23,7 @@ func gen(t *testing.T, cfg traffic.Config) *traffic.CellStream {
 
 func allArchs(n int) []Arch {
 	return []Arch{
-		NewInputFIFO(n, 64, nil),
+		NewInputFIFO(n, 64),
 		NewVOQ(n, 64, nil),
 		NewVOQ(n, 64, arb.NewPIM(0, 9)),
 		NewVOQ(n, 64, arb.NewTwoDRR()),
@@ -84,7 +84,7 @@ func TestWorkConservingThroughput(t *testing.T) {
 // [KaHM87]: ≈0.75 for n=2, ≈0.62 for n=8 (the "about 60%" of §2.1).
 func TestInputFIFOSaturation(t *testing.T) {
 	for _, n := range []int{2, 8} {
-		a := NewInputFIFO(n, 256, nil)
+		a := NewInputFIFO(n, 256)
 		g := gen(t, traffic.Config{Kind: traffic.Saturation, N: n, Seed: 31})
 		r := Run(a, g, 20_000, 200_000)
 		want := analytic.HOLSaturation(n)
@@ -256,7 +256,7 @@ func TestRunPanicsOnSizeMismatch(t *testing.T) {
 // measured quantile.
 func TestResultReportsLatencyOverflow(t *testing.T) {
 	const n = 16
-	r := Run(NewInputFIFO(n, 100_000, nil), gen(t, traffic.Config{Kind: traffic.Bernoulli, N: n, Load: 0.7, Seed: 1}), 0, 50_000)
+	r := Run(NewInputFIFO(n, 100_000), gen(t, traffic.Config{Kind: traffic.Bernoulli, N: n, Load: 0.7, Seed: 1}), 0, 50_000)
 	if r.LatencyOverflow == 0 {
 		t.Fatalf("no latency overflow at load 0.7 over the HOL limit: %s", r)
 	}

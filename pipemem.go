@@ -421,7 +421,7 @@ type Arch = sim.Arch
 type ArchResult = sim.Result
 
 // NewInputFIFO builds FIFO input queueing (head-of-line blocking).
-func NewInputFIFO(n, bufCap int) Arch { return sim.NewInputFIFO(n, bufCap, nil) }
+func NewInputFIFO(n, bufCap int) Arch { return sim.NewInputFIFO(n, bufCap) }
 
 // NewVOQ builds non-FIFO input buffering with the given scheduler
 // ("islip", "pim" or "2drr").
