@@ -119,11 +119,14 @@ bench:
 # Non-test Go lines (wc -l of the files go build compiles) per package
 # under internal/, then for the whole repo — the measurement behind the
 # fault-seam prices in DESIGN.md §7 and the internal/core line target on
-# the ROADMAP. A reading, not a gate.
+# the ROADMAP — and last the lines of every _test.go file the test builds
+# of `go list -test` compile, so a change that moves code into tests shows
+# on both sides. A reading, not a gate.
 loc:
 	@$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}{{end}}' ./internal/... | \
 		while read -r pkg files; do printf '%-28s %6d\n' "$${pkg#pipemem/}" "$$(cat $$files | wc -l)"; done
 	@printf '%-28s %6d\n' total "$$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | xargs cat | wc -l)"
+	@printf '%-28s %6d\n' tests "$$($(GO) list -test -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep '_test\.go$$' | sort -u | xargs cat | wc -l)"
 
 # Paired ledger runs against another revision — how a PR measures what it
 # claims or must not cost: round i links PARENT's tree and the working tree
