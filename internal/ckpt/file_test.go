@@ -255,6 +255,50 @@ func TestParentV2BodyReencodes(t *testing.T) {
 	}
 }
 
+// TestUnknownCounterNameDropped: a counter name that names no count — in
+// the switch's counts or in the fault engine's tallies — restores to
+// nothing. The switch's counts decode into a struct, which has no field
+// for it, and the engine reads back only its kinds' names; the checkpoint
+// taken after the restore is the one taken before it, byte for byte.
+func TestUnknownCounterNameDropped(t *testing.T) {
+	s, err := New(specFor(t, "", true), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepTo(t, s, 333)
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const open = `"Counters":{`
+	if n := bytes.Count(want, []byte(open)); n != 2 {
+		t.Fatalf("%d counter sets in the body, want the switch's and the engine's", n)
+	}
+	forged := bytes.ReplaceAll(want, []byte(open), []byte(open+`"applied-meteor":7,`))
+	var back Checkpoint
+	if err := json.Unmarshal(forged, &back); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ResumeFrom(&back, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck, err = r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("restore kept the unknown name:\n got  %s\n want %s", got, want)
+	}
+}
+
 // TestParentV1FileRefused: a file of an earlier format is refused on load
 // with an error that names both formats and says how to get a file this
 // build reads. The v1 file was written by the build before the switch owned

@@ -317,8 +317,9 @@ func (s *Session) Report(res core.RunResult) *fault.Report {
 	}
 	rep := &fault.Report{
 		RunResult: res, Corrupt: res.Corrupt,
-		Switch: s.sw.Counters().Snapshot(), Engine: s.engine.Counters().Snapshot(),
+		Switch: *s.sw.Counts(),
 	}
+	rep.Applied, rep.Skipped = s.engine.Tallies()
 	if s.links != nil {
 		for _, l := range s.links.Links {
 			rep.Corrupt += l.Corrupt

@@ -305,7 +305,7 @@ func TestAuditCadenceCatchesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Switch().Counters().Inc("offered", 1)
+	r.Switch().Counts().Offered++
 	_, err = r.Run()
 	if err == nil {
 		t.Fatal("corruption not caught by the audit cadence")

@@ -17,11 +17,11 @@ import "fmt"
 // violation. Call it between Ticks (any cycle boundary is valid).
 //
 // Multicast is inside every clause. A multicast cell is one offered cell
-// whose write wave queues one copy per destination ("multicast-copies"
+// whose write wave queues one copy per destination (Counts.MulticastCopies
 // counts the copies beyond the first); each copy is delivered, pushed out
 // or flushed on its own, its address is freed when the last copy's read
 // wave claims it (refcount 0), and per-output occupancy counts copies. So
-// conservation reads offered + multicast-copies == delivered + dropped +
+// conservation reads offered + multicast copies == delivered + dropped +
 // resident, and an address's refcount is the number of queued copies
 // naming it.
 func (s *Switch) AuditInvariants() error {
@@ -227,9 +227,9 @@ func (l *linkSide) auditLinks(buffered int, dropped int64) error {
 	if stray := l.occMask.stray(l.n) | l.idleMask.stray(l.n) | l.openMask.stray(l.n) | l.pendMask.stray(l.n); stray != 0 {
 		return fmt.Errorf("core: audit: port masks carry bits %#x counted from port %d up", stray, l.n)
 	}
-	offered := l.counter.Get("offered") + l.counter.Get("multicast-copies")
+	offered := l.counts.Offered + l.counts.MulticastCopies
 	resident := int64(buffered + l.pendingWrites + l.txActive)
-	if got := l.counter.Get("delivered") + dropped + resident; got != offered {
+	if got := l.counts.Delivered + dropped + resident; got != offered {
 		return fmt.Errorf("core: audit: conservation violated: offered+copies %d, delivered+dropped+resident %d (resident %d)",
 			offered, got, resident)
 	}

@@ -15,10 +15,10 @@ import (
 // address and are lost only by input-register overrun.
 //
 // Accounting keeps the conservation invariant exact under every verdict:
-// a policy drop consumes the pending arrival ("drop-policy"), a push-out
-// removes one queued copy from the buffer ("drop-pushout"), and both add
-// into DroppedCells alongside the pre-existing overrun mode, so
-// offered == delivered + DroppedCells() + Resident() at every instant.
+// a policy drop consumes the pending arrival (Counts.DropPolicy), a
+// push-out removes one queued copy from the buffer (Counts.DropPushout),
+// and both add into DroppedCells alongside the pre-existing overrun mode,
+// so offered == delivered + DroppedCells() + Resident() at every instant.
 
 // bufView adapts the switch to the read-only bufmgr.State interface. One
 // instance is boxed once at construction (Switch.polState), so consulting
@@ -61,12 +61,11 @@ func (s *Switch) SetBufferPolicy(p bufmgr.Policy) { s.policy = p }
 // complete sharing).
 func (s *Switch) BufferPolicy() bufmgr.Policy { return s.policy }
 
-// DroppedCells totals every loss mode the switch has: displaced arrivals
-// ("drop-overrun"), policy refusals ("drop-policy") and push-out victims
-// ("drop-pushout"). Conservation demands
+// DroppedCells totals every loss mode the switch has: displaced arrivals,
+// policy refusals and push-out victims. Conservation demands
 // offered == delivered + DroppedCells() + Resident().
 func (s *Switch) DroppedCells() int64 {
-	return s.counter.Get("drop-overrun") + s.counter.Get("drop-policy") + s.counter.Get("drop-pushout")
+	return s.counts.DropOverrun + s.counts.DropPolicy + s.counts.DropPushout
 }
 
 // dropPolicy consumes input in's pending arrival on a Drop verdict: the
@@ -76,7 +75,7 @@ func (s *Switch) DroppedCells() int64 {
 func (s *Switch) dropPolicy(in int, a *arrival) {
 	a.written = true
 	s.pendClear(in)
-	*s.cDropPolicy++
+	s.counts.DropPolicy++
 	s.inDrops[in]++
 	s.outDrops[a.c.Dst]++
 	if o := s.obs; o != nil && o.Tracer != nil {
@@ -116,7 +115,7 @@ func (s *Switch) pushOut(out, vc int) {
 		s.materializeAddr(addr)
 		s.free.Put(addr)
 	}
-	*s.cDropPushout++
+	s.counts.DropPushout++
 	s.outDrops[out]++
 	if o := s.obs; o != nil && o.Tracer != nil {
 		o.Tracer.Emit(obs.Event{Kind: obs.EvDrop, Cycle: s.cycle, In: -1, Out: int32(out), Addr: int32(addr)})

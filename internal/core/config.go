@@ -77,8 +77,9 @@ type Config struct {
 	VCs int
 	// ECC enables per-word SEC-DED protection of the memory banks: each
 	// stage stores eccCheckBits(WordBits)+1 extra bit columns per word,
-	// single-bit upsets are corrected on the read wave ("ecc-corrected"
-	// counter) and multi-bit failures are flagged ("ecc-uncorrectable")
+	// single-bit upsets are corrected on the read wave
+	// (Counts.ECCCorrected) and multi-bit failures are flagged
+	// (Counts.ECCUncorrectable)
 	// instead of being silently delivered.
 	ECC bool
 	// LinkPipeline is the §4.3 optimization for very-high-speed

@@ -34,8 +34,8 @@ func (s *Switch) senseWord(b, a int) cell.Word {
 // readWord performs stage b's read of a wave at address a, applying the
 // ECC defense layer. Single-bit upsets are corrected and scrubbed back,
 // with a read-after-write verify: a location that still fails after the
-// scrub holds a hard fault ("ecc-hard"); multi-bit failures are flagged
-// ("ecc-uncorrectable"). A stuck bank's data lines read all-ones regardless
+// scrub holds a hard fault (Counts.ECCHard); multi-bit failures are
+// flagged (Counts.ECCUncorrectable). A stuck bank's data lines read all-ones regardless
 // of what was written, so its reads fail their check bits one way or the
 // other: either as outright uncorrectable words, or as "corrected" words
 // whose scrub is withheld (it would overwrite the intact array with a
@@ -49,16 +49,16 @@ func (s *Switch) readWord(b, a int) cell.Word {
 	dec, status := s.ecc.decode(w, s.eccMem[i])
 	switch status {
 	case eccCorrected:
-		*s.cECCCorrected++
+		s.counts.ECCCorrected++
 		if s.stuck == nil || !s.stuck[b] {
 			s.mem[i] = dec
 			s.eccMem[i] = s.ecc.encode(dec)
 		}
 		if _, vs := s.ecc.decode(s.senseWord(b, a), s.eccMem[i]); vs != eccClean {
-			*s.cECCHard++
+			s.counts.ECCHard++
 		}
 	case eccUncorrectable:
-		*s.cECCUncorrectable++
+		s.counts.ECCUncorrectable++
 	}
 	return dec
 }
@@ -207,7 +207,7 @@ func (s *Switch) initiate(slot int, op *Op, c int64) {
 	}
 	s.open[slot] = true
 	s.openN++
-	*s.cStageWords += int64(s.k)
+	s.counts.StageWords += int64(s.k)
 	switch op.Kind {
 	case OpRead:
 		s.materializeAddr(op.Addr)
@@ -245,7 +245,7 @@ func (s *Switch) openWhere(next int64, reach func(st int, c0 int64, op *Op) bool
 // later write deposited ahead of time, so each opened read writes back the
 // words it has yet to read — latest wave first, leaving the earliest
 // reader's at every stage — and keeps those already on the link. count
-// books the accesses under "stage-words" (Snapshot opens without).
+// books the accesses in Counts.StageWords (Snapshot opens without).
 func (s *Switch) openChain(addr int, from, next int64, count bool) {
 	s.materializeAddr(addr)
 	for st := 1; st < s.k; st++ {
@@ -264,7 +264,7 @@ func (s *Switch) openChain(addr int, from, next int64, count bool) {
 		s.open[slot] = true
 		s.openN++
 		if count {
-			*s.cStageWords += int64(s.k - st)
+			s.counts.StageWords += int64(s.k - st)
 		}
 	}
 	s.eccRecheck(addr)

@@ -109,7 +109,7 @@ func (d *DualSwitch) Buffered() int { return d.queues.Total() }
 func (d *DualSwitch) Resident() int { return d.Buffered() + d.pendingWrites + d.txActive }
 
 // DroppedCells returns the overruns, the dual switch's one loss mode.
-func (d *DualSwitch) DroppedCells() int64 { return d.counter.Get("drop-overrun") }
+func (d *DualSwitch) DroppedCells() int64 { return d.counts.DropOverrun }
 
 // Geometry implements Organization: cells of n words, two banks of Cells.
 func (d *DualSwitch) Geometry() Geometry {
@@ -220,7 +220,7 @@ func (d *DualSwitch) pickWrite(c int64, forbidden int, post *[2]int) {
 	a := &d.inflight[best]
 	a.written = true
 	d.pendClear(best)
-	d.counter.Inc("accepted", 1)
+	d.counts.Accepted++
 	d.initDelay.Add(float64(c - a.head - 1))
 	d.writeRR = d.after(best)
 	d.writeBank = 1 - b

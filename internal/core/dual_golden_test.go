@@ -40,7 +40,7 @@ func dualDigest(t *testing.T, cfg Config, tc traffic.Config, cycles int) (sum ui
 	if d.Resident() > 0 {
 		t.Fatal("dual switch still busy after the drain tail")
 	}
-	return h.Sum64(), deps, d.Counters().Get("drop-overrun")
+	return h.Sum64(), deps, d.Counts().DropOverrun
 }
 
 // TestDualGoldenDigest pins the §3.5 half-quantum organization departure

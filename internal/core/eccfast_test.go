@@ -155,18 +155,18 @@ func eccDifferential(t *testing.T, pol string, faults eccFaults, mcast, cut bool
 	if len(l.log) == 0 {
 		t.Fatal("nothing was delivered; the drive tests nothing")
 	}
-	ctr := l.sw.Counters()
+	ctr := l.sw.Counts()
 	switch faults {
 	case eccMemFlips:
 		if applied < len(plan)/2 {
 			t.Fatalf("only %d of %d upsets found a target", applied, len(plan))
 		}
-		if ctr.Get("ecc-corrected")+ctr.Get("ecc-uncorrectable") == 0 {
+		if ctr.ECCCorrected+ctr.ECCUncorrectable == 0 {
 			t.Fatal("no upset was ever read back; the plan tests nothing")
 		}
 	case eccStuck:
-		if ctr.Get("ecc-uncorrectable") == 0 || ctr.Get("ecc-hard") == 0 {
-			t.Fatalf("the stuck bank's reads were not flagged: %v", ctr.Snapshot())
+		if ctr.ECCUncorrectable == 0 || ctr.ECCHard == 0 {
+			t.Fatalf("the stuck bank's reads were not flagged: %+v", *ctr)
 		}
 	}
 }
@@ -241,12 +241,11 @@ func TestECCRunResultEqualsReference(t *testing.T) {
 			if !reflect.DeepEqual(gotRes, wantRes) || gotErr != wantErr {
 				t.Fatalf("RunResult diverged:\n switch    %+v (%s)\n reference %+v (%s)", gotRes, gotErr, wantRes, wantErr)
 			}
-			for _, name := range []string{"ecc-corrected", "ecc-uncorrectable", "ecc-hard"} {
-				if g, w := l.sw.Counters().Get(name), l.ref.counter.Get(name); g != w {
-					t.Fatalf("counter %s = %d, reference %d", name, g, w)
-				}
+			g, w := l.sw.Counts(), &l.ref.counts
+			if g.ECCCorrected != w.ECCCorrected || g.ECCUncorrectable != w.ECCUncorrectable || g.ECCHard != w.ECCHard {
+				t.Fatalf("ECC counts %+v, reference %+v", *g, *w)
 			}
-			if faults == eccMemFlips && wantRes.Corrupt == 0 && l.ref.counter.Get("ecc-corrected") == 0 {
+			if faults == eccMemFlips && wantRes.Corrupt == 0 && w.ECCCorrected == 0 {
 				t.Fatal("no upset was corrected; the plan tests nothing")
 			}
 		})
@@ -414,7 +413,7 @@ func TestECCUpsetUnderWave(t *testing.T) {
 	for i := 0; i < k-2; i++ {
 		s.Tick(nil)
 	}
-	if n := s.Counters().Get("ecc-corrected"); n != 0 {
+	if n := s.Counts().ECCCorrected; n != 0 {
 		t.Fatalf("corrected=%d before the wave reached the upset's stage", n)
 	}
 	for i := 0; i < k+2; i++ {
@@ -424,7 +423,7 @@ func TestECCUpsetUnderWave(t *testing.T) {
 	if len(deps) != 1 || !deps[0].Cell.Equal(deps[0].Expected) {
 		t.Fatalf("first copy: %d departures, want one intact", len(deps))
 	}
-	if n := s.Counters().Get("ecc-corrected"); n != 1 || s.eccDirtyN != 0 {
+	if n := s.Counts().ECCCorrected; n != 1 || s.eccDirtyN != 0 {
 		t.Fatalf("the wave in flight did not meet the upset: corrected=%d dirty=%d", n, s.eccDirtyN)
 	}
 
@@ -438,7 +437,7 @@ func TestECCUpsetUnderWave(t *testing.T) {
 	if len(deps) != 1 || !deps[0].Cell.Equal(deps[0].Expected) {
 		t.Fatalf("second copy: %d departures, want one intact", len(deps))
 	}
-	if c, u := s.Counters().Get("ecc-corrected"), s.Counters().Get("ecc-uncorrectable"); c != 1 || u != 0 {
+	if c, u := s.counts.ECCCorrected, s.counts.ECCUncorrectable; c != 1 || u != 0 {
 		t.Fatalf("second wave: corrected=%d uncorrectable=%d, want 1 and 0", c, u)
 	}
 }
@@ -480,8 +479,7 @@ func TestStuckBankTakesWrites(t *testing.T) {
 					t.Fatalf("%d departures, want 1", len(deps))
 				}
 				intact := deps[0].Cell.Equal(deps[0].Expected)
-				ctr := s.Counters()
-				events := ctr.Get("ecc-corrected") + ctr.Get("ecc-uncorrectable") + ctr.Get("ecc-hard")
+				events := s.counts.ECCCorrected + s.counts.ECCUncorrectable + s.counts.ECCHard
 				if clear {
 					if !intact || events != 0 {
 						t.Fatalf("after the fault cleared: intact=%v, %d ECC events; the write did not land", intact, events)

@@ -64,12 +64,12 @@ func FuzzSwitchTraffic(f *testing.F) {
 				delivered++
 			}
 		}
-		dropped := int(s.Counters().Get("drop-overrun"))
+		dropped := int(s.counts.DropOverrun)
 		if delivered+dropped != offered {
 			t.Fatalf("conservation: offered %d, delivered %d, dropped %d (schedule %x)",
 				offered, delivered, dropped, schedule)
 		}
-		if s.Counters().Get("corrupt") != 0 {
+		if s.counts.Corrupt != 0 {
 			t.Fatalf("corrupt counter nonzero for schedule %x", schedule)
 		}
 		if err := s.AuditInvariants(); err != nil {

@@ -48,21 +48,21 @@ func TestLeanSwitchLetsGoOfTransmittedCells(t *testing.T) {
 				t.Fatalf("cells=%d cycle %d: a lean switch drained %d departures", cells, cyc, len(deps))
 			}
 			twin.Drain()
-			lc, tc := lean.Counters(), twin.Counters()
-			if lc.Get("delivered") != tc.Get("delivered") || lean.DroppedCells() != twin.DroppedCells() {
+			lc, tc := &lean.counts, &twin.counts
+			if lc.Delivered != tc.Delivered || lean.DroppedCells() != twin.DroppedCells() {
 				t.Fatalf("cells=%d cycle %d: lean delivered %d dropped %d, twin %d and %d", cells, cyc,
-					lc.Get("delivered"), lean.DroppedCells(), tc.Get("delivered"), twin.DroppedCells())
+					lc.Delivered, lean.DroppedCells(), tc.Delivered, twin.DroppedCells())
 			}
-			if off, got := lc.Get("offered"), lc.Get("delivered")+lean.DroppedCells()+int64(lean.Resident()); off != got {
+			if off, got := lc.Offered, lc.Delivered+lean.DroppedCells()+int64(lean.Resident()); off != got {
 				t.Fatalf("cells=%d cycle %d: offered %d, delivered+dropped+resident %d", cells, cyc, off, got)
 			}
 			if err := lean.AuditInvariants(); err != nil {
 				t.Fatalf("cells=%d cycle %d: %v", cells, cyc, err)
 			}
 		}
-		if sent == 0 || lean.Counters().Get("corrupt") != 0 || twin.Counters().Get("corrupt") != 0 {
+		if sent == 0 || lean.counts.Corrupt != 0 || twin.counts.Corrupt != 0 {
 			t.Fatalf("cells=%d: %d transmissions, corrupt lean %d twin %d", cells, sent,
-				lean.Counters().Get("corrupt"), twin.Counters().Get("corrupt"))
+				lean.counts.Corrupt, twin.counts.Corrupt)
 		}
 		if cells == 2 && lean.DroppedCells() == 0 {
 			t.Fatal("no drops with a 2-cell buffer at saturation; the loss path is untested")

@@ -153,10 +153,7 @@ type linkSide struct {
 	// nothing else; see Switch.SetLeanDepartures.
 	leanDepart bool
 
-	// cOffered…cDropOverrun are hot counter slots (stats.Counter.Hot)
-	// bumped without a map lookup.
-	counter                                      stats.Counter
-	cOffered, cDelivered, cCorrupt, cDropOverrun *int64
+	counts Counts
 	// cutLatency is head-in to head-out in cycles.
 	cutLatency *stats.Hist
 }
@@ -174,20 +171,45 @@ func (l *linkSide) init(n, k, linkPipeline int) {
 		l.idleMask.set(o)
 		l.openMask.set(o)
 	}
-	l.cOffered = l.counter.Hot("offered")
-	l.cDelivered = l.counter.Hot("delivered")
-	l.cCorrupt = l.counter.Hot("corrupt")
-	l.cDropOverrun = l.counter.Hot("drop-overrun")
 	l.cutLatency = stats.NewHist(4096)
 }
 
-// Counters exposes the event counters: "offered", "accepted", "delivered",
-// "drop-overrun" (a new head displaced a cell whose write wave never got
-// a buffer address), "corrupt" (integrity violations; must stay zero), and
-// on a Switch "drop-policy" (an arrival refused by the installed
-// buffer-management policy) and "drop-pushout" (a queued copy preempted to
-// make room).
-func (l *linkSide) Counters() *stats.Counter { return &l.counter }
+// Counts are a switch's event counts. The JSON names are what a
+// checkpoint carries; a zero count is left out, and the fields are
+// declared in name order, so the encoding is that of a name-sorted map of
+// the nonzero counts.
+type Counts struct {
+	// Accepted counts write waves initiated (cells given a buffer address).
+	Accepted int64 `json:"accepted,omitempty"`
+	// Corrupt counts departures whose words differ from the offered cell:
+	// integrity violations, zero unless faults are injected.
+	Corrupt   int64 `json:"corrupt,omitempty"`
+	Delivered int64 `json:"delivered,omitempty"`
+	// DropOverrun counts cells displaced by the next head before their
+	// write wave got a buffer address; DropPolicy arrivals refused by the
+	// buffer-management policy; DropPushout queued copies preempted to
+	// make room (the last two on a Switch only).
+	DropOverrun int64 `json:"drop-overrun,omitempty"`
+	DropPolicy  int64 `json:"drop-policy,omitempty"`
+	DropPushout int64 `json:"drop-pushout,omitempty"`
+	// ECCCorrected counts single-bit upsets SEC-DED corrected, ECCHard
+	// corrected locations that failed scrub-verify, ECCUncorrectable
+	// multi-bit failures.
+	ECCCorrected     int64 `json:"ecc-corrected,omitempty"`
+	ECCHard          int64 `json:"ecc-hard,omitempty"`
+	ECCUncorrectable int64 `json:"ecc-uncorrectable,omitempty"`
+	// MulticastCopies counts queued copies beyond a multicast cell's
+	// first, so conservation reads Offered + MulticastCopies == Delivered
+	// + dropped + resident.
+	MulticastCopies int64 `json:"multicast-copies,omitempty"`
+	Offered         int64 `json:"offered,omitempty"`
+	// StageWords counts words a wave accessed at its stage rather than at
+	// its commit, which only a fault that can still reach it causes.
+	StageWords int64 `json:"stage-words,omitempty"`
+}
+
+// Counts returns the switch's live event counts.
+func (l *linkSide) Counts() *Counts { return &l.counts }
 
 // CutLatency returns the head-in→head-out latency histogram in cycles.
 func (l *linkSide) CutLatency() *stats.Hist { return l.cutLatency }
@@ -285,8 +307,8 @@ func (l *linkSide) rrDist(i int) int {
 // must be exactly k words long and the link must not be mid-cell (one word
 // per cycle: heads are at least k cycles apart). If the row's previous cell
 // never obtained a write wave — the buffer was exhausted for its whole
-// residency — its words are now being overwritten: it is counted under
-// "drop-overrun" and returned, no longer referenced by anything here.
+// residency — its words are now being overwritten: it is counted in
+// Counts.DropOverrun and returned, no longer referenced by anything here.
 func (l *linkSide) admit(i int, nc *cell.Cell, c int64) (lost *cell.Cell) {
 	if len(nc.Words) != l.k {
 		panic(fmt.Sprintf("core: cell of %d words injected into a switch of %d-word cells", len(nc.Words), l.k))
@@ -300,13 +322,13 @@ func (l *linkSide) admit(i int, nc *cell.Cell, c int64) (lost *cell.Cell) {
 			panic(fmt.Sprintf("core: head injected mid-cell on input %d (previous head at cycle %d, now %d)", i, a.head, c))
 		}
 		if !a.written {
-			*l.cDropOverrun++
+			l.counts.DropOverrun++
 			l.pendClear(i)
 			lost = a.c
 		}
 	}
 	l.pendSet(i)
-	*l.cOffered++
+	l.counts.Offered++
 	nc.Enqueue = c
 	*a = arrival{c: nc, head: c, active: true}
 	return lost
@@ -336,7 +358,7 @@ func (l *linkSide) depart(o int, c int64) int64 {
 	l.rxHead[o] = nil
 	l.txActive--
 	l.idleMask.set(o)
-	*l.cDelivered++
+	l.counts.Delivered++
 	if l.leanDepart {
 		// Counted, not handed out: no Departure, no observed cell, and no
 		// read of r.d.c, which the transmit hook may have passed on.
@@ -363,7 +385,7 @@ func (l *linkSide) depart(o int, c int64) int64 {
 	}
 	lat := dep.HeadOut - dep.HeadIn
 	if !r.clean && !got.Equal(r.d.c) {
-		*l.cCorrupt++
+		l.counts.Corrupt++
 	}
 	l.cutLatency.Add(lat)
 	l.done = append(l.done, dep)

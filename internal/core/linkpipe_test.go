@@ -144,7 +144,7 @@ func TestLinkPipelineConservation(t *testing.T) {
 		if inLine != s.delayCount {
 			t.Fatalf("cycle %d: delayCount %d, but %d cells in the delay line", c, s.delayCount, inLine)
 		}
-		dropped := s.counter.Get("drop-overrun")
+		dropped := s.counts.DropOverrun
 		if got := delivered + dropped + int64(s.Resident()); got != offered {
 			t.Fatalf("cycle %d: conservation violated: offered %d != delivered %d + dropped %d + resident %d",
 				c, offered, delivered, dropped, s.Resident())
@@ -176,7 +176,7 @@ func TestLinkPipelineConservation(t *testing.T) {
 	if s.delayCount != 0 {
 		t.Fatalf("delay line not empty after drain: delayCount %d", s.delayCount)
 	}
-	dropped := s.counter.Get("drop-overrun")
+	dropped := s.counts.DropOverrun
 	if delivered == 0 || dropped == 0 {
 		t.Fatalf("overload scenario too weak: delivered %d, dropped %d", delivered, dropped)
 	}

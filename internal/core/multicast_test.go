@@ -132,7 +132,7 @@ func TestMulticastUnderUnicastLoad(t *testing.T) {
 	if s.FreeCells() != 64 {
 		t.Fatalf("address leak: %d free of 64", s.FreeCells())
 	}
-	if c := s.Counters().Get("corrupt"); c != 0 {
+	if c := s.counts.Corrupt; c != 0 {
 		t.Fatalf("%d corrupt", c)
 	}
 }
@@ -197,7 +197,7 @@ func TestTickZeroAllocMulticast(t *testing.T) {
 	if err := s.AuditInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Counters().Get("corrupt"); got != 0 {
+	if got := s.counts.Corrupt; got != 0 {
 		t.Fatalf("%d corrupt copies", got)
 	}
 }

@@ -100,13 +100,13 @@ func (s *Switch) SetObserver(o *Observer) {
 		initDelay: obs.NewHistShadow(o.InitDelay),
 	}
 	w.mirrors = [...]mirror{
-		{src: s.cDelivered, dst: o.Delivered},
-		{src: s.cDropOverrun, dst: o.DropOverrun},
-		{src: s.cDropPolicy, dst: o.DropPolicy},
-		{src: s.cDropPushout, dst: o.DropPushOut},
-		{src: s.cECCCorrected, dst: o.ECCCorrected},
-		{src: s.cECCUncorrectable, dst: o.ECCUncorrectable},
-		{src: s.cECCHard, dst: o.ECCHard},
+		{src: &s.counts.Delivered, dst: o.Delivered},
+		{src: &s.counts.DropOverrun, dst: o.DropOverrun},
+		{src: &s.counts.DropPolicy, dst: o.DropPolicy},
+		{src: &s.counts.DropPushout, dst: o.DropPushOut},
+		{src: &s.counts.ECCCorrected, dst: o.ECCCorrected},
+		{src: &s.counts.ECCUncorrectable, dst: o.ECCUncorrectable},
+		{src: &s.counts.ECCHard, dst: o.ECCHard},
 		{src: &w.waves[OpWrite], dst: o.WriteWaves},
 		{src: &w.waves[OpRead], dst: o.ReadWaves},
 		{src: &w.waves[OpWriteThrough], dst: o.CutThroughs},

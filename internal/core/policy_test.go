@@ -204,11 +204,11 @@ func TestRunnerZeroAllocUnderDrops(t *testing.T) {
 		cfg     Config
 		traffic traffic.Config
 		policy  string
-		counter string
+		lost    func(*Counts) int64
 	}{
-		{"dt-hotspot", Config{Ports: 8, WordBits: 16, Cells: 64, ECC: true}, hot, "dt:alpha=2", "drop-policy"},
-		{"pushout-hotspot", Config{Ports: 8, WordBits: 16, Cells: 64, CutThrough: true}, hot, "pushout", "drop-pushout"},
-		{"saturation-overrun", sw8, traffic.Config{Kind: traffic.Saturation, N: 8, Seed: 42}, "", "drop-overrun"},
+		{"dt-hotspot", Config{Ports: 8, WordBits: 16, Cells: 64, ECC: true}, hot, "dt:alpha=2", func(c *Counts) int64 { return c.DropPolicy }},
+		{"pushout-hotspot", Config{Ports: 8, WordBits: 16, Cells: 64, CutThrough: true}, hot, "pushout", func(c *Counts) int64 { return c.DropPushout }},
+		{"saturation-overrun", sw8, traffic.Config{Kind: traffic.Saturation, N: 8, Seed: 42}, "", func(c *Counts) int64 { return c.DropOverrun }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := mustSwitch(t, tc.cfg)
@@ -224,14 +224,14 @@ func TestRunnerZeroAllocUnderDrops(t *testing.T) {
 			for i := 0; i < window; i++ {
 				r.Step()
 			}
-			before := s.Counters().Get(tc.counter)
+			before := tc.lost(&s.counts)
 			allocs := testing.AllocsPerRun(1, func() {
 				for i := 0; i < window; i++ {
 					r.Step()
 				}
 			})
-			if lost := s.Counters().Get(tc.counter) - before; lost < 50 {
-				t.Fatalf("only %d %s cells in the measured windows; the drive tests nothing", lost, tc.counter)
+			if lost := tc.lost(&s.counts) - before; lost < 50 {
+				t.Fatalf("only %d lost cells in the measured windows; the drive tests nothing", lost)
 			}
 			if allocs != 0 {
 				t.Fatalf("%v allocations over %d lossy cycles, want 0", allocs, window)

@@ -36,7 +36,7 @@ type refSwitch struct {
 	eg                                  []*reasm // [output]: the transmission on the link
 	policy                              bufmgr.Policy
 	stuck                               []bool
-	counter                             stats.Counter
+	counts                              Counts
 	wrSkip, inStalls, inDrops, outDrops []int64
 	initDelay                           stats.Mean
 	cutLat                              *stats.Hist
@@ -103,9 +103,9 @@ func (r *refSwitch) Tick(heads []*cell.Cell) {
 			continue
 		}
 		if a.active && !a.written {
-			r.drop("drop-overrun", i, a.c.Dst)
+			r.drop(&r.counts.DropOverrun, i, a.c.Dst)
 		}
-		r.counter.Inc("offered", 1)
+		r.counts.Offered++
 		heads[i].Enqueue = c
 		*a = arrival{c: heads[i], head: c, active: true}
 		r.inRow[i][0] = heads[i].Words[0] & m
@@ -148,14 +148,14 @@ func (r *refSwitch) read(st int, op Op) cell.Word {
 	dec, status := r.ecc.decode(sense(), r.chk[b][a])
 	switch status {
 	case eccCorrected:
-		if r.counter.Inc("ecc-corrected", 1); !r.stuck[b] {
+		if r.counts.ECCCorrected++; !r.stuck[b] {
 			r.bank[b][a], r.chk[b][a] = dec, r.ecc.encode(dec)
 		}
 		if _, vs := r.ecc.decode(sense(), r.chk[b][a]); vs != eccClean {
-			r.counter.Inc("ecc-hard", 1)
+			r.counts.ECCHard++
 		}
 	case eccUncorrectable:
-		r.counter.Inc("ecc-uncorrectable", 1)
+		r.counts.ECCUncorrectable++
 	}
 	return dec
 }
@@ -206,12 +206,12 @@ retry:
 		switch v := r.policy.Admit(r, a.c.Dst, a.c.VC); v.Action {
 		case bufmgr.Drop:
 			a.written = true
-			r.drop("drop-policy", best, a.c.Dst)
+			r.drop(&r.counts.DropPolicy, best, a.c.Dst)
 			goto retry
 		case bufmgr.PushOut:
 			if o := v.VictimOut; o >= 0 && o < r.n && v.VictimVC == 0 && len(r.q[o]) > 0 {
 				r.pop(o)
-				r.drop("drop-pushout", -1, o)
+				r.drop(&r.counts.DropPushout, -1, o)
 			}
 		}
 	}
@@ -223,7 +223,7 @@ retry:
 		return false
 	}
 	a.written, r.writeRR = true, (best+1)%r.n
-	r.counter.Inc("accepted", 1)
+	r.counts.Accepted++
 	r.initDelay.Add(float64(c - a.head - 1))
 	d, dst := desc{c: a.c, head: a.head, writeStart: c, vc: a.c.VC, addr: addr}, a.c.Dst
 	if r.cfg.CutThrough && len(a.c.Copies) == 0 && r.eg[dst] == nil && len(r.q[dst]) == 0 {
@@ -240,9 +240,10 @@ retry:
 	return true
 }
 
-// drop books a lost cell by mode, input (-1: a queued copy) and output.
-func (r *refSwitch) drop(mode string, in, out int) {
-	if r.counter.Inc(mode, 1); in >= 0 {
+// drop books a lost cell by mode (its count), input (-1: a queued copy)
+// and output.
+func (r *refSwitch) drop(mode *int64, in, out int) {
+	if *mode++; in >= 0 {
 		r.inDrops[in]++
 	}
 	r.outDrops[out]++
@@ -253,8 +254,8 @@ func (r *refSwitch) depart(o int, c int64) {
 	e, x := r.eg[o], r.eg[o].d.c
 	r.eg[o] = nil
 	got := &cell.Cell{Seq: x.Seq, Src: x.Src, Dst: x.Dst, VC: x.VC, Enqueue: e.d.head, Words: e.words}
-	if r.counter.Inc("delivered", 1); !got.Equal(x) {
-		r.counter.Inc("corrupt", 1)
+	if r.counts.Delivered++; !got.Equal(x) {
+		r.counts.Corrupt++
 	}
 	r.cutLat.Add(e.start - e.d.head)
 	r.done = append(r.done, Departure{Cell: got, Expected: x, Output: o, HeadIn: e.d.head, HeadOut: e.start,

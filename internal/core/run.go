@@ -234,9 +234,9 @@ func (s *Switch) Geometry() Geometry {
 // time.
 func (s *Switch) Report(res *RunResult) {
 	s.SyncObserver()
-	res.DropOverrun = s.counter.Get("drop-overrun")
-	res.DropPolicy = s.counter.Get("drop-policy")
-	res.DropPushOut = s.counter.Get("drop-pushout")
+	res.DropOverrun = s.counts.DropOverrun
+	res.DropPolicy = s.counts.DropPolicy
+	res.DropPushOut = s.counts.DropPushout
 	res.InputStalls = append([]int64(nil), s.inStalls...)
 	res.InputDrops = append([]int64(nil), s.inDrops...)
 	res.OutputDrops = append([]int64(nil), s.outDrops...)

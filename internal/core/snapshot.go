@@ -184,7 +184,7 @@ type SwitchState struct {
 	// touched).
 	InDelay [][]*CellState `json:",omitempty"`
 
-	Counters   map[string]int64
+	Counters   Counts
 	InitDelay  stats.MeanState
 	CutLatency stats.HistState
 }
@@ -229,7 +229,7 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 
 		WriteStartAt: append([]int64(nil), s.writeStartAt...),
 
-		Counters:   s.counter.Snapshot(),
+		Counters:   s.counts,
 		InitDelay:  s.initDelay.State(),
 		CutLatency: s.cutLatency.State(),
 	}
@@ -515,9 +515,7 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 		}
 	}
 
-	for name, v := range st.Counters {
-		s.counter.Set(name, v)
-	}
+	s.counts = st.Counters
 	s.initDelay.RestoreState(st.InitDelay)
 	if err := s.cutLatency.RestoreState(st.CutLatency); err != nil {
 		return nil, fmt.Errorf("core: restore cut-latency histogram: %w", err)

@@ -199,7 +199,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	}
 
 	s = mk()
-	s.counter.Set("offered", s.counter.Get("offered")+1)
+	s.counts.Offered++
 	if err := s.AuditInvariants(); err == nil {
 		t.Fatal("conservation violation went undetected")
 	}
@@ -207,7 +207,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	// With multicast copies resident: a copy lost from the books.
 	s = mustSwitch(t, Config{Ports: 8, WordBits: 16, Cells: 64, VCs: 2})
 	driveMulticast(t, s)
-	s.counter.Inc("multicast-copies", -1)
+	s.counts.MulticastCopies--
 	if err := s.AuditInvariants(); err == nil {
 		t.Fatal("multicast conservation violation went undetected")
 	}
@@ -376,7 +376,7 @@ func driveMulticast(t *testing.T, s *Switch) {
 			t.Fatalf("cycle %d: %v", c, err)
 		}
 	}
-	if s.counter.Get("multicast-copies") == 0 || !slices.ContainsFunc(s.refcnt, func(r int) bool { return r > 1 }) {
+	if s.counts.MulticastCopies == 0 || !slices.ContainsFunc(s.refcnt, func(r int) bool { return r > 1 }) {
 		t.Fatal("set-up: no multicast copies resident")
 	}
 }

@@ -149,11 +149,6 @@ type Switch struct {
 	// the default — costs one pointer test per arbitrate call.
 	prof *PhaseProf
 
-	// cAccepted…cECCHard are hot counter slots (stats.Counter.Hot) on the
-	// link side's counter set.
-	cAccepted, cDropPolicy, cDropPushout, cStageWords *int64
-	cECCCorrected, cECCUncorrectable, cECCHard        *int64
-
 	// vcGate, when set, must return true for a transmission to start on
 	// an (output, VC) pair — per-VC flow control; the per-output level is
 	// the link side's openMask.
@@ -269,13 +264,6 @@ func New(cfg Config) (*Switch, error) {
 		s.ecc = newECC(cfg.WordBits)
 		s.eccDirty = make([]bool, cfg.Cells)
 	}
-	s.cAccepted = s.counter.Hot("accepted")
-	s.cDropPolicy = s.counter.Hot("drop-policy")
-	s.cDropPushout = s.counter.Hot("drop-pushout")
-	s.cStageWords = s.counter.Hot("stage-words")
-	s.cECCCorrected = s.counter.Hot("ecc-corrected")
-	s.cECCUncorrectable = s.counter.Hot("ecc-uncorrectable")
-	s.cECCHard = s.counter.Hot("ecc-hard")
 	s.polState = &bufView{s}
 	return s, nil
 }
@@ -534,7 +522,7 @@ func (s *Switch) SetDropCellHook(f func(c *cell.Cell)) {
 	s.onDropCell = f
 }
 
-// SetLeanDepartures makes a departure a count: "delivered" moves and the
+// SetLeanDepartures makes a departure a count: Counts.Delivered moves and the
 // egress record is recycled, but no Departure is built, so Drain hands out
 // nothing, and neither the corruption compare nor CutLatency() sees it.
 // The multistage fabric enables it on interior nodes, whose transmit hook
@@ -898,7 +886,7 @@ retry:
 	a.written = true
 	s.pendClear(best)
 	s.writeStartAt[addr] = c
-	*s.cAccepted++
+	s.counts.Accepted++
 	s.initDelay.Add(float64(c - a.head - 1))
 	if s.obs != nil {
 		s.obs.initDelay.Observe(c - a.head - 1)
@@ -956,7 +944,7 @@ retry:
 		s.occInc(o)
 	}
 	s.refcnt[addr] = 1 + len(a.c.Copies)
-	s.counter.Inc("multicast-copies", int64(len(a.c.Copies)))
+	s.counts.MulticastCopies += int64(len(a.c.Copies))
 	enqueue(dst)
 	for _, o := range a.c.Copies {
 		enqueue(o)

@@ -145,7 +145,7 @@ func TestVCIntegrityRandom(t *testing.T) {
 	if delivered == 0 {
 		t.Fatal("nothing delivered")
 	}
-	if got := s.Counters().Get("corrupt"); got != 0 {
+	if got := s.counts.Corrupt; got != 0 {
 		t.Fatalf("%d corrupt", got)
 	}
 }

@@ -839,7 +839,7 @@ func (e *Engine) InteriorDrops() int64 { return e.interiorDropped }
 func (e *Engine) Corrupt() int64 {
 	c := e.badEject
 	for _, nd := range e.nodes {
-		c += nd.Counters().Get("corrupt")
+		c += nd.Counts().Corrupt
 	}
 	return c
 }

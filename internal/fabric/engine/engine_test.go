@@ -101,7 +101,7 @@ func TestEngineGateFollowsCredits(t *testing.T) {
 			}
 		}
 	}
-	refused := e.NodeAt(1, 0).Counters().Get("drop-policy")
+	refused := e.NodeAt(1, 0).Counts().DropPolicy
 	if closed == 0 || refused == 0 || e.InFlight() != 0 {
 		t.Fatalf("vacuous or stuck: %d closed-gate observations, %d stage-1 refusals, %d in flight", closed, refused, e.InFlight())
 	}

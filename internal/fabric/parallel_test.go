@@ -176,7 +176,7 @@ func TestPolicyPlumbs(t *testing.T) {
 		var polDrops int64
 		for st := 0; st < f.Stages(); st++ {
 			for i := range f.ArrivalsAt(st) {
-				polDrops += f.NodeAt(st, i).Counters().Get("drop-policy")
+				polDrops += f.NodeAt(st, i).Counts().DropPolicy
 			}
 		}
 		return res, polDrops

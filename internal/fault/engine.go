@@ -6,7 +6,6 @@ import (
 
 	"pipemem/internal/cell"
 	"pipemem/internal/core"
-	"pipemem/internal/stats"
 )
 
 // Target is what an Engine injects into: the switch's seams, and
@@ -25,16 +24,14 @@ type Engine struct {
 	idx  int
 	// pcg is the concrete source behind rng, retained so checkpointing can
 	// reach the PCG's MarshalBinary/UnmarshalBinary.
-	pcg     *rand.PCG
-	rng     *rand.Rand
-	counter stats.Counter
-	// applied and skipped are the counter's hot slots, one per kind, so an
-	// event costs an add, not a tally name.
-	applied, skipped [numKinds]*int64
+	pcg *rand.PCG
+	rng *rand.Rand
+	// applied and skipped tally the fired events per kind.
+	applied, skipped [numKinds]int64
 }
 
-// appliedName and skippedName are the counter names, "applied-<kind>" and
-// "skipped-<kind>", built once.
+// appliedName and skippedName are the tallies' names in a checkpoint,
+// "applied-<kind>" and "skipped-<kind>", built once.
 var appliedName, skippedName = tallyNames("applied-"), tallyNames("skipped-")
 
 func tallyNames(prefix string) (names [numKinds]string) {
@@ -48,15 +45,11 @@ func tallyNames(prefix string) (names [numKinds]string) {
 // Parse and Random produce). The seed resolves "any" targets.
 func NewEngine(plan *Plan, seed uint64) *Engine {
 	pcg := rand.NewPCG(seed, 0xd1342543de82ef95)
-	e := &Engine{
+	return &Engine{
 		plan: plan,
 		pcg:  pcg,
 		rng:  rand.New(pcg),
 	}
-	for k := range e.applied {
-		e.applied[k], e.skipped[k] = e.counter.Hot(appliedName[k]), e.counter.Hot(skippedName[k])
-	}
-	return e
 }
 
 // Step fires every event scheduled at the given cycle. Call it once per
@@ -64,7 +57,7 @@ func NewEngine(plan *Plan, seed uint64) *Engine {
 // nothing — a target that cannot be resolved (no live buffer word, an idle
 // link) or that the switch lacks, a mask the word width cuts to zero, a
 // stuck level the bank already has — are skipped and counted; applied and
-// skipped tallies are per kind in Counters.
+// skipped tallies are per kind (Tallies).
 func (e *Engine) Step(t Target, cycle int64) {
 	for e.idx < len(e.plan.Events) && e.plan.Events[e.idx].Cycle <= cycle {
 		ev := e.plan.Events[e.idx]
@@ -73,9 +66,9 @@ func (e *Engine) Step(t Target, cycle int64) {
 			continue // scheduled before the run started; unreachable now
 		}
 		if e.apply(t, ev) {
-			*e.applied[ev.Kind]++
+			e.applied[ev.Kind]++
 		} else {
-			*e.skipped[ev.Kind]++
+			e.skipped[ev.Kind]++
 		}
 	}
 }
@@ -83,14 +76,9 @@ func (e *Engine) Step(t Target, cycle int64) {
 // Done reports that every event in the plan has been fired or passed over.
 func (e *Engine) Done() bool { return e.idx >= len(e.plan.Events) }
 
-// Counters exposes the applied-/skipped- tallies per fault kind.
-func (e *Engine) Counters() *stats.Counter { return &e.counter }
-
-// Applied returns how many events of kind k actually hit a target.
-func (e *Engine) Applied(k Kind) int64 { return *e.applied[k] }
-
-// Skipped returns how many events of kind k found no target.
-func (e *Engine) Skipped(k Kind) int64 { return *e.skipped[k] }
+// Tallies returns, indexed by Kind, how many events hit a target (applied)
+// and how many found none (skipped).
+func (e *Engine) Tallies() (applied, skipped [numKinds]int64) { return e.applied, e.skipped }
 
 func (e *Engine) apply(t Target, ev Event) bool {
 	s := t.Switch
@@ -152,7 +140,8 @@ func (e *Engine) apply(t Target, ev Event) bool {
 
 // EngineState is the exported state of an Engine, sufficient — together
 // with the plan and seed it was built from — to resume event delivery bit
-// for bit. RNG is the marshaled PCG state.
+// for bit. RNG is the marshaled PCG state; Counters holds the nonzero
+// tallies by name ("applied-mem", "skipped-linkdrop", …).
 type EngineState struct {
 	Idx      int
 	RNG      []byte
@@ -168,13 +157,28 @@ func (e *Engine) State() (*EngineState, error) {
 	return &EngineState{
 		Idx:      e.idx,
 		RNG:      rngState,
-		Counters: e.counter.Snapshot(),
+		Counters: e.tallies(),
 	}, nil
+}
+
+// tallies returns the nonzero applied and skipped tallies by name.
+func (e *Engine) tallies() map[string]int64 {
+	m := make(map[string]int64)
+	for k := range numKinds {
+		if e.applied[k] != 0 {
+			m[appliedName[k]] = e.applied[k]
+		}
+		if e.skipped[k] != 0 {
+			m[skippedName[k]] = e.skipped[k]
+		}
+	}
+	return m
 }
 
 // RestoreEngine rebuilds an engine over plan from a checkpointed state.
 // The seed argument is unused for randomness (the RNG state overrides it)
 // but must still identify the same plan semantics the checkpoint captured.
+// A tally name no fault kind has is dropped.
 func RestoreEngine(plan *Plan, st *EngineState) (*Engine, error) {
 	e := NewEngine(plan, 0)
 	if st.Idx < 0 || st.Idx > len(plan.Events) {
@@ -184,16 +188,16 @@ func RestoreEngine(plan *Plan, st *EngineState) (*Engine, error) {
 		return nil, fmt.Errorf("fault: restore PCG: %w", err)
 	}
 	e.idx = st.Idx
-	for name, v := range st.Counters {
-		e.counter.Set(name, v)
+	for k := range numKinds {
+		e.applied[k], e.skipped[k] = st.Counters[appliedName[k]], st.Counters[skippedName[k]]
 	}
 	return e, nil
 }
 
 // Report is the outcome of a fault run, as ckpt.Session.Report fills it:
 // the run's result, what the links in front of the switch did (zero without
-// link protection), the switch's counters ("ecc-corrected", "ecc-hard", …)
-// and the engine's applied-/skipped- tallies per fault kind.
+// link protection), the switch's counts and the engine's applied and
+// skipped tallies per fault kind.
 type Report struct {
 	core.RunResult
 	// Corrupt counts delivered cells whose payload differed from the
@@ -204,16 +208,17 @@ type Report struct {
 	// LinkFailed counts cells abandoned by the link protocol,
 	// LinkRetransmits NAK-triggered retransmissions across inputs.
 	LinkFailed, LinkRetransmits int64
-	Switch, Engine              map[string]int64
+	Switch                      core.Counts
+	Applied, Skipped            [numKinds]int64
 }
 
 // String renders what pmsim prints under a fault run's result line: the
 // defense layers' tallies, and one line per fault kind the plan held.
 func (r *Report) String() string {
 	s := fmt.Sprintf("corrupt=%d ecc-corrected=%d ecc-uncorrectable=%d ecc-hard=%d linkfailed=%d retransmits=%d",
-		r.Corrupt, r.Switch["ecc-corrected"], r.Switch["ecc-uncorrectable"], r.Switch["ecc-hard"], r.LinkFailed, r.LinkRetransmits)
+		r.Corrupt, r.Switch.ECCCorrected, r.Switch.ECCUncorrectable, r.Switch.ECCHard, r.LinkFailed, r.LinkRetransmits)
 	for k := Kind(0); k < numKinds; k++ {
-		if a, sk := r.Engine[appliedName[k]], r.Engine[skippedName[k]]; a+sk > 0 {
+		if a, sk := r.Applied[k], r.Skipped[k]; a+sk > 0 {
 			s += fmt.Sprintf("\nfaults: %-11s applied=%d skipped=%d", k, a, sk)
 		}
 	}

@@ -57,8 +57,9 @@ func TestEngineSkipsEventsThatChangeNothing(t *testing.T) {
 			e := NewEngine(plan, 1)
 			e.Step(Target{Switch: s, Links: links}, 0)
 			kind := plan.Events[0].Kind
-			if applied, skipped := e.Applied(kind), e.Skipped(kind); applied+skipped != 1 || (applied == 1) != r.applied {
-				t.Fatalf("applied=%d skipped=%d, want applied=%v", applied, skipped, r.applied)
+			applied, skipped := e.Tallies()
+			if applied[kind]+skipped[kind] != 1 || (applied[kind] == 1) != r.applied {
+				t.Fatalf("applied=%d skipped=%d, want applied=%v", applied[kind], skipped[kind], r.applied)
 			}
 			after, err := s.Snapshot()
 			if err != nil {

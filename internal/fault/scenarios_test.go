@@ -70,7 +70,7 @@ func TestFaultMemoryBitFlip(t *testing.T) {
 	if deps[0].Cell.Equal(deps[0].Expected) {
 		t.Fatal("bit flip not detected by the integrity check")
 	}
-	if got := s.Counters().Get("corrupt"); got != 1 {
+	if got := s.Counts().Corrupt; got != 1 {
 		t.Fatalf("corrupt counter = %d, want 1", got)
 	}
 	if deps[0].Cell.Words[2] == deps[0].Expected.Words[2] {
@@ -92,10 +92,10 @@ func TestFaultMemoryBitFlipECC(t *testing.T) {
 	if !deps[0].Cell.Equal(deps[0].Expected) {
 		t.Fatal("ECC failed to correct a single-bit upset")
 	}
-	if got := s.Counters().Get("ecc-corrected"); got != 1 {
+	if got := s.Counts().ECCCorrected; got != 1 {
 		t.Fatalf("ecc-corrected = %d, want 1", got)
 	}
-	if got := s.Counters().Get("corrupt"); got != 0 {
+	if got := s.Counts().Corrupt; got != 0 {
 		t.Fatalf("corrupt = %d, want 0", got)
 	}
 }

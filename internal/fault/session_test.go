@@ -64,20 +64,20 @@ func TestChaosSoakECC(t *testing.T) {
 				Traffic: tr, Cycles: cycles,
 				Plan: plan, FaultSeed: 1234,
 			})
-			applied := rep.Engine["applied-mem"]
+			applied := rep.Applied[fault.Mem]
 			if applied < 1000 {
 				t.Fatalf("only %d of %d planned faults found a live target; soak too idle", applied, len(plan.Events))
 			}
 			if rep.Corrupt != 0 {
 				t.Fatalf("%d corrupted deliveries; ECC must absorb every single-bit upset", rep.Corrupt)
 			}
-			if got := rep.Switch["ecc-uncorrectable"]; got != 0 {
+			if got := rep.Switch.ECCUncorrectable; got != 0 {
 				t.Fatalf("ecc-uncorrectable = %d, want 0 under single-bit faults", got)
 			}
-			if got := rep.Switch["ecc-hard"]; got != 0 {
+			if got := rep.Switch.ECCHard; got != 0 {
 				t.Fatalf("ecc-hard = %d, want 0: every scrub of a transient upset must verify clean", got)
 			}
-			if got := rep.Switch["ecc-corrected"]; got != applied {
+			if got := rep.Switch.ECCCorrected; got != applied {
 				t.Fatalf("ecc-corrected = %d, want exactly the %d applied faults", got, applied)
 			}
 			if rep.Delivered == 0 || rep.Dropped != 0 && name == "bernoulli" {
@@ -89,10 +89,10 @@ func TestChaosSoakECC(t *testing.T) {
 
 // TestStageWordsOnlyUnderFaults pins the cost of the fault seams: a wave
 // commits at initiation unless a fault can still reach it, so without a
-// plan no word is ever accessed off the commit and "stage-words" stays out
-// of the counters — on every arrival process, with ECC on and off, cut
-// through and store and forward, with and without an admission policy —
-// while a plan that lands upsets under live words sends some of them off it.
+// plan no word is ever accessed off the commit and the stage-words count
+// stays zero — on every arrival process, with ECC on and off, cut through
+// and store and forward, with and without an admission policy — while a
+// plan that lands upsets under live words sends some of them off it.
 func TestStageWordsOnlyUnderFaults(t *testing.T) {
 	const cycles = 20_000
 	for name, tr := range arrivals(0.7, 5) {
@@ -109,7 +109,7 @@ func TestStageWordsOnlyUnderFaults(t *testing.T) {
 					if _, err := s.Run(); err != nil {
 						t.Fatal(err)
 					}
-					if v, ok := s.Switch().Counters().Snapshot()["stage-words"]; ok {
+					if v := s.Switch().Counts().StageWords; v != 0 {
 						t.Fatalf("%s ecc=%v cut=%v policy=%q: stage-words=%d on a fault-free run", name, ecc, cut, pol, v)
 					}
 				}
@@ -122,8 +122,8 @@ func TestStageWordsOnlyUnderFaults(t *testing.T) {
 		Traffic: traffic.Config{Kind: traffic.Bernoulli, N: 4, Load: 0.6, Seed: 1234}, Cycles: cycles,
 		Plan: plan, FaultSeed: 1234,
 	})
-	if rep.Switch["stage-words"] == 0 || rep.Engine["applied-mem"] == 0 {
-		t.Fatalf("stage-words=%d after %d applied upsets, want some words off the commit", rep.Switch["stage-words"], rep.Engine["applied-mem"])
+	if rep.Switch.StageWords == 0 || rep.Applied[fault.Mem] == 0 {
+		t.Fatalf("stage-words=%d after %d applied upsets, want some words off the commit", rep.Switch.StageWords, rep.Applied[fault.Mem])
 	}
 }
 
@@ -145,7 +145,7 @@ func TestChaosSoakLinkProtect(t *testing.T) {
 				Traffic: tr, Cycles: cycles,
 				Plan: plan, FaultSeed: 99, LinkProtect: true,
 			})
-			hits := rep.Engine["applied-linkcorrupt"] + rep.Engine["applied-linkdrop"]
+			hits := rep.Applied[fault.LinkCorrupt] + rep.Applied[fault.LinkDrop]
 			if hits < 100 {
 				t.Fatalf("only %d link faults hit a transfer; soak too idle", hits)
 			}
@@ -175,7 +175,7 @@ func TestFaultDetectionUnderLoad(t *testing.T) {
 		Cycles:  cycles,
 		Plan:    plan, FaultSeed: 55,
 	})
-	applied := rep.Engine["applied-mem"]
+	applied := rep.Applied[fault.Mem]
 	if applied == 0 {
 		t.Fatal("no faults applied; test vacuous")
 	}

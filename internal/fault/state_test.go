@@ -44,11 +44,10 @@ func TestEngineStateResume(t *testing.T) {
 		ref.Step(Target{Switch: sw}, c)
 		res.Step(Target{Switch: sw2}, c)
 	}
-	for _, k := range []Kind{Mem, InReg} {
-		if ref.Applied(k) != res.Applied(k) || ref.Skipped(k) != res.Skipped(k) {
-			t.Fatalf("%v tallies diverged: applied %d/%d skipped %d/%d",
-				k, ref.Applied(k), res.Applied(k), ref.Skipped(k), res.Skipped(k))
-		}
+	ra, rs := ref.Tallies()
+	ga, gs := res.Tallies()
+	if ra != ga || rs != gs {
+		t.Fatalf("tallies diverged: applied %v/%v skipped %v/%v", ra, ga, rs, gs)
 	}
 }
 

@@ -129,9 +129,10 @@ type Switch struct {
 	writing []*stored // per input: cell being streamed in, or nil
 	reading []*stored // per output: cell being streamed out, or nil
 
-	done    []core.Departure
-	counter stats.Counter
-	cutLat  *stats.Hist
+	done []core.Departure
+	// noBank counts arrivals that found no bank free to take them.
+	noBank int64
+	cutLat *stats.Hist
 }
 
 // New builds the switch.
@@ -157,9 +158,6 @@ func New(cfg Config) (*Switch, error) {
 
 // Config returns the effective configuration.
 func (s *Switch) Config() Config { return s.cfg }
-
-// Counters exposes "offered", "accepted", "delivered", "drop-nobank".
-func (s *Switch) Counters() *stats.Counter { return &s.counter }
 
 // CutLatency returns the head-in→head-out histogram. (There is no
 // cut-through: the minimum is a full cell time plus pipeline delays.)
@@ -192,7 +190,7 @@ func (s *Switch) Resident() int {
 }
 
 // DroppedCells returns the arrivals that found no bank, the only loss mode.
-func (s *Switch) DroppedCells() int64 { return s.counter.Get("drop-nobank") }
+func (s *Switch) DroppedCells() int64 { return s.noBank }
 
 // Geometry implements core.Organization.
 func (s *Switch) Geometry() core.Geometry {
@@ -249,7 +247,6 @@ func (s *Switch) Tick(heads []*cell.Cell) {
 			bk.state = portIdle
 			bk.resident--
 			bk.cur = nil
-			s.counter.Inc("delivered", 1)
 			s.cutLat.Add(st.start - st.head)
 			s.done = append(s.done, core.Departure{
 				Cell: st.c.Clone(), Expected: st.c, Output: o,
@@ -311,13 +308,11 @@ func (s *Switch) Tick(heads []*cell.Cell) {
 		if s.writing[i] != nil {
 			panic(fmt.Sprintf("prizma: head injected mid-cell on input %d", i))
 		}
-		s.counter.Inc("offered", 1)
 		b := s.pickBank()
 		if b < 0 {
-			s.counter.Inc("drop-nobank", 1)
+			s.noBank++
 			continue
 		}
-		s.counter.Inc("accepted", 1)
 		nc.Enqueue = c
 		st := &stored{c: nc, bank: b, head: c, pos: 1}
 		bk := &s.banks[b]

@@ -101,18 +101,3 @@ func TestHistRestoreRejectsImpossible(t *testing.T) {
 		}
 	}
 }
-
-// Set must write through hot slots so a restored counter keeps feeding the
-// simulator's live pointers.
-func TestCounterSetThroughHotSlot(t *testing.T) {
-	var c Counter
-	p := c.Hot("offered")
-	c.Set("offered", 42)
-	if *p != 42 {
-		t.Fatalf("hot slot = %d, want 42", *p)
-	}
-	c.Set("cold", 7)
-	if c.Get("cold") != 7 {
-		t.Fatalf("cold count = %d, want 7", c.Get("cold"))
-	}
-}

@@ -1,6 +1,6 @@
 // Package stats provides the measurement primitives the simulators in this
-// repository share: streaming mean/variance trackers, integer histograms,
-// loss/throughput counters and batch-mean confidence intervals.
+// repository share: streaming mean/variance trackers, integer histograms
+// and batch-mean confidence intervals.
 //
 // All types have useful zero values and are not safe for concurrent use;
 // every simulator owns its own instances.
@@ -9,7 +9,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean accumulates a streaming mean and variance using Welford's method,
@@ -188,115 +187,6 @@ func (h *Hist) Quantile(q float64) int64 {
 	return int64(h.limit)
 }
 
-// Counter tallies named integer events (arrivals, departures, drops…).
-// Events incremented on a simulator's per-cycle hot path can be promoted
-// to hot slots (Hot): a live *int64 the caller bumps directly, skipping
-// the map hash while remaining visible to Get/Names/Snapshot/Merge.
-type Counter struct {
-	counts map[string]int64
-	hot    map[string]*int64
-}
-
-// Hot registers (or retrieves) a hot slot for name and returns a live
-// pointer to its count. Any tally name already accumulated via Inc is
-// folded into the slot. Incrementing through the pointer is equivalent to
-// Inc(name, 1) but costs a single memory add.
-func (c *Counter) Hot(name string) *int64 {
-	if c.hot == nil {
-		c.hot = make(map[string]*int64)
-	}
-	if p, ok := c.hot[name]; ok {
-		return p
-	}
-	p := new(int64)
-	if c.counts != nil {
-		*p = c.counts[name]
-		delete(c.counts, name)
-	}
-	c.hot[name] = p
-	return p
-}
-
-// Inc adds delta to the named event count.
-func (c *Counter) Inc(name string, delta int64) {
-	if c.hot != nil {
-		if p, ok := c.hot[name]; ok {
-			*p += delta
-			return
-		}
-	}
-	if c.counts == nil {
-		c.counts = make(map[string]int64)
-	}
-	c.counts[name] += delta
-}
-
-// Get returns the count for name (0 if never incremented).
-func (c *Counter) Get(name string) int64 {
-	if c.hot != nil {
-		if p, ok := c.hot[name]; ok {
-			return *p
-		}
-	}
-	return c.counts[name]
-}
-
-// Names returns all event names with a nonzero count (or any cold tally),
-// in sorted order. Hot slots still at zero are omitted so registering a
-// slot is not observable in reports.
-func (c *Counter) Names() []string {
-	names := make([]string, 0, len(c.counts)+len(c.hot))
-	for n := range c.counts {
-		names = append(names, n)
-	}
-	for n, p := range c.hot {
-		if *p != 0 {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Snapshot returns a copy of all counts, for reports that outlive the
-// counter (never nil). Hot slots still at zero are omitted, matching
-// Names.
-func (c *Counter) Snapshot() map[string]int64 {
-	m := make(map[string]int64, len(c.counts)+len(c.hot))
-	for n, v := range c.counts {
-		m[n] = v
-	}
-	for n, p := range c.hot {
-		if *p != 0 {
-			m[n] = *p
-		}
-	}
-	return m
-}
-
-// Merge folds another counter's tallies into c (parallel-run reduction,
-// matching Mean.Merge).
-func (c *Counter) Merge(o *Counter) {
-	for n, v := range o.counts {
-		c.Inc(n, v)
-	}
-	for n, p := range o.hot {
-		if *p != 0 {
-			c.Inc(n, *p)
-		}
-	}
-}
-
-// Ratio returns Get(num)/Get(den), or 0 when the denominator is zero. It is
-// the canonical loss-probability and utilization accessor.
-func (c *Counter) Ratio(num, den string) float64 {
-	d := c.Get(den)
-	if d == 0 {
-		return 0
-	}
-	return float64(c.Get(num)) / float64(d)
-}
-
 // BatchMeans implements the method of batch means: samples are grouped into
 // fixed-size batches and a confidence interval is computed over batch
 // averages, sidestepping the autocorrelation of queueing processes.
@@ -426,20 +316,4 @@ func (h *Hist) RestoreState(st HistState) error {
 	copy(h.buckets, st.Buckets)
 	h.overflow, h.total, h.sum, h.max = st.Overflow, st.Total, st.Sum, st.Max
 	return nil
-}
-
-// Set forces the named count to v, through the hot slot when one is
-// registered. The checkpoint layer uses it to restore counter snapshots;
-// ordinary accounting should use Inc.
-func (c *Counter) Set(name string, v int64) {
-	if c.hot != nil {
-		if p, ok := c.hot[name]; ok {
-			*p = v
-			return
-		}
-	}
-	if c.counts == nil {
-		c.counts = make(map[string]int64)
-	}
-	c.counts[name] = v
 }

@@ -114,51 +114,6 @@ func TestHistNegativePanics(t *testing.T) {
 	NewHist(4).Add(-1)
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Get("x") != 0 {
-		t.Fatal("zero value should read 0")
-	}
-	c.Inc("arrivals", 10)
-	c.Inc("drops", 1)
-	c.Inc("arrivals", 5)
-	if c.Get("arrivals") != 15 || c.Get("drops") != 1 {
-		t.Fatal("counts wrong")
-	}
-	if got := c.Ratio("drops", "arrivals"); math.Abs(got-1.0/15) > 1e-15 {
-		t.Fatalf("Ratio = %v", got)
-	}
-	if got := c.Ratio("drops", "missing"); got != 0 {
-		t.Fatalf("Ratio with zero denominator = %v, want 0", got)
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "arrivals" || names[1] != "drops" {
-		t.Fatalf("Names = %v", names)
-	}
-}
-
-func TestCounterSnapshotMerge(t *testing.T) {
-	var a, b Counter
-	if s := a.Snapshot(); s == nil || len(s) != 0 {
-		t.Fatalf("empty snapshot = %v, want non-nil empty map", s)
-	}
-	a.Inc("x", 3)
-	snap := a.Snapshot()
-	a.Inc("x", 1)
-	if snap["x"] != 3 {
-		t.Fatal("Snapshot must be a copy, not a view")
-	}
-	b.Inc("x", 10)
-	b.Inc("y", 2)
-	a.Merge(&b)
-	if a.Get("x") != 14 || a.Get("y") != 2 {
-		t.Fatalf("after merge: x=%d y=%d, want 14, 2", a.Get("x"), a.Get("y"))
-	}
-	if b.Get("x") != 10 {
-		t.Fatal("Merge must not mutate the source")
-	}
-}
-
 func TestBatchMeans(t *testing.T) {
 	b := NewBatchMeans(100)
 	if !math.IsInf(b.HalfWidth95(), 1) {

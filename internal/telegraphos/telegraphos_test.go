@@ -238,7 +238,7 @@ func TestAllModelsRunTraffic(t *testing.T) {
 		if delivered == 0 {
 			t.Fatalf("%s: nothing delivered", m.Name)
 		}
-		if drops := s.Core().Counters().Get("drop-overrun"); drops != 0 {
+		if drops := s.Core().Counts().DropOverrun; drops != 0 {
 			t.Fatalf("%s: %d drops at admissible load", m.Name, drops)
 		}
 	}

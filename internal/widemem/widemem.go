@@ -134,9 +134,13 @@ type Switch struct {
 	readRR  int
 	writeRR int
 
-	done    []core.Departure
-	counter stats.Counter
-	cutLat  *stats.Hist
+	done []core.Departure
+	// overruns counts cells lost to a double-buffering overrun (second
+	// latch row still occupied when a cell finished assembling, or no
+	// buffer address by the write deadline); cutThroughs the departures
+	// that used the bypass crossbar.
+	overruns, cutThroughs int64
+	cutLat                *stats.Hist
 }
 
 // New builds the switch.
@@ -162,11 +166,8 @@ func New(cfg Config) (*Switch, error) {
 // Config returns the effective configuration.
 func (s *Switch) Config() Config { return s.cfg }
 
-// Counters exposes "offered", "accepted", "delivered", "drop-overrun"
-// (second latch row still occupied when a cell finished assembling, or no
-// buffer address by the write deadline), "cutthrough" (departures that
-// used the bypass crossbar).
-func (s *Switch) Counters() *stats.Counter { return &s.counter }
+// CutThroughs returns the departures that used the bypass crossbar.
+func (s *Switch) CutThroughs() int64 { return s.cutThroughs }
 
 // CutLatency returns the head-in→head-out histogram.
 func (s *Switch) CutLatency() *stats.Hist { return s.cutLat }
@@ -195,7 +196,7 @@ func (s *Switch) Resident() int {
 }
 
 // DroppedCells returns the double-buffering overruns, the only loss mode.
-func (s *Switch) DroppedCells() int64 { return s.counter.Get("drop-overrun") }
+func (s *Switch) DroppedCells() int64 { return s.overruns }
 
 // Geometry implements core.Organization.
 func (s *Switch) Geometry() core.Geometry {
@@ -269,7 +270,7 @@ func (s *Switch) Tick(heads []*cell.Cell) {
 						// Double buffering overrun: the wide memory never
 						// accepted the previously staged cell in time; it
 						// is overwritten and lost.
-						s.counter.Inc("drop-overrun", 1)
+						s.overruns++
 					}
 					s.row2[i] = &staged{c: a.c, head: a.head, ready: c + 1}
 				}
@@ -286,7 +287,6 @@ func (s *Switch) Tick(heads []*cell.Cell) {
 		if s.row1[i] != nil {
 			panic(fmt.Sprintf("widemem: head injected mid-cell on input %d", i))
 		}
-		s.counter.Inc("offered", 1)
 		nc.Enqueue = c
 		a := &assembling{c: nc, head: c, count: 1}
 		// Cut-through bypass (fig. 3 extra datapath): decide at head
@@ -295,8 +295,7 @@ func (s *Switch) Tick(heads []*cell.Cell) {
 			s.linkFree[nc.Dst] <= c && s.queues.Len(nc.Dst) == 0 {
 			s.outRow[nc.Dst] = &transmitting{c: nc, head: c, direct: true}
 			s.linkFree[nc.Dst] = c + int64(s.k) + 2
-			s.counter.Inc("accepted", 1)
-			s.counter.Inc("cutthrough", 1)
+			s.cutThroughs++
 			a.c = nil // consumed by the bypass; row1 still fills timing-wise
 		}
 		s.row1[i] = a
@@ -353,7 +352,6 @@ func (s *Switch) tryWrite(c int64) bool {
 	}
 	s.row2[best] = nil
 	s.writeRR = (best + 1) % s.n
-	s.counter.Inc("accepted", 1)
 	s.mem[addr] = stored{c: st.c, head: st.head, wrote: c}
 	s.queues.Push(st.c.Dst, addr)
 	return true
@@ -361,7 +359,6 @@ func (s *Switch) tryWrite(c int64) bool {
 
 // complete finalizes a transmission.
 func (s *Switch) complete(o int, tr *transmitting, c int64) {
-	s.counter.Inc("delivered", 1)
 	s.cutLat.Add(tr.start - tr.head)
 	s.done = append(s.done, core.Departure{
 		Cell: tr.c.Clone(), Expected: tr.c, Output: o,

@@ -64,7 +64,7 @@ func TestStoreAndForwardTiming(t *testing.T) {
 	if !d.Cell.Equal(c) {
 		t.Fatal("cell corrupted")
 	}
-	if s.Counters().Get("cutthrough") != 0 {
+	if s.CutThroughs() != 0 {
 		t.Fatal("departure bypassed memory without a crossbar")
 	}
 	// Assembled end of cycle K-1, staged ready K, written at K, read at
@@ -90,7 +90,7 @@ func TestCutThroughCrossbar(t *testing.T) {
 		t.Fatalf("%d departures, want 1", len(deps))
 	}
 	d := deps[0]
-	if s.Counters().Get("cutthrough") != 1 {
+	if s.CutThroughs() != 1 {
 		t.Fatal("idle-output cell did not use the bypass")
 	}
 	if !d.Cell.Equal(c) {

@@ -139,7 +139,7 @@ func TestOrganizationsGolden(t *testing.T) {
 				got.cycles, got.offered, got.delivered, got.dropped = r.Cycles, r.Offered, r.Delivered, r.Dropped
 				got.meanLat, got.minLat = fmt.Sprintf("%.4f", r.MeanCutLatency), r.MinCutLatency
 				if w, ok := org.(*WideSwitch); ok {
-					got.cutthrough = w.Counters().Get("cutthrough")
+					got.cutthrough = w.CutThroughs()
 				}
 				got.busyWords = int64(math.Round(r.Utilization * float64(r.Cycles*n)))
 				if got.busyWords != r.Delivered*int64(k) {
