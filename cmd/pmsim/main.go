@@ -61,6 +61,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"pipemem"
 	"pipemem/internal/bench"
@@ -115,6 +117,12 @@ func main() {
 	if err := tracef.Validate(); err != nil {
 		die(2, err)
 	}
+	// -sched picks the VOQ matcher; any other run would drop it.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "sched" && (*arch != "voq" || *fabricKind != "") {
+			die(2, "-sched picks the -arch voq scheduler; drop it or use -arch voq")
+		}
+	})
 
 	// trafficAt is the arrival process the shared traffic flags select, at
 	// offered load p.
@@ -233,6 +241,17 @@ func main() {
 	// refuse the flag rather than silently ignoring it.
 	if bufpol.Got() {
 		die(2, "-bufpolicy applies to the RTL model only (-arch rtl, -faultplan, -metrics or -trace)")
+	}
+
+	// Values the chosen architecture cannot be built with are refused here,
+	// not left to its constructor's panic.
+	switch {
+	case *arch == "voq" && !slices.Contains(pipemem.VOQSchedulers, *sched):
+		die(2, fmt.Sprintf("-sched %q: want one of %s", *sched, strings.Join(pipemem.VOQSchedulers, ", ")))
+	case *arch == "block-crosspoint" && (*group < 1 || *n%*group != 0):
+		die(2, fmt.Sprintf("-group %d must divide -n %d", *group, *n))
+	case *arch == "speedup" && *speedup < 1:
+		die(2, fmt.Sprintf("-speedup %d: want ≥ 1", *speedup))
 	}
 
 	build := func() pipemem.Arch {

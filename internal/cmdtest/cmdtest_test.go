@@ -122,6 +122,12 @@ func badConfigCases(dir string) []badCase {
 		{"pmsim/restore-plus-faultplan", "pmsim", "@5 mem\n", []string{"-restore", garbage, "-faultplan", "-"}, "drop -faultplan"},
 		{"pmsim/restore-plus-bufpolicy", "pmsim", "", []string{"-restore", garbage, "-bufpolicy", "share"}, "drop -bufpolicy"},
 		{"pmsim/restore-plus-linkprotect", "pmsim", "", []string{"-restore", garbage, "-linkprotect"}, "drop -linkprotect"},
+		// pmsim: a slot-level flag the architecture does not read, or a
+		// value it cannot be built with, is refused before the build.
+		{"pmsim/sched-unknown", "pmsim", "", []string{"-arch", "voq", "-sched", "bogus"}, "pmsim: -sched"},
+		{"pmsim/sched-not-voq", "pmsim", "", []string{"-arch", "output", "-sched", "pim"}, "pmsim: -sched"},
+		{"pmsim/group-not-divisor", "pmsim", "", []string{"-arch", "block-crosspoint", "-n", "16", "-group", "5"}, "pmsim: -group"},
+		{"pmsim/speedup-zero", "pmsim", "", []string{"-arch", "speedup", "-speedup", "0"}, "pmsim: -speedup"},
 
 		// pmrtl: organization/model/config errors.
 		{"pmrtl/unknown-org", "pmrtl", "", []string{"-org", "torus"}, "unknown organization"},

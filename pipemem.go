@@ -36,6 +36,7 @@
 package pipemem
 
 import (
+	"fmt"
 	"io"
 
 	"pipemem/internal/analytic"
@@ -423,17 +424,22 @@ type ArchResult = sim.Result
 // NewInputFIFO builds FIFO input queueing (head-of-line blocking).
 func NewInputFIFO(n, bufCap int) Arch { return sim.NewInputFIFO(n, bufCap) }
 
-// NewVOQ builds non-FIFO input buffering with the given scheduler
-// ("islip", "pim" or "2drr").
+// VOQSchedulers are the scheduler names NewVOQ accepts.
+var VOQSchedulers = []string{"islip", "pim", "2drr"}
+
+// NewVOQ builds non-FIFO input buffering with the given scheduler, one of
+// VOQSchedulers; it panics on any other name.
 func NewVOQ(n, bufCap int, scheduler string) Arch {
 	var m arb.Matcher
 	switch scheduler {
+	case "islip":
+		m = arb.NewISLIP(n, 0)
 	case "pim":
 		m = arb.NewPIM(0, 1)
 	case "2drr":
 		m = arb.NewTwoDRR()
 	default:
-		m = arb.NewISLIP(n, 0)
+		panic(fmt.Sprintf("pipemem: unknown VOQ scheduler %q", scheduler))
 	}
 	return sim.NewVOQ(n, bufCap, m)
 }
