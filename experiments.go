@@ -94,10 +94,20 @@ func passStr(ok bool) string {
 	return "MISMATCH"
 }
 
-// Experiment is one reproducible claim of the paper.
+// Experiment is one reproducible claim of the paper: its id, the title
+// and paper reference its table is headed with, and the function that
+// measures it.
 type Experiment struct {
 	ID, Title, Ref string
-	Run            func(Scale) (ExpResult, error)
+	run            func(Scale) (ExpResult, error)
+}
+
+// Run runs the experiment at scale s; the result carries its id, title and
+// reference.
+func (e Experiment) Run(s Scale) (ExpResult, error) {
+	res, err := e.run(s)
+	res.ID, res.Title, res.Ref = e.ID, e.Title, e.Ref
+	return res, err
 }
 
 // Experiments returns the per-experiment index of DESIGN.md: the paper's
@@ -108,26 +118,26 @@ type Experiment struct {
 // numbers for them, so their checks are its qualitative predictions.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"E1", "Input-FIFO queueing saturation (head-of-line blocking)", "§2.1, [KaHM87]", E1InputQueueSaturation},
-		{"E2", "Wormhole saturation with bursts exceeding buffers", "§2.1, [Dally90 fig.8]", E2WormholeSaturation},
-		{"E3", "Buffer sizing for equal loss: shared vs output vs input smoothing", "§2.2, [HlKa88]", E3BufferSizing},
-		{"E4", "Latency vs load: output/shared vs non-FIFO input buffering", "§2.2, [AOST93 fig.3]", E4LatencyVsLoad},
-		{"E5", "Staggered-initiation cut-through latency", "§3.4", E5StaggeredInitiation},
-		{"E6", "Packet-size quantum and half-quantum throughput", "§3.5", E6QuantumThroughput},
-		{"E7", "Pipelined control: stage s repeats stage s-1 one cycle later", "§3.3, fig.5", E7ControlTrace},
-		{"E8", "Telegraphos I/II/III derived specifications", "§4.1–§4.4", E8TelegraphosSpecs},
-		{"E9", "Telegraphos III full-load RTL run", "§4.4", E9FullLoadRTL},
-		{"E10", "Shared vs input buffering floorplan", "§5.1, fig.9", E10SharedVsInputArea},
-		{"E11", "Pipelined vs wide-memory peripheral area", "§5.2", E11PeripheralArea},
-		{"E12", "Pipelined vs PRIZMA interleaved buffering", "§5.3", E12PrizmaComparison},
-		{"E13", "Full-custom vs standard-cell technology scaling", "§4.4", E13TechScaling},
-		{"E14", "Hazard freedom: no double buffering needed", "§3.2/§3.3", E14HazardFreedom},
-		{"X1", "Link pipelining (§4.3): +2R latency, logic unaffected", "§4.3", X1LinkPipelining},
-		{"X2", "Critical-path timing: fig. 7a/7b, wide memory, bit-line split", "§4.2–§4.4", X2Timing},
-		{"X3", "Multistage fabric of pipelined-memory switches", "§1/§2", X3Fabric},
-		{"X4", "Clos network of pipelined-memory switches: middle-stage sizing", "§1/§2", X4Clos},
-		{"X5", "Shared-buffer management policies: admission, thresholds, push-out", "§2.2 ext", X5BufferPolicies},
-		{"X6", "Sharded parallel fabric engine: determinism and scale", "§2 ext", X6FabricScale},
+		{"E1", "Input-FIFO saturation", "§2.1 [KaHM87]", E1InputQueueSaturation},
+		{"E2", "Wormhole saturation", "§2.1 [Dally90]", E2WormholeSaturation},
+		{"E3", "Buffer sizing for equal loss", "§2.2 [HlKa88]", E3BufferSizing},
+		{"E4", "Latency vs load", "§2.2 [AOST93]", E4LatencyVsLoad},
+		{"E5", "Staggered-initiation delay", "§3.4", E5StaggeredInitiation},
+		{"E6", "Quantum and half-quantum throughput", "§3.5", E6QuantumThroughput},
+		{"E7", "Pipelined control trace", "§3.3 fig.5", E7ControlTrace},
+		{"E8", "Telegraphos specifications", "§4.1–§4.4", E8TelegraphosSpecs},
+		{"E9", "Telegraphos III full-load RTL", "§4.4", E9FullLoadRTL},
+		{"E10", "Shared vs input buffering floorplan", "§5.1 fig.9", E10SharedVsInputArea},
+		{"E11", "Peripheral area: pipelined vs wide", "§5.2", E11PeripheralArea},
+		{"E12", "PRIZMA interleaved comparison", "§5.3", E12PrizmaComparison},
+		{"E13", "Technology scaling", "§4.4", E13TechScaling},
+		{"E14", "Hazard freedom without double buffering", "§3.2", E14HazardFreedom},
+		{"X1", "Link pipelining", "§4.3", X1LinkPipelining},
+		{"X2", "Critical-path timing", "§4.2–§4.4", X2Timing},
+		{"X3", "Multistage fabric", "§1/§2", X3Fabric},
+		{"X4", "Clos middle-stage sizing", "§1/§2", X4Clos},
+		{"X5", "Shared-buffer management policies", "§2.2 ext", X5BufferPolicies},
+		{"X6", "Sharded fabric engine", "§2 ext", X6FabricScale},
 	}
 }
 
@@ -140,7 +150,7 @@ func within(got, want, tol float64) bool {
 // queueing across switch sizes and compares with [KaHM87]'s exact values
 // and the 2-√2 asymptote — the "about 60%" of §2.1.
 func E1InputQueueSaturation(s Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E1", Title: "Input-FIFO saturation", Ref: "§2.1 [KaHM87]"}
+	var res ExpResult
 	measured := s.slots(100_000, 1_000_000)
 	// Each size is an independent simulation with its own stream, so
 	// the sweep fans across cores (bench.Map) without changing any value.
@@ -174,7 +184,7 @@ func E1InputQueueSaturation(s Scale) (ExpResult, error) {
 // the cited figure: virtual-channel lanes lift the saturation at constant
 // total buffer storage.
 func E2WormholeSaturation(s Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E2", Title: "Wormhole saturation", Ref: "§2.1 [Dally90]"}
+	var res ExpResult
 	warm, meas := s.slots(20_000, 50_000), s.slots(50_000, 150_000)
 	terminals := int(s.slots(64, 256))
 	type cfg struct {
@@ -284,7 +294,7 @@ func findBufferFor(build func(b int) sim.Arch, gcfg traffic.Config, warm, meas i
 // under load 0.8 — 86 cells shared, 178 cells output-queued (11.1/port),
 // 1300 cells input smoothing (80/input).
 func E3BufferSizing(s Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E3", Title: "Buffer sizing for equal loss", Ref: "§2.2 [HlKa88]"}
+	var res ExpResult
 	const n = 16
 	const target = 1e-3
 	gcfg := traffic.Config{Kind: traffic.Bernoulli, N: n, Load: 0.8, Seed: 2002}
@@ -358,7 +368,7 @@ func E3BufferSizing(s Scale) (ExpResult, error) {
 // output queueing (equivalently shared buffering) is about twice as fast
 // as (non-FIFO, scheduler-driven) input buffering at loads 0.6–0.9.
 func E4LatencyVsLoad(s Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E4", Title: "Latency vs load", Ref: "§2.2 [AOST93]"}
+	var res ExpResult
 	const n = 16
 	warm, meas := s.slots(20_000, 50_000), s.slots(150_000, 1_000_000)
 	rows, err := bench.Map(0, []float64{0.5, 0.6, 0.7, 0.8, 0.9}, func(_ int, p float64) (ExpRow, error) {
@@ -409,7 +419,7 @@ func E4LatencyVsLoad(s Scale) (ExpResult, error) {
 //     contention from read waves (read priority) and so runs above the
 //     first-order model at moderate load while remaining negligible.
 func E5StaggeredInitiation(s Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E5", Title: "Staggered-initiation delay", Ref: "§3.4"}
+	var res ExpResult
 	const n = 8
 	cycles := s.slots(400_000, 4_000_000)
 	perLoad, err := bench.Map(0, []float64{0.1, 0.2, 0.4}, func(_ int, p float64) ([]ExpRow, error) {
@@ -481,7 +491,7 @@ func E5StaggeredInitiation(s Scale) (ExpResult, error) {
 // 256–1024 bits at 5 ns give 50–200 Gb/s aggregate) and the half-quantum
 // organization's full-rate operation.
 func E6QuantumThroughput(s Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E6", Title: "Quantum and half-quantum throughput", Ref: "§3.5"}
+	var res ExpResult
 	for _, tc := range []struct {
 		bits  int
 		paper string
@@ -526,7 +536,7 @@ func E6QuantumThroughput(s Scale) (ExpResult, error) {
 // switch: a golden scenario's stage-0 control words, their delayed copies
 // downstream, and the automatic cut-through timing.
 func E7ControlTrace(Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E7", Title: "Pipelined control trace", Ref: "§3.3 fig.5"}
+	var res ExpResult
 	sw, err := core.New(core.Config{Ports: 2, WordBits: 16, Cells: 8, CutThrough: true})
 	if err != nil {
 		return res, err

@@ -17,7 +17,7 @@ import (
 // three prototypes: link rates, packet sizes, stage counts and buffer
 // capacity, all computed from clock period and word width.
 func E8TelegraphosSpecs(Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E8", Title: "Telegraphos specifications", Ref: "§4.1–§4.4"}
+	var res ExpResult
 	t1, t2, t3 := telegraphos.TelegraphosI(), telegraphos.TelegraphosII(), telegraphos.TelegraphosIII()
 	rows := []struct {
 		label, paper string
@@ -68,7 +68,7 @@ func E8TelegraphosSpecs(Scale) (ExpResult, error) {
 // occupancy, and the worst-case per-link rate of 1 Gb/s follows from the
 // sustained one-word-per-cycle operation at the 16 ns clock.
 func E9FullLoadRTL(s Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E9", Title: "Telegraphos III full-load RTL", Ref: "§4.4"}
+	var res ExpResult
 	m := telegraphos.TelegraphosIII()
 	sw, err := core.New(m.SwitchConfig())
 	if err != nil {
@@ -115,7 +115,7 @@ func E9FullLoadRTL(s Scale) (ExpResult, error) {
 // E10SharedVsInputArea evaluates the fig. 9 floorplan comparison with the
 // [HlKa88] equal-loss capacities of E3.
 func E10SharedVsInputArea(Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E10", Title: "Shared vs input buffering floorplan", Ref: "§5.1 fig.9"}
+	var res ExpResult
 	const n, w = 16, 16
 	c := area.CompareInputVsShared(n, w, 80, 86)
 	res.Rows = []ExpRow{
@@ -153,7 +153,7 @@ func E10SharedVsInputArea(Scale) (ExpResult, error) {
 // the register-row count that drives it, plus the live-RTL register
 // inventory backing the row count.
 func E11PeripheralArea(Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E11", Title: "Peripheral area: pipelined vs wide", Ref: "§5.2"}
+	var res ExpResult
 	m := area.DefaultRowModel()
 	cmp := m.ComparePeriphery(8, area.ES2u10)
 	res.Rows = []ExpRow{
@@ -200,7 +200,7 @@ func E11PeripheralArea(Scale) (ExpResult, error) {
 // at Telegraphos III parameters, the shift-register penalty, the decoder
 // overhead, and — on the RTL models — the cut-through capability gap.
 func E12PrizmaComparison(s Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E12", Title: "PRIZMA interleaved comparison", Ref: "§5.3"}
+	var res ExpResult
 	ratio := area.PrizmaCrossbarRatio(8, 256)
 	res.Rows = []ExpRow{
 		{
@@ -295,7 +295,7 @@ func E12PrizmaComparison(s Scale) (ExpResult, error) {
 // ×2.5 clock, ×4.5 peripheral area → "a factor of 22"; and periphery
 // ∝ n² → an 8×8 standard-cell design ≈18× larger.
 func E13TechScaling(Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E13", Title: "Technology scaling", Ref: "§4.4"}
+	var res ExpResult
 	g := area.TelegraphosGain()
 	blowup := area.StdCellBlowup(8, 4, g.AreaFactor)
 	t2 := area.TelegraphosII()
@@ -334,7 +334,7 @@ func E13TechScaling(Scale) (ExpResult, error) {
 // packet … was initiated before the new packet wave started overwriting
 // the input registers, and both waves proceed at the same rate".
 func E14HazardFreedom(s Scale) (ExpResult, error) {
-	res := ExpResult{ID: "E14", Title: "Hazard freedom without double buffering", Ref: "§3.2"}
+	var res ExpResult
 	cycles := s.slots(30_000, 300_000)
 	rows, err := bench.Map(0, []int{2, 4, 8, 16}, func(_ int, n int) (ExpRow, error) {
 		sw, err := core.New(core.Config{Ports: n, WordBits: 16, Cells: 8 * n, CutThrough: true})

@@ -17,7 +17,7 @@ import (
 // equal amounts ("the logic of the switch operation remains unaffected")
 // — exactly +2R cycles of latency, identical throughput, zero loss.
 func X1LinkPipelining(s Scale) (ExpResult, error) {
-	res := ExpResult{ID: "X1", Title: "Link pipelining", Ref: "§4.3"}
+	var res ExpResult
 	cycles := s.slots(30_000, 200_000)
 	depths := []int{0, 1, 2, 4}
 	runs, err := bench.Map(0, depths, func(_ int, r int) (core.RunResult, error) {
@@ -53,7 +53,7 @@ func X1LinkPipelining(s Scale) (ExpResult, error) {
 // and bit-line splitting trades one latency cycle for a faster clock —
 // with the §4.2/§4.4 published clock periods as anchors.
 func X2Timing(Scale) (ExpResult, error) {
-	res := ExpResult{ID: "X2", Title: "Critical-path timing", Ref: "§4.2–§4.4"}
+	var res ExpResult
 	t3 := area.TelegraphosIIITiming()
 	t2 := area.TelegraphosIITiming()
 	fig7a := area.StageTiming{WordlineBits: 16, Addr: area.Decoder}
@@ -100,7 +100,7 @@ func X2Timing(Scale) (ExpResult, error) {
 // lossless (credits), chained cut-through latency, and roughly double the
 // saturation throughput.
 func X3Fabric(s Scale) (ExpResult, error) {
-	res := ExpResult{ID: "X3", Title: "Multistage fabric", Ref: "§1/§2"}
+	var res ExpResult
 	warm, meas := s.slots(5_000, 20_000), s.slots(30_000, 150_000)
 	f, err := fabric.New(fabric.Config{Terminals: 64, Radix: 2, WordBits: 16, SwitchCells: 32, Credits: 4, CutThrough: true})
 	if err != nil {
@@ -173,7 +173,7 @@ func X3Fabric(s Scale) (ExpResult, error) {
 // credit-protected interior links stay lossless and round-robin middle
 // selection balances the load.
 func X4Clos(s Scale) (ExpResult, error) {
-	res := ExpResult{ID: "X4", Title: "Clos middle-stage sizing", Ref: "§1/§2"}
+	var res ExpResult
 	warm, meas := s.slots(5_000, 20_000), s.slots(40_000, 200_000)
 	const radix = 4
 	middles := []int{1, 2, 3, 4}

@@ -2,6 +2,7 @@ package pipemem
 
 import (
 	"fmt"
+	"slices"
 
 	"pipemem/internal/bench"
 	"pipemem/internal/bufmgr"
@@ -49,12 +50,10 @@ func X5BufferPolicies(s Scale) (ExpResult, error) {
 // rows need the whole sweep, so a restricted run reports measurements
 // only.
 func BufferPolicyExperiment(spec string) Experiment {
-	return Experiment{
-		ID:    "X5",
-		Title: fmt.Sprintf("Shared-buffer policy %q under uniform/bursty/hotspot load", spec),
-		Ref:   "§2.2 ext",
-		Run:   func(s Scale) (ExpResult, error) { return bufferPolicyResult(s, spec) },
-	}
+	exps := Experiments()
+	e := exps[slices.IndexFunc(exps, func(e Experiment) bool { return e.ID == "X5" })]
+	e.run = func(s Scale) (ExpResult, error) { return bufferPolicyResult(s, spec) }
+	return e
 }
 
 // coldPortLoss sums losses on every output other than the hotspot port.
@@ -69,7 +68,7 @@ func coldPortLoss(run core.RunResult, hot int) int64 {
 }
 
 func bufferPolicyResult(s Scale, only string) (ExpResult, error) {
-	res := ExpResult{ID: "X5", Title: "Shared-buffer management policies", Ref: "§2.2 ext"}
+	var res ExpResult
 	specs := bufmgr.Specs()
 	if only != "" {
 		if _, err := bufmgr.Parse(only); err != nil {

@@ -19,7 +19,7 @@ import (
 // reference; wall-clock scaling with workers is a multi-core observable
 // and is not asserted here (single-CPU CI hosts would fail it).
 func X6FabricScale(s Scale) (ExpResult, error) {
-	res := ExpResult{ID: "X6", Title: "Sharded fabric engine", Ref: "§2 ext"}
+	var res ExpResult
 	warm, meas := s.slots(2_000, 10_000), s.slots(8_000, 60_000)
 	run := func(workers int) (FabricResult, float64, error) {
 		f, err := fabric.New(fabric.Config{

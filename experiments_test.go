@@ -54,7 +54,7 @@ func TestExperiments(t *testing.T) {
 		"X3": true, "X4": true, "X5": true, "X6": true}
 	for _, e := range exps {
 		t.Run(e.ID, func(t *testing.T) {
-			if e.Title == "" || e.Ref == "" || e.Run == nil {
+			if e.Title == "" || e.Ref == "" || e.run == nil {
 				t.Fatalf("%s incomplete: %+v", e.ID, e)
 			}
 			if testing.Short() && slow[e.ID] {
