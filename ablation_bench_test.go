@@ -32,29 +32,35 @@ func BenchmarkAblationCutThrough(b *testing.B) {
 }
 
 // BenchmarkAblationReadPriority toggles §3.3's read-first arbitration and
-// reports output utilization under full-load permutation traffic, with
-// read priority and with write priority. The two read alike (0.9992 and
-// 0.9991 at 20,000 cycles): this load does not show write waves taking
-// initiation slots that outgoing links needed.
+// reports output utilization and lost cells with read priority and with
+// write priority, under uniform load 0.95 into a 64-cell buffer that runs
+// near full. There a write wave that takes the cycle's one initiation slot
+// leaves an idle outgoing link without its read wave, the buffer drains
+// more slowly and overflows more often: at 200,000 cycles utilization
+// reads 0.9456 with read priority and 0.9325 without, and 371 cells are
+// lost against 1,666. (Full-load permutation traffic, which never queues
+// two cells for one output, reads 0.9999 either way.)
 func BenchmarkAblationReadPriority(b *testing.B) {
-	run := func(noReadPrio bool) float64 {
-		sw, err := New(Config{Ports: 8, WordBits: 16, Cells: 256, CutThrough: true, NoReadPriority: noReadPrio})
+	run := func(noReadPrio bool) (util, drops float64) {
+		sw, err := New(Config{Ports: 8, WordBits: 16, Cells: 64, CutThrough: true, NoReadPriority: noReadPrio})
 		if err != nil {
 			b.Fatal(err)
 		}
-		cs, err := NewCellStream(TrafficConfig{Kind: Permutation, N: 8, Load: 1, Seed: 22}, sw.Config().Stages)
+		cs, err := NewCellStream(TrafficConfig{Kind: Bernoulli, N: 8, Load: 0.95, Seed: 22}, sw.Config().Stages)
 		if err != nil {
 			b.Fatal(err)
 		}
 		delivered := runRTL(b, sw, cs)
-		return float64(delivered*sw.Config().Stages) / float64(b.N*8)
+		return float64(delivered*sw.Config().Stages) / float64(b.N*8), float64(sw.DroppedCells())
 	}
 	// runRTL resets the timer, which also clears reported metrics, so
 	// run both configurations before reporting.
-	readPrio := run(false)
-	writePrio := run(true)
-	b.ReportMetric(readPrio, "util-readprio")
-	b.ReportMetric(writePrio, "util-writeprio")
+	readUtil, readDrops := run(false)
+	writeUtil, writeDrops := run(true)
+	b.ReportMetric(readUtil, "util-readprio")
+	b.ReportMetric(writeUtil, "util-writeprio")
+	b.ReportMetric(readDrops, "drops-readprio")
+	b.ReportMetric(writeDrops, "drops-writeprio")
 }
 
 // BenchmarkAblationSchedulers compares the three matching schedulers of
