@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"pipemem/internal/arb"
 	"pipemem/internal/cell"
@@ -152,6 +153,9 @@ type linkSide struct {
 	// leanDepart counts a departure and recycles its record, and builds
 	// nothing else; see Switch.SetLeanDepartures.
 	leanDepart bool
+	// sink, when set, is the Runner driving the switch: each departure is
+	// compared and handed to it inside the Tick, and Drain stays empty.
+	sink *Runner
 
 	counts Counts
 	// cutLatency is head-in to head-out in cycles.
@@ -359,36 +363,45 @@ func (l *linkSide) depart(o int, c int64) int64 {
 	l.txActive--
 	l.idleMask.set(o)
 	l.counts.Delivered++
-	if l.leanDepart {
+	lat := r.start - r.d.head + 2*l.lp
+	switch {
+	case l.leanDepart:
 		// Counted, not handed out: no Departure, no observed cell, and no
 		// read of r.d.c, which the transmit hook may have passed on.
-		l.reasmFree = append(l.reasmFree, r)
-		return r.start - r.d.head + 2*l.lp
+	case l.sink != nil:
+		// Booked where it completes: the words are compared here, whatever
+		// the record's clean flag says, and nothing is left for Drain.
+		intact := slices.Equal(r.words, r.d.c.Words)
+		if !intact {
+			l.counts.Corrupt++
+		}
+		l.cutLatency.Add(lat)
+		l.sink.departed(r.d.c, lat, intact)
+	default:
+		// The observed cell swaps its word buffer with the record's (both
+		// stay at capacity k) so the record can return to the pool
+		// immediately; the cell itself is reclaimed by the next Drain under
+		// recycle mode.
+		got := l.getCell()
+		got.Seq, got.Src, got.Dst, got.VC = r.d.c.Seq, r.d.c.Src, r.d.c.Dst, r.d.c.VC
+		got.Copies = nil
+		got.Enqueue = r.d.head
+		got.Words, r.words = r.words, got.Words[:0]
+		if !r.clean && !got.Equal(r.d.c) {
+			l.counts.Corrupt++
+		}
+		l.cutLatency.Add(lat)
+		l.done = append(l.done, Departure{
+			Cell:      got,
+			Expected:  r.d.c,
+			Output:    o,
+			HeadIn:    r.d.head - l.lp,
+			HeadOut:   r.start + l.lp,
+			TailOut:   c + l.lp,
+			InitDelay: r.d.writeStart - r.d.head - 1,
+			VC:        r.d.vc,
+		})
 	}
-	// The observed cell swaps its word buffer with the record's (both stay
-	// at capacity k) so the record can return to the pool immediately; the
-	// cell itself is reclaimed by the next Drain under recycle mode.
-	got := l.getCell()
-	got.Seq, got.Src, got.Dst, got.VC = r.d.c.Seq, r.d.c.Src, r.d.c.Dst, r.d.c.VC
-	got.Copies = nil
-	got.Enqueue = r.d.head
-	got.Words, r.words = r.words, got.Words[:0]
-	dep := Departure{
-		Cell:      got,
-		Expected:  r.d.c,
-		Output:    o,
-		HeadIn:    r.d.head - l.lp,
-		HeadOut:   r.start + l.lp,
-		TailOut:   c + l.lp,
-		InitDelay: r.d.writeStart - r.d.head - 1,
-		VC:        r.d.vc,
-	}
-	lat := dep.HeadOut - dep.HeadIn
-	if !r.clean && !got.Equal(r.d.c) {
-		l.counts.Corrupt++
-	}
-	l.cutLatency.Add(lat)
-	l.done = append(l.done, dep)
 	l.reasmFree = append(l.reasmFree, r)
 	return lat
 }

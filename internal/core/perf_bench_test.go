@@ -238,6 +238,14 @@ func BenchmarkRunnerStepSaturated(b *testing.B) {
 	benchRunnerStep(b, traffic.Config{Kind: traffic.Saturation, N: 8, Seed: 42})
 }
 
+// BenchmarkRunnerStepSteady is the serve-steady shape, permutation traffic
+// at load 1: every output busy and nothing lost, so a departure completes
+// on some link every cycle or two and the row carries what booking one
+// costs.
+func BenchmarkRunnerStepSteady(b *testing.B) {
+	benchRunnerStep(b, traffic.Config{Kind: traffic.Permutation, N: 8, Load: 1, Seed: 42})
+}
+
 // dualTickLoop builds the pooled steady-state injection loop for the §3.5
 // half-quantum organization — an 8×8 at full admissible load — warms its
 // pools, and returns the per-cycle closure and its delivery counter.

@@ -13,9 +13,11 @@ import (
 // tallies, drain progress) in exported-able form. The checkpoint layer
 // stops it between Steps, snapshots switch + stream + RunnerState, and
 // resumes a bit-identical run later. It calls the concrete *Switch (its
-// per-cycle loop is the one the ledger measures) and shares tallies, drain
-// predicate and bound, result arithmetic and verdict with Run, whose
-// RunResult it must reproduce field for field.
+// per-cycle loop is the one the ledger measures) and is the switch's
+// departure sink: each departure is compared and booked inside the Tick
+// that completes it, with no Departure record and no Drain. It shares the
+// tallies, drain predicate and bound, result arithmetic and verdict with
+// Run, whose RunResult it must reproduce field for field.
 //
 // Phases: the driven window (cycles Ticks with traffic), then the drain
 // (Ticks without arrivals until the switch is empty or the drain bound is
@@ -50,8 +52,8 @@ type Runner struct {
 	prevDrop func(c *cell.Cell)
 
 	phase int
-	// coast: the last Step left the switch idle and no departure out on loan
-	// from Drain. Cleared by every Step that does not coast.
+	// coast: the last Step left the switch idle. Cleared by every Step that
+	// does not coast.
 	coast   bool
 	driven  int64
 	drained int64
@@ -92,11 +94,12 @@ const (
 )
 
 // NewRunner builds a runner that will drive s with cs for the given number
-// of cycles and then drain. It enables the switch's drain-recycle mode and
-// takes its drop-cell hook for the length of the run (dropped cells are
-// recycled like delivered ones, so a hook the caller had installed is not
-// called meanwhile); Result switches recycling off again and puts the
-// caller's hook back.
+// of cycles and then drain. For the length of the run it takes the
+// switch's departures and its drop-cell hook: each departure is booked and
+// its cell recycled inside the Tick that completes it, so Drain hands out
+// nothing meanwhile, and dropped cells are recycled like delivered ones, so
+// a hook the caller had installed is not called. Result gives the
+// departures back to Drain and puts the caller's hook back.
 func NewRunner(s *Switch, cs *traffic.CellStream, cycles int64) *Runner {
 	r := &Runner{
 		s:      s,
@@ -108,7 +111,7 @@ func NewRunner(s *Switch, cs *traffic.CellStream, cycles int64) *Runner {
 		tally:  tally{minLat: -1},
 		bound:  s.Geometry().DrainBound(),
 	}
-	s.SetDrainRecycle(true)
+	s.sink = r
 	r.prevDrop = s.onDropCell
 	s.SetDropCellHook(r.pool.Put)
 	if cycles <= 0 {
@@ -120,17 +123,29 @@ func NewRunner(s *Switch, cs *traffic.CellStream, cycles int64) *Runner {
 // Switch returns the switch under test.
 func (r *Runner) Switch() *Switch { return r.s }
 
-// collect books the departures of the last Tick and tracks occupancy, which
-// it returns.
-func (r *Runner) collect() int {
-	deps, buffered := r.s.Drain(), r.s.Buffered()
-	r.tally.collect(deps, buffered)
-	for i := range deps {
-		// The injected cell has left the switch; reuse it for a later
-		// arrival (unicast only — every cell here is).
-		r.pool.Put(deps[i].Expected)
+// departed is the switch's departure sink: it books the cell c whose tail
+// has just left, lat cycles after its head came in, intact when its words
+// arrived as injected. The cell has left the switch; it is reused for a
+// later arrival (unicast only — every cell here is).
+func (r *Runner) departed(c *cell.Cell, lat int64, intact bool) {
+	r.res.Delivered++
+	if !intact {
+		r.res.Corrupt++
 	}
-	return buffered
+	if r.minLat < 0 || lat < r.minLat {
+		r.minLat = lat
+	}
+	r.pool.Put(c)
+}
+
+// occupancy tracks the buffer occupancy after the last Tick, which it
+// returns.
+func (r *Runner) occupancy() int {
+	b := r.s.Buffered()
+	if b > r.res.MaxBuffered {
+		r.res.MaxBuffered = b
+	}
+	return b
 }
 
 // Step advances the run by one cycle. It reports false — without ticking —
@@ -140,9 +155,8 @@ func (r *Runner) Step() bool {
 	case runDrive:
 		if r.coast {
 			if r.PreTick == nil && r.Stage == nil && r.s.unwatched() && r.cs.SkipDead() {
-				// The stream has no head for this cycle and a Tick could only
-				// advance the clock, a Drain only hand out and take back
-				// nothing, the tallies only add a zero.
+				// The stream has no head for this cycle, a Tick could only
+				// advance the clock and the tallies only add a zero.
 				r.s.cycle++
 				r.driven++
 				r.endWindow()
@@ -163,8 +177,8 @@ func (r *Runner) Step() bool {
 			// the per-port injection scan and let the switch see the nil
 			// vector.
 			r.s.Tick(nil)
-			r.occSum += float64(r.collect())
-			r.coast = r.s.idle() && len(r.s.doneOut) == 0
+			r.occSum += float64(r.occupancy())
+			r.coast = r.s.idle()
 		} else {
 			for i := range r.hcells {
 				r.hcells[i] = nil
@@ -175,7 +189,7 @@ func (r *Runner) Step() bool {
 				}
 			}
 			r.s.Tick(r.hcells)
-			r.occSum += float64(r.collect())
+			r.occSum += float64(r.occupancy())
 		}
 		r.driven++
 		r.endWindow()
@@ -189,7 +203,7 @@ func (r *Runner) Step() bool {
 			r.PreTick(r.s.cycle)
 		}
 		r.s.Tick(nil)
-		r.collect()
+		r.occupancy()
 		r.drained++
 		return true
 	}
@@ -225,7 +239,7 @@ func (r *Runner) stepStaged() {
 	}
 	r.Stage.Tick(r.s.cycle, r.hcells, r.pool)
 	r.s.Tick(r.hcells)
-	if b := r.collect(); live {
+	if b := r.occupancy(); live {
 		r.occSum += float64(b)
 	}
 	r.driven++
@@ -263,13 +277,13 @@ func (r *Runner) Pending() int {
 // finish fills the result fields computed once at the end of a run.
 func (r *Runner) finish() RunResult { return r.tally.finish(r.s, r.driven+r.drained) }
 
-// Result completes the run (stepping to the end if needed), restores the
-// switch's drain mode and drop hook, and returns the final RunResult with
+// Result completes the run (stepping to the end if needed), gives the
+// switch's departures back to Drain, restores its drop hook, and returns the final RunResult with
 // Run's conservation, drain and integrity verdict.
 func (r *Runner) Result() (RunResult, error) {
 	for r.Step() {
 	}
-	r.s.SetDrainRecycle(false)
+	r.s.sink = nil
 	r.s.SetDropCellHook(r.prevDrop)
 	res := r.finish()
 	var failed int64

@@ -13,10 +13,11 @@ import (
 
 // hookedPlainStep is plainStep for a runner carrying a PreTick or a Stage:
 // the hook runs before every Tick, and a staged cycle is stepStaged's, which
-// never coasts.
+// never coasts, followed by plainStep's Drain.
 func hookedPlainStep(r *Runner) bool {
 	if r.phase == runDrive && r.Stage != nil {
 		r.stepStaged()
+		plainCollect(r)
 		return true
 	}
 	if ticks := r.phase == runDrive || r.phase == runDrain && r.drained < r.bound && r.s.Resident() > 0; ticks && r.PreTick != nil {
@@ -25,14 +26,18 @@ func hookedPlainStep(r *Runner) bool {
 	return plainStep(r)
 }
 
-// onLoan identifies the array Drain last handed out. Every Drain swaps it
-// for the other of its two, so it tells a Step that drained from one that
-// coasted without asking the runner.
-func onLoan(r *Runner) *Departure {
-	if cap(r.s.doneOut) == 0 {
-		return nil
-	}
-	return &r.s.doneOut[:1][0]
+// stepCoasted steps r and reports what Step returned and whether the Step
+// coasted. Every Step that ticks the switch samples its occupancy
+// (Runner.occupancy), and a coast calls nothing, so for the one Step the
+// probe parks MaxBuffered on -1, a value no sample leaves, and then puts
+// the larger of the two back.
+func stepCoasted(r *Runner) (ok, coasted bool) {
+	peak := r.res.MaxBuffered
+	r.res.MaxBuffered = -1
+	ok = r.Step()
+	coasted = r.res.MaxBuffered == -1
+	r.res.MaxBuffered = max(peak, r.res.MaxBuffered)
+	return ok, coasted
 }
 
 // passStage is a HeadStage that holds nothing: what is offered in a cycle
@@ -138,20 +143,18 @@ func TestCoastEndsAtEverySeam(t *testing.T) {
 		t.Run(seam.name, func(t *testing.T) {
 			cfg := Config{Ports: n, Stages: k, WordBits: 16, Cells: 12, CutThrough: true, ECC: true}
 			tc := traffic.Config{Kind: traffic.Trace, N: n, Schedule: sched}
-			got, want := runnerTo(t, cfg, tc, cycles, "", 0), runnerTo(t, cfg, tc, cycles, "", 0)
+			got, want := runnerTo(t, cfg, tc, cycles, "", 0), plainRunner(t, cfg, tc, cycles, "")
 			var gotLog, wantLog []string
 			applied := -1
 			for c := 0; ; c++ {
-				loan := onLoan(got)
-				ok, wok := got.Step(), hookedPlainStep(want)
-				if ok != wok {
+				ok, coasted := stepCoasted(got)
+				if wok := hookedPlainStep(want); ok != wok {
 					t.Fatalf("cycle %d: Step returned %v, the plain driver %v", c, ok, wok)
 				}
 				compareRunners(t, c, got, want)
 				if !ok {
 					break
 				}
-				coasted := loan == onLoan(got)
 				switch {
 				case applied < 0 && c > 200 && coasted:
 					seam.apply(got, &gotLog)
@@ -185,19 +188,18 @@ func TestRestoredRunnerCoastsAgain(t *testing.T) {
 	const cycles = 4096
 	cfg := Config{Ports: 4, WordBits: 16, Cells: 12, CutThrough: true}
 	tc := traffic.Config{Kind: traffic.Bursty, N: 4, Load: 0.05, BurstLen: 8, Seed: 11}
-	want := runnerTo(t, cfg, tc, cycles, "", 0)
+	want := plainRunner(t, cfg, tc, cycles, "")
 	got := runnerTo(t, cfg, tc, cycles, "", 0)
 	cuts, again, cut := 0, 0, -2
 	for c := 0; ; c++ {
-		loan := onLoan(got)
-		ok, wok := got.Step(), plainStep(want)
-		if ok != wok {
+		ok, coasted := stepCoasted(got)
+		if wok := plainStep(want); ok != wok {
 			t.Fatalf("cycle %d: Step returned %v, the plain driver %v", c, ok, wok)
 		}
 		if !ok {
 			break
 		}
-		if c%97 == 0 && cap(got.s.doneOut) > 0 && loan == onLoan(got) && got.phase == runDrive {
+		if c%97 == 0 && coasted && got.phase == runDrive {
 			// Mid-coast: rebuild switch, stream and runner from their states.
 			sw, err := got.s.Snapshot()
 			if err != nil {
@@ -284,15 +286,15 @@ func TestObservedRunnerCoasts(t *testing.T) {
 	}
 	coasts := 0
 	for c := 1; ; c++ {
-		bareLoan, gotLoan := onLoan(bare), onLoan(got)
-		ok, gok, pok := bare.Step(), got.Step(), pinned.Step()
+		ok, bareCoasted := stepCoasted(bare)
+		gok, gotCoasted := stepCoasted(got)
+		pok := pinned.Step()
 		if ok != gok || ok != pok {
 			t.Fatalf("cycle %d: Step returned %v bare, %v observed, %v pinned", c, ok, gok, pok)
 		}
 		if !ok {
 			break
 		}
-		bareCoasted, gotCoasted := bareLoan == onLoan(bare), gotLoan == onLoan(got)
 		if bareCoasted != gotCoasted {
 			t.Fatalf("cycle %d: the bare run coasted %v, the observed one %v", c, bareCoasted, gotCoasted)
 		}

@@ -15,7 +15,8 @@ import (
 // cycle, whatever the stream or the switch could have said ahead of time —
 // with a fresh cell for every head and none recycled. It takes no shortcut
 // of any kind, so a Step that does must still leave every byte where this
-// leaves it, whatever becomes of the cells the runner hands back.
+// leaves it, whatever becomes of the cells the runner hands back. It drives
+// a runner built by plainRunner, whose departures reach Drain.
 func plainStep(r *Runner) bool {
 	switch r.phase {
 	case runDrive:
@@ -63,18 +64,24 @@ func plainCollect(r *Runner) {
 	}
 }
 
+// plainRunner is runnerTo for the reference side of a Step differential:
+// the switch keeps no departure sink, so its departures are Departure
+// records that plainStep drains and books with tally.book, the
+// bookkeeping Run does.
+func plainRunner(t *testing.T, cfg Config, tc traffic.Config, cycles int64, polSpec string) *Runner {
+	t.Helper()
+	r := runnerTo(t, cfg, tc, cycles, polSpec, 0)
+	r.s.sink = nil
+	return r
+}
+
 // scribble overwrites every idle cell of a runner's pool, keeping the
 // pool's order, so that a switch or a snapshot still reading a cell the
-// runner has recycled reads garbage. The cells of the departures on loan
-// from the last Drain are left alone: the caller may read those until the
-// next.
+// runner has recycled reads garbage.
 func scribble(r *Runner) {
 	idle := make([]*cell.Cell, r.pool.Len())
 	for i := range idle {
 		idle[i] = r.pool.Get()
-		if slices.ContainsFunc(r.s.doneOut, func(d Departure) bool { return d.Expected == idle[i] }) {
-			continue
-		}
 		c := idle[i]
 		c.Seq, c.Src, c.Dst, c.VC, c.Copies, c.Enqueue = ^uint64(0), -1, -1, -1, []int{-1}, -1
 		for j := range c.Words {
@@ -84,19 +91,6 @@ func scribble(r *Runner) {
 	for i := len(idle) - 1; i >= 0; i-- {
 		r.pool.Put(idle[i])
 	}
-}
-
-// handedOut renders the departures the runner's last Step handed out — the
-// batch its switch's Drain returned, which under recycle mode stays in
-// doneOut until the next Drain. A Step that skips Drain while a batch is
-// still out shows here as handing that batch out twice.
-func handedOut(r *Runner) []string {
-	var out []string
-	for _, d := range r.s.doneOut {
-		out = append(out, fmt.Sprintf("seq=%d out=%d vc=%d in=%d headout=%d tailout=%d delay=%d words=%v intact=%v",
-			d.Expected.Seq, d.Output, d.VC, d.HeadIn, d.HeadOut, d.TailOut, d.InitDelay, d.Cell.Words, d.Cell.Equal(d.Expected)))
-	}
-	return out
 }
 
 // holeySchedule is a Trace schedule of rows cell times in which arrivals
@@ -143,11 +137,12 @@ var stepModes = []struct {
 
 // TestRunnerStepEqualsPlainDriver drives Runner.Step beside the plain
 // per-cycle driver and, after every cycle of the window and of the drain,
-// compares what the Step returned, the departures it handed out, the
-// RunnerState, the switch snapshot and the stream state. Everything a
-// checkpoint could cut, at every cycle it could cut it — with the runner's
-// recycled cells scribbled over first, so a switch that reads a cell it has
-// handed back shows here.
+// compares what the Step returned, the RunnerState (the deliveries its sink
+// booked against those the driver drained), the switch snapshot and the
+// stream state, and requires that the runner left nothing for Drain.
+// Everything a checkpoint could cut, at every cycle it could cut it — with
+// the runner's recycled cells scribbled over first, so a switch that reads
+// a cell it has handed back shows here.
 func TestRunnerStepEqualsPlainDriver(t *testing.T) {
 	const n, cycles = 4, 4096
 	for _, tc := range stepTraffic(n, 2*n, cycles) {
@@ -158,7 +153,7 @@ func TestRunnerStepEqualsPlainDriver(t *testing.T) {
 					t.Parallel()
 					cfg := Config{Ports: n, WordBits: 16, Cells: 12, CutThrough: m.ct, LinkPipeline: m.lp}
 					got := runnerTo(t, cfg, tc, cycles, pol, 0)
-					want := runnerTo(t, cfg, tc, cycles, pol, 0)
+					want := plainRunner(t, cfg, tc, cycles, pol)
 					for c := 0; ; c++ {
 						ok, wok := got.Step(), plainStep(want)
 						if ok != wok {
@@ -179,12 +174,13 @@ func TestRunnerStepEqualsPlainDriver(t *testing.T) {
 }
 
 // compareRunners fails the test unless the two runners — switch, stream and
-// driver state — are indistinguishable after cycle c. Once got's departures
-// are read, its idle pooled cells are scribbled over (scribble).
+// driver state — are indistinguishable after cycle c, and got, which books
+// its departures through the switch's sink, left none for Drain. got's idle
+// pooled cells are scribbled over first (scribble).
 func compareRunners(t *testing.T, c int, got, want *Runner) {
 	t.Helper()
-	if g, w := handedOut(got), handedOut(want); !reflect.DeepEqual(g, w) {
-		t.Fatalf("cycle %d: departures handed out\n got  %v\n want %v", c, g, w)
+	if n := len(got.s.done); n > 0 {
+		t.Fatalf("cycle %d: the runner left %d departures for Drain", c, n)
 	}
 	scribble(got)
 	if g, w := got.State(), want.State(); g != w {

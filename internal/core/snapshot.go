@@ -29,9 +29,10 @@ import (
 //   - The observability layer (Observer, tracer, shadow tallies): metrics
 //     restart from zero after a restore; events emitted after the restore
 //     point are still identical to the uninterrupted run's.
-//   - Hooks (gates, transmit callbacks) and the bufmgr policy object:
-//     callers reinstall them after restore (the checkpoint layer records
-//     the policy spec string for exactly this purpose).
+//   - Hooks (gates, transmit callbacks, a Runner's departure sink) and the
+//     bufmgr policy object: callers reinstall them after restore (the
+//     checkpoint layer records the policy spec string for exactly this
+//     purpose).
 //
 // Cells appear in several structures at once (an arrival waiting for its
 // write wave, a queued descriptor and an egress reassembly record may
