@@ -66,7 +66,8 @@ type LaneNet struct {
 	// lane[t][l][v]
 	lane [][][]laneState
 	// Physical channels are not held across flits with lanes: each flit
-	// arbitrates, and rr[t][m] rotates fairness on output line m.
+	// arbitrates, and rr[t][m] rotates fairness on output line m, one step
+	// per contested grant.
 	rr [][]uint8
 
 	sent []bool
@@ -201,8 +202,12 @@ func (w *LaneNet) moveOnOutput(t, m, b int) error {
 	if len(cands) == 0 {
 		return nil
 	}
+	// The pointer turns only on a contested grant: moving a message's
+	// flits one at a time must not decide the next tie.
 	pick := cands[int(w.rr[t][m])%len(cands)]
-	w.rr[t][m]++
+	if len(cands) > 1 {
+		w.rr[t][m]++
+	}
 
 	ln := &w.lane[t][pick.l][pick.v]
 	f, _ := ln.buf.Pop()

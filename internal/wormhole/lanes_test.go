@@ -2,6 +2,8 @@ package wormhole
 
 import (
 	"testing"
+
+	"pipemem/internal/cell"
 )
 
 func mustLanes(t *testing.T, cfg LaneConfig) *LaneNet {
@@ -68,15 +70,14 @@ func TestLanesLiftSaturation(t *testing.T) {
 // TestSingleLaneMatchesBaseModel: with one lane, the lane model's
 // saturation sits within a band of the base model's, below it. At E2's
 // quick point (64 terminals, 16-flit buffers, 20-flit messages) Net reads
-// 0.436 and the one-lane LaneNet 0.357. Most of the gap is lane
+// 0.436 and the one-lane LaneNet 0.366. Most of the gap is lane
 // allocation: a LaneNet head needs an empty downstream lane, while a Net
 // head queues behind the previous message's tail in the same FIFO; giving
-// Net the LaneNet rule alone reads 0.379. Most of the rest is the
-// LaneNet's round-robin pointer, which advances with every flit moved, so
-// a 20-flit message leaves its parity as it was and a tie between the two
-// inputs goes to the same input again: Net with both rules reads 0.364,
-// and a LaneNet whose pointer advances only on a tie reads 0.366. The PCG
-// stream moves either model by less than 0.005 (five seeds).
+// Net the LaneNet rule alone reads 0.379. (The LaneNet's round-robin
+// pointer turns only on a contested grant, so ties alternate between the
+// two inputs; a pointer that turned on every flit moved handed every tie
+// of 20-flit messages to the same input and read 0.356.) The PCG stream
+// moves either model by less than 0.005 (five seeds).
 func TestSingleLaneMatchesBaseModel(t *testing.T) {
 	lw := mustLanes(t, LaneConfig{Terminals: 64, BufferFlits: 16, MsgFlits: 20, Lanes: 1, Saturate: true, Seed: 9})
 	lres, err := Run(lw, 20_000, 60_000)
@@ -92,6 +93,54 @@ func TestSingleLaneMatchesBaseModel(t *testing.T) {
 	if lres.Throughput < lo || lres.Throughput > hi {
 		t.Fatalf("1-lane model %.3f outside [%.3f, %.3f] of base model %.3f",
 			lres.Throughput, lo, hi, bres.Throughput)
+	}
+}
+
+// TestLaneTieAlternates: two inputs of a one-lane stage each hold a queue
+// of even-length messages for the same output, so every head finds the
+// other input's head beside it. The output's round-robin pointer must hand
+// those ties to the two inputs in turn. (A pointer that advanced on every
+// flit moved left its parity unchanged over a message and granted the
+// same input every time.)
+func TestLaneTieAlternates(t *testing.T) {
+	for _, flits := range []int{2, 20} {
+		const msgs = 3 // per input
+		w := mustLanes(t, LaneConfig{Terminals: 4, BufferFlits: msgs * flits, MsgFlits: flits, Lanes: 1, Saturate: true})
+		const st, m = 0, 0
+		b := w.bit(st)
+		inputs := [2]int{m, m ^ (1 << b)}
+		for i, l := range inputs {
+			for j := range msgs {
+				for _, f := range cell.Message(uint64(i*msgs+j+1), m, flits, 0) {
+					w.lane[st][l][0].buf.Push(f)
+				}
+			}
+		}
+		// The next stage's lane is emptied after every move, so a head
+		// waits only for the previous message's tail.
+		down := &w.lane[st+1][m][0]
+		var grants []int
+		for moves := 0; moves < 2*msgs*flits; moves++ {
+			clear(w.sent)
+			if err := w.moveOnOutput(st, m, b); err != nil {
+				t.Fatal(err)
+			}
+			f, ok := down.buf.Pop()
+			if !ok {
+				t.Fatalf("%d-flit messages, move %d: no flit moved", flits, moves)
+			}
+			if f.Kind.IsHead() {
+				grants = append(grants, inputs[(f.Msg-1)/msgs])
+			}
+			if f.Kind.IsTail() {
+				down.msg = 0
+			}
+		}
+		for i := 1; i < len(grants); i++ {
+			if grants[i] == grants[i-1] {
+				t.Fatalf("%d-flit messages: output %d granted inputs %v; ties must alternate", flits, m, grants)
+			}
+		}
 	}
 }
 
