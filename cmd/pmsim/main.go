@@ -61,8 +61,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
-	"strings"
 
 	"pipemem"
 	"pipemem/internal/bench"
@@ -243,49 +241,47 @@ func main() {
 		die(2, "-bufpolicy applies to the RTL model only (-arch rtl, -faultplan, -metrics or -trace)")
 	}
 
-	// Values the chosen architecture cannot be built with are refused here,
-	// not left to its constructor's panic.
-	switch {
-	case *arch == "voq" && !slices.Contains(pipemem.VOQSchedulers, *sched):
-		die(2, fmt.Sprintf("-sched %q: want one of %s", *sched, strings.Join(pipemem.VOQSchedulers, ", ")))
-	case *arch == "block-crosspoint" && (*group < 1 || *n%*group != 0):
-		die(2, fmt.Sprintf("-group %d must divide -n %d", *group, *n))
-	case *arch == "speedup" && *speedup < 1:
-		die(2, fmt.Sprintf("-speedup %d: want ≥ 1", *speedup))
-	}
-
-	build := func() pipemem.Arch {
+	// build returns the architecture, or the error its constructor gave
+	// for a value it cannot be built with, and the flag that carried it.
+	build := func() (pipemem.Arch, string, error) {
 		switch *arch {
 		case "input-fifo":
-			return pipemem.NewInputFIFO(*n, *buf)
+			return pipemem.NewInputFIFO(*n, *buf), "", nil
 		case "voq":
-			return pipemem.NewVOQ(*n, *buf, *sched)
+			a, err := pipemem.NewVOQ(*n, *buf, *sched)
+			return a, "-sched", err
 		case "output":
-			return pipemem.NewOutputQueue(*n, *buf)
+			return pipemem.NewOutputQueue(*n, *buf), "", nil
 		case "shared":
-			return pipemem.NewSharedBufferArch(*n, *buf)
+			return pipemem.NewSharedBufferArch(*n, *buf), "", nil
 		case "shared-capped":
-			return pipemem.NewCappedSharedBufferArch(*n, *buf, *outCap)
+			return pipemem.NewCappedSharedBufferArch(*n, *buf, *outCap), "", nil
 		case "crosspoint":
-			return pipemem.NewCrosspoint(*n, *buf)
+			return pipemem.NewCrosspoint(*n, *buf), "", nil
 		case "block-crosspoint":
-			return pipemem.NewBlockCrosspoint(*n, *group, *buf)
+			a, err := pipemem.NewBlockCrosspoint(*n, *group, *buf)
+			return a, "-group", err
 		case "smoothing":
-			return pipemem.NewInputSmoothing(*n, *buf)
+			return pipemem.NewInputSmoothing(*n, *buf), "", nil
 		case "speedup":
-			return pipemem.NewSpeedupFabric(*n, *buf, *buf, *speedup)
+			a, err := pipemem.NewSpeedupFabric(*n, *buf, *buf, *speedup)
+			return a, "-speedup", err
 		default:
 			die(2, fmt.Sprintf("unknown architecture %q", *arch))
-			return nil
+			return nil, "", nil
 		}
 	}
 
 	run := func(p float64) {
+		a, flagName, err := build()
+		if err != nil {
+			die(2, fmt.Sprintf("%s: %v", flagName, err))
+		}
 		g, err := pipemem.NewCellStream(trafficAt(p), 1)
 		if err != nil {
 			die(1, err)
 		}
-		res := pipemem.RunArch(build(), g, *warmup, *slots)
+		res := pipemem.RunArch(a, g, *warmup, *slots)
 		fmt.Printf("load=%.2f  %s\n", p, res)
 	}
 

@@ -38,6 +38,7 @@ package pipemem
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"pipemem/internal/analytic"
 	"pipemem/internal/arb"
@@ -428,8 +429,8 @@ func NewInputFIFO(n, bufCap int) Arch { return sim.NewInputFIFO(n, bufCap) }
 var VOQSchedulers = []string{"islip", "pim", "2drr"}
 
 // NewVOQ builds non-FIFO input buffering with the given scheduler, one of
-// VOQSchedulers; it panics on any other name.
-func NewVOQ(n, bufCap int, scheduler string) Arch {
+// VOQSchedulers; any other name is an error.
+func NewVOQ(n, bufCap int, scheduler string) (Arch, error) {
 	var m arb.Matcher
 	switch scheduler {
 	case "islip":
@@ -439,9 +440,9 @@ func NewVOQ(n, bufCap int, scheduler string) Arch {
 	case "2drr":
 		m = arb.NewTwoDRR()
 	default:
-		panic(fmt.Sprintf("pipemem: unknown VOQ scheduler %q", scheduler))
+		return nil, fmt.Errorf("pipemem: VOQ scheduler %q: want one of %s", scheduler, strings.Join(VOQSchedulers, ", "))
 	}
-	return sim.NewVOQ(n, bufCap, m)
+	return sim.NewVOQ(n, bufCap, m), nil
 }
 
 // NewOutputQueue builds output queueing with per-output capacity.
@@ -462,16 +463,24 @@ func NewCappedSharedBufferArch(n, bufCap, outCap int) Arch {
 func NewCrosspoint(n, bufCap int) Arch { return sim.NewCrosspoint(n, bufCap) }
 
 // NewBlockCrosspoint builds block-crosspoint buffering: groups of g×g
-// ports share a buffer of blockCap cells.
-func NewBlockCrosspoint(n, g, blockCap int) Arch { return sim.NewBlockCrosspoint(n, g, blockCap) }
+// ports share a buffer of blockCap cells. The block size g must divide n.
+func NewBlockCrosspoint(n, g, blockCap int) (Arch, error) {
+	if g < 1 || n%g != 0 {
+		return nil, fmt.Errorf("pipemem: block size %d must divide n = %d", g, n)
+	}
+	return sim.NewBlockCrosspoint(n, g, blockCap), nil
+}
 
 // NewInputSmoothing builds the frame-based [HlKa88] scheme with frame b.
 func NewInputSmoothing(n, b int) Arch { return sim.NewInputSmoothing(n, b) }
 
 // NewSpeedupFabric builds input queueing over an s×-speed fabric with
-// output queues.
-func NewSpeedupFabric(n, inCap, outCap, speedup int) Arch {
-	return sim.NewSpeedupFabric(n, inCap, outCap, speedup)
+// output queues; the speedup must be at least 1.
+func NewSpeedupFabric(n, inCap, outCap, speedup int) (Arch, error) {
+	if speedup < 1 {
+		return nil, fmt.Errorf("pipemem: speedup %d: want ≥ 1", speedup)
+	}
+	return sim.NewSpeedupFabric(n, inCap, outCap, speedup), nil
 }
 
 // RunArch drives an architecture for warmup + measured slots with a

@@ -1,6 +1,9 @@
 package pipemem
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestQuickstartAPI exercises the public facade end to end the way the
 // README shows.
@@ -25,17 +28,24 @@ func TestQuickstartAPI(t *testing.T) {
 // TestFacadeArchConstructors: every §2 architecture is reachable through
 // the facade and conserves cells.
 func TestFacadeArchConstructors(t *testing.T) {
+	must := func(a Arch, err error) Arch {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
 	archs := []Arch{
 		NewInputFIFO(8, 64),
-		NewVOQ(8, 64, "islip"),
-		NewVOQ(8, 64, "pim"),
-		NewVOQ(8, 64, "2drr"),
+		must(NewVOQ(8, 64, "islip")),
+		must(NewVOQ(8, 64, "pim")),
+		must(NewVOQ(8, 64, "2drr")),
 		NewOutputQueue(8, 64),
 		NewSharedBufferArch(8, 256),
 		NewCrosspoint(8, 8),
-		NewBlockCrosspoint(8, 2, 64),
+		must(NewBlockCrosspoint(8, 2, 64)),
 		NewInputSmoothing(8, 16),
-		NewSpeedupFabric(8, 64, 64, 2),
+		must(NewSpeedupFabric(8, 64, 64, 2)),
 	}
 	for _, a := range archs {
 		g, err := NewCellStream(TrafficConfig{Kind: Bernoulli, N: 8, Load: 0.7, Seed: 5}, 1)
@@ -46,6 +56,31 @@ func TestFacadeArchConstructors(t *testing.T) {
 		if r.Departed == 0 {
 			t.Errorf("%s: nothing departed", a.Name())
 		}
+	}
+}
+
+// TestFacadeArchConstructorsRefuse: a value an architecture cannot be
+// built with is an error naming it, not a panic.
+func TestFacadeArchConstructorsRefuse(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func() (Arch, error)
+		want  string
+	}{
+		{"voq/unknown-scheduler", func() (Arch, error) { return NewVOQ(8, 64, "fifo") }, `"fifo"`},
+		{"block-crosspoint/not-a-divisor", func() (Arch, error) { return NewBlockCrosspoint(16, 5, 64) }, "block size 5"},
+		{"block-crosspoint/zero", func() (Arch, error) { return NewBlockCrosspoint(8, 0, 64) }, "block size 0"},
+		{"speedup/zero", func() (Arch, error) { return NewSpeedupFabric(8, 64, 64, 0) }, "speedup 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a, err := c.build()
+			if err == nil || a != nil {
+				t.Fatalf("built %v, err %v", a, err)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not name %s", err, c.want)
+			}
+		})
 	}
 }
 
