@@ -2,11 +2,27 @@ package pipemem
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: each
 // isolates one mechanism of the pipelined memory (or of the fabric built
-// from it) and reports the with/without deltas as metrics.
+// from it) and reports the with/without deltas as metrics. Every
+// configuration runs for a fixed, named number of cycles whatever
+// -benchtime says, and one iteration is one whole comparison: the metrics
+// depend on the seed alone, ns/op is the cost of the comparison.
 
 import (
 	"strconv"
 	"testing"
+)
+
+// The run length of each configuration an ablation compares, per model.
+// The slot-level and fabric runs are shorter because a slot of the 16-port
+// VOQ and a cycle of the 16-terminal fabric cost 10–20 times a switch
+// cycle, and `make bench` runs every comparison a hundred times.
+const (
+	// ablationCycles: the single cycle-accurate switch.
+	ablationCycles = 20_000
+	// ablationSlots: the §2 slot-level architectures.
+	ablationSlots = 5_000
+	// ablationFabricCycles: the multistage fabric.
+	ablationFabricCycles = 2_000
 )
 
 // BenchmarkAblationCutThrough toggles §3.3's automatic cut-through and
@@ -21,11 +37,13 @@ func BenchmarkAblationCutThrough(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		runRTL(b, sw, cs)
+		runRTL(sw, cs)
 		return sw.CutLatency().Mean()
 	}
-	ct := run(true)
-	sf := run(false)
+	var ct, sf float64
+	for i := 0; i < b.N; i++ {
+		ct, sf = run(true), run(false)
+	}
 	b.ReportMetric(ct, "lat-cutthrough")
 	b.ReportMetric(sf, "lat-storefwd")
 	b.ReportMetric(sf-ct, "saved-cycles")
@@ -36,10 +54,10 @@ func BenchmarkAblationCutThrough(b *testing.B) {
 // write priority, under uniform load 0.95 into a 64-cell buffer that runs
 // near full. There a write wave that takes the cycle's one initiation slot
 // leaves an idle outgoing link without its read wave, the buffer drains
-// more slowly and overflows more often: at 200,000 cycles utilization
-// reads 0.9456 with read priority and 0.9325 without, and 371 cells are
-// lost against 1,666. (Full-load permutation traffic, which never queues
-// two cells for one output, reads 0.9999 either way.)
+// more slowly and overflows more often: over 20,000 cycles utilization
+// reads 0.9411 with read priority and 0.9193 without, and 35 cells are
+// lost against 242. (Full-load permutation traffic, which never queues two
+// cells for one output, reads 0.9999 either way.)
 func BenchmarkAblationReadPriority(b *testing.B) {
 	run := func(noReadPrio bool) (util, drops float64) {
 		sw, err := New(Config{Ports: 8, WordBits: 16, Cells: 64, CutThrough: true, NoReadPriority: noReadPrio})
@@ -50,13 +68,14 @@ func BenchmarkAblationReadPriority(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		delivered := runRTL(b, sw, cs)
-		return float64(delivered*sw.Config().Stages) / float64(b.N*8), float64(sw.DroppedCells())
+		delivered := runRTL(sw, cs)
+		return float64(delivered*sw.Config().Stages) / float64(ablationCycles*8), float64(sw.DroppedCells())
 	}
-	// runRTL resets the timer, which also clears reported metrics, so
-	// run both configurations before reporting.
-	readUtil, readDrops := run(false)
-	writeUtil, writeDrops := run(true)
+	var readUtil, readDrops, writeUtil, writeDrops float64
+	for i := 0; i < b.N; i++ {
+		readUtil, readDrops = run(false)
+		writeUtil, writeDrops = run(true)
+	}
 	b.ReportMetric(readUtil, "util-readprio")
 	b.ReportMetric(writeUtil, "util-writeprio")
 	b.ReportMetric(readDrops, "drops-readprio")
@@ -68,18 +87,19 @@ func BenchmarkAblationReadPriority(b *testing.B) {
 // discussion quantified.
 func BenchmarkAblationSchedulers(b *testing.B) {
 	const n = 16
-	for _, sched := range []string{"islip", "pim", "2drr"} {
-		a := NewVOQ(n, 0, sched)
-		g, err := NewCellStream(TrafficConfig{Kind: Bernoulli, N: n, Load: 0.9, Seed: 23}, 1)
-		if err != nil {
-			b.Fatal(err)
+	scheds := []string{"islip", "pim", "2drr"}
+	lat := make([]float64, len(scheds))
+	for i := 0; i < b.N; i++ {
+		for j, sched := range scheds {
+			a, err := NewVOQ(n, 0, sched)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lat[j] = runSlots(b, a, TrafficConfig{Kind: Bernoulli, N: n, Load: 0.9, Seed: 23}).Metrics().MeanLatency()
 		}
-		arrivals := make([]int, n)
-		for i := 0; i < b.N; i++ {
-			g.Heads(arrivals)
-			a.Step(arrivals)
-		}
-		b.ReportMetric(a.Metrics().MeanLatency(), "lat-"+sched)
+	}
+	for j, sched := range scheds {
+		b.ReportMetric(lat[j], "lat-"+sched)
 	}
 }
 
@@ -87,24 +107,26 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 // the multistage fabric and reports saturation throughput — the buffer-
 // per-node versus throughput trade.
 func BenchmarkAblationFabricCredits(b *testing.B) {
-	thr := map[int]float64{}
-	for _, credits := range []int{1, 2, 4} {
-		f, err := NewFabric(FabricConfig{Terminals: 16, Radix: 2, WordBits: 16, SwitchCells: 16, Credits: credits, CutThrough: true})
-		if err != nil {
-			b.Fatal(err)
+	allowances := []int{1, 2, 4}
+	thr := make([]float64, len(allowances))
+	for i := 0; i < b.N; i++ {
+		for j, credits := range allowances {
+			f, err := NewFabric(FabricConfig{Terminals: 16, Radix: 2, WordBits: 16, SwitchCells: 16, Credits: credits, CutThrough: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cs, err := NewCellStream(TrafficConfig{Kind: Saturation, N: 16, Seed: 24}, f.CellWords())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := f.Drive(cs, ablationFabricCycles); err != nil {
+				b.Fatal(err)
+			}
+			thr[j] = float64(f.Delivered()*int64(f.CellWords())) / float64(ablationFabricCycles*16)
 		}
-		cs, err := NewCellStream(TrafficConfig{Kind: Saturation, N: 16, Seed: 24}, f.CellWords())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer() // also clears metrics; they are reported at the end
-		if err := f.Drive(cs, int64(b.N)); err != nil {
-			b.Fatal(err)
-		}
-		thr[credits] = float64(f.Delivered()*int64(f.CellWords())) / float64(b.N*16)
 	}
-	for credits, v := range thr {
-		b.ReportMetric(v, "thr-credits"+strconv.Itoa(credits))
+	for j, credits := range allowances {
+		b.ReportMetric(thr[j], "thr-credits"+strconv.Itoa(credits))
 	}
 }
 
@@ -113,22 +135,19 @@ func BenchmarkAblationFabricCredits(b *testing.B) {
 // warning that "when the traffic is bursty … saturation occurs sooner".
 func BenchmarkAblationBurstiness(b *testing.B) {
 	const n = 16
-	for _, burst := range []float64{1, 4, 16} {
-		a := NewSharedBufferArch(n, 128)
-		cfg := TrafficConfig{Kind: Bursty, N: n, Load: 0.8, BurstLen: burst, Seed: 25}
-		if burst == 1 {
-			cfg = TrafficConfig{Kind: Bernoulli, N: n, Load: 0.8, Seed: 25}
+	bursts := []float64{1, 4, 16}
+	loss := make([]float64, len(bursts))
+	for i := 0; i < b.N; i++ {
+		for j, burst := range bursts {
+			cfg := TrafficConfig{Kind: Bursty, N: n, Load: 0.8, BurstLen: burst, Seed: 25}
+			if burst == 1 {
+				cfg = TrafficConfig{Kind: Bernoulli, N: n, Load: 0.8, Seed: 25}
+			}
+			loss[j] = runSlots(b, NewSharedBufferArch(n, 128), cfg).Metrics().LossProb()
 		}
-		g, err := NewCellStream(cfg, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		arrivals := make([]int, n)
-		for i := 0; i < b.N; i++ {
-			g.Heads(arrivals)
-			a.Step(arrivals)
-		}
-		b.ReportMetric(a.Metrics().LossProb(), "loss-burst"+strconv.Itoa(int(burst)))
+	}
+	for j, burst := range bursts {
+		b.ReportMetric(loss[j], "loss-burst"+strconv.Itoa(int(burst)))
 	}
 }
 
@@ -137,74 +156,93 @@ func BenchmarkAblationBurstiness(b *testing.B) {
 // shared (g=n) extremes at equal total memory (§2.2).
 func BenchmarkAblationBlockCrosspoint(b *testing.B) {
 	const n, total = 16, 256
-	for _, g := range []int{1, 4, 16} {
-		var a Arch
-		switch g {
-		case 1:
-			a = NewCrosspoint(n, total/(n*n))
-		case n:
-			a = NewSharedBufferArch(n, total)
-		default:
-			blocks := (n / g) * (n / g)
-			a = NewBlockCrosspoint(n, g, total/blocks)
+	groups := []int{1, 4, 16}
+	loss := make([]float64, len(groups))
+	for i := 0; i < b.N; i++ {
+		for j, g := range groups {
+			var a Arch
+			switch g {
+			case 1:
+				a = NewCrosspoint(n, total/(n*n))
+			case n:
+				a = NewSharedBufferArch(n, total)
+			default:
+				blocks := (n / g) * (n / g)
+				var err error
+				if a, err = NewBlockCrosspoint(n, g, total/blocks); err != nil {
+					b.Fatal(err)
+				}
+			}
+			loss[j] = runSlots(b, a, TrafficConfig{Kind: Bernoulli, N: n, Load: 0.95, Seed: 26}).Metrics().LossProb()
 		}
-		gen, err := NewCellStream(TrafficConfig{Kind: Bernoulli, N: n, Load: 0.95, Seed: 26}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		arrivals := make([]int, n)
-		for i := 0; i < b.N; i++ {
-			gen.Heads(arrivals)
-			a.Step(arrivals)
-		}
-		b.ReportMetric(a.Metrics().LossProb(), "loss-g"+strconv.Itoa(g))
+	}
+	for j, g := range groups {
+		b.ReportMetric(loss[j], "loss-g"+strconv.Itoa(g))
 	}
 }
 
 // BenchmarkAblationMulticastFanout measures multicast copies delivered
 // per stored cell across fan-outs — the store-once economy.
 func BenchmarkAblationMulticastFanout(b *testing.B) {
-	sw, err := New(Config{Ports: 8, WordBits: 16, Cells: 64, CutThrough: true})
-	if err != nil {
-		b.Fatal(err)
+	run := func() (copies, peak int) {
+		sw, err := New(Config{Ports: 8, WordBits: 16, Cells: 64, CutThrough: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		k := sw.Config().Stages
+		var seq uint64
+		for c := 0; c < ablationCycles; c++ {
+			var heads []*Cell
+			if c%(3*k) == 0 { // paced source: fan-out 7 loads every output at 16/48
+				seq++
+				x := NewCell(seq, 0, 1, k, 16)
+				x.Copies = []int{2, 3, 4, 5, 6, 7}
+				heads = make([]*Cell, 8)
+				heads[0] = x
+			}
+			sw.Tick(heads)
+			copies += len(sw.Drain())
+			if used := 64 - sw.FreeCells(); used > peak {
+				peak = used
+			}
+		}
+		return copies, peak
 	}
-	k := sw.Config().Stages
-	var seq uint64
-	copies := 0
-	peak := 0
-	b.ResetTimer()
+	var copies, peak int
 	for i := 0; i < b.N; i++ {
-		var heads []*Cell
-		if i%(3*k) == 0 { // paced source: fan-out 7 loads every output at 16/48
-			seq++
-			c := NewCell(seq, 0, 1, k, 16)
-			c.Copies = []int{2, 3, 4, 5, 6, 7}
-			heads = make([]*Cell, 8)
-			heads[0] = c
-		}
-		sw.Tick(heads)
-		copies += len(sw.Drain())
-		if used := 64 - sw.FreeCells(); used > peak {
-			peak = used
-		}
+		copies, peak = run()
 	}
 	b.ReportMetric(float64(copies), "copies")
 	b.ReportMetric(float64(peak), "peak-addrs")
 }
 
-// runRTL drives any organization for b.N cycles and returns delivered
-// cells. It resets the timer, and with it every metric reported so far.
-func runRTL(b *testing.B, org Organization, cs *CellStream) int {
+// runRTL drives any organization for ablationCycles cycles and returns
+// the delivered cells.
+func runRTL(org Organization, cs *CellStream) int {
 	g := org.Geometry()
 	heads := make([]int, g.Ports)
 	hc := make([]*Cell, g.Ports)
 	var seq uint64
 	delivered := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for c := 0; c < ablationCycles; c++ {
 		cs.Heads(heads)
 		org.Tick(headCells(heads, hc, &seq, g))
 		delivered += len(org.Drain())
 	}
 	return delivered
+}
+
+// runSlots drives a slot-level architecture with one-word cells of the
+// given traffic for ablationSlots slots and returns it.
+func runSlots(b *testing.B, a Arch, tc TrafficConfig) Arch {
+	g, err := NewCellStream(tc, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	arrivals := make([]int, a.N())
+	for c := 0; c < ablationSlots; c++ {
+		g.Heads(arrivals)
+		a.Step(arrivals)
+	}
+	return a
 }
