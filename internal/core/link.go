@@ -436,8 +436,9 @@ func (l *linkSide) Drain() []Departure {
 
 // SetDrainRecycle switches Drain between allocate-per-batch (off, the
 // default) and double-buffered recycling (on); see Drain for the
-// ownership contract. RunTraffic and the benchmark drivers enable it;
-// callers that retain departures across Drain calls must leave it off.
+// ownership contract. The benchmark drivers enable it; callers that
+// retain departures across Drain calls must leave it off. (A Runner needs
+// neither mode: its departures never reach Drain.)
 func (l *linkSide) SetDrainRecycle(on bool) {
 	l.recycle = on
 	if !on {

@@ -9,7 +9,9 @@ import (
 )
 
 // benchTick drives a switch for b.N cycles with the pooled injection path
-// (cell.Pool + SetDrainRecycle) that RunTraffic uses. ns/op is ns/cycle;
+// (cell.Pool + SetDrainRecycle) of a hand-written driver loop, Tick and
+// Drain every cycle (the Runner books departures without Drain: see
+// benchRunnerStep). ns/op is ns/cycle;
 // allocs/op must be 0 in steady state; cells/sec is reported as a rate
 // metric. A non-nil observer is installed before the warmup.
 func benchTick(b *testing.B, cfg Config, tcfg traffic.Config, o ...*Observer) {

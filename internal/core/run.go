@@ -112,7 +112,7 @@ type tally struct {
 
 // collect books one Drain batch and the buffer occupancy after the Tick
 // that produced it. It inlines: the usual cycle, completing no departure,
-// costs Runner.Step no call.
+// costs Run's loop no call.
 func (t *tally) collect(deps []Departure, buffered int) {
 	if len(deps) > 0 {
 		t.book(deps)
@@ -125,13 +125,19 @@ func (t *tally) collect(deps []Departure, buffered int) {
 func (t *tally) book(deps []Departure) {
 	for i := range deps {
 		d := &deps[i]
-		t.res.Delivered++
-		if !d.Cell.Equal(d.Expected) {
-			t.res.Corrupt++
-		}
-		if lat := d.HeadOut - d.HeadIn; t.minLat < 0 || lat < t.minLat {
-			t.minLat = lat
-		}
+		t.deliver(d.HeadOut-d.HeadIn, d.Cell.Equal(d.Expected))
+	}
+}
+
+// deliver books one departure, lat cycles from head in to head out, intact
+// when its words arrived as injected.
+func (t *tally) deliver(lat int64, intact bool) {
+	t.res.Delivered++
+	if !intact {
+		t.res.Corrupt++
+	}
+	if t.minLat < 0 || lat < t.minLat {
+		t.minLat = lat
 	}
 }
 

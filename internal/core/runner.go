@@ -123,18 +123,12 @@ func NewRunner(s *Switch, cs *traffic.CellStream, cycles int64) *Runner {
 // Switch returns the switch under test.
 func (r *Runner) Switch() *Switch { return r.s }
 
-// departed is the switch's departure sink: it books the cell c whose tail
-// has just left, lat cycles after its head came in, intact when its words
-// arrived as injected. The cell has left the switch; it is reused for a
-// later arrival (unicast only — every cell here is).
+// departed is the switch's departure sink, called inside the Tick in
+// which cell c's tail left: it books the departure (tally.deliver) and
+// reuses the cell, which has left the switch, for a later arrival (unicast
+// only — every cell here is).
 func (r *Runner) departed(c *cell.Cell, lat int64, intact bool) {
-	r.res.Delivered++
-	if !intact {
-		r.res.Corrupt++
-	}
-	if r.minLat < 0 || lat < r.minLat {
-		r.minLat = lat
-	}
+	r.deliver(lat, intact)
 	r.pool.Put(c)
 }
 
@@ -278,8 +272,8 @@ func (r *Runner) Pending() int {
 func (r *Runner) finish() RunResult { return r.tally.finish(r.s, r.driven+r.drained) }
 
 // Result completes the run (stepping to the end if needed), gives the
-// switch's departures back to Drain, restores its drop hook, and returns the final RunResult with
-// Run's conservation, drain and integrity verdict.
+// switch's departures back to Drain, restores its drop hook, and returns
+// the final RunResult with Run's conservation, drain and integrity verdict.
 func (r *Runner) Result() (RunResult, error) {
 	for r.Step() {
 	}
