@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet staticcheck cross test race fuzz check vulncheck bench pairs wallclock ckpt-soak serve-smoke loc
+.PHONY: build vet staticcheck cross test race fuzz check vulncheck bench pairs wallclock ckpt-soak serve-smoke loc profile
 
 build:
 	$(GO) build ./...
@@ -115,6 +115,17 @@ check: vet staticcheck build cross race vulncheck
 # shapes) a fixed number of iterations, with allocation counts.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 100x ./...
+
+# CPU profile of one benchmark: PKG is the package, BENCH the name after
+# "Benchmark"; the test binary and cpu.pprof go to a fresh temp dir (printed)
+# and pprof -top prints the hottest functions. A reading, not a gate.
+#   make profile PKG=./internal/fabric BENCH=FabricStep [BENCHTIME=3s]
+profile:
+	@test -n "$(PKG)" -a -n "$(BENCH)" || { echo "usage: make profile PKG=./internal/<pkg> BENCH=<name> [BENCHTIME=3s]"; exit 2; }
+	@d=$$(mktemp -d) && echo "profile: $$d/cpu.pprof" && \
+		$(GO) test $(PKG) -run '^$$' -bench '^Benchmark$(BENCH)$$' -benchtime $(or $(BENCHTIME),3s) \
+			-o $$d/pkg.test -cpuprofile $$d/cpu.pprof && \
+		$(GO) tool pprof -top -nodecount 40 $$d/pkg.test $$d/cpu.pprof
 
 # Non-test Go lines (wc -l of the files go build compiles) per package
 # under internal/, then for the whole repo — the measurement behind the

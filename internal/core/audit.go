@@ -115,7 +115,7 @@ func (s *Switch) AuditInvariants() error {
 			continue
 		}
 		posted++
-		if r := s.rxHead[d]; r == nil || len(r.words) != s.k && int64(len(r.words)) != s.cycle-r.start+1 {
+		if r := s.rxHead[d]; r == nil || r.src == nil && len(r.words) != s.k && int64(len(r.words)) != s.cycle-r.start+1 {
 			return fmt.Errorf("core: audit: completion ring posts output %d, whose egress slot holds no departure in progress", d)
 		}
 	}

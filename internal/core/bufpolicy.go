@@ -75,6 +75,7 @@ func (s *Switch) DroppedCells() int64 {
 func (s *Switch) dropPolicy(in int, a *arrival) {
 	a.written = true
 	s.pendClear(in)
+	s.inStalls[in] += s.cycle - a.head - 1
 	s.counts.DropPolicy++
 	s.inDrops[in]++
 	s.outDrops[a.c.Dst]++

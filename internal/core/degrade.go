@@ -256,6 +256,7 @@ func (s *Switch) openChain(addr int, from, next int64, count bool) {
 		}
 		if op.Kind != OpWrite {
 			r := s.rxHead[op.Out]
+			r.materialize()
 			for j := st; op.Kind == OpRead && j < s.k; j++ {
 				s.writeWord(j, addr, r.words[j])
 			}

@@ -10,11 +10,12 @@ import (
 	"pipemem/internal/traffic"
 )
 
-// The egress record of a committed read or write-through is read in three
-// places besides a departure sink: a fault seam reopening the wave
-// mid-transmission, Snapshot, and Drain. These pins hold every departure
-// (words included) and, in the snapshot pass, every cycle's snapshot bytes
-// to digests, so a change to how the record holds its words shows.
+// The egress record of a committed read or write-through holds its cell's
+// words without copying them, and materializes them only where something
+// reads them: a fault seam reopening the wave mid-transmission, Snapshot,
+// and Drain. These pins hold every departure (words included) and, in the
+// snapshot pass, every cycle's snapshot bytes to the digests the eager
+// record produced.
 
 // egressFire is a fault aimed at a committed wave found at stage off of the
 // coming cycle.
@@ -39,9 +40,9 @@ func egressFires() []egressFire {
 // its kind at stage off (a stuck bank clears again a cell time later), and
 // folds every departure — and, with snap, the JSON of a snapshot taken at
 // every cycle boundary — into one FNV-1a digest. It returns the departure,
-// fault and corrupt-departure counts too, so a digest cannot match
-// vacuously.
-func egressDigest(t *testing.T, f egressFire, off int, snap bool) (sum uint64, deps, fired, corrupt int) {
+// fault and corrupt-departure counts too, and how many faults found the
+// wave's egress record still lazy, so a digest cannot match vacuously.
+func egressDigest(t *testing.T, f egressFire, off int, snap bool) (sum uint64, deps, fired, corrupt, lazy int) {
 	t.Helper()
 	cfg := Config{Ports: 4, WordBits: 16, Cells: 16, CutThrough: true, ECC: f.ecc}
 	k := cfg.Canonical().Stages
@@ -59,6 +60,9 @@ func egressDigest(t *testing.T, f egressFire, off int, snap bool) (sum uint64, d
 		if c >= next && c < cycles {
 			slot := s.ctrlSlot(c, off)
 			if op := s.ctrl[slot]; op.Kind == f.kind && !s.open[slot] {
+				if s.rxHead[op.Out].src != nil {
+					lazy++
+				}
 				f.fire(s, op, off)
 				fired++
 				next, clearAt = c+int64(3*k), c+int64(k)
@@ -92,7 +96,7 @@ func egressDigest(t *testing.T, f egressFire, off int, snap bool) (sum uint64, d
 	if !s.Quiescent() {
 		t.Fatal("the drain tail left cells behind")
 	}
-	return h.Sum64(), deps, fired, corrupt
+	return h.Sum64(), deps, fired, corrupt, lazy
 }
 
 // TestEgressRecordSeamsPinned: committed reads reopened by a stuck bank or
@@ -137,9 +141,15 @@ func TestEgressRecordSeamsPinned(t *testing.T) {
 			for _, snap := range []bool{false, true} {
 				name := fmt.Sprintf("%s/stage%d/snap=%v", f.name, off, snap)
 				t.Run(name, func(t *testing.T) {
-					sum, deps, fired, corrupt := egressDigest(t, f, off, snap)
+					sum, deps, fired, corrupt, lazy := egressDigest(t, f, off, snap)
 					if fired < 10 || deps < 250 {
 						t.Fatalf("%d faults fired, %d departures: the case checks little", fired, deps)
+					}
+					// A snapshot after every Tick materializes every record;
+					// without one, most committed waves hold theirs lazily (a read
+					// of an address an earlier upset materialized copies the bank).
+					if snap && lazy != 0 || !snap && 2*lazy < fired {
+						t.Fatalf("%d of %d faults found a lazy egress record", lazy, fired)
 					}
 					t.Logf("%q: %#x, // %d departures, %d faults, %d corrupt", name, sum, deps, fired, corrupt)
 					if want, ok := golden[name]; !ok || sum != want {

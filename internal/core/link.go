@@ -62,11 +62,43 @@ type reasm struct {
 	d     desc
 	words []cell.Word
 	start int64 // cycle of head word on the link
+	// src, when set, makes the record lazy, like the bank deposit it may
+	// read (Switch.memLazy): it holds all k words of src masked by m without
+	// having copied them. The wave commit sets it, and the words are copied
+	// (materialize) only where something reads them — a fault seam
+	// reopening the wave, Snapshot, Drain. A sink compares straight off
+	// src, and a lean departure reads nothing.
+	src *cell.Cell
+	m   cell.Word
 	// clean records that words were materialized directly from d.c's own
 	// payload with no out-of-width bit dropped, so the departing cell is
 	// equal to the expected one by construction and the corruption compare
-	// can be skipped. Only the wave commit sets it.
+	// can be skipped. Only load sets it.
 	clean bool
+}
+
+// materialize copies a lazy record's words into its buffer.
+func (r *reasm) materialize() {
+	if r.src != nil {
+		r.load(r.src.Words, r.m)
+		r.src = nil
+	}
+}
+
+// intact reports that the words the record departs equal the injected
+// cell's — for a lazy record, masked source word j against injected word
+// j, in the one pass that would have copied them.
+func (r *reasm) intact() bool {
+	want := r.d.c.Words
+	if r.src == nil {
+		return slices.Equal(r.words, want)
+	}
+	for j, v := range r.src.Words {
+		if v&r.m != want[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // load fills the record with the k words of src masked by m, the word-width
@@ -102,8 +134,9 @@ func (r *reasm) load(src []cell.Word, m cell.Word) {
 // cycle's arbitration can start the next transmission. rxHead[o] is
 // therefore all the egress state an output has; book panics if a second
 // transmission ever claims an occupied slot. A wave committed at initiation
-// fills its record at once (load, or a copy out of the bank) and completes
-// through the cycle-indexed ring; an open wave adds a word per stage.
+// fills its record at once — lazily off the cell it departs, or with a copy
+// out of the bank — and completes through the cycle-indexed ring; an open
+// wave adds a word per stage.
 type linkSide struct {
 	n, k int
 	// lp is Config.LinkPipeline: with §4.3 link pipelining, timestamps are
@@ -153,9 +186,9 @@ type linkSide struct {
 	// leanDepart counts a departure and recycles its record, and builds
 	// nothing else; see Switch.SetLeanDepartures.
 	leanDepart bool
-	// sink, when set, is the Runner driving the switch: each departure is
-	// compared and handed to it inside the Tick, and Drain stays empty.
-	sink *Runner
+	// sink, when set, takes each departure inside the Tick that completes
+	// it, and Drain stays empty; see SetDepartureSink.
+	sink DepartureSink
 
 	counts Counts
 	// cutLatency is head-in to head-out in cycles.
@@ -348,6 +381,7 @@ func (l *linkSide) book(o int, d *desc) *reasm {
 	r.d = *d
 	r.words = r.words[:0]
 	r.start = 0
+	r.src = nil
 	l.rxHead[o] = r
 	l.txActive++
 	l.idleMask.clear(o)
@@ -371,17 +405,18 @@ func (l *linkSide) depart(o int, c int64) int64 {
 	case l.sink != nil:
 		// Booked where it completes: the words are compared here, whatever
 		// the record's clean flag says, and nothing is left for Drain.
-		intact := slices.Equal(r.words, r.d.c.Words)
+		intact := r.intact()
 		if !intact {
 			l.counts.Corrupt++
 		}
 		l.cutLatency.Add(lat)
-		l.sink.departed(r.d.c, lat, intact)
+		l.sink(r.d.c, o, r.d.head-l.lp, r.start+l.lp, intact)
 	default:
 		// The observed cell swaps its word buffer with the record's (both
 		// stay at capacity k) so the record can return to the pool
 		// immediately; the cell itself is reclaimed by the next Drain under
 		// recycle mode.
+		r.materialize()
 		got := l.getCell()
 		got.Seq, got.Src, got.Dst, got.VC = r.d.c.Seq, r.d.c.Src, r.d.c.Dst, r.d.c.VC
 		got.Copies = nil
@@ -436,15 +471,32 @@ func (l *linkSide) Drain() []Departure {
 
 // SetDrainRecycle switches Drain between allocate-per-batch (off, the
 // default) and double-buffered recycling (on); see Drain for the
-// ownership contract. The benchmark drivers enable it; callers that
-// retain departures across Drain calls must leave it off. (A Runner needs
-// neither mode: its departures never reach Drain.)
+// ownership contract. Hand-written drivers that tick and drain every cycle
+// enable it; callers that retain departures across Drain calls must leave
+// it off. (A switch with a departure sink needs neither mode: its
+// departures never reach Drain.)
 func (l *linkSide) SetDrainRecycle(on bool) {
 	l.recycle = on
 	if !on {
 		l.doneOut = nil
 	}
 }
+
+// DepartureSink takes a switch's departures where they complete. It is
+// called once per departure, inside the Tick whose cycle put the cell's
+// tail on output out, with the cell as injected, the cycles its head
+// entered and left the switch (at the boundary, as Departure.HeadIn and
+// HeadOut), and whether the words on the link equal the injected ones
+// (Counts.Corrupt has moved already if not). The switch reads the cell no
+// more once it is handed over.
+type DepartureSink func(c *cell.Cell, out int, headIn, headOut int64, intact bool)
+
+// SetDepartureSink installs (or, with nil, removes) the departure sink.
+// With one installed no Departure is built and Drain hands out nothing; a
+// lean switch (SetLeanDepartures) calls none. A Runner installs itself for
+// the length of its run; the multistage fabric's last stage ejects through
+// one.
+func (l *linkSide) SetDepartureSink(f DepartureSink) { l.sink = f }
 
 // getReasm takes a reassembly record from the pool (or allocates one).
 func (l *linkSide) getReasm() *reasm {

@@ -213,7 +213,7 @@ func (s *Switch) SyncObserver() {
 	w.FreeCells.Set(int64(s.free.Free()))
 	for i := 0; i < s.n; i++ {
 		w.QueueDepth.At(i).Set(int64(s.QueuedFor(i)))
-		w.InputStalls.At(i).Set(s.inStalls[i])
+		w.InputStalls.At(i).Set(s.inputStall(i))
 		w.InputDrops.At(i).Set(s.inDrops[i])
 		w.OutputDrops.At(i).Set(s.outDrops[i])
 	}

@@ -243,7 +243,10 @@ func (s *Switch) Report(res *RunResult) {
 	res.DropOverrun = s.counts.DropOverrun
 	res.DropPolicy = s.counts.DropPolicy
 	res.DropPushOut = s.counts.DropPushout
-	res.InputStalls = append([]int64(nil), s.inStalls...)
+	res.InputStalls = make([]int64, s.n)
+	for i := range res.InputStalls {
+		res.InputStalls[i] = s.inputStall(i)
+	}
 	res.InputDrops = append([]int64(nil), s.inDrops...)
 	res.OutputDrops = append([]int64(nil), s.outDrops...)
 	res.MeanInitDelay = s.initDelay.Mean()

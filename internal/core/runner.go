@@ -111,7 +111,7 @@ func NewRunner(s *Switch, cs *traffic.CellStream, cycles int64) *Runner {
 		tally:  tally{minLat: -1},
 		bound:  s.Geometry().DrainBound(),
 	}
-	s.sink = r
+	s.sink = r.departed
 	r.prevDrop = s.onDropCell
 	s.SetDropCellHook(r.pool.Put)
 	if cycles <= 0 {
@@ -127,8 +127,8 @@ func (r *Runner) Switch() *Switch { return r.s }
 // which cell c's tail left: it books the departure (tally.deliver) and
 // reuses the cell, which has left the switch, for a later arrival (unicast
 // only — every cell here is).
-func (r *Runner) departed(c *cell.Cell, lat int64, intact bool) {
-	r.deliver(lat, intact)
+func (r *Runner) departed(c *cell.Cell, _ int, headIn, headOut int64, intact bool) {
+	r.deliver(headOut-headIn, intact)
 	r.pool.Put(c)
 }
 

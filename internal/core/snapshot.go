@@ -217,7 +217,7 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 		OutOcc:    append([]int(nil), s.outOcc...),
 
 		WrSkip:   append([]int64(nil), s.wrSkip...),
-		InStalls: append([]int64(nil), s.inStalls...),
+		InStalls: make([]int64, s.n),
 		InDrops:  append([]int64(nil), s.inDrops...),
 		OutDrops: append([]int64(nil), s.outDrops...),
 
@@ -243,6 +243,7 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 	}
 	for i := range s.inflight {
 		a := &s.inflight[i]
+		st.InStalls[i] = s.inputStall(i)
 		st.Inflight[i] = ArrivalState{Head: a.head, Written: a.written, Active: a.active}
 		if a.active && !a.written {
 			st.Inflight[i].Cell = cellState(a.c)
@@ -255,10 +256,12 @@ func (s *Switch) Snapshot() (*SwitchState, error) {
 		})
 		st.Queues[q] = list
 	}
-	// Zero or one record per output: the link's single egress slot.
+	// Zero or one record per output: the link's single egress slot, its
+	// words copied out of a lazy record (materialize, behaviorally inert).
 	for o, r := range s.rxHead {
 		st.Egress[o] = []ReasmState{}
 		if r != nil {
+			r.materialize()
 			st.Egress[o] = append(st.Egress[o], ReasmState{
 				Desc:  descState(&r.d),
 				Words: append([]cell.Word(nil), r.words...),
@@ -412,7 +415,11 @@ func NewFromSnapshot(st *SwitchState) (*Switch, error) {
 		}
 	}
 	copy(s.wrSkip, st.WrSkip)
-	copy(s.inStalls, st.InStalls)
+	// A state counts the open wait of an arrival still pending in its
+	// input's stalls (Snapshot); the switch settles it later.
+	for i, v := range st.InStalls {
+		s.inStalls[i] = v - s.openWait(i)
+	}
 	copy(s.inDrops, st.InDrops)
 	copy(s.outDrops, st.OutDrops)
 

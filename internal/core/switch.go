@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 
 	"pipemem/internal/arb"
@@ -126,9 +125,10 @@ type Switch struct {
 	policy   bufmgr.Policy
 	polState *bufView
 	// inStalls[i] counts cycles input i held a cell still waiting for its
-	// write wave (per-input backpressure visibility); inDrops[i] and
-	// outDrops[o] count lost cells by arrival input and by destination
-	// output across all loss modes.
+	// write wave (per-input backpressure visibility), settled when the
+	// arrival leaves the pending set — inputStall adds the open wait of one
+	// still in it; inDrops[i] and outDrops[o] count lost cells by arrival
+	// input and by destination output across all loss modes.
 	inStalls, inDrops, outDrops []int64
 
 	linkFree []int64 // per output: first cycle a new read may be initiated
@@ -528,9 +528,12 @@ func (s *Switch) SetDropCellHook(f func(c *cell.Cell)) {
 // The multistage fabric enables it on interior nodes, whose transmit hook
 // passes the cell itself on to the next stage. The contract that makes
 // that safe: once the Tick that ran its transmit hook returns, a lean
-// switch never dereferences the cell again. Its egress record and its
-// written input row may still point at it, but nothing reads it there
-// (Snapshot does: do not snapshot a switch whose hook hands cells away).
+// switch's departures never dereference the cell again. Its written input
+// row may still point at it, and so may its egress record, which holds the
+// cell's words lazily, uncopied; a lean departure neither materializes the
+// record nor calls a sink. Snapshot does read the cell there, and so does a
+// fault seam that reopens the committed transmission (openChain): do not
+// snapshot a switch whose hook hands cells away, nor inject faults into it.
 func (s *Switch) SetLeanDepartures(on bool) { s.leanDepart = on }
 
 // Tick advances the switch one clock cycle. heads[i], when non-nil, is a
@@ -629,7 +632,9 @@ func (s *Switch) tick(heads []*cell.Cell) {
 		}
 	}
 
-	s.accrueStalls(c)
+	if s.pendingWrites != 0 && s.obs != nil {
+		s.obs.stall(c, s.pendingWrites)
+	}
 	if s.openN != 0 {
 		s.runStages(c)
 	}
@@ -640,10 +645,11 @@ func (s *Switch) tick(heads []*cell.Cell) {
 		if nc == nil {
 			continue
 		}
+		since := s.inflight[i].head
 		lost := s.admit(i, nc, c)
 		s.shiftRow(i, nc.Words)
 		if lost != nil {
-			s.overrun(i, lost)
+			s.overrun(i, lost, c-since)
 		}
 	}
 
@@ -651,9 +657,11 @@ func (s *Switch) tick(heads []*cell.Cell) {
 }
 
 // overrun is the switch's share of the accounting for a cell the link side
-// found displaced on input i (linkSide.admit): the per-port loss tallies
-// and the drop hook.
-func (s *Switch) overrun(i int, lost *cell.Cell) {
+// found displaced on input i (linkSide.admit) after waiting its whole
+// residency, waited cycles past its head's: the settled stall, the per-port
+// loss tallies and the drop hook.
+func (s *Switch) overrun(i int, lost *cell.Cell, waited int64) {
+	s.inStalls[i] += waited
 	s.inDrops[i]++
 	s.outDrops[lost.Dst]++
 	if s.onDropCell != nil {
@@ -692,9 +700,11 @@ func (s *Switch) commitWave(op *Op, c int64) {
 			s.deposit(op.Addr, s.inflight[op.In].c.Words)
 		}
 	case OpRead:
+		// A deferred deposit passes on to the egress record, still
+		// uncopied: the record departs the very cell it holds.
 		r := s.rxHead[op.Out]
 		if lc := s.memLazy[op.Addr]; lc != nil {
-			r.load(lc.Words[:s.k], m)
+			r.src, r.m = lc, m
 			s.memLazy[op.Addr] = nil
 		} else {
 			r.words = append(r.words, s.mem[op.Addr*s.k:op.Addr*s.k+s.k]...)
@@ -704,9 +714,10 @@ func (s *Switch) commitWave(op *Op, c int64) {
 	case OpWriteThrough:
 		// The departing words come straight off the data bus (§3.3), and
 		// pickWrite already released the buffer address — nothing could
-		// ever read the RAM deposit, so it is skipped entirely.
+		// ever read the RAM deposit, so it is skipped entirely, and the
+		// record holds the cell lazily.
 		r := s.rxHead[op.Out]
-		r.load(s.inflight[op.In].c.Words[:s.k], m)
+		r.src, r.m = s.inflight[op.In].c, m
 		r.start = c + 1
 		s.scheduleDepart(op.Out, c)
 	}
@@ -721,25 +732,21 @@ func (s *Switch) scheduleDepart(out int, c int64) {
 	s.departAt[s.depSlot(c+int64(s.k))] = out
 }
 
-// accrueStalls charges one stall cycle to every arrival still waiting for
-// its write wave after this cycle's arbitration, and the cycle to the
-// observer. The pending bitset makes the common case (a handful of waiters
-// among n ports) touch only the live rows.
-func (s *Switch) accrueStalls(c int64) {
-	if s.pendingWrites == 0 {
-		return
+// openWait is the part of input i's stall count not yet settled at the
+// cycle boundary: an arrival still waiting for its write wave has waited
+// every cycle run since its head's. A wait settles into inStalls when the
+// arrival leaves the pending set — at its write wave's initiation or a
+// policy drop (c−head−1 cycles: the initiation cycle is not a wait), or
+// when the next head displaces it (c−head: its whole residency).
+func (s *Switch) openWait(i int) int64 {
+	if a := &s.inflight[i]; a.active && !a.written {
+		return s.cycle - 1 - a.head
 	}
-	if s.obs != nil {
-		s.obs.stall(c, s.pendingWrites)
-	}
-	for wi, m := range s.pendMask {
-		for ; m != 0; m &= m - 1 {
-			if i := wi<<6 | bits.TrailingZeros64(m); c > s.inflight[i].head {
-				s.inStalls[i]++
-			}
-		}
-	}
+	return 0
 }
+
+// inputStall is input i's stall count at the cycle boundary.
+func (s *Switch) inputStall(i int) int64 { return s.inStalls[i] + s.openWait(i) }
 
 // arbitrate picks this cycle's stage-0 operation. The chosen operation is
 // written through op — which must be zeroed by the caller and is left
@@ -887,9 +894,11 @@ retry:
 	s.pendClear(best)
 	s.writeStartAt[addr] = c
 	s.counts.Accepted++
-	s.initDelay.Add(float64(c - a.head - 1))
+	waited := c - a.head - 1
+	s.inStalls[best] += waited
+	s.initDelay.Add(float64(waited))
 	if s.obs != nil {
-		s.obs.initDelay.Observe(c - a.head - 1)
+		s.obs.initDelay.Observe(waited)
 	}
 	s.writeRR = s.after(best)
 	vc := a.c.VC

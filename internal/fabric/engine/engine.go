@@ -51,7 +51,10 @@
 // the pool only at ejection or when a node drops it. Interior nodes run
 // with lean departures, so they build and drain nothing, and a lean node
 // never reads a cell after the Tick that ran its transmit hook: the pool's
-// idle cells are the engine's alone.
+// idle cells are the engine's alone. The last stage ejects through each
+// node's departure sink (core.DepartureSink), which stages the cell, its
+// output, its head's two cycles and the node's word compare by value for
+// the barrier's verification; no node builds a Departure or is drained.
 package engine
 
 import (
@@ -400,8 +403,7 @@ func New(cfg Config) (*Engine, error) {
 				e.installGate(sw, g)
 				e.installHook(sw, st, g, sh)
 			} else {
-				sw.SetDrainRecycle(true)
-				e.installLastHook(sw, sh)
+				e.installLastHook(sw, g, sh)
 			}
 			e.nodes[g] = sw
 		}
@@ -494,10 +496,14 @@ func (e *Engine) installHook(sw *core.Switch, st, g int, sh *shard) {
 	})
 }
 
-// installLastHook wires the last stage: leaving the fabric releases the
-// inbound credit; the departure itself is verified from Drain at the
-// barrier.
-func (e *Engine) installLastHook(sw *core.Switch, sh *shard) {
+// installLastHook wires the last stage: each departure ejects through the
+// node's departure sink, staged for verification at the barrier, and
+// leaving the fabric releases the inbound credit.
+func (e *Engine) installLastHook(sw *core.Switch, g int, sh *shard) {
+	node := int32(g)
+	sw.SetDepartureSink(func(c *cell.Cell, out int, headIn, headOut int64, intact bool) {
+		sh.ejects = append(sh.ejects, ejectRec{c: c, node: node, out: int32(out), headIn: headIn, headOut: headOut, intact: intact})
+	})
 	if !e.creditOn {
 		return
 	}
@@ -588,7 +594,10 @@ func (e *Engine) fail(err error) {
 // ascending order — staged hop spans, then credit releases / arrival
 // masks / ejection verification, then drop retirement — so every
 // externally visible sequence (trace bytes, histogram adds) is the
-// sequential engine's ascending-node order at any worker count.
+// sequential engine's ascending-node order at any worker count. The first
+// error staged in the cycle (an Inject refused since the last Step
+// included) is returned after the clock has advanced, so the caller may
+// step on.
 func (e *Engine) Step() error {
 	var t0 int64
 	if e.prof != nil {
@@ -626,14 +635,10 @@ func (e *Engine) Step() error {
 				sh.arr[i] = 0
 			}
 		}
-		for bi := range sh.ejects {
-			b := &sh.ejects[bi]
-			for di := range b.deps {
-				if err := e.eject(int(b.node), &b.deps[di]); err != nil && firstErr == nil {
-					firstErr = err
-				}
+		for i := range sh.ejects {
+			if err := e.eject(&sh.ejects[i]); err != nil && firstErr == nil {
+				firstErr = err
 			}
-			sh.ejects[bi] = ejectBatch{}
 		}
 		sh.ejects = sh.ejects[:0]
 	}
@@ -656,11 +661,10 @@ func (e *Engine) Step() error {
 		e.prof.MergeNS += nowNS() - t0
 		e.prof.Cycles++
 	}
-	if firstErr != nil {
-		return firstErr
-	}
+	// Every node has ticked, so the clock advances whatever went wrong: the
+	// hop ring and the arrival masks are indexed by it.
 	e.cycle++
-	return nil
+	return firstErr
 }
 
 // runShard ticks the shard's active nodes for the current cycle. Active =
@@ -720,12 +724,6 @@ func (e *Engine) runShard(w int) {
 				}
 				e.arrivals[g] += cnt
 			}
-			// Lean interior nodes book no departures; only ejections drain.
-			if g >= e.last {
-				if deps := nd.Drain(); len(deps) > 0 {
-					sh.ejects = append(sh.ejects, ejectBatch{node: int32(g), deps: deps})
-				}
-			}
 			if nd.Quiescent() {
 				newBusy &^= bit
 			} else {
@@ -764,38 +762,40 @@ func (e *Engine) retireDrop(dr *dropRec) error {
 	return nil
 }
 
-// eject verifies a cell leaving the last stage: right terminal, identity
-// and payload intact (regenerated from the flight's (seq, src, dst), which
-// is what Inject filled it from).
-func (e *Engine) eject(g int, d *core.Departure) error {
-	x := d.Expected
-	seq := x.Seq
-	fl := &e.flights.recs[x.Tag]
+// eject verifies a cell leaving the last stage: right terminal, the words
+// on the last link equal to the cell's (the node's sink compared them), and
+// the cell's payload the one regenerated from the flight's (seq, src, dst),
+// which is what Inject filled it from. A cell failing either is one
+// corrupt ejection.
+func (e *Engine) eject(x *ejectRec) error {
+	c, g := x.c, int(x.node)
+	seq := c.Seq
+	fl := &e.flights.recs[c.Tag]
 	if fl.seq != seq {
 		return fmt.Errorf("engine: ejection of unknown cell %d", seq)
 	}
-	term := e.ejectTerm[(g-e.last)*e.k+d.Output]
+	term := e.ejectTerm[(g-e.last)*e.k+int(x.out)]
 	if term != fl.dst {
 		e.badEject++
 		return fmt.Errorf("engine: cell %d for terminal %d ejected at %d", seq, fl.dst, term)
 	}
-	if d.Cell.Seq != seq || len(d.Cell.Words) != e.cellK {
+	if !x.intact {
 		e.badEject++
-		return fmt.Errorf("engine: cell %d identity mangled", seq)
+		return fmt.Errorf("engine: cell %d corrupted leaving node %d", seq, g)
 	}
 	cell.Fill(e.scratch, seq, int(fl.src), int(fl.dst), e.cellK, e.wordBits)
-	for i := range d.Cell.Words {
-		if d.Cell.Words[i] != e.scratch.Words[i] {
+	for i, w := range c.Words {
+		if w != e.scratch.Words[i] {
 			e.badEject++
 			return fmt.Errorf("engine: cell %d corrupted at word %d", seq, i)
 		}
 	}
 	e.delivered++
-	e.latency.Add(d.HeadOut - fl.inject)
+	e.latency.Add(x.headOut - fl.inject)
 	if e.flightObs {
 		// The last stage has no interior transmit hook; close out its hop
 		// and the whole flight here (coordinator side, node order).
-		hop := d.HeadOut - d.HeadIn
+		hop := x.headOut - x.headIn
 		if e.hopHists != nil {
 			e.hopHists[e.stages-1].Observe(hop)
 		}
@@ -804,11 +804,11 @@ func (e *Engine) eject(g int, d *core.Departure) error {
 				In: int32(e.stages - 1), Out: fl.depth, Addr: int32(g),
 				V: hop, Seq: seq})
 			e.trace.Emit(obs.Event{Kind: obs.EvEject, Cycle: e.cycle,
-				In: term, Out: -1, Addr: int32(g), V: d.HeadOut - fl.inject, Seq: seq})
+				In: term, Out: -1, Addr: int32(g), V: x.headOut - fl.inject, Seq: seq})
 		}
 	}
-	e.flights.release(x.Tag)
-	e.injPool.Put(x)
+	e.flights.release(c.Tag)
+	e.injPool.Put(c)
 	return nil
 }
 
@@ -834,15 +834,12 @@ func (e *Engine) Drops() int64 { return e.dropped }
 // refuse a cell that holds a credit.
 func (e *Engine) InteriorDrops() int64 { return e.interiorDropped }
 
-// Corrupt returns integrity violations, per node and at ejection (must
-// be 0).
-func (e *Engine) Corrupt() int64 {
-	c := e.badEject
-	for _, nd := range e.nodes {
-		c += nd.Counts().Corrupt
-	}
-	return c
-}
+// Corrupt returns the ejections that failed verification — misrouted, or
+// with words that differ from the injected cell's — each cell counted once
+// (must be 0). Interior nodes compare nothing (lean departures), and a
+// last-stage node's own Counts.Corrupt counts its corrupted departures,
+// which are these ejections again.
+func (e *Engine) Corrupt() int64 { return e.badEject }
 
 // InFlight returns cells injected and neither delivered nor dropped yet.
 func (e *Engine) InFlight() int { return e.flights.n }

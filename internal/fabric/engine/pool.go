@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"pipemem/internal/cell"
-	"pipemem/internal/core"
 	"pipemem/internal/obs"
 )
 
@@ -32,8 +31,9 @@ type shard struct {
 	// boundaries). The coordinator ORs it into the canonical mask.
 	arr []uint64
 
-	// ejects stages last-stage departure batches in ascending node order.
-	ejects []ejectBatch
+	// ejects stages the last stage's departures, handed over by the nodes'
+	// departure sinks in ascending node order.
+	ejects []ejectRec
 
 	// drops stages cells lost inside a node this cycle (overrun, policy,
 	// push-out): the coordinator retires the flight, releases the dead
@@ -55,9 +55,16 @@ type shard struct {
 	_ [64]byte // keep shards off each other's cache lines
 }
 
-type ejectBatch struct {
-	node int32
-	deps []core.Departure
+// ejectRec is one cell leaving the fabric: what a last-stage node's
+// departure sink hands over, staged by value for the barrier's verification
+// (Engine.eject).
+type ejectRec struct {
+	c         *cell.Cell
+	node, out int32
+	// headIn and headOut are the cycles the head entered and left the node.
+	headIn, headOut int64
+	// intact reports that the words on the link equal the injected cell's.
+	intact bool
 }
 
 type dropRec struct {

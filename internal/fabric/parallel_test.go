@@ -98,8 +98,8 @@ func TestParallelBitIdentical(t *testing.T) {
 
 // TestStepZeroAlloc is the regression test for the Step hot loop: after
 // warmup the whole inject+step cycle — ring distribution, every node's
-// Tick, the last stage's Drain, flight bookkeeping, ejection verification —
-// allocates nothing. A cell goes back to the inject pool only at ejection
+// Tick, the last stage's departure sinks, flight bookkeeping, ejection
+// verification — allocates nothing. A cell goes back to the inject pool only at ejection
 // or drop, so the second net, which has no flow control and drops at
 // stages ≥ 1, shows that drop retirement keeps the pool balanced too.
 // (This is the plain path; TestNetsAcrossWorkers counts the same with
