@@ -467,7 +467,10 @@ func TestPmtraceRoundTrip(t *testing.T) {
 // write for one busy pipelined run: the -trace lines on stdout, the -vcd
 // waveform file and the -tracejson stream (per-cycle records interleaved
 // with the typed wave/stall events). The tap is an observer of the switch,
-// so no change to how the switch is simulated may move any of them.
+// so no change to how the switch is simulated may move any of them. The
+// org rows pin the result line of the three other organizations on the same
+// traffic: Run drives them, and no change to how it books a departure may
+// move them either.
 func TestPmrtlTracePinned(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-n", "4", "-cells", "16", "-load", "0.7", "-cycles", "600", "-seed", "5"}
@@ -483,6 +486,9 @@ func TestPmrtlTracePinned(t *testing.T) {
 		{"vcd", []string{"-vcd", vcd}, vcd, 0x89f5f22883bbaa43, 89429},
 		{"tracejson", []string{"-tracejson", jsonl}, jsonl, 0x18d7c619d48024e5, 190131},
 		{"tracejson/sf-vcs-dt", []string{"-tracejson", jsonlSF, "-store-and-forward", "-vcs", "2", "-bufpolicy", "dt:alpha=2", "-saturate"}, jsonlSF, 0xe70d8080621b09a, 241028},
+		{"org/dual", []string{"-org", "dual"}, "", 0x28770624b9a91ca9, 94},
+		{"org/wide", []string{"-org", "wide"}, "", 0xd50cfefc6711795e, 95},
+		{"org/prizma", []string{"-org", "prizma"}, "", 0x55c7e225ad8e2a5a, 97},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
