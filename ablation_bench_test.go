@@ -224,10 +224,11 @@ func runRTL(org Organization, cs *CellStream) int {
 	hc := make([]*Cell, g.Ports)
 	var seq uint64
 	delivered := 0
+	org.SetDepartureSink(func(*Cell, int, int64, int64, bool) { delivered++ })
+	defer org.SetDepartureSink(nil)
 	for c := 0; c < ablationCycles; c++ {
 		cs.Heads(heads)
 		org.Tick(headCells(heads, hc, &seq, g))
-		delivered += len(org.Drain())
 	}
 	return delivered
 }

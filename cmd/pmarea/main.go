@@ -14,8 +14,6 @@ import (
 	"os"
 
 	"pipemem/internal/area"
-	"pipemem/internal/cli"
-	"pipemem/internal/obs"
 )
 
 func main() {
@@ -25,27 +23,12 @@ func main() {
 		banks  = flag.Int("banks", 256, "PRIZMA bank count M")
 		hIn    = flag.Int("hin", 80, "fig. 9: cells per input buffer")
 		hShare = flag.Int("hshared", 86, "fig. 9: total shared-buffer cells")
-		pprofA = flag.String("pprof", "", "serve runtime metrics and /debug/pprof on this address while running")
 	)
-	// Area models are simulation-free, so the policy cannot change any
-	// number here; the shared flag still validates the spec, keeping
-	// "pmarea -bufpolicy X && pmrtl -bufpolicy X" consistent.
-	cli.BufPolicyFlag(nil)
 	flag.Parse()
 
 	if *n <= 0 || *w <= 0 || *banks <= 0 || *hIn <= 0 || *hShare <= 0 {
 		fmt.Fprintln(os.Stderr, "pmarea: -n, -w, -banks, -hin and -hshared must all be positive")
 		os.Exit(2)
-	}
-
-	if *pprofA != "" {
-		addr, stop, err := obs.ServeDebug(*pprofA, obs.NewRegistry())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmarea:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pmarea: debug server on http://%s\n", addr)
-		defer stop()
 	}
 
 	fmt.Println("== Telegraphos II floorplan (§4.2, fig. 6) ==")

@@ -433,7 +433,7 @@ func E5StaggeredInitiation(s Scale) (ExpResult, error) {
 			return nil, err
 		}
 		pool := cell.NewPool(k)
-		sw.SetDrainRecycle(true)
+		sw.SetDepartureSink(func(c *cell.Cell, _ int, _, _ int64, _ bool) { pool.Put(c) })
 		heads := make([]int, n)
 		hc := make([]*cell.Cell, n)
 		var seq uint64
@@ -455,9 +455,6 @@ func E5StaggeredInitiation(s Scale) (ExpResult, error) {
 				headCount += int64(nh)
 			}
 			sw.Tick(hc)
-			for _, d := range sw.Drain() {
-				pool.Put(d.Expected)
-			}
 		}
 		want := analytic.StaggeredInitiationDelay(p, n)
 		headModel := collisionSum / float64(headCount)

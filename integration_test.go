@@ -80,6 +80,12 @@ func deliverySet(t *testing.T, row orgRow, events []arrivalEvent, cellTimes int)
 
 	idx := 0
 	got := map[uint64]int64{}
+	org.SetDepartureSink(func(c *Cell, _ int, headIn, headOut int64, intact bool) {
+		if !intact {
+			t.Fatalf("%s: corruption", row.name)
+		}
+		got[c.Seq] = headOut - headIn
+	})
 	var seq uint64
 	totalCycles := (cellTimes + 8*n*4) * k
 	for cyc := 0; cyc < totalCycles; cyc++ {
@@ -95,13 +101,8 @@ func deliverySet(t *testing.T, row orgRow, events []arrivalEvent, cellTimes int)
 			}
 		}
 		org.Tick(heads)
-		for _, d := range org.Drain() {
-			if !d.Cell.Equal(d.Expected) {
-				t.Fatalf("%s: corruption", row.name)
-			}
-			got[d.Cell.Seq] = d.HeadOut - d.HeadIn
-		}
 	}
+	org.SetDepartureSink(nil)
 	return got
 }
 

@@ -98,11 +98,10 @@ func badConfigCases(dir string) []badCase {
 	ckpt := filepath.Join(dir, "x.ckpt")
 	garbage := filepath.Join(dir, "garbage.ckpt")
 	return []badCase{
-		// Malformed -bufpolicy rejects at flag-parse time in every tool.
+		// Malformed -bufpolicy rejects at flag-parse time in every tool that takes it.
 		{"pmsim/bad-bufpolicy", "pmsim", "", []string{"-bufpolicy", "bogus"}, "bad policy spec"},
 		{"pmrtl/bad-bufpolicy", "pmrtl", "", []string{"-bufpolicy", "bogus"}, "bad policy spec"},
 		{"pmexp/bad-bufpolicy", "pmexp", "", []string{"-bufpolicy", "bogus"}, "bad policy spec"},
-		{"pmarea/bad-bufpolicy", "pmarea", "", []string{"-bufpolicy", "bogus"}, "bad policy spec"},
 		{"pmsim/bad-bufpolicy-param", "pmsim", "", []string{"-bufpolicy", "dt:2"}, "key=value"},
 
 		// pmsim: fault-plan errors.
@@ -381,6 +380,10 @@ func TestDocsNameNothingRetired(t *testing.T) {
 		// Typed event counts: each model keeps its counts in plain int64
 		// fields, core.Counts on the switch (names in two halves, as above)
 		"stats." + "Counter", "Counters" + "()", "counter" + ".Hot",
+		// One departure contract: every organization hands its departures
+		// to a sink, and Run books them as the Runner does (names in two
+		// halves, as above)
+		"tally." + "book", "tally." + "collect", "pmarea -" + "bufpolicy", "pmarea -" + "pprof",
 	}
 	for n := 1; n <= 14; n++ {
 		retired = append(retired, fmt.Sprintf("Benchmark"+"E%d_", n))

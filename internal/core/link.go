@@ -482,20 +482,21 @@ func (l *linkSide) SetDrainRecycle(on bool) {
 	}
 }
 
-// DepartureSink takes a switch's departures where they complete. It is
-// called once per departure, inside the Tick whose cycle put the cell's
-// tail on output out, with the cell as injected, the cycles its head
-// entered and left the switch (at the boundary, as Departure.HeadIn and
-// HeadOut), and whether the words on the link equal the injected ones
-// (Counts.Corrupt has moved already if not). The switch reads the cell no
-// more once it is handed over.
+// DepartureSink takes an organization's departures where they complete.
+// It is called once per departure, inside the Tick whose cycle put the
+// cell's tail on output out, with the cell as injected, the cycles its
+// head entered and left the switch (at the boundary, as Departure.HeadIn
+// and HeadOut), and whether the words on the link equal the injected ones
+// (a Switch's Counts.Corrupt has moved already if not; the wide memory and
+// PRIZMA model no fault and always report true). The organization reads
+// the cell no more once it is handed over.
 type DepartureSink func(c *cell.Cell, out int, headIn, headOut int64, intact bool)
 
 // SetDepartureSink installs (or, with nil, removes) the departure sink.
 // With one installed no Departure is built and Drain hands out nothing; a
-// lean switch (SetLeanDepartures) calls none. A Runner installs itself for
-// the length of its run; the multistage fabric's last stage ejects through
-// one.
+// lean switch (SetLeanDepartures) calls none. Run and a Runner each install
+// one for the length of their run; the multistage fabric's last stage
+// ejects through one.
 func (l *linkSide) SetDepartureSink(f DepartureSink) { l.sink = f }
 
 // getReasm takes a reassembly record from the pool (or allocates one).

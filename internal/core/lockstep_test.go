@@ -189,10 +189,11 @@ func (p preTicked) Tick(heads []*cell.Cell) {
 }
 
 // The reference as an Organization, so that core.Run drives it as it drives
-// Switch.
+// Switch. Drain serves the lockstep, which compares Departure records.
 
-func (r *refSwitch) Drain() []Departure      { d := r.done; r.done = nil; return d }
-func (r *refSwitch) CutLatency() *stats.Hist { return r.cutLat }
+func (r *refSwitch) Drain() []Departure               { d := r.done; r.done = nil; return d }
+func (r *refSwitch) SetDepartureSink(f DepartureSink) { r.sink = f }
+func (r *refSwitch) CutLatency() *stats.Hist          { return r.cutLat }
 func (r *refSwitch) Buffered() (b int) {
 	for _, q := range r.q {
 		b += len(q)

@@ -41,6 +41,7 @@ type refSwitch struct {
 	initDelay                           stats.Mean
 	cutLat                              *stats.Hist
 	done                                []Departure
+	sink                                DepartureSink // nil: departures go to done
 }
 
 // newRef builds the reference for a valid cfg, and panics on the unmodeled.
@@ -254,10 +255,15 @@ func (r *refSwitch) depart(o int, c int64) {
 	e, x := r.eg[o], r.eg[o].d.c
 	r.eg[o] = nil
 	got := &cell.Cell{Seq: x.Seq, Src: x.Src, Dst: x.Dst, VC: x.VC, Enqueue: e.d.head, Words: e.words}
-	if r.counts.Delivered++; !got.Equal(x) {
+	intact := got.Equal(x)
+	if r.counts.Delivered++; !intact {
 		r.counts.Corrupt++
 	}
 	r.cutLat.Add(e.start - e.d.head)
+	if r.sink != nil {
+		r.sink(x, o, e.d.head, e.start, intact)
+		return
+	}
 	r.done = append(r.done, Departure{Cell: got, Expected: x, Output: o, HeadIn: e.d.head, HeadOut: e.start,
 		TailOut: c, InitDelay: e.d.writeStart - e.d.head - 1, VC: e.d.vc})
 }

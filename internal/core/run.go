@@ -66,15 +66,18 @@ func (r RunResult) String() string {
 // Organization is a shared-buffer memory organization behind the paper's
 // links: the pipelined memory (Switch, fig. 4), its §3.5 half-quantum pair
 // (DualSwitch), the wide memory of fig. 3, the interleaved banks of §5.3.
-// Word-serial heads go in, whole-cell Departures come out, and Run is the
-// one driver — loop, drain, conservation and integrity verdict — for all.
+// Word-serial heads go in through Tick, each whole cell leaves through the
+// DepartureSink, and Run is the one plain driver — loop, drain,
+// conservation and integrity verdict — for all.
 type Organization interface {
 	// Tick advances one clock cycle. heads[i], if non-nil, is a cell whose
 	// head word arrives on input i this cycle — never while the link's
 	// previous cell is still arriving. nil means no arrivals.
 	Tick(heads []*cell.Cell)
-	// Drain returns the departures completed since the last call.
-	Drain() []Departure
+	// SetDepartureSink installs (or, with nil, removes) the sink each
+	// departure is handed to, inside the Tick that completes it. A
+	// departure no sink takes need not be kept.
+	SetDepartureSink(DepartureSink)
 	// Cycle returns the number of Ticks so far.
 	Cycle() int64
 	// Buffered returns the cells queued in the buffer memory, Resident the
@@ -108,25 +111,6 @@ type tally struct {
 	res    RunResult
 	minLat int64 // smallest head latency so far, -1 before any departure
 	occSum float64
-}
-
-// collect books one Drain batch and the buffer occupancy after the Tick
-// that produced it. It inlines: the usual cycle, completing no departure,
-// costs Run's loop no call.
-func (t *tally) collect(deps []Departure, buffered int) {
-	if len(deps) > 0 {
-		t.book(deps)
-	}
-	if buffered > t.res.MaxBuffered {
-		t.res.MaxBuffered = buffered
-	}
-}
-
-func (t *tally) book(deps []Departure) {
-	for i := range deps {
-		d := &deps[i]
-		t.deliver(d.HeadOut-d.HeadIn, d.Cell.Equal(d.Expected))
-	}
 }
 
 // deliver books one departure, lat cycles from head in to head out, intact
@@ -193,12 +177,19 @@ func (res RunResult) check(pending int, linkFailed int64) error {
 // cell length) for the given number of cycles, then ticks without arrivals
 // until it is empty or the drain bound is hit, and verifies conservation
 // and the integrity of every departure. It is the plain loop; Runner is
-// its step-wise, checkpointable, allocation-free form for *Switch.
+// its step-wise, checkpointable form for *Switch. Both book a departure
+// the same way: a sink installed for the length of the run delivers it to
+// the tally and recycles its cell for a later arrival.
 func Run(org Organization, cs *traffic.CellStream, cycles int64) (RunResult, error) {
 	g := org.Geometry()
+	pool := cell.NewPool(g.CellWords)
 	heads := make([]int, g.Ports)
 	hcells := make([]*cell.Cell, g.Ports)
 	t := tally{minLat: -1}
+	org.SetDepartureSink(func(c *cell.Cell, _ int, headIn, headOut int64, intact bool) {
+		t.deliver(headOut-headIn, intact)
+		pool.Put(c)
+	})
 	var seq uint64
 	ticks := int64(0)
 	for ; ticks < cycles; ticks++ {
@@ -207,21 +198,23 @@ func Run(org Organization, cs *traffic.CellStream, cycles int64) (RunResult, err
 			hcells[i] = nil
 			if dst != traffic.NoArrival {
 				seq++
-				hcells[i] = cell.New(seq, i, dst, g.CellWords, g.WordBits)
+				hcells[i] = pool.New(seq, i, dst, g.WordBits)
 				t.res.Offered++
 			}
 		}
 		org.Tick(hcells)
-		t.collect(org.Drain(), org.Buffered())
-		t.occSum += float64(org.Buffered())
+		b := org.Buffered()
+		t.res.MaxBuffered = max(t.res.MaxBuffered, b)
+		t.occSum += float64(b)
 	}
 	if ticks > 0 {
 		t.res.MeanBuffered = t.occSum / float64(ticks)
 	}
 	for bound := ticks + g.DrainBound(); ticks < bound && org.Resident() > 0; ticks++ {
 		org.Tick(nil)
-		t.collect(org.Drain(), org.Buffered())
+		t.res.MaxBuffered = max(t.res.MaxBuffered, org.Buffered())
 	}
+	org.SetDepartureSink(nil)
 	res := t.finish(org, ticks)
 	return res, res.check(org.Resident(), 0)
 }

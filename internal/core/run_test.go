@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pipemem/internal/bufmgr"
+	"pipemem/internal/cell"
 	"pipemem/internal/traffic"
 )
 
@@ -78,17 +79,19 @@ func TestRunnerDrainsLinkWires(t *testing.T) {
 	}
 }
 
-// flipper is an Organization that corrupts one word of every departure;
+// flipper is an Organization that reports every departure corrupted;
 // swallower one that loses a departure without counting it. They are why
-// the contract is an interface: Run's verdict can be shown to fire.
+// the contract is an interface: Run's verdict can be shown to fire. Each
+// stands between the organization and the sink Run installs.
 type flipper struct{ *Switch }
 
-func (f flipper) Drain() []Departure {
-	deps := f.Switch.Drain()
-	for i := range deps {
-		deps[i].Cell.Words[1] ^= 1
+func (f flipper) SetDepartureSink(sink DepartureSink) {
+	f.Switch.SetDepartureSink(nil)
+	if sink != nil {
+		f.Switch.SetDepartureSink(func(c *cell.Cell, out int, headIn, headOut int64, _ bool) {
+			sink(c, out, headIn, headOut, false)
+		})
 	}
-	return deps
 }
 
 type swallower struct {
@@ -96,13 +99,17 @@ type swallower struct {
 	ate bool
 }
 
-func (s *swallower) Drain() []Departure {
-	deps := s.DualSwitch.Drain()
-	if len(deps) > 0 && !s.ate {
-		s.ate = true
-		return deps[1:]
+func (s *swallower) SetDepartureSink(sink DepartureSink) {
+	s.DualSwitch.SetDepartureSink(nil)
+	if sink != nil {
+		s.DualSwitch.SetDepartureSink(func(c *cell.Cell, out int, headIn, headOut int64, intact bool) {
+			if !s.ate {
+				s.ate = true
+				return
+			}
+			sink(c, out, headIn, headOut, intact)
+		})
 	}
-	return deps
 }
 
 func TestRunVerdictFires(t *testing.T) {

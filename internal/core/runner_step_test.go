@@ -55,9 +55,8 @@ func plainStep(r *Runner) bool {
 }
 
 func plainCollect(r *Runner) {
-	deps := r.s.Drain()
-	if len(deps) > 0 {
-		r.book(deps)
+	for _, d := range r.s.Drain() {
+		r.deliver(d.HeadOut-d.HeadIn, d.Cell.Equal(d.Expected))
 	}
 	if b := r.s.Buffered(); b > r.res.MaxBuffered {
 		r.res.MaxBuffered = b
@@ -66,8 +65,8 @@ func plainCollect(r *Runner) {
 
 // plainRunner is runnerTo for the reference side of a Step differential:
 // the switch keeps no departure sink, so its departures are Departure
-// records that plainStep drains and books with tally.book, the
-// bookkeeping Run does.
+// records that plainStep drains and books one by one with tally.deliver,
+// comparing each observed cell with the injected one.
 func plainRunner(t *testing.T, cfg Config, tc traffic.Config, cycles int64, polSpec string) *Runner {
 	t.Helper()
 	r := runnerTo(t, cfg, tc, cycles, polSpec, 0)

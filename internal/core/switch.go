@@ -77,7 +77,8 @@ func (o Op) String() string {
 }
 
 // Switch is the cycle-accurate pipelined memory shared buffer switch.
-// Construct with New; advance with Tick; collect departures with Drain.
+// Construct with New; advance with Tick; take departures through a
+// DepartureSink (SetDepartureSink) or collect them with Drain.
 type Switch struct {
 	cfg Config
 	// linkSide is the periphery (link.go): input-row occupancy, the single

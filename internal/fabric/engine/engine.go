@@ -776,18 +776,15 @@ func (e *Engine) eject(x *ejectRec) error {
 	}
 	term := e.ejectTerm[(g-e.last)*e.k+int(x.out)]
 	if term != fl.dst {
-		e.badEject++
-		return fmt.Errorf("engine: cell %d for terminal %d ejected at %d", seq, fl.dst, term)
+		return e.reject(c, fmt.Errorf("engine: cell %d for terminal %d ejected at %d", seq, fl.dst, term))
 	}
 	if !x.intact {
-		e.badEject++
-		return fmt.Errorf("engine: cell %d corrupted leaving node %d", seq, g)
+		return e.reject(c, fmt.Errorf("engine: cell %d corrupted leaving node %d", seq, g))
 	}
 	cell.Fill(e.scratch, seq, int(fl.src), int(fl.dst), e.cellK, e.wordBits)
 	for i, w := range c.Words {
 		if w != e.scratch.Words[i] {
-			e.badEject++
-			return fmt.Errorf("engine: cell %d corrupted at word %d", seq, i)
+			return e.reject(c, fmt.Errorf("engine: cell %d corrupted at word %d", seq, i))
 		}
 	}
 	e.delivered++
@@ -812,6 +809,16 @@ func (e *Engine) eject(x *ejectRec) error {
 	return nil
 }
 
+// reject books a bad ejection and returns err: the cell has left the
+// fabric all the same, so its flight retires and the cell goes back to the
+// pool, as a delivered one's does.
+func (e *Engine) reject(c *cell.Cell, err error) error {
+	e.badEject++
+	e.flights.release(c.Tag)
+	e.injPool.Put(c)
+	return err
+}
+
 // Cycle returns the current global cycle.
 func (e *Engine) Cycle() int64 { return e.cycle }
 
@@ -822,10 +829,10 @@ func (e *Engine) Injected() int64 { return e.injected }
 func (e *Engine) Delivered() int64 { return e.delivered }
 
 // Drops returns cells lost inside the fabric, in every loss mode (flights
-// retired by the drop hook); Injected = Delivered + Drops + InFlight at
-// all times. Terminal injection is not credit-protected (the hosts, not
-// the fabric, decide how hard to push), so stage 0 overruns under
-// overload.
+// retired by the drop hook); Injected = Delivered + Drops + Corrupt +
+// InFlight at all times. Terminal injection is not credit-protected (the
+// hosts, not the fabric, decide how hard to push), so stage 0 overruns
+// under overload.
 func (e *Engine) Drops() int64 { return e.dropped }
 
 // InteriorDrops returns the drops at stages ≥ 1, whose inputs are the
@@ -897,12 +904,12 @@ func (e *Engine) Audit() error {
 	if ovf := e.latency.Overflow(); ovf > 0 {
 		return fmt.Errorf("engine: %d latency samples ≥ %d cycles overflowed the histogram (tail statistics are truncated)", ovf, e.latency.Limit())
 	}
+	if inFlight := int64(e.flights.n); e.injected != e.delivered+e.dropped+e.badEject+inFlight {
+		return fmt.Errorf("engine: cell conservation violated: injected %d ≠ delivered %d + dropped %d + bad ejections %d + in-flight %d",
+			e.injected, e.delivered, e.dropped, e.badEject, inFlight)
+	}
 	if e.badEject > 0 {
 		return fmt.Errorf("engine: %d corrupt or misrouted ejections", e.badEject)
-	}
-	if inFlight := int64(e.flights.n); e.injected != e.delivered+e.dropped+inFlight {
-		return fmt.Errorf("engine: cell conservation violated: injected %d ≠ delivered %d + dropped %d + in-flight %d",
-			e.injected, e.delivered, e.dropped, inFlight)
 	}
 	if e.creditOn {
 		for i, c := range e.credits {

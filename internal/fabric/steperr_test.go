@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"regexp"
+	"strings"
 	"testing"
 
 	"pipemem/internal/traffic"
@@ -72,7 +73,9 @@ func TestStepStepsOnAfterAnError(t *testing.T) {
 
 // TestCorruptEjectionCountedOnce: one memory upset under a cell buffered in
 // a last-stage node corrupts that one cell, which Step names and Corrupt
-// counts once.
+// counts once. The bad ejection retires its flight: the fabric drains to
+// nothing in flight, the bad ejection closes the conservation sum, and
+// Audit names the ejection, not a leak.
 func TestCorruptEjectionCountedOnce(t *testing.T) {
 	for _, w := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
@@ -100,7 +103,10 @@ func TestCorruptEjectionCountedOnce(t *testing.T) {
 				t.Fatal("no last-stage node holds a stable address")
 			}
 			var errs []error
-			for c := 0; c < 400; c++ {
+			for c := 0; c < 400 || f.InFlight() > 0; c++ {
+				if c == 20_000 {
+					t.Fatalf("%d cells still in flight after %d cycles", f.InFlight(), c)
+				}
 				if err := f.Step(); err != nil {
 					errs = append(errs, err)
 				}
@@ -110,6 +116,12 @@ func TestCorruptEjectionCountedOnce(t *testing.T) {
 			}
 			if n := f.Corrupt(); n != 1 {
 				t.Fatalf("Corrupt() = %d after one upset, want 1", n)
+			}
+			if f.Injected() != f.Delivered()+f.Drops()+f.Corrupt() {
+				t.Fatalf("injected %d != delivered %d + dropped %d + corrupt %d", f.Injected(), f.Delivered(), f.Drops(), f.Corrupt())
+			}
+			if err := f.Audit(); err == nil || !strings.Contains(err.Error(), "1 corrupt or misrouted ejections") {
+				t.Fatalf("Audit: %v, want the one bad ejection", err)
 			}
 		})
 	}

@@ -129,7 +129,7 @@ type Switch struct {
 	writing []*stored // per input: cell being streamed in, or nil
 	reading []*stored // per output: cell being streamed out, or nil
 
-	done []core.Departure
+	sink core.DepartureSink
 	// noBank counts arrivals that found no bank free to take them.
 	noBank int64
 	cutLat *stats.Hist
@@ -200,12 +200,9 @@ func (s *Switch) Geometry() core.Geometry {
 // Report implements core.Organization: the driver sees all PRIZMA measures.
 func (s *Switch) Report(*core.RunResult) {}
 
-// Drain returns departures since the last call.
-func (s *Switch) Drain() []core.Departure {
-	d := s.done
-	s.done = nil
-	return d
-}
+// SetDepartureSink implements core.Organization. PRIZMA is modeled
+// without faults, so every departure it hands over is intact.
+func (s *Switch) SetDepartureSink(f core.DepartureSink) { s.sink = f }
 
 // RouterCrossbarPoints returns the crosspoint count of the input router,
 // ∝ n×M — the §5.3 cost term (the selector is symmetric).
@@ -247,12 +244,11 @@ func (s *Switch) Tick(heads []*cell.Cell) {
 			bk.state = portIdle
 			bk.resident--
 			bk.cur = nil
-			s.cutLat.Add(st.start - st.head)
-			s.done = append(s.done, core.Departure{
-				Cell: st.c.Clone(), Expected: st.c, Output: o,
-				HeadIn: st.head, HeadOut: st.start, TailOut: c,
-			})
 			s.reading[o] = nil
+			s.cutLat.Add(st.start - st.head)
+			if s.sink != nil {
+				s.sink(st.c, o, st.head, st.start, true)
+			}
 		}
 	}
 

@@ -134,7 +134,7 @@ type Switch struct {
 	readRR  int
 	writeRR int
 
-	done []core.Departure
+	sink core.DepartureSink
 	// overruns counts cells lost to a double-buffering overrun (second
 	// latch row still occupied when a cell finished assembling, or no
 	// buffer address by the write deadline); cutThroughs the departures
@@ -206,12 +206,9 @@ func (s *Switch) Geometry() core.Geometry {
 // Report implements core.Organization.
 func (s *Switch) Report(res *core.RunResult) { res.DropOverrun = res.Dropped }
 
-// Drain returns departures since the last call.
-func (s *Switch) Drain() []core.Departure {
-	d := s.done
-	s.done = nil
-	return d
-}
+// SetDepartureSink implements core.Organization. The wide memory models
+// no fault, so every departure it hands over is intact.
+func (s *Switch) SetDepartureSink(f core.DepartureSink) { s.sink = f }
 
 // InputLatchRows returns the number of K-word latch rows on the input
 // side: 2 per input (the double buffering of fig. 3), versus 1 for the
@@ -248,8 +245,11 @@ func (s *Switch) Tick(heads []*cell.Cell) {
 		}
 		tr.pos++
 		if tr.pos == s.k {
-			s.complete(o, tr, c)
 			s.outRow[o] = nil
+			s.cutLat.Add(tr.start - tr.head)
+			if s.sink != nil {
+				s.sink(tr.c, o, tr.head, tr.start, true)
+			}
 		}
 	}
 
@@ -355,13 +355,4 @@ func (s *Switch) tryWrite(c int64) bool {
 	s.mem[addr] = stored{c: st.c, head: st.head, wrote: c}
 	s.queues.Push(st.c.Dst, addr)
 	return true
-}
-
-// complete finalizes a transmission.
-func (s *Switch) complete(o int, tr *transmitting, c int64) {
-	s.cutLat.Add(tr.start - tr.head)
-	s.done = append(s.done, core.Departure{
-		Cell: tr.c.Clone(), Expected: tr.c, Output: o,
-		HeadIn: tr.head, HeadOut: tr.start, TailOut: c,
-	})
 }

@@ -51,26 +51,26 @@ func TestValidate(t *testing.T) {
 func TestStoreAndForwardTiming(t *testing.T) {
 	s := mustSwitch(t, Config{Ports: 2, WordBits: 16, Cells: 8})
 	k := s.Config().CellWords // 4
+	var got []*cell.Cell
+	var lat int64
+	s.SetDepartureSink(func(d *cell.Cell, _ int, headIn, headOut int64, _ bool) {
+		got, lat = append(got, d), headOut-headIn
+	})
 	c := cell.New(1, 0, 1, k, 16)
 	s.Tick([]*cell.Cell{c, nil})
 	for i := 0; i < 5*k; i++ {
 		s.Tick(nil)
 	}
-	deps := s.Drain()
-	if len(deps) != 1 {
-		t.Fatalf("%d departures, want 1", len(deps))
-	}
-	d := deps[0]
-	if !d.Cell.Equal(c) {
-		t.Fatal("cell corrupted")
+	if len(got) != 1 || got[0] != c {
+		t.Fatalf("departures %v, want the one cell injected", got)
 	}
 	if s.CutThroughs() != 0 {
 		t.Fatal("departure bypassed memory without a crossbar")
 	}
 	// Assembled end of cycle K-1, staged ready K, written at K, read at
 	// K+1, head on link at K+2.
-	if got := d.HeadOut - d.HeadIn; got != int64(k)+2 {
-		t.Fatalf("head latency %d, want %d", got, k+2)
+	if lat != int64(k)+2 {
+		t.Fatalf("head latency %d, want %d", lat, k+2)
 	}
 }
 
@@ -80,24 +80,24 @@ func TestStoreAndForwardTiming(t *testing.T) {
 func TestCutThroughCrossbar(t *testing.T) {
 	s := mustSwitch(t, Config{Ports: 2, WordBits: 16, Cells: 8, CutThroughCrossbar: true})
 	k := s.Config().CellWords
+	var got []*cell.Cell
+	var lat int64
+	s.SetDepartureSink(func(d *cell.Cell, _ int, headIn, headOut int64, _ bool) {
+		got, lat = append(got, d), headOut-headIn
+	})
 	c := cell.New(1, 0, 1, k, 16)
 	s.Tick([]*cell.Cell{c, nil})
 	for i := 0; i < 5*k; i++ {
 		s.Tick(nil)
 	}
-	deps := s.Drain()
-	if len(deps) != 1 {
-		t.Fatalf("%d departures, want 1", len(deps))
+	if len(got) != 1 || got[0] != c {
+		t.Fatalf("departures %v, want the one cell injected", got)
 	}
-	d := deps[0]
 	if s.CutThroughs() != 1 {
 		t.Fatal("idle-output cell did not use the bypass")
 	}
-	if !d.Cell.Equal(c) {
-		t.Fatal("cell corrupted through bypass")
-	}
-	if got := d.HeadOut - d.HeadIn; got != 2 {
-		t.Fatalf("bypass head latency %d, want 2", got)
+	if lat != 2 {
+		t.Fatalf("bypass head latency %d, want 2", lat)
 	}
 }
 

@@ -26,10 +26,21 @@ func headCells(heads []int, hc []*Cell, seq *uint64, g Geometry) []*Cell {
 	return hc
 }
 
+// scribble overwrites a cell an organization has handed to its sink, so
+// that one still reading the cell afterwards misroutes, mistimes or
+// corrupts a later departure, and the test that installed the sink fails.
+func scribble(c *Cell) {
+	c.Seq, c.Dst = ^uint64(0), -1
+	for j := range c.Words {
+		c.Words[j] = 0xdead
+	}
+}
+
 // orgPin is one golden row: the FNV-1a digest over every departure of a
 // hand-driven run in completion order (sequence number, output, head-in,
-// head-out, tail-out) with the departure count beside it so a digest
-// cannot match vacuously, and what Run reports for the same traffic.
+// head-out, tail-out = head-out + k − 1) with the departure count beside
+// it so a digest cannot match vacuously, and what Run reports for the same
+// traffic.
 type orgPin struct {
 	digest                              uint64
 	deps                                int
@@ -109,6 +120,15 @@ func TestOrganizationsGolden(t *testing.T) {
 				k := g.CellWords
 				cs := must[*CellStream](t)(NewCellStream(kind.tc, k))
 				h := fnv.New64a()
+				org.SetDepartureSink(func(c *Cell, out int, headIn, headOut int64, intact bool) {
+					if !intact {
+						t.Fatalf("cycle %d: cell %d corrupted on output %d", org.Cycle(), c.Seq, out)
+					}
+					fmt.Fprintf(h, "seq=%d out=%d in=%d headout=%d tailout=%d\n",
+						c.Seq, out, headIn, headOut, headOut+int64(k)-1)
+					got.deps++
+					scribble(c)
+				})
 				heads := make([]int, n)
 				hc := make([]*Cell, n)
 				var seq uint64
@@ -119,14 +139,6 @@ func TestOrganizationsGolden(t *testing.T) {
 						in = headCells(heads, hc, &seq, g)
 					}
 					org.Tick(in)
-					for _, d := range org.Drain() {
-						if !d.Cell.Equal(d.Expected) {
-							t.Fatalf("cycle %d: cell %d corrupted on output %d", c, d.Expected.Seq, d.Output)
-						}
-						fmt.Fprintf(h, "seq=%d out=%d in=%d headout=%d tailout=%d\n",
-							d.Expected.Seq, d.Output, d.HeadIn, d.HeadOut, d.TailOut)
-						got.deps++
-					}
 				}
 				got.digest = h.Sum64()
 
@@ -180,8 +192,22 @@ type contractLedger struct {
 	offered, delivered int64
 }
 
-// tick advances one cycle and checks the per-cycle obligations: every
-// departure intact, and offered == delivered + dropped + Resident().
+// newContractLedger installs the ledger's sink on org: every departure
+// intact and on its cell's output, counted, then scribbled over.
+func newContractLedger(t testing.TB, org Organization) *contractLedger {
+	l := &contractLedger{org: org}
+	org.SetDepartureSink(func(c *Cell, out int, _, _ int64, intact bool) {
+		if !intact || out != c.Dst {
+			t.Fatalf("cycle %d: cell %d for output %d left on output %d, intact %v", org.Cycle(), c.Seq, c.Dst, out, intact)
+		}
+		l.delivered++
+		scribble(c)
+	})
+	return l
+}
+
+// tick advances one cycle and checks the per-cycle obligation the sink
+// cannot: offered == delivered + dropped + Resident().
 func (l *contractLedger) tick(t testing.TB, heads []*Cell) {
 	t.Helper()
 	for _, h := range heads {
@@ -190,12 +216,6 @@ func (l *contractLedger) tick(t testing.TB, heads []*Cell) {
 		}
 	}
 	l.org.Tick(heads)
-	for _, d := range l.org.Drain() {
-		if !d.Cell.Equal(d.Expected) {
-			t.Fatalf("cycle %d: cell %d corrupted on output %d", l.org.Cycle(), d.Expected.Seq, d.Output)
-		}
-		l.delivered++
-	}
 	dropped, resident := l.org.DroppedCells(), int64(l.org.Resident())
 	if l.delivered+dropped+resident != l.offered {
 		t.Fatalf("cycle %d: offered %d != delivered %d + dropped %d + resident %d",
@@ -226,7 +246,7 @@ func TestOrganizationsConservePerTick(t *testing.T) {
 	} {
 		for _, row := range smallOrgs(t, n) {
 			t.Run(fmt.Sprintf("%s/%v", row.name, tc.Kind), func(t *testing.T) {
-				l := contractLedger{org: row.org}
+				l := newContractLedger(t, row.org)
 				g := row.org.Geometry()
 				cs := must[*CellStream](t)(NewCellStream(tc, g.CellWords))
 				heads := make([]int, n)
@@ -282,7 +302,7 @@ func FuzzOrganizations(f *testing.F) {
 			sched = sched[:4096]
 		}
 		for _, row := range smallOrgs(t, n) {
-			l := contractLedger{org: row.org}
+			l := newContractLedger(t, row.org)
 			g := row.org.Geometry()
 			free := make([]int, n) // first cycle each link may start a cell
 			hc := make([]*Cell, n)

@@ -92,14 +92,18 @@ type DualSwitch = core.DualSwitch
 
 // Organization is the contract the four memory organizations behind the
 // same links share — Switch, DualSwitch, WideSwitch and PrizmaSwitch: heads
-// in through Tick, Departures out through Drain, and what a driver needs to
-// feed and audit them (Geometry among it). Run drives any of them.
+// in through Tick, each departure out through the DepartureSink installed
+// with SetDepartureSink, and what a driver needs to feed and audit them
+// (Geometry among it). Run drives any of them. DepartureSink is exported
+// beside it so that a type outside this module can implement the contract.
 type (
-	Organization = core.Organization
-	Geometry     = core.Geometry
+	Organization  = core.Organization
+	Geometry      = core.Geometry
+	DepartureSink = core.DepartureSink
 )
 
-// Departure reports one cell leaving an organization.
+// Departure reports one cell leaving a switch through Drain, with the
+// timing and the observed words a DepartureSink does not carry.
 type Departure = core.Departure
 
 // TraceEvent is the fig. 5-style per-cycle control/datapath snapshot.
