@@ -193,11 +193,13 @@ type contractLedger struct {
 }
 
 // newContractLedger installs the ledger's sink on org: every departure
-// intact and on its cell's output, counted, then scribbled over.
+// intact, on its cell's output and the cell as injected, counted, then
+// scribbled over.
 func newContractLedger(t testing.TB, org Organization) *contractLedger {
 	l := &contractLedger{org: org}
+	g := org.Geometry()
 	org.SetDepartureSink(func(c *Cell, out int, _, _ int64, intact bool) {
-		if !intact || out != c.Dst {
+		if !intact || out != c.Dst || !c.Equal(NewCell(c.Seq, c.Src, c.Dst, g.CellWords, g.WordBits)) {
 			t.Fatalf("cycle %d: cell %d for output %d left on output %d, intact %v", org.Cycle(), c.Seq, c.Dst, out, intact)
 		}
 		l.delivered++
