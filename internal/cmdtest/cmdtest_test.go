@@ -473,31 +473,39 @@ func TestPmtraceRoundTrip(t *testing.T) {
 // so no change to how the switch is simulated may move any of them. The
 // org rows pin the result line of the three other organizations on the same
 // traffic: Run drives them, and no change to how it books a departure may
-// move them either.
+// move them either. The model row pins a Telegraphos prototype's result and
+// Mb/s lines, and the last row pmsim's -trace stream of the same run, which
+// carries the typed events only.
 func TestPmrtlTracePinned(t *testing.T) {
 	dir := t.TempDir()
-	base := []string{"-n", "4", "-cells", "16", "-load", "0.7", "-cycles", "600", "-seed", "5"}
+	base := func(args ...string) []string {
+		return append([]string{"-n", "4", "-cells", "16", "-load", "0.7", "-cycles", "600", "-seed", "5"}, args...)
+	}
 	vcd, jsonl, jsonlSF := filepath.Join(dir, "w.vcd"), filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "sf.jsonl")
+	events := filepath.Join(dir, "ev.jsonl")
 	rows := []struct {
 		name string
+		tool string
 		args []string
 		file string // pinned bytes: this file's, or stdout's when empty
 		sum  uint64
 		size int
 	}{
-		{"trace", []string{"-trace"}, "", 0x4f8c3aa8c7f8ba3b, 84910},
-		{"vcd", []string{"-vcd", vcd}, vcd, 0x89f5f22883bbaa43, 89429},
-		{"tracejson", []string{"-tracejson", jsonl}, jsonl, 0x18d7c619d48024e5, 190131},
-		{"tracejson/sf-vcs-dt", []string{"-tracejson", jsonlSF, "-store-and-forward", "-vcs", "2", "-bufpolicy", "dt:alpha=2", "-saturate"}, jsonlSF, 0xe70d8080621b09a, 241028},
-		{"org/dual", []string{"-org", "dual"}, "", 0x28770624b9a91ca9, 94},
-		{"org/wide", []string{"-org", "wide"}, "", 0xd50cfefc6711795e, 95},
-		{"org/prizma", []string{"-org", "prizma"}, "", 0x55c7e225ad8e2a5a, 97},
+		{"trace", "pmrtl", base("-trace"), "", 0x4f8c3aa8c7f8ba3b, 84910},
+		{"vcd", "pmrtl", base("-vcd", vcd), vcd, 0x89f5f22883bbaa43, 89429},
+		{"tracejson", "pmrtl", base("-tracejson", jsonl), jsonl, 0x18d7c619d48024e5, 190131},
+		{"tracejson/sf-vcs-dt", "pmrtl", base("-tracejson", jsonlSF, "-store-and-forward", "-vcs", "2", "-bufpolicy", "dt:alpha=2", "-saturate"), jsonlSF, 0xe70d8080621b09a, 241028},
+		{"org/dual", "pmrtl", base("-org", "dual"), "", 0x28770624b9a91ca9, 94},
+		{"org/wide", "pmrtl", base("-org", "wide"), "", 0xd50cfefc6711795e, 95},
+		{"org/prizma", "pmrtl", base("-org", "prizma"), "", 0x55c7e225ad8e2a5a, 97},
+		{"model/t3", "pmrtl", []string{"-model", "t3", "-cycles", "20000"}, "", 0x58a0478f01fc1b84, 170},
+		{"events", "pmsim", []string{"-arch", "rtl", "-n", "4", "-buf", "16", "-load", "0.7", "-slots", "600", "-seed", "5", "-trace", events}, events, 0xf6175b52ec3e4c96, 33973},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			out, stderr, code := run(t, "pmrtl", "", append(append([]string{}, base...), r.args...)...)
+			out, stderr, code := run(t, r.tool, "", r.args...)
 			if code != 0 {
-				t.Fatalf("pmrtl %v failed (%d): %s", r.args, code, stderr)
+				t.Fatalf("%s %v failed (%d): %s", r.tool, r.args, code, stderr)
 			}
 			got := []byte(out)
 			if r.file != "" {
@@ -509,7 +517,7 @@ func TestPmrtlTracePinned(t *testing.T) {
 			h := fnv.New64a()
 			h.Write(got)
 			if h.Sum64() != r.sum || len(got) != r.size {
-				t.Fatalf("pmrtl %v: %d bytes, digest %#x; pinned %d bytes, %#x", r.args, len(got), h.Sum64(), r.size, r.sum)
+				t.Fatalf("%s %v: %d bytes, digest %#x; pinned %d bytes, %#x", r.tool, r.args, len(got), h.Sum64(), r.size, r.sum)
 			}
 		})
 	}
