@@ -128,14 +128,16 @@ profile:
 		$(GO) tool pprof -top -nodecount 40 $$d/pkg.test $$d/cpu.pprof
 
 # Non-test Go lines (wc -l of the files go build compiles) per package
-# under internal/, then for the whole repo — the measurement behind the
-# fault-seam prices in DESIGN.md §7 and the internal/core line target on
-# the ROADMAP — and last the lines of every _test.go file the test builds
-# of `go list -test` compile, so a change that moves code into tests shows
-# on both sides. A reading, not a gate.
+# under internal/, then for the tools under cmd/ together and for the whole
+# repo — the measurement behind the fault-seam prices in DESIGN.md §7 and
+# the internal/core and cmd/ line targets on the ROADMAP — and last the
+# lines of every _test.go file the test builds of `go list -test` compile,
+# so a change that moves code into tests shows on both sides. A reading,
+# not a gate.
 loc:
 	@$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}{{end}}' ./internal/... | \
 		while read -r pkg files; do printf '%-28s %6d\n' "$${pkg#pipemem/}" "$$(cat $$files | wc -l)"; done
+	@printf '%-28s %6d\n' cmd "$$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./cmd/... | xargs cat | wc -l)"
 	@printf '%-28s %6d\n' total "$$($(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | xargs cat | wc -l)"
 	@printf '%-28s %6d\n' tests "$$($(GO) list -test -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | tr ' ' '\n' | grep '_test\.go$$' | sort -u | xargs cat | wc -l)"
 

@@ -1,62 +1,58 @@
-// Command pmsim runs slot-level simulations of the §2 switch-buffering
-// architectures and prints throughput / loss / latency summaries.
-//
-// Usage:
+// Command pmsim is the pipemem simulator: the slot-level §2 switch-buffering
+// architectures, the multistage fabrics (-fabric butterfly|clos), and the
+// four cycle-accurate memory organizations — the pipelined memory and the
+// three the paper compares it with. It prints throughput / loss / latency.
 //
 //	pmsim -arch shared -n 16 -load 0.8 -buf 86 -slots 1000000
-//	pmsim -arch input-fifo -n 16 -saturate
-//	pmsim -arch voq -sched islip -n 16 -load 0.9
+//	pmsim -arch voq -sched islip -n 16 -saturate
 //	pmsim -sweep -arch output -n 16 -buf 12        # load sweep 0.1..0.95
-//	pmsim -sweep -arch rtl -n 8 -buf 256           # the same sweep on the RTL model, one worker per load
+//	pmsim -sweep -arch rtl -n 8 -buf 256           # the same on the RTL model, one worker per load
+//	pmsim -arch dual -n 8 -buf 256 -perm           # §3.5 half quantum; also wide (§5.2), prizma (§5.3)
+//	pmsim -arch rtl -model t3                      # Telegraphos III, with its link rate in Mb/s
 //
-// Architectures: input-fifo, voq, output, shared, crosspoint,
-// block-crosspoint, smoothing, speedup.
+// The traffic flags pick one arrival process: Bernoulli at -load, or
+// -saturate, -perm, -bursty or -hot. -arch dual, wide and prizma run
+// through pipemem.Run and refuse every flag only the session below
+// implements. -arch rtl, or any flag only that session implements or only
+// the pipelined switch reads (-faultplan, -metrics, -trace, -pprof, -fig5,
+// -vcd, a checkpoint flag, -vcs, -store-and-forward, -model), drives the
+// cycle-accurate pipelined memory switch through one session.
 //
-// With -arch rtl, -faultplan, -metrics, -trace, -pprof or a checkpoint
-// flag, pmsim instead drives the cycle-accurate pipelined memory switch —
-// one session, whatever the flags: traffic.CellStream arrivals (every
-// traffic flag applies), an optional fault plan, optional CRC links.
+// -fig5 prints the per-cycle fig. 5 control/datapath trace, or with -trace
+// FILE writes its records into that JSONL stream; -vcd FILE writes it as a
+// waveform instead. -metrics prints a Prometheus-style snapshot after the
+// result (-metrics-json: JSON), -trace writes the typed JSONL events, and
+// -pprof ADDR serves /metrics, /metrics.json and /debug/pprof/ while running:
 //
-// -faultplan runs the switch while a fault schedule unfolds and reports,
-// under the result line, corruption, ECC activity, link retransmissions
-// and each fault kind's applied and skipped tally. Corrupted deliveries
-// are that run's measurement, not its failure: it exits 1 only on a
-// conservation violation, a drain that left cells behind, an audit
+//	pmsim -arch rtl -n 2 -buf 8 -load 0.6 -slots 40 -fig5
+//	pmsim -metrics -trace out.jsonl -fig5 -n 8 -buf 256 -load 0.9 -slots 100000
+//
+// -faultplan runs the switch while a fault schedule unfolds — a plan file,
+// "-" for stdin, or "random" (link events with -linkprotect, memory upsets
+// without); one event per line, "@<cycle> <kind> key=val…" with kinds mem,
+// stuck, inreg, linkdrop and linkcorrupt — and reports corruption, ECC
+// activity, retransmissions and each kind's applied and skipped tally under
+// the result. Corrupted deliveries are the measurement: the run exits 1 only
+// on a conservation violation, a drain that left cells behind, an audit
 // failure or a tripped watchdog.
 //
-//	pmsim -faultplan plan.txt -n 4 -buf 32 -load 0.6 -slots 100000 -ecc
-//	pmsim -faultplan random -n 4 -buf 32 -ecc -bursty 8
+//	pmsim -faultplan random -n 4 -buf 32 -load 0.6 -slots 100000 -ecc
 //	pmsim -faultplan - < plan.txt -n 4 -linkprotect -retries 6
 //
-// The plan format is one event per line: "@<cycle> <kind> key=val…"
-// (kinds: mem, stuck, inreg, linkdrop, linkcorrupt); "random"
-// generates a seeded random plan (link events with -linkprotect, memory
-// upsets without), "-" reads standard input.
+// -checkpoint FILE writes crash-consistent snapshots (every -ckpt-every
+// cycles, default cycles/10); -restore FILE resumes one to the bit-identical
+// end of the uninterrupted run, and refuses the flags that would describe
+// another switch, stream or plan (-slots stays: it sizes the cadence).
+// -audit N verifies the invariants every N cycles; -watchdog N aborts with a
+// diagnostic checkpoint (FILE.stuck) if no cell moves for N cycles while
+// some are pending. None of the four changes what the run prints:
 //
-// -metrics prints a Prometheus-style snapshot of the run's metrics after
-// the result line (-metrics-json: the JSON snapshot), -trace writes the
-// structured JSONL event stream, and -pprof ADDR serves /metrics,
-// /metrics.json and /debug/pprof/ on ADDR while running:
-//
-//	pmsim -metrics -trace out.jsonl -n 8 -buf 256 -load 0.9 -slots 100000
-//	pmsim -faultplan random -ecc -metrics       # observe a fault run
-//
-// -checkpoint FILE writes periodic crash-consistent snapshots of the
-// complete simulation state (every -ckpt-every cycles, default
-// cycles/10); -restore FILE resumes one — traffic, buffer policy, fault
-// plan and link state come from the file — and finishes bit-identically
-// to the uninterrupted run. -audit N verifies internal invariants
-// (conservation, occupancy, §3.2 hazard-freedom) every N cycles;
-// -watchdog N aborts with a diagnostic checkpoint (FILE.stuck) if no cell
-// moves for N cycles while some are pending. None of the four changes
-// what the run simulates or prints:
-//
-//	pmsim -arch rtl -n 8 -buf 256 -slots 200000 -checkpoint run.ckpt
+//	pmsim -arch rtl -n 8 -buf 256 -slots 200000 -checkpoint run.ckpt -audit 1000
 //	pmsim -restore run.ckpt
-//	pmsim -faultplan plan.txt -ecc -checkpoint run.ckpt -audit 1000 -watchdog 5000
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -67,32 +63,59 @@ import (
 	"pipemem/internal/cli"
 )
 
+// sessionOnly are the flags only the session on the cycle-accurate
+// switch implements; naming one selects it (or refuses a slot-level -arch).
+var sessionOnly = []string{"faultplan", "metrics", "metrics-json", "trace", "pprof",
+	"checkpoint", "restore", "audit", "watchdog", "fig5", "vcd"}
+
+// notImplemented lists, per rival organization, the flags it would have to
+// ignore: they are refused instead. (-vcs reaches the dual switch's
+// constructor, which refuses it with its own reason.)
+var (
+	pipelinedOnly  = append([]string{"sweep", "bufpolicy", "trace-sample", "ckpt-every", "ecc", "linkprotect", "retries", "events"}, sessionOnly...)
+	notImplemented = map[string][]string{
+		"dual":   pipelinedOnly,
+		"wide":   append([]string{"vcs"}, pipelinedOnly...),
+		"prizma": append([]string{"vcs", "store-and-forward"}, pipelinedOnly...),
+	}
+	models = map[string]func() pipemem.TelegraphosModel{
+		"t1": pipemem.TelegraphosI, "t2": pipemem.TelegraphosII, "t3": pipemem.TelegraphosIII,
+	}
+)
+
 func main() {
 	var (
-		arch     = flag.String("arch", "shared", "architecture: input-fifo|voq|output|shared|shared-capped|crosspoint|block-crosspoint|smoothing|speedup|rtl")
+		arch     = flag.String("arch", "shared", "architecture: input-fifo|voq|output|shared|shared-capped|crosspoint|block-crosspoint|smoothing|speedup, or a cycle-accurate organization: rtl|dual|wide|prizma")
 		n        = flag.Int("n", 16, "switch size (n×n)")
 		load     = flag.Float64("load", 0.8, "offered load per input in (0,1]")
 		saturate = flag.Bool("saturate", false, "saturation mode (backlogged inputs)")
+		perm     = flag.Bool("perm", false, "admissible rotating-permutation traffic at full rate")
 		bursty   = flag.Float64("bursty", 0, "mean burst length in cells (0 = Bernoulli)")
 		hotFrac  = flag.Float64("hot", 0, "hotspot fraction toward port 0 (0 = uniform)")
-		buf      = flag.Int("buf", 64, "buffer parameter (total cells for shared; per-port otherwise)")
+		buf      = flag.Int("buf", 64, "buffer parameter (total cells for shared and the cycle-accurate organizations; per-port otherwise)")
 		outCap   = flag.Int("outcap", 16, "per-output occupancy cap for shared-capped")
 		group    = flag.Int("group", 4, "block size for block-crosspoint")
 		speedup  = flag.Int("speedup", 2, "internal speedup for the speedup fabric")
 		sched    = flag.String("sched", "islip", "VOQ scheduler: islip|pim|2drr")
-		slots    = flag.Int64("slots", 500_000, "measured slots")
+		slots    = flag.Int64("slots", 500_000, "measured slots (cycles of a cycle-accurate run)")
 		warmup   = flag.Int64("warmup", 0, "warm-up slots (default slots/10)")
 		seed     = flag.Uint64("seed", 1, "PRNG seed")
 		sweep    = flag.Bool("sweep", false, "sweep load 0.1..0.95 instead of a single point")
 
-		fabricKind = flag.String("fabric", "", "multistage fabric run: butterfly|clos (overrides -arch; uses -terminals/-radix/-middles/-credits/-fabric-workers and the shared traffic flags)")
+		vcs   = flag.Int("vcs", 1, "cycle-accurate run: virtual channels per output link ([KVES95])")
+		nocut = flag.Bool("store-and-forward", false, "cycle-accurate run: disable automatic cut-through")
+		model = flag.String("model", "", "cycle-accurate run: a Telegraphos prototype's geometry and clock instead of -n/-buf: t1|t2|t3")
+		fig5  = flag.Bool("fig5", false, "RTL run: print the per-cycle control trace (fig. 5); with -trace FILE, write it to that stream")
+		vcd   = flag.String("vcd", "", "RTL run: write the fig. 5 trace as a VCD waveform to this file (GTKWave etc.)")
+
+		fabricKind = flag.String("fabric", "", "multistage fabric run: butterfly|clos (uses -terminals/-radix/-middles/-credits/-fabric-workers and the shared traffic flags)")
 		terminals  = flag.Int("terminals", 64, "fabric run: external terminal count (butterfly; must be radix^s)")
 		radix      = flag.Int("radix", 8, "fabric run: per-node port count (clos terminals = radix²)")
 		middles    = flag.Int("middles", 0, "fabric run: populated Clos middle switches (0 = radix)")
 		credits    = flag.Int("credits", 4, "fabric run: per-inter-stage-link credits (0 disables flow control)")
 		fworkers   = flag.Int("fabric-workers", 1, "fabric run: engine shard workers (0 = GOMAXPROCS; results are bit-identical across counts)")
 
-		faultplan = flag.String("faultplan", "", "fault-injection run: plan file, '-' for stdin, or 'random' (overrides -arch)")
+		faultplan = flag.String("faultplan", "", "fault-injection run: plan file, '-' for stdin, or 'random'")
 		ecc       = flag.Bool("ecc", false, "fault run: SEC-DED protect the memory banks")
 		linkprot  = flag.Bool("linkprotect", false, "fault run: CRC/retransmit protocol on the input links")
 		retries   = flag.Int("retries", 0, "fault run: link retransmission budget (0 = default)")
@@ -115,12 +138,63 @@ func main() {
 	if err := tracef.Validate(); err != nil {
 		die(2, err)
 	}
-	// -sched picks the VOQ matcher; any other run would drop it.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "sched" && (*arch != "voq" || *fabricKind != "") {
-			die(2, "-sched picks the -arch voq scheduler; drop it or use -arch voq")
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	// refuse exits 2 on the first of names given on the command line: a
+	// flag the run would drop. msg formats the reason around its name.
+	refuse := func(msg string, names ...string) {
+		for _, name := range names {
+			if set[name] {
+				die(2, fmt.Sprintf(msg, "-"+name))
+			}
 		}
-	})
+	}
+	// -sched picks the VOQ matcher; any other run would drop it.
+	if *arch != "voq" || *fabricKind != "" {
+		refuse("%s picks the -arch voq scheduler; drop it or use -arch voq", "sched")
+	}
+	// One arrival process per run, and a full-rate one has no load to set
+	// or sweep.
+	switch full := "-saturate and -perm are full-rate arrival processes of their own; drop %s"; {
+	case *saturate:
+		refuse(full, "perm", "bursty", "hot", "load", "sweep")
+	case *perm:
+		refuse(full, "bursty", "hot", "load", "sweep")
+	case *bursty > 0:
+		refuse("-bursty and -hot each pick the arrival process; drop %s", "hot")
+	}
+	// -sweep is a plain load sweep; the other run paths run a single point
+	// and would drop it.
+	if *sweep {
+		refuse("-sweep runs a plain load sweep; it does not combine with %s", append([]string{"fabric"}, sessionOnly...)...)
+	}
+	if ckptf.Restore != "" {
+		refuse("-restore resumes the checkpoint's own run; drop %s", "faultplan", "linkprotect", "bufpolicy",
+			"n", "buf", "load", "saturate", "perm", "bursty", "hot", "seed", "vcs", "store-and-forward", "model", "ecc", "retries", "events")
+	}
+
+	// swcfg is the cycle-accurate switch the flags describe; -model takes a
+	// prototype's geometry, and its clock for the Mb/s line.
+	swcfg := pipemem.Config{Ports: *n, WordBits: 16, Cells: *buf, CutThrough: !*nocut, VCs: *vcs}
+	var clockNs float64
+	if *model != "" {
+		newModel, ok := models[*model]
+		if !ok {
+			die(2, fmt.Sprintf("unknown model %q: want t1, t2 or t3", *model))
+		}
+		refuse("-model sets the switch's ports and cells; drop %s", "n", "buf")
+		m := newModel()
+		swcfg, clockNs = m.SwitchConfig(), m.ClockNs
+		swcfg.CutThrough, swcfg.VCs = !*nocut, *vcs
+		*n = swcfg.Ports
+	}
+	// printRate is the -model line under a result: the link rate sustained.
+	printRate := func(res pipemem.RunResult) {
+		if clockNs > 0 {
+			fmt.Printf("at %.1f ns/cycle: %.0f Mb/s per link sustained (util %.3f × %d b / %.1f ns)\n",
+				clockNs, res.Utilization*float64(swcfg.WordBits)/clockNs*1000, res.Utilization, swcfg.WordBits, clockNs)
+		}
+	}
 
 	// trafficAt is the arrival process the shared traffic flags select, at
 	// offered load p.
@@ -129,6 +203,8 @@ func main() {
 		switch {
 		case *saturate:
 			cfg.Kind = pipemem.Saturation
+		case *perm:
+			cfg.Kind, cfg.Load = pipemem.Permutation, 1
 		case *bursty > 0:
 			cfg.Kind, cfg.BurstLen = pipemem.Bursty, *bursty
 		case *hotFrac > 0:
@@ -136,34 +212,20 @@ func main() {
 		}
 		return cfg
 	}
-	observe := *metrics || *metricsJSON || tracef.Out != "" || *pprofAddr != ""
-
-	// -sweep is a plain load sweep of one architecture; the run paths below
-	// run a single point and would drop it.
-	if *sweep && (*fabricKind != "" || *faultplan != "" || ckptf.Active() || observe) {
-		die(2, "-sweep runs a plain load sweep; it does not combine with -fabric, -faultplan, -checkpoint/-restore/-audit/-watchdog, -metrics/-trace or -pprof")
-	}
 
 	// A -fabric run drives the multistage engine, which has its own
 	// metrics surface; it composes with the traffic and -bufpolicy flags
-	// but not with the single-switch session (fault plans, checkpoints).
+	// but not with the single-switch flags, nor with one the chosen
+	// network would ignore.
 	if *fabricKind != "" {
-		if *faultplan != "" || ckptf.Active() || *pprofAddr != "" {
-			die(2, "-fabric does not combine with -faultplan, -checkpoint/-restore or -pprof")
-		}
-		// A flag the chosen network would ignore is refused, not dropped.
-		ignored := map[string]string{"arch": "-fabric builds a multistage network, not -arch"}
+		refuse("-fabric builds a multistage network; drop %s", "arch", "faultplan", "checkpoint", "restore", "audit", "watchdog",
+			"pprof", "fig5", "vcd", "vcs", "store-and-forward", "model")
 		switch *fabricKind {
 		case "butterfly":
-			ignored["middles"] = "a butterfly has no middle stage to populate"
+			refuse("a butterfly has no middle stage to populate; drop %s", "middles")
 		case "clos":
-			ignored["terminals"] = "a Clos network has radix² terminals"
+			refuse("a Clos network has radix² terminals; drop %s", "terminals")
 		}
-		flag.Visit(func(f *flag.Flag) {
-			if why, ok := ignored[f.Name]; ok {
-				die(2, fmt.Sprintf("%s; drop -%s", why, f.Name))
-			}
-		})
 		runFabric(fabricOpts{
 			kind: *fabricKind, terminals: *terminals, radix: *radix,
 			middles: *middles, cells: *buf, credits: *credits, workers: *fworkers,
@@ -176,51 +238,54 @@ func main() {
 		die(2, "-telemetry samples the multistage engine; it needs -fabric butterfly|clos")
 	}
 
-	var ob *observed
-	if observe {
-		var err error
-		if ob, err = newObserved(*n, tracef.Out, tracef.Sample, *pprofAddr); err != nil {
-			die(1, err)
-		}
-		defer ob.finish(*metrics || *metricsJSON, *metricsJSON)
+	// The rival organizations run on Run, which has no session: a flag
+	// only the session implements is refused.
+	if _, ok := notImplemented[*arch]; ok {
+		refuse(fmt.Sprintf("the %s organization does not implement %%s; drop it", *arch), notImplemented[*arch]...)
+		res := runOrg(*arch, swcfg, trafficAt(*load), *slots)
+		fmt.Printf("%s: %s\n", *arch, res)
+		printRate(res)
+		return
 	}
 
-	// Everything on the cycle-accurate switch is one session: -arch rtl,
-	// a fault plan, the observability flags (the observer lives in the RTL
-	// model, not the slot-level §2 simulators) and the checkpoint group.
-	if observe || *arch == "rtl" || *faultplan != "" || ckptf.Active() {
+	// Everything else on the cycle-accurate switch is one session: -arch
+	// rtl, or any flag only the session implements (a fault plan, the
+	// observability flags, the fig. 5 taps, the checkpoint group) or that
+	// only the switch reads. An explicit slot-level -arch would be dropped,
+	// so it is refused instead.
+	rtl := *arch == "rtl"
+	for _, name := range append([]string{"vcs", "store-and-forward", "model"}, sessionOnly...) {
+		if set[name] && !rtl {
+			if set["arch"] {
+				die(2, fmt.Sprintf("-%s drives the RTL model, not -arch %s; use -arch rtl or drop -arch", name, *arch))
+			}
+			rtl = true
+		}
+	}
+	if rtl {
 		if *sweep {
-			sweepRTL(*n, *buf, *slots, bufpol.Spec(), trafficAt)
+			sweepRTL(swcfg, *slots, bufpol.Spec(), trafficAt)
 			return
 		}
-		// An explicit slot-level -arch would be silently ignored by a
-		// checkpointed run, so refuse it instead.
-		archSet := false
-		flag.Visit(func(f *flag.Flag) { archSet = archSet || f.Name == "arch" })
-		if ckptf.Active() && archSet && *arch != "rtl" {
-			die(2, fmt.Sprintf("-checkpoint/-restore/-audit/-watchdog drive the RTL model, not -arch %s; use -arch rtl or drop -arch", *arch))
+		if *fig5 && *vcd != "" {
+			die(2, "-fig5 and -vcd both tap the switch's one tracer; give one")
 		}
-		spec := pipemem.SimSpec{
-			Switch:  pipemem.Config{Ports: *n, WordBits: 16, Cells: *buf, CutThrough: true},
-			Traffic: trafficAt(*load),
-			Cycles:  *slots,
-			Policy:  bufpol.Spec(),
+		var ob *observed
+		if *metrics || *metricsJSON || tracef.Out != "" || *pprofAddr != "" {
+			var err error
+			if ob, err = newObserved(*n, tracef.Out, tracef.Sample, *pprofAddr); err != nil {
+				die(1, err)
+			}
+			defer ob.finish(*metrics || *metricsJSON, *metricsJSON)
 		}
-		switch {
-		case ckptf.Restore == "":
-		case *faultplan != "":
-			die(2, "-restore resumes the checkpoint's own fault plan; drop -faultplan")
-		case *linkprot:
-			die(2, "-restore resumes the checkpoint's own link state; drop -linkprotect")
-		case spec.Policy != "":
-			die(2, "-restore resumes the checkpoint's own buffer policy; drop -bufpolicy")
-		}
+		spec := pipemem.SimSpec{Switch: swcfg, Traffic: trafficAt(*load), Cycles: *slots, Policy: bufpol.Spec()}
 		if *faultplan != "" {
 			// Cut-through cells never read the banks, so ECC runs are
 			// store-and-forward: the faults have to be visible.
-			spec.Switch = pipemem.Config{Ports: *n, Cells: *buf, CutThrough: !*ecc, ECC: *ecc}
+			spec.Switch.ECC = *ecc
+			spec.Switch.CutThrough = spec.Switch.CutThrough && !*ecc
 			random := pipemem.FaultRandomOptions{
-				Cycles: *slots, Events: *events, Stages: 2 * *n, WordBits: 16, Inputs: *n,
+				Cycles: *slots, Events: *events, Stages: swcfg.Canonical().Stages, WordBits: swcfg.WordBits, Inputs: *n,
 				Kinds: []pipemem.FaultKind{pipemem.FaultMem},
 			}
 			if *linkprot {
@@ -232,7 +297,8 @@ func main() {
 			}
 			spec.FaultSeed, spec.LinkProtect, spec.MaxRetries = *seed, *linkprot, *retries
 		}
-		runSession(ckptf, spec, ob)
+		res := runSession(ckptf, spec, ob, *fig5, *vcd, clockNs)
+		printRate(res)
 		return
 	}
 	// The §2 slot-level simulators have no shared-buffer admission hook;
@@ -277,12 +343,13 @@ func main() {
 		if err != nil {
 			die(2, fmt.Sprintf("%s: %v", flagName, err))
 		}
-		g, err := pipemem.NewCellStream(trafficAt(p), 1)
+		tcfg := trafficAt(p)
+		g, err := pipemem.NewCellStream(tcfg, 1)
 		if err != nil {
 			die(1, err)
 		}
 		res := pipemem.RunArch(a, g, *warmup, *slots)
-		fmt.Printf("load=%.2f  %s\n", p, res)
+		fmt.Printf("load=%.2f  %s\n", tcfg.Load, res)
 	}
 
 	if *sweep {
@@ -300,12 +367,12 @@ var sweepLoads = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}
 // sweepRTL is -sweep on the cycle-accurate switch: the loads run in
 // parallel on the sweep engine (each point owns its switch and seeded
 // stream, so the rows equal ten single-point runs) and print in order.
-func sweepRTL(n, buf int, cycles int64, policy string, trafficAt func(float64) pipemem.TrafficConfig) {
+func sweepRTL(cfg pipemem.Config, cycles int64, policy string, trafficAt func(float64) pipemem.TrafficConfig) {
 	pts := make([]bench.Point, len(sweepLoads))
 	for i, p := range sweepLoads {
 		pts[i] = bench.Point{
 			Label:   fmt.Sprintf("load=%.2f", p),
-			Config:  pipemem.Config{Ports: n, WordBits: 16, Cells: buf, CutThrough: true},
+			Config:  cfg,
 			Traffic: trafficAt(p),
 			Cycles:  cycles,
 			Policy:  policy,
@@ -382,10 +449,11 @@ func (ob *observed) finish(printMetrics, asJSON bool) {
 // runSession drives the cycle-accurate switch through a session — with
 // whatever of fault plan, CRC links, observer, checkpoints, audits and
 // watchdog the flags ask for, or resumed from a checkpoint (spec then only
-// sizes the default checkpoint cadence) — and prints the result line, then
+// sizes the default checkpoint cadence) — with the fig. 5 tap on its
+// switch that fig5 or vcdPath asks for, and prints the result line, then
 // the fault report when the run carries a plan. On a watchdog or audit
 // abort the partial result is still printed before the non-zero exit.
-func runSession(ck *cli.CheckpointValue, spec pipemem.SimSpec, ob *observed) {
+func runSession(ck *cli.CheckpointValue, spec pipemem.SimSpec, ob *observed, fig5 bool, vcdPath string, clockNs float64) pipemem.RunResult {
 	opts := pipemem.SimOptions{
 		Path:           ck.Path,
 		Every:          ck.EffectiveEvery(spec.Cycles),
@@ -405,7 +473,28 @@ func runSession(ck *cli.CheckpointValue, spec pipemem.SimSpec, ob *observed) {
 	if err != nil {
 		die(1, err)
 	}
+	var vcd *pipemem.VCDWriter
+	var vcdFile *os.File
+	switch sw := s.Switch(); {
+	case vcdPath != "":
+		if vcdFile, err = os.Create(vcdPath); err != nil {
+			die(1, err)
+		}
+		// A prototype's clock times the waveform; else one unit a cycle.
+		vcd = pipemem.NewVCDWriter(vcdFile, sw, max(clockNs, 1))
+		sw.SetTracer(vcd.Trace)
+	case fig5 && ob != nil && ob.sink != nil:
+		// The per-cycle records join the typed events' JSONL stream.
+		sw.SetTracer(pipemem.JSONTracer(ob.sink))
+	case fig5:
+		sw.SetTracer(func(e pipemem.TraceEvent) { fmt.Println(e) })
+	}
 	res, err := s.Run()
+	if vcd != nil {
+		if werr := cmp.Or(vcd.Err(), vcdFile.Close()); werr != nil {
+			die(1, werr)
+		}
+	}
 	fmt.Println(res)
 	if rep := s.Report(res); rep != nil {
 		fmt.Println(rep)
@@ -413,6 +502,39 @@ func runSession(ck *cli.CheckpointValue, spec pipemem.SimSpec, ob *observed) {
 	if err != nil {
 		die(1, err)
 	}
+	return res
+}
+
+// runOrg runs one of the organizations the paper compares the pipelined
+// memory with (§3.5 dual, §5.2 wide memory, §5.3 PRIZMA) at cfg's
+// geometry, through Run.
+func runOrg(name string, cfg pipemem.Config, tcfg pipemem.TrafficConfig, cycles int64) pipemem.RunResult {
+	var (
+		org pipemem.Organization
+		err error
+	)
+	switch name {
+	case "dual":
+		org, err = pipemem.NewDual(cfg)
+	case "wide":
+		org, err = pipemem.NewWide(pipemem.WideConfig{
+			Ports: cfg.Ports, WordBits: cfg.WordBits, Cells: cfg.Cells, CutThroughCrossbar: cfg.CutThrough,
+		})
+	case "prizma":
+		org, err = pipemem.NewPrizma(pipemem.PrizmaConfig{Ports: cfg.Ports, Banks: cfg.Cells, WordBits: cfg.WordBits})
+	}
+	if err != nil {
+		die(1, err)
+	}
+	cs, err := pipemem.NewCellStream(tcfg, org.Geometry().CellWords)
+	if err != nil {
+		die(1, err)
+	}
+	res, err := pipemem.Run(org, cs, cycles)
+	if err != nil {
+		die(1, err)
+	}
+	return res
 }
 
 // loadPlan resolves the -faultplan argument: a seeded random plan, stdin,

@@ -1,9 +1,6 @@
 package area
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Block is one named rectangle of a floorplan.
 type Block struct {
@@ -35,20 +32,6 @@ func (f Floorplan) BlocksMm2() float64 {
 
 // TotalMm2 is blocks plus routing.
 func (f Floorplan) TotalMm2() float64 { return f.BlocksMm2() + f.RoutingMm2 }
-
-// String renders a one-line-per-block summary.
-func (f Floorplan) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (chip %.1f×%.1f mm):\n", f.Name, f.ChipWidthMm, f.ChipHeightMm)
-	for _, bl := range f.Blocks {
-		fmt.Fprintf(&b, "  %-28s %5.2f × %4.2f mm = %6.2f mm²\n", bl.Name, bl.WidthMm, bl.HeightMm, bl.Mm2())
-	}
-	if f.RoutingMm2 > 0 {
-		fmt.Fprintf(&b, "  %-28s %21.2f mm²\n", "bus routing", f.RoutingMm2)
-	}
-	fmt.Fprintf(&b, "  %-28s %21.2f mm²\n", "total", f.TotalMm2())
-	return b.String()
-}
 
 // TelegraphosII returns the published §4.2 shared-buffer floorplan of the
 // Telegraphos II standard-cell ASIC (fig. 6): eight 256×16 compiled SRAM

@@ -97,10 +97,10 @@ type badCase struct {
 func badConfigCases(dir string) []badCase {
 	ckpt := filepath.Join(dir, "x.ckpt")
 	garbage := filepath.Join(dir, "garbage.ckpt")
-	return []badCase{
+	vcd := filepath.Join(dir, "x.vcd")
+	cases := []badCase{
 		// Malformed -bufpolicy rejects at flag-parse time in every tool that takes it.
 		{"pmsim/bad-bufpolicy", "pmsim", "", []string{"-bufpolicy", "bogus"}, "bad policy spec"},
-		{"pmrtl/bad-bufpolicy", "pmrtl", "", []string{"-bufpolicy", "bogus"}, "bad policy spec"},
 		{"pmexp/bad-bufpolicy", "pmexp", "", []string{"-bufpolicy", "bogus"}, "bad policy spec"},
 		{"pmsim/bad-bufpolicy-param", "pmsim", "", []string{"-bufpolicy", "dt:2"}, "key=value"},
 
@@ -128,16 +128,34 @@ func badConfigCases(dir string) []badCase {
 		{"pmsim/group-not-divisor", "pmsim", "", []string{"-arch", "block-crosspoint", "-n", "16", "-group", "5"}, "pmsim: -group"},
 		{"pmsim/speedup-zero", "pmsim", "", []string{"-arch", "speedup", "-speedup", "0"}, "pmsim: -speedup"},
 
-		// pmrtl: organization/model/config errors.
-		{"pmrtl/unknown-org", "pmrtl", "", []string{"-org", "torus"}, "unknown organization"},
-		{"pmrtl/unknown-model", "pmrtl", "", []string{"-model", "t9"}, "unknown model"},
-		{"pmrtl/bad-ports", "pmrtl", "", []string{"-n", "0", "-cycles", "10"}, "ports"},
-		{"pmrtl/dual-vcs", "pmrtl", "", []string{"-org", "dual", "-n", "4", "-vcs", "3"}, "no virtual channels"},
-		// pmrtl: a flag the chosen organization ignores is refused.
-		{"pmrtl/bufpolicy-nonpipelined", "pmrtl", "", []string{"-org", "wide", "-bufpolicy", "share"}, "does not implement -bufpolicy"},
-		{"pmrtl/wide-vcs", "pmrtl", "", []string{"-org", "wide", "-vcs", "3"}, "does not implement -vcs"},
-		{"pmrtl/wide-trace", "pmrtl", "", []string{"-org", "wide", "-trace"}, "does not implement -trace"},
-		{"pmrtl/prizma-vcd", "pmrtl", "", []string{"-org", "prizma", "-vcd", "x.vcd"}, "does not implement -vcd"},
+		// pmsim: the cycle-accurate organizations' model/config errors.
+		{"pmsim/unknown-model", "pmsim", "", []string{"-arch", "rtl", "-model", "t9"}, "unknown model"},
+		{"pmsim/model-n", "pmsim", "", []string{"-arch", "rtl", "-model", "t3", "-n", "16"}, "drop -n"},
+		{"pmsim/model-buf", "pmsim", "", []string{"-arch", "rtl", "-model", "t3", "-buf", "64"}, "drop -buf"},
+		{"pmsim/bad-ports", "pmsim", "", []string{"-arch", "rtl", "-n", "0", "-slots", "10"}, "ports"},
+		{"pmsim/dual-vcs", "pmsim", "", []string{"-arch", "dual", "-n", "4", "-vcs", "3"}, "no virtual channels"},
+		{"pmsim/fig5-vcd", "pmsim", "", []string{"-arch", "rtl", "-fig5", "-vcd", vcd}, "one tracer"},
+		{"pmsim/fig5-slot-arch", "pmsim", "", []string{"-arch", "voq", "-fig5"}, "RTL model"},
+		// pmsim: a flag the chosen organization ignores is refused.
+		{"pmsim/wide-bufpolicy", "pmsim", "", []string{"-arch", "wide", "-bufpolicy", "share"}, "does not implement -bufpolicy"},
+		{"pmsim/wide-vcs", "pmsim", "", []string{"-arch", "wide", "-vcs", "3"}, "does not implement -vcs"},
+		{"pmsim/wide-fig5", "pmsim", "", []string{"-arch", "wide", "-fig5"}, "does not implement -fig5"},
+		{"pmsim/wide-trace", "pmsim", "", []string{"-arch", "wide", "-trace", filepath.Join(dir, "t.jsonl")}, "does not implement -trace"},
+		{"pmsim/prizma-vcd", "pmsim", "", []string{"-arch", "prizma", "-vcd", vcd}, "does not implement -vcd"},
+		{"pmsim/prizma-store-and-forward", "pmsim", "", []string{"-arch", "prizma", "-store-and-forward"}, "does not implement -store-and-forward"},
+		{"pmsim/dual-checkpoint", "pmsim", "", []string{"-arch", "dual", "-checkpoint", ckpt}, "does not implement -checkpoint"},
+		{"pmsim/dual-faultplan", "pmsim", "", []string{"-arch", "dual", "-faultplan", "random"}, "does not implement -faultplan"},
+		{"pmsim/dual-sweep", "pmsim", "", []string{"-arch", "dual", "-sweep"}, "does not implement -sweep"},
+		{"pmsim/fabric-fig5", "pmsim", "", []string{"-fabric", "butterfly", "-fig5"}, "drop -fig5"},
+
+		// pmsim: one arrival process per run; a full-rate one has no load
+		// to set and no loads to sweep.
+		{"pmsim/saturate-bursty-hot", "pmsim", "", []string{"-arch", "rtl", "-saturate", "-bursty", "8", "-hot", "0.5", "-slots", "100"}, "drop -bursty"},
+		{"pmsim/bursty-hot", "pmsim", "", []string{"-arch", "rtl", "-bursty", "8", "-hot", "0.5", "-slots", "100"}, "drop -hot"},
+		{"pmsim/perm-saturate", "pmsim", "", []string{"-arch", "rtl", "-perm", "-saturate"}, "drop -perm"},
+		{"pmsim/saturate-load", "pmsim", "", []string{"-arch", "rtl", "-saturate", "-load", "0.1", "-slots", "100"}, "drop -load"},
+		{"pmsim/perm-load", "pmsim", "", []string{"-arch", "dual", "-perm", "-load", "0.5"}, "drop -load"},
+		{"pmsim/sweep-saturate", "pmsim", "", []string{"-sweep", "-arch", "output", "-n", "4", "-slots", "100", "-saturate"}, "drop -sweep"},
 
 		// pmsim: -sweep is obeyed (slot-level archs, -arch rtl) or refused,
 		// never dropped by a single-point harness.
@@ -169,15 +187,19 @@ func badConfigCases(dir string) []badCase {
 		// pmexp: unknown experiment id no longer passes silently.
 		{"pmexp/unknown-only-id", "pmexp", "", []string{"-only", "E999"}, "unknown experiment id"},
 
-		// pmarea: nonsensical geometry.
-		{"pmarea/nonpositive-n", "pmarea", "", []string{"-n", "0"}, "positive"},
-
 		// pmserve: flag validation must fail fast, before binding a port.
 		{"pmserve/bad-listen", "pmserve", "", []string{"-listen", "bad::addr::x"}, "listen"},
 		{"pmserve/nonpositive-max-sessions", "pmserve", "", []string{"-max-sessions", "0"}, "positive"},
 		{"pmserve/nonpositive-step-max", "pmserve", "", []string{"-step-max", "-5"}, "positive"},
 		{"pmserve/nonpositive-telemetry", "pmserve", "", []string{"-telemetry-cap", "0"}, "positive"},
 	}
+	// pmsim -restore runs the checkpoint's own switch and traffic: a flag
+	// that would describe another is refused.
+	for _, f := range [][]string{{"-n", "8"}, {"-buf", "32"}, {"-load", "0.9"}, {"-saturate"}, {"-perm"}, {"-bursty", "8"},
+		{"-hot", "0.5"}, {"-seed", "9"}, {"-vcs", "2"}, {"-store-and-forward"}, {"-model", "t3"}} {
+		cases = append(cases, badCase{"pmsim/restore-plus" + f[0], "pmsim", "", append([]string{"-restore", garbage}, f...), "drop " + f[0]})
+	}
+	return cases
 }
 
 // TestBadConfigExitsNonZero runs the audit table: each row must exit
@@ -383,7 +405,10 @@ func TestDocsNameNothingRetired(t *testing.T) {
 		// One departure contract: every organization hands its departures
 		// to a sink, and Run books them as the Runner does (names in two
 		// halves, as above)
-		"tally." + "book", "tally." + "collect", "pmarea -" + "bufpolicy", "pmarea -" + "pprof",
+		"tally." + "book", "tally." + "collect",
+		// pmsim runs all four organizations and the fig. 5 taps; the area
+		// numbers are E10–E13's (names in two halves, as above)
+		"pm" + "rtl", "pm" + "area", "-" + "tracejson", "TestPmrtl" + "TracePinned",
 	}
 	for n := 1; n <= 14; n++ {
 		retired = append(retired, fmt.Sprintf("Benchmark"+"E%d_", n))
@@ -466,46 +491,47 @@ func TestPmtraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPmrtlTracePinned pins, byte for byte, what pmrtl's three fig. 5 taps
-// write for one busy pipelined run: the -trace lines on stdout, the -vcd
-// waveform file and the -tracejson stream (per-cycle records interleaved
-// with the typed wave/stall events). The tap is an observer of the switch,
-// so no change to how the switch is simulated may move any of them. The
-// org rows pin the result line of the three other organizations on the same
-// traffic: Run drives them, and no change to how it books a departure may
-// move them either. The model row pins a Telegraphos prototype's result and
-// Mb/s lines, and the last row pmsim's -trace stream of the same run, which
-// carries the typed events only.
-func TestPmrtlTracePinned(t *testing.T) {
+// TestPmsimFig5Pinned pins, byte for byte, what pmsim's three fig. 5 taps
+// write for one busy pipelined run: the -fig5 lines on stdout, the -vcd
+// waveform file and the -fig5 records routed onto the -trace stream
+// (interleaved with the typed wave/stall events). The tap is an observer of
+// the switch, so no change to how the switch is simulated may move any of
+// them. The arch rows pin the result line of the three other organizations
+// on the same traffic: Run drives them, and no change to how it books a
+// departure may move them either. The model row pins a Telegraphos
+// prototype's result and Mb/s lines, and the last row the -trace stream of
+// the same run without -fig5, which carries the typed events only.
+func TestPmsimFig5Pinned(t *testing.T) {
 	dir := t.TempDir()
-	base := func(args ...string) []string {
-		return append([]string{"-n", "4", "-cells", "16", "-load", "0.7", "-cycles", "600", "-seed", "5"}, args...)
+	at := func(arch string, args ...string) []string {
+		return append([]string{"-arch", arch, "-n", "4", "-buf", "16", "-load", "0.7", "-slots", "600", "-seed", "5"}, args...)
 	}
 	vcd, jsonl, jsonlSF := filepath.Join(dir, "w.vcd"), filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "sf.jsonl")
 	events := filepath.Join(dir, "ev.jsonl")
 	rows := []struct {
 		name string
-		tool string
 		args []string
 		file string // pinned bytes: this file's, or stdout's when empty
 		sum  uint64
 		size int
 	}{
-		{"trace", "pmrtl", base("-trace"), "", 0x4f8c3aa8c7f8ba3b, 84910},
-		{"vcd", "pmrtl", base("-vcd", vcd), vcd, 0x89f5f22883bbaa43, 89429},
-		{"tracejson", "pmrtl", base("-tracejson", jsonl), jsonl, 0x18d7c619d48024e5, 190131},
-		{"tracejson/sf-vcs-dt", "pmrtl", base("-tracejson", jsonlSF, "-store-and-forward", "-vcs", "2", "-bufpolicy", "dt:alpha=2", "-saturate"), jsonlSF, 0xe70d8080621b09a, 241028},
-		{"org/dual", "pmrtl", base("-org", "dual"), "", 0x28770624b9a91ca9, 94},
-		{"org/wide", "pmrtl", base("-org", "wide"), "", 0xd50cfefc6711795e, 95},
-		{"org/prizma", "pmrtl", base("-org", "prizma"), "", 0x55c7e225ad8e2a5a, 97},
-		{"model/t3", "pmrtl", []string{"-model", "t3", "-cycles", "20000"}, "", 0x58a0478f01fc1b84, 170},
-		{"events", "pmsim", []string{"-arch", "rtl", "-n", "4", "-buf", "16", "-load", "0.7", "-slots", "600", "-seed", "5", "-trace", events}, events, 0xf6175b52ec3e4c96, 33973},
+		{"fig5", at("rtl", "-fig5"), "", 0x4f8c3aa8c7f8ba3b, 84910},
+		{"vcd", at("rtl", "-vcd", vcd), vcd, 0x89f5f22883bbaa43, 89429},
+		{"fig5-trace", at("rtl", "-trace", jsonl, "-fig5"), jsonl, 0x18d7c619d48024e5, 190131},
+		// Saturation has no load to set.
+		{"fig5-trace/sf-vcs-dt", []string{"-arch", "rtl", "-n", "4", "-buf", "16", "-slots", "600", "-seed", "5",
+			"-trace", jsonlSF, "-fig5", "-store-and-forward", "-vcs", "2", "-bufpolicy", "dt:alpha=2", "-saturate"}, jsonlSF, 0xe70d8080621b09a, 241028},
+		{"arch/dual", at("dual"), "", 0x28770624b9a91ca9, 94},
+		{"arch/wide", at("wide"), "", 0xd50cfefc6711795e, 95},
+		{"arch/prizma", at("prizma"), "", 0x55c7e225ad8e2a5a, 97},
+		{"model/t3", []string{"-arch", "rtl", "-model", "t3", "-slots", "20000"}, "", 0x58a0478f01fc1b84, 170},
+		{"events", at("rtl", "-trace", events), events, 0xf6175b52ec3e4c96, 33973},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			out, stderr, code := run(t, r.tool, "", r.args...)
+			out, stderr, code := run(t, "pmsim", "", r.args...)
 			if code != 0 {
-				t.Fatalf("%s %v failed (%d): %s", r.tool, r.args, code, stderr)
+				t.Fatalf("pmsim %v failed (%d): %s", r.args, code, stderr)
 			}
 			got := []byte(out)
 			if r.file != "" {
@@ -517,7 +543,7 @@ func TestPmrtlTracePinned(t *testing.T) {
 			h := fnv.New64a()
 			h.Write(got)
 			if h.Sum64() != r.sum || len(got) != r.size {
-				t.Fatalf("%s %v: %d bytes, digest %#x; pinned %d bytes, %#x", r.tool, r.args, len(got), h.Sum64(), r.size, r.sum)
+				t.Fatalf("pmsim %v: %d bytes, digest %#x; pinned %d bytes, %#x", r.args, len(got), h.Sum64(), r.size, r.sum)
 			}
 		})
 	}
@@ -595,7 +621,9 @@ func TestPmsimPinned(t *testing.T) {
 				"faults: linkcorrupt applied=36 skipped=52\n"},
 		// A saturated link never regains the time a retransmission cost it:
 		// the window runs 13,048 cycles past -slots while the queues empty.
-		{name: "linkprotect-saturate", args: append(append([]string{}, linkprotect...), "-saturate", "-retries", "2", "-events", "6000"),
+		// (Saturation has no load to set: the row is linkprotect's without
+		// -load.)
+		{name: "linkprotect-saturate", args: append(slices.Delete(slices.Clone(linkprotect), 6, 8), "-saturate", "-retries", "2", "-events", "6000"),
 			want: "cycles=113048 offered=50000 delivered=49735 dropped=225 util=0.8799 cutlat=29.63 initdelay=1.7617\n" +
 				"corrupt=0 ecc-corrected=0 ecc-uncorrectable=0 ecc-hard=0 linkfailed=40 retransmits=4862\n" +
 				"faults: linkdrop    applied=2582 skipped=435\n" +

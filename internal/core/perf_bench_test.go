@@ -316,7 +316,7 @@ func TestDualTickZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkTickTraced is BenchmarkTickSteadyState with a fig. 5 tracer
-// installed — the cost of a pmrtl -trace/-vcd/-tracejson run per cycle,
+// installed — the cost of a pmsim -fig5 or -vcd run per cycle,
 // event assembly included; the consumer only counts stage-0 initiations.
 func BenchmarkTickTraced(b *testing.B) {
 	inits := 0
