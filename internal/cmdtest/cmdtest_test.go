@@ -366,7 +366,7 @@ func TestDocsNameNothingRetired(t *testing.T) {
 		// (driver names in two halves, as above)
 		"RunDual" + "Traffic", "RunWide" + "Traffic", "RunPrizma" + "Traffic",
 		"widemem.RunTraffic", "prizma.RunTraffic", "widemem.RunResult", "prizma.RunResult",
-		"widemem.Departure", "prizma.Departure", "ThroughMemory", "CapacityCells", "pmrtl -dual",
+		"widemem.Departure", "prizma.Departure", "ThroughMemory", "CapacityCells",
 		// PR 19: the tracer is a tap, DualSwitch has no per-stage machine
 		"driveScratch", "execOp", "outMask", "outCount", "tracer-pinned", "tracer attach",
 		// PR 21: one driver for fault runs — the session (names in two
