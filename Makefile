@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet staticcheck cross test race fuzz check vulncheck bench pairs wallclock ckpt-soak serve-smoke loc profile
+.PHONY: build vet staticcheck cross test race fuzz check vulncheck bench pairs textsyms wallclock ckpt-soak serve-smoke loc profile
 
 build:
 	$(GO) build ./...
@@ -154,6 +154,15 @@ loc:
 pairs:
 	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=<rev> [N=10] [WORKLOADS=\"...\"] [RUN_SECONDS=8] [SEED=42] [OUT=dir]"; exit 2; }
 	RUN_SECONDS=$(RUN_SECONDS) SEED=$(SEED) OUT=$(OUT) scripts/pairs.sh $(PARENT) $(or $(N),10) $(WORKLOADS)
+
+# The ledger binary's text symbols at PARENT against the working tree's:
+# "identical", or each symbol that grew, shrank, appeared or went, and how
+# many moved. The evidence that a change left the benchmarked code alone,
+# where a timing run on a noisy host cannot say so. A reading, not a gate.
+#   make textsyms PARENT=HEAD~1
+textsyms:
+	@test -n "$(PARENT)" || { echo "usage: make textsyms PARENT=<rev>"; exit 2; }
+	scripts/textsyms.sh $(PARENT)
 
 # The wall-clock gates, all behind one switch: the overhead table (an
 # enabled metrics observer, a 64-cycle audit cadence and 1-in-64 flight

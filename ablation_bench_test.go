@@ -10,6 +10,8 @@ package pipemem
 import (
 	"strconv"
 	"testing"
+
+	"pipemem/internal/traffic"
 )
 
 // The run length of each configuration an ablation compares, per model.
@@ -218,7 +220,7 @@ func BenchmarkAblationMulticastFanout(b *testing.B) {
 
 // runRTL drives any organization for ablationCycles cycles and returns
 // the delivered cells.
-func runRTL(org Organization, cs *CellStream) int {
+func runRTL(org Organization, cs *traffic.CellStream) int {
 	g := org.Geometry()
 	heads := make([]int, g.Ports)
 	hc := make([]*Cell, g.Ports)

@@ -349,7 +349,13 @@ func main() {
 			die(1, err)
 		}
 		res := pipemem.RunArch(a, g, *warmup, *slots)
-		fmt.Printf("load=%.2f  %s\n", tcfg.Load, res)
+		// A saturated stream offers a cell on every input every slot and
+		// reads no load: its row says so instead of echoing -load.
+		load := fmt.Sprintf("%.2f", tcfg.Load)
+		if tcfg.Kind == pipemem.Saturation {
+			load = "sat"
+		}
+		fmt.Printf("load=%s  %s\n", load, res)
 	}
 
 	if *sweep {

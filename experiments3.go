@@ -8,6 +8,7 @@ import (
 	"pipemem/internal/clos"
 	"pipemem/internal/core"
 	"pipemem/internal/fabric"
+	"pipemem/internal/fabric/engine"
 	"pipemem/internal/traffic"
 	"pipemem/internal/wormhole"
 )
@@ -177,10 +178,10 @@ func X4Clos(s Scale) (ExpResult, error) {
 	warm, meas := s.slots(5_000, 20_000), s.slots(40_000, 200_000)
 	const radix = 4
 	middles := []int{1, 2, 3, 4}
-	cres, err := bench.Map(0, middles, func(_ int, m int) (FabricResult, error) {
+	cres, err := bench.Map(0, middles, func(_ int, m int) (engine.Result, error) {
 		f, err := clos.New(clos.Config{Radix: radix, Middles: m, WordBits: 16, SwitchCells: 32, Credits: 4, CutThrough: true})
 		if err != nil {
-			return FabricResult{}, err
+			return engine.Result{}, err
 		}
 		return f.Run(traffic.Config{Kind: traffic.Saturation, Seed: 3131}, warm, meas)
 	})

@@ -4,13 +4,16 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"pipemem/internal/bufmgr"
 )
 
-// TestFacadeBufferPolicy exercises the policy surface through the public
-// API: parse a spec, install it, run traffic, and see the policy's drops
-// in the breakdown; the constructors must parse-round-trip.
+// TestFacadeBufferPolicy installs a parsed policy on the facade's switch
+// (the tools take it as a -bufpolicy spec), runs traffic and sees the
+// policy's drops in the breakdown; every policy value must
+// parse-round-trip through its name.
 func TestFacadeBufferPolicy(t *testing.T) {
-	p, err := ParseBufferPolicy("dt:alpha=0.5")
+	p, err := bufmgr.Parse("dt:alpha=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +33,14 @@ func TestFacadeBufferPolicy(t *testing.T) {
 	if res.DropPolicy == 0 {
 		t.Error("dynamic threshold never refused an arrival under hotspot overload")
 	}
-	if _, err := ParseBufferPolicy("bogus"); !errors.Is(err, ErrBadPolicy) {
-		t.Errorf("bad spec error %v does not wrap ErrBadPolicy", err)
+	if _, err := bufmgr.Parse("bogus"); !errors.Is(err, bufmgr.ErrBadConfig) {
+		t.Errorf("bad spec error %v does not wrap bufmgr.ErrBadConfig", err)
 	}
-	for _, p := range []BufferPolicy{
-		NewCompleteSharing(), NewStaticPartition(4), NewDynamicThreshold(2),
-		NewDelayDriven(128), NewPushOut(),
+	for _, p := range []bufmgr.Policy{
+		bufmgr.CompleteSharing{}, bufmgr.StaticPartition{Quota: 4}, bufmgr.DynamicThreshold{Alpha: 2},
+		bufmgr.DelayDriven{Target: 128}, bufmgr.PushOutLQF{},
 	} {
-		back, err := ParseBufferPolicy(p.Name())
+		back, err := bufmgr.Parse(p.Name())
 		if err != nil {
 			t.Errorf("constructor policy %q does not re-parse: %v", p.Name(), err)
 		} else if back != p {
@@ -52,53 +55,12 @@ func TestFacadeFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFabric(f, TrafficConfig{Kind: Bernoulli, Load: 0.3, Seed: 5}, 1_000, 10_000)
+	res, err := f.Run(TrafficConfig{Kind: Bernoulli, Load: 0.3, Seed: 5}, 1_000, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Delivered == 0 || res.Corrupt != 0 {
 		t.Fatalf("bad fabric run: %+v", res)
-	}
-}
-
-// TestFacadeTiming exercises the exported timing model.
-func TestFacadeTiming(t *testing.T) {
-	if got := TelegraphosIIITiming().CycleNsWorst(); got != 16 {
-		t.Fatalf("T3 timing %v", got)
-	}
-	if got := TelegraphosIITiming().CycleNsWorst(); got != 40 {
-		t.Fatalf("T2 timing %v", got)
-	}
-	wide := WideMemoryTiming(8, 16)
-	pip := StageTiming{WordlineBits: 16, Addr: AddrDecoder}
-	if wide.CycleNsWorst() <= pip.CycleNsWorst() {
-		t.Fatal("wide not slower")
-	}
-	if AddrDecoder == AddrPipelineReg {
-		t.Fatal("address-source constants collide")
-	}
-}
-
-// TestFacadeVCSwitch drives a VC Telegraphos switch through the facade.
-func TestFacadeVCSwitch(t *testing.T) {
-	sw, err := NewTelegraphosVC(TelegraphosII(), 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.VCCredits(0, 1) != 4 {
-		t.Fatal("VC credits not initialized through facade")
-	}
-	m := TelegraphosII()
-	payload := make([]Word, m.Stages-1)
-	pkts := make([]*TelegraphosPacket, m.Ports)
-	pkts[0] = &TelegraphosPacket{Header: 1, Payload: payload, Seq: 1, VC: 1}
-	sw.Tick(pkts)
-	for i := 0; i < 6*m.Stages; i++ {
-		sw.Tick(nil)
-	}
-	deps := sw.Drain()
-	if len(deps) != 1 || deps[0].VC != 1 {
-		t.Fatalf("VC packet mishandled: %+v", deps)
 	}
 }
 
@@ -163,21 +125,6 @@ func TestExpResultRendering(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "MISMATCH") {
 		t.Fatal("failed row not marked")
-	}
-}
-
-// TestFacadeClos drives the Clos network through the facade.
-func TestFacadeClos(t *testing.T) {
-	f, err := NewClos(ClosConfig{Radix: 4, WordBits: 16, SwitchCells: 16, Credits: 2, CutThrough: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunFabric(f, TrafficConfig{Kind: Bernoulli, Load: 0.3, Seed: 5}, 1_000, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered == 0 || res.Corrupt != 0 {
-		t.Fatalf("bad clos run: %+v", res)
 	}
 }
 

@@ -8,6 +8,10 @@ package pipemem
 
 import (
 	"testing"
+
+	"pipemem/internal/core"
+	"pipemem/internal/prizma"
+	"pipemem/internal/widemem"
 )
 
 // buildSchedule builds a deterministic head schedule in cell times, which
@@ -45,9 +49,9 @@ func integrationOrgs(t *testing.T, n int) []orgRow {
 	t.Helper()
 	return []orgRow{
 		{"pipelined", false, must[*Switch](t)(New(Config{Ports: n, WordBits: 16, Cells: 16 * n, CutThrough: true}))},
-		{"dual", false, must[*DualSwitch](t)(NewDual(Config{Ports: n, WordBits: 16, Cells: 8 * n, CutThrough: true}))},
-		{"wide", true, must[*WideSwitch](t)(NewWide(WideConfig{Ports: n, WordBits: 16, Cells: 16 * n}))},
-		{"prizma", true, must[*PrizmaSwitch](t)(NewPrizma(PrizmaConfig{Ports: n, Banks: 16 * n, WordBits: 16}))},
+		{"dual", false, must[*core.DualSwitch](t)(NewDual(Config{Ports: n, WordBits: 16, Cells: 8 * n, CutThrough: true}))},
+		{"wide", true, must[*widemem.Switch](t)(NewWide(WideConfig{Ports: n, WordBits: 16, Cells: 16 * n}))},
+		{"prizma", true, must[*prizma.Switch](t)(NewPrizma(PrizmaConfig{Ports: n, Banks: 16 * n, WordBits: 16}))},
 	}
 }
 

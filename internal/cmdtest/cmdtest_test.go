@@ -1,9 +1,10 @@
-// Package cmdtest exercises every command-line tool under cmd/ as a real
-// subprocess: every malformed -faultplan/-bufpolicy/flag combination
-// must exit non-zero with a one-line actionable message on stderr, and the
-// checkpoint surface must round-trip bit-identically through the actual
-// binaries — including the pmserve session daemon, whose drain/restore
-// cycle is covered by the opt-in TestServeSmoke.
+// Package cmdtest exercises every command-line tool under cmd/, and the
+// example program under examples/, as a real subprocess: every malformed
+// -faultplan/-bufpolicy/flag combination must exit non-zero with a
+// one-line actionable message on stderr, and the checkpoint surface must
+// round-trip bit-identically through the actual binaries — including the
+// pmserve session daemon, whose drain/restore cycle is covered by the
+// opt-in TestServeSmoke.
 package cmdtest
 
 import (
@@ -11,6 +12,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"hash/fnv"
 	"io"
 	"net/http"
@@ -29,8 +33,8 @@ import (
 
 var binDir string
 
-// TestMain builds the tools once into a temp dir; every test then
-// execs the real binaries.
+// TestMain builds the tools and the example programs once into a temp dir;
+// every test then execs the real binaries.
 func TestMain(m *testing.M) {
 	if _, err := exec.LookPath("go"); err != nil {
 		fmt.Fprintln(os.Stderr, "cmdtest: go toolchain not found; skipping")
@@ -48,7 +52,7 @@ func TestMain(m *testing.M) {
 	if os.Getenv("PIPEMEM_CKPT_SOAK") == "1" || os.Getenv("PIPEMEM_SERVE_SMOKE") == "1" {
 		buildArgs = append(buildArgs, "-race")
 	}
-	build := exec.Command("go", append(buildArgs, "./cmd/...")...)
+	build := exec.Command("go", append(buildArgs, "./cmd/...", "./examples/...")...)
 	build.Dir = "../.."
 	if out, err := build.CombinedOutput(); err != nil {
 		fmt.Fprintf(os.Stderr, "cmdtest: build: %v\n%s", err, out)
@@ -409,6 +413,11 @@ func TestDocsNameNothingRetired(t *testing.T) {
 		// pmsim runs all four organizations and the fig. 5 taps; the area
 		// numbers are E10–E13's (names in two halves, as above)
 		"pm" + "rtl", "pm" + "area", "-" + "tracejson", "TestPmrtl" + "TracePinned",
+		// The example programs that repeated an experiment or the README
+		// snippet are gone, and three became Example functions; floorplan
+		// stays
+		"examples/quickstart", "examples/atmswitch", "examples/multistage",
+		"examples/multicast", "examples/qos", "examples/cluster",
 	}
 	for n := 1; n <= 14; n++ {
 		retired = append(retired, fmt.Sprintf("Benchmark"+"E%d_", n))
@@ -425,6 +434,97 @@ func TestDocsNameNothingRetired(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFacadeNamesUsed keeps the root package's exported surface to what
+// something outside it uses: every exported name pipemem.go declares must be
+// referenced as pipemem.<Name> by a tool under cmd/, a program under
+// examples/, an example in example_test.go or README.md — or name an
+// Example<Name> or Example<Name>_<Method> function there, which go vet
+// holds to an existing identifier. The package's own files and tests do not
+// count: what only they use belongs in internal/*.
+func TestFacadeNamesUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "../../pipemem.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var declared []string
+	for _, d := range facade.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				declared = append(declared, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					declared = append(declared, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						declared = append(declared, n.Name)
+					}
+				}
+			}
+		}
+	}
+
+	used := map[string]bool{}
+	useFile := func(path string) error {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "pipemem" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+				if rest, ok := strings.CutPrefix(fn.Name.Name, "Example"); ok {
+					used[strings.Split(rest, "_")[0]] = true
+				}
+			}
+		}
+		return nil
+	}
+	for _, dir := range []string{"../../cmd", "../../examples"} {
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			return useFile(path)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := useFile("../../example_test.go"); err != nil {
+		t.Fatal(err)
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile(`\bpipemem\.([A-Z]\w*)`).FindAllSubmatch(readme, -1) {
+		used[string(m[1])] = true
+	}
+
+	var unused []string
+	for _, name := range declared {
+		if ast.IsExported(name) && !used[name] {
+			unused = append(unused, name)
+		}
+	}
+	if len(unused) > 0 {
+		t.Errorf("pipemem.go exports %d of %d names that no tool, example or README recipe uses: %s",
+			len(unused), len(declared), strings.Join(unused, " "))
 	}
 }
 
@@ -569,8 +669,8 @@ func firstLine(out string) string { return strings.SplitAfter(out, "\n")[0] }
 // and observed RTL runs, fault plans with the auditor on (the first four
 // rows, pinned before the fault harness was folded into the session and
 // unmoved by it), the README / verify-skill fault recipes, a fault plan
-// under each traffic flag the harness used to refuse, and the refusal of a
-// retired fault kind.
+// under each traffic flag the harness used to refuse, the refusal of a
+// retired fault kind, and the label of a saturated slot-level row.
 func TestPmsimPinned(t *testing.T) {
 	rtl := []string{"-arch", "rtl", "-n", "8", "-buf", "256", "-load", "0.9", "-slots", "200000"}
 	ecc := []string{"-faultplan", "random", "-n", "4", "-buf", "32", "-load", "0.6", "-slots", "120000", "-ecc", "-events", "2000"}
@@ -641,6 +741,11 @@ func TestPmsimPinned(t *testing.T) {
 		{name: "ctrl-refused", stdin: "@50 ctrl stage=1 op=R out=0 addr=3\n",
 			args:    []string{"-faultplan", "-", "-n", "4", "-load", "0.3", "-slots", "2000"},
 			refused: "pmsim: fault: invalid fault plan: line 1: unknown fault kind \"ctrl\"\n"},
+
+		// A saturated stream reads no load: the row says so rather than
+		// echo -load's default.
+		{name: "slot-saturate", args: []string{"-arch", "output", "-n", "4", "-slots", "2000", "-saturate"},
+			want: "load=sat  output-queue   n=4   thr=0.9835 loss=5.88e-03 lat=23.37 p99=63\n"},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -667,6 +772,34 @@ func TestPmsimPinned(t *testing.T) {
 			h.Write([]byte(out))
 			if h.Sum64() != r.sum || len(out) != r.size {
 				t.Fatalf("pmsim %v: %d bytes, digest %#x; pinned %d bytes, %#x", r.args, len(out), h.Sum64(), r.size, r.sum)
+			}
+		})
+	}
+}
+
+// TestFloorplanPinned pins examples/floorplan's stdout, the §3.5 and §5
+// arithmetic rescaled to a geometry, at its default flags and at the
+// 16×16, 32-bit geometry the docs quote.
+func TestFloorplanPinned(t *testing.T) {
+	rows := []struct {
+		name string
+		args []string
+		sum  uint64
+		size int
+	}{
+		{"default", nil, 0x974b62d31b9fff43, 793},
+		{"n16-w32", []string{"-n", "16", "-w", "32"}, 0x803abcbeae1daee9, 798},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			out, stderr, code := run(t, "floorplan", "", r.args...)
+			if code != 0 {
+				t.Fatalf("floorplan %v exited %d: %s", r.args, code, stderr)
+			}
+			h := fnv.New64a()
+			h.Write([]byte(out))
+			if h.Sum64() != r.sum || len(out) != r.size {
+				t.Fatalf("floorplan %v: %d bytes, digest %#x; pinned %d bytes, %#x\n%s", r.args, len(out), h.Sum64(), r.size, r.sum, out)
 			}
 		})
 	}

@@ -11,14 +11,19 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"pipemem/internal/core"
+	"pipemem/internal/prizma"
+	"pipemem/internal/traffic"
+	"pipemem/internal/widemem"
 )
 
 // headCells turns one cycle's Heads vector into the cells Tick takes,
 // reusing hc and numbering the cells on from *seq.
-func headCells(heads []int, hc []*Cell, seq *uint64, g Geometry) []*Cell {
+func headCells(heads []int, hc []*Cell, seq *uint64, g core.Geometry) []*Cell {
 	for i, dst := range heads {
 		hc[i] = nil
-		if dst != NoArrival {
+		if dst != traffic.NoArrival {
 			*seq++
 			hc[i] = NewCell(*seq, i, dst, g.CellWords, g.WordBits)
 		}
@@ -81,22 +86,22 @@ func TestOrganizationsGolden(t *testing.T) {
 		build func() Organization
 	}{
 		{"dual/ct", func() Organization {
-			return must[*DualSwitch](t)(NewDual(Config{Ports: n, WordBits: 16, Cells: 32, CutThrough: true}))
+			return must[*core.DualSwitch](t)(NewDual(Config{Ports: n, WordBits: 16, Cells: 32, CutThrough: true}))
 		}},
 		{"dual/sf", func() Organization {
-			return must[*DualSwitch](t)(NewDual(Config{Ports: n, WordBits: 16, Cells: 32}))
+			return must[*core.DualSwitch](t)(NewDual(Config{Ports: n, WordBits: 16, Cells: 32}))
 		}},
 		{"wide/crossbar", func() Organization {
-			return must[*WideSwitch](t)(NewWide(WideConfig{Ports: n, WordBits: 16, Cells: 64, CutThroughCrossbar: true}))
+			return must[*widemem.Switch](t)(NewWide(WideConfig{Ports: n, WordBits: 16, Cells: 64, CutThroughCrossbar: true}))
 		}},
 		{"wide/sf", func() Organization {
-			return must[*WideSwitch](t)(NewWide(WideConfig{Ports: n, WordBits: 16, Cells: 64}))
+			return must[*widemem.Switch](t)(NewWide(WideConfig{Ports: n, WordBits: 16, Cells: 64}))
 		}},
 		{"prizma/64x1", func() Organization {
-			return must[*PrizmaSwitch](t)(NewPrizma(PrizmaConfig{Ports: n, Banks: 64, CellsPerBank: 1, WordBits: 16}))
+			return must[*prizma.Switch](t)(NewPrizma(PrizmaConfig{Ports: n, Banks: 64, CellsPerBank: 1, WordBits: 16}))
 		}},
 		{"prizma/16x4", func() Organization {
-			return must[*PrizmaSwitch](t)(NewPrizma(PrizmaConfig{Ports: n, Banks: 16, CellsPerBank: 4, WordBits: 16}))
+			return must[*prizma.Switch](t)(NewPrizma(PrizmaConfig{Ports: n, Banks: 16, CellsPerBank: 4, WordBits: 16}))
 		}},
 	}
 	kinds := []struct {
@@ -118,7 +123,7 @@ func TestOrganizationsGolden(t *testing.T) {
 				org := o.build()
 				g := org.Geometry()
 				k := g.CellWords
-				cs := must[*CellStream](t)(NewCellStream(kind.tc, k))
+				cs := must[*traffic.CellStream](t)(NewCellStream(kind.tc, k))
 				h := fnv.New64a()
 				org.SetDepartureSink(func(c *Cell, out int, headIn, headOut int64, intact bool) {
 					if !intact {
@@ -144,13 +149,13 @@ func TestOrganizationsGolden(t *testing.T) {
 
 				// Through Run, on a fresh instance and stream.
 				org = o.build()
-				r, err := Run(org, must[*CellStream](t)(NewCellStream(kind.tc, k)), cycles)
+				r, err := Run(org, must[*traffic.CellStream](t)(NewCellStream(kind.tc, k)), cycles)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got.cycles, got.offered, got.delivered, got.dropped = r.Cycles, r.Offered, r.Delivered, r.Dropped
 				got.meanLat, got.minLat = fmt.Sprintf("%.4f", r.MeanCutLatency), r.MinCutLatency
-				if w, ok := org.(*WideSwitch); ok {
+				if w, ok := org.(*widemem.Switch); ok {
 					got.cutthrough = w.CutThroughs()
 				}
 				got.busyWords = int64(math.Round(r.Utilization * float64(r.Cycles*n)))
@@ -179,9 +184,9 @@ func smallOrgs(t testing.TB, n int) []orgRow {
 	return []orgRow{
 		{"pipelined", false, must[*Switch](t)(New(Config{Ports: n, WordBits: 16, Cells: 8, CutThrough: true}))},
 		{"pipelined/linkpipe", false, must[*Switch](t)(New(Config{Ports: n, WordBits: 16, Cells: 8, CutThrough: true, LinkPipeline: 2}))},
-		{"dual", false, must[*DualSwitch](t)(NewDual(Config{Ports: n, WordBits: 16, Cells: 4, CutThrough: true}))},
-		{"wide", false, must[*WideSwitch](t)(NewWide(WideConfig{Ports: n, WordBits: 16, Cells: 8, CutThroughCrossbar: true}))},
-		{"prizma", true, must[*PrizmaSwitch](t)(NewPrizma(PrizmaConfig{Ports: n, Banks: 4, CellsPerBank: 2, WordBits: 16}))},
+		{"dual", false, must[*core.DualSwitch](t)(NewDual(Config{Ports: n, WordBits: 16, Cells: 4, CutThrough: true}))},
+		{"wide", false, must[*widemem.Switch](t)(NewWide(WideConfig{Ports: n, WordBits: 16, Cells: 8, CutThroughCrossbar: true}))},
+		{"prizma", true, must[*prizma.Switch](t)(NewPrizma(PrizmaConfig{Ports: n, Banks: 4, CellsPerBank: 2, WordBits: 16}))},
 	}
 }
 
@@ -250,7 +255,7 @@ func TestOrganizationsConservePerTick(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", row.name, tc.Kind), func(t *testing.T) {
 				l := newContractLedger(t, row.org)
 				g := row.org.Geometry()
-				cs := must[*CellStream](t)(NewCellStream(tc, g.CellWords))
+				cs := must[*traffic.CellStream](t)(NewCellStream(tc, g.CellWords))
 				heads := make([]int, n)
 				hc := make([]*Cell, n)
 				var seq uint64
@@ -275,7 +280,7 @@ func TestOrganizationsUtilizationAtMostOne(t *testing.T) {
 	for _, cycles := range []int64{64, 200, 2000} {
 		for _, row := range integrationOrgs(t, n) {
 			k := row.org.Geometry().CellWords
-			cs := must[*CellStream](t)(NewCellStream(TrafficConfig{Kind: Saturation, N: n, Seed: 1}, k))
+			cs := must[*traffic.CellStream](t)(NewCellStream(TrafficConfig{Kind: Saturation, N: n, Seed: 1}, k))
 			res, err := Run(row.org, cs, cycles)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", row.name, cycles, err)

@@ -7,12 +7,12 @@
 // The package exposes, under one import path:
 //
 //   - the paper's primary contribution: a cycle-accurate RTL model of the
-//     pipelined memory shared buffer switch (Switch, DualSwitch), with
+//     pipelined memory shared buffer switch (New, NewDual), with
 //     automatic cut-through, pipelined control, staggered initiation, and
 //     free-list/per-output-queue buffer management;
 //   - the comparison baselines: the wide-memory shared buffer of fig. 3
-//     (WideSwitch), the PRIZMA-style interleaved buffer of §5.3
-//     (PrizmaSwitch), and slot-level simulators of every §2 architecture
+//     (NewWide), the PRIZMA-style interleaved buffer of §5.3
+//     (NewPrizma), and slot-level simulators of every §2 architecture
 //     (input FIFO queueing, non-FIFO input buffering with PIM/iSLIP/2DRR
 //     schedulers, output/crosspoint/shared/block-crosspoint queueing,
 //     input smoothing);
@@ -32,21 +32,19 @@
 //	    Kind: pipemem.Bernoulli, N: 8, Load: 0.5, Seed: 1}, sw.Config().Stages)
 //	res, err := pipemem.RunTraffic(sw, stream, 100_000)
 //
-// See examples/ for runnable programs.
+// The package's Example functions are runnable programs; cmd/pmexp runs
+// the experiments, and examples/floorplan rescales the §5 area comparisons.
 package pipemem
 
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"pipemem/internal/analytic"
 	"pipemem/internal/arb"
 	"pipemem/internal/area"
-	"pipemem/internal/bufmgr"
 	"pipemem/internal/cell"
 	"pipemem/internal/ckpt"
-	"pipemem/internal/clos"
 	"pipemem/internal/core"
 	"pipemem/internal/fabric"
 	"pipemem/internal/fabric/engine"
@@ -59,7 +57,6 @@ import (
 	"pipemem/internal/trace"
 	"pipemem/internal/traffic"
 	"pipemem/internal/widemem"
-	"pipemem/internal/wormhole"
 )
 
 // ---- The pipelined memory shared buffer (the paper's contribution) ----
@@ -86,42 +83,19 @@ type Config = core.Config
 // row, control generated for stage 0 only, automatic cut-through.
 type Switch = core.Switch
 
-// DualSwitch is the §3.5 half-quantum organization: two n-stage pipelined
-// memories handling cells of n words at full rate.
-type DualSwitch = core.DualSwitch
-
 // Organization is the contract the four memory organizations behind the
-// same links share — Switch, DualSwitch, WideSwitch and PrizmaSwitch: heads
-// in through Tick, each departure out through the DepartureSink installed
-// with SetDepartureSink, and what a driver needs to feed and audit them
-// (Geometry among it). Run drives any of them. DepartureSink is exported
-// beside it so that a type outside this module can implement the contract.
+// same links share — New's, NewDual's, NewWide's and NewPrizma's switches:
+// heads in through Tick, each departure out through the DepartureSink
+// installed with SetDepartureSink, and what a driver needs to feed and
+// audit them. Run drives any of them. DepartureSink is exported beside it
+// so that a type outside this module can implement the contract.
 type (
 	Organization  = core.Organization
-	Geometry      = core.Geometry
 	DepartureSink = core.DepartureSink
 )
 
-// Departure reports one cell leaving a switch through Drain, with the
-// timing and the observed words a DepartureSink does not carry.
-type Departure = core.Departure
-
 // TraceEvent is the fig. 5-style per-cycle control/datapath snapshot.
 type TraceEvent = core.TraceEvent
-
-// Op and OpKind are the pipelined control words.
-type (
-	Op     = core.Op
-	OpKind = core.OpKind
-)
-
-// Control-word kinds.
-const (
-	OpNone         = core.OpNone
-	OpWrite        = core.OpWrite
-	OpRead         = core.OpRead
-	OpWriteThrough = core.OpWriteThrough
-)
 
 // RunResult summarizes a traffic-driven RTL run of any organization.
 type RunResult = core.RunResult
@@ -139,68 +113,20 @@ func NewVCDWriter(w io.Writer, s *Switch, cycleNs float64) *VCDWriter {
 // New builds a pipelined memory switch.
 func New(cfg Config) (*Switch, error) { return core.New(cfg) }
 
-// NewDual builds the half-quantum two-memory switch (§3.5).
-func NewDual(cfg Config) (*DualSwitch, error) { return core.NewDual(cfg) }
+// NewDual builds the §3.5 half-quantum organization: two n-stage
+// pipelined memories handling cells of n words at full rate.
+func NewDual(cfg Config) (*core.DualSwitch, error) { return core.NewDual(cfg) }
 
 // Run drives any organization with a cell stream of its geometry, drains
 // it, and verifies conservation and the integrity of every departure.
-func Run(org Organization, cs *CellStream, cycles int64) (RunResult, error) {
+func Run(org Organization, cs *traffic.CellStream, cycles int64) (RunResult, error) {
 	return core.Run(org, cs, cycles)
 }
 
 // RunTraffic is Run for a Switch in its allocation-free form, core.Runner.
-func RunTraffic(s *Switch, cs *CellStream, cycles int64) (RunResult, error) {
+func RunTraffic(s *Switch, cs *traffic.CellStream, cycles int64) (RunResult, error) {
 	return core.RunTraffic(s, cs, cycles)
 }
-
-// ---- Shared-buffer management (admission policies) ----
-
-// BufferPolicy decides, per arriving cell, whether the shared buffer
-// admits it, refuses it, or preempts a resident cell to make room.
-// Install with Switch.SetBufferPolicy; nil keeps the paper's
-// complete-sharing-by-backpressure behavior.
-type (
-	BufferPolicy  = bufmgr.Policy
-	BufferState   = bufmgr.State
-	BufferVerdict = bufmgr.Verdict
-	BufferAction  = bufmgr.Action
-)
-
-// Buffer admission verdict actions.
-const (
-	BufAccept  = bufmgr.Accept
-	BufDrop    = bufmgr.Drop
-	BufPushOut = bufmgr.PushOut
-)
-
-// ErrBadPolicy reports a malformed buffer-policy spec.
-var ErrBadPolicy = bufmgr.ErrBadConfig
-
-// ParseBufferPolicy builds a policy from a spec like "dt:alpha=2"; see
-// BufferPolicySpecs for the names.
-func ParseBufferPolicy(spec string) (BufferPolicy, error) { return bufmgr.Parse(spec) }
-
-// BufferPolicySpecs lists the canonical policy spec names.
-func BufferPolicySpecs() []string { return bufmgr.Specs() }
-
-// NewCompleteSharing admits while any cell is free (backpressure only).
-func NewCompleteSharing() BufferPolicy { return bufmgr.CompleteSharing{} }
-
-// NewStaticPartition reserves a fixed per-output quota (0 = capacity/n).
-func NewStaticPartition(quota int) BufferPolicy { return bufmgr.StaticPartition{Quota: quota} }
-
-// NewDynamicThreshold admits while the output queue is below α × free
-// cells (Choudhury–Hahne; 0 = α 1).
-func NewDynamicThreshold(alpha float64) BufferPolicy { return bufmgr.DynamicThreshold{Alpha: alpha} }
-
-// NewDelayDriven admits while the cell's estimated queueing delay is
-// within the occupancy-scaled target (0 = K × capacity cycles).
-func NewDelayDriven(target int64) BufferPolicy { return bufmgr.DelayDriven{Target: target} }
-
-// NewPushOut never refuses an arrival: when the buffer is full it evicts
-// the head of the longest output queue, if strictly longer than the
-// arrival's.
-func NewPushOut() BufferPolicy { return bufmgr.PushOutLQF{} }
 
 // ---- Observability (metrics registry, event tracing, profiling) ----
 
@@ -213,14 +139,6 @@ type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns an empty registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// Metric primitives; see obs.Counter, obs.Gauge, obs.Histogram.
-type (
-	MetricCounter   = obs.Counter
-	MetricGauge     = obs.Gauge
-	MetricGaugeVec  = obs.GaugeVec
-	MetricHistogram = obs.Histogram
-)
 
 // Observer bundles the switch's pre-registered metric slots (wave
 // initiations, cut-throughs, stalls, queue depths, buffer high-water
@@ -245,29 +163,12 @@ func NewEventTracer(sink TraceSink, ringCap, sampleEvery int) *EventTracer {
 	return obs.NewTracer(sink, ringCap, sampleEvery)
 }
 
-// ObsEvent is one typed trace event; TraceSink consumes them.
-type (
-	ObsEvent     = obs.Event
-	ObsEventKind = obs.EventKind
-	TraceSink    = obs.Sink
-)
-
-// The event taxonomy.
-const (
-	EvWriteWave     = obs.EvWriteWave
-	EvReadWave      = obs.EvReadWave
-	EvCutThrough    = obs.EvCutThrough
-	EvWaveEnd       = obs.EvWaveEnd
-	EvStall         = obs.EvStall
-	EvCRCRetransmit = obs.EvCRCRetransmit
-)
+// TraceSink consumes typed trace events.
+type TraceSink = obs.Sink
 
 // JSONLSink encodes events (and raw records such as TraceEvent) as one
-// JSON object per line; MemSink buffers events in memory for tests.
-type (
-	JSONLSink = obs.JSONLSink
-	MemSink   = obs.MemSink
-)
+// JSON object per line.
+type JSONLSink = obs.JSONLSink
 
 // NewJSONLSink wraps w in a buffered JSONL encoder.
 func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONLSink(w) }
@@ -277,13 +178,6 @@ func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONLSink(w) }
 // records.
 func JSONTracer(sink *JSONLSink) func(TraceEvent) { return core.JSONTracer(sink) }
 
-// RuntimeGauges publishes heap/GC/goroutine gauges; Collect (or Start)
-// samples the Go runtime into them.
-type RuntimeGauges = obs.RuntimeGauges
-
-// NewRuntimeGauges registers the runtime gauges on reg.
-func NewRuntimeGauges(reg *MetricsRegistry) *RuntimeGauges { return obs.NewRuntimeGauges(reg) }
-
 // ServeDebug starts the opt-in debug HTTP server on addr: /metrics
 // (Prometheus text), /metrics.json (JSON snapshot), /debug/pprof/
 // (net/http/pprof), plus periodic runtime gauges. It returns the bound
@@ -292,32 +186,19 @@ func ServeDebug(addr string, reg *MetricsRegistry) (string, func(), error) {
 	return obs.ServeDebug(addr, reg)
 }
 
-// ---- Fault tolerance and fault injection ----
-
-// ErrBadConfig is the sentinel wrapped by every Config validation error;
-// test with errors.Is.
-var ErrBadConfig = core.ErrBadConfig
-
-// ErrBadPlan is the sentinel wrapped by every fault-plan parse error.
-var ErrBadPlan = fault.ErrBadPlan
+// ---- Fault injection ----
 
 // FaultPlan is a deterministic schedule of fault events.
 type FaultPlan = fault.Plan
 
-// FaultEvent is one scheduled fault.
-type FaultEvent = fault.Event
-
 // FaultKind discriminates fault events.
 type FaultKind = fault.Kind
 
-// Fault kinds, and the wildcard target value.
+// Fault kinds a random plan can draw.
 const (
 	FaultMem         = fault.Mem
-	FaultStuck       = fault.Stuck
-	FaultInReg       = fault.InReg
 	FaultLinkDrop    = fault.LinkDrop
 	FaultLinkCorrupt = fault.LinkCorrupt
-	FaultAny         = fault.Any
 )
 
 // ParseFaultPlan parses the "@cycle kind key=val…" plan text format.
@@ -329,71 +210,39 @@ type FaultRandomOptions = fault.RandomOptions
 // RandomFaultPlan generates a seeded random plan (deterministic per seed).
 func RandomFaultPlan(seed uint64, o FaultRandomOptions) *FaultPlan { return fault.Random(seed, o) }
 
-// FaultEngine walks a plan and fires each event at its cycle.
-type FaultEngine = fault.Engine
-
-// FaultTarget is what an engine injects into.
-type FaultTarget = fault.Target
-
-// NewFaultEngine builds an engine over a plan; seed resolves "any" targets.
-func NewFaultEngine(p *FaultPlan, seed uint64) *FaultEngine { return fault.NewEngine(p, seed) }
-
-// FaultReport is the outcome of a fault run — a SimSession whose SimSpec
-// carries a Plan — as SimSession.Report gathers it from the RunResult.
-type FaultReport = fault.Report
-
-// CRC16 is the CCITT checksum the link protocol appends to each cell.
-func CRC16(words []Word) uint16 { return cell.CRC16(words) }
-
 // ---- Baseline shared-buffer organizations ----
 
 // WideConfig parameterizes the wide-memory baseline (fig. 3).
 type WideConfig = widemem.Config
 
-// WideSwitch is the wide-memory shared buffer with double input buffering
-// and an optional explicit cut-through crossbar.
-type WideSwitch = widemem.Switch
-
-// NewWide builds a wide-memory switch.
-func NewWide(cfg WideConfig) (*WideSwitch, error) { return widemem.New(cfg) }
+// NewWide builds the wide-memory shared buffer with double input
+// buffering and an optional explicit cut-through crossbar.
+func NewWide(cfg WideConfig) (*widemem.Switch, error) { return widemem.New(cfg) }
 
 // PrizmaConfig parameterizes the interleaved baseline (§5.3).
 type PrizmaConfig = prizma.Config
 
-// PrizmaSwitch is the PRIZMA-style one-cell-per-bank interleaved buffer.
-type PrizmaSwitch = prizma.Switch
-
-// NewPrizma builds an interleaved switch.
-func NewPrizma(cfg PrizmaConfig) (*PrizmaSwitch, error) { return prizma.New(cfg) }
+// NewPrizma builds the PRIZMA-style one-cell-per-bank interleaved buffer.
+func NewPrizma(cfg PrizmaConfig) (*prizma.Switch, error) { return prizma.New(cfg) }
 
 // ---- Segmentation and reassembly (§3.5 multi-quantum packets) ----
 
 // Packet is a variable-size unit of m·K words, segmented into m cells.
 type Packet = sar.Packet
 
-// Segmenter slices packets into cells for injection.
-type Segmenter = sar.Segmenter
+// NewSegmenter builds a segmenter, which slices packets into cells for
+// injection, for an n-input switch with K-word cells of the given word
+// width.
+func NewSegmenter(n, k, width int) *sar.Segmenter { return sar.NewSegmenter(n, k, width) }
 
-// Reassembler rebuilds packets from switch departures.
-type Reassembler = sar.Reassembler
-
-// ReassembledPacket is one completed packet at an output.
-type ReassembledPacket = sar.Done
-
-// NewSegmenter builds a segmenter for an n-input switch with K-word
-// cells of the given word width.
-func NewSegmenter(n, k, width int) *Segmenter { return sar.NewSegmenter(n, k, width) }
-
-// NewReassembler builds a reassembler for K-word cells.
-func NewReassembler(k int) *Reassembler { return sar.NewReassembler(k) }
+// NewReassembler builds a reassembler, which rebuilds packets from switch
+// departures, for K-word cells.
+func NewReassembler(k int) *sar.Reassembler { return sar.NewReassembler(k) }
 
 // ---- Traffic ----
 
 // TrafficConfig parameterizes a cell stream; see traffic.Config.
 type TrafficConfig = traffic.Config
-
-// TrafficKind selects the arrival process.
-type TrafficKind = traffic.Kind
 
 // Arrival processes.
 const (
@@ -404,17 +253,10 @@ const (
 	Permutation = traffic.Permutation
 )
 
-// NoArrival marks an idle input in arrival vectors.
-const NoArrival = traffic.NoArrival
-
-// CellStream produces word-serial cell arrivals: for the RTL models with
-// their cell length, for the §2 architecture models with one-word cells
-// (one cycle = one slot).
-type CellStream = traffic.CellStream
-
 // NewCellStream builds a word-serial cell stream for cells of cellLen
-// words.
-func NewCellStream(cfg TrafficConfig, cellLen int) (*CellStream, error) {
+// words: for the RTL models with their cell length, for the §2
+// architecture models with one-word cells (one cycle = one slot).
+func NewCellStream(cfg TrafficConfig, cellLen int) (*traffic.CellStream, error) {
 	return traffic.NewCellStream(cfg, cellLen)
 }
 
@@ -423,17 +265,11 @@ func NewCellStream(cfg TrafficConfig, cellLen int) (*CellStream, error) {
 // Arch is a slot-level switch architecture model.
 type Arch = sim.Arch
 
-// ArchResult summarizes a slot-level run.
-type ArchResult = sim.Result
-
 // NewInputFIFO builds FIFO input queueing (head-of-line blocking).
 func NewInputFIFO(n, bufCap int) Arch { return sim.NewInputFIFO(n, bufCap) }
 
-// VOQSchedulers are the scheduler names NewVOQ accepts.
-var VOQSchedulers = []string{"islip", "pim", "2drr"}
-
-// NewVOQ builds non-FIFO input buffering with the given scheduler, one of
-// VOQSchedulers; any other name is an error.
+// NewVOQ builds non-FIFO input buffering with the given scheduler, islip,
+// pim or 2drr; any other name is an error.
 func NewVOQ(n, bufCap int, scheduler string) (Arch, error) {
 	var m arb.Matcher
 	switch scheduler {
@@ -444,7 +280,7 @@ func NewVOQ(n, bufCap int, scheduler string) (Arch, error) {
 	case "2drr":
 		m = arb.NewTwoDRR()
 	default:
-		return nil, fmt.Errorf("pipemem: VOQ scheduler %q: want one of %s", scheduler, strings.Join(VOQSchedulers, ", "))
+		return nil, fmt.Errorf("pipemem: VOQ scheduler %q: want one of islip, pim, 2drr", scheduler)
 	}
 	return sim.NewVOQ(n, bufCap, m), nil
 }
@@ -489,45 +325,8 @@ func NewSpeedupFabric(n, inCap, outCap, speedup int) (Arch, error) {
 
 // RunArch drives an architecture for warmup + measured slots with a
 // stream of one-word cells (NewCellStream(cfg, 1)).
-func RunArch(a Arch, cs *CellStream, warmup, measured int64) ArchResult {
+func RunArch(a Arch, cs *traffic.CellStream, warmup, measured int64) sim.Result {
 	return sim.Run(a, cs, warmup, measured)
-}
-
-// ---- Wormhole (the [Dally90] comparison) ----
-
-// WormholeConfig parameterizes the multistage wormhole network.
-type WormholeConfig = wormhole.Config
-
-// WormholeNet is the flit-level butterfly of input-buffered wormhole
-// switches.
-type WormholeNet = wormhole.Net
-
-// WormholeResult summarizes a wormhole run.
-type WormholeResult = wormhole.Result
-
-// NewWormhole builds the network.
-func NewWormhole(cfg WormholeConfig) (*WormholeNet, error) { return wormhole.New(cfg) }
-
-// WormholeLaneConfig parameterizes the multi-lane (virtual channel)
-// wormhole network — the lane sweep of [Dally90, fig. 8].
-type WormholeLaneConfig = wormhole.LaneConfig
-
-// WormholeLaneNet is the multi-lane wormhole network.
-type WormholeLaneNet = wormhole.LaneNet
-
-// NewWormholeLanes builds the multi-lane network.
-func NewWormholeLanes(cfg WormholeLaneConfig) (*WormholeLaneNet, error) {
-	return wormhole.NewLanes(cfg)
-}
-
-// RunWormholeLanes advances the multi-lane network warmup+measure cycles.
-func RunWormholeLanes(w *WormholeLaneNet, warmup, measure int64) (WormholeResult, error) {
-	return wormhole.Run(w, warmup, measure)
-}
-
-// RunWormhole advances the network for warmup+measure cycles.
-func RunWormhole(w *WormholeNet, warmup, measure int64) (WormholeResult, error) {
-	return wormhole.Run(w, warmup, measure)
 }
 
 // ---- Multistage networks of pipelined-memory switches ----
@@ -536,28 +335,8 @@ func RunWormhole(w *WormholeNet, warmup, measure int64) (WormholeResult, error) 
 // switches with credit flow control and chained cut-through.
 type FabricConfig = fabric.Config
 
-// ClosConfig parameterizes a three-stage Clos network of pipelined-memory
-// switches (C(n,n,n): n² terminals).
-type ClosConfig = clos.Config
-
-// Fabric is a multistage network, butterfly or Clos: one engine, two
-// wirings.
-type Fabric = engine.Engine
-
-// FabricResult summarizes a run of either.
-type FabricResult = engine.Result
-
 // NewFabric builds the butterfly.
-func NewFabric(cfg FabricConfig) (*Fabric, error) { return fabric.New(cfg) }
-
-// NewClos builds the Clos network.
-func NewClos(cfg ClosConfig) (*Fabric, error) { return clos.New(cfg) }
-
-// RunFabric drives a network with terminal traffic for warmup+measure
-// cycles.
-func RunFabric(f *Fabric, tcfg TrafficConfig, warmup, measure int64) (FabricResult, error) {
-	return f.Run(tcfg, warmup, measure)
-}
+func NewFabric(cfg FabricConfig) (*engine.Engine, error) { return fabric.New(cfg) }
 
 // ---- Telegraphos prototypes (§4) ----
 
@@ -576,20 +355,10 @@ func TelegraphosI() TelegraphosModel   { return telegraphos.TelegraphosI() }
 func TelegraphosII() TelegraphosModel  { return telegraphos.TelegraphosII() }
 func TelegraphosIII() TelegraphosModel { return telegraphos.TelegraphosIII() }
 
-// TelegraphosModels returns all three prototypes.
-func TelegraphosModels() []TelegraphosModel { return telegraphos.Models() }
-
 // NewTelegraphos builds a prototype's switch with the given per-link
 // credit allowance (0 disables flow control).
 func NewTelegraphos(m TelegraphosModel, creditsPerLink int) (*TelegraphosSwitch, error) {
 	return telegraphos.NewSwitch(m, creditsPerLink)
-}
-
-// NewTelegraphosVC builds a prototype's switch with vcs virtual channels
-// per outgoing link, each with its own credit allowance — the [KVES95]
-// VC-level flow control and shared buffering organization.
-func NewTelegraphosVC(m TelegraphosModel, vcs, creditsPerVC int) (*TelegraphosSwitch, error) {
-	return telegraphos.NewVCSwitch(m, vcs, creditsPerVC)
 }
 
 // ---- Analytics and area models ----
@@ -602,15 +371,6 @@ func StaggeredInitiationDelay(p float64, n int) float64 {
 	return analytic.StaggeredInitiationDelay(p, n)
 }
 
-// OutputQueueWait returns the [KaHM87] output-queueing mean wait.
-func OutputQueueWait(n int, p float64) float64 { return analytic.OutputQueueWait(n, p) }
-
-// SharedBufferOccupancy returns the mean shared-buffer occupancy in cells
-// at Bernoulli load p.
-func SharedBufferOccupancy(n int, p float64) float64 {
-	return analytic.SharedBufferOccupancy(n, p)
-}
-
 // Quantum is the §3.5 packet-size quantum calculator.
 type Quantum = analytic.Quantum
 
@@ -619,44 +379,16 @@ func AggregateGbps(widthBits int, cycleNs float64) float64 {
 	return analytic.AggregateGbps(widthBits, cycleNs)
 }
 
-// AreaModel is the §5.2 peripheral-area row model.
-type AreaModel = area.RowModel
+// TechES2u10 is the paper's 1.0 µm full-custom process (Telegraphos III)
+// for the area model.
+var TechES2u10 = area.ES2u10
 
-// Tech describes a CMOS process generation for the area model.
-type Tech = area.Tech
-
-// The paper's two processes.
-var (
-	TechES2u07 = area.ES2u07 // 0.7 µm standard cell (Telegraphos II)
-	TechES2u10 = area.ES2u10 // 1.0 µm full custom (Telegraphos III)
-)
-
-// DefaultAreaModel returns coefficients fitted to the §5.2 anchors.
-func DefaultAreaModel() AreaModel { return area.DefaultRowModel() }
+// DefaultAreaModel returns the §5.2 peripheral-area row model with
+// coefficients fitted to the §5.2 anchors.
+func DefaultAreaModel() area.RowModel { return area.DefaultRowModel() }
 
 // PrizmaCrossbarRatio is the §5.3 cost ratio M/(2n).
 func PrizmaCrossbarRatio(ports, banks int) float64 { return area.PrizmaCrossbarRatio(ports, banks) }
-
-// StageTiming is the §4.2–§4.4 critical-path timing model of one memory
-// stage (fig. 7a/7b addressing, word-line length, bit-line splitting).
-type StageTiming = area.StageTiming
-
-// Address-path variants of fig. 7.
-const (
-	AddrDecoder     = area.Decoder
-	AddrPipelineReg = area.PipelineReg
-)
-
-// TelegraphosIIITiming returns the §4.4 stage timing (16/10 ns).
-func TelegraphosIIITiming() StageTiming { return area.TelegraphosIIITiming() }
-
-// TelegraphosIITiming returns the §4.2 stage timing (40 ns).
-func TelegraphosIITiming() StageTiming { return area.TelegraphosIITiming() }
-
-// WideMemoryTiming returns an unsplit wide-memory stage's timing.
-func WideMemoryTiming(ports, wordBits int) StageTiming {
-	return area.WideMemoryTiming(ports, wordBits)
-}
 
 // CompareInputVsShared evaluates the fig. 9 floorplan comparison.
 func CompareInputVsShared(n, w, cellsPerInput, sharedCells int) area.InputVsShared {
@@ -664,9 +396,6 @@ func CompareInputVsShared(n, w, cellsPerInput, sharedCells int) area.InputVsShar
 }
 
 // ---- Checkpoint/restore and the robustness session ----
-
-// SimCheckpoint is the complete serialized state of a simulation run.
-type SimCheckpoint = ckpt.Checkpoint
 
 // SimSpec describes a checkpointable simulation: switch and traffic
 // configuration, driven window, policy spec and optional fault plan.
@@ -679,13 +408,6 @@ type SimOptions = ckpt.Options
 // SimSession owns one checkpointable run.
 type SimSession = ckpt.Session
 
-// CheckpointFormatVersion is the checkpoint file format this build reads
-// and writes; restore across versions is refused.
-const CheckpointFormatVersion = ckpt.FormatVersion
-
-// ErrStalled marks a run aborted by the no-progress watchdog.
-var ErrStalled = ckpt.ErrStalled
-
 // NewSession builds a session from scratch.
 func NewSession(spec SimSpec, opts SimOptions) (*SimSession, error) { return ckpt.New(spec, opts) }
 
@@ -693,10 +415,3 @@ func NewSession(spec SimSpec, opts SimOptions) (*SimSession, error) { return ckp
 func ResumeSession(path string, opts SimOptions) (*SimSession, error) {
 	return ckpt.Resume(path, opts)
 }
-
-// SaveCheckpoint writes a checkpoint file atomically (temp file + rename).
-func SaveCheckpoint(path string, c *SimCheckpoint) error { return ckpt.Save(path, c) }
-
-// LoadCheckpoint reads and validates a checkpoint file (magic, version,
-// length, CRC) before decoding it.
-func LoadCheckpoint(path string) (*SimCheckpoint, error) { return ckpt.Load(path) }
